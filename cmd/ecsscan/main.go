@@ -46,7 +46,6 @@ func main() {
 	concurrency := flag.Int("concurrency", 64, "bulk mode: probes in flight")
 	rate := flag.Float64("rate", 0, "bulk mode: max queries/sec (0 = unlimited)")
 	shards := flag.Int("shards", 0, "bulk mode: pipeline shards, each with its own socket and ID space (0 = one per CPU)")
-	batch := flag.Bool("batch", false, "bulk mode: coalesce sends/receives into sendmmsg/recvmmsg batches (linux)")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -70,7 +69,7 @@ func main() {
 		log.Fatalf("ecsscan: -shards must be >= 0, got %d", *shards)
 	}
 	if *targetsArg != "" {
-		bulkScan(*targetsArg, base, *concurrency, *rate, *timeout, *shards, *batch)
+		bulkScan(*targetsArg, base, *concurrency, *rate, *timeout, *shards)
 		return
 	}
 
@@ -120,11 +119,10 @@ func loadTargets(arg string) []string {
 // bulkScan sweeps many resolvers concurrently through the pipelined
 // transport and prints one availability line per target plus a
 // throughput summary.
-func bulkScan(targetsArg string, base dnswire.Name, concurrency int, rate float64, timeout time.Duration, shards int, batch bool) {
+func bulkScan(targetsArg string, base dnswire.Name, concurrency int, rate float64, timeout time.Duration, shards int) {
 	targets := loadTargets(targetsArg)
 	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{
 		Shards:  shards, // 0 = one per CPU
-		Batch:   batch,
 		Timeout: timeout,
 	})
 	if err != nil {

@@ -111,7 +111,7 @@ func main() {
 	var netMu sync.Mutex
 	prog := scanner.NewProgress()
 	scan := &scanner.Scan{
-		ExchangeCtx: func(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		Exchange: func(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			netMu.Lock()
 			defer netMu.Unlock()
 			resp, _, err := net.Exchange(scannerAddr, to, q)

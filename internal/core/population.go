@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -479,7 +480,7 @@ func (s *Study) BuildScanForwarders() []netip.Addr {
 // RunScan probes all forwarders against the scan zone.
 func (s *Study) RunScan() scanner.Result {
 	sc := &scanner.Scan{
-		Exchange: func(to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		Exchange: func(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			resp, _, err := s.Net.Exchange(s.ScannerSource, to, q)
 			return resp, err
 		},

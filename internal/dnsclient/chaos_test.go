@@ -184,24 +184,13 @@ func runPipelineChaos(t *testing.T, cfg PipelineConfig) {
 	}
 }
 
-// TestPipelineChaosAccounting runs the fault-injection flood over the
-// sharded single-packet path.
+// TestPipelineChaosAccounting runs the fault-injection flood over four
+// shards.
 func TestPipelineChaosAccounting(t *testing.T) {
 	runPipelineChaos(t, PipelineConfig{
 		Shards: 4, Timeout: 150 * time.Millisecond,
 		Retries: 1, Backoff: 20 * time.Millisecond,
 		NoTCPFallback: true,
-	})
-}
-
-// TestPipelineChaosAccountingBatch runs the same flood over the batched
-// sendmmsg/recvmmsg path (a no-op fallback to single-packet I/O on
-// platforms without it — the invariants must hold either way).
-func TestPipelineChaosAccountingBatch(t *testing.T) {
-	runPipelineChaos(t, PipelineConfig{
-		Shards: 4, Timeout: 150 * time.Millisecond,
-		Retries: 1, Backoff: 20 * time.Millisecond,
-		NoTCPFallback: true, Batch: true,
 	})
 }
 

@@ -30,8 +30,6 @@ type PipelineConfig struct {
 	// destination), so there is no cross-shard synchronization on the
 	// send/receive hot path.
 	Shards int
-	// Sockets is the legacy name for Shards, honored when Shards is 0.
-	Sockets int
 	// Timeout bounds each UDP attempt and the TCP fallback (default 3 s).
 	Timeout time.Duration
 	// Retries is the number of additional UDP attempts after the first.
@@ -44,10 +42,6 @@ type PipelineConfig struct {
 	// truncated response is returned as-is and exhausted retries surface
 	// the last UDP error.
 	NoTCPFallback bool
-	// Batch coalesces sends and receives into sendmmsg/recvmmsg batch
-	// syscalls where the platform supports them (linux); elsewhere it is
-	// a no-op and the pipeline uses single-packet I/O.
-	Batch bool
 }
 
 // PipelineStats is a snapshot of a Pipeline's counters.
@@ -59,9 +53,8 @@ type PipelineConfig struct {
 //	Sent == Received + Timeouts + Aborted + SendErrors
 //
 // — the accounting invariant the chaos tests assert under fault
-// injection. (Attempts cut off before submission — pipeline closed, or
-// ctx canceled while the batch queue was full — appear on neither
-// side.)
+// injection. (Attempts cut off before submission — pipeline closed —
+// appear on neither side.)
 type PipelineStats struct {
 	// Sent counts UDP attempts submitted for sending (one per attempt;
 	// kernel refusals are included here and show up in SendErrors).
@@ -86,11 +79,6 @@ type PipelineStats struct {
 	// Truncated counts truncated responses received (whether they then
 	// moved to TCP or were returned as-is under NoTCPFallback).
 	Truncated int64
-	// TemplateHits counts queries packed from the wire-format template
-	// cache instead of a full encode.
-	TemplateHits int64
-	// Batches counts batch syscalls that carried more than one datagram.
-	Batches int64
 }
 
 // pendingKey identifies one in-flight query within a shard: responses
@@ -103,19 +91,15 @@ type pendingKey struct {
 
 // waiter is the rendezvous between one in-flight attempt and the shard
 // reader. The reader copies the raw response into buf and signals its
-// length on ch (or sendFailed); the waiting query decodes from buf.
+// length on ch; the waiting query decodes from buf.
 // Waiters are pooled; the shard-lock-ordered register/unregister
 // protocol guarantees at most one signal per registration, and the
 // waiter is only pooled after that signal has been consumed or provably
 // will never come.
 type waiter struct {
-	ch  chan int // response length, or sendFailed
+	ch  chan int // response length
 	buf []byte
 }
-
-// sendFailed on a waiter channel reports that the batched sender could
-// not hand the attempt's datagram to the kernel.
-const sendFailed = -1
 
 var waiterPool = sync.Pool{
 	New: func() any {
@@ -156,31 +140,15 @@ var bufPool = sync.Pool{
 }
 
 // shard is one independent lane of the pipeline: its own socket, ID
-// space, demux table, and packed-query template cache. Nothing on the
-// send/receive hot path is shared between shards.
+// space, and demux table. Nothing on the send/receive hot path is
+// shared between shards.
 type shard struct {
 	p  *Pipeline
 	pc *net.UDPConn
-	bc batchConn // non-nil when batch I/O is active for this shard
 
 	mu      sync.Mutex
 	rng     *rand.Rand
 	pending map[pendingKey]*waiter
-
-	tpl templateCache
-
-	sendq chan sendReq // non-nil when batch I/O is active
-	//ecschan:owner Close
-	stopc chan struct{} // closed on pipeline Close
-}
-
-// sendReq is one datagram queued for the batched sender. buf is a
-// pooled copy owned by the sender from enqueue until release; key lets
-// a failed send be delivered back to the exact waiter it strands.
-type sendReq struct {
-	dest netip.AddrPort
-	key  pendingKey
-	buf  *[]byte
 }
 
 // Pipeline is the high-throughput counterpart of Client: a set of
@@ -201,15 +169,10 @@ type Pipeline struct {
 
 	sent, received, retried, tcpFalls, mismatched atomic.Int64
 	timeouts, aborted, sendErrors, truncated      atomic.Int64
-	templateHits, batches                         atomic.Int64
 }
 
-// NewPipeline opens one socket per shard and starts the reader (and,
-// with Batch, sender) loops.
+// NewPipeline opens one socket per shard and starts the reader loops.
 func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = cfg.Sockets
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -234,32 +197,21 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 			pc:      pc,
 			rng:     rand.New(rand.NewSource(time.Now().UnixNano() + int64(i)<<32)),
 			pending: make(map[pendingKey]*waiter),
-			stopc:   make(chan struct{}),
-		}
-		s.tpl.init()
-		if cfg.Batch {
-			s.bc = newBatchConn(pc)
 		}
 		p.shards = append(p.shards, s)
 		p.readers.Add(1)
 		go s.readLoop()
-		if s.bc != nil {
-			s.sendq = make(chan sendReq, 256)
-			p.readers.Add(1)
-			go s.sendLoop()
-		}
 	}
 	return p, nil
 }
 
-// Close shuts the sockets and waits for the shard loops. Queries still
+// Close shuts the sockets and waits for the reader loops. Queries still
 // in flight fail with their per-attempt timeout.
 func (p *Pipeline) Close() error {
 	if p.closed.Swap(true) {
 		return nil
 	}
 	for _, s := range p.shards {
-		close(s.stopc)
 		s.pc.Close()
 	}
 	p.readers.Wait()
@@ -279,8 +231,6 @@ func (p *Pipeline) Stats() PipelineStats {
 		Aborted:      p.aborted.Load(),
 		SendErrors:   p.sendErrors.Load(),
 		Truncated:    p.truncated.Load(),
-		TemplateHits: p.templateHits.Load(),
-		Batches:      p.batches.Load(),
 	}
 }
 
@@ -356,10 +306,6 @@ func (p *Pipeline) shardFor(q dnswire.Question, dest netip.AddrPort) *shard {
 // bytes over through the waiter buffer.
 func (s *shard) readLoop() {
 	defer s.p.readers.Done()
-	if s.bc != nil {
-		s.batchReadLoop()
-		return
-	}
 	buf := make([]byte, 65535)
 	for {
 		n, ap, err := s.pc.ReadFromUDPAddrPort(buf)
@@ -370,33 +316,6 @@ func (s *shard) readLoop() {
 			continue
 		}
 		s.deliver(buf[:n], ap)
-	}
-}
-
-// batchReadLoop is readLoop over recvmmsg: each wakeup drains up to a
-// full batch of datagrams from the socket before returning to the
-// poller.
-func (s *shard) batchReadLoop() {
-	bufs := make([][]byte, batchSize)
-	for i := range bufs {
-		bufs[i] = make([]byte, 65535)
-	}
-	addrs := make([]netip.AddrPort, batchSize)
-	sizes := make([]int, batchSize)
-	for {
-		n, err := s.bc.recvBatch(bufs, sizes, addrs)
-		if err != nil {
-			if s.p.closed.Load() {
-				return
-			}
-			continue
-		}
-		if n > 1 {
-			s.p.batches.Add(1)
-		}
-		for i := 0; i < n; i++ {
-			s.deliver(bufs[i][:sizes[i]], addrs[i])
-		}
 	}
 }
 
@@ -464,8 +383,8 @@ func (s *shard) reregister(key pendingKey, w *waiter) bool {
 }
 
 // unregister removes the key and reports whether it was still present.
-// A false return means the reader (or failed sender) has already taken
-// the key and a signal on the waiter channel is imminent or delivered:
+// A false return means the reader has already taken the key and a
+// signal on the waiter channel is imminent or delivered:
 // the caller must consume it before releasing the waiter.
 //
 //ecspool:guard
@@ -477,79 +396,6 @@ func (s *shard) unregister(key pendingKey) bool {
 	}
 	s.mu.Unlock()
 	return ok
-}
-
-// failSend delivers a send failure to the waiter registered under key,
-// mirroring deliver: the key is removed under the shard lock, so the
-// waiter sees exactly one of {response, send failure, nothing}.
-func (s *shard) failSend(key pendingKey) {
-	s.mu.Lock()
-	w, ok := s.pending[key]
-	if ok {
-		delete(s.pending, key)
-	}
-	s.mu.Unlock()
-	if ok {
-		w.ch <- sendFailed
-	}
-}
-
-// sendLoop drains the shard's send queue, coalescing waiting datagrams
-// into sendmmsg batches.
-//
-//ecsalloc:zero
-func (s *shard) sendLoop() {
-	defer s.p.readers.Done()
-	//ecsalloc:sink one-time setup before the send loop
-	reqs := make([]sendReq, 0, batchSize)
-	for {
-		reqs = reqs[:0]
-		select {
-		case <-s.stopc:
-			return
-		case r := <-s.sendq:
-			reqs = append(reqs, r)
-		}
-		// Coalesce whatever else is already queued, without blocking.
-	drain:
-		for len(reqs) < batchSize {
-			select {
-			case r := <-s.sendq:
-				reqs = append(reqs, r)
-			default:
-				break drain
-			}
-		}
-		if len(reqs) > 1 {
-			s.p.batches.Add(1)
-		}
-		s.flush(reqs)
-	}
-}
-
-// flush writes the queued datagrams with as few syscalls as the
-// platform allows, then settles accounting and releases the buffers.
-// (Sent was counted at enqueue time; failures surface to the stranded
-// waiters, which count SendErrors.)
-//
-//ecsalloc:zero
-func (s *shard) flush(reqs []sendReq) {
-	// sendmmsg reports how many leading messages the kernel took; an
-	// error describes only the first unsent message. Retry the tail so a
-	// partial send or one bad destination never strands the rest.
-	for off := 0; off < len(reqs); {
-		sent, err := s.bc.sendBatch(reqs[off:])
-		off += sent
-		if err != nil && sent == 0 {
-			s.failSend(reqs[off].key)
-			off++
-		}
-	}
-	for _, r := range reqs {
-		b := *r.buf
-		*r.buf = b[:0]
-		bufPool.Put(r.buf)
-	}
 }
 
 // Exchange sends q to server ("host:port") and waits for the matching
@@ -584,13 +430,10 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 	s := p.shardFor(question, dest)
 
 	bp := bufPool.Get().(*[]byte)
-	data, hit, err := s.tpl.pack(q, (*bp)[:0])
+	data, err := q.AppendPack((*bp)[:0])
 	if err != nil {
 		bufPool.Put(bp)
 		return err
-	}
-	if hit {
-		p.templateHits.Add(1)
 	}
 	*bp = data[:0] // data may have outgrown the pooled backing array
 	defer bufPool.Put(bp)
@@ -655,40 +498,17 @@ func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswi
 	q.ID = id
 	dnswire.PatchID(data, id)
 
-	if s.sendq != nil {
-		// Batched path: copy the datagram (the sender outlives this
-		// attempt's ownership of data) and enqueue it.
-		sb := bufPool.Get().(*[]byte)
-		*sb = append((*sb)[:0], data...)
-		select {
-		case s.sendq <- sendReq{dest: dest, key: key, buf: sb}:
-			s.p.sent.Add(1)
-		case <-ctx.Done():
-			// Not submitted: the attempt appears on neither side of the
-			// accounting invariant.
-			*sb = (*sb)[:0]
-			bufPool.Put(sb)
-			if s.unregister(key) {
-				waiterPool.Put(w)
-			} else {
-				//ecslint:ignore ctxflow the reader has already committed a delivery to this waiter; the bounded drain must finish before pooling, after ctx cancellation was already observed
-				s.consume(w)
-			}
-			return ctx.Err()
+	s.p.sent.Add(1)
+	if _, err := s.pc.WriteToUDPAddrPort(data, dest); err != nil {
+		if s.unregister(key) {
+			waiterPool.Put(w)
+		} else {
+			//ecslint:ignore ctxflow the reader has already committed a delivery to this waiter; the bounded drain must finish before the waiter can be pooled
+			s.consume(w)
 		}
-	} else {
-		s.p.sent.Add(1)
-		if _, err := s.pc.WriteToUDPAddrPort(data, dest); err != nil {
-			if s.unregister(key) {
-				waiterPool.Put(w)
-			} else {
-				//ecslint:ignore ctxflow the reader has already committed a delivery to this waiter; the bounded drain must finish before the waiter can be pooled
-				s.consume(w)
-			}
-			s.p.sendErrors.Add(1)
-			//ecsalloc:sink error construction on a failed send, off the steady-state path
-			return fmt.Errorf("%w: %v", errSendFailed, err)
-		}
+		s.p.sendErrors.Add(1)
+		//ecsalloc:sink error construction on a failed send, off the steady-state path
+		return fmt.Errorf("%w: %v", errSendFailed, err)
 	}
 
 	timer := acquireTimer(s.p.cfg.Timeout)
@@ -696,11 +516,6 @@ func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswi
 	for {
 		select {
 		case n := <-w.ch:
-			if n == sendFailed {
-				s.p.sendErrors.Add(1)
-				s.release(w)
-				return errSendFailed
-			}
 			ok, err := s.decodeInto(w, n, question, resp)
 			if ok {
 				s.release(w)
@@ -726,11 +541,6 @@ func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswi
 			// treat it as having arrived in time.
 			//ecslint:ignore ctxflow the reader has already committed this delivery with no intervening I/O; the receive completes promptly and must happen before the waiter can be pooled
 			n := <-w.ch
-			if n == sendFailed {
-				s.p.sendErrors.Add(1)
-				s.release(w)
-				return errSendFailed
-			}
 			ok, err := s.decodeInto(w, n, question, resp)
 			if ok {
 				s.release(w)
@@ -758,7 +568,7 @@ func (s *shard) abort(key pendingKey, w *waiter, err error) error {
 	return err
 }
 
-// consume drains the in-flight signal the reader (or sender) committed
+// consume drains the in-flight signal the reader committed
 // to this waiter, then pools it. Only call after unregister returned
 // false.
 //

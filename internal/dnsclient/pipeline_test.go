@@ -95,7 +95,7 @@ func pipeQuery(name dnswire.Name) *dnswire.Message {
 // back to the query that asked for it.
 func TestPipelineConcurrentDemux(t *testing.T) {
 	addr := startPipelineServer(t, &nameHashHandler{})
-	p := newTestPipeline(t, PipelineConfig{Sockets: 3, Timeout: 2 * time.Second})
+	p := newTestPipeline(t, PipelineConfig{Shards: 3, Timeout: 2 * time.Second})
 
 	const queries = 200
 	const workers = 32
@@ -164,7 +164,7 @@ func TestPipelineRetryTruncationTCPFallback(t *testing.T) {
 	h := &nameHashHandler{drop: 1, pad: 119}
 	addr := startPipelineServer(t, h)
 	p := newTestPipeline(t, PipelineConfig{
-		Sockets: 2,
+		Shards:  2,
 		Timeout: 300 * time.Millisecond,
 		Backoff: 10 * time.Millisecond,
 	})
@@ -194,7 +194,7 @@ func TestPipelineTimeoutNoFallback(t *testing.T) {
 	h := &nameHashHandler{drop: 1 << 30}
 	addr := startPipelineServer(t, h)
 	p := newTestPipeline(t, PipelineConfig{
-		Sockets: 1, Timeout: 100 * time.Millisecond,
+		Shards: 1, Timeout: 100 * time.Millisecond,
 		Retries: NoRetries, NoTCPFallback: true,
 	})
 	start := time.Now()
@@ -210,7 +210,7 @@ func TestPipelineTimeoutNoFallback(t *testing.T) {
 func TestPipelineContextCancel(t *testing.T) {
 	h := &nameHashHandler{drop: 1 << 30}
 	addr := startPipelineServer(t, h)
-	p := newTestPipeline(t, PipelineConfig{Sockets: 1, Timeout: 5 * time.Second})
+	p := newTestPipeline(t, PipelineConfig{Shards: 1, Timeout: 5 * time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
 	stop := time.AfterFunc(50*time.Millisecond, cancel)
 	defer stop.Stop()
@@ -225,7 +225,7 @@ func TestPipelineContextCancel(t *testing.T) {
 }
 
 func TestPipelineClosed(t *testing.T) {
-	p, err := NewPipeline(PipelineConfig{Sockets: 1})
+	p, err := NewPipeline(PipelineConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

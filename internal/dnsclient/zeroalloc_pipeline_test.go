@@ -49,8 +49,8 @@ func startEchoResponder(t *testing.T) netip.AddrPort {
 
 // allocGateQuery builds the scan-shaped query the throughput path
 // carries: one question plus an EDNS OPT with an ECS option.
-func allocGateQuery() *dnswire.Message {
-	q := dnswire.NewQuery(0, dnswire.MustParseName("gate.pipeline.test."), dnswire.TypeA)
+func allocGateQuery(name string) *dnswire.Message {
+	q := dnswire.NewQuery(0, dnswire.MustParseName(name), dnswire.TypeA)
 	q.EDNS = dnswire.NewEDNS()
 	ecsopt.Attach(q, ecsopt.ClientSubnet{
 		Family:       ecsopt.FamilyIPv4,
@@ -61,56 +61,59 @@ func allocGateQuery() *dnswire.Message {
 }
 
 // gatePipelineExchange is the shared body of the pipeline allocation
-// gates: after warmup, a full ExchangeInto round trip (template-cache
-// pack, register, UDP send, demux, UnpackInto) must not allocate.
-func gatePipelineExchange(t *testing.T, cfg PipelineConfig) {
+// gates: after warmup, a full ExchangeInto round trip (AppendPack,
+// register, UDP send, demux, UnpackInto) cycling through queries
+// allocates at most want per op.
+func gatePipelineExchange(t *testing.T, queries []*dnswire.Message, want float64) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	server := startEchoResponder(t).String()
-	p := newTestPipeline(t, cfg)
-	q := allocGateQuery()
+	p := newTestPipeline(t, PipelineConfig{
+		Shards: 1, Timeout: 2 * time.Second,
+		Retries: NoRetries, NoTCPFallback: true,
+	})
 	resp := &dnswire.Message{}
+	next := 0
 	exchange := func() {
+		q := queries[next%len(queries)]
+		next++
 		if err := p.ExchangeInto(context.Background(), server, q, resp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Warm the pools, the template cache, and the waiter buffer.
+	// Warm the pools and the waiter buffer.
 	for i := 0; i < 64; i++ {
 		exchange()
 	}
-	if avg := testing.AllocsPerRun(200, exchange); avg != 0 {
-		t.Fatalf("ExchangeInto allocates %.2f allocs/op, want 0", avg)
+	if avg := testing.AllocsPerRun(200, exchange); avg > want {
+		t.Fatalf("ExchangeInto allocates %.2f allocs/op, want <= %v", avg, want)
 	}
 	st := p.Stats()
-	if st.TemplateHits == 0 {
-		t.Fatal("template cache never hit on a repeated query")
-	}
 	if st.Received == 0 || st.Sent != st.Received {
 		t.Fatalf("stats after clean run: %+v, want Sent == Received > 0", st)
 	}
 }
 
 // TestAllocGatePipelineExchange is the send/receive half of the
-// allocation regression gate: the single-packet pipeline hot path stays
-// at zero allocations per query.
+// allocation regression gate: with one query repeated, the pipeline hot
+// path stays at zero allocations per query.
 func TestAllocGatePipelineExchange(t *testing.T) {
-	gatePipelineExchange(t, PipelineConfig{
-		Shards: 1, Timeout: 2 * time.Second,
-		Retries: NoRetries, NoTCPFallback: true,
-	})
+	gatePipelineExchange(t, []*dnswire.Message{allocGateQuery("gate.pipeline.test.")}, 0)
 }
 
-// TestAllocGatePipelineExchangeBatch is the same gate over the batched
-// (sendmmsg/recvmmsg) path where the platform has it; elsewhere Batch
-// falls back to single-packet I/O and the gate still must hold.
-func TestAllocGatePipelineExchangeBatch(t *testing.T) {
-	gatePipelineExchange(t, PipelineConfig{
-		Shards: 1, Timeout: 2 * time.Second,
-		Retries: NoRetries, NoTCPFallback: true, Batch: true,
-	})
+// TestAllocGatePipelineExchangeDistinctNames is the gate for what a scan
+// actually sends — a question name no earlier query carried (the probed
+// address or a per-trial label is encoded into it). No name repeats
+// inside the measured window, so the one allocation allowed per query is
+// the response's decoded question name.
+func TestAllocGatePipelineExchangeDistinctNames(t *testing.T) {
+	queries := make([]*dnswire.Message, 512)
+	for i := range queries {
+		queries[i] = allocGateQuery("p" + itoa(i) + ".gate.pipeline.test.")
+	}
+	gatePipelineExchange(t, queries, 1)
 }
 
 // BenchmarkPipelineExchange measures a full UDP round trip against the
@@ -150,7 +153,7 @@ func BenchmarkPipelineExchange(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer p.Close()
-	q := allocGateQuery()
+	q := allocGateQuery("gate.pipeline.test.")
 	resp := &dnswire.Message{}
 	ctx := context.Background()
 	b.ReportAllocs()

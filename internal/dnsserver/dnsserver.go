@@ -169,20 +169,48 @@ func (s *Server) now() time.Time {
 	return time.Now()
 }
 
+// listenTCP is the TCP half of a bind; a test replaces it to make the
+// port UDP got unavailable on TCP.
+var listenTCP = net.Listen
+
+// ephemeralBindTries bounds how many ephemeral ports listenPair tries
+// before giving up on finding one free on both UDP and TCP.
+const ephemeralBindTries = 8
+
+// listenPair binds UDP on addr and TCP on whatever port UDP got. With
+// port 0 the kernel picks the UDP port without regard to TCP, so another
+// process may hold the same number on TCP: the pair is then retried on a
+// fresh ephemeral port. An explicitly requested port fails at once.
+func listenPair(addr string) (net.PacketConn, net.Listener, error) {
+	tries := 1
+	if _, port, err := net.SplitHostPort(addr); err == nil && port == "0" {
+		tries = ephemeralBindTries
+	}
+	var lastErr error
+	for i := 0; i < tries; i++ {
+		pc, err := net.ListenPacket("udp", addr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("dnsserver: udp listen: %w", err)
+		}
+		ln, err := listenTCP("tcp", pc.LocalAddr().String())
+		if err == nil {
+			return pc, ln, nil
+		}
+		pc.Close()
+		lastErr = err
+	}
+	return nil, nil, fmt.Errorf("dnsserver: tcp listen: %w", lastErr)
+}
+
 // Start binds UDP and TCP sockets on addr (host:port; port 0 picks an
 // ephemeral port, with TCP bound to whatever port UDP got) and begins
 // serving. It returns the bound address.
 func (s *Server) Start(addr string) (netip.AddrPort, error) {
-	pc, err := net.ListenPacket("udp", addr)
+	pc, ln, err := listenPair(addr)
 	if err != nil {
-		return netip.AddrPort{}, fmt.Errorf("dnsserver: udp listen: %w", err)
+		return netip.AddrPort{}, err
 	}
 	bound := pc.LocalAddr().(*net.UDPAddr).AddrPort()
-	ln, err := net.Listen("tcp", bound.String())
-	if err != nil {
-		pc.Close()
-		return netip.AddrPort{}, fmt.Errorf("dnsserver: tcp listen: %w", err)
-	}
 	var rl *rrl
 	if s.RRL != nil {
 		rl, err = newRRL(*s.RRL, s.now)

@@ -1,9 +1,12 @@
 package dnsserver
 
 import (
+	"errors"
 	"net"
 	"net/netip"
+	"os"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -280,5 +283,77 @@ func TestCloseStopsServing(t *testing.T) {
 	c := &dnsclient.Client{Timeout: 300 * time.Millisecond, Retries: 1}
 	if _, err := c.Query(bound.String(), "www.zone.test.", dnswire.TypeA, nil); err == nil {
 		t.Fatal("closed server still answering")
+	}
+}
+
+// failListenTCP replaces the listenTCP seam with one that reports the
+// first `fail` TCP binds as "address already in use" — what a parallel
+// process holding the same port number on TCP looks like — and returns
+// a counter of calls made.
+func failListenTCP(t *testing.T, fail int) *int {
+	t.Helper()
+	calls := new(int)
+	orig := listenTCP
+	listenTCP = func(network, addr string) (net.Listener, error) {
+		*calls++
+		if *calls <= fail {
+			return nil, &net.OpError{Op: "listen", Net: network, Err: os.NewSyscallError("bind", syscall.EADDRINUSE)}
+		}
+		return orig(network, addr)
+	}
+	t.Cleanup(func() { listenTCP = orig })
+	return calls
+}
+
+// TestStartRetriesEphemeralPortTakenOnTCP: with port 0 the kernel picks
+// the UDP port without looking at TCP, so the same number may be taken
+// there. Start must move the pair to a fresh port instead of failing.
+func TestStartRetriesEphemeralPortTakenOnTCP(t *testing.T) {
+	calls := failListenTCP(t, 1)
+	addr, _ := startTestServer(t, false)
+	if *calls != 2 {
+		t.Fatalf("listenTCP calls = %d, want 2 (one refused, one retry)", *calls)
+	}
+	for _, c := range []*dnsclient.Client{
+		{Timeout: 2 * time.Second},
+		{Timeout: 2 * time.Second, ForceTCP: true},
+	} {
+		resp, err := c.Query(addr, "www.zone.test.", dnswire.TypeA, nil)
+		if err != nil {
+			t.Fatalf("ForceTCP=%v: %v", c.ForceTCP, err)
+		}
+		if len(resp.Answers) != 1 {
+			t.Fatalf("ForceTCP=%v: response: %v", c.ForceTCP, resp)
+		}
+	}
+}
+
+// TestStartBindRetryIsBounded: a caller that names its port gets the
+// bind error at once, and a port 0 request gives up after
+// ephemeralBindTries ports.
+func TestStartBindRetryIsBounded(t *testing.T) {
+	// A port number that was free a moment ago.
+	probe, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := probe.LocalAddr().String()
+	probe.Close()
+
+	start := func(addr string) int {
+		t.Helper()
+		calls := failListenTCP(t, 1<<30)
+		_, err := New(authority.NewServer(authority.Config{})).Start(addr)
+		if !errors.Is(err, syscall.EADDRINUSE) {
+			t.Fatalf("Start(%s) error = %v, want EADDRINUSE", addr, err)
+		}
+		return *calls
+	}
+	// (0 if another process took the port on UDP meanwhile.)
+	if n := start(explicit); n > 1 {
+		t.Fatalf("explicit port: %d TCP bind attempts, want 1", n)
+	}
+	if n := start("127.0.0.1:0"); n != ephemeralBindTries {
+		t.Fatalf("port 0: %d TCP bind attempts, want %d", n, ephemeralBindTries)
 	}
 }

@@ -19,8 +19,8 @@ import (
 //     same channel identity) or by a function named in an
 //     //ecschan:owner annotation on the channel's declaration:
 //
-//     //ecschan:owner Close
-//     stopc chan struct{}
+//     //ecschan:owner release
+//     gate chan struct{}
 //
 //     Closing a channel received as a parameter is always flagged:
 //     the receiving side never owns it.
@@ -465,7 +465,7 @@ func (c *Context) checkClosedFlow(fi *flow.FuncInfo) {
 					key := exprString(c.Pkg.Fset, ast.Unparen(call.Args[0]))
 					// A close reaching itself around a loop back edge is
 					// normally a fresh channel per iteration (`for _, s :=
-					// range shards { close(s.stopc) }`), not a double close.
+					// range conns { close(c.done) }`), not a double close.
 					if p, closed := facts[key]; closed && p != call.Pos() {
 						c.Reportf(call.Pos(), "%s may already be closed on this path: double close panics", key)
 					}

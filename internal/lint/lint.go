@@ -188,8 +188,6 @@ func DefaultConfig() *Config {
 			"(*ecsdns/internal/dnswire.Message).AppendTruncateTo",
 			"(*ecsdns/internal/dnsclient.Pipeline).ExchangeInto",
 			"(*ecsdns/internal/dnsclient.shard).deliver",
-			"(*ecsdns/internal/dnsclient.shard).sendLoop",
-			"(*ecsdns/internal/dnsclient.shard).flush",
 			"(*ecsdns/internal/dnsserver.Server).serveUDPPacket",
 		},
 		RetentionPackages: []string{

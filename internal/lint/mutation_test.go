@@ -25,10 +25,10 @@ func mutations() []mutation {
 	return []mutation{
 		{
 			check:   "chanprotocol",
-			pkg:     "ecsdns/internal/dnsclient",
-			file:    "pipeline.go",
-			old:     "//ecschan:owner Close",
-			new:     "//ecschan:owner NewPipeline",
+			pkg:     "ecsdns/internal/netem/chaostest",
+			file:    "overload.go",
+			old:     "//ecschan:owner release",
+			new:     "//ecschan:owner rearm",
 			wantMsg: "not a declared owner",
 		},
 		{

@@ -268,7 +268,7 @@ func RunEngine(tb testing.TB, sc Scenario) EngineResult {
 	var exMu sync.Mutex
 	progress := scanner.NewProgress()
 	scan := &scanner.Scan{
-		ExchangeCtx: func(ctx context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		Exchange: func(ctx context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}

@@ -394,7 +394,10 @@ func RunOverload(tb testing.TB, sc OverloadScenario) OverloadResult {
 	drain := dialOverload(tb, addr)
 	sendOverloadQuery(tb, drain, 7002, "slow.drain.")
 	waitServer(tb, srv, "drain query in flight", func(st dnsserver.ServerStats) bool {
-		return st.Inflight == 1
+		// Received too: the aftermath query's worker lowers Inflight only
+		// after its reply is on the wire, so Inflight alone can read 1
+		// while the drain query still sits unread in the socket buffer.
+		return st.Inflight == 1 && st.Received == int64(factor*m+2)
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -49,9 +49,8 @@ type scanBenchCase struct {
 // The delayed cases model a real campaign: each simulated target costs
 // a 1 ms round trip, so the serial baseline is ≈ 1 s/op and concurrency
 // 64 should be well over 5× faster. The raw cases drop the simulated
-// RTT entirely and sweep the transport dimensions this package's
-// throughput rests on — one shard vs a per-CPU set, single-packet vs
-// batched (sendmmsg/recvmmsg) syscalls. Run with:
+// RTT entirely and sweep the transport dimension this package's
+// throughput rests on — one shard vs a per-CPU set. Run with:
 //
 //	go test -bench ScanThroughput -benchtime 3x ./internal/scanner
 func BenchmarkScanThroughput(b *testing.B) {
@@ -65,8 +64,6 @@ func BenchmarkScanThroughput(b *testing.B) {
 			pipe: dnsclient.PipelineConfig{Shards: 1, Timeout: timeout}},
 		{name: "raw/sharded", delay: 0, concurrency: 64,
 			pipe: dnsclient.PipelineConfig{Timeout: timeout}}, // Shards: GOMAXPROCS
-		{name: "raw/sharded-batch", delay: 0, concurrency: 64,
-			pipe: dnsclient.PipelineConfig{Timeout: timeout, Batch: true}},
 	}
 
 	targets := make([]netip.Addr, 1000)
@@ -93,7 +90,7 @@ func BenchmarkScanThroughput(b *testing.B) {
 				// Every fake target routes to the one loopback server;
 				// the probe name still encodes the target, so demux and
 				// log association behave as in a real campaign.
-				ExchangeCtx: func(ctx context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+				Exchange: func(ctx context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 					return pipe.Exchange(ctx, server, q)
 				},
 				Zone:        "scan.example.org.",

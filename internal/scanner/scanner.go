@@ -97,17 +97,14 @@ type Result struct {
 
 // Scan drives probe queries against a population of ingress resolvers
 // and reads the experimental authority's logs to associate ingresses
-// with egresses. The Exchange closures decouple it from any specific
+// with egresses. The Exchange closure decouples it from any specific
 // transport; set Concurrency (and optionally Rate) to fan probes out
 // over the worker-pool engine.
 type Scan struct {
-	// Exchange sends one DNS query and returns the response. Used when
-	// ExchangeCtx is nil.
-	Exchange func(to netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
-	// ExchangeCtx is the context-aware transport, preferred over
-	// Exchange when both are set. It must be safe for concurrent use
-	// when Concurrency > 1.
-	ExchangeCtx func(ctx context.Context, to netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
+	// Exchange sends one DNS query and returns the response; ctx carries
+	// the probe's deadline and the scan's cancellation. It must be safe
+	// for concurrent use when Concurrency > 1.
+	Exchange func(ctx context.Context, to netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
 	// Zone is the scan zone served by the experimental authority.
 	Zone dnswire.Name
 	// ScannerAddr is the source of probe queries.
@@ -166,13 +163,6 @@ func (s *Scan) RunContext(ctx context.Context, ingresses []netip.Addr, logs *Log
 		ECSEgress:        make(map[netip.Addr]bool),
 		EgressSourceBits: make(map[netip.Addr]map[uint8]bool),
 	}
-	exchange := s.ExchangeCtx
-	if exchange == nil {
-		legacy := s.Exchange
-		exchange = func(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-			return legacy(to, q)
-		}
-	}
 	mark := logs.Len()
 	var respMu sync.Mutex
 	eng := &Engine{Concurrency: s.Concurrency, Rate: s.Rate, Progress: s.Progress}
@@ -188,7 +178,7 @@ func (s *Scan) RunContext(ctx context.Context, ingresses []netip.Addr, logs *Log
 			return err
 		}
 		q := dnswire.NewQuery(s.randID(), probeName, dnswire.TypeA)
-		resp, err := exchange(ctx, ing, q)
+		resp, err := s.Exchange(ctx, ing, q)
 		if err != nil || resp == nil {
 			if s.Progress != nil && isTimeoutErr(err) {
 				s.Progress.CountTimeout()

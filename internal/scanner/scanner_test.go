@@ -56,7 +56,7 @@ func TestEncodeProbeNameBadZone(t *testing.T) {
 func TestScanPropagatesBadZone(t *testing.T) {
 	long := strings.Repeat("a23456789012345678901234567890123456789012345678901234567890123.", 4)
 	s := &Scan{
-		Exchange: func(to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		Exchange: func(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			t.Error("exchange reached despite unencodable probe name")
 			return nil, nil
 		},
@@ -147,7 +147,7 @@ func (rg *scanRig) addForwarder(addr, upstream netip.Addr) {
 	})
 }
 
-func (rg *scanRig) exchange(to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+func (rg *scanRig) exchange(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 	resp, _, err := rg.net.Exchange(rg.scanAddr, to, q)
 	return resp, err
 }
@@ -238,10 +238,10 @@ func TestScanConcurrentMatchesSerial(t *testing.T) {
 	var netMu sync.Mutex
 	prog := NewProgress()
 	conc := &Scan{
-		ExchangeCtx: func(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		Exchange: func(ctx context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			netMu.Lock()
 			defer netMu.Unlock()
-			return rgConc.exchange(to, q)
+			return rgConc.exchange(ctx, to, q)
 		},
 		Zone: rgConc.zone, ScannerAddr: rgConc.scanAddr,
 		Concurrency: 4, Progress: prog,
@@ -276,7 +276,7 @@ func TestScanConcurrentMatchesSerial(t *testing.T) {
 func TestScanAllocatesRandomIDs(t *testing.T) {
 	var ids []uint16
 	s := &Scan{
-		Exchange: func(_ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		Exchange: func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			ids = append(ids, q.ID)
 			return dnswire.NewResponse(q), nil
 		},
@@ -317,7 +317,7 @@ func TestScanValidatesResponses(t *testing.T) {
 		return resp
 	}
 	s := &Scan{
-		Exchange: func(to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		Exchange: func(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			resp := answer(dnswire.NewResponse(q))
 			switch to {
 			case badID:

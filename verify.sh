@@ -66,7 +66,7 @@ go test -run NONE -bench 'BenchmarkCacheLookup|BenchmarkCacheChurn' \
 		-out /tmp/BENCH_cache.smoke.json
 
 # Scan-throughput benchmark smoke: one pass over the full
-# (delay, shards, batch) grid — including the zero-alloc codec and
+# (delay, shards) grid — including the zero-alloc codec and
 # sharded-pipeline hot paths — validated against the BENCH_scan.json
 # schema. Full-length runs (see EXPERIMENTS.md) regenerate the
 # committed artifact.
