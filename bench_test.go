@@ -1,14 +1,11 @@
 package ecsdns
 
 import (
-	"fmt"
 	"net/netip"
 	"testing"
-	"time"
 
 	"ecsdns/internal/cachesim"
 	"ecsdns/internal/dnswire"
-	"ecsdns/internal/ecscache"
 	"ecsdns/internal/ecsopt"
 	"ecsdns/internal/traces"
 )
@@ -126,48 +123,6 @@ func BenchmarkAblationScopeHandling(b *testing.B) {
 			}
 			b.ReportMetric(rate, "hit%")
 		})
-	}
-}
-
-// BenchmarkAblationCacheOps compares the two per-question cache lookup
-// structures — the default linear covering scan vs the hash index — at
-// realistic and pathological per-question fanouts. This is the cache
-// data-structure ablation DESIGN.md calls out.
-func BenchmarkAblationCacheOps(b *testing.B) {
-	t0 := time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC)
-	key := ecscache.Key{Name: "www.example.com.", Type: dnswire.TypeA, Class: dnswire.ClassINET}
-	for _, impl := range []struct {
-		name    string
-		indexed bool
-	}{{"linear", false}, {"indexed", true}} {
-		for _, fanout := range []int{8, 256} {
-			name := fmt.Sprintf("%s/fanout-%d", impl.name, fanout)
-			b.Run("lookup-"+name, func(b *testing.B) {
-				c := ecscache.New(ecscache.Config{Mode: ecscache.HonorScope, Indexed: impl.indexed})
-				for i := 0; i < fanout; i++ {
-					addr := netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0})
-					cs := ecsopt.MustNew(addr, 24).WithScope(24)
-					c.Insert(key, ecscache.Entry{Subnet: cs, HasECS: true, Expiry: t0.Add(time.Hour)}, t0)
-				}
-				client := netip.AddrFrom4([4]byte{10, 0, byte(fanout / 2), 9})
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, ok := c.Lookup(key, client, t0); !ok {
-						b.Fatal("miss")
-					}
-				}
-			})
-			b.Run("insert-"+name, func(b *testing.B) {
-				c := ecscache.New(ecscache.Config{Mode: ecscache.HonorScope, Indexed: impl.indexed})
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					addr := netip.AddrFrom4([4]byte{10, byte(i >> 8 % fanout), byte(i % fanout), 0})
-					cs := ecsopt.MustNew(addr, 24).WithScope(24)
-					c.Insert(key, ecscache.Entry{Subnet: cs, HasECS: true, Expiry: t0.Add(time.Hour)}, t0)
-				}
-			})
-		}
 	}
 }
 

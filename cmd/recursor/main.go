@@ -43,6 +43,11 @@ import (
 	"ecsdns/internal/upstreams"
 )
 
+// sweepInterval is how often the cache is swept of entries too long
+// expired to serve even stale. Against a MaxStale of an hour, a minute
+// keeps the overhang under 2 % of what the sweep exists to bound.
+const sweepInterval = time.Minute
+
 // socketTransport adapts the stub client to the resolver's Transport
 // interface, mapping simulation addresses to the single configured
 // upstream socket.
@@ -279,7 +284,19 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	// Inserts collect expired entries only under the name they touch;
+	// the sweep is what takes out names never asked for again.
+	sweep := time.NewTicker(sweepInterval)
+	defer sweep.Stop()
+serve:
+	for {
+		select {
+		case now := <-sweep.C:
+			res.Sweep(now)
+		case <-sig:
+			break serve
+		}
+	}
 	log.Printf("recursor: shutting down (draining up to %v)", *drain)
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()

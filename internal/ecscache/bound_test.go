@@ -19,46 +19,40 @@ func boundKey(i int) Key {
 // The capacity bound evicts the least-recently-USED entry, not the
 // oldest insert: touching an entry via Lookup must spare it.
 func TestCapacityBoundEvictsLRU(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		name := "linear"
-		if indexed {
-			name = "indexed"
+	t.Run("linear", func(t *testing.T) {
+		c := New(Config{Mode: HonorScope, MaxEntries: 2})
+		a := ecsEntry("203.0.1.0", 24, 24, time.Hour)
+		b := ecsEntry("203.0.2.0", 24, 24, time.Hour)
+		cc := ecsEntry("203.0.3.0", 24, 24, time.Hour)
+		c.Insert(keyA, a, t0)
+		c.Insert(keyA, b, t0)
+		// Recency now B > A; touch A so B becomes the victim.
+		if _, ok := c.Lookup(keyA, addr("203.0.1.9"), t0.Add(time.Second)); !ok {
+			t.Fatal("warm-up lookup missed")
 		}
-		t.Run(name, func(t *testing.T) {
-			c := New(Config{Mode: HonorScope, MaxEntries: 2, Indexed: indexed})
-			a := ecsEntry("203.0.1.0", 24, 24, time.Hour)
-			b := ecsEntry("203.0.2.0", 24, 24, time.Hour)
-			cc := ecsEntry("203.0.3.0", 24, 24, time.Hour)
-			c.Insert(keyA, a, t0)
-			c.Insert(keyA, b, t0)
-			// Recency now B > A; touch A so B becomes the victim.
-			if _, ok := c.Lookup(keyA, addr("203.0.1.9"), t0.Add(time.Second)); !ok {
-				t.Fatal("warm-up lookup missed")
-			}
-			c.Insert(keyA, cc, t0.Add(2*time.Second))
+		c.Insert(keyA, cc, t0.Add(2*time.Second))
 
-			now := t0.Add(3 * time.Second)
-			if _, ok := c.Lookup(keyA, addr("203.0.2.9"), now); ok {
-				t.Fatal("least-recently-used entry survived eviction")
-			}
-			if _, ok := c.Lookup(keyA, addr("203.0.1.9"), now); !ok {
-				t.Fatal("recently used entry was evicted")
-			}
-			if _, ok := c.Lookup(keyA, addr("203.0.3.9"), now); !ok {
-				t.Fatal("newest entry was evicted")
-			}
-			if got := c.Len(now); got != 2 {
-				t.Fatalf("Len = %d, want capacity 2", got)
-			}
-			st := c.Stats()
-			if st.Evictions != 1 {
-				t.Fatalf("Evictions = %d, want exactly the one premature eviction", st.Evictions)
-			}
-			if st.Expiries != 0 {
-				t.Fatalf("Expiries = %d, want 0 (victim was alive)", st.Expiries)
-			}
-		})
-	}
+		now := t0.Add(3 * time.Second)
+		if _, ok := c.Lookup(keyA, addr("203.0.2.9"), now); ok {
+			t.Fatal("least-recently-used entry survived eviction")
+		}
+		if _, ok := c.Lookup(keyA, addr("203.0.1.9"), now); !ok {
+			t.Fatal("recently used entry was evicted")
+		}
+		if _, ok := c.Lookup(keyA, addr("203.0.3.9"), now); !ok {
+			t.Fatal("newest entry was evicted")
+		}
+		if got := c.Len(now); got != 2 {
+			t.Fatalf("Len = %d, want capacity 2", got)
+		}
+		st := c.Stats()
+		if st.Evictions != 1 {
+			t.Fatalf("Evictions = %d, want exactly the one premature eviction", st.Evictions)
+		}
+		if st.Expiries != 0 {
+			t.Fatalf("Expiries = %d, want 0 (victim was alive)", st.Expiries)
+		}
+	})
 }
 
 // A capacity victim that had already expired is an expiry, not a

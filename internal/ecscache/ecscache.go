@@ -8,19 +8,26 @@
 // studied resolvers, and the /22-capping behavior are all selectable, so
 // the same resolver code can reproduce each observed behavior class.
 //
-// The storage layer is built for production load. The key space is
-// hash-partitioned across N independently locked shards
-// (Config.Shards), each guarded by its own sync.RWMutex, so concurrent
-// lookups on different shards never contend. A configured capacity
-// bound (Config.MaxEntries) is enforced per shard with an O(1)
-// intrusive-list LRU: the eviction counters distinguish entries pushed
-// out while still alive (premature evictions — the §7 operator cost the
-// bounded cachesim replays model) from entries that merely expired.
+// The storage layer is built for production load. A question's entries
+// live in one slice sorted by (address family, effective scope longest
+// first, prefix at that scope) with the non-ECS shared entry last, and
+// a lookup binary-searches it once per distinct scope length present:
+// the cost the paper's §7 blow-up puts on a resolver — thousands of
+// client subnets under one name — is paid in memory, a pointer per
+// entry, not in lookup time. The key space is hash-partitioned across
+// N independently locked shards (Config.Shards), each guarded by its
+// own sync.RWMutex, so concurrent lookups on different shards never
+// contend. A configured capacity bound (Config.MaxEntries) is enforced
+// per shard with an O(1) intrusive-list LRU: the eviction counters
+// distinguish entries pushed out while still alive (premature evictions
+// — the §7 operator cost the bounded cachesim replays model) from
+// entries that merely expired.
 // Negative answers are bounded by Config.NegativeTTL, positive TTLs are
 // clamped into [MinTTL, MaxTTL], and the singleflight layer (Do)
 // collapses a thundering herd of identical misses into one upstream
 // query. Scope-mode semantics are byte-for-byte identical at every
-// shard count; the differential tests enforce this.
+// shard count; the differential tests enforce this against a naive
+// full-scan model of the cache.
 package ecscache
 
 import (
@@ -50,6 +57,10 @@ type Entry struct {
 	// shared by all clients.
 	Subnet ecsopt.ClientSubnet
 	HasECS bool
+	// slotFam and slotBits are where Insert filed the entry in its
+	// question's list (see slot). They occupy padding after HasECS, so
+	// the sort key costs no memory per entry.
+	slotFam, slotBits uint8
 	// Answer, Authority and RCode are the cached response content.
 	Answer    []dnswire.RR
 	Authority []dnswire.RR
@@ -119,11 +130,6 @@ type Config struct {
 	// poisoned or misconfigured record can persist. Zero disables the
 	// ceiling.
 	MaxTTL time.Duration
-	// Indexed selects the hash-indexed per-question lookup structure
-	// instead of the default linear scan: O(distinct scopes) lookups at
-	// the cost of slot bookkeeping. Semantics are identical; see the
-	// ablation benchmarks.
-	Indexed bool
 	// Shards is the number of independently locked storage shards the
 	// key space is hashed across (rounded up to a power of two). 0 and
 	// 1 both mean a single shard — the original single-mutex cache.
@@ -211,15 +217,12 @@ func (c *Cache) shardFor(key Key) *shard {
 	return c.shards[h&c.mask]
 }
 
-// effectiveScope returns the number of bits the cache indexes and
-// matches an entry's subnet at.
-func effectiveScope(cfg *Config, e *Entry) uint8 {
-	if !e.HasECS {
-		return 0
-	}
-	scope := e.Subnet.ScopePrefix
+// effectiveScope returns the number of bits the cache files and matches
+// an ECS entry's subnet at.
+func effectiveScope(cfg *Config, cs ecsopt.ClientSubnet) uint8 {
+	scope := cs.ScopePrefix
 	if cfg.ClampScopeToSource {
-		scope = ecsopt.ClampScope(e.Subnet.SourcePrefix, scope)
+		scope = ecsopt.ClampScope(cs.SourcePrefix, scope)
 	}
 	if cfg.Mode == CapScope && scope > cfg.CapBits {
 		scope = cfg.CapBits
@@ -227,9 +230,10 @@ func effectiveScope(cfg *Config, e *Entry) uint8 {
 	return scope
 }
 
-// Lookup finds a live entry for key usable by client. Under HonorScope,
-// ties between multiple covering entries go to the longest scope (most
-// specific). The bool reports a hit; hit/miss counters are updated.
+// Lookup finds a live entry for key usable by client. Among several
+// covering entries the longest scope (most specific) wins, and an ECS
+// entry at scope 0 wins over the shared non-ECS entry. The bool reports
+// a hit; hit/miss counters are updated.
 //
 //ecsinvariant:handler cacheCounters
 func (c *Cache) Lookup(key Key, client netip.Addr, now time.Time) (*Entry, bool) {
@@ -256,31 +260,36 @@ func (c *Cache) LookupStale(key Key, client netip.Addr, now time.Time, maxStale 
 	return e, e != nil
 }
 
-// Insert stores an entry for key, replacing any entry indexed under the
-// same effective prefix. Expired entries for the key are collected in
-// passing, and when the cache is over its capacity bound the
-// least-recently-used resident entries are evicted.
+// Insert stores an entry for key, replacing the entry filed under the
+// same effective prefix, if any. Expired entries for the key are
+// collected in passing, and when the cache is over its capacity bound
+// the least-recently-used resident entries are evicted.
 //
 // Entries claiming ECS whose address cannot produce a prefix at the
 // effective scope (invalid address, or a scope wider than the address
-// family holds) are rejected outright: the linear scan used to keep
-// them as never-matching dead weight while the hash index demoted them
-// to the shared slot and served them to every client — both wrong, and
-// divergently so.
+// family holds) are rejected outright: they could only be dead weight
+// that matches no client, or an answer served to clients it was never
+// meant for.
 func (c *Cache) Insert(key Key, e Entry, now time.Time) {
 	stored := e // copy; cache owns its entries
 	stored.Stored = now
 	stored.lruPrev, stored.lruNext = nil, nil
 	stored.lruKey = key
 	c.clampTTL(&stored, now)
-	scope := effectiveScope(&c.cfg, &stored)
+	stored.slotFam, stored.slotBits = famShared, 0
 	if stored.HasECS {
-		if _, ok := slotOf(&stored, scope); !ok {
+		scope, addr := effectiveScope(&c.cfg, stored.Subnet), stored.Subnet.Addr
+		if !addr.IsValid() || int(scope) > addr.BitLen() {
 			c.stats.rejected.Add(1)
 			return
 		}
+		// IgnoreScope keeps one answer per question and serves it to
+		// anyone: every entry is filed in the shared slot.
+		if c.cfg.Mode != IgnoreScope {
+			stored.slotFam, stored.slotBits = famOf(addr), scope
+		}
 	}
-	c.shardFor(key).insert(key, &stored, scope, now)
+	c.shardFor(key).insert(key, &stored, now)
 }
 
 // clampTTL applies the insert-time lifetime rules: the MaxTTL ceiling
@@ -303,21 +312,6 @@ func (c *Cache) clampTTL(e *Entry, now time.Time) {
 		ttl = c.cfg.NegativeTTL
 	}
 	e.Expiry = now.Add(ttl)
-}
-
-// sameIndexSlot reports whether two entries occupy the same cache slot:
-// same effective scope and same prefix at that scope (or both non-ECS).
-func sameIndexSlot(scopeA uint8, a *Entry, scopeB uint8, b *Entry) bool {
-	if a.HasECS != b.HasECS {
-		return false
-	}
-	if !a.HasECS {
-		return true
-	}
-	if scopeA != scopeB || a.Subnet.Family != b.Subnet.Family {
-		return false
-	}
-	return a.Subnet.Covers(b.Subnet.Addr, int(scopeA))
 }
 
 // TTLBound computes an entry expiry from a response's minimum answer TTL,

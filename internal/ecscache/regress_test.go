@@ -104,18 +104,16 @@ func TestMinTTLDoesNotReviveExpired(t *testing.T) {
 }
 
 // Regression: entries claiming ECS but carrying a subnet that cannot
-// produce a prefix at the effective scope were stored anyway. The
-// linear scan kept them as dead weight that matched no one; the hash
-// index demoted them to the shared slot and served them to EVERY
-// client — two different wrong answers. Both paths must now reject the
-// insert outright, identically.
+// produce a prefix at the effective scope were stored anyway — as dead
+// weight that matched no one, or filed in the shared slot and served to
+// EVERY client. Both ways to be unprefixable (no valid address; a scope
+// longer than the address) must be rejected outright.
 func TestInvalidECSRejectedBothPaths(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"linear", Config{Mode: HonorScope}},
-		{"indexed", Config{Mode: HonorScope, Indexed: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			c := New(mode.cfg)
@@ -155,6 +153,51 @@ func TestInvalidECSRejectedBothPaths(t *testing.T) {
 				t.Fatalf("rejected entries moved the high-water mark: %d", st.HighWater)
 			}
 		})
+	}
+}
+
+// Regression: an ECS entry at effective scope 0 and the shared non-ECS
+// entry under the same key both cover every client of the family, and
+// which one a lookup got depended on which was inserted first. The ECS
+// answer is the more specific statement (it is confined to its address
+// family) and wins in either order; other families and a dead ECS entry
+// still get the shared one.
+func TestScopeZeroBeatsSharedEitherOrder(t *testing.T) {
+	shared := Entry{Expiry: t0.Add(time.Hour)}
+	zero := ecsEntry("203.0.113.0", 24, 0, time.Minute)
+	for _, order := range [][]Entry{{shared, zero}, {zero, shared}} {
+		c := New(Config{Mode: HonorScope})
+		for _, e := range order {
+			c.Insert(keyA, e, t0)
+		}
+		if e, ok := c.Lookup(keyA, addr("8.8.8.8"), t0.Add(time.Second)); !ok || !e.HasECS {
+			t.Fatalf("inserted HasECS=%v first: IPv4 client got %+v, want the scope-0 ECS entry", order[0].HasECS, e)
+		}
+		if e, ok := c.Lookup(keyA, addr("2001:db8::1"), t0.Add(time.Second)); !ok || e.HasECS {
+			t.Fatalf("inserted HasECS=%v first: IPv6 client got %+v, want the shared entry", order[0].HasECS, e)
+		}
+		if e, ok := c.Lookup(keyA, addr("8.8.8.8"), t0.Add(2*time.Minute)); !ok || e.HasECS {
+			t.Fatalf("inserted HasECS=%v first: after the ECS entry died got %+v, want the shared entry", order[0].HasECS, e)
+		}
+	}
+}
+
+// The hit path must not allocate however many subnets a name has: the
+// covering walk runs under the shard lock on every served query.
+func TestLookupZeroAllocsAtHighFanout(t *testing.T) {
+	c := New(Config{Mode: HonorScope, ClampScopeToSource: true})
+	const fanout = 2048
+	benchFill(c, []Key{keyA}, fanout)
+	n := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		n++
+		_, client := benchSubnet(n * 769 % fanout)
+		if _, ok := c.Lookup(keyA, client, benchNow); !ok {
+			t.Fatal("unexpected miss")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Lookup on a %d-entry key = %v allocs/op, want 0", fanout, allocs)
 	}
 }
 

@@ -1,7 +1,10 @@
 package ecscache
 
 import (
+	"cmp"
+	"encoding/binary"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -9,16 +12,20 @@ import (
 )
 
 // shard is one independently locked partition of the key space. It
-// holds the same two interchangeable per-question structures the
-// original single-mutex cache offered — the linear covering scan and
-// the hash index — plus the intrusive recency list that backs LRU
-// eviction when the shard is capacity-bounded.
+// holds the one per-question structure the cache has — each question's
+// entries in a slice kept sorted by slot and binary-searched — plus the
+// intrusive recency list that backs LRU eviction when the shard is
+// capacity-bounded.
 type shard struct {
 	owner *Cache
 
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// entries holds each question's residents ordered by slot: IPv4
+	// before IPv6, within a family longest effective scope first, within
+	// a scope by prefix, and the shared entry last. A lookup costs one
+	// binary search per distinct scope length present at a pointer per
+	// entry of memory.
 	entries map[Key][]*Entry
-	indexes map[Key]*keyIndex
 	// size counts resident entries (live plus expired-but-uncollected),
 	// mirroring the accounting the owner's live counter aggregates.
 	size int
@@ -32,7 +39,6 @@ func newShard(owner *Cache, capacity int) *shard {
 	sh := &shard{
 		owner:    owner,
 		entries:  make(map[Key][]*Entry),
-		indexes:  make(map[Key]*keyIndex),
 		capacity: capacity,
 	}
 	sh.lru.init()
@@ -42,6 +48,104 @@ func newShard(owner *Cache, capacity int) *shard {
 // bounded reports whether this shard enforces a capacity (and therefore
 // maintains recency order).
 func (sh *shard) bounded() bool { return sh.capacity > 0 }
+
+// slot is an entry's sort position within its question's list, and its
+// identity there: an insert whose slot is already occupied replaces the
+// occupant.
+type slot struct {
+	fam, bits uint8
+	// hi and lo are the subnet's leading `bits` bits, left-aligned (an
+	// IPv4 address fills the top half of hi).
+	hi, lo uint64
+}
+
+// Slot families, in list order. Every slot of an address family covers
+// only clients of that family; the one shared slot covers everyone. It
+// holds the non-ECS answer, and under IgnoreScope every answer.
+const (
+	famV4 uint8 = iota
+	famV6
+	famShared
+)
+
+func famOf(addr netip.Addr) uint8 {
+	if addr.Is4() {
+		return famV4
+	}
+	return famV6
+}
+
+// slotAt returns the slot that covers addr at the given scope length.
+func slotAt(addr netip.Addr, bits uint8) slot {
+	s := slot{fam: famOf(addr), bits: bits}
+	if s.fam == famV4 {
+		b := addr.As4()
+		s.hi = uint64(binary.BigEndian.Uint32(b[:])) << 32
+	} else {
+		b := addr.As16()
+		s.hi, s.lo = binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+	}
+	// Zero everything past the scope (a shift by 64 or more yields 0).
+	if bits <= 64 {
+		s.hi, s.lo = s.hi&^(^uint64(0)>>bits), 0
+	} else {
+		s.lo &^= ^uint64(0) >> (bits - 64)
+	}
+	return s
+}
+
+// slot rebuilds e's slot from the family and effective scope Insert
+// cached in it.
+func (e *Entry) slot() slot {
+	if e.slotFam == famShared {
+		return slot{fam: famShared}
+	}
+	return slotAt(e.Subnet.Addr, e.slotBits)
+}
+
+// compareSlot orders e's slot against s in list order.
+func (e *Entry) compareSlot(s slot) int {
+	a := e.slot()
+	return cmp.Or(
+		cmp.Compare(a.fam, s.fam),
+		cmp.Compare(s.bits, a.bits), // longest scope first
+		cmp.Compare(a.hi, s.hi),
+		cmp.Compare(a.lo, s.lo))
+}
+
+// search returns where in list slot s is, or would be spliced in, and
+// whether an entry occupies it.
+func search(list []*Entry, s slot) (int, bool) {
+	return slices.BinarySearchFunc(list, s, (*Entry).compareSlot)
+}
+
+// covering calls visit with the entries of list whose slots cover
+// client, most specific first — at most one per distinct scope length
+// present in client's family, then the shared entry — until visit
+// returns false. Expiry is the visitor's business.
+func covering(list []*Entry, client netip.Addr, visit func(*Entry) bool) {
+	client = client.Unmap()
+	fam := famOf(client)
+	i := 0
+	if fam != famV4 {
+		i, _ = search(list, slot{fam: fam, bits: 255}) // sorts before every real scope
+	}
+	for i < len(list) && list[i].slotFam == fam {
+		at := slotAt(client, list[i].slotBits)
+		n, found := search(list[i:], at)
+		if i += n; found && !visit(list[i]) {
+			return
+		}
+		if at.bits == 0 {
+			break // scope 0 is the family's last group
+		}
+		n, _ = search(list[i:], slot{fam: fam, bits: at.bits - 1}) // first shorter scope
+		i += n
+	}
+	if n := len(list); n > 0 && list[n-1].slotFam == famShared {
+		visit(list[n-1])
+	}
+}
 
 // lookup finds a live entry usable by client, returning nil on a miss.
 // Bounded shards take the write lock so a hit can be spliced to the
@@ -55,51 +159,17 @@ func (sh *shard) lookup(key Key, client netip.Addr, now time.Time) *Entry {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 	}
-	e := sh.find(key, client, now)
-	if e != nil && sh.bounded() {
-		sh.lru.moveFront(e)
+	var hit *Entry
+	covering(sh.entries[key], client, func(e *Entry) bool {
+		if e.Expiry.After(now) {
+			hit = e
+		}
+		return hit == nil
+	})
+	if hit != nil && sh.bounded() {
+		sh.lru.moveFront(hit)
 	}
-	return e
-}
-
-// find locates the best live entry for (key, client) under the owner's
-// scope mode. Callers hold the shard lock.
-func (sh *shard) find(key Key, client netip.Addr, now time.Time) *Entry {
-	cfg := &sh.owner.cfg
-	if cfg.Indexed {
-		ix := sh.indexes[key]
-		if ix == nil {
-			return nil
-		}
-		if cfg.Mode == IgnoreScope {
-			if ix.shared != nil && ix.shared.Expiry.After(now) {
-				return ix.shared
-			}
-			return nil
-		}
-		if e, ok := ix.lookup(client, now); ok {
-			return e
-		}
-		return nil
-	}
-	var best *Entry
-	bestScope := -1
-	for _, e := range sh.entries[key] {
-		if !e.Expiry.After(now) {
-			continue
-		}
-		if cfg.Mode == IgnoreScope {
-			// Any live entry will do; first wins.
-			return e
-		}
-		scope := int(effectiveScope(cfg, e))
-		if !e.HasECS || e.Subnet.Covers(client, scope) {
-			if scope > bestScope {
-				best, bestScope = e, scope
-			}
-		}
-	}
-	return best
+	return hit
 }
 
 // lookupStale finds the freshest expired-but-recent positive entry
@@ -108,103 +178,59 @@ func (sh *shard) find(key Key, client netip.Addr, now time.Time) *Entry {
 func (sh *shard) lookupStale(key Key, client netip.Addr, now time.Time, maxStale time.Duration) *Entry {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	cfg := &sh.owner.cfg
 	var best *Entry
-	consider := func(e *Entry) {
-		if e == nil || e.Expiry.After(now) || !e.Expiry.Add(maxStale).After(now) {
-			return
-		}
-		if e.RCode != dnswire.RCodeNoError || len(e.Answer) == 0 {
-			return // only stale-but-valid positive answers are servable
-		}
-		if cfg.Mode != IgnoreScope && e.HasECS &&
-			!e.Subnet.Covers(client, int(effectiveScope(cfg, e))) {
-			return
-		}
-		if best == nil || e.Expiry.After(best.Expiry) {
+	covering(sh.entries[key], client, func(e *Entry) bool {
+		stale := !e.Expiry.After(now) && e.Expiry.Add(maxStale).After(now)
+		// Only stale-but-valid positive answers are servable.
+		positive := e.RCode == dnswire.RCodeNoError && len(e.Answer) > 0
+		if stale && positive && (best == nil || e.Expiry.After(best.Expiry)) {
 			best = e
 		}
-	}
-	if cfg.Indexed {
-		if ix := sh.indexes[key]; ix != nil {
-			consider(ix.shared)
-			for _, e := range ix.byPrefix {
-				consider(e)
-			}
-		}
-	} else {
-		for _, e := range sh.entries[key] {
-			consider(e)
-		}
-	}
+		return true
+	})
 	return best
 }
 
-// insert stores one entry, collecting the key's expired slots in
+// sweep removes the entries of list dead at now, in place and keeping
+// the order, and returns what is left.
+func (sh *shard) sweep(list []*Entry, now time.Time) []*Entry {
+	return slices.DeleteFunc(list, func(e *Entry) bool {
+		if e.Expiry.After(now) {
+			return false
+		}
+		sh.drop(e, expiredRemoval)
+		return true
+	})
+}
+
+// store puts a question's list back, dropping the question with its
+// last entry.
+func (sh *shard) store(key Key, list []*Entry) {
+	if len(list) == 0 {
+		delete(sh.entries, key)
+	} else {
+		sh.entries[key] = list
+	}
+}
+
+// insert stores one entry, collecting the key's expired entries in
 // passing and evicting over-capacity residents from the LRU tail.
-func (sh *shard) insert(key Key, stored *Entry, scope uint8, now time.Time) {
+func (sh *shard) insert(key Key, stored *Entry, now time.Time) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.owner.cfg.Indexed {
-		sh.insertIndexed(key, stored, scope, now)
+	list := sh.sweep(sh.entries[key], now)
+	if i, occupied := search(list, stored.slot()); occupied {
+		sh.drop(list[i], replacedRemoval)
+		list[i] = stored
 	} else {
-		sh.insertLinear(key, stored, scope, now)
+		list = slices.Insert(list, i, stored)
 	}
+	sh.entries[key] = list
+	sh.add()
 	if sh.bounded() {
 		sh.lru.pushFront(stored)
 		sh.evictOver(now)
 	}
-}
-
-// insertLinear is the linear-scan storage path.
-func (sh *shard) insertLinear(key Key, stored *Entry, scope uint8, now time.Time) {
-	cfg := &sh.owner.cfg
-	list := sh.entries[key]
-	out := list[:0]
-	for _, old := range list {
-		switch {
-		case !old.Expiry.After(now):
-			sh.drop(old, expiredRemoval)
-		case cfg.Mode == IgnoreScope:
-			// Single entry per key: the newcomer replaces it.
-			sh.drop(old, replacedRemoval)
-		case sameIndexSlot(effectiveScope(cfg, old), old, scope, stored):
-			sh.drop(old, replacedRemoval)
-		default:
-			out = append(out, old)
-		}
-	}
-	out = append(out, stored)
-	sh.entries[key] = out
-	sh.add()
-}
-
-// insertIndexed is the hash-index storage path.
-func (sh *shard) insertIndexed(key Key, stored *Entry, scope uint8, now time.Time) {
-	ix := sh.indexes[key]
-	if ix == nil {
-		ix = newKeyIndex()
-		sh.indexes[key] = ix
-	}
-	// Collect this key's expired slots first, mirroring the linear
-	// path's per-insert cleanup, so live accounting is exact.
-	ix.purge(now, func(e *Entry) { sh.drop(e, expiredRemoval) })
-
-	if sh.owner.cfg.Mode == IgnoreScope || !stored.HasECS {
-		// Single shared slot per key in these shapes; the newcomer
-		// replaces any previous occupant.
-		if ix.shared != nil {
-			sh.drop(ix.shared, replacedRemoval)
-		}
-		ix.shared = stored
-	} else {
-		slot, _ := slotOf(stored, scope) // Insert rejected unprefixable entries
-		if old := ix.byPrefix[slot]; old != nil {
-			sh.drop(old, replacedRemoval)
-		}
-		ix.insert(stored, scope)
-	}
-	sh.add()
 }
 
 // removalKind classifies why an entry leaves the shard, driving the
@@ -258,31 +284,12 @@ func (sh *shard) evictOver(now time.Time) {
 	}
 }
 
-// removeFromStorage detaches an entry from whichever per-question
-// structure holds it (the recency list is handled by drop).
+// removeFromStorage detaches a resident entry from its question's list
+// (the recency list is handled by drop).
 func (sh *shard) removeFromStorage(victim *Entry) {
-	key := victim.lruKey
-	if sh.owner.cfg.Indexed {
-		if ix := sh.indexes[key]; ix != nil {
-			ix.remove(victim, effectiveScope(&sh.owner.cfg, victim))
-			if ix.empty() {
-				delete(sh.indexes, key)
-			}
-		}
-		return
-	}
-	list := sh.entries[key]
-	out := list[:0]
-	for _, e := range list {
-		if e != victim {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		delete(sh.entries, key)
-	} else {
-		sh.entries[key] = out
-	}
+	list := sh.entries[victim.lruKey]
+	i, _ := search(list, victim.slot())
+	sh.store(victim.lruKey, slices.Delete(list, i, i+1))
 }
 
 // len counts live entries at now.
@@ -290,12 +297,6 @@ func (sh *shard) len(now time.Time) int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	n := 0
-	if sh.owner.cfg.Indexed {
-		for _, ix := range sh.indexes {
-			n += ix.live(now)
-		}
-		return n
-	}
 	for _, list := range sh.entries {
 		for _, e := range list {
 			if e.Expiry.After(now) {
@@ -311,36 +312,11 @@ func (sh *shard) len(now time.Time) int {
 func (sh *shard) purgeExpired(now time.Time) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	removed := 0
-	if sh.owner.cfg.Indexed {
-		for key, ix := range sh.indexes {
-			ix.purge(now, func(e *Entry) {
-				sh.drop(e, expiredRemoval)
-				removed++
-			})
-			if ix.empty() {
-				delete(sh.indexes, key)
-			}
-		}
-		return removed
-	}
+	before := sh.size
 	for key, list := range sh.entries {
-		out := list[:0]
-		for _, e := range list {
-			if e.Expiry.After(now) {
-				out = append(out, e)
-			} else {
-				sh.drop(e, expiredRemoval)
-				removed++
-			}
-		}
-		if len(out) == 0 {
-			delete(sh.entries, key)
-		} else {
-			sh.entries[key] = out
-		}
+		sh.store(key, sh.sweep(list, now))
 	}
-	return removed
+	return before - sh.size
 }
 
 // flush empties the shard.
@@ -350,7 +326,6 @@ func (sh *shard) flush() {
 	sh.owner.addLive(-sh.size)
 	sh.size = 0
 	sh.entries = make(map[Key][]*Entry)
-	sh.indexes = make(map[Key]*keyIndex)
 	sh.lru.init()
 }
 

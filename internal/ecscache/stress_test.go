@@ -14,18 +14,15 @@ import (
 // TestConcurrentCacheAccess hammers one cache with parallel readers,
 // writers, purgers and len-takers. It asserts nothing beyond "no race,
 // no panic, no torn entry" — run it under -race (verify.sh does) to
-// make the mutex discipline load-bearing. Both cache structures get the
-// same treatment.
+// make the mutex discipline load-bearing.
 func TestConcurrentCacheAccess(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"linear", Config{Mode: HonorScope, ClampScopeToSource: true}},
-		{"indexed", Config{Mode: HonorScope, ClampScopeToSource: true, Indexed: true}},
 		{"sharded", Config{Mode: HonorScope, ClampScopeToSource: true, Shards: 8}},
 		{"sharded-bounded", Config{Mode: HonorScope, ClampScopeToSource: true, Shards: 4, MaxEntries: 16}},
-		{"sharded-bounded-indexed", Config{Mode: HonorScope, ClampScopeToSource: true, Shards: 4, MaxEntries: 16, Indexed: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			c := New(mode.cfg)

@@ -7,6 +7,7 @@ import (
 
 	"ecsdns/internal/authority"
 	"ecsdns/internal/dnswire"
+	"ecsdns/internal/ecscache"
 	"ecsdns/internal/netem"
 )
 
@@ -169,6 +170,28 @@ func TestServeStaleOnUpstreamFailure(t *testing.T) {
 	}
 	if resp.RCode != dnswire.RCodeServFail {
 		t.Fatalf("entry older than MaxStale served: %v", resp)
+	}
+}
+
+// Sweep is what bounds an unbounded cache over time, and it must not
+// take away what serve-stale may still need: an expired entry stays
+// until it is MaxStale past its expiry.
+func TestSweepKeepsServableStaleEntries(t *testing.T) {
+	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
+	clock := rg.net.Clock()
+	key := ecscache.Key{Name: "once.test.example.", Type: dnswire.TypeA, Class: dnswire.ClassINET}
+	rg.res.Cache().Insert(key, ecscache.Entry{Expiry: clock.Now().Add(60 * time.Second)}, clock.Now())
+
+	clock.Advance(61 * time.Second)
+	if n := rg.res.Sweep(clock.Now()); n != 0 || rg.res.Cache().Stats().Live != 1 {
+		t.Fatalf("Sweep removed %d entries 1s after expiry; serve-stale may still need them", n)
+	}
+	clock.Advance(rg.res.maxStale())
+	if n := rg.res.Sweep(clock.Now()); n != 1 {
+		t.Fatalf("Sweep removed %d entries past MaxStale, want 1", n)
+	}
+	if st := rg.res.Cache().Stats(); st.Live != 0 || st.Expiries != 1 {
+		t.Fatalf("after Sweep: %+v, want live=0 expiries=1", st)
 	}
 }
 

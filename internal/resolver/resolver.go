@@ -117,9 +117,6 @@ type Config struct {
 	// CacheShards spreads the cache across independently locked shards
 	// for concurrent serving. Zero or one means a single shard.
 	CacheShards int
-	// CacheIndexed selects the hash-indexed per-question cache structure
-	// over the linear scan. Pure performance knob; semantics identical.
-	CacheIndexed bool
 	// NegativeTTL caps the cache lifetime of negative (non-NoError)
 	// answers; zero applies the cache's 30s default.
 	NegativeTTL time.Duration
@@ -191,7 +188,6 @@ func New(cfg Config) *Resolver {
 			NegativeTTL:        cfg.NegativeTTL,
 			MinTTL:             cfg.MinTTL,
 			MaxTTL:             cfg.MaxTTL,
-			Indexed:            cfg.CacheIndexed,
 			Shards:             cfg.CacheShards,
 			MaxEntries:         cfg.CacheEntries,
 		}),
@@ -527,6 +523,15 @@ func (r *Resolver) answerFailure(resp *dnswire.Message, key ecscache.Key, client
 	r.countFailure(func(f *FailureCounters) { f.ServFailsReturned++ })
 	resp.RCode = dnswire.RCodeServFail
 	return resp
+}
+
+// Sweep collects the cache entries that at now are past serving even
+// as stale answers — expired for MaxStale or longer — and returns how
+// many it removed. An insert collects only under the name it touches,
+// so without a periodic Sweep an unbounded cache keeps the entries of a
+// name never resolved again for the life of the process.
+func (r *Resolver) Sweep(now time.Time) int {
+	return r.cache.PurgeExpired(now.Add(-r.maxStale()))
 }
 
 func (r *Resolver) maxStale() time.Duration {

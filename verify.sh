@@ -1,7 +1,7 @@
 #!/bin/sh
 # verify.sh — the full tier-1 gate plus static analysis and fuzz smokes.
 #
-#   ./verify.sh                run everything (~2 min: race suite + 3×10s fuzz)
+#   ./verify.sh                run everything (~3 min: race suite, benchmark smoke, 4×10s fuzz)
 #   FUZZTIME=30s ./verify.sh   longer fuzz smokes
 #
 # Stages run in order and the script exits non-zero at the first
@@ -37,6 +37,15 @@ go test ./...
 
 stage "go test -race ./..."
 go test -race ./...
+
+# The benchmark (bench/, a nested module tier-1 does not reach): its own
+# tests, the layer-row program behind its build tag — an internal API
+# change that stops it compiling turns 54 per-layer rows to null and
+# nothing else notices — and one short run of all four workloads against
+# the real binaries with every validity check on (~20 s).
+stage "ecsbench (bench module: vet, tests, layers build, -smoke)"
+(cd bench && go vet ./... && go test ./... && go build -tags ecsbench -o /dev/null ./layers)
+bash bench/run.sh -smoke
 
 # The serving layer under overload, replayed: flood at a multiple of the
 # admission capacity with panicking queries, plus the exact RRL storm.
