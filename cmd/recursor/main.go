@@ -24,6 +24,8 @@ package main
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
@@ -109,7 +111,7 @@ func parsePoolSpec(spec string) ([]upstreams.Upstream, map[netip.Addr]string, er
 		if part == "" || len(fields) > 3 {
 			return nil, nil, fmt.Errorf("bad pool upstream %q: want host:port[/priority[/weight]]", part)
 		}
-		if _, _, err := net.SplitHostPort(fields[0]); err != nil {
+		if err := checkHostPort(fields[0]); err != nil {
 			return nil, nil, fmt.Errorf("bad pool upstream %q: %v", part, err)
 		}
 		u := upstreams.Upstream{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i + 1)})}
@@ -131,6 +133,31 @@ func parsePoolSpec(spec string) ([]upstreams.Upstream, map[netip.Addr]string, er
 		ups = append(ups, u)
 	}
 	return ups, targets, nil
+}
+
+// checkHostPort is the start-up check on every upstream address, so a
+// typo stops the process instead of turning every miss into SERVFAIL:
+// it must split as host:port, and an upstream names both ("127.0.0.1:"
+// splits, then dials port 0 for the life of the process).
+func checkHostPort(addr string) error {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return err
+	}
+	if host == "" || port == "" {
+		return fmt.Errorf("address %s: empty host or port", addr)
+	}
+	return nil
+}
+
+// randomSeed draws the resolver's query-ID seed from the system's
+// entropy: a live server's IDs must not be derivable from its boot time.
+func randomSeed() int64 {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		log.Fatalf("recursor: seeding query IDs: %v", err)
+	}
+	return int64(binary.LittleEndian.Uint64(b[:]))
 }
 
 func main() {
@@ -215,7 +242,7 @@ func main() {
 		Now:               time.Now, //ecslint:ignore wallclock live server: cache ages on the real clock
 		Directory:         dir,
 		Profile:           profile,
-		Seed:              time.Now().UnixNano(), //ecslint:ignore wallclock live server wants unpredictable IDs, not replay
+		Seed:              randomSeed(),
 		CacheEntries:      *cacheEntries,
 		CacheShards:       *cacheShards,
 		NegativeTTL:       *negTTL,
@@ -262,6 +289,9 @@ func main() {
 	} else {
 		if *hedgeSpec != "" || *breakerSpec != "" || *ladderSpec != "" {
 			log.Fatal("recursor: -hedge, -breaker, and -edns-ladder require -upstreams")
+		}
+		if err := checkHostPort(*upstream); err != nil {
+			log.Fatalf("recursor: bad -upstream: %v", err)
 		}
 		resCfg.Transport = &socketTransport{client: &dnsclient.Client{}, upstream: *upstream}
 	}

@@ -1,0 +1,91 @@
+package main
+
+import (
+	"net/netip"
+	"strings"
+	"testing"
+
+	"ecsdns/internal/upstreams"
+)
+
+func TestCheckHostPort(t *testing.T) {
+	for _, tc := range []struct {
+		addr string
+		ok   bool
+	}{
+		{"127.0.0.1:5300", true},
+		{"[::1]:53", true},
+		{"ns1.example.org:53", true},
+		{"nonsense", false},
+		{"127.0.0.1", false},
+		{"::1", false},
+		{"", false},
+		{"127.0.0.1:", false}, // splits, but would dial port 0
+		{":53", false},
+		{":", false},
+	} {
+		if err := checkHostPort(tc.addr); (err == nil) != tc.ok {
+			t.Errorf("checkHostPort(%q) = %v, want ok=%v", tc.addr, err, tc.ok)
+		}
+	}
+}
+
+func TestParsePoolSpec(t *testing.T) {
+	addr := func(i byte) netip.Addr { return netip.AddrFrom4([4]byte{192, 0, 2, i}) }
+	for _, tc := range []struct {
+		name    string
+		spec    string
+		want    []upstreams.Upstream
+		targets []string // by position: the host:port want[i].Addr routes to
+		errPart string   // non-empty: the spec must be rejected mentioning this
+	}{
+		{
+			name:    "bare members get synthetic addresses in order",
+			spec:    "127.0.0.1:5300, 127.0.0.1:5301",
+			want:    []upstreams.Upstream{{Addr: addr(1)}, {Addr: addr(2)}},
+			targets: []string{"127.0.0.1:5300", "127.0.0.1:5301"},
+		},
+		{
+			name:    "priority and weight",
+			spec:    "a.example:53/1,b.example:53/2/5,[::1]:53/0/1",
+			want:    []upstreams.Upstream{{Addr: addr(1), Priority: 1}, {Addr: addr(2), Priority: 2, Weight: 5}, {Addr: addr(3), Weight: 1}},
+			targets: []string{"a.example:53", "b.example:53", "[::1]:53"},
+		},
+		{name: "missing port", spec: "127.0.0.1", errPart: "missing port"},
+		{name: "empty port", spec: "127.0.0.1:53,127.0.0.2:/1", errPart: "empty host or port"},
+		{name: "empty member", spec: "127.0.0.1:53,,127.0.0.2:53", errPart: `bad pool upstream ""`},
+		{name: "four fields", spec: "127.0.0.1:53/1/2/3", errPart: "want host:port[/priority[/weight]]"},
+		{name: "negative priority", spec: "127.0.0.1:53/-1", errPart: "bad priority"},
+		{name: "non-numeric priority", spec: "127.0.0.1:53/high", errPart: "bad priority"},
+		{name: "zero weight", spec: "127.0.0.1:53/0/0", errPart: "bad weight"},
+		{name: "more than 254 members", spec: strings.TrimSuffix(strings.Repeat("127.0.0.1:53,", 255), ","), errPart: "max 254"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ups, targets, err := parsePoolSpec(tc.spec)
+			if tc.errPart != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.errPart) {
+					t.Fatalf("parsePoolSpec(%q) error = %v, want one mentioning %q", tc.spec, err, tc.errPart)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ups) != len(tc.want) || len(targets) != len(tc.want) {
+				t.Fatalf("got %d upstreams and %d targets, want %d", len(ups), len(targets), len(tc.want))
+			}
+			for i, want := range tc.want {
+				if ups[i] != want {
+					t.Errorf("upstream %d = %+v, want %+v", i, ups[i], want)
+				}
+				if got := targets[want.Addr]; got != tc.targets[i] {
+					t.Errorf("target of %v = %q, want %q", want.Addr, got, tc.targets[i])
+				}
+			}
+		})
+	}
+	// 254 members is the most the synthetic 192.0.2.x range can address.
+	if ups, _, err := parsePoolSpec(strings.TrimSuffix(strings.Repeat("127.0.0.1:53,", 254), ",")); err != nil || len(ups) != 254 {
+		t.Fatalf("254 members: %d upstreams, %v", len(ups), err)
+	}
+}

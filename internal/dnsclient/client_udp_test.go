@@ -1,0 +1,145 @@
+package dnsclient
+
+import (
+	"net"
+	"net/netip"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"ecsdns/internal/dnswire"
+)
+
+// TestAllocGateClientExchangeUDP bounds what one Client.ExchangeUDP
+// round trip allocates. The socket, its deadline and the decoded
+// response are the attempt's own; the 64 KiB read buffer is pooled, so
+// bytes per exchange stay far below one buffer, and the literal-address
+// connect keeps the dialer's context, timer and address list out of the
+// object count.
+func TestAllocGateClientExchangeUDP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	server := startEchoResponder(t, nil).String()
+	c := &Client{Timeout: 2 * time.Second}
+	q := allocGateQuery("gate.client.test.")
+	exchange := func() {
+		if _, err := c.ExchangeUDP(server, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		exchange() // warm the buffer pool and the codec's
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		exchange()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	objects := float64(after.Mallocs-before.Mallocs) / runs
+	if bytes >= 8<<10 || objects > 22 {
+		t.Fatalf("ExchangeUDP allocates %d B and %.1f objects per exchange, want < 8 KiB and <= 22", bytes, objects)
+	}
+}
+
+// TestClientBufferIsolation runs concurrent exchanges for distinct names
+// whose answers encode the name, keeps every response, and checks each
+// against its own question only after all exchanges have finished: a
+// pooled read buffer still referenced by a returned Message would have
+// been overwritten by a later exchange by then.
+func TestClientBufferIsolation(t *testing.T) {
+	addr := startPipelineServer(t, &nameHashHandler{})
+	c := &Client{Timeout: 2 * time.Second}
+	const goroutines, each = 8, 200
+	type kept struct {
+		name dnswire.Name
+		resp *dnswire.Message
+	}
+	results := make([][]kept, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				name := dnswire.MustParseName("g" + itoa(g) + "-q" + itoa(i) + ".iso.test.")
+				resp, err := c.ExchangeUDP(addr, pipeQuery(name))
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
+				results[g] = append(results[g], kept{name, resp})
+			}
+		}()
+	}
+	wg.Wait()
+	for _, rs := range results {
+		for _, k := range rs {
+			if got := k.resp.Question().Name; got != k.name {
+				t.Fatalf("response for %s now carries question %s", k.name, got)
+			}
+			if len(k.resp.Answers) != 1 {
+				t.Fatalf("%s: %d answers, want 1", k.name, len(k.resp.Answers))
+			}
+			a, ok := k.resp.Answers[0].Data.(*dnswire.ARData)
+			if !ok || k.resp.Answers[0].Name != k.name || a.Addr != hashAddr(k.name) {
+				t.Fatalf("%s: answer %v does not encode its name", k.name, k.resp.Answers[0])
+			}
+		}
+	}
+}
+
+// TestClientFreshSourcePortPerExchange pins the reason Client keeps a
+// socket per attempt: each exchange leaves from its own kernel-chosen
+// source port (RFC 5452), so consecutive queries do not share one.
+func TestClientFreshSourcePortPerExchange(t *testing.T) {
+	var mu sync.Mutex
+	ports := make(map[uint16]bool)
+	server := startEchoResponder(t, func(src netip.AddrPort) {
+		mu.Lock()
+		ports[src.Port()] = true
+		mu.Unlock()
+	}).String()
+	c := &Client{Timeout: 2 * time.Second}
+	q := allocGateQuery("port.client.test.")
+	for i := 0; i < 8; i++ {
+		if _, err := c.ExchangeUDP(server, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ports) < 2 {
+		t.Fatalf("8 exchanges left from %d distinct source port(s), want >= 2", len(ports))
+	}
+}
+
+// TestClientRefusedFailsFast pins the other reason: on a connected
+// socket the ICMP port-unreachable from a dead upstream surfaces as an
+// error at once, instead of the exchange sitting out its timeout — the
+// signal the upstream pool's failover and breakers run on.
+func TestClientRefusedFailsFast(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("relies on Linux delivering ICMP errors to connected UDP sockets")
+	}
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := pc.LocalAddr().String()
+	pc.Close()
+	c := &Client{Timeout: 2 * time.Second}
+	start := time.Now()
+	_, err = c.ExchangeUDP(closed, allocGateQuery("dead.client.test."))
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("closed port answered")
+	}
+	if elapsed >= c.Timeout/4 {
+		t.Fatalf("ExchangeUDP to a closed port took %v (%v), want under %v", elapsed, err, c.Timeout/4)
+	}
+}

@@ -2,6 +2,18 @@
 // retries and automatic TCP fallback on truncation, EDNS0 negotiation,
 // and ECS helpers. It is the measurement probe the ecsscan binary and the
 // live-wire example use against real servers.
+//
+// It holds two clients because the tree has two kinds of caller. Client
+// opens a fresh connected socket per UDP attempt: every query leaves
+// from its own kernel-chosen source port (RFC 5452), and a dead upstream
+// fails at once through the ICMP error instead of at the deadline. That
+// is what a caching resolver needs — it has a cache to poison and a
+// failover pool fed by fast errors — so cmd/recursor's upstream side and
+// single-target probes use it. Pipeline multiplexes many in-flight
+// queries over a few shared unconnected sockets, which costs about half
+// as much per query and gives up both properties: right for a scanner,
+// which caches nothing and sets its own deadlines, so ecsscan -targets
+// and the scan engine use it. DESIGN.md §11 has the measured price.
 package dnsclient
 
 import (
@@ -11,6 +23,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -128,8 +141,36 @@ func (c *Client) ExchangeUDP(server string, q *dnswire.Message) (*dnswire.Messag
 	return c.exchangeUDP(server, q, data)
 }
 
+// readBufPool recycles the UDP read buffers. Each stays full-size so a
+// server that overshoots the advertised EDNS payload is still heard;
+// only the pages a datagram touches are ever resident.
+var readBufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 65535)
+		return &b
+	},
+}
+
+// dialUDP connects a fresh UDP socket to server. A literal ip:port
+// skips the dialer's context, timer and address-list resolution; a
+// hostname still goes through it.
+func dialUDP(server string, timeout time.Duration) (net.Conn, error) {
+	ap, err := netip.ParseAddrPort(server)
+	if err != nil {
+		return net.DialTimeout("udp", server, timeout)
+	}
+	conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(ap))
+	if err != nil {
+		return nil, err
+	}
+	return conn, nil
+}
+
+// exchangeUDP is one UDP attempt: one fresh connected socket — so one
+// kernel-chosen source port (RFC 5452) and an ICMP-refused upstream
+// failing at once instead of at the deadline — and one deadline.
 func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte) (*dnswire.Message, error) {
-	conn, err := net.DialTimeout("udp", server, c.timeout())
+	conn, err := dialUDP(server, c.timeout())
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +179,11 @@ func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte) (*d
 	if _, err := conn.Write(data); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 65535)
+	// Unpack copies everything it keeps out of its input, so the buffer
+	// can go back to the pool while the Message lives on.
+	bp := readBufPool.Get().(*[]byte)
+	defer readBufPool.Put(bp)
+	buf := *bp
 	for {
 		n, err := conn.Read(buf)
 		if err != nil {

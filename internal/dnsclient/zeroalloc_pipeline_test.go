@@ -16,8 +16,9 @@ import (
 // datagram back with the QR bit set — the cheapest wire-valid DNS
 // "response" to the query that was sent. The loop performs no heap
 // allocations, which matters because testing.AllocsPerRun counts
-// mallocs across every goroutine, responder included.
-func startEchoResponder(t *testing.T) netip.AddrPort {
+// mallocs across every goroutine, responder included. seen, when
+// non-nil, is called with the source of every datagram echoed.
+func startEchoResponder(t *testing.T, seen func(src netip.AddrPort)) netip.AddrPort {
 	t.Helper()
 	pc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -35,6 +36,9 @@ func startEchoResponder(t *testing.T) netip.AddrPort {
 			}
 			if n < 12 {
 				continue
+			}
+			if seen != nil {
+				seen(src)
 			}
 			b[2] |= 0x80 // set QR: the echoed query becomes its own response
 			pc.WriteToUDPAddrPort(b[:n], src)
@@ -69,7 +73,7 @@ func gatePipelineExchange(t *testing.T, queries []*dnswire.Message, want float64
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	server := startEchoResponder(t).String()
+	server := startEchoResponder(t, nil).String()
 	p := newTestPipeline(t, PipelineConfig{
 		Shards: 1, Timeout: 2 * time.Second,
 		Retries: NoRetries, NoTCPFallback: true,

@@ -6,13 +6,13 @@
 // shutdown.
 //
 // The server is built to stay correct under overload: UDP dispatch runs
-// on a bounded worker pool (MaxInflight) with a configurable overflow
-// policy, TCP connections are capped (MaxConns) with idle and write
-// deadlines, refused clients are response-rate-limited with the standard
-// slip/TC mechanism (see rrl.go), handler panics are recovered per query
-// and answered SERVFAIL, and every query read off the wire is accounted
-// for in ServerStats. Shutdown(ctx) drains in-flight work gracefully;
-// Close force-closes.
+// on a bounded worker pool (grown on demand up to MaxInflight) with a
+// configurable overflow policy, TCP connections are capped (MaxConns)
+// with idle and write deadlines, refused clients are response-rate-
+// limited with the standard slip/TC mechanism (see rrl.go), handler
+// panics are recovered per query and answered SERVFAIL, and every query
+// read off the wire is accounted for in ServerStats. Shutdown(ctx)
+// drains in-flight work gracefully; Close force-closes.
 package dnsserver
 
 import (
@@ -24,6 +24,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ecsdns/internal/dnswire"
@@ -50,7 +51,7 @@ const (
 
 // Serving defaults.
 const (
-	// DefaultMaxInflight is the UDP worker-pool size when MaxInflight
+	// DefaultMaxInflight is the UDP worker-pool cap when MaxInflight
 	// is left zero.
 	DefaultMaxInflight = 256
 	// DefaultMaxConns is the concurrent-TCP-connection cap when
@@ -68,9 +69,9 @@ type Server struct {
 	// WriteTimeout bounds each TCP response write, so one stalled peer
 	// cannot pin a connection goroutine forever.
 	WriteTimeout time.Duration
-	// MaxInflight bounds concurrently-dispatched UDP queries: the
-	// worker-pool size and the admission-queue depth (0 = the
-	// DefaultMaxInflight of 256, negative = 1).
+	// MaxInflight bounds concurrently-dispatched UDP queries: the cap
+	// on the worker pool, grown on demand, and the admission-queue
+	// depth (0 = the DefaultMaxInflight of 256, negative = 1).
 	MaxInflight int
 	// Overflow is the shed policy once the admission queue is full.
 	Overflow OverflowPolicy
@@ -91,20 +92,25 @@ type Server struct {
 	ln     net.Listener
 	closed bool
 	conns  map[net.Conn]struct{}
-	queue  chan udpPacket
-	rrl    *rrl
-	// loops tracks the two accept/read loops; workers the UDP pool;
-	// handlers the per-connection TCP goroutines. They are separate so
-	// shutdown can forbid new spawns (via the closed flag, checked
-	// under mu) before waiting — a single WaitGroup would race Add
-	// against Wait — and so the queue can be closed only after the UDP
-	// read loop (its sole sender) has exited.
+	// queue is the UDP admission queue. The read loop is its only
+	// sender, starts the workers that drain it, and closes it.
+	//
+	//ecschan:owner serveUDP
+	queue chan udpPacket
+	// pending counts datagrams admitted to queue and not yet finished
+	// by a worker; the read loop starts a worker when it exceeds the
+	// workers started so far.
+	pending atomic.Int64
+	rrl     *rrl
+	// loops tracks the two accept/read loops (the UDP read loop waits
+	// out its own workers before it returns); handlers the
+	// per-connection TCP goroutines. They are separate so shutdown can
+	// forbid new spawns (via the closed flag, checked under mu) before
+	// waiting — a single WaitGroup would race Add against Wait.
 	loops    sync.WaitGroup
-	workers  sync.WaitGroup
 	handlers sync.WaitGroup
 
 	closeSockets sync.Once
-	closeQueue   sync.Once
 	closeUDP     sync.Once
 
 	stats counters
@@ -220,20 +226,15 @@ func (s *Server) Start(addr string) (netip.AddrPort, error) {
 			return netip.AddrPort{}, err
 		}
 	}
-	workers := s.maxInflight()
 	s.mu.Lock()
 	s.pc, s.ln = pc, ln
 	s.conns = make(map[net.Conn]struct{})
-	s.queue = make(chan udpPacket, workers)
+	s.queue = make(chan udpPacket, s.maxInflight())
 	s.rrl = rl
 	s.mu.Unlock()
 	s.loops.Add(2)
 	go s.serveUDP(pc)
 	go s.serveTCP(ln)
-	s.workers.Add(workers)
-	for i := 0; i < workers; i++ {
-		go s.udpWorker(pc)
-	}
 	return bound, nil
 }
 
@@ -268,22 +269,12 @@ func (s *Server) beginShutdown() {
 	})
 }
 
-// finishShutdown waits out the serve loops, closes the admission queue
-// (safe: the UDP read loop, its only sender, has exited), waits for the
-// worker pool and the TCP connection goroutines, then closes the UDP
-// socket — only now, so draining workers could still send their
-// answers.
+// finishShutdown waits out the serve loops (the UDP read loop returns
+// only once its workers have drained the admission queue) and the TCP
+// connection goroutines, then closes the UDP socket — only now, so
+// draining workers could still send their answers.
 func (s *Server) finishShutdown() {
 	s.loops.Wait()
-	s.closeQueue.Do(func() {
-		s.mu.Lock()
-		q := s.queue
-		s.mu.Unlock()
-		if q != nil {
-			close(q)
-		}
-	})
-	s.workers.Wait()
 	s.handlers.Wait()
 	s.closeUDP.Do(func() {
 		s.mu.Lock()
@@ -353,14 +344,24 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
+// serveUDP is the UDP read loop and the owner of the worker pool. It
+// starts workers as load needs them: after admitting a datagram, one
+// more whenever the datagrams admitted but unfinished outnumber the
+// workers started, up to MaxInflight — so a queued datagram never waits
+// on a later arrival to get a worker, a closed loop runs on one warm
+// stack, and a flood ends at the same bound as a pre-started pool.
+// Workers are not retired; the pool is a high-water mark. On shutdown
+// the loop closes the queue and waits for the workers to drain it.
 func (s *Server) serveUDP(pc net.PacketConn) {
 	defer s.loops.Done()
+	var workers sync.WaitGroup
+	started, limit := int64(0), int64(s.maxInflight())
 	buf := make([]byte, 65535)
 	for {
 		n, raddr, err := pc.ReadFrom(buf)
 		if err != nil {
 			if s.isClosed() {
-				return
+				break
 			}
 			continue
 		}
@@ -371,6 +372,15 @@ func (s *Server) serveUDP(pc net.PacketConn) {
 		from := raddr.(*net.UDPAddr).AddrPort()
 		select {
 		case s.queue <- udpPacket{pkt: pkt, bp: bp, raddr: raddr, from: from}:
+			if s.pending.Add(1) > started && started < limit {
+				started++
+				s.stats.workers.Store(started)
+				workers.Add(1)
+				go func() {
+					defer workers.Done()
+					s.udpWorker(pc)
+				}()
+			}
 		default:
 			// Admission control: the pool is saturated. Shed per the
 			// configured policy instead of queueing unbounded work.
@@ -383,16 +393,18 @@ func (s *Server) serveUDP(pc net.PacketConn) {
 			udpBufPool.Put(bp)
 		}
 	}
+	close(s.queue)
+	workers.Wait()
 }
 
 // udpWorker is one admission-pool worker: it applies RRL, then parses
 // and dispatches each queued packet.
 func (s *Server) udpWorker(pc net.PacketConn) {
-	defer s.workers.Done()
 	for p := range s.queue {
 		s.stats.inflight.Add(1)
 		s.serveUDPPacket(pc, p)
 		s.stats.inflight.Add(-1)
+		s.pending.Add(-1)
 		udpBufPool.Put(p.bp)
 	}
 }

@@ -13,7 +13,7 @@ import (
 //ecsinvariant:partition received = answered + shed + slipped + malformed + panics
 type counters struct {
 	received, answered, shed, rrlDropped, slipped, malformed, panics atomic.Int64
-	inflight, conns, connsTotal, connsRejected                       atomic.Int64
+	inflight, conns, connsTotal, connsRejected, workers              atomic.Int64
 }
 
 // ServerStats is a point-in-time snapshot of the server's accounting.
@@ -51,6 +51,9 @@ type ServerStats struct {
 	Conns         int64
 	ConnsTotal    int64
 	ConnsRejected int64
+	// Workers is the number of UDP worker goroutines started so far:
+	// how much concurrency the load has needed out of MaxInflight.
+	Workers int64
 }
 
 // Stats snapshots the server's counters.
@@ -67,6 +70,7 @@ func (s *Server) Stats() ServerStats {
 		Conns:         s.stats.conns.Load(),
 		ConnsTotal:    s.stats.connsTotal.Load(),
 		ConnsRejected: s.stats.connsRejected.Load(),
+		Workers:       s.stats.workers.Load(),
 	}
 }
 
@@ -81,7 +85,7 @@ func (st ServerStats) Balanced() bool {
 // on exit.
 func (st ServerStats) String() string {
 	return fmt.Sprintf(
-		"received=%d answered=%d shed=%d (rrl-dropped=%d) slipped=%d malformed=%d panics=%d conns=%d/%d (rejected=%d)",
+		"received=%d answered=%d shed=%d (rrl-dropped=%d) slipped=%d malformed=%d panics=%d conns=%d/%d (rejected=%d) workers=%d",
 		st.Received, st.Answered, st.Shed, st.RRLDropped, st.Slipped,
-		st.Malformed, st.Panics, st.Conns, st.ConnsTotal, st.ConnsRejected)
+		st.Malformed, st.Panics, st.Conns, st.ConnsTotal, st.ConnsRejected, st.Workers)
 }

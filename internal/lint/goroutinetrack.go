@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+
+	"ecsdns/internal/lint/flow"
 )
 
 // goroutinetrackCheck verifies goroutine lifecycle in the
@@ -25,7 +27,10 @@ import (
 //     exit. A body whose reachable blocks all sit in an inescapable
 //     loop (`for {}` with no break/return, `select` with no
 //     terminating case) is a permanent goroutine leak: tracked or not,
-//     Close blocks on it forever. Applies outside test files.
+//     Close blocks on it forever. A literal that wraps a declared
+//     function (`go func() { defer wg.Done(); s.worker() }()`) is
+//     followed one call deep, so the wrapper does not hide the worker's
+//     loop. Applies outside test files.
 var goroutinetrackCheck = Check{
 	Name: "goroutinetrack",
 	Doc:  "untracked `go func` literal (no WaitGroup/tracker call, no context.Context), or spawned function with no exit path",
@@ -47,11 +52,38 @@ func runGoroutinetrack(ctx *Context) {
 		if site.Callee == nil || ctx.posInTestFile(site.Go.Pos()) {
 			continue
 		}
-		if !site.Callee.CFG().ExitReachable() {
+		if stuck := neverReturns(prog, site.Callee); stuck != nil {
 			ctx.Reportf(site.Go.Pos(),
-				"goroutine spawned here can never terminate: no path in %s reaches the function's exit — give its loop a ctx/Done case, a close-based range, or a breaking condition", site.Callee.Name())
+				"goroutine spawned here can never terminate: no path in %s reaches the function's exit — give its loop a ctx/Done case, a close-based range, or a breaking condition", stuck.Name())
 		}
 	}
+}
+
+// neverReturns names the function that keeps a goroutine started on f
+// from ever terminating: f itself when its exit is unreachable, or, for
+// a literal, an in-package function one of its top-level statements
+// calls unconditionally. Nil when an exit path exists.
+func neverReturns(prog *flow.Program, f *flow.FuncInfo) *flow.FuncInfo {
+	if !f.CFG().ExitReachable() {
+		return f
+	}
+	if f.Lit == nil {
+		return nil
+	}
+	for _, st := range f.Body.List {
+		es, ok := st.(*ast.ExprStmt)
+		if !ok {
+			continue
+		}
+		call, ok := es.X.(*ast.CallExpr)
+		if !ok {
+			continue
+		}
+		if callee := prog.FuncOf(prog.StaticCallee(call)); callee != nil && !callee.CFG().ExitReachable() {
+			return callee
+		}
+	}
+	return nil
 }
 
 // goroutineTracked reports whether the literal (or the arguments passed

@@ -73,3 +73,13 @@ func leakTracked(wg *sync.WaitGroup, busy func()) {
 		}
 	}()
 }
+
+// leakWrapped hides the same leak one call down: the tracked literal
+// returns only if spin does, and spin never does.
+func leakWrapped(wg *sync.WaitGroup, s *spinner) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.spin()
+	}()
+}

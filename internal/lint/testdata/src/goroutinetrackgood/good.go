@@ -82,6 +82,29 @@ func (p *pool) startLiteral(n int) {
 	}
 }
 
+// startOnDemand is the coordinator shape: the sender owns a local
+// WaitGroup and wraps the named worker in a tracked literal. The check
+// follows the literal into drain, whose close-based range exits.
+func (p *pool) startOnDemand(jobs []func()) {
+	var workers sync.WaitGroup
+	for _, j := range jobs {
+		p.queue <- j
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			p.drain()
+		}()
+	}
+	close(p.queue)
+	workers.Wait()
+}
+
+func (p *pool) drain() {
+	for job := range p.queue {
+		job()
+	}
+}
+
 type stoppable struct {
 	jobs  chan func()
 	stopc chan struct{}
