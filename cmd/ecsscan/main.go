@@ -25,11 +25,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/netip"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"ecsdns/internal/dnsclient"
 	"ecsdns/internal/dnswire"
@@ -80,8 +84,8 @@ func main() {
 	singleProbe(*target, base, prefix, *timeout)
 }
 
-// loadTargets reads host:port targets from a file (one per line, #
-// comments allowed) or from a comma-separated literal list.
+// loadTargets reads targets from a file (one per line, # comments
+// allowed) or from a comma-separated literal list.
 func loadTargets(arg string) []string {
 	var raw []string
 	if f, err := os.Open(arg); err == nil {
@@ -99,16 +103,9 @@ func loadTargets(arg string) []string {
 	} else {
 		raw = strings.Split(arg, ",")
 	}
-	var targets []string
-	for _, line := range raw {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !strings.Contains(line, ":") {
-			line += ":53"
-		}
-		targets = append(targets, line)
+	targets, err := parseTargets(raw)
+	if err != nil {
+		log.Fatalf("ecsscan: %v", err)
 	}
 	if len(targets) == 0 {
 		log.Fatal("ecsscan: no targets")
@@ -116,9 +113,184 @@ func loadTargets(arg string) []string {
 	return targets
 }
 
+// parseTargets turns target lines into the host:port strings the
+// pipeline dials, skipping blank lines and # comments. A line that
+// cannot name a target fails the whole load: found here it is one
+// start-up error, found per probe it is a resolver reported unreachable.
+func parseTargets(lines []string) ([]string, error) {
+	targets := make([]string, 0, len(lines))
+	for _, line := range lines {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		t, err := normalizeTarget(line)
+		if err != nil {
+			return nil, fmt.Errorf("bad target %q: %v", line, err)
+		}
+		targets = append(targets, t)
+	}
+	return targets, nil
+}
+
+// normalizeTarget gives a target its port: ip:port and host:port stay as
+// written, a bare address (IPv6 included, which a colon test would take
+// for host:port) or a bare hostname gets port 53.
+func normalizeTarget(line string) (string, error) {
+	if _, err := netip.ParseAddrPort(line); err == nil {
+		return line, nil
+	}
+	if addr, err := netip.ParseAddr(line); err == nil {
+		return netip.AddrPortFrom(addr, 53).String(), nil
+	}
+	host, port, err := net.SplitHostPort(line)
+	if err != nil {
+		var retryErr error
+		if host, port, retryErr = net.SplitHostPort(line + ":53"); retryErr != nil {
+			return "", err
+		}
+		line += ":53"
+	}
+	if _, err := strconv.ParseUint(port, 10, 16); err != nil {
+		return "", fmt.Errorf("bad port %q", port)
+	}
+	if _, err := netip.ParseAddr(host); err != nil {
+		if _, err := dnswire.ParseName(host); err != nil {
+			return "", fmt.Errorf("bad host %q: %v", host, err)
+		}
+	}
+	return line, nil
+}
+
+// probeState is what one bulk probe needs and the next can reuse: the
+// query (one question, EDNS advertising 4096 bytes — only the question
+// name changes between probes), the message the response is decoded
+// into, and the buffer the probe name is assembled in. The pipeline
+// keeps nothing of either message once ExchangeInto returns, so a state
+// goes back to the pool with the result copied out of it.
+type probeState struct {
+	q, resp dnswire.Message
+	name    []byte
+}
+
+var probeStates = sync.Pool{
+	New: func() any {
+		st := &probeState{q: *dnswire.NewQuery(0, "", dnswire.TypeA)} // the pipeline owns IDs
+		st.q.EDNS = dnswire.NewEDNS()
+		return st
+	},
+}
+
+// probeOutcome says which of a probeResult's fields are set.
+type probeOutcome uint8
+
+const (
+	probeNotStarted  probeOutcome = iota // the drain came before this target's turn
+	probeAnswered                        // rcode, answers, edns, rtt
+	probeUnreachable                     // err
+	probeBadName                         // err
+)
+
+// probeResult is the outcome of one bulk probe, kept as values rather
+// than as its formatted line: a sweep holds one per target until the
+// run ends, and formatting is then one pass outside the measured scan.
+type probeResult struct {
+	err     error
+	rtt     time.Duration
+	rcode   dnswire.RCode
+	answers uint16
+	outcome probeOutcome
+	edns    bool
+}
+
+// bulkProbe asks target for the A record of bulk<i>.<base> and reports
+// what came back. Apart from the probe name, which is new for every i,
+// it works in a pooled probeState and allocates nothing.
+//
+//ecsalloc:zero
+func bulkProbe(ctx context.Context, pipe *dnsclient.Pipeline, base dnswire.Name, target string, i int) probeResult {
+	st := probeStates.Get().(*probeState)
+	defer probeStates.Put(st)
+	st.name = append(st.name[:0], "bulk"...)
+	st.name = strconv.AppendInt(st.name, int64(i), 10)
+	st.name = append(st.name, '.')
+	if base != dnswire.Root {
+		st.name = append(st.name, base...)
+	}
+	// base is canonical and the label is short, lower-case and dot-free,
+	// so the total length is all there is left to check.
+	if len(st.name)+1 > dnswire.MaxNameLen {
+		return probeResult{outcome: probeBadName, err: dnswire.ErrNameTooLong}
+	}
+	//ecsalloc:sink the probe name is unique per target; this copy is the probe's one allocation
+	st.q.Questions[0].Name = dnswire.Name(st.name)
+	start := time.Now() //ecslint:ignore wallclock measures real probe RTT
+	if err := pipe.ExchangeInto(ctx, target, &st.q, &st.resp); err != nil {
+		return probeResult{outcome: probeUnreachable, err: err}
+	}
+	return probeResult{
+		outcome: probeAnswered,
+		rcode:   st.resp.RCode,
+		answers: uint16(len(st.resp.Answers)), // a wire count, so it fits
+		edns:    st.resp.EDNS != nil,
+		rtt:     time.Since(start),
+	}
+}
+
+// appendResult appends target's result line, without the newline.
+func appendResult(buf []byte, target string, r *probeResult) []byte {
+	buf = append(buf, target...)
+	for pad := 24 - utf8.RuneCountInString(target); pad > 0; pad-- {
+		buf = append(buf, ' ') // %-24s
+	}
+	switch r.outcome {
+	case probeAnswered:
+		buf = append(buf, " rcode="...)
+		buf = append(buf, r.rcode.String()...)
+		buf = append(buf, " answers="...)
+		buf = strconv.AppendUint(buf, uint64(r.answers), 10)
+		buf = append(buf, " edns="...)
+		buf = strconv.AppendBool(buf, r.edns)
+		buf = append(buf, " rtt="...)
+		buf = append(buf, r.rtt.Round(time.Millisecond).String()...)
+	case probeUnreachable:
+		buf = append(buf, " unreachable: "...)
+		buf = append(buf, r.err.Error()...)
+	case probeBadName:
+		buf = append(buf, " bad probe name: "...)
+		buf = append(buf, r.err.Error()...)
+	}
+	return buf
+}
+
+// writeResults writes one line per probe that ran, in target order, and
+// returns how many that was. A write error stays in w for Flush to
+// report, as with everything written through a bufio.Writer.
+func writeResults(w *bufio.Writer, targets []string, results []probeResult) int {
+	var line []byte
+	written := 0
+	for i := range results {
+		if results[i].outcome == probeNotStarted {
+			continue
+		}
+		line = append(appendResult(line[:0], targets[i], &results[i]), '\n')
+		w.Write(line)
+		written++
+	}
+	return written
+}
+
+// writeSummary writes the sweep's closing line.
+func writeSummary(w *bufio.Writer, targets int, s scanner.ProgressSnapshot, st dnsclient.PipelineStats) {
+	fmt.Fprintf(w, "\n%d targets: %d responding, %d unreachable in %s (%.0f q/s; %d udp sent, %d retries, %d tcp fallbacks)\n",
+		targets, s.Done, s.Errors, s.Elapsed.Round(time.Millisecond), s.QPS,
+		st.Sent, st.Retries, st.TCPFallbacks)
+}
+
 // bulkScan sweeps many resolvers concurrently through the pipelined
 // transport and prints one availability line per target plus a
-// throughput summary.
+// throughput summary, all of it once the run has ended and through one
+// buffered writer.
 func bulkScan(targetsArg string, base dnswire.Name, concurrency int, rate float64, timeout time.Duration, shards int) {
 	targets := loadTargets(targetsArg)
 	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{
@@ -148,45 +320,26 @@ func bulkScan(targetsArg string, base dnswire.Name, concurrency int, rate float6
 
 	prog := scanner.NewProgress()
 	eng := &scanner.Engine{Concurrency: concurrency, Rate: rate, Progress: prog}
-	results := make([]string, len(targets))
+	results := make([]probeResult, len(targets))
 	err = eng.Run(ctx, len(targets), func(ctx context.Context, i int) error {
-		name, err := base.Prepend(fmt.Sprintf("bulk%d", i))
-		if err != nil {
-			results[i] = fmt.Sprintf("%-24s bad probe name: %v", targets[i], err)
-			return err
-		}
-		q := dnswire.NewQuery(0, name, dnswire.TypeA) // the pipeline owns IDs
-		q.EDNS = dnswire.NewEDNS()
-		start := time.Now() //ecslint:ignore wallclock measures real probe RTT
-		resp, err := pipe.Exchange(ctx, targets[i], q)
-		if err != nil {
-			results[i] = fmt.Sprintf("%-24s unreachable: %v", targets[i], err)
-			return err
-		}
-		results[i] = fmt.Sprintf("%-24s rcode=%s answers=%d edns=%v rtt=%s",
-			targets[i], resp.RCode, len(resp.Answers), resp.EDNS != nil,
-			time.Since(start).Round(time.Millisecond))
-		return nil
+		results[i] = bulkProbe(ctx, pipe, base, targets[i], i)
+		return results[i].err
 	})
 	interrupted := err != nil && ctx.Err() != nil
 	if err != nil && !interrupted {
 		log.Fatalf("ecsscan: %v", err)
 	}
-	flushed := 0
-	for _, line := range results {
-		if line == "" {
-			continue // probe never started before the drain
-		}
-		fmt.Println(line)
-		flushed++
-	}
+	// The summary's clock stops here: elapsed and q/s are the scan's,
+	// not the scan's plus the time it takes to print it.
 	s := prog.Snapshot()
-	st := pipe.Stats()
-	fmt.Printf("\n%d targets: %d responding, %d unreachable in %s (%.0f q/s; %d udp sent, %d retries, %d tcp fallbacks)\n",
-		len(targets), s.Done, s.Errors, s.Elapsed.Round(time.Millisecond), s.QPS,
-		st.Sent, st.Retries, st.TCPFallbacks)
+	out := bufio.NewWriterSize(os.Stdout, 64<<10)
+	written := writeResults(out, targets, results)
+	writeSummary(out, len(targets), s, pipe.Stats())
 	if interrupted {
-		fmt.Printf("interrupted: partial results for %d of %d targets\n", flushed, len(targets))
+		fmt.Fprintf(out, "interrupted: partial results for %d of %d targets\n", written, len(targets))
+	}
+	if err := out.Flush(); err != nil {
+		log.Fatalf("ecsscan: writing results: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -41,15 +42,26 @@ type fragResponder struct {
 
 func startFragResponder(t *testing.T, plan netem.FaultPlan, seed int64) (netip.AddrPort, *fragResponder) {
 	t.Helper()
-	udp, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	port := udp.LocalAddr().(*net.UDPAddr).AddrPort().Port()
-	tcp, err := net.ListenTCP("tcp4", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: int(port)})
-	if err != nil {
+	// The kernel picks the UDP port without regard to TCP, where a
+	// parallel test may hold the same number: move the pair to a fresh
+	// port then, as dnsserver's listenPair does.
+	var udp *net.UDPConn
+	var tcp *net.TCPListener
+	for tries := 8; ; tries-- {
+		var err error
+		udp, err = net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		port := udp.LocalAddr().(*net.UDPAddr).AddrPort().Port()
+		tcp, err = net.ListenTCP("tcp4", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: int(port)})
+		if err == nil {
+			break
+		}
 		udp.Close()
-		t.Fatal(err)
+		if tries <= 1 || !errors.Is(err, syscall.EADDRINUSE) {
+			t.Fatal(err)
+		}
 	}
 	fr := &fragResponder{udp: udp, tcp: tcp, plan: plan, rng: rand.New(rand.NewSource(seed))}
 	fr.wg.Add(2)

@@ -88,7 +88,7 @@ type Server struct {
 	Now func() time.Time
 
 	mu     sync.Mutex
-	pc     net.PacketConn
+	pc     *net.UDPConn
 	ln     net.Listener
 	closed bool
 	conns  map[net.Conn]struct{}
@@ -120,10 +120,9 @@ type Server struct {
 // the pooled backing buffer pkt lives in; the worker returns it to
 // udpBufPool once the packet has been served.
 type udpPacket struct {
-	pkt   []byte
-	bp    *[]byte
-	raddr net.Addr
-	from  netip.AddrPort
+	pkt  []byte
+	bp   *[]byte
+	from netip.AddrPort
 }
 
 // udpBufPool recycles the per-datagram copies the UDP read loop hands
@@ -187,7 +186,7 @@ const ephemeralBindTries = 8
 // port 0 the kernel picks the UDP port without regard to TCP, so another
 // process may hold the same number on TCP: the pair is then retried on a
 // fresh ephemeral port. An explicitly requested port fails at once.
-func listenPair(addr string) (net.PacketConn, net.Listener, error) {
+func listenPair(addr string) (*net.UDPConn, net.Listener, error) {
 	tries := 1
 	if _, port, err := net.SplitHostPort(addr); err == nil && port == "0" {
 		tries = ephemeralBindTries
@@ -200,7 +199,7 @@ func listenPair(addr string) (net.PacketConn, net.Listener, error) {
 		}
 		ln, err := listenTCP("tcp", pc.LocalAddr().String())
 		if err == nil {
-			return pc, ln, nil
+			return pc.(*net.UDPConn), ln, nil // what "udp" listens as
 		}
 		pc.Close()
 		lastErr = err
@@ -352,13 +351,13 @@ func (s *Server) isClosed() bool {
 // stack, and a flood ends at the same bound as a pre-started pool.
 // Workers are not retired; the pool is a high-water mark. On shutdown
 // the loop closes the queue and waits for the workers to drain it.
-func (s *Server) serveUDP(pc net.PacketConn) {
+func (s *Server) serveUDP(pc *net.UDPConn) {
 	defer s.loops.Done()
 	var workers sync.WaitGroup
 	started, limit := int64(0), int64(s.maxInflight())
 	buf := make([]byte, 65535)
 	for {
-		n, raddr, err := pc.ReadFrom(buf)
+		n, from, err := pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if s.isClosed() {
 				break
@@ -369,9 +368,8 @@ func (s *Server) serveUDP(pc net.PacketConn) {
 		bp := udpBufPool.Get().(*[]byte)
 		pkt := append((*bp)[:0], buf[:n]...)
 		*bp = pkt
-		from := raddr.(*net.UDPAddr).AddrPort()
 		select {
-		case s.queue <- udpPacket{pkt: pkt, bp: bp, raddr: raddr, from: from}:
+		case s.queue <- udpPacket{pkt: pkt, bp: bp, from: from}:
 			if s.pending.Add(1) > started && started < limit {
 				started++
 				s.stats.workers.Store(started)
@@ -387,7 +385,7 @@ func (s *Server) serveUDP(pc net.PacketConn) {
 			s.stats.shed.Add(1)
 			if s.Overflow == OverflowServFail {
 				if data := refusalReply(pkt, dnswire.RCodeServFail, false); data != nil {
-					pc.WriteTo(data, raddr)
+					pc.WriteToUDPAddrPort(data, from)
 				}
 			}
 			udpBufPool.Put(bp)
@@ -399,7 +397,7 @@ func (s *Server) serveUDP(pc net.PacketConn) {
 
 // udpWorker is one admission-pool worker: it applies RRL, then parses
 // and dispatches each queued packet.
-func (s *Server) udpWorker(pc net.PacketConn) {
+func (s *Server) udpWorker(pc *net.UDPConn) {
 	for p := range s.queue {
 		s.stats.inflight.Add(1)
 		s.serveUDPPacket(pc, p)
@@ -414,7 +412,7 @@ func (s *Server) udpWorker(pc net.PacketConn) {
 //
 //ecsalloc:zero
 //ecsinvariant:handler counters
-func (s *Server) serveUDPPacket(pc net.PacketConn, p udpPacket) {
+func (s *Server) serveUDPPacket(pc *net.UDPConn, p udpPacket) {
 	if s.rrl != nil {
 		switch s.rrl.decide(p.from.Addr()) {
 		case rrlDrop:
@@ -427,7 +425,7 @@ func (s *Server) serveUDPPacket(pc net.PacketConn, p udpPacket) {
 			s.stats.slipped.Add(1)
 			//ecsalloc:sink refusal replies are off the fast path
 			if data := refusalReply(p.pkt, dnswire.RCodeNoError, true); data != nil {
-				pc.WriteTo(data, p.raddr)
+				pc.WriteToUDPAddrPort(data, p.from)
 			}
 			return
 		}
@@ -447,7 +445,7 @@ func (s *Server) serveUDPPacket(pc net.PacketConn, p udpPacket) {
 		udpBufPool.Put(rb)
 		return
 	}
-	pc.WriteTo(data, p.raddr)
+	pc.WriteToUDPAddrPort(data, p.from)
 	*rb = data[:0] // keep any growth for the next response
 	udpBufPool.Put(rb)
 }

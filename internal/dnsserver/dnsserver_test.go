@@ -289,30 +289,37 @@ func TestCloseStopsServing(t *testing.T) {
 // failListenTCP replaces the listenTCP seam with one that reports the
 // first `fail` TCP binds as "address already in use" — what a parallel
 // process holding the same port number on TCP looks like — and returns
-// a counter of calls made.
-func failListenTCP(t *testing.T, fail int) *int {
+// counters of the calls made and of the binds past `fail` that the
+// kernel itself refused that way: with packages under test in parallel
+// another process really can hold the retried port, and Start is then
+// right to try once more.
+func failListenTCP(t *testing.T, fail int) (calls, collisions *int) {
 	t.Helper()
-	calls := new(int)
+	calls, collisions = new(int), new(int)
 	orig := listenTCP
 	listenTCP = func(network, addr string) (net.Listener, error) {
 		*calls++
 		if *calls <= fail {
 			return nil, &net.OpError{Op: "listen", Net: network, Err: os.NewSyscallError("bind", syscall.EADDRINUSE)}
 		}
-		return orig(network, addr)
+		ln, err := orig(network, addr)
+		if errors.Is(err, syscall.EADDRINUSE) {
+			*collisions++
+		}
+		return ln, err
 	}
 	t.Cleanup(func() { listenTCP = orig })
-	return calls
+	return calls, collisions
 }
 
 // TestStartRetriesEphemeralPortTakenOnTCP: with port 0 the kernel picks
 // the UDP port without looking at TCP, so the same number may be taken
 // there. Start must move the pair to a fresh port instead of failing.
 func TestStartRetriesEphemeralPortTakenOnTCP(t *testing.T) {
-	calls := failListenTCP(t, 1)
+	calls, collisions := failListenTCP(t, 1)
 	addr, _ := startTestServer(t, false)
-	if *calls != 2 {
-		t.Fatalf("listenTCP calls = %d, want 2 (one refused, one retry)", *calls)
+	if *calls != 2+*collisions {
+		t.Fatalf("listenTCP calls = %d, want %d (one refused, one retry, %d ports really taken)", *calls, 2+*collisions, *collisions)
 	}
 	for _, c := range []*dnsclient.Client{
 		{Timeout: 2 * time.Second},
@@ -342,7 +349,7 @@ func TestStartBindRetryIsBounded(t *testing.T) {
 
 	start := func(addr string) int {
 		t.Helper()
-		calls := failListenTCP(t, 1<<30)
+		calls, _ := failListenTCP(t, 1<<30)
 		_, err := New(authority.NewServer(authority.Config{})).Start(addr)
 		if !errors.Is(err, syscall.EADDRINUSE) {
 			t.Fatalf("Start(%s) error = %v, want EADDRINUSE", addr, err)
@@ -355,5 +362,58 @@ func TestStartBindRetryIsBounded(t *testing.T) {
 	}
 	if n := start("127.0.0.1:0"); n != ephemeralBindTries {
 		t.Fatalf("port 0: %d TCP bind attempts, want %d", n, ephemeralBindTries)
+	}
+}
+
+// fromRecorder answers every query and hands the client address it was
+// given to the test.
+type fromRecorder struct{ from chan netip.Addr }
+
+func (h fromRecorder) HandleDNS(from netip.Addr, q *dnswire.Message) *dnswire.Message {
+	h.from <- from
+	return dnswire.NewResponse(q)
+}
+
+// TestHandlerSeesClientAddress pins the address form a handler is given
+// for a UDP client, which client identity and RRL prefixes are built on:
+// a plain IPv4 address on an AF_INET listener, and on a dual-stack
+// listener the address as the socket reports it — an IPv4 client stays
+// 4-in-6, not unmapped — with the answer still finding its way back.
+func TestHandlerSeesClientAddress(t *testing.T) {
+	for _, tc := range []struct {
+		listen, dial string // dial is the host the client reaches the server by
+		want         netip.Addr
+	}{
+		{"127.0.0.1:0", "127.0.0.1", netip.MustParseAddr("127.0.0.1")},
+		{"[::]:0", "127.0.0.1", netip.MustParseAddr("::ffff:127.0.0.1")},
+		{"[::]:0", "::1", netip.MustParseAddr("::1")},
+	} {
+		t.Run(tc.listen+" from "+tc.dial, func(t *testing.T) {
+			h := fromRecorder{from: make(chan netip.Addr, 1)}
+			srv := New(h)
+			bound, err := srv.Start(tc.listen)
+			if err != nil {
+				if tc.listen == "[::]:0" {
+					t.Skipf("no dual-stack listener on this host: %v", err)
+				}
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			server := netip.AddrPortFrom(netip.MustParseAddr(tc.dial), bound.Port()).String()
+			c := &dnsclient.Client{Timeout: 2 * time.Second, Retries: dnsclient.NoRetries}
+			resp, err := c.Query(server, "who.zone.test.", dnswire.TypeA, nil)
+			if err != nil {
+				if tc.listen == "[::]:0" {
+					t.Skipf("%s does not reach a dual-stack listener on this host: %v", tc.dial, err)
+				}
+				t.Fatal(err)
+			}
+			if !resp.Response {
+				t.Fatalf("response: %v", resp)
+			}
+			if got := <-h.from; got != tc.want {
+				t.Fatalf("handler saw client %v (4-in-6 %v), want %v", got, got.Is4In6(), tc.want)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -243,4 +244,103 @@ func TestDifferentialCodecRace(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mapOnlyPack is the reference the compression table is held to: the
+// same encoders over a builder whose table is already full (of zero
+// entries, which match no suffix), so every compression target goes to
+// and comes from the map — the packer as it was before the table.
+func mapOnlyPack(m *Message, prefix []byte, compress bool) ([]byte, error) {
+	b := &builder{spill: make(map[Name]int)}
+	b.ntab = len(b.table)
+	b.buf = append([]byte(nil), prefix...)
+	b.base = len(prefix)
+	return m.packInto(b, compress)
+}
+
+// diffCheckTable asserts the table-then-map packer and the map-only
+// reference produce the same bytes (or both fail) for m: compressed,
+// compressed behind a prefix, and with compression off.
+func diffCheckTable(t *testing.T, m *Message) {
+	t.Helper()
+	prefix := []byte("\x01\x02frame")
+	for _, tc := range []struct {
+		name     string
+		prefix   []byte
+		compress bool
+		pack     func() ([]byte, error)
+	}{
+		{"Pack", nil, true, m.Pack},
+		{"AppendPack behind a prefix", prefix, true, func() ([]byte, error) { return m.AppendPack(append([]byte(nil), prefix...)) }},
+		{"PackNoCompress", nil, false, m.PackNoCompress},
+	} {
+		want, errWant := mapOnlyPack(m, tc.prefix, tc.compress)
+		got, errGot := tc.pack()
+		if (errWant == nil) != (errGot == nil) {
+			t.Fatalf("%s: err=%v, map-only reference err=%v", tc.name, errGot, errWant)
+		}
+		if errWant == nil && !bytes.Equal(want, got) {
+			t.Fatalf("%s differs from the map-only reference:\n  table %x\n  map   %x", tc.name, got, want)
+		}
+	}
+}
+
+// TestPackMatchesMapOnlyReference is the byte-identity guarantee of the
+// builder's compression table: where a suffix is remembered must never
+// show in what is packed.
+func TestPackMatchesMapOnlyReference(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewSource(11))
+	spilled := 0
+	for i := 0; i < 3000; i++ {
+		m := randDiffMessage(r)
+		diffCheckTable(t, m)
+		// Count the messages that outgrow the table, so the stream is
+		// known to exercise both sides of the hand-over.
+		b := &builder{spill: make(map[Name]int)}
+		if _, err := m.packInto(b, true); err == nil && len(b.spill) > 0 {
+			spilled++
+		}
+	}
+	if spilled == 0 || spilled == 3000 {
+		t.Fatalf("%d of 3000 random messages spilled past the table; want some on each side", spilled)
+	}
+
+	t.Run("many suffixes", func(t *testing.T) {
+		// 60 owners and 60 targets sharing parents: the table fills on
+		// the third record and suffixes registered in it are still
+		// pointed at from records that register in the map.
+		m := NewResponse(NewQuery(9, "www.example.org.", TypeA))
+		for i := 0; i < 60; i++ {
+			m.Answers = append(m.Answers, RR{
+				Name: Name(fmt.Sprintf("h%d.z%d.example.org.", i, i%7)), Class: ClassINET, TTL: 30,
+				Data: &CNAMERData{Target: Name(fmt.Sprintf("t%d.z%d.cdn.example.net.", i, i%5))},
+			})
+		}
+		diffCheckTable(t, m)
+	})
+
+	t.Run("offset horizon", func(t *testing.T) {
+		// ~20 KiB of TXT pushes later names past offset 0x3FFF: they may
+		// point back below the horizon but are not registered themselves.
+		m := NewResponse(NewQuery(9, "www.example.org.", TypeA))
+		pad := strings.Repeat("x", 250)
+		for i := 0; i < 80; i++ {
+			m.Answers = append(m.Answers, RR{
+				Name: "www.example.org.", Class: ClassINET, TTL: 30,
+				Data: &TXTRData{Strings: []string{pad}},
+			})
+		}
+		for i := 0; i < 4; i++ {
+			m.Additionals = append(m.Additionals, RR{
+				Name: "late.beyond.horizon.example.org.", Class: ClassINET, TTL: 30,
+				Data: &NSRData{Host: "ns.late.beyond.horizon.example.org."},
+			})
+		}
+		wire, err := m.Pack()
+		if err != nil || len(wire) <= 0x4000 {
+			t.Fatalf("Pack = %d bytes, %v; want a message past the 0x3FFF horizon", len(wire), err)
+		}
+		diffCheckTable(t, m)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -54,6 +55,9 @@ func FuzzUnpack(f *testing.F) {
 			// compression-expanded rdata); that is acceptable, panics
 			// are not.
 			return
+		}
+		if ref, err := mapOnlyPack(m, nil, true); err != nil || !bytes.Equal(ref, repacked) {
+			t.Fatalf("Pack differs from the map-only reference (err %v):\n  table %x\n  map   %x", err, repacked, ref)
 		}
 		m2, err := Unpack(repacked)
 		if err != nil {
@@ -157,6 +161,51 @@ func FuzzNameParse(f *testing.F) {
 			if !bytes.ContainsAny([]byte(n), ".") {
 				t.Fatalf("name changed: %q → %q", n, got.Question().Name)
 			}
+		}
+	})
+}
+
+// FuzzNamePrepend holds Prepend's short cut — check and fold the new
+// label only, concatenate once — to the long way round it replaced:
+// parsing the joined string. Same Name, same error, for any label.
+func FuzzNamePrepend(f *testing.F) {
+	l63 := strings.Repeat("L", 63)
+	// 3×63 + 59 + 4 dots + the root octet = 253: a 1-byte label makes
+	// 255, the longest name there is; a 2-byte label is one too many.
+	p253 := strings.Repeat("a", 63) + "." + strings.Repeat("b", 63) + "." + strings.Repeat("c", 63) + "." + strings.Repeat("d", 59)
+	for _, seed := range [][2]string{
+		{"p-1-2-3-4", "scan.example.org"},
+		{"UPPER", "Mixed.Case.example"},
+		{"bulk7", "."},
+		{"", "example.org"},
+		{"", "."},
+		{".", "."},
+		{"a.b", "example.org"},
+		{"a..b", "example.org"},
+		{"sp ace", "example.org"},
+		{"del\x7f", "example.org"},
+		{"\xe9t\xe9", "example.org"},
+		{l63, "example.org"},
+		{l63 + "x", "example.org"},
+		{"x", p253},
+		{"xy", p253},
+		{"sp ace" + l63, p253},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, label, parent string) {
+		n, err := ParseName(parent)
+		if err != nil {
+			return
+		}
+		joined := label + "." + string(n)
+		if n == Root {
+			joined = label
+		}
+		want, wantErr := ParseName(joined)
+		got, gotErr := n.Prepend(label)
+		if got != want || gotErr != wantErr {
+			t.Fatalf("%q.Prepend(%q) = %q, %v; ParseName(%q) = %q, %v", n, label, got, gotErr, joined, want, wantErr)
 		}
 	})
 }

@@ -42,29 +42,38 @@ func ParseName(s string) (Name, error) {
 	var b strings.Builder
 	b.Grow(len(s) + 1)
 	for _, l := range labels {
-		if l == "" {
-			return "", ErrEmptyLabel
-		}
-		if len(l) > MaxLabelLen {
-			return "", ErrLabelTooLong
+		if err := writeLabel(&b, l); err != nil {
+			return "", err
 		}
 		total += len(l) + 1
-		for i := 0; i < len(l); i++ {
-			c := l[i]
-			if c <= ' ' || c == 127 {
-				return "", ErrBadLabelChar
-			}
-			if c >= 'A' && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			b.WriteByte(c)
-		}
-		b.WriteByte('.')
 	}
 	if total > MaxNameLen {
 		return "", ErrNameTooLong
 	}
 	return Name(b.String()), nil
+}
+
+// writeLabel validates one dot-free label and writes it to b in
+// canonical form: ASCII upper case folded, terminated by a dot.
+func writeLabel(b *strings.Builder, l string) error {
+	if l == "" {
+		return ErrEmptyLabel
+	}
+	if len(l) > MaxLabelLen {
+		return ErrLabelTooLong
+	}
+	for i := 0; i < len(l); i++ {
+		c := l[i]
+		if c <= ' ' || c == 127 {
+			return ErrBadLabelChar
+		}
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
+	b.WriteByte('.')
+	return nil
 }
 
 // MustParseName is ParseName for static data; it panics on invalid input.
@@ -135,12 +144,29 @@ func (n Name) SLD() Name {
 	return Name(labels[len(labels)-2] + "." + labels[len(labels)-1] + ".")
 }
 
-// Prepend returns label + "." + n, validating the result.
+// Prepend returns label + "." + n, validating the result: the same
+// value and the same error as ParseName(label + "." + n). n is already
+// canonical, so only label is checked and folded (by the rule ParseName
+// applies to each of its labels) and the result is built once. A label
+// that itself contains dots (or a root or zero parent) takes the long
+// way through ParseName.
 func (n Name) Prepend(label string) (Name, error) {
 	if n == Root {
 		return ParseName(label)
 	}
-	return ParseName(label + "." + string(n))
+	if n == "" || strings.IndexByte(label, '.') >= 0 {
+		return ParseName(label + "." + string(n))
+	}
+	var b strings.Builder
+	b.Grow(len(label) + 1 + len(n))
+	if err := writeLabel(&b, label); err != nil {
+		return "", err
+	}
+	if len(label)+1+n.wireLen() > MaxNameLen {
+		return "", ErrNameTooLong
+	}
+	b.WriteString(string(n))
+	return Name(b.String()), nil
 }
 
 // wireLen returns the uncompressed encoded length of n.

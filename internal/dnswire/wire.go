@@ -26,17 +26,41 @@ var (
 // pointers. Offsets must fit in 14 bits; names beyond that horizon are
 // simply not registered.
 //
+// Targets are kept table-then-map: the first compressTableLen suffixes
+// a message registers go into a fixed array searched linearly, and only
+// a message with more distinct suffixes than that spills the rest into
+// the map. A query or a typical answer registers a handful, so packing
+// it hashes no string and clears no map; a zone-transfer-sized message
+// pays the map from its 17th suffix on, as every message used to from
+// its first. A suffix is registered once, on its first occurrence,
+// whichever store takes it, so the bytes produced are those of a
+// map-only packer (TestPackMatchesMapOnlyReference).
+//
 // Builders are pooled: the steady-state encode path performs no
 // allocations beyond growing the caller's buffer.
 type builder struct {
-	buf      []byte
-	base     int          // offset of the message start within buf
-	compress map[Name]int // suffix → message-relative offset of first occurrence
+	buf   []byte
+	base  int // offset of the message start within buf
+	ntab  int // entries of table in use
+	table [compressTableLen]compressTarget
+	spill map[Name]int // suffix → offset, only for suffixes past the table
+}
+
+// compressTableLen is how many compression targets a builder keeps
+// before it spills to the map: twice what the largest message of the
+// scan and serving paths registers (question, owner, CNAME/NS targets).
+const compressTableLen = 16
+
+// compressTarget is the message-relative offset of a name suffix's
+// first occurrence.
+type compressTarget struct {
+	suffix Name
+	off    int
 }
 
 var builderPool = sync.Pool{
 	New: func() any {
-		return &builder{compress: make(map[Name]int, 16)}
+		return &builder{spill: make(map[Name]int)}
 	},
 }
 
@@ -50,15 +74,42 @@ func acquireBuilder(buf []byte) *builder {
 	return b
 }
 
-// releaseBuilder returns b to the pool. The buffer is detached first so
-// the pool never pins caller memory; the compression map keeps its
-// buckets (cleared) so repeated packs of similar messages stay
-// allocation-free.
+// releaseBuilder returns b to the pool. The buffer and the registered
+// suffixes are detached first so the pool never pins caller memory; the
+// spill map keeps its buckets (cleared) so repeated packs of large
+// messages stay allocation-free.
 func releaseBuilder(b *builder) {
 	b.buf = nil
 	b.base = 0
-	clear(b.compress)
+	clear(b.table[:b.ntab])
+	b.ntab = 0
+	clear(b.spill) // a no-op on the empty map every small message leaves
 	builderPool.Put(b)
+}
+
+// lookup returns the offset suffix was registered at.
+func (b *builder) lookup(suffix Name) (int, bool) {
+	for i := range b.table[:b.ntab] {
+		if b.table[i].suffix == suffix {
+			return b.table[i].off, true
+		}
+	}
+	if len(b.spill) > 0 { // most messages never spill: skip even the call
+		off, ok := b.spill[suffix]
+		return off, ok
+	}
+	return 0, false
+}
+
+// register records off as the compression target for suffix, which
+// lookup has just missed.
+func (b *builder) register(suffix Name, off int) {
+	if b.ntab < len(b.table) {
+		b.table[b.ntab] = compressTarget{suffix, off}
+		b.ntab++
+		return
+	}
+	b.spill[suffix] = off
 }
 
 func (b *builder) uint8(v uint8)   { b.buf = append(b.buf, v) }
@@ -86,12 +137,12 @@ func (b *builder) nameOpt(n Name, compress bool) {
 	rest := n
 	for rest != Root && rest != "" {
 		if compress {
-			if off, ok := b.compress[rest]; ok {
+			if off, ok := b.lookup(rest); ok {
 				b.uint16(0xC000 | uint16(off))
 				return
 			}
 			if off := b.msgLen(); off < 0x4000 {
-				b.compress[rest] = off
+				b.register(rest, off)
 			}
 		}
 		label := string(rest)

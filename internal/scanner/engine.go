@@ -12,6 +12,11 @@ import (
 // token-bucket rate limit, with context cancellation and live progress
 // counters. It is transport-agnostic — Scan drives it over netem or a
 // dnsclient.Pipeline, and cmd/ecsscan drives it over raw target lists.
+//
+// Jobs are not handed out, they are claimed: the workers share one
+// atomic counter and each takes the next index from it, so a job costs
+// an atomic add rather than a channel rendezvous with a feeder
+// goroutine, and Run starts no goroutine but its workers.
 type Engine struct {
 	// Concurrency is the number of jobs in flight (default 1 = serial).
 	Concurrency int
@@ -23,9 +28,11 @@ type Engine struct {
 	Progress *Progress
 }
 
-// Run executes jobs 0..n-1 across the worker pool. Job errors are
-// counted in Progress but do not stop the run; the only returned error
-// is ctx's, when the run was cancelled before completing.
+// Run executes jobs 0..n-1 across the worker pool: every index at most
+// once, and none handed out after ctx is cancelled (a worker re-checks
+// ctx before each claim). Job errors are counted in Progress but do not
+// stop the run; the only returned error is ctx's, when the run was
+// cancelled before completing.
 func (e *Engine) Run(ctx context.Context, n int, job func(ctx context.Context, i int) error) error {
 	workers := e.Concurrency
 	if workers <= 0 {
@@ -42,23 +49,17 @@ func (e *Engine) Run(ctx context.Context, n int, job func(ctx context.Context, i
 		}
 		limiter = NewRateLimiter(e.Rate, burst)
 	}
-	idx := make(chan int)
-	go func() {
-		defer close(idx)
-		for i := 0; i < n; i++ {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
+	var next atomic.Int64 // jobs claimed so far
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				if limiter != nil {
 					if err := limiter.Wait(ctx); err != nil {
 						return

@@ -3,31 +3,113 @@ package scanner
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// TestEngineRunsAllJobs is Run's contract on a run that completes: every
+// index exactly once, whatever the ratio of workers to jobs, with and
+// without the rate limiter between the claim and the job.
 func TestEngineRunsAllJobs(t *testing.T) {
-	var mu sync.Mutex
-	seen := make(map[int]int)
-	eng := &Engine{Concurrency: 8}
-	err := eng.Run(context.Background(), 100, func(_ context.Context, i int) error {
-		mu.Lock()
-		seen[i]++
-		mu.Unlock()
+	for _, tc := range []struct {
+		name string
+		eng  Engine
+		n    int
+	}{
+		{"serial", Engine{Concurrency: 1}, 100},
+		{"workers8", Engine{Concurrency: 8}, 100},
+		{"workers64", Engine{Concurrency: 64}, 1000},
+		{"more workers than jobs", Engine{Concurrency: 64}, 5},
+		{"no jobs", Engine{Concurrency: 8}, 0},
+		{"rate limited", Engine{Concurrency: 8, Rate: 20000, Burst: 1}, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs := make([]atomic.Int32, tc.n)
+			prog := NewProgress()
+			tc.eng.Progress = prog
+			err := tc.eng.Run(context.Background(), tc.n, func(_ context.Context, i int) error {
+				runs[i].Add(1)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range runs {
+				if n := runs[i].Load(); n != 1 {
+					t.Fatalf("job %d ran %d times, want once", i, n)
+				}
+			}
+			if s := prog.Snapshot(); s.Sent != int64(tc.n) || s.Done != int64(tc.n) {
+				t.Fatalf("progress = %+v, want sent = done = %d", s, tc.n)
+			}
+		})
+	}
+}
+
+// TestEngineCancelStopsClaims cancels from inside a job: workers finish
+// the job they hold, claim nothing further, and Run reports the
+// cancellation. What was claimed is a prefix of the indices, each run
+// once; everything past it was never touched; and every goroutine Run
+// started is gone when it returns.
+func TestEngineCancelStopsClaims(t *testing.T) {
+	const n, workers, cancelAt = 10000, 8, 50
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runs := make([]atomic.Int32, n)
+	var started atomic.Int32
+	eng := &Engine{Concurrency: workers}
+	err := eng.Run(ctx, n, func(_ context.Context, i int) error {
+		runs[i].Add(1)
+		if started.Add(1) == cancelAt {
+			cancel()
+		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(seen) != 100 {
-		t.Fatalf("ran %d distinct jobs, want 100", len(seen))
+	// A worker that had passed its ctx check when cancel landed may
+	// still claim one index; none may claim two.
+	ran := int(started.Load())
+	if ran < cancelAt || ran >= cancelAt+workers {
+		t.Fatalf("%d jobs ran, want %d and fewer than %d more", ran, cancelAt, workers)
 	}
-	for i, n := range seen {
-		if n != 1 {
-			t.Fatalf("job %d ran %d times", i, n)
+	for i := range runs {
+		want := int32(0)
+		if i < ran {
+			want = 1
 		}
+		if got := runs[i].Load(); got != want {
+			t.Fatalf("job %d ran %d times with %d jobs claimed, want %d", i, got, ran, want)
+		}
+	}
+	// wg.Done runs a moment before its goroutine is gone, so give the
+	// scheduler the chance to retire them; a leaked one never goes.
+	deadline := time.Now().Add(5 * time.Second) //ecslint:ignore wallclock bounds a real-scheduler wait
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) { //ecslint:ignore wallclock bounds a real-scheduler wait
+			t.Fatalf("%d goroutines before Run, %d after", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestEngineCancelledBeforeRun: a context that is already done hands out
+// nothing at all.
+func TestEngineCancelledBeforeRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	eng := &Engine{Concurrency: 4}
+	err := eng.Run(ctx, 100, func(context.Context, int) error {
+		t.Error("job ran after cancellation")
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -32,9 +32,13 @@ import (
 // probe label — a config error that must not kill a long-running scan,
 // so it is reported rather than panicking.
 func EncodeProbeName(target netip.Addr, zone dnswire.Name) (dnswire.Name, error) {
-	a := target.As4()
-	label := fmt.Sprintf("p-%d-%d-%d-%d", a[0], a[1], a[2], a[3])
-	n, err := zone.Prepend(label)
+	label := make([]byte, 0, len("p-255-255-255-255"))
+	label = append(label, 'p')
+	for _, octet := range target.As4() {
+		label = append(label, '-')
+		label = strconv.AppendUint(label, uint64(octet), 10)
+	}
+	n, err := zone.Prepend(string(label))
 	if err != nil {
 		return "", fmt.Errorf("scanner: bad probe zone %q: %w", zone, err)
 	}

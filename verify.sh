@@ -1,7 +1,7 @@
 #!/bin/sh
 # verify.sh — the full tier-1 gate plus static analysis and fuzz smokes.
 #
-#   ./verify.sh                run everything (~3 min: race suite, benchmark smoke, 4×10s fuzz)
+#   ./verify.sh                run everything (~3 min: race suite, benchmark smoke, 5×10s fuzz)
 #   FUZZTIME=30s ./verify.sh   longer fuzz smokes
 #
 # Stages run in order and the script exits non-zero at the first
@@ -102,6 +102,7 @@ stage "fuzz smoke tests (${FUZZTIME} each)"
 go test -fuzz 'FuzzUnpack$'      -fuzztime "$FUZZTIME" -run NONE ./internal/dnswire
 go test -fuzz 'FuzzUnpackReuse$' -fuzztime "$FUZZTIME" -run NONE ./internal/dnswire
 go test -fuzz 'FuzzNameParse$'   -fuzztime "$FUZZTIME" -run NONE ./internal/dnswire
+go test -fuzz 'FuzzNamePrepend$' -fuzztime "$FUZZTIME" -run NONE ./internal/dnswire
 go test -fuzz 'FuzzDecode$'      -fuzztime "$FUZZTIME" -run NONE ./internal/ecsopt
 
 echo ""
