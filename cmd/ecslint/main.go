@@ -3,19 +3,12 @@
 //	go run ./cmd/ecslint ./...          # lint the whole module
 //	go run ./cmd/ecslint -list          # show the registered checks
 //	go run ./cmd/ecslint -disable mutexhold ./...
-//	go run ./cmd/ecslint -json ./...    # machine-readable output
-//	go run ./cmd/ecslint -sarif ./...   # SARIF 2.1.0 for code scanning
 //
 // Findings print one per line as `file:line: [check] message`, sorted,
 // and any finding makes the exit status 1 (2 = usage or load failure).
 // Suppress a single line with an annotated directive:
 //
 //	conn.SetDeadline(time.Now().Add(d)) //ecslint:ignore wallclock real socket deadline
-//
-// With -json, output is a single stable object listing both active and
-// suppressed findings; suppressed entries carry "suppressed": true and
-// the ignore directive's justification in "ignoredBy" (the schema lives
-// in lint.JSONFinding). Only active findings affect the exit status.
 package main
 
 import (
@@ -37,8 +30,6 @@ func run() int {
 	list := fs.Bool("list", false, "list registered checks and exit")
 	enable := fs.String("enable", "", "comma-separated checks to run (default: all)")
 	disable := fs.String("disable", "", "comma-separated checks to skip")
-	jsonOut := fs.Bool("json", false, "emit findings (active and suppressed) as JSON")
-	sarifOut := fs.Bool("sarif", false, "emit findings (active and suppressed) as SARIF 2.1.0")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ecslint [flags] [packages]\n")
 		fs.PrintDefaults()
@@ -97,37 +88,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "ecslint: %v\n", err)
 		return 2
 	}
-	findings, suppressed := lint.RunAll(pkgs, cfg)
-	if *sarifOut {
-		out, err := lint.SARIF(findings, suppressed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ecslint: %v\n", err)
-			return 2
-		}
-		os.Stdout.Write(out)
-		fmt.Println()
-		if len(findings) > 0 {
-			return 1
-		}
-		return 0
-	}
-	if *jsonOut {
-		out, err := lint.JSON(findings, suppressed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ecslint: %v\n", err)
-			return 2
-		}
-		os.Stdout.Write(out)
-		fmt.Println()
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	findings := lint.Run(pkgs, cfg)
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "ecslint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
-		}
+		fmt.Fprintf(os.Stderr, "ecslint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
 		return 1
 	}
 	return 0

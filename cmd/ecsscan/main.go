@@ -224,7 +224,7 @@ func bulkProbe(ctx context.Context, pipe *dnsclient.Pipeline, base dnswire.Name,
 	}
 	//ecsalloc:sink the probe name is unique per target; this copy is the probe's one allocation
 	st.q.Questions[0].Name = dnswire.Name(st.name)
-	start := time.Now() //ecslint:ignore wallclock measures real probe RTT
+	start := time.Now()
 	if err := pipe.ExchangeInto(ctx, target, &st.q, &st.resp); err != nil {
 		return probeResult{outcome: probeUnreachable, err: err}
 	}

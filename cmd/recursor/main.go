@@ -59,7 +59,7 @@ type socketTransport struct {
 }
 
 func (t *socketTransport) Exchange(_, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	start := time.Now() //ecslint:ignore wallclock measures real upstream RTT
+	start := time.Now()
 	resp, err := t.client.Exchange(t.upstream, q)
 	return resp, time.Since(start), err
 }
@@ -80,7 +80,7 @@ func (t *poolTransport) Exchange(_, to netip.Addr, q *dnswire.Message) (*dnswire
 	if !ok {
 		return nil, 0, fmt.Errorf("recursor: no socket for pool address %v", to)
 	}
-	start := time.Now() //ecslint:ignore wallclock measures real upstream RTT
+	start := time.Now()
 	resp, err := t.udp.ExchangeUDP(server, q)
 	return resp, time.Since(start), err
 }
@@ -90,7 +90,7 @@ func (t *poolTransport) ExchangeTCP(_, to netip.Addr, q *dnswire.Message) (*dnsw
 	if !ok {
 		return nil, 0, fmt.Errorf("recursor: no socket for pool address %v", to)
 	}
-	start := time.Now() //ecslint:ignore wallclock measures real upstream RTT
+	start := time.Now()
 	resp, err := t.tcp.Exchange(server, q)
 	return resp, time.Since(start), err
 }
@@ -239,7 +239,7 @@ func main() {
 
 	resCfg := resolver.Config{
 		Addr:              selfAddr,
-		Now:               time.Now, //ecslint:ignore wallclock live server: cache ages on the real clock
+		Now:               time.Now,
 		Directory:         dir,
 		Profile:           profile,
 		Seed:              randomSeed(),
@@ -275,12 +275,12 @@ func main() {
 				tcp:     &dnsclient.Client{ForceTCP: true},
 				targets: targets,
 			},
-			Now:        time.Now, //ecslint:ignore wallclock live pool: health, breakers, and the ladder age on the real clock
+			Now:        time.Now,
 			Hedge:      hedge,
 			Breaker:    breaker,
 			Ladder:     ladder,
 			Concurrent: true,
-			After:      time.After, //ecslint:ignore wallclock live hedge timer
+			After:      time.After,
 		})
 		if err != nil {
 			log.Fatalf("recursor: pool: %v", err)

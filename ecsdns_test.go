@@ -26,7 +26,7 @@ func TestRunOne(t *testing.T) {
 }
 
 func TestRunAllSmallScale(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("RunAll is exercised per-experiment in internal/core")
 	}
 	reps, err := RunAll(Config{Scale: 0.02, Seed: 2})

@@ -25,7 +25,7 @@ type socketTransport struct {
 }
 
 func (t *socketTransport) Exchange(_, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	start := time.Now() //ecslint:ignore wallclock live-wire demo: measures real RTT
+	start := time.Now()
 	resp, err := t.client.Exchange(t.upstream, q)
 	return resp, time.Since(start), err
 }
@@ -36,7 +36,7 @@ func main() {
 	auth := authority.NewServer(authority.Config{
 		ECSEnabled: true,
 		Scope:      authority.ScopeSourceMinus(4),
-		Now:        time.Now, //ecslint:ignore wallclock live-wire demo runs on the real clock
+		Now:        time.Now,
 	})
 	zone := authority.NewZone("live.example.", 30)
 	zone.SetWildcard(dnswire.TypeA, &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.80")})
@@ -55,7 +55,7 @@ func main() {
 	res := resolver.New(resolver.Config{
 		Addr:      netip.MustParseAddr("127.0.0.1"),
 		Transport: &socketTransport{client: &dnsclient.Client{}, upstream: authBound.String()},
-		Now:       time.Now, //ecslint:ignore wallclock live-wire demo runs on the real clock
+		Now:       time.Now,
 		Directory: dir,
 		Profile:   resolver.CompliantProfile(),
 		Seed:      1,

@@ -127,7 +127,9 @@ func (s *Server) SetDynamic(f DynamicFunc) {
 	s.mu.Unlock()
 }
 
-// SetLog installs a query-log sink.
+// SetLog installs a query-log sink. The sink is called from every
+// HandleDNS, concurrently when the server is queried concurrently, so it
+// must synchronize its own state (scanner.LogBuffer.Append does).
 func (s *Server) SetLog(f func(LogRecord)) {
 	s.mu.Lock()
 	s.log = f

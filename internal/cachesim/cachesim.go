@@ -170,7 +170,6 @@ func HitRate(recs []traces.Record, honorECS bool) HitRateResult {
 				cs, err := ecsopt.New(rec.Client, int(rec.Source))
 				if err == nil {
 					entry.HasECS = true
-					//ecslint:ignore ecssemantics replays the scope observed in the trace record; the simulated cache applies its own clamp policy
 					entry.Subnet = cs.WithScope(int(rec.Scope))
 				}
 			}

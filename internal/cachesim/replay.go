@@ -60,7 +60,6 @@ func CacheReplay(recs []traces.Record, cfg ecscache.Config) ReplayResult {
 				cs, err := ecsopt.New(rec.Client, int(rec.Source))
 				if err == nil {
 					entry.HasECS = true
-					//ecslint:ignore ecssemantics replays the scope observed in the trace record; the cache applies its own clamp policy
 					entry.Subnet = cs.WithScope(int(rec.Scope))
 				}
 			}

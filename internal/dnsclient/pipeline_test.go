@@ -3,6 +3,7 @@ package dnsclient
 import (
 	"context"
 	"hash/fnv"
+	"math/rand"
 	"net/netip"
 	"sync"
 	"testing"
@@ -221,6 +222,43 @@ func TestPipelineContextCancel(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
+	}
+}
+
+// TestAbortDrainsDeliveredWaiter covers the guard-false path of the
+// waiter pool: the reader took the key and signalled the waiter before
+// the attempt was cancelled, so abort must consume that signal before it
+// pools the waiter. A waiter pooled with the signal still buffered hands
+// the next attempt to draw it a stale response length at once.
+func TestAbortDrainsDeliveredWaiter(t *testing.T) {
+	s := &shard{
+		p:       &Pipeline{},
+		rng:     rand.New(rand.NewSource(1)),
+		pending: make(map[pendingKey]*waiter),
+	}
+	dest := netip.MustParseAddrPort("192.0.2.1:53")
+	w := &waiter{ch: make(chan int, 1), buf: make([]byte, 0, 64)}
+	id, err := s.register(dest, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Play the reader: a response header carrying the registered ID.
+	wire, err := (&dnswire.Message{Header: dnswire.Header{ID: id, Response: true}}).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.deliver(wire, dest)
+	if len(s.pending) != 0 || len(w.ch) != 1 {
+		t.Fatalf("deliver left %d pending keys and %d signals, want 0 and 1", len(s.pending), len(w.ch))
+	}
+	if err := s.abort(pendingKey{dest: dest, id: id}, w, context.Canceled); err != context.Canceled {
+		t.Fatalf("abort returned %v, want the cancellation cause", err)
+	}
+	if len(w.ch) != 0 {
+		t.Fatal("abort pooled a waiter whose delivered signal was never consumed")
+	}
+	if got := s.p.Stats().Aborted; got != 1 {
+		t.Fatalf("Aborted = %d, want 1", got)
 	}
 }
 

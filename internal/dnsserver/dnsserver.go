@@ -94,8 +94,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	// queue is the UDP admission queue. The read loop is its only
 	// sender, starts the workers that drain it, and closes it.
-	//
-	//ecschan:owner serveUDP
 	queue chan udpPacket
 	// pending counts datagrams admitted to queue and not yet finished
 	// by a worker; the read loop starts a worker when it exceeds the

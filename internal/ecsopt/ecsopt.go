@@ -239,7 +239,6 @@ func decode(opt dnswire.Option, strict bool) (ClientSubnet, error) {
 		if source != 0 {
 			return ClientSubnet{}, ErrMissingFamily
 		}
-		//ecslint:ignore ecssemantics the decoder preserves the wire's scope byte verbatim; clamping is the caller's policy (DecodeLenient callers measure deviations)
 		return ClientSubnet{Family: FamilyNone, ScopePrefix: scope}, nil
 	}
 	if fam != FamilyIPv4 && fam != FamilyIPv6 {
@@ -275,7 +274,6 @@ func decode(opt dnswire.Option, strict bool) (ClientSubnet, error) {
 	if strict && masked != addr {
 		return ClientSubnet{}, ErrTrailingBits
 	}
-	//ecslint:ignore ecssemantics the decoder preserves the wire's scope byte verbatim; clamping is the caller's policy (the paper's scanner measures raw scopes)
 	return ClientSubnet{Family: fam, SourcePrefix: source, ScopePrefix: scope, Addr: masked}, nil
 }
 

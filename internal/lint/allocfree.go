@@ -208,7 +208,6 @@ func (x *afIndex) parseSinks(pkg *Package, f *ast.File, src []byte, zeroDocs map
 				x.sinks[file] = append(x.sinks[file], &ignoreSpan{
 					startLine: line,
 					endLine:   directiveEndLine(pkg, f, line),
-					why:       strings.TrimSpace(why),
 					dLine:     pos.Line,
 					dCol:      pos.Column,
 				})

@@ -146,19 +146,17 @@ func directiveEndLine(pkg *Package, f *ast.File, line int) int {
 type ignoreSpan struct {
 	startLine, endLine int
 	checks             map[string]bool
-	why                string
 	dLine, dCol        int
 	used               bool
 }
 
-// applyIgnores splits findings into the active set and the suppressed
-// set (matched by a directive covering their line, IgnoredBy filled with
-// the directive's justification). Malformed directives — no
-// justification, or naming an unknown check — are themselves reported.
+// applyIgnores drops the findings matched by a directive covering their
+// line and returns the rest. Malformed directives — no justification, or
+// naming an unknown check — are themselves reported.
 // When the unusedignore check is enabled, directives that suppressed
 // nothing — and whose named checks all ran, so silence means the code
 // is clean, not the check switched off — are reported as stale.
-func applyIgnores(pkgs []*Package, findings []Finding, cfg *Config) (active, suppressed []Finding) {
+func applyIgnores(pkgs []*Package, findings []Finding, cfg *Config) []Finding {
 	ignores := make(map[string][]*ignoreSpan) // module-relative file -> spans
 	known := make(map[string]bool)
 	for _, c := range AllChecks() {
@@ -181,7 +179,6 @@ func applyIgnores(pkgs []*Package, findings []Finding, cfg *Config) (active, sup
 					startLine: d.line,
 					endLine:   directiveEndLine(pkg, f, d.line),
 					checks:    make(map[string]bool),
-					why:       d.why,
 					dLine:     pos.Line,
 					dCol:      pos.Column,
 				}
@@ -205,20 +202,16 @@ func applyIgnores(pkgs []*Package, findings []Finding, cfg *Config) (active, sup
 			}
 		}
 	}
-	active = findings[:0]
+	active := findings[:0]
 	for _, f := range findings {
-		why, ok := matchIgnore(ignores[f.File], f)
-		if ok {
-			f.IgnoredBy = why
-			suppressed = append(suppressed, f)
-			continue
+		if !matchIgnore(ignores[f.File], f) {
+			active = append(active, f)
 		}
-		active = append(active, f)
 	}
 	if cfg.CheckEnabled("unusedignore") {
 		active = append(active, staleIgnores(files, ignores, cfg)...)
 	}
-	return active, suppressed
+	return active
 }
 
 // staleIgnores turns unused directives into unusedignore findings. A
@@ -252,7 +245,7 @@ func staleIgnores(files []string, ignores map[string][]*ignoreSpan, cfg *Config)
 				Msg: "ecslint:ignore for " + strings.Join(names, ",") +
 					" suppresses nothing: the check is clean here — remove the stale directive",
 			}
-			if _, ignored := matchIgnore(ignores[file], f); !ignored {
+			if !matchIgnore(ignores[file], f) {
 				out = append(out, f)
 			}
 		}
@@ -260,14 +253,14 @@ func staleIgnores(files []string, ignores map[string][]*ignoreSpan, cfg *Config)
 	return out
 }
 
-// matchIgnore finds the first span covering the finding's line and
-// check, marking it used.
-func matchIgnore(spans []*ignoreSpan, f Finding) (string, bool) {
+// matchIgnore reports whether some span covers the finding's line and
+// check, marking the first such span used.
+func matchIgnore(spans []*ignoreSpan, f Finding) bool {
 	for _, s := range spans {
 		if f.Line >= s.startLine && f.Line <= s.endLine && s.checks[f.Check] {
 			s.used = true
-			return s.why, true
+			return true
 		}
 	}
-	return "", false
+	return false
 }

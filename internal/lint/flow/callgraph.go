@@ -56,9 +56,8 @@ type Program struct {
 	// with spawned callees resolved where they are statically known.
 	Spawns []*SpawnSite
 
-	byObj   map[*types.Func]*FuncInfo
-	byLit   map[*ast.FuncLit]*FuncInfo
-	spawned map[*FuncInfo][]*SpawnSite
+	byObj map[*types.Func]*FuncInfo
+	byLit map[*ast.FuncLit]*FuncInfo
 }
 
 // BuildProgram indexes the functions of the given files.
@@ -90,20 +89,16 @@ func BuildProgram(info *types.Info, files []*ast.File) *Program {
 // SpawnSite is one `go` statement and the function it starts. Callee is
 // the spawned FuncInfo when the goroutine body is analyzable in this
 // Program — a function literal, or a declared in-package function named
-// statically — and nil for dynamic or out-of-package spawns. Encl is
-// the innermost function containing the go statement.
+// statically — and nil for dynamic or out-of-package spawns.
 type SpawnSite struct {
 	Go     *ast.GoStmt
-	Encl   *FuncInfo
 	Callee *FuncInfo
 }
 
-// indexSpawns records every go statement, attributed to its innermost
-// enclosing function, with the spawned callee resolved where possible.
-// Literal bodies are walked through their own FuncInfo, so each GoStmt
-// is visited exactly once.
+// indexSpawns records every go statement, with the spawned callee
+// resolved where possible. Literal bodies are walked through their own
+// FuncInfo, so each GoStmt is visited exactly once.
 func (p *Program) indexSpawns() {
-	p.spawned = make(map[*FuncInfo][]*SpawnSite)
 	for _, fi := range p.Funcs {
 		root := fi.Body
 		ast.Inspect(root, func(n ast.Node) bool {
@@ -114,26 +109,16 @@ func (p *Program) indexSpawns() {
 			if !ok {
 				return true
 			}
-			site := &SpawnSite{Go: g, Encl: fi}
+			site := &SpawnSite{Go: g}
 			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
 				site.Callee = p.byLit[lit]
 			} else if obj := p.StaticCallee(g.Call); obj != nil {
 				site.Callee = p.byObj[obj]
 			}
 			p.Spawns = append(p.Spawns, site)
-			if site.Callee != nil {
-				p.spawned[site.Callee] = append(p.spawned[site.Callee], site)
-			}
 			return true
 		})
 	}
-}
-
-// IsSpawned reports whether f is started by at least one go statement
-// in this Program (the goroutine-boundary fact checks key on: facts
-// established before the spawn are not ordered with the body).
-func (p *Program) IsSpawned(f *FuncInfo) bool {
-	return len(p.spawned[f]) > 0
 }
 
 // indexLiterals registers every function literal nested in body, with
@@ -160,11 +145,6 @@ func (p *Program) indexLiterals(body *ast.BlockStmt, encl *FuncInfo) {
 // the object is not in this Program (e.g. another package).
 func (p *Program) FuncOf(obj *types.Func) *FuncInfo {
 	return p.byObj[obj]
-}
-
-// LitOf returns the FuncInfo for a function literal in this Program.
-func (p *Program) LitOf(lit *ast.FuncLit) *FuncInfo {
-	return p.byLit[lit]
 }
 
 // StaticCallee resolves a call expression to the *types.Func it
@@ -195,64 +175,4 @@ func (p *Program) StaticCallee(call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// Summaries memoizes a per-function summary of type S computed
-// bottom-up over the call graph. compute receives the function and a
-// lookup for callee summaries; recursion through call cycles yields the
-// zero summary for the function that closes the cycle, which keeps the
-// computation terminating (one-level-accurate across cycles, exact on
-// DAGs).
-type Summaries[S any] struct {
-	prog    *Program
-	compute func(f *FuncInfo, callee func(*types.Func) S) S
-
-	mu      sync.Mutex
-	done    map[*FuncInfo]S
-	running map[*FuncInfo]bool
-}
-
-// NewSummaries prepares a summary table over prog.
-func NewSummaries[S any](prog *Program, compute func(f *FuncInfo, callee func(*types.Func) S) S) *Summaries[S] {
-	return &Summaries[S]{
-		prog:    prog,
-		compute: compute,
-		done:    make(map[*FuncInfo]S),
-		running: make(map[*FuncInfo]bool),
-	}
-}
-
-// Of returns f's summary, computing it (and its callees') on demand.
-func (s *Summaries[S]) Of(f *FuncInfo) S {
-	s.mu.Lock()
-	if v, ok := s.done[f]; ok {
-		s.mu.Unlock()
-		return v
-	}
-	if s.running[f] {
-		// Call cycle: break it with the zero summary.
-		s.mu.Unlock()
-		var zero S
-		return zero
-	}
-	s.running[f] = true
-	s.mu.Unlock()
-
-	v := s.compute(f, func(obj *types.Func) S {
-		var zero S
-		if obj == nil {
-			return zero
-		}
-		callee := s.prog.FuncOf(obj)
-		if callee == nil {
-			return zero
-		}
-		return s.Of(callee)
-	})
-
-	s.mu.Lock()
-	delete(s.running, f)
-	s.done[f] = v
-	s.mu.Unlock()
-	return v
 }

@@ -466,14 +466,20 @@ func (g *Graph) Preds() map[*Block][]*Block {
 	return preds
 }
 
-// ReachableFromEntry returns the set of blocks reachable from Entry by
-// following Succs edges — live code, as the CFG models it.
-func (g *Graph) ReachableFromEntry() map[*Block]bool {
+// ExitReachable reports whether any path from Entry reaches Exit: the
+// "provable exit path" test for spawned goroutines. Infinite `for {}`
+// loops have no head→after edge and `select {}` strands its after-block,
+// so a function stuck in either has no such path; a range over a channel
+// keeps its exit edge (close ends the loop).
+func (g *Graph) ExitReachable() bool {
 	seen := map[*Block]bool{g.Entry: true}
 	work := []*Block{g.Entry}
 	for len(work) > 0 {
 		blk := work[len(work)-1]
 		work = work[:len(work)-1]
+		if blk == g.Exit {
+			return true
+		}
 		for _, s := range blk.Succs {
 			if !seen[s] {
 				seen[s] = true
@@ -481,36 +487,7 @@ func (g *Graph) ReachableFromEntry() map[*Block]bool {
 			}
 		}
 	}
-	return seen
-}
-
-// CanReachExit returns the set of blocks from which Exit is reachable.
-// A live block absent from this set sits in an inescapable loop: the
-// function, once there, provably never returns. Infinite `for {}` loops
-// have no head→after edge and `select {}` strands its after-block, so
-// both show up here; a range over a channel keeps its exit edge (close
-// ends the loop) and does not.
-func (g *Graph) CanReachExit() map[*Block]bool {
-	preds := g.Preds()
-	seen := map[*Block]bool{g.Exit: true}
-	work := []*Block{g.Exit}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, p := range preds[blk] {
-			if !seen[p] {
-				seen[p] = true
-				work = append(work, p)
-			}
-		}
-	}
-	return seen
-}
-
-// ExitReachable reports whether any path from Entry reaches Exit: the
-// "provable exit path" test for spawned goroutines.
-func (g *Graph) ExitReachable() bool {
-	return g.CanReachExit()[g.Entry]
+	return false
 }
 
 // ExitBlocks returns the blocks with an edge to Exit, in block order:

@@ -28,10 +28,6 @@ type Finding struct {
 	Col   int
 	Check string
 	Msg   string
-	// IgnoredBy carries the justification text of the //ecslint:ignore
-	// directive that suppressed this finding. Active findings leave it
-	// empty; suppressed ones surface only through RunAll (for -json).
-	IgnoredBy string
 }
 
 // String renders the canonical `file:line: [check] message` form.
@@ -41,7 +37,7 @@ func (f Finding) String() string {
 
 // Check is one registered analysis. Exactly one of Run (invoked once per
 // loaded package) and Global (invoked once with every loaded package, for
-// whole-tree analyses like lock-order cycles) is set.
+// whole-tree analyses like allocfree's call-chain descent) is set.
 type Check struct {
 	// Name is the short identifier used in output, config, and
 	// //ecslint:ignore directives.
@@ -63,17 +59,11 @@ func AllChecks() []Check {
 		goroutinetrackCheck,
 		mutexholdCheck,
 		rawwireCheck,
-		lockorderCheck,
 		ctxflowCheck,
 		counterpartitionCheck,
-		ecssemanticsCheck,
 		allocfreeCheck,
 		poollifeCheck,
 		retentionCheck,
-		chanprotocolCheck,
-		wgbalanceCheck,
-		atomicmixCheck,
-		replaydetCheck,
 		unusedignoreCheck,
 	}
 }
@@ -122,10 +112,6 @@ type Config struct {
 	// shutdown into a hang.
 	CtxflowPackages []string
 
-	// ECSSemanticsPackages lists the import paths subject to the ECS
-	// address-semantics rules (mask-before-use, scope ≤ source).
-	ECSSemanticsPackages []string
-
 	// AllocMustAnnotate lists functions (types.Func.FullName form) that
 	// must carry a //ecsalloc:zero annotation: the hot-path entry points
 	// whose zero-alloc contract is load-bearing. Un-annotating one is a
@@ -135,11 +121,6 @@ type Config struct {
 	// RetentionPackages lists the import paths whose codec call sites
 	// are checked for aliases retained across a repack or pool return.
 	RetentionPackages []string
-
-	// ReplayPackages lists the import paths whose trace/record building
-	// is subject to the replay-determinism rules (no map-iteration
-	// order, no wall-clock or global-rand values in records).
-	ReplayPackages []string
 }
 
 // DefaultConfig is the policy for this module: the allowlists mirror the
@@ -147,11 +128,17 @@ type Config struct {
 func DefaultConfig() *Config {
 	return &Config{
 		EnableAll: true,
-		// dnsclient and dnsserver drive real sockets: deadlines,
-		// retransmit backoff, and rate pacing are genuinely wall-clock.
+		// The packages that drive real sockets: deadlines, retransmit
+		// backoff, rate pacing, RTT stopwatches and the clock a live
+		// daemon injects are genuinely wall-clock. cmd/ecslab, ecsreplay,
+		// tracegen and every simulation package stay covered.
 		WallclockAllow: []string{
 			"ecsdns/internal/dnsclient",
 			"ecsdns/internal/dnsserver",
+			"ecsdns/cmd/authdns",
+			"ecsdns/cmd/recursor",
+			"ecsdns/cmd/ecsscan",
+			"ecsdns/examples/livewire",
 		},
 		GoroutinePackages: []string{
 			"ecsdns/internal/dnsserver",
@@ -174,12 +161,6 @@ func DefaultConfig() *Config {
 			"ecsdns/internal/scanner",
 			"ecsdns/internal/netem",
 		},
-		ECSSemanticsPackages: []string{
-			"ecsdns/internal/ecsopt",
-			"ecsdns/internal/ecscache",
-			"ecsdns/internal/resolver",
-			"ecsdns/internal/cachesim",
-		},
 		// The PR 7 zero-alloc surface: losing one of these annotations
 		// would retire the whole contract without any finding.
 		AllocMustAnnotate: []string{
@@ -194,12 +175,6 @@ func DefaultConfig() *Config {
 			"ecsdns/internal/dnsclient",
 			"ecsdns/internal/dnsserver",
 			"ecsdns/internal/scanner",
-		},
-		// The replay-identity witnesses live here: BreakerTrace and the
-		// fault/latency plans.
-		ReplayPackages: []string{
-			"ecsdns/internal/upstreams",
-			"ecsdns/internal/netem",
 		},
 	}
 }
@@ -266,8 +241,7 @@ type GlobalContext struct {
 // reportAs records a finding under a different check name than the
 // running one: the suppression-audit findings of unusedignore are
 // produced inside applyIgnores and allocfree rather than by a walker of
-// their own, but must carry their own check name for directives and
-// rule mapping.
+// their own, but must carry their own check name for directives.
 func (g *GlobalContext) reportAs(check, file string, line, col int, format string, args ...any) {
 	*g.findings = append(*g.findings, Finding{
 		File: file, Line: line, Col: col,
@@ -292,16 +266,17 @@ func (g *GlobalContext) Reportf(pkg *Package, pos token.Pos, format string, args
 // findings: deterministically sorted, deduplicated, and filtered through
 // //ecslint:ignore directives.
 func Run(pkgs []*Package, cfg *Config) []Finding {
-	active, _ := RunAll(pkgs, cfg)
-	return active
+	findings := applyIgnores(pkgs, runChecks(pkgs, cfg), cfg)
+	sortFindings(findings)
+	return dedupeFindings(findings)
 }
 
-// RunAll is Run plus the suppressed findings: diagnostics that matched an
-// //ecslint:ignore directive, with IgnoredBy carrying the justification.
-// Per-package checks run concurrently (the CFG caches synchronize via
-// sync.Once and go/types lookups are read-only); global checks run
-// serially after, since they share the per-package flow caches anyway.
-func RunAll(pkgs []*Package, cfg *Config) (active, suppressed []Finding) {
+// runChecks returns what the enabled checks report, before any directive
+// is applied. Per-package checks run concurrently (the CFG caches
+// synchronize via sync.Once and go/types lookups are read-only); global
+// checks run serially after, since they share the per-package flow
+// caches anyway.
+func runChecks(pkgs []*Package, cfg *Config) []Finding {
 	perPkg := make([][]Finding, len(pkgs))
 	var wg sync.WaitGroup
 	for i, pkg := range pkgs {
@@ -341,11 +316,7 @@ func RunAll(pkgs []*Package, cfg *Config) (active, suppressed []Finding) {
 		}
 		chk.Global(gctx)
 	}
-
-	active, suppressed = applyIgnores(pkgs, findings, cfg)
-	sortFindings(active)
-	sortFindings(suppressed)
-	return dedupeFindings(active), dedupeFindings(suppressed)
+	return findings
 }
 
 // sortFindings orders findings by file, line, column, check, message.

@@ -53,16 +53,6 @@ func fixtureConfig(check string) *Config {
 		GoroutinePackages: []string{
 			"fixture/goroutinetrackbad",
 			"fixture/goroutinetrackgood",
-			"fixture/chanprotocolbad",
-			"fixture/chanprotocolgood",
-			"fixture/wgbalancebad",
-			"fixture/wgbalancegood",
-			"fixture/atomicmixbad",
-			"fixture/atomicmixgood",
-		},
-		ReplayPackages: []string{
-			"fixture/replaydetbad",
-			"fixture/replaydetgood",
 		},
 		CodecPackages: []string{
 			"ecsdns/internal/dnswire",
@@ -72,10 +62,6 @@ func fixtureConfig(check string) *Config {
 		CtxflowPackages: []string{
 			"fixture/ctxflowbad",
 			"fixture/ctxflowgood",
-		},
-		ECSSemanticsPackages: []string{
-			"fixture/ecssemanticsbad",
-			"fixture/ecssemanticsgood",
 		},
 		AllocMustAnnotate: []string{
 			"fixture/allocfreebad.mustBeZero",
@@ -106,17 +92,11 @@ func TestCheckGolden(t *testing.T) {
 		{"goroutinetrack", []string{"goroutinetrackgood", "goroutinetrackbad"}},
 		{"mutexhold", []string{"mutexholdgood", "mutexholdbad"}},
 		{"rawwire", []string{"rawwiregood", "rawwirebad"}},
-		{"lockorder", []string{"lockordergood", "lockorderbad"}},
 		{"ctxflow", []string{"ctxflowgood", "ctxflowbad"}},
 		{"counterpartition", []string{"counterpartitiongood", "counterpartitionbad"}},
-		{"ecssemantics", []string{"ecssemanticsgood", "ecssemanticsbad"}},
 		{"allocfree", []string{"allocfreegood", "allocfreebad"}},
 		{"poollife", []string{"poollifegood", "poollifebad"}},
 		{"retention", []string{"retentiongood", "retentionbad"}},
-		{"chanprotocol", []string{"chanprotocolgood", "chanprotocolbad"}},
-		{"wgbalance", []string{"wgbalancegood", "wgbalancebad"}},
-		{"atomicmix", []string{"atomicmixgood", "atomicmixbad"}},
-		{"replaydet", []string{"replaydetgood", "replaydetbad"}},
 		{"unusedignore", []string{"unusedignoregood", "unusedignorebad"}},
 	}
 	for _, tc := range cases {

@@ -9,24 +9,15 @@ import (
 	"ecsdns/internal/lint/flow"
 )
 
-// This file holds the lock model shared by the flow-sensitive
-// concurrency checks: mutexhold (blocking ops under a held lock) and
-// lockorder (acquisition-order cycles). Locks are tracked at two
-// granularities — an intra-function key (the receiver expression, so
-// `a.mu` and `b.mu` stay distinct inside one function) and a
-// cross-function class (`pkg.Type.field`, so acquisitions of the same
-// mutex field in different functions can be ordered against each other).
+// This file holds the lock model shared by the flow-sensitive checks
+// that need to know which mutexes are held: mutexhold (blocking ops
+// under a held lock) and counterpartition (bare increments outside the
+// owning lock). A lock is keyed by its receiver expression, so `a.mu`
+// and `b.mu` stay distinct inside one function.
 
-// lockAcq records one acquisition: where it happened and the lock's
-// cross-function class.
-type lockAcq struct {
-	pos   token.Pos
-	class string
-}
-
-// lockFacts is the may-held lattice element: intra-function lock key ->
-// earliest acquisition on any path. The empty map is bottom.
-type lockFacts map[string]lockAcq
+// lockFacts is the may-held lattice element: lock key -> position of
+// the earliest acquisition on any path. The empty map is bottom.
+type lockFacts map[string]token.Pos
 
 func (f lockFacts) clone() lockFacts {
 	out := make(lockFacts, len(f))
@@ -65,7 +56,7 @@ func lockAnalysis(pkg *Package) flow.Analysis[lockFacts] {
 			}
 			out := a.clone()
 			for k, v := range b {
-				if cur, ok := out[k]; !ok || v.pos < cur.pos {
+				if cur, ok := out[k]; !ok || v < cur {
 					out[k] = v
 				}
 			}
@@ -95,7 +86,7 @@ func lockAnalysis(pkg *Package) flow.Analysis[lockFacts] {
 			switch fn.Name() {
 			case "Lock", "RLock":
 				out := in.clone()
-				out[key] = lockAcq{pos: call.Pos(), class: lockClass(pkg, sel.X)}
+				out[key] = call.Pos()
 				return out
 			case "Unlock", "RUnlock":
 				if _, ok := in[key]; !ok {
@@ -136,53 +127,4 @@ func lockMethod(pkg *Package, call *ast.CallExpr) (*ast.SelectorExpr, *types.Fun
 		return nil, nil
 	}
 	return sel, fn
-}
-
-// lockClass computes the cross-function identity of the mutex named by
-// receiver expression e: `pkg.Type.field` for a mutex field (or an
-// embedded mutex, where the field is the type itself), `pkg.var` for a
-// package-level mutex, and a local key otherwise. Two acquisitions with
-// the same class are assumed to be able to alias, which is what a
-// lock-order discipline has to assume about instances of one type.
-func lockClass(pkg *Package, e ast.Expr) string {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		// s.mu, s.inner.mu: identity is (type of the containing value,
-		// field name).
-		if tv, ok := pkg.Info.Types[x.X]; ok {
-			if named, ok := derefNamed(tv.Type); ok {
-				obj := named.Obj()
-				if obj.Pkg() != nil {
-					return obj.Pkg().Path() + "." + obj.Name() + "." + x.Sel.Name
-				}
-				return obj.Name() + "." + x.Sel.Name
-			}
-		}
-		return exprString(pkg.Fset, e)
-	case *ast.Ident:
-		// An embedded mutex locked through its container (`s.Lock()`
-		// with s embedding sync.Mutex): identity is the container type.
-		if tv, ok := pkg.Info.Types[ast.Expr(x)]; ok {
-			if named, ok := derefNamed(tv.Type); ok {
-				obj := named.Obj()
-				if obj.Pkg() != nil && obj.Pkg().Path() != "sync" {
-					return obj.Pkg().Path() + "." + obj.Name()
-				}
-			}
-		}
-		obj := pkg.Info.Uses[x]
-		if obj == nil {
-			obj = pkg.Info.Defs[x]
-		}
-		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil {
-			if v.Parent() == v.Pkg().Scope() {
-				return v.Pkg().Path() + "." + v.Name()
-			}
-			// Local or receiver-bound: instance-scoped, keyed by its
-			// declaration position so distinct locals stay distinct.
-			return v.Pkg().Path() + ".local." + v.Name()
-		}
-		return exprString(pkg.Fset, e)
-	}
-	return exprString(pkg.Fset, e)
 }

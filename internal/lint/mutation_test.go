@@ -12,6 +12,13 @@ import (
 // copy must stay clean under the same configuration, so the finding is
 // attributable to the seeded bug alone — a check that is silent on the
 // mutant is vacuous, one that fires on the baseline is noisy.
+//
+// Each flow check's mutant is its row in the DESIGN.md §7 ledger: a bug
+// on which `go vet ./pkg && go test -race -count=1 ./pkg` (and the plain
+// run) of the mutated package stayed green, so this check is the only
+// tier-1 gate that sees it. That sentence is what a later PR must
+// re-establish before deleting the check — or, once a test kills the
+// mutant, what lets it delete the check.
 type mutation struct {
 	check   string
 	pkg     string // module import path to copy
@@ -22,48 +29,92 @@ type mutation struct {
 }
 
 func mutations() []mutation {
+	const putBack = "\t*rb = data[:0] // keep any growth for the next response\n\tudpBufPool.Put(rb)\n"
 	return []mutation{
 		{
-			check:   "chanprotocol",
-			pkg:     "ecsdns/internal/netem/chaostest",
-			file:    "overload.go",
-			old:     "//ecschan:owner release",
-			new:     "//ecschan:owner rearm",
-			wantMsg: "not a declared owner",
-		},
-		{
-			check:   "wgbalance",
+			// A response to a response is dropped without being counted:
+			// received no longer equals the sum of its terms. vet and the
+			// dnsserver and chaostest race tests are green on it.
+			check:   "counterpartition",
 			pkg:     "ecsdns/internal/dnsserver",
 			file:    "dnsserver.go",
-			old:     "s.loops.Add(2)",
-			new:     "s.loops.Add(3)",
-			wantMsg: "Wait on it hangs forever",
+			old:     "\tif query.Response {\n\t\ts.stats.malformed.Add(1)\n",
+			new:     "\tif query.Response {\n",
+			wantMsg: "increments no counters partition term",
 		},
 		{
-			check:   "atomicmix",
-			pkg:     "ecsdns/internal/dnsclient",
-			file:    "pipeline.go",
-			old:     "func (p *Pipeline) Stats() PipelineStats {",
-			new:     "func (p Pipeline) Stats() PipelineStats {",
-			wantMsg: "by value",
+			// The response buffer goes back to the pool before the
+			// datagram built in it is written. vet and the dnsserver race
+			// tests are green on it.
+			check:   "retention",
+			pkg:     "ecsdns/internal/dnsserver",
+			file:    "dnsserver.go",
+			old:     "\tpc.WriteToUDPAddrPort(data, p.from)\n" + putBack,
+			new:     putBack + "\tpc.WriteToUDPAddrPort(data, p.from)\n",
+			wantMsg: "aliases a reuse buffer",
 		},
 		{
-			check:   "replaydet",
-			pkg:     "ecsdns/internal/upstreams",
-			file:    "breaker.go",
-			old:     "Transition{At: now,",
-			new:     "Transition{At: time.Now(),",
-			wantMsg: "time.Now() flows into",
+			// The response buffer is never returned: every answer leaks
+			// one pooled buffer. vet and the dnsserver race tests are
+			// green on it.
+			check:   "poollife",
+			pkg:     "ecsdns/internal/dnsserver",
+			file:    "dnsserver.go",
+			old:     putBack,
+			new:     "\t*rb = data[:0] // keep any growth for the next response\n",
+			wantMsg: "the pooled object leaks",
 		},
 		{
+			// The retry backoff stops listening for cancellation: a
+			// cancelled exchange sits out the whole backoff. vet and the
+			// dnsclient race tests are green on it.
+			check: "ctxflow",
+			pkg:   "ecsdns/internal/dnsclient",
+			file:  "pipeline.go",
+			old: "\t\t\tselect {\n\t\t\tcase <-ctx.Done():\n\t\t\t\treleaseTimer(t)\n" +
+				"\t\t\t\treturn ctx.Err()\n\t\t\tcase <-t.C:\n\t\t\t}\n",
+			new:     "\t\t\t<-t.C\n",
+			wantMsg: "channel receive outside a select",
+		},
+		{
+			// The rate limiter waits for its next token with its lock
+			// held, so every other worker queues on the mutex instead of
+			// on its context. vet and the scanner race tests are green on
+			// it.
+			check: "mutexhold",
+			pkg:   "ecsdns/internal/scanner",
+			file:  "engine.go",
+			old: "\t\tl.mu.Unlock()\n\t\tselect {\n\t\tcase <-ctx.Done():\n\t\t\treturn ctx.Err()\n" +
+				"\t\tcase <-time.After(wait): //ecslint:ignore wallclock token accrual happens in real time\n\t\t}\n",
+			new: "\t\tselect {\n\t\tcase <-ctx.Done():\n\t\t\tl.mu.Unlock()\n\t\t\treturn ctx.Err()\n" +
+				"\t\tcase <-time.After(wait): //ecslint:ignore wallclock token accrual happens in real time\n\t\t}\n" +
+				"\t\tl.mu.Unlock()\n",
+			wantMsg: "select while holding",
+		},
+		{
+			// The overflow refusal is written from a fire-and-forget
+			// goroutine that nothing waits for at Close. vet and the
+			// dnsserver race tests are green on it.
 			check: "goroutinetrack",
 			pkg:   "ecsdns/internal/dnsserver",
 			file:  "dnsserver.go",
-			// Turn the close-terminated worker loop into a bare receive
-			// loop: the spawned udpWorker can then never terminate.
-			old:     "for p := range s.queue {",
-			new:     "for {\n\t\tp := <-s.queue",
-			wantMsg: "can never terminate",
+			old: "\t\t\t\tif data := refusalReply(pkt, dnswire.RCodeServFail, false); data != nil {\n" +
+				"\t\t\t\t\tpc.WriteToUDPAddrPort(data, from)\n",
+			new: "\t\t\t\tif data := refusalReply(pkt, dnswire.RCodeServFail, false); data != nil {\n" +
+				"\t\t\t\t\tgo func() { pc.WriteToUDPAddrPort(data, from) }()\n",
+			wantMsg: "neither tracked",
+		},
+		{
+			// Every UDP answer is packed into a fresh buffer while the
+			// pooled one rides along unused. vet and the dnsserver tests,
+			// plain and race, are green on it: no allocation gate covers
+			// the server's send path.
+			check:   "allocfree",
+			pkg:     "ecsdns/internal/dnsserver",
+			file:    "dnsserver.go",
+			old:     "data, err := resp.AppendTruncateTo((*rb)[:0], limit)",
+			new:     "data, err := resp.AppendTruncateTo(make([]byte, 0, limit), limit)",
+			wantMsg: "make allocates on the //ecsalloc:zero path",
 		},
 		{
 			check: "unusedignore",
@@ -77,19 +128,20 @@ func mutations() []mutation {
 	}
 }
 
-// mutantConfig points every package-gated list of the check under test
-// at the synthetic import path of the copied package.
+// mutantConfig enables the check under test and points the
+// package-gated lists at the synthetic import path of the copied
+// package.
 func mutantConfig(check, importPath string) *Config {
 	cfg := &Config{
 		Enabled:           map[string]bool{check: true},
 		GoroutinePackages: []string{importPath},
-		ReplayPackages:    []string{importPath},
+		CtxflowPackages:   []string{importPath},
+		RetentionPackages: []string{importPath},
 	}
 	if check == "unusedignore" {
 		// Staleness is judged only for checks that ran: the directive
 		// the mutation plants names ctxflow, so ctxflow runs too.
 		cfg.Enabled["ctxflow"] = true
-		cfg.CtxflowPackages = []string{importPath}
 	}
 	return cfg
 }

@@ -219,7 +219,7 @@ func (c *Context) blockingOp(pos token.Pos, what string, held lockFacts) {
 	}
 	// Report against one deterministic lock key.
 	key := held.sortedKeys()[0]
-	ctxPos := c.Pkg.Fset.Position(held[key].pos)
+	ctxPos := c.Pkg.Fset.Position(held[key])
 	c.Reportf(pos, "%s while holding %s.Lock() (locked at line %d); release the lock before blocking",
 		what, key, ctxPos.Line)
 }

@@ -69,7 +69,7 @@ type OverloadResult struct {
 type overloadHandler struct {
 	inner dnsserver.Handler
 	mu    sync.Mutex
-	//ecschan:owner release
+	// gate is installed by rearm and closed, once, by release.
 	gate chan struct{}
 }
 

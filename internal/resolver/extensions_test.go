@@ -23,13 +23,13 @@ func TestWhitelistProfileSendsOnlyToListedZones(t *testing.T) {
 	c := rg.client("London", 9)
 	rg.ask(t, c, "a.test.example", nil)
 	rg.ask(t, c, "a.other.example", nil)
-	if len(rg.logs) != 2 {
-		t.Fatalf("authority saw %d queries", len(rg.logs))
+	if rg.logs.Len() != 2 {
+		t.Fatalf("authority saw %d queries", rg.logs.Len())
 	}
-	if !rg.logs[0].QueryHasECS {
+	if !rg.logs.All()[0].QueryHasECS {
 		t.Fatal("whitelisted zone did not get ECS")
 	}
-	if rg.logs[1].QueryHasECS {
+	if rg.logs.All()[1].QueryHasECS {
 		t.Fatal("non-whitelisted zone got ECS")
 	}
 }
@@ -40,18 +40,18 @@ func TestAdaptiveProfileLearnsScope(t *testing.T) {
 	rg := newRig(t, AdaptiveProfile(), authority.ScopeFixed(16))
 	c1 := rg.client("London", 9)
 	rg.ask(t, c1, "a.test.example", nil)
-	if rg.logs[0].QueryECS.SourcePrefix != 24 {
-		t.Fatalf("first query conveyed /%d, want /24", rg.logs[0].QueryECS.SourcePrefix)
+	if rg.logs.All()[0].QueryECS.SourcePrefix != 24 {
+		t.Fatalf("first query conveyed /%d, want /24", rg.logs.All()[0].QueryECS.SourcePrefix)
 	}
 	// A different /16 forces a second upstream query.
 	a := c1.As4()
 	a[1] ^= 0x1
 	c2 := addr4(a)
 	rg.ask(t, c2, "a.test.example", nil)
-	if len(rg.logs) != 2 {
-		t.Fatalf("authority saw %d queries", len(rg.logs))
+	if rg.logs.Len() != 2 {
+		t.Fatalf("authority saw %d queries", rg.logs.Len())
 	}
-	if got := rg.logs[1].QueryECS.SourcePrefix; got != 16 {
+	if got := rg.logs.All()[1].QueryECS.SourcePrefix; got != 16 {
 		t.Fatalf("adapted query conveyed /%d, want learned /16", got)
 	}
 }
@@ -63,7 +63,7 @@ func TestAdaptiveProfileDoesNotWidenOnLongScope(t *testing.T) {
 	rg.ask(t, c, "a.test.example", nil)
 	c2 := rg.client("Tokyo", 9)
 	rg.ask(t, c2, "a.test.example", nil)
-	for i, rec := range rg.logs {
+	for i, rec := range rg.logs.All() {
 		if rec.QueryECS.SourcePrefix != 24 {
 			t.Fatalf("query %d conveyed /%d", i, rec.QueryECS.SourcePrefix)
 		}
@@ -77,7 +77,7 @@ func TestNonAdaptiveProfileKeepsFullPrefix(t *testing.T) {
 	a := c1.As4()
 	a[1] ^= 0x1
 	rg.ask(t, addr4(a), "a.test.example", nil)
-	if got := rg.logs[1].QueryECS.SourcePrefix; got != 24 {
+	if got := rg.logs.All()[1].QueryECS.SourcePrefix; got != 24 {
 		t.Fatalf("non-adaptive resolver conveyed /%d", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestMixedPrefixCycling(t *testing.T) {
 	rg.ask(t, c, "m1.test.example", nil)
 	rg.ask(t, c, "m2.test.example", nil)
 	seen := map[uint8]bool{}
-	for _, rec := range rg.logs {
+	for _, rec := range rg.logs.All() {
 		seen[rec.QueryECS.SourcePrefix] = true
 	}
 	if !seen[24] || !seen[25] {

@@ -84,17 +84,17 @@ func TestNegativeCachingUsesSOAMinimum(t *testing.T) {
 	if resp.RCode != dnswire.RCodeNXDomain {
 		t.Fatalf("rcode = %v", resp.RCode)
 	}
-	upstreamAfterFirst := len(w.logs)
+	upstreamAfterFirst := w.logs.Len()
 	ask()
-	if len(w.logs) != upstreamAfterFirst {
+	if w.logs.Len() != upstreamAfterFirst {
 		t.Fatal("NXDOMAIN not served from the negative cache")
 	}
 	// The zone SOA minimum is 60 s (authority.NewZone default); after
 	// it passes, the next query goes upstream again.
 	w.net.Clock().Advance(61 * time.Second)
 	ask()
-	if len(w.logs) != upstreamAfterFirst+1 {
-		t.Fatalf("negative entry did not expire: %d upstream queries", len(w.logs))
+	if w.logs.Len() != upstreamAfterFirst+1 {
+		t.Fatalf("negative entry did not expire: %d upstream queries", w.logs.Len())
 	}
 }
 

@@ -302,7 +302,6 @@ func (r *Resolver) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.M
 			}
 			echo, err := ecsopt.New(clientAddr, clientBits)
 			if err == nil {
-				//ecslint:ignore ecssemantics echoes the upstream's observed scope verbatim; the paper measures exactly this pass-through behavior
 				ecsopt.Attach(resp, echo.WithScope(scope))
 			}
 		}
@@ -414,7 +413,6 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 	}
 	if respHas && sentECS {
 		entry.HasECS = true
-		//ecslint:ignore ecssemantics wire scope is stored as observed; ecscache clamps at insert when the profile sets ClampScopeToSource
 		entry.Subnet = sent.WithScope(int(respECS.ScopePrefix))
 	}
 	skipCache := bypassCache ||
@@ -512,7 +510,6 @@ func (r *Resolver) answerFailure(resp *dnswire.Message, key ecscache.Key, client
 				resp.EDNS = dnswire.NewEDNS()
 				if e.HasECS {
 					if echo, err := ecsopt.New(clientAddr, clientBits); err == nil {
-						//ecslint:ignore ecssemantics echoes the cached entry's scope; the cache already clamped it at insert when policy demands
 						ecsopt.Attach(resp, echo.WithScope(int(e.Subnet.ScopePrefix)))
 					}
 				}
@@ -740,7 +737,6 @@ func (r *Resolver) answerFromEntry(resp *dnswire.Message, e *ecscache.Entry, now
 		if e.HasECS {
 			echo, err := ecsopt.New(clientAddr, clientBits)
 			if err == nil {
-				//ecslint:ignore ecssemantics echoes the cached entry's scope; the cache already clamped it at insert when policy demands
 				ecsopt.Attach(resp, echo.WithScope(int(e.Subnet.ScopePrefix)))
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"ecsdns/internal/ecsopt"
 	"ecsdns/internal/geo"
 	"ecsdns/internal/netem"
+	"ecsdns/internal/scanner"
 )
 
 // rig is a ready-made simulation: one authoritative server for
@@ -21,14 +22,14 @@ type rig struct {
 	auth     *authority.Server
 	authAddr netip.Addr
 	res      *Resolver
-	logs     []authority.LogRecord
+	logs     *scanner.LogBuffer
 }
 
 func newRig(t *testing.T, profile Profile, scope authority.ScopeFunc) *rig {
 	t.Helper()
 	w := geo.Build(geo.Config{Seed: 3, NumASes: 120, BlocksPerAS: 1})
 	n := netem.New(w)
-	rg := &rig{world: w, net: n}
+	rg := &rig{world: w, net: n, logs: &scanner.LogBuffer{}}
 
 	rg.authAddr = w.AddrInCity(geo.CityIndex("Frankfurt"), 3, 53)
 	rg.auth = authority.NewServer(authority.Config{
@@ -41,7 +42,7 @@ func newRig(t *testing.T, profile Profile, scope authority.ScopeFunc) *rig {
 	z.SetWildcard(dnswire.TypeA, &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.80")})
 	z.MustAdd(dnswire.RR{Name: "test.example.", Data: &dnswire.NSRData{Host: "ns1.test.example."}})
 	rg.auth.AddZone(z)
-	rg.auth.SetLog(func(r authority.LogRecord) { rg.logs = append(rg.logs, r) })
+	rg.auth.SetLog(rg.logs.Append)
 	n.Register(rg.authAddr, rg.auth)
 
 	dir := NewDirectory()
@@ -86,13 +87,13 @@ func TestResolveAndCacheBasic(t *testing.T) {
 	if resp.RCode != dnswire.RCodeNoError || len(resp.Answers) != 1 {
 		t.Fatalf("resolve failed: %v", resp)
 	}
-	if len(rg.logs) != 1 {
-		t.Fatalf("authority saw %d queries", len(rg.logs))
+	if rg.logs.Len() != 1 {
+		t.Fatalf("authority saw %d queries", rg.logs.Len())
 	}
 	// Same client again within TTL: cache hit, no new upstream query.
 	rg.ask(t, c, "a.test.example", nil)
-	if len(rg.logs) != 1 {
-		t.Fatalf("cache miss on repeat: authority saw %d queries", len(rg.logs))
+	if rg.logs.Len() != 1 {
+		t.Fatalf("cache miss on repeat: authority saw %d queries", rg.logs.Len())
 	}
 	_, up := rg.res.Counters()
 	if up != 1 {
@@ -104,7 +105,7 @@ func TestECSAttachedWithDerivedPrefix(t *testing.T) {
 	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
 	c := rg.client("London", 9)
 	rg.ask(t, c, "b.test.example", nil)
-	rec := rg.logs[0]
+	rec := rg.logs.All()[0]
 	if !rec.QueryHasECS {
 		t.Fatal("no ECS on upstream query")
 	}
@@ -127,14 +128,14 @@ func TestScopeHonoredAcrossSubnets(t *testing.T) {
 	}
 	rg.ask(t, c1, "c.test.example", nil)
 	rg.ask(t, c2, "c.test.example", nil)
-	if len(rg.logs) != 2 {
-		t.Fatalf("authority saw %d queries, want 2 (one per /24)", len(rg.logs))
+	if rg.logs.Len() != 2 {
+		t.Fatalf("authority saw %d queries, want 2 (one per /24)", rg.logs.Len())
 	}
 	// A second host in c1's /24 hits cache.
 	sib4 := c1.As4()
 	sib4[3] ^= 0x7
 	rg.ask(t, netip.AddrFrom4(sib4), "c.test.example", nil)
-	if len(rg.logs) != 2 {
+	if rg.logs.Len() != 2 {
 		t.Fatal("sibling in cached /24 went upstream")
 	}
 }
@@ -143,8 +144,8 @@ func TestScopeZeroSharedGlobally(t *testing.T) {
 	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(0))
 	rg.ask(t, rg.client("London", 9), "d.test.example", nil)
 	rg.ask(t, rg.client("Tokyo", 9), "d.test.example", nil)
-	if len(rg.logs) != 1 {
-		t.Fatalf("scope-0 answer not shared: %d upstream queries", len(rg.logs))
+	if rg.logs.Len() != 1 {
+		t.Fatalf("scope-0 answer not shared: %d upstream queries", rg.logs.Len())
 	}
 }
 
@@ -157,15 +158,15 @@ func TestScopeSixteenSharedWithinSlash16(t *testing.T) {
 	c2 := netip.AddrFrom4(a)
 	rg.ask(t, c1, "e.test.example", nil)
 	rg.ask(t, c2, "e.test.example", nil)
-	if len(rg.logs) != 1 {
-		t.Fatalf("scope-16 answer not shared within /16: %d queries", len(rg.logs))
+	if rg.logs.Len() != 1 {
+		t.Fatalf("scope-16 answer not shared within /16: %d queries", rg.logs.Len())
 	}
 	// Outside the /16: miss.
 	b := c1.As4()
 	b[1] ^= 0x1
 	rg.ask(t, netip.AddrFrom4(b), "e.test.example", nil)
-	if len(rg.logs) != 2 {
-		t.Fatalf("outside /16 should miss: %d queries", len(rg.logs))
+	if rg.logs.Len() != 2 {
+		t.Fatalf("outside /16 should miss: %d queries", rg.logs.Len())
 	}
 }
 
@@ -173,8 +174,8 @@ func TestIgnoreScopeProfileSharesEverything(t *testing.T) {
 	rg := newRig(t, IgnoreScopeProfile(), authority.ScopeFixed(24))
 	rg.ask(t, rg.client("London", 9), "f.test.example", nil)
 	rg.ask(t, rg.client("Tokyo", 9), "f.test.example", nil)
-	if len(rg.logs) != 1 {
-		t.Fatalf("ignore-scope resolver queried upstream %d times", len(rg.logs))
+	if rg.logs.Len() != 1 {
+		t.Fatalf("ignore-scope resolver queried upstream %d times", rg.logs.Len())
 	}
 }
 
@@ -182,7 +183,7 @@ func TestJammedLastByte(t *testing.T) {
 	rg := newRig(t, JammedProfile(), authority.ScopeFixed(24))
 	c := rg.client("Beijing", 9)
 	rg.ask(t, c, "g.test.example", nil)
-	rec := rg.logs[0]
+	rec := rg.logs.All()[0]
 	if rec.QueryECS.SourcePrefix != 32 {
 		t.Fatalf("source prefix = %d, want 32", rec.QueryECS.SourcePrefix)
 	}
@@ -199,15 +200,15 @@ func TestPrivatePrefixBug(t *testing.T) {
 	rg := newRig(t, PrivatePrefixProfile(), authority.ScopeFixed(0))
 	c := rg.client("Paris", 9)
 	rg.ask(t, c, "h.test.example", nil)
-	rec := rg.logs[0]
+	rec := rg.logs.All()[0]
 	if rec.QueryECS.Addr != netip.MustParseAddr("10.0.0.0") || rec.QueryECS.SourcePrefix != 8 {
 		t.Fatalf("expected 10.0.0.0/8, got %v", rec.QueryECS)
 	}
 	// NoCacheScopeZero: the scope-0 answer is not cached, so a repeat
 	// goes upstream again.
 	rg.ask(t, c, "h.test.example", nil)
-	if len(rg.logs) != 2 {
-		t.Fatalf("scope-0 answer was cached: %d queries", len(rg.logs))
+	if rg.logs.Len() != 2 {
+		t.Fatalf("scope-0 answer was cached: %d queries", rg.logs.Len())
 	}
 }
 
@@ -216,7 +217,7 @@ func TestAcceptClientECSTruncation(t *testing.T) {
 	rg := newRig(t, CompliantProfile(), authority.ScopeFixed(24))
 	cs := ecsopt.MustNew(netip.MustParseAddr("198.51.100.209"), 28)
 	rg.ask(t, rg.client("London", 9), "i.test.example", &cs)
-	rec := rg.logs[0]
+	rec := rg.logs.All()[0]
 	if rec.QueryECS.SourcePrefix != 24 {
 		t.Fatalf("forwarded prefix = %d, want truncated 24", rec.QueryECS.SourcePrefix)
 	}
@@ -229,7 +230,7 @@ func TestLongPrefixProfileForwardsLongPrefixes(t *testing.T) {
 	rg := newRig(t, LongPrefixProfile(), authority.ScopeEcho())
 	cs := ecsopt.MustNew(netip.MustParseAddr("198.51.100.209"), 28)
 	rg.ask(t, rg.client("London", 9), "j.test.example", &cs)
-	rec := rg.logs[0]
+	rec := rg.logs.All()[0]
 	if rec.QueryECS.SourcePrefix != 28 {
 		t.Fatalf("forwarded prefix = %d, want 28 (long-prefix acceptor)", rec.QueryECS.SourcePrefix)
 	}
@@ -239,15 +240,15 @@ func TestCap22Profile(t *testing.T) {
 	rg := newRig(t, Cap22Profile(), authority.ScopeEcho())
 	cs := ecsopt.MustNew(netip.MustParseAddr("198.51.100.209"), 24)
 	rg.ask(t, rg.client("London", 9), "k.test.example", &cs)
-	rec := rg.logs[0]
+	rec := rg.logs.All()[0]
 	if rec.QueryECS.SourcePrefix != 22 {
 		t.Fatalf("conveyed prefix = %d, want 22", rec.QueryECS.SourcePrefix)
 	}
 	// Cache serves the entire /22 even though the authority echoed /22.
 	cs2 := ecsopt.MustNew(netip.MustParseAddr("198.51.103.7"), 24) // same /22? 100.209 is /22 198.51.100.0; 103.7 is /22 198.51.100.0? 103 = 0b01100111 → /22 of 198.51.100.x spans 100-103.
 	rg.ask(t, rg.client("London", 9), "k.test.example", &cs2)
-	if len(rg.logs) != 1 {
-		t.Fatalf("client in same /22 missed cache: %d queries", len(rg.logs))
+	if rg.logs.Len() != 1 {
+		t.Fatalf("client in same /22 missed cache: %d queries", rg.logs.Len())
 	}
 }
 
@@ -256,7 +257,7 @@ func TestGoogleLikeOverridesIncomingECS(t *testing.T) {
 	c := rg.client("London", 9)
 	cs := ecsopt.MustNew(netip.MustParseAddr("198.51.100.0"), 24)
 	rg.ask(t, c, "l.test.example", &cs)
-	rec := rg.logs[0]
+	rec := rg.logs.All()[0]
 	if rec.QueryECS.Addr == netip.MustParseAddr("198.51.100.0") {
 		t.Fatal("incoming ECS not overridden with sender prefix")
 	}
@@ -273,12 +274,12 @@ func TestProbeIntervalWithLoopback(t *testing.T) {
 
 	// First query for the probe string: ECS probe with loopback.
 	rg.ask(t, c, "probe.test.example", nil)
-	if !rg.logs[0].QueryHasECS || rg.logs[0].QueryECS.Addr != netip.MustParseAddr("127.0.0.1") {
-		t.Fatalf("first probe: %+v", rg.logs[0])
+	if !rg.logs.All()[0].QueryHasECS || rg.logs.All()[0].QueryECS.Addr != netip.MustParseAddr("127.0.0.1") {
+		t.Fatalf("first probe: %+v", rg.logs.All()[0])
 	}
 	// Another name: no ECS.
 	rg.ask(t, c, "other.test.example", nil)
-	if rg.logs[1].QueryHasECS {
+	if rg.logs.All()[1].QueryHasECS {
 		t.Fatal("non-probe name carried ECS")
 	}
 	// Probe string again within the interval: the cached entry answers;
@@ -286,13 +287,13 @@ func TestProbeIntervalWithLoopback(t *testing.T) {
 	// resolver goes upstream — still no ECS inside the interval.
 	c2 := rg.client("Tokyo", 9)
 	rg.ask(t, c2, "probe.test.example", nil)
-	if len(rg.logs) != 3 || rg.logs[2].QueryHasECS {
-		t.Fatalf("within interval: %+v", rg.logs[len(rg.logs)-1])
+	if rg.logs.Len() != 3 || rg.logs.All()[2].QueryHasECS {
+		t.Fatalf("within interval: %+v", rg.logs.All()[rg.logs.Len()-1])
 	}
 	// Advance past the interval: next probe fires.
 	rg.net.Clock().Advance(31 * time.Minute)
 	rg.ask(t, c, "probe.test.example", nil)
-	last := rg.logs[len(rg.logs)-1]
+	last := rg.logs.All()[rg.logs.Len()-1]
 	if !last.QueryHasECS || last.QueryECS.Addr != netip.MustParseAddr("127.0.0.1") {
 		t.Fatalf("interval probe did not fire: %+v", last)
 	}
@@ -304,7 +305,7 @@ func TestProbeWithOwnAddress(t *testing.T) {
 	p.ProbeWithOwnAddr = true
 	rg := newRig(t, p, authority.ScopeFixed(24))
 	rg.ask(t, rg.client("London", 9), "m.test.example", nil)
-	rec := rg.logs[0]
+	rec := rg.logs.All()[0]
 	if !rec.QueryHasECS {
 		t.Fatal("no probe sent")
 	}
@@ -324,10 +325,10 @@ func TestProbeHostnamesBypassesCache(t *testing.T) {
 	c := rg.client("London", 9)
 	rg.ask(t, c, "pinned.test.example", nil)
 	rg.ask(t, c, "pinned.test.example", nil) // within TTL!
-	if len(rg.logs) != 2 {
-		t.Fatalf("probe hostname served from cache: %d queries", len(rg.logs))
+	if rg.logs.Len() != 2 {
+		t.Fatalf("probe hostname served from cache: %d queries", rg.logs.Len())
 	}
-	for _, rec := range rg.logs {
+	for _, rec := range rg.logs.All() {
 		if !rec.QueryHasECS {
 			t.Fatal("probe hostname missing ECS")
 		}
@@ -335,10 +336,10 @@ func TestProbeHostnamesBypassesCache(t *testing.T) {
 	// Non-probe names use the cache and carry no ECS.
 	rg.ask(t, c, "normal.test.example", nil)
 	rg.ask(t, c, "normal.test.example", nil)
-	if len(rg.logs) != 3 {
-		t.Fatalf("normal name not cached: %d queries", len(rg.logs))
+	if rg.logs.Len() != 3 {
+		t.Fatalf("normal name not cached: %d queries", rg.logs.Len())
 	}
-	if rg.logs[2].QueryHasECS {
+	if rg.logs.All()[2].QueryHasECS {
 		t.Fatal("normal name carried ECS")
 	}
 }
@@ -352,16 +353,16 @@ func TestProbeOnMissSkipsRecentNames(t *testing.T) {
 	rg := newRig(t, p, authority.ScopeFixed(24))
 	c := rg.client("London", 9)
 	rg.ask(t, c, "n.test.example", nil)
-	if !rg.logs[0].QueryHasECS {
+	if !rg.logs.All()[0].QueryHasECS {
 		t.Fatal("first (miss) query must carry ECS")
 	}
 	// Within a minute, from a different /24 (cache miss but recent):
 	c2 := rg.client("Tokyo", 9)
 	rg.ask(t, c2, "n.test.example", nil)
-	if len(rg.logs) != 2 {
-		t.Fatalf("expected second upstream query, got %d", len(rg.logs))
+	if rg.logs.Len() != 2 {
+		t.Fatalf("expected second upstream query, got %d", rg.logs.Len())
 	}
-	if rg.logs[1].QueryHasECS {
+	if rg.logs.All()[1].QueryHasECS {
 		t.Fatal("query within one-minute window must not carry ECS")
 	}
 }
@@ -378,7 +379,7 @@ func TestNoECSToRootByDefault(t *testing.T) {
 	rg.res.cfg.Directory = dir
 
 	rg.ask(t, rg.client("London", 9), "something.arpa", nil)
-	if rg.logs[0].QueryHasECS {
+	if rg.logs.All()[0].QueryHasECS {
 		t.Fatal("compliant resolver sent ECS to the root")
 	}
 
@@ -394,7 +395,7 @@ func TestNoECSToRootByDefault(t *testing.T) {
 	if _, _, err := rg.net.Exchange(rg.client("Paris", 4), bad.Addr(), q); err != nil {
 		t.Fatal(err)
 	}
-	last := rg.logs[len(rg.logs)-1]
+	last := rg.logs.All()[rg.logs.Len()-1]
 	if !last.QueryHasECS {
 		t.Fatal("SendECSToRoot profile did not send ECS to root")
 	}
@@ -416,7 +417,7 @@ func TestClientSeesScopeEcho(t *testing.T) {
 func TestNonECSProfileSendsNothing(t *testing.T) {
 	rg := newRig(t, NonECSProfile(), authority.ScopeFixed(24))
 	rg.ask(t, rg.client("London", 9), "p.test.example", nil)
-	if rg.logs[0].QueryHasECS {
+	if rg.logs.All()[0].QueryHasECS {
 		t.Fatal("non-ECS profile sent ECS")
 	}
 }
@@ -459,7 +460,7 @@ func TestForwarderRelaysAndRestoresID(t *testing.T) {
 	}
 	// The resolver derived ECS from the forwarder's address, not the
 	// end client's.
-	rec := rg.logs[0]
+	rec := rg.logs.All()[0]
 	if rec.QueryECS.Addr != ecsopt.MaskAddr(fwdAddr, 24) {
 		t.Fatalf("ECS prefix %s, want forwarder /24", rec.QueryECS.Addr)
 	}
@@ -493,7 +494,7 @@ func TestForwarderStripECS(t *testing.T) {
 	if _, _, err := rg.net.Exchange(rg.client("Dublin", 8), fwdAddr, q); err != nil {
 		t.Fatal(err)
 	}
-	rec := rg.logs[0]
+	rec := rg.logs.All()[0]
 	// The resolver (AcceptClientECS) saw no option, so it derived from
 	// the forwarder address.
 	if rec.QueryECS.Addr == netip.MustParseAddr("198.51.100.0") {
@@ -516,7 +517,7 @@ func TestHiddenResolverChainLeaksItsPrefix(t *testing.T) {
 	if _, _, err := rg.net.Exchange(rg.client("Santiago", 2), fwdAddr, q); err != nil {
 		t.Fatal(err)
 	}
-	rec := rg.logs[0]
+	rec := rg.logs.All()[0]
 	if rec.QueryECS.Addr != ecsopt.MaskAddr(hiddenAddr, 24) {
 		t.Fatalf("ECS %s should be the hidden resolver's /24 (%s)",
 			rec.QueryECS.Addr, ecsopt.MaskAddr(hiddenAddr, 24))

@@ -91,11 +91,10 @@ func runFaultPlan(t *testing.T, seed int64) ([]Transition, Counters) {
 
 // TestReplayDeterminism runs the same seeded fault plan through two
 // independently built pools and requires identical breaker traces and
-// counter ledgers. The trace is the replay-identity witness the
-// replaydet lint check protects: any wall-clock read, global rand draw,
-// or map-order dependence in the hedging/breaker path shows up here as
-// diverging Transition values long before it would corrupt a real
-// measurement run.
+// counter ledgers. The trace is the replay-identity witness: any
+// wall-clock read, global rand draw, or map-order dependence in the
+// hedging/breaker path shows up here as diverging Transition values long
+// before it would corrupt a real measurement run.
 func TestReplayDeterminism(t *testing.T) {
 	const seed = 7
 	trace1, c1 := runFaultPlan(t, seed)

@@ -1,0 +1,9 @@
+//go:build race
+
+package ecsdns
+
+// raceEnabled reports that the race detector is compiled in.
+// TestRunAllSmallScale skips itself then: internal/core runs the same
+// experiments one by one under the same detector, and this sequential
+// second pass through the façade was half of `go test -race ./...`.
+const raceEnabled = true
