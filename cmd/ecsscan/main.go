@@ -346,6 +346,7 @@ func bulkScan(targetsArg string, base dnswire.Name, concurrency int, rate float6
 // singleProbe is the original single-target §6.3 trial sequence.
 func singleProbe(target string, base dnswire.Name, prefix netip.Prefix, timeout time.Duration) {
 	client := &dnsclient.Client{Timeout: timeout}
+	defer client.Close()
 	trial := 0
 	uniq := func() dnswire.Name {
 		trial++

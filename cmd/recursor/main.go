@@ -26,6 +26,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -150,6 +151,20 @@ func checkHostPort(addr string) error {
 	return nil
 }
 
+// checkUpstreamFlags rejects the combinations in which a flag the
+// operator gave would be silently ignored: -upstream (given, not its
+// default) beside the pool that replaces it, and the pool's three
+// mechanisms without a pool.
+func checkUpstreamFlags(upstreamSet bool, pool, hedge, breaker, ladder string) error {
+	switch {
+	case pool != "" && upstreamSet:
+		return errors.New("-upstream and -upstreams are mutually exclusive")
+	case pool == "" && (hedge != "" || breaker != "" || ladder != ""):
+		return errors.New("-hedge, -breaker, and -edns-ladder require -upstreams")
+	}
+	return nil
+}
+
 // randomSeed draws the resolver's query-ID seed from the system's
 // entropy: a live server's IDs must not be derivable from its boot time.
 func randomSeed() int64 {
@@ -250,7 +265,15 @@ func main() {
 		MaxTTL:            *maxTTL,
 		DisableCoalescing: *noCoalesce,
 	}
+	upstreamSet := false
+	flag.Visit(func(f *flag.Flag) { upstreamSet = upstreamSet || f.Name == "upstream" })
+	if err := checkUpstreamFlags(upstreamSet, *upstreamsSpec, *hedgeSpec, *breakerSpec, *ladderSpec); err != nil {
+		log.Fatalf("recursor: %v", err)
+	}
 	var pool *upstreams.Pool
+	// udp is the client every UDP query upstream leaves through, in
+	// either mode; its sockets are reported and closed on exit.
+	var udp *dnsclient.Client
 	if *upstreamsSpec != "" {
 		ups, targets, err := parsePoolSpec(*upstreamsSpec)
 		if err != nil {
@@ -268,10 +291,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("recursor: bad -edns-ladder: %v", err)
 		}
+		udp = &dnsclient.Client{Retries: dnsclient.NoRetries}
 		pool, err = upstreams.New(upstreams.Config{
 			Upstreams: ups,
 			Transport: &poolTransport{
-				udp:     &dnsclient.Client{Retries: dnsclient.NoRetries},
+				udp:     udp,
 				tcp:     &dnsclient.Client{ForceTCP: true},
 				targets: targets,
 			},
@@ -287,13 +311,11 @@ func main() {
 		}
 		resCfg.Pool = pool
 	} else {
-		if *hedgeSpec != "" || *breakerSpec != "" || *ladderSpec != "" {
-			log.Fatal("recursor: -hedge, -breaker, and -edns-ladder require -upstreams")
-		}
 		if err := checkHostPort(*upstream); err != nil {
 			log.Fatalf("recursor: bad -upstream: %v", err)
 		}
-		resCfg.Transport = &socketTransport{client: &dnsclient.Client{}, upstream: *upstream}
+		udp = &dnsclient.Client{}
+		resCfg.Transport = &socketTransport{client: udp, upstream: *upstream}
 	}
 	res := resolver.New(resCfg)
 
@@ -345,6 +367,12 @@ serve:
 		log.Printf("recursor: pool hedges=%d failovers=%d breaker-trips=%d ladder-steps=%d tcp-fallbacks=%d fast-fails=%d",
 			c.Hedges, c.Failovers, c.BreakerTrips, c.LadderSteps, c.TCPFallbacks, c.FastFails)
 	}
+	// reused/(dialed+reused) is the share of UDP queries that left on a
+	// parked socket. No key here may contain "shed=" or "received=": the
+	// benchmark reads those two out of the whole of stderr.
+	u := udp.Stats()
+	log.Printf("recursor: upstream sockets dialed=%d reused=%d retired=%d", u.Dialed, u.Reused, u.Retired)
+	udp.Close()
 }
 
 func parseOverflow(spec string) (dnsserver.OverflowPolicy, error) {

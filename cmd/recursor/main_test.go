@@ -30,6 +30,32 @@ func TestCheckHostPort(t *testing.T) {
 	}
 }
 
+func TestCheckUpstreamFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name                         string
+		upstreamSet                  bool
+		pool, hedge, breaker, ladder string
+		errPart                      string // non-empty: rejected mentioning this
+	}{
+		{name: "defaults"},
+		{name: "single upstream given", upstreamSet: true},
+		{name: "pool with its mechanisms", pool: "127.0.0.1:5300", hedge: "on", breaker: "off", ladder: "off"},
+		// Even a well-formed -upstream is refused beside a pool: it would
+		// never be dialled, and a malformed one never checked.
+		{name: "upstream beside a pool", upstreamSet: true, pool: "127.0.0.1:5300", errPart: "mutually exclusive"},
+		{name: "hedge without a pool", hedge: "on", errPart: "require -upstreams"},
+		{name: "ladder without a pool", upstreamSet: true, ladder: "off", errPart: "require -upstreams"},
+	} {
+		err := checkUpstreamFlags(tc.upstreamSet, tc.pool, tc.hedge, tc.breaker, tc.ladder)
+		if tc.errPart == "" && err != nil {
+			t.Errorf("%s: %v, want accepted", tc.name, err)
+		}
+		if tc.errPart != "" && (err == nil || !strings.Contains(err.Error(), tc.errPart)) {
+			t.Errorf("%s: error = %v, want one mentioning %q", tc.name, err, tc.errPart)
+		}
+	}
+}
+
 func TestParsePoolSpec(t *testing.T) {
 	addr := func(i byte) netip.Addr { return netip.AddrFrom4([4]byte{192, 0, 2, i}) }
 	for _, tc := range []struct {

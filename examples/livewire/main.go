@@ -52,9 +52,11 @@ func main() {
 	// 2. A compliant recursive resolver forwarding to it.
 	dir := resolver.NewDirectory()
 	dir.Add("live.example.", netip.MustParseAddr("192.0.2.1")) // routed by socket transport
+	upstream := &dnsclient.Client{}
+	defer upstream.Close()
 	res := resolver.New(resolver.Config{
 		Addr:      netip.MustParseAddr("127.0.0.1"),
-		Transport: &socketTransport{client: &dnsclient.Client{}, upstream: authBound.String()},
+		Transport: &socketTransport{client: upstream, upstream: authBound.String()},
 		Now:       time.Now,
 		Directory: dir,
 		Profile:   resolver.CompliantProfile(),
@@ -70,6 +72,7 @@ func main() {
 
 	// 3. A stub client queries through the resolver with ECS.
 	client := &dnsclient.Client{}
+	defer client.Close()
 	cs := ecsopt.MustNew(netip.MustParseAddr("203.0.113.64"), 24)
 	resp, err := client.Query(resBound.String(), "www.live.example.", dnswire.TypeA, &cs)
 	if err != nil {

@@ -4,19 +4,22 @@
 // live-wire example use against real servers.
 //
 // It holds two clients because the tree has two kinds of caller. Client
-// opens a fresh connected socket per UDP attempt: every query leaves
-// from its own kernel-chosen source port (RFC 5452), and a dead upstream
-// fails at once through the ICMP error instead of at the deadline. That
-// is what a caching resolver needs — it has a cache to poison and a
-// failover pool fed by fast errors — so cmd/recursor's upstream side and
-// single-target probes use it. Pipeline multiplexes many in-flight
-// queries over a few shared unconnected sockets, which costs about half
-// as much per query and gives up both properties: right for a scanner,
-// which caches nothing and sets its own deadlines, so ecsscan -targets
-// and the scan engine use it. DESIGN.md §11 has the measured price.
+// gives every UDP attempt a connected socket of its own for as long as
+// the attempt lasts, from a small ring it keeps per upstream: the source
+// port is the kernel's choice and is dropped after a few dozen queries
+// or a couple of seconds (RFC 5452), the socket only hears its upstream,
+// and a dead upstream fails at once through the ICMP error instead of at
+// the deadline. That is what a caching resolver needs — it has a cache
+// to poison and a failover pool fed by fast errors — so cmd/recursor's
+// upstream side and single-target probes use it. Pipeline multiplexes
+// many in-flight queries over a few shared unconnected sockets, which
+// gives up both properties: right for a scanner, which caches nothing
+// and sets its own deadlines, so ecsscan -targets and the scan engine
+// use it. DESIGN.md §11 has the ring's contract and the measured price.
 package dnsclient
 
 import (
+	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,6 +28,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ecsdns/internal/dnswire"
@@ -50,8 +54,44 @@ type Client struct {
 	// ForceTCP skips UDP entirely.
 	ForceTCP bool
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	mu   sync.Mutex
+	rng  *rand.Rand
+	idle []ringSock // parked sockets of every server; at most ringIdleMax
+
+	dialed, reused, retired atomic.Uint64
+}
+
+// The ring's limits. None is an option: DESIGN.md §11 has the reason
+// for each value.
+const (
+	// ringUses is how many exchanges one socket, and so one source
+	// port, carries before it is closed.
+	ringUses = 64
+	// ringAge is how old a socket may be when it is drawn for reuse.
+	ringAge = 2 * time.Second
+	// ringIdle bounds the parked sockets per server, ringIdleMax per
+	// Client, however many servers it is pointed at.
+	ringIdle    = 8
+	ringIdleMax = 256
+)
+
+// ringSock is one connected UDP socket of the ring. It belongs to one
+// exchange at a time: while parked it sits in Client.idle, while in use
+// only the exchange that drew it holds it.
+type ringSock struct {
+	conn   net.Conn
+	server string
+	born   time.Time
+	uses   int
+}
+
+// ClientStats counts what a Client's UDP sockets did. Every socket
+// dialed ends up retired, idle, or in the hands of a running exchange.
+type ClientStats struct {
+	Dialed  uint64 // sockets connected
+	Reused  uint64 // exchanges that drew a parked socket instead
+	Retired uint64 // sockets closed: used up, too old, failed, or surplus
+	Idle    int    // sockets parked right now
 }
 
 // Exchange errors.
@@ -78,13 +118,50 @@ func (c *Client) retries() int {
 	}
 }
 
+// rand returns the Client's generator, seeded from the system's entropy
+// on first use: the transaction IDs and ring draws it makes must not be
+// derivable from the process's start time. Callers hold c.mu.
+func (c *Client) rand() *rand.Rand {
+	if c.rng == nil {
+		var b [8]byte
+		if _, err := crand.Read(b[:]); err != nil {
+			panic("dnsclient: no system entropy: " + err.Error())
+		}
+		c.rng = rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(b[:]))))
+	}
+	return c.rng
+}
+
 func (c *Client) randID() uint16 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+	return uint16(c.rand().Intn(1 << 16))
+}
+
+// Stats reports the ring's counters.
+func (c *Client) Stats() ClientStats {
+	c.mu.Lock()
+	idle := len(c.idle)
+	c.mu.Unlock()
+	return ClientStats{
+		Dialed:  c.dialed.Load(),
+		Reused:  c.reused.Load(),
+		Retired: c.retired.Load(),
+		Idle:    idle,
 	}
-	return uint16(c.rng.Intn(1 << 16))
+}
+
+// Close closes the sockets the ring has parked. The Client stays usable:
+// the next exchange dials again, and one in flight parks its socket when
+// it ends.
+func (c *Client) Close() {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	for _, s := range idle {
+		c.retire(s)
+	}
 }
 
 // Query builds and exchanges a recursion-desired query for (name, type)
@@ -151,6 +228,13 @@ var readBufPool = sync.Pool{
 	},
 }
 
+// timeNow is the clock an attempt's deadline and its socket's age are
+// read on; a test replaces it to age a parked socket without waiting.
+var timeNow = time.Now
+
+// errStale is a reused socket's first datagram failing to be the answer.
+var errStale = errors.New("dnsclient: unexpected datagram on a reused socket")
+
 // dialUDP connects a fresh UDP socket to server. A literal ip:port
 // skips the dialer's context, timer and address-list resolution; a
 // hostname still goes through it.
@@ -166,16 +250,48 @@ func dialUDP(server string, timeout time.Duration) (net.Conn, error) {
 	return conn, nil
 }
 
-// exchangeUDP is one UDP attempt: one fresh connected socket — so one
-// kernel-chosen source port (RFC 5452) and an ICMP-refused upstream
-// failing at once instead of at the deadline — and one deadline.
+// exchangeUDP is one UDP attempt under one deadline, on a connected
+// socket that is this attempt's alone while it lasts — so a
+// kernel-chosen source port nobody else hears on (RFC 5452) and an
+// ICMP-refused upstream failing at once instead of at the deadline. The
+// socket comes from the ring when one is parked for server and from a
+// dial when not, and goes back only after a validated answer: any error
+// closes it, so a late answer meets a closed port. A reused socket gets
+// one datagram to be right; see roundTrip.
 func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte) (*dnswire.Message, error) {
-	conn, err := dialUDP(server, c.timeout())
-	if err != nil {
-		return nil, err
+	start := timeNow()
+	deadline := start.Add(c.timeout())
+	s, reused := c.draw(server, start)
+	for {
+		if !reused {
+			conn, err := dialUDP(server, c.timeout())
+			if err != nil {
+				return nil, err
+			}
+			c.dialed.Add(1)
+			s = ringSock{conn: conn, server: server, born: start}
+		}
+		resp, err := roundTrip(s.conn, deadline, q, data, reused)
+		if err == nil {
+			c.park(s)
+			return resp, nil
+		}
+		c.retire(s)
+		if err != errStale {
+			return nil, err
+		}
+		reused = false // once more, on a socket nothing was sent to yet
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(c.timeout()))
+}
+
+// roundTrip writes data on conn and reads until q's answer arrives or
+// the deadline passes. On a fresh socket a datagram that does not parse
+// or does not match is skipped, since only something sent inside this
+// round trip can be in its queue. On a reused one it is errStale: the
+// datagram may have been placed while the socket sat idle, and idle time
+// must not buy an off-path sender more guesses than a round trip does.
+func roundTrip(conn net.Conn, deadline time.Time, q *dnswire.Message, data []byte, reused bool) (*dnswire.Message, error) {
+	conn.SetDeadline(deadline)
 	if _, err := conn.Write(data); err != nil {
 		return nil, err
 	}
@@ -190,14 +306,87 @@ func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte) (*d
 			return nil, err
 		}
 		resp, err := dnswire.Unpack(buf[:n])
-		if err != nil {
-			continue // garbage datagram; keep waiting for the real one
+		if err == nil {
+			err = validate(q, resp)
 		}
-		if err := validate(q, resp); err != nil {
-			continue // mismatched datagram (spoof/stale); keep waiting
+		if err == nil {
+			return resp, nil
 		}
-		return resp, nil
+		if reused {
+			return nil, errStale
+		}
+		// garbage or mismatched (spoofed) datagram; keep waiting
 	}
+}
+
+// draw takes a socket parked for server out of the ring, uniformly among
+// them, and closes instead of returning any it finds older than ringAge.
+// It reports false when none is left: a busy ring means a fresh dial.
+func (c *Client) draw(server string, start time.Time) (ringSock, bool) {
+	for {
+		var at [ringIdle]int // park keeps a server's share within this
+		n := 0
+		c.mu.Lock()
+		for i := range c.idle {
+			if c.idle[i].server == server {
+				at[n] = i
+				n++
+			}
+		}
+		if n == 0 {
+			c.mu.Unlock()
+			return ringSock{}, false
+		}
+		i, last := at[c.rand().Intn(n)], len(c.idle)-1
+		s := c.idle[i]
+		c.idle[i], c.idle[last] = c.idle[last], ringSock{}
+		c.idle = c.idle[:last]
+		c.mu.Unlock()
+		if start.Sub(s.born) <= ringAge {
+			c.reused.Add(1)
+			return s, true
+		}
+		c.retire(s)
+	}
+}
+
+// park puts s back after a validated answer, unless that was its last
+// permitted use or its server's share of the ring is full. A ring full
+// of other servers' sockets gives one of them up instead, so sockets
+// parked for servers no longer asked cannot keep a busy one out.
+func (c *Client) park(s ringSock) {
+	s.uses++
+	if s.uses >= ringUses {
+		c.retire(s)
+		return
+	}
+	c.mu.Lock()
+	share := 0
+	for i := range c.idle {
+		if c.idle[i].server == s.server {
+			share++
+		}
+	}
+	// From here s is the socket left over, if any.
+	switch {
+	case share >= ringIdle:
+	case len(c.idle) >= ringIdleMax:
+		i := c.rand().Intn(len(c.idle))
+		s, c.idle[i] = c.idle[i], s
+	default:
+		c.idle = append(c.idle, s)
+		s = ringSock{}
+	}
+	c.mu.Unlock()
+	if s.conn != nil {
+		c.retire(s)
+	}
+}
+
+// retire closes a socket the ring is done with. Never under c.mu.
+func (c *Client) retire(s ringSock) {
+	s.conn.Close()
+	c.retired.Add(1)
 }
 
 func (c *Client) exchangeTCP(server string, q *dnswire.Message, data []byte) (*dnswire.Message, error) {

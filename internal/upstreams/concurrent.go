@@ -14,11 +14,11 @@ type attemptResult struct {
 	err  error
 }
 
-// exchangeConcurrent is the wall-clock variant of Exchange: attempts
-// run in tracked goroutines, the hedge timer arms through the injected
-// After, and the first valid answer wins the real race. Stragglers are
-// settled (lost/cancelled) by a reaper goroutine, so the two ledgers
-// balance once Wait returns.
+// exchangeConcurrent is the wall-clock variant of a hedged Exchange:
+// attempts run in tracked goroutines, the hedge timer arms through the
+// injected After, and the first valid answer wins the real race.
+// Stragglers are settled (lost/cancelled) by a reaper goroutine, so the
+// two ledgers balance once Wait returns.
 func (p *Pool) exchangeConcurrent(from netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
 	start := p.cfg.Now()
 	budget := p.maxAttempts()

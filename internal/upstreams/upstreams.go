@@ -16,8 +16,10 @@
 // and reads time only through the injected Now, so a pool driven by
 // netem's virtual clock produces replay-identical traces, including
 // the hedge race, which is decided arithmetically by comparing modeled
-// completion times. Concurrent mode (for real sockets) races attempts
-// in tracked goroutines using the injected After.
+// completion times. Concurrent mode (for real sockets) races a hedge
+// against its primary in tracked goroutines using the injected After;
+// with hedging off nothing can race, and it too runs every attempt on
+// the caller's goroutine.
 package upstreams
 
 import (
@@ -103,9 +105,10 @@ type Config struct {
 	// MaxAttempts bounds the attempts (primary, hedges, failovers) one
 	// Exchange may issue (default: the number of upstreams).
 	MaxAttempts int
-	// Concurrent races attempts in real goroutines instead of the
-	// deterministic virtual race; required for wall-clock transports,
-	// forbidden meaningless work for netem. Requires After.
+	// Concurrent races a hedge against its primary in real goroutines
+	// instead of the deterministic virtual race; required for wall-clock
+	// transports, meaningless work for netem. Requires After. Without
+	// Hedge.Enabled no two attempts overlap and no goroutine is started.
 	Concurrent bool
 	// After schedules the concurrent hedge timer (time.After for live
 	// pools). Only consulted when Concurrent is set.
@@ -195,7 +198,7 @@ func (p *Pool) maxAttempts() int {
 }
 
 // Wait blocks until every in-flight concurrent attempt has settled.
-// Sequential pools return immediately.
+// Sequential and unhedged pools return immediately.
 func (p *Pool) Wait() { p.wg.Wait() }
 
 // Exchange resolves one query through the pool: pick the healthiest
@@ -206,11 +209,14 @@ func (p *Pool) Wait() { p.wg.Wait() }
 // than the virtual clock consumed, since the hedge chain runs after
 // the primary chain rather than beside it).
 func (p *Pool) Exchange(from netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	if p.cfg.Concurrent {
+	budget := p.maxAttempts()
+	// Only a hedge puts two attempts in flight at once. Without one a
+	// failover starts after the attempt before it has failed, so the
+	// loop below is the whole of it, on the caller's goroutine.
+	if p.cfg.Concurrent && p.cfg.Hedge.Enabled && budget > 1 {
 		return p.exchangeConcurrent(from, query)
 	}
 	tried := make(map[netip.Addr]bool, len(p.ups))
-	budget := p.maxAttempts()
 	used := 0
 	var lastErr error
 	var spent time.Duration // modeled time burned by failed rounds
