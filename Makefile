@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint fuzz verify experiments
+.PHONY: build test race vet lint verify experiments
 
 build:
 	$(GO) build ./...
@@ -26,11 +26,6 @@ lint:
 	fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/ecslint ./...
-
-fuzz:
-	$(GO) test -fuzz FuzzUnpack    -fuzztime $(FUZZTIME) -run NONE ./internal/dnswire
-	$(GO) test -fuzz FuzzNameParse -fuzztime $(FUZZTIME) -run NONE ./internal/dnswire
-	$(GO) test -fuzz FuzzDecode    -fuzztime $(FUZZTIME) -run NONE ./internal/ecsopt
 
 # The full tier-1 gate plus fuzz smokes, as verify.sh.
 verify:

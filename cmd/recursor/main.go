@@ -11,9 +11,9 @@
 //	         [-cache-entries 100000] [-cache-shards 8] \
 //	         [-negative-ttl 30s] [-min-ttl 0] [-max-ttl 0] [-no-coalesce]
 //
-// With -upstreams, cache misses go through the resilient upstream
-// pool instead of the single -upstream socket: health-gated failover
-// across the listed servers, optional request hedging (-hedge),
+// Cache misses go through the resilient upstream pool, over the servers
+// of -upstreams or the one server of -upstream (a pool of one):
+// health-gated failover, optional request hedging (-hedge),
 // per-upstream circuit breakers (-breaker), and the adaptive EDNS
 // payload ladder (-edns-ladder) that steps 4096 → 1232 → TCP on
 // truncation.
@@ -50,20 +50,6 @@ import (
 // expired to serve even stale. Against a MaxStale of an hour, a minute
 // keeps the overhang under 2 % of what the sweep exists to bound.
 const sweepInterval = time.Minute
-
-// socketTransport adapts the stub client to the resolver's Transport
-// interface, mapping simulation addresses to the single configured
-// upstream socket.
-type socketTransport struct {
-	client   *dnsclient.Client
-	upstream string
-}
-
-func (t *socketTransport) Exchange(_, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	start := time.Now()
-	resp, err := t.client.Exchange(t.upstream, q)
-	return resp, time.Since(start), err
-}
 
 // poolTransport adapts the upstream pool's exchange primitives onto
 // real sockets: each synthetic pool address maps to one configured
@@ -151,18 +137,57 @@ func checkHostPort(addr string) error {
 	return nil
 }
 
-// checkUpstreamFlags rejects the combinations in which a flag the
+// checkUpstreamFlags rejects the one combination in which a flag the
 // operator gave would be silently ignored: -upstream (given, not its
-// default) beside the pool that replaces it, and the pool's three
-// mechanisms without a pool.
-func checkUpstreamFlags(upstreamSet bool, pool, hedge, breaker, ladder string) error {
-	switch {
-	case pool != "" && upstreamSet:
+// default) beside the -upstreams list that replaces it.
+func checkUpstreamFlags(upstreamSet bool, list string) error {
+	if list != "" && upstreamSet {
 		return errors.New("-upstream and -upstreams are mutually exclusive")
-	case pool == "" && (hedge != "" || breaker != "" || ladder != ""):
-		return errors.New("-hedge, -breaker, and -edns-ladder require -upstreams")
 	}
 	return nil
+}
+
+// newPool assembles the one upstream leg recursor has, whichever flag
+// named the servers: the pool over spec's members and the client whose
+// ring every UDP query upstream leaves through. A resolver above a pool
+// runs no retry loop of its own and the pool's UDP attempts are
+// single-shot, so a fault is paid for once, by failover and the ladder.
+func newPool(spec, hedgeSpec, breakerSpec, ladderSpec string) (*upstreams.Pool, *dnsclient.Client, error) {
+	ups, targets, err := parsePoolSpec(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	hedge, err := upstreams.ParseHedge(hedgeSpec)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bad -hedge: %v", err)
+	}
+	breaker, err := upstreams.ParseBreaker(breakerSpec)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bad -breaker: %v", err)
+	}
+	ladder, err := upstreams.ParseLadder(ladderSpec)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bad -edns-ladder: %v", err)
+	}
+	udp := &dnsclient.Client{Retries: dnsclient.NoRetries}
+	pool, err := upstreams.New(upstreams.Config{
+		Upstreams: ups,
+		Transport: &poolTransport{
+			udp:     udp,
+			tcp:     &dnsclient.Client{ForceTCP: true},
+			targets: targets,
+		},
+		Now:        time.Now,
+		Hedge:      hedge,
+		Breaker:    breaker,
+		Ladder:     ladder,
+		Concurrent: true,
+		After:      time.After,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("pool: %v", err)
+	}
+	return pool, udp, nil
 }
 
 // randomSeed draws the resolver's query-ID seed from the system's
@@ -179,10 +204,10 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:5301", "UDP+TCP listen address")
 	zoneName := flag.String("zone", "scan.example.org", "zone served by the upstream authority")
 	upstream := flag.String("upstream", "127.0.0.1:5300", "authoritative server address")
-	upstreamsSpec := flag.String("upstreams", "", "resilient upstream pool, host:port[/priority[/weight]] comma-separated (empty = single -upstream)")
-	hedgeSpec := flag.String("hedge", "", "request hedging: off, on, or p=0.95,min=10ms,max=2s (requires -upstreams)")
-	breakerSpec := flag.String("breaker", "", "circuit breaker: off or fails=5,open=30s,probes=2 (requires -upstreams)")
-	ladderSpec := flag.String("edns-ladder", "", "EDNS payload ladder: off, or sizes like 4096,1232 with optional decay=5m (requires -upstreams)")
+	upstreamsSpec := flag.String("upstreams", "", "several upstreams with failover, host:port[/priority[/weight]] comma-separated (empty = the one -upstream)")
+	hedgeSpec := flag.String("hedge", "", "request hedging: off, on, or p=0.95,min=10ms,max=2s")
+	breakerSpec := flag.String("breaker", "", "circuit breaker: off or fails=5,open=30s,probes=2")
+	ladderSpec := flag.String("edns-ladder", "", "EDNS payload ladder: off, or sizes like 4096,1232 with optional decay=5m")
 	profileName := flag.String("profile", "compliant", "ECS behavior profile")
 	maxInflight := flag.Int("max-inflight", dnsserver.DefaultMaxInflight, "UDP queries handled concurrently (admission control)")
 	maxConns := flag.Int("max-conns", dnsserver.DefaultMaxConns, "simultaneous TCP connections (-1 = unlimited)")
@@ -236,8 +261,7 @@ func main() {
 	}
 
 	// The directory routes the configured zone (and everything else) to
-	// a placeholder address; the socket transport ignores it and talks
-	// to the upstream socket.
+	// a placeholder address; the pool ignores it and picks a member.
 	placeholder := netip.MustParseAddr("192.0.2.1")
 	dir := resolver.NewDirectory()
 	dir.Add(zone, placeholder)
@@ -267,56 +291,20 @@ func main() {
 	}
 	upstreamSet := false
 	flag.Visit(func(f *flag.Flag) { upstreamSet = upstreamSet || f.Name == "upstream" })
-	if err := checkUpstreamFlags(upstreamSet, *upstreamsSpec, *hedgeSpec, *breakerSpec, *ladderSpec); err != nil {
+	if err := checkUpstreamFlags(upstreamSet, *upstreamsSpec); err != nil {
 		log.Fatalf("recursor: %v", err)
 	}
-	var pool *upstreams.Pool
-	// udp is the client every UDP query upstream leaves through, in
-	// either mode; its sockets are reported and closed on exit.
-	var udp *dnsclient.Client
-	if *upstreamsSpec != "" {
-		ups, targets, err := parsePoolSpec(*upstreamsSpec)
-		if err != nil {
-			log.Fatalf("recursor: bad -upstreams: %v", err)
-		}
-		hedge, err := upstreams.ParseHedge(*hedgeSpec)
-		if err != nil {
-			log.Fatalf("recursor: bad -hedge: %v", err)
-		}
-		breaker, err := upstreams.ParseBreaker(*breakerSpec)
-		if err != nil {
-			log.Fatalf("recursor: bad -breaker: %v", err)
-		}
-		ladder, err := upstreams.ParseLadder(*ladderSpec)
-		if err != nil {
-			log.Fatalf("recursor: bad -edns-ladder: %v", err)
-		}
-		udp = &dnsclient.Client{Retries: dnsclient.NoRetries}
-		pool, err = upstreams.New(upstreams.Config{
-			Upstreams: ups,
-			Transport: &poolTransport{
-				udp:     udp,
-				tcp:     &dnsclient.Client{ForceTCP: true},
-				targets: targets,
-			},
-			Now:        time.Now,
-			Hedge:      hedge,
-			Breaker:    breaker,
-			Ladder:     ladder,
-			Concurrent: true,
-			After:      time.After,
-		})
-		if err != nil {
-			log.Fatalf("recursor: pool: %v", err)
-		}
-		resCfg.Pool = pool
-	} else {
-		if err := checkHostPort(*upstream); err != nil {
-			log.Fatalf("recursor: bad -upstream: %v", err)
-		}
-		udp = &dnsclient.Client{}
-		resCfg.Transport = &socketTransport{client: udp, upstream: *upstream}
+	spec := *upstreamsSpec
+	if spec == "" {
+		spec = *upstream // one upstream is a pool of one
 	}
+	// udp is the client every UDP query upstream leaves through; its
+	// sockets are reported and closed on exit.
+	pool, udp, err := newPool(spec, *hedgeSpec, *breakerSpec, *ladderSpec)
+	if err != nil {
+		log.Fatalf("recursor: %v", err)
+	}
+	resCfg.Pool = pool
 	res := resolver.New(resCfg)
 
 	srv := dnsserver.New(res)
@@ -328,11 +316,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("recursor: %v", err)
 	}
-	if pool != nil {
-		log.Printf("recursor: %s profile on %s, pool of %d upstreams [%s]", *profileName, bound, strings.Count(*upstreamsSpec, ",")+1, *upstreamsSpec)
-	} else {
-		log.Printf("recursor: %s profile on %s, upstream %s", *profileName, bound, *upstream)
-	}
+	log.Printf("recursor: %s profile on %s, pool of %d upstreams [%s]", *profileName, bound, strings.Count(spec, ",")+1, spec)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -359,14 +343,12 @@ serve:
 	log.Printf("recursor: served %d client queries, sent %d upstream", client, up)
 	log.Printf("recursor: %s", srv.Stats())
 	log.Printf("recursor: cache %s", res.Cache().Stats())
-	if pool != nil {
-		pool.Wait()
-		c := pool.Counters()
-		log.Printf("recursor: pool issued=%d won=%d lost=%d cancelled=%d failed=%d picks=%d granted=%d refused=%d balanced=%v",
-			c.Issued, c.Won, c.Lost, c.Cancelled, c.Failed, c.Picks, c.Granted, c.Refused, c.Balanced())
-		log.Printf("recursor: pool hedges=%d failovers=%d breaker-trips=%d ladder-steps=%d tcp-fallbacks=%d fast-fails=%d",
-			c.Hedges, c.Failovers, c.BreakerTrips, c.LadderSteps, c.TCPFallbacks, c.FastFails)
-	}
+	pool.Wait()
+	c := pool.Counters()
+	log.Printf("recursor: pool issued=%d won=%d lost=%d cancelled=%d failed=%d picks=%d granted=%d refused=%d balanced=%v",
+		c.Issued, c.Won, c.Lost, c.Cancelled, c.Failed, c.Picks, c.Granted, c.Refused, c.Balanced())
+	log.Printf("recursor: pool hedges=%d failovers=%d breaker-trips=%d ladder-steps=%d tcp-fallbacks=%d fast-fails=%d",
+		c.Hedges, c.Failovers, c.BreakerTrips, c.LadderSteps, c.TCPFallbacks, c.FastFails)
 	// reused/(dialed+reused) is the share of UDP queries that left on a
 	// parked socket. No key here may contain "shed=" or "received=": the
 	// benchmark reads those two out of the whole of stderr.

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"net"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"ecsdns/internal/dnswire"
+	"ecsdns/internal/resolver"
 	"ecsdns/internal/upstreams"
 )
 
@@ -32,27 +37,74 @@ func TestCheckHostPort(t *testing.T) {
 
 func TestCheckUpstreamFlags(t *testing.T) {
 	for _, tc := range []struct {
-		name                         string
-		upstreamSet                  bool
-		pool, hedge, breaker, ladder string
-		errPart                      string // non-empty: rejected mentioning this
+		name        string
+		upstreamSet bool
+		list        string
+		ok          bool
 	}{
-		{name: "defaults"},
-		{name: "single upstream given", upstreamSet: true},
-		{name: "pool with its mechanisms", pool: "127.0.0.1:5300", hedge: "on", breaker: "off", ladder: "off"},
-		// Even a well-formed -upstream is refused beside a pool: it would
+		{name: "defaults", ok: true},
+		{name: "single upstream given", upstreamSet: true, ok: true},
+		{name: "list alone", list: "127.0.0.1:5300", ok: true},
+		// Even a well-formed -upstream is refused beside a list: it would
 		// never be dialled, and a malformed one never checked.
-		{name: "upstream beside a pool", upstreamSet: true, pool: "127.0.0.1:5300", errPart: "mutually exclusive"},
-		{name: "hedge without a pool", hedge: "on", errPart: "require -upstreams"},
-		{name: "ladder without a pool", upstreamSet: true, ladder: "off", errPart: "require -upstreams"},
+		{name: "upstream beside a list", upstreamSet: true, list: "127.0.0.1:5300"},
 	} {
-		err := checkUpstreamFlags(tc.upstreamSet, tc.pool, tc.hedge, tc.breaker, tc.ladder)
-		if tc.errPart == "" && err != nil {
+		err := checkUpstreamFlags(tc.upstreamSet, tc.list)
+		if tc.ok && err != nil {
 			t.Errorf("%s: %v, want accepted", tc.name, err)
 		}
-		if tc.errPart != "" && (err == nil || !strings.Contains(err.Error(), tc.errPart)) {
-			t.Errorf("%s: error = %v, want one mentioning %q", tc.name, err, tc.errPart)
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "mutually exclusive")) {
+			t.Errorf("%s: error = %v, want one mentioning %q", tc.name, err, "mutually exclusive")
 		}
+	}
+}
+
+// TestSingleUpstreamDoesNotStackRetries pins that a dead upstream costs
+// one failure, not a product of retry loops: -upstream used to put the
+// client's own two retries and TCP fallback under the resolver's two
+// (nine UDP dials and three TCP dials per client query, each a timeout
+// against an upstream that drops instead of refusing).
+func TestSingleUpstreamDoesNotStackRetries(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("relies on Linux delivering ICMP errors to connected UDP sockets")
+	}
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := pc.LocalAddr().String()
+	pc.Close()
+	pool, udp, err := newPool(closed, "", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	dir := resolver.NewDirectory()
+	dir.Add(dnswire.Root, netip.MustParseAddr("192.0.2.1"))
+	res := resolver.New(resolver.Config{
+		Addr:      netip.MustParseAddr("127.0.0.1"),
+		Now:       time.Now,
+		Directory: dir,
+		Profile:   resolver.CompliantProfile(),
+		Pool:      pool,
+	})
+	q := dnswire.NewQuery(1, dnswire.MustParseName("dead.upstream.test."), dnswire.TypeA)
+	start := time.Now()
+	resp := res.HandleDNS(netip.MustParseAddr("127.0.0.1"), q)
+	elapsed := time.Since(start)
+	if resp == nil || resp.RCode != dnswire.RCodeServFail {
+		t.Fatalf("response = %+v, want SERVFAIL", resp)
+	}
+	if elapsed >= time.Second {
+		t.Fatalf("one query against a closed upstream port took %v, want under 1s", elapsed)
+	}
+	if _, up := res.Counters(); up != 1 {
+		t.Errorf("resolver sent %d upstream queries, want 1", up)
+	}
+	// The ladder steps down once on a UDP loss, so the pool's one attempt
+	// is at most two datagrams.
+	if st := udp.Stats(); st.Dialed > 2 {
+		t.Errorf("dialed %d upstream sockets for one client query, want <= 2", st.Dialed)
 	}
 }
 

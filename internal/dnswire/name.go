@@ -88,9 +88,6 @@ func MustParseName(s string) Name {
 // String returns the presentation form of the name.
 func (n Name) String() string { return string(n) }
 
-// IsRoot reports whether n is the DNS root.
-func (n Name) IsRoot() bool { return n == Root }
-
 // Labels returns the labels of n from most- to least-specific, excluding
 // the root. Labels(".") is empty.
 func (n Name) Labels() []string {

@@ -11,18 +11,18 @@ import (
 	"ecsdns/internal/ecsopt"
 )
 
-// The benchmarks below are the contract behind BENCH_cache.json: they
-// pit the single-mutex baseline (Shards: 1) against the sharded layout
-// at GOMAXPROCS shards, on both the unbounded (RLock) and bounded
-// (exclusive lock, LRU maintenance) lookup paths. verify.sh replays
-// them through cmd/benchjson to regenerate the artifact.
+// The benchmarks below pit the single-mutex baseline (Shards: 1)
+// against the sharded layout, on both the unbounded (RLock) and bounded
+// (exclusive lock, LRU maintenance) lookup paths. They are developer
+// tools: nothing records their output, and verify.sh runs them for one
+// iteration only so that they keep working.
 
 var benchNow = time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC)
 
 // benchLayouts is the shard sweep every cache benchmark runs: the
 // serialized single-mutex baseline against the default sharded
-// layout. Run with -cpu above 1 (as verify.sh does) so RunParallel
-// actually contends the locks.
+// layout. Run with -cpu above 1 so RunParallel actually contends the
+// locks.
 func benchLayouts() []struct {
 	name   string
 	shards int
@@ -117,43 +117,85 @@ func BenchmarkCacheLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheChurn measures a mixed workload under a capacity bound
-// tight enough that inserts continually evict: three lookups per
-// insert, with the insert stream walking an unbounded subnet space so
-// the LRU never stops working. This is the write-heavy contention
-// case where a single mutex serializes everything.
+// churnCache builds the cache the churn mix runs against: a capacity
+// bound tight enough that inserts continually evict.
+func churnCache(shards int) (*Cache, []Key) {
+	c := New(Config{
+		Mode:               HonorScope,
+		ClampScopeToSource: true,
+		Shards:             shards,
+		MaxEntries:         1024,
+	})
+	keys := benchKeys(64)
+	benchFill(c, keys, 8)
+	return c, keys
+}
+
+// churnOp is step n of the churn mix: three lookups per insert, with
+// the insert stream walking an unbounded subnet space so the LRU never
+// stops working.
+func churnOp(c *Cache, keys []Key, n int) {
+	key := keys[n%len(keys)]
+	if n%4 == 0 {
+		cs, _ := benchSubnet(n % 65536)
+		c.Insert(key, Entry{
+			HasECS: true,
+			Subnet: cs,
+			Expiry: benchNow.Add(time.Hour),
+		}, benchNow)
+	} else {
+		_, client := benchSubnet(n % 65536)
+		c.Lookup(key, client, benchNow)
+	}
+}
+
+// BenchmarkCacheChurn measures the churn mix under contention. This is
+// the write-heavy case where a single mutex serializes everything.
 func BenchmarkCacheChurn(b *testing.B) {
-	const keyCount = 64
 	for _, layout := range benchLayouts() {
 		b.Run(layout.name, func(b *testing.B) {
-			c := New(Config{
-				Mode:               HonorScope,
-				ClampScopeToSource: true,
-				Shards:             layout.shards,
-				MaxEntries:         1024,
-			})
-			keys := benchKeys(keyCount)
-			benchFill(c, keys, 8)
+			c, keys := churnCache(layout.shards)
 			var ctr atomic.Uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					n := int(ctr.Add(1))
-					key := keys[n%keyCount]
-					if n%4 == 0 {
-						cs, _ := benchSubnet(n % 65536)
-						c.Insert(key, Entry{
-							HasECS: true,
-							Subnet: cs,
-							Expiry: benchNow.Add(time.Hour),
-						}, benchNow)
-					} else {
-						_, client := benchSubnet(n % 65536)
-						c.Lookup(key, client, benchNow)
-					}
+					churnOp(c, keys, int(ctr.Add(1)))
 				}
 			})
 		})
+	}
+}
+
+// TestAllocGateCacheChurn holds the bounded path — insert, LRU
+// maintenance, eviction, and the lookups between — to the one object it
+// has to allocate: the entry the cache keeps. One measured run is one
+// cycle of the mix (three lookups, one insert), because the benchmark's
+// "0 allocs/op" is that entry's 0.25 per operation rounded down, which a
+// second allocation per insert (0.5) would round down to as well.
+func TestAllocGateCacheChurn(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, layout := range benchLayouts() {
+		c, keys := churnCache(layout.shards)
+		n := 0
+		cycle := func() {
+			for i := 0; i < 4; i++ {
+				n++
+				churnOp(c, keys, n)
+			}
+		}
+		// Let every list the insert stream touches reach its steady
+		// length before counting, so slice growth is behind us.
+		for n < 1<<16 {
+			cycle()
+		}
+		if got := testing.AllocsPerRun(2000, cycle); got > 1 {
+			t.Errorf("%s: a cycle of the churn mix allocates %.0f objects, want 1 (the stored entry)", layout.name, got)
+		}
+		if c.Stats().Evictions == 0 {
+			t.Errorf("%s: the mix evicted nothing; the bound is not doing its job", layout.name)
+		}
 	}
 }

@@ -101,3 +101,31 @@ func TestConcurrentCacheAccess(t *testing.T) {
 		})
 	}
 }
+
+// TestConcurrentBoundedHits: a hit in a bounded shard splices the
+// recency list, so lookups must exclude one another there, not only
+// writers. TestConcurrentCacheAccess cannot show that: its bounded cache
+// is too small for lookups to hit, and its writers order the readers
+// they run between. Here nothing writes, so under -race two readers are
+// enough to see a splice made under the read lock.
+func TestConcurrentBoundedHits(t *testing.T) {
+	c := New(Config{Mode: HonorScope, ClampScopeToSource: true, Shards: 1, MaxEntries: 64})
+	keys := benchKeys(8)
+	benchFill(c, keys, 4)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				_, client := benchSubnet((w + i) % 4)
+				if _, ok := c.Lookup(keys[i%len(keys)], client, benchNow); !ok {
+					t.Errorf("reader %d: lookup %d missed a resident entry", w, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -217,12 +217,6 @@ func (w *Internet) Locate(addr netip.Addr) (Location, bool) {
 	return cityLocation(ci), true
 }
 
-// LocateCityIndex returns the catalog index of the city an address maps
-// to.
-func (w *Internet) LocateCityIndex(addr netip.Addr) (int, bool) {
-	return w.cityIndexOf(addr)
-}
-
 func (w *Internet) cityIndexOf(addr netip.Addr) (int, bool) {
 	if addr.Is4In6() {
 		addr = addr.Unmap()

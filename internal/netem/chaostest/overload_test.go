@@ -6,22 +6,15 @@ import (
 	"ecsdns/internal/dnsserver"
 )
 
-// overloadFactor is the offered-load multiple: 10× capacity normally,
-// trimmed to 6× under -short — the budget verify.sh's dedicated
-// overload stage runs on.
-func overloadFactor() int {
-	if testing.Short() {
-		return 6
-	}
-	return 10
-}
+// overloadFactor is the offered-load multiple: 10× capacity.
+const overloadFactor = 10
 
 // overloadMatrix is the serving-layer overload matrix: the same flood
 // under each overflow policy.
 func overloadMatrix() []OverloadScenario {
 	return []OverloadScenario{
-		{Name: "flood-drop", MaxInflight: 8, FloodFactor: overloadFactor(), Overflow: dnsserver.OverflowDrop},
-		{Name: "flood-servfail", MaxInflight: 8, FloodFactor: overloadFactor(), Overflow: dnsserver.OverflowServFail},
+		{Name: "flood-drop", MaxInflight: 8, FloodFactor: overloadFactor, Overflow: dnsserver.OverflowDrop},
+		{Name: "flood-servfail", MaxInflight: 8, FloodFactor: overloadFactor, Overflow: dnsserver.OverflowServFail},
 	}
 }
 
@@ -55,7 +48,7 @@ func TestOverloadFloodMatrix(t *testing.T) {
 // counters, so the outcome is a function of the scenario, not of
 // scheduling.
 func TestOverloadDeterminism(t *testing.T) {
-	sc := OverloadScenario{Name: "flood-replay", MaxInflight: 8, FloodFactor: overloadFactor(),
+	sc := OverloadScenario{Name: "flood-replay", MaxInflight: 8, FloodFactor: overloadFactor,
 		Overflow: dnsserver.OverflowServFail}
 	a := RunOverload(t, sc)
 	b := RunOverload(t, sc)

@@ -62,10 +62,17 @@ func TestEngineCancelStopsClaims(t *testing.T) {
 	runs := make([]atomic.Int32, n)
 	var started atomic.Int32
 	eng := &Engine{Concurrency: workers}
-	err := eng.Run(ctx, n, func(_ context.Context, i int) error {
+	err := eng.Run(ctx, n, func(ctx context.Context, i int) error {
 		runs[i].Add(1)
-		if started.Add(1) == cancelAt {
+		started.Add(1)
+		switch {
+		case i == cancelAt-1:
 			cancel()
+		case i >= cancelAt:
+			// Claimed before the cancel landed: hold the worker until
+			// it has, or a descheduled canceller lets the other seven
+			// run on (188 jobs, once, on a loaded box under -race).
+			<-ctx.Done()
 		}
 		return nil
 	})

@@ -1,6 +1,7 @@
 package upstreams
 
 import (
+	"errors"
 	"sort"
 	"testing"
 	"time"
@@ -22,10 +23,10 @@ func lossyEveryN(n int, cost, lossCost time.Duration) scriptFn {
 	}
 }
 
-// BenchmarkBreakerFastFail measures the pool's refusal path: every
-// breaker is open, so Exchange must fail fast without touching any
-// transport — the cost a wedged pool adds to each query.
-func BenchmarkBreakerFastFail(b *testing.B) {
+// wedgedPool returns a pool whose every breaker one failed query has
+// opened, and its transport.
+func wedgedPool(tb testing.TB) (*Pool, *fakeTransport) {
+	tb.Helper()
 	tr := newFakeTransport()
 	clk := newFakeClock()
 	p, err := New(Config{
@@ -34,20 +35,53 @@ func BenchmarkBreakerFastFail(b *testing.B) {
 		Breaker: BreakerConfig{Failures: 1, OpenFor: time.Hour},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tr.set(upA, fails(time.Millisecond))
 	tr.set(upB, fails(time.Millisecond))
 	tr.set(upC, fails(time.Millisecond))
 	if _, _, err := p.Exchange(cli, query(1)); err == nil {
-		b.Fatal("tripping query answered")
+		tb.Fatal("tripping query answered")
 	}
+	return p, tr
+}
+
+// BenchmarkBreakerFastFail measures the pool's refusal path: every
+// breaker is open, so Exchange must fail fast without touching any
+// transport — the cost a wedged pool adds to each query.
+func BenchmarkBreakerFastFail(b *testing.B) {
+	p, _ := wedgedPool(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := p.Exchange(cli, query(uint16(i))); err == nil {
 			b.Fatal("open breakers answered")
 		}
+	}
+}
+
+// TestAllocGateBreakerFastFail holds the refusal path to what the
+// benchmark reads, where everyone runs it: a wedged pool answers with
+// ErrAllUnhealthy from its own bookkeeping — no transport call and no
+// allocation. (The benchmark's 2 allocs/op are its NewQuery per
+// iteration; the query here is built once, outside the measured func.)
+func TestAllocGateBreakerFastFail(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p, tr := wedgedPool(t)
+	tripped := len(tr.calls())
+	q := query(2)
+	got := testing.AllocsPerRun(200, func() {
+		if _, _, err := p.Exchange(cli, q); !errors.Is(err, ErrAllUnhealthy) {
+			t.Fatalf("wedged pool: err = %v, want ErrAllUnhealthy", err)
+		}
+	})
+	if got > 0 {
+		t.Errorf("a wedged pool's Exchange allocates %.0f objects per query, want 0", got)
+	}
+	if n := len(tr.calls()); n != tripped {
+		t.Errorf("a wedged pool reached its transport %d times", n-tripped)
 	}
 }
 

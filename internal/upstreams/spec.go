@@ -2,55 +2,10 @@ package upstreams
 
 import (
 	"fmt"
-	"net/netip"
 	"strconv"
 	"strings"
 	"time"
 )
-
-// ParseUpstreams parses the comma-separated upstream list the
-// command-line tools accept: each member is addr[/priority[/weight]],
-// e.g.
-//
-//	192.0.2.1,192.0.2.2/0/2,192.0.2.3/1
-//
-// Priority tiers order failover (lower first); weight is the relative
-// share within a tier. An empty spec is an error: a pool needs members.
-func ParseUpstreams(spec string) ([]Upstream, error) {
-	var out []Upstream
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		parts := strings.Split(item, "/")
-		if len(parts) > 3 {
-			return nil, fmt.Errorf("upstreams: %q: want addr[/priority[/weight]]", item)
-		}
-		addr, err := netip.ParseAddr(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("upstreams: %q: %v", item, err)
-		}
-		u := Upstream{Addr: addr}
-		if len(parts) > 1 {
-			u.Priority, err = strconv.Atoi(parts[1])
-			if err != nil || u.Priority < 0 {
-				return nil, fmt.Errorf("upstreams: %q: want a non-negative priority", item)
-			}
-		}
-		if len(parts) > 2 {
-			u.Weight, err = strconv.Atoi(parts[2])
-			if err != nil || u.Weight < 1 {
-				return nil, fmt.Errorf("upstreams: %q: want a positive weight", item)
-			}
-		}
-		out = append(out, u)
-	}
-	if len(out) == 0 {
-		return nil, ErrNoUpstreams
-	}
-	return out, nil
-}
 
 // ParseHedge parses the hedging spec: "" or "off" disables hedging;
 // "on" enables it with defaults; otherwise comma-separated knobs

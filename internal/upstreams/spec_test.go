@@ -5,27 +5,6 @@ import (
 	"time"
 )
 
-func TestParseUpstreams(t *testing.T) {
-	ups, err := ParseUpstreams("192.0.2.1, 192.0.2.2/0/2,192.0.2.3/1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ups) != 3 {
-		t.Fatalf("parsed %d upstreams", len(ups))
-	}
-	if ups[1].Weight != 2 || ups[2].Priority != 1 {
-		t.Fatalf("parsed = %+v", ups)
-	}
-	for _, bad := range []string{
-		"", " , ", "not-an-ip", "192.0.2.1/x", "192.0.2.1/-1",
-		"192.0.2.1/0/0", "192.0.2.1/0/1/2",
-	} {
-		if _, err := ParseUpstreams(bad); err == nil {
-			t.Errorf("ParseUpstreams(%q) accepted", bad)
-		}
-	}
-}
-
 func TestParseHedge(t *testing.T) {
 	if h, err := ParseHedge(""); err != nil || h.Enabled {
 		t.Fatalf("empty: %+v %v", h, err)
