@@ -206,8 +206,6 @@ type probeResult struct {
 // bulkProbe asks target for the A record of bulk<i>.<base> and reports
 // what came back. Apart from the probe name, which is new for every i,
 // it works in a pooled probeState and allocates nothing.
-//
-//ecsalloc:zero
 func bulkProbe(ctx context.Context, pipe *dnsclient.Pipeline, base dnswire.Name, target string, i int) probeResult {
 	st := probeStates.Get().(*probeState)
 	defer probeStates.Put(st)
@@ -222,7 +220,6 @@ func bulkProbe(ctx context.Context, pipe *dnsclient.Pipeline, base dnswire.Name,
 	if len(st.name)+1 > dnswire.MaxNameLen {
 		return probeResult{outcome: probeBadName, err: dnswire.ErrNameTooLong}
 	}
-	//ecsalloc:sink the probe name is unique per target; this copy is the probe's one allocation
 	st.q.Questions[0].Name = dnswire.Name(st.name)
 	start := time.Now()
 	if err := pipe.ExchangeInto(ctx, target, &st.q, &st.resp); err != nil {

@@ -24,8 +24,6 @@ package main
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -34,7 +32,6 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -43,99 +40,13 @@ import (
 	"ecsdns/internal/dnsserver"
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/resolver"
-	"ecsdns/internal/upstreams"
+	"ecsdns/internal/upstreams/live"
 )
 
 // sweepInterval is how often the cache is swept of entries too long
 // expired to serve even stale. Against a MaxStale of an hour, a minute
 // keeps the overhang under 2 % of what the sweep exists to bound.
 const sweepInterval = time.Minute
-
-// poolTransport adapts the upstream pool's exchange primitives onto
-// real sockets: each synthetic pool address maps to one configured
-// host:port. UDP attempts are single-shot with no client-side retries
-// or fallback — the pool's ladder owns transport escalation — and TCP
-// goes straight to a framed connection.
-type poolTransport struct {
-	udp     *dnsclient.Client
-	tcp     *dnsclient.Client
-	targets map[netip.Addr]string
-}
-
-func (t *poolTransport) Exchange(_, to netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	server, ok := t.targets[to]
-	if !ok {
-		return nil, 0, fmt.Errorf("recursor: no socket for pool address %v", to)
-	}
-	start := time.Now()
-	resp, err := t.udp.ExchangeUDP(server, q)
-	return resp, time.Since(start), err
-}
-
-func (t *poolTransport) ExchangeTCP(_, to netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	server, ok := t.targets[to]
-	if !ok {
-		return nil, 0, fmt.Errorf("recursor: no socket for pool address %v", to)
-	}
-	start := time.Now()
-	resp, err := t.tcp.Exchange(server, q)
-	return resp, time.Since(start), err
-}
-
-// parsePoolSpec parses "host:port[/priority[/weight]],..." into pool
-// upstreams on synthetic 192.0.2.x addresses plus the socket map the
-// poolTransport routes by.
-func parsePoolSpec(spec string) ([]upstreams.Upstream, map[netip.Addr]string, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) > 254 {
-		return nil, nil, fmt.Errorf("pool spec lists %d upstreams; max 254", len(parts))
-	}
-	targets := make(map[netip.Addr]string, len(parts))
-	ups := make([]upstreams.Upstream, 0, len(parts))
-	for i, part := range parts {
-		part = strings.TrimSpace(part)
-		fields := strings.Split(part, "/")
-		if part == "" || len(fields) > 3 {
-			return nil, nil, fmt.Errorf("bad pool upstream %q: want host:port[/priority[/weight]]", part)
-		}
-		if err := checkHostPort(fields[0]); err != nil {
-			return nil, nil, fmt.Errorf("bad pool upstream %q: %v", part, err)
-		}
-		u := upstreams.Upstream{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i + 1)})}
-		if len(fields) > 1 {
-			p, err := strconv.Atoi(fields[1])
-			if err != nil || p < 0 {
-				return nil, nil, fmt.Errorf("bad priority in pool upstream %q", part)
-			}
-			u.Priority = p
-		}
-		if len(fields) > 2 {
-			wt, err := strconv.Atoi(fields[2])
-			if err != nil || wt < 1 {
-				return nil, nil, fmt.Errorf("bad weight in pool upstream %q", part)
-			}
-			u.Weight = wt
-		}
-		targets[u.Addr] = fields[0]
-		ups = append(ups, u)
-	}
-	return ups, targets, nil
-}
-
-// checkHostPort is the start-up check on every upstream address, so a
-// typo stops the process instead of turning every miss into SERVFAIL:
-// it must split as host:port, and an upstream names both ("127.0.0.1:"
-// splits, then dials port 0 for the life of the process).
-func checkHostPort(addr string) error {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return err
-	}
-	if host == "" || port == "" {
-		return fmt.Errorf("address %s: empty host or port", addr)
-	}
-	return nil
-}
 
 // checkUpstreamFlags rejects the one combination in which a flag the
 // operator gave would be silently ignored: -upstream (given, not its
@@ -145,59 +56,6 @@ func checkUpstreamFlags(upstreamSet bool, list string) error {
 		return errors.New("-upstream and -upstreams are mutually exclusive")
 	}
 	return nil
-}
-
-// newPool assembles the one upstream leg recursor has, whichever flag
-// named the servers: the pool over spec's members and the client whose
-// ring every UDP query upstream leaves through. A resolver above a pool
-// runs no retry loop of its own and the pool's UDP attempts are
-// single-shot, so a fault is paid for once, by failover and the ladder.
-func newPool(spec, hedgeSpec, breakerSpec, ladderSpec string) (*upstreams.Pool, *dnsclient.Client, error) {
-	ups, targets, err := parsePoolSpec(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	hedge, err := upstreams.ParseHedge(hedgeSpec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad -hedge: %v", err)
-	}
-	breaker, err := upstreams.ParseBreaker(breakerSpec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad -breaker: %v", err)
-	}
-	ladder, err := upstreams.ParseLadder(ladderSpec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad -edns-ladder: %v", err)
-	}
-	udp := &dnsclient.Client{Retries: dnsclient.NoRetries}
-	pool, err := upstreams.New(upstreams.Config{
-		Upstreams: ups,
-		Transport: &poolTransport{
-			udp:     udp,
-			tcp:     &dnsclient.Client{ForceTCP: true},
-			targets: targets,
-		},
-		Now:        time.Now,
-		Hedge:      hedge,
-		Breaker:    breaker,
-		Ladder:     ladder,
-		Concurrent: true,
-		After:      time.After,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("pool: %v", err)
-	}
-	return pool, udp, nil
-}
-
-// randomSeed draws the resolver's query-ID seed from the system's
-// entropy: a live server's IDs must not be derivable from its boot time.
-func randomSeed() int64 {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		log.Fatalf("recursor: seeding query IDs: %v", err)
-	}
-	return int64(binary.LittleEndian.Uint64(b[:]))
 }
 
 func main() {
@@ -281,7 +139,7 @@ func main() {
 		Now:               time.Now,
 		Directory:         dir,
 		Profile:           profile,
-		Seed:              randomSeed(),
+		Seed:              dnsclient.RandomSeed(),
 		CacheEntries:      *cacheEntries,
 		CacheShards:       *cacheShards,
 		NegativeTTL:       *negTTL,
@@ -300,7 +158,7 @@ func main() {
 	}
 	// udp is the client every UDP query upstream leaves through; its
 	// sockets are reported and closed on exit.
-	pool, udp, err := newPool(spec, *hedgeSpec, *breakerSpec, *ladderSpec)
+	pool, udp, err := live.NewPool(spec, *hedgeSpec, *breakerSpec, *ladderSpec)
 	if err != nil {
 		log.Fatalf("recursor: %v", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/resolver"
 	"ecsdns/internal/upstreams"
+	"ecsdns/internal/upstreams/live"
 )
 
 func TestCheckHostPort(t *testing.T) {
@@ -29,8 +30,8 @@ func TestCheckHostPort(t *testing.T) {
 		{":53", false},
 		{":", false},
 	} {
-		if err := checkHostPort(tc.addr); (err == nil) != tc.ok {
-			t.Errorf("checkHostPort(%q) = %v, want ok=%v", tc.addr, err, tc.ok)
+		if err := live.CheckHostPort(tc.addr); (err == nil) != tc.ok {
+			t.Errorf("CheckHostPort(%q) = %v, want ok=%v", tc.addr, err, tc.ok)
 		}
 	}
 }
@@ -74,7 +75,7 @@ func TestSingleUpstreamDoesNotStackRetries(t *testing.T) {
 	}
 	closed := pc.LocalAddr().String()
 	pc.Close()
-	pool, udp, err := newPool(closed, "", "", "")
+	pool, udp, err := live.NewPool(closed, "", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +140,10 @@ func TestParsePoolSpec(t *testing.T) {
 		{name: "more than 254 members", spec: strings.TrimSuffix(strings.Repeat("127.0.0.1:53,", 255), ","), errPart: "max 254"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ups, targets, err := parsePoolSpec(tc.spec)
+			ups, targets, err := live.ParseSpec(tc.spec)
 			if tc.errPart != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.errPart) {
-					t.Fatalf("parsePoolSpec(%q) error = %v, want one mentioning %q", tc.spec, err, tc.errPart)
+					t.Fatalf("ParseSpec(%q) error = %v, want one mentioning %q", tc.spec, err, tc.errPart)
 				}
 				return
 			}
@@ -163,7 +164,7 @@ func TestParsePoolSpec(t *testing.T) {
 		})
 	}
 	// 254 members is the most the synthetic 192.0.2.x range can address.
-	if ups, _, err := parsePoolSpec(strings.TrimSuffix(strings.Repeat("127.0.0.1:53,", 254), ",")); err != nil || len(ups) != 254 {
+	if ups, _, err := live.ParseSpec(strings.TrimSuffix(strings.Repeat("127.0.0.1:53,", 254), ",")); err != nil || len(ups) != 254 {
 		t.Fatalf("254 members: %d upstreams, %v", len(ups), err)
 	}
 }

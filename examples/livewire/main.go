@@ -16,19 +16,8 @@ import (
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/ecsopt"
 	"ecsdns/internal/resolver"
+	"ecsdns/internal/upstreams/live"
 )
-
-// socketTransport adapts the stub client to the resolver Transport.
-type socketTransport struct {
-	client   *dnsclient.Client
-	upstream string
-}
-
-func (t *socketTransport) Exchange(_, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	start := time.Now()
-	resp, err := t.client.Exchange(t.upstream, q)
-	return resp, time.Since(start), err
-}
 
 func main() {
 	// 1. Authoritative server with ECS (scope = source − 4, the scan
@@ -49,14 +38,18 @@ func main() {
 	defer authSrv.Close()
 	fmt.Printf("authoritative on %s\n", authBound)
 
-	// 2. A compliant recursive resolver forwarding to it.
-	dir := resolver.NewDirectory()
-	dir.Add("live.example.", netip.MustParseAddr("192.0.2.1")) // routed by socket transport
-	upstream := &dnsclient.Client{}
+	// 2. A compliant recursive resolver forwarding to it through the
+	// upstream pool cmd/recursor builds: a pool of one.
+	pool, upstream, err := live.NewPool(authBound.String(), "", "", "")
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer upstream.Close()
+	dir := resolver.NewDirectory()
+	dir.Add("live.example.", netip.MustParseAddr("192.0.2.1")) // a placeholder: the pool picks the member
 	res := resolver.New(resolver.Config{
 		Addr:      netip.MustParseAddr("127.0.0.1"),
-		Transport: &socketTransport{client: upstream, upstream: authBound.String()},
+		Pool:      pool,
 		Now:       time.Now,
 		Directory: dir,
 		Profile:   resolver.CompliantProfile(),

@@ -118,16 +118,23 @@ func (c *Client) retries() int {
 	}
 }
 
-// rand returns the Client's generator, seeded from the system's entropy
-// on first use: the transaction IDs and ring draws it makes must not be
-// derivable from the process's start time. Callers hold c.mu.
+// RandomSeed draws a math/rand seed from the system's entropy. Query IDs
+// drawn from a generator it seeds cannot be derived from the time the
+// generator was made (RFC 5452), as a clock-seeded one's can.
+func RandomSeed() int64 {
+	var b [8]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		panic("dnsclient: no system entropy: " + err.Error())
+	}
+	return int64(binary.LittleEndian.Uint64(b[:]))
+}
+
+// rand returns the Client's generator, seeded by RandomSeed on first
+// use: it draws the transaction IDs and the ring's picks. Callers hold
+// c.mu.
 func (c *Client) rand() *rand.Rand {
 	if c.rng == nil {
-		var b [8]byte
-		if _, err := crand.Read(b[:]); err != nil {
-			panic("dnsclient: no system entropy: " + err.Error())
-		}
-		c.rng = rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(b[:]))))
+		c.rng = rand.New(rand.NewSource(RandomSeed()))
 	}
 	return c.rng
 }

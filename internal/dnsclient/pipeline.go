@@ -110,8 +110,6 @@ var waiterPool = sync.Pool{
 var timerPool sync.Pool
 
 // acquireTimer checks a reset timer out of the pool.
-//
-//ecspool:acquire
 func acquireTimer(d time.Duration) *time.Timer {
 	t, ok := timerPool.Get().(*time.Timer)
 	if !ok {
@@ -195,7 +193,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		s := &shard{
 			p:       p,
 			pc:      pc,
-			rng:     rand.New(rand.NewSource(time.Now().UnixNano() + int64(i)<<32)),
+			rng:     rand.New(rand.NewSource(RandomSeed())),
 			pending: make(map[pendingKey]*waiter),
 		}
 		p.shards = append(p.shards, s)
@@ -322,8 +320,6 @@ func (s *shard) readLoop() {
 // deliver routes one raw datagram to the waiter registered under its
 // (source, ID) — copying the bytes into the waiter's buffer, never
 // parsing past the header on the reader goroutine.
-//
-//ecsalloc:zero
 func (s *shard) deliver(b []byte, ap netip.AddrPort) {
 	id, isResponse, ok := dnswire.PeekHeader(b)
 	if !ok || !isResponse {
@@ -362,7 +358,6 @@ func (s *shard) register(dest netip.AddrPort, w *waiter) (uint16, error) {
 		s.pending[key] = w
 		return id, nil
 	}
-	//ecsalloc:sink ID-space exhaustion: 65536 queries already in flight to one destination
 	return 0, fmt.Errorf("dnsclient: no free query ID for %s", dest)
 }
 
@@ -386,8 +381,6 @@ func (s *shard) reregister(key pendingKey, w *waiter) bool {
 // A false return means the reader has already taken the key and a
 // signal on the waiter channel is imminent or delivered:
 // the caller must consume it before releasing the waiter.
-//
-//ecspool:guard
 func (s *shard) unregister(key pendingKey) bool {
 	s.mu.Lock()
 	_, ok := s.pending[key]
@@ -416,8 +409,6 @@ func (p *Pipeline) Exchange(ctx context.Context, server string, q *dnswire.Messa
 // zero-allocation hot path: with a reused resp, the steady-state UDP
 // round trip performs no heap allocations. resp's previous contents are
 // overwritten per the UnpackInto reuse contract.
-//
-//ecsalloc:zero
 func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.Message, resp *dnswire.Message) error {
 	if p.closed.Load() {
 		return ErrPipelineClosed
@@ -470,7 +461,6 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 				return nil
 			}
 			p.tcpFalls.Add(1)
-			//ecsalloc:sink TCP fallback, off the UDP hot path
 			return p.exchangeTCP(ctx, server, q, resp)
 		}
 		return nil
@@ -479,7 +469,6 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 		return lastErr
 	}
 	p.tcpFalls.Add(1)
-	//ecsalloc:sink TCP fallback, off the UDP hot path
 	return p.exchangeTCP(ctx, server, q, resp)
 }
 
@@ -507,7 +496,6 @@ func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswi
 			s.consume(w)
 		}
 		s.p.sendErrors.Add(1)
-		//ecsalloc:sink error construction on a failed send, off the steady-state path
 		return fmt.Errorf("%w: %v", errSendFailed, err)
 	}
 
@@ -527,14 +515,12 @@ func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswi
 			if !s.reregister(key, w) {
 				s.p.timeouts.Add(1)
 				s.release(w)
-				//ecsalloc:sink timed-out attempt, off the steady-state path
 				return fmt.Errorf("%w: %s %s", ErrTimeout, dest, question)
 			}
 		case <-timer.C:
 			if s.unregister(key) {
 				s.p.timeouts.Add(1)
 				s.release(w)
-				//ecsalloc:sink timed-out attempt, off the steady-state path
 				return fmt.Errorf("%w: %s %s", ErrTimeout, dest, question)
 			}
 			// Lost the race: a delivery is in flight. Consume it and
@@ -549,7 +535,6 @@ func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswi
 			s.p.mismatched.Add(1)
 			s.p.timeouts.Add(1)
 			s.release(w)
-			//ecsalloc:sink timed-out attempt, off the steady-state path
 			return fmt.Errorf("%w: %s %s", ErrTimeout, dest, question)
 		case <-ctx.Done():
 			return s.abort(key, w, ctx.Err())
@@ -571,8 +556,6 @@ func (s *shard) abort(key pendingKey, w *waiter, err error) error {
 // consume drains the in-flight signal the reader committed
 // to this waiter, then pools it. Only call after unregister returned
 // false.
-//
-//ecspool:consumer
 func (s *shard) consume(w *waiter) {
 	<-w.ch
 	waiterPool.Put(w)

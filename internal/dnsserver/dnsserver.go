@@ -406,9 +406,10 @@ func (s *Server) udpWorker(pc *net.UDPConn) {
 }
 
 // serveUDPPacket classifies one admitted datagram: RRL refusal (shed or
-// slipped), then decode-and-dispatch via process.
+// slipped), then decode-and-dispatch via process. The answer is packed
+// into a pooled buffer, so past the decode nothing here allocates
+// (TestAllocGateServeUDP counts it).
 //
-//ecsalloc:zero
 //ecsinvariant:handler counters
 func (s *Server) serveUDPPacket(pc *net.UDPConn, p udpPacket) {
 	if s.rrl != nil {
@@ -421,14 +422,12 @@ func (s *Server) serveUDPPacket(pc *net.UDPConn, p udpPacket) {
 			// The slip: a truncated (TC=1) empty reply that steers the
 			// client to TCP, which is never rate-limited.
 			s.stats.slipped.Add(1)
-			//ecsalloc:sink refusal replies are off the fast path
 			if data := refusalReply(p.pkt, dnswire.RCodeNoError, true); data != nil {
 				pc.WriteToUDPAddrPort(data, p.from)
 			}
 			return
 		}
 	}
-	//ecsalloc:sink the resolver handler owns its allocations; the transport stays zero-alloc
 	resp, query := s.process(p.from.Addr(), p.pkt)
 	if resp == nil {
 		return

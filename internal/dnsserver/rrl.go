@@ -144,7 +144,7 @@ func (r *rrl) decide(addr netip.Addr) rrlAction {
 		if len(r.buckets) >= r.maxBkts {
 			return rrlPass // table saturated: fail open, never fall over
 		}
-		//ecsalloc:sink first query from this prefix; buckets amortize across the scan
+		// A prefix's first query allocates its bucket; every later one reuses it.
 		b = &rrlBucket{tokens: r.burst, last: now}
 		r.buckets[key] = b
 	}

@@ -101,7 +101,6 @@ func decodeEDNSInto(p *parser, old *EDNS, owner Name, cls uint16, ttl uint32, rd
 	}
 	e := old
 	if e == nil {
-		//ecsalloc:sink first decode into this Message; the slot is reused afterwards
 		e = &EDNS{}
 	}
 	e.UDPSize = cls

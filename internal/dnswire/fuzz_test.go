@@ -45,6 +45,10 @@ func FuzzUnpack(f *testing.F) {
 	f.Add([]byte{0, 1, 0x80, 0, 0, 0, 0xFF, 0xFF, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Clip the capacity to the length: a read one byte past the end
+		// then panics on every input, not only on those whose capacity
+		// happens to be exact.
+		data = data[:len(data):len(data)]
 		m, err := Unpack(data)
 		if err != nil {
 			return
@@ -110,6 +114,7 @@ func FuzzUnpackReuse(f *testing.F) {
 	f.Add(seed2, []byte{0, 1, 0x80, 0, 0, 0, 0xFF, 0xFF, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, dirt, data []byte) {
+		dirt, data = dirt[:len(dirt):len(dirt)], data[:len(data):len(data)] // see FuzzUnpack
 		m := &Message{}
 		// First decode only exists to dirty m; failure is fine — a reused
 		// Message carrying the debris of a failed decode must still be a

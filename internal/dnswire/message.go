@@ -98,8 +98,6 @@ func (m *Message) PackNoCompress() ([]byte, error) {
 // The returned slice aliases buf's backing array; the caller owns it
 // and must not hand it to a consumer that outlives the buffer's reuse
 // cycle without copying.
-//
-//ecsalloc:zero
 func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 	return m.appendPack(buf, true)
 }
@@ -268,8 +266,6 @@ func Unpack(data []byte) (*Message, error) {
 // it references; a subsequent UnpackInto on the same Message
 // invalidates names, rdata, and option payloads from the previous
 // decode.
-//
-//ecsalloc:zero
 func UnpackInto(m *Message, data []byte) error {
 	st := unpackPool.Get().(*unpackState)
 	err := unpackInto(m, data, st)
@@ -278,7 +274,7 @@ func UnpackInto(m *Message, data []byte) error {
 }
 
 func unpackInto(m *Message, data []byte, st *unpackState) error {
-	//ecsalloc:sink parser never escapes the decode tree and stays on the stack
+	// p never escapes the decode tree, so it stays on the stack.
 	p := &parser{msg: data, st: st}
 	id, err := p.uint16()
 	if err != nil {
@@ -498,8 +494,6 @@ func (m *Message) TruncateTo(size int) ([]byte, error) {
 // the allocation-free variant for send paths that own a reusable
 // buffer. The returned slice aliases buf's backing array when it has
 // the capacity.
-//
-//ecsalloc:zero
 func (m *Message) AppendTruncateTo(buf []byte, size int) ([]byte, error) {
 	if size < 12 {
 		return nil, errTruncateSizeTooSmall

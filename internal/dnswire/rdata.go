@@ -182,7 +182,6 @@ func decodeRData(p *parser, t Type, rdlen int, old RData) (RData, error) {
 		}
 		r, ok := old.(*ARData)
 		if !ok {
-			//ecsalloc:sink slot type changed; steady-state decode reuses the old rdata
 			r = &ARData{}
 		}
 		r.Addr = netip.AddrFrom4([4]byte(raw))
@@ -194,7 +193,6 @@ func decodeRData(p *parser, t Type, rdlen int, old RData) (RData, error) {
 		}
 		r, ok := old.(*AAAARData)
 		if !ok {
-			//ecsalloc:sink slot type changed; steady-state decode reuses the old rdata
 			r = &AAAARData{}
 		}
 		r.Addr = netip.AddrFrom16([16]byte(raw))
@@ -202,7 +200,6 @@ func decodeRData(p *parser, t Type, rdlen int, old RData) (RData, error) {
 	case TypeCNAME:
 		r, ok := old.(*CNAMERData)
 		if !ok {
-			//ecsalloc:sink slot type changed; steady-state decode reuses the old rdata
 			r = &CNAMERData{}
 		}
 		n, err := p.name(r.Target)
@@ -214,7 +211,6 @@ func decodeRData(p *parser, t Type, rdlen int, old RData) (RData, error) {
 	case TypeNS:
 		r, ok := old.(*NSRData)
 		if !ok {
-			//ecsalloc:sink slot type changed; steady-state decode reuses the old rdata
 			r = &NSRData{}
 		}
 		n, err := p.name(r.Host)
@@ -226,7 +222,6 @@ func decodeRData(p *parser, t Type, rdlen int, old RData) (RData, error) {
 	case TypePTR:
 		r, ok := old.(*PTRRData)
 		if !ok {
-			//ecsalloc:sink slot type changed; steady-state decode reuses the old rdata
 			r = &PTRRData{}
 		}
 		n, err := p.name(r.Target)
@@ -238,7 +233,6 @@ func decodeRData(p *parser, t Type, rdlen int, old RData) (RData, error) {
 	case TypeMX:
 		r, ok := old.(*MXRData)
 		if !ok {
-			//ecsalloc:sink slot type changed; steady-state decode reuses the old rdata
 			r = &MXRData{}
 		}
 		pref, err := p.uint16()
@@ -254,7 +248,6 @@ func decodeRData(p *parser, t Type, rdlen int, old RData) (RData, error) {
 	case TypeTXT:
 		r, ok := old.(*TXTRData)
 		if !ok {
-			//ecsalloc:sink slot type changed; steady-state decode reuses the old rdata
 			r = &TXTRData{}
 		}
 		ss := r.Strings[:0]
@@ -273,7 +266,6 @@ func decodeRData(p *parser, t Type, rdlen int, old RData) (RData, error) {
 			var slot *string
 			ss, slot = grow(ss)
 			if *slot != string(raw) {
-				//ecsalloc:sink TXT string changed between decodes; equal strings reuse the slot
 				*slot = string(raw)
 			}
 		}
@@ -285,7 +277,6 @@ func decodeRData(p *parser, t Type, rdlen int, old RData) (RData, error) {
 	case TypeSOA:
 		r, ok := old.(*SOARData)
 		if !ok {
-			//ecsalloc:sink slot type changed; steady-state decode reuses the old rdata
 			r = &SOARData{}
 		}
 		mname, err := p.name(r.MName)
@@ -315,7 +306,6 @@ func decodeRData(p *parser, t Type, rdlen int, old RData) (RData, error) {
 		}
 		r, ok := old.(*UnknownRData)
 		if !ok {
-			//ecsalloc:sink slot type changed; steady-state decode reuses the old rdata
 			r = &UnknownRData{}
 		}
 		r.T = t

@@ -65,8 +65,6 @@ var builderPool = sync.Pool{
 }
 
 // acquireBuilder checks a pooled builder out over the caller's buffer.
-//
-//ecspool:acquire
 func acquireBuilder(buf []byte) *builder {
 	b := builderPool.Get().(*builder)
 	b.buf = buf
@@ -231,7 +229,6 @@ func (p *parser) name(old Name) (Name, error) {
 	if string(old) == string(scratch) {
 		return old, nil
 	}
-	//ecsalloc:sink name changed between decodes; steady-state reuse returns old above
 	return Name(scratch), nil
 }
 

@@ -122,6 +122,103 @@ func TestAllocGateRoundTrip(t *testing.T) {
 	}
 }
 
+// everyTypeResponse packs a response with one record of every RData type
+// the codec decodes, plus one it carries raw.
+func everyTypeResponse(t testing.TB) []byte {
+	q := NewQuery(0x4242, "all.types.example.", TypeA)
+	r := NewResponse(q)
+	owner := q.Question().Name
+	for _, d := range []RData{
+		&ARData{Addr: netip.MustParseAddr("192.0.2.1")},
+		&AAAARData{Addr: netip.MustParseAddr("2001:db8::1")},
+		&CNAMERData{Target: "edge.example.net."},
+		&NSRData{Host: "ns1.example.org."},
+		&PTRRData{Target: "host.example.org."},
+		&MXRData{Preference: 10, Host: "mx.example.org."},
+		&TXTRData{Strings: []string{"v=gate", "second string"}},
+		&SOARData{
+			MName: "ns1.example.org.", RName: "hostmaster.example.org.",
+			Serial: 1, Refresh: 2, Retry: 3, Expire: 4, Minimum: 5,
+		},
+		&UnknownRData{T: Type(65280), Raw: []byte{1, 2, 3}},
+	} {
+		r.Answers = append(r.Answers, RR{Name: owner, Class: ClassINET, TTL: 60, Data: d})
+	}
+	r.EDNS = NewEDNS()
+	wire, err := r.Pack()
+	if err != nil {
+		t.Fatalf("pack response: %v", err)
+	}
+	return wire
+}
+
+// TestAllocGateUnpackIntoEveryType holds every rdata decoder to the
+// reuse contract: re-decoding a record of unchanged type overwrites the
+// payload already in the slot — names and TXT strings included — rather
+// than allocating a new one.
+func TestAllocGateUnpackIntoEveryType(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	wire := everyTypeResponse(t)
+	m := &Message{}
+	if err := UnpackInto(m, wire); err != nil {
+		t.Fatalf("UnpackInto: %v", err)
+	}
+	if len(m.Answers) != 9 {
+		t.Fatalf("decoded %d answers, want 9", len(m.Answers))
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := UnpackInto(m, wire); err != nil {
+			t.Errorf("UnpackInto: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("re-decoding every rdata type allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestAllocGateAppendTruncateTo gates the server's send-path encode: an
+// answer too big for a 512-byte datagram is cut record by record and
+// repacked into the caller's buffer without allocating.
+func TestAllocGateAppendTruncateTo(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	q := scanQuery()
+	m := NewResponse(q)
+	a := func(i byte) RR {
+		return RR{Name: q.Question().Name, Class: ClassINET, TTL: 300,
+			Data: &ARData{Addr: netip.AddrFrom4([4]byte{192, 0, 2, i})}}
+	}
+	for i := byte(1); i <= 40; i++ {
+		m.Answers = append(m.Answers, a(i))
+	}
+	m.Authorities = []RR{a(41), a(42)}
+	m.Additionals = []RR{a(43), a(44)}
+	m.EDNS = NewEDNS()
+	answers, authorities, additionals := m.Answers, m.Authorities, m.Additionals
+	buf := make([]byte, 0, 4096)
+	truncate := func() {
+		// Each run truncates the full answer afresh: restore what the
+		// previous run cut (slice headers only).
+		m.Answers, m.Authorities, m.Additionals, m.Truncated = answers, authorities, additionals, false
+		out, err := m.AppendTruncateTo(buf[:0], 512)
+		if err != nil {
+			t.Errorf("AppendTruncateTo: %v", err)
+		}
+		if len(out) > 512 || !m.Truncated || len(m.Additionals) != 0 {
+			t.Errorf("got %d bytes, truncated=%v, %d additionals: the answer was not cut to fit",
+				len(out), m.Truncated, len(m.Additionals))
+		}
+	}
+	truncate()
+	allocs := testing.AllocsPerRun(200, truncate)
+	if allocs != 0 {
+		t.Fatalf("truncating to 512 bytes allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
 func BenchmarkPack(b *testing.B) {
 	m := scanQuery()
 	b.ReportAllocs()

@@ -52,12 +52,10 @@ type Program struct {
 	Info  *types.Info
 	Funcs []*FuncInfo // declaration order, literals after their encloser
 
-	// Spawns lists every go statement in the Program, in source order,
-	// with spawned callees resolved where they are statically known.
-	Spawns []*SpawnSite
+	// Spawns lists every go statement in the Program, in source order.
+	Spawns []*ast.GoStmt
 
 	byObj map[*types.Func]*FuncInfo
-	byLit map[*ast.FuncLit]*FuncInfo
 }
 
 // BuildProgram indexes the functions of the given files.
@@ -65,7 +63,6 @@ func BuildProgram(info *types.Info, files []*ast.File) *Program {
 	p := &Program{
 		Info:  info,
 		byObj: make(map[*types.Func]*FuncInfo),
-		byLit: make(map[*ast.FuncLit]*FuncInfo),
 	}
 	for _, f := range files {
 		for _, decl := range f.Decls {
@@ -80,45 +77,15 @@ func BuildProgram(info *types.Info, files []*ast.File) *Program {
 			}
 			p.Funcs = append(p.Funcs, fi)
 			p.indexLiterals(fd.Body, fi)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					p.Spawns = append(p.Spawns, g)
+				}
+				return true
+			})
 		}
 	}
-	p.indexSpawns()
 	return p
-}
-
-// SpawnSite is one `go` statement and the function it starts. Callee is
-// the spawned FuncInfo when the goroutine body is analyzable in this
-// Program — a function literal, or a declared in-package function named
-// statically — and nil for dynamic or out-of-package spawns.
-type SpawnSite struct {
-	Go     *ast.GoStmt
-	Callee *FuncInfo
-}
-
-// indexSpawns records every go statement, with the spawned callee
-// resolved where possible. Literal bodies are walked through their own
-// FuncInfo, so each GoStmt is visited exactly once.
-func (p *Program) indexSpawns() {
-	for _, fi := range p.Funcs {
-		root := fi.Body
-		ast.Inspect(root, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok && lit.Body != root {
-				return false // nested literal: owned by its own FuncInfo
-			}
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			site := &SpawnSite{Go: g}
-			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-				site.Callee = p.byLit[lit]
-			} else if obj := p.StaticCallee(g.Call); obj != nil {
-				site.Callee = p.byObj[obj]
-			}
-			p.Spawns = append(p.Spawns, site)
-			return true
-		})
-	}
 }
 
 // indexLiterals registers every function literal nested in body, with
@@ -132,7 +99,6 @@ func (p *Program) indexLiterals(body *ast.BlockStmt, encl *FuncInfo) {
 				return true
 			}
 			fi := &FuncInfo{Lit: lit, Body: lit.Body, Encl: encl}
-			p.byLit[lit] = fi
 			p.Funcs = append(p.Funcs, fi)
 			walk(lit.Body, fi)
 			return false // inner literals handled by the recursive walk

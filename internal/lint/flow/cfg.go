@@ -466,30 +466,6 @@ func (g *Graph) Preds() map[*Block][]*Block {
 	return preds
 }
 
-// ExitReachable reports whether any path from Entry reaches Exit: the
-// "provable exit path" test for spawned goroutines. Infinite `for {}`
-// loops have no head→after edge and `select {}` strands its after-block,
-// so a function stuck in either has no such path; a range over a channel
-// keeps its exit edge (close ends the loop).
-func (g *Graph) ExitReachable() bool {
-	seen := map[*Block]bool{g.Entry: true}
-	work := []*Block{g.Entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		if blk == g.Exit {
-			return true
-		}
-		for _, s := range blk.Succs {
-			if !seen[s] {
-				seen[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return false
-}
-
 // ExitBlocks returns the blocks with an edge to Exit, in block order:
 // the return statements plus the body's fallthrough end.
 func (g *Graph) ExitBlocks() []*Block {

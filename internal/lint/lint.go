@@ -35,9 +35,7 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.File, f.Line, f.Check, f.Msg)
 }
 
-// Check is one registered analysis. Exactly one of Run (invoked once per
-// loaded package) and Global (invoked once with every loaded package, for
-// whole-tree analyses like allocfree's call-chain descent) is set.
+// Check is one registered analysis, run once per loaded package.
 type Check struct {
 	// Name is the short identifier used in output, config, and
 	// //ecslint:ignore directives.
@@ -46,8 +44,6 @@ type Check struct {
 	Doc string
 	// Run analyzes ctx.Pkg.
 	Run func(ctx *Context)
-	// Global analyzes all packages together.
-	Global func(gctx *GlobalContext)
 }
 
 // AllChecks returns the registered check table, in output order.
@@ -61,8 +57,6 @@ func AllChecks() []Check {
 		rawwireCheck,
 		ctxflowCheck,
 		counterpartitionCheck,
-		allocfreeCheck,
-		poollifeCheck,
 		retentionCheck,
 		unusedignoreCheck,
 	}
@@ -112,12 +106,6 @@ type Config struct {
 	// shutdown into a hang.
 	CtxflowPackages []string
 
-	// AllocMustAnnotate lists functions (types.Func.FullName form) that
-	// must carry a //ecsalloc:zero annotation: the hot-path entry points
-	// whose zero-alloc contract is load-bearing. Un-annotating one is a
-	// finding, so the contract cannot be silently dropped.
-	AllocMustAnnotate []string
-
 	// RetentionPackages lists the import paths whose codec call sites
 	// are checked for aliases retained across a repack or pool return.
 	RetentionPackages []string
@@ -135,6 +123,7 @@ func DefaultConfig() *Config {
 		WallclockAllow: []string{
 			"ecsdns/internal/dnsclient",
 			"ecsdns/internal/dnsserver",
+			"ecsdns/internal/upstreams/live",
 			"ecsdns/cmd/authdns",
 			"ecsdns/cmd/recursor",
 			"ecsdns/cmd/ecsscan",
@@ -160,16 +149,6 @@ func DefaultConfig() *Config {
 			"ecsdns/internal/dnsserver",
 			"ecsdns/internal/scanner",
 			"ecsdns/internal/netem",
-		},
-		// The PR 7 zero-alloc surface: losing one of these annotations
-		// would retire the whole contract without any finding.
-		AllocMustAnnotate: []string{
-			"(*ecsdns/internal/dnswire.Message).AppendPack",
-			"ecsdns/internal/dnswire.UnpackInto",
-			"(*ecsdns/internal/dnswire.Message).AppendTruncateTo",
-			"(*ecsdns/internal/dnsclient.Pipeline).ExchangeInto",
-			"(*ecsdns/internal/dnsclient.shard).deliver",
-			"(*ecsdns/internal/dnsserver.Server).serveUDPPacket",
 		},
 		RetentionPackages: []string{
 			"ecsdns/internal/dnsclient",
@@ -229,39 +208,6 @@ func (c *Context) posInTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(c.Pkg.Fset.Position(pos).Filename, "_test.go")
 }
 
-// GlobalContext is the analysis state handed to Check.Global: the whole
-// loaded tree at once.
-type GlobalContext struct {
-	Pkgs     []*Package
-	Cfg      *Config
-	check    string
-	findings *[]Finding
-}
-
-// reportAs records a finding under a different check name than the
-// running one: the suppression-audit findings of unusedignore are
-// produced inside applyIgnores and allocfree rather than by a walker of
-// their own, but must carry their own check name for directives.
-func (g *GlobalContext) reportAs(check, file string, line, col int, format string, args ...any) {
-	*g.findings = append(*g.findings, Finding{
-		File: file, Line: line, Col: col,
-		Check: check,
-		Msg:   fmt.Sprintf(format, args...),
-	})
-}
-
-// Reportf records a finding at pos, resolved through pkg's file set.
-func (g *GlobalContext) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
-	p := pkg.Fset.Position(pos)
-	*g.findings = append(*g.findings, Finding{
-		File:  relToModule(pkg.ModuleDir, p.Filename),
-		Line:  p.Line,
-		Col:   p.Column,
-		Check: g.check,
-		Msg:   fmt.Sprintf(format, args...),
-	})
-}
-
 // Run executes every enabled check over pkgs and returns the surviving
 // findings: deterministically sorted, deduplicated, and filtered through
 // //ecslint:ignore directives.
@@ -272,10 +218,8 @@ func Run(pkgs []*Package, cfg *Config) []Finding {
 }
 
 // runChecks returns what the enabled checks report, before any directive
-// is applied. Per-package checks run concurrently (the CFG caches
-// synchronize via sync.Once and go/types lookups are read-only); global
-// checks run serially after, since they share the per-package flow
-// caches anyway.
+// is applied. Packages are analyzed concurrently (the CFG caches
+// synchronize via sync.Once and go/types lookups are read-only).
 func runChecks(pkgs []*Package, cfg *Config) []Finding {
 	perPkg := make([][]Finding, len(pkgs))
 	var wg sync.WaitGroup
@@ -284,7 +228,7 @@ func runChecks(pkgs []*Package, cfg *Config) []Finding {
 		go func(i int, pkg *Package) {
 			defer wg.Done()
 			for _, chk := range AllChecks() {
-				if chk.Run == nil || !cfg.CheckEnabled(chk.Name) {
+				if !cfg.CheckEnabled(chk.Name) {
 					continue
 				}
 				ctx := &Context{
@@ -303,18 +247,6 @@ func runChecks(pkgs []*Package, cfg *Config) []Finding {
 	var findings []Finding
 	for _, fs := range perPkg {
 		findings = append(findings, fs...)
-	}
-	for _, chk := range AllChecks() {
-		if chk.Global == nil || !cfg.CheckEnabled(chk.Name) {
-			continue
-		}
-		gctx := &GlobalContext{
-			Pkgs:     pkgs,
-			Cfg:      cfg,
-			check:    chk.Name,
-			findings: &findings,
-		}
-		chk.Global(gctx)
 	}
 	return findings
 }

@@ -43,9 +43,8 @@ func loadFixture(t *testing.T, l *Loader, name string) *Package {
 // fixtureConfig enables exactly one check, with the allow/target lists
 // pointed at the fixture packages (and the real codec packages, which
 // the uncheckederr fixtures import). The unusedignore fixtures also
-// enable the producers of the findings their directives claim to
-// suppress: staleness is only judged for checks that ran, and the
-// //ecsalloc:sink audit lives inside allocfree.
+// enable wallclock, the producer of the findings their directives claim
+// to suppress: staleness is only judged for checks that ran.
 func fixtureConfig(check string) *Config {
 	cfg := &Config{
 		Enabled:        map[string]bool{check: true},
@@ -63,9 +62,6 @@ func fixtureConfig(check string) *Config {
 			"fixture/ctxflowbad",
 			"fixture/ctxflowgood",
 		},
-		AllocMustAnnotate: []string{
-			"fixture/allocfreebad.mustBeZero",
-		},
 		RetentionPackages: []string{
 			"fixture/retentionbad",
 			"fixture/retentiongood",
@@ -73,7 +69,6 @@ func fixtureConfig(check string) *Config {
 	}
 	if check == "unusedignore" {
 		cfg.Enabled["wallclock"] = true
-		cfg.Enabled["allocfree"] = true
 	}
 	return cfg
 }
@@ -94,8 +89,6 @@ func TestCheckGolden(t *testing.T) {
 		{"rawwire", []string{"rawwiregood", "rawwirebad"}},
 		{"ctxflow", []string{"ctxflowgood", "ctxflowbad"}},
 		{"counterpartition", []string{"counterpartitiongood", "counterpartitionbad"}},
-		{"allocfree", []string{"allocfreegood", "allocfreebad"}},
-		{"poollife", []string{"poollifegood", "poollifebad"}},
 		{"retention", []string{"retentiongood", "retentionbad"}},
 		{"unusedignore", []string{"unusedignoregood", "unusedignorebad"}},
 	}
@@ -202,7 +195,7 @@ func TestCheckNamesUnique(t *testing.T) {
 	t.Parallel()
 	seen := make(map[string]bool)
 	for _, c := range AllChecks() {
-		if c.Name == "" || c.Doc == "" || (c.Run == nil) == (c.Global == nil) {
+		if c.Name == "" || c.Doc == "" || c.Run == nil {
 			t.Errorf("check %+v incompletely registered", c.Name)
 		}
 		if seen[c.Name] {

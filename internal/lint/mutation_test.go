@@ -54,17 +54,6 @@ func mutations() []mutation {
 			wantMsg: "aliases a reuse buffer",
 		},
 		{
-			// The response buffer is never returned: every answer leaks
-			// one pooled buffer. vet and the dnsserver race tests are
-			// green on it.
-			check:   "poollife",
-			pkg:     "ecsdns/internal/dnsserver",
-			file:    "dnsserver.go",
-			old:     putBack,
-			new:     "\t*rb = data[:0] // keep any growth for the next response\n",
-			wantMsg: "the pooled object leaks",
-		},
-		{
 			// The retry backoff stops listening for cancellation: a
 			// cancelled exchange sits out the whole backoff. vet and the
 			// dnsclient race tests are green on it.
@@ -103,18 +92,6 @@ func mutations() []mutation {
 			new: "\t\t\t\tif data := refusalReply(pkt, dnswire.RCodeServFail, false); data != nil {\n" +
 				"\t\t\t\t\tgo func() { pc.WriteToUDPAddrPort(data, from) }()\n",
 			wantMsg: "neither tracked",
-		},
-		{
-			// Every UDP answer is packed into a fresh buffer while the
-			// pooled one rides along unused. vet and the dnsserver tests,
-			// plain and race, are green on it: no allocation gate covers
-			// the server's send path.
-			check:   "allocfree",
-			pkg:     "ecsdns/internal/dnsserver",
-			file:    "dnsserver.go",
-			old:     "data, err := resp.AppendTruncateTo((*rb)[:0], limit)",
-			new:     "data, err := resp.AppendTruncateTo(make([]byte, 0, limit), limit)",
-			wantMsg: "make allocates on the //ecsalloc:zero path",
 		},
 		{
 			check: "unusedignore",

@@ -452,3 +452,42 @@ func isSliceExprType(info *types.Info, e ast.Expr) bool {
 	_, ok := t.Underlying().(*types.Slice)
 	return ok
 }
+
+// isPoolCall matches `p.<method>(...)` where p is a sync.Pool or
+// *sync.Pool.
+func isPoolCall(info *types.Info, call *ast.CallExpr, method string) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != method {
+		return false
+	}
+	t := typeOfExpr(info, sel.X)
+	if t == nil {
+		return false
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Pool" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
+}
+
+// typeOfExpr resolves an expression's type, preferring the identifier's
+// object (assignment left-hand sides are not always in Info.Types).
+func typeOfExpr(info *types.Info, e ast.Expr) types.Type {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		if obj := info.Uses[id]; obj != nil {
+			return obj.Type()
+		}
+		if obj := info.Defs[id]; obj != nil {
+			return obj.Type()
+		}
+	}
+	if tv, ok := info.Types[e]; ok {
+		return tv.Type
+	}
+	return nil
+}

@@ -51,8 +51,6 @@ var flowFixtures = []string{
 	"ctxflowbad", "ctxflowgood",
 	"counterpartitionbad", "counterpartitiongood",
 	"wallclockbad", "ignorefixture",
-	"allocfreebad", "allocfreegood",
-	"poollifebad", "poollifegood",
 	"retentionbad", "retentiongood",
 	"unusedignorebad", "unusedignoregood",
 }
@@ -134,9 +132,9 @@ func TestConcurrentRunsShareFlowCaches(t *testing.T) {
 	}
 }
 
-// TestLintTreeBudget runs the full check table (including the three
-// interprocedural allocation/pool/retention passes) over the real
-// module tree and fails if the pass blows a generous wall-time budget.
+// TestLintTreeBudget runs the full check table (including the
+// flow-sensitive passes) over the real module tree and fails if the
+// pass blows a generous wall-time budget.
 // The point is not a tight performance bound — CI machines vary — but a
 // tripwire: an accidentally exponential summary walk or a worklist that
 // stops converging shows up as minutes, not seconds.

@@ -2,8 +2,6 @@
 // tie at all — the shape behind PR 1's Add-after-Wait race.
 package goroutinetrackbad
 
-import "sync"
-
 func spawnUntracked(work func()) {
 	go func() {
 		work()
@@ -41,45 +39,4 @@ func spawnCloseNotifier(drain func()) <-chan struct{} {
 		drain()
 	}()
 	return done
-}
-
-type spinner struct {
-	wg sync.WaitGroup
-	n  int
-}
-
-// spin never reaches its exit: no Done case, no close-based range, no
-// breaking condition. Spawning it leaks the goroutine permanently —
-// named-function spawns are exempt from the tracking rule, not from
-// the leak rule.
-func (s *spinner) spin() {
-	for {
-		s.n++
-	}
-}
-
-func startSpinner(s *spinner) {
-	go s.spin()
-}
-
-// leakTracked is tracked by the WaitGroup — and still leaks: the body
-// after Done's defer can never terminate, so Wait blocks forever.
-func leakTracked(wg *sync.WaitGroup, busy func()) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			busy()
-		}
-	}()
-}
-
-// leakWrapped hides the same leak one call down: the tracked literal
-// returns only if spin does, and spin never does.
-func leakWrapped(wg *sync.WaitGroup, s *spinner) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.spin()
-	}()
 }

@@ -83,8 +83,7 @@ func (p *pool) startLiteral(n int) {
 }
 
 // startOnDemand is the coordinator shape: the sender owns a local
-// WaitGroup and wraps the named worker in a tracked literal. The check
-// follows the literal into drain, whose close-based range exits.
+// WaitGroup and wraps the named worker in a tracked literal.
 func (p *pool) startOnDemand(jobs []func()) {
 	var workers sync.WaitGroup
 	for _, j := range jobs {
@@ -103,26 +102,4 @@ func (p *pool) drain() {
 	for job := range p.queue {
 		job()
 	}
-}
-
-type stoppable struct {
-	jobs  chan func()
-	stopc chan struct{}
-}
-
-// loop has a provable exit path through the stop case: the spawned
-// goroutine can always be reclaimed by shutdown.
-func (s *stoppable) loop() {
-	for {
-		select {
-		case j := <-s.jobs:
-			j()
-		case <-s.stopc:
-			return
-		}
-	}
-}
-
-func startStoppable(s *stoppable) {
-	go s.loop()
 }

@@ -1,6 +1,5 @@
 // Package unusedignorebad hoards suppressions that suppress nothing:
-// directives for checks that ran and found the code clean, and a sink
-// on a zero-alloc path with no allocation to absorb.
+// directives for checks that ran and found the code clean.
 package unusedignorebad
 
 // stale names a check that runs and finds nothing on its span.
@@ -12,12 +11,4 @@ func stale() int {
 // staleSameLine rides a clean expression.
 func staleSameLine() int {
 	return 3 //ecslint:ignore wallclock clean line, stale directive
-}
-
-// sum is zero-alloc all by itself: its sink absorbs no site.
-//
-//ecsalloc:zero
-func sum(a, b int) int {
-	//ecsalloc:sink nothing allocates here
-	return a + b
 }

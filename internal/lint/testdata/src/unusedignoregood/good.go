@@ -4,10 +4,7 @@
 // unusedignore waiver.
 package unusedignoregood
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // sameLine suppresses the wallclock finding on its own line.
 func sameLine() time.Time {
@@ -33,12 +30,3 @@ func notJudged() int {
 //ecslint:ignore unusedignore retained as the worked example for the directive grammar
 //ecslint:ignore wallclock retained as the worked example for the directive grammar
 var keptForDocs = 1
-
-// format is on a zero-alloc contract; its one allocating line is
-// sunk, so the sink is live.
-//
-//ecsalloc:zero
-func format(n int) string {
-	//ecsalloc:sink fixture exercises a live sink
-	return fmt.Sprintf("%d", n)
-}

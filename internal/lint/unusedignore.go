@@ -1,34 +1,20 @@
 package lint
 
-// unusedignoreCheck is the suppression audit: an //ecslint:ignore or
-// //ecsalloc:sink directive that no longer suppresses anything is
-// itself a finding, so suppressions cannot outlive the code smell they
-// were written for and quietly blanket future regressions.
+// unusedignoreCheck is the suppression audit: an //ecslint:ignore
+// directive that no longer suppresses anything is itself a finding, so
+// suppressions cannot outlive the code smell they were written for and
+// quietly blanket future regressions.
 //
-// The detection has no walker of its own — it rides the machinery that
-// owns each directive kind:
-//
-//   - //ecslint:ignore staleness is computed inside applyIgnores, which
-//     already matches every finding against every span: a span left
-//     unused whose named checks all ran is stale (see staleIgnores in
-//     directives.go). A disabled check makes its spans unjudgeable, not
-//     stale.
-//
-//   - //ecsalloc:sink staleness is computed at the end of runAllocfree,
-//     which knows which spans absorbed an allocation site on a
-//     //ecsalloc:zero path (see the sunk bookkeeping in allocfree.go).
-//
-// Both report through this check's name, so a stale-directive finding
-// can itself be suppressed with //ecslint:ignore unusedignore <why> and
-// is toggled by the same Enabled switch as every other check. Run,
-// therefore, has nothing left to do.
+// The detection has no walker of its own: staleness is computed inside
+// applyIgnores, which already matches every finding against every span.
+// A span left unused whose named checks all ran is stale (see
+// staleIgnores in directives.go); a disabled check makes its spans
+// unjudgeable, not stale. The findings carry this check's name, so a
+// stale-directive finding can itself be suppressed with
+// //ecslint:ignore unusedignore <why> and is toggled by the same Enabled
+// switch as every other check. Run, therefore, has nothing to do.
 var unusedignoreCheck = Check{
-	Name:   "unusedignore",
-	Doc:    "stale suppression: //ecslint:ignore or //ecsalloc:sink directive that no longer suppresses anything",
-	Global: runUnusedignore,
-}
-
-func runUnusedignore(gctx *GlobalContext) {
-	// Intentionally empty: findings are produced by applyIgnores and
-	// runAllocfree under this check's name (see the type comment).
+	Name: "unusedignore",
+	Doc:  "stale suppression: //ecslint:ignore directive that no longer suppresses anything",
+	Run:  func(*Context) {},
 }

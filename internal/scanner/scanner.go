@@ -121,8 +121,9 @@ type Scan struct {
 	Timeout time.Duration
 	// Progress, when non-nil, receives live sent/done/error counters.
 	Progress *Progress
-	// Seed drives probe transaction IDs; 0 seeds from the wall clock.
-	// Chaos and replay harnesses set it for reproducible campaigns.
+	// Seed drives probe transaction IDs; 0 seeds from the system's
+	// entropy (dnsclient.RandomSeed). Chaos and replay harnesses set it
+	// for reproducible campaigns.
 	Seed int64
 
 	mu  sync.Mutex
@@ -139,7 +140,7 @@ func (s *Scan) randID() uint16 {
 	if s.rng == nil {
 		seed := s.Seed
 		if seed == 0 {
-			seed = time.Now().UnixNano() //ecslint:ignore wallclock live scans want unpredictable IDs; harnesses set Seed
+			seed = dnsclient.RandomSeed()
 		}
 		s.rng = rand.New(rand.NewSource(seed))
 	}
