@@ -136,12 +136,10 @@ func (s *Server) SetLog(f func(LogRecord)) {
 	s.mu.Unlock()
 }
 
-// zoneFor returns the most specific zone containing name.
-func (s *Server) zoneFor(name dnswire.Name) *Zone {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// zoneFor returns the most specific of zones containing name.
+func zoneFor(zones []*Zone, name dnswire.Name) *Zone {
 	var best *Zone
-	for _, z := range s.zones {
+	for _, z := range zones {
 		if name.IsSubdomainOf(z.Origin) {
 			if best == nil || z.Origin.CountLabels() > best.Origin.CountLabels() {
 				best = z
@@ -151,8 +149,14 @@ func (s *Server) zoneFor(name dnswire.Name) *Zone {
 	return best
 }
 
-// HandleDNS implements the full authoritative answer path.
+// HandleDNS implements the full authoritative answer path. It reads the
+// server's zones, hook and sink under one read lock, and reads the clock
+// only when a sink will receive the record.
 func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message {
+	s.mu.RLock()
+	zones, dyn, log := s.zones, s.dynamic, s.log
+	s.mu.RUnlock()
+
 	resp := dnswire.NewResponse(query)
 	if query.OpCode != dnswire.OpQuery {
 		resp.RCode = dnswire.RCodeNotImp
@@ -178,7 +182,7 @@ func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Mes
 		Name:     q.Name,
 		Type:     q.Type,
 	}
-	if s.cfg.Now != nil {
+	if log != nil && s.cfg.Now != nil {
 		rec.Time = s.cfg.Now()
 	}
 
@@ -194,21 +198,21 @@ func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Mes
 			if err != nil {
 				if s.cfg.Strict {
 					rec.ECSInvalid = true
-					s.emit(rec)
+					emit(log, rec)
 					resp.RCode = dnswire.RCodeFormErr
 					return resp
 				}
 				cs, err = ecsopt.DecodeLenient(opt)
 				if err != nil {
 					rec.ECSInvalid = true
-					s.emit(rec)
+					emit(log, rec)
 					resp.RCode = dnswire.RCodeFormErr
 					return resp
 				}
 			}
 			if err := ecsopt.ValidateQuery(cs); err != nil && s.cfg.Strict {
 				rec.ECSInvalid = true
-				s.emit(rec)
+				emit(log, rec)
 				resp.RCode = dnswire.RCodeFormErr
 				return resp
 			}
@@ -225,9 +229,6 @@ func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Mes
 	}
 
 	// Dynamic answers first (CDN mapping, flattening).
-	s.mu.RLock()
-	dyn := s.dynamic
-	s.mu.RUnlock()
 	if dyn != nil {
 		ecsForDyn := clientSubnet
 		hasForDyn := hasECS && speaksECS
@@ -244,16 +245,16 @@ func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Mes
 				rec.RespScope = respScope
 			}
 			rec.RCode = resp.RCode
-			s.emit(rec)
+			emit(log, rec)
 			return resp
 		}
 	}
 
-	z := s.zoneFor(q.Name)
+	z := zoneFor(zones, q.Name)
 	if z == nil {
 		resp.RCode = dnswire.RCodeRefused
 		rec.RCode = resp.RCode
-		s.emit(rec)
+		emit(log, rec)
 		return resp
 	}
 	resp.Authoritative = true
@@ -289,7 +290,7 @@ func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Mes
 		rec.RespScope = scope
 	}
 	rec.RCode = resp.RCode
-	s.emit(rec)
+	emit(log, rec)
 	return resp
 }
 
@@ -300,10 +301,8 @@ func attachRespECS(resp *dnswire.Message, cs ecsopt.ClientSubnet, scope uint8) {
 	ecsopt.Attach(resp, cs.WithScope(int(scope)))
 }
 
-func (s *Server) emit(rec LogRecord) {
-	s.mu.RLock()
-	log := s.log
-	s.mu.RUnlock()
+// emit hands rec to the query-log sink, when one is installed.
+func emit(log func(LogRecord), rec LogRecord) {
 	if log != nil {
 		log(rec)
 	}

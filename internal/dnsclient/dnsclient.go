@@ -191,12 +191,21 @@ func (c *Client) Query(server string, name dnswire.Name, t dnswire.Type, ecs *ec
 // retrying over UDP and falling back to TCP when the response is
 // truncated. q is sent exactly as given — including an ID of 0, which is
 // a legitimate transaction ID; use Query for automatic ID assignment.
+//
+// q is packed once, into a pooled buffer two bytes in: the UDP attempts
+// send the message, the TCP fallback frames the same bytes behind their
+// length, and the buffer goes back to the pool only when the exchange
+// returns.
 func (c *Client) Exchange(server string, q *dnswire.Message) (*dnswire.Message, error) {
-	data, err := q.Pack()
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	frame, err := q.AppendPack(append((*bp)[:0], 0, 0))
 	if err != nil {
 		return nil, err
 	}
+	*bp = frame[:0] // keep any growth for the next exchange
 	if !c.ForceTCP {
+		data := frame[2:]
 		for attempt := 0; attempt <= c.retries(); attempt++ {
 			resp, err := c.exchangeUDP(server, q, data)
 			if err != nil {
@@ -209,19 +218,23 @@ func (c *Client) Exchange(server string, q *dnswire.Message) (*dnswire.Message, 
 		}
 		// UDP exhausted or truncated: fall through to TCP.
 	}
-	return c.exchangeTCP(server, q, data)
+	return c.exchangeTCP(server, q, frame)
 }
 
 // ExchangeUDP sends q in a single UDP attempt with no retries and no
 // TCP fallback, returning truncated responses as-is. It exists for
 // callers that own transport-escalation policy themselves — the
 // upstreams pool's EDNS payload ladder steps payload sizes and falls
-// back to TCP on its own schedule.
+// back to TCP on its own schedule. q is packed into a pooled buffer
+// that goes back once the attempt has returned.
 func (c *Client) ExchangeUDP(server string, q *dnswire.Message) (*dnswire.Message, error) {
-	data, err := q.Pack()
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	data, err := q.AppendPack((*bp)[:0])
 	if err != nil {
 		return nil, err
 	}
+	*bp = data[:0] // keep any growth for the next exchange
 	return c.exchangeUDP(server, q, data)
 }
 
@@ -302,17 +315,21 @@ func roundTrip(conn net.Conn, deadline time.Time, q *dnswire.Message, data []byt
 	if _, err := conn.Write(data); err != nil {
 		return nil, err
 	}
-	// Unpack copies everything it keeps out of its input, so the buffer
-	// can go back to the pool while the Message lives on.
+	// The decode copies everything it keeps out of its input, so the
+	// buffer can go back to the pool while the Message lives on. The
+	// Message is the caller's once returned — a resolver caches its
+	// records — so each round trip decodes into a new one; datagrams
+	// skipped on the way are decoded into it too.
 	bp := readBufPool.Get().(*[]byte)
 	defer readBufPool.Put(bp)
 	buf := *bp
+	resp := &dnswire.Message{}
 	for {
 		n, err := conn.Read(buf)
 		if err != nil {
 			return nil, err
 		}
-		resp, err := dnswire.Unpack(buf[:n])
+		err = dnswire.UnpackInto(resp, buf[:n])
 		if err == nil {
 			err = validate(q, resp)
 		}
@@ -396,19 +413,21 @@ func (c *Client) retire(s ringSock) {
 	c.retired.Add(1)
 }
 
-func (c *Client) exchangeTCP(server string, q *dnswire.Message, data []byte) (*dnswire.Message, error) {
+// exchangeTCP runs one query over a fresh TCP connection. frame is the
+// packed query behind two bytes of room for its length.
+func (c *Client) exchangeTCP(server string, q *dnswire.Message, frame []byte) (*dnswire.Message, error) {
 	conn, err := net.DialTimeout("tcp", server, c.timeout())
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(c.timeout()))
-	resp, err := tcpRoundTrip(conn, data)
+	resp, err := tcpRoundTrip(conn, frame)
 	if err != nil {
 		return nil, err
 	}
-	m, err := dnswire.Unpack(resp)
-	if err != nil {
+	m := &dnswire.Message{}
+	if err := dnswire.UnpackInto(m, resp); err != nil {
 		return nil, err
 	}
 	if err := validate(q, m); err != nil {
@@ -418,12 +437,11 @@ func (c *Client) exchangeTCP(server string, q *dnswire.Message, data []byte) (*d
 }
 
 // tcpRoundTrip writes one length-prefixed DNS message over conn and reads
-// one framed response. The caller owns connection deadlines.
-func tcpRoundTrip(conn net.Conn, data []byte) ([]byte, error) {
-	out := make([]byte, 2+len(data))
-	binary.BigEndian.PutUint16(out, uint16(len(data)))
-	copy(out[2:], data)
-	if _, err := conn.Write(out); err != nil {
+// one framed response. frame is the packed message behind two bytes of
+// room, which take its length. The caller owns connection deadlines.
+func tcpRoundTrip(conn net.Conn, frame []byte) ([]byte, error) {
+	binary.BigEndian.PutUint16(frame, uint16(len(frame)-2))
+	if _, err := conn.Write(frame); err != nil {
 		return nil, err
 	}
 	var lenBuf [2]byte

@@ -129,7 +129,7 @@ func releaseTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// bufPool holds scratch buffers for packed queries.
+// bufPool holds the buffers Pipeline and Client pack queries into.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 512)
@@ -595,11 +595,11 @@ func (p *Pipeline) exchangeTCP(ctx context.Context, server string, q *dnswire.Me
 		deadline = dl
 	}
 	conn.SetDeadline(deadline)
-	data, err := q.Pack() // re-pack: attempts rewrote the ID
+	frame, err := q.AppendPack(make([]byte, 2, 512)) // re-pack: attempts rewrote the ID
 	if err != nil {
 		return err
 	}
-	respData, err := tcpRoundTrip(conn, data)
+	respData, err := tcpRoundTrip(conn, frame)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"hash/fnv"
 	"math/rand"
+	"net"
 	"net/netip"
 	"sync"
 	"testing"
@@ -275,5 +276,35 @@ func TestPipelineClosed(t *testing.T) {
 	}
 	if _, err := p.Exchange(context.Background(), "127.0.0.1:53", pipeQuery("x.pipe.test.")); err == nil {
 		t.Fatal("closed pipeline exchanged")
+	}
+}
+
+// TestPipelineShardsCarryTraffic checks that Shards does what it says:
+// 64 distinct names sent to one responder leave through every shard's
+// socket, so the responder hears all four source ports. Whether sharding
+// pays on a given machine is a throughput question this does not ask.
+func TestPipelineShardsCarryTraffic(t *testing.T) {
+	const shards = 4
+	var mu sync.Mutex
+	heard := map[uint16]bool{}
+	server := startEchoResponder(t, func(src netip.AddrPort) {
+		mu.Lock()
+		heard[src.Port()] = true
+		mu.Unlock()
+	})
+	p := newTestPipeline(t, PipelineConfig{Shards: shards, Timeout: 2 * time.Second, Retries: NoRetries, NoTCPFallback: true})
+	resp := &dnswire.Message{}
+	for i := 0; i < 64; i++ {
+		name := dnswire.MustParseName("s" + itoa(i) + ".shard.pipe.test.")
+		if err := p.ExchangeInto(context.Background(), server.String(), pipeQuery(name), resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, s := range p.shards {
+		if port := s.pc.LocalAddr().(*net.UDPAddr).AddrPort().Port(); !heard[port] {
+			t.Errorf("shard %d (port %d) carried none of 64 queries; ports heard: %v", i, port, heard)
+		}
 	}
 }

@@ -1,100 +1,262 @@
 package dnsserver
 
 import (
+	"encoding/binary"
+	"io"
 	"net"
 	"net/netip"
+	"strconv"
 	"testing"
 	"time"
 
 	"ecsdns/internal/dnswire"
 )
 
-// serveUDPAllocs is what one ECS query costs the server end to end —
-// read loop, admission, RRL, decode, dispatch, truncating encode and
-// send — over a handler that allocates nothing. All seven are the
-// decode into the fresh Message the Handler interface hands on: the
-// Message, its question slice and name, the additional-section slot the
-// OPT record is read into, the EDNS, its option slice and the ECS
-// payload. The transport adds nothing, so a change that makes the send
-// path allocate (a fresh response buffer, a copying truncation) or the
-// RRL decision allocate on a known prefix moves this number.
-const serveUDPAllocs = 7
+// The allocation gates count what a real Server allocates per query.
+// testing.AllocsPerRun counts every goroutine, so both ends of the socket
+// are kept allocation-free: the handler returns one response built before
+// the run, and the client is a raw socket writing packed queries and
+// reading replies into fixed buffers. Every gate skips under -race.
+//
+// A query costs the server nothing once its goroutine has warmed up: the
+// read loop copies the datagram into a pooled buffer, the worker decodes
+// it into the Message it keeps and packs the reply into the bytes it
+// keeps. A change that makes any of that allocate — a fresh Message per
+// datagram, a fresh response buffer, a copying truncation, an RRL bucket
+// copied on a known prefix — moves a count off zero.
+
+// gateQuery is the served workload's query: one question and an EDNS OPT
+// carrying an ECS option for 198.51.100.0/24.
+func gateQuery(name dnswire.Name) *dnswire.Message {
+	query := dnswire.NewQuery(0x4242, name, dnswire.TypeA)
+	query.EDNS = dnswire.NewEDNS()
+	query.EDNS.SetOption(dnswire.Option{
+		Code: dnswire.OptionCodeECS,
+		Data: []byte{0x00, 0x01, 0x18, 0x00, 198, 51, 100},
+	})
+	return query
+}
+
+// gateServer starts a server whose handler returns one prebuilt answer
+// and allocates nothing; configure, when set, runs before Start.
+func gateServer(t *testing.T, configure func(*Server)) (*Server, netip.AddrPort) {
+	t.Helper()
+	query := gateQuery("gate.serve.test.")
+	answer := dnswire.NewResponse(query)
+	answer.Answers = append(answer.Answers, dnswire.RR{
+		Name: query.Question().Name, Class: dnswire.ClassINET, TTL: 30,
+		Data: &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.1")},
+	})
+	srv := New(handlerFunc(func(netip.Addr, *dnswire.Message) *dnswire.Message { return answer }))
+	if configure != nil {
+		configure(srv)
+	}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv, addr
+}
+
+// packWires packs one gate query per name.
+func packWires(t *testing.T, names ...dnswire.Name) [][]byte {
+	t.Helper()
+	wires := make([][]byte, len(names))
+	for i, name := range names {
+		wire, err := gateQuery(name).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wires[i] = wire
+	}
+	return wires
+}
+
+// udpGate sends wires in turn to addr from one raw socket, requires
+// check to accept each reply, and fails when the average query costs
+// more than want objects after a warm-up of the worker, the buffer pools
+// and the RRL bucket.
+func udpGate(t *testing.T, addr netip.AddrPort, wires [][]byte, want float64, check func(reply []byte) bool) {
+	t.Helper()
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	// One deadline for the whole test: re-arming it per query is the
+	// client's cost, not the server's.
+	conn.SetReadDeadline(time.Now().Add(time.Minute))
+	buf := make([]byte, 2048)
+	next := 0
+	exchange := func() {
+		wire := wires[next%len(wires)]
+		next++
+		if _, err := conn.WriteToUDPAddrPort(wire, addr); err != nil {
+			t.Fatal(err)
+		}
+		n, _, err := conn.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !check(buf[:n]) {
+			t.Fatalf("reply %x is not the one expected", buf[:n])
+		}
+	}
+	for i := 0; i < 64; i++ {
+		exchange()
+	}
+	if allocs := testing.AllocsPerRun(2000, exchange); allocs > want {
+		t.Fatalf("a query costs the server %v objects, want <= %v", allocs, want)
+	}
+}
+
+// answered accepts a response to query 0x4242.
+func answered(reply []byte) bool {
+	id, response, ok := dnswire.PeekHeader(reply)
+	return ok && response && id == 0x4242
+}
 
 // TestAllocGateServeUDP counts the objects a real Server allocates per
-// UDP query. testing.AllocsPerRun counts every goroutine, so both ends of
-// the socket are kept allocation-free: the handler returns one response
-// built before the run, and the client is a raw socket writing a packed
-// query and reading the reply into fixed buffers.
+// UDP query: 0 for a repeated query, with RRL off and on, and 1 — the
+// decoded question name, which is new — when every query asks for a
+// name the worker's Message has not held before, as a resolver under
+// miss traffic sees.
 func TestAllocGateServeUDP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	// More names than the measured window holds queries, so no name
+	// repeats inside it.
+	fresh := make([]dnswire.Name, 4096)
+	for i := range fresh {
+		fresh[i] = dnswire.Name("q" + strconv.Itoa(i) + ".gate.serve.test.")
+	}
 	for _, tc := range []struct {
-		name string
-		rrl  *RRLConfig
+		name  string
+		rrl   *RRLConfig
+		names []dnswire.Name
+		want  float64
 	}{
-		{"plain", nil},
+		{"plain", nil, []dnswire.Name{"gate.serve.test."}, 0},
 		// A bucket of a billion tokens never runs dry: every query takes
 		// the limiter's pass path on the client's one known prefix.
-		{"rrl", &RRLConfig{Rate: 1e9}},
+		{"rrl", &RRLConfig{Rate: 1e9}, []dnswire.Name{"gate.serve.test."}, 0},
+		{"fresh-name", nil, fresh, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// The served workload's query: one question and an EDNS OPT
-			// carrying an ECS option for 198.51.100.0/24.
-			query := dnswire.NewQuery(0x4242, "gate.serve.test.", dnswire.TypeA)
-			query.EDNS = dnswire.NewEDNS()
-			query.EDNS.SetOption(dnswire.Option{
-				Code: dnswire.OptionCodeECS,
-				Data: []byte{0x00, 0x01, 0x18, 0x00, 198, 51, 100},
-			})
-			answer := dnswire.NewResponse(query)
-			answer.Answers = append(answer.Answers, dnswire.RR{
-				Name: query.Question().Name, Class: dnswire.ClassINET, TTL: 30,
-				Data: &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.1")},
-			})
-			srv := New(handlerFunc(func(netip.Addr, *dnswire.Message) *dnswire.Message { return answer }))
-			srv.RRL = tc.rrl
-			addr, err := srv.Start("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-
-			conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { conn.Close() })
-			// One deadline for the whole test: re-arming it per query is
-			// the client's cost, not the server's.
-			conn.SetReadDeadline(time.Now().Add(time.Minute))
-			wire, err := query.Pack()
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf := make([]byte, 2048)
-			exchange := func() {
-				if _, err := conn.WriteToUDPAddrPort(wire, addr); err != nil {
-					t.Fatal(err)
-				}
-				n, _, err := conn.ReadFromUDPAddrPort(buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if id, response, ok := dnswire.PeekHeader(buf[:n]); !ok || !response || id != 0x4242 {
-					t.Fatalf("reply %x is not the answer to query 0x4242", buf[:n])
-				}
-			}
-			// Warm the worker, the buffer pools and the RRL bucket.
-			for i := 0; i < 64; i++ {
-				exchange()
-			}
-			if allocs := testing.AllocsPerRun(2000, exchange); allocs > serveUDPAllocs {
-				t.Fatalf("a UDP query allocates %v objects, want <= %d", allocs, serveUDPAllocs)
-			}
+			srv, addr := gateServer(t, func(s *Server) { s.RRL = tc.rrl })
+			udpGate(t, addr, packWires(t, tc.names...), tc.want, answered)
 			if st := srv.Stats(); st.Shed != 0 || st.Slipped != 0 {
 				t.Fatalf("the gate's traffic was limited: %s", st)
 			}
 		})
 	}
+}
+
+// TestAllocGateServeTCP counts what a query costs on a kept TCP
+// connection: nothing, since the connection reads each frame into the
+// buffer it keeps, decodes into its own Message and frames the response
+// in its own output buffer.
+func TestAllocGateServeTCP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, addr := gateServer(t, nil)
+	conn, err := net.DialTCP("tcp", nil, net.TCPAddrFromAddrPort(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(time.Minute))
+	wire := packWires(t, "gate.serve.test.")[0]
+	frame := binary.BigEndian.AppendUint16(nil, uint16(len(wire)))
+	frame = append(frame, wire...)
+	lenBuf := make([]byte, 2)
+	buf := make([]byte, 2048)
+	exchange := func() {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, lenBuf); err != nil {
+			t.Fatal(err)
+		}
+		reply := buf[:binary.BigEndian.Uint16(lenBuf)]
+		if _, err := io.ReadFull(conn, reply); err != nil {
+			t.Fatal(err)
+		}
+		if !answered(reply) {
+			t.Fatalf("reply %x is not the answer to query 0x4242", reply)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		exchange()
+	}
+	if allocs := testing.AllocsPerRun(2000, exchange); allocs > 0 {
+		t.Fatalf("a query on a kept TCP connection allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestAllocGateShed counts what refusing a query costs: nothing, on both
+// shed paths. The read loop answers an overflow SERVFAIL from its own
+// workspace while every worker is wedged; a worker answers an RRL slip
+// from its own. Shedding a flood therefore leaves no garbage behind.
+func TestAllocGateShed(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	refused := func(rcode dnswire.RCode, tc bool) func([]byte) bool {
+		var m dnswire.Message // reused, so the check allocates nothing
+		return func(reply []byte) bool {
+			return dnswire.UnpackInto(&m, reply) == nil && m.ID == 0x4242 &&
+				m.Response && m.RCode == rcode && m.Truncated == tc && len(m.Answers) == 0
+		}
+	}
+	wires := packWires(t, "gate.serve.test.")
+
+	t.Run("overflow-servfail", func(t *testing.T) {
+		release := make(chan struct{})
+		srv := New(gate(release))
+		srv.MaxInflight = 1
+		srv.Overflow = OverflowServFail
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			close(release)
+			srv.Close()
+		})
+		// One query wedges the only worker and one fills the one-slot
+		// queue; every datagram after them is shed by the read loop.
+		conn := udpDial(t, addr.String())
+		conn.Write(packQuery(t, 1, "www.zone.test."))
+		waitStat(t, srv, "worker wedged", func(st ServerStats) bool { return st.Inflight == 1 })
+		conn.Write(packQuery(t, 2, "www.zone.test."))
+		waitStat(t, srv, "queue filled", func(st ServerStats) bool { return st.Received == 2 })
+		udpGate(t, addr, wires, 0, refused(dnswire.RCodeServFail, false))
+		if st := srv.Stats(); st.Shed != st.Received-2 {
+			t.Fatalf("the gate's traffic was not all shed: %s", st)
+		}
+	})
+
+	t.Run("rrl-slip", func(t *testing.T) {
+		// A frozen clock and a one-token bucket: once one query has taken
+		// the token every query is refused, and with Slip 1 every refusal
+		// slips. Loopback clients all share the bucket of 127.0.0.0/24.
+		frozen := time.Unix(1e9, 0)
+		srv, addr := gateServer(t, func(s *Server) {
+			s.RRL = &RRLConfig{Rate: 1, Burst: 1, Slip: 1}
+			s.Now = func() time.Time { return frozen }
+		})
+		conn := udpDial(t, addr.String())
+		conn.Write(packQuery(t, 1, "www.zone.test."))
+		if resp, ok := udpRead(t, conn, time.Second); !ok || resp.Truncated {
+			t.Fatalf("the bucket's one token did not answer: %v", resp)
+		}
+		udpGate(t, addr, wires, 0, refused(dnswire.RCodeNoError, true))
+		if st := srv.Stats(); st.Slipped != st.Received-1 {
+			t.Fatalf("the gate's traffic did not all slip: %s", st)
+		}
+	})
 }

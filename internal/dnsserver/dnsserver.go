@@ -13,6 +13,13 @@
 // panics are recovered per query and answered SERVFAIL, and every query
 // read off the wire is accounted for in ServerStats. Shutdown(ctx)
 // drains in-flight work gracefully; Close force-closes.
+//
+// The server owns the memory it decodes and encodes in. Each UDP worker,
+// each TCP connection and the UDP read loop keep one query Message and
+// one output buffer for as long as they live, so a served or refused
+// query allocates nothing of its own. The price is the Handler contract:
+// the query is borrowed for the call, and the next query on the same
+// goroutine is decoded into the same Message.
 package dnsserver
 
 import (
@@ -23,6 +30,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +40,16 @@ import (
 
 // Handler answers DNS queries. It matches netem.Handler so simulation
 // nodes can be served on real sockets unchanged.
+//
+// Both messages change hands at the call. The query is borrowed: it is
+// valid until HandleDNS returns, after which the server decodes the next
+// query into the same Message. A handler that keeps any slice, RR or
+// option payload of it past the call must copy it; strings (names) are
+// immutable and may be kept. The returned response becomes the
+// server's: it sets the ID and QR bit on it and, over UDP, may truncate
+// its sections, so a handler must not hand out a response it still
+// changes. Sharing the records of a cached answer is fine; truncation
+// reslices the response's own section slices and writes no record.
 type Handler interface {
 	HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message
 }
@@ -124,14 +142,62 @@ type udpPacket struct {
 }
 
 // udpBufPool recycles the per-datagram copies the UDP read loop hands
-// to the worker pool, and the response buffers workers pack into —
-// the two per-query allocations that would otherwise dominate the
-// serving hot path.
+// to the worker pool. The read loop takes one per datagram; the worker
+// that served it, or the read loop when it sheds it, puts it back.
 var udpBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 2048)
 		return &b
 	},
+}
+
+// workspace is the memory one serving goroutine decodes and encodes in:
+// a UDP worker, a TCP connection, or the read loop's shed path. It lives
+// as long as the goroutine, so each query is decoded into the same
+// Message and each reply packed into the same bytes.
+type workspace struct {
+	query dnswire.Message // the query the handler borrows
+	reply dnswire.Message // a refusal or FORMERR built from query
+	out   []byte          // the packed reply, valid until the next one
+}
+
+// refusal fills ws.reply with the minimal answer to a packet the server
+// will not dispatch: the packet's ID, QR set and rcode. When echo is
+// set, ws.query holds the packet's query, and the reply repeats its
+// opcode, RD flag and question, as dnswire.NewResponse would. A nil
+// return means the packet is too short to carry an ID.
+func (ws *workspace) refusal(pkt []byte, echo bool, rcode dnswire.RCode) *dnswire.Message {
+	id, ok := dnswire.PeekID(pkt)
+	if !ok {
+		return nil
+	}
+	r := &ws.reply
+	*r = dnswire.Message{Questions: r.Questions[:0]}
+	r.ID, r.Response, r.RCode = id, true, rcode
+	if echo {
+		r.OpCode, r.RecursionDesired = ws.query.OpCode, ws.query.RecursionDesired
+		r.Questions = append(r.Questions, ws.query.Questions...)
+	}
+	return r
+}
+
+// refuse decodes pkt and packs the refusal for it into ws.out: the
+// query's question echoed back when it parses as a query, with the given
+// rcode, truncated when tc is set. The bytes are valid until ws is next
+// used; nil means the packet cannot be identified well enough to answer.
+func (ws *workspace) refuse(pkt []byte, rcode dnswire.RCode, tc bool) []byte {
+	err := dnswire.UnpackInto(&ws.query, pkt)
+	r := ws.refusal(pkt, err == nil && !ws.query.Response, rcode)
+	if r == nil {
+		return nil
+	}
+	r.Truncated = tc
+	data, err := r.AppendPack(ws.out[:0])
+	if err != nil {
+		return nil
+	}
+	ws.out = data[:0]
+	return data
 }
 
 // New creates a server for the handler.
@@ -352,6 +418,7 @@ func (s *Server) isClosed() bool {
 func (s *Server) serveUDP(pc *net.UDPConn) {
 	defer s.loops.Done()
 	var workers sync.WaitGroup
+	var shed workspace
 	started, limit := int64(0), int64(s.maxInflight())
 	buf := make([]byte, 65535)
 	for {
@@ -382,7 +449,7 @@ func (s *Server) serveUDP(pc *net.UDPConn) {
 			// configured policy instead of queueing unbounded work.
 			s.stats.shed.Add(1)
 			if s.Overflow == OverflowServFail {
-				if data := refusalReply(pkt, dnswire.RCodeServFail, false); data != nil {
+				if data := shed.refuse(pkt, dnswire.RCodeServFail, false); data != nil {
 					pc.WriteToUDPAddrPort(data, from)
 				}
 			}
@@ -394,11 +461,12 @@ func (s *Server) serveUDP(pc *net.UDPConn) {
 }
 
 // udpWorker is one admission-pool worker: it applies RRL, then parses
-// and dispatches each queued packet.
+// and dispatches each queued packet, all in one workspace of its own.
 func (s *Server) udpWorker(pc *net.UDPConn) {
+	var ws workspace
 	for p := range s.queue {
 		s.stats.inflight.Add(1)
-		s.serveUDPPacket(pc, p)
+		s.serveUDPPacket(pc, p, &ws)
 		s.stats.inflight.Add(-1)
 		s.pending.Add(-1)
 		udpBufPool.Put(p.bp)
@@ -406,12 +474,13 @@ func (s *Server) udpWorker(pc *net.UDPConn) {
 }
 
 // serveUDPPacket classifies one admitted datagram: RRL refusal (shed or
-// slipped), then decode-and-dispatch via process. The answer is packed
-// into a pooled buffer, so past the decode nothing here allocates
-// (TestAllocGateServeUDP counts it).
+// slipped), then decode-and-dispatch via process. The query is decoded
+// into ws.query and the reply packed into ws.out, so nothing here
+// allocates once a worker has warmed up (TestAllocGateServeUDP counts
+// it).
 //
 //ecsinvariant:handler counters
-func (s *Server) serveUDPPacket(pc *net.UDPConn, p udpPacket) {
+func (s *Server) serveUDPPacket(pc *net.UDPConn, p udpPacket, ws *workspace) {
 	if s.rrl != nil {
 		switch s.rrl.decide(p.from.Addr()) {
 		case rrlDrop:
@@ -422,29 +491,26 @@ func (s *Server) serveUDPPacket(pc *net.UDPConn, p udpPacket) {
 			// The slip: a truncated (TC=1) empty reply that steers the
 			// client to TCP, which is never rate-limited.
 			s.stats.slipped.Add(1)
-			if data := refusalReply(p.pkt, dnswire.RCodeNoError, true); data != nil {
+			if data := ws.refuse(p.pkt, dnswire.RCodeNoError, true); data != nil {
 				pc.WriteToUDPAddrPort(data, p.from)
 			}
 			return
 		}
 	}
-	resp, query := s.process(p.from.Addr(), p.pkt)
+	resp, decoded := s.process(p.from.Addr(), p.pkt, ws)
 	if resp == nil {
 		return
 	}
 	limit := dnswire.MaxUDPSize
-	if query != nil && query.EDNS != nil && int(query.EDNS.UDPSize) > limit {
-		limit = int(query.EDNS.UDPSize)
+	if e := ws.query.EDNS; decoded && e != nil && int(e.UDPSize) > limit {
+		limit = int(e.UDPSize)
 	}
-	rb := udpBufPool.Get().(*[]byte)
-	data, err := resp.AppendTruncateTo((*rb)[:0], limit)
+	data, err := resp.AppendTruncateTo(ws.out[:0], limit)
 	if err != nil {
-		udpBufPool.Put(rb)
 		return
 	}
 	pc.WriteToUDPAddrPort(data, p.from)
-	*rb = data[:0] // keep any growth for the next response
-	udpBufPool.Put(rb)
+	ws.out = data[:0] // keep any growth for the next reply
 }
 
 // admitConn registers a new TCP connection unless the server is closed
@@ -502,8 +568,13 @@ func (s *Server) serveTCP(ln net.Listener) {
 	}
 }
 
+// serveConn serves one TCP connection, frame by frame, in memory the
+// connection keeps: the frame read buffer, and a workspace whose output
+// buffer holds each response behind its 2-byte length prefix.
 func (s *Server) serveConn(conn net.Conn) {
 	from := conn.RemoteAddr().(*net.TCPAddr).AddrPort()
+	var ws workspace
+	var frame []byte // the length prefix, then the query it announces
 	for {
 		if s.isClosed() {
 			return // drain: finish the current query, take no more
@@ -511,11 +582,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
 		}
-		var lenBuf [2]byte
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		frame = append(frame[:0], 0, 0)
+		if _, err := io.ReadFull(conn, frame); err != nil {
 			return
 		}
-		msgLen := int(binary.BigEndian.Uint16(lenBuf[:]))
+		msgLen := int(binary.BigEndian.Uint16(frame))
 		if msgLen == 0 {
 			// A zero-length frame is a protocol violation; dispatching
 			// an empty packet would only manufacture garbage work.
@@ -523,24 +594,23 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.stats.malformed.Add(1)
 			return
 		}
-		pkt := make([]byte, msgLen)
-		if _, err := io.ReadFull(conn, pkt); err != nil {
+		frame = slices.Grow(frame[:0], msgLen)[:msgLen]
+		if _, err := io.ReadFull(conn, frame); err != nil {
 			return
 		}
 		s.stats.received.Add(1)
 		s.stats.inflight.Add(1)
-		resp, _ := s.process(from.Addr(), pkt)
+		resp, _ := s.process(from.Addr(), frame, &ws)
 		s.stats.inflight.Add(-1)
 		if resp == nil {
 			return
 		}
-		data, err := resp.Pack()
+		out, err := resp.AppendPack(append(ws.out[:0], 0, 0))
 		if err != nil {
 			return
 		}
-		out := make([]byte, 2+len(data))
-		binary.BigEndian.PutUint16(out, uint16(len(data)))
-		copy(out[2:], data)
+		ws.out = out[:0]
+		binary.BigEndian.PutUint16(out, uint16(len(out)-2))
 		if s.WriteTimeout > 0 {
 			// Without this, a peer that stops reading pins the
 			// connection goroutine forever.
@@ -552,34 +622,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// process decodes one packet and runs the handler with panic isolation,
-// returning the prepared response along with the parsed query so
-// callers can consult the query's EDNS advertisement without unpacking
-// the packet again. A nil response means "send nothing"; query is nil
-// when the packet did not parse (undecodable or header-only).
+// process decodes one packet into ws.query and runs the handler with
+// panic isolation, returning the prepared response. A nil response
+// means "send nothing"; decoded reports whether ws.query holds the
+// packet's query, so a caller may consult its EDNS advertisement
+// without decoding the packet again. A packet that does not decode is
+// answered FORMERR from ws.reply when at least its ID can be read.
 //
 //ecsinvariant:handler counters
-func (s *Server) process(from netip.Addr, pkt []byte) (resp, query *dnswire.Message) {
-	query, err := dnswire.Unpack(pkt)
-	if err != nil {
-		// Answer FORMERR when at least the header parsed; drop
-		// otherwise.
+func (s *Server) process(from netip.Addr, pkt []byte, ws *workspace) (resp *dnswire.Message, decoded bool) {
+	query := &ws.query
+	if err := dnswire.UnpackInto(query, pkt); err != nil {
 		s.stats.malformed.Add(1)
-		id, ok := dnswire.PeekID(pkt)
-		if !ok {
-			return nil, nil
-		}
-		resp := &dnswire.Message{}
-		resp.ID = id
-		resp.Response = true
-		resp.RCode = dnswire.RCodeFormErr
-		return resp, nil
+		return ws.refusal(pkt, false, dnswire.RCodeFormErr), false
 	}
 	if query.Response {
 		s.stats.malformed.Add(1)
-		return nil, query // never answer responses
+		return nil, true // never answer responses
 	}
-	return s.handle(from, query), query
+	return s.handle(from, query), true
 }
 
 // handle runs the handler for one parsed query, recovering a panic into
@@ -602,32 +663,6 @@ func (s *Server) handle(from netip.Addr, query *dnswire.Message) (resp *dnswire.
 	}
 	s.stats.answered.Add(1)
 	return resp
-}
-
-// refusalReply builds the wire bytes of a minimal refusal for a packet
-// the server will not dispatch: the query's question echoed back (when
-// it parses) with the given rcode, truncated when tc is set. A nil
-// return means the packet cannot be identified well enough to answer.
-func refusalReply(pkt []byte, rcode dnswire.RCode, tc bool) []byte {
-	var resp *dnswire.Message
-	if q, err := dnswire.Unpack(pkt); err == nil && !q.Response {
-		resp = dnswire.NewResponse(q)
-	} else {
-		id, ok := dnswire.PeekID(pkt)
-		if !ok {
-			return nil
-		}
-		resp = &dnswire.Message{}
-		resp.ID = id
-		resp.Response = true
-	}
-	resp.RCode = rcode
-	resp.Truncated = tc
-	data, err := resp.Pack()
-	if err != nil {
-		return nil
-	}
-	return data
 }
 
 // ErrServerClosed mirrors net/http's sentinel for symmetry in callers.

@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"net/netip"
@@ -415,5 +416,73 @@ func TestHandlerSeesClientAddress(t *testing.T) {
 				t.Fatalf("handler saw client %v (4-in-6 %v), want %v", got, got.Is4In6(), tc.want)
 			}
 		})
+	}
+}
+
+// TestServedQueryIsBorrowed makes the Handler contract concrete: on a
+// one-worker server two queries arrive in the same *Message, the second
+// decoded over the first. What the handler copied out of the first
+// query is intact; the option payload it kept without copying now holds
+// the second query's bytes.
+func TestServedQueryIsBorrowed(t *testing.T) {
+	type kept struct {
+		msg      *dnswire.Message
+		question dnswire.Question // a value: its Name is an immutable string
+		ecs      []byte           // copied out of the option
+		ecsAlias []byte           // kept as the Message holds it
+	}
+	seen := make(chan kept, 2)
+	srv := New(handlerFunc(func(_ netip.Addr, q *dnswire.Message) *dnswire.Message {
+		opt, _ := q.EDNS.Option(dnswire.OptionCodeECS)
+		seen <- kept{q, q.Question(), append([]byte(nil), opt.Data...), opt.Data}
+		return dnswire.NewResponse(q)
+	}))
+	srv.MaxInflight = 1
+	bound, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn := udpDial(t, bound.String())
+
+	queries := []struct {
+		name   dnswire.Name
+		subnet ecsopt.ClientSubnet
+	}{
+		{"first.borrow.test.", ecsopt.MustNew(netip.MustParseAddr("198.51.100.0"), 24)},
+		{"second.borrow.test.", ecsopt.MustNew(netip.MustParseAddr("203.0.113.0"), 24)},
+	}
+	var got []kept
+	for i, q := range queries {
+		m := dnswire.NewQuery(uint16(i+1), q.name, dnswire.TypeA)
+		m.EDNS = dnswire.NewEDNS()
+		ecsopt.Attach(m, q.subnet)
+		wire, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(wire)
+		if resp, ok := udpRead(t, conn, time.Second); !ok || resp.ID != uint16(i+1) {
+			t.Fatalf("query %d: reply %v, %v", i+1, resp, ok)
+		}
+		got = append(got, <-seen)
+	}
+
+	first, second := got[0], got[1]
+	if first.msg != second.msg {
+		t.Fatal("the one worker handed its two queries over in different Messages")
+	}
+	if first.question.Name != queries[0].name {
+		t.Fatalf("the copied question reads %s, want %s", first.question.Name, queries[0].name)
+	}
+	if want := queries[0].subnet.Encode().Data; !bytes.Equal(first.ecs, want) {
+		t.Fatalf("the copied ECS payload reads %x, want %x", first.ecs, want)
+	}
+	// The borrowed views moved on to the second query.
+	if name := first.msg.Question().Name; name != queries[1].name {
+		t.Fatalf("the kept *Message still reads %s, want %s", name, queries[1].name)
+	}
+	if want := queries[1].subnet.Encode().Data; !bytes.Equal(first.ecsAlias, want) {
+		t.Fatalf("the uncopied ECS payload reads %x, want the second query's %x", first.ecsAlias, want)
 	}
 }

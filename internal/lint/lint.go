@@ -118,12 +118,17 @@ func DefaultConfig() *Config {
 		EnableAll: true,
 		// The packages that drive real sockets: deadlines, retransmit
 		// backoff, rate pacing, RTT stopwatches and the clock a live
-		// daemon injects are genuinely wall-clock. cmd/ecslab, ecsreplay,
+		// daemon injects are genuinely wall-clock. The scanner paces real
+		// probes and times the campaign (Engine, RateLimiter, Progress);
+		// chaostest's overload rig sets socket deadlines on a real server
+		// and polls it and the goroutine count. cmd/ecslab, ecsreplay,
 		// tracegen and every simulation package stay covered.
 		WallclockAllow: []string{
 			"ecsdns/internal/dnsclient",
 			"ecsdns/internal/dnsserver",
 			"ecsdns/internal/upstreams/live",
+			"ecsdns/internal/scanner",
+			"ecsdns/internal/netem/chaostest",
 			"ecsdns/cmd/authdns",
 			"ecsdns/cmd/recursor",
 			"ecsdns/cmd/ecsscan",

@@ -334,17 +334,17 @@ func shiftWindows(p netem.FaultPlan, start time.Time) netem.FaultPlan {
 // fails on a leak.
 func waitGoroutines(tb testing.TB, scenario string, before int) {
 	tb.Helper()
-	deadline := time.Now().Add(2 * time.Second) //ecslint:ignore wallclock goroutine drain waits on the real scheduler
+	deadline := time.Now().Add(2 * time.Second)
 	for {
 		now := runtime.NumGoroutine()
 		if now <= before {
 			return
 		}
-		if time.Now().After(deadline) { //ecslint:ignore wallclock goroutine drain waits on the real scheduler
+		if time.Now().After(deadline) {
 			tb.Errorf("%s: goroutine leak: %d before, %d after", scenario, before, now)
 			return
 		}
-		time.Sleep(10 * time.Millisecond) //ecslint:ignore wallclock goroutine drain waits on the real scheduler
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -168,7 +168,7 @@ func sendOverloadQuery(tb testing.TB, conn net.Conn, id uint16, prefix string) {
 // readOverloadReply reads one reply within timeout; ok=false on timeout.
 func readOverloadReply(tb testing.TB, conn net.Conn, timeout time.Duration) (*dnswire.Message, bool) {
 	tb.Helper()
-	conn.SetReadDeadline(time.Now().Add(timeout)) //ecslint:ignore wallclock socket read deadlines run on the real clock
+	conn.SetReadDeadline(time.Now().Add(timeout))
 	buf := make([]byte, 65535)
 	n, err := conn.Read(buf)
 	if err != nil {
@@ -197,7 +197,7 @@ func tcpExchange(tb testing.TB, addr string, id uint16, prefix string) *dnswire.
 	if _, err := conn.Write(out); err != nil {
 		tb.Fatalf("tcp send: %v", err)
 	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second)) //ecslint:ignore wallclock socket read deadlines run on the real clock
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	var lenBuf [2]byte
 	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
 		tb.Fatalf("tcp read length: %v", err)
@@ -218,12 +218,12 @@ func tcpExchange(tb testing.TB, addr string, id uint16, prefix string) *dnswire.
 // shed count exact.
 func waitServer(tb testing.TB, srv *dnsserver.Server, what string, cond func(dnsserver.ServerStats) bool) {
 	tb.Helper()
-	deadline := time.Now().Add(5 * time.Second) //ecslint:ignore wallclock polls a real-socket server
-	for time.Now().Before(deadline) {           //ecslint:ignore wallclock polls a real-socket server
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
 		if cond(srv.Stats()) {
 			return
 		}
-		time.Sleep(time.Millisecond) //ecslint:ignore wallclock polls a real-socket server
+		time.Sleep(time.Millisecond)
 	}
 	tb.Fatalf("timed out waiting for %s; stats: %s", what, srv.Stats())
 }

@@ -102,7 +102,7 @@ func NewRateLimiter(ratePerSec float64, burst int) *RateLimiter {
 		rate:   ratePerSec,
 		burst:  float64(burst),
 		tokens: float64(burst),
-		last:   time.Now(), //ecslint:ignore wallclock token bucket paces real probe traffic
+		last:   time.Now(),
 	}
 }
 
@@ -110,7 +110,7 @@ func NewRateLimiter(ratePerSec float64, burst int) *RateLimiter {
 func (l *RateLimiter) Wait(ctx context.Context) error {
 	for {
 		l.mu.Lock()
-		now := time.Now() //ecslint:ignore wallclock token bucket paces real probe traffic
+		now := time.Now()
 		l.tokens += now.Sub(l.last).Seconds() * l.rate
 		if l.tokens > l.burst {
 			l.tokens = l.burst
@@ -126,7 +126,7 @@ func (l *RateLimiter) Wait(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(wait): //ecslint:ignore wallclock token accrual happens in real time
+		case <-time.After(wait):
 		}
 	}
 }
@@ -154,7 +154,7 @@ func (p *Progress) CountMismatch() { p.mismatched.Add(1) }
 
 // NewProgress starts the campaign clock.
 func NewProgress() *Progress {
-	return &Progress{start: time.Now()} //ecslint:ignore wallclock QPS reports real campaign throughput
+	return &Progress{start: time.Now()}
 }
 
 // ProgressSnapshot is a point-in-time view of a campaign.

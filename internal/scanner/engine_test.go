@@ -96,9 +96,9 @@ func TestEngineCancelStopsClaims(t *testing.T) {
 	}
 	// wg.Done runs a moment before its goroutine is gone, so give the
 	// scheduler the chance to retire them; a leaked one never goes.
-	deadline := time.Now().Add(5 * time.Second) //ecslint:ignore wallclock bounds a real-scheduler wait
+	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) { //ecslint:ignore wallclock bounds a real-scheduler wait
+		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines before Run, %d after", before, runtime.NumGoroutine())
 		}
 		runtime.Gosched()
@@ -160,7 +160,7 @@ func TestEngineCountsProgress(t *testing.T) {
 func TestEngineRateLimit(t *testing.T) {
 	// 200 qps, burst 1: 20 jobs need ≥ 19 inter-job gaps of 5 ms.
 	eng := &Engine{Concurrency: 4, Rate: 200, Burst: 1}
-	start := time.Now() //ecslint:ignore wallclock asserts real pacing of the wall-clock limiter
+	start := time.Now()
 	err := eng.Run(context.Background(), 20, func(_ context.Context, _ int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestRateLimiterContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	start := time.Now() //ecslint:ignore wallclock asserts real cancellation latency
+	start := time.Now()
 	if err := l.Wait(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}

@@ -83,24 +83,63 @@ func TestUnhedgedLivePoolRunsOnCaller(t *testing.T) {
 }
 
 // TestAllocGateUnhedgedLivePool bounds what Pool.Exchange itself
-// allocates per query in cmd/recursor's default configuration: the
-// query re-advertised at the ladder's payload size (a Message and its
-// EDNS), and nothing for a race that cannot happen — the goroutine,
-// channel and closure of the concurrent path made it 5. bench/layers'
-// upstreams.exchange_allocs row is this plus the 8 objects of the
-// answer its transport builds.
+// allocates per query in cmd/recursor's default configuration, and
+// nothing for a race that cannot happen — the goroutine, channel and
+// closure of the concurrent path made it 5. A query that already
+// advertises the ladder's first rung, as the resolver's 4096 does, is
+// sent as it is: 0. One without EDNS is re-advertised in a clone, a
+// Message and its EDNS: 2. bench/layers' upstreams.exchange_allocs row
+// is the second plus the 8 objects of the answer its transport builds.
 func TestAllocGateUnhedgedLivePool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	advertised := query(1)
+	advertised.EDNS = dnswire.NewEDNS()
+	for _, tc := range []struct {
+		name string
+		q    *dnswire.Message
+		want float64
+	}{
+		{"advertises-4096", advertised, 0},
+		{"no-edns", query(1), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := livePool(t, &cannedTransport{resp: answer(tc.q)}, Upstream{Addr: upA})
+			got := testing.AllocsPerRun(200, func() {
+				if _, _, err := p.Exchange(cli, tc.q); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > tc.want {
+				t.Fatalf("Pool.Exchange allocates %.0f objects per query over a transport that allocates none, want <= %.0f", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestWithPayload pins the ladder's query rewrite: a query that already
+// advertises the rung's payload is sent as it is, any other goes out as
+// a clone advertising it, options carried over, and the caller's message
+// is never changed.
+func TestWithPayload(t *testing.T) {
 	q := query(1)
-	p := livePool(t, &cannedTransport{resp: answer(q)}, Upstream{Addr: upA})
-	got := testing.AllocsPerRun(200, func() {
-		if _, _, err := p.Exchange(cli, q); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got > 2 {
-		t.Fatalf("Pool.Exchange allocates %.0f objects per query over a transport that allocates none, want <= 2", got)
+	q.EDNS = dnswire.NewEDNS()
+	q.EDNS.SetOption(dnswire.Option{Code: dnswire.OptionCodeECS, Data: []byte{0, 1, 24, 0, 198, 51, 100}})
+	if got := withPayload(q, 4096); got != q {
+		t.Fatal("a query already advertising 4096 was cloned for the 4096 rung")
+	}
+	got := withPayload(q, 1232)
+	if got == q || got.EDNS == q.EDNS {
+		t.Fatal("the 1232 rung rewrote the caller's query instead of a clone")
+	}
+	if got.EDNS.UDPSize != 1232 || len(got.EDNS.Options) != 1 || got.Question() != q.Question() {
+		t.Fatalf("clone = %v, want the query advertising 1232 with its ECS option", got)
+	}
+	if q.EDNS.UDPSize != 4096 {
+		t.Fatalf("the caller's query now advertises %d", q.EDNS.UDPSize)
+	}
+	if got := withPayload(query(2), 4096); got.EDNS == nil || got.EDNS.UDPSize != 4096 {
+		t.Fatalf("a query without EDNS went out as %v, want one advertising 4096", got)
 	}
 }

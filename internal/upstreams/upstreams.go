@@ -466,10 +466,15 @@ func (p *Pool) stepLadder(u *upstream, to, nsteps int, now time.Time) int {
 	return to
 }
 
-// withPayload clones query with the advertised EDNS UDP payload set to
-// size, preserving any options (ECS rides along). The original message
-// is never mutated.
+// withPayload returns query advertising an EDNS UDP payload of size:
+// query itself when it already does — the resolver's 4096 on the
+// ladder's first rung — and otherwise a clone with the payload set,
+// preserving any options (ECS rides along). The original message is
+// never mutated.
 func withPayload(query *dnswire.Message, size uint16) *dnswire.Message {
+	if query.EDNS != nil && query.EDNS.UDPSize == size {
+		return query
+	}
 	out := *query
 	var e dnswire.EDNS
 	if query.EDNS != nil {
