@@ -58,6 +58,18 @@ func checkUpstreamFlags(upstreamSet bool, list string) error {
 	return nil
 }
 
+// checkTTLFlags rejects a negative clamp, and a -min-ttl above -max-ttl:
+// the ceiling wins, so the floor given would silently not hold.
+func checkTTLFlags(negTTL, minTTL, maxTTL time.Duration) error {
+	if negTTL < 0 || minTTL < 0 || maxTTL < 0 {
+		return errors.New("TTL clamps must be non-negative")
+	}
+	if minTTL > 0 && maxTTL > 0 && minTTL > maxTTL {
+		return fmt.Errorf("-min-ttl %v exceeds -max-ttl %v", minTTL, maxTTL)
+	}
+	return nil
+}
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:5301", "UDP+TCP listen address")
 	zoneName := flag.String("zone", "scan.example.org", "zone served by the upstream authority")
@@ -114,8 +126,8 @@ func main() {
 	if *cacheShards < 1 {
 		log.Fatalf("recursor: -cache-shards must be positive, got %d", *cacheShards)
 	}
-	if *negTTL < 0 || *minTTL < 0 || *maxTTL < 0 {
-		log.Fatal("recursor: TTL clamps must be non-negative")
+	if err := checkTTLFlags(*negTTL, *minTTL, *maxTTL); err != nil {
+		log.Fatalf("recursor: %v", err)
 	}
 
 	// The directory routes the configured zone (and everything else) to

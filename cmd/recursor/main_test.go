@@ -60,6 +60,30 @@ func TestCheckUpstreamFlags(t *testing.T) {
 	}
 }
 
+func TestCheckTTLFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		negTTL, minTTL, maxTTL time.Duration
+		errPart                string // non-empty: rejected, mentioning this
+	}{
+		{name: "defaults"},
+		{name: "floor below ceiling", minTTL: time.Minute, maxTTL: time.Hour},
+		{name: "floor equal to ceiling", minTTL: time.Minute, maxTTL: time.Minute},
+		{name: "floor alone", minTTL: time.Hour},
+		{name: "ceiling alone", maxTTL: time.Second},
+		{name: "floor above ceiling", minTTL: 10 * time.Minute, maxTTL: time.Minute, errPart: "-min-ttl 10m0s exceeds -max-ttl 1m0s"},
+		{name: "negative clamp", negTTL: -time.Second, errPart: "non-negative"},
+	} {
+		err := checkTTLFlags(tc.negTTL, tc.minTTL, tc.maxTTL)
+		if tc.errPart == "" && err != nil {
+			t.Errorf("%s: %v, want accepted", tc.name, err)
+		}
+		if tc.errPart != "" && (err == nil || !strings.Contains(err.Error(), tc.errPart)) {
+			t.Errorf("%s: error = %v, want one mentioning %q", tc.name, err, tc.errPart)
+		}
+	}
+}
+
 // TestSingleUpstreamDoesNotStackRetries pins that a dead upstream costs
 // one failure, not a product of retry loops: -upstream used to put the
 // client's own two retries and TCP fallback under the resolver's two

@@ -117,6 +117,56 @@ func BenchmarkCacheLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheFanout prices one name's operations against the number
+// of client subnets it holds, the paper's §7 blow-up seen from a single
+// name: replacing a resident entry, splicing in a new subnet, and a hit.
+// A splice row's LRU bound holds the name at its fanout, so each insert
+// also evicts the oldest subnet. One goroutine and one shard: the rows
+// are about the per-question list, not about contention.
+func BenchmarkCacheFanout(b *testing.B) {
+	entry := func(i int) Entry {
+		cs, _ := benchSubnet(i)
+		return Entry{HasECS: true, Subnet: cs, Expiry: benchNow.Add(time.Hour)}
+	}
+	for _, fanout := range []int{1, 64, 2048, 16384} {
+		newCache := func(maxEntries int) *Cache {
+			c := New(Config{Mode: HonorScope, ClampScopeToSource: true, MaxEntries: maxEntries})
+			benchFill(c, []Key{keyA}, fanout)
+			return c
+		}
+		replaced := newCache(0)
+		b.Run(fmt.Sprintf("insert-replace/%d", fanout), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				replaced.Insert(keyA, entry(i%fanout), benchNow)
+			}
+		})
+		// Subnets fanout..2*fanout-1 displace 0..fanout-1 and then the
+		// other way round; next carries on across b.N rounds so that every
+		// insert is a splice.
+		bounded, next := newCache(fanout), fanout
+		b.Run(fmt.Sprintf("insert-splice/%d", fanout), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bounded.Insert(keyA, entry(next%(2*fanout)), benchNow)
+				next++
+			}
+		})
+		// A cache of its own: entries a replace row has reallocated lie
+		// scattered, and how far depends on how many rounds it ran.
+		c := newCache(0)
+		b.Run(fmt.Sprintf("lookup/%d", fanout), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, client := benchSubnet(i * 769 % fanout)
+				if _, ok := c.Lookup(keyA, client, benchNow); !ok {
+					b.Fatal("unexpected miss")
+				}
+			}
+		})
+	}
+}
+
 // churnCache builds the cache the churn mix runs against: a capacity
 // bound tight enough that inserts continually evict.
 func churnCache(shards int) (*Cache, []Key) {

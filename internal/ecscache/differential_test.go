@@ -186,14 +186,20 @@ func diffClient(rng *rand.Rand) netip.Addr {
 
 // diffEntry draws an answer for client: positive or negative, shared or
 // filed under client's subnet at a source and scope that cover scope 0,
-// scope shorter than, equal to and longer than the source.
+// scope shorter than, equal to and longer than the source. One answer in
+// four lives an hour and the rest 1–45 s, so each key holds lifetimes
+// far apart and its earliest expiry is rarely its latest.
 func diffEntry(rng *rand.Rand, client netip.Addr, now time.Time) Entry {
 	e := Entry{Answer: []dnswire.RR{{Name: "d.example.com.", Class: dnswire.ClassINET,
 		TTL: 60, Data: &dnswire.ARData{Addr: addr("192.0.2.7")}}}}
 	if rng.Intn(8) == 0 {
 		e = negEntry(0)
 	}
-	e.Expiry = now.Add(time.Duration(1+rng.Intn(45)) * time.Second)
+	life := time.Duration(1+rng.Intn(45)) * time.Second
+	if rng.Intn(4) == 0 {
+		life = time.Hour
+	}
+	e.Expiry = now.Add(life)
 	if rng.Intn(6) == 0 {
 		return e // shared
 	}

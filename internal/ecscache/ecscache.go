@@ -21,9 +21,14 @@
 // per shard with an O(1) intrusive-list LRU: the eviction counters
 // distinguish entries pushed out while still alive (premature evictions
 // — the §7 operator cost the bounded cachesim replays model) from
-// entries that merely expired.
+// entries that merely expired. An insert collects its question's expired
+// entries, but only once one of them can have expired: each question
+// keeps a lower bound on its earliest expiry, so filling a name with
+// thousands of subnets costs each insert a search and a splice, not a
+// read of every entry already there.
 // Negative answers are bounded by Config.NegativeTTL, positive TTLs are
-// clamped into [MinTTL, MaxTTL], and the singleflight layer (Do)
+// raised to MinTTL, every TTL is capped at MaxTTL (the cap wins over the
+// floor), and the singleflight layer (Do)
 // collapses a thundering herd of identical misses into one upstream
 // query. Scope-mode semantics are byte-for-byte identical at every
 // shard count; the differential tests enforce this against a naive
@@ -127,8 +132,8 @@ type Config struct {
 	// disables the floor.
 	MinTTL time.Duration
 	// MaxTTL caps the lifetime of every entry, bounding how long a
-	// poisoned or misconfigured record can persist. Zero disables the
-	// ceiling.
+	// poisoned or misconfigured record can persist; it wins over a
+	// larger MinTTL. Zero disables the ceiling.
 	MaxTTL time.Duration
 	// Shards is the number of independently locked storage shards the
 	// key space is hashed across (rounded up to a power of two). 0 and
@@ -261,9 +266,11 @@ func (c *Cache) LookupStale(key Key, client netip.Addr, now time.Time, maxStale 
 }
 
 // Insert stores an entry for key, replacing the entry filed under the
-// same effective prefix, if any. Expired entries for the key are
-// collected in passing, and when the cache is over its capacity bound
-// the least-recently-used resident entries are evicted.
+// same effective prefix, if any. When any entry for the key can have
+// expired, all expired entries for the key are collected in passing,
+// other subnets' included; otherwise the key's entries are not read.
+// When the cache is over its capacity bound the least-recently-used
+// resident entries are evicted.
 //
 // Entries claiming ECS whose address cannot produce a prefix at the
 // effective scope (invalid address, or a scope wider than the address
@@ -292,17 +299,15 @@ func (c *Cache) Insert(key Key, e Entry, now time.Time) {
 	c.shardFor(key).insert(key, &stored, now)
 }
 
-// clampTTL applies the insert-time lifetime rules: the MaxTTL ceiling
-// and MinTTL floor for live positive answers, then the NegativeTTL
-// bound for non-NoError answers (NXDOMAIN and friends), which caps
-// whatever the response's SOA-derived lifetime asked for.
+// clampTTL applies the insert-time lifetime rules: the MinTTL floor for
+// live positive answers, the NegativeTTL bound for non-NoError answers
+// (NXDOMAIN and friends), which caps whatever the response's SOA-derived
+// lifetime asked for, and last the MaxTTL ceiling, which therefore wins
+// over a larger MinTTL.
 func (c *Cache) clampTTL(e *Entry, now time.Time) {
 	ttl := e.Expiry.Sub(now)
 	if ttl <= 0 {
 		return // dead on arrival stays dead
-	}
-	if c.cfg.MaxTTL > 0 && ttl > c.cfg.MaxTTL {
-		ttl = c.cfg.MaxTTL
 	}
 	if e.RCode == dnswire.RCodeNoError {
 		if c.cfg.MinTTL > 0 && ttl < c.cfg.MinTTL {
@@ -310,6 +315,9 @@ func (c *Cache) clampTTL(e *Entry, now time.Time) {
 		}
 	} else if c.cfg.NegativeTTL > 0 && ttl > c.cfg.NegativeTTL {
 		ttl = c.cfg.NegativeTTL
+	}
+	if c.cfg.MaxTTL > 0 && ttl > c.cfg.MaxTTL {
+		ttl = c.cfg.MaxTTL
 	}
 	e.Expiry = now.Add(ttl)
 }
@@ -348,7 +356,8 @@ func (c *Cache) HighWater() int {
 }
 
 // PurgeExpired drops entries dead at `now` and returns how many were
-// removed.
+// removed. A key none of whose entries can have expired is skipped
+// without reading its entries.
 func (c *Cache) PurgeExpired(now time.Time) int {
 	removed := 0
 	for _, sh := range c.shards {

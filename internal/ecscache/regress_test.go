@@ -75,6 +75,22 @@ func TestMaxTTLCapsEveryEntry(t *testing.T) {
 	}
 }
 
+// Regression: clampTTL applied the ceiling before the floor, so with a
+// MinTTL above MaxTTL an entry lived the MinTTL, although MaxTTL caps the
+// lifetime of every entry.
+func TestMaxTTLWinsOverMinTTL(t *testing.T) {
+	c := New(Config{Mode: HonorScope, MinTTL: 10 * time.Minute, MaxTTL: time.Minute})
+	for _, ttl := range []time.Duration{time.Second, time.Hour} {
+		c.Insert(keyA, ecsEntry("203.0.113.0", 24, 24, ttl), t0)
+		if _, ok := c.Lookup(keyA, addr("203.0.113.1"), t0.Add(59*time.Second)); !ok {
+			t.Fatalf("%v answer: entry must live to the MaxTTL cap", ttl)
+		}
+		if _, ok := c.Lookup(keyA, addr("203.0.113.1"), t0.Add(61*time.Second)); ok {
+			t.Fatalf("%v answer: entry outlived MaxTTL under a larger MinTTL", ttl)
+		}
+	}
+}
+
 func TestMinTTLFloorsPositiveOnly(t *testing.T) {
 	c := New(Config{Mode: HonorScope, MinTTL: 10 * time.Second})
 	c.Insert(keyA, ecsEntry("203.0.113.0", 24, 24, time.Second), t0)

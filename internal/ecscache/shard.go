@@ -3,6 +3,7 @@ package ecscache
 import (
 	"cmp"
 	"encoding/binary"
+	"math"
 	"net/netip"
 	"slices"
 	"sync"
@@ -19,13 +20,8 @@ import (
 type shard struct {
 	owner *Cache
 
-	mu sync.RWMutex
-	// entries holds each question's residents ordered by slot: IPv4
-	// before IPv6, within a family longest effective scope first, within
-	// a scope by prefix, and the shared entry last. A lookup costs one
-	// binary search per distinct scope length present at a pointer per
-	// entry of memory.
-	entries map[Key][]*Entry
+	mu      sync.RWMutex
+	entries map[Key]question
 	// size counts resident entries (live plus expired-but-uncollected),
 	// mirroring the accounting the owner's live counter aggregates.
 	size int
@@ -33,16 +29,54 @@ type shard struct {
 	// maintained at all.
 	capacity int
 	lru      lruList
+	// examined counts the entries collection passes have read: the
+	// tests' proof that an insert with nothing due reads none.
+	examined int
+}
+
+// question is one question's residents and when they next need
+// collecting.
+type question struct {
+	// list holds the residents ordered by slot: IPv4 before IPv6, within
+	// a family longest effective scope first, within a scope by prefix,
+	// and the shared entry last. A lookup costs one binary search per
+	// distinct scope length present at a pointer per entry of memory.
+	list []*Entry
+	// due is a lower bound on the earliest Expiry in list, in Unix
+	// nanoseconds (see unixNano). Before due nothing in list can have
+	// expired, so a collection pass would remove nothing and is skipped.
+	// Inserts lower it, collection passes recompute it; replacement and
+	// eviction leave it, at worst early, which costs one idle pass. It is
+	// on the wall clock while Expiry.After compares monotonic readings
+	// when both times carry one, so after a backward wall-clock step a
+	// pass can come late by the step; lookups are unaffected.
+	due int64
 }
 
 func newShard(owner *Cache, capacity int) *shard {
 	sh := &shard{
 		owner:    owner,
-		entries:  make(map[Key][]*Entry),
+		entries:  make(map[Key]question),
 		capacity: capacity,
 	}
 	sh.lru.init()
 	return sh
+}
+
+// unixNanoMin and unixNanoMax bound the instants UnixNano can express.
+var unixNanoMin, unixNanoMax = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+
+// unixNano is t.UnixNano saturated at the int64 range. UnixNano is
+// undefined outside it: a zero Expiry would read as some instant in
+// 1754, and one in 1500 as 2084, making a dead entry look live to due.
+func unixNano(t time.Time) int64 {
+	switch {
+	case t.Before(unixNanoMin):
+		return math.MinInt64
+	case t.After(unixNanoMax):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
 }
 
 // bounded reports whether this shard enforces a capacity (and therefore
@@ -160,7 +194,7 @@ func (sh *shard) lookup(key Key, client netip.Addr, now time.Time) *Entry {
 		defer sh.mu.RUnlock()
 	}
 	var hit *Entry
-	covering(sh.entries[key], client, func(e *Entry) bool {
+	covering(sh.entries[key].list, client, func(e *Entry) bool {
 		if e.Expiry.After(now) {
 			hit = e
 		}
@@ -179,7 +213,7 @@ func (sh *shard) lookupStale(key Key, client netip.Addr, now time.Time, maxStale
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	var best *Entry
-	covering(sh.entries[key], client, func(e *Entry) bool {
+	covering(sh.entries[key].list, client, func(e *Entry) bool {
 		stale := !e.Expiry.After(now) && e.Expiry.Add(maxStale).After(now)
 		// Only stale-but-valid positive answers are servable.
 		positive := e.RCode == dnswire.RCodeNoError && len(e.Answer) > 0
@@ -191,41 +225,51 @@ func (sh *shard) lookupStale(key Key, client netip.Addr, now time.Time, maxStale
 	return best
 }
 
-// sweep removes the entries of list dead at now, in place and keeping
-// the order, and returns what is left.
-func (sh *shard) sweep(list []*Entry, now time.Time) []*Entry {
-	return slices.DeleteFunc(list, func(e *Entry) bool {
+// collect removes q's entries dead at now, in place and keeping the
+// order, and recomputes q.due from the survivors. It reads the list only
+// once now has reached q.due, and reports whether it did.
+func (sh *shard) collect(q *question, now time.Time) bool {
+	if unixNano(now) < q.due {
+		return false
+	}
+	sh.examined += len(q.list)
+	q.due = math.MaxInt64
+	q.list = slices.DeleteFunc(q.list, func(e *Entry) bool {
 		if e.Expiry.After(now) {
+			q.due = min(q.due, unixNano(e.Expiry))
 			return false
 		}
 		sh.drop(e, expiredRemoval)
 		return true
 	})
+	return true
 }
 
-// store puts a question's list back, dropping the question with its
-// last entry.
-func (sh *shard) store(key Key, list []*Entry) {
-	if len(list) == 0 {
+// store puts a question back, dropping it with its last entry.
+func (sh *shard) store(key Key, q question) {
+	if len(q.list) == 0 {
 		delete(sh.entries, key)
 	} else {
-		sh.entries[key] = list
+		sh.entries[key] = q
 	}
 }
 
 // insert stores one entry, collecting the key's expired entries in
-// passing and evicting over-capacity residents from the LRU tail.
+// passing when any can have expired, and evicting over-capacity
+// residents from the LRU tail.
 func (sh *shard) insert(key Key, stored *Entry, now time.Time) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	list := sh.sweep(sh.entries[key], now)
-	if i, occupied := search(list, stored.slot()); occupied {
-		sh.drop(list[i], replacedRemoval)
-		list[i] = stored
+	q := sh.entries[key]
+	sh.collect(&q, now)
+	if i, occupied := search(q.list, stored.slot()); occupied {
+		sh.drop(q.list[i], replacedRemoval)
+		q.list[i] = stored
 	} else {
-		list = slices.Insert(list, i, stored)
+		q.list = slices.Insert(q.list, i, stored)
 	}
-	sh.entries[key] = list
+	q.due = min(q.due, unixNano(stored.Expiry))
+	sh.entries[key] = q
 	sh.add()
 	if sh.bounded() {
 		sh.lru.pushFront(stored)
@@ -287,18 +331,24 @@ func (sh *shard) evictOver(now time.Time) {
 // removeFromStorage detaches a resident entry from its question's list
 // (the recency list is handled by drop).
 func (sh *shard) removeFromStorage(victim *Entry) {
-	list := sh.entries[victim.lruKey]
-	i, _ := search(list, victim.slot())
-	sh.store(victim.lruKey, slices.Delete(list, i, i+1))
+	q := sh.entries[victim.lruKey]
+	i, _ := search(q.list, victim.slot())
+	q.list = slices.Delete(q.list, i, i+1)
+	sh.store(victim.lruKey, q)
 }
 
-// len counts live entries at now.
+// len counts live entries at now. A question that is not due is live
+// throughout and is counted without reading its list.
 func (sh *shard) len(now time.Time) int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	n := 0
-	for _, list := range sh.entries {
-		for _, e := range list {
+	at, n := unixNano(now), 0
+	for _, q := range sh.entries {
+		if at < q.due {
+			n += len(q.list)
+			continue
+		}
+		for _, e := range q.list {
 			if e.Expiry.After(now) {
 				n++
 			}
@@ -308,13 +358,15 @@ func (sh *shard) len(now time.Time) int {
 }
 
 // purgeExpired drops entries dead at now and returns how many were
-// removed.
+// removed. Questions that are not due are skipped whole.
 func (sh *shard) purgeExpired(now time.Time) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	before := sh.size
-	for key, list := range sh.entries {
-		sh.store(key, sh.sweep(list, now))
+	for key, q := range sh.entries {
+		if sh.collect(&q, now) {
+			sh.store(key, q)
+		}
 	}
 	return before - sh.size
 }
@@ -325,7 +377,7 @@ func (sh *shard) flush() {
 	defer sh.mu.Unlock()
 	sh.owner.addLive(-sh.size)
 	sh.size = 0
-	sh.entries = make(map[Key][]*Entry)
+	sh.entries = make(map[Key]question)
 	sh.lru.init()
 }
 

@@ -121,7 +121,8 @@ type Config struct {
 	// answers; zero applies the cache's 30s default.
 	NegativeTTL time.Duration
 	// MinTTL / MaxTTL clamp cached positive lifetimes into a floor and
-	// every lifetime under a ceiling. Zero disables each clamp.
+	// every lifetime under a ceiling, the ceiling winning. Zero disables
+	// each clamp.
 	MinTTL time.Duration
 	MaxTTL time.Duration
 	// DisableCoalescing turns off singleflight deduplication of
