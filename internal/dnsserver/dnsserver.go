@@ -48,8 +48,10 @@ import (
 // immutable and may be kept. The returned response becomes the
 // server's: it sets the ID and QR bit on it and, over UDP, may truncate
 // its sections, so a handler must not hand out a response it still
-// changes. Sharing the records of a cached answer is fine; truncation
-// reslices the response's own section slices and writes no record.
+// changes. A response may hold a cache's records: they are shared by
+// every cache entry that holds the same answer as well as by every
+// response built from one, so nothing writes them, and truncation only
+// reslices the response's own section slices.
 type Handler interface {
 	HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message
 }

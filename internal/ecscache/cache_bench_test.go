@@ -121,14 +121,25 @@ func BenchmarkCacheLookup(b *testing.B) {
 // of client subnets it holds, the paper's §7 blow-up seen from a single
 // name: replacing a resident entry, splicing in a new subnet, and a hit.
 // A splice row's LRU bound holds the name at its fanout, so each insert
-// also evicts the oldest subnet. One goroutine and one shard: the rows
-// are about the per-question list, not about contention.
+// also evicts the oldest subnet. A fill row builds the name from nothing,
+// every subnet given the same answer or each its own, and reports the
+// live heap that cost per entry (B/entry). One goroutine and one shard:
+// the rows are about the per-question list, not about contention.
 func BenchmarkCacheFanout(b *testing.B) {
 	entry := func(i int) Entry {
 		cs, _ := benchSubnet(i)
 		return Entry{HasECS: true, Subnet: cs, Expiry: benchNow.Add(time.Hour)}
 	}
 	for _, fanout := range []int{1, 64, 2048, 16384} {
+		for _, answers := range []string{"equal", "distinct"} {
+			b.Run(fmt.Sprintf("fill-%s/%d", answers, fanout), func(b *testing.B) {
+				var perEntry float64
+				for i := 0; i < b.N; i++ {
+					perEntry = bytesPerEntry(fanout, answers == "distinct")
+				}
+				b.ReportMetric(perEntry, "B/entry")
+			})
+		}
 		newCache := func(maxEntries int) *Cache {
 			c := New(Config{Mode: HonorScope, ClampScopeToSource: true, MaxEntries: maxEntries})
 			benchFill(c, []Key{keyA}, fanout)

@@ -13,10 +13,11 @@
 // first, prefix at that scope) with the non-ECS shared entry last, and
 // a lookup binary-searches it once per distinct scope length present:
 // the cost the paper's §7 blow-up puts on a resolver — thousands of
-// client subnets under one name — is paid in memory, a pointer per
-// entry, not in lookup time. The key space is hash-partitioned across
-// N independently locked shards (Config.Shards), each guarded by its
-// own sync.RWMutex, so concurrent lookups on different shards never
+// client subnets under one name — is paid in memory, an Entry and a
+// pointer per subnet, not in lookup time; records equal to a list
+// neighbour's are shared, not copied. The key space is hash-partitioned
+// across N independently locked shards (Config.Shards), each guarded by
+// its own sync.RWMutex, so concurrent lookups on different shards never
 // contend. A configured capacity bound (Config.MaxEntries) is enforced
 // per shard with an O(1) intrusive-list LRU: the eviction counters
 // distinguish entries pushed out while still alive (premature evictions
@@ -55,7 +56,9 @@ func KeyOf(q dnswire.Question) Key {
 	return Key{Name: q.Name, Type: q.Type, Class: q.Class}
 }
 
-// Entry is one cached answer.
+// Entry is one cached answer. Resident, it is 176 bytes on a 64-bit
+// platform and shares everything else it refers to with its neighbours
+// where it can (see Answer).
 type Entry struct {
 	// Subnet is the response ECS option (source + scope) this answer was
 	// stored under; the zero value (HasECS false) marks a non-ECS answer
@@ -63,13 +66,18 @@ type Entry struct {
 	Subnet ecsopt.ClientSubnet
 	HasECS bool
 	// slotFam and slotBits are where Insert filed the entry in its
-	// question's list (see slot). They occupy padding after HasECS, so
-	// the sort key costs no memory per entry.
+	// question's list (see slot). They and RCode occupy padding after
+	// HasECS, so the sort key and the rcode cost no memory per entry.
 	slotFam, slotBits uint8
-	// Answer, Authority and RCode are the cached response content.
+	RCode             dnswire.RCode
+	// Answer and Authority are the cached records, and they are
+	// immutable: the cache, every entry that shares them and every
+	// response built from them read them and nobody writes one. Insert
+	// hands an entry the slices of a list neighbour holding the same
+	// records in the same order, so equal answers under one name are
+	// stored once, however many subnets they were given to.
 	Answer    []dnswire.RR
 	Authority []dnswire.RR
-	RCode     dnswire.RCode
 	// Expiry is the absolute virtual time the entry dies.
 	Expiry time.Time
 	// Stored is when the entry was inserted (for remaining-TTL math).
@@ -81,7 +89,8 @@ type Entry struct {
 	// be reinserted safely.
 	lruPrev, lruNext *Entry
 	// lruKey remembers the question so an eviction can find the entry's
-	// storage slot from the list tail alone.
+	// storage slot from the list tail alone. Every entry of a question
+	// holds the same name string.
 	lruKey Key
 }
 
@@ -270,7 +279,10 @@ func (c *Cache) LookupStale(key Key, client netip.Addr, now time.Time, maxStale 
 // expired, all expired entries for the key are collected in passing,
 // other subnets' included; otherwise the key's entries are not read.
 // When the cache is over its capacity bound the least-recently-used
-// resident entries are evicted.
+// resident entries are evicted. When a neighbour in the key's list holds
+// the same records, the stored entry takes that neighbour's slices in
+// place of e's; otherwise the cache keeps e's, so records handed to
+// Insert must not be changed after the call.
 //
 // Entries claiming ECS whose address cannot produce a prefix at the
 // effective scope (invalid address, or a scope wider than the address

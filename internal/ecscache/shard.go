@@ -255,14 +255,20 @@ func (sh *shard) store(key Key, q question) {
 }
 
 // insert stores one entry, collecting the key's expired entries in
-// passing when any can have expired, and evicting over-capacity
-// residents from the LRU tail.
+// passing when any can have expired, sharing a list neighbour's records
+// when they are the same, and evicting over-capacity residents from the
+// LRU tail.
 func (sh *shard) insert(key Key, stored *Entry, now time.Time) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	q := sh.entries[key]
 	sh.collect(&q, now)
-	if i, occupied := search(q.list, stored.slot()); occupied {
+	if len(q.list) > 0 {
+		stored.lruKey = q.list[0].lruKey // one name string per question
+	}
+	i, occupied := search(q.list, stored.slot())
+	sh.share(q.list, i, stored)
+	if occupied {
 		sh.drop(q.list[i], replacedRemoval)
 		q.list[i] = stored
 	} else {

@@ -24,6 +24,8 @@ type cacheCounters struct {
 	// in-flight fetch; rejected counts inserts refused for carrying an
 	// unprefixable ECS subnet.
 	coalesced, rejected atomic.Int64
+	// shared counts inserts that took a list neighbour's records.
+	shared atomic.Int64
 	// live tracks resident entries; high its historical maximum (the
 	// paper's blow-up numerator).
 	live, high atomic.Int64
@@ -64,6 +66,10 @@ type CacheStats struct {
 	// Rejected counts inserts refused because the entry claimed an ECS
 	// subnet that cannot produce a prefix at its effective scope.
 	Rejected int64
+	// Shared counts inserts that took a list neighbour's non-empty
+	// record set instead of keeping their own copy: how much of the §7
+	// blow-up was the same answer stored again.
+	Shared int64
 	// Live is the resident entry count now; HighWater its historical
 	// maximum.
 	Live      int64
@@ -80,6 +86,7 @@ func (c *Cache) Stats() CacheStats {
 		Evictions: c.stats.evictions.Load(),
 		Coalesced: c.stats.coalesced.Load(),
 		Rejected:  c.stats.rejected.Load(),
+		Shared:    c.stats.shared.Load(),
 		Live:      c.stats.live.Load(),
 		HighWater: c.stats.high.Load(),
 	}
@@ -104,8 +111,8 @@ func (st CacheStats) HitRate() float64 {
 // on exit.
 func (st CacheStats) String() string {
 	return fmt.Sprintf(
-		"lookups=%d hits=%d misses=%d (%.1f%% hit) evictions=%d expiries=%d coalesced=%d rejected=%d live=%d high=%d",
+		"lookups=%d hits=%d misses=%d (%.1f%% hit) evictions=%d expiries=%d coalesced=%d rejected=%d shared=%d live=%d high=%d",
 		st.Lookups, st.Hits, st.Misses, st.HitRate(),
 		st.Evictions, st.Expiries, st.Coalesced, st.Rejected,
-		st.Live, st.HighWater)
+		st.Shared, st.Live, st.HighWater)
 }

@@ -259,13 +259,11 @@ func decode(opt dnswire.Option, strict bool) (ClientSubnet, error) {
 		return ClientSubnet{}, ErrAddressLength
 	}
 
-	full := make([]byte, maxBits/8)
-	copy(full, addrBytes[:min(len(addrBytes), len(full))])
-	var addr netip.Addr
+	var full [16]byte // on the stack: a decode allocates nothing
+	copy(full[:], addrBytes[:min(len(addrBytes), maxBits/8)])
+	addr := netip.AddrFrom16(full)
 	if fam == FamilyIPv4 {
-		addr = netip.AddrFrom4([4]byte(full))
-	} else {
-		addr = netip.AddrFrom16([16]byte(full))
+		addr = netip.AddrFrom4([4]byte(full[:4]))
 	}
 	masked, err := maskAddr(addr, int(source))
 	if err != nil {

@@ -405,7 +405,14 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 	}
 
 	// Populate the cache. Empty (negative) answers live for the SOA
-	// minimum from the authority section, per RFC 2308.
+	// minimum from the authority section, per RFC 2308. Records owned by
+	// the question name are filed under q.Name's string, which the cache
+	// keeps for the key anyway, instead of the copy the decode made.
+	for i := range answers {
+		if answers[i].Name == q.Name {
+			answers[i].Name = q.Name
+		}
+	}
 	entry := ecscache.Entry{
 		Answer:    answers,
 		Authority: authority,
