@@ -41,7 +41,7 @@ func main() {
 	ttl := flag.Uint("ttl", 30, "answer TTL in seconds")
 	scopeSpec := flag.String("scope", "source-4", "ECS scope policy: source-4, echo, or a fixed number")
 	quiet := flag.Bool("quiet", false, "suppress per-query logging")
-	maxInflight := flag.Int("max-inflight", dnsserver.DefaultMaxInflight, "UDP queries handled concurrently (admission control)")
+	maxInflight := flag.Int("max-inflight", dnsserver.DefaultMaxInflight, "UDP queries queued for or on a worker at once (admission control); with -quiet the authority answers every query on the read loop, which bypasses the queue, and without it every query goes through the queue to be logged")
 	maxConns := flag.Int("max-conns", dnsserver.DefaultMaxConns, "simultaneous TCP connections (-1 = unlimited)")
 	overflow := flag.String("overflow", "drop", "admission overflow policy: drop or servfail")
 	rrlSpec := flag.String("rrl", "", "response-rate limit, e.g. rate=20,burst=40,slip=2 (empty = off)")

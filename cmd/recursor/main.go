@@ -79,7 +79,7 @@ func main() {
 	breakerSpec := flag.String("breaker", "", "circuit breaker: off or fails=5,open=30s,probes=2")
 	ladderSpec := flag.String("edns-ladder", "", "EDNS payload ladder: off, or sizes like 4096,1232 with optional decay=5m")
 	profileName := flag.String("profile", "compliant", "ECS behavior profile")
-	maxInflight := flag.Int("max-inflight", dnsserver.DefaultMaxInflight, "UDP queries handled concurrently (admission control)")
+	maxInflight := flag.Int("max-inflight", dnsserver.DefaultMaxInflight, "UDP queries queued for or on a worker at once (admission control): cache misses; hits are answered on the read loop and bypass the queue")
 	maxConns := flag.Int("max-conns", dnsserver.DefaultMaxConns, "simultaneous TCP connections (-1 = unlimited)")
 	overflow := flag.String("overflow", "drop", "admission overflow policy: drop or servfail")
 	rrlSpec := flag.String("rrl", "", "response-rate limit, e.g. rate=20,burst=40,slip=2 (empty = off)")

@@ -60,7 +60,11 @@ type LogRecord struct {
 // mapping, CNAME flattening). It returns ok=false to fall through to
 // static zone data. scope is meaningful only when the server is speaking
 // ECS for this query; usedECS reports whether the client subnet
-// influenced the answer.
+// influenced the answer. The records are copied into the response, so
+// the hook may hand out a slice it keeps. Behind a dnsserver, on a
+// server without a log sink, it runs on the goroutine that read the
+// query, as HandleImmediate does, so it must not wait on anything: a
+// slow hook stalls every query behind it.
 type DynamicFunc func(q dnswire.Question, ecs ecsopt.ClientSubnet, hasECS bool, from netip.Addr) (rrs []dnswire.RR, scope uint8, usedECS, ok bool)
 
 // Config parameterizes a Server.
@@ -129,7 +133,10 @@ func (s *Server) SetDynamic(f DynamicFunc) {
 
 // SetLog installs a query-log sink. The sink is called from every
 // HandleDNS, concurrently when the server is queried concurrently, so it
-// must synchronize its own state (scanner.LogBuffer.Append does).
+// must synchronize its own state (scanner.LogBuffer.Append does). It may
+// block: with a sink installed, HandleImmediate declines every query, so
+// behind a dnsserver the sink runs on the workers, never on the read
+// loop.
 func (s *Server) SetLog(f func(LogRecord)) {
 	s.mu.Lock()
 	s.log = f
@@ -149,32 +156,51 @@ func zoneFor(zones []*Zone, name dnswire.Name) *Zone {
 	return best
 }
 
-// HandleDNS implements the full authoritative answer path. It reads the
-// server's zones, hook and sink under one read lock, and reads the clock
-// only when a sink will receive the record.
+// HandleDNS implements the full authoritative answer path, in a response
+// of its own: see answer.
 func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message {
+	resp := new(dnswire.Message)
+	s.answer(from, query, resp, false)
+	return resp
+}
+
+// HandleImmediate answers a query in resp, which may be a reply refilled
+// query after query, unless a log sink is installed: a sink may wait (a
+// daemon's writes to stdout do), so with one every query is declined to
+// HandleDNS, and dnsserver's read loop never waits on it. Without one,
+// nothing in it waits but the dynamic hook, which must not.
+func (s *Server) HandleImmediate(from netip.Addr, query, resp *dnswire.Message) bool {
+	return s.answer(from, query, resp, true)
+}
+
+// answer fills resp with the answer to query: zone and dynamic records
+// are appended to its sections, never shared with the zone. It reads the
+// server's zones, hook and sink under one read lock, and reads the clock
+// only when a sink will receive the record. When immediate is set and a
+// sink is installed it declines, changing nothing, and reports false.
+func (s *Server) answer(from netip.Addr, query, resp *dnswire.Message, immediate bool) bool {
 	s.mu.RLock()
 	zones, dyn, log := s.zones, s.dynamic, s.log
 	s.mu.RUnlock()
+	if immediate && log != nil {
+		return false
+	}
 
-	resp := dnswire.NewResponse(query)
+	// EDNS negotiation: SetReply echoes an OPT when the query carried one.
+	resp.SetReply(query)
 	if query.OpCode != dnswire.OpQuery {
-		resp.RCode = dnswire.RCodeNotImp
-		return resp
+		resp.RCode, resp.EDNS = dnswire.RCodeNotImp, nil
+		return true
 	}
 	if len(query.Questions) != 1 {
-		resp.RCode = dnswire.RCodeFormErr
-		return resp
+		resp.RCode, resp.EDNS = dnswire.RCodeFormErr, nil
+		return true
 	}
 	q := query.Question()
 
-	// EDNS negotiation: echo an OPT when the query carried one.
-	if query.EDNS != nil {
-		resp.EDNS = dnswire.NewEDNS()
-		if query.EDNS.Version > 0 {
-			resp.RCode = dnswire.RCodeBadVers
-			return resp
-		}
+	if query.EDNS != nil && query.EDNS.Version > 0 {
+		resp.RCode = dnswire.RCodeBadVers
+		return true
 	}
 
 	rec := LogRecord{
@@ -200,21 +226,21 @@ func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Mes
 					rec.ECSInvalid = true
 					emit(log, rec)
 					resp.RCode = dnswire.RCodeFormErr
-					return resp
+					return true
 				}
 				cs, err = ecsopt.DecodeLenient(opt)
 				if err != nil {
 					rec.ECSInvalid = true
 					emit(log, rec)
 					resp.RCode = dnswire.RCodeFormErr
-					return resp
+					return true
 				}
 			}
 			if err := ecsopt.ValidateQuery(cs); err != nil && s.cfg.Strict {
 				rec.ECSInvalid = true
 				emit(log, rec)
 				resp.RCode = dnswire.RCodeFormErr
-				return resp
+				return true
 			}
 			clientSubnet = cs
 			hasECS = true
@@ -234,19 +260,19 @@ func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Mes
 		hasForDyn := hasECS && speaksECS
 		if rrs, scope, usedECS, ok := dyn(q, ecsForDyn, hasForDyn, from); ok {
 			resp.Authoritative = true
-			resp.Answers = rrs
+			resp.Answers = append(resp.Answers, rrs...)
 			if speaksECS {
 				respScope := scope
 				if !usedECS {
 					respScope = 0
 				}
-				attachRespECS(resp, clientSubnet, respScope)
+				ecsopt.AttachInPlace(resp, clientSubnet.WithScope(int(respScope)))
 				rec.RespHasECS = true
 				rec.RespScope = respScope
 			}
 			rec.RCode = resp.RCode
 			emit(log, rec)
-			return resp
+			return true
 		}
 	}
 
@@ -255,21 +281,21 @@ func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Mes
 		resp.RCode = dnswire.RCodeRefused
 		rec.RCode = resp.RCode
 		emit(log, rec)
-		return resp
+		return true
 	}
 	resp.Authoritative = true
 	answer, result := z.lookup(q.Name, q.Type)
 	switch result {
 	case lookupHit:
-		resp.Answers = answer
+		resp.Answers = append(resp.Answers, answer...)
 	case lookupNoData:
-		resp.Authorities = []dnswire.RR{z.soaRR()}
+		resp.Authorities = append(resp.Authorities, z.soaRR())
 	case lookupNXDomain:
 		resp.RCode = dnswire.RCodeNXDomain
-		resp.Authorities = []dnswire.RR{z.soaRR()}
+		resp.Authorities = append(resp.Authorities, z.soaRR())
 	case lookupReferral:
 		resp.Authoritative = false
-		resp.Authorities = z.referralRRs(q.Name)
+		resp.Authorities = append(resp.Authorities, z.referralRRs(q.Name)...)
 	}
 
 	if speaksECS {
@@ -285,20 +311,13 @@ func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Mes
 				scope = clientSubnet.SourcePrefix
 			}
 		}
-		attachRespECS(resp, clientSubnet, scope)
+		ecsopt.AttachInPlace(resp, clientSubnet.WithScope(int(scope)))
 		rec.RespHasECS = true
 		rec.RespScope = scope
 	}
 	rec.RCode = resp.RCode
 	emit(log, rec)
-	return resp
-}
-
-func attachRespECS(resp *dnswire.Message, cs ecsopt.ClientSubnet, scope uint8) {
-	if resp.EDNS == nil {
-		resp.EDNS = dnswire.NewEDNS()
-	}
-	ecsopt.Attach(resp, cs.WithScope(int(scope)))
+	return true
 }
 
 // emit hands rec to the query-log sink, when one is installed.

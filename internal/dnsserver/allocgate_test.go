@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ecsdns/internal/dnswire"
+	"ecsdns/internal/ecsopt"
 )
 
 // The allocation gates count what a real Server allocates per query.
@@ -21,9 +22,11 @@ import (
 // A query costs the server nothing once its goroutine has warmed up: the
 // read loop copies the datagram into a pooled buffer, the worker decodes
 // it into the Message it keeps and packs the reply into the bytes it
-// keeps. A change that makes any of that allocate — a fresh Message per
-// datagram, a fresh response buffer, a copying truncation, an RRL bucket
-// copied on a known prefix — moves a count off zero.
+// keeps; or, for an Immediate handler, the read loop does all of that
+// itself, the reply included, in memory of its own. A change that makes
+// any of that allocate — a fresh Message per datagram, a fresh response
+// buffer, a copying truncation, an RRL bucket copied on a known prefix,
+// a reply that drops its arrays — moves a count off zero.
 
 // gateQuery is the served workload's query: one question and an EDNS OPT
 // carrying an ECS option for 198.51.100.0/24.
@@ -37,17 +40,53 @@ func gateQuery(name dnswire.Name) *dnswire.Message {
 	return query
 }
 
-// gateServer starts a server whose handler returns one prebuilt answer
-// and allocates nothing; configure, when set, runs before Start.
-func gateServer(t *testing.T, configure func(*Server)) (*Server, netip.AddrPort) {
+// gateAnswer is the gate handlers' one answer record.
+var gateAnswer = dnswire.RR{
+	Name: "gate.serve.test.", Class: dnswire.ClassINET, TTL: 30,
+	Data: &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.1")},
+}
+
+// gateReply is a handler that returns one answer, built before the
+// server starts, from HandleDNS, and so allocates nothing.
+func gateReply() Handler {
+	answer := dnswire.NewResponse(gateQuery(gateAnswer.Name))
+	answer.Answers = append(answer.Answers, gateAnswer)
+	return handlerFunc(func(netip.Addr, *dnswire.Message) *dnswire.Message { return answer })
+}
+
+// gateNow answers every query on the read loop, refilling the loop's
+// reply in place and echoing ECS into the option bytes it already has,
+// which allocates nothing either. A query of other than one question it
+// answers FORMERR.
+type gateNow struct{}
+
+func (gateNow) HandleDNS(netip.Addr, *dnswire.Message) *dnswire.Message {
+	panic("gate: every query is answered immediately")
+}
+
+func (gateNow) HandleImmediate(_ netip.Addr, query, resp *dnswire.Message) bool {
+	resp.SetReply(query)
+	if len(query.Questions) != 1 {
+		// FORMERR without an OPT, as the resolver and the authority
+		// answer it.
+		resp.RCode, resp.EDNS = dnswire.RCodeFormErr, nil
+		return true
+	}
+	resp.Answers = append(resp.Answers, gateAnswer)
+	if resp.EDNS != nil {
+		ecsopt.AttachInPlace(resp, gateSubnet)
+	}
+	return true
+}
+
+// gateSubnet is the ECS echo of gateQuery's subnet.
+var gateSubnet = ecsopt.MustNew(netip.MustParseAddr("198.51.100.0"), 24).WithScope(24)
+
+// gateServer starts a server over h; configure, when set, runs before
+// Start.
+func gateServer(t *testing.T, h Handler, configure func(*Server)) (*Server, netip.AddrPort) {
 	t.Helper()
-	query := gateQuery("gate.serve.test.")
-	answer := dnswire.NewResponse(query)
-	answer.Answers = append(answer.Answers, dnswire.RR{
-		Name: query.Question().Name, Class: dnswire.ClassINET, TTL: 30,
-		Data: &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.1")},
-	})
-	srv := New(handlerFunc(func(netip.Addr, *dnswire.Message) *dnswire.Message { return answer }))
+	srv := New(h)
 	if configure != nil {
 		configure(srv)
 	}
@@ -74,10 +113,12 @@ func packWires(t *testing.T, names ...dnswire.Name) [][]byte {
 }
 
 // udpGate sends wires in turn to addr from one raw socket, requires
-// check to accept each reply, and fails when the average query costs
-// more than want objects after a warm-up of the worker, the buffer pools
-// and the RRL bucket.
-func udpGate(t *testing.T, addr netip.AddrPort, wires [][]byte, want float64, check func(reply []byte) bool) {
+// check to accept each reply, and fails when a run of batch queries
+// costs more than want objects on average after a warm-up of the
+// worker, the buffer pools and the RRL bucket. A batch of more than one
+// query measures a cost that recurs only once every few queries, which
+// testing.AllocsPerRun's whole-object average would round away.
+func udpGate(t *testing.T, addr netip.AddrPort, wires [][]byte, batch int, want float64, check func(reply []byte) bool) {
 	t.Helper()
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -90,24 +131,26 @@ func udpGate(t *testing.T, addr netip.AddrPort, wires [][]byte, want float64, ch
 	buf := make([]byte, 2048)
 	next := 0
 	exchange := func() {
-		wire := wires[next%len(wires)]
-		next++
-		if _, err := conn.WriteToUDPAddrPort(wire, addr); err != nil {
-			t.Fatal(err)
-		}
-		n, _, err := conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !check(buf[:n]) {
-			t.Fatalf("reply %x is not the one expected", buf[:n])
+		for i := 0; i < batch; i++ {
+			wire := wires[next%len(wires)]
+			next++
+			if _, err := conn.WriteToUDPAddrPort(wire, addr); err != nil {
+				t.Fatal(err)
+			}
+			n, _, err := conn.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !check(buf[:n]) {
+				t.Fatalf("reply %x is not the one expected", buf[:n])
+			}
 		}
 	}
 	for i := 0; i < 64; i++ {
 		exchange()
 	}
 	if allocs := testing.AllocsPerRun(2000, exchange); allocs > want {
-		t.Fatalf("a query costs the server %v objects, want <= %v", allocs, want)
+		t.Fatalf("%d queries cost the server %v objects, want <= %v", batch, allocs, want)
 	}
 }
 
@@ -121,7 +164,12 @@ func answered(reply []byte) bool {
 // UDP query: 0 for a repeated query, with RRL off and on, and 1 — the
 // decoded question name, which is new — when every query asks for a
 // name the worker's Message has not held before, as a resolver under
-// miss traffic sees.
+// miss traffic sees. The immediate row answers on the read loop, in the
+// loop's own reply, and costs 0 as well; so does the immediate-mixed
+// row, measured a cycle at a time, whose answers alternate with the
+// handler's FORMERR, which carries no OPT, and the server's, which
+// carries no records: the next answer must find the reply's sections,
+// OPT and ECS option bytes still there.
 func TestAllocGateServeUDP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -132,23 +180,42 @@ func TestAllocGateServeUDP(t *testing.T) {
 	for i := range fresh {
 		fresh[i] = dnswire.Name("q" + strconv.Itoa(i) + ".gate.serve.test.")
 	}
+	one := packWires(t, "gate.serve.test.")
+	// Two questions, which gateNow answers FORMERR without an OPT, and
+	// the header and first bytes of a question, which the server answers
+	// FORMERR for want of a query to decode.
+	twoQ := gateQuery("gate.serve.test.")
+	twoQ.Questions = append(twoQ.Questions, twoQ.Questions[0])
+	formErrs, err := twoQ.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	undecodable := one[0][:14]
 	for _, tc := range []struct {
-		name  string
-		rrl   *RRLConfig
-		names []dnswire.Name
-		want  float64
+		name    string
+		handler Handler
+		rrl     *RRLConfig
+		wires   [][]byte
+		batch   int
+		want    float64
 	}{
-		{"plain", nil, []dnswire.Name{"gate.serve.test."}, 0},
+		{"plain", gateReply(), nil, one, 1, 0},
 		// A bucket of a billion tokens never runs dry: every query takes
 		// the limiter's pass path on the client's one known prefix.
-		{"rrl", &RRLConfig{Rate: 1e9}, []dnswire.Name{"gate.serve.test."}, 0},
-		{"fresh-name", nil, fresh, 1},
+		{"rrl", gateReply(), &RRLConfig{Rate: 1e9}, one, 1, 0},
+		{"fresh-name", gateReply(), nil, packWires(t, fresh...), 1, 1},
+		{"immediate", gateNow{}, nil, one, 1, 0},
+		{"immediate-mixed", gateNow{}, nil, [][]byte{one[0], formErrs, one[0], undecodable}, 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, addr := gateServer(t, func(s *Server) { s.RRL = tc.rrl })
-			udpGate(t, addr, packWires(t, tc.names...), tc.want, answered)
-			if st := srv.Stats(); st.Shed != 0 || st.Slipped != 0 {
-				t.Fatalf("the gate's traffic was limited: %s", st)
+			srv, addr := gateServer(t, tc.handler, func(s *Server) { s.RRL = tc.rrl })
+			udpGate(t, addr, tc.wires, tc.batch, tc.want, answered)
+			st := srv.Stats()
+			if st.Shed != 0 || st.Slipped != 0 || st.Panics != 0 {
+				t.Fatalf("the gate's traffic was limited or failed: %s", st)
+			}
+			if _, now := tc.handler.(Immediate); now && st.Immediate != st.Received-st.Malformed {
+				t.Fatalf("the gate's traffic was not all answered on the read loop: %s", st)
 			}
 		})
 	}
@@ -162,7 +229,7 @@ func TestAllocGateServeTCP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	_, addr := gateServer(t, nil)
+	_, addr := gateServer(t, gateReply(), nil)
 	conn, err := net.DialTCP("tcp", nil, net.TCPAddrFromAddrPort(addr))
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +266,8 @@ func TestAllocGateServeTCP(t *testing.T) {
 
 // TestAllocGateShed counts what refusing a query costs: nothing, on both
 // shed paths. The read loop answers an overflow SERVFAIL from its own
-// workspace while every worker is wedged; a worker answers an RRL slip
-// from its own. Shedding a flood therefore leaves no garbage behind.
+// workspace while every worker is wedged, and an RRL slip from the same
+// workspace. Shedding a flood therefore leaves no garbage behind.
 func TestAllocGateShed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -234,7 +301,7 @@ func TestAllocGateShed(t *testing.T) {
 		waitStat(t, srv, "worker wedged", func(st ServerStats) bool { return st.Inflight == 1 })
 		conn.Write(packQuery(t, 2, "www.zone.test."))
 		waitStat(t, srv, "queue filled", func(st ServerStats) bool { return st.Received == 2 })
-		udpGate(t, addr, wires, 0, refused(dnswire.RCodeServFail, false))
+		udpGate(t, addr, wires, 1, 0, refused(dnswire.RCodeServFail, false))
 		if st := srv.Stats(); st.Shed != st.Received-2 {
 			t.Fatalf("the gate's traffic was not all shed: %s", st)
 		}
@@ -245,7 +312,7 @@ func TestAllocGateShed(t *testing.T) {
 		// the token every query is refused, and with Slip 1 every refusal
 		// slips. Loopback clients all share the bucket of 127.0.0.0/24.
 		frozen := time.Unix(1e9, 0)
-		srv, addr := gateServer(t, func(s *Server) {
+		srv, addr := gateServer(t, gateReply(), func(s *Server) {
 			s.RRL = &RRLConfig{Rate: 1, Burst: 1, Slip: 1}
 			s.Now = func() time.Time { return frozen }
 		})
@@ -254,7 +321,7 @@ func TestAllocGateShed(t *testing.T) {
 		if resp, ok := udpRead(t, conn, time.Second); !ok || resp.Truncated {
 			t.Fatalf("the bucket's one token did not answer: %v", resp)
 		}
-		udpGate(t, addr, wires, 0, refused(dnswire.RCodeNoError, true))
+		udpGate(t, addr, wires, 1, 0, refused(dnswire.RCodeNoError, true))
 		if st := srv.Stats(); st.Slipped != st.Received-1 {
 			t.Fatalf("the gate's traffic did not all slip: %s", st)
 		}

@@ -5,21 +5,29 @@
 // truncation with TCP fallback, and concurrent serving with graceful
 // shutdown.
 //
-// The server is built to stay correct under overload: UDP dispatch runs
-// on a bounded worker pool (grown on demand up to MaxInflight) with a
+// The server is built to stay correct under overload: refused clients
+// are response-rate-limited with the standard slip/TC mechanism (see
+// rrl.go) as each datagram is read, a query that must wait runs on a
+// bounded worker pool (grown on demand up to MaxInflight) with a
 // configurable overflow policy, TCP connections are capped (MaxConns)
-// with idle and write deadlines, refused clients are response-rate-
-// limited with the standard slip/TC mechanism (see rrl.go), handler
-// panics are recovered per query and answered SERVFAIL, and every query
-// read off the wire is accounted for in ServerStats. Shutdown(ctx)
-// drains in-flight work gracefully; Close force-closes.
+// with idle and write deadlines, handler panics are recovered per query
+// and answered SERVFAIL, and every query read off the wire is accounted
+// for in ServerStats. Shutdown(ctx) drains in-flight work gracefully;
+// Close force-closes.
+//
+// A handler that can answer some queries without waiting implements
+// Immediate as well. The UDP read loop then answers those queries on the
+// goroutine that read them, and only the queries it declines (a
+// resolver's cache misses) are copied and queued for a worker. A cache
+// hit costs no hand-off and no second goroutine.
 //
 // The server owns the memory it decodes and encodes in. Each UDP worker,
-// each TCP connection and the UDP read loop keep one query Message and
-// one output buffer for as long as they live, so a served or refused
-// query allocates nothing of its own. The price is the Handler contract:
-// the query is borrowed for the call, and the next query on the same
-// goroutine is decoded into the same Message.
+// each TCP connection and the UDP read loop keep one query Message, one
+// reply Message and one output buffer for as long as they live, so a
+// served or refused query allocates nothing of its own. The price is the
+// handler contracts: the query is borrowed for the call, the next query
+// on the same goroutine is decoded into the same Message, and an
+// Immediate reply is refilled in place by the next one.
 package dnsserver
 
 import (
@@ -51,9 +59,32 @@ import (
 // changes. A response may hold a cache's records: they are shared by
 // every cache entry that holds the same answer as well as by every
 // response built from one, so nothing writes them, and truncation only
-// reslices the response's own section slices.
+// reslices the response's own section slices. HandleDNS runs on a UDP
+// worker or a TCP connection's goroutine and may block: a resolver waits
+// on its upstream here.
 type Handler interface {
 	HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message
+}
+
+// Immediate is implemented by a Handler that can answer some queries
+// without waiting, such as a resolver's cache hits. The UDP read loop
+// that decoded query calls HandleImmediate before anything else and
+// sends what it fills in; only a query it declines is queued for a
+// worker and HandleDNS.
+//
+// HandleImmediate must not block: it runs on the read loop, and every
+// datagram behind it waits until it returns. It either fills resp and
+// returns true, or returns false having changed nothing, neither resp
+// nor any state or counter of its own, because the declined query then
+// reaches HandleDNS as if new and is counted there. The query is
+// borrowed as HandleDNS's is. resp is the read loop's own reply, which
+// the next query on that loop refills in place (dnswire.Message.SetReply
+// makes it a skeleton without allocating): records must be appended to
+// its sections, never shared into them from a cache or zone, or the
+// next reply writes over the cache's records. The server sets the
+// reply's ID and QR bit and may truncate it.
+type Immediate interface {
+	HandleImmediate(from netip.Addr, query, resp *dnswire.Message) bool
 }
 
 // OverflowPolicy decides what happens to a UDP query when the admission
@@ -83,6 +114,8 @@ const (
 // fields must be set before Start.
 type Server struct {
 	handler Handler
+	// immediate is handler's Immediate side, nil when it has none.
+	immediate Immediate
 	// ReadTimeout bounds per-connection TCP reads; between queries it
 	// acts as the idle timeout.
 	ReadTimeout time.Duration
@@ -91,7 +124,9 @@ type Server struct {
 	WriteTimeout time.Duration
 	// MaxInflight bounds concurrently-dispatched UDP queries: the cap
 	// on the worker pool, grown on demand, and the admission-queue
-	// depth (0 = the DefaultMaxInflight of 256, negative = 1).
+	// depth (0 = the DefaultMaxInflight of 256, negative = 1). Queries
+	// an Immediate handler answers on the read loop never enter the
+	// queue, so they are not bounded by it and never shed.
 	MaxInflight int
 	// Overflow is the shed policy once the admission queue is full.
 	Overflow OverflowPolicy
@@ -154,27 +189,35 @@ var udpBufPool = sync.Pool{
 }
 
 // workspace is the memory one serving goroutine decodes and encodes in:
-// a UDP worker, a TCP connection, or the read loop's shed path. It lives
-// as long as the goroutine, so each query is decoded into the same
-// Message and each reply packed into the same bytes.
+// a UDP worker, a TCP connection, or the read loop. It lives as long as
+// the goroutine, so each query is decoded into the same Message and each
+// reply packed into the same bytes.
 type workspace struct {
 	query dnswire.Message // the query the handler borrows
-	reply dnswire.Message // a refusal or FORMERR built from query
-	out   []byte          // the packed reply, valid until the next one
+	reply dnswire.Message // a refusal, a FORMERR, or an Immediate answer
+	// replyOPT is the OPT record an Immediate reply is lent before each
+	// answer: a reply without one, a refusal or a FORMERR, drops its
+	// pointer, and replyOPT keeps the option slots for the next answer.
+	replyOPT dnswire.EDNS
+	out      []byte // the packed reply, valid until the next one
 }
 
 // refusal fills ws.reply with the minimal answer to a packet the server
 // will not dispatch: the packet's ID, QR set and rcode. When echo is
 // set, ws.query holds the packet's query, and the reply repeats its
 // opcode, RD flag and question, as dnswire.NewResponse would. A nil
-// return means the packet is too short to carry an ID.
+// return means the packet is too short to carry an ID. The sections
+// keep their arrays for the next reply to fill.
 func (ws *workspace) refusal(pkt []byte, echo bool, rcode dnswire.RCode) *dnswire.Message {
 	id, ok := dnswire.PeekID(pkt)
 	if !ok {
 		return nil
 	}
 	r := &ws.reply
-	*r = dnswire.Message{Questions: r.Questions[:0]}
+	*r = dnswire.Message{
+		Questions: r.Questions[:0], Answers: r.Answers[:0],
+		Authorities: r.Authorities[:0], Additionals: r.Additionals[:0],
+	}
 	r.ID, r.Response, r.RCode = id, true, rcode
 	if echo {
 		r.OpCode, r.RecursionDesired = ws.query.OpCode, ws.query.RecursionDesired
@@ -202,10 +245,13 @@ func (ws *workspace) refuse(pkt []byte, rcode dnswire.RCode, tc bool) []byte {
 	return data
 }
 
-// New creates a server for the handler.
+// New creates a server for the handler, answering on the read loop what
+// it can answer immediately when it implements Immediate.
 func New(h Handler) *Server {
+	immediate, _ := h.(Immediate)
 	return &Server{
 		handler:      h,
+		immediate:    immediate,
 		ReadTimeout:  5 * time.Second,
 		WriteTimeout: 5 * time.Second,
 	}
@@ -409,19 +455,23 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
+// udpLoop is the UDP read loop's own state: its socket, the workspace
+// it answers, slips and sheds in, and the worker pool it starts. Only
+// the loop's goroutine touches it.
+type udpLoop struct {
+	pc             *net.UDPConn
+	ws             workspace
+	workers        sync.WaitGroup
+	started, limit int64 // workers started so far, and their cap
+}
+
 // serveUDP is the UDP read loop and the owner of the worker pool. It
-// starts workers as load needs them: after admitting a datagram, one
-// more whenever the datagrams admitted but unfinished outnumber the
-// workers started, up to MaxInflight — so a queued datagram never waits
-// on a later arrival to get a worker, a closed loop runs on one warm
-// stack, and a flood ends at the same bound as a pre-started pool.
-// Workers are not retired; the pool is a high-water mark. On shutdown
-// the loop closes the queue and waits for the workers to drain it.
+// serves each datagram it reads (serveDatagram) until the socket's read
+// deadline expires on shutdown, then closes the queue and waits for the
+// workers to drain it.
 func (s *Server) serveUDP(pc *net.UDPConn) {
 	defer s.loops.Done()
-	var workers sync.WaitGroup
-	var shed workspace
-	started, limit := int64(0), int64(s.maxInflight())
+	l := &udpLoop{pc: pc, limit: int64(s.maxInflight())}
 	buf := make([]byte, 65535)
 	for {
 		n, from, err := pc.ReadFromUDPAddrPort(buf)
@@ -432,38 +482,86 @@ func (s *Server) serveUDP(pc *net.UDPConn) {
 			continue
 		}
 		s.stats.received.Add(1)
-		bp := udpBufPool.Get().(*[]byte)
-		pkt := append((*bp)[:0], buf[:n]...)
-		*bp = pkt
-		select {
-		case s.queue <- udpPacket{pkt: pkt, bp: bp, from: from}:
-			if s.pending.Add(1) > started && started < limit {
-				started++
-				s.stats.workers.Store(started)
-				workers.Add(1)
-				go func() {
-					defer workers.Done()
-					s.udpWorker(pc)
-				}()
-			}
-		default:
-			// Admission control: the pool is saturated. Shed per the
-			// configured policy instead of queueing unbounded work.
-			s.stats.shed.Add(1)
-			if s.Overflow == OverflowServFail {
-				if data := shed.refuse(pkt, dnswire.RCodeServFail, false); data != nil {
-					pc.WriteToUDPAddrPort(data, from)
-				}
-			}
-			udpBufPool.Put(bp)
-		}
+		s.serveDatagram(l, buf[:n], from)
 	}
 	close(s.queue)
-	workers.Wait()
+	l.workers.Wait()
 }
 
-// udpWorker is one admission-pool worker: it applies RRL, then parses
-// and dispatches each queued packet, all in one workspace of its own.
+// serveDatagram decides one datagram on the read loop. RRL comes first,
+// once per datagram: a refusal is shed or slipped here. Then an
+// Immediate handler is asked for an answer, which is sent from here;
+// what it declines, and every query of a handler without Immediate, is
+// admitted to the worker pool. Nothing here allocates once the loop has
+// warmed up (TestAllocGateServeUDP and TestAllocGateShed count it).
+//
+//ecsinvariant:handler counters
+func (s *Server) serveDatagram(l *udpLoop, pkt []byte, from netip.AddrPort) {
+	if s.rrl != nil {
+		switch s.rrl.decide(from.Addr()) {
+		case rrlDrop:
+			s.stats.shed.Add(1)
+			s.stats.rrlDropped.Add(1)
+			return
+		case rrlSlip:
+			// The slip: a truncated (TC=1) empty reply that steers the
+			// client to TCP, which is never rate-limited.
+			s.stats.slipped.Add(1)
+			if data := l.ws.refuse(pkt, dnswire.RCodeNoError, true); data != nil {
+				l.pc.WriteToUDPAddrPort(data, from)
+			}
+			return
+		}
+	}
+	if s.immediate == nil {
+		s.admit(l, pkt, from)
+		return
+	}
+	if resp, decoded := s.process(from, pkt, &l.ws, l); resp != nil {
+		l.ws.send(l.pc, resp, decoded, from)
+	}
+}
+
+// admit hands a datagram to the worker pool: a copy goes on the queue,
+// and a worker is started when the datagrams admitted but unfinished
+// outnumber the workers started, up to MaxInflight — so a queued
+// datagram never waits on a later arrival to get a worker, a closed loop
+// runs on one warm stack, and a flood ends at the same bound as a
+// pre-started pool. Workers are not retired; the pool is a high-water
+// mark. A full queue sheds the datagram per Overflow, refused from the
+// read loop's workspace.
+//
+//ecsinvariant:handoff counters
+func (s *Server) admit(l *udpLoop, pkt []byte, from netip.AddrPort) {
+	bp := udpBufPool.Get().(*[]byte)
+	pkt = append((*bp)[:0], pkt...)
+	*bp = pkt
+	select {
+	case s.queue <- udpPacket{pkt: pkt, bp: bp, from: from}:
+		if s.pending.Add(1) > l.started && l.started < l.limit {
+			l.started++
+			s.stats.workers.Store(l.started)
+			l.workers.Add(1)
+			go func() {
+				defer l.workers.Done()
+				s.udpWorker(l.pc)
+			}()
+		}
+	default:
+		// Admission control: the pool is saturated. Shed per the
+		// configured policy instead of queueing unbounded work.
+		s.stats.shed.Add(1)
+		if s.Overflow == OverflowServFail {
+			if data := l.ws.refuse(pkt, dnswire.RCodeServFail, false); data != nil {
+				l.pc.WriteToUDPAddrPort(data, from)
+			}
+		}
+		udpBufPool.Put(bp)
+	}
+}
+
+// udpWorker is one admission-pool worker: it parses and dispatches each
+// queued packet, all in one workspace of its own.
 func (s *Server) udpWorker(pc *net.UDPConn) {
 	var ws workspace
 	for p := range s.queue {
@@ -475,34 +573,22 @@ func (s *Server) udpWorker(pc *net.UDPConn) {
 	}
 }
 
-// serveUDPPacket classifies one admitted datagram: RRL refusal (shed or
-// slipped), then decode-and-dispatch via process. The query is decoded
-// into ws.query and the reply packed into ws.out, so nothing here
-// allocates once a worker has warmed up (TestAllocGateServeUDP counts
-// it).
+// serveUDPPacket decodes and dispatches one admitted datagram via
+// process. The query is decoded into ws.query and the reply packed into
+// ws.out, so nothing here allocates once a worker has warmed up
+// (TestAllocGateServeUDP counts it).
 //
 //ecsinvariant:handler counters
 func (s *Server) serveUDPPacket(pc *net.UDPConn, p udpPacket, ws *workspace) {
-	if s.rrl != nil {
-		switch s.rrl.decide(p.from.Addr()) {
-		case rrlDrop:
-			s.stats.shed.Add(1)
-			s.stats.rrlDropped.Add(1)
-			return
-		case rrlSlip:
-			// The slip: a truncated (TC=1) empty reply that steers the
-			// client to TCP, which is never rate-limited.
-			s.stats.slipped.Add(1)
-			if data := ws.refuse(p.pkt, dnswire.RCodeNoError, true); data != nil {
-				pc.WriteToUDPAddrPort(data, p.from)
-			}
-			return
-		}
+	if resp, decoded := s.process(p.from, p.pkt, ws, nil); resp != nil {
+		ws.send(pc, resp, decoded, p.from)
 	}
-	resp, decoded := s.process(p.from.Addr(), p.pkt, ws)
-	if resp == nil {
-		return
-	}
+}
+
+// send packs resp into ws.out, truncated to what the client advertised
+// (decoded says ws.query holds the query, and with it the client's EDNS
+// buffer size), and writes it to the client.
+func (ws *workspace) send(pc *net.UDPConn, resp *dnswire.Message, decoded bool, to netip.AddrPort) {
 	limit := dnswire.MaxUDPSize
 	if e := ws.query.EDNS; decoded && e != nil && int(e.UDPSize) > limit {
 		limit = int(e.UDPSize)
@@ -511,7 +597,7 @@ func (s *Server) serveUDPPacket(pc *net.UDPConn, p udpPacket, ws *workspace) {
 	if err != nil {
 		return
 	}
-	pc.WriteToUDPAddrPort(data, p.from)
+	pc.WriteToUDPAddrPort(data, to)
 	ws.out = data[:0] // keep any growth for the next reply
 }
 
@@ -602,7 +688,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.stats.received.Add(1)
 		s.stats.inflight.Add(1)
-		resp, _ := s.process(from.Addr(), frame, &ws)
+		resp, _ := s.process(from, frame, &ws, nil)
 		s.stats.inflight.Add(-1)
 		if resp == nil {
 			return
@@ -629,10 +715,13 @@ func (s *Server) serveConn(conn net.Conn) {
 // means "send nothing"; decoded reports whether ws.query holds the
 // packet's query, so a caller may consult its EDNS advertisement
 // without decoding the packet again. A packet that does not decode is
-// answered FORMERR from ws.reply when at least its ID can be read.
+// answered FORMERR from ws.reply when at least its ID can be read. On
+// the read loop, l is the loop, ws its workspace, and the query goes to
+// handleNow; on a worker or a TCP connection l is nil and the query goes
+// to HandleDNS.
 //
 //ecsinvariant:handler counters
-func (s *Server) process(from netip.Addr, pkt []byte, ws *workspace) (resp *dnswire.Message, decoded bool) {
+func (s *Server) process(from netip.AddrPort, pkt []byte, ws *workspace, l *udpLoop) (resp *dnswire.Message, decoded bool) {
 	query := &ws.query
 	if err := dnswire.UnpackInto(query, pkt); err != nil {
 		s.stats.malformed.Add(1)
@@ -642,7 +731,38 @@ func (s *Server) process(from netip.Addr, pkt []byte, ws *workspace) (resp *dnsw
 		s.stats.malformed.Add(1)
 		return nil, true // never answer responses
 	}
-	return s.handle(from, query), true
+	if l != nil {
+		return s.handleNow(l, pkt, from), true
+	}
+	return s.handle(from.Addr(), query), true
+}
+
+// handleNow asks the Immediate handler to answer the loop's query in its
+// reply, which is lent the workspace's OPT record first, with handle's
+// panic isolation. A query the handler declines is admitted to the
+// worker pool, and handleNow returns nil: the worker answers it,
+// decoding the datagram and looking it up again, a cost only a declined
+// query pays.
+//
+//ecsinvariant:handler counters
+func (s *Server) handleNow(l *udpLoop, pkt []byte, from netip.AddrPort) (resp *dnswire.Message) {
+	ws := &l.ws
+	defer func() {
+		if r := recover(); r != nil {
+			s.stats.panics.Add(1)
+			resp = ws.refusal(pkt, true, dnswire.RCodeServFail)
+		}
+	}()
+	ws.reply.EDNS = &ws.replyOPT
+	if !s.immediate.HandleImmediate(from.Addr(), &ws.query, &ws.reply) {
+		s.admit(l, pkt, from)
+		return nil
+	}
+	resp = &ws.reply
+	resp.ID, resp.Response = ws.query.ID, true
+	s.stats.answered.Add(1)
+	s.stats.immediate.Add(1)
+	return resp
 }
 
 // handle runs the handler for one parsed query, recovering a panic into

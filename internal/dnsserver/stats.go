@@ -13,7 +13,7 @@ import (
 //ecsinvariant:partition received = answered + shed + slipped + malformed + panics
 type counters struct {
 	received, answered, shed, rrlDropped, slipped, malformed, panics atomic.Int64
-	inflight, conns, connsTotal, connsRejected, workers              atomic.Int64
+	immediate, inflight, conns, connsTotal, connsRejected, workers   atomic.Int64
 }
 
 // ServerStats is a point-in-time snapshot of the server's accounting.
@@ -28,6 +28,9 @@ type ServerStats struct {
 	// Answered counts queries that were admitted and whose handler
 	// completed normally — including deliberate no-response drops.
 	Answered int64
+	// Immediate is the subset of Answered that an Immediate handler
+	// answered on the read loop, without a worker.
+	Immediate int64
 	// Shed counts queries refused before the handler: admission-queue
 	// overflow (dropped or answered SERVFAIL per the overflow policy)
 	// plus RRL refusals that were not slipped.
@@ -43,7 +46,8 @@ type ServerStats struct {
 	Malformed int64
 	// Panics counts handler panics recovered and answered SERVFAIL.
 	Panics int64
-	// Inflight is the number of queries being handled right now.
+	// Inflight is the number of queries a worker or TCP connection is
+	// handling right now; a read loop's immediate answers are not counted.
 	Inflight int64
 	// Conns is the number of open TCP connections right now;
 	// ConnsTotal the lifetime accept count; ConnsRejected the accepts
@@ -61,6 +65,7 @@ func (s *Server) Stats() ServerStats {
 	return ServerStats{
 		Received:      s.stats.received.Load(),
 		Answered:      s.stats.answered.Load(),
+		Immediate:     s.stats.immediate.Load(),
 		Shed:          s.stats.shed.Load(),
 		RRLDropped:    s.stats.rrlDropped.Load(),
 		Slipped:       s.stats.slipped.Load(),
@@ -85,7 +90,7 @@ func (st ServerStats) Balanced() bool {
 // on exit.
 func (st ServerStats) String() string {
 	return fmt.Sprintf(
-		"received=%d answered=%d shed=%d (rrl-dropped=%d) slipped=%d malformed=%d panics=%d conns=%d/%d (rejected=%d) workers=%d",
-		st.Received, st.Answered, st.Shed, st.RRLDropped, st.Slipped,
+		"received=%d answered=%d (immediate=%d) shed=%d (rrl-dropped=%d) slipped=%d malformed=%d panics=%d conns=%d/%d (rejected=%d) workers=%d",
+		st.Received, st.Answered, st.Immediate, st.Shed, st.RRLDropped, st.Slipped,
 		st.Malformed, st.Panics, st.Conns, st.ConnsTotal, st.ConnsRejected, st.Workers)
 }

@@ -483,6 +483,35 @@ func NewResponse(q *Message) *Message {
 	return r
 }
 
+// SetReply makes m the skeleton of the reply to q in m's own memory: the
+// header and question NewResponse would give it, empty sections, and,
+// when q carries an OPT record, an OPT of m's own (RFC 6891 §7) with a
+// 4096-byte buffer and no options. The section slices and the EDNS
+// struct m already holds are reused, as are its option slots beyond the
+// new length, so a server refilling one reply query after query
+// allocates nothing. The price is that records appended after a SetReply
+// land in the arrays the last reply's sections used: a filler appends
+// records to m's sections and never points them at slices it does not
+// own (a cache's, a zone's), or the next reply writes over those.
+func (m *Message) SetReply(q *Message) {
+	m.Header = Header{
+		ID:               q.ID,
+		Response:         true,
+		OpCode:           q.OpCode,
+		RecursionDesired: q.RecursionDesired,
+	}
+	m.Questions = append(m.Questions[:0], q.Questions...)
+	m.Answers, m.Authorities, m.Additionals = m.Answers[:0], m.Authorities[:0], m.Additionals[:0]
+	switch {
+	case q.EDNS == nil:
+		m.EDNS = nil
+	case m.EDNS == nil:
+		m.EDNS = NewEDNS()
+	default:
+		*m.EDNS = EDNS{UDPSize: 4096, Options: m.EDNS.Options[:0]}
+	}
+}
+
 // TruncateTo shrinks m to fit within size bytes when packed, dropping
 // whole records from the tail sections and setting TC when anything was
 // dropped. It returns the packed bytes.

@@ -261,6 +261,21 @@ func (c *Cache) Lookup(key Key, client netip.Addr, now time.Time) (*Entry, bool)
 	return e, true
 }
 
+// Hit is Lookup for a caller that calls Lookup again when it misses: a
+// hit is counted and spliced to the front as Lookup does it, and a miss
+// changes nothing, so the Lookup that follows it is the only one
+// counted. A resolver that answers hits early and defers misses uses it
+// to count each query once.
+func (c *Cache) Hit(key Key, client netip.Addr, now time.Time) (*Entry, bool) {
+	e := c.shardFor(key).lookup(key, client, now)
+	if e == nil {
+		return nil, false
+	}
+	c.stats.lookups.Add(1)
+	c.stats.hits.Add(1)
+	return e, true
+}
+
 // LookupStale finds the best expired-but-recent entry for key usable by
 // client: a positive answer whose expiry is no more than maxStale in the
 // past, honoring the cache's scope mode. It backs RFC 8767-style stale

@@ -52,7 +52,8 @@ func (c *Cache) addLive(delta int) {
 // (natural death) and Evictions (capacity pressure on a live entry —
 // the premature evictions cachesim.BoundedReplay models).
 type CacheStats struct {
-	// Lookups counts Lookup calls; every one is a Hit or a Miss.
+	// Lookups counts Lookup calls and the Hit calls that hit; every one
+	// is a Hit or a Miss.
 	Lookups int64
 	Hits    int64
 	Misses  int64

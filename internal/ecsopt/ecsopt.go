@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"ecsdns/internal/dnswire"
 )
@@ -193,23 +194,25 @@ func (cs ClientSubnet) String() string {
 // as the RFC requires.
 func (cs ClientSubnet) Encode() dnswire.Option {
 	nbytes := (int(cs.SourcePrefix) + 7) / 8
-	data := make([]byte, 4+nbytes)
-	data[0] = byte(cs.Family >> 8)
-	data[1] = byte(cs.Family)
-	data[2] = cs.SourcePrefix
-	data[3] = cs.ScopePrefix
-	if nbytes > 0 && cs.Addr.IsValid() {
-		var raw []byte
-		if cs.Addr.Is4() {
-			a := cs.Addr.As4()
-			raw = a[:]
-		} else {
-			a := cs.Addr.As16()
-			raw = a[:]
-		}
-		copy(data[4:], raw[:nbytes])
+	return dnswire.Option{Code: dnswire.OptionCodeECS, Data: cs.appendData(make([]byte, 0, 4+nbytes))}
+}
+
+// appendData appends the option payload Encode builds to b.
+func (cs ClientSubnet) appendData(b []byte) []byte {
+	nbytes := (int(cs.SourcePrefix) + 7) / 8
+	b = append(b, byte(cs.Family>>8), byte(cs.Family), cs.SourcePrefix, cs.ScopePrefix)
+	addr := len(b)
+	b = append(b, make([]byte, nbytes)...)
+	switch {
+	case !cs.Addr.IsValid():
+	case cs.Addr.Is4():
+		a := cs.Addr.As4()
+		copy(b[addr:], a[:])
+	default:
+		a := cs.Addr.As16()
+		copy(b[addr:], a[:])
 	}
-	return dnswire.Option{Code: dnswire.OptionCodeECS, Data: data}
+	return b
 }
 
 // Decode parses an ECS option strictly: family consistent with prefix
@@ -300,6 +303,27 @@ func Attach(m *dnswire.Message, cs ClientSubnet) {
 		m.EDNS = dnswire.NewEDNS()
 	}
 	m.EDNS.SetOption(cs.Encode())
+}
+
+// AttachInPlace is Attach for a reply refilled query after query (see
+// dnswire.Message.SetReply): the option is encoded into the bytes of the
+// ECS option m already carries, or of the option slot just past the end
+// of m's options, which SetReply leaves holding the last reply's bytes.
+// Once m has carried one option it allocates nothing. Those bytes are
+// m's own: a caller must not have handed them out.
+func AttachInPlace(m *dnswire.Message, cs ClientSubnet) {
+	if m.EDNS == nil {
+		m.EDNS = dnswire.NewEDNS()
+	}
+	opts := m.EDNS.Options
+	i := slices.IndexFunc(opts, func(o dnswire.Option) bool { return o.Code == dnswire.OptionCodeECS })
+	if i < 0 {
+		i = len(opts)
+		opts = slices.Grow(opts, 1)[:i+1]
+	}
+	opts[i].Code = dnswire.OptionCodeECS
+	opts[i].Data = cs.appendData(opts[i].Data[:0])
+	m.EDNS.Options = opts
 }
 
 // Strip removes any ECS option from m and reports whether one was there.

@@ -36,6 +36,14 @@ import (
 // Deferred recover blocks get the obvious special case: increments
 // inside a `if r := recover(); r != nil` region of a deferred literal
 // belong to the panic exit path, which must also count exactly one term.
+//
+// A unit may also leave its goroutine unclassified, handed over a channel
+// to one whose handler counts it. A function that does so registers with
+//
+//	//ecsinvariant:handoff <StructType>
+//
+// and is checked as a handler in which a channel send counts as the one
+// term; its callers count a call to it as exactly one.
 var counterpartitionCheck = Check{
 	Name: "counterpartition",
 	Doc:  "handler exit path increments zero or multiple terms of an //ecsinvariant:partition declaration",
@@ -99,28 +107,32 @@ func runCounterpartition(ctx *Context) {
 	prog := ctx.Pkg.Flow()
 	summaries := make(map[*flow.FuncInfo]cpCount)
 
-	for _, f := range ctx.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil || fd.Body == nil {
-				continue
-			}
-			for _, cm := range fd.Doc.List {
-				rest, ok := strings.CutPrefix(cm.Text, invariantPrefix+"handler")
-				if !ok {
+	// Hand-off functions are checked first: that stores their summaries,
+	// counted with their sends, before any handler's call reads them.
+	for _, verb := range []string{"handoff", "handler"} {
+		for _, f := range ctx.Pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Doc == nil || fd.Body == nil {
 					continue
 				}
-				name := strings.TrimSpace(rest)
-				inv, ok := invs[name]
-				if !ok {
-					ctx.Reportf(cm.Pos(), "ecsinvariant:handler names %q, which carries no //ecsinvariant:partition annotation in this package", name)
-					continue
+				for _, cm := range fd.Doc.List {
+					rest, ok := strings.CutPrefix(cm.Text, invariantPrefix+verb)
+					if !ok {
+						continue
+					}
+					name := strings.TrimSpace(rest)
+					inv, ok := invs[name]
+					if !ok {
+						ctx.Reportf(cm.Pos(), "ecsinvariant:%s names %q, which carries no //ecsinvariant:partition annotation in this package", verb, name)
+						continue
+					}
+					fi := prog.FuncOf(funcObj(ctx.Pkg, fd))
+					if fi == nil {
+						continue
+					}
+					ctx.checkHandler(prog, fi, inv, summaries, verb == "handoff")
 				}
-				fi := prog.FuncOf(funcObj(ctx.Pkg, fd))
-				if fi == nil {
-					continue
-				}
-				ctx.checkHandler(prog, fi, inv, summaries)
 			}
 		}
 	}
@@ -224,10 +236,14 @@ func (c *Context) parseInvariantLine(ts *ast.TypeSpec, cm *ast.Comment, rest str
 
 // checkHandler verifies the exactly-one-term property on every exit
 // path of fi, and validates the recover-guarded panic path of its
-// deferred literals.
-func (c *Context) checkHandler(prog *flow.Program, fi *flow.FuncInfo, inv *invariant, summaries map[*flow.FuncInfo]cpCount) {
+// deferred literals. For a hand-off function (sends) a channel send is
+// a term, and its summary is stored for its callers.
+func (c *Context) checkHandler(prog *flow.Program, fi *flow.FuncInfo, inv *invariant, summaries map[*flow.FuncInfo]cpCount, sends bool) {
 	g := fi.CFG()
-	res := c.solveCounts(prog, fi, inv, summaries)
+	res := c.solveCounts(prog, fi, inv, summaries, sends)
+	if sends {
+		summaries[fi] = exitJoin(fi, res)
+	}
 
 	// The mutex rule for non-atomic increments rides on the same CFG.
 	lockRes := flow.Solve(g, lockAnalysis(c.Pkg))
@@ -265,23 +281,38 @@ func (c *Context) checkHandler(prog *flow.Program, fi *flow.FuncInfo, inv *invar
 	}
 }
 
-// solveCounts runs the increment-interval dataflow for fi.
-func (c *Context) solveCounts(prog *flow.Program, fi *flow.FuncInfo, inv *invariant, summaries map[*flow.FuncInfo]cpCount) *flow.Result[cpCount] {
+// solveCounts runs the increment-interval dataflow for fi, counting a
+// channel send as a term when sends is set.
+func (c *Context) solveCounts(prog *flow.Program, fi *flow.FuncInfo, inv *invariant, summaries map[*flow.FuncInfo]cpCount, sends bool) *flow.Result[cpCount] {
 	analysis := flow.Analysis[cpCount]{
 		Entry:     cpCount{},
 		Unreached: cpCount{bottom: true},
 		Join:      func(a, b cpCount) cpCount { return a.join(b) },
 		Equal:     func(a, b cpCount) bool { return a == b },
 		Transfer: func(n ast.Node, in cpCount) cpCount {
-			return in.add(c.nodeIncrements(prog, n, inv, summaries))
+			return in.add(c.nodeIncrements(prog, n, inv, summaries, sends))
 		},
 	}
 	return flow.Solve(fi.CFG(), analysis)
 }
 
+// exitJoin is the join of fi's exit-path counts: what a call to fi adds
+// on its caller's path.
+func exitJoin(fi *flow.FuncInfo, res *flow.Result[cpCount]) cpCount {
+	out := cpCount{bottom: true}
+	for _, blk := range fi.CFG().ExitBlocks() {
+		out = out.join(res.Out[blk])
+	}
+	if out.bottom {
+		out = cpCount{}
+	}
+	return out
+}
+
 // nodeIncrements computes the increment interval contributed by one CFG
-// node: direct term increments plus static callees' summaries.
-func (c *Context) nodeIncrements(prog *flow.Program, n ast.Node, inv *invariant, summaries map[*flow.FuncInfo]cpCount) cpCount {
+// node: direct term increments (and sends, when they count) plus static
+// callees' summaries.
+func (c *Context) nodeIncrements(prog *flow.Program, n ast.Node, inv *invariant, summaries map[*flow.FuncInfo]cpCount, sends bool) cpCount {
 	total := cpCount{}
 	switch n.(type) {
 	case *ast.DeferStmt, *ast.GoStmt:
@@ -291,6 +322,10 @@ func (c *Context) nodeIncrements(prog *flow.Program, n ast.Node, inv *invariant,
 		switch x := m.(type) {
 		case *ast.FuncLit:
 			return false
+		case *ast.SendStmt:
+			if sends {
+				total = total.add(cpCount{min: 1, max: 1})
+			}
 		case *ast.IncDecStmt:
 			if x.Tok == token.INC && c.termOf(x.X, inv) != "" {
 				total = total.add(cpCount{min: 1, max: 1})
@@ -326,14 +361,7 @@ func (c *Context) calleeSummary(prog *flow.Program, fi *flow.FuncInfo, inv *inva
 		return v
 	}
 	summaries[fi] = cpCount{} // cycle cut
-	res := c.solveCounts(prog, fi, inv, summaries)
-	out := cpCount{bottom: true}
-	for _, blk := range fi.CFG().ExitBlocks() {
-		out = out.join(res.Out[blk])
-	}
-	if out.bottom {
-		out = cpCount{}
-	}
+	out := exitJoin(fi, c.solveCounts(prog, fi, inv, summaries, false))
 	summaries[fi] = out
 	return out
 }

@@ -1,7 +1,7 @@
 // Package counterpartitionbad breaks its declared accounting partition
 // in every way counterpartition detects: a leaking exit path, a
-// double-counting path, unlocked bare increments, and a handler
-// directive naming a struct with no invariant.
+// double-counting path, unlocked bare increments, a handler directive
+// naming a struct with no invariant, and a hand-off that drops a unit.
 package counterpartitionbad
 
 import "sync/atomic"
@@ -55,3 +55,14 @@ func bare(p *plain, ok bool) {
 //
 //ecsinvariant:handler nosuch
 func orphan() {}
+
+// dropOnFull neither hands the unit on nor counts it when the channel is
+// full.
+//
+//ecsinvariant:handoff stats
+func dropOnFull(q chan<- int) {
+	select {
+	case q <- 1:
+	default:
+	}
+}

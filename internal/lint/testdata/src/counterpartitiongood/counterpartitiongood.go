@@ -1,6 +1,6 @@
 // Package counterpartitiongood keeps its accounting partition exact on
 // every exit path: direct increments, callee increments, locked bare
-// counters, and a counted panic path.
+// counters, a counted panic path, and a hand-off over a channel.
 package counterpartitiongood
 
 import (
@@ -76,4 +76,27 @@ func locked(p *plain, ok bool) {
 	} else {
 		p.badCount++
 	}
+}
+
+// handOff passes the unit over a channel to a goroutine whose handler
+// counts it, and counts it itself only when the channel is full.
+//
+//ecsinvariant:handoff stats
+func handOff(s *stats, q chan<- int) {
+	select {
+	case q <- 1:
+	default:
+		s.failed.Add(1)
+	}
+}
+
+// viaHandOff counts a call to a hand-off function as its one term.
+//
+//ecsinvariant:handler stats
+func viaHandOff(s *stats, q chan<- int, ok bool) {
+	if ok {
+		s.done.Add(1)
+		return
+	}
+	handOff(s, q)
 }

@@ -11,7 +11,9 @@
 // The phases are sequenced against the server's own counters (wedge all
 // workers, fill the admission queue, then flood), which makes the shed
 // count an exact function of the scenario — the same determinism the
-// fault layer gets from seeded RNGs, obtained here by construction.
+// fault layer gets from seeded RNGs, obtained here by construction. The
+// server reads its socket on one loop, so the sequence it reads in is the
+// sequence the counters show.
 package chaostest
 
 import (
@@ -49,6 +51,19 @@ type OverloadScenario struct {
 	FloodFactor int
 	// Overflow is the shed policy under test.
 	Overflow dnsserver.OverflowPolicy
+	// Immediate gives the handler dnsserver's immediate path: names
+	// under "hot." are answered on the read loop, and every third flood
+	// query, from the second, asks for one. Those are answered while the
+	// queue is full, never shed.
+	Immediate bool
+}
+
+// hotFlood is how many of a flood of n queries ask for "hot." names.
+func (sc OverloadScenario) hotFlood(n int) int {
+	if !sc.Immediate {
+		return 0
+	}
+	return (n + 1) / 3 // i%3 == 1 for i < n
 }
 
 // OverloadResult is the deterministic outcome of one RunOverload
@@ -110,11 +125,27 @@ func (h *overloadHandler) HandleDNS(from netip.Addr, q *dnswire.Message) *dnswir
 	return h.inner.HandleDNS(from, q)
 }
 
+// immediateHandler is overloadHandler with an immediate path: names
+// under "hot." are answered on the read loop by the authority's
+// HandleImmediate, and every other name is declined to HandleDNS, and
+// its faults, on a worker.
+type immediateHandler struct {
+	*overloadHandler
+	now dnsserver.Immediate
+}
+
+func (h immediateHandler) HandleImmediate(from netip.Addr, q, resp *dnswire.Message) bool {
+	if len(q.Questions) != 1 || !strings.HasPrefix(string(q.Questions[0].Name), "hot.") {
+		return false
+	}
+	return h.now.HandleImmediate(from, q, resp)
+}
+
 // overloadRig builds the real-socket server: an authority wildcard zone
-// on a frozen virtual clock behind the fault-injecting handler. The
-// clock is returned so RRL scenarios can advance virtual time between
-// paced sends.
-func overloadRig(tb testing.TB, configure func(*dnsserver.Server)) (*overloadHandler, *dnsserver.Server, string, *netem.Clock) {
+// on a frozen virtual clock behind the fault-injecting handler, with an
+// immediate path when immediate is set. The clock is returned so RRL
+// scenarios can advance virtual time between paced sends.
+func overloadRig(tb testing.TB, immediate bool, configure func(*dnsserver.Server)) (*overloadHandler, *dnsserver.Server, string, *netem.Clock) {
 	tb.Helper()
 	clk := netem.NewClock(netem.SimStart)
 	auth := authority.NewServer(authority.Config{
@@ -124,7 +155,11 @@ func overloadRig(tb testing.TB, configure func(*dnsserver.Server)) (*overloadHan
 	z.SetWildcard(dnswire.TypeA, &dnswire.ARData{Addr: chaosAnswer})
 	auth.AddZone(z)
 	h := newOverloadHandler(auth)
-	srv := dnsserver.New(h)
+	var served dnsserver.Handler = h
+	if immediate {
+		served = immediateHandler{h, auth}
+	}
+	srv := dnsserver.New(served)
 	srv.Now = clk.Now
 	if configure != nil {
 		configure(srv)
@@ -250,7 +285,8 @@ func expectAnswer(tb testing.TB, scenario string, conn net.Conn, id uint16) {
 //  2. fill — MaxInflight more queries (half "boom.") fill the admission
 //     queue behind them;
 //  3. flood — (FloodFactor−2)×MaxInflight concurrent queries arrive at a
-//     full queue, so every one must be shed per the overflow policy;
+//     full queue, so every one must be shed per the overflow policy,
+//     but for the "hot." ones an Immediate scenario answers at once;
 //  4. release — the gate opens, the admitted queries drain (panics
 //     isolated into SERVFAILs), and every client's reply is checked;
 //  5. aftermath — a fresh query is answered normally, then a graceful
@@ -269,10 +305,12 @@ func RunOverload(tb testing.TB, sc OverloadScenario) OverloadResult {
 		factor = 8
 	}
 	flood := (factor - 2) * m
+	hot := sc.hotFlood(flood)
+	shed := flood - hot
 	fillBoom := m / 2
 	before := runtime.NumGoroutine()
 
-	h, srv, addr, _ := overloadRig(tb, func(s *dnsserver.Server) {
+	h, srv, addr, _ := overloadRig(tb, sc.Immediate, func(s *dnsserver.Server) {
 		s.MaxInflight = m
 		s.Overflow = sc.Overflow
 	})
@@ -304,14 +342,18 @@ func RunOverload(tb testing.TB, sc OverloadScenario) OverloadResult {
 
 	// Phase 3: the flood. Workers wedged, queue full: every datagram the
 	// read loop takes must be shed, so Shed is exact. Panic names are
-	// mixed in — a shed panic query must never reach the handler.
+	// mixed in — a shed panic query must never reach the handler — and
+	// so, in an Immediate scenario, are hot names, answered on the loop.
 	floodConns := make([]net.Conn, flood)
 	floodPkts := make([][]byte, flood)
 	for i := range floodConns {
 		floodConns[i] = dialOverload(tb, addr)
 		prefix := fmt.Sprintf("flood.x%03d.", i)
-		if i%3 == 0 {
+		switch {
+		case i%3 == 0:
 			prefix = fmt.Sprintf("boom.x%03d.", i)
+		case i%3 == 1 && sc.Immediate:
+			prefix = fmt.Sprintf("hot.x%03d.", i)
 		}
 		floodPkts[i] = packOverloadQuery(tb, uint16(1001+i), prefix)
 	}
@@ -328,19 +370,20 @@ func RunOverload(tb testing.TB, sc OverloadScenario) OverloadResult {
 	}
 	senders.Wait()
 	// The read loop counts a datagram received before it counts it
-	// shed, so waiting on Received alone can read Shed one short.
+	// shed or answered, so waiting on Received alone can read Shed one
+	// short.
 	waitServer(tb, srv, "flood read off the wire and shed", func(st dnsserver.ServerStats) bool {
-		return st.Received == int64(factor*m) && st.Shed >= int64(flood)
+		return st.Received == int64(factor*m) && st.Shed >= int64(shed) && st.Immediate >= int64(hot)
 	})
-	if st := srv.Stats(); st.Shed != int64(flood) {
-		tb.Errorf("%s: shed %d of %d flood queries at a full queue", sc.Name, st.Shed, flood)
+	if st := srv.Stats(); st.Shed != int64(shed) {
+		tb.Errorf("%s: shed %d of %d flood queries at a full queue", sc.Name, st.Shed, shed)
 	}
 
 	// Phase 4: open the gate; the admitted 2m queries drain — wedged and
 	// fill answers go out, fill panics become counted SERVFAILs.
 	h.release()
 	waitServer(tb, srv, "admitted queries drained", func(st dnsserver.ServerStats) bool {
-		return st.Inflight == 0 && st.Answered+st.Panics == int64(2*m)
+		return st.Inflight == 0 && st.Answered+st.Panics == int64(2*m+hot)
 	})
 	for i, conn := range wedge {
 		expectAnswer(tb, sc.Name, conn, uint16(1+i))
@@ -364,22 +407,24 @@ func RunOverload(tb testing.TB, sc OverloadScenario) OverloadResult {
 	// OverflowServFail, silence under OverflowDrop. The refusals are
 	// already in the client socket buffers, so the drop case only
 	// spot-checks a few sockets to keep the silence timeouts bounded.
-	refusals := 0
-	switch sc.Overflow {
-	case dnsserver.OverflowServFail:
-		for i, conn := range floodConns {
-			id := uint16(1001 + i)
+	// Hot clients have their answers.
+	refusals, silent := 0, 0
+	for i, conn := range floodConns {
+		id := uint16(1001 + i)
+		switch {
+		case sc.Immediate && i%3 == 1:
+			expectAnswer(tb, sc.Name, conn, id)
+		case sc.Overflow == dnsserver.OverflowServFail:
 			msg, ok := readOverloadReply(tb, conn, 2*time.Second)
 			if !ok || msg.ID != id || msg.RCode != dnswire.RCodeServFail {
 				tb.Fatalf("%s: flood query %d: want SERVFAIL refusal, got %v (ok=%v)", sc.Name, id, msg, ok)
 			}
 			refusals++
-		}
-	case dnsserver.OverflowDrop:
-		for i := 0; i < 3 && i < len(floodConns); i++ {
-			if msg, ok := readOverloadReply(tb, floodConns[i], 100*time.Millisecond); ok {
+		case sc.Overflow == dnsserver.OverflowDrop && silent < 3:
+			if msg, ok := readOverloadReply(tb, conn, 100*time.Millisecond); ok {
 				tb.Fatalf("%s: dropped flood query got a reply: %v", sc.Name, msg)
 			}
+			silent++
 		}
 	}
 
@@ -426,11 +471,14 @@ func RunOverload(tb testing.TB, sc OverloadScenario) OverloadResult {
 	if st.Received != int64(total) {
 		tb.Errorf("%s: received %d, want %d", sc.Name, st.Received, total)
 	}
-	if want := int64(2*m - fillBoom + 2); st.Answered != want {
+	if want := int64(2*m - fillBoom + 2 + hot); st.Answered != want {
 		tb.Errorf("%s: answered %d, want %d", sc.Name, st.Answered, want)
 	}
-	if st.Shed != int64(flood) {
-		tb.Errorf("%s: shed %d, want %d", sc.Name, st.Shed, flood)
+	if st.Immediate != int64(hot) {
+		tb.Errorf("%s: immediate %d, want %d", sc.Name, st.Immediate, hot)
+	}
+	if st.Shed != int64(shed) {
+		tb.Errorf("%s: shed %d, want %d", sc.Name, st.Shed, shed)
 	}
 	if st.Panics != int64(fillBoom) {
 		tb.Errorf("%s: panics %d, want %d", sc.Name, st.Panics, fillBoom)
@@ -454,7 +502,7 @@ func RunRRLStorm(tb testing.TB) dnsserver.ServerStats {
 	tb.Helper()
 	const name = "rrl-storm"
 	before := runtime.NumGoroutine()
-	_, srv, addr, clk := overloadRig(tb, func(s *dnsserver.Server) {
+	_, srv, addr, clk := overloadRig(tb, false, func(s *dnsserver.Server) {
 		s.MaxInflight = 1
 		s.RRL = &dnsserver.RRLConfig{Rate: 1, Burst: 2, Slip: 2}
 	})

@@ -2,10 +2,13 @@ package resolver
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"ecsdns/internal/authority"
 	"ecsdns/internal/dnswire"
+	"ecsdns/internal/ecsopt"
+	"ecsdns/internal/netem"
 )
 
 func TestWhitelistProfileSendsOnlyToListedZones(t *testing.T) {
@@ -101,3 +104,41 @@ func TestMixedPrefixCycling(t *testing.T) {
 func addrOf(s string) netip.Addr { return netip.MustParseAddr(s) }
 
 func addr4(a [4]byte) netip.Addr { return netip.AddrFrom4(a) }
+
+// TestMappedClientMeetsV4PrefixPolicies: an IPv4 client of a dual-stack
+// listener reaches the resolver as ::ffff:a.b.c.d. The policies that
+// apply to IPv4 alone, the jammed last byte and the cycled lengths, must
+// give it the subnets the plain address gets, not pass its full address
+// upstream.
+func TestMappedClientMeetsV4PrefixPolicies(t *testing.T) {
+	v4 := addrOf("198.51.100.7")
+	mapped := netip.AddrFrom16(v4.As16())
+	mixed := FullPrefixProfile()
+	mixed.MixedV4Bits = []int{24, 25}
+	for _, tc := range []struct {
+		name    string
+		profile Profile
+		want    []ecsopt.ClientSubnet
+	}{
+		{"jammed", JammedProfile(), []ecsopt.ClientSubnet{
+			ecsopt.MustNew(addrOf("198.51.100.1"), 32), ecsopt.MustNew(addrOf("198.51.100.1"), 32)}},
+		{"mixed", mixed, []ecsopt.ClientSubnet{
+			ecsopt.MustNew(v4, 24), ecsopt.MustNew(v4, 25)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, from := range []netip.Addr{v4, mapped} {
+				r := decisionRig(tc.profile)
+				q := dnswire.NewQuery(1, "x.test.example.", dnswire.TypeA)
+				var got []ecsopt.ClientSubnet
+				for range tc.want {
+					addr, bits, _ := r.clientIdentity(from, q)
+					_, cs := r.ecsDecision(addrOf("203.0.113.53"), "test.example.", q.Question(), netem.SimStart, false, addr, bits)
+					got = append(got, cs)
+				}
+				if !slices.Equal(got, tc.want) {
+					t.Errorf("client %s sent %v upstream, want %v", from, got, tc.want)
+				}
+			}
+		})
+	}
+}

@@ -223,40 +223,77 @@ func (r *Resolver) Failures() FailureCounters {
 // HandleDNS serves one client query: cache, ECS policy, upstream
 // resolution. It implements netem.Handler.
 func (r *Resolver) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message {
-	resp := dnswire.NewResponse(query)
-	resp.RecursionAvailable = true
-	if query.OpCode != dnswire.OpQuery || len(query.Questions) != 1 {
-		resp.RCode = dnswire.RCodeFormErr
-		return resp
+	resp := new(dnswire.Message)
+	if !formErr(query, resp) {
+		r.resolve(from, query, resp)
 	}
-	r.mu.Lock()
-	r.clientQueries++
-	r.mu.Unlock()
+	return resp
+}
 
+// HandleImmediate is HandleDNS's cache-answer step on its own. It fills
+// resp and returns true for a query the cache answers and for a
+// malformed one. Any other query, a miss or a name ProbeHostnames never
+// serves from the cache, it declines: it returns false having changed
+// neither resp nor any counter, so the query is counted once, by the
+// HandleDNS that resolves it. It waits on nothing but the resolver's and
+// the cache's locks, which is what lets dnsserver run it on the
+// goroutine that read the query. resp may be a reply refilled query
+// after query: records are appended to its sections, never shared with
+// the cache.
+func (r *Resolver) HandleImmediate(from netip.Addr, query, resp *dnswire.Message) bool {
+	if formErr(query, resp) {
+		return true
+	}
+	q := query.Question()
+	if r.bypassCache(q.Name) {
+		return false
+	}
+	now := r.cfg.Now()
+	key := ecscache.KeyOf(q)
+	clientAddr, clientBits, _ := r.clientIdentity(from, query)
+	e, ok := r.cache.Hit(key, clientAddr, now)
+	if !ok {
+		return false
+	}
+	r.count(key, now)
+	reply(resp, query)
+	answerFromEntry(resp, e, e.RemainingTTL(now), clientAddr, clientBits)
+	return true
+}
+
+// formErr answers a query the resolver cannot serve, one that is not a
+// standard query of one question, FORMERR in resp, and reports whether
+// it did.
+func formErr(query, resp *dnswire.Message) bool {
+	if query.OpCode == dnswire.OpQuery && len(query.Questions) == 1 {
+		return false
+	}
+	reply(resp, query)
+	resp.RCode, resp.EDNS = dnswire.RCodeFormErr, nil
+	return true
+}
+
+// resolve answers a well-formed query from the cache, counting the
+// lookup, or else resolves it upstream. Behind a dnsserver it serves
+// what HandleImmediate declined, and its lookup still answers a hit: a
+// resolution in flight may have filled the entry since. resp is
+// HandleDNS's own, never refilled, so it may share the records a
+// resolution caches.
+func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
+	reply(resp, query)
 	q := query.Question()
 	now := r.cfg.Now()
 	key := ecscache.KeyOf(q)
 
 	// Establish the client identity this query resolves for.
 	clientAddr, clientBits, fromClientECS := r.clientIdentity(from, query)
-
-	// Probe-name bookkeeping for the on-miss strategy.
-	withinMinute := false
-	if r.cfg.Profile.Probing == ProbeOnMiss {
-		r.mu.Lock()
-		if last, ok := r.lastSeen[key]; ok && now.Sub(last) < time.Minute {
-			withinMinute = true
-		}
-		r.lastSeen[key] = now
-		r.mu.Unlock()
-	}
-
-	bypassCache := r.cfg.Profile.Probing == ProbeHostnames && r.isProbeName(q.Name)
+	withinMinute := r.count(key, now)
+	bypassCache := r.bypassCache(q.Name)
 
 	if !bypassCache {
 		if e, ok := r.cache.Lookup(key, clientAddr, now); ok {
-			r.answerFromEntry(resp, e, now, fromClientECS || query.EDNS != nil, clientAddr, clientBits)
-			return resp
+			answerFromEntry(resp, e, e.RemainingTTL(now), clientAddr, clientBits)
+			return
 		}
 	}
 
@@ -284,30 +321,51 @@ func (r *Resolver) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.M
 	}
 	if err != nil || res == nil {
 		if errors.Is(err, errNoAuthority) {
-			resp.RCode = dnswire.RCodeServFail
-			return resp
+			resp.RCode, resp.EDNS = dnswire.RCodeServFail, nil
+			return
 		}
-		return r.answerFailure(resp, key, clientAddr, clientBits, query, now)
+		r.answerFailure(resp, key, clientAddr, clientBits, now)
+		return
 	}
 
 	// Answer the client.
 	resp.RCode = res.rcode
 	resp.Answers = res.answers
 	resp.Authorities = res.authority
-	if query.EDNS != nil {
-		resp.EDNS = dnswire.NewEDNS()
-		if res.respHas && (fromClientECS || res.sentECS) {
-			scope := 0
-			if res.hasECS {
-				scope = int(res.respScope)
-			}
-			echo, err := ecsopt.New(clientAddr, clientBits)
-			if err == nil {
-				ecsopt.Attach(resp, echo.WithScope(scope))
-			}
+	if resp.EDNS != nil && res.respHas && (fromClientECS || res.sentECS) {
+		scope := 0
+		if res.hasECS {
+			scope = int(res.respScope)
 		}
+		echo(resp, clientAddr, clientBits, scope)
 	}
-	return resp
+}
+
+// reply makes resp the skeleton of the resolver's answer to query.
+func reply(resp, query *dnswire.Message) {
+	resp.SetReply(query)
+	resp.RecursionAvailable = true
+}
+
+// count books one client query: the client-query counter and, under
+// ProbeOnMiss, the name's last-seen time. It reports whether the name
+// was last seen less than a minute before now.
+func (r *Resolver) count(key ecscache.Key, now time.Time) (withinMinute bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.clientQueries++
+	if r.cfg.Profile.Probing == ProbeOnMiss {
+		last, ok := r.lastSeen[key]
+		withinMinute = ok && now.Sub(last) < time.Minute
+		r.lastSeen[key] = now
+	}
+	return withinMinute
+}
+
+// bypassCache reports whether name is one ProbeHostnames re-queries
+// every time instead of answering from the cache.
+func (r *Resolver) bypassCache(name dnswire.Name) bool {
+	return r.cfg.Profile.Probing == ProbeHostnames && r.isProbeName(name)
 }
 
 // errNoAuthority marks a resolution that failed before any upstream
@@ -507,27 +565,16 @@ func (r *Resolver) countFailure(bump func(*FailureCounters)) {
 // answerFailure handles an exhausted upstream resolution: serve a
 // stale-but-valid cached answer when allowed and available (RFC 8767),
 // otherwise degrade to SERVFAIL.
-func (r *Resolver) answerFailure(resp *dnswire.Message, key ecscache.Key, clientAddr netip.Addr, clientBits int, query *dnswire.Message, now time.Time) *dnswire.Message {
+func (r *Resolver) answerFailure(resp *dnswire.Message, key ecscache.Key, clientAddr netip.Addr, clientBits int, now time.Time) {
 	if !r.cfg.DisableServeStale {
 		if e, ok := r.cache.LookupStale(key, clientAddr, now, r.maxStale()); ok {
 			r.countFailure(func(f *FailureCounters) { f.ServedStale++ })
-			resp.RCode = e.RCode
-			resp.Answers = adjustTTL(e.Answer, staleTTL)
-			resp.Authorities = adjustTTL(e.Authority, staleTTL)
-			if query.EDNS != nil {
-				resp.EDNS = dnswire.NewEDNS()
-				if e.HasECS {
-					if echo, err := ecsopt.New(clientAddr, clientBits); err == nil {
-						ecsopt.Attach(resp, echo.WithScope(int(e.Subnet.ScopePrefix)))
-					}
-				}
-			}
-			return resp
+			answerFromEntry(resp, e, staleTTL, clientAddr, clientBits)
+			return
 		}
 	}
 	r.countFailure(func(f *FailureCounters) { f.ServFailsReturned++ })
-	resp.RCode = dnswire.RCodeServFail
-	return resp
+	resp.RCode, resp.EDNS = dnswire.RCodeServFail, nil
 }
 
 // Sweep collects the cache entries that at now are past serving even
@@ -561,9 +608,10 @@ func (r *Resolver) clientIdentity(from netip.Addr, query *dnswire.Message) (neti
 	}
 	// Sender-derived: the immediate source of the query is the client as
 	// far as this resolver can tell (this is exactly how hidden-resolver
-	// prefixes leak into ECS).
-	isV6 := from.Is6() && !from.Is4In6()
-	return from, r.cfg.Profile.sourceBits(isV6), false
+	// prefixes leak into ECS). An IPv4 client of a dual-stack listener
+	// arrives 4-in-6; unmapped, it meets the IPv4 prefix policies.
+	from = from.Unmap()
+	return from, r.cfg.Profile.sourceBits(from.Is6()), false
 }
 
 // ecsDecision applies the probing strategy for one upstream query,
@@ -733,34 +781,34 @@ func (r *Resolver) probeSubnet(clientAddr netip.Addr, bits int) ecsopt.ClientSub
 	}
 }
 
-// answerFromEntry builds a client response from a cache entry, adjusting
-// TTLs to the remaining lifetime.
-func (r *Resolver) answerFromEntry(resp *dnswire.Message, e *ecscache.Entry, now time.Time, wantECS bool, clientAddr netip.Addr, clientBits int) {
-	remaining := e.RemainingTTL(now)
+// answerFromEntry fills reply skeleton resp with a cache entry's answer,
+// every record's TTL set to ttl, and, when the reply carries EDNS and the
+// entry ECS, the client's subnet echoed at the entry's scope. The
+// records are copied into resp's own sections and their TTLs set there:
+// the entry, whose records other entries may share, is only read.
+func answerFromEntry(resp *dnswire.Message, e *ecscache.Entry, ttl uint32, clientAddr netip.Addr, clientBits int) {
 	resp.RCode = e.RCode
-	resp.Answers = adjustTTL(e.Answer, remaining)
-	resp.Authorities = adjustTTL(e.Authority, remaining)
-	if wantECS {
-		resp.EDNS = dnswire.NewEDNS()
-		if e.HasECS {
-			echo, err := ecsopt.New(clientAddr, clientBits)
-			if err == nil {
-				ecsopt.Attach(resp, echo.WithScope(int(e.Subnet.ScopePrefix)))
-			}
-		}
+	resp.Answers = append(resp.Answers, e.Answer...)
+	resp.Authorities = append(resp.Authorities, e.Authority...)
+	setTTL(resp.Answers, ttl)
+	setTTL(resp.Authorities, ttl)
+	if resp.EDNS != nil && e.HasECS {
+		echo(resp, clientAddr, clientBits, int(e.Subnet.ScopePrefix))
 	}
 }
 
-func adjustTTL(rrs []dnswire.RR, ttl uint32) []dnswire.RR {
-	if len(rrs) == 0 {
-		return nil
+// echo attaches the ECS option answering the client's subnet at scope.
+func echo(resp *dnswire.Message, clientAddr netip.Addr, clientBits, scope int) {
+	if cs, err := ecsopt.New(clientAddr, clientBits); err == nil {
+		ecsopt.AttachInPlace(resp, cs.WithScope(scope))
 	}
-	out := make([]dnswire.RR, len(rrs))
-	for i, rr := range rrs {
-		rr.TTL = ttl
-		out[i] = rr
+}
+
+// setTTL sets the TTL of every record in rrs.
+func setTTL(rrs []dnswire.RR, ttl uint32) {
+	for i := range rrs {
+		rrs[i].TTL = ttl
 	}
-	return out
 }
 
 // danglingCNAME returns the target of the last CNAME in answers that is
