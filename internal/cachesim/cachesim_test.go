@@ -300,3 +300,45 @@ func TestPropertyScopeMonotonicity(t *testing.T) {
 			h0.Hits, plain.Hits)
 	}
 }
+
+// BenchmarkHitRateScope replays one all-names trace against a cache that
+// honors ECS scope and one that ignores it: the §6.3 resolvers that
+// ignore scope, as what it costs and what hit rate (hit%) it buys.
+func BenchmarkHitRateScope(b *testing.B) {
+	cfg := traces.DefaultAllNames
+	cfg.Queries = 40000
+	tr := traces.GenerateAllNames(cfg)
+	for _, mode := range []struct {
+		name  string
+		honor bool
+	}{{"honor-scope", true}, {"ignore-scope", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var rate float64
+			for i := 0; i < b.N; i++ {
+				rate = HitRate(tr.Records, mode.honor).Rate()
+			}
+			b.ReportMetric(rate, "hit%")
+		})
+	}
+}
+
+// BenchmarkBlowup times the trace-driven blow-up count of Figure 1 over
+// twenty resolvers' traces.
+func BenchmarkBlowup(b *testing.B) {
+	cfg := traces.DefaultPublicCDN
+	cfg.Resolvers = 20
+	trs := traces.GeneratePublicCDN(cfg)
+	total := 0
+	for _, tr := range trs {
+		total += len(tr.Records)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range trs {
+			Blowup(tr.Records, 0)
+		}
+	}
+	b.ReportMetric(float64(total), "records")
+}

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -45,7 +46,8 @@ func DefaultConfig() Config {
 }
 
 // Metric is one headline number: what the paper reports next to what we
-// measured.
+// measured. Paper is NaN for a number the paper does not give, which
+// prints as "—".
 type Metric struct {
 	Name     string
 	Paper    float64
@@ -61,6 +63,9 @@ type Report struct {
 	Metrics []Metric
 	Notes   []string
 }
+
+// noPaper is the paper value of a metric the paper gives no number for.
+var noPaper = math.NaN()
 
 // AddMetric appends a headline comparison.
 func (r *Report) AddMetric(name string, paper, measured float64, unit string) {
@@ -84,7 +89,11 @@ func (r *Report) String() string {
 	if len(r.Metrics) > 0 {
 		t := &report.Table{Headers: []string{"metric", "paper", "measured", "unit"}}
 		for _, m := range r.Metrics {
-			t.AddRow(m.Name, m.Paper, m.Measured, m.Unit)
+			var paper any = m.Paper
+			if math.IsNaN(m.Paper) {
+				paper = "—"
+			}
+			t.AddRow(m.Name, paper, m.Measured, m.Unit)
 		}
 		sb.WriteString(t.String())
 		sb.WriteByte('\n')

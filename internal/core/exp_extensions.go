@@ -286,8 +286,8 @@ func runExtEvictions(cfg Config) (*Report, error) {
 		}
 	}
 	rep.Tables = append(rep.Tables, t)
-	rep.AddMetric("capacity for <0.5 evictions/100q, plain", 0, float64(needPlain), "entries")
-	rep.AddMetric("capacity for <0.5 evictions/100q, with ECS", 0, float64(needECS), "entries")
+	rep.AddMetric("capacity for <0.5 evictions/100q, plain", noPaper, float64(needPlain), "entries")
+	rep.AddMetric("capacity for <0.5 evictions/100q, with ECS", noPaper, float64(needECS), "entries")
 	ratio := 0.0
 	if needPlain > 0 && needECS > 0 {
 		ratio = float64(needECS) / float64(needPlain)

@@ -166,9 +166,9 @@ func prefixSweepReport(id string, w *geo.Internet, policy *cdn.Policy, lens []in
 	rep.Tables = append(rep.Tables,
 		report.SeriesTable("Connect-time distribution (ms)", "ms", series, []float64{0.25, 0.5, 0.75, 0.9}),
 		t)
-	rep.AddMetric(fmt.Sprintf("median connect at /%d", cliffHigh), 0, stats.Median(byLen[cliffHigh].ConnectMs), "ms")
-	rep.AddMetric(fmt.Sprintf("median connect at /%d (below threshold)", cliffLow), 0, stats.Median(byLen[cliffLow].ConnectMs), "ms")
-	rep.AddMetric("cliff ratio", 0,
+	rep.AddMetric(fmt.Sprintf("median connect at /%d", cliffHigh), noPaper, stats.Median(byLen[cliffHigh].ConnectMs), "ms")
+	rep.AddMetric(fmt.Sprintf("median connect at /%d (below threshold)", cliffLow), noPaper, stats.Median(byLen[cliffLow].ConnectMs), "ms")
+	rep.AddMetric("cliff ratio", noPaper,
 		stats.Median(byLen[cliffLow].ConnectMs)/stats.Median(byLen[cliffHigh].ConnectMs), "×")
 	return rep
 }
@@ -215,7 +215,7 @@ func runFig8(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	saved := float64(res.Penalty-fixed.Penalty) / float64(time.Millisecond)
-	rep.AddMetric("penalty removed by passing ECS on the flattened leg", 0, saved, "ms")
+	rep.AddMetric("penalty removed by passing ECS on the flattened leg", noPaper, saved, "ms")
 	rep.AddMetric("mitigated E1 handshake", 45, float64(fixed.E1RTT)/float64(time.Millisecond), "ms")
 	rep.Notes = append(rep.Notes,
 		"flattening without ECS maps the apex by the DNS provider's location, costing an HTTP redirect and a far-away first fetch; passing ECS on the backend resolution removes the penalty (§8.4)")

@@ -76,9 +76,9 @@ func runExtScale(cfg Config) (*Report, error) {
 	rep.Tables = append(rep.Tables, t)
 
 	rep.AddMetric("blow-up factor at 1× population", 4.3, blowup1, "×")
-	rep.AddMetric("blow-up factor at 100× population", 0, blowup100, "×")
-	rep.AddMetric("premature evictions/100q at 1×, fixed capacity", 0, evict1, "evict/100q")
-	rep.AddMetric("premature evictions/100q at 100×, fixed capacity", 0, evict100, "evict/100q")
+	rep.AddMetric("blow-up factor at 100× population", noPaper, blowup100, "×")
+	rep.AddMetric("premature evictions/100q at 1×, fixed capacity", noPaper, evict1, "evict/100q")
+	rep.AddMetric("premature evictions/100q at 100×, fixed capacity", noPaper, evict100, "evict/100q")
 	rep.AddMetric("real-cache vs model evictions at 100×", modelEvict100, evict100, "evict/100q")
 	rep.Notes = append(rep.Notes,
 		"a capacity sized for today's population collapses under 10–100× growth once ECS fragments entries: premature evictions climb by orders of magnitude while the blow-up factor keeps growing with the client pool — §7's provisioning warning, measured at scales the paper could not collect",

@@ -169,7 +169,12 @@ func answered(reply []byte) bool {
 // row, measured a cycle at a time, whose answers alternate with the
 // handler's FORMERR, which carries no OPT, and the server's, which
 // carries no records: the next answer must find the reply's sections,
-// OPT and ECS option bytes still there.
+// OPT and ECS option bytes still there. The edns-plain row holds the
+// same for the query: a plain query decoded between two EDNS ones must
+// leave the loop's Message its OPT record, option bytes and Additionals
+// array. It is measured on the read loop, whose one Message decodes
+// every query: on workers the alternation can pair up with them, each
+// keeping one shape, and the row could read 0 at the parent too.
 func TestAllocGateServeUDP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -191,6 +196,11 @@ func TestAllocGateServeUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	undecodable := one[0][:14]
+	// The gate's query without its OPT record.
+	plain, err := dnswire.NewQuery(0x4242, "gate.serve.test.", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name    string
 		handler Handler
@@ -206,6 +216,7 @@ func TestAllocGateServeUDP(t *testing.T) {
 		{"fresh-name", gateReply(), nil, packWires(t, fresh...), 1, 1},
 		{"immediate", gateNow{}, nil, one, 1, 0},
 		{"immediate-mixed", gateNow{}, nil, [][]byte{one[0], formErrs, one[0], undecodable}, 4, 0},
+		{"edns-plain", gateNow{}, nil, [][]byte{one[0], plain}, 2, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, addr := gateServer(t, tc.handler, func(s *Server) { s.RRL = tc.rrl })

@@ -494,8 +494,6 @@ func (s *Server) serveUDP(pc *net.UDPConn) {
 // what it declines, and every query of a handler without Immediate, is
 // admitted to the worker pool. Nothing here allocates once the loop has
 // warmed up (TestAllocGateServeUDP and TestAllocGateShed count it).
-//
-//ecsinvariant:handler counters
 func (s *Server) serveDatagram(l *udpLoop, pkt []byte, from netip.AddrPort) {
 	if s.rrl != nil {
 		switch s.rrl.decide(from.Addr()) {
@@ -530,8 +528,6 @@ func (s *Server) serveDatagram(l *udpLoop, pkt []byte, from netip.AddrPort) {
 // pre-started pool. Workers are not retired; the pool is a high-water
 // mark. A full queue sheds the datagram per Overflow, refused from the
 // read loop's workspace.
-//
-//ecsinvariant:handoff counters
 func (s *Server) admit(l *udpLoop, pkt []byte, from netip.AddrPort) {
 	bp := udpBufPool.Get().(*[]byte)
 	pkt = append((*bp)[:0], pkt...)
@@ -577,8 +573,6 @@ func (s *Server) udpWorker(pc *net.UDPConn) {
 // process. The query is decoded into ws.query and the reply packed into
 // ws.out, so nothing here allocates once a worker has warmed up
 // (TestAllocGateServeUDP counts it).
-//
-//ecsinvariant:handler counters
 func (s *Server) serveUDPPacket(pc *net.UDPConn, p udpPacket, ws *workspace) {
 	if resp, decoded := s.process(p.from, p.pkt, ws, nil); resp != nil {
 		ws.send(pc, resp, decoded, p.from)
@@ -719,8 +713,6 @@ func (s *Server) serveConn(conn net.Conn) {
 // the read loop, l is the loop, ws its workspace, and the query goes to
 // handleNow; on a worker or a TCP connection l is nil and the query goes
 // to HandleDNS.
-//
-//ecsinvariant:handler counters
 func (s *Server) process(from netip.AddrPort, pkt []byte, ws *workspace, l *udpLoop) (resp *dnswire.Message, decoded bool) {
 	query := &ws.query
 	if err := dnswire.UnpackInto(query, pkt); err != nil {
@@ -743,8 +735,6 @@ func (s *Server) process(from netip.AddrPort, pkt []byte, ws *workspace, l *udpL
 // worker pool, and handleNow returns nil: the worker answers it,
 // decoding the datagram and looking it up again, a cost only a declined
 // query pays.
-//
-//ecsinvariant:handler counters
 func (s *Server) handleNow(l *udpLoop, pkt []byte, from netip.AddrPort) (resp *dnswire.Message) {
 	ws := &l.ws
 	defer func() {
@@ -768,8 +758,6 @@ func (s *Server) handleNow(l *udpLoop, pkt []byte, from netip.AddrPort) (resp *d
 // handle runs the handler for one parsed query, recovering a panic into
 // a counted SERVFAIL so a buggy or hostile flow cannot take down every
 // experiment sharing the process.
-//
-//ecsinvariant:handler counters
 func (s *Server) handle(from netip.Addr, query *dnswire.Message) (resp *dnswire.Message) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -5,12 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// counters is the server's internal atomic accounting. The outcome
-// partition below is machine-checked: ecslint's counterpartition check
-// proves every exit path of the annotated handler functions increments
-// exactly one term.
+// counters is the server's internal atomic accounting. Every query
+// received lands in exactly one outcome term,
 //
-//ecsinvariant:partition received = answered + shed + slipped + malformed + panics
+//	received = answered + shed + slipped + malformed + panics
+//
+// on every path through the server: TestEachOutcomeCountedOnce drives
+// each path and requires its exact delta.
 type counters struct {
 	received, answered, shed, rrlDropped, slipped, malformed, panics atomic.Int64
 	immediate, inflight, conns, connsTotal, connsRejected, workers   atomic.Int64

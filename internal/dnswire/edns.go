@@ -132,15 +132,9 @@ func decodeEDNSInto(p *parser, old *EDNS, owner Name, cls uint16, ttl uint32, rd
 		opts, slot = grow(opts)
 		slot.Code = code
 		slot.Data = append(slot.Data[:0], raw...)
-		if len(slot.Data) == 0 {
-			slot.Data = nil
-		}
 	}
 	if p.off != end {
 		return nil, ErrRDataLength
-	}
-	if len(opts) == 0 {
-		opts = nil
 	}
 	e.Options = opts
 	return e, nil

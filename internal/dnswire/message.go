@@ -66,6 +66,10 @@ type Message struct {
 	Authorities []RR
 	Additionals []RR
 	EDNS        *EDNS
+
+	// spareEDNS is the OPT record of the last decode into this Message
+	// that carried one, kept through plain decodes for the next that does.
+	spareEDNS *EDNS
 }
 
 // Question returns the first question, or a zero Question if none.
@@ -81,8 +85,8 @@ func (m *Message) Pack() ([]byte, error) {
 	return m.appendPack(make([]byte, 0, 512), true)
 }
 
-// PackNoCompress encodes m without name compression; it exists so the
-// compression ablation benchmark can quantify the savings.
+// PackNoCompress encodes m without name compression; it exists so
+// BenchmarkPackCompression can quantify the savings.
 func (m *Message) PackNoCompress() ([]byte, error) {
 	return m.appendPack(make([]byte, 0, 512), false)
 }
@@ -256,16 +260,20 @@ func Unpack(data []byte) (*Message, error) {
 // memory a previous decode left behind: section slices are truncated
 // and re-extended in place, rdata payloads of matching types are
 // overwritten rather than reallocated, and name strings that decode to
-// the same bytes keep the existing allocation. Decoding the same shape
-// of message into a reused Message is therefore allocation-free — the
-// property the scan pipeline's receive path is built on.
+// the same bytes keep the existing allocation. A decode keeps what it
+// does not fill for the next one: an empty section keeps its array, and
+// a message without an OPT record (EDNS nil) keeps the last one decoded
+// aside. Decoding the same shapes of message into a reused Message, in
+// any order, is therefore allocation-free — the property the scan
+// pipeline's receive path and the server are built on.
 //
-// Unpack is UnpackInto on a zero Message; both produce structurally
-// identical results (reflect.DeepEqual) for identical wire input. On
-// error m's contents are undefined. The caller owns m and everything
-// it references; a subsequent UnpackInto on the same Message
-// invalidates names, rdata, and option payloads from the previous
-// decode.
+// Unpack is UnpackInto on a zero Message; both decode identical wire
+// input to the same contents, except that an empty section, option list
+// or option payload may be an empty slice after UnpackInto where Unpack
+// leaves it nil. On error m's contents are undefined. The caller owns m
+// and everything it references; a subsequent UnpackInto on the same
+// Message invalidates names, rdata, and option payloads from the
+// previous decode.
 func UnpackInto(m *Message, data []byte) error {
 	st := unpackPool.Get().(*unpackState)
 	err := unpackInto(m, data, st)
@@ -332,10 +340,12 @@ func unpackInto(m *Message, data []byte, st *unpackState) error {
 		q.Name, q.Type, q.Class = n, Type(t), Class(c)
 	}
 
-	// The old EDNS struct (if any) is the reuse candidate for this
-	// decode's OPT record; m.EDNS itself doubles as the duplicate-OPT
-	// sentinel.
-	oldEDNS := m.EDNS
+	// The OPT struct of the last decode that had one is the reuse
+	// candidate for this decode's OPT record, and is kept when this one
+	// has none; m.EDNS itself doubles as the duplicate-OPT sentinel.
+	if m.EDNS != nil {
+		m.spareEDNS = m.EDNS
+	}
 	m.EDNS = nil
 	sections := [3]*[]RR{&m.Answers, &m.Authorities, &m.Additionals}
 	for si, sec := range sections {
@@ -343,7 +353,7 @@ func unpackInto(m *Message, data []byte, st *unpackState) error {
 		for i := 0; i < counts[si+1]; i++ {
 			var slot *RR
 			*sec, slot = grow(*sec)
-			opt, err := unpackRRInto(p, slot, oldEDNS)
+			opt, err := unpackRRInto(p, slot, m.spareEDNS)
 			if err != nil {
 				return err
 			}
@@ -359,17 +369,6 @@ func unpackInto(m *Message, data []byte, st *unpackState) error {
 				m.RCode |= RCode(opt.extRCodeHi) << 4
 			}
 		}
-		// Nil-vs-empty must be a pure function of the wire bytes so that
-		// Unpack and UnpackInto DeepEqual: a zero count decodes to a nil
-		// section, while a section whose records were all OPTs keeps its
-		// (now empty) slice — and with it the capacity a reused Message
-		// needs to stay allocation-free.
-		if counts[si+1] == 0 {
-			*sec = nil
-		}
-	}
-	if counts[0] == 0 {
-		m.Questions = nil
 	}
 	if p.remaining() != 0 {
 		return ErrTrailingBytes

@@ -265,3 +265,37 @@ func BenchmarkUnpackInto(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPackCompression measures what name compression buys on a
+// CDN-style response, twelve answers and a delegation under one zone:
+// the time to pack it with and without, and its size (bytes/msg).
+func BenchmarkPackCompression(b *testing.B) {
+	m := NewResponse(NewQuery(1, "video.edge.cdn.example.net.", TypeA))
+	for i := 0; i < 12; i++ {
+		m.Answers = append(m.Answers, RR{
+			Name: "video.edge.cdn.example.net.", Class: ClassINET, TTL: 20,
+			Data: &ARData{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})},
+		})
+	}
+	m.Authorities = append(m.Authorities, RR{
+		Name: "cdn.example.net.", Class: ClassINET, TTL: 3600,
+		Data: &NSRData{Host: "ns1.cdn.example.net."},
+	})
+	for _, tc := range []struct {
+		name string
+		pack func() ([]byte, error)
+	}{{"compressed", m.Pack}, {"uncompressed", m.PackNoCompress}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var size int
+			for i := 0; i < b.N; i++ {
+				data, err := tc.pack()
+				if err != nil {
+					b.Fatal(err)
+				}
+				size = len(data)
+			}
+			b.ReportMetric(float64(size), "bytes/msg")
+		})
+	}
+}

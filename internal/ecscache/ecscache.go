@@ -248,8 +248,6 @@ func effectiveScope(cfg *Config, cs ecsopt.ClientSubnet) uint8 {
 // covering entries the longest scope (most specific) wins, and an ECS
 // entry at scope 0 wins over the shared non-ECS entry. The bool reports
 // a hit; hit/miss counters are updated.
-//
-//ecsinvariant:handler cacheCounters
 func (c *Cache) Lookup(key Key, client netip.Addr, now time.Time) (*Entry, bool) {
 	c.stats.lookups.Add(1)
 	e := c.shardFor(key).lookup(key, client, now)

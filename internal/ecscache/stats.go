@@ -7,11 +7,9 @@ import (
 
 // cacheCounters is the cache's internal atomic accounting, following
 // the same discipline as dnsserver's ServerStats: cumulative atomic
-// counters snapshotted into a stats struct with a machine-checked
-// outcome partition. ecslint's counterpartition check proves every exit
-// path of the annotated lookup handler lands in exactly one class.
-//
-//ecsinvariant:partition lookups = hits + misses
+// counters snapshotted into a stats struct with an outcome partition,
+// lookups = hits + misses, that the differential tests compare with a
+// reference model's counts after every run.
 type cacheCounters struct {
 	lookups, hits, misses atomic.Int64
 	// expiries counts entries removed because they were dead (per-key

@@ -152,10 +152,8 @@ type ignoreSpan struct {
 
 // applyIgnores drops the findings matched by a directive covering their
 // line and returns the rest. Malformed directives — no justification, or
-// naming an unknown check — are themselves reported.
-// When the unusedignore check is enabled, directives that suppressed
-// nothing — and whose named checks all ran, so silence means the code
-// is clean, not the check switched off — are reported as stale.
+// naming an unknown check, a retired one included — are themselves
+// reported, and so is a stale one (staleIgnores).
 func applyIgnores(pkgs []*Package, findings []Finding, cfg *Config) []Finding {
 	ignores := make(map[string][]*ignoreSpan) // module-relative file -> spans
 	known := make(map[string]bool)
@@ -208,23 +206,19 @@ func applyIgnores(pkgs []*Package, findings []Finding, cfg *Config) []Finding {
 			active = append(active, f)
 		}
 	}
-	if cfg.CheckEnabled("unusedignore") {
-		active = append(active, staleIgnores(files, ignores, cfg)...)
-	}
-	return active
+	return append(active, staleIgnores(files, ignores, cfg)...)
 }
 
-// staleIgnores turns unused directives into unusedignore findings. A
-// span is judged only when every check it names actually ran; a stale
-// report is itself suppressible by a directive naming unusedignore.
-// Directives naming unusedignore are never themselves judged stale:
-// they are meta-suppressions whose use is only established while this
-// very pass runs, so judging them here would be order-dependent.
+// staleIgnores reports, as unusedignore findings, the directives that
+// suppressed nothing, so a suppression cannot outlive the code it was
+// written for and quietly blanket a later regression. A span is judged
+// only when every check it names ran: a check switched off proves
+// nothing by its silence.
 func staleIgnores(files []string, ignores map[string][]*ignoreSpan, cfg *Config) []Finding {
 	var out []Finding
 	for _, file := range files {
 		for _, s := range ignores[file] {
-			if s.used || s.checks["unusedignore"] {
+			if s.used {
 				continue
 			}
 			allRan := true
@@ -239,15 +233,12 @@ func staleIgnores(files []string, ignores map[string][]*ignoreSpan, cfg *Config)
 				continue
 			}
 			sort.Strings(names)
-			f := Finding{
+			out = append(out, Finding{
 				File: file, Line: s.dLine, Col: s.dCol,
 				Check: "unusedignore",
 				Msg: "ecslint:ignore for " + strings.Join(names, ",") +
 					" suppresses nothing: the check is clean here — remove the stale directive",
-			}
-			if !matchIgnore(ignores[file], f) {
-				out = append(out, f)
-			}
+			})
 		}
 	}
 	return out

@@ -13,8 +13,6 @@ type FuncInfo struct {
 	// is non-nil.
 	Decl *ast.FuncDecl
 	Lit  *ast.FuncLit
-	// Obj is the types object for declared functions (nil for literals).
-	Obj *types.Func
 	// Body is the function body (never nil; bodyless declarations are
 	// not indexed).
 	Body *ast.BlockStmt
@@ -32,15 +30,6 @@ type FuncInfo struct {
 func (f *FuncInfo) CFG() *Graph {
 	f.once.Do(func() { f.graph = Build(f.Body) })
 	return f.graph
-}
-
-// Name returns a human-readable identifier: the declared name, or
-// "func@line" positions are left to the caller for literals.
-func (f *FuncInfo) Name() string {
-	if f.Decl != nil {
-		return f.Decl.Name.Name
-	}
-	return "func literal"
 }
 
 // Program indexes every function in one package's files and resolves
@@ -72,7 +61,6 @@ func BuildProgram(info *types.Info, files []*ast.File) *Program {
 			}
 			fi := &FuncInfo{Decl: fd, Body: fd.Body}
 			if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
-				fi.Obj = obj
 				p.byObj[obj] = fi
 			}
 			p.Funcs = append(p.Funcs, fi)

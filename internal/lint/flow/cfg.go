@@ -20,16 +20,13 @@ import (
 // Graph is the control-flow graph of one function body. Blocks hold
 // straight-line sequences of nodes; edges represent possible transfers
 // of control. Entry has no predecessors; every return statement and the
-// fallthrough end of the body lead to Exit, which holds no nodes.
+// fallthrough end of the body lead to Exit, which holds no nodes. A
+// defer statement is a node where it appears; the deferred call's
+// execution at exit is not modeled.
 type Graph struct {
 	Entry  *Block
 	Exit   *Block
 	Blocks []*Block // every block, in creation (roughly source) order
-
-	// Defers lists the deferred calls of the function in source order.
-	// The CFG does not model their execution; clients that care (held
-	// locks, cleanup invariants) consult this list at exit.
-	Defers []*ast.DeferStmt
 }
 
 // Block is one straight-line CFG node: its Nodes execute in order, then
@@ -210,11 +207,9 @@ func (b *builder) stmt(s ast.Stmt, label string) {
 		b.typeSwitchStmt(st, label)
 	case *ast.SelectStmt:
 		b.selectStmt(st, label)
-	case *ast.DeferStmt:
-		b.g.Defers = append(b.g.Defers, st)
-		b.add(st)
 	default:
-		// Simple statements: expr, assign, incdec, send, decl, go, empty.
+		// Simple statements: expr, assign, incdec, send, decl, go, defer,
+		// empty.
 		b.add(st)
 	}
 }
@@ -464,19 +459,4 @@ func (g *Graph) Preds() map[*Block][]*Block {
 		}
 	}
 	return preds
-}
-
-// ExitBlocks returns the blocks with an edge to Exit, in block order:
-// the return statements plus the body's fallthrough end.
-func (g *Graph) ExitBlocks() []*Block {
-	var out []*Block
-	for _, blk := range g.Blocks {
-		for _, s := range blk.Succs {
-			if s == g.Exit {
-				out = append(out, blk)
-				break
-			}
-		}
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"ecsdns/internal/lint/flow"
 )
@@ -22,7 +23,9 @@ import (
 // so branch-dependent locking is modeled exactly — an early
 // `mu.Unlock(); return` arm no longer masks the held set on the path
 // that falls through, and a lock taken in only one branch does not
-// taint the join point after both branches release it.
+// taint the join point after both branches release it. A lock is keyed
+// by its receiver expression, so `a.mu` and `b.mu` stay distinct inside
+// one function.
 var mutexholdCheck = Check{
 	Name: "mutexhold",
 	Doc:  "blocking call (channel op, select, Sleep, conn I/O) while a mutex may be held",
@@ -42,6 +45,74 @@ func runMutexhold(ctx *Context) {
 				}
 			}
 		}
+	}
+}
+
+// lockFacts is the may-held lattice element: lock key -> position of
+// the earliest acquisition on any path. The empty map is bottom.
+type lockFacts map[string]token.Pos
+
+// lockAnalysis builds the may-held-locks forward analysis for one
+// package: Lock/RLock adds the mutex to the held set, Unlock/RUnlock
+// removes it, and `defer mu.Unlock()` leaves it held to function end
+// (blocking while defer-holding a lock still stalls every contender).
+// Join is union with the earliest acquisition position, so facts are
+// deterministic regardless of visit order.
+func lockAnalysis(pkg *Package) flow.Analysis[lockFacts] {
+	return flow.Analysis[lockFacts]{
+		Entry:     lockFacts{},
+		Unreached: lockFacts{},
+		Join: func(a, b lockFacts) lockFacts {
+			if len(b) == 0 {
+				return a
+			}
+			if len(a) == 0 {
+				return b
+			}
+			out := maps.Clone(a)
+			for k, v := range b {
+				if cur, ok := out[k]; !ok || v < cur {
+					out[k] = v
+				}
+			}
+			return out
+		},
+		Equal: maps.Equal[lockFacts, lockFacts],
+		Transfer: func(n ast.Node, in lockFacts) lockFacts {
+			// Only a statement-level call locks or unlocks: a deferred
+			// unlock leaves the lock held.
+			st, ok := n.(*ast.ExprStmt)
+			if !ok {
+				return in
+			}
+			call, ok := st.X.(*ast.CallExpr)
+			if !ok {
+				return in
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return in
+			}
+			fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+			if !ok || !isSyncLockMethod(fn) {
+				return in
+			}
+			key := exprString(pkg.Fset, sel.X)
+			switch fn.Name() {
+			case "Lock", "RLock":
+				out := maps.Clone(in)
+				out[key] = call.Pos()
+				return out
+			case "Unlock", "RUnlock":
+				if _, ok := in[key]; !ok {
+					return in
+				}
+				out := maps.Clone(in)
+				delete(out, key)
+				return out
+			}
+			return in
+		},
 	}
 }
 
@@ -193,32 +264,33 @@ func derefNamed(t types.Type) (*types.Named, bool) {
 	return named, ok
 }
 
+// isSyncLockMethod reports whether fn is a method of sync.Mutex or
+// sync.RWMutex.
 func isSyncLockMethod(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
+	named, ok := derefNamed(sig.Recv().Type())
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
+		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 func (c *Context) blockingOp(pos token.Pos, what string, held lockFacts) {
 	if len(held) == 0 {
 		return
 	}
-	// Report against one deterministic lock key.
-	key := held.sortedKeys()[0]
+	// Report against one deterministic lock key: the least.
+	key := ""
+	for k := range held {
+		if key == "" || k < key {
+			key = k
+		}
+	}
 	ctxPos := c.Pkg.Fset.Position(held[key])
 	c.Reportf(pos, "%s while holding %s.Lock() (locked at line %d); release the lock before blocking",
 		what, key, ctxPos.Line)

@@ -49,7 +49,6 @@ func TestDirectiveCoversStatementSpan(t *testing.T) {
 var flowFixtures = []string{
 	"mutexholdbad", "mutexholdgood",
 	"ctxflowbad", "ctxflowgood",
-	"counterpartitionbad", "counterpartitiongood",
 	"wallclockbad", "ignorefixture",
 	"retentionbad", "retentiongood",
 	"unusedignorebad", "unusedignoregood",

@@ -1,7 +1,6 @@
 // Package unusedignoregood carries only live suppressions: every
-// directive either suppresses a real finding, names a check that did
-// not run (so its silence proves nothing), or sits under an explicit
-// unusedignore waiver.
+// directive either suppresses a real finding or names a check that did
+// not run (so its silence proves nothing).
 package unusedignoregood
 
 import "time"
@@ -23,10 +22,3 @@ func notJudged() int {
 	//ecslint:ignore ctxflow judged only when ctxflow actually runs
 	return 1
 }
-
-// keptForDocs is stale on purpose and says so: the unusedignore
-// waiver above absorbs the staleness report.
-//
-//ecslint:ignore unusedignore retained as the worked example for the directive grammar
-//ecslint:ignore wallclock retained as the worked example for the directive grammar
-var keptForDocs = 1

@@ -8,12 +8,10 @@ import "sync/atomic"
 // answer was returned to the caller), Lost (a valid answer that lost
 // the hedge race), Cancelled (it errored only after the race was
 // already decided, so the caller had stopped waiting), or Failed (it
-// errored while the caller was still waiting). ecslint's
-// counterpartition check proves the settlement handler below touches
-// exactly one term per exit path; the chaos harnesses assert the sum
-// balances after every scenario.
-//
-//ecsinvariant:partition Issued = Won + Lost + Cancelled + Failed
+// errored while the caller was still waiting). The pool's tests assert
+// that the sum balances after the exchanges they drive, hedged, failed
+// over and fast-failed ones among them, and the chaos harnesses after
+// every scenario.
 type AttemptLedger struct {
 	Issued    atomic.Int64
 	Won       atomic.Int64
@@ -30,8 +28,6 @@ func (l *AttemptLedger) Balanced() bool {
 // PickLedger accounts for upstream selection: every pick request either
 // grants an upstream or is refused (all candidates tried already or
 // gated off by their circuit breakers).
-//
-//ecsinvariant:partition Picks = Granted + Refused
 type PickLedger struct {
 	Picks   atomic.Int64
 	Granted atomic.Int64
@@ -43,7 +39,7 @@ func (l *PickLedger) Balanced() bool {
 	return l.Picks.Load() == l.Granted.Load()+l.Refused.Load()
 }
 
-// miscCounters are the observability counters outside the two proven
+// miscCounters are the observability counters outside the two
 // partitions.
 type miscCounters struct {
 	hedges       atomic.Int64
@@ -110,8 +106,6 @@ const (
 // settleAttempt classifies one issued attempt into its outcome class.
 // Every attempt must pass through here exactly once; the switch carries
 // a default so no outcome value can leak an attempt out of the books.
-//
-//ecsinvariant:handler AttemptLedger
 func (p *Pool) settleAttempt(o outcome) {
 	switch o {
 	case outcomeWon:

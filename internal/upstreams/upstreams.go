@@ -316,8 +316,6 @@ func (p *Pool) pick(tried map[netip.Addr]bool) *upstream {
 // pickUpstream grants the admissible untried upstream from the best
 // priority tier with the lowest weight-adjusted health score, or
 // refuses when no candidate passes its breaker gate. Callers hold p.mu.
-//
-//ecsinvariant:handler PickLedger
 func (p *Pool) pickUpstream(tried map[netip.Addr]bool, now time.Time) *upstream {
 	p.picks.Picks.Add(1)
 	var best *upstream
