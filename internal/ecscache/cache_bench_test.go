@@ -123,13 +123,22 @@ func BenchmarkCacheLookup(b *testing.B) {
 // A splice row's LRU bound holds the name at its fanout, so each insert
 // also evicts the oldest subnet. A fill row builds the name from nothing,
 // every subnet given the same answer or each its own, and reports the
-// live heap that cost per entry (B/entry). One goroutine and one shard:
-// the rows are about the per-question list, not about contention.
+// live heap that cost per entry (B/entry); fill-fresh prices serve-miss's
+// shape the same way, 4 096 names of one entry each in a cache bounded at
+// 4 096. One goroutine and one shard: the rows are about the per-question
+// list, not about contention.
 func BenchmarkCacheFanout(b *testing.B) {
 	entry := func(i int) Entry {
 		cs, _ := benchSubnet(i)
 		return Entry{HasECS: true, Subnet: cs, Expiry: benchNow.Add(time.Hour)}
 	}
+	b.Run("fill-fresh/4096", func(b *testing.B) {
+		var perEntry float64
+		for i := 0; i < b.N; i++ {
+			perEntry = freshBytesPerEntry(4096)
+		}
+		b.ReportMetric(perEntry, "B/entry")
+	})
 	for _, fanout := range []int{1, 64, 2048, 16384} {
 		for _, answers := range []string{"equal", "distinct"} {
 			b.Run(fmt.Sprintf("fill-%s/%d", answers, fanout), func(b *testing.B) {

@@ -21,8 +21,14 @@ import (
 type model struct {
 	cfg Config
 	ttl *Cache // lends clampTTL, which is not under test here
-	all []*Entry
+	all []*modelEntry
 	st  CacheStats
+}
+
+// modelEntry is a resident entry and the question it answers.
+type modelEntry struct {
+	Entry
+	key Key
 }
 
 func newModel(cfg Config) *model { return &model{cfg: cfg, ttl: New(cfg)} }
@@ -52,23 +58,22 @@ func (m *model) sameSlot(a, b *Entry) bool {
 }
 
 func (m *model) insert(key Key, e Entry, now time.Time) {
-	e.Stored, e.lruKey = now, key
 	m.ttl.clampTTL(&e, now)
 	if e.HasECS && (!e.Subnet.Addr.IsValid() || m.scope(&e) > e.Subnet.Addr.BitLen()) {
 		m.st.Rejected++
 		return
 	}
-	m.all = slices.DeleteFunc(m.all, func(old *Entry) bool {
-		if old.lruKey != key {
+	m.all = slices.DeleteFunc(m.all, func(old *modelEntry) bool {
+		if old.key != key {
 			return false
 		}
 		if !old.Expiry.After(now) {
 			m.st.Expiries++
 			return true
 		}
-		return m.sameSlot(old, &e)
+		return m.sameSlot(&old.Entry, &e)
 	})
-	m.all = append(m.all, &e)
+	m.all = append(m.all, &modelEntry{Entry: e, key: key})
 	m.st.HighWater = max(m.st.HighWater, int64(len(m.all)))
 	for m.cfg.MaxEntries > 0 && len(m.all) > m.cfg.MaxEntries {
 		if m.all[0].Expiry.After(now) {
@@ -84,12 +89,13 @@ func (m *model) insert(key Key, e Entry, now time.Time) {
 // lookup returns the live covering entry with the longest scope; at
 // scope 0 an ECS entry beats the shared one. fellThrough reports that a
 // longer covering entry was passed over only because it had expired.
-func (m *model) lookup(key Key, client netip.Addr, now time.Time) (best *Entry, fellThrough bool) {
-	rank := func(e *Entry) int { return 2*m.scope(e) + btoi(e.HasECS) }
+func (m *model) lookup(key Key, client netip.Addr, now time.Time) (*Entry, bool) {
+	rank := func(e *modelEntry) int { return 2*m.scope(&e.Entry) + btoi(e.HasECS) }
 	deadRank := -1
+	var best *modelEntry
 	for _, e := range m.all {
 		switch {
-		case e.lruKey != key || !m.covers(e, client):
+		case e.key != key || !m.covers(&e.Entry, client):
 		case !e.Expiry.After(now):
 			deadRank = max(deadRank, rank(e))
 		case best == nil || rank(e) > rank(best):
@@ -106,19 +112,19 @@ func (m *model) lookup(key Key, client netip.Addr, now time.Time) (best *Entry, 
 		i := slices.Index(m.all, best)
 		m.all = append(slices.Delete(m.all, i, i+1), best)
 	}
-	return best, deadRank > rank(best)
+	return &best.Entry, deadRank > rank(best)
 }
 
 func (m *model) lookupStale(key Key, client netip.Addr, now time.Time, maxStale time.Duration) *Entry {
 	var best *Entry
 	for _, e := range m.all {
-		if e.lruKey != key || !m.covers(e, client) ||
+		if e.key != key || !m.covers(&e.Entry, client) ||
 			e.Expiry.After(now) || !e.Expiry.Add(maxStale).After(now) ||
 			e.RCode != dnswire.RCodeNoError || len(e.Answer) == 0 {
 			continue
 		}
 		if best == nil || e.Expiry.After(best.Expiry) {
-			best = e
+			best = &e.Entry
 		}
 	}
 	return best
@@ -134,7 +140,7 @@ func (m *model) len(now time.Time) int {
 
 func (m *model) purgeExpired(now time.Time) int {
 	before := len(m.all)
-	m.all = slices.DeleteFunc(m.all, func(e *Entry) bool { return !e.Expiry.After(now) })
+	m.all = slices.DeleteFunc(m.all, func(e *modelEntry) bool { return !e.Expiry.After(now) })
 	m.st.Live = int64(len(m.all))
 	m.st.Expiries += int64(before - len(m.all))
 	return before - len(m.all)
@@ -145,6 +151,14 @@ func btoi(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// hit is a lookup's result as a pointer, nil on a miss.
+func hit(e Entry, ok bool) *Entry {
+	if !ok {
+		return nil
+	}
+	return &e
 }
 
 // sameHit compares the observable content of two lookup results, the
@@ -293,7 +307,7 @@ func runDifferential(t *testing.T, cfg Config, shardCounts []int, ops int, seed 
 			want, fell := ref.lookup(key, client, now)
 			fellThrough += btoi(fell)
 			for ci, c := range caches {
-				if got, _ := c.Lookup(key, client, now); !sameHit(want, got) {
+				if got := hit(c.Lookup(key, client, now)); !sameHit(want, got) {
 					t.Fatalf("op %d: shards=%d Lookup(%v, %s) = %+v, model says %+v",
 						i, shardCounts[ci], key.Name, client, got, want)
 				}
@@ -302,7 +316,7 @@ func runDifferential(t *testing.T, cfg Config, shardCounts []int, ops int, seed 
 			maxStale := time.Duration(1+rng.Intn(90)) * time.Second
 			want := ref.lookupStale(key, client, now, maxStale)
 			for ci, c := range caches {
-				if got, _ := c.LookupStale(key, client, now, maxStale); !sameHit(want, got) {
+				if got := hit(c.LookupStale(key, client, now, maxStale)); !sameHit(want, got) {
 					t.Fatalf("op %d: shards=%d LookupStale(%v, %s, %v) = %+v, model says %+v",
 						i, shardCounts[ci], key.Name, client, maxStale, got, want)
 				}

@@ -13,9 +13,9 @@
 // first, prefix at that scope) with the non-ECS shared entry last, and
 // a lookup binary-searches it once per distinct scope length present:
 // the cost the paper's §7 blow-up puts on a resolver — thousands of
-// client subnets under one name — is paid in memory, an Entry and a
-// pointer per subnet, not in lookup time; records equal to a list
-// neighbour's are shared, not copied. The key space is hash-partitioned
+// client subnets under one name — is paid in memory, an 80-byte resident
+// record and a pointer per subnet, not in lookup time; records equal to
+// a list neighbour's are shared, not copied. The key space is hash-partitioned
 // across N independently locked shards (Config.Shards), each guarded by
 // its own sync.RWMutex, so concurrent lookups on different shards never
 // contend. A configured capacity bound (Config.MaxEntries) is enforced
@@ -56,42 +56,34 @@ func KeyOf(q dnswire.Question) Key {
 	return Key{Name: q.Name, Type: q.Type, Class: q.Class}
 }
 
-// Entry is one cached answer. Resident, it is 176 bytes on a 64-bit
-// platform and shares everything else it refers to with its neighbours
-// where it can (see Answer).
+// Entry is one cached answer, as Insert takes it and a lookup returns
+// it. The cache does not keep the Entry: it packs what Insert is given
+// into an 80-byte resident record and unpacks a copy on every hit, so an
+// Entry a caller holds is its own.
 type Entry struct {
 	// Subnet is the response ECS option (source + scope) this answer was
 	// stored under; the zero value (HasECS false) marks a non-ECS answer
-	// shared by all clients.
+	// shared by all clients. It reads back as it was inserted, but for
+	// an IPv6 zone, which no ECS option carries.
 	Subnet ecsopt.ClientSubnet
 	HasECS bool
-	// slotFam and slotBits are where Insert filed the entry in its
-	// question's list (see slot). They and RCode occupy padding after
-	// HasECS, so the sort key and the rcode cost no memory per entry.
-	slotFam, slotBits uint8
-	RCode             dnswire.RCode
+	RCode  dnswire.RCode
 	// Answer and Authority are the cached records, and they are
 	// immutable: the cache, every entry that shares them and every
 	// response built from them read them and nobody writes one. Insert
-	// hands an entry the slices of a list neighbour holding the same
+	// gives an entry the records of a list neighbour holding the same
 	// records in the same order, so equal answers under one name are
-	// stored once, however many subnets they were given to.
+	// stored once, however many subnets they were given to. An empty
+	// section reads back nil.
 	Answer    []dnswire.RR
 	Authority []dnswire.RR
-	// Expiry is the absolute virtual time the entry dies.
+	// Expiry is the absolute virtual time the entry dies; it reads back
+	// exactly as Insert left it, monotonic reading and location included.
 	Expiry time.Time
-	// Stored is when the entry was inserted (for remaining-TTL math).
+	// Stored is not kept: Insert ignores it and a lookup returns it zero.
+	// It stays only for callers that still set it, and goes with the
+	// benchmark module's unpinning (ROADMAP.md item 1(d)).
 	Stored time.Time
-
-	// Intrusive LRU links, owned by the storing shard and valid only
-	// while the entry is resident in a capacity-bounded cache. Insert
-	// clears them on its private copy, so caller-held Entry values can
-	// be reinserted safely.
-	lruPrev, lruNext *Entry
-	// lruKey remembers the question so an eviction can find the entry's
-	// storage slot from the list tail alone. Every entry of a question
-	// holds the same name string.
-	lruKey Key
 }
 
 // RemainingTTL returns the seconds of life left at `now`, rounded up so
@@ -248,12 +240,12 @@ func effectiveScope(cfg *Config, cs ecsopt.ClientSubnet) uint8 {
 // covering entries the longest scope (most specific) wins, and an ECS
 // entry at scope 0 wins over the shared non-ECS entry. The bool reports
 // a hit; hit/miss counters are updated.
-func (c *Cache) Lookup(key Key, client netip.Addr, now time.Time) (*Entry, bool) {
+func (c *Cache) Lookup(key Key, client netip.Addr, now time.Time) (Entry, bool) {
 	c.stats.lookups.Add(1)
-	e := c.shardFor(key).lookup(key, client, now)
-	if e == nil {
+	e, ok := c.shardFor(key).lookup(key, client, now)
+	if !ok {
 		c.stats.misses.Add(1)
-		return nil, false
+		return Entry{}, false
 	}
 	c.stats.hits.Add(1)
 	return e, true
@@ -264,10 +256,10 @@ func (c *Cache) Lookup(key Key, client netip.Addr, now time.Time) (*Entry, bool)
 // changes nothing, so the Lookup that follows it is the only one
 // counted. A resolver that answers hits early and defers misses uses it
 // to count each query once.
-func (c *Cache) Hit(key Key, client netip.Addr, now time.Time) (*Entry, bool) {
-	e := c.shardFor(key).lookup(key, client, now)
-	if e == nil {
-		return nil, false
+func (c *Cache) Hit(key Key, client netip.Addr, now time.Time) (Entry, bool) {
+	e, ok := c.shardFor(key).lookup(key, client, now)
+	if !ok {
+		return Entry{}, false
 	}
 	c.stats.lookups.Add(1)
 	c.stats.hits.Add(1)
@@ -282,9 +274,8 @@ func (c *Cache) Hit(key Key, client netip.Addr, now time.Time) (*Entry, bool) {
 // (latest-expiring) covering entry wins. Hit/miss counters (and LRU
 // recency) are not touched: a stale answer is a degraded miss, not a
 // hit.
-func (c *Cache) LookupStale(key Key, client netip.Addr, now time.Time, maxStale time.Duration) (*Entry, bool) {
-	e := c.shardFor(key).lookupStale(key, client, now, maxStale)
-	return e, e != nil
+func (c *Cache) LookupStale(key Key, client netip.Addr, now time.Time, maxStale time.Duration) (Entry, bool) {
+	return c.shardFor(key).lookupStale(key, client, now, maxStale)
 }
 
 // Insert stores an entry for key, replacing the entry filed under the
@@ -293,9 +284,9 @@ func (c *Cache) LookupStale(key Key, client netip.Addr, now time.Time, maxStale 
 // other subnets' included; otherwise the key's entries are not read.
 // When the cache is over its capacity bound the least-recently-used
 // resident entries are evicted. When a neighbour in the key's list holds
-// the same records, the stored entry takes that neighbour's slices in
-// place of e's; otherwise the cache keeps e's, so records handed to
-// Insert must not be changed after the call.
+// the same records, the stored entry takes that neighbour's in place of
+// e's; otherwise the cache keeps e's slices, so records handed to Insert
+// must not be changed after the call. e.Stored is ignored.
 //
 // Entries claiming ECS whose address cannot produce a prefix at the
 // effective scope (invalid address, or a scope wider than the address
@@ -303,14 +294,10 @@ func (c *Cache) LookupStale(key Key, client netip.Addr, now time.Time, maxStale 
 // that matches no client, or an answer served to clients it was never
 // meant for.
 func (c *Cache) Insert(key Key, e Entry, now time.Time) {
-	stored := e // copy; cache owns its entries
-	stored.Stored = now
-	stored.lruPrev, stored.lruNext = nil, nil
-	stored.lruKey = key
-	c.clampTTL(&stored, now)
-	stored.slotFam, stored.slotBits = famShared, 0
-	if stored.HasECS {
-		scope, addr := effectiveScope(&c.cfg, stored.Subnet), stored.Subnet.Addr
+	c.clampTTL(&e, now)
+	fam, bits := famShared, uint8(0)
+	if e.HasECS {
+		scope, addr := effectiveScope(&c.cfg, e.Subnet), e.Subnet.Addr
 		if !addr.IsValid() || int(scope) > addr.BitLen() {
 			c.stats.rejected.Add(1)
 			return
@@ -318,10 +305,10 @@ func (c *Cache) Insert(key Key, e Entry, now time.Time) {
 		// IgnoreScope keeps one answer per question and serves it to
 		// anyone: every entry is filed in the shared slot.
 		if c.cfg.Mode != IgnoreScope {
-			stored.slotFam, stored.slotBits = famOf(addr), scope
+			fam, bits = famOf(addr), scope
 		}
 	}
-	c.shardFor(key).insert(key, &stored, now)
+	c.shardFor(key).insert(key, newRecord(&e, fam, bits), e.Answer, e.Authority, now)
 }
 
 // clampTTL applies the insert-time lifetime rules: the MinTTL floor for

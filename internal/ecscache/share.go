@@ -6,28 +6,29 @@ import (
 	"ecsdns/internal/dnswire"
 )
 
-// share hands stored the record slices of a list neighbour holding the
-// same records — the entry before slot i or the one at it, which is
-// either the occupant stored replaces or the next slot — so a name
-// answered alike for thousands of subnets stores its records once. What
-// is shared is decided by the records alone. Records are never written
-// once cached (see Entry.Answer), so a sharer never sees one change, and
-// they outlive any entry that held them first.
-func (sh *shard) share(list []*Entry, i int, stored *Entry) {
+// share returns the records an insert at slot i keeps: a list
+// neighbour's when it holds the same ones — the record before slot i or
+// the one at it, which is either the occupant the insert replaces or the
+// next slot — so a name answered alike for thousands of subnets stores
+// its records once, and otherwise a new set of its own; nil when the
+// answer has none. What is shared is decided by the records alone, and
+// sharers hold one pointer. Records are never written once cached (see
+// record.recs), so a sharer never sees one change, and they outlive any
+// record that held them first.
+func (sh *shard) share(list []*record, i int, answer, authority []dnswire.RR) *records {
+	if len(answer)+len(authority) == 0 {
+		return nil
+	}
 	for _, j := range [2]int{i - 1, i} {
 		if j < 0 || j >= len(list) {
 			continue
 		}
-		n := list[j]
-		if !sameRecords(n.Answer, stored.Answer) || !sameRecords(n.Authority, stored.Authority) {
-			continue
-		}
-		if len(n.Answer)+len(n.Authority) > 0 {
-			stored.Answer, stored.Authority = n.Answer, n.Authority
+		if n := list[j].recs; n != nil && sameRecords(n.answer, answer) && sameRecords(n.authority, authority) {
 			sh.owner.stats.shared.Add(1)
+			return n
 		}
-		return
 	}
+	return &records{answer: answer, authority: authority}
 }
 
 // sameRecords reports whether a and b hold the same records in the same

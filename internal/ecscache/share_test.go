@@ -45,45 +45,77 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// bytesPerEntry fills a new cache with one name at fanout subnets and
+// freshEntry is what a resolver inserts for the i-th name of a stream of
+// fresh names, as serve-miss sends them: a freshly decoded question name,
+// which the answer's owner shares as the resolver files it, a /24 of 16
+// at scope 24, and an A record of its own.
+func freshEntry(i int) (Key, Entry) {
+	key := Key{Name: dnswire.Name(fmt.Sprintf("f%d.bench.example.", i)), Type: dnswire.TypeA, Class: dnswire.ClassINET}
+	cs, _ := benchSubnet(i % 16)
+	return key, Entry{HasECS: true, Subnet: cs, Expiry: benchNow.Add(time.Hour),
+		Answer: []dnswire.RR{{Name: key.Name, Class: dnswire.ClassINET, TTL: 300,
+			Data: &dnswire.ARData{Addr: netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})}}}}
+}
+
+// heapPerEntry inserts n entries into a new cache built from cfg and
 // returns by how much the live heap grew per entry.
-func bytesPerEntry(fanout int, distinct bool) float64 {
-	c := New(Config{Mode: HonorScope, ClampScopeToSource: true})
-	key := benchKeys(1)[0]
+func heapPerEntry(cfg Config, n int, insert func(c *Cache, i int)) float64 {
+	c := New(cfg)
 	before := liveHeap()
-	for i := 0; i < fanout; i++ {
-		insertDecoded(c, key, i, distinct)
+	for i := 0; i < n; i++ {
+		insert(c, i)
 	}
 	after := liveHeap()
 	runtime.KeepAlive(c)
-	return float64(int64(after)-int64(before)) / float64(fanout)
+	return float64(int64(after)-int64(before)) / float64(n)
+}
+
+// bytesPerEntry fills a new cache with one name at fanout subnets and
+// returns by how much the live heap grew per entry.
+func bytesPerEntry(fanout int, distinct bool) float64 {
+	key := benchKeys(1)[0]
+	return heapPerEntry(Config{Mode: HonorScope, ClampScopeToSource: true}, fanout, func(c *Cache, i int) {
+		insertDecoded(c, key, i, distinct)
+	})
+}
+
+// freshBytesPerEntry fills a cache bounded at n with n fresh names, one
+// entry each, and returns the live heap that cost per entry: the record,
+// its own record set, and the question's map slot, list and name.
+func freshBytesPerEntry(n int) float64 {
+	return heapPerEntry(Config{Mode: HonorScope, ClampScopeToSource: true, MaxEntries: n}, n, func(c *Cache, i int) {
+		k, e := freshEntry(i)
+		c.Insert(k, e, benchNow)
+	})
 }
 
 // TestCacheBytesPerEntry holds the memory a (name, subnet) entry costs,
 // the paper's §7 blow-up in bytes. Equal answers share one record set
-// and one name, so an entry is its Entry and its list slot; distinct
-// answers cost no more than when nothing was shared (321 B per entry).
+// and one name, so an entry is its resident record and its list slot.
+// Distinct answers add a record set each; fresh names, serve-miss's
+// shape, add a question each.
 func TestCacheBytesPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are not meaningful under the race detector")
 	}
 	if unsafe.Sizeof(uintptr(0)) == 8 {
-		if got := unsafe.Sizeof(Entry{}); got != 176 {
-			t.Errorf("Entry is %d bytes, want 176 (Go's 176-byte size class)", got)
+		if got := unsafe.Sizeof(record{}); got > 80 {
+			t.Errorf("the resident record is %d bytes, want <= 80 (Go's 80-byte size class)", got)
 		}
 	}
 	for _, row := range []struct {
-		answers  string
-		distinct bool
-		max      float64
+		fill string
+		cost func() float64
+		max  float64
 	}{
-		{"equal", false, 200},
-		{"distinct", true, 330},
+		{"one name at 2048 subnets, equal answers", func() float64 { return bytesPerEntry(2048, false) }, 105},
+		{"one name at 2048 subnets, distinct answers", func() float64 { return bytesPerEntry(2048, true) }, 240},
+		{"4096 fresh names bounded at 4096", func() float64 { return freshBytesPerEntry(4096) }, 390},
 	} {
-		got := bytesPerEntry(2048, row.distinct)
-		t.Logf("%s answers: %.1f B per entry", row.answers, got)
+		got := row.cost()
+		t.Logf("%s: %.1f B per entry", row.fill, got)
 		if got > row.max {
-			t.Errorf("one name at 2048 subnets with %s answers costs %.0f B per entry, want <= %.0f", row.answers, got, row.max)
+			t.Errorf("%s costs %.0f B per entry, want <= %.0f", row.fill, got, row.max)
 		}
 	}
 }

@@ -257,7 +257,7 @@ func (r *Resolver) HandleImmediate(from netip.Addr, query, resp *dnswire.Message
 	}
 	r.count(key, now)
 	reply(resp, query)
-	answerFromEntry(resp, e, e.RemainingTTL(now), clientAddr, clientBits)
+	answerFromEntry(resp, &e, e.RemainingTTL(now), clientAddr, clientBits)
 	return true
 }
 
@@ -292,7 +292,7 @@ func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 
 	if !bypassCache {
 		if e, ok := r.cache.Lookup(key, clientAddr, now); ok {
-			answerFromEntry(resp, e, e.RemainingTTL(now), clientAddr, clientBits)
+			answerFromEntry(resp, &e, e.RemainingTTL(now), clientAddr, clientBits)
 			return
 		}
 	}
@@ -569,7 +569,7 @@ func (r *Resolver) answerFailure(resp *dnswire.Message, key ecscache.Key, client
 	if !r.cfg.DisableServeStale {
 		if e, ok := r.cache.LookupStale(key, clientAddr, now, r.maxStale()); ok {
 			r.countFailure(func(f *FailureCounters) { f.ServedStale++ })
-			answerFromEntry(resp, e, staleTTL, clientAddr, clientBits)
+			answerFromEntry(resp, &e, staleTTL, clientAddr, clientBits)
 			return
 		}
 	}

@@ -57,6 +57,7 @@ go test -fuzz 'FuzzUnpackReuse$' -fuzztime "$FUZZTIME" -run NONE ./internal/dnsw
 go test -fuzz 'FuzzNameParse$'   -fuzztime "$FUZZTIME" -run NONE ./internal/dnswire
 go test -fuzz 'FuzzNamePrepend$' -fuzztime "$FUZZTIME" -run NONE ./internal/dnswire
 go test -fuzz 'FuzzDecode$'      -fuzztime "$FUZZTIME" -run NONE ./internal/ecsopt
+go test -fuzz 'FuzzEntryRoundTrip$' -fuzztime "$FUZZTIME" -run NONE ./internal/ecscache
 
 echo ""
 echo "verify: all green"
