@@ -16,7 +16,7 @@ vet:
 	$(GO) vet ./...
 
 # Static analysis: formatting, vet, and the project-specific ecslint
-# checks (determinism, wire-safety, concurrency invariants).
+# checks (determinism, wire-safety, tracked goroutines).
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \

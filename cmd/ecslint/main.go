@@ -2,7 +2,7 @@
 //
 //	go run ./cmd/ecslint ./...          # lint the whole module
 //	go run ./cmd/ecslint -list          # show the registered checks
-//	go run ./cmd/ecslint -disable mutexhold ./...
+//	go run ./cmd/ecslint -disable goroutinetrack ./...
 //
 // Findings print one per line as `file:line: [check] message`, sorted,
 // and any finding makes the exit status 1 (2 = usage or load failure).

@@ -198,12 +198,13 @@ func (c *Client) Query(server string, name dnswire.Name, t dnswire.Type, ecs *ec
 // returns.
 func (c *Client) Exchange(server string, q *dnswire.Message) (*dnswire.Message, error) {
 	bp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bp)
 	frame, err := q.AppendPack(append((*bp)[:0], 0, 0))
 	if err != nil {
+		bufPool.Put(bp)
 		return nil, err
 	}
 	*bp = frame[:0] // keep any growth for the next exchange
+	defer putBuf(&bufPool, bp, len(frame))
 	if !c.ForceTCP {
 		data := frame[2:]
 		for attempt := 0; attempt <= c.retries(); attempt++ {
@@ -229,12 +230,13 @@ func (c *Client) Exchange(server string, q *dnswire.Message) (*dnswire.Message, 
 // that goes back once the attempt has returned.
 func (c *Client) ExchangeUDP(server string, q *dnswire.Message) (*dnswire.Message, error) {
 	bp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bp)
 	data, err := q.AppendPack((*bp)[:0])
 	if err != nil {
+		bufPool.Put(bp)
 		return nil, err
 	}
 	*bp = data[:0] // keep any growth for the next exchange
+	defer putBuf(&bufPool, bp, len(data))
 	return c.exchangeUDP(server, q, data)
 }
 
@@ -321,14 +323,15 @@ func roundTrip(conn net.Conn, deadline time.Time, q *dnswire.Message, data []byt
 	// records — so each round trip decodes into a new one; datagrams
 	// skipped on the way are decoded into it too.
 	bp := readBufPool.Get().(*[]byte)
-	defer readBufPool.Put(bp)
-	buf := *bp
+	buf, used := *bp, 0 // used: the most of buf a datagram has filled
+	defer func() { putBuf(&readBufPool, bp, used) }()
 	resp := &dnswire.Message{}
 	for {
 		n, err := conn.Read(buf)
 		if err != nil {
 			return nil, err
 		}
+		used = max(used, n)
 		err = dnswire.UnpackInto(resp, buf[:n])
 		if err == nil {
 			err = validate(q, resp)

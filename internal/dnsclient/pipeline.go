@@ -137,6 +137,14 @@ var bufPool = sync.Pool{
 	},
 }
 
+// putBuf zeroes the first n bytes of *bp, the ones handed out, and pools
+// it: a read through a slice kept past the return sees zeros, never the
+// next user's bytes.
+func putBuf(pool *sync.Pool, bp *[]byte, n int) {
+	clear((*bp)[:n])
+	pool.Put(bp)
+}
+
 // shard is one independent lane of the pipeline: its own socket, ID
 // space, and demux table. Nothing on the send/receive hot path is
 // shared between shards.
@@ -427,7 +435,7 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 		return err
 	}
 	*bp = data[:0] // data may have outgrown the pooled backing array
-	defer bufPool.Put(bp)
+	defer putBuf(&bufPool, bp, len(data))
 
 	backoff := p.cfg.Backoff
 	var lastErr error
@@ -480,7 +488,7 @@ func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswi
 	w := waiterPool.Get().(*waiter)
 	id, err := s.register(dest, w)
 	if err != nil {
-		waiterPool.Put(w)
+		s.release(w)
 		return err
 	}
 	key := pendingKey{dest: dest, id: id}
@@ -490,9 +498,11 @@ func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswi
 	s.p.sent.Add(1)
 	if _, err := s.pc.WriteToUDPAddrPort(data, dest); err != nil {
 		if s.unregister(key) {
-			waiterPool.Put(w)
+			s.release(w)
 		} else {
-			//ecslint:ignore ctxflow the reader has already committed a delivery to this waiter; the bounded drain must finish before the waiter can be pooled
+			// The reader has already committed a delivery to this
+			// waiter; the bounded drain must finish before the waiter
+			// can be pooled.
 			s.consume(w)
 		}
 		s.p.sendErrors.Add(1)
@@ -524,8 +534,10 @@ func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswi
 				return fmt.Errorf("%w: %s %s", ErrTimeout, dest, question)
 			}
 			// Lost the race: a delivery is in flight. Consume it and
-			// treat it as having arrived in time.
-			//ecslint:ignore ctxflow the reader has already committed this delivery with no intervening I/O; the receive completes promptly and must happen before the waiter can be pooled
+			// treat it as having arrived in time. The reader has already
+			// committed it with no intervening I/O, so the receive
+			// completes promptly; it must happen before the waiter can
+			// be pooled.
 			n := <-w.ch
 			ok, err := s.decodeInto(w, n, question, resp)
 			if ok {
@@ -546,7 +558,7 @@ func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswi
 func (s *shard) abort(key pendingKey, w *waiter, err error) error {
 	s.p.aborted.Add(1)
 	if s.unregister(key) {
-		waiterPool.Put(w)
+		s.release(w)
 	} else {
 		s.consume(w)
 	}
@@ -558,11 +570,16 @@ func (s *shard) abort(key pendingKey, w *waiter, err error) error {
 // false.
 func (s *shard) consume(w *waiter) {
 	<-w.ch
-	waiterPool.Put(w)
+	s.release(w)
 }
 
-// release pools a waiter whose signal has been consumed.
+// release pools a waiter whose signal has been consumed, or will never
+// come. It zeroes the response bytes the reader handed over first, so a
+// decode after the return reads an all-zero header, not the next
+// attempt's datagram.
 func (s *shard) release(w *waiter) {
+	clear(w.buf)
+	w.buf = w.buf[:0]
 	waiterPool.Put(w)
 }
 
@@ -582,11 +599,15 @@ func (s *shard) decodeInto(w *waiter, n int, question dnswire.Question, resp *dn
 }
 
 // exchangeTCP runs the fallback on a per-query TCP connection, bounded
-// by the pipeline timeout and any earlier ctx deadline.
+// by the pipeline timeout and any earlier ctx deadline, and cut short
+// by a cancel of ctx, which it then returns.
 func (p *Pipeline) exchangeTCP(ctx context.Context, server string, q *dnswire.Message, resp *dnswire.Message) error {
 	d := net.Dialer{Timeout: p.cfg.Timeout}
 	conn, err := d.DialContext(ctx, "tcp", server)
 	if err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
 		return err
 	}
 	defer conn.Close()
@@ -595,12 +616,19 @@ func (p *Pipeline) exchangeTCP(ctx context.Context, server string, q *dnswire.Me
 		deadline = dl
 	}
 	conn.SetDeadline(deadline)
+	// A cancel after the dial expires the deadline, so the round trip
+	// returns at once instead of waiting out Timeout.
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
+	defer stop()
 	frame, err := q.AppendPack(make([]byte, 2, 512)) // re-pack: attempts rewrote the ID
 	if err != nil {
 		return err
 	}
 	respData, err := tcpRoundTrip(conn, frame)
 	if err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
 		return err
 	}
 	if err := dnswire.UnpackInto(resp, respData); err != nil {

@@ -3,6 +3,7 @@ package dnsclient
 import (
 	"context"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"net"
 	"net/netip"
@@ -209,21 +210,106 @@ func TestPipelineTimeoutNoFallback(t *testing.T) {
 	}
 }
 
+// TestPipelineContextCancel cancels an exchange at each place it waits
+// and requires context.Canceled within a second. Every row's wait is
+// 10 s, so a wait that stops listening to ctx fails the row on every run.
 func TestPipelineContextCancel(t *testing.T) {
-	h := &nameHashHandler{drop: 1 << 30}
-	addr := startPipelineServer(t, h)
-	p := newTestPipeline(t, PipelineConfig{Shards: 1, Timeout: 5 * time.Second})
+	dropAll := func(t *testing.T) string { return startPipelineServer(t, &nameHashHandler{drop: 1 << 30}) }
+	after50ms := func(_ *Pipeline, elapsed time.Duration) bool { return elapsed >= 50*time.Millisecond }
+	for _, tc := range []struct {
+		name   string
+		cfg    PipelineConfig
+		server func(t *testing.T) string
+		tcp    bool // exchange over exchangeTCP alone
+		cancel func(p *Pipeline, elapsed time.Duration) bool
+	}{
+		// A cancel while a UDP attempt waits for its answer.
+		{"attempt", PipelineConfig{Timeout: 10 * time.Second}, dropAll, false, after50ms},
+		// A cancel once the first attempt has timed out and the retry
+		// waits out its backoff.
+		{"backoff", PipelineConfig{Timeout: 10 * time.Millisecond, Backoff: 10 * time.Second}, dropAll, false,
+			func(p *Pipeline, _ time.Duration) bool { return p.Stats().Retries > 0 }},
+		// A cancel after the TCP fallback has dialled and sent, while it
+		// waits for an answer that never comes.
+		{"tcp-read", PipelineConfig{Timeout: 10 * time.Second}, startTCPStaller, true, after50ms},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Shards = 1
+			addr := tc.server(t)
+			p := newTestPipeline(t, tc.cfg)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			start := time.Now()
+			go func() {
+				for ctx.Err() == nil && !tc.cancel(p, time.Since(start)) {
+					time.Sleep(time.Millisecond)
+				}
+				cancel()
+			}()
+			var err error
+			if tc.tcp {
+				err = p.exchangeTCP(ctx, addr, pipeQuery("cancel.pipe.test."), &dnswire.Message{})
+			} else {
+				_, err = p.Exchange(ctx, addr, pipeQuery("cancel.pipe.test."))
+			}
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("cancellation took %v", elapsed)
+			}
+		})
+	}
+}
+
+// TestExchangeTCPCancelledDial: a TCP fallback whose ctx is already
+// cancelled returns context.Canceled without opening a connection.
+func TestExchangeTCPCancelledDial(t *testing.T) {
+	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	p := newTestPipeline(t, PipelineConfig{Shards: 1, Timeout: 10 * time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
-	stop := time.AfterFunc(50*time.Millisecond, cancel)
-	defer stop.Stop()
-	start := time.Now()
-	_, err := p.Exchange(ctx, addr, pipeQuery("cancel.pipe.test."))
-	if err != context.Canceled {
+	cancel()
+	if err := p.exchangeTCP(ctx, ln.Addr().String(), pipeQuery("dial.pipe.test."), &dnswire.Message{}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("cancellation took %v", elapsed)
+	// A connection the dial made is in the accept queue by now.
+	ln.SetDeadline(time.Now().Add(100 * time.Millisecond))
+	if c, err := ln.Accept(); err == nil {
+		c.Close()
+		t.Fatal("a cancelled exchange still dialled the server")
 	}
+}
+
+// startTCPStaller listens on TCP, reads the query off each connection it
+// accepts and never answers; it hangs up once the client does.
+func startTCPStaller(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			io.Copy(io.Discard, c)
+			c.Close()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	return ln.Addr().String()
 }
 
 // TestAbortDrainsDeliveredWaiter covers the guard-false path of the

@@ -188,6 +188,13 @@ var udpBufPool = sync.Pool{
 	},
 }
 
+// putUDPBuf zeroes the datagram *bp holds and pools it: a read through
+// pkt after the return sees an all-zero header, never the next datagram.
+func putUDPBuf(bp *[]byte) {
+	clear(*bp)
+	udpBufPool.Put(bp)
+}
+
 // workspace is the memory one serving goroutine decodes and encodes in:
 // a UDP worker, a TCP connection, or the read loop. It lives as long as
 // the goroutine, so each query is decoded into the same Message and each
@@ -552,7 +559,7 @@ func (s *Server) admit(l *udpLoop, pkt []byte, from netip.AddrPort) {
 				l.pc.WriteToUDPAddrPort(data, from)
 			}
 		}
-		udpBufPool.Put(bp)
+		putUDPBuf(bp)
 	}
 }
 
@@ -565,7 +572,7 @@ func (s *Server) udpWorker(pc *net.UDPConn) {
 		s.serveUDPPacket(pc, p, &ws)
 		s.stats.inflight.Add(-1)
 		s.pending.Add(-1)
-		udpBufPool.Put(p.bp)
+		putUDPBuf(p.bp)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // goroutinetrackCheck verifies goroutine lifecycle in the
-// concurrency-heavy packages, over the flow engine's spawn index. The
-// server's first Add-after-Wait race came from a request goroutine
+// concurrency-heavy packages, at every go statement. The server's first
+// Add-after-Wait race came from a request goroutine
 // spawned with no lifecycle tie to its server: Close could start waiting
 // while spawns kept coming. A goroutine literal must therefore either be tied to a
 // tracker — a call to a sync.WaitGroup method (Add/Done/Wait) or to a
@@ -25,11 +25,18 @@ func runGoroutinetrack(ctx *Context) {
 	if !pathListed(ctx.Cfg.GoroutinePackages, basePath(ctx.Pkg.ImportPath)) {
 		return
 	}
-	for _, g := range ctx.Pkg.Flow().Spawns {
-		if lit, ok := g.Call.Fun.(*ast.FuncLit); ok && !ctx.goroutineTracked(lit, g.Call.Args) {
-			ctx.Reportf(g.Pos(),
-				"go func literal is neither tracked (WaitGroup/track call) nor cancellable (no context.Context); Close can start waiting while such spawns keep coming (Add after Wait)")
-		}
+	for _, f := range ctx.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok && !ctx.goroutineTracked(lit, g.Call.Args) {
+				ctx.Reportf(g.Pos(),
+					"go func literal is neither tracked (WaitGroup/track call) nor cancellable (no context.Context); Close can start waiting while such spawns keep coming (Add after Wait)")
+			}
+			return true
+		})
 	}
 }
 

@@ -3,8 +3,8 @@
 // PR: deterministic replay (no wall clock or global RNG on simulated
 // paths), wire-safety (all DNS byte-level parsing stays behind the
 // dnswire/ecsopt codecs, and codec errors are never discarded), and
-// concurrency hygiene (tracked goroutines, no blocking calls under a
-// mutex). Checks are table-registered, configured by Config, and
+// goroutine hygiene (every goroutine literal tracked or cancellable).
+// Checks are table-registered, configured by Config, and
 // suppressed line-by-line with //ecslint:ignore directives; a directive
 // that suppresses nothing is itself reported (directives.go).
 //
@@ -54,10 +54,7 @@ func AllChecks() []Check {
 		globalrandCheck,
 		uncheckederrCheck,
 		goroutinetrackCheck,
-		mutexholdCheck,
 		rawwireCheck,
-		ctxflowCheck,
-		retentionCheck,
 	}
 }
 
@@ -98,16 +95,6 @@ type Config struct {
 	// RawwireAllow lists the packages allowed to index or slice raw DNS
 	// message bytes: the codec itself.
 	RawwireAllow []string
-
-	// CtxflowPackages lists the import paths where a function that takes
-	// a context.Context must keep it live to every blocking operation:
-	// the transport and emulation layers, where a dropped context turns
-	// shutdown into a hang.
-	CtxflowPackages []string
-
-	// RetentionPackages lists the import paths whose codec call sites
-	// are checked for aliases retained across a repack or pool return.
-	RetentionPackages []string
 }
 
 // DefaultConfig is the policy for this module: the allowlists mirror the
@@ -147,17 +134,6 @@ func DefaultConfig() *Config {
 		RawwireAllow: []string{
 			"ecsdns/internal/dnswire",
 			"ecsdns/internal/ecsopt",
-		},
-		CtxflowPackages: []string{
-			"ecsdns/internal/dnsclient",
-			"ecsdns/internal/dnsserver",
-			"ecsdns/internal/scanner",
-			"ecsdns/internal/netem",
-		},
-		RetentionPackages: []string{
-			"ecsdns/internal/dnsclient",
-			"ecsdns/internal/dnsserver",
-			"ecsdns/internal/scanner",
 		},
 	}
 }
@@ -207,11 +183,6 @@ func (c *Context) isTestFile(f *ast.File) bool {
 	return strings.HasSuffix(c.Pkg.Fset.Position(f.Pos()).Filename, "_test.go")
 }
 
-// posInTestFile reports whether pos lives in a _test.go file.
-func (c *Context) posInTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(c.Pkg.Fset.Position(pos).Filename, "_test.go")
-}
-
 // Run executes every enabled check over pkgs and returns the surviving
 // findings: deterministically sorted, deduplicated, and filtered through
 // //ecslint:ignore directives.
@@ -222,8 +193,8 @@ func Run(pkgs []*Package, cfg *Config) []Finding {
 }
 
 // runChecks returns what the enabled checks report, before any directive
-// is applied. Packages are analyzed concurrently (the CFG caches
-// synchronize via sync.Once and go/types lookups are read-only).
+// is applied. Packages are analyzed concurrently: checks only read the
+// parsed files and go/types information.
 func runChecks(pkgs []*Package, cfg *Config) []Finding {
 	perPkg := make([][]Finding, len(pkgs))
 	var wg sync.WaitGroup

@@ -59,14 +59,6 @@ func fixtureConfig(check string) *Config {
 			"ecsdns/internal/ecsopt",
 		},
 		RawwireAllow: []string{"fixture/rawwireallowed"},
-		CtxflowPackages: []string{
-			"fixture/ctxflowbad",
-			"fixture/ctxflowgood",
-		},
-		RetentionPackages: []string{
-			"fixture/retentionbad",
-			"fixture/retentiongood",
-		},
 	}
 	if check == "unusedignore" {
 		cfg.Enabled = map[string]bool{"wallclock": true}
@@ -87,10 +79,7 @@ func TestCheckGolden(t *testing.T) {
 		{"globalrand", []string{"globalrandgood", "globalrandbad"}},
 		{"uncheckederr", []string{"uncheckederrgood", "uncheckederrbad"}},
 		{"goroutinetrack", []string{"goroutinetrackgood", "goroutinetrackbad"}},
-		{"mutexhold", []string{"mutexholdgood", "mutexholdbad"}},
 		{"rawwire", []string{"rawwiregood", "rawwirebad"}},
-		{"ctxflow", []string{"ctxflowgood", "ctxflowbad"}},
-		{"retention", []string{"retentiongood", "retentionbad"}},
 		{"unusedignore", []string{"unusedignoregood", "unusedignorebad"}},
 	}
 	for _, tc := range cases {

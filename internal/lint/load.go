@@ -15,9 +15,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-
-	"ecsdns/internal/lint/flow"
 )
 
 // Package is one loaded, type-checked package: parsed files (with
@@ -31,19 +28,6 @@ type Package struct {
 	Sources    [][]byte // parallel to Files
 	Types      *types.Package
 	Info       *types.Info
-
-	flowOnce sync.Once
-	flowProg *flow.Program
-}
-
-// Flow returns the package's flow-analysis index (function table, lazy
-// CFGs, static call resolution), built once and shared by every check —
-// including concurrent ones.
-func (p *Package) Flow() *flow.Program {
-	p.flowOnce.Do(func() {
-		p.flowProg = flow.BuildProgram(p.Info, p.Files)
-	})
-	return p.flowProg
 }
 
 // Loader loads and type-checks the module's packages without any

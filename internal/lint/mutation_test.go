@@ -13,7 +13,7 @@ import (
 // attributable to the seeded bug alone — a check that is silent on the
 // mutant is vacuous, one that fires on the baseline is noisy.
 //
-// Each flow check's mutant is its row in the DESIGN.md §7 ledger: a bug
+// Each check's mutant is its row in the DESIGN.md §7 ledger: a bug
 // on which `go vet ./pkg && go test -race -count=1 ./pkg` (and the plain
 // run) of the mutated package stayed green, so this check is the only
 // tier-1 gate that sees it. That sentence is what a later PR must
@@ -29,51 +29,7 @@ type mutation struct {
 }
 
 func mutations() []mutation {
-	const refuse = "\t\tif s.Overflow == OverflowServFail {\n" +
-		"\t\t\tif data := l.ws.refuse(pkt, dnswire.RCodeServFail, false); data != nil {\n" +
-		"\t\t\t\tl.pc.WriteToUDPAddrPort(data, from)\n" +
-		"\t\t\t}\n\t\t}\n"
 	return []mutation{
-		{
-			// The read loop returns a shed datagram's buffer to the pool
-			// before the refusal is decoded out of it, so another
-			// server's read loop may already be copying its next datagram
-			// over the bytes. vet and the dnsserver race tests are green
-			// on it.
-			check:   "retention",
-			pkg:     "ecsdns/internal/dnsserver",
-			file:    "dnsserver.go",
-			old:     "\t\ts.stats.shed.Add(1)\n" + refuse + "\t\tudpBufPool.Put(bp)\n",
-			new:     "\t\ts.stats.shed.Add(1)\n\t\tudpBufPool.Put(bp)\n" + refuse,
-			wantMsg: "aliases a reuse buffer",
-		},
-		{
-			// The retry backoff stops listening for cancellation: a
-			// cancelled exchange sits out the whole backoff. vet and the
-			// dnsclient race tests are green on it.
-			check: "ctxflow",
-			pkg:   "ecsdns/internal/dnsclient",
-			file:  "pipeline.go",
-			old: "\t\t\tselect {\n\t\t\tcase <-ctx.Done():\n\t\t\t\treleaseTimer(t)\n" +
-				"\t\t\t\treturn ctx.Err()\n\t\t\tcase <-t.C:\n\t\t\t}\n",
-			new:     "\t\t\t<-t.C\n",
-			wantMsg: "channel receive outside a select",
-		},
-		{
-			// The rate limiter waits for its next token with its lock
-			// held, so every other worker queues on the mutex instead of
-			// on its context. vet and the scanner race tests are green on
-			// it.
-			check: "mutexhold",
-			pkg:   "ecsdns/internal/scanner",
-			file:  "engine.go",
-			old: "\t\tl.mu.Unlock()\n\t\tselect {\n\t\tcase <-ctx.Done():\n\t\t\treturn ctx.Err()\n" +
-				"\t\tcase <-time.After(wait):\n\t\t}\n",
-			new: "\t\tselect {\n\t\tcase <-ctx.Done():\n\t\t\tl.mu.Unlock()\n\t\t\treturn ctx.Err()\n" +
-				"\t\tcase <-time.After(wait):\n\t\t}\n" +
-				"\t\tl.mu.Unlock()\n",
-			wantMsg: "select while holding",
-		},
 		{
 			// The overflow refusal is written from a fire-and-forget
 			// goroutine that nothing waits for at Close. vet and the
@@ -101,13 +57,14 @@ func mutations() []mutation {
 		},
 		{
 			// Not a check but the stale-directive report: a suppression
-			// planted where nothing needs one.
+			// planted where nothing needs one, naming a check that runs on
+			// the package.
 			check: "unusedignore",
 			pkg:   "ecsdns/internal/dnsclient",
 			file:  "pipeline.go",
 			old:   "func (s *shard) consume(w *waiter) {",
 			new: "func (s *shard) consume(w *waiter) {\n" +
-				"\t//ecslint:ignore ctxflow speculative suppression that matches nothing",
+				"\t//ecslint:ignore goroutinetrack speculative suppression that matches nothing",
 			wantMsg: "suppresses nothing",
 		},
 	}
@@ -120,13 +77,11 @@ func mutantConfig(check, importPath string) *Config {
 	cfg := &Config{
 		Enabled:           map[string]bool{check: true},
 		GoroutinePackages: []string{importPath},
-		CtxflowPackages:   []string{importPath},
-		RetentionPackages: []string{importPath},
 	}
 	if check == "unusedignore" {
 		// Staleness is judged only for checks that ran: the directive
-		// the mutation plants names ctxflow, so ctxflow runs.
-		cfg.Enabled = map[string]bool{"ctxflow": true}
+		// the mutation plants names goroutinetrack, so goroutinetrack runs.
+		cfg.Enabled = map[string]bool{"goroutinetrack": true}
 	}
 	return cfg
 }

@@ -44,13 +44,13 @@ func TestDirectiveCoversStatementSpan(t *testing.T) {
 	}
 }
 
-// flowFixtures is the mixed load used by the determinism and race tests:
-// every flow-engine check has at least one package exercising it.
-var flowFixtures = []string{
-	"mutexholdbad", "mutexholdgood",
-	"ctxflowbad", "ctxflowgood",
+// mixedFixtures is the load used by the determinism and race tests: every
+// check, and the directive handling, has a package exercising it.
+var mixedFixtures = []string{
 	"wallclockbad", "ignorefixture",
-	"retentionbad", "retentiongood",
+	"globalrandbad", "uncheckederrbad",
+	"goroutinetrackbad", "goroutinetrackgood",
+	"rawwirebad",
 	"unusedignorebad", "unusedignoregood",
 }
 
@@ -63,11 +63,11 @@ func allChecksFixtureConfig() *Config {
 	return cfg
 }
 
-func loadFlowFixtures(t *testing.T) []*Package {
+func loadMixedFixtures(t *testing.T) []*Package {
 	t.Helper()
 	l := fixtureLoader(t)
 	var pkgs []*Package
-	for _, d := range flowFixtures {
+	for _, d := range mixedFixtures {
 		pkgs = append(pkgs, loadFixture(t, l, d))
 	}
 	return pkgs
@@ -86,7 +86,7 @@ func renderFindings(findings []Finding) []byte {
 // map iteration inside the checks must never leak into the ordering or
 // content of findings.
 func TestRunAllDeterministic(t *testing.T) {
-	pkgs := loadFlowFixtures(t)
+	pkgs := loadMixedFixtures(t)
 	cfg := allChecksFixtureConfig()
 
 	first := renderFindings(Run(pkgs, cfg))
@@ -103,12 +103,10 @@ func TestRunAllDeterministic(t *testing.T) {
 }
 
 // TestConcurrentRunsShareFlowCaches runs the whole analyzer from several
-// goroutines over the same packages. The lazily built flow programs and
-// CFGs (Package.Flow, FuncInfo.CFG) are shared across all of them; under
-// -race this pins that the sync.Once guards are sufficient and that no
-// check mutates shared package state.
+// goroutines over the same loaded packages, which every run shares; under
+// -race this pins that no check mutates shared package state.
 func TestConcurrentRunsShareFlowCaches(t *testing.T) {
-	pkgs := loadFlowFixtures(t)
+	pkgs := loadMixedFixtures(t)
 	cfg := allChecksFixtureConfig()
 
 	const workers = 8
@@ -131,12 +129,11 @@ func TestConcurrentRunsShareFlowCaches(t *testing.T) {
 	}
 }
 
-// TestLintTreeBudget runs the full check table (including the
-// flow-sensitive passes) over the real module tree and fails if the
-// pass blows a generous wall-time budget.
+// TestLintTreeBudget runs the full check table over the real module tree
+// and fails if the pass blows a generous wall-time budget.
 // The point is not a tight performance bound — CI machines vary — but a
-// tripwire: an accidentally exponential summary walk or a worklist that
-// stops converging shows up as minutes, not seconds.
+// tripwire: an accidentally quadratic walk shows up as minutes, not
+// seconds.
 func TestLintTreeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree lint pass: skipped with -short")

@@ -19,6 +19,6 @@ func standalone() time.Time {
 // notJudged names a check that is switched off in this run: silence
 // proves nothing, so the directive must not be reported stale.
 func notJudged() int {
-	//ecslint:ignore ctxflow judged only when ctxflow actually runs
+	//ecslint:ignore goroutinetrack judged only when goroutinetrack actually runs
 	return 1
 }

@@ -194,18 +194,57 @@ func TestEngineCancellation(t *testing.T) {
 	}
 }
 
+// TestRateLimiterContextCancel: a waiter whose context ends gets its
+// error within a second, alone and while another waiter sleeps for the
+// same token — a sleeper that held the lock would keep it for ~17
+// minutes.
 func TestRateLimiterContextCancel(t *testing.T) {
-	l := NewRateLimiter(0.001, 1) // one token per ~17 minutes
-	if err := l.Wait(context.Background()); err != nil {
-		t.Fatal(err) // burst token
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if err := l.Wait(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("Wait ignored context cancellation")
+	for _, tc := range []struct {
+		name    string
+		sleeper bool // a first waiter sleeps for the token meanwhile
+	}{
+		{"alone", false},
+		{"behind a sleeper", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewRateLimiter(0.001, 1) // one token per ~17 minutes
+			if err := l.Wait(context.Background()); err != nil {
+				t.Fatal(err) // burst token
+			}
+			if tc.sleeper {
+				sleeperCtx, stop := context.WithCancel(context.Background())
+				var wg sync.WaitGroup
+				defer wg.Wait()
+				defer stop()
+				last := l.last
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					l.Wait(sleeperCtx)
+				}()
+				// The sleeper is committed to its sleep once it has
+				// read the clock under the lock (or holds it still).
+				for l.mu.TryLock() {
+					started := !l.last.Equal(last)
+					l.mu.Unlock()
+					if started {
+						break
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			errc := make(chan error, 1)
+			go func() { errc <- l.Wait(ctx) }()
+			select {
+			case err := <-errc:
+				if err != context.DeadlineExceeded {
+					t.Fatalf("err = %v, want deadline exceeded", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Wait ignored context cancellation")
+			}
+		})
 	}
 }
