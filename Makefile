@@ -15,8 +15,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: formatting, vet, and the project-specific ecslint
-# checks (determinism, wire-safety, tracked goroutines).
+# Static analysis: formatting and vet.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -25,7 +24,6 @@ lint:
 		exit 1; \
 	fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/ecslint ./...
 
 # The full tier-1 gate plus fuzz smokes, as verify.sh.
 verify:

@@ -44,8 +44,9 @@ import (
 )
 
 // sweepInterval is how often the cache is swept of entries too long
-// expired to serve even stale. Against a MaxStale of an hour, a minute
-// keeps the overhang under 2 % of what the sweep exists to bound.
+// expired to serve even stale. Against the resolver's one-hour stale
+// bound, a minute keeps the overhang under 2 % of what the sweep exists
+// to bound.
 const sweepInterval = time.Minute
 
 // checkUpstreamFlags rejects the one combination in which a flag the

@@ -3,6 +3,7 @@ package authority
 import (
 	"net/netip"
 	"testing"
+	"time"
 
 	"ecsdns/internal/cdn"
 	"ecsdns/internal/dnswire"
@@ -215,6 +216,11 @@ func TestLenientServerMasksMalformedECS(t *testing.T) {
 	if resp.RCode != dnswire.RCodeNoError {
 		t.Fatalf("lenient server answered %v", resp.RCode)
 	}
+	// What not even a lenient decode can read is still FORMERR.
+	q.EDNS.SetOption(dnswire.Option{Code: dnswire.OptionCodeECS, Data: []byte{0, 1, 24}})
+	if resp := s.HandleDNS(addr("198.51.100.1"), q); resp.RCode != dnswire.RCodeFormErr {
+		t.Fatalf("lenient server answered a 3-byte option %v, want FORMERR", resp.RCode)
+	}
 }
 
 func TestBadEDNSVersion(t *testing.T) {
@@ -244,7 +250,8 @@ func TestNotImpAndFormErr(t *testing.T) {
 }
 
 func TestQueryLogging(t *testing.T) {
-	s := NewServer(Config{ECSEnabled: true, Scope: ScopeFixed(24)})
+	stamp := time.Date(2019, 10, 21, 9, 0, 0, 0, time.UTC)
+	s := NewServer(Config{ECSEnabled: true, Scope: ScopeFixed(24), Now: func() time.Time { return stamp }})
 	s.AddZone(testZone())
 	var recs []LogRecord
 	s.SetLog(func(r LogRecord) { recs = append(recs, r) })
@@ -261,6 +268,11 @@ func TestQueryLogging(t *testing.T) {
 	}
 	if recs[0].Resolver != addr("198.51.100.1") {
 		t.Fatalf("resolver not recorded: %v", recs[0].Resolver)
+	}
+	for i, r := range recs {
+		if !r.Time.Equal(stamp) {
+			t.Fatalf("record %d stamped %v, want the injected clock's %v", i, r.Time, stamp)
+		}
 	}
 }
 

@@ -149,40 +149,15 @@ func (r HitRateResult) Rate() float64 {
 // HitRate replays a trace against a scope-honoring ECS cache
 // (honorECS=true) or a classic cache that ignores ECS (false), using the
 // coverage semantics of RFC 7871 (a client inside a wider cached scope
-// hits even if its own /24 was never queried).
+// hits even if its own /24 was never queried). It is CacheReplay over an
+// unbounded cache.
 func HitRate(recs []traces.Record, honorECS bool) HitRateResult {
 	mode := ecscache.IgnoreScope
 	if honorECS {
 		mode = ecscache.HonorScope
 	}
-	cache := ecscache.New(ecscache.Config{Mode: mode, ClampScopeToSource: true})
-	var res HitRateResult
-	lastPurge := time.Time{}
-	for _, rec := range recs {
-		key := ecscache.Key{Name: rec.Name, Type: rec.Type, Class: 1}
-		if _, ok := cache.Lookup(key, rec.Client, rec.Time); ok {
-			res.Hits++
-		} else {
-			entry := ecscache.Entry{
-				Expiry: rec.Time.Add(time.Duration(rec.TTL) * time.Second),
-			}
-			if rec.HasECS && honorECS {
-				cs, err := ecsopt.New(rec.Client, int(rec.Source))
-				if err == nil {
-					entry.HasECS = true
-					entry.Subnet = cs.WithScope(int(rec.Scope))
-				}
-			}
-			cache.Insert(key, entry, rec.Time)
-		}
-		res.Queries++
-		// Keep memory bounded on long traces.
-		if rec.Time.Sub(lastPurge) > 10*time.Minute {
-			cache.PurgeExpired(rec.Time)
-			lastPurge = rec.Time
-		}
-	}
-	return res
+	r := CacheReplay(recs, ecscache.Config{Mode: mode, ClampScopeToSource: true})
+	return HitRateResult{Queries: r.Queries, Hits: int(r.Stats.Hits)}
 }
 
 // SampleClients draws a random fraction of the client population,

@@ -294,6 +294,35 @@ func TestDeterministicReports(t *testing.T) {
 	}
 }
 
+// TestStudyReplays builds the study population twice from one seed:
+// every resolver, and every client the CDN workload drives it from, must
+// be placed at the same address. Go seeds its global source at random,
+// so a draw from it moves them.
+func TestStudyReplays(t *testing.T) {
+	a, b := BuildStudy(testConfig()), BuildStudy(testConfig())
+	if len(a.CDNResolvers) != len(b.CDNResolvers) {
+		t.Fatalf("%d and %d CDN resolvers", len(a.CDNResolvers), len(b.CDNResolvers))
+	}
+	v6 := 0
+	for i, ra := range a.CDNResolvers {
+		rb := b.CDNResolvers[i]
+		if ra.Addr() != rb.Addr() {
+			t.Fatalf("resolver %d at %s in one build, %s in the other", i, ra.Addr(), rb.Addr())
+		}
+		for k := 0; k < 2; k++ {
+			if ca, cb := a.clientFor(ra, k), b.clientFor(rb, k); ca != cb {
+				t.Fatalf("resolver %d client %d: %s in one build, %s in the other", i, k, ca, cb)
+			}
+		}
+		if ra.Addr().Is6() {
+			v6++
+		}
+	}
+	if v6 == 0 {
+		t.Fatal("no IPv6 resolver in the population: nothing here is drawn")
+	}
+}
+
 func TestScaledHelper(t *testing.T) {
 	if scaled(100, 0.1) != 10 {
 		t.Error("scaled(100, 0.1)")

@@ -1,8 +1,12 @@
 package dnsclient
 
 import (
+	"context"
+	"encoding/binary"
+	"io"
 	"net"
 	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -226,5 +230,169 @@ func TestUDPAttemptCounts(t *testing.T) {
 		}
 		pc.Close()
 		reader.Wait()
+	}
+}
+
+// nilDataQuery is a query that does not pack: its additional record
+// carries no data.
+func nilDataQuery(name string) *dnswire.Message {
+	q := dnswire.NewQuery(9, dnswire.MustParseName(name), dnswire.TypeA)
+	q.Additionals = append(q.Additionals, dnswire.RR{Name: q.Questions[0].Name})
+	return q
+}
+
+// TestUnpackableQueryFailsAtOnce: a query that does not pack is the pack
+// error, at once, on every exchange path, not an empty datagram sent and
+// a timeout waited out.
+func TestUnpackableQueryFailsAtOnce(t *testing.T) {
+	addr := startEchoServer(t)
+	c := &Client{Timeout: 2 * time.Second}
+	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
+	for _, tc := range []struct {
+		path string
+		run  func() error
+	}{
+		{"Exchange", func() error { _, err := c.Exchange(addr, nilDataQuery("x.cli.test.")); return err }},
+		{"ExchangeUDP", func() error { _, err := c.ExchangeUDP(addr, nilDataQuery("x.cli.test.")); return err }},
+		{"Pipeline", func() error {
+			_, err := p.Exchange(context.Background(), addr, nilDataQuery("x.cli.test."))
+			return err
+		}},
+	} {
+		start := time.Now()
+		err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), "nil rdata") {
+			t.Errorf("%s: err = %v, want the pack error", tc.path, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: failed after %v, want at once", tc.path, d)
+		}
+	}
+}
+
+// answerWire packs an authority's answer to the query in pkt: one A
+// record, with RD clear, as an authority that ignores RD answers.
+func answerWire(pkt []byte) ([]byte, error) {
+	q, err := dnswire.Unpack(pkt)
+	if err != nil {
+		return nil, err
+	}
+	resp := dnswire.NewResponse(q)
+	resp.RecursionDesired = false
+	resp.Answers = append(resp.Answers, dnswire.RR{
+		Name: q.Questions[0].Name, TTL: 60,
+		Data: &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.9")},
+	})
+	return resp.Pack()
+}
+
+// promised answers the query in pkt with its own bytes, QR set and one
+// answer record promised that is not there: the question decodes, the
+// message does not.
+func promised(pkt []byte) []byte {
+	out := append([]byte(nil), pkt...)
+	out[2] |= 0x80
+	out[7] = 1 // ANCOUNT
+	return out
+}
+
+// checkGenuine fails unless resp is answerWire's answer.
+func checkGenuine(t *testing.T, path string, resp *dnswire.Message, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if len(resp.Answers) != 1 || resp.RecursionDesired {
+		t.Fatalf("%s: answered by %v, want the genuine answer", path, resp)
+	}
+}
+
+// TestUndecodableDatagramIgnored: a datagram whose ID and question match
+// but whose body does not decode is not the answer. The client keeps
+// waiting and returns the genuine answer that follows; the pipeline,
+// sent nothing else, times out. Either takes a genuine answer whose RD
+// bit is clear: it is a response by its QR bit alone.
+func TestUndecodableDatagramIgnored(t *testing.T) {
+	var genuine, undecodable atomic.Bool
+	server, _ := serveUDP(t, "127.0.0.1:0", func(pc *net.UDPConn, pkt []byte, src netip.AddrPort) {
+		if undecodable.Load() {
+			pc.WriteToUDPAddrPort(promised(pkt), src)
+		}
+		if genuine.Load() {
+			answer, err := answerWire(pkt)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			pc.WriteToUDPAddrPort(answer, src)
+		}
+	})
+	c := &Client{Timeout: 2 * time.Second, Retries: NoRetries}
+	p := newTestPipeline(t, PipelineConfig{Timeout: 200 * time.Millisecond, Retries: NoRetries, NoTCPFallback: true})
+
+	genuine.Store(true)
+	resp, err := p.Exchange(context.Background(), server.String(), pipeQuery("www.cli.test."))
+	checkGenuine(t, "Pipeline", resp, err)
+
+	undecodable.Store(true)
+	resp, err = c.Exchange(server.String(), ringQuery(7, "www.cli.test."))
+	checkGenuine(t, "Client", resp, err)
+
+	genuine.Store(false)
+	if resp, err := p.Exchange(context.Background(), server.String(), pipeQuery("www.cli.test.")); err == nil {
+		t.Fatalf("Pipeline accepted %v", resp)
+	}
+}
+
+// TestUndecodableTCPAnswerFails: over TCP the one framed answer is the
+// answer, so one that does not decode is an error, on both clients. The
+// pipeline reaches TCP through a truncated UDP answer on the same port.
+func TestUndecodableTCPAnswerFails(t *testing.T) {
+	var (
+		ln     net.Listener
+		server netip.AddrPort
+	)
+	for try := 0; ln == nil; try++ {
+		server, _ = serveUDP(t, "127.0.0.1:0", func(pc *net.UDPConn, pkt []byte, src netip.AddrPort) {
+			out := promised(pkt)
+			out[2] |= 0x02 // TC
+			out[7] = 0
+			pc.WriteToUDPAddrPort(out, src)
+		})
+		l, err := net.Listen("tcp", server.String())
+		if err != nil && try == 4 {
+			t.Fatalf("no TCP listener beside UDP port %d: %v", server.Port(), err)
+		}
+		ln = l
+	}
+	var conns sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); conns.Wait() })
+	conns.Add(1)
+	go func() {
+		defer conns.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var lenBuf [2]byte
+			if _, err := io.ReadFull(conn, lenBuf[:]); err == nil {
+				pkt := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
+				if _, err := io.ReadFull(conn, pkt); err == nil {
+					out := promised(pkt)
+					conn.Write(append(binary.BigEndian.AppendUint16(nil, uint16(len(out))), out...))
+				}
+			}
+			conn.Close()
+		}
+	}()
+
+	c := &Client{Timeout: 2 * time.Second, ForceTCP: true}
+	if resp, err := c.Exchange(server.String(), ringQuery(8, "www.cli.test.")); err == nil {
+		t.Errorf("Client accepted %v", resp)
+	}
+	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
+	if resp, err := p.Exchange(context.Background(), server.String(), pipeQuery("www.cli.test.")); err == nil {
+		t.Errorf("Pipeline accepted %v", resp)
 	}
 }

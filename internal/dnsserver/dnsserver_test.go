@@ -486,3 +486,44 @@ func TestServedQueryIsBorrowed(t *testing.T) {
 		t.Fatalf("the uncopied ECS payload reads %x, want the second query's %x", first.ecsAlias, want)
 	}
 }
+
+// TestUnpackableReplyNotSent: a handler reply that does not pack (a
+// record without data) sends nothing. Over UDP the next reply on the
+// socket is the next query's; over TCP the connection is closed.
+func TestUnpackableReplyNotSent(t *testing.T) {
+	inner := answering()
+	srv := New(handlerFunc(func(from netip.Addr, q *dnswire.Message) *dnswire.Message {
+		resp := inner(from, q)
+		if q.Questions[0].Name == "nil.zone.test." {
+			resp.Answers[0].Data = nil
+		}
+		return resp
+	}))
+	bound, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn := udpDial(t, bound.String())
+	conn.Write(packQuery(t, 1, "nil.zone.test."))
+	waitStat(t, srv, "unpackable reply handled", func(st ServerStats) bool { return st.Answered == 1 })
+	conn.Write(packQuery(t, 2, "www.zone.test."))
+	if resp, ok := udpRead(t, conn, time.Second); !ok || resp.ID != 2 || len(resp.Answers) != 1 {
+		t.Fatalf("first UDP reply = %v, %v; want the answer to query 2", resp, ok)
+	}
+
+	tc, err := net.Dial("tcp", bound.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	q := packQuery(t, 3, "nil.zone.test.")
+	if _, err := tc.Write(append([]byte{0, byte(len(q))}, q...)); err != nil {
+		t.Fatal(err)
+	}
+	tc.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := tc.Read(make([]byte, 512)); err == nil {
+		t.Fatalf("TCP connection sent %d bytes for a reply that does not pack", n)
+	}
+}

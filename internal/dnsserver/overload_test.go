@@ -196,6 +196,11 @@ func TestShutdownDrainsInflightTCP(t *testing.T) {
 		defer cancel()
 		done <- srv.Shutdown(ctx)
 	}()
+	select {
+	case err := <-done:
+		t.Fatalf("Shutdown returned %v with a TCP query still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -375,9 +380,14 @@ func TestMaxConnsCap(t *testing.T) {
 	})
 }
 
-// TestUDPOverflowServFail saturates a one-worker pool and requires the
-// overflow query to be answered SERVFAIL (the explicit shed policy)
-// while the admitted queries still complete, with exact accounting.
+// TestUDPOverflowServFail saturates a one-worker pool and requires every
+// query of an overflow burst to be answered SERVFAIL (the explicit shed
+// policy), each under its own ID, while the admitted queries still
+// complete, with exact accounting. The IDs are all above 255, so both of
+// an ID's bytes must reach the refusal, and the burst is read off the
+// socket back to back, so a refusal must be on the wire before the next
+// one is packed into the same buffer. An overflowed query that does not
+// decode is refused without a question.
 func TestUDPOverflowServFail(t *testing.T) {
 	release := make(chan struct{})
 	srv := New(gate(release))
@@ -388,32 +398,54 @@ func TestUDPOverflowServFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	unwedge := sync.OnceFunc(func() { close(release) })
+	defer unwedge() // before Close, which waits for the wedged worker
 
 	conn := udpDial(t, bound.String())
 	// q1 occupies the single worker; q2 fills the one-slot queue.
-	conn.Write(packQuery(t, 1, "www.zone.test."))
+	conn.Write(packQuery(t, 0x0101, "www.zone.test."))
 	waitStat(t, srv, "worker occupied", func(st ServerStats) bool { return st.Inflight == 1 })
-	conn.Write(packQuery(t, 2, "www.zone.test."))
+	conn.Write(packQuery(t, 0x0102, "www.zone.test."))
 	waitStat(t, srv, "queue filled", func(st ServerStats) bool { return st.Received == 2 })
-	// q3 overflows: the read loop sheds it with SERVFAIL immediately,
-	// while the pool is still wedged.
-	conn.Write(packQuery(t, 3, "www.zone.test."))
+	// The burst overflows: the read loop sheds each query with SERVFAIL
+	// immediately, while the pool is still wedged.
+	const burst = 64
+	var wires [][]byte
+	for i := 0; i < burst; i++ {
+		wires = append(wires, packQuery(t, uint16(0x1200+i), "www.zone.test."))
+	}
+	for _, w := range wires {
+		conn.Write(w)
+	}
+	seen := make(map[uint16]bool)
+	for i := 0; i < burst; i++ {
+		resp, ok := udpRead(t, conn, time.Second)
+		if !ok {
+			t.Fatalf("%d of %d overflow queries got a SERVFAIL", i, burst)
+		}
+		if resp.ID < 0x1200 || resp.ID >= 0x1200+burst || seen[resp.ID] || resp.RCode != dnswire.RCodeServFail {
+			t.Fatalf("overflow reply %d = %v, want SERVFAIL under an ID of the burst not yet answered", i, resp)
+		}
+		seen[resp.ID] = true
+	}
+	// A query whose question decodes but whose answer count promises a
+	// record that is not there: refused under its ID, without a question.
+	bad := packQuery(t, 0x1300, "www.zone.test.")
+	bad[7] = 1 // ANCOUNT
+	conn.Write(bad)
 	resp, ok := udpRead(t, conn, time.Second)
-	if !ok {
-		t.Fatal("overflow query got no SERVFAIL")
+	if !ok || resp.ID != 0x1300 || resp.RCode != dnswire.RCodeServFail || len(resp.Questions) != 0 {
+		t.Fatalf("undecodable overflow reply = %v, %v; want a bare SERVFAIL for ID 0x1300", resp, ok)
 	}
-	if resp.ID != 3 || resp.RCode != dnswire.RCodeServFail {
-		t.Fatalf("overflow reply = %v, want SERVFAIL for ID 3", resp)
-	}
-	close(release)
-	for _, want := range []uint16{1, 2} {
+	unwedge()
+	for _, want := range []uint16{0x0101, 0x0102} {
 		resp, ok := udpRead(t, conn, time.Second)
 		if !ok || resp.ID != want || resp.RCode != dnswire.RCodeNoError {
 			t.Fatalf("admitted query %d: reply %v, %v", want, resp, ok)
 		}
 	}
 	waitStat(t, srv, "final accounting", func(st ServerStats) bool {
-		return st.Received == 3 && st.Answered == 2 && st.Shed == 1 && st.Balanced()
+		return st.Received == burst+3 && st.Answered == 2 && st.Shed == burst+1 && st.Balanced()
 	})
 }
 

@@ -34,6 +34,14 @@ func TestFlatteningPenalty(t *testing.T) {
 			t.Fatal("timeline not monotone")
 		}
 	}
+	// Each HTTP leg is a handshake plus one request: exactly two round
+	// trips to its edge.
+	if d := res.Steps[1].Elapsed - res.Steps[0].Elapsed; d != 2*res.E1RTT {
+		t.Fatalf("HTTP to E1 took %v, want 2 round trips of %v", d, res.E1RTT)
+	}
+	if d := res.Steps[3].Elapsed - res.Steps[2].Elapsed; d != 2*res.E2RTT {
+		t.Fatalf("HTTP to E2 took %v, want 2 round trips of %v", d, res.E2RTT)
+	}
 }
 
 func TestPassECSMitigation(t *testing.T) {

@@ -22,6 +22,14 @@ func TestBuildDeterministic(t *testing.T) {
 			if x.Blocks[j] != y.Blocks[j] {
 				t.Fatalf("AS %d block %d differs", i, j)
 			}
+			for s := 0; s < 256; s++ {
+				addr := netip.AddrFrom4([4]byte{byte(x.Blocks[j] >> 8), byte(x.Blocks[j]), byte(s), 1})
+				ca, _ := a.cityIndexOf(addr)
+				cb, _ := b.cityIndexOf(addr)
+				if ca != cb {
+					t.Fatalf("AS %d: %s is in city %d in one build and %d in the other", i, addr, ca, cb)
+				}
+			}
 		}
 	}
 }

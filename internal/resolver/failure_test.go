@@ -162,20 +162,20 @@ func TestServeStaleOnUpstreamFailure(t *testing.T) {
 		t.Fatalf("failure counters = %+v", f)
 	}
 
-	// Past MaxStale the entry is unusable: SERVFAIL again.
+	// Past maxStale the entry is unusable: SERVFAIL again.
 	rg.net.Clock().Advance(2 * time.Hour)
 	resp, _, err = rg.net.Exchange(c, rg.res.Addr(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.RCode != dnswire.RCodeServFail {
-		t.Fatalf("entry older than MaxStale served: %v", resp)
+		t.Fatalf("entry older than maxStale served: %v", resp)
 	}
 }
 
 // Sweep is what bounds an unbounded cache over time, and it must not
 // take away what serve-stale may still need: an expired entry stays
-// until it is MaxStale past its expiry.
+// until it is maxStale past its expiry.
 func TestSweepKeepsServableStaleEntries(t *testing.T) {
 	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
 	clock := rg.net.Clock()
@@ -186,31 +186,12 @@ func TestSweepKeepsServableStaleEntries(t *testing.T) {
 	if n := rg.res.Sweep(clock.Now()); n != 0 || rg.res.Cache().Stats().Live != 1 {
 		t.Fatalf("Sweep removed %d entries 1s after expiry; serve-stale may still need them", n)
 	}
-	clock.Advance(rg.res.maxStale())
+	clock.Advance(maxStale)
 	if n := rg.res.Sweep(clock.Now()); n != 1 {
-		t.Fatalf("Sweep removed %d entries past MaxStale, want 1", n)
+		t.Fatalf("Sweep removed %d entries past maxStale, want 1", n)
 	}
 	if st := rg.res.Cache().Stats(); st.Live != 0 || st.Expiries != 1 {
 		t.Fatalf("after Sweep: %+v, want live=0 expiries=1", st)
-	}
-}
-
-func TestServeStaleDisabled(t *testing.T) {
-	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
-	rg.res.cfg.DisableServeStale = true
-	c := rg.client("London", 9)
-	q := dnswire.NewQuery(1, "nostale.test.example.", dnswire.TypeA)
-	if resp, _, err := rg.net.Exchange(c, rg.res.Addr(), q); err != nil || resp.RCode != dnswire.RCodeNoError {
-		t.Fatalf("warm query failed: %v %v", resp, err)
-	}
-	rg.net.Clock().Advance(25 * time.Second)
-	rg.net.SetNodeFaults(rg.authAddr, netem.FaultPlan{Loss: 1.0}, 5)
-	resp, _, err := rg.net.Exchange(c, rg.res.Addr(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.RCode != dnswire.RCodeServFail {
-		t.Fatalf("stale serving disabled but got %v", resp)
 	}
 }
 

@@ -101,14 +101,6 @@ type Config struct {
 	// Sleep advances time during retry backoff; simulations pass the
 	// virtual clock's Advance. Nil means retries do not wait.
 	Sleep func(time.Duration)
-	// DisableServeStale turns off the RFC 8767-style degradation of
-	// serving an expired-but-recent cached answer when every upstream
-	// retry fails. The default (stale serving on) means SERVFAIL goes
-	// to clients only when the cache has nothing usable either.
-	DisableServeStale bool
-	// MaxStale bounds how long past expiry an entry remains servable as
-	// stale (default 1 hour).
-	MaxStale time.Duration
 	// CacheEntries bounds the resolver cache's resident entries; over the
 	// bound, least-recently-used entries are evicted. Zero means
 	// unbounded (the pre-production default, used by the unbounded §7
@@ -133,6 +125,10 @@ type Config struct {
 // staleTTL is the TTL stamped on records served stale, per the RFC 8767
 // recommendation that stale answers carry a short positive TTL.
 const staleTTL = 30
+
+// maxStale bounds how long past expiry an entry remains servable as
+// stale when every upstream attempt fails (RFC 8767).
+const maxStale = time.Hour
 
 // FailureCounters tracks how the resolver behaved under upstream
 // failure; experiments and the chaos harness read it to verify that no
@@ -563,34 +559,25 @@ func (r *Resolver) countFailure(bump func(*FailureCounters)) {
 }
 
 // answerFailure handles an exhausted upstream resolution: serve a
-// stale-but-valid cached answer when allowed and available (RFC 8767),
+// stale-but-valid cached answer when one is available (RFC 8767),
 // otherwise degrade to SERVFAIL.
 func (r *Resolver) answerFailure(resp *dnswire.Message, key ecscache.Key, clientAddr netip.Addr, clientBits int, now time.Time) {
-	if !r.cfg.DisableServeStale {
-		if e, ok := r.cache.LookupStale(key, clientAddr, now, r.maxStale()); ok {
-			r.countFailure(func(f *FailureCounters) { f.ServedStale++ })
-			answerFromEntry(resp, &e, staleTTL, clientAddr, clientBits)
-			return
-		}
+	if e, ok := r.cache.LookupStale(key, clientAddr, now, maxStale); ok {
+		r.countFailure(func(f *FailureCounters) { f.ServedStale++ })
+		answerFromEntry(resp, &e, staleTTL, clientAddr, clientBits)
+		return
 	}
 	r.countFailure(func(f *FailureCounters) { f.ServFailsReturned++ })
 	resp.RCode, resp.EDNS = dnswire.RCodeServFail, nil
 }
 
 // Sweep collects the cache entries that at now are past serving even
-// as stale answers — expired for MaxStale or longer — and returns how
+// as stale answers — expired for maxStale or longer — and returns how
 // many it removed. An insert collects only under the name it touches,
 // so without a periodic Sweep an unbounded cache keeps the entries of a
 // name never resolved again for the life of the process.
 func (r *Resolver) Sweep(now time.Time) int {
-	return r.cache.PurgeExpired(now.Add(-r.maxStale()))
-}
-
-func (r *Resolver) maxStale() time.Duration {
-	if r.cfg.MaxStale > 0 {
-		return r.cfg.MaxStale
-	}
-	return time.Hour
+	return r.cache.PurgeExpired(now.Add(-maxStale))
 }
 
 // clientIdentity derives (address, prefix bits, clientSuppliedECS) for an

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -78,6 +79,69 @@ func (rg *rig) ask(t *testing.T, client netip.Addr, name string, cs *ecsopt.Clie
 
 func (rg *rig) client(city string, salt int) netip.Addr {
 	return rg.world.AddrInCity(geo.CityIndex(city), salt, 10)
+}
+
+// TestSeededDrawsReplay runs a ProbeRandom resolver twice from one seed:
+// every upstream query, its ID and whether it carried ECS, must repeat.
+// Go seeds its global source at random, so a draw from it makes the two
+// runs differ.
+func TestSeededDrawsReplay(t *testing.T) {
+	type sent struct {
+		id     uint16
+		hasECS bool
+	}
+	run := func() []sent {
+		p := GoogleLikeProfile()
+		p.Probing = ProbeRandom
+		rg := newRig(t, p, authority.ScopeFixed(24))
+		var out []sent
+		rg.net.WireTap = func(ev netem.Event) {
+			if ev.To == rg.authAddr {
+				_, hasECS, _ := ecsopt.FromMessage(ev.Query)
+				out = append(out, sent{ev.Query.ID, hasECS})
+			}
+		}
+		c := rg.client("London", 9)
+		for i := 0; i < 40; i++ {
+			rg.ask(t, c, fmt.Sprintf("r%d.test.example", i), nil)
+		}
+		return out
+	}
+	a, b := run(), run()
+	if len(a) != 40 || len(b) != 40 {
+		t.Fatalf("upstream queries: %d and %d, want 40 each", len(a), len(b))
+	}
+	withECS := 0
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("upstream query %d: %+v in one run, %+v in the other", i, a[i], b[i])
+		}
+		if a[i].hasECS {
+			withECS++
+		}
+	}
+	if withECS == 0 || withECS == 40 {
+		t.Fatalf("%d of 40 names drew ECS: the coin flips decided nothing", withECS)
+	}
+}
+
+// TestMalformedUpstreamECSNotEchoed: an authority whose ECS option not
+// even a lenient decode can read is treated as one that sent none, so
+// the client's answer carries no option.
+func TestMalformedUpstreamECSNotEchoed(t *testing.T) {
+	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
+	rg.net.Register(rg.authAddr, netem.HandlerFunc(func(from netip.Addr, q *dnswire.Message) *dnswire.Message {
+		resp := rg.auth.HandleDNS(from, q)
+		resp.EDNS.SetOption(dnswire.Option{Code: dnswire.OptionCodeECS, Data: []byte{0, 1, 24}})
+		return resp
+	}))
+	resp := rg.ask(t, rg.client("London", 9), "bad-ecs.test.example", nil)
+	if resp.RCode != dnswire.RCodeNoError || len(resp.Answers) != 1 {
+		t.Fatalf("resolve failed: %v", resp)
+	}
+	if cs, present, _ := ecsopt.FromMessage(resp); present {
+		t.Fatalf("answer echoes %v for an upstream option that did not decode", cs)
+	}
 }
 
 func TestResolveAndCacheBasic(t *testing.T) {

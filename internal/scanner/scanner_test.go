@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"context"
+	"errors"
 	"net/netip"
 	"strings"
 	"sync"
@@ -65,6 +66,37 @@ func TestScanPropagatesBadZone(t *testing.T) {
 	res := s.Run([]netip.Addr{netip.MustParseAddr("192.0.2.1")}, &LogBuffer{})
 	if len(res.Responding) != 0 {
 		t.Fatalf("responding = %v, want none", res.Responding)
+	}
+}
+
+// TestSeededScanIDsReplay runs one seeded serial scan twice: the probes'
+// transaction IDs must repeat, since Go seeds its global source at random.
+func TestSeededScanIDsReplay(t *testing.T) {
+	var targets []netip.Addr
+	for i := 1; i <= 20; i++ {
+		targets = append(targets, netip.AddrFrom4([4]byte{192, 0, 2, byte(i)}))
+	}
+	run := func() []uint16 {
+		var ids []uint16
+		s := &Scan{
+			Exchange: func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+				ids = append(ids, q.ID)
+				return nil, errors.New("no answer")
+			},
+			Zone: "scan.example.org.",
+			Seed: 5,
+		}
+		s.Run(targets, &LogBuffer{})
+		return ids
+	}
+	a, b := run(), run()
+	if len(a) != len(targets) || len(b) != len(targets) {
+		t.Fatalf("probes sent: %d and %d, want %d each", len(a), len(b), len(targets))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("probe %d: ID %d in one run, %d in the other", i, a[i], b[i])
+		}
 	}
 }
 

@@ -213,6 +213,28 @@ func TestSamplerMatchesWeights(t *testing.T) {
 	}
 }
 
+// TestSeededDrawsReplay: the same seed draws the same sequence from
+// every helper that takes an rng. Go seeds its global source at random,
+// so a draw from it makes the two sequences differ.
+func TestSeededDrawsReplay(t *testing.T) {
+	weights := []float64{5, 3, 1, 1}
+	s := NewSampler(weights)
+	draw := func() []int {
+		rng := rand.New(rand.NewSource(7))
+		var out []int
+		for i := 0; i < 200; i++ {
+			out = append(out, s.Draw(rng), WeightedChoice(rng, weights))
+		}
+		return append(out, Sample(rng, 100, 10)...)
+	}
+	a, b := draw(), draw()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("draw %d: %d in one run, %d in the other", i, a[i], b[i])
+		}
+	}
+}
+
 func TestSamplerDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := NewSampler(nil)

@@ -50,7 +50,7 @@ func TestConcurrentHedgeWins(t *testing.T) {
 
 	done := make(chan struct{})
 	var resp *dnswire.Message
-	go func() { //ecslint:ignore goroutinetrack test goroutine joined via done channel
+	go func() { // joined via the done channel
 		defer close(done)
 		resp, _, err = p.Exchange(cli, query(1))
 	}()
@@ -90,7 +90,7 @@ func TestConcurrentStragglerErrorCancelled(t *testing.T) {
 	tr.set(upB, answers(10*time.Millisecond))
 
 	done := make(chan struct{})
-	go func() { //ecslint:ignore goroutinetrack test goroutine joined via done channel
+	go func() { // joined via the done channel
 		defer close(done)
 		_, _, err = p.Exchange(cli, query(1))
 	}()
@@ -178,7 +178,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 	const workers = 16
 	errs := make(chan error, workers)
 	for i := 0; i < workers; i++ {
-		go func(id uint16) { //ecslint:ignore goroutinetrack test goroutine joined via errs channel
+		go func(id uint16) { // joined via the errs channel
 			_, _, err := p.Exchange(cli, query(id))
 			errs <- err
 		}(uint16(i))

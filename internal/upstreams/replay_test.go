@@ -76,7 +76,7 @@ func runFaultPlan(t *testing.T, seed int64) ([]Transition, Counters) {
 	release := make(chan struct{})
 	tr.set(upA, blockUntil(release, 300*time.Millisecond))
 	done := make(chan struct{})
-	go func() { //ecslint:ignore goroutinetrack test goroutine joined via done channel
+	go func() { // joined via the done channel
 		defer close(done)
 		if _, _, err := p.Exchange(cli, query(200)); err != nil {
 			t.Error(err)

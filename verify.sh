@@ -1,10 +1,11 @@
 #!/bin/sh
-# verify.sh — the full tier-1 gate plus static analysis, the paper's
-# numbers and fuzz smokes. What each stage is for, what it costs and
-# which seeded regressions it alone trips on is the ledger in DESIGN.md
-# §12; a stage is added or dropped there first.
+# verify.sh — the full tier-1 gate (build, gofmt, vet, tests, race)
+# plus the benchmark module's gate, the paper's numbers and fuzz smokes.
+# What each stage is for, what it costs and which seeded regressions it
+# alone trips on is the ledger in DESIGN.md §12; a stage is added or
+# dropped there first.
 #
-#   ./verify.sh                run everything (3 min 10 s on a 2-vCPU box, test cache empty)
+#   ./verify.sh                run everything (3 min 55 s on a 2-vCPU box, test cache empty)
 #   FUZZTIME=30s ./verify.sh   longer fuzz smokes
 #
 # Stages run in order and the script exits non-zero at the first
@@ -31,9 +32,6 @@ fi
 
 stage "go vet ./..."
 go vet ./...
-
-stage "ecslint (project invariants)"
-go run ./cmd/ecslint ./...
 
 stage "go test ./..."
 go test ./...
