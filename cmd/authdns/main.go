@@ -44,7 +44,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", dnsserver.DefaultMaxInflight, "UDP queries queued for or on a worker at once (admission control); with -quiet the authority answers every query on the read loop, which bypasses the queue, and without it every query goes through the queue to be logged")
 	maxConns := flag.Int("max-conns", dnsserver.DefaultMaxConns, "simultaneous TCP connections (-1 = unlimited)")
 	overflow := flag.String("overflow", "drop", "admission overflow policy: drop or servfail")
-	rrlSpec := flag.String("rrl", "", "response-rate limit, e.g. rate=20,burst=40,slip=2 (empty = off)")
+	rrl := flag.Float64("rrl", 0, "response-rate limit in responses/s per client /24 (/56); every 2nd refusal slips a TC=1 reply (0 = off)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-drain budget on SIGTERM before force close")
 	flag.Parse()
 
@@ -69,13 +69,9 @@ func main() {
 	if *maxConns == 0 || *maxConns < -1 {
 		log.Fatalf("authdns: -max-conns must be positive or -1 (unlimited), got %d", *maxConns)
 	}
-	policy, err := parseOverflow(*overflow)
+	policy, err := dnsserver.ParseOverflow(*overflow)
 	if err != nil {
 		log.Fatalf("authdns: %v", err)
-	}
-	rrl, err := dnsserver.ParseRRL(*rrlSpec)
-	if err != nil {
-		log.Fatalf("authdns: bad -rrl: %v", err)
 	}
 	if *drain <= 0 {
 		log.Fatalf("authdns: -drain must be positive, got %v", *drain)
@@ -119,7 +115,7 @@ func main() {
 	ds.MaxInflight = *maxInflight
 	ds.MaxConns = *maxConns
 	ds.Overflow = policy
-	ds.RRL = rrl
+	ds.RRL = *rrl
 	bound, err := ds.Start(*listen)
 	if err != nil {
 		log.Fatalf("authdns: %v", err)
@@ -136,16 +132,6 @@ func main() {
 		log.Printf("authdns: drain incomplete, force-closed: %v", err)
 	}
 	log.Printf("authdns: %s", ds.Stats())
-}
-
-func parseOverflow(spec string) (dnsserver.OverflowPolicy, error) {
-	switch spec {
-	case "drop":
-		return dnsserver.OverflowDrop, nil
-	case "servfail":
-		return dnsserver.OverflowServFail, nil
-	}
-	return 0, fmt.Errorf("bad -overflow %q (want drop or servfail)", spec)
 }
 
 func parseScope(spec string) (authority.ScopeFunc, error) {

@@ -17,17 +17,12 @@ import (
 
 	"ecsdns"
 	"ecsdns/internal/netem"
-	"ecsdns/internal/upstreams"
 )
 
 func main() {
 	scale := flag.Float64("scale", 0.1, "population/volume scale relative to the paper's datasets")
 	seed := flag.Int64("seed", 1, "random seed (same seed ⇒ identical reports)")
 	faults := flag.String("faults", "", `fault-injection spec applied to the study network, e.g. "loss=0.05,latency=20ms,servfail=0.1" (see netem.ParseFaultPlan)`)
-	nUpstreams := flag.Int("upstreams", 0, "ext_resilience: authoritative mirrors behind the upstream pool (0 = 3)")
-	hedge := flag.String("hedge", "", `ext_resilience: hedging spec, e.g. "off" or "p=0.95,min=10ms,max=2s" (empty = on)`)
-	breaker := flag.String("breaker", "", `ext_resilience: circuit-breaker spec, e.g. "off" or "fails=5,open=30s,probes=2"`)
-	ladder := flag.String("edns-ladder", "", `ext_resilience: EDNS payload ladder spec, e.g. "off" or "4096,1232,decay=5m"`)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ecslab [flags] <experiment>... | all | list\n\nexperiments:\n")
 		for _, id := range ecsdns.Experiments() {
@@ -48,28 +43,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ecslab: -faults: %v\n", err)
 		os.Exit(2)
 	}
-	if *nUpstreams < 0 || *nUpstreams == 1 {
-		fmt.Fprintf(os.Stderr, "ecslab: -upstreams must be 0 (default) or >= 2, got %d\n", *nUpstreams)
-		os.Exit(2)
-	}
-	if *hedge != "" {
-		if _, err := upstreams.ParseHedge(*hedge); err != nil {
-			fmt.Fprintf(os.Stderr, "ecslab: -hedge: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if _, err := upstreams.ParseBreaker(*breaker); err != nil {
-		fmt.Fprintf(os.Stderr, "ecslab: -breaker: %v\n", err)
-		os.Exit(2)
-	}
-	if _, err := upstreams.ParseLadder(*ladder); err != nil {
-		fmt.Fprintf(os.Stderr, "ecslab: -edns-ladder: %v\n", err)
-		os.Exit(2)
-	}
-	cfg := ecsdns.Config{
-		Scale: *scale, Seed: *seed, Faults: *faults,
-		Upstreams: *nUpstreams, Hedge: *hedge, Breaker: *breaker, Ladder: *ladder,
-	}
+	cfg := ecsdns.Config{Scale: *scale, Seed: *seed, Faults: *faults}
 
 	args := flag.Args()
 	if len(args) == 1 && args[0] == "list" {

@@ -80,10 +80,7 @@ func TestAllocGateBulkProbe(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	target := startAnswerResponder(t)
-	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{
-		Shards: 1, Timeout: 2 * time.Second,
-		Retries: dnsclient.NoRetries, NoTCPFallback: true,
-	})
+	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{Shards: 1, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

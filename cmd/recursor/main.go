@@ -9,7 +9,7 @@
 //	recursor [-listen 127.0.0.1:5301] [-zone scan.example.org] \
 //	         [-upstream 127.0.0.1:5300] [-profile compliant] \
 //	         [-cache-entries 100000] [-cache-shards 8] \
-//	         [-negative-ttl 30s] [-min-ttl 0] [-max-ttl 0] [-no-coalesce]
+//	         [-negative-ttl 30s] [-min-ttl 0] [-max-ttl 0]
 //
 // Cache misses go through the resilient upstream pool, over the servers
 // of -upstreams or the one server of -upstream (a pool of one):
@@ -76,21 +76,20 @@ func main() {
 	zoneName := flag.String("zone", "scan.example.org", "zone served by the upstream authority")
 	upstream := flag.String("upstream", "127.0.0.1:5300", "authoritative server address")
 	upstreamsSpec := flag.String("upstreams", "", "several upstreams with failover, host:port[/priority[/weight]] comma-separated (empty = the one -upstream)")
-	hedgeSpec := flag.String("hedge", "", "request hedging: off, on, or p=0.95,min=10ms,max=2s")
-	breakerSpec := flag.String("breaker", "", "circuit breaker: off or fails=5,open=30s,probes=2")
-	ladderSpec := flag.String("edns-ladder", "", "EDNS payload ladder: off, or sizes like 4096,1232 with optional decay=5m")
+	hedge := flag.Bool("hedge", false, "race a second upstream once the primary is slower than the p95 of recent answers (clamped to 10ms..2s)")
+	breaker := flag.Bool("breaker", true, "per-upstream circuit breakers: 5 consecutive failures open one for 30s, 2 probe successes close it")
+	ladder := flag.Bool("edns-ladder", true, "EDNS payload ladder: step 4096 → 1232 → TCP on truncation, relaxing one rung after 5m")
 	profileName := flag.String("profile", "compliant", "ECS behavior profile")
 	maxInflight := flag.Int("max-inflight", dnsserver.DefaultMaxInflight, "UDP queries queued for or on a worker at once (admission control): cache misses; hits are answered on the read loop and bypass the queue")
 	maxConns := flag.Int("max-conns", dnsserver.DefaultMaxConns, "simultaneous TCP connections (-1 = unlimited)")
 	overflow := flag.String("overflow", "drop", "admission overflow policy: drop or servfail")
-	rrlSpec := flag.String("rrl", "", "response-rate limit, e.g. rate=20,burst=40,slip=2 (empty = off)")
+	rrl := flag.Float64("rrl", 0, "response-rate limit in responses/s per client /24 (/56); every 2nd refusal slips a TC=1 reply (0 = off)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-drain budget on SIGTERM before force close")
 	cacheEntries := flag.Int("cache-entries", 0, "cache capacity in entries, LRU-evicted over the bound (0 = unbounded)")
 	cacheShards := flag.Int("cache-shards", 8, "independently locked cache shards (rounded up to a power of two)")
 	negTTL := flag.Duration("negative-ttl", 0, "cap on cached negative-answer lifetime (0 = 30s default)")
 	minTTL := flag.Duration("min-ttl", 0, "floor on cached positive-answer lifetime (0 = off)")
 	maxTTL := flag.Duration("max-ttl", 0, "cap on every cached lifetime (0 = off)")
-	noCoalesce := flag.Bool("no-coalesce", false, "disable singleflight deduplication of concurrent identical misses")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -110,13 +109,9 @@ func main() {
 	if *maxConns == 0 || *maxConns < -1 {
 		log.Fatalf("recursor: -max-conns must be positive or -1 (unlimited), got %d", *maxConns)
 	}
-	policy, err := parseOverflow(*overflow)
+	policy, err := dnsserver.ParseOverflow(*overflow)
 	if err != nil {
 		log.Fatalf("recursor: %v", err)
-	}
-	rrl, err := dnsserver.ParseRRL(*rrlSpec)
-	if err != nil {
-		log.Fatalf("recursor: bad -rrl: %v", err)
 	}
 	if *drain <= 0 {
 		log.Fatalf("recursor: -drain must be positive, got %v", *drain)
@@ -148,17 +143,16 @@ func main() {
 	}
 
 	resCfg := resolver.Config{
-		Addr:              selfAddr,
-		Now:               time.Now,
-		Directory:         dir,
-		Profile:           profile,
-		Seed:              dnsclient.RandomSeed(),
-		CacheEntries:      *cacheEntries,
-		CacheShards:       *cacheShards,
-		NegativeTTL:       *negTTL,
-		MinTTL:            *minTTL,
-		MaxTTL:            *maxTTL,
-		DisableCoalescing: *noCoalesce,
+		Addr:         selfAddr,
+		Now:          time.Now,
+		Directory:    dir,
+		Profile:      profile,
+		Seed:         dnsclient.RandomSeed(),
+		CacheEntries: *cacheEntries,
+		CacheShards:  *cacheShards,
+		NegativeTTL:  *negTTL,
+		MinTTL:       *minTTL,
+		MaxTTL:       *maxTTL,
 	}
 	upstreamSet := false
 	flag.Visit(func(f *flag.Flag) { upstreamSet = upstreamSet || f.Name == "upstream" })
@@ -171,7 +165,7 @@ func main() {
 	}
 	// udp is the client every UDP query upstream leaves through; its
 	// sockets are reported and closed on exit.
-	pool, udp, err := live.NewPool(spec, *hedgeSpec, *breakerSpec, *ladderSpec)
+	pool, udp, err := live.NewPool(spec, *hedge, *breaker, *ladder)
 	if err != nil {
 		log.Fatalf("recursor: %v", err)
 	}
@@ -182,7 +176,7 @@ func main() {
 	srv.MaxInflight = *maxInflight
 	srv.MaxConns = *maxConns
 	srv.Overflow = policy
-	srv.RRL = rrl
+	srv.RRL = *rrl
 	bound, err := srv.Start(*listen)
 	if err != nil {
 		log.Fatalf("recursor: %v", err)
@@ -226,16 +220,6 @@ serve:
 	u := udp.Stats()
 	log.Printf("recursor: upstream sockets dialed=%d reused=%d retired=%d", u.Dialed, u.Reused, u.Retired)
 	udp.Close()
-}
-
-func parseOverflow(spec string) (dnsserver.OverflowPolicy, error) {
-	switch spec {
-	case "drop":
-		return dnsserver.OverflowDrop, nil
-	case "servfail":
-		return dnsserver.OverflowServFail, nil
-	}
-	return 0, fmt.Errorf("bad -overflow %q (want drop or servfail)", spec)
 }
 
 func profileByName(name string) (resolver.Profile, error) {

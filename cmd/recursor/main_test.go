@@ -99,7 +99,7 @@ func TestSingleUpstreamDoesNotStackRetries(t *testing.T) {
 	}
 	closed := pc.LocalAddr().String()
 	pc.Close()
-	pool, udp, err := live.NewPool(closed, "", "", "")
+	pool, udp, err := live.NewPool(closed, false, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

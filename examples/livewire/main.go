@@ -40,7 +40,7 @@ func main() {
 
 	// 2. A compliant recursive resolver forwarding to it through the
 	// upstream pool cmd/recursor builds: a pool of one.
-	pool, upstream, err := live.NewPool(authBound.String(), "", "", "")
+	pool, upstream, err := live.NewPool(authBound.String(), false, true, true)
 	if err != nil {
 		log.Fatal(err)
 	}

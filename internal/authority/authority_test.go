@@ -105,20 +105,6 @@ func TestWildcardSynthesis(t *testing.T) {
 	}
 }
 
-func TestDelegationReferral(t *testing.T) {
-	z := NewZone(".", 172800)
-	z.Delegate("com.", "a.gtld-servers.example.", "b.gtld-servers.example.")
-	s := NewServer(Config{})
-	s.AddZone(z)
-	resp := s.HandleDNS(addr("198.51.100.1"), query("www.example.com", dnswire.TypeA))
-	if resp.Authoritative {
-		t.Fatal("referral must not be authoritative")
-	}
-	if len(resp.Authorities) != 2 || resp.Authorities[0].Type() != dnswire.TypeNS {
-		t.Fatalf("referral: %v", resp.Authorities)
-	}
-}
-
 func TestECSEchoWithScope(t *testing.T) {
 	s := NewServer(Config{ECSEnabled: true, Scope: ScopeSourceMinus(4)})
 	s.AddZone(testZone())

@@ -293,9 +293,6 @@ func (s *Server) answer(from netip.Addr, query, resp *dnswire.Message, immediate
 	case lookupNXDomain:
 		resp.RCode = dnswire.RCodeNXDomain
 		resp.Authorities = append(resp.Authorities, z.soaRR())
-	case lookupReferral:
-		resp.Authoritative = false
-		resp.Authorities = append(resp.Authorities, z.referralRRs(q.Name)...)
 	}
 
 	if speaksECS {

@@ -28,8 +28,6 @@ type Zone struct {
 	records  map[recordKey][]dnswire.RR
 	names    map[dnswire.Name]bool
 	wildcard map[dnswire.Type]dnswire.RData
-	// delegations maps a child zone cut to its NS host names.
-	delegations map[dnswire.Name][]dnswire.Name
 }
 
 // NewZone creates an empty zone with a synthetic SOA.
@@ -43,10 +41,9 @@ func NewZone(origin dnswire.Name, defaultTTL uint32) *Zone {
 			Serial:  2019030100,
 			Refresh: 7200, Retry: 900, Expire: 1209600, Minimum: 60,
 		},
-		records:     make(map[recordKey][]dnswire.RR),
-		names:       make(map[dnswire.Name]bool),
-		wildcard:    make(map[dnswire.Type]dnswire.RData),
-		delegations: make(map[dnswire.Name][]dnswire.Name),
+		records:  make(map[recordKey][]dnswire.RR),
+		names:    make(map[dnswire.Name]bool),
+		wildcard: make(map[dnswire.Type]dnswire.RData),
 	}
 	return z
 }
@@ -95,14 +92,6 @@ func (z *Zone) SetWildcard(t dnswire.Type, data dnswire.RData) {
 	z.mu.Unlock()
 }
 
-// Delegate records a zone cut: queries at or below child return a
-// referral carrying the given NS host names.
-func (z *Zone) Delegate(child dnswire.Name, hosts ...dnswire.Name) {
-	z.mu.Lock()
-	z.delegations[child] = hosts
-	z.mu.Unlock()
-}
-
 // lookupResult is the zone-level answer classification.
 type lookupResult int
 
@@ -110,7 +99,6 @@ const (
 	lookupHit      lookupResult = iota // records found
 	lookupNoData                       // name exists, no records of the type
 	lookupNXDomain                     // name does not exist
-	lookupReferral                     // below a zone cut
 )
 
 // lookup resolves one (name, type) against zone data, following CNAME
@@ -119,13 +107,6 @@ const (
 func (z *Zone) lookup(name dnswire.Name, t dnswire.Type) ([]dnswire.RR, lookupResult) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-
-	// Zone cut?
-	for cut := range z.delegations {
-		if name.IsSubdomainOf(cut) && cut != z.Origin {
-			return nil, lookupReferral
-		}
-	}
 
 	var answer []dnswire.RR
 	cur := name
@@ -172,23 +153,4 @@ func (z *Zone) soaRR() dnswire.RR {
 	return dnswire.RR{
 		Name: z.Origin, Class: dnswire.ClassINET, TTL: z.SOA.Minimum, Data: &soa,
 	}
-}
-
-// referralRRs returns the NS records for the cut covering name.
-func (z *Zone) referralRRs(name dnswire.Name) []dnswire.RR {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	for cut, hosts := range z.delegations {
-		if name.IsSubdomainOf(cut) {
-			out := make([]dnswire.RR, 0, len(hosts))
-			for _, h := range hosts {
-				out = append(out, dnswire.RR{
-					Name: cut, Class: dnswire.ClassINET, TTL: 172800,
-					Data: &dnswire.NSRData{Host: h},
-				})
-			}
-			return out
-		}
-	}
-	return nil
 }

@@ -362,8 +362,8 @@ func tokenize(line string) ([]string, error) {
 
 // WriteZoneFile serializes a zone back to RFC 1035 master-file format.
 // Together with ParseZoneFile it round-trips every record type this
-// module serves; wildcard synthesis and delegations are runtime-only and
-// are not serialized.
+// module serves; wildcard synthesis is runtime-only and is not
+// serialized.
 func (z *Zone) WriteZoneFile(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "$ORIGIN %s\n$TTL %d\n", z.Origin, z.DefaultTTL)

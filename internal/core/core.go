@@ -29,15 +29,6 @@ type Config struct {
 	// identical reports. An invalid spec panics in BuildStudy; validate
 	// with netem.ParseFaultPlan first when the spec is user input.
 	Faults string
-	// Upstreams, Hedge, Breaker, and Ladder parameterize the
-	// ext_resilience experiment: the authoritative mirror count behind
-	// the upstream pool (0 = 3) and the pool's hedging, circuit
-	// breaker, and EDNS payload ladder specs in upstreams.Parse*
-	// syntax (empty = the pool defaults, with hedging on).
-	Upstreams int
-	Hedge     string
-	Breaker   string
-	Ladder    string
 }
 
 // DefaultConfig is the scale the test suite and benchmarks run at.

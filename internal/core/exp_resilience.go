@@ -54,19 +54,22 @@ func (r resilienceRun) percentile(p float64) time.Duration {
 	return sorted[idx]
 }
 
+// resilienceMirrors is how many authoritative mirrors of the zone sit
+// behind the pool.
+const resilienceMirrors = 3
+
 // runResilience executes one fault condition: mirrors of one zone
 // behind a fresh pool on a fresh fabric, a fault-free warm phase, then
 // the faulted query run. global applies to every exchange; dark, when
 // non-zero, blacks out mirror 0 for the whole faulted phase.
-func runResilience(cfg Config, mirrors, queries int, hedge upstreams.HedgeConfig,
-	breaker upstreams.BreakerConfig, ladder upstreams.LadderConfig,
+func runResilience(cfg Config, queries int, hedge, breaker bool,
 	global netem.FaultPlan, dark bool) (resilienceRun, error) {
 	w := geo.Build(geo.Config{Seed: cfg.Seed, NumASes: 120, BlocksPerAS: 1})
 	n := netem.New(w)
 	answerAddr := netip.MustParseAddr("192.0.2.80")
-	ups := make([]upstreams.Upstream, mirrors)
+	ups := make([]upstreams.Upstream, resilienceMirrors)
 	var mirrorAddrs []netip.Addr
-	for i := 0; i < mirrors; i++ {
+	for i := range ups {
 		addr := w.AddrInCity(i%len(geo.Cities), 30+i, 53)
 		auth := authority.NewServer(authority.Config{
 			Addr: addr, ECSEnabled: true,
@@ -81,7 +84,7 @@ func runResilience(cfg Config, mirrors, queries int, hedge upstreams.HedgeConfig
 	}
 	pool, err := upstreams.New(upstreams.Config{
 		Upstreams: ups, Transport: n, Now: n.Clock().Now,
-		Hedge: hedge, Breaker: breaker, Ladder: ladder,
+		Hedge: hedge, DisableBreaker: !breaker,
 	})
 	if err != nil {
 		return resilienceRun{}, err
@@ -128,60 +131,34 @@ func runResilience(cfg Config, mirrors, queries int, hedge upstreams.HedgeConfig
 }
 
 func runExtResilience(cfg Config) (*Report, error) {
-	mirrors := cfg.Upstreams
-	if mirrors == 0 {
-		mirrors = 3
-	}
-	if mirrors < 2 {
-		return nil, fmt.Errorf("ext_resilience: need at least 2 upstreams, got %d", mirrors)
-	}
-	hedgeSpec := cfg.Hedge
-	if hedgeSpec == "" {
-		hedgeSpec = "on"
-	}
-	hedge, err := upstreams.ParseHedge(hedgeSpec)
-	if err != nil {
-		return nil, fmt.Errorf("ext_resilience: %v", err)
-	}
-	breaker, err := upstreams.ParseBreaker(cfg.Breaker)
-	if err != nil {
-		return nil, fmt.Errorf("ext_resilience: %v", err)
-	}
-	ladder, err := upstreams.ParseLadder(cfg.Ladder)
-	if err != nil {
-		return nil, fmt.Errorf("ext_resilience: %v", err)
-	}
 	queries := scaled(2000, cfg.Scale)
 
 	// Hedging is compared with the breaker off so refusals do not cap
 	// the unhedged tail; every other condition runs the full pool.
-	noBreaker := upstreams.BreakerConfig{Disabled: true}
 	conditions := []struct {
 		name   string
-		hedge  upstreams.HedgeConfig
-		brk    upstreams.BreakerConfig
+		hedge  bool
+		brk    bool
 		global netem.FaultPlan
 		dark   bool
 	}{
-		{name: "clean", hedge: hedge, brk: breaker},
-		{name: "one mirror dark", hedge: hedge, brk: breaker, dark: true},
-		{name: "50% loss, unhedged", hedge: upstreams.HedgeConfig{}, brk: noBreaker,
-			global: netem.FaultPlan{Loss: 0.5}},
-		{name: "50% loss, hedged", hedge: upstreams.HedgeConfig{Enabled: true, Percentile: hedge.Percentile, Min: hedge.Min, Max: hedge.Max}, brk: noBreaker,
-			global: netem.FaultPlan{Loss: 0.5}},
-		{name: "fragmentation storm", hedge: hedge, brk: breaker,
+		{name: "clean", hedge: true, brk: true},
+		{name: "one mirror dark", hedge: true, brk: true, dark: true},
+		{name: "50% loss, unhedged", global: netem.FaultPlan{Loss: 0.5}},
+		{name: "50% loss, hedged", hedge: true, global: netem.FaultPlan{Loss: 0.5}},
+		{name: "fragmentation storm", hedge: true, brk: true,
 			global: netem.FaultPlan{Payload: 2000, FragLoss: 0.4}},
 	}
 
 	rep := &Report{ID: "ext_resilience", Title: "Upstream pool resilience under injected faults"}
 	t := &report.Table{
-		Title: fmt.Sprintf("Pool of %d mirrors, %d queries per condition", mirrors, queries),
+		Title: fmt.Sprintf("Pool of %d mirrors, %d queries per condition", resilienceMirrors, queries),
 		Headers: []string{"condition", "answered (%)", "p50 (ms)", "p99 (ms)",
 			"failovers", "hedges", "ladder steps", "tcp fallbacks", "breaker trips"},
 	}
 	runs := make(map[string]resilienceRun, len(conditions))
 	for _, cond := range conditions {
-		run, err := runResilience(cfg, mirrors, queries, cond.hedge, cond.brk, ladder, cond.global, cond.dark)
+		run, err := runResilience(cfg, queries, cond.hedge, cond.brk, cond.global, cond.dark)
 		if err != nil {
 			return nil, err
 		}

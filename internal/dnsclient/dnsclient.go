@@ -35,9 +35,8 @@ import (
 	"ecsdns/internal/ecsopt"
 )
 
-// NoRetries disables UDP retries when assigned to Client.Retries or
-// PipelineConfig.Retries. Any negative value works; the zero value keeps
-// the default of 2.
+// NoRetries disables UDP retries when assigned to Client.Retries. Any
+// negative value works; the zero value keeps the default of 2.
 const NoRetries = -1
 
 // Client issues DNS queries. The zero value is usable.
@@ -48,9 +47,6 @@ type Client struct {
 	// 0 means the default of 2; NoRetries (or any negative value)
 	// disables retries.
 	Retries int
-	// UDPSize is the advertised EDNS0 buffer (default 4096; 0 keeps the
-	// query EDNS-less unless it already has an OPT).
-	UDPSize uint16
 	// ForceTCP skips UDP entirely.
 	ForceTCP bool
 
@@ -172,15 +168,11 @@ func (c *Client) Close() {
 }
 
 // Query builds and exchanges a recursion-desired query for (name, type)
-// against server ("host:port"). ecs, when non-nil, is attached as the
-// client subnet option.
+// against server ("host:port"), advertising a 4096-byte EDNS0 buffer.
+// ecs, when non-nil, is attached as the client subnet option.
 func (c *Client) Query(server string, name dnswire.Name, t dnswire.Type, ecs *ecsopt.ClientSubnet) (*dnswire.Message, error) {
 	q := dnswire.NewQuery(c.randID(), name, t)
-	size := c.UDPSize
-	if size == 0 {
-		size = 4096
-	}
-	q.EDNS = &dnswire.EDNS{UDPSize: size}
+	q.EDNS = &dnswire.EDNS{UDPSize: 4096}
 	if ecs != nil {
 		ecsopt.Attach(q, *ecs)
 	}

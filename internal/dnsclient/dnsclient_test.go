@@ -128,8 +128,10 @@ func TestQueryUDPPath(t *testing.T) {
 
 func TestExchangeTCPFallbackPath(t *testing.T) {
 	addr := startEchoServer(t)
-	c := &Client{Timeout: 2 * time.Second, UDPSize: 512}
-	resp, err := c.Query(addr, "fat.cli.test.", dnswire.TypeA, nil)
+	c := &Client{Timeout: 2 * time.Second}
+	q := dnswire.NewQuery(1, "fat.cli.test.", dnswire.TypeA)
+	q.EDNS = &dnswire.EDNS{UDPSize: 512}
+	resp, err := c.Exchange(addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +330,7 @@ func TestUndecodableDatagramIgnored(t *testing.T) {
 		}
 	})
 	c := &Client{Timeout: 2 * time.Second, Retries: NoRetries}
-	p := newTestPipeline(t, PipelineConfig{Timeout: 200 * time.Millisecond, Retries: NoRetries, NoTCPFallback: true})
+	p := newTestPipeline(t, PipelineConfig{Timeout: 200 * time.Millisecond})
 
 	genuine.Store(true)
 	resp, err := p.Exchange(context.Background(), server.String(), pipeQuery("www.cli.test."))

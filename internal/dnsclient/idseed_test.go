@@ -63,10 +63,7 @@ func TestPipelineIDsNotDerivableFromClock(t *testing.T) {
 			t.Skipf("could not bracket NewPipeline within %v", clockWindow)
 		}
 		before = time.Now()
-		pp, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{
-			Shards: 1, Timeout: 2 * time.Second,
-			Retries: dnsclient.NoRetries, NoTCPFallback: true,
-		})
+		pp, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{Shards: 1, Timeout: 2 * time.Second})
 		after = time.Now()
 		if err != nil {
 			t.Fatal(err)

@@ -32,17 +32,15 @@ type PipelineConfig struct {
 	Shards int
 	// Timeout bounds each UDP attempt and the TCP fallback (default 3 s).
 	Timeout time.Duration
-	// Retries is the number of additional UDP attempts after the first.
-	// 0 means the default of 2; NoRetries disables retries.
-	Retries int
-	// Backoff is the wait before the first retry, doubling per attempt
-	// (default 100 ms).
-	Backoff time.Duration
-	// NoTCPFallback keeps truncated or timed-out queries on UDP: a
-	// truncated response is returned as-is and exhausted retries surface
-	// the last UDP error.
-	NoTCPFallback bool
 }
+
+// A Pipeline query makes pipelineRetries UDP attempts after the first,
+// waiting pipelineBackoff before the first retry and twice as long
+// before each later one, then falls back to TCP.
+const (
+	pipelineRetries = 2
+	pipelineBackoff = 100 * time.Millisecond
+)
 
 // PipelineStats is a snapshot of a Pipeline's counters.
 //
@@ -76,8 +74,8 @@ type PipelineStats struct {
 	Aborted int64
 	// SendErrors counts UDP attempts whose datagram the kernel refused.
 	SendErrors int64
-	// Truncated counts truncated responses received (whether they then
-	// moved to TCP or were returned as-is under NoTCPFallback).
+	// Truncated counts truncated responses received (each then moves to
+	// TCP).
 	Truncated int64
 }
 
@@ -185,9 +183,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 3 * time.Second
 	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 100 * time.Millisecond
-	}
 	p := &Pipeline{
 		cfg:       cfg,
 		hostCache: make(map[string]netip.AddrPort),
@@ -237,17 +232,6 @@ func (p *Pipeline) Stats() PipelineStats {
 		Aborted:      p.aborted.Load(),
 		SendErrors:   p.sendErrors.Load(),
 		Truncated:    p.truncated.Load(),
-	}
-}
-
-func (p *Pipeline) retries() int {
-	switch {
-	case p.cfg.Retries < 0:
-		return 0
-	case p.cfg.Retries == 0:
-		return 2
-	default:
-		return p.cfg.Retries
 	}
 }
 
@@ -401,7 +385,7 @@ func (s *shard) unregister(key pendingKey) bool {
 
 // Exchange sends q to server ("host:port") and waits for the matching
 // response, retrying over UDP with backoff and falling back to TCP on
-// truncation or UDP exhaustion (unless NoTCPFallback). The pipeline owns
+// truncation or UDP exhaustion. The pipeline owns
 // transaction IDs: q.ID is overwritten with a fresh ID per attempt,
 // guaranteed unique among in-flight queries to the same destination on
 // the query's shard. ctx cancellation aborts promptly.
@@ -437,9 +421,8 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 	*bp = data[:0] // data may have outgrown the pooled backing array
 	defer putBuf(&bufPool, bp, len(data))
 
-	backoff := p.cfg.Backoff
-	var lastErr error
-	for attempt := 0; attempt <= p.retries(); attempt++ {
+	backoff := pipelineBackoff
+	for attempt := 0; attempt <= pipelineRetries; attempt++ {
 		if attempt > 0 {
 			p.retried.Add(1)
 			t := acquireTimer(backoff)
@@ -460,21 +443,14 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 			if errors.Is(err, ErrPipelineClosed) {
 				return err
 			}
-			lastErr = err
 			continue
 		}
 		if resp.Truncated {
 			p.truncated.Add(1)
-			if p.cfg.NoTCPFallback {
-				return nil
-			}
 			p.tcpFalls.Add(1)
 			return p.exchangeTCP(ctx, server, q, resp)
 		}
 		return nil
-	}
-	if p.cfg.NoTCPFallback {
-		return lastErr
 	}
 	p.tcpFalls.Add(1)
 	return p.exchangeTCP(ctx, server, q, resp)

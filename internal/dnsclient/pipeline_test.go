@@ -166,11 +166,7 @@ func itoa(i int) string {
 func TestPipelineRetryTruncationTCPFallback(t *testing.T) {
 	h := &nameHashHandler{drop: 1, pad: 119}
 	addr := startPipelineServer(t, h)
-	p := newTestPipeline(t, PipelineConfig{
-		Shards:  2,
-		Timeout: 300 * time.Millisecond,
-		Backoff: 10 * time.Millisecond,
-	})
+	p := newTestPipeline(t, PipelineConfig{Shards: 2, Timeout: 300 * time.Millisecond})
 	name := dnswire.Name("fallback.pipe.test.")
 	q := dnswire.NewQuery(0, name, dnswire.TypeA)
 	q.EDNS = &dnswire.EDNS{UDPSize: 512}
@@ -191,28 +187,32 @@ func TestPipelineRetryTruncationTCPFallback(t *testing.T) {
 	}
 }
 
-func TestPipelineTimeoutNoFallback(t *testing.T) {
-	// A handler that always drops, with TCP fallback disabled: the
-	// exchange must fail with a timeout after the single attempt.
+func TestPipelineTimeoutFailsWithinBound(t *testing.T) {
+	// A server that drops every query, over UDP and TCP: the exchange
+	// must fail within its bound — three 100ms attempts, the 100ms and
+	// 200ms backoffs, and a TCP fallback the server hangs up on —
+	// without falling back a second time.
 	h := &nameHashHandler{drop: 1 << 30}
 	addr := startPipelineServer(t, h)
-	p := newTestPipeline(t, PipelineConfig{
-		Shards: 1, Timeout: 100 * time.Millisecond,
-		Retries: NoRetries, NoTCPFallback: true,
-	})
+	p := newTestPipeline(t, PipelineConfig{Shards: 1, Timeout: 100 * time.Millisecond})
 	start := time.Now()
 	_, err := p.Exchange(context.Background(), addr, pipeQuery("drop.pipe.test."))
 	if err == nil {
 		t.Fatal("blackholed query succeeded")
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("timeout took %v, want ~100ms", elapsed)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("failure took %v, want ~600ms", elapsed)
+	}
+	if st := p.Stats(); st.Sent != 1+pipelineRetries || st.Timeouts != st.Sent || st.TCPFallbacks != 1 {
+		t.Fatalf("stats = %+v, want %d timed-out UDP attempts and one TCP fallback", st, 1+pipelineRetries)
 	}
 }
 
 // TestPipelineContextCancel cancels an exchange at each place it waits
-// and requires context.Canceled within a second. Every row's wait is
-// 10 s, so a wait that stops listening to ctx fails the row on every run.
+// and requires context.Canceled within a second, before any retry is
+// sent. The attempt and TCP waits are 10 s, so a wait that stops
+// listening to ctx fails those rows on every run; a backoff wait that
+// stops listening sends the retry once its 100ms are up.
 func TestPipelineContextCancel(t *testing.T) {
 	dropAll := func(t *testing.T) string { return startPipelineServer(t, &nameHashHandler{drop: 1 << 30}) }
 	after50ms := func(_ *Pipeline, elapsed time.Duration) bool { return elapsed >= 50*time.Millisecond }
@@ -227,7 +227,7 @@ func TestPipelineContextCancel(t *testing.T) {
 		{"attempt", PipelineConfig{Timeout: 10 * time.Second}, dropAll, false, after50ms},
 		// A cancel once the first attempt has timed out and the retry
 		// waits out its backoff.
-		{"backoff", PipelineConfig{Timeout: 10 * time.Millisecond, Backoff: 10 * time.Second}, dropAll, false,
+		{"backoff", PipelineConfig{Timeout: 10 * time.Millisecond}, dropAll, false,
 			func(p *Pipeline, _ time.Duration) bool { return p.Stats().Retries > 0 }},
 		// A cancel after the TCP fallback has dialled and sent, while it
 		// waits for an answer that never comes.
@@ -257,6 +257,9 @@ func TestPipelineContextCancel(t *testing.T) {
 			}
 			if elapsed := time.Since(start); elapsed > time.Second {
 				t.Fatalf("cancellation took %v", elapsed)
+			}
+			if st := p.Stats(); st.Sent > 1 {
+				t.Fatalf("a retry was sent after the cancel: %+v", st)
 			}
 		})
 	}
@@ -378,7 +381,7 @@ func TestPipelineShardsCarryTraffic(t *testing.T) {
 		heard[src.Port()] = true
 		mu.Unlock()
 	})
-	p := newTestPipeline(t, PipelineConfig{Shards: shards, Timeout: 2 * time.Second, Retries: NoRetries, NoTCPFallback: true})
+	p := newTestPipeline(t, PipelineConfig{Shards: shards, Timeout: 2 * time.Second})
 	resp := &dnswire.Message{}
 	for i := 0; i < 64; i++ {
 		name := dnswire.MustParseName("s" + itoa(i) + ".shard.pipe.test.")

@@ -74,10 +74,7 @@ func gatePipelineExchange(t *testing.T, queries []*dnswire.Message, want float64
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	server := startEchoResponder(t, nil).String()
-	p := newTestPipeline(t, PipelineConfig{
-		Shards: 1, Timeout: 2 * time.Second,
-		Retries: NoRetries, NoTCPFallback: true,
-	})
+	p := newTestPipeline(t, PipelineConfig{Shards: 1, Timeout: 2 * time.Second})
 	resp := &dnswire.Message{}
 	next := 0
 	exchange := func() {
@@ -149,10 +146,7 @@ func BenchmarkPipelineExchange(b *testing.B) {
 		}
 	}()
 	server := pc.LocalAddr().(*net.UDPAddr).AddrPort().String()
-	p, err := NewPipeline(PipelineConfig{
-		Shards: 1, Timeout: 2 * time.Second,
-		Retries: NoRetries, NoTCPFallback: true,
-	})
+	p, err := NewPipeline(PipelineConfig{Shards: 1, Timeout: 2 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}

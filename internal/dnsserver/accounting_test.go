@@ -89,15 +89,15 @@ func TestEachOutcomeCountedOnce(t *testing.T) {
 		immediate bool // serve splitHandler rather than outcomeHandler
 		wedge     bool // one worker, held by a query, and a full queue
 		overflow  OverflowPolicy
-		rrl       *RRLConfig // on a frozen clock; its one token is spent first
-		tcp       bool       // send wire as a TCP frame, the connection's last
+		rrl       int  // RRL 1/s on a frozen clock: its one token and rrl-1 refusals are spent first
+		tcp       bool // send wire as a TCP frame, the connection's last
 		wire      []byte
 		reply     *dnswire.Header // the reply's ID, rcode and TC bit; nil: none
 		want      ServerStats
 	}{
-		{name: "rrl-drop", rrl: &RRLConfig{Rate: 1, Burst: 1, Slip: SlipNone}, wire: query(2, "www.zone.test."),
+		{name: "rrl-drop", rrl: 1, wire: query(2, "www.zone.test."),
 			want: ServerStats{Received: 1, Shed: 1, RRLDropped: 1}},
-		{name: "rrl-slip", rrl: &RRLConfig{Rate: 1, Burst: 1, Slip: 1}, wire: query(2, "www.zone.test."),
+		{name: "rrl-slip", rrl: 2, wire: query(2, "www.zone.test."),
 			reply: &dnswire.Header{ID: 2, Truncated: true},
 			want:  ServerStats{Received: 1, Slipped: 1}},
 		{name: "overflow-drop", wedge: true, wire: query(3, "www.zone.test."),
@@ -151,9 +151,9 @@ func TestEachOutcomeCountedOnce(t *testing.T) {
 			if tc.wedge {
 				srv.MaxInflight = 1
 			}
-			if tc.rrl != nil {
+			if tc.rrl > 0 {
 				frozen := time.Unix(1e9, 0)
-				srv.RRL, srv.Now = tc.rrl, func() time.Time { return frozen }
+				srv.RRL, srv.Now = 1, func() time.Time { return frozen }
 			}
 			bound, err := srv.Start("127.0.0.1:0")
 			if err != nil {
@@ -164,15 +164,20 @@ func TestEachOutcomeCountedOnce(t *testing.T) {
 			defer unwedge()
 			conn := udpDial(t, bound.String())
 			switch {
-			case tc.rrl != nil:
+			case tc.rrl > 0:
 				// The bucket's one token answers this query; every later
-				// one is refused.
+				// one is refused, the odd refusals dropped and the even
+				// ones slipped.
 				conn.Write(query(1, "www.zone.test."))
 				if resp, ok := udpRead(t, conn, time.Second); !ok || resp.Truncated {
 					t.Fatalf("the bucket's one token did not answer: %v", resp)
 				}
 				// The worker leaves Inflight after its reply has gone.
 				waitStat(t, srv, "worker done", func(st ServerStats) bool { return st.Inflight == 0 })
+				for i := 1; i < tc.rrl; i++ {
+					conn.Write(query(1, "www.zone.test."))
+					waitStat(t, srv, "refusal dropped", func(st ServerStats) bool { return st.RRLDropped == int64(i) })
+				}
 			case tc.wedge:
 				conn.Write(query(1, "www.zone.test."))
 				waitStat(t, srv, "worker wedged", func(st ServerStats) bool { return st.Inflight == 1 })

@@ -117,8 +117,10 @@ func packWires(t *testing.T, names ...dnswire.Name) [][]byte {
 // costs more than want objects on average after a warm-up of the
 // worker, the buffer pools and the RRL bucket. A batch of more than one
 // query measures a cost that recurs only once every few queries, which
-// testing.AllocsPerRun's whole-object average would round away.
-func udpGate(t *testing.T, addr netip.AddrPort, wires [][]byte, batch int, want float64, check func(reply []byte) bool) {
+// testing.AllocsPerRun's whole-object average would round away. Each
+// query that is answered follows dropped copies of it that the server
+// answers with silence.
+func udpGate(t *testing.T, addr netip.AddrPort, wires [][]byte, batch, dropped int, want float64, check func(reply []byte) bool) {
 	t.Helper()
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -134,8 +136,10 @@ func udpGate(t *testing.T, addr netip.AddrPort, wires [][]byte, batch int, want 
 		for i := 0; i < batch; i++ {
 			wire := wires[next%len(wires)]
 			next++
-			if _, err := conn.WriteToUDPAddrPort(wire, addr); err != nil {
-				t.Fatal(err)
+			for j := 0; j <= dropped; j++ {
+				if _, err := conn.WriteToUDPAddrPort(wire, addr); err != nil {
+					t.Fatal(err)
+				}
 			}
 			n, _, err := conn.ReadFromUDPAddrPort(buf)
 			if err != nil {
@@ -204,23 +208,23 @@ func TestAllocGateServeUDP(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		handler Handler
-		rrl     *RRLConfig
+		rrl     float64
 		wires   [][]byte
 		batch   int
 		want    float64
 	}{
-		{"plain", gateReply(), nil, one, 1, 0},
+		{"plain", gateReply(), 0, one, 1, 0},
 		// A bucket of a billion tokens never runs dry: every query takes
 		// the limiter's pass path on the client's one known prefix.
-		{"rrl", gateReply(), &RRLConfig{Rate: 1e9}, one, 1, 0},
-		{"fresh-name", gateReply(), nil, packWires(t, fresh...), 1, 1},
-		{"immediate", gateNow{}, nil, one, 1, 0},
-		{"immediate-mixed", gateNow{}, nil, [][]byte{one[0], formErrs, one[0], undecodable}, 4, 0},
-		{"edns-plain", gateNow{}, nil, [][]byte{one[0], plain}, 2, 0},
+		{"rrl", gateReply(), 1e9, one, 1, 0},
+		{"fresh-name", gateReply(), 0, packWires(t, fresh...), 1, 1},
+		{"immediate", gateNow{}, 0, one, 1, 0},
+		{"immediate-mixed", gateNow{}, 0, [][]byte{one[0], formErrs, one[0], undecodable}, 4, 0},
+		{"edns-plain", gateNow{}, 0, [][]byte{one[0], plain}, 2, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, addr := gateServer(t, tc.handler, func(s *Server) { s.RRL = tc.rrl })
-			udpGate(t, addr, tc.wires, tc.batch, tc.want, answered)
+			udpGate(t, addr, tc.wires, tc.batch, 0, tc.want, answered)
 			st := srv.Stats()
 			if st.Shed != 0 || st.Slipped != 0 || st.Panics != 0 {
 				t.Fatalf("the gate's traffic was limited or failed: %s", st)
@@ -312,7 +316,7 @@ func TestAllocGateShed(t *testing.T) {
 		waitStat(t, srv, "worker wedged", func(st ServerStats) bool { return st.Inflight == 1 })
 		conn.Write(packQuery(t, 2, "www.zone.test."))
 		waitStat(t, srv, "queue filled", func(st ServerStats) bool { return st.Received == 2 })
-		udpGate(t, addr, wires, 1, 0, refused(dnswire.RCodeServFail, false))
+		udpGate(t, addr, wires, 1, 0, 0, refused(dnswire.RCodeServFail, false))
 		if st := srv.Stats(); st.Shed != st.Received-2 {
 			t.Fatalf("the gate's traffic was not all shed: %s", st)
 		}
@@ -320,11 +324,11 @@ func TestAllocGateShed(t *testing.T) {
 
 	t.Run("rrl-slip", func(t *testing.T) {
 		// A frozen clock and a one-token bucket: once one query has taken
-		// the token every query is refused, and with Slip 1 every refusal
-		// slips. Loopback clients all share the bucket of 127.0.0.0/24.
+		// the token every query is refused, and refusals alternate drop,
+		// slip. Loopback clients all share the bucket of 127.0.0.0/24.
 		frozen := time.Unix(1e9, 0)
 		srv, addr := gateServer(t, gateReply(), func(s *Server) {
-			s.RRL = &RRLConfig{Rate: 1, Burst: 1, Slip: 1}
+			s.RRL = 1
 			s.Now = func() time.Time { return frozen }
 		})
 		conn := udpDial(t, addr.String())
@@ -332,9 +336,9 @@ func TestAllocGateShed(t *testing.T) {
 		if resp, ok := udpRead(t, conn, time.Second); !ok || resp.Truncated {
 			t.Fatalf("the bucket's one token did not answer: %v", resp)
 		}
-		udpGate(t, addr, wires, 1, 0, refused(dnswire.RCodeNoError, true))
-		if st := srv.Stats(); st.Slipped != st.Received-1 {
-			t.Fatalf("the gate's traffic did not all slip: %s", st)
+		udpGate(t, addr, wires, 1, 1, 0, refused(dnswire.RCodeNoError, true))
+		if st := srv.Stats(); st.Slipped != st.RRLDropped || st.Slipped+st.RRLDropped != st.Received-1 {
+			t.Fatalf("the gate's traffic did not alternate drop and slip: %s", st)
 		}
 	})
 }

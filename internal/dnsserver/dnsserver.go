@@ -100,6 +100,18 @@ const (
 	OverflowServFail
 )
 
+// ParseOverflow parses the -overflow flag of cmd/authdns and
+// cmd/recursor: "drop" or "servfail".
+func ParseOverflow(spec string) (OverflowPolicy, error) {
+	switch spec {
+	case "drop":
+		return OverflowDrop, nil
+	case "servfail":
+		return OverflowServFail, nil
+	}
+	return 0, fmt.Errorf("bad -overflow %q (want drop or servfail)", spec)
+}
+
 // Serving defaults.
 const (
 	// DefaultMaxInflight is the UDP worker-pool cap when MaxInflight
@@ -110,18 +122,20 @@ const (
 	DefaultMaxConns = 128
 )
 
+// tcpReadTimeout bounds per-connection TCP reads; between queries it
+// acts as the idle timeout. tcpWriteTimeout bounds each TCP response
+// write, so one stalled peer cannot pin a connection goroutine forever.
+const (
+	tcpReadTimeout  = 5 * time.Second
+	tcpWriteTimeout = 5 * time.Second
+)
+
 // Server serves DNS over UDP and TCP on the same address. Configuration
 // fields must be set before Start.
 type Server struct {
 	handler Handler
 	// immediate is handler's Immediate side, nil when it has none.
 	immediate Immediate
-	// ReadTimeout bounds per-connection TCP reads; between queries it
-	// acts as the idle timeout.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each TCP response write, so one stalled peer
-	// cannot pin a connection goroutine forever.
-	WriteTimeout time.Duration
 	// MaxInflight bounds concurrently-dispatched UDP queries: the cap
 	// on the worker pool, grown on demand, and the admission-queue
 	// depth (0 = the DefaultMaxInflight of 256, negative = 1). Queries
@@ -133,10 +147,11 @@ type Server struct {
 	// MaxConns bounds concurrent TCP connections (0 = DefaultMaxConns,
 	// negative = unlimited). Excess accepts are closed immediately.
 	MaxConns int
-	// RRL, when non-nil, rate-limits UDP responses per client prefix
-	// with the slip/TC mechanism. TCP is never rate-limited: it is the
-	// escape valve slips steer legitimate clients to.
-	RRL *RRLConfig
+	// RRL, when positive, rate-limits UDP responses to RRL per second
+	// per client prefix (/24, /56) with the slip/TC mechanism (rrl.go);
+	// 0 is off. TCP is never rate-limited: it is the escape valve slips
+	// steer legitimate clients to.
+	RRL float64
 	// Now supplies the RRL token-refill clock (default time.Now). Chaos
 	// harnesses install a netem virtual clock here so shed/slip counts
 	// are exact, deterministic functions of the offered load.
@@ -256,12 +271,7 @@ func (ws *workspace) refuse(pkt []byte, rcode dnswire.RCode, tc bool) []byte {
 // it can answer immediately when it implements Immediate.
 func New(h Handler) *Server {
 	immediate, _ := h.(Immediate)
-	return &Server{
-		handler:      h,
-		immediate:    immediate,
-		ReadTimeout:  5 * time.Second,
-		WriteTimeout: 5 * time.Second,
-	}
+	return &Server{handler: h, immediate: immediate}
 }
 
 func (s *Server) maxInflight() int {
@@ -336,13 +346,13 @@ func (s *Server) Start(addr string) (netip.AddrPort, error) {
 	}
 	bound := pc.LocalAddr().(*net.UDPAddr).AddrPort()
 	var rl *rrl
-	if s.RRL != nil {
-		rl, err = newRRL(*s.RRL, s.now)
-		if err != nil {
-			pc.Close()
-			ln.Close()
-			return netip.AddrPort{}, err
-		}
+	switch {
+	case s.RRL > 0:
+		rl = newRRL(s.RRL, s.now)
+	case !(s.RRL >= 0): // negative or NaN
+		pc.Close()
+		ln.Close()
+		return netip.AddrPort{}, fmt.Errorf("dnsserver: rrl: rate must be positive or 0 (off), got %v", s.RRL)
 	}
 	s.mu.Lock()
 	s.pc, s.ln = pc, ln
@@ -668,9 +678,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.isClosed() {
 			return // drain: finish the current query, take no more
 		}
-		if s.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
-		}
+		conn.SetReadDeadline(time.Now().Add(tcpReadTimeout))
 		frame = append(frame[:0], 0, 0)
 		if _, err := io.ReadFull(conn, frame); err != nil {
 			return
@@ -700,11 +708,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		ws.out = out[:0]
 		binary.BigEndian.PutUint16(out, uint16(len(out)-2))
-		if s.WriteTimeout > 0 {
-			// Without this, a peer that stops reading pins the
-			// connection goroutine forever.
-			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
+		conn.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
 		if _, err := conn.Write(out); err != nil {
 			return
 		}

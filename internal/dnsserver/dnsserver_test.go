@@ -82,8 +82,10 @@ func TestTruncationAndTCPFallback(t *testing.T) {
 	addr, _ := startTestServer(t, true)
 	// A client advertising a small buffer gets TC over UDP and retries
 	// over TCP transparently.
-	c := &dnsclient.Client{Timeout: 2 * time.Second, UDPSize: 512}
-	resp, err := c.Query(addr, "big.zone.test.", dnswire.TypeA, nil)
+	c := &dnsclient.Client{Timeout: 2 * time.Second}
+	q := dnswire.NewQuery(1, "big.zone.test.", dnswire.TypeA)
+	q.EDNS = &dnswire.EDNS{UDPSize: 512}
+	resp, err := c.Exchange(addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +206,10 @@ func TestUDPRetryTruncationTCPFallback(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	c := &dnsclient.Client{Timeout: 300 * time.Millisecond, Retries: 2, UDPSize: 512}
-	resp, err := c.Query(bound.String(), "www.retry.test.", dnswire.TypeA, nil)
+	c := &dnsclient.Client{Timeout: 300 * time.Millisecond, Retries: 2}
+	q := dnswire.NewQuery(1, "www.retry.test.", dnswire.TypeA)
+	q.EDNS = &dnswire.EDNS{UDPSize: 512}
+	resp, err := c.Exchange(bound.String(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -450,13 +450,13 @@ func TestUDPOverflowServFail(t *testing.T) {
 }
 
 // TestRRLOverSocket runs the limiter against real sockets under a
-// frozen virtual clock: with rate=1, burst=2, slip=2 the six queries
+// frozen virtual clock: at 2/s, a burst of 2, the six queries
 // must resolve to answer, answer, silence, TC-slip, silence, TC-slip —
 // exactly, and TCP must stay unlimited as the escape valve.
 func TestRRLOverSocket(t *testing.T) {
 	clk := netem.NewClock(netem.SimStart)
 	srv := New(answering())
-	srv.RRL = &RRLConfig{Rate: 1, Burst: 2, Slip: 2}
+	srv.RRL = 2
 	srv.Now = clk.Now
 	bound, err := srv.Start("127.0.0.1:0")
 	if err != nil {

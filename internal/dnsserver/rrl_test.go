@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -10,17 +11,14 @@ import (
 
 // TestRRLSlipCadence pins the limiter's determinism under the virtual
 // clock: with the clock frozen, the pass/drop/slip sequence for a fixed
-// offered load is an exact function of (rate, burst, slip) — the
-// property the chaos harness relies on to assert exact shed counts.
+// offered load is an exact function of the rate — the property the
+// chaos harness relies on to assert exact shed counts.
 func TestRRLSlipCadence(t *testing.T) {
 	clk := netem.NewClock(netem.SimStart)
-	r, err := newRRL(RRLConfig{Rate: 1, Burst: 2, Slip: 2}, clk.Now)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRRL(2, clk.Now)
 	addr := netip.MustParseAddr("192.0.2.10")
 	want := []rrlAction{
-		rrlPass, rrlPass, // burst
+		rrlPass, rrlPass, // burst of ⌈2⌉
 		rrlDrop, rrlSlip, rrlDrop, rrlSlip, rrlDrop, rrlSlip, // refused 1..6
 	}
 	for i, w := range want {
@@ -28,9 +26,9 @@ func TestRRLSlipCadence(t *testing.T) {
 			t.Fatalf("query %d: action = %v, want %v", i, got, w)
 		}
 	}
-	// Two seconds of virtual time refill two tokens; the per-bucket
+	// One second of virtual time refills two tokens; the per-bucket
 	// refused counter keeps its phase across the refill.
-	clk.Advance(2 * time.Second)
+	clk.Advance(time.Second)
 	want = []rrlAction{rrlPass, rrlPass, rrlDrop, rrlSlip}
 	for i, w := range want {
 		if got := r.decide(addr); got != w {
@@ -39,40 +37,23 @@ func TestRRLSlipCadence(t *testing.T) {
 	}
 }
 
-// TestRRLPrefixAggregation checks that clients in one /24 share a
-// bucket while a different /24 gets its own.
+// TestRRLPrefixAggregation checks that clients in one /24 (IPv6: /56)
+// share a bucket while a different prefix gets its own.
 func TestRRLPrefixAggregation(t *testing.T) {
 	clk := netem.NewClock(netem.SimStart)
-	r, err := newRRL(RRLConfig{Rate: 1, Burst: 1, Slip: 1}, clk.Now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.decide(netip.MustParseAddr("198.51.100.1")); got != rrlPass {
-		t.Fatalf("first query in /24: %v, want pass", got)
-	}
-	if got := r.decide(netip.MustParseAddr("198.51.100.200")); got != rrlSlip {
-		t.Fatalf("sibling in same /24: %v, want slip (shared bucket, slip=1)", got)
-	}
-	if got := r.decide(netip.MustParseAddr("198.51.101.1")); got != rrlPass {
-		t.Fatalf("different /24: %v, want pass (own bucket)", got)
-	}
-}
-
-// TestRRLSlipNone checks that SlipNone silences the TC escape valve:
-// every refusal is a drop.
-func TestRRLSlipNone(t *testing.T) {
-	clk := netem.NewClock(netem.SimStart)
-	r, err := newRRL(RRLConfig{Rate: 1, Burst: 1, Slip: SlipNone}, clk.Now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := netip.MustParseAddr("192.0.2.10")
-	if got := r.decide(addr); got != rrlPass {
-		t.Fatalf("first query: %v", got)
-	}
-	for i := 0; i < 5; i++ {
-		if got := r.decide(addr); got != rrlDrop {
-			t.Fatalf("refusal %d: %v, want drop (slips disabled)", i, got)
+	r := newRRL(1, clk.Now)
+	for _, tc := range []struct{ first, sibling, other string }{
+		{"198.51.100.1", "198.51.100.200", "198.51.101.1"},
+		{"2001:db8:0:1::1", "2001:db8:0:ff::2", "2001:db8:0:100::1"},
+	} {
+		if got := r.decide(netip.MustParseAddr(tc.first)); got != rrlPass {
+			t.Fatalf("first query from %s: %v, want pass", tc.first, got)
+		}
+		if got := r.decide(netip.MustParseAddr(tc.sibling)); got != rrlDrop {
+			t.Fatalf("sibling %s: %v, want drop (shared bucket)", tc.sibling, got)
+		}
+		if got := r.decide(netip.MustParseAddr(tc.other)); got != rrlPass {
+			t.Fatalf("other prefix %s: %v, want pass (own bucket)", tc.other, got)
 		}
 	}
 }
@@ -83,28 +64,33 @@ func TestRRLSlipNone(t *testing.T) {
 // recovered they are swept to make room.
 func TestRRLFailOpen(t *testing.T) {
 	clk := netem.NewClock(netem.SimStart)
-	r, err := newRRL(RRLConfig{Rate: 1, Burst: 1, MaxBuckets: 2}, clk.Now)
-	if err != nil {
-		t.Fatal(err)
+	r := newRRL(1, clk.Now)
+	prefix := func(i int) netip.Addr { // 10.i>>8.i&255.1, one /24 each
+		return netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 1})
 	}
-	if got := r.decide(netip.MustParseAddr("192.0.2.1")); got != rrlPass {
-		t.Fatalf("prefix 1: %v", got)
+	for i := 0; i < rrlMaxBuckets; i++ {
+		if got := r.decide(prefix(i)); got != rrlPass {
+			t.Fatalf("prefix %d: %v", i, got)
+		}
 	}
-	if got := r.decide(netip.MustParseAddr("192.0.3.1")); got != rrlPass {
-		t.Fatalf("prefix 2: %v", got)
+	// Table full, every bucket drained, clock frozen: nothing to sweep.
+	extra := netip.MustParseAddr("192.0.4.1")
+	for i := 0; i < 3; i++ {
+		if got := r.decide(extra); got != rrlPass {
+			t.Fatalf("new prefix at full table, query %d: %v, want fail-open pass", i, got)
+		}
 	}
-	// Table full, both buckets drained, clock frozen: nothing to sweep.
-	if got := r.decide(netip.MustParseAddr("192.0.4.1")); got != rrlPass {
-		t.Fatalf("prefix 3 at full table: %v, want fail-open pass", got)
-	}
-	if n := len(r.buckets); n != 2 {
+	if n := len(r.buckets); n != rrlMaxBuckets {
 		t.Fatalf("fail-open grew the table to %d buckets", n)
 	}
 	// After the existing prefixes have fully recovered, the sweep makes
 	// room and the new prefix is tracked normally.
 	clk.Advance(10 * time.Second)
-	if got := r.decide(netip.MustParseAddr("192.0.4.1")); got != rrlPass {
-		t.Fatalf("prefix 3 after sweep: %v", got)
+	if got := r.decide(extra); got != rrlPass {
+		t.Fatalf("new prefix after sweep: %v", got)
+	}
+	if got := r.decide(extra); got != rrlDrop {
+		t.Fatalf("new prefix's second query after sweep: %v, want drop (tracked)", got)
 	}
 	if n := len(r.buckets); n != 1 {
 		t.Fatalf("buckets after sweep = %d, want 1", n)
@@ -112,60 +98,30 @@ func TestRRLFailOpen(t *testing.T) {
 }
 
 func TestRRLDefaults(t *testing.T) {
-	clk := netem.NewClock(netem.SimStart)
-	r, err := newRRL(RRLConfig{Rate: 2.5}, clk.Now)
-	if err != nil {
-		t.Fatal(err)
+	for rate, burst := range map[float64]float64{2.5: 3, 2: 2, 0.5: 1} {
+		if got := newRRL(rate, time.Now).burst; got != burst {
+			t.Errorf("rate %v: burst = %v, want max(1, ceil(rate)) = %v", rate, got, burst)
+		}
 	}
-	if r.burst != 3 {
-		t.Fatalf("burst = %v, want ceil(rate) = 3", r.burst)
-	}
-	if r.slip != 2 {
-		t.Fatalf("slip = %d, want default 2", r.slip)
-	}
-	if r.v4len != 24 || r.v6len != 56 {
-		t.Fatalf("prefix lens = %d/%d, want 24/56", r.v4len, r.v6len)
-	}
-	if r.maxBkts != 8192 {
-		t.Fatalf("max buckets = %d, want 8192", r.maxBkts)
-	}
-	if _, err := newRRL(RRLConfig{}, clk.Now); err == nil {
-		t.Fatal("zero rate must be rejected")
-	}
-	if _, err := newRRL(RRLConfig{Rate: 1, IPv4PrefixLen: 40}, clk.Now); err == nil {
-		t.Fatal("v4 prefix length 40 must be rejected")
+	for _, bad := range []float64{-1, math.NaN()} {
+		srv := New(answering())
+		srv.RRL = bad
+		if _, err := srv.Start("127.0.0.1:0"); err == nil {
+			srv.Close()
+			t.Errorf("Start with RRL %v: want error", bad)
+		}
 	}
 }
 
-func TestParseRRL(t *testing.T) {
-	if cfg, err := ParseRRL(""); cfg != nil || err != nil {
-		t.Fatalf("empty spec = %v, %v; want nil, nil", cfg, err)
+func TestParseOverflow(t *testing.T) {
+	for spec, want := range map[string]OverflowPolicy{"drop": OverflowDrop, "servfail": OverflowServFail} {
+		if got, err := ParseOverflow(spec); err != nil || got != want {
+			t.Errorf("ParseOverflow(%q) = %v, %v; want %v", spec, got, err, want)
+		}
 	}
-	cfg, err := ParseRRL("rate=20, burst=40, slip=3, v4len=28, v6len=64, buckets=512")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RRLConfig{Rate: 20, Burst: 40, Slip: 3, IPv4PrefixLen: 28, IPv6PrefixLen: 64, MaxBuckets: 512}
-	if *cfg != want {
-		t.Fatalf("cfg = %+v, want %+v", *cfg, want)
-	}
-	cfg, err = ParseRRL("rate=5,slip=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Slip != SlipNone {
-		t.Fatalf("slip=0 parsed to %d, want SlipNone", cfg.Slip)
-	}
-	for _, bad := range []string{
-		"burst=4",        // rate missing
-		"rate=0",         // not positive
-		"rate=x",         // not a number
-		"rate=5,wat=1",   // unknown knob
-		"rate=5,slip",    // no value
-		"rate=5,slip=-1", // negative
-	} {
-		if _, err := ParseRRL(bad); err == nil {
-			t.Errorf("ParseRRL(%q): want error", bad)
+	for _, bad := range []string{"", "Drop", "refuse"} {
+		if _, err := ParseOverflow(bad); err == nil {
+			t.Errorf("ParseOverflow(%q): want error", bad)
 		}
 	}
 }

@@ -271,12 +271,8 @@ func (w *Internet) AddrInCity(cityIdx int, salt, host int) netip.Addr {
 	return netip.AddrFrom4([4]byte{byte(s >> 16), byte(s >> 8), byte(s), byte(1 + host%254)})
 }
 
-// SubnetsInCity returns all /24 subnets (as the upper 24 bits) mapped to
+// subnetsInCity returns all /24 subnets (as the upper 24 bits) mapped to
 // the city.
-func (w *Internet) SubnetsInCity(cityIdx int) []uint32 {
-	return w.subnetsInCity(cityIdx)
-}
-
 func (w *Internet) subnetsInCity(cityIdx int) []uint32 {
 	return w.citySubnets[cityIdx]
 }

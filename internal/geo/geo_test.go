@@ -151,7 +151,7 @@ func TestAddrInCityDeterministic(t *testing.T) {
 		t.Fatal("AddrInCity not deterministic")
 	}
 	c := w.AddrInCity(ci, 1, 0)
-	if len(w.SubnetsInCity(ci)) > 1 && a == c {
+	if len(w.subnetsInCity(ci)) > 1 && a == c {
 		t.Fatal("different salts produced same subnet")
 	}
 	loc, ok := w.Locate(a)

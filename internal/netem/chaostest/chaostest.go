@@ -122,7 +122,6 @@ func RunResolver(tb testing.TB, sc Scenario) ResolverResult {
 		Addr:      w.AddrInCity(geo.CityIndex("London"), 5, 53),
 		Transport: n, Now: n.Clock().Now, Directory: dir,
 		Profile: resolver.GoogleLikeProfile(), Seed: sc.Seed,
-		Backoff: 50 * time.Millisecond, Sleep: n.Clock().Advance,
 	})
 	n.Register(res.Addr(), res)
 	client := w.AddrInCity(geo.CityIndex("Dublin"), 7, 10)

@@ -43,11 +43,9 @@ type FailoverScenario struct {
 	// Priorities, when non-nil, sets per-mirror pool priority tiers
 	// (defaults to all tier 0).
 	Priorities []int
-	// Pool feature knobs, passed straight through.
-	Hedge       upstreams.HedgeConfig
-	Breaker     upstreams.BreakerConfig
-	Ladder      upstreams.LadderConfig
-	MaxAttempts int
+	// Pool switches, passed straight through.
+	Hedge          bool
+	DisableBreaker bool
 }
 
 // FailoverResult is the deterministic trace of one RunFailover
@@ -113,8 +111,7 @@ func RunFailover(tb testing.TB, sc FailoverScenario) FailoverResult {
 	}
 	pool, err := upstreams.New(upstreams.Config{
 		Upstreams: ups, Transport: n, Now: n.Clock().Now,
-		Hedge: sc.Hedge, Breaker: sc.Breaker, Ladder: sc.Ladder,
-		MaxAttempts: sc.MaxAttempts,
+		Hedge: sc.Hedge, DisableBreaker: sc.DisableBreaker,
 	})
 	if err != nil {
 		tb.Fatalf("%s: pool: %v", sc.Name, err)

@@ -494,7 +494,7 @@ func RunOverload(tb testing.TB, sc OverloadScenario) OverloadResult {
 // from one client prefix under the frozen virtual clock and asserts the
 // exact seeded expectation: the burst answers, then refusals alternate
 // drop / slip(TC=1) on the limiter's cadence; a refill after virtual
-// time passes restores exactly Rate×Δt answers; and TCP — the escape
+// time passes restores exactly rate×Δt answers; and TCP — the escape
 // valve the slips advertise — is never limited. Each send is sequenced
 // against the previous outcome (a reply, or the drop counter moving),
 // so the storm's trace is deterministic down to each counter.
@@ -504,7 +504,7 @@ func RunRRLStorm(tb testing.TB) dnsserver.ServerStats {
 	before := runtime.NumGoroutine()
 	_, srv, addr, clk := overloadRig(tb, false, func(s *dnsserver.Server) {
 		s.MaxInflight = 1
-		s.RRL = &dnsserver.RRLConfig{Rate: 1, Burst: 2, Slip: 2}
+		s.RRL = 2 // a burst of 2, refilled at 2 per second
 	})
 	client := dialOverload(tb, addr)
 
@@ -542,9 +542,9 @@ func RunRRLStorm(tb testing.TB) dnsserver.ServerStats {
 		step(uint16(3+2*i), "drop", dropped)
 		step(uint16(4+2*i), "slip", dropped)
 	}
-	// Two seconds of virtual time refill two tokens — exactly two more
+	// One second of virtual time refills two tokens — exactly two more
 	// answers, and the next refusal keeps the cadence phase.
-	clk.Advance(2 * time.Second)
+	clk.Advance(time.Second)
 	step(13, "answer", dropped)
 	step(14, "answer", dropped)
 	dropped++

@@ -150,15 +150,6 @@ func (n *Network) SetNodeFaults(addr netip.Addr, plan FaultPlan, seed int64) {
 	n.fmu.Unlock()
 }
 
-// ClearFaults removes every fault plan (stats are kept).
-func (n *Network) ClearFaults() {
-	n.fmu.Lock()
-	n.globalFaults = nil
-	n.nodeFaults = nil
-	n.refreshFaultsActive()
-	n.fmu.Unlock()
-}
-
 // FaultStats returns a snapshot of the injected-fault counters.
 func (n *Network) FaultStats() FaultStats {
 	n.fmu.Lock()

@@ -89,9 +89,6 @@ type Network struct {
 
 	mu    sync.RWMutex
 	nodes map[netip.Addr]Handler
-	// place overrides geolocation for addresses outside the synthetic
-	// address plan (e.g. anycast service addresses).
-	place map[netip.Addr]geo.Location
 
 	// WireTap, when non-nil, observes every exchange after it completes.
 	WireTap func(ev Event)
@@ -104,13 +101,6 @@ type Network struct {
 	nodeFaults   map[netip.Addr]*faultState
 	fstats       FaultStats
 	faultsActive atomic.Bool
-
-	// CountExchanges tracks the total number of exchanges for load
-	// accounting.
-	counter struct {
-		sync.Mutex
-		n int64
-	}
 }
 
 // Event is one completed exchange, as seen by the wire tap.
@@ -128,7 +118,6 @@ func New(world *geo.Internet) *Network {
 		world: world,
 		clock: NewClock(SimStart),
 		nodes: make(map[netip.Addr]Handler),
-		place: make(map[netip.Addr]geo.Location),
 	}
 }
 
@@ -149,32 +138,11 @@ func (n *Network) Register(addr netip.Addr, h Handler) {
 	n.nodes[addr] = h
 }
 
-// Place pins an explicit location for addr, overriding (or supplying, for
-// out-of-plan addresses) its geolocation.
-func (n *Network) Place(addr netip.Addr, loc geo.Location) {
-	n.mu.Lock()
-	n.place[addr] = loc
-	n.mu.Unlock()
-}
-
-// LocationOf resolves the effective location of addr: explicit placement
-// first, then the synthetic address plan. ok is false when neither knows
-// the address.
-func (n *Network) LocationOf(addr netip.Addr) (geo.Location, bool) {
-	n.mu.RLock()
-	loc, ok := n.place[addr]
-	n.mu.RUnlock()
-	if ok {
-		return loc, true
-	}
-	return n.world.Locate(addr)
-}
-
 // RTT returns the modeled round-trip time between two addresses. Unknown
 // endpoints contribute only the base RTT.
 func (n *Network) RTT(a, b netip.Addr) time.Duration {
-	la, oka := n.LocationOf(a)
-	lb, okb := n.LocationOf(b)
+	la, oka := n.world.Locate(a)
+	lb, okb := n.world.Locate(b)
 	if !oka || !okb {
 		return time.Duration(geo.BaseRTTMillis * float64(time.Millisecond))
 	}
@@ -218,9 +186,6 @@ func (n *Network) exchange(from, to netip.Addr, query *dnswire.Message, tcp bool
 		if lost {
 			// The sender burns a timeout waiting for the lost datagram.
 			n.clock.Advance(cost)
-			n.counter.Lock()
-			n.counter.n++
-			n.counter.Unlock()
 			return nil, cost, ErrLost
 		}
 		extra = add
@@ -231,9 +196,6 @@ func (n *Network) exchange(from, to netip.Addr, query *dnswire.Message, tcp bool
 	n.clock.Advance(rtt / 2)
 	resp := h.HandleDNS(from, query)
 	n.clock.Advance(rtt - rtt/2)
-	n.counter.Lock()
-	n.counter.n++
-	n.counter.Unlock()
 	if resp == nil {
 		return nil, rtt, ErrDropped
 	}
@@ -256,11 +218,4 @@ func (n *Network) exchange(from, to netip.Addr, query *dnswire.Message, tcp bool
 		tap(Event{From: from, To: to, Query: query, Response: resp, RTT: rtt, Time: n.clock.Now()})
 	}
 	return resp, rtt, nil
-}
-
-// Exchanges returns the number of completed or dropped exchanges so far.
-func (n *Network) Exchanges() int64 {
-	n.counter.Lock()
-	defer n.counter.Unlock()
-	return n.counter.n
 }

@@ -100,7 +100,7 @@ func TestConcurrentFaultReconfiguration(t *testing.T) {
 			case 1:
 				n.SetFaults(FaultPlan{ServFail: 0.3}, int64(i))
 			default:
-				n.ClearFaults()
+				n.SetFaults(FaultPlan{}, 0)
 			}
 		}
 	}()

@@ -5,6 +5,7 @@ package report
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"ecsdns/internal/stats"
 )
@@ -34,14 +35,16 @@ func (t *Table) AddRow(cells ...interface{}) {
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
+	// Widths count runes, not bytes, so a cell holding "—" or "×" pads
+	// to the same column as an ASCII one.
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -57,7 +60,7 @@ func (t *Table) String() string {
 			}
 			sb.WriteString(c)
 			if i < len(cells)-1 {
-				sb.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+				sb.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 			}
 		}
 		sb.WriteByte('\n')

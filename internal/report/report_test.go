@@ -3,6 +3,7 @@ package report
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"ecsdns/internal/stats"
 )
@@ -28,6 +29,26 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(out, "0.50") || !strings.Contains(out, "0.12") {
 		t.Fatalf("float formatting wrong:\n%s", out)
+	}
+}
+
+// TestTableAlignsMultiByteCells: a cell holding a multi-byte rune, like
+// the "—" of a number the paper does not give or a "×" unit, starts the
+// next column at the same character offset as an ASCII row does.
+func TestTableAlignsMultiByteCells(t *testing.T) {
+	tb := &Table{Headers: []string{"metric", "paper", "measured", "unit"}}
+	tb.AddRow("ascii", 4.3, 4.0, "x")
+	tb.AddRow("dash", "—", 8192.0, "×")
+	tb.AddRow("times", "×", 1.5, "entries")
+	lines := strings.Split(strings.TrimRight(tb.String(), "\n"), "\n")
+	col := func(line, cell string) int {
+		return utf8.RuneCountInString(line[:strings.Index(line, cell)])
+	}
+	want := col(lines[2], "4.00")
+	for _, tc := range []struct{ line, cell string }{{lines[3], "8192.00"}, {lines[4], "1.50"}} {
+		if got := col(tc.line, tc.cell); got != want {
+			t.Fatalf("%q starts at column %d, want %d as in the ASCII row:\n%s", tc.cell, got, want, tb)
+		}
 	}
 }
 

@@ -160,47 +160,6 @@ func TestThunderingHerdCoalesces(t *testing.T) {
 	}
 }
 
-// TestDisableCoalescingFansOut proves the knob: with coalescing off,
-// every concurrent miss goes upstream independently.
-func TestDisableCoalescingFansOut(t *testing.T) {
-	now := time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC)
-	upstream := &gatedTransport{gate: make(chan struct{}), entered: make(chan struct{})}
-	dir := NewDirectory()
-	dir.Add("example.com.", netip.MustParseAddr("198.51.100.53"))
-	res := New(Config{
-		Addr:              netip.MustParseAddr("203.0.113.53"),
-		Transport:         upstream,
-		Now:               func() time.Time { return now },
-		Directory:         dir,
-		Profile:           CompliantProfile(),
-		Seed:              1,
-		DisableCoalescing: true,
-	})
-
-	const herd = 4
-	var wg sync.WaitGroup
-	for i := 0; i < herd; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			client := netip.AddrFrom4([4]byte{10, 9, 8, byte(i + 1)})
-			q := dnswire.NewQuery(uint16(i+1), "herd.example.com.", dnswire.TypeA)
-			q.EDNS = dnswire.NewEDNS()
-			res.HandleDNS(client, q)
-		}()
-	}
-	// Every member must reach the upstream before any is released.
-	for upstream.calls.Load() != herd {
-		runtime.Gosched()
-	}
-	close(upstream.gate)
-	wg.Wait()
-	if got := res.Cache().Stats().Coalesced; got != 0 {
-		t.Fatalf("Coalesced = %d with coalescing disabled", got)
-	}
-}
-
 // TestConcurrentMixedProfiles runs different-profile resolvers in
 // parallel against the same authority.
 func TestConcurrentMixedProfiles(t *testing.T) {

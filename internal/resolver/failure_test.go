@@ -211,7 +211,6 @@ func TestUpstreamValidationRetries(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
-			rg.res.cfg.Retries = 6
 			rg.net.SetNodeFaults(rg.authAddr, tc.plan, 11)
 			c := rg.client("London", 9)
 			ok := 0
@@ -237,34 +236,12 @@ func TestUpstreamValidationRetries(t *testing.T) {
 	}
 }
 
-func TestRetryBackoffAdvancesClock(t *testing.T) {
-	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
-	rg.res.cfg.Backoff = 100 * time.Millisecond
-	rg.res.cfg.Sleep = rg.net.Clock().Advance
-	rg.net.SetNodeFaults(rg.authAddr, netem.FaultPlan{Loss: 1.0, LossTimeout: time.Millisecond}, 5)
-	before := rg.net.Clock().Now()
-	q := dnswire.NewQuery(1, "backoff.test.example.", dnswire.TypeA)
-	if _, _, err := rg.net.Exchange(rg.client("London", 9), rg.res.Addr(), q); err != nil {
-		t.Fatal(err)
-	}
-	// Default 2 retries wait 100ms then 200ms on top of the per-attempt
-	// loss timeouts and the client-leg RTT.
-	if got := rg.net.Clock().Now().Sub(before); got < 300*time.Millisecond {
-		t.Fatalf("clock advanced %v; backoff waits not applied", got)
-	}
-}
-
 func TestRetriesConfig(t *testing.T) {
 	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
 	if rg.res.retries() != 2 {
-		t.Fatalf("default retries = %d", rg.res.retries())
+		t.Fatalf("retries without a pool = %d, want 2", rg.res.retries())
 	}
-	rg.res.cfg.Retries = -1
-	if rg.res.retries() != 0 {
-		t.Fatalf("negative Retries must mean no retries")
-	}
-	rg.res.cfg.Retries = 5
-	if rg.res.retries() != 5 {
-		t.Fatalf("explicit retries = %d", rg.res.retries())
+	if got := newPoolRig(t, nil).res.retries(); got != 0 {
+		t.Fatalf("retries behind a pool = %d, want 0", got)
 	}
 }

@@ -79,9 +79,8 @@ type Config struct {
 	Transport Transport
 	// Pool, when set, routes upstream queries through a resilient
 	// multi-upstream pool instead of Transport. The pool owns failover,
-	// hedging, and truncation fallback, so the resolver's own retry
-	// loop defaults to zero retries (set Retries explicitly to add
-	// retries on top).
+	// hedging, and truncation fallback, so the resolver runs no retry
+	// loop of its own above it.
 	Pool PoolTransport
 	// Now supplies (virtual) time.
 	Now func() time.Time
@@ -91,16 +90,6 @@ type Config struct {
 	Profile Profile
 	// Seed drives the resolver's private randomness (IDs, ProbeRandom).
 	Seed int64
-	// Retries is the number of additional upstream attempts after a
-	// lost, dropped, truncated, corrupted, or SERVFAIL-answered query
-	// (default 2; negative disables retries).
-	Retries int
-	// Backoff is the base wait before each retry, doubling per attempt
-	// (default none). Waiting happens through Sleep.
-	Backoff time.Duration
-	// Sleep advances time during retry backoff; simulations pass the
-	// virtual clock's Advance. Nil means retries do not wait.
-	Sleep func(time.Duration)
 	// CacheEntries bounds the resolver cache's resident entries; over the
 	// bound, least-recently-used entries are evicted. Zero means
 	// unbounded (the pre-production default, used by the unbounded §7
@@ -117,9 +106,6 @@ type Config struct {
 	// each clamp.
 	MinTTL time.Duration
 	MaxTTL time.Duration
-	// DisableCoalescing turns off singleflight deduplication of
-	// concurrent identical (question, client prefix) cache misses.
-	DisableCoalescing bool
 }
 
 // staleTTL is the TTL stamped on records served stale, per the RFC 8767
@@ -305,7 +291,7 @@ func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 		res *upstreamResult
 		err error
 	)
-	if bypassCache || r.cfg.DisableCoalescing {
+	if bypassCache {
 		res, err = r.resolveUpstream(q, key, now, withinMinute, clientAddr, clientBits, bypassCache)
 	} else {
 		flightPrefix := netip.PrefixFrom(ecsopt.MaskAddr(clientAddr, clientBits), clientBits)
@@ -502,23 +488,16 @@ var (
 	errUpstreamServFail  = errors.New("resolver: upstream answered SERVFAIL")
 )
 
-// exchangeUpstream sends one upstream query with bounded
-// retry-with-backoff, treating transport errors, missing or corrupted
-// (ID-mismatched) responses, truncation, and SERVFAIL answers as
-// retryable failures. Waits double per attempt and pass through
-// cfg.Sleep so simulated time advances.
+// exchangeUpstream sends one upstream query with bounded retries,
+// treating transport errors, missing or corrupted (ID-mismatched)
+// responses, truncation, and SERVFAIL answers as retryable failures.
 func (r *Resolver) exchangeUpstream(authAddr netip.Addr, up *dnswire.Message) (*dnswire.Message, error) {
-	backoff := r.cfg.Backoff
 	var lastErr error
 	for attempt := 0; attempt <= r.retries(); attempt++ {
 		if attempt > 0 {
 			r.mu.Lock()
 			r.failures.UpstreamRetries++
 			r.mu.Unlock()
-			if r.cfg.Sleep != nil && backoff > 0 {
-				r.cfg.Sleep(backoff)
-				backoff *= 2
-			}
 		}
 		r.mu.Lock()
 		r.upstreamQueries++
@@ -821,21 +800,16 @@ func danglingCNAME(answers []dnswire.RR, want dnswire.Type) (dnswire.Name, bool)
 	return "", false
 }
 
-// retries returns the upstream retry budget. With a pool attached the
-// default drops to zero: failover, hedging, and truncation fallback
-// already happen inside the pool, and stacking the resolver's own
-// retry loop on top would multiply every fault's cost.
+// retries returns the upstream retry budget: 2 additional attempts
+// after a failed one, or none with a pool attached — failover, hedging,
+// and truncation fallback already happen inside the pool, and stacking
+// the resolver's own retry loop on top would multiply every fault's
+// cost.
 func (r *Resolver) retries() int {
-	if r.cfg.Retries == 0 {
-		if r.cfg.Pool != nil {
-			return 0
-		}
-		return 2
-	}
-	if r.cfg.Retries < 0 {
+	if r.cfg.Pool != nil {
 		return 0
 	}
-	return r.cfg.Retries
+	return 2
 }
 
 // negativeTTL derives the negative-caching lifetime from the SOA record

@@ -20,10 +20,9 @@ import (
 type Engine struct {
 	// Concurrency is the number of jobs in flight (default 1 = serial).
 	Concurrency int
-	// Rate caps job starts per second across all workers (0 = unlimited).
+	// Rate caps job starts per second across all workers (0 =
+	// unlimited), with a burst of one job per worker.
 	Rate float64
-	// Burst is the token-bucket burst (default = effective concurrency).
-	Burst int
 	// Progress, when non-nil, receives live counters.
 	Progress *Progress
 }
@@ -43,11 +42,7 @@ func (e *Engine) Run(ctx context.Context, n int, job func(ctx context.Context, i
 	}
 	var limiter *RateLimiter
 	if e.Rate > 0 {
-		burst := e.Burst
-		if burst <= 0 {
-			burst = workers
-		}
-		limiter = NewRateLimiter(e.Rate, burst)
+		limiter = NewRateLimiter(e.Rate, workers)
 	}
 	var next atomic.Int64 // jobs claimed so far
 	var wg sync.WaitGroup

@@ -24,7 +24,7 @@ func TestEngineRunsAllJobs(t *testing.T) {
 		{"workers64", Engine{Concurrency: 64}, 1000},
 		{"more workers than jobs", Engine{Concurrency: 64}, 5},
 		{"no jobs", Engine{Concurrency: 8}, 0},
-		{"rate limited", Engine{Concurrency: 8, Rate: 20000, Burst: 1}, 100},
+		{"rate limited", Engine{Concurrency: 8, Rate: 20000}, 100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runs := make([]atomic.Int32, tc.n)
@@ -158,15 +158,16 @@ func TestEngineCountsProgress(t *testing.T) {
 }
 
 func TestEngineRateLimit(t *testing.T) {
-	// 200 qps, burst 1: 20 jobs need ≥ 19 inter-job gaps of 5 ms.
-	eng := &Engine{Concurrency: 4, Rate: 200, Burst: 1}
+	// 200 qps, a burst of one job per worker: 20 jobs on 4 workers need
+	// ≥ 16 inter-job gaps of 5 ms.
+	eng := &Engine{Concurrency: 4, Rate: 200}
 	start := time.Now()
 	err := eng.Run(context.Background(), 20, func(_ context.Context, _ int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Fatalf("20 jobs at 200 qps finished in %v, want ≥ 50ms", elapsed)
+	if elapsed := time.Since(start); elapsed < 75*time.Millisecond {
+		t.Fatalf("20 jobs at 200 qps finished in %v, want ≥ 75ms", elapsed)
 	}
 }
 

@@ -116,32 +116,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return sortedQuantile(c.sorted, q)
 }
 
-// Points returns up to n evenly spaced (value, cumulative fraction) points
-// suitable for plotting or textual series output.
-func (c *CDF) Points(n int) []Point {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (i + 1) * len(c.sorted) / n
-		if idx > len(c.sorted) {
-			idx = len(c.sorted)
-		}
-		pts = append(pts, Point{
-			X: c.sorted[idx-1],
-			Y: float64(idx) / float64(len(c.sorted)),
-		})
-	}
-	return pts
-}
-
-// Point is a 2-D sample point.
-type Point struct{ X, Y float64 }
-
 // Summary is a compact five-number-plus-mean description of a sample.
 type Summary struct {
 	N                  int
@@ -200,45 +174,6 @@ func (h *Hexbin) Add(x, y float64) {
 
 // Total returns the number of points added.
 func (h *Hexbin) Total() int { return h.total }
-
-// FractionBelowDiagonal returns the share of points with y < x (strictly),
-// the paper's "hidden resolver farther than recursive" region when x is
-// the forwarder–hidden distance... inverted as needed by the caller.
-func (h *Hexbin) FractionBelowDiagonal() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	below := 0
-	for k, c := range h.Counts {
-		if k[1] < k[0] {
-			below += c
-		}
-	}
-	return float64(below) / float64(h.total)
-}
-
-// DiagonalFractions splits points into below/on/above the diagonal using
-// exact coordinates; callers that need exactness should use this instead
-// of the binned estimate. It is computed from points recorded via AddExact.
-type DiagonalFractions struct {
-	Below, On, Above float64
-}
-
-// Sample draws k distinct indices from [0, n) using rng, in O(n) time.
-// If k ≥ n it returns all indices.
-func Sample(rng *rand.Rand, n, k int) []int {
-	if k >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	perm := rng.Perm(n)
-	out := perm[:k]
-	sort.Ints(out)
-	return out
-}
 
 // Zipf returns a deterministic Zipf-like popularity distribution over n
 // ranks with exponent s, normalized to sum to 1.

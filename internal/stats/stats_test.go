@@ -67,25 +67,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("Points(5) returned %d points", len(pts))
-	}
-	if pts[len(pts)-1].Y != 1 {
-		t.Errorf("last point Y = %v, want 1", pts[len(pts)-1].Y)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].Y < pts[i-1].Y {
-			t.Fatalf("points not monotone: %+v", pts)
-		}
-	}
-	if NewCDF(nil).Points(5) != nil {
-		t.Error("empty CDF must return nil points")
-	}
-}
-
 func TestCDFMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {
 		for _, v := range raw {
@@ -133,32 +114,8 @@ func TestHexbin(t *testing.T) {
 	if h.Total() != 4 {
 		t.Fatalf("Total = %d", h.Total())
 	}
-	if got := h.FractionBelowDiagonal(); !almost(got, 0.5, 1e-9) {
-		t.Fatalf("FractionBelowDiagonal = %v", got)
-	}
 	if len(h.Counts) != 3 {
 		t.Fatalf("bins = %d, want 3", len(h.Counts))
-	}
-}
-
-func TestSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	got := Sample(rng, 100, 10)
-	if len(got) != 10 {
-		t.Fatalf("len = %d", len(got))
-	}
-	seen := map[int]bool{}
-	for _, i := range got {
-		if i < 0 || i >= 100 {
-			t.Fatalf("index out of range: %d", i)
-		}
-		if seen[i] {
-			t.Fatalf("duplicate index %d", i)
-		}
-		seen[i] = true
-	}
-	if got := Sample(rng, 5, 10); len(got) != 5 {
-		t.Fatalf("over-sample len = %d", len(got))
 	}
 }
 
@@ -225,7 +182,7 @@ func TestSeededDrawsReplay(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			out = append(out, s.Draw(rng), WeightedChoice(rng, weights))
 		}
-		return append(out, Sample(rng, 100, 10)...)
+		return out
 	}
 	a, b := draw(), draw()
 	for i := range a {

@@ -23,8 +23,8 @@ func lossyEveryN(n int, cost, lossCost time.Duration) scriptFn {
 	}
 }
 
-// wedgedPool returns a pool whose every breaker one failed query has
-// opened, and its transport.
+// wedgedPool returns a pool whose every breaker breakerFailures failed
+// queries have opened, and its transport.
 func wedgedPool(tb testing.TB) (*Pool, *fakeTransport) {
 	tb.Helper()
 	tr := newFakeTransport()
@@ -32,7 +32,6 @@ func wedgedPool(tb testing.TB) (*Pool, *fakeTransport) {
 	p, err := New(Config{
 		Upstreams: []Upstream{{Addr: upA}, {Addr: upB}, {Addr: upC}},
 		Transport: tr, Now: clk.Now,
-		Breaker: BreakerConfig{Failures: 1, OpenFor: time.Hour},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -40,8 +39,10 @@ func wedgedPool(tb testing.TB) (*Pool, *fakeTransport) {
 	tr.set(upA, fails(time.Millisecond))
 	tr.set(upB, fails(time.Millisecond))
 	tr.set(upC, fails(time.Millisecond))
-	if _, _, err := p.Exchange(cli, query(1)); err == nil {
-		tb.Fatal("tripping query answered")
+	for i := 0; i < breakerFailures; i++ {
+		if _, _, err := p.Exchange(cli, query(uint16(i+1))); err == nil {
+			tb.Fatal("tripping query answered")
+		}
 	}
 	return p, tr
 }
@@ -93,10 +94,10 @@ func TestAllocGateBreakerFastFail(t *testing.T) {
 func BenchmarkPoolHedging(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
-		hedge HedgeConfig
+		hedge bool
 	}{
-		{"unhedged", HedgeConfig{}},
-		{"hedged", HedgeConfig{Enabled: true}},
+		{"unhedged", false},
+		{"hedged", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			tr := newFakeTransport()
@@ -104,8 +105,8 @@ func BenchmarkPoolHedging(b *testing.B) {
 			p, err := New(Config{
 				Upstreams: []Upstream{{Addr: upA}, {Addr: upB}, {Addr: upC}},
 				Transport: tr, Now: clk.Now,
-				Hedge:   mode.hedge,
-				Breaker: BreakerConfig{Disabled: true},
+				Hedge:          mode.hedge,
+				DisableBreaker: true,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -11,7 +11,7 @@ type State int8
 const (
 	// Closed admits every attempt; consecutive failures are counted.
 	Closed State = iota
-	// Open refuses attempts until OpenFor has elapsed.
+	// Open refuses attempts until breakerOpenFor has elapsed.
 	Open
 	// HalfOpen admits probe attempts; enough consecutive successes
 	// close the breaker, any failure reopens it.
@@ -31,41 +31,15 @@ func (s State) String() string {
 	return "invalid"
 }
 
-// BreakerConfig parameterizes the per-upstream circuit breakers.
-type BreakerConfig struct {
-	// Failures is the consecutive-failure count that trips a closed
-	// breaker open (default 5).
-	Failures int
-	// OpenFor is how long an open breaker refuses attempts before
-	// admitting half-open probes (default 30s).
-	OpenFor time.Duration
-	// Probes is the consecutive probe successes that close a half-open
-	// breaker (default 2).
-	Probes int
-	// Disabled turns breaker gating off entirely.
-	Disabled bool
-}
-
-func (c BreakerConfig) failures() int {
-	if c.Failures > 0 {
-		return c.Failures
-	}
-	return 5
-}
-
-func (c BreakerConfig) openFor() time.Duration {
-	if c.OpenFor > 0 {
-		return c.OpenFor
-	}
-	return 30 * time.Second
-}
-
-func (c BreakerConfig) probes() int {
-	if c.Probes > 0 {
-		return c.Probes
-	}
-	return 2
-}
+// Breaker thresholds: breakerFailures consecutive failures trip a
+// closed breaker open; an open breaker refuses attempts for
+// breakerOpenFor, then admits half-open probes; breakerProbes
+// consecutive probe successes close it again.
+const (
+	breakerFailures = 5
+	breakerOpenFor  = 30 * time.Second
+	breakerProbes   = 2
+)
 
 // breaker is one upstream's gate state. All mutation happens under the
 // pool mutex, through the Pool methods below, so every state change
@@ -129,13 +103,13 @@ func (p *Pool) setBreakerState(u *upstream, to State, now time.Time) {
 // breaker whose hold time has elapsed transitions to half-open and
 // admits the probe. Callers hold p.mu.
 func (p *Pool) breakerAllow(u *upstream, now time.Time) bool {
-	if p.cfg.Breaker.Disabled {
+	if p.cfg.DisableBreaker {
 		return true
 	}
 	if u.breaker.state != Open {
 		return true
 	}
-	if now.Sub(u.breaker.openedAt) >= p.cfg.Breaker.openFor() {
+	if now.Sub(u.breaker.openedAt) >= breakerOpenFor {
 		p.setBreakerState(u, HalfOpen, now)
 		return true
 	}
@@ -145,7 +119,7 @@ func (p *Pool) breakerAllow(u *upstream, now time.Time) bool {
 // breakerObserve feeds one attempt outcome into u's gate. Callers hold
 // p.mu.
 func (p *Pool) breakerObserve(u *upstream, ok bool, now time.Time) {
-	if p.cfg.Breaker.Disabled {
+	if p.cfg.DisableBreaker {
 		return
 	}
 	b := &u.breaker
@@ -156,7 +130,7 @@ func (p *Pool) breakerObserve(u *upstream, ok bool, now time.Time) {
 			return
 		}
 		b.consecFails++
-		if b.consecFails >= p.cfg.Breaker.failures() {
+		if b.consecFails >= breakerFailures {
 			p.setBreakerState(u, Open, now)
 		}
 	case HalfOpen:
@@ -165,7 +139,7 @@ func (p *Pool) breakerObserve(u *upstream, ok bool, now time.Time) {
 			return
 		}
 		b.probeOKs++
-		if b.probeOKs >= p.cfg.Breaker.probes() {
+		if b.probeOKs >= breakerProbes {
 			p.setBreakerState(u, Closed, now)
 		}
 	case Open:

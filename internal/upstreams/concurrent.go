@@ -21,7 +21,7 @@ type attemptResult struct {
 // two ledgers balance once Wait returns.
 func (p *Pool) exchangeConcurrent(from netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
 	start := p.cfg.Now()
-	budget := p.maxAttempts()
+	budget := len(p.ups)
 	results := make(chan attemptResult, budget)
 	tried := make(map[netip.Addr]bool, len(p.ups))
 	inflight, used := 0, 0

@@ -37,7 +37,7 @@ func TestConcurrentHedgeWins(t *testing.T) {
 		Upstreams:  []Upstream{{Addr: upA}, {Addr: upB}},
 		Transport:  tr,
 		Now:        clk.Now,
-		Hedge:      HedgeConfig{Enabled: true},
+		Hedge:      true,
 		Concurrent: true,
 		After:      after.After,
 	})
@@ -75,7 +75,7 @@ func TestConcurrentStragglerErrorCancelled(t *testing.T) {
 		Upstreams:  []Upstream{{Addr: upA}, {Addr: upB}},
 		Transport:  tr,
 		Now:        clk.Now,
-		Hedge:      HedgeConfig{Enabled: true},
+		Hedge:      true,
 		Concurrent: true,
 		After:      after.After,
 	})

@@ -2,46 +2,24 @@ package upstreams
 
 import "time"
 
-// LadderConfig parameterizes the adaptive EDNS payload fallback ladder.
-// Each upstream walks the rungs independently: queries advertise
-// Steps[rung] as the EDNS UDP payload size; a truncated answer steps
-// one rung down; past the last rung the chain retries over TCP. The
-// learned rung (the upstream's payload ceiling) persists across
-// queries and decays back up after a quiet period, so a transient
+// The adaptive EDNS payload fallback ladder. Each upstream walks the
+// rungs independently: queries advertise ladderSteps[rung] as the EDNS
+// UDP payload size; a truncated answer steps one rung down; past the
+// last rung the chain retries over TCP. The learned rung (the
+// upstream's payload ceiling) persists across queries and relaxes one
+// rung back up after ladderDecay without a step down, so a transient
 // fragmentation episode does not pin an upstream to small answers
 // forever.
-type LadderConfig struct {
-	// Steps are the advertised payload sizes, largest first
-	// (default 4096, 1232 — the pre- and post-Flag-Day conventions).
-	Steps []uint16
-	// Decay is the quiet period after which a stepped-down ceiling
-	// relaxes one rung (default 5m; negative never relaxes).
-	Decay time.Duration
-	// Disabled forwards queries unmodified and never falls back.
-	Disabled bool
-}
 
-// defaultSteps is the conventional advertisement ladder: the classic
-// 4096-byte EDNS buffer, then the DNS-Flag-Day-2020 fragmentation-safe
-// 1232 bytes, then TCP.
-var defaultSteps = []uint16{4096, 1232}
+// ladderSteps is the advertisement ladder: the classic 4096-byte EDNS
+// buffer, then the DNS-Flag-Day-2020 fragmentation-safe 1232 bytes,
+// then TCP.
+var ladderSteps = [...]uint16{4096, 1232}
 
-func (c LadderConfig) steps() []uint16 {
-	if len(c.Steps) > 0 {
-		return c.Steps
-	}
-	return defaultSteps
-}
-
-func (c LadderConfig) decay() time.Duration {
-	if c.Decay != 0 {
-		return c.Decay
-	}
-	return 5 * time.Minute
-}
+const ladderDecay = 5 * time.Minute
 
 // ladderState is one upstream's learned position on the ladder. rung
-// indexes LadderConfig.Steps; rung == len(Steps) means straight to TCP.
+// indexes ladderSteps; rung == len(ladderSteps) means straight to TCP.
 // Mutation happens under the pool mutex.
 type ladderState struct {
 	rung      int
@@ -51,8 +29,8 @@ type ladderState struct {
 // start returns the rung a new chain should open at, first applying
 // decay: after a quiet period the learned ceiling relaxes one rung back
 // toward the widest advertisement.
-func (l *ladderState) start(now time.Time, decay time.Duration) int {
-	if l.rung > 0 && decay > 0 && now.Sub(l.changedAt) >= decay {
+func (l *ladderState) start(now time.Time) int {
+	if l.rung > 0 && now.Sub(l.changedAt) >= ladderDecay {
 		l.rung--
 		l.changedAt = now
 	}
@@ -61,9 +39,9 @@ func (l *ladderState) start(now time.Time, decay time.Duration) int {
 
 // stepDown records that the chain had to move past rung `to-1`; the
 // learned ceiling only ever moves down here (decay moves it up).
-func (l *ladderState) stepDown(to int, maxRung int, now time.Time) {
-	if to > maxRung {
-		to = maxRung
+func (l *ladderState) stepDown(to int, now time.Time) {
+	if to > len(ladderSteps) {
+		to = len(ladderSteps)
 	}
 	if to > l.rung {
 		l.rung = to

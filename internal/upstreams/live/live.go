@@ -105,25 +105,13 @@ func CheckHostPort(addr string) error {
 }
 
 // NewPool builds the pool over spec's members (the ParseSpec grammar)
-// with the -hedge, -breaker and -edns-ladder specs of cmd/recursor, and
+// with cmd/recursor's -hedge, -breaker and -edns-ladder switches, and
 // returns it with the client whose ring every UDP query upstream leaves
 // through; the caller reports and closes that client's sockets.
-func NewPool(spec, hedgeSpec, breakerSpec, ladderSpec string) (*upstreams.Pool, *dnsclient.Client, error) {
+func NewPool(spec string, hedge, breaker, ladder bool) (*upstreams.Pool, *dnsclient.Client, error) {
 	ups, targets, err := ParseSpec(spec)
 	if err != nil {
 		return nil, nil, err
-	}
-	hedge, err := upstreams.ParseHedge(hedgeSpec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad -hedge: %v", err)
-	}
-	breaker, err := upstreams.ParseBreaker(breakerSpec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad -breaker: %v", err)
-	}
-	ladder, err := upstreams.ParseLadder(ladderSpec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad -edns-ladder: %v", err)
 	}
 	udp := &dnsclient.Client{Retries: dnsclient.NoRetries}
 	pool, err := upstreams.New(upstreams.Config{
@@ -133,12 +121,12 @@ func NewPool(spec, hedgeSpec, breakerSpec, ladderSpec string) (*upstreams.Pool, 
 			tcp:     &dnsclient.Client{ForceTCP: true},
 			targets: targets,
 		},
-		Now:        time.Now,
-		Hedge:      hedge,
-		Breaker:    breaker,
-		Ladder:     ladder,
-		Concurrent: true,
-		After:      time.After,
+		Now:            time.Now,
+		Hedge:          hedge,
+		DisableBreaker: !breaker,
+		DisableLadder:  !ladder,
+		Concurrent:     true,
+		After:          time.After,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("pool: %v", err)

@@ -64,7 +64,7 @@ func TestServedChainKeepsNoQuery(t *testing.T) {
 	})
 	authAddr := serveOneWorker(t, auth)
 
-	pool, upstream, err := NewPool(authAddr.String(), "", "", "")
+	pool, upstream, err := NewPool(authAddr.String(), false, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,8 @@ func runFaultPlan(t *testing.T, seed int64) ([]Transition, Counters) {
 		Transport:  tr,
 		Now:        clk.Now,
 		Concurrent: true,
-		Hedge:      HedgeConfig{Enabled: true},
+		Hedge:      true,
 		After:      after.After,
-		Breaker:    BreakerConfig{Failures: 2, OpenFor: 30 * time.Second, Probes: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +56,7 @@ func runFaultPlan(t *testing.T, seed int64) ([]Transition, Counters) {
 		clk.Advance(10 * time.Second)
 	}
 
-	// Recovery stretch: move past OpenFor so an open breaker admits
+	// Recovery stretch: move past breakerOpenFor so an open breaker admits
 	// half-open probes, then answer them so A ends the plan Closed and
 	// preferred again.
 	clk.Advance(40 * time.Second)

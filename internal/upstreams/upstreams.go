@@ -52,40 +52,13 @@ type Upstream struct {
 	Weight int
 }
 
-// HedgeConfig parameterizes request hedging.
-type HedgeConfig struct {
-	// Enabled turns hedging on.
-	Enabled bool
-	// Percentile of recent winner RTTs used as the hedge delay
-	// (default 0.95): if the primary has not answered within that
-	// delay, a second healthy upstream is raced.
-	Percentile float64
-	// Min / Max clamp the adaptive delay (defaults 10ms / 2s). Before
-	// any RTT sample exists the delay is Max.
-	Min time.Duration
-	Max time.Duration
-}
-
-func (h HedgeConfig) percentile() float64 {
-	if h.Percentile > 0 {
-		return h.Percentile
-	}
-	return 0.95
-}
-
-func (h HedgeConfig) min() time.Duration {
-	if h.Min > 0 {
-		return h.Min
-	}
-	return 10 * time.Millisecond
-}
-
-func (h HedgeConfig) max() time.Duration {
-	if h.Max > 0 {
-		return h.Max
-	}
-	return 2 * time.Second
-}
+// Hedge delay: the hedgePercentile of recent winner RTTs, clamped to
+// [hedgeMin, hedgeMax]; before any RTT sample exists it is hedgeMax.
+const (
+	hedgePercentile = 0.95
+	hedgeMin        = 10 * time.Millisecond
+	hedgeMax        = 2 * time.Second
+)
 
 // Config assembles a Pool.
 type Config struct {
@@ -96,19 +69,18 @@ type Config struct {
 	// Now supplies time: the virtual clock's Now in simulations, the
 	// wall clock for live pools.
 	Now func() time.Time
-	// Hedge, Breaker, and Ladder parameterize the three resilience
-	// mechanisms; their zero values mean hedging off, breakers on with
-	// defaults, and the default 4096→1232→TCP ladder.
-	Hedge   HedgeConfig
-	Breaker BreakerConfig
-	Ladder  LadderConfig
-	// MaxAttempts bounds the attempts (primary, hedges, failovers) one
-	// Exchange may issue (default: the number of upstreams).
-	MaxAttempts int
+	// Hedge races a second healthy upstream when the primary has not
+	// answered within the adaptive hedge delay. DisableBreaker turns
+	// circuit-breaker gating off; DisableLadder forwards queries
+	// unmodified and never falls back. The zero value is hedging off,
+	// breakers on, and the 4096→1232→TCP ladder on.
+	Hedge          bool
+	DisableBreaker bool
+	DisableLadder  bool
 	// Concurrent races a hedge against its primary in real goroutines
 	// instead of the deterministic virtual race; required for wall-clock
 	// transports, meaningless work for netem. Requires After. Without
-	// Hedge.Enabled no two attempts overlap and no goroutine is started.
+	// Hedge no two attempts overlap and no goroutine is started.
 	Concurrent bool
 	// After schedules the concurrent hedge timer (time.After for live
 	// pools). Only consulted when Concurrent is set.
@@ -167,9 +139,6 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.Concurrent && cfg.After == nil {
 		return nil, errors.New("upstreams: Concurrent mode requires Config.After")
 	}
-	if p := cfg.Hedge.Percentile; p < 0 || p > 1 {
-		return nil, fmt.Errorf("upstreams: hedge percentile %v outside [0,1]", p)
-	}
 	seen := make(map[netip.Addr]bool, len(cfg.Upstreams))
 	ups := make([]*upstream, 0, len(cfg.Upstreams))
 	for _, c := range cfg.Upstreams {
@@ -189,14 +158,6 @@ func New(cfg Config) (*Pool, error) {
 	return &Pool{cfg: cfg, ups: ups}, nil
 }
 
-// maxAttempts is the per-query attempt budget.
-func (p *Pool) maxAttempts() int {
-	if p.cfg.MaxAttempts > 0 {
-		return p.cfg.MaxAttempts
-	}
-	return len(p.ups)
-}
-
 // Wait blocks until every in-flight concurrent attempt has settled.
 // Sequential and unhedged pools return immediately.
 func (p *Pool) Wait() { p.wg.Wait() }
@@ -204,16 +165,16 @@ func (p *Pool) Wait() { p.wg.Wait() }
 // Exchange resolves one query through the pool: pick the healthiest
 // admissible upstream, run its fallback-ladder chain, hedge a second
 // upstream when the primary is slow or failed, and fail over serially
-// until the attempt budget is spent. The returned duration is the
+// until every member has been tried. The returned duration is the
 // modeled race completion time (which, in sequential mode, can be less
 // than the virtual clock consumed, since the hedge chain runs after
 // the primary chain rather than beside it).
 func (p *Pool) Exchange(from netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	budget := p.maxAttempts()
+	budget := len(p.ups)
 	// Only a hedge puts two attempts in flight at once. Without one a
 	// failover starts after the attempt before it has failed, so the
 	// loop below is the whole of it, on the caller's goroutine.
-	if p.cfg.Concurrent && p.cfg.Hedge.Enabled && budget > 1 {
+	if p.cfg.Concurrent && p.cfg.Hedge && budget > 1 {
 		return p.exchangeConcurrent(from, query)
 	}
 	tried := make(map[netip.Addr]bool, len(p.ups))
@@ -340,27 +301,20 @@ func (p *Pool) pickUpstream(tried map[netip.Addr]bool, now time.Time) *upstream 
 	return best
 }
 
-// hedgeDelay computes the adaptive hedge delay: the configured
-// percentile of recent winner costs, clamped to [Min, Max]; Max when
+// hedgeDelay computes the adaptive hedge delay: the hedgePercentile of
+// recent winner costs, clamped to [hedgeMin, hedgeMax]; hedgeMax when
 // no sample exists yet.
 func (p *Pool) hedgeDelay() (time.Duration, bool) {
-	h := p.cfg.Hedge
-	if !h.Enabled {
+	if !p.cfg.Hedge {
 		return 0, false
 	}
 	p.mu.Lock()
-	d, ok := p.sampler.percentile(h.percentile())
+	d, ok := p.sampler.percentile(hedgePercentile)
 	p.mu.Unlock()
 	if !ok {
-		return h.max(), true
+		return hedgeMax, true
 	}
-	if d < h.min() {
-		d = h.min()
-	}
-	if d > h.max() {
-		d = h.max()
-	}
-	return d, true
+	return min(max(d, hedgeMin), hedgeMax), true
 }
 
 // runAttempt issues one attempt (a full ladder chain) against u and
@@ -382,27 +336,26 @@ func (p *Pool) runAttempt(from netip.Addr, u *upstream, query *dnswire.Message) 
 }
 
 // runChain walks the EDNS fallback ladder against one upstream:
-// advertise Steps[rung]; a truncated answer steps down a rung and
+// advertise ladderSteps[rung]; a truncated answer steps down a rung and
 // retries; one UDP loss per chain also steps down (fragment loss is
 // indistinguishable from plain loss at the sender); past the last rung
 // the chain retries over TCP. Learned rungs persist on the upstream.
 func (p *Pool) runChain(from netip.Addr, u *upstream, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	if p.cfg.Ladder.Disabled {
+	if p.cfg.DisableLadder {
 		resp, rtt, err := p.cfg.Transport.Exchange(from, u.addr, query)
 		if err != nil {
 			return nil, rtt, err
 		}
 		return classify(query, resp, rtt)
 	}
-	steps := p.cfg.Ladder.steps()
 	now := p.cfg.Now()
 	p.mu.Lock()
-	rung := u.ladder.start(now, p.cfg.Ladder.decay())
+	rung := u.ladder.start(now)
 	p.mu.Unlock()
 	var cost time.Duration
 	lossSteps := 0
 	for {
-		if rung >= len(steps) {
+		if rung >= len(ladderSteps) {
 			p.misc.tcpFallbacks.Add(1)
 			resp, rtt, err := p.cfg.Transport.ExchangeTCP(from, u.addr, query)
 			cost += rtt
@@ -411,7 +364,7 @@ func (p *Pool) runChain(from netip.Addr, u *upstream, query *dnswire.Message) (*
 			}
 			return classify(query, resp, cost)
 		}
-		uq := withPayload(query, steps[rung])
+		uq := withPayload(query, ladderSteps[rung])
 		resp, rtt, err := p.cfg.Transport.Exchange(from, u.addr, uq)
 		cost += rtt
 		switch {
@@ -419,9 +372,9 @@ func (p *Pool) runChain(from netip.Addr, u *upstream, query *dnswire.Message) (*
 			// One loss per chain is worth re-trying a rung down: an
 			// oversized fragmented response drops silently, and only
 			// a smaller advertisement can tell loss from frag loss.
-			if lossSteps == 0 && rung+1 < len(steps) {
+			if lossSteps == 0 && rung+1 < len(ladderSteps) {
 				lossSteps++
-				rung = p.stepLadder(u, rung+1, len(steps), now)
+				rung = p.stepLadder(u, rung+1, now)
 				continue
 			}
 			return nil, cost, err
@@ -430,7 +383,7 @@ func (p *Pool) runChain(from netip.Addr, u *upstream, query *dnswire.Message) (*
 		case resp.ID != query.ID:
 			return nil, cost, errMismatch
 		case resp.Truncated:
-			rung = p.stepLadder(u, rung+1, len(steps), now)
+			rung = p.stepLadder(u, rung+1, now)
 			continue
 		case resp.RCode == dnswire.RCodeServFail:
 			return nil, cost, errServFail
@@ -456,10 +409,10 @@ func classify(query, resp *dnswire.Message, cost time.Duration) (*dnswire.Messag
 }
 
 // stepLadder records a step down u's ladder and returns the new rung.
-func (p *Pool) stepLadder(u *upstream, to, nsteps int, now time.Time) int {
+func (p *Pool) stepLadder(u *upstream, to int, now time.Time) int {
 	p.misc.ladderSteps.Add(1)
 	p.mu.Lock()
-	u.ladder.stepDown(to, nsteps, now)
+	u.ladder.stepDown(to, now)
 	p.mu.Unlock()
 	return to
 }

@@ -217,12 +217,14 @@ func TestPoolAllFailed(t *testing.T) {
 func TestPoolHedgeRace(t *testing.T) {
 	p, tr, _ := testPool(t, Config{
 		Upstreams: []Upstream{{Addr: upA}, {Addr: upB}},
-		Hedge:     HedgeConfig{Enabled: true, Percentile: 0.5, Min: time.Millisecond},
+		Hedge:     true,
 	})
 	tr.set(upA, answers(10*time.Millisecond))
 	tr.set(upB, answers(12*time.Millisecond))
-	// Prime the sampler so the hedge delay is ~10ms, not the 2s cap.
-	for i := 0; i < 10; i++ {
+	// Fill the sampler with fast answers so the hedge delay is their
+	// 95th percentile, not the 2s cap; the slow primary's own sample
+	// then sits above that percentile.
+	for i := 0; i < samplerSize; i++ {
 		if _, _, err := p.Exchange(cli, query(uint16(i))); err != nil {
 			t.Fatal(err)
 		}
@@ -252,11 +254,11 @@ func TestPoolHedgeRace(t *testing.T) {
 func TestPoolHedgePrimaryWins(t *testing.T) {
 	p, tr, _ := testPool(t, Config{
 		Upstreams: []Upstream{{Addr: upA}, {Addr: upB}},
-		Hedge:     HedgeConfig{Enabled: true, Percentile: 0.5, Min: time.Millisecond},
+		Hedge:     true,
 	})
 	tr.set(upA, answers(10*time.Millisecond))
 	tr.set(upB, answers(12*time.Millisecond))
-	for i := 0; i < 10; i++ {
+	for i := 0; i < samplerSize; i++ {
 		if _, _, err := p.Exchange(cli, query(uint16(i))); err != nil {
 			t.Fatal(err)
 		}
@@ -283,11 +285,11 @@ func TestPoolHedgePrimaryWins(t *testing.T) {
 func TestPoolHedgeCancelled(t *testing.T) {
 	p, tr, _ := testPool(t, Config{
 		Upstreams: []Upstream{{Addr: upA}, {Addr: upB}},
-		Hedge:     HedgeConfig{Enabled: true, Percentile: 0.5, Min: time.Millisecond},
+		Hedge:     true,
 	})
 	tr.set(upA, answers(10*time.Millisecond))
 	tr.set(upB, answers(12*time.Millisecond))
-	for i := 0; i < 10; i++ {
+	for i := 0; i < samplerSize; i++ {
 		if _, _, err := p.Exchange(cli, query(uint16(i))); err != nil {
 			t.Fatal(err)
 		}
@@ -308,14 +310,15 @@ func TestPoolHedgeCancelled(t *testing.T) {
 }
 
 func TestPoolBreakerLifecycle(t *testing.T) {
-	p, tr, clk := testPool(t, Config{
-		Upstreams: []Upstream{{Addr: upA}},
-		Breaker:   BreakerConfig{Failures: 2, OpenFor: 10 * time.Second, Probes: 1},
-	})
+	p, tr, clk := testPool(t, Config{Upstreams: []Upstream{{Addr: upA}}})
 	tr.set(upA, fails(time.Second))
 
-	// Two consecutive failures trip the breaker open.
-	for i := 0; i < 2; i++ {
+	// breakerFailures consecutive failures trip the breaker open; one
+	// fewer leaves it closed.
+	for i := 0; i < breakerFailures; i++ {
+		if st := p.BreakerStates()[upA]; st != Closed {
+			t.Fatalf("state after %d failures = %v", i, st)
+		}
 		if _, _, err := p.Exchange(cli, query(uint16(i))); err == nil {
 			t.Fatal("scripted failure answered")
 		}
@@ -324,24 +327,35 @@ func TestPoolBreakerLifecycle(t *testing.T) {
 		t.Fatalf("state after trip = %v", st)
 	}
 
-	// While open, queries fast-fail without touching the transport.
+	// While open, queries fast-fail without touching the transport,
+	// until breakerOpenFor has passed on the clock.
 	callsBefore := len(tr.calls())
-	if _, _, err := p.Exchange(cli, query(3)); !errors.Is(err, ErrAllUnhealthy) {
+	if _, _, err := p.Exchange(cli, query(10)); !errors.Is(err, ErrAllUnhealthy) {
 		t.Fatalf("open breaker: err = %v, want ErrAllUnhealthy", err)
+	}
+	clk.Advance(breakerOpenFor - time.Second)
+	if _, _, err := p.Exchange(cli, query(11)); !errors.Is(err, ErrAllUnhealthy) {
+		t.Fatalf("breaker open 29s: err = %v, want ErrAllUnhealthy", err)
 	}
 	if len(tr.calls()) != callsBefore {
 		t.Fatal("open breaker still sent a query upstream")
 	}
 
-	// After OpenFor, a half-open probe is admitted; its success closes
-	// the breaker.
-	clk.Advance(11 * time.Second)
+	// After breakerOpenFor, half-open probes are admitted; breakerProbes
+	// successes close the breaker, one fewer leaves it half-open.
+	clk.Advance(time.Second)
 	tr.set(upA, answers(10*time.Millisecond))
-	if _, _, err := p.Exchange(cli, query(4)); err != nil {
-		t.Fatalf("probe query: %v", err)
-	}
-	if st := p.BreakerStates()[upA]; st != Closed {
-		t.Fatalf("state after probe = %v", st)
+	for i := 0; i < breakerProbes; i++ {
+		if _, _, err := p.Exchange(cli, query(uint16(20+i))); err != nil {
+			t.Fatalf("probe query %d: %v", i, err)
+		}
+		want := HalfOpen
+		if i == breakerProbes-1 {
+			want = Closed
+		}
+		if st := p.BreakerStates()[upA]; st != want {
+			t.Fatalf("state after %d probes = %v, want %v", i+1, st, want)
+		}
 	}
 
 	want := []struct{ from, to State }{
@@ -356,21 +370,23 @@ func TestPoolBreakerLifecycle(t *testing.T) {
 			t.Fatalf("trace[%d] = %+v, want %v→%v", i, trace[i], w.from, w.to)
 		}
 	}
+	if got := trace[1].At.Sub(trace[0].At); got != breakerOpenFor {
+		t.Fatalf("breaker half-opened %v after tripping, want %v", got, breakerOpenFor)
+	}
 	c := checkBalanced(t, p)
-	if c.BreakerTrips != 1 || c.FastFails != 1 || c.Refused != 1 {
+	if c.BreakerTrips != 1 || c.FastFails != 2 || c.Refused != 2 {
 		t.Fatalf("counters = %+v", c)
 	}
 }
 
 func TestPoolBreakerProbeFailureReopens(t *testing.T) {
-	p, tr, clk := testPool(t, Config{
-		Upstreams: []Upstream{{Addr: upA}},
-		Breaker:   BreakerConfig{Failures: 1, OpenFor: 5 * time.Second, Probes: 2},
-	})
+	p, tr, clk := testPool(t, Config{Upstreams: []Upstream{{Addr: upA}}})
 	tr.set(upA, fails(time.Second))
-	p.Exchange(cli, query(1)) // trips open
-	clk.Advance(6 * time.Second)
-	p.Exchange(cli, query(2)) // half-open probe fails → reopen
+	for i := 0; i < breakerFailures; i++ {
+		p.Exchange(cli, query(uint16(i))) // trips open
+	}
+	clk.Advance(breakerOpenFor)
+	p.Exchange(cli, query(10)) // half-open probe fails → reopen
 	if st := p.BreakerStates()[upA]; st != Open {
 		t.Fatalf("state after failed probe = %v", st)
 	}
@@ -459,10 +475,7 @@ func TestPoolLadderLearnedCeiling(t *testing.T) {
 }
 
 func TestPoolLadderDecay(t *testing.T) {
-	p, tr, clk := testPool(t, Config{
-		Upstreams: []Upstream{{Addr: upA}},
-		Ladder:    LadderConfig{Decay: time.Minute},
-	})
+	p, tr, clk := testPool(t, Config{Upstreams: []Upstream{{Addr: upA}}})
 	tr.set(upA, truncateUnder(2000, 10*time.Millisecond))
 	if _, _, err := p.Exchange(cli, query(1)); err != nil {
 		t.Fatal(err)
@@ -484,10 +497,18 @@ func TestPoolLadderDecay(t *testing.T) {
 	if sz := lastAdvertised(t, tr); sz != 1232 {
 		t.Fatalf("learned advertisement = %d", sz)
 	}
-	// After the decay quiet period the ceiling relaxes back to 4096.
-	clk.Advance(2 * time.Minute)
+	// Short of ladderDecay the learned ceiling holds; after it the
+	// ceiling relaxes back to 4096.
 	tr.set(upA, answers(10*time.Millisecond))
+	clk.Advance(ladderDecay - time.Second)
 	if _, _, err := p.Exchange(cli, query(3)); err != nil {
+		t.Fatal(err)
+	}
+	if sz := lastAdvertised(t, tr); sz != 1232 {
+		t.Fatalf("advertisement before decay = %d", sz)
+	}
+	clk.Advance(time.Second)
+	if _, _, err := p.Exchange(cli, query(4)); err != nil {
 		t.Fatal(err)
 	}
 	if sz := lastAdvertised(t, tr); sz != 4096 {
@@ -552,7 +573,6 @@ func TestPoolValidation(t *testing.T) {
 		{Upstreams: []Upstream{{Addr: upA}, {Addr: upA}}, Transport: tr, Now: clk.Now},
 		{Upstreams: []Upstream{{}}, Transport: tr, Now: clk.Now},
 		{Upstreams: []Upstream{{Addr: upA}}, Transport: tr, Now: clk.Now, Concurrent: true},
-		{Upstreams: []Upstream{{Addr: upA}}, Transport: tr, Now: clk.Now, Hedge: HedgeConfig{Percentile: 1.5}},
 	} {
 		if _, err := New(bad); err == nil {
 			t.Errorf("New(%+v) accepted", bad)
