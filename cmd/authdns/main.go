@@ -41,7 +41,7 @@ func main() {
 	ttl := flag.Uint("ttl", 30, "answer TTL in seconds")
 	scopeSpec := flag.String("scope", "source-4", "ECS scope policy: source-4, echo, or a fixed number")
 	quiet := flag.Bool("quiet", false, "suppress per-query logging")
-	maxInflight := flag.Int("max-inflight", dnsserver.DefaultMaxInflight, "UDP queries queued for or on a worker at once (admission control); with -quiet the authority answers every query on the read loop, which bypasses the queue, and without it every query goes through the queue to be logged")
+	maxInflight := flag.Int("max-inflight", dnsserver.DefaultMaxInflight, "UDP worker-pool cap and admission-queue depth, so up to 2x this many queries are queued for or on a worker at once (admission control); with -quiet the authority answers every query on the read loop, which bypasses the queue, and without it every query goes through the queue to be logged")
 	maxConns := flag.Int("max-conns", dnsserver.DefaultMaxConns, "simultaneous TCP connections (-1 = unlimited)")
 	overflow := flag.String("overflow", "drop", "admission overflow policy: drop or servfail")
 	rrl := flag.Float64("rrl", 0, "response-rate limit in responses/s per client /24 (/56); every 2nd refusal slips a TC=1 reply (0 = off)")

@@ -80,7 +80,7 @@ func main() {
 	breaker := flag.Bool("breaker", true, "per-upstream circuit breakers: 5 consecutive failures open one for 30s, 2 probe successes close it")
 	ladder := flag.Bool("edns-ladder", true, "EDNS payload ladder: step 4096 → 1232 → TCP on truncation, relaxing one rung after 5m")
 	profileName := flag.String("profile", "compliant", "ECS behavior profile")
-	maxInflight := flag.Int("max-inflight", dnsserver.DefaultMaxInflight, "UDP queries queued for or on a worker at once (admission control): cache misses; hits are answered on the read loop and bypass the queue")
+	maxInflight := flag.Int("max-inflight", dnsserver.DefaultMaxInflight, "UDP worker-pool cap and admission-queue depth, so up to 2x this many queries are queued for or on a worker at once (admission control): cache misses; hits are answered on the read loop and bypass the queue")
 	maxConns := flag.Int("max-conns", dnsserver.DefaultMaxConns, "simultaneous TCP connections (-1 = unlimited)")
 	overflow := flag.String("overflow", "drop", "admission overflow policy: drop or servfail")
 	rrl := flag.Float64("rrl", 0, "response-rate limit in responses/s per client /24 (/56); every 2nd refusal slips a TC=1 reply (0 = off)")

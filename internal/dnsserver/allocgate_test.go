@@ -19,14 +19,16 @@ import (
 // the run, and the client is a raw socket writing packed queries and
 // reading replies into fixed buffers. Every gate skips under -race.
 //
-// A query costs the server nothing once its goroutine has warmed up: the
-// read loop copies the datagram into a pooled buffer, the worker decodes
-// it into the Message it keeps and packs the reply into the bytes it
-// keeps; or, for an Immediate handler, the read loop does all of that
-// itself, the reply included, in memory of its own. A change that makes
-// any of that allocate — a fresh Message per datagram, a fresh response
-// buffer, a copying truncation, an RRL bucket copied on a known prefix,
-// a reply that drops its arrays — moves a count off zero.
+// A query costs the server nothing once its goroutines have warmed up:
+// the read loop decodes the datagram into a Message a worker has handed
+// back, and hands the query over in it; the worker packs the reply into
+// the bytes it keeps and returns the Message. Or, for a query an
+// Immediate handler answers, the read loop does all of that itself, the
+// reply included, in memory of its own. A change that makes any of that
+// allocate — a fresh Message per datagram, a second decode on the
+// worker, a fresh response buffer, a copying truncation, an RRL bucket
+// copied on a known prefix, a reply that drops its arrays — moves a
+// count off zero.
 
 // gateQuery is the served workload's query: one question and an EDNS OPT
 // carrying an ECS option for 198.51.100.0/24.
@@ -178,7 +180,10 @@ func answered(reply []byte) bool {
 // leave the loop's Message its OPT record, option bytes and Additionals
 // array. It is measured on the read loop, whose one Message decodes
 // every query: on workers the alternation can pair up with them, each
-// keeping one shape, and the row could read 0 at the parent too.
+// keeping one shape, and the row could read 0 at the parent too. The
+// declined rows go through an Immediate handler that declines every
+// query: the loop's decode is the only one, so a repeated query costs 0
+// and a fresh name 1; a second decode on the worker makes that 2.
 func TestAllocGateServeUDP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -221,6 +226,8 @@ func TestAllocGateServeUDP(t *testing.T) {
 		{"immediate", gateNow{}, 0, one, 1, 0},
 		{"immediate-mixed", gateNow{}, 0, [][]byte{one[0], formErrs, one[0], undecodable}, 4, 0},
 		{"edns-plain", gateNow{}, 0, [][]byte{one[0], plain}, 2, 0},
+		{"declined", declining{gateReply()}, 0, one, 1, 0},
+		{"declined-fresh-name", declining{gateReply()}, 0, packWires(t, fresh...), 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, addr := gateServer(t, tc.handler, func(s *Server) { s.RRL = tc.rrl })
@@ -229,8 +236,12 @@ func TestAllocGateServeUDP(t *testing.T) {
 			if st.Shed != 0 || st.Slipped != 0 || st.Panics != 0 {
 				t.Fatalf("the gate's traffic was limited or failed: %s", st)
 			}
-			if _, now := tc.handler.(Immediate); now && st.Immediate != st.Received-st.Malformed {
-				t.Fatalf("the gate's traffic was not all answered on the read loop: %s", st)
+			wantNow := int64(0)
+			if _, now := tc.handler.(gateNow); now {
+				wantNow = st.Received - st.Malformed
+			}
+			if st.Immediate != wantNow {
+				t.Fatalf("the gate's traffic took the wrong path, want %d answered on the read loop: %s", wantNow, st)
 			}
 		})
 	}

@@ -15,19 +15,22 @@
 // for in ServerStats. Shutdown(ctx) drains in-flight work gracefully;
 // Close force-closes.
 //
-// A handler that can answer some queries without waiting implements
-// Immediate as well. The UDP read loop then answers those queries on the
-// goroutine that read them, and only the queries it declines (a
-// resolver's cache misses) are copied and queued for a worker. A cache
-// hit costs no hand-off and no second goroutine.
+// The UDP read loop decodes every datagram once. A handler that can
+// answer some queries without waiting implements Immediate as well, and
+// the loop answers those queries on the goroutine that read them. Only
+// the queries it declines (a resolver's cache misses), and every query
+// of a handler without Immediate, are queued for a worker, already
+// decoded. A cache hit costs no hand-off and no second goroutine.
 //
-// The server owns the memory it decodes and encodes in. Each UDP worker,
-// each TCP connection and the UDP read loop keep one query Message, one
-// reply Message and one output buffer for as long as they live, so a
-// served or refused query allocates nothing of its own. The price is the
-// handler contracts: the query is borrowed for the call, the next query
-// on the same goroutine is decoded into the same Message, and an
-// Immediate reply is refilled in place by the next one.
+// The server owns the memory it decodes and encodes in. Each TCP
+// connection and the UDP read loop keep one query Message, one reply
+// Message and one output buffer for as long as they live, and each UDP
+// worker one output buffer. A queued query's Message goes to the worker
+// with it and comes back to the loop for a later datagram. So a served
+// or refused query allocates nothing of its own. The price is the
+// handler contracts: the query is borrowed for the call, a later query
+// is decoded into the same Message, and an Immediate reply is refilled
+// in place by the next one.
 package dnsserver
 
 import (
@@ -50,7 +53,7 @@ import (
 // nodes can be served on real sockets unchanged.
 //
 // Both messages change hands at the call. The query is borrowed: it is
-// valid until HandleDNS returns, after which the server decodes the next
+// valid until HandleDNS returns, after which the server decodes a later
 // query into the same Message. A handler that keeps any slice, RR or
 // option payload of it past the call must copy it; strings (names) are
 // immutable and may be kept. The returned response becomes the
@@ -69,20 +72,21 @@ type Handler interface {
 // Immediate is implemented by a Handler that can answer some queries
 // without waiting, such as a resolver's cache hits. The UDP read loop
 // that decoded query calls HandleImmediate before anything else and
-// sends what it fills in; only a query it declines is queued for a
-// worker and HandleDNS.
+// sends what it fills in; only a query it declines is queued, in the
+// Message it was decoded into, for a worker and HandleDNS.
 //
 // HandleImmediate must not block: it runs on the read loop, and every
 // datagram behind it waits until it returns. It either fills resp and
-// returns true, or returns false having changed nothing, neither resp
-// nor any state or counter of its own, because the declined query then
-// reaches HandleDNS as if new and is counted there. The query is
-// borrowed as HandleDNS's is. resp is the read loop's own reply, which
-// the next query on that loop refills in place (dnswire.Message.SetReply
-// makes it a skeleton without allocating): records must be appended to
-// its sections, never shared into them from a cache or zone, or the
-// next reply writes over the cache's records. The server sets the
-// reply's ID and QR bit and may truncate it.
+// returns true, or returns false having changed nothing, neither query
+// nor resp nor any state or counter of its own, because the declined
+// query then reaches HandleDNS, in the same Message, as if new and is
+// counted there. The query is borrowed as HandleDNS's is. resp is the
+// read loop's own reply, which the next query on that loop refills in
+// place (dnswire.Message.SetReply makes it a skeleton without
+// allocating): records must be appended to its sections, never shared
+// into them from a cache or zone, or the next reply writes over the
+// cache's records. The server sets the reply's ID and QR bit and may
+// truncate it.
 type Immediate interface {
 	HandleImmediate(from netip.Addr, query, resp *dnswire.Message) bool
 }
@@ -96,7 +100,7 @@ const (
 	// shed, steering well-behaved clients into their retry path.
 	OverflowDrop OverflowPolicy = iota
 	// OverflowServFail answers overflow queries with SERVFAIL, an
-	// explicit signal at the cost of one parse + one reply per shed.
+	// explicit signal at the cost of one reply per shed.
 	OverflowServFail
 )
 
@@ -134,7 +138,8 @@ const (
 // fields must be set before Start.
 type Server struct {
 	handler Handler
-	// immediate is handler's Immediate side, nil when it has none.
+	// immediate is handler's Immediate side; a handler without one
+	// declines every query.
 	immediate Immediate
 	// MaxInflight bounds concurrently-dispatched UDP queries: the cap
 	// on the worker pool, grown on demand, and the admission-queue
@@ -165,7 +170,13 @@ type Server struct {
 	// queue is the UDP admission queue. The read loop is its only
 	// sender, starts the workers that drain it, and closes it.
 	queue chan udpPacket
-	// pending counts datagrams admitted to queue and not yet finished
+	// spare holds the query Messages workers are done with, for the
+	// read loop to decode into. The loop makes a Message only while it
+	// holds none and spare is empty, so the queue and the workers hold
+	// every other: there are never more than 2×MaxInflight+1, spare's
+	// room, and no worker's send on it ever blocks.
+	spare chan *dnswire.Message
+	// pending counts queries admitted to queue and not yet finished
 	// by a worker; the read loop starts a worker when it exceeds the
 	// workers started so far.
 	pending atomic.Int64
@@ -184,39 +195,23 @@ type Server struct {
 	stats counters
 }
 
-// udpPacket is one received datagram queued for the worker pool. bp is
-// the pooled backing buffer pkt lives in; the worker returns it to
-// udpBufPool once the packet has been served.
+// udpPacket is one declined query queued for the worker pool: the
+// Message the read loop decoded it into, which the worker returns to
+// spare, and its client.
 type udpPacket struct {
-	pkt  []byte
-	bp   *[]byte
-	from netip.AddrPort
-}
-
-// udpBufPool recycles the per-datagram copies the UDP read loop hands
-// to the worker pool. The read loop takes one per datagram; the worker
-// that served it, or the read loop when it sheds it, puts it back.
-var udpBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 2048)
-		return &b
-	},
-}
-
-// putUDPBuf zeroes the datagram *bp holds and pools it: a read through
-// pkt after the return sees an all-zero header, never the next datagram.
-func putUDPBuf(bp *[]byte) {
-	clear(*bp)
-	udpBufPool.Put(bp)
+	query *dnswire.Message
+	from  netip.AddrPort
 }
 
 // workspace is the memory one serving goroutine decodes and encodes in:
 // a UDP worker, a TCP connection, or the read loop. It lives as long as
 // the goroutine, so each query is decoded into the same Message and each
-// reply packed into the same bytes.
+// reply packed into the same bytes. The read loop's query Message goes
+// to a worker with each query the handler declines; a worker has none
+// of its own.
 type workspace struct {
-	query dnswire.Message // the query the handler borrows
-	reply dnswire.Message // a refusal, a FORMERR, or an Immediate answer
+	query *dnswire.Message // the query the handler borrows
+	reply dnswire.Message  // a refusal, a FORMERR, or an Immediate answer
 	// replyOPT is the OPT record an Immediate reply is lent before each
 	// answer: a reply without one, a refusal or a FORMERR, drops its
 	// pointer, and replyOPT keeps the option slots for the next answer.
@@ -248,31 +243,20 @@ func (ws *workspace) refusal(pkt []byte, echo bool, rcode dnswire.RCode) *dnswir
 	return r
 }
 
-// refuse decodes pkt and packs the refusal for it into ws.out: the
-// query's question echoed back when it parses as a query, with the given
-// rcode, truncated when tc is set. The bytes are valid until ws is next
-// used; nil means the packet cannot be identified well enough to answer.
-func (ws *workspace) refuse(pkt []byte, rcode dnswire.RCode, tc bool) []byte {
-	err := dnswire.UnpackInto(&ws.query, pkt)
-	r := ws.refusal(pkt, err == nil && !ws.query.Response, rcode)
-	if r == nil {
-		return nil
-	}
-	r.Truncated = tc
-	data, err := r.AppendPack(ws.out[:0])
-	if err != nil {
-		return nil
-	}
-	ws.out = data[:0]
-	return data
-}
-
 // New creates a server for the handler, answering on the read loop what
 // it can answer immediately when it implements Immediate.
 func New(h Handler) *Server {
-	immediate, _ := h.(Immediate)
+	immediate, ok := h.(Immediate)
+	if !ok {
+		immediate = declineAll{}
+	}
 	return &Server{handler: h, immediate: immediate}
 }
+
+// declineAll is the Immediate side of a handler without one.
+type declineAll struct{}
+
+func (declineAll) HandleImmediate(netip.Addr, *dnswire.Message, *dnswire.Message) bool { return false }
 
 func (s *Server) maxInflight() int {
 	switch {
@@ -358,6 +342,7 @@ func (s *Server) Start(addr string) (netip.AddrPort, error) {
 	s.pc, s.ln = pc, ln
 	s.conns = make(map[net.Conn]struct{})
 	s.queue = make(chan udpPacket, s.maxInflight())
+	s.spare = make(chan *dnswire.Message, 2*s.maxInflight()+1)
 	s.rrl = rl
 	s.mu.Unlock()
 	s.loops.Add(2)
@@ -476,7 +461,10 @@ func (s *Server) isClosed() bool {
 // it answers, slips and sheds in, and the worker pool it starts. Only
 // the loop's goroutine touches it.
 type udpLoop struct {
-	pc             *net.UDPConn
+	pc *net.UDPConn
+	// buf is what each datagram is read into, kept on the heap with the
+	// loop: on the loop's stack its 64 KiB would grow it from 8 to 128 KiB.
+	buf            []byte
 	ws             workspace
 	workers        sync.WaitGroup
 	started, limit int64 // workers started so far, and their cap
@@ -488,10 +476,9 @@ type udpLoop struct {
 // workers to drain it.
 func (s *Server) serveUDP(pc *net.UDPConn) {
 	defer s.loops.Done()
-	l := &udpLoop{pc: pc, limit: int64(s.maxInflight())}
-	buf := make([]byte, 65535)
+	l := &udpLoop{pc: pc, buf: make([]byte, 65535), limit: int64(s.maxInflight())}
 	for {
-		n, from, err := pc.ReadFromUDPAddrPort(buf)
+		n, from, err := pc.ReadFromUDPAddrPort(l.buf)
 		if err != nil {
 			if s.isClosed() {
 				break
@@ -499,58 +486,70 @@ func (s *Server) serveUDP(pc *net.UDPConn) {
 			continue
 		}
 		s.stats.received.Add(1)
-		s.serveDatagram(l, buf[:n], from)
+		s.serveDatagram(l, l.buf[:n], from)
 	}
 	close(s.queue)
 	l.workers.Wait()
 }
 
 // serveDatagram decides one datagram on the read loop. RRL comes first,
-// once per datagram: a refusal is shed or slipped here. Then an
-// Immediate handler is asked for an answer, which is sent from here;
-// what it declines, and every query of a handler without Immediate, is
+// once per datagram: a refusal is shed or slipped here. Then the
+// datagram is decoded, the only time it is, and the Immediate handler is
+// asked for an answer, which is sent from here; a query it declines is
 // admitted to the worker pool. Nothing here allocates once the loop has
 // warmed up (TestAllocGateServeUDP and TestAllocGateShed count it).
 func (s *Server) serveDatagram(l *udpLoop, pkt []byte, from netip.AddrPort) {
-	if s.rrl != nil {
-		switch s.rrl.decide(from.Addr()) {
-		case rrlDrop:
-			s.stats.shed.Add(1)
-			s.stats.rrlDropped.Add(1)
-			return
-		case rrlSlip:
-			// The slip: a truncated (TC=1) empty reply that steers the
-			// client to TCP, which is never rate-limited.
-			s.stats.slipped.Add(1)
-			if data := l.ws.refuse(pkt, dnswire.RCodeNoError, true); data != nil {
-				l.pc.WriteToUDPAddrPort(data, from)
-			}
-			return
+	ws := &l.ws
+	if ws.query == nil {
+		// The last Message went to a worker with its query: take one a
+		// worker has finished with, or a new one while none has.
+		select {
+		case ws.query = <-s.spare:
+		default:
+			ws.query = new(dnswire.Message)
 		}
 	}
-	if s.immediate == nil {
-		s.admit(l, pkt, from)
+	action := rrlPass
+	if s.rrl != nil {
+		action = s.rrl.decide(from.Addr())
+	}
+	var resp, query *dnswire.Message
+	switch action {
+	case rrlDrop:
+		s.stats.shed.Add(1)
+		s.stats.rrlDropped.Add(1)
+	case rrlSlip:
+		// The slip: a truncated (TC=1) empty reply that steers the
+		// client to TCP, which is never rate-limited. It echoes the
+		// question when the datagram decodes as a query.
+		s.stats.slipped.Add(1)
+		err := dnswire.UnpackInto(ws.query, pkt)
+		if resp = ws.refusal(pkt, err == nil && !ws.query.Response, dnswire.RCodeNoError); resp != nil {
+			resp.Truncated = true
+		}
+	default:
+		resp, query = s.process(from, pkt, ws, l)
+	}
+	if resp == nil {
 		return
 	}
-	if resp, decoded := s.process(from, pkt, &l.ws, l); resp != nil {
-		l.ws.send(l.pc, resp, decoded, from)
+	if data := ws.pack(resp, query); data != nil {
+		l.pc.WriteToUDPAddrPort(data, from)
 	}
 }
 
-// admit hands a datagram to the worker pool: a copy goes on the queue,
-// and a worker is started when the datagrams admitted but unfinished
-// outnumber the workers started, up to MaxInflight — so a queued
-// datagram never waits on a later arrival to get a worker, a closed loop
-// runs on one warm stack, and a flood ends at the same bound as a
-// pre-started pool. Workers are not retired; the pool is a high-water
-// mark. A full queue sheds the datagram per Overflow, refused from the
-// read loop's workspace.
-func (s *Server) admit(l *udpLoop, pkt []byte, from netip.AddrPort) {
-	bp := udpBufPool.Get().(*[]byte)
-	pkt = append((*bp)[:0], pkt...)
-	*bp = pkt
+// admit hands the loop's declined query to the worker pool: its Message
+// goes on the queue, and a worker is started when the queries admitted
+// but unfinished outnumber the workers started, up to MaxInflight — so
+// a queued query never waits on a later arrival to get a worker, a
+// closed loop runs on one warm stack, and a flood ends at the same bound
+// as a pre-started pool. Workers are not retired; the pool is a
+// high-water mark. A full queue sheds the query per Overflow: the loop
+// keeps its Message, and admit returns the SERVFAIL to send, or nil.
+func (s *Server) admit(l *udpLoop, pkt []byte, from netip.AddrPort) *dnswire.Message {
 	select {
-	case s.queue <- udpPacket{pkt: pkt, bp: bp, from: from}:
+	case s.queue <- udpPacket{query: l.ws.query, from: from}:
+		l.ws.query = nil // the worker's now
 		if s.pending.Add(1) > l.started && l.started < l.limit {
 			l.started++
 			s.stats.workers.Store(l.started)
@@ -560,56 +559,56 @@ func (s *Server) admit(l *udpLoop, pkt []byte, from netip.AddrPort) {
 				s.udpWorker(l.pc)
 			}()
 		}
+		return nil
 	default:
 		// Admission control: the pool is saturated. Shed per the
 		// configured policy instead of queueing unbounded work.
 		s.stats.shed.Add(1)
 		if s.Overflow == OverflowServFail {
-			if data := l.ws.refuse(pkt, dnswire.RCodeServFail, false); data != nil {
-				l.pc.WriteToUDPAddrPort(data, from)
-			}
+			return l.ws.refusal(pkt, true, dnswire.RCodeServFail)
 		}
-		putUDPBuf(bp)
+		return nil
 	}
 }
 
-// udpWorker is one admission-pool worker: it parses and dispatches each
-// queued packet, all in one workspace of its own.
+// udpWorker is one admission-pool worker: it answers each queued query
+// through handle and packs the reply in a workspace of its own. The
+// query's Message goes back to spare before the reply leaves, so a
+// client that waits for the reply finds the read loop decoding its next
+// query into the same Message. Nothing here allocates once a worker has
+// warmed up (TestAllocGateServeUDP counts it).
 func (s *Server) udpWorker(pc *net.UDPConn) {
 	var ws workspace
 	for p := range s.queue {
 		s.stats.inflight.Add(1)
-		s.serveUDPPacket(pc, p, &ws)
+		var data []byte
+		if resp := s.handle(p.from.Addr(), p.query); resp != nil {
+			data = ws.pack(resp, p.query)
+		}
+		s.spare <- p.query
+		if data != nil {
+			pc.WriteToUDPAddrPort(data, p.from)
+		}
 		s.stats.inflight.Add(-1)
 		s.pending.Add(-1)
-		putUDPBuf(p.bp)
 	}
 }
 
-// serveUDPPacket decodes and dispatches one admitted datagram via
-// process. The query is decoded into ws.query and the reply packed into
-// ws.out, so nothing here allocates once a worker has warmed up
-// (TestAllocGateServeUDP counts it).
-func (s *Server) serveUDPPacket(pc *net.UDPConn, p udpPacket, ws *workspace) {
-	if resp, decoded := s.process(p.from, p.pkt, ws, nil); resp != nil {
-		ws.send(pc, resp, decoded, p.from)
-	}
-}
-
-// send packs resp into ws.out, truncated to what the client advertised
-// (decoded says ws.query holds the query, and with it the client's EDNS
-// buffer size), and writes it to the client.
-func (ws *workspace) send(pc *net.UDPConn, resp *dnswire.Message, decoded bool, to netip.AddrPort) {
+// pack packs resp into ws.out, truncated to what the client advertised:
+// query, nil when the datagram did not decode, holds the client's EDNS
+// buffer size. The bytes are valid until ws packs the next reply; nil
+// means resp does not pack.
+func (ws *workspace) pack(resp, query *dnswire.Message) []byte {
 	limit := dnswire.MaxUDPSize
-	if e := ws.query.EDNS; decoded && e != nil && int(e.UDPSize) > limit {
-		limit = int(e.UDPSize)
+	if query != nil && query.EDNS != nil && int(query.EDNS.UDPSize) > limit {
+		limit = int(query.EDNS.UDPSize)
 	}
 	data, err := resp.AppendTruncateTo(ws.out[:0], limit)
 	if err != nil {
-		return
+		return nil
 	}
-	pc.WriteToUDPAddrPort(data, to)
 	ws.out = data[:0] // keep any growth for the next reply
+	return data
 }
 
 // admitConn registers a new TCP connection unless the server is closed
@@ -672,7 +671,7 @@ func (s *Server) serveTCP(ln net.Listener) {
 // buffer holds each response behind its 2-byte length prefix.
 func (s *Server) serveConn(conn net.Conn) {
 	from := conn.RemoteAddr().(*net.TCPAddr).AddrPort()
-	var ws workspace
+	ws := workspace{query: new(dnswire.Message)}
 	var frame []byte // the length prefix, then the query it announces
 	for {
 		if s.isClosed() {
@@ -716,36 +715,35 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // process decodes one packet into ws.query and runs the handler with
-// panic isolation, returning the prepared response. A nil response
-// means "send nothing"; decoded reports whether ws.query holds the
-// packet's query, so a caller may consult its EDNS advertisement
-// without decoding the packet again. A packet that does not decode is
-// answered FORMERR from ws.reply when at least its ID can be read. On
-// the read loop, l is the loop, ws its workspace, and the query goes to
-// handleNow; on a worker or a TCP connection l is nil and the query goes
-// to HandleDNS.
-func (s *Server) process(from netip.AddrPort, pkt []byte, ws *workspace, l *udpLoop) (resp *dnswire.Message, decoded bool) {
-	query := &ws.query
+// panic isolation, returning the prepared response and the decoded
+// query, nil when the packet does not decode, so a caller may consult
+// its EDNS advertisement. A nil response means "send nothing". A packet
+// that does not decode is answered FORMERR from ws.reply when at least
+// its ID can be read. On the read loop, l is the loop, ws its workspace,
+// and the query goes to handleNow; on a TCP connection l is nil and the
+// query goes to HandleDNS.
+func (s *Server) process(from netip.AddrPort, pkt []byte, ws *workspace, l *udpLoop) (resp, query *dnswire.Message) {
+	query = ws.query
 	if err := dnswire.UnpackInto(query, pkt); err != nil {
 		s.stats.malformed.Add(1)
-		return ws.refusal(pkt, false, dnswire.RCodeFormErr), false
+		return ws.refusal(pkt, false, dnswire.RCodeFormErr), nil
 	}
 	if query.Response {
 		s.stats.malformed.Add(1)
-		return nil, true // never answer responses
+		return nil, query // never answer responses
 	}
 	if l != nil {
-		return s.handleNow(l, pkt, from), true
+		return s.handleNow(l, pkt, from), query
 	}
-	return s.handle(from.Addr(), query), true
+	return s.handle(from.Addr(), query), query
 }
 
 // handleNow asks the Immediate handler to answer the loop's query in its
 // reply, which is lent the workspace's OPT record first, with handle's
 // panic isolation. A query the handler declines is admitted to the
-// worker pool, and handleNow returns nil: the worker answers it,
-// decoding the datagram and looking it up again, a cost only a declined
-// query pays.
+// worker pool in the Message it was decoded into, which the worker
+// answers without decoding it again; handleNow then returns what admit
+// does.
 func (s *Server) handleNow(l *udpLoop, pkt []byte, from netip.AddrPort) (resp *dnswire.Message) {
 	ws := &l.ws
 	defer func() {
@@ -755,9 +753,8 @@ func (s *Server) handleNow(l *udpLoop, pkt []byte, from netip.AddrPort) (resp *d
 		}
 	}()
 	ws.reply.EDNS = &ws.replyOPT
-	if !s.immediate.HandleImmediate(from.Addr(), &ws.query, &ws.reply) {
-		s.admit(l, pkt, from)
-		return nil
+	if !s.immediate.HandleImmediate(from.Addr(), ws.query, &ws.reply) {
+		return s.admit(l, pkt, from)
 	}
 	resp = &ws.reply
 	resp.ID, resp.Response = ws.query.ID, true

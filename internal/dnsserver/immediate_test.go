@@ -47,6 +47,15 @@ func (splitHandler) HandleImmediate(_ netip.Addr, q, resp *dnswire.Message) bool
 	return false
 }
 
+// declining declines every query on the read loop, as a resolver
+// declines its misses, so each reaches a worker already decoded and is
+// answered there by the handler it wraps.
+type declining struct{ Handler }
+
+func (declining) HandleImmediate(netip.Addr, *dnswire.Message, *dnswire.Message) bool {
+	return false
+}
+
 // answeredBy requires resp to answer query id with addr.
 func answeredBy(t *testing.T, resp *dnswire.Message, ok bool, id uint16, addr netip.Addr) {
 	t.Helper()

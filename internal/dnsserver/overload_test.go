@@ -386,8 +386,9 @@ func TestMaxConnsCap(t *testing.T) {
 // complete, with exact accounting. The IDs are all above 255, so both of
 // an ID's bytes must reach the refusal, and the burst is read off the
 // socket back to back, so a refusal must be on the wire before the next
-// one is packed into the same buffer. An overflowed query that does not
-// decode is refused without a question.
+// one is packed into the same buffer. A query that does not decode is
+// answered FORMERR while the queue is full, as at any other time: the
+// read loop decodes it before it is offered to the queue.
 func TestUDPOverflowServFail(t *testing.T) {
 	release := make(chan struct{})
 	srv := New(gate(release))
@@ -429,13 +430,14 @@ func TestUDPOverflowServFail(t *testing.T) {
 		seen[resp.ID] = true
 	}
 	// A query whose question decodes but whose answer count promises a
-	// record that is not there: refused under its ID, without a question.
+	// record that is not there: FORMERR under its ID, without a question,
+	// and counted malformed rather than shed.
 	bad := packQuery(t, 0x1300, "www.zone.test.")
 	bad[7] = 1 // ANCOUNT
 	conn.Write(bad)
 	resp, ok := udpRead(t, conn, time.Second)
-	if !ok || resp.ID != 0x1300 || resp.RCode != dnswire.RCodeServFail || len(resp.Questions) != 0 {
-		t.Fatalf("undecodable overflow reply = %v, %v; want a bare SERVFAIL for ID 0x1300", resp, ok)
+	if !ok || resp.ID != 0x1300 || resp.RCode != dnswire.RCodeFormErr || len(resp.Questions) != 0 {
+		t.Fatalf("undecodable reply under a full queue = %v, %v; want a bare FORMERR for ID 0x1300", resp, ok)
 	}
 	unwedge()
 	for _, want := range []uint16{0x0101, 0x0102} {
@@ -445,7 +447,7 @@ func TestUDPOverflowServFail(t *testing.T) {
 		}
 	}
 	waitStat(t, srv, "final accounting", func(st ServerStats) bool {
-		return st.Received == burst+3 && st.Answered == 2 && st.Shed == burst+1 && st.Balanced()
+		return st.Received == burst+3 && st.Answered == 2 && st.Shed == burst && st.Malformed == 1 && st.Balanced()
 	})
 }
 
