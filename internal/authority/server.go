@@ -63,8 +63,8 @@ type LogRecord struct {
 // influenced the answer. The records are copied into the response, so
 // the hook may hand out a slice it keeps. Behind a dnsserver, on a
 // server without a log sink, it runs on the goroutine that read the
-// query, as HandleImmediate does, so it must not wait on anything: a
-// slow hook stalls every query behind it.
+// query, as ServeDNS does, so it must not wait on anything: a slow hook
+// stalls every query behind it.
 type DynamicFunc func(q dnswire.Question, ecs ecsopt.ClientSubnet, hasECS bool, from netip.Addr) (rrs []dnswire.RR, scope uint8, usedECS, ok bool)
 
 // Config parameterizes a Server.
@@ -131,12 +131,12 @@ func (s *Server) SetDynamic(f DynamicFunc) {
 	s.mu.Unlock()
 }
 
-// SetLog installs a query-log sink. The sink is called from every
-// HandleDNS, concurrently when the server is queried concurrently, so it
+// SetLog installs a query-log sink. The sink is called for every query
+// answered, concurrently when the server is queried concurrently, so it
 // must synchronize its own state (scanner.LogBuffer.Append does). It may
-// block: with a sink installed, HandleImmediate declines every query, so
-// behind a dnsserver the sink runs on the workers, never on the read
-// loop.
+// block: with a sink installed, ServeDNS declines every query it may not
+// wait on, so behind a dnsserver the sink runs on the workers, never on
+// the read loop.
 func (s *Server) SetLog(f func(LogRecord)) {
 	s.mu.Lock()
 	s.log = f
@@ -157,32 +157,27 @@ func zoneFor(zones []*Zone, name dnswire.Name) *Zone {
 }
 
 // HandleDNS implements the full authoritative answer path, in a response
-// of its own: see answer.
+// of its own: see ServeDNS.
 func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message {
 	resp := new(dnswire.Message)
-	s.answer(from, query, resp, false)
+	s.ServeDNS(from, query, resp, true)
 	return resp
 }
 
-// HandleImmediate answers a query in resp, which may be a reply refilled
-// query after query, unless a log sink is installed: a sink may wait (a
-// daemon's writes to stdout do), so with one every query is declined to
-// HandleDNS, and dnsserver's read loop never waits on it. Without one,
-// nothing in it waits but the dynamic hook, which must not.
-func (s *Server) HandleImmediate(from netip.Addr, query, resp *dnswire.Message) bool {
-	return s.answer(from, query, resp, true)
-}
-
-// answer fills resp with the answer to query: zone and dynamic records
-// are appended to its sections, never shared with the zone. It reads the
-// server's zones, hook and sink under one read lock, and reads the clock
-// only when a sink will receive the record. When immediate is set and a
-// sink is installed it declines, changing nothing, and reports false.
-func (s *Server) answer(from netip.Addr, query, resp *dnswire.Message, immediate bool) bool {
+// ServeDNS fills resp, which may be a reply refilled query after query,
+// with the answer to query, and implements dnsserver.FillHandler: zone
+// and dynamic records are appended to its sections, never shared with
+// the zone. It reads the server's zones, hook and sink under one read
+// lock, and reads the clock only when a sink will receive the record.
+// Nothing in it waits but the dynamic hook, which must not, and the log
+// sink, which may (a daemon's writes to stdout do): so without mayWait
+// and with a sink installed it declines, changing nothing, and reports
+// false, and dnsserver's read loop never waits on the sink.
+func (s *Server) ServeDNS(from netip.Addr, query, resp *dnswire.Message, mayWait bool) bool {
 	s.mu.RLock()
 	zones, dyn, log := s.zones, s.dynamic, s.log
 	s.mu.RUnlock()
-	if immediate && log != nil {
+	if !mayWait && log != nil {
 		return false
 	}
 
@@ -284,10 +279,10 @@ func (s *Server) answer(from netip.Addr, query, resp *dnswire.Message, immediate
 		return true
 	}
 	resp.Authoritative = true
-	answer, result := z.lookup(q.Name, q.Type)
+	answer, result := z.lookup(resp.Answers, q.Name, q.Type)
 	switch result {
 	case lookupHit:
-		resp.Answers = append(resp.Answers, answer...)
+		resp.Answers = answer
 	case lookupNoData:
 		resp.Authorities = append(resp.Authorities, z.soaRR())
 	case lookupNXDomain:

@@ -102,13 +102,15 @@ const (
 )
 
 // lookup resolves one (name, type) against zone data, following CNAME
-// chains inside the zone. It returns the records to place in the answer
-// section (including any chased CNAMEs) and the classification.
-func (z *Zone) lookup(name dnswire.Name, t dnswire.Type) ([]dnswire.RR, lookupResult) {
+// chains inside the zone. It appends the records to place in the answer
+// section (including any chased CNAMEs) to answer, a reply's section,
+// and returns the extended slice and the classification; only a hit's
+// records are meant for the reply.
+func (z *Zone) lookup(answer []dnswire.RR, name dnswire.Name, t dnswire.Type) ([]dnswire.RR, lookupResult) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 
-	var answer []dnswire.RR
+	base := len(answer)
 	cur := name
 	for hop := 0; hop < 8; hop++ {
 		if rrs, ok := z.records[recordKey{name: cur, typ: t}]; ok {
@@ -137,11 +139,11 @@ func (z *Zone) lookup(name dnswire.Name, t dnswire.Type) ([]dnswire.RR, lookupRe
 			})
 			return answer, lookupHit
 		}
-		if len(answer) > 0 {
+		if len(answer) > base {
 			// Mid-chain dead end: return what we have.
 			return answer, lookupHit
 		}
-		return nil, lookupNXDomain
+		return answer, lookupNXDomain
 	}
 	return answer, lookupHit
 }

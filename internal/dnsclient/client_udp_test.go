@@ -10,39 +10,58 @@ import (
 	"ecsdns/internal/dnswire"
 )
 
-// TestAllocGateClientExchangeUDP bounds what one Client.ExchangeUDP
-// round trip allocates on a warm ring: the decoded response, which the
-// caller keeps. The query is packed into a pooled buffer and the 64 KiB
-// read buffer is pooled, so bytes per exchange stay well under 1 KiB,
-// and the socket is dialed once in ringUses exchanges, so its dozen
-// objects come to a fraction of one.
+// TestAllocGateClientExchangeUDP bounds what one UDP round trip
+// allocates on a warm ring. Through ExchangeUDP it is the decoded
+// response, which the caller keeps. Through ExchangeUDPInto the response
+// is decoded into a Message the caller keeps from one exchange to the
+// next, so a repeated answer costs nothing. Either way the query is
+// packed into a pooled buffer and the 64 KiB read buffer is pooled, so
+// bytes per exchange stay well under 1 KiB, and the socket is dialed
+// once in ringUses exchanges, so its dozen objects come to a fraction
+// of one.
 func TestAllocGateClientExchangeUDP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	server := startEchoResponder(t, nil).String()
-	c := &Client{Timeout: 2 * time.Second}
 	q := allocGateQuery("gate.client.test.")
-	exchange := func() {
-		if _, err := c.ExchangeUDP(server, q); err != nil {
-			t.Fatal(err)
-		}
+	var kept dnswire.Message
+	for _, tc := range []struct {
+		name     string
+		exchange func(*Client) error
+		objects  float64
+	}{
+		{"ExchangeUDP", func(c *Client) error { _, err := c.ExchangeUDP(server, q); return err }, 8},
+		// Only the ring's dials: ≈12 objects once in ringUses exchanges.
+		{"ExchangeUDPInto", func(c *Client) error { return c.ExchangeUDPInto(server, q, &kept) }, 0.3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Client{Timeout: 2 * time.Second}
+			exchange := func() {
+				if err := tc.exchange(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				exchange() // warm the buffer pool and the codec's
+			}
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				exchange()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+			objects := float64(after.Mallocs-before.Mallocs) / runs
+			t.Logf("%s: %d B and %.2f objects per exchange", tc.name, bytes, objects)
+			if bytes >= 1<<10 || objects > tc.objects {
+				t.Fatalf("%s allocates %d B and %.2f objects per exchange, want < 1 KiB and <= %v", tc.name, bytes, objects, tc.objects)
+			}
+		})
 	}
-	for i := 0; i < 16; i++ {
-		exchange() // warm the buffer pool and the codec's
-	}
-	const runs = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		exchange()
-	}
-	runtime.ReadMemStats(&after)
-	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
-	objects := float64(after.Mallocs-before.Mallocs) / runs
-	t.Logf("ExchangeUDP: %d B and %.2f objects per exchange", bytes, objects)
-	if bytes >= 1<<10 || objects > 8 {
-		t.Fatalf("ExchangeUDP allocates %d B and %.2f objects per exchange, want < 1 KiB and <= 8", bytes, objects)
+	if kept.ID != q.ID || len(kept.Questions) != 1 || kept.Questions[0] != q.Questions[0] {
+		t.Fatalf("the kept Message holds %v, want the answer to %v", &kept, q)
 	}
 }
 

@@ -197,11 +197,11 @@ func (c *Client) Exchange(server string, q *dnswire.Message) (*dnswire.Message, 
 	}
 	*bp = frame[:0] // keep any growth for the next exchange
 	defer putBuf(&bufPool, bp, len(frame))
+	resp := new(dnswire.Message) // every attempt decodes into it
 	if !c.ForceTCP {
 		data := frame[2:]
 		for attempt := 0; attempt <= c.retries(); attempt++ {
-			resp, err := c.exchangeUDP(server, q, data)
-			if err != nil {
+			if err := c.exchangeUDP(server, q, data, resp); err != nil {
 				continue
 			}
 			if resp.Truncated {
@@ -211,25 +211,42 @@ func (c *Client) Exchange(server string, q *dnswire.Message) (*dnswire.Message, 
 		}
 		// UDP exhausted or truncated: fall through to TCP.
 	}
-	return c.exchangeTCP(server, q, frame)
+	if err := c.exchangeTCP(server, q, frame, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // ExchangeUDP sends q in a single UDP attempt with no retries and no
 // TCP fallback, returning truncated responses as-is. It exists for
 // callers that own transport-escalation policy themselves — the
 // upstreams pool's EDNS payload ladder steps payload sizes and falls
-// back to TCP on its own schedule. q is packed into a pooled buffer
-// that goes back once the attempt has returned.
+// back to TCP on its own schedule. The response is a new Message, the
+// caller's to keep.
 func (c *Client) ExchangeUDP(server string, q *dnswire.Message) (*dnswire.Message, error) {
+	resp := new(dnswire.Message)
+	if err := c.ExchangeUDPInto(server, q, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// ExchangeUDPInto is ExchangeUDP decoding the response into resp, which
+// the caller keeps from one exchange to the next (dnswire.UnpackInto), so
+// an answer shaped like the last costs nothing. What resp held before is
+// overwritten, its record payloads and option bytes included, and on an
+// error its contents are undefined. q is packed into a pooled buffer
+// that goes back once the attempt has returned.
+func (c *Client) ExchangeUDPInto(server string, q, resp *dnswire.Message) error {
 	bp := bufPool.Get().(*[]byte)
 	data, err := q.AppendPack((*bp)[:0])
 	if err != nil {
 		bufPool.Put(bp)
-		return nil, err
+		return err
 	}
 	*bp = data[:0] // keep any growth for the next exchange
 	defer putBuf(&bufPool, bp, len(data))
-	return c.exchangeUDP(server, q, data)
+	return c.exchangeUDP(server, q, data, resp)
 }
 
 // readBufPool recycles the UDP read buffers. Each stays full-size so a
@@ -272,7 +289,7 @@ func dialUDP(server string, timeout time.Duration) (net.Conn, error) {
 // dial when not, and goes back only after a validated answer: any error
 // closes it, so a late answer meets a closed port. A reused socket gets
 // one datagram to be right; see roundTrip.
-func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte) (*dnswire.Message, error) {
+func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte, resp *dnswire.Message) error {
 	start := timeNow()
 	deadline := start.Add(c.timeout())
 	s, reused := c.draw(server, start)
@@ -280,48 +297,46 @@ func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte) (*d
 		if !reused {
 			conn, err := dialUDP(server, c.timeout())
 			if err != nil {
-				return nil, err
+				return err
 			}
 			c.dialed.Add(1)
 			s = ringSock{conn: conn, server: server, born: start}
 		}
-		resp, err := roundTrip(s.conn, deadline, q, data, reused)
+		err := roundTrip(s.conn, deadline, q, data, reused, resp)
 		if err == nil {
 			c.park(s)
-			return resp, nil
+			return nil
 		}
 		c.retire(s)
 		if err != errStale {
-			return nil, err
+			return err
 		}
 		reused = false // once more, on a socket nothing was sent to yet
 	}
 }
 
-// roundTrip writes data on conn and reads until q's answer arrives or
-// the deadline passes. On a fresh socket a datagram that does not parse
-// or does not match is skipped, since only something sent inside this
-// round trip can be in its queue. On a reused one it is errStale: the
-// datagram may have been placed while the socket sat idle, and idle time
-// must not buy an off-path sender more guesses than a round trip does.
-func roundTrip(conn net.Conn, deadline time.Time, q *dnswire.Message, data []byte, reused bool) (*dnswire.Message, error) {
+// roundTrip writes data on conn and reads until q's answer arrives, in
+// resp, or the deadline passes. On a fresh socket a datagram that does
+// not parse or does not match is skipped, since only something sent
+// inside this round trip can be in its queue. On a reused one it is
+// errStale: the datagram may have been placed while the socket sat idle,
+// and idle time must not buy an off-path sender more guesses than a
+// round trip does.
+func roundTrip(conn net.Conn, deadline time.Time, q *dnswire.Message, data []byte, reused bool, resp *dnswire.Message) error {
 	conn.SetDeadline(deadline)
 	if _, err := conn.Write(data); err != nil {
-		return nil, err
+		return err
 	}
 	// The decode copies everything it keeps out of its input, so the
-	// buffer can go back to the pool while the Message lives on. The
-	// Message is the caller's once returned — a resolver caches its
-	// records — so each round trip decodes into a new one; datagrams
-	// skipped on the way are decoded into it too.
+	// buffer can go back to the pool while resp lives on; datagrams
+	// skipped on the way are decoded into resp too.
 	bp := readBufPool.Get().(*[]byte)
 	buf, used := *bp, 0 // used: the most of buf a datagram has filled
 	defer func() { putBuf(&readBufPool, bp, used) }()
-	resp := &dnswire.Message{}
 	for {
 		n, err := conn.Read(buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		used = max(used, n)
 		err = dnswire.UnpackInto(resp, buf[:n])
@@ -329,10 +344,10 @@ func roundTrip(conn net.Conn, deadline time.Time, q *dnswire.Message, data []byt
 			err = validate(q, resp)
 		}
 		if err == nil {
-			return resp, nil
+			return nil
 		}
 		if reused {
-			return nil, errStale
+			return errStale
 		}
 		// garbage or mismatched (spoofed) datagram; keep waiting
 	}
@@ -408,27 +423,24 @@ func (c *Client) retire(s ringSock) {
 	c.retired.Add(1)
 }
 
-// exchangeTCP runs one query over a fresh TCP connection. frame is the
-// packed query behind two bytes of room for its length.
-func (c *Client) exchangeTCP(server string, q *dnswire.Message, frame []byte) (*dnswire.Message, error) {
+// exchangeTCP runs one query over a fresh TCP connection and decodes
+// its answer into resp. frame is the packed query behind two bytes of
+// room for its length.
+func (c *Client) exchangeTCP(server string, q *dnswire.Message, frame []byte, resp *dnswire.Message) error {
 	conn, err := net.DialTimeout("tcp", server, c.timeout())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(c.timeout()))
-	resp, err := tcpRoundTrip(conn, frame)
+	wire, err := tcpRoundTrip(conn, frame)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m := &dnswire.Message{}
-	if err := dnswire.UnpackInto(m, resp); err != nil {
-		return nil, err
+	if err := dnswire.UnpackInto(resp, wire); err != nil {
+		return err
 	}
-	if err := validate(q, m); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return validate(q, resp)
 }
 
 // tcpRoundTrip writes one length-prefixed DNS message over conn and reads

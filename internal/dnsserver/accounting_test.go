@@ -72,8 +72,8 @@ func settle(t *testing.T, srv *Server, before, want ServerStats) {
 //	Received = Answered + Shed + Slipped + Malformed + Panics
 //
 // for each query received, never none and never two. The rows cover
-// every exit of serveDatagram, admit, udpWorker, process, handleNow and
-// handle, and the zero-length TCP frame.
+// every exit of serveDatagram, admit, udpWorker, process and serve, and
+// the zero-length TCP frame.
 func TestEachOutcomeCountedOnce(t *testing.T) {
 	query := func(id uint16, name dnswire.Name) []byte { return packQuery(t, id, name) }
 	response := dnswire.NewQuery(11, "www.zone.test.", dnswire.TypeA)

@@ -21,10 +21,10 @@ import (
 //
 // A query costs the server nothing once its goroutines have warmed up:
 // the read loop decodes the datagram into a Message a worker has handed
-// back, and hands the query over in it; the worker packs the reply into
-// the bytes it keeps and returns the Message. Or, for a query an
-// Immediate handler answers, the read loop does all of that itself, the
-// reply included, in memory of its own. A change that makes any of that
+// back, and hands the query over in it; the worker fills in the reply
+// it keeps, packs it into the bytes it keeps and returns the Message.
+// Or, for a query the handler answers without waiting, the read loop
+// does all of that itself, the reply included, in memory of its own. A change that makes any of that
 // allocate — a fresh Message per datagram, a second decode on the
 // worker, a fresh response buffer, a copying truncation, an RRL bucket
 // copied on a known prefix, a reply that drops its arrays — moves a
@@ -63,10 +63,10 @@ func gateReply() Handler {
 type gateNow struct{}
 
 func (gateNow) HandleDNS(netip.Addr, *dnswire.Message) *dnswire.Message {
-	panic("gate: every query is answered immediately")
+	panic("gate: every query is answered through ServeDNS")
 }
 
-func (gateNow) HandleImmediate(_ netip.Addr, query, resp *dnswire.Message) bool {
+func (gateNow) ServeDNS(_ netip.Addr, query, resp *dnswire.Message, _ bool) bool {
 	resp.SetReply(query)
 	if len(query.Questions) != 1 {
 		// FORMERR without an OPT, as the resolver and the authority
@@ -181,9 +181,10 @@ func answered(reply []byte) bool {
 // array. It is measured on the read loop, whose one Message decodes
 // every query: on workers the alternation can pair up with them, each
 // keeping one shape, and the row could read 0 at the parent too. The
-// declined rows go through an Immediate handler that declines every
-// query: the loop's decode is the only one, so a repeated query costs 0
-// and a fresh name 1; a second decode on the worker makes that 2.
+// declined rows go through a FillHandler that declines every query on
+// the read loop: the loop's decode is the only one, so a repeated query
+// costs 0 and a fresh name 1; a second decode on the worker makes that
+// 2.
 func TestAllocGateServeUDP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -15,22 +15,25 @@
 // for in ServerStats. Shutdown(ctx) drains in-flight work gracefully;
 // Close force-closes.
 //
-// The UDP read loop decodes every datagram once. A handler that can
-// answer some queries without waiting implements Immediate as well, and
-// the loop answers those queries on the goroutine that read them. Only
-// the queries it declines (a resolver's cache misses), and every query
-// of a handler without Immediate, are queued for a worker, already
-// decoded. A cache hit costs no hand-off and no second goroutine.
+// There is one way to answer a query: a FillHandler's ServeDNS fills in
+// a reply the server keeps. The UDP read loop decodes every datagram
+// once and asks the handler first, with mayWait unset, to answer on the
+// goroutine that read it. Only the queries it declines (a resolver's
+// cache misses) are queued for a worker, already decoded, which asks
+// again with mayWait set, as does a TCP connection. A cache hit costs no
+// hand-off and no second goroutine. A Handler that only returns
+// responses is served as a FillHandler that declines every query on the
+// read loop and copies its response into the reply on a worker.
 //
 // The server owns the memory it decodes and encodes in. Each TCP
-// connection and the UDP read loop keep one query Message, one reply
-// Message and one output buffer for as long as they live, and each UDP
-// worker one output buffer. A queued query's Message goes to the worker
-// with it and comes back to the loop for a later datagram. So a served
-// or refused query allocates nothing of its own. The price is the
-// handler contracts: the query is borrowed for the call, a later query
-// is decoded into the same Message, and an Immediate reply is refilled
-// in place by the next one.
+// connection, each UDP worker and the UDP read loop keep one reply
+// Message and one output buffer for as long as they live, and a TCP
+// connection and the read loop one query Message. A queued query's
+// Message goes to the worker with it and comes back to the loop for a
+// later datagram. So a served or refused query allocates nothing of its
+// own. The price is the handler contract: the query is borrowed for the
+// call, a later query is decoded into the same Message, and a reply is
+// refilled in place by the next one.
 package dnsserver
 
 import (
@@ -50,45 +53,42 @@ import (
 )
 
 // Handler answers DNS queries. It matches netem.Handler so simulation
-// nodes can be served on real sockets unchanged.
-//
-// Both messages change hands at the call. The query is borrowed: it is
-// valid until HandleDNS returns, after which the server decodes a later
-// query into the same Message. A handler that keeps any slice, RR or
-// option payload of it past the call must copy it; strings (names) are
-// immutable and may be kept. The returned response becomes the
-// server's: it sets the ID and QR bit on it and, over UDP, may truncate
-// its sections, so a handler must not hand out a response it still
-// changes. A response may hold a cache's records: they are shared by
-// every cache entry that holds the same answer as well as by every
-// response built from one, so nothing writes them, and truncation only
-// reslices the response's own section slices. HandleDNS runs on a UDP
-// worker or a TCP connection's goroutine and may block: a resolver waits
-// on its upstream here.
+// nodes can be served on real sockets unchanged. A Handler that is not
+// a FillHandler is served on a worker or a TCP connection only, and the
+// response it returns is copied into the server's reply: the server
+// never writes it, and a nil response sends nothing. The query is
+// borrowed as a FillHandler's is.
 type Handler interface {
 	HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message
 }
 
-// Immediate is implemented by a Handler that can answer some queries
-// without waiting, such as a resolver's cache hits. The UDP read loop
-// that decoded query calls HandleImmediate before anything else and
-// sends what it fills in; only a query it declines is queued, in the
-// Message it was decoded into, for a worker and HandleDNS.
+// FillHandler is the one fill-in handler: ServeDNS answers query by
+// filling in resp, a reply the server keeps, and reports whether it did.
 //
-// HandleImmediate must not block: it runs on the read loop, and every
-// datagram behind it waits until it returns. It either fills resp and
-// returns true, or returns false having changed nothing, neither query
-// nor resp nor any state or counter of its own, because the declined
-// query then reaches HandleDNS, in the same Message, as if new and is
-// counted there. The query is borrowed as HandleDNS's is. resp is the
-// read loop's own reply, which the next query on that loop refills in
-// place (dnswire.Message.SetReply makes it a skeleton without
-// allocating): records must be appended to its sections, never shared
-// into them from a cache or zone, or the next reply writes over the
-// cache's records. The server sets the reply's ID and QR bit and may
-// truncate it.
-type Immediate interface {
-	HandleImmediate(from netip.Addr, query, resp *dnswire.Message) bool
+// The UDP read loop that decoded query calls it first, with mayWait
+// unset, and sends what it fills in. It must then not block, because
+// every datagram behind it waits until it returns, and it may decline:
+// return false having changed nothing, neither query nor resp nor any
+// state or counter of its own, because the declined query is queued, in
+// the Message it was decoded into, for a worker, which calls ServeDNS
+// again with mayWait set, as if the query were new, and it is counted
+// there. A TCP connection calls it with mayWait set too. With mayWait
+// set it may block (a resolver waits on its upstream) and false means
+// the query is answered with nothing.
+//
+// Both messages change hands at the call. The query is borrowed: it is
+// valid until ServeDNS returns, after which the server decodes a later
+// query into the same Message. A handler that keeps any slice, RR or
+// option payload of it past the call must copy it; strings (names) are
+// immutable and may be kept. resp is the calling goroutine's own reply,
+// which its next query refills in place (dnswire.Message.SetReply makes
+// it a skeleton without allocating): records must be appended to its
+// sections, never shared into them from a cache or zone, or the next
+// reply writes over the cache's records. The server sets the reply's ID
+// and QR bit and may truncate it. A panic is recovered and answered
+// SERVFAIL.
+type FillHandler interface {
+	ServeDNS(from netip.Addr, query, resp *dnswire.Message, mayWait bool) bool
 }
 
 // OverflowPolicy decides what happens to a UDP query when the admission
@@ -137,15 +137,12 @@ const (
 // Server serves DNS over UDP and TCP on the same address. Configuration
 // fields must be set before Start.
 type Server struct {
-	handler Handler
-	// immediate is handler's Immediate side; a handler without one
-	// declines every query.
-	immediate Immediate
+	handler FillHandler
 	// MaxInflight bounds concurrently-dispatched UDP queries: the cap
 	// on the worker pool, grown on demand, and the admission-queue
 	// depth (0 = the DefaultMaxInflight of 256, negative = 1). Queries
-	// an Immediate handler answers on the read loop never enter the
-	// queue, so they are not bounded by it and never shed.
+	// the handler answers on the read loop never enter the queue, so
+	// they are not bounded by it and never shed.
 	MaxInflight int
 	// Overflow is the shed policy once the admission queue is full.
 	Overflow OverflowPolicy
@@ -206,15 +203,15 @@ type udpPacket struct {
 // workspace is the memory one serving goroutine decodes and encodes in:
 // a UDP worker, a TCP connection, or the read loop. It lives as long as
 // the goroutine, so each query is decoded into the same Message and each
-// reply packed into the same bytes. The read loop's query Message goes
-// to a worker with each query the handler declines; a worker has none
-// of its own.
+// reply filled in and packed into the same memory. The read loop's query
+// Message goes to a worker with each query the handler declines; a
+// worker holds each in turn.
 type workspace struct {
 	query *dnswire.Message // the query the handler borrows
-	reply dnswire.Message  // a refusal, a FORMERR, or an Immediate answer
-	// replyOPT is the OPT record an Immediate reply is lent before each
-	// answer: a reply without one, a refusal or a FORMERR, drops its
-	// pointer, and replyOPT keeps the option slots for the next answer.
+	reply dnswire.Message  // the answer, a refusal or a FORMERR
+	// replyOPT is the OPT record the reply is lent before each answer: a
+	// reply without one, a refusal or a FORMERR, drops its pointer, and
+	// replyOPT keeps the option slots for the next answer.
 	replyOPT dnswire.EDNS
 	out      []byte // the packed reply, valid until the next one
 }
@@ -230,6 +227,11 @@ func (ws *workspace) refusal(pkt []byte, echo bool, rcode dnswire.RCode) *dnswir
 	if !ok {
 		return nil
 	}
+	return ws.refuse(id, echo, rcode)
+}
+
+// refuse is refusal for a packet whose ID is id.
+func (ws *workspace) refuse(id uint16, echo bool, rcode dnswire.RCode) *dnswire.Message {
 	r := &ws.reply
 	*r = dnswire.Message{
 		Questions: r.Questions[:0], Answers: r.Answers[:0],
@@ -243,20 +245,57 @@ func (ws *workspace) refusal(pkt []byte, echo bool, rcode dnswire.RCode) *dnswir
 	return r
 }
 
-// New creates a server for the handler, answering on the read loop what
-// it can answer immediately when it implements Immediate.
+// New creates a server for the handler: through ServeDNS when it is a
+// FillHandler, and otherwise through HandleDNS on workers and TCP
+// connections, its response copied into the reply.
 func New(h Handler) *Server {
-	immediate, ok := h.(Immediate)
+	f, ok := h.(FillHandler)
 	if !ok {
-		immediate = declineAll{}
+		f = copyHandler{h}
 	}
-	return &Server{handler: h, immediate: immediate}
+	return &Server{handler: f}
 }
 
-// declineAll is the Immediate side of a handler without one.
-type declineAll struct{}
+// copyHandler serves a Handler that is not a FillHandler: it declines
+// every query it may not wait on, and fills the reply with a copy of the
+// response HandleDNS returns.
+type copyHandler struct{ h Handler }
 
-func (declineAll) HandleImmediate(netip.Addr, *dnswire.Message, *dnswire.Message) bool { return false }
+func (c copyHandler) ServeDNS(from netip.Addr, query, resp *dnswire.Message, mayWait bool) bool {
+	if !mayWait {
+		return false
+	}
+	r := c.h.HandleDNS(from, query)
+	if r == nil {
+		return false
+	}
+	fill(resp, r)
+	return true
+}
+
+// fill makes resp a copy of r in resp's own memory: r's header, its
+// records appended to resp's section arrays and, when r has an OPT
+// record, a copy of it in the one resp was lent. Truncating or refilling
+// resp then never touches r, whose records and option bytes are only
+// read.
+func fill(resp, r *dnswire.Message) {
+	opt := resp.EDNS
+	resp.Header = r.Header
+	resp.Questions = append(resp.Questions[:0], r.Questions...)
+	resp.Answers = append(resp.Answers[:0], r.Answers...)
+	resp.Authorities = append(resp.Authorities[:0], r.Authorities...)
+	resp.Additionals = append(resp.Additionals[:0], r.Additionals...)
+	resp.EDNS = nil
+	if r.EDNS != nil {
+		if opt == nil {
+			opt = new(dnswire.EDNS)
+		}
+		options := append(opt.Options[:0], r.EDNS.Options...)
+		*opt = *r.EDNS
+		opt.Options = options
+		resp.EDNS = opt
+	}
+}
 
 func (s *Server) maxInflight() int {
 	switch {
@@ -494,10 +533,11 @@ func (s *Server) serveUDP(pc *net.UDPConn) {
 
 // serveDatagram decides one datagram on the read loop. RRL comes first,
 // once per datagram: a refusal is shed or slipped here. Then the
-// datagram is decoded, the only time it is, and the Immediate handler is
-// asked for an answer, which is sent from here; a query it declines is
-// admitted to the worker pool. Nothing here allocates once the loop has
-// warmed up (TestAllocGateServeUDP and TestAllocGateShed count it).
+// datagram is decoded, the only time it is, and the handler is asked for
+// an answer that needs no wait, which is sent from here; a query it
+// declines is admitted to the worker pool. Nothing here allocates once
+// the loop has warmed up (TestAllocGateServeUDP and TestAllocGateShed
+// count it).
 func (s *Server) serveDatagram(l *udpLoop, pkt []byte, from netip.AddrPort) {
 	ws := &l.ws
 	if ws.query == nil {
@@ -572,19 +612,21 @@ func (s *Server) admit(l *udpLoop, pkt []byte, from netip.AddrPort) *dnswire.Mes
 }
 
 // udpWorker is one admission-pool worker: it answers each queued query
-// through handle and packs the reply in a workspace of its own. The
-// query's Message goes back to spare before the reply leaves, so a
-// client that waits for the reply finds the read loop decoding its next
-// query into the same Message. Nothing here allocates once a worker has
-// warmed up (TestAllocGateServeUDP counts it).
+// through serve, with mayWait set, and packs the reply in a workspace of
+// its own. The query's Message goes back to spare before the reply
+// leaves, so a client that waits for the reply finds the read loop
+// decoding its next query into the same Message. Nothing here allocates
+// once a worker has warmed up (TestAllocGateServeUDP counts it).
 func (s *Server) udpWorker(pc *net.UDPConn) {
 	var ws workspace
 	for p := range s.queue {
 		s.stats.inflight.Add(1)
+		ws.query = p.query
 		var data []byte
-		if resp := s.handle(p.from.Addr(), p.query); resp != nil {
+		if resp, _ := s.serve(p.from.Addr(), &ws, true); resp != nil {
 			data = ws.pack(resp, p.query)
 		}
+		ws.query = nil
 		s.spare <- p.query
 		if data != nil {
 			pc.WriteToUDPAddrPort(data, p.from)
@@ -714,14 +756,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// process decodes one packet into ws.query and runs the handler with
-// panic isolation, returning the prepared response and the decoded
-// query, nil when the packet does not decode, so a caller may consult
-// its EDNS advertisement. A nil response means "send nothing". A packet
-// that does not decode is answered FORMERR from ws.reply when at least
-// its ID can be read. On the read loop, l is the loop, ws its workspace,
-// and the query goes to handleNow; on a TCP connection l is nil and the
-// query goes to HandleDNS.
+// process decodes one packet into ws.query and has it served, returning
+// the prepared response and the decoded query, nil when the packet does
+// not decode, so a caller may consult its EDNS advertisement. A nil
+// response means "send nothing". A packet that does not decode is
+// answered FORMERR from ws.reply when at least its ID can be read. On
+// the read loop, l is the loop and ws its workspace, and a query the
+// handler declines is admitted to the worker pool in the Message it was
+// decoded into, which the worker answers without decoding it again;
+// process then returns what admit does. On a TCP connection l is nil,
+// and the handler may wait.
 func (s *Server) process(from netip.AddrPort, pkt []byte, ws *workspace, l *udpLoop) (resp, query *dnswire.Message) {
 	query = ws.query
 	if err := dnswire.UnpackInto(query, pkt); err != nil {
@@ -732,55 +776,41 @@ func (s *Server) process(from netip.AddrPort, pkt []byte, ws *workspace, l *udpL
 		s.stats.malformed.Add(1)
 		return nil, query // never answer responses
 	}
-	if l != nil {
-		return s.handleNow(l, pkt, from), query
+	resp, answered := s.serve(from.Addr(), ws, l == nil)
+	if !answered {
+		return s.admit(l, pkt, from), query
 	}
-	return s.handle(from.Addr(), query), query
+	return resp, query
 }
 
-// handleNow asks the Immediate handler to answer the loop's query in its
-// reply, which is lent the workspace's OPT record first, with handle's
-// panic isolation. A query the handler declines is admitted to the
-// worker pool in the Message it was decoded into, which the worker
-// answers without decoding it again; handleNow then returns what admit
-// does.
-func (s *Server) handleNow(l *udpLoop, pkt []byte, from netip.AddrPort) (resp *dnswire.Message) {
-	ws := &l.ws
+// serve asks the handler to answer ws.query in ws.reply, lent the
+// workspace's OPT record first, recovering a panic into a counted
+// SERVFAIL so a buggy or hostile flow cannot take down every experiment
+// sharing the process. It returns the reply to send, nil for none, and
+// whether the query was answered: false only for a query declined on
+// the read loop (mayWait unset), which is then not counted.
+func (s *Server) serve(from netip.Addr, ws *workspace, mayWait bool) (resp *dnswire.Message, answered bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.stats.panics.Add(1)
-			resp = ws.refusal(pkt, true, dnswire.RCodeServFail)
+			resp, answered = ws.refuse(ws.query.ID, true, dnswire.RCodeServFail), true
 		}
 	}()
 	ws.reply.EDNS = &ws.replyOPT
-	if !s.immediate.HandleImmediate(from.Addr(), ws.query, &ws.reply) {
-		return s.admit(l, pkt, from)
+	filled := s.handler.ServeDNS(from, ws.query, &ws.reply, mayWait)
+	if !filled && !mayWait {
+		return nil, false
+	}
+	s.stats.answered.Add(1)
+	if !filled {
+		return nil, true
+	}
+	if !mayWait {
+		s.stats.immediate.Add(1)
 	}
 	resp = &ws.reply
 	resp.ID, resp.Response = ws.query.ID, true
-	s.stats.answered.Add(1)
-	s.stats.immediate.Add(1)
-	return resp
-}
-
-// handle runs the handler for one parsed query, recovering a panic into
-// a counted SERVFAIL so a buggy or hostile flow cannot take down every
-// experiment sharing the process.
-func (s *Server) handle(from netip.Addr, query *dnswire.Message) (resp *dnswire.Message) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.stats.panics.Add(1)
-			resp = dnswire.NewResponse(query)
-			resp.RCode = dnswire.RCodeServFail
-		}
-	}()
-	resp = s.handler.HandleDNS(from, query)
-	if resp != nil {
-		resp.ID = query.ID
-		resp.Response = true
-	}
-	s.stats.answered.Add(1)
-	return resp
+	return resp, true
 }
 
 // ErrServerClosed mirrors net/http's sentinel for symmetry in callers.

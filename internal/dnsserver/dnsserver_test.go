@@ -427,9 +427,10 @@ func TestHandlerSeesClientAddress(t *testing.T) {
 // one-worker server two queries arrive in the same *Message, the second
 // decoded over the first. What the handler copied out of the first
 // query is intact; the option payload it kept without copying now holds
-// the second query's bytes. The same holds when the handler declines
-// each query through Immediate first: the read loop hands the worker the
-// Message it decoded the query into, and gets it back for the next one.
+// the second query's bytes. The same holds for a FillHandler that
+// declines each query on the read loop: either way the read loop hands
+// the worker the Message it decoded the query into, and gets it back for
+// the next one.
 func TestServedQueryIsBorrowed(t *testing.T) {
 	type kept struct {
 		msg      *dnswire.Message

@@ -10,7 +10,7 @@ import (
 )
 
 // splitHandler answers names under "now." on the read loop, panics there
-// on names under "boom.", and declines every other name, which HandleDNS
+// on names under "boom.", and declines every other name, which it
 // answers on a worker with a different address.
 type splitHandler struct{}
 
@@ -27,14 +27,16 @@ func splitAnswer(resp *dnswire.Message, addr netip.Addr) {
 }
 
 func (splitHandler) HandleDNS(_ netip.Addr, q *dnswire.Message) *dnswire.Message {
-	resp := dnswire.NewResponse(q)
-	splitAnswer(resp, workerAddr)
-	return resp
+	panic("split: every query goes through ServeDNS")
 }
 
-func (splitHandler) HandleImmediate(_ netip.Addr, q, resp *dnswire.Message) bool {
+func (splitHandler) ServeDNS(_ netip.Addr, q, resp *dnswire.Message, mayWait bool) bool {
 	name := string(q.Question().Name)
 	switch {
+	case mayWait:
+		resp.SetReply(q)
+		splitAnswer(resp, workerAddr)
+		return true
 	case strings.HasPrefix(name, "boom."):
 		resp.SetReply(q)
 		splitAnswer(resp, nowAddr) // half-filled when the panic strikes
@@ -48,12 +50,19 @@ func (splitHandler) HandleImmediate(_ netip.Addr, q, resp *dnswire.Message) bool
 }
 
 // declining declines every query on the read loop, as a resolver
-// declines its misses, so each reaches a worker already decoded and is
-// answered there by the handler it wraps.
+// declines its misses, so each reaches a worker already decoded, where
+// it fills the reply in with what the Handler it wraps answers.
 type declining struct{ Handler }
 
-func (declining) HandleImmediate(netip.Addr, *dnswire.Message, *dnswire.Message) bool {
-	return false
+func (d declining) ServeDNS(from netip.Addr, q, resp *dnswire.Message, mayWait bool) bool {
+	if !mayWait {
+		return false
+	}
+	r := d.HandleDNS(from, q)
+	resp.SetReply(q)
+	resp.RCode = r.RCode
+	resp.Answers = append(resp.Answers, r.Answers...)
+	return true
 }
 
 // answeredBy requires resp to answer query id with addr.
@@ -67,9 +76,9 @@ func answeredBy(t *testing.T, resp *dnswire.Message, ok bool, id uint16, addr ne
 	}
 }
 
-// TestImmediateDeclineGoesToWorker: a query HandleImmediate declines is
-// answered by HandleDNS on a worker, once, and one it answers never
-// reaches a worker.
+// TestImmediateDeclineGoesToWorker: a query ServeDNS declines on the
+// read loop is answered by ServeDNS on a worker, once, and one it
+// answers never reaches a worker.
 func TestImmediateDeclineGoesToWorker(t *testing.T) {
 	srv := New(splitHandler{})
 	bound, err := srv.Start("127.0.0.1:0")
@@ -94,8 +103,8 @@ func TestImmediateDeclineGoesToWorker(t *testing.T) {
 	})
 }
 
-// TestImmediatePanicIsolation: a panic in HandleImmediate is recovered
-// on the read loop, answered SERVFAIL in place of the half-filled reply,
+// TestImmediatePanicIsolation: a panic in ServeDNS is recovered on the
+// read loop, answered SERVFAIL in place of the half-filled reply,
 // and counted in Panics alone, so the partition balances and the loop
 // goes on serving.
 func TestImmediatePanicIsolation(t *testing.T) {

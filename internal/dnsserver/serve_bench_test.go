@@ -19,7 +19,7 @@ var benchAnswer = dnswire.RR{
 }
 
 // workerReply answers every query with benchAnswer from HandleDNS, in a
-// response of its own: the shape of a handler without Immediate.
+// response of its own: the shape of a handler that is not a FillHandler.
 type workerReply struct{}
 
 func (workerReply) HandleDNS(_ netip.Addr, q *dnswire.Message) *dnswire.Message {
@@ -28,12 +28,11 @@ func (workerReply) HandleDNS(_ netip.Addr, q *dnswire.Message) *dnswire.Message 
 	return resp
 }
 
-// loopReply answers the same way, and also fills the read loop's reply
-// in place through HandleImmediate, which a server that does not know
-// the method never calls.
+// loopReply answers the same way, filling the reply in place through
+// ServeDNS, on the read loop.
 type loopReply struct{ workerReply }
 
-func (loopReply) HandleImmediate(_ netip.Addr, q, resp *dnswire.Message) bool {
+func (loopReply) ServeDNS(_ netip.Addr, q, resp *dnswire.Message, _ bool) bool {
 	resp.Header = dnswire.Header{ID: q.ID, Response: true, OpCode: q.OpCode, RecursionDesired: q.RecursionDesired}
 	resp.Questions = append(resp.Questions[:0], q.Questions...)
 	resp.Answers = append(resp.Answers[:0], benchAnswer)
@@ -44,9 +43,8 @@ func (loopReply) HandleImmediate(_ netip.Addr, q, resp *dnswire.Message) bool {
 // BenchmarkServeUDP is the serving curve: closed-loop loopback clients,
 // each with a socket of its own and one query in flight, against a
 // server answering one fixed record, through HandleDNS on a worker
-// ("worker") and through HandleImmediate ("immediate"). Run it at
-// -cpu 1,2: a server without an immediate path serves the immediate
-// rows through HandleDNS too.
+// ("worker") and through ServeDNS on the read loop ("immediate"). Run it
+// at -cpu 1,2.
 func BenchmarkServeUDP(b *testing.B) {
 	for _, h := range []struct {
 		name    string

@@ -3,6 +3,7 @@ package dnswire
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -339,6 +340,9 @@ func unpackInto(m *Message, data []byte, st *unpackState) error {
 		}
 		q.Name, q.Type, q.Class = n, Type(t), Class(c)
 	}
+	if len(m.Questions) > 0 {
+		p.qname = m.Questions[0].Name
+	}
 
 	// The OPT struct of the last decode that had one is the reuse
 	// candidate for this decode's OPT record, and is kept when this one
@@ -480,6 +484,29 @@ func NewResponse(q *Message) *Message {
 	}
 	r.Questions = append(r.Questions, q.Questions...)
 	return r
+}
+
+// Clone returns a copy of m that shares no memory with it: sections,
+// payloads (CloneRData) and option bytes are copied. A message handed to
+// a goroutine that may outlive its owner's next use of m, such as a
+// hedged exchange's losing attempt, must be a clone.
+func (m *Message) Clone() *Message {
+	c := &Message{
+		Header:      m.Header,
+		Questions:   slices.Clone(m.Questions),
+		Answers:     AppendClones(nil, m.Answers),
+		Authorities: AppendClones(nil, m.Authorities),
+		Additionals: AppendClones(nil, m.Additionals),
+	}
+	if m.EDNS != nil {
+		e := *m.EDNS
+		e.Options = make([]Option, len(m.EDNS.Options))
+		for i, o := range m.EDNS.Options {
+			e.Options[i] = Option{Code: o.Code, Data: slices.Clone(o.Data)}
+		}
+		c.EDNS = &e
+	}
+	return c
 }
 
 // SetReply makes m the skeleton of the reply to q in m's own memory: the

@@ -3,6 +3,7 @@ package dnswire
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 )
 
@@ -154,6 +155,52 @@ func (r UnknownRData) encode(b *builder) { b.bytes(r.Raw) }
 
 func (r UnknownRData) String() string {
 	return fmt.Sprintf("\\# %d %x", len(r.Raw), r.Raw)
+}
+
+// CloneRData returns a payload equal to d that shares no memory with
+// it. A decoder reusing a Message overwrites the payloads it decoded
+// before (see decodeRData), so a record that outlives the next decode
+// into its Message, such as one a cache keeps, must hold a clone. A
+// payload stored by value is returned as it is: nothing can write to it.
+func CloneRData(d RData) RData {
+	switch x := d.(type) {
+	case *ARData:
+		c := *x
+		return &c
+	case *AAAARData:
+		c := *x
+		return &c
+	case *CNAMERData:
+		c := *x
+		return &c
+	case *NSRData:
+		c := *x
+		return &c
+	case *PTRRData:
+		c := *x
+		return &c
+	case *MXRData:
+		c := *x
+		return &c
+	case *SOARData:
+		c := *x
+		return &c
+	case *TXTRData:
+		return &TXTRData{Strings: slices.Clone(x.Strings)}
+	case *UnknownRData:
+		return &UnknownRData{T: x.T, Raw: slices.Clone(x.Raw)}
+	}
+	return d
+}
+
+// AppendClones appends to dst a copy of each record in rrs, its payload
+// cloned (CloneRData), and returns the extended slice.
+func AppendClones(dst, rrs []RR) []RR {
+	for _, rr := range rrs {
+		rr.Data = CloneRData(rr.Data)
+		dst = append(dst, rr)
+	}
+	return dst
 }
 
 // decodeRData decodes rdlen bytes of rdata of the given type. The parser is

@@ -173,6 +173,9 @@ type parser struct {
 	msg []byte
 	off int
 	st  *unpackState
+	// qname is the message's first question name once decoded: most
+	// records of an answer are owned by it, and share its string.
+	qname Name
 }
 
 func (p *parser) remaining() int { return len(p.msg) - p.off }
@@ -218,7 +221,9 @@ func (p *parser) bytes(n int) ([]byte, error) {
 // cursor beyond the pointer itself). old is the reuse candidate: when the
 // decoded name equals it byte-for-byte the existing string is returned
 // and no allocation happens — the path that keeps repeated decodes into
-// a reused Message allocation-free.
+// a reused Message allocation-free. A name equal to the first question's
+// is that question's string, so a fresh name costs one string however
+// many records repeat it.
 func (p *parser) name(old Name) (Name, error) {
 	scratch, next, err := appendNameAt(p.st.scratch[:0], p.msg, p.off)
 	p.st.scratch = scratch[:0]
@@ -226,8 +231,11 @@ func (p *parser) name(old Name) (Name, error) {
 		return "", err
 	}
 	p.off = next
-	if string(old) == string(scratch) {
+	switch string(scratch) {
+	case string(old):
 		return old, nil
+	case string(p.qname):
+		return p.qname, nil
 	}
 	return Name(scratch), nil
 }

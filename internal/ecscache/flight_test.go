@@ -42,7 +42,7 @@ func TestSingleflightCollapsesHerd(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, shared, err := c.Do(keyA, prefix, func() (any, error) {
+			val, shared, err := Do(c, keyA, prefix, func() (any, error) {
 				if fetches.Add(1) == 1 {
 					close(leaderIn)
 				}
@@ -85,6 +85,23 @@ func TestSingleflightCollapsesHerd(t *testing.T) {
 	}
 }
 
+// TestAllocGateFlightWithoutWaiters counts a flight no one waits on, a
+// resolver's every miss but a herd's: its slot in the flight map and
+// nothing else, so no call, channel or boxed result.
+func TestAllocGateFlightWithoutWaiters(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	c := New(Config{Mode: HonorScope})
+	prefix := netip.MustParsePrefix("203.0.113.0/24")
+	type result struct{ a, b []int }
+	fetch := func() (result, error) { return result{}, nil }
+	Do(c, keyA, prefix, fetch) // the map's first slot
+	if allocs := testing.AllocsPerRun(1000, func() { Do(c, keyA, prefix, fetch) }); allocs > 0 {
+		t.Fatalf("a flight without waiters allocates %v objects, want 0", allocs)
+	}
+}
+
 // Sequential misses never coalesce: a finished flight leaves nothing
 // behind, so singleflight deduplicates herds, not time.
 func TestSingleflightSequentialFetchesBoth(t *testing.T) {
@@ -92,10 +109,10 @@ func TestSingleflightSequentialFetchesBoth(t *testing.T) {
 	prefix := netip.MustParsePrefix("203.0.113.0/24")
 	var fetches atomic.Int64
 	fetch := func() (any, error) { return fetches.Add(1), nil }
-	if _, shared, _ := c.Do(keyA, prefix, fetch); shared {
+	if _, shared, _ := Do(c, keyA, prefix, fetch); shared {
 		t.Fatal("first call reported shared")
 	}
-	if _, shared, _ := c.Do(keyA, prefix, fetch); shared {
+	if _, shared, _ := Do(c, keyA, prefix, fetch); shared {
 		t.Fatal("sequential call coalesced onto a finished flight")
 	}
 	if fetches.Load() != 2 {
@@ -115,7 +132,7 @@ func TestSingleflightDistinctPrefixesDoNotCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, shared, err := c.Do(keyA, prefix, func() (any, error) {
+			_, shared, err := Do(c, keyA, prefix, func() (any, error) {
 				inFlight.Add(1)
 				<-gate
 				return prefix.String(), nil
@@ -152,7 +169,7 @@ func TestSingleflightPanicReleasesWaiters(t *testing.T) {
 			}
 			close(leaderDone)
 		}()
-		_, _, _ = c.Do(keyA, prefix, func() (any, error) {
+		_, _, _ = Do(c, keyA, prefix, func() (any, error) {
 			close(leaderIn)
 			<-gate
 			panic("upstream exploded")
@@ -162,7 +179,7 @@ func TestSingleflightPanicReleasesWaiters(t *testing.T) {
 	<-leaderIn
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(keyA, prefix, func() (any, error) { return "fresh", nil })
+		_, _, err := Do(c, keyA, prefix, func() (any, error) { return "fresh", nil })
 		waiterErr <- err
 	}()
 	awaitCoalesced(c, 1)
@@ -174,7 +191,7 @@ func TestSingleflightPanicReleasesWaiters(t *testing.T) {
 	<-leaderDone
 
 	// The slot is clear: a fresh call runs its own fetch normally.
-	val, shared, err := c.Do(keyA, prefix, func() (any, error) { return "fresh", nil })
+	val, shared, err := Do(c, keyA, prefix, func() (any, error) { return "fresh", nil })
 	if err != nil || shared || val != "fresh" {
 		t.Fatalf("post-panic flight broken: %v %v %v", val, shared, err)
 	}

@@ -113,6 +113,12 @@ func (h *overloadHandler) rearm() {
 }
 
 func (h *overloadHandler) HandleDNS(from netip.Addr, q *dnswire.Message) *dnswire.Message {
+	h.faults(q)
+	return h.inner.HandleDNS(from, q)
+}
+
+// faults injects the handler's faults for q's name.
+func (h *overloadHandler) faults(q *dnswire.Message) {
 	if len(q.Questions) == 1 {
 		name := string(q.Questions[0].Name)
 		switch {
@@ -122,23 +128,26 @@ func (h *overloadHandler) HandleDNS(from netip.Addr, q *dnswire.Message) *dnswir
 			<-h.currentGate()
 		}
 	}
-	return h.inner.HandleDNS(from, q)
 }
 
 // immediateHandler is overloadHandler with an immediate path: names
 // under "hot." are answered on the read loop by the authority's
-// HandleImmediate, and every other name is declined to HandleDNS, and
-// its faults, on a worker.
+// ServeDNS, and every other name is declined to a worker, where the
+// faults apply before the authority answers.
 type immediateHandler struct {
 	*overloadHandler
-	now dnsserver.Immediate
+	now dnsserver.FillHandler
 }
 
-func (h immediateHandler) HandleImmediate(from netip.Addr, q, resp *dnswire.Message) bool {
-	if len(q.Questions) != 1 || !strings.HasPrefix(string(q.Questions[0].Name), "hot.") {
-		return false
+func (h immediateHandler) ServeDNS(from netip.Addr, q, resp *dnswire.Message, mayWait bool) bool {
+	if !mayWait {
+		if len(q.Questions) != 1 || !strings.HasPrefix(string(q.Questions[0].Name), "hot.") {
+			return false
+		}
+		return h.now.ServeDNS(from, q, resp, false)
 	}
-	return h.now.HandleImmediate(from, q, resp)
+	h.faults(q)
+	return h.now.ServeDNS(from, q, resp, true)
 }
 
 // overloadRig builds the real-socket server: an authority wildcard zone

@@ -91,6 +91,8 @@ type Network struct {
 	nodes map[netip.Addr]Handler
 
 	// WireTap, when non-nil, observes every exchange after it completes.
+	// The event's messages are lent for the call: a resolver builds its
+	// upstream queries in memory it reuses, so a tap copies what it keeps.
 	WireTap func(ev Event)
 
 	// Fault injection (see faults.go): a global plan plus per-node

@@ -11,7 +11,7 @@ import (
 	"ecsdns/internal/netem"
 )
 
-// The cache-answer step (HandleImmediate) on its own. How it runs behind
+// The cache-answer step (ServeDNS without mayWait) on its own. How it runs behind
 // a dnsserver, hits on the read loop and misses on workers, is checked
 // with the served chain in internal/upstreams/live.
 
@@ -80,7 +80,7 @@ func TestImmediateRepliesOwnTheirRecords(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		clk.Advance(10 * time.Second)
 		name := []dnswire.Name{a, b}[i%2]
-		if !r.HandleImmediate(client, query(name), &resp) {
+		if !r.ServeDNS(client, query(name), &resp, false) {
 			t.Fatalf("round %d: %s declined, want a hit", i, name)
 		}
 		want := uint32(300 - 10*(i+1))
@@ -101,8 +101,46 @@ func TestImmediateRepliesOwnTheirRecords(t *testing.T) {
 	}
 }
 
+// TestWorkerRepliesOwnTheirRecords is TestImmediateRepliesOwnTheirRecords
+// with mayWait set, as a dnsserver worker or TCP connection serves: two
+// names are missed and then hit, alternating, through one reply Message.
+// A miss's reply must copy the records its resolution cached, not take
+// their slice: the next query's refill would then append its records
+// over the cache's, and a later hit would be answered the other name's.
+func TestWorkerRepliesOwnTheirRecords(t *testing.T) {
+	a, b := dnswire.Name("a."+upstreamZone), dnswire.Name("b."+upstreamZone)
+	addrs := map[dnswire.Name]netip.Addr{a: netip.MustParseAddr("192.0.2.10"), b: netip.MustParseAddr("192.0.2.20")}
+	clk := netem.NewClock(netem.SimStart)
+	r := cannedResolver(GoogleLikeProfile(), addrs, clk)
+	client := netip.MustParseAddr("198.51.100.7")
+
+	var resp dnswire.Message
+	for i := 0; i < 6; i++ { // the first two rounds miss, the rest hit
+		clk.Advance(10 * time.Second)
+		name := []dnswire.Name{a, b}[i%2]
+		q := dnswire.NewQuery(7, name, dnswire.TypeA)
+		q.EDNS = dnswire.NewEDNS()
+		if !r.ServeDNS(client, q, &resp, true) {
+			t.Fatalf("round %d: %s unanswered", i, name)
+		}
+		if len(resp.Answers) != 1 || resp.Answers[0].Name != name || resp.Answers[0].Data.(*dnswire.ARData).Addr != addrs[name] {
+			t.Fatalf("round %d: %s answered %v, want %s", i, name, resp.Answers, addrs[name])
+		}
+	}
+	for _, name := range []dnswire.Name{a, b} {
+		key := ecscache.KeyOf(dnswire.Question{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET})
+		e, ok := r.Cache().Lookup(key, client, clk.Now())
+		if !ok || len(e.Answer) != 1 {
+			t.Fatalf("%s left the cache: %v", name, e)
+		}
+		if rr := e.Answer[0]; rr.Name != name || rr.TTL != 300 || rr.Data.(*dnswire.ARData).Addr != addrs[name] {
+			t.Fatalf("%s's cached record now reads %v, want %s at TTL 300", name, rr, addrs[name])
+		}
+	}
+}
+
 // TestAllocGateHandleImmediate counts what a resolver hit costs through
-// HandleImmediate into a reply refilled in place: a client ECS option
+// ServeDNS without mayWait into a reply refilled in place: a client ECS option
 // decoded, the entry found, its record copied and the subnet echoed,
 // with nothing allocated.
 func TestAllocGateHandleImmediate(t *testing.T) {
@@ -118,7 +156,7 @@ func TestAllocGateHandleImmediate(t *testing.T) {
 
 	var resp dnswire.Message
 	hit := func() {
-		if !r.HandleImmediate(client, q, &resp) {
+		if !r.ServeDNS(client, q, &resp, false) {
 			t.Fatal("the cached name was declined")
 		}
 	}
@@ -127,6 +165,6 @@ func TestAllocGateHandleImmediate(t *testing.T) {
 		t.Fatalf("the hit's reply lacks its record or ECS echo: %v", resp)
 	}
 	if allocs := testing.AllocsPerRun(1000, hit); allocs > 0 {
-		t.Fatalf("a hit through HandleImmediate allocates %v objects, want 0", allocs)
+		t.Fatalf("a hit through ServeDNS allocates %v objects, want 0", allocs)
 	}
 }

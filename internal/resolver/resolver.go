@@ -31,6 +31,13 @@ type PoolTransport interface {
 	Exchange(from netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error)
 }
 
+// fillPool is a PoolTransport that can decode an answer into a Message
+// it is given, as upstreams.Pool.ExchangeInto does; the answer it
+// returns is that Message or one of its own.
+type fillPool interface {
+	ExchangeInto(from netip.Addr, query, resp *dnswire.Message) (*dnswire.Message, time.Duration, error)
+}
+
 // Directory maps zone suffixes to authoritative server addresses. It
 // stands in for full iterative resolution: the experiments care about the
 // resolver↔authority ECS interaction, not NS discovery.
@@ -80,7 +87,9 @@ type Config struct {
 	// Pool, when set, routes upstream queries through a resilient
 	// multi-upstream pool instead of Transport. The pool owns failover,
 	// hedging, and truncation fallback, so the resolver runs no retry
-	// loop of its own above it.
+	// loop of its own above it. A pool that can decode an answer into a
+	// Message it is given (upstreams.Pool) decodes into the resolution's
+	// own.
 	Pool PoolTransport
 	// Now supplies (virtual) time.
 	Now func() time.Time
@@ -143,6 +152,8 @@ type FailureCounters struct {
 type Resolver struct {
 	cfg   Config
 	cache *ecscache.Cache
+	// fill is cfg.Pool when it is a fillPool.
+	fill fillPool
 
 	mu        sync.Mutex
 	rng       *rand.Rand
@@ -162,8 +173,10 @@ func New(cfg Config) *Resolver {
 	if cfg.Now == nil {
 		panic("resolver: Config.Now is required")
 	}
+	fill, _ := cfg.Pool.(fillPool)
 	return &Resolver{
-		cfg: cfg,
+		cfg:  cfg,
+		fill: fill,
 		cache: ecscache.New(ecscache.Config{
 			Mode:               cfg.Profile.CacheMode,
 			CapBits:            cfg.Profile.CacheCapBits,
@@ -202,28 +215,33 @@ func (r *Resolver) Failures() FailureCounters {
 	return r.failures
 }
 
-// HandleDNS serves one client query: cache, ECS policy, upstream
-// resolution. It implements netem.Handler.
+// HandleDNS serves one client query, in a response of its own: see
+// ServeDNS. It implements netem.Handler.
 func (r *Resolver) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message {
 	resp := new(dnswire.Message)
-	if !formErr(query, resp) {
-		r.resolve(from, query, resp)
-	}
+	r.ServeDNS(from, query, resp, true)
 	return resp
 }
 
-// HandleImmediate is HandleDNS's cache-answer step on its own. It fills
-// resp and returns true for a query the cache answers and for a
-// malformed one. Any other query, a miss or a name ProbeHostnames never
-// serves from the cache, it declines: it returns false having changed
-// neither resp nor any counter, so the query is counted once, by the
-// HandleDNS that resolves it. It waits on nothing but the resolver's and
-// the cache's locks, which is what lets dnsserver run it on the
-// goroutine that read the query. resp may be a reply refilled query
-// after query: records are appended to its sections, never shared with
-// the cache.
-func (r *Resolver) HandleImmediate(from netip.Addr, query, resp *dnswire.Message) bool {
+// ServeDNS answers one client query in resp (cache, ECS policy, upstream
+// resolution) and implements dnsserver.FillHandler. resp may be a reply
+// refilled query after query: records are appended to its sections,
+// never shared with the cache.
+//
+// With mayWait set it always answers, waiting upstream on a miss. With
+// it unset it waits on nothing but the resolver's and the cache's locks,
+// which is what lets dnsserver run it on the goroutine that read the
+// query: it answers a query the cache answers and a malformed one, and
+// declines any other, a miss or a name ProbeHostnames never serves from
+// the cache, returning false having changed neither resp nor any
+// counter, so the query is counted once, when it is asked again with
+// mayWait set.
+func (r *Resolver) ServeDNS(from netip.Addr, query, resp *dnswire.Message, mayWait bool) bool {
 	if formErr(query, resp) {
+		return true
+	}
+	if mayWait {
+		r.resolve(from, query, resp)
 		return true
 	}
 	q := query.Question()
@@ -257,10 +275,8 @@ func formErr(query, resp *dnswire.Message) bool {
 
 // resolve answers a well-formed query from the cache, counting the
 // lookup, or else resolves it upstream. Behind a dnsserver it serves
-// what HandleImmediate declined, and its lookup still answers a hit: a
-// resolution in flight may have filled the entry since. resp is
-// HandleDNS's own, never refilled, so it may share the records a
-// resolution caches.
+// what ServeDNS declined on the read loop, and its lookup still answers
+// a hit: a resolution in flight may have filled the entry since.
 func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 	reply(resp, query)
 	q := query.Question()
@@ -287,21 +303,20 @@ func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 	// waiters share its result. Coalescing is keyed on the masked client
 	// prefix because clients behind different prefixes legitimately need
 	// different upstream answers.
+	fetch := func() (upstreamResult, error) {
+		return r.resolveUpstream(q, key, now, withinMinute, clientAddr, clientBits, bypassCache)
+	}
 	var (
-		res *upstreamResult
+		res upstreamResult
 		err error
 	)
 	if bypassCache {
-		res, err = r.resolveUpstream(q, key, now, withinMinute, clientAddr, clientBits, bypassCache)
+		res, err = fetch()
 	} else {
 		flightPrefix := netip.PrefixFrom(ecsopt.MaskAddr(clientAddr, clientBits), clientBits)
-		var v any
-		v, _, err = r.cache.Do(key, flightPrefix, func() (any, error) {
-			return r.resolveUpstream(q, key, now, withinMinute, clientAddr, clientBits, bypassCache)
-		})
-		res, _ = v.(*upstreamResult)
+		res, _, err = ecscache.Do(r.cache, key, flightPrefix, fetch)
 	}
-	if err != nil || res == nil {
+	if err != nil {
 		if errors.Is(err, errNoAuthority) {
 			resp.RCode, resp.EDNS = dnswire.RCodeServFail, nil
 			return
@@ -310,10 +325,11 @@ func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 		return
 	}
 
-	// Answer the client.
+	// Answer the client, in resp's own sections: the records are the
+	// cache's.
 	resp.RCode = res.rcode
-	resp.Answers = res.answers
-	resp.Authorities = res.authority
+	resp.Answers = append(resp.Answers, res.answers...)
+	resp.Authorities = append(resp.Authorities, res.authority...)
 	if resp.EDNS != nil && res.respHas && (fromClientECS || res.sentECS) {
 		scope := 0
 		if res.hasECS {
@@ -358,7 +374,8 @@ var errNoAuthority = errors.New("resolver: no authority known for name")
 
 // upstreamResult is the outcome of one upstream resolution, shaped so
 // singleflight waiters can answer their own clients from the leader's
-// fetch: response content plus the ECS facts the client echo needs.
+// fetch: response content plus the ECS facts the client echo needs. The
+// records are the ones the cache keeps, which nothing writes.
 type upstreamResult struct {
 	answers   []dnswire.RR
 	authority []dnswire.RR
@@ -372,12 +389,45 @@ type upstreamResult struct {
 	respScope uint8
 }
 
+// resolution is the memory one upstream resolution builds each hop's
+// query in and, over a fillPool, decodes each hop's answer into. It goes
+// back to resolutions when the resolution ends, so nothing the
+// resolution returns or caches may point into it: the records are
+// copied out (dnswire.AppendClones).
+type resolution struct {
+	query, answer dnswire.Message
+	opt           dnswire.EDNS // the query's OPT record
+}
+
+var resolutions = sync.Pool{New: func() any { return new(resolution) }}
+
+// hopQuery makes ws.query the upstream query for q at target: a fresh
+// ID, no recursion, and an OPT record of ws's own advertising 4096
+// bytes, which carries the client subnet when attach is set. ws.answer
+// is given the same question: an answer repeats it, and a decode keeps
+// a name the Message already holds (dnswire.UnpackInto), so the
+// answer's names cost nothing.
+func (ws *resolution) hopQuery(id uint16, target dnswire.Name, q dnswire.Question, attach bool, cs ecsopt.ClientSubnet) *dnswire.Message {
+	up := &ws.query
+	up.Header = dnswire.Header{ID: id}
+	up.Questions = append(up.Questions[:0], dnswire.Question{Name: target, Type: q.Type, Class: dnswire.ClassINET})
+	ws.answer.Questions = append(ws.answer.Questions[:0], up.Questions[0])
+	ws.opt = dnswire.EDNS{UDPSize: 4096, Options: ws.opt.Options[:0]}
+	up.EDNS = &ws.opt
+	if attach {
+		ecsopt.AttachInPlace(up, cs)
+	}
+	return up
+}
+
 // resolveUpstream runs the upstream resolution loop for one question,
 // chasing CNAME chains that leave the answering zone (the www→CDN
 // redirection path of §8.4), and populates the cache with the outcome.
 // It is the singleflight fetch body: exactly one caller per coalesced
 // herd executes it.
-func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now time.Time, withinMinute bool, clientAddr netip.Addr, clientBits int, bypassCache bool) (*upstreamResult, error) {
+func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now time.Time, withinMinute bool, clientAddr netip.Addr, clientBits int, bypassCache bool) (upstreamResult, error) {
+	ws := resolutions.Get().(*resolution)
+	defer resolutions.Put(ws)
 	var (
 		answers   []dnswire.RR
 		authority []dnswire.RR
@@ -391,10 +441,9 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 	for hop := 0; hop < 8; hop++ {
 		authAddr, zone, ok := r.cfg.Directory.Lookup(target)
 		if !ok {
-			return nil, errNoAuthority
+			return upstreamResult{}, errNoAuthority
 		}
-		up := dnswire.NewQuery(r.randUint16(), target, q.Type)
-		up.RecursionDesired = false
+		id := r.randUint16() // drawn before ProbeRandom's coin flips, which share the generator
 		hopQ := dnswire.Question{Name: target, Type: q.Type, Class: q.Class}
 		attach, probeSubnet := r.ecsDecision(authAddr, zone, hopQ, now, withinMinute, clientAddr, clientBits)
 		hopSent := ecsopt.ClientSubnet{}
@@ -402,16 +451,11 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 		if attach {
 			hopSent = probeSubnet
 			hopSentECS = true
-			ecsopt.Attach(up, hopSent)
-		} else {
-			up.EDNS = dnswire.NewEDNS()
 		}
-		upResp, err := r.exchangeUpstream(authAddr, up)
-		if err != nil || upResp == nil {
-			if err == nil {
-				err = errUpstreamDropped
-			}
-			return nil, err
+		up := ws.hopQuery(id, target, q, attach, hopSent)
+		upResp, err := r.exchangeUpstream(authAddr, up, &ws.answer)
+		if err != nil {
+			return upstreamResult{}, err
 		}
 		// Extract the authoritative scope, leniently: misbehaving
 		// servers are part of the ecosystem under test.
@@ -419,8 +463,8 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 		if decodeErr != nil {
 			hopHas = false
 		}
-		answers = append(answers, upResp.Answers...)
-		authority = upResp.Authorities
+		answers = dnswire.AppendClones(answers, upResp.Answers)
+		authority = dnswire.AppendClones(nil, upResp.Authorities)
 		rcode = upResp.RCode
 		if hopHas {
 			respECS, respHas = hopECS, true
@@ -469,7 +513,7 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 		r.cache.Insert(key, entry, now)
 	}
 
-	return &upstreamResult{
+	return upstreamResult{
 		answers:   answers,
 		authority: authority,
 		rcode:     rcode,
@@ -490,8 +534,10 @@ var (
 
 // exchangeUpstream sends one upstream query with bounded retries,
 // treating transport errors, missing or corrupted (ID-mismatched)
-// responses, truncation, and SERVFAIL answers as retryable failures.
-func (r *Resolver) exchangeUpstream(authAddr netip.Addr, up *dnswire.Message) (*dnswire.Message, error) {
+// responses, truncation, and SERVFAIL answers as retryable failures. A
+// fillPool decodes the answer into into, where it is valid until the
+// next exchange; any other transport's is its own Message.
+func (r *Resolver) exchangeUpstream(authAddr netip.Addr, up, into *dnswire.Message) (*dnswire.Message, error) {
 	var lastErr error
 	for attempt := 0; attempt <= r.retries(); attempt++ {
 		if attempt > 0 {
@@ -504,9 +550,12 @@ func (r *Resolver) exchangeUpstream(authAddr netip.Addr, up *dnswire.Message) (*
 		r.mu.Unlock()
 		var upResp *dnswire.Message
 		var err error
-		if r.cfg.Pool != nil {
+		switch {
+		case r.fill != nil:
+			upResp, _, err = r.fill.ExchangeInto(r.cfg.Addr, up, into)
+		case r.cfg.Pool != nil:
 			upResp, _, err = r.cfg.Pool.Exchange(r.cfg.Addr, up)
-		} else {
+		default:
 			upResp, _, err = r.cfg.Transport.Exchange(r.cfg.Addr, authAddr, up)
 		}
 		switch {

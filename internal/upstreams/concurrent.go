@@ -18,7 +18,9 @@ type attemptResult struct {
 // attempts run in tracked goroutines, the hedge timer arms through the
 // injected After, and the first valid answer wins the real race.
 // Stragglers are settled (lost/cancelled) by a reaper goroutine, so the
-// two ledgers balance once Wait returns.
+// two ledgers balance once Wait returns. query is the race's own, for
+// the attempts to read for as long as they run, and each attempt's
+// answer is a Message of its own.
 func (p *Pool) exchangeConcurrent(from netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
 	start := p.cfg.Now()
 	budget := len(p.ups)
@@ -33,7 +35,7 @@ func (p *Pool) exchangeConcurrent(from netip.Addr, query *dnswire.Message) (*dns
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			resp, cost, err := p.runAttempt(from, u, query)
+			resp, cost, err := p.runAttempt(from, u, query, nil)
 			results <- attemptResult{resp, cost, err}
 		}()
 	}

@@ -1,6 +1,7 @@
 package upstreams
 
 import (
+	"bytes"
 	"errors"
 	"net/netip"
 	"testing"
@@ -64,6 +65,68 @@ func TestConcurrentHedgeWins(t *testing.T) {
 	c := checkBalanced(t, p)
 	if c.Issued != 2 || c.Won != 1 || c.Lost != 1 || c.Hedges != 1 {
 		t.Fatalf("counters = %+v", c)
+	}
+}
+
+// TestHedgedAttemptsOwnTheirQuery holds a hedged race's primary until
+// after Exchange has returned on the hedge's answer and the caller has
+// rewritten its query in place, as a resolver refills the query it
+// built in pooled memory for its next hop. The straggler, released only
+// then, must still send the question and ECS bytes it was started with:
+// the race's attempts read a query of their own.
+func TestHedgedAttemptsOwnTheirQuery(t *testing.T) {
+	tr := newFakeTransport()
+	after := newManualAfter()
+	p, err := New(Config{
+		Upstreams:  []Upstream{{Addr: upA}, {Addr: upB}},
+		Transport:  tr,
+		Now:        newFakeClock().Now,
+		Hedge:      true,
+		Concurrent: true,
+		After:      after.After,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecs := []byte{0, 1, 24, 0, 198, 51, 100}
+	q := query(1)
+	q.EDNS = dnswire.NewEDNS()
+	q.EDNS.SetOption(dnswire.Option{Code: dnswire.OptionCodeECS, Data: append([]byte(nil), ecs...)})
+	question := q.Question()
+
+	release := make(chan struct{})
+	type sent struct {
+		question dnswire.Question
+		ecs      []byte
+	}
+	straggler := make(chan sent, 1)
+	tr.set(upA, func(q *dnswire.Message, _ bool) (*dnswire.Message, time.Duration, error) {
+		<-release
+		opt, _ := q.EDNS.Option(dnswire.OptionCodeECS)
+		straggler <- sent{q.Question(), append([]byte(nil), opt.Data...)}
+		return answer(q), time.Second, nil
+	})
+	tr.set(upB, answers(10*time.Millisecond))
+
+	done := make(chan struct{})
+	go func() { // joined via the done channel
+		defer close(done)
+		_, _, err = p.Exchange(cli, q)
+	}()
+	after.fire() // the hedge races the held primary and wins
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Questions[0].Name = "next.example."
+	opt, _ := q.EDNS.Option(dnswire.OptionCodeECS)
+	copy(opt.Data, []byte{0, 1, 24, 0, 203, 0, 113})
+	close(release)
+	got := <-straggler
+	p.Wait()
+	if got.question != question || !bytes.Equal(got.ecs, ecs) {
+		t.Fatalf("the straggler sent %v with ECS %x, want %v with %x: it read the caller's query after Exchange returned",
+			got.question, got.ecs, question, ecs)
 	}
 }
 

@@ -16,10 +16,10 @@ import (
 )
 
 // A resolver behind a dnsserver splits each query by what it waits on: a
-// hit is answered by the read loop that read it (HandleImmediate), a miss
-// is resolved by a worker (HandleDNS). These tests hold that split to its
-// two promises: a miss never delays a hit, and each query is counted
-// once, by whichever side answers it.
+// hit is answered by the read loop that read it (ServeDNS without
+// mayWait), a miss is resolved by a worker (ServeDNS with it). These
+// tests hold that split to its two promises: a miss never delays a hit,
+// and each query is counted once, by whichever side answers it.
 
 // heldZone is the zone heldUpstream answers.
 const heldZone = "held.test."

@@ -21,22 +21,33 @@ import (
 // transport adapts the pool's exchange primitives onto real sockets:
 // each synthetic pool address maps to one configured host:port. UDP
 // attempts are single-shot with no client-side retries or fallback —
-// the pool's ladder owns transport escalation — and TCP goes straight to
-// a framed connection.
+// the pool's ladder owns transport escalation — and decode into the
+// Message the pool is given (ExchangeInto); TCP goes straight to a
+// framed connection.
 type transport struct {
 	udp     *dnsclient.Client
 	tcp     *dnsclient.Client
 	targets map[netip.Addr]string
 }
 
-func (t *transport) Exchange(_, to netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+func (t *transport) Exchange(from, to netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+	resp := new(dnswire.Message)
+	rtt, err := t.ExchangeInto(from, to, q, resp)
+	if err != nil {
+		return nil, rtt, err
+	}
+	return resp, rtt, nil
+}
+
+// ExchangeInto is Exchange decoding the answer into resp.
+func (t *transport) ExchangeInto(_, to netip.Addr, q, resp *dnswire.Message) (time.Duration, error) {
 	server, ok := t.targets[to]
 	if !ok {
-		return nil, 0, fmt.Errorf("live: no socket for pool address %v", to)
+		return 0, fmt.Errorf("live: no socket for pool address %v", to)
 	}
 	start := time.Now()
-	resp, err := t.udp.ExchangeUDP(server, q)
-	return resp, time.Since(start), err
+	err := t.udp.ExchangeUDPInto(server, q, resp)
+	return time.Since(start), err
 }
 
 func (t *transport) ExchangeTCP(_, to netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {

@@ -42,19 +42,7 @@ func servedScope(name int) uint8 { return uint8(16 + name%9) }
 func TestServedChainKeepsNoQuery(t *testing.T) {
 	const names, subnets = 16, 16
 
-	// The authority as cmd/authdns configures it — ECS on, the zone
-	// served — with the CDN-mapping hook answering each pair on its own.
-	auth := authority.NewServer(authority.Config{ECSEnabled: true})
-	auth.AddZone(authority.NewZone(servedZone, 300))
-	auth.SetDynamic(func(q dnswire.Question, cs ecsopt.ClientSubnet, hasECS bool, _ netip.Addr) ([]dnswire.RR, uint8, bool, bool) {
-		var i int
-		if _, err := fmt.Sscanf(string(q.Name), "n%d."+servedZone, &i); err != nil || !hasECS || q.Type != dnswire.TypeA {
-			return nil, 0, false, false
-		}
-		rr := dnswire.RR{Name: q.Name, Class: dnswire.ClassINET, TTL: 300,
-			Data: &dnswire.ARData{Addr: servedAnswer(i, cs.Addr)}}
-		return []dnswire.RR{rr}, servedScope(i), true, true
-	})
+	auth := servedAuthority()
 	var mu sync.Mutex
 	var logged []authority.LogRecord
 	auth.SetLog(func(r authority.LogRecord) {
@@ -135,6 +123,87 @@ func TestServedChainKeepsNoQuery(t *testing.T) {
 	checkLog("misses")
 	ask("hits")
 	checkLog("hits")
+}
+
+// servedAuthority is the authority as cmd/authdns configures it — ECS
+// on, the zone served — with the CDN-mapping hook answering each (name,
+// subnet) pair on its own.
+func servedAuthority() *authority.Server {
+	auth := authority.NewServer(authority.Config{ECSEnabled: true})
+	auth.AddZone(authority.NewZone(servedZone, 300))
+	auth.SetDynamic(func(q dnswire.Question, cs ecsopt.ClientSubnet, hasECS bool, _ netip.Addr) ([]dnswire.RR, uint8, bool, bool) {
+		var i int
+		if _, err := fmt.Sscanf(string(q.Name), "n%d."+servedZone, &i); err != nil || !hasECS || q.Type != dnswire.TypeA {
+			return nil, 0, false, false
+		}
+		rr := dnswire.RR{Name: q.Name, Class: dnswire.ClassINET, TTL: 300,
+			Data: &dnswire.ARData{Addr: servedAnswer(i, cs.Addr)}}
+		return []dnswire.RR{rr}, servedScope(i), true, true
+	})
+	return auth
+}
+
+// TestServedChainConcurrentMisses runs the chain with both servers'
+// default worker pools and eight clients asking fresh names at once, so
+// misses resolve side by side, each building its query and decoding its
+// answer in a resolution drawn from the resolver's pool. Every answer,
+// echo and scope must be its own pair's, and every record the cache
+// kept must still read as its own when asked again.
+func TestServedChainConcurrentMisses(t *testing.T) {
+	const clients, each = 8, 32 // names n0 … n255: servedAnswer's byte
+	pool, upstream, err := NewPool(serveGate(t, servedAuthority()).String(), false, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(upstream.Close)
+	dir := resolver.NewDirectory()
+	dir.Add(servedZone, netip.MustParseAddr("192.0.2.1"))
+	res := resolver.New(resolver.Config{
+		Addr:      netip.MustParseAddr("127.0.0.1"),
+		Pool:      pool,
+		Now:       time.Now,
+		Directory: dir,
+		Profile:   resolver.CompliantProfile(),
+		Seed:      1,
+	})
+	front := serveGate(t, res).String()
+
+	ask := func(g int) {
+		client := &dnsclient.Client{Timeout: 2 * time.Second, Retries: dnsclient.NoRetries}
+		defer client.Close()
+		subnet := ecsopt.MustNew(netip.AddrFrom4([4]byte{10, byte(g), 7, 0}), 24)
+		for k := 0; k < each; k++ {
+			i := g*each + k
+			name := dnswire.Name(fmt.Sprintf("n%d.%s", i, servedZone))
+			resp, err := client.Query(front, name, dnswire.TypeA, &subnet)
+			if err != nil {
+				t.Errorf("%s from %s: %v", name, subnet, err)
+				return
+			}
+			want := servedAnswer(i, subnet.Addr)
+			echo, ok := dnsclient.ECSFromResponse(resp)
+			if len(resp.Answers) != 1 || resp.Answers[0].Name != name ||
+				resp.Answers[0].Data.(*dnswire.ARData).Addr != want ||
+				!ok || echo != subnet.WithScope(int(servedScope(i))) {
+				t.Errorf("%s from %s answered %v echoing %v, want %s at scope %d", name, subnet, resp.Answers, echo, want, servedScope(i))
+				return
+			}
+		}
+	}
+	for round := 0; round < 2; round++ { // misses, then the same pairs from the cache
+		var wg sync.WaitGroup
+		for g := 0; g < clients; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ask(g)
+			}()
+		}
+		wg.Wait()
+	}
+	if c, u := res.Counters(); c != 2*clients*each || u != clients*each {
+		t.Fatalf("%d client queries and %d upstream, want %d and %d", c, u, 2*clients*each, clients*each)
+	}
 }
 
 // serveOneWorker serves h on loopback with a single UDP worker, so every

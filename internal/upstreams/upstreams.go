@@ -40,6 +40,13 @@ type Transport interface {
 	ExchangeTCP(from, to netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error)
 }
 
+// fillTransport is a Transport whose UDP exchange can decode the answer
+// into a Message it is given, as live's does over dnsclient's ring: a
+// pool over one decodes its UDP answers into ExchangeInto's Message.
+type fillTransport interface {
+	ExchangeInto(from, to netip.Addr, query, resp *dnswire.Message) (time.Duration, error)
+}
+
 // Upstream declares one pool member.
 type Upstream struct {
 	Addr netip.Addr
@@ -90,6 +97,8 @@ type Config struct {
 // Pool is the health-gated multi-upstream transport.
 type Pool struct {
 	cfg Config
+	// fill is cfg.Transport when it is a fillTransport.
+	fill fillTransport
 
 	mu      sync.Mutex
 	ups     []*upstream
@@ -155,7 +164,8 @@ func New(cfg Config) (*Pool, error) {
 		}
 		ups = append(ups, &upstream{addr: c.Addr, priority: c.Priority, weight: w})
 	}
-	return &Pool{cfg: cfg, ups: ups}, nil
+	fill, _ := cfg.Transport.(fillTransport)
+	return &Pool{cfg: cfg, fill: fill, ups: ups}, nil
 }
 
 // Wait blocks until every in-flight concurrent attempt has settled.
@@ -168,14 +178,32 @@ func (p *Pool) Wait() { p.wg.Wait() }
 // until every member has been tried. The returned duration is the
 // modeled race completion time (which, in sequential mode, can be less
 // than the virtual clock consumed, since the hedge chain runs after
-// the primary chain rather than beside it).
+// the primary chain rather than beside it). The answer is a Message of
+// the transport's, the caller's to keep.
 func (p *Pool) Exchange(from netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+	return p.ExchangeInto(from, query, nil)
+}
+
+// ExchangeInto is Exchange with the answer decoded into resp, a Message
+// the caller keeps from one query to the next, wherever it can be: on
+// the caller's goroutine, over a transport that decodes into a Message
+// it is given (live's). The answer returned is then resp, its previous
+// contents overwritten, record payloads and option bytes included. A
+// hedged concurrent race, a virtual hedge's second attempt, a TCP
+// fallback and a transport that cannot fill in return a Message of their
+// own instead, and what resp then holds is unspecified. A nil resp asks
+// for a Message of the transport's every time, as Exchange does.
+//
+// query is only read, and only until ExchangeInto returns: a hedged
+// concurrent race hands its attempts a clone, since a losing attempt may
+// still be running, and reading it, after the caller has moved on.
+func (p *Pool) ExchangeInto(from netip.Addr, query, resp *dnswire.Message) (*dnswire.Message, time.Duration, error) {
 	budget := len(p.ups)
 	// Only a hedge puts two attempts in flight at once. Without one a
 	// failover starts after the attempt before it has failed, so the
 	// loop below is the whole of it, on the caller's goroutine.
 	if p.cfg.Concurrent && p.cfg.Hedge && budget > 1 {
-		return p.exchangeConcurrent(from, query)
+		return p.exchangeConcurrent(from, query.Clone())
 	}
 	tried := make(map[netip.Addr]bool, len(p.ups))
 	used := 0
@@ -190,7 +218,7 @@ func (p *Pool) Exchange(from netip.Addr, query *dnswire.Message) (*dnswire.Messa
 		if used > 0 {
 			p.misc.failovers.Add(1)
 		}
-		resp1, c1, err1 := p.runAttempt(from, u, query)
+		resp1, c1, err1 := p.runAttempt(from, u, query, resp)
 		used++
 
 		// The virtual hedge race: if the primary's modeled cost
@@ -219,7 +247,8 @@ func (p *Pool) Exchange(from netip.Addr, query *dnswire.Message) (*dnswire.Messa
 			// A failed primary triggers the hedge immediately.
 			hedgeStart = c1
 		}
-		resp2, c2, err2 := p.runAttempt(from, h, query)
+		// The primary's answer may be in resp: the hedge's goes elsewhere.
+		resp2, c2, err2 := p.runAttempt(from, h, query, nil)
 		used++
 		hc := hedgeStart + c2
 		switch {
@@ -320,10 +349,11 @@ func (p *Pool) hedgeDelay() (time.Duration, bool) {
 // runAttempt issues one attempt (a full ladder chain) against u and
 // feeds the outcome into the upstream's health, breaker, and the
 // hedge-delay sampler. Settlement into the outcome partition is the
-// caller's job: only the caller knows the race result.
-func (p *Pool) runAttempt(from netip.Addr, u *upstream, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+// caller's job: only the caller knows the race result. resp is where a
+// UDP answer is decoded, as in ExchangeInto.
+func (p *Pool) runAttempt(from netip.Addr, u *upstream, query, resp *dnswire.Message) (*dnswire.Message, time.Duration, error) {
 	p.attempts.Issued.Add(1)
-	resp, cost, err := p.runChain(from, u, query)
+	resp, cost, err := p.runChain(from, u, query, resp)
 	now := p.cfg.Now()
 	p.mu.Lock()
 	u.health.observe(err == nil, cost)
@@ -340,9 +370,9 @@ func (p *Pool) runAttempt(from netip.Addr, u *upstream, query *dnswire.Message) 
 // retries; one UDP loss per chain also steps down (fragment loss is
 // indistinguishable from plain loss at the sender); past the last rung
 // the chain retries over TCP. Learned rungs persist on the upstream.
-func (p *Pool) runChain(from netip.Addr, u *upstream, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+func (p *Pool) runChain(from netip.Addr, u *upstream, query, into *dnswire.Message) (*dnswire.Message, time.Duration, error) {
 	if p.cfg.DisableLadder {
-		resp, rtt, err := p.cfg.Transport.Exchange(from, u.addr, query)
+		resp, rtt, err := p.exchangeUDP(from, u.addr, query, into)
 		if err != nil {
 			return nil, rtt, err
 		}
@@ -365,7 +395,7 @@ func (p *Pool) runChain(from netip.Addr, u *upstream, query *dnswire.Message) (*
 			return classify(query, resp, cost)
 		}
 		uq := withPayload(query, ladderSteps[rung])
-		resp, rtt, err := p.cfg.Transport.Exchange(from, u.addr, uq)
+		resp, rtt, err := p.exchangeUDP(from, u.addr, uq, into)
 		cost += rtt
 		switch {
 		case err != nil:
@@ -391,6 +421,20 @@ func (p *Pool) runChain(from netip.Addr, u *upstream, query *dnswire.Message) (*
 			return resp, cost, nil
 		}
 	}
+}
+
+// exchangeUDP is one UDP exchange with to. Its answer is decoded into
+// resp when resp is not nil and the transport can (fillTransport), and
+// is the transport's own Message otherwise.
+func (p *Pool) exchangeUDP(from, to netip.Addr, query, resp *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+	if resp == nil || p.fill == nil {
+		return p.cfg.Transport.Exchange(from, to, query)
+	}
+	rtt, err := p.fill.ExchangeInto(from, to, query, resp)
+	if err != nil {
+		return nil, rtt, err
+	}
+	return resp, rtt, nil
 }
 
 // classify validates a terminal (TCP or ladder-disabled) response.
