@@ -8,7 +8,7 @@
 //
 // With -targets it instead runs a bulk availability sweep over many
 // resolvers through the concurrent scan engine: a pipelined UDP
-// transport multiplexes queries over shared sockets, a worker pool keeps
+// transport multiplexes queries over one socket, a worker pool keeps
 // -concurrency probes in flight, and -rate caps the aggregate query
 // rate.
 //
@@ -49,7 +49,6 @@ func main() {
 	targetsArg := flag.String("targets", "", "bulk mode: file of resolver host:port lines (or a comma-separated list)")
 	concurrency := flag.Int("concurrency", 64, "bulk mode: probes in flight")
 	rate := flag.Float64("rate", 0, "bulk mode: max queries/sec (0 = unlimited)")
-	shards := flag.Int("shards", 0, "bulk mode: pipeline shards, each with its own socket and ID space (0 = one per CPU)")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -69,11 +68,8 @@ func main() {
 		log.Fatalf("ecsscan: bad name: %v", err)
 	}
 
-	if *shards < 0 {
-		log.Fatalf("ecsscan: -shards must be >= 0, got %d", *shards)
-	}
 	if *targetsArg != "" {
-		bulkScan(*targetsArg, base, *concurrency, *rate, *timeout, *shards)
+		bulkScan(*targetsArg, base, *concurrency, *rate, *timeout)
 		return
 	}
 
@@ -288,12 +284,9 @@ func writeSummary(w *bufio.Writer, targets int, s scanner.ProgressSnapshot, st d
 // transport and prints one availability line per target plus a
 // throughput summary, all of it once the run has ended and through one
 // buffered writer.
-func bulkScan(targetsArg string, base dnswire.Name, concurrency int, rate float64, timeout time.Duration, shards int) {
+func bulkScan(targetsArg string, base dnswire.Name, concurrency int, rate float64, timeout time.Duration) {
 	targets := loadTargets(targetsArg)
-	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{
-		Shards:  shards, // 0 = one per CPU
-		Timeout: timeout,
-	})
+	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{Timeout: timeout})
 	if err != nil {
 		log.Fatalf("ecsscan: pipeline: %v", err)
 	}

@@ -80,7 +80,7 @@ func TestAllocGateBulkProbe(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	target := startAnswerResponder(t)
-	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{Shards: 1, Timeout: 2 * time.Second})
+	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestBulkProbeBadName(t *testing.T) {
 	// without sending anything.
 	long := strings.Repeat("a", 62)
 	base := dnswire.MustParseName(long + "." + long + "." + long + "." + long)
-	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{Shards: 1})
+	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

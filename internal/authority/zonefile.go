@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -358,74 +357,4 @@ func tokenize(line string) ([]string, error) {
 	}
 	flush()
 	return out, nil
-}
-
-// WriteZoneFile serializes a zone back to RFC 1035 master-file format.
-// Together with ParseZoneFile it round-trips every record type this
-// module serves; wildcard synthesis is runtime-only and is not
-// serialized.
-func (z *Zone) WriteZoneFile(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "$ORIGIN %s\n$TTL %d\n", z.Origin, z.DefaultTTL)
-	fmt.Fprintf(bw, "@ %d IN SOA %s %s %d %d %d %d %d\n",
-		z.SOA.Minimum, z.SOA.MName, z.SOA.RName,
-		z.SOA.Serial, z.SOA.Refresh, z.SOA.Retry, z.SOA.Expire, z.SOA.Minimum)
-
-	z.mu.RLock()
-	keys := make([]recordKey, 0, len(z.records))
-	for k := range z.records {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].name != keys[j].name {
-			return keys[i].name < keys[j].name
-		}
-		return keys[i].typ < keys[j].typ
-	})
-	for _, k := range keys {
-		for _, rr := range z.records[k] {
-			rdata, err := presentRData(rr.Data)
-			if err != nil {
-				z.mu.RUnlock()
-				return err
-			}
-			fmt.Fprintf(bw, "%s %d IN %s %s\n", rr.Name, rr.TTL, rr.Type(), rdata)
-		}
-	}
-	z.mu.RUnlock()
-	return bw.Flush()
-}
-
-// quoteCharString renders a TXT character-string with RFC 1035 escaping:
-// backslash and double-quote are backslash-escaped, everything else is
-// emitted verbatim.
-func quoteCharString(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' || s[i] == '"' {
-			b.WriteByte('\\')
-		}
-		b.WriteByte(s[i])
-	}
-	b.WriteByte('"')
-	return b.String()
-}
-
-// presentRData renders rdata in master-file syntax (which for TXT means
-// quoting each character-string, unlike RData.String's display form).
-func presentRData(data dnswire.RData) (string, error) {
-	switch d := data.(type) {
-	case *dnswire.TXTRData:
-		parts := make([]string, len(d.Strings))
-		for i, s := range d.Strings {
-			parts[i] = quoteCharString(s)
-		}
-		return strings.Join(parts, " "), nil
-	case *dnswire.ARData, *dnswire.AAAARData, *dnswire.CNAMERData,
-		*dnswire.NSRData, *dnswire.PTRRData, *dnswire.MXRData:
-		return data.String(), nil
-	default:
-		return "", fmt.Errorf("zonefile: cannot serialize %s records", data.Type())
-	}
 }

@@ -101,8 +101,8 @@ func (cr *chaosResponder) counts() (dropped, corrupted, answered int) {
 	return cr.dropped, cr.corrupted, cr.answered
 }
 
-// runPipelineChaos floods a faulty responder through a sharded pipeline
-// with concurrent workers and checks the two chaos invariants:
+// runPipelineChaos floods a faulty responder through a pipeline's one
+// socket with concurrent workers and checks the two chaos invariants:
 //
 //  1. no cross-delivery — every successful response carries the answer
 //     derived from its own query's name;
@@ -187,10 +187,9 @@ func runPipelineChaos(t *testing.T, cfg PipelineConfig) {
 	}
 }
 
-// TestPipelineChaosAccounting runs the fault-injection flood over four
-// shards.
+// TestPipelineChaosAccounting runs the fault-injection flood.
 func TestPipelineChaosAccounting(t *testing.T) {
-	runPipelineChaos(t, PipelineConfig{Shards: 4, Timeout: 150 * time.Millisecond})
+	runPipelineChaos(t, PipelineConfig{Timeout: 150 * time.Millisecond})
 }
 
 // TestPipelineCloseDuringFlood closes the pipeline while a flood is in
@@ -201,7 +200,7 @@ func TestPipelineCloseDuringFlood(t *testing.T) {
 	plan := netem.FaultPlan{Loss: 0.5}
 	addr, _ := startChaosResponder(t, plan, 7)
 	server := addr.String()
-	p, err := NewPipeline(PipelineConfig{Shards: 2, Timeout: 200 * time.Millisecond})
+	p, err := NewPipeline(PipelineConfig{Timeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@
 // the deadline. That is what a caching resolver needs — it has a cache
 // to poison and a failover pool fed by fast errors — so cmd/recursor's
 // upstream side and single-target probes use it. Pipeline multiplexes
-// many in-flight queries over a few shared unconnected sockets, which
+// many in-flight queries over one shared unconnected socket, which
 // gives up both properties: right for a scanner, which caches nothing
 // and sets its own deadlines, so ecsscan -targets and the scan engine
 // use it. DESIGN.md §11 has the ring's contract and the measured price.

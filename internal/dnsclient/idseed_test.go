@@ -14,7 +14,7 @@ import (
 )
 
 // The attack on clock-seeded query IDs (RFC 5452), run against both ID
-// sources of a live scan: a Pipeline's shards and a scanner.Scan left at
+// sources of a live scan: a Pipeline and a scanner.Scan left at
 // Seed 0. An off-path attacker who knows to within a few microseconds
 // when the generator was seeded tries every nanosecond of that window as
 // a math/rand seed, and a hit predicts every later ID.
@@ -63,7 +63,7 @@ func TestPipelineIDsNotDerivableFromClock(t *testing.T) {
 			t.Skipf("could not bracket NewPipeline within %v", clockWindow)
 		}
 		before = time.Now()
-		pp, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{Shards: 1, Timeout: 2 * time.Second})
+		pp, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{Timeout: 2 * time.Second})
 		after = time.Now()
 		if err != nil {
 			t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,12 +23,6 @@ var (
 
 // PipelineConfig tunes a Pipeline. The zero value is usable.
 type PipelineConfig struct {
-	// Shards is the number of independent shards — each with its own UDP
-	// socket, transaction-ID space, and demux table (default GOMAXPROCS).
-	// Queries are spread across shards by a hash of (question,
-	// destination), so there is no cross-shard synchronization on the
-	// send/receive hot path.
-	Shards int
 	// Timeout bounds each UDP attempt and the TCP fallback (default 3 s).
 	Timeout time.Duration
 }
@@ -79,21 +72,21 @@ type PipelineStats struct {
 	Truncated int64
 }
 
-// pendingKey identifies one in-flight query within a shard: responses
-// are demuxed by source address and transaction ID; the echoed question
-// is validated waiter-side after the full decode.
+// pendingKey identifies one in-flight query: responses are demuxed by
+// source address and transaction ID; the echoed question is validated
+// waiter-side after the full decode.
 type pendingKey struct {
 	dest netip.AddrPort
 	id   uint16
 }
 
-// waiter is the rendezvous between one in-flight attempt and the shard
+// waiter is the rendezvous between one in-flight attempt and the
 // reader. The reader copies the raw response into buf and signals its
 // length on ch; the waiting query decodes from buf.
-// Waiters are pooled; the shard-lock-ordered register/unregister
-// protocol guarantees at most one signal per registration, and the
-// waiter is only pooled after that signal has been consumed or provably
-// will never come.
+// Waiters are pooled; the lock-ordered register/unregister protocol
+// guarantees at most one signal per registration, and the waiter is
+// only pooled after that signal has been consumed or provably will
+// never come.
 type waiter struct {
 	ch  chan int // response length
 	buf []byte
@@ -143,30 +136,21 @@ func putBuf(pool *sync.Pool, bp *[]byte, n int) {
 	pool.Put(bp)
 }
 
-// shard is one independent lane of the pipeline: its own socket, ID
-// space, and demux table. Nothing on the send/receive hot path is
-// shared between shards.
-type shard struct {
-	p  *Pipeline
-	pc *net.UDPConn
-
-	mu      sync.Mutex
-	rng     *rand.Rand
-	pending map[pendingKey]*waiter
-}
-
-// Pipeline is the high-throughput counterpart of Client: a set of
-// per-CPU shards, each multiplexing many in-flight queries over its own
-// unconnected UDP socket, demuxing responses by (destination, ID) with
-// waiter-side question validation, per-query deadlines,
-// retry-with-backoff, and TCP fallback. All methods are safe for
-// concurrent use.
+// Pipeline is the high-throughput counterpart of Client: it multiplexes
+// many in-flight queries over one unconnected UDP socket, demuxing
+// responses by (destination, ID) with waiter-side question validation,
+// per-query deadlines, retry-with-backoff, and TCP fallback. All methods
+// are safe for concurrent use.
 type Pipeline struct {
 	cfg    PipelineConfig
-	shards []*shard
+	pc     *net.UDPConn
 	closed atomic.Bool
 
-	readers sync.WaitGroup
+	reader sync.WaitGroup
+
+	mu      sync.Mutex // guards rng and pending
+	rng     *rand.Rand
+	pending map[pendingKey]*waiter
 
 	hostMu    sync.RWMutex
 	hostCache map[string]netip.AddrPort
@@ -175,52 +159,39 @@ type Pipeline struct {
 	timeouts, aborted, sendErrors, truncated      atomic.Int64
 }
 
-// NewPipeline opens one socket per shard and starts the reader loops.
+// NewPipeline opens the socket and starts the reader loop.
 func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 3 * time.Second
 	}
+	pc, err := net.ListenUDP("udp", nil)
+	if err != nil {
+		return nil, fmt.Errorf("dnsclient: pipeline socket: %w", err)
+	}
 	p := &Pipeline{
 		cfg:       cfg,
+		pc:        pc,
+		rng:       rand.New(rand.NewSource(RandomSeed())),
+		pending:   make(map[pendingKey]*waiter),
 		hostCache: make(map[string]netip.AddrPort),
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		pc, err := net.ListenUDP("udp", nil)
-		if err != nil {
-			p.Close()
-			return nil, fmt.Errorf("dnsclient: pipeline socket: %w", err)
-		}
-		s := &shard{
-			p:       p,
-			pc:      pc,
-			rng:     rand.New(rand.NewSource(RandomSeed())),
-			pending: make(map[pendingKey]*waiter),
-		}
-		p.shards = append(p.shards, s)
-		p.readers.Add(1)
-		go s.readLoop()
-	}
+	p.reader.Add(1)
+	go p.readLoop()
 	return p, nil
 }
 
-// Close shuts the sockets and waits for the reader loops. Queries still
+// Close shuts the socket and waits for the reader loop. Queries still
 // in flight fail with their per-attempt timeout.
 func (p *Pipeline) Close() error {
 	if p.closed.Swap(true) {
 		return nil
 	}
-	for _, s := range p.shards {
-		s.pc.Close()
-	}
-	p.readers.Wait()
+	p.pc.Close()
+	p.reader.Wait()
 	return nil
 }
 
-// Stats returns a snapshot of the pipeline counters, merged across
-// shards.
+// Stats returns a snapshot of the pipeline counters.
 func (p *Pipeline) Stats() PipelineStats {
 	return PipelineStats{
 		Sent:         p.sent.Load(),
@@ -268,86 +239,64 @@ func (p *Pipeline) resolveDest(server string) (netip.AddrPort, error) {
 	return ap, nil
 }
 
-// shardFor spreads queries across shards by an FNV-1a hash of the
-// question name and destination, keeping a query's retries on one
-// shard (same socket, same ID space) while adjacent queries fan out.
-func (p *Pipeline) shardFor(q dnswire.Question, dest netip.AddrPort) *shard {
-	if len(p.shards) == 1 {
-		return p.shards[0]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(q.Name); i++ {
-		h ^= uint32(q.Name[i])
-		h *= 16777619
-	}
-	a16 := dest.Addr().As16()
-	for _, b := range a16 {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	h ^= uint32(dest.Port())
-	h *= 16777619
-	return p.shards[h%uint32(len(p.shards))]
-}
-
-// readLoop demuxes datagrams arriving on this shard's socket. It peeks
+// readLoop demuxes datagrams arriving on the socket. It peeks
 // only the fixed header — the full decode happens on the waiter's
 // goroutine, against the waiter's reused Message — and hands the raw
 // bytes over through the waiter buffer.
-func (s *shard) readLoop() {
-	defer s.p.readers.Done()
+func (p *Pipeline) readLoop() {
+	defer p.reader.Done()
 	buf := make([]byte, 65535)
 	for {
-		n, ap, err := s.pc.ReadFromUDPAddrPort(buf)
+		n, ap, err := p.pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			if s.p.closed.Load() {
+			if p.closed.Load() {
 				return
 			}
 			continue
 		}
-		s.deliver(buf[:n], ap)
+		p.deliver(buf[:n], ap)
 	}
 }
 
 // deliver routes one raw datagram to the waiter registered under its
 // (source, ID) — copying the bytes into the waiter's buffer, never
 // parsing past the header on the reader goroutine.
-func (s *shard) deliver(b []byte, ap netip.AddrPort) {
+func (p *Pipeline) deliver(b []byte, ap netip.AddrPort) {
 	id, isResponse, ok := dnswire.PeekHeader(b)
 	if !ok || !isResponse {
-		s.p.mismatched.Add(1)
+		p.mismatched.Add(1)
 		return
 	}
 	key := pendingKey{dest: unmapAP(ap), id: id}
-	s.mu.Lock()
-	w, ok := s.pending[key]
+	p.mu.Lock()
+	w, ok := p.pending[key]
 	if ok {
-		delete(s.pending, key)
+		delete(p.pending, key)
 	}
-	s.mu.Unlock()
+	p.mu.Unlock()
 	if !ok {
-		s.p.mismatched.Add(1)
+		p.mismatched.Add(1)
 		return
 	}
 	w.buf = append(w.buf[:0], b...)
 	w.ch <- len(w.buf) // buffered; the key was removed, so this is the only signal
 }
 
-// register allocates a transaction ID unique among this shard's
-// in-flight queries to the same destination and installs the waiter.
-func (s *shard) register(dest netip.AddrPort, w *waiter) (uint16, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.p.closed.Load() {
+// register allocates a transaction ID unique among the in-flight
+// queries to the same destination and installs the waiter.
+func (p *Pipeline) register(dest netip.AddrPort, w *waiter) (uint16, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed.Load() {
 		return 0, ErrPipelineClosed
 	}
 	for tries := 0; tries < 256; tries++ {
-		id := uint16(s.rng.Intn(1 << 16))
+		id := uint16(p.rng.Intn(1 << 16))
 		key := pendingKey{dest: dest, id: id}
-		if _, busy := s.pending[key]; busy {
+		if _, busy := p.pending[key]; busy {
 			continue
 		}
-		s.pending[key] = w
+		p.pending[key] = w
 		return id, nil
 	}
 	return 0, fmt.Errorf("dnsclient: no free query ID for %s", dest)
@@ -356,16 +305,16 @@ func (s *shard) register(dest netip.AddrPort, w *waiter) (uint16, error) {
 // reregister reinstalls a waiter under its previous key after a
 // delivered-but-invalid response, so the attempt can keep waiting for
 // the real answer. It fails if the ID has been reused meanwhile.
-func (s *shard) reregister(key pendingKey, w *waiter) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.p.closed.Load() {
+func (p *Pipeline) reregister(key pendingKey, w *waiter) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed.Load() {
 		return false
 	}
-	if _, busy := s.pending[key]; busy {
+	if _, busy := p.pending[key]; busy {
 		return false
 	}
-	s.pending[key] = w
+	p.pending[key] = w
 	return true
 }
 
@@ -373,13 +322,13 @@ func (s *shard) reregister(key pendingKey, w *waiter) bool {
 // A false return means the reader has already taken the key and a
 // signal on the waiter channel is imminent or delivered:
 // the caller must consume it before releasing the waiter.
-func (s *shard) unregister(key pendingKey) bool {
-	s.mu.Lock()
-	_, ok := s.pending[key]
+func (p *Pipeline) unregister(key pendingKey) bool {
+	p.mu.Lock()
+	_, ok := p.pending[key]
 	if ok {
-		delete(s.pending, key)
+		delete(p.pending, key)
 	}
-	s.mu.Unlock()
+	p.mu.Unlock()
 	return ok
 }
 
@@ -387,8 +336,8 @@ func (s *shard) unregister(key pendingKey) bool {
 // response, retrying over UDP with backoff and falling back to TCP on
 // truncation or UDP exhaustion. The pipeline owns
 // transaction IDs: q.ID is overwritten with a fresh ID per attempt,
-// guaranteed unique among in-flight queries to the same destination on
-// the query's shard. ctx cancellation aborts promptly.
+// guaranteed unique among in-flight queries to the same destination.
+// ctx cancellation aborts promptly.
 func (p *Pipeline) Exchange(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
 	resp := &dnswire.Message{}
 	if err := p.ExchangeInto(ctx, server, q, resp); err != nil {
@@ -410,7 +359,6 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 		return err
 	}
 	question := q.Question()
-	s := p.shardFor(question, dest)
 
 	bp := bufPool.Get().(*[]byte)
 	data, err := q.AppendPack((*bp)[:0])
@@ -435,7 +383,7 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 			releaseTimer(t)
 			backoff *= 2
 		}
-		err := s.attempt(ctx, dest, question, q, data, resp)
+		err := p.attempt(ctx, dest, question, q, data, resp)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -460,53 +408,53 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 // for the demuxed response or the deadline. The raw response is decoded
 // and validated here, on the waiting goroutine — a corrupted or
 // colliding datagram re-registers the entry and keeps waiting.
-func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswire.Question, q *dnswire.Message, data []byte, resp *dnswire.Message) error {
+func (p *Pipeline) attempt(ctx context.Context, dest netip.AddrPort, question dnswire.Question, q *dnswire.Message, data []byte, resp *dnswire.Message) error {
 	w := waiterPool.Get().(*waiter)
-	id, err := s.register(dest, w)
+	id, err := p.register(dest, w)
 	if err != nil {
-		s.release(w)
+		p.release(w)
 		return err
 	}
 	key := pendingKey{dest: dest, id: id}
 	q.ID = id
 	dnswire.PatchID(data, id)
 
-	s.p.sent.Add(1)
-	if _, err := s.pc.WriteToUDPAddrPort(data, dest); err != nil {
-		if s.unregister(key) {
-			s.release(w)
+	p.sent.Add(1)
+	if _, err := p.pc.WriteToUDPAddrPort(data, dest); err != nil {
+		if p.unregister(key) {
+			p.release(w)
 		} else {
 			// The reader has already committed a delivery to this
 			// waiter; the bounded drain must finish before the waiter
 			// can be pooled.
-			s.consume(w)
+			p.consume(w)
 		}
-		s.p.sendErrors.Add(1)
+		p.sendErrors.Add(1)
 		return fmt.Errorf("%w: %v", errSendFailed, err)
 	}
 
-	timer := acquireTimer(s.p.cfg.Timeout)
+	timer := acquireTimer(p.cfg.Timeout)
 	defer releaseTimer(timer)
 	for {
 		select {
 		case n := <-w.ch:
-			ok, err := s.decodeInto(w, n, question, resp)
+			ok, err := p.decodeInto(w, n, question, resp)
 			if ok {
-				s.release(w)
+				p.release(w)
 				return err
 			}
 			// Delivered but invalid: count it, put the entry back, and
 			// keep waiting out the attempt deadline.
-			s.p.mismatched.Add(1)
-			if !s.reregister(key, w) {
-				s.p.timeouts.Add(1)
-				s.release(w)
+			p.mismatched.Add(1)
+			if !p.reregister(key, w) {
+				p.timeouts.Add(1)
+				p.release(w)
 				return fmt.Errorf("%w: %s %s", ErrTimeout, dest, question)
 			}
 		case <-timer.C:
-			if s.unregister(key) {
-				s.p.timeouts.Add(1)
-				s.release(w)
+			if p.unregister(key) {
+				p.timeouts.Add(1)
+				p.release(w)
 				return fmt.Errorf("%w: %s %s", ErrTimeout, dest, question)
 			}
 			// Lost the race: a delivery is in flight. Consume it and
@@ -515,28 +463,28 @@ func (s *shard) attempt(ctx context.Context, dest netip.AddrPort, question dnswi
 			// completes promptly; it must happen before the waiter can
 			// be pooled.
 			n := <-w.ch
-			ok, err := s.decodeInto(w, n, question, resp)
+			ok, err := p.decodeInto(w, n, question, resp)
 			if ok {
-				s.release(w)
+				p.release(w)
 				return err
 			}
-			s.p.mismatched.Add(1)
-			s.p.timeouts.Add(1)
-			s.release(w)
+			p.mismatched.Add(1)
+			p.timeouts.Add(1)
+			p.release(w)
 			return fmt.Errorf("%w: %s %s", ErrTimeout, dest, question)
 		case <-ctx.Done():
-			return s.abort(key, w, ctx.Err())
+			return p.abort(key, w, ctx.Err())
 		}
 	}
 }
 
 // abort settles an attempt cut short by context cancellation.
-func (s *shard) abort(key pendingKey, w *waiter, err error) error {
-	s.p.aborted.Add(1)
-	if s.unregister(key) {
-		s.release(w)
+func (p *Pipeline) abort(key pendingKey, w *waiter, err error) error {
+	p.aborted.Add(1)
+	if p.unregister(key) {
+		p.release(w)
 	} else {
-		s.consume(w)
+		p.consume(w)
 	}
 	return err
 }
@@ -544,16 +492,16 @@ func (s *shard) abort(key pendingKey, w *waiter, err error) error {
 // consume drains the in-flight signal the reader committed
 // to this waiter, then pools it. Only call after unregister returned
 // false.
-func (s *shard) consume(w *waiter) {
+func (p *Pipeline) consume(w *waiter) {
 	<-w.ch
-	s.release(w)
+	p.release(w)
 }
 
 // release pools a waiter whose signal has been consumed, or will never
 // come. It zeroes the response bytes the reader handed over first, so a
 // decode after the return reads an all-zero header, not the next
 // attempt's datagram.
-func (s *shard) release(w *waiter) {
+func (p *Pipeline) release(w *waiter) {
 	clear(w.buf)
 	w.buf = w.buf[:0]
 	waiterPool.Put(w)
@@ -563,14 +511,14 @@ func (s *shard) release(w *waiter) {
 // it answers this attempt's question. ok reports whether the attempt is
 // settled: false means the datagram was not a valid answer (undecodable
 // or echoing a different question) and the attempt should keep waiting.
-func (s *shard) decodeInto(w *waiter, n int, question dnswire.Question, resp *dnswire.Message) (bool, error) {
+func (p *Pipeline) decodeInto(w *waiter, n int, question dnswire.Question, resp *dnswire.Message) (bool, error) {
 	if err := dnswire.UnpackInto(resp, w.buf[:n]); err != nil {
 		return false, nil
 	}
 	if !resp.Response || resp.Question() != question {
 		return false, nil
 	}
-	s.p.received.Add(1)
+	p.received.Add(1)
 	return true, nil
 }
 

@@ -98,7 +98,7 @@ func pipeQuery(name dnswire.Name) *dnswire.Message {
 // back to the query that asked for it.
 func TestPipelineConcurrentDemux(t *testing.T) {
 	addr := startPipelineServer(t, &nameHashHandler{})
-	p := newTestPipeline(t, PipelineConfig{Shards: 3, Timeout: 2 * time.Second})
+	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
 
 	const queries = 200
 	const workers = 32
@@ -166,7 +166,7 @@ func itoa(i int) string {
 func TestPipelineRetryTruncationTCPFallback(t *testing.T) {
 	h := &nameHashHandler{drop: 1, pad: 119}
 	addr := startPipelineServer(t, h)
-	p := newTestPipeline(t, PipelineConfig{Shards: 2, Timeout: 300 * time.Millisecond})
+	p := newTestPipeline(t, PipelineConfig{Timeout: 300 * time.Millisecond})
 	name := dnswire.Name("fallback.pipe.test.")
 	q := dnswire.NewQuery(0, name, dnswire.TypeA)
 	q.EDNS = &dnswire.EDNS{UDPSize: 512}
@@ -194,7 +194,7 @@ func TestPipelineTimeoutFailsWithinBound(t *testing.T) {
 	// without falling back a second time.
 	h := &nameHashHandler{drop: 1 << 30}
 	addr := startPipelineServer(t, h)
-	p := newTestPipeline(t, PipelineConfig{Shards: 1, Timeout: 100 * time.Millisecond})
+	p := newTestPipeline(t, PipelineConfig{Timeout: 100 * time.Millisecond})
 	start := time.Now()
 	_, err := p.Exchange(context.Background(), addr, pipeQuery("drop.pipe.test."))
 	if err == nil {
@@ -234,7 +234,6 @@ func TestPipelineContextCancel(t *testing.T) {
 		{"tcp-read", PipelineConfig{Timeout: 10 * time.Second}, startTCPStaller, true, after50ms},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Shards = 1
 			addr := tc.server(t)
 			p := newTestPipeline(t, tc.cfg)
 			ctx, cancel := context.WithCancel(context.Background())
@@ -273,7 +272,7 @@ func TestExchangeTCPCancelledDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	p := newTestPipeline(t, PipelineConfig{Shards: 1, Timeout: 10 * time.Second})
+	p := newTestPipeline(t, PipelineConfig{Timeout: 10 * time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := p.exchangeTCP(ctx, ln.Addr().String(), pipeQuery("dial.pipe.test."), &dnswire.Message{}); err != context.Canceled {
@@ -321,14 +320,13 @@ func startTCPStaller(t *testing.T) string {
 // pools the waiter. A waiter pooled with the signal still buffered hands
 // the next attempt to draw it a stale response length at once.
 func TestAbortDrainsDeliveredWaiter(t *testing.T) {
-	s := &shard{
-		p:       &Pipeline{},
+	p := &Pipeline{
 		rng:     rand.New(rand.NewSource(1)),
 		pending: make(map[pendingKey]*waiter),
 	}
 	dest := netip.MustParseAddrPort("192.0.2.1:53")
 	w := &waiter{ch: make(chan int, 1), buf: make([]byte, 0, 64)}
-	id, err := s.register(dest, w)
+	id, err := p.register(dest, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,23 +335,23 @@ func TestAbortDrainsDeliveredWaiter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.deliver(wire, dest)
-	if len(s.pending) != 0 || len(w.ch) != 1 {
-		t.Fatalf("deliver left %d pending keys and %d signals, want 0 and 1", len(s.pending), len(w.ch))
+	p.deliver(wire, dest)
+	if len(p.pending) != 0 || len(w.ch) != 1 {
+		t.Fatalf("deliver left %d pending keys and %d signals, want 0 and 1", len(p.pending), len(w.ch))
 	}
-	if err := s.abort(pendingKey{dest: dest, id: id}, w, context.Canceled); err != context.Canceled {
+	if err := p.abort(pendingKey{dest: dest, id: id}, w, context.Canceled); err != context.Canceled {
 		t.Fatalf("abort returned %v, want the cancellation cause", err)
 	}
 	if len(w.ch) != 0 {
 		t.Fatal("abort pooled a waiter whose delivered signal was never consumed")
 	}
-	if got := s.p.Stats().Aborted; got != 1 {
+	if got := p.Stats().Aborted; got != 1 {
 		t.Fatalf("Aborted = %d, want 1", got)
 	}
 }
 
 func TestPipelineClosed(t *testing.T) {
-	p, err := NewPipeline(PipelineConfig{Shards: 1})
+	p, err := NewPipeline(PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,35 +363,5 @@ func TestPipelineClosed(t *testing.T) {
 	}
 	if _, err := p.Exchange(context.Background(), "127.0.0.1:53", pipeQuery("x.pipe.test.")); err == nil {
 		t.Fatal("closed pipeline exchanged")
-	}
-}
-
-// TestPipelineShardsCarryTraffic checks that Shards does what it says:
-// 64 distinct names sent to one responder leave through every shard's
-// socket, so the responder hears all four source ports. Whether sharding
-// pays on a given machine is a throughput question this does not ask.
-func TestPipelineShardsCarryTraffic(t *testing.T) {
-	const shards = 4
-	var mu sync.Mutex
-	heard := map[uint16]bool{}
-	server := startEchoResponder(t, func(src netip.AddrPort) {
-		mu.Lock()
-		heard[src.Port()] = true
-		mu.Unlock()
-	})
-	p := newTestPipeline(t, PipelineConfig{Shards: shards, Timeout: 2 * time.Second})
-	resp := &dnswire.Message{}
-	for i := 0; i < 64; i++ {
-		name := dnswire.MustParseName("s" + itoa(i) + ".shard.pipe.test.")
-		if err := p.ExchangeInto(context.Background(), server.String(), pipeQuery(name), resp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, s := range p.shards {
-		if port := s.pc.LocalAddr().(*net.UDPAddr).AddrPort().Port(); !heard[port] {
-			t.Errorf("shard %d (port %d) carried none of 64 queries; ports heard: %v", i, port, heard)
-		}
 	}
 }

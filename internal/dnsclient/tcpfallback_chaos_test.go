@@ -206,7 +206,7 @@ func TestPipelineTCPFallbackAccounting(t *testing.T) {
 	plan := netem.FaultPlan{Payload: 60000, FragLoss: 0.5}
 	addr, fr := startFragResponder(t, plan, 42)
 	server := addr.String()
-	p := newTestPipeline(t, PipelineConfig{Shards: 4, Timeout: 150 * time.Millisecond})
+	p := newTestPipeline(t, PipelineConfig{Timeout: 150 * time.Millisecond})
 
 	const queries = 200
 	const cancelEvery = 25
@@ -294,7 +294,7 @@ func TestPipelineTCPFallbackGating(t *testing.T) {
 	plan := netem.FaultPlan{Payload: 2000}
 	addr, fr := startFragResponder(t, plan, 7)
 	server := addr.String()
-	p := newTestPipeline(t, PipelineConfig{Shards: 2, Timeout: time.Second})
+	p := newTestPipeline(t, PipelineConfig{Timeout: time.Second})
 	for i := 0; i < 40; i++ {
 		name := dnswire.MustParseName("g" + itoa(i) + ".frag.test")
 		resp, err := p.Exchange(context.Background(), server, pipeQuery(name))

@@ -74,7 +74,7 @@ func gatePipelineExchange(t *testing.T, queries []*dnswire.Message, want float64
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	server := startEchoResponder(t, nil).String()
-	p := newTestPipeline(t, PipelineConfig{Shards: 1, Timeout: 2 * time.Second})
+	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
 	resp := &dnswire.Message{}
 	next := 0
 	exchange := func() {
@@ -146,7 +146,7 @@ func BenchmarkPipelineExchange(b *testing.B) {
 		}
 	}()
 	server := pc.LocalAddr().(*net.UDPAddr).AddrPort().String()
-	p, err := NewPipeline(PipelineConfig{Shards: 1, Timeout: 2 * time.Second})
+	p, err := NewPipeline(PipelineConfig{Timeout: 2 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -133,9 +133,9 @@ func TestEDNSOptionBoundaryLengths(t *testing.T) {
 
 func TestQuestionOnlyTruncationFloor(t *testing.T) {
 	m := NewQuery(1, "very.long.name.that.will.not.fit.example.", TypeA)
-	if _, err := m.TruncateTo(12); err != nil {
+	if _, err := m.AppendTruncateTo(nil, 12); err != nil {
 		// Header alone fits in 12 bytes only if the question is
-		// dropped, which TruncateTo does not do — an error is the
+		// dropped, which AppendTruncateTo does not do — an error is the
 		// correct outcome, not a panic or an oversized packet.
 		return
 	}
@@ -145,7 +145,7 @@ func TestQuestionOnlyTruncationFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(data) > 12 {
-		t.Fatalf("TruncateTo(12) returned but message is %d bytes", len(data))
+		t.Fatalf("AppendTruncateTo(nil, 12) returned but message is %d bytes", len(data))
 	}
 }
 

@@ -538,17 +538,11 @@ func (m *Message) SetReply(q *Message) {
 	}
 }
 
-// TruncateTo shrinks m to fit within size bytes when packed, dropping
-// whole records from the tail sections and setting TC when anything was
-// dropped. It returns the packed bytes.
-func (m *Message) TruncateTo(size int) ([]byte, error) {
-	return m.AppendTruncateTo(nil, size)
-}
-
-// AppendTruncateTo is TruncateTo appending the packed bytes onto buf —
-// the allocation-free variant for send paths that own a reusable
-// buffer. The returned slice aliases buf's backing array when it has
-// the capacity.
+// AppendTruncateTo shrinks m to fit within size bytes when packed,
+// dropping whole records from the tail sections and setting TC when
+// anything was dropped, and appends the packed bytes onto buf. With a
+// reusable buf it does not allocate: the returned slice aliases buf's
+// backing array when it has the capacity.
 func (m *Message) AppendTruncateTo(buf []byte, size int) ([]byte, error) {
 	if size < 12 {
 		return nil, errTruncateSizeTooSmall

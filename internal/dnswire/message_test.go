@@ -299,7 +299,7 @@ func TestTruncateTo(t *testing.T) {
 			Data: &ARData{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})},
 		})
 	}
-	data, err := m.TruncateTo(512)
+	data, err := m.AppendTruncateTo(nil, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestTruncateTo(t *testing.T) {
 func TestTruncateToNoOpWhenSmall(t *testing.T) {
 	t.Parallel()
 	m := sampleResponse()
-	data, err := m.TruncateTo(512)
+	data, err := m.AppendTruncateTo(nil, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,19 +140,6 @@ func (cs ClientSubnet) Prefix() netip.Prefix {
 	return netip.PrefixFrom(cs.Addr, int(cs.SourcePrefix))
 }
 
-// ScopedPrefix returns the subnet at the scope prefix length, which is how
-// a cache must index a response option.
-func (cs ClientSubnet) ScopedPrefix() netip.Prefix {
-	if !cs.Addr.IsValid() {
-		return netip.Prefix{}
-	}
-	p, err := cs.Addr.Prefix(int(cs.ScopePrefix))
-	if err != nil {
-		return netip.Prefix{}
-	}
-	return p
-}
-
 // Covers reports whether addr falls inside the option's subnet at `bits`
 // bits. bits=0 covers every address of the same family.
 func (cs ClientSubnet) Covers(addr netip.Addr, bits int) bool {

@@ -202,11 +202,8 @@ func TestCoversUnmapsClient(t *testing.T) {
 	}
 }
 
-func TestScopedPrefix(t *testing.T) {
+func TestPrefix(t *testing.T) {
 	cs := MustNew(netip.MustParseAddr("192.0.2.213"), 24).WithScope(16)
-	if got := cs.ScopedPrefix(); got != netip.MustParsePrefix("192.0.0.0/16") {
-		t.Fatalf("ScopedPrefix = %s", got)
-	}
 	if got := cs.Prefix(); got != netip.MustParsePrefix("192.0.2.0/24") {
 		t.Fatalf("Prefix = %s", got)
 	}

@@ -74,7 +74,6 @@ func FuzzDecode(f *testing.F) {
 			}
 			// Derived views must not panic on any accepted input.
 			_ = cs.cs.Prefix()
-			_ = cs.cs.ScopedPrefix()
 			_ = cs.cs.String()
 			_ = cs.cs.IsZero()
 			_ = cs.cs.IsRoutable()

@@ -152,20 +152,3 @@ func UnroutableTable(world *geo.Internet, policy *cdn.Policy, labAddr netip.Addr
 	}
 	return rows
 }
-
-// AnswerSetOverlap reports how many answer addresses two mapping results
-// share — used to verify that unroutable prefixes produce disjoint sets,
-// as the paper observes.
-func AnswerSetOverlap(a, b []cdn.Edge) int {
-	seen := map[netip.Addr]bool{}
-	for _, e := range a {
-		seen[e.Addr] = true
-	}
-	n := 0
-	for _, e := range b {
-		if seen[e.Addr] {
-			n++
-		}
-	}
-	return n
-}

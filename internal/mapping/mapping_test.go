@@ -1,7 +1,6 @@
 package mapping
 
 import (
-	"net/netip"
 	"testing"
 
 	"ecsdns/internal/cdn"
@@ -144,23 +143,5 @@ func TestUnroutableTableMatchesTable2(t *testing.T) {
 	}
 	if far < 2 {
 		t.Fatalf("only %d unroutable probes mapped far away", far)
-	}
-}
-
-func TestAnswerSetOverlap(t *testing.T) {
-	mk := func(addrs ...string) []cdn.Edge {
-		out := make([]cdn.Edge, len(addrs))
-		for i, a := range addrs {
-			out[i] = cdn.Edge{Addr: netip.MustParseAddr(a)}
-		}
-		return out
-	}
-	a := mk("192.0.2.1", "192.0.2.2")
-	b := mk("192.0.2.2", "192.0.2.3")
-	if got := AnswerSetOverlap(a, b); got != 1 {
-		t.Fatalf("overlap = %d", got)
-	}
-	if got := AnswerSetOverlap(a, nil); got != 0 {
-		t.Fatalf("overlap with empty = %d", got)
 	}
 }

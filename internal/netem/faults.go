@@ -162,17 +162,6 @@ func (n *Network) refreshFaultsActive() {
 	n.faultsActive.Store(n.globalFaults != nil || len(n.nodeFaults) > 0)
 }
 
-// SetLoss installs a per-exchange packet-loss probability for failure
-// injection, driven by a deterministic seed. p ≤ 0 disables loss. It is
-// shorthand for SetFaults with a loss-only plan.
-func (n *Network) SetLoss(p float64, seed int64) {
-	if p <= 0 {
-		n.SetFaults(FaultPlan{}, 0)
-		return
-	}
-	n.SetFaults(FaultPlan{Loss: p}, seed)
-}
-
 // forwardFaults rolls the pre-delivery faults for an exchange to dest:
 // blackout, loss, and added latency. It reports whether the exchange is
 // lost (and at what time cost) and any extra latency to add to the RTT.

@@ -185,7 +185,7 @@ func TestInjectedLoss(t *testing.T) {
 	client := w.AddrInCity(1, 0, 1)
 
 	// Full loss: every exchange fails with ErrLost and costs a timeout.
-	n.SetLoss(1.0, 1)
+	n.SetFaults(FaultPlan{Loss: 1.0}, 1)
 	before := n.Clock().Now()
 	_, _, err := n.Exchange(client, server, dnswire.NewQuery(1, "x.", dnswire.TypeA))
 	if !errors.Is(err, ErrLost) {
@@ -196,7 +196,7 @@ func TestInjectedLoss(t *testing.T) {
 	}
 
 	// Partial loss: deterministic per seed, some exchanges succeed.
-	n.SetLoss(0.5, 2)
+	n.SetFaults(FaultPlan{Loss: 0.5}, 2)
 	okCount, lostCount := 0, 0
 	for i := 0; i < 100; i++ {
 		_, _, err := n.Exchange(client, server, dnswire.NewQuery(uint16(i), "x.", dnswire.TypeA))
@@ -211,7 +211,7 @@ func TestInjectedLoss(t *testing.T) {
 	}
 
 	// Disabled loss restores reliability.
-	n.SetLoss(0, 0)
+	n.SetFaults(FaultPlan{}, 0)
 	if _, _, err := n.Exchange(client, server, dnswire.NewQuery(1, "x.", dnswire.TypeA)); err != nil {
 		t.Fatalf("loss disabled but exchange failed: %v", err)
 	}

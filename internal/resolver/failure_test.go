@@ -15,7 +15,7 @@ func TestRetriesSurviveInjectedLoss(t *testing.T) {
 	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
 	// 40% loss: with 3 attempts per query, resolution still succeeds
 	// almost always; assert over several names.
-	rg.net.SetLoss(0.4, 7)
+	rg.net.SetFaults(netem.FaultPlan{Loss: 0.4}, 7)
 	ok := 0
 	for i := 0; i < 20; i++ {
 		name := dnswire.Name(rune('a'+i)) + "loss.test.example."
@@ -47,7 +47,7 @@ func TestRetriesSurviveInjectedLoss(t *testing.T) {
 
 func TestTotalLossYieldsServfail(t *testing.T) {
 	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
-	rg.net.SetLoss(1.0, 7)
+	rg.net.SetFaults(netem.FaultPlan{Loss: 1.0}, 7)
 	q := dnswire.NewQuery(1, "dead.test.example.", dnswire.TypeA)
 	resp, _, err := rg.net.Exchange(rg.client("London", 9), rg.res.Addr(), q)
 	// Either the client leg was lost (error) or the resolver answered

@@ -124,7 +124,7 @@ func NewPool(spec string, hedge, breaker, ladder bool) (*upstreams.Pool, *dnscli
 	if err != nil {
 		return nil, nil, err
 	}
-	udp := &dnsclient.Client{Retries: dnsclient.NoRetries}
+	udp := &dnsclient.Client{}
 	pool, err := upstreams.New(upstreams.Config{
 		Upstreams: ups,
 		Transport: &transport{
