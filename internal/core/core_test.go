@@ -337,16 +337,22 @@ func TestScaledHelper(t *testing.T) {
 
 func TestExtAdaptiveShape(t *testing.T) {
 	rep := runExperiment(t, "ext_adaptive", testConfig())
+	// The profiles' targets: the standard resolver conveys its /24, the
+	// adaptive one ≈16 bits, and adapting costs at most 10 % more
+	// upstream queries than the standard run.
 	std := metric(t, rep, "mean conveyed bits, standard resolver")
 	ad := metric(t, rep, "mean conveyed bits, adaptive resolver")
 	if std.Measured != 24 {
 		t.Errorf("standard resolver conveyed %v bits", std.Measured)
 	}
-	if ad.Measured > 17 {
+	if ad.Measured < 16 || ad.Measured > 17 {
 		t.Errorf("adaptive resolver conveyed %v bits, want ≈16", ad.Measured)
 	}
 	upStd := metric(t, rep, "upstream queries, standard")
 	upAd := metric(t, rep, "upstream queries, adaptive")
+	if upStd.Measured <= 0 {
+		t.Errorf("the standard resolver sent %v upstream queries", upStd.Measured)
+	}
 	if diff := upAd.Measured - upStd.Measured; diff > upStd.Measured*0.1 {
 		t.Errorf("adaptive upstream load %v vs %v", upAd.Measured, upStd.Measured)
 	}
@@ -404,6 +410,21 @@ func TestExtEvictionsShape(t *testing.T) {
 	}
 }
 
+// TestExtResilienceShape holds the pool to its targets: at least 99 %
+// answered with one mirror dark and under a fragmentation storm, and a
+// hedged p99 below the unhedged one under 50 % loss.
+func TestExtResilienceShape(t *testing.T) {
+	rep := runExperiment(t, "ext_resilience", testConfig())
+	for _, name := range []string{"answer rate with one mirror dark", "answer rate under fragmentation storm"} {
+		if m := metric(t, rep, name); m.Measured < 99 {
+			t.Errorf("%s = %v%%, want >= 99%%", name, m.Measured)
+		}
+	}
+	if m := metric(t, rep, "p99 speedup from hedging under 50% loss"); m.Measured <= 1 {
+		t.Errorf("hedging under 50%% loss sped p99 up %v×, want > 1×", m.Measured)
+	}
+}
+
 func TestExtScaleShape(t *testing.T) {
 	rep := runExperiment(t, "ext_scale", testConfig())
 	b1 := metric(t, rep, "blow-up factor at 1× population")
@@ -424,9 +445,18 @@ func TestExtScaleShape(t *testing.T) {
 		t.Errorf("eviction rate at 100× = %v/100q; fixed capacity should be under real pressure", e100.Measured)
 	}
 	// Cross-validation: the real cache and the standalone LRU model
-	// must agree on the order of eviction pressure.
-	if cross.Paper > 0 && (cross.Measured > 3*cross.Paper || cross.Paper > 3*cross.Measured) {
-		t.Errorf("real cache evictions %v vs model %v disagree beyond 3×", cross.Measured, cross.Paper)
+	// (the table's last column) must agree on the order of eviction
+	// pressure.
+	var model float64
+	for _, r := range rep.Tables[0].Rows {
+		if r[0] == "100" {
+			if _, err := fmt.Sscanf(r[len(r)-1], "%f", &model); err != nil {
+				t.Fatalf("bad row %v", r)
+			}
+		}
+	}
+	if !(model > 0) || cross.Measured > 3*model || model > 3*cross.Measured {
+		t.Errorf("real cache evictions %v vs model %v disagree beyond 3×", cross.Measured, model)
 	}
 }
 

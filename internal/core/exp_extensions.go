@@ -127,10 +127,10 @@ func runExtAdaptive(cfg Config) (*Report, error) {
 		}
 	}
 	rep.Tables = append(rep.Tables, t)
-	rep.AddMetric("mean conveyed bits, standard resolver", 24, bitsStd, "bits")
-	rep.AddMetric("mean conveyed bits, adaptive resolver", 16, bitsAd, "bits")
-	rep.AddMetric("upstream queries, standard", float64(upStd), float64(upStd), "queries")
-	rep.AddMetric("upstream queries, adaptive", float64(upStd), float64(upAd), "queries")
+	rep.AddMetric("mean conveyed bits, standard resolver", noPaper, bitsStd, "bits")
+	rep.AddMetric("mean conveyed bits, adaptive resolver", noPaper, bitsAd, "bits")
+	rep.AddMetric("upstream queries, standard", noPaper, float64(upStd), "queries")
+	rep.AddMetric("upstream queries, adaptive", noPaper, float64(upAd), "queries")
 	rep.Notes = append(rep.Notes,
 		"adapting the source prefix to the authority's scope sheds a third of the conveyed client bits with no change in upstream load or answer granularity — evidence for the §9 proposal")
 	return rep, nil

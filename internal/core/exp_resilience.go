@@ -171,15 +171,15 @@ func runExtResilience(cfg Config) (*Report, error) {
 	}
 	rep.Tables = append(rep.Tables, t)
 
-	rep.AddMetric("answer rate with one mirror dark", 99, runs["one mirror dark"].rate(), "%")
-	rep.AddMetric("answer rate under fragmentation storm", 99, runs["fragmentation storm"].rate(), "%")
+	rep.AddMetric("answer rate with one mirror dark", noPaper, runs["one mirror dark"].rate(), "%")
+	rep.AddMetric("answer rate under fragmentation storm", noPaper, runs["fragmentation storm"].rate(), "%")
 	unhedged := runs["50% loss, unhedged"].percentile(0.99)
 	hedged := runs["50% loss, hedged"].percentile(0.99)
 	speedup := 0.0
 	if hedged > 0 {
 		speedup = float64(unhedged) / float64(hedged)
 	}
-	rep.AddMetric("p99 speedup from hedging under 50% loss", 1, speedup, "×")
+	rep.AddMetric("p99 speedup from hedging under 50% loss", noPaper, speedup, "×")
 	rep.Notes = append(rep.Notes,
 		"a measurement platform that probes millions of resolvers only works if its own upstream path absorbs blackouts, loss, and fragmentation; the pool keeps the answer rate at the clean level under every single-fault condition and hedging cuts the loss-storm latency tail")
 	return rep, nil

@@ -17,7 +17,7 @@ import (
 // next, so a repeated answer costs nothing. Either way the query is
 // packed into a pooled buffer and the 64 KiB read buffer is pooled, so
 // bytes per exchange stay well under 1 KiB, and the socket is dialed
-// once in ringUses exchanges, so its dozen objects come to a fraction
+// once in ringUses exchanges, so its ≈15 objects come to a fraction
 // of one.
 func TestAllocGateClientExchangeUDP(t *testing.T) {
 	if raceEnabled {
@@ -32,7 +32,8 @@ func TestAllocGateClientExchangeUDP(t *testing.T) {
 		objects  float64
 	}{
 		{"ExchangeUDP", func(c *Client) error { _, err := c.ExchangeUDP(server, q); return err }, 8},
-		// Only the ring's dials: ≈12 objects once in ringUses exchanges.
+		// Only the ring's dials: ≈15 objects (3 of them the udpio
+		// handle) once in ringUses exchanges.
 		{"ExchangeUDPInto", func(c *Client) error { return c.ExchangeUDPInto(server, q, &kept) }, 0.3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -33,6 +33,7 @@ import (
 
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/ecsopt"
+	"ecsdns/internal/udpio"
 )
 
 // NoRetries disables UDP retries when assigned to Client.Retries. Any
@@ -76,6 +77,7 @@ const (
 // only the exchange that drew it holds it.
 type ringSock struct {
 	conn   net.Conn
+	rw     *udpio.Handle // reads and writes conn
 	server string
 	born   time.Time
 	uses   int
@@ -269,16 +271,16 @@ var errStale = errors.New("dnsclient: unexpected datagram on a reused socket")
 // dialUDP connects a fresh UDP socket to server. A literal ip:port
 // skips the dialer's context, timer and address-list resolution; a
 // hostname still goes through it.
-func dialUDP(server string, timeout time.Duration) (net.Conn, error) {
+func dialUDP(server string, timeout time.Duration) (*net.UDPConn, error) {
 	ap, err := netip.ParseAddrPort(server)
 	if err != nil {
-		return net.DialTimeout("udp", server, timeout)
+		conn, err := net.DialTimeout("udp", server, timeout)
+		if err != nil {
+			return nil, err
+		}
+		return conn.(*net.UDPConn), nil
 	}
-	conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(ap))
-	if err != nil {
-		return nil, err
-	}
-	return conn, nil
+	return net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(ap))
 }
 
 // exchangeUDP is one UDP attempt under one deadline, on a connected
@@ -299,10 +301,15 @@ func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte, res
 			if err != nil {
 				return err
 			}
+			rw, err := udpio.New(conn)
+			if err != nil {
+				conn.Close()
+				return err
+			}
 			c.dialed.Add(1)
-			s = ringSock{conn: conn, server: server, born: start}
+			s = ringSock{conn: conn, rw: rw, server: server, born: start}
 		}
-		err := roundTrip(s.conn, deadline, q, data, reused, resp)
+		err := roundTrip(s, deadline, q, data, reused, resp)
 		if err == nil {
 			c.park(s)
 			return nil
@@ -315,16 +322,16 @@ func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte, res
 	}
 }
 
-// roundTrip writes data on conn and reads until q's answer arrives, in
+// roundTrip writes data on s and reads until q's answer arrives, in
 // resp, or the deadline passes. On a fresh socket a datagram that does
 // not parse or does not match is skipped, since only something sent
 // inside this round trip can be in its queue. On a reused one it is
 // errStale: the datagram may have been placed while the socket sat idle,
 // and idle time must not buy an off-path sender more guesses than a
 // round trip does.
-func roundTrip(conn net.Conn, deadline time.Time, q *dnswire.Message, data []byte, reused bool, resp *dnswire.Message) error {
-	conn.SetDeadline(deadline)
-	if _, err := conn.Write(data); err != nil {
+func roundTrip(s ringSock, deadline time.Time, q *dnswire.Message, data []byte, reused bool, resp *dnswire.Message) error {
+	s.conn.SetDeadline(deadline)
+	if _, err := s.rw.Write(data); err != nil {
 		return err
 	}
 	// The decode copies everything it keeps out of its input, so the
@@ -334,7 +341,7 @@ func roundTrip(conn net.Conn, deadline time.Time, q *dnswire.Message, data []byt
 	buf, used := *bp, 0 // used: the most of buf a datagram has filled
 	defer func() { putBuf(&readBufPool, bp, used) }()
 	for {
-		n, err := conn.Read(buf)
+		n, err := s.rw.Read(buf)
 		if err != nil {
 			return err
 		}

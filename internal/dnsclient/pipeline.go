@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ecsdns/internal/dnswire"
+	"ecsdns/internal/udpio"
 )
 
 // Pipeline errors.
@@ -86,10 +87,22 @@ type pendingKey struct {
 // Waiters are pooled; the lock-ordered register/unregister protocol
 // guarantees at most one signal per registration, and the waiter is
 // only pooled after that signal has been consumed or provably will
-// never come.
+// never come. The attempt holding a waiter sends through its handle.
 type waiter struct {
 	ch  chan int // response length
 	buf []byte
+
+	tx    *udpio.Handle // a handle on txFor's socket
+	txFor *Pipeline
+}
+
+// sender returns w's handle on p's socket, taking a new one when w last
+// sent for another Pipeline.
+func (w *waiter) sender(p *Pipeline) *udpio.Handle {
+	if w.txFor != p {
+		w.tx, w.txFor = p.rw.Clone(), p
+	}
+	return w.tx
 }
 
 var waiterPool = sync.Pool{
@@ -144,6 +157,7 @@ func putBuf(pool *sync.Pool, bp *[]byte, n int) {
 type Pipeline struct {
 	cfg    PipelineConfig
 	pc     *net.UDPConn
+	rw     *udpio.Handle // readLoop's
 	closed atomic.Bool
 
 	reader sync.WaitGroup
@@ -168,9 +182,15 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dnsclient: pipeline socket: %w", err)
 	}
+	rw, err := udpio.New(pc)
+	if err != nil {
+		pc.Close()
+		return nil, fmt.Errorf("dnsclient: pipeline socket: %w", err)
+	}
 	p := &Pipeline{
 		cfg:       cfg,
 		pc:        pc,
+		rw:        rw,
 		rng:       rand.New(rand.NewSource(RandomSeed())),
 		pending:   make(map[pendingKey]*waiter),
 		hostCache: make(map[string]netip.AddrPort),
@@ -247,7 +267,7 @@ func (p *Pipeline) readLoop() {
 	defer p.reader.Done()
 	buf := make([]byte, 65535)
 	for {
-		n, ap, err := p.pc.ReadFromUDPAddrPort(buf)
+		n, ap, err := p.rw.ReadFrom(buf)
 		if err != nil {
 			if p.closed.Load() {
 				return
@@ -420,7 +440,7 @@ func (p *Pipeline) attempt(ctx context.Context, dest netip.AddrPort, question dn
 	dnswire.PatchID(data, id)
 
 	p.sent.Add(1)
-	if _, err := p.pc.WriteToUDPAddrPort(data, dest); err != nil {
+	if _, err := w.sender(p).WriteTo(data, dest); err != nil {
 		if p.unregister(key) {
 			p.release(w)
 		} else {

@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"ecsdns/internal/dnswire"
+	"ecsdns/internal/udpio"
 )
 
 // Handler answers DNS queries. It matches netem.Handler so simulation
@@ -368,6 +369,12 @@ func (s *Server) Start(addr string) (netip.AddrPort, error) {
 		return netip.AddrPort{}, err
 	}
 	bound := pc.LocalAddr().(*net.UDPAddr).AddrPort()
+	rw, err := udpio.New(pc)
+	if err != nil {
+		pc.Close()
+		ln.Close()
+		return netip.AddrPort{}, fmt.Errorf("dnsserver: udp socket: %w", err)
+	}
 	var rl *rrl
 	switch {
 	case s.RRL > 0:
@@ -385,7 +392,7 @@ func (s *Server) Start(addr string) (netip.AddrPort, error) {
 	s.rrl = rl
 	s.mu.Unlock()
 	s.loops.Add(2)
-	go s.serveUDP(pc)
+	go s.serveUDP(rw)
 	go s.serveTCP(ln)
 	return bound, nil
 }
@@ -496,11 +503,11 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// udpLoop is the UDP read loop's own state: its socket, the workspace
-// it answers, slips and sheds in, and the worker pool it starts. Only
-// the loop's goroutine touches it.
+// udpLoop is the UDP read loop's own state: its handle on the socket,
+// the workspace it answers, slips and sheds in, and the worker pool it
+// starts. Only the loop's goroutine touches it.
 type udpLoop struct {
-	pc *net.UDPConn
+	rw *udpio.Handle
 	// buf is what each datagram is read into, kept on the heap with the
 	// loop: on the loop's stack its 64 KiB would grow it from 8 to 128 KiB.
 	buf            []byte
@@ -513,11 +520,11 @@ type udpLoop struct {
 // serves each datagram it reads (serveDatagram) until the socket's read
 // deadline expires on shutdown, then closes the queue and waits for the
 // workers to drain it.
-func (s *Server) serveUDP(pc *net.UDPConn) {
+func (s *Server) serveUDP(rw *udpio.Handle) {
 	defer s.loops.Done()
-	l := &udpLoop{pc: pc, buf: make([]byte, 65535), limit: int64(s.maxInflight())}
+	l := &udpLoop{rw: rw, buf: make([]byte, 65535), limit: int64(s.maxInflight())}
 	for {
-		n, from, err := pc.ReadFromUDPAddrPort(l.buf)
+		n, from, err := rw.ReadFrom(l.buf)
 		if err != nil {
 			if s.isClosed() {
 				break
@@ -574,7 +581,7 @@ func (s *Server) serveDatagram(l *udpLoop, pkt []byte, from netip.AddrPort) {
 		return
 	}
 	if data := ws.pack(resp, query); data != nil {
-		l.pc.WriteToUDPAddrPort(data, from)
+		l.rw.WriteTo(data, from)
 	}
 }
 
@@ -594,9 +601,10 @@ func (s *Server) admit(l *udpLoop, pkt []byte, from netip.AddrPort) *dnswire.Mes
 			l.started++
 			s.stats.workers.Store(l.started)
 			l.workers.Add(1)
+			rw := l.rw.Clone()
 			go func() {
 				defer l.workers.Done()
-				s.udpWorker(l.pc)
+				s.udpWorker(rw)
 			}()
 		}
 		return nil
@@ -616,8 +624,9 @@ func (s *Server) admit(l *udpLoop, pkt []byte, from netip.AddrPort) *dnswire.Mes
 // its own. The query's Message goes back to spare before the reply
 // leaves, so a client that waits for the reply finds the read loop
 // decoding its next query into the same Message. Nothing here allocates
-// once a worker has warmed up (TestAllocGateServeUDP counts it).
-func (s *Server) udpWorker(pc *net.UDPConn) {
+// once a worker has warmed up (TestAllocGateServeUDP counts it). rw is
+// the worker's own handle on the socket.
+func (s *Server) udpWorker(rw *udpio.Handle) {
 	var ws workspace
 	for p := range s.queue {
 		s.stats.inflight.Add(1)
@@ -629,7 +638,7 @@ func (s *Server) udpWorker(pc *net.UDPConn) {
 		ws.query = nil
 		s.spare <- p.query
 		if data != nil {
-			pc.WriteToUDPAddrPort(data, p.from)
+			rw.WriteTo(data, p.from)
 		}
 		s.stats.inflight.Add(-1)
 		s.pending.Add(-1)
