@@ -7,10 +7,9 @@
 // its cache.
 //
 // With -targets it instead runs a bulk availability sweep over many
-// resolvers through the concurrent scan engine: a pipelined UDP
-// transport multiplexes queries over one socket, a worker pool keeps
-// -concurrency probes in flight, and -rate caps the aggregate query
-// rate.
+// resolvers: one loop on the main goroutine (dnsclient.Pipeline.Sweep)
+// keeps -concurrency probes in flight over one UDP socket, and -rate caps
+// the rate at which probes start.
 //
 // Usage:
 //
@@ -22,8 +21,10 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/netip"
@@ -31,7 +32,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 	"unicode/utf8"
 
@@ -69,7 +69,26 @@ func main() {
 	}
 
 	if *targetsArg != "" {
-		bulkScan(*targetsArg, base, *concurrency, *rate, *timeout)
+		// The first SIGINT drains the sweep: no probe or attempt starts,
+		// the ones in flight end at their answer or deadline, and the
+		// partial results are still printed. A second forces exit.
+		ctx, cancel := context.WithCancel(context.Background())
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt)
+		go func() {
+			<-sig
+			fmt.Fprintln(os.Stderr, "ecsscan: interrupt — draining in-flight probes (interrupt again to force exit)")
+			cancel()
+			<-sig
+			fmt.Fprintln(os.Stderr, "ecsscan: forced exit")
+			os.Exit(130)
+		}()
+		err := bulkScan(ctx, os.Stdout, *targetsArg, base, *concurrency, *rate, *timeout)
+		signal.Stop(sig)
+		cancel()
+		if err != nil {
+			log.Fatalf("ecsscan: %v", err)
+		}
 		return
 	}
 
@@ -82,7 +101,7 @@ func main() {
 
 // loadTargets reads targets from a file (one per line, # comments
 // allowed) or from a comma-separated literal list.
-func loadTargets(arg string) []string {
+func loadTargets(arg string) ([]string, error) {
 	var raw []string
 	if f, err := os.Open(arg); err == nil {
 		defer f.Close()
@@ -91,22 +110,22 @@ func loadTargets(arg string) []string {
 			raw = append(raw, sc.Text())
 		}
 		if err := sc.Err(); err != nil {
-			log.Fatalf("ecsscan: reading %s: %v", arg, err)
+			return nil, fmt.Errorf("reading %s: %v", arg, err)
 		}
 	} else if strings.ContainsAny(arg, "/\\") {
 		// A path that does not open is a typo, not a hostname list.
-		log.Fatalf("ecsscan: %v", err)
+		return nil, err
 	} else {
 		raw = strings.Split(arg, ",")
 	}
 	targets, err := parseTargets(raw)
 	if err != nil {
-		log.Fatalf("ecsscan: %v", err)
+		return nil, err
 	}
 	if len(targets) == 0 {
-		log.Fatal("ecsscan: no targets")
+		return nil, errors.New("no targets")
 	}
-	return targets
+	return targets, nil
 }
 
 // parseTargets turns target lines into the host:port strings the
@@ -158,30 +177,11 @@ func normalizeTarget(line string) (string, error) {
 	return line, nil
 }
 
-// probeState is what one bulk probe needs and the next can reuse: the
-// query (one question, EDNS advertising 4096 bytes — only the question
-// name changes between probes), the message the response is decoded
-// into, and the buffer the probe name is assembled in. The pipeline
-// keeps nothing of either message once ExchangeInto returns, so a state
-// goes back to the pool with the result copied out of it.
-type probeState struct {
-	q, resp dnswire.Message
-	name    []byte
-}
-
-var probeStates = sync.Pool{
-	New: func() any {
-		st := &probeState{q: *dnswire.NewQuery(0, "", dnswire.TypeA)} // the pipeline owns IDs
-		st.q.EDNS = dnswire.NewEDNS()
-		return st
-	},
-}
-
 // probeOutcome says which of a probeResult's fields are set.
 type probeOutcome uint8
 
 const (
-	probeNotStarted  probeOutcome = iota // the drain came before this target's turn
+	probeNotStarted  probeOutcome = iota // the drain came before this target's turn, or cut its probe short
 	probeAnswered                        // rcode, answers, edns, rtt
 	probeUnreachable                     // err
 	probeBadName                         // err
@@ -199,35 +199,116 @@ type probeResult struct {
 	edns    bool
 }
 
-// bulkProbe asks target for the A record of bulk<i>.<base> and reports
-// what came back. Apart from the probe name, which is new for every i,
-// it works in a pooled probeState and allocates nothing.
-func bulkProbe(ctx context.Context, pipe *dnsclient.Pipeline, base dnswire.Name, target string, i int) probeResult {
-	st := probeStates.Get().(*probeState)
-	defer probeStates.Put(st)
-	st.name = append(st.name[:0], "bulk"...)
-	st.name = strconv.AppendInt(st.name, int64(i), 10)
-	st.name = append(st.name, '.')
-	if base != dnswire.Root {
-		st.name = append(st.name, base...)
+// bulk is one -targets sweep: the base every probe name is built on,
+// each target's address, resolved once at load, and its result.
+type bulk struct {
+	base    dnswire.Name
+	dests   []netip.AddrPort
+	results []probeResult
+	name    []byte // the probe name being built
+
+	start                      time.Time
+	started, answered, failing int
+}
+
+// newBulk resolves targets. One that does not resolve keeps the error in
+// its result, which stays probeNotStarted until the target's turn: then
+// the probe ends with that error, as a failed lookup did when each probe
+// made its own.
+func newBulk(base dnswire.Name, targets []string) *bulk {
+	b := &bulk{
+		base:    base,
+		dests:   make([]netip.AddrPort, len(targets)),
+		results: make([]probeResult, len(targets)),
+	}
+	resolved := make(map[string]netip.AddrPort)
+	for i, t := range targets {
+		if ap, err := netip.ParseAddrPort(t); err == nil {
+			b.dests[i] = ap
+			continue
+		}
+		ap, ok := resolved[t]
+		if !ok {
+			raddr, err := net.ResolveUDPAddr("udp", t)
+			if err != nil {
+				b.results[i].err = err
+				continue
+			}
+			ap = raddr.AddrPort()
+			resolved[t] = ap
+		}
+		b.dests[i] = ap
+	}
+	return b
+}
+
+// probe asks target i for the A record of bulk<i>.<base>, in the query
+// the sweep keeps for the slot: the first probe in a slot sets it up —
+// one question, EDNS advertising 4096 bytes, the ID left to the
+// pipeline — and later ones only change the name.
+func (b *bulk) probe(i int, q *dnswire.Message) (netip.AddrPort, error) {
+	b.started++
+	r := &b.results[i]
+	if r.err != nil {
+		return netip.AddrPort{}, r.err
+	}
+	b.name = append(b.name[:0], "bulk"...)
+	b.name = strconv.AppendInt(b.name, int64(i), 10)
+	b.name = append(b.name, '.')
+	if b.base != dnswire.Root {
+		b.name = append(b.name, b.base...)
 	}
 	// base is canonical and the label is short, lower-case and dot-free,
 	// so the total length is all there is left to check.
-	if len(st.name)+1 > dnswire.MaxNameLen {
-		return probeResult{outcome: probeBadName, err: dnswire.ErrNameTooLong}
+	if len(b.name)+1 > dnswire.MaxNameLen {
+		*r = probeResult{outcome: probeBadName, err: dnswire.ErrNameTooLong}
+		return netip.AddrPort{}, r.err
 	}
-	st.q.Questions[0].Name = dnswire.Name(st.name)
-	start := time.Now()
-	if err := pipe.ExchangeInto(ctx, target, &st.q, &st.resp); err != nil {
-		return probeResult{outcome: probeUnreachable, err: err}
+	if q.EDNS == nil {
+		*q = *dnswire.NewQuery(0, "", dnswire.TypeA)
+		q.EDNS = dnswire.NewEDNS()
 	}
-	return probeResult{
-		outcome: probeAnswered,
-		rcode:   st.resp.RCode,
-		answers: uint16(len(st.resp.Answers)), // a wire count, so it fits
-		edns:    st.resp.EDNS != nil,
-		rtt:     time.Since(start),
+	q.Questions[0].Name = dnswire.Name(b.name)
+	r.rtt = time.Since(b.start) // when the probe started; done makes it the round trip
+	return b.dests[i], nil
+}
+
+// done keeps what came back for target i. A probe the drain cut short
+// goes back to probeNotStarted: it is neither responding nor unreachable.
+func (b *bulk) done(i int, resp *dnswire.Message, err error) {
+	r := &b.results[i]
+	switch {
+	case err == nil:
+		*r = probeResult{
+			outcome: probeAnswered,
+			rcode:   resp.RCode,
+			answers: uint16(len(resp.Answers)), // a wire count, so it fits
+			edns:    resp.EDNS != nil,
+			rtt:     time.Since(b.start) - r.rtt,
+		}
+		b.answered++
+	case errors.Is(err, context.Canceled):
+		*r = probeResult{}
+	case r.outcome == probeBadName:
+		b.failing++
+	default:
+		*r = probeResult{outcome: probeUnreachable, err: err}
+		b.failing++
 	}
+}
+
+// progress is the sweep's summary figures, as of now.
+func (b *bulk) progress() scanner.ProgressSnapshot {
+	s := scanner.ProgressSnapshot{
+		Sent:    int64(b.started),
+		Done:    int64(b.answered),
+		Errors:  int64(b.failing),
+		Elapsed: time.Since(b.start),
+	}
+	if s.Elapsed > 0 {
+		s.QPS = float64(s.Sent) / s.Elapsed.Seconds()
+	}
+	return s
 }
 
 // appendResult appends target's result line, without the newline.
@@ -280,57 +361,46 @@ func writeSummary(w *bufio.Writer, targets int, s scanner.ProgressSnapshot, st d
 		st.Sent, st.Retries, st.TCPFallbacks)
 }
 
-// bulkScan sweeps many resolvers concurrently through the pipelined
-// transport and prints one availability line per target plus a
-// throughput summary, all of it once the run has ended and through one
-// buffered writer.
-func bulkScan(targetsArg string, base dnswire.Name, concurrency int, rate float64, timeout time.Duration) {
-	targets := loadTargets(targetsArg)
+// bulkScan sweeps many resolvers through the pipeline and writes one
+// availability line per target plus a throughput summary to out, all of
+// it once the sweep has ended and through one buffered writer. A cancel
+// of ctx drains the sweep, and the lines are those of the probes that
+// ended.
+func bulkScan(ctx context.Context, out io.Writer, targetsArg string, base dnswire.Name, concurrency int, rate float64, timeout time.Duration) error {
+	targets, err := loadTargets(targetsArg)
+	if err != nil {
+		return err
+	}
 	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{Timeout: timeout})
 	if err != nil {
-		log.Fatalf("ecsscan: pipeline: %v", err)
+		return fmt.Errorf("pipeline: %v", err)
 	}
 	defer pipe.Close()
 
-	// First SIGINT drains the engine gracefully (in-flight probes finish,
-	// partial results are still flushed below); a second forces exit.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	defer signal.Stop(sig)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "ecsscan: interrupt — draining in-flight probes (interrupt again to force exit)")
-		cancel()
-		<-sig
-		fmt.Fprintln(os.Stderr, "ecsscan: forced exit")
-		os.Exit(130)
-	}()
-
-	prog := scanner.NewProgress()
-	eng := &scanner.Engine{Concurrency: concurrency, Rate: rate, Progress: prog}
-	results := make([]probeResult, len(targets))
-	err = eng.Run(ctx, len(targets), func(ctx context.Context, i int) error {
-		results[i] = bulkProbe(ctx, pipe, base, targets[i], i)
-		return results[i].err
-	})
+	b := newBulk(base, targets)
+	var pace func(context.Context) error
+	if rate > 0 {
+		pace = scanner.NewRateLimiter(rate, min(concurrency, len(targets))).Wait
+	}
+	b.start = time.Now()
+	err = pipe.Sweep(ctx, len(targets), concurrency, pace, b.probe, b.done)
 	interrupted := err != nil && ctx.Err() != nil
 	if err != nil && !interrupted {
-		log.Fatalf("ecsscan: %v", err)
+		return err
 	}
 	// The summary's clock stops here: elapsed and q/s are the scan's,
 	// not the scan's plus the time it takes to print it.
-	s := prog.Snapshot()
-	out := bufio.NewWriterSize(os.Stdout, 64<<10)
-	written := writeResults(out, targets, results)
-	writeSummary(out, len(targets), s, pipe.Stats())
+	s := b.progress()
+	w := bufio.NewWriterSize(out, 64<<10)
+	written := writeResults(w, targets, b.results)
+	writeSummary(w, len(targets), s, pipe.Stats())
 	if interrupted {
-		fmt.Fprintf(out, "interrupted: partial results for %d of %d targets\n", written, len(targets))
+		fmt.Fprintf(w, "interrupted: partial results for %d of %d targets\n", written, len(targets))
 	}
-	if err := out.Flush(); err != nil {
-		log.Fatalf("ecsscan: writing results: %v", err)
+	if err := w.Flush(); err != nil {
+		return fmt.Errorf("writing results: %v", err)
 	}
+	return nil
 }
 
 // singleProbe is the original single-target §6.3 trial sequence.

@@ -6,12 +6,20 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/netip"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ecsdns/internal/authority"
 	"ecsdns/internal/dnsclient"
+	"ecsdns/internal/dnsserver"
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/scanner"
 )
@@ -22,8 +30,10 @@ import (
 // OPT carried over — by splicing bytes, without a decode. It must not
 // allocate: testing.AllocsPerRun counts every goroutine's mallocs, so a
 // real dnsserver here would put its own per-query allocations on the
-// probe's bill.
-func startAnswerResponder(t *testing.T) string {
+// probe's bill. With a delay it answers each query that long after
+// reading it (and allocates to do so); read, when non-nil, hears of
+// every query read.
+func startAnswerResponder(t *testing.T, delay time.Duration, read chan<- struct{}) string {
 	t.Helper()
 	pc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -59,7 +69,19 @@ func startAnswerResponder(t *testing.T) string {
 			r = append(r, q[end:n]...)
 			r[2] |= 0x80 // QR
 			r[7] = 1     // ANCOUNT
-			pc.WriteToUDPAddrPort(r, src)
+			if read != nil {
+				read <- struct{}{}
+			}
+			if delay == 0 {
+				pc.WriteToUDPAddrPort(r, src)
+				continue
+			}
+			late := append([]byte(nil), r...)
+			wg.Add(1)
+			time.AfterFunc(delay, func() {
+				defer wg.Done()
+				pc.WriteToUDPAddrPort(late, src)
+			})
 		}
 	}()
 	t.Cleanup(func() {
@@ -71,35 +93,47 @@ func startAnswerResponder(t *testing.T) string {
 
 // TestAllocGateBulkProbe is the end-to-end half of the allocation gates:
 // the codec and the pipeline are each held to their own figure, and this
-// holds the call site that uses them to what a never-seen probe name
-// must cost — the name itself, and the question and owner names
-// UnpackInto has to make for it. A loop that builds a query, a response
-// and a result line per probe reads 17 here.
+// holds the call site that uses them — ecsscan's probe and done on
+// Pipeline.Sweep — to what a never-seen probe name must cost: the name
+// itself, and the question and owner names UnpackInto has to make for
+// it. A sweep's slots, set up once per sweep, are spread over its 4096
+// probes. A loop that builds a query, a response and a result line per
+// probe reads 17 here.
 func TestAllocGateBulkProbe(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	target := startAnswerResponder(t)
+	target := startAnswerResponder(t, 0, nil)
 	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
-	base := dnswire.MustParseName("gate.scan.test")
-	next := 0
-	probe := func() {
-		r := bulkProbe(context.Background(), pipe, base, target, next)
-		next++
-		if r.outcome != probeAnswered || r.rcode != dnswire.RCodeNoError || r.answers != 1 || !r.edns {
-			t.Fatalf("probe %d: %+v, want an answered NOERROR with one answer and EDNS", next-1, r)
+	const probes = 4096
+	targets := make([]string, probes)
+	for i := range targets {
+		targets[i] = target
+	}
+	run := 0
+	sweep := func() {
+		// A base of its own per sweep: no probe name repeats.
+		run++
+		b := newBulk(dnswire.MustParseName("run"+strconv.Itoa(run)+".gate.scan.test"), targets)
+		b.start = time.Now()
+		if err := pipe.Sweep(context.Background(), probes, 64, nil, b.probe, b.done); err != nil {
+			t.Fatal(err)
+		}
+		for i := range b.results {
+			if r := &b.results[i]; r.outcome != probeAnswered || r.rcode != dnswire.RCodeNoError || r.answers != 1 || !r.edns {
+				t.Fatalf("probe %d: %+v, want an answered NOERROR with one answer and EDNS", i, *r)
+			}
 		}
 	}
-	for i := 0; i < 64; i++ { // warm the pools
-		probe()
+	avg := testing.AllocsPerRun(4, sweep) / probes
+	if avg > 4 {
+		t.Fatalf("a bulk probe allocates %.2f allocs/probe, want <= 4", avg)
 	}
-	if avg := testing.AllocsPerRun(512, probe); avg > 4 {
-		t.Fatalf("bulkProbe allocates %.2f allocs/probe, want <= 4", avg)
-	}
+	t.Logf("%.2f allocs/probe", avg)
 }
 
 func TestBulkProbeBadName(t *testing.T) {
@@ -112,13 +146,140 @@ func TestBulkProbeBadName(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
-	r := bulkProbe(context.Background(), pipe, base, "127.0.0.1:9", 0)
+	b := newBulk(base, []string{"127.0.0.1:9"})
+	if err := pipe.Sweep(context.Background(), 1, 1, nil, b.probe, b.done); err != nil {
+		t.Fatal(err)
+	}
+	r := b.results[0]
 	_, want := base.Prepend("bulk0")
 	if r.outcome != probeBadName || !errors.Is(r.err, want) || want == nil {
 		t.Fatalf("result = %+v, want bad name with %v", r, want)
 	}
 	if st := pipe.Stats(); st.Sent != 0 {
 		t.Fatalf("a probe with a bad name sent %d datagrams", st.Sent)
+	}
+}
+
+// startZoneServer serves scan.test. — every name under it has an A
+// record — over loopback, as authdns does.
+func startZoneServer(t *testing.T) (string, *dnsserver.Server) {
+	t.Helper()
+	auth := authority.NewServer(authority.Config{})
+	z := authority.NewZone("scan.test.", 60)
+	z.SetWildcard(dnswire.TypeA, &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.7")})
+	auth.AddZone(z)
+	srv := dnsserver.New(auth)
+	bound, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return bound.String(), srv
+}
+
+// startSilentPort reads UDP datagrams on loopback, counts them and never
+// answers; nothing listens on its port over TCP.
+func startSilentPort(t *testing.T) (string, *atomic.Int64) {
+	t.Helper()
+	pc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var read atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b := make([]byte, 2048)
+		for {
+			if _, _, err := pc.ReadFromUDPAddrPort(b); err != nil {
+				return
+			}
+			read.Add(1)
+		}
+	}()
+	t.Cleanup(func() {
+		pc.Close()
+		<-done
+	})
+	return pc.LocalAddr().String(), &read
+}
+
+// masked blanks what differs from run to run in bulk output: each
+// answer's rtt, and the summary's elapsed time and q/s.
+func masked(out string) string {
+	return regexp.MustCompile(`rtt=\S+|in \S+ \(\d+ q/s`).ReplaceAllStringFunc(out, func(m string) string {
+		if strings.HasPrefix(m, "rtt=") {
+			return "rtt=x"
+		}
+		return "in x (y q/s"
+	})
+}
+
+// TestBulkScanEndToEnd runs ecsscan -targets in process against a
+// loopback authority: answering targets, one given by hostname, and a
+// silent port that costs three timed-out attempts and a refused TCP
+// fallback. Lines come in target order, and the summary's "udp sent" is
+// what the servers read — the count the benchmark's authdns_received
+// check compares with the authority's.
+func TestBulkScanEndToEnd(t *testing.T) {
+	addr, srv := startZoneServer(t)
+	silent, silentRead := startSilentPort(t)
+	_, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := []string{addr, "# a comment", addr, silent, "localhost:" + port, addr}
+	file := filepath.Join(t.TempDir(), "targets.txt")
+	if err := os.WriteFile(file, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := bulkScan(context.Background(), &out, file, dnswire.MustParseName("scan.test"), 2, 0, 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	answered := " rcode=NOERROR answers=1 edns=true rtt=x\n"
+	pad := func(target string) string { return target + strings.Repeat(" ", max(0, 24-len(target))) }
+	want := pad(addr) + answered +
+		pad(addr) + answered +
+		pad(silent) + " unreachable: dial tcp " + silent + ": connect: connection refused\n" +
+		pad("localhost:"+port) + answered +
+		pad(addr) + answered +
+		"\n5 targets: 4 responding, 1 unreachable in x (y q/s; 7 udp sent, 2 retries, 1 tcp fallbacks)\n"
+	if got := masked(out.String()); got != want {
+		t.Fatalf("bulk output:\n%s\nwant:\n%s", got, want)
+	}
+	if sent, read := int64(7), srv.Stats().Received+silentRead.Load(); read != sent {
+		t.Fatalf("servers read %d datagrams, the summary says %d udp sent", read, sent)
+	}
+}
+
+// TestBulkScanInterruptDrains interrupts a sweep whose targets answer
+// 200 ms after they are asked, once the first three have been asked:
+// the three in flight end with their answers, the fourth never starts,
+// and nothing is printed as unreachable. When the interrupt reached each
+// exchange, the summary read "0 responding, 3 unreachable".
+func TestBulkScanInterruptDrains(t *testing.T) {
+	read := make(chan struct{}, 4)
+	target := startAnswerResponder(t, 200*time.Millisecond, read)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for i := 0; i < 3; i++ {
+			<-read
+		}
+		cancel()
+	}()
+	var out bytes.Buffer
+	targets := strings.Repeat(target+",", 3) + target
+	if err := bulkScan(ctx, &out, targets, dnswire.MustParseName("scan.test"), 3, 0, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	line := target + strings.Repeat(" ", max(0, 24-len(target))) + " rcode=NOERROR answers=1 edns=true rtt=x\n"
+	want := strings.Repeat(line, 3) +
+		"\n4 targets: 3 responding, 0 unreachable in x (y q/s; 3 udp sent, 0 retries, 0 tcp fallbacks)\n" +
+		"interrupted: partial results for 3 of 4 targets\n"
+	if got := masked(out.String()); got != want {
+		t.Fatalf("bulk output:\n%s\nwant:\n%s", got, want)
 	}
 }
 

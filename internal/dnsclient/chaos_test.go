@@ -16,10 +16,11 @@ import (
 )
 
 // chaosResponder is a real-UDP fault injector driven by a
-// netem.FaultPlan: per query it rolls loss (no reply) and corruption
-// (transaction-ID bit flip) from a seeded RNG, and otherwise answers
-// with an address derived from the query name — so the client side can
-// prove responses were never cross-delivered between queries.
+// netem.FaultPlan: per query it rolls loss (no reply), corruption
+// (transaction-ID bit flip) and truncation (a bare TC=1 answer, whose
+// TCP fallback finds no listener) from a seeded RNG, and otherwise
+// answers with an address derived from the query name — so the client
+// side can prove responses were never cross-delivered between queries.
 type chaosResponder struct {
 	pc   *net.UDPConn
 	plan netem.FaultPlan
@@ -28,6 +29,7 @@ type chaosResponder struct {
 	mu        sync.Mutex
 	dropped   int
 	corrupted int
+	truncated int
 	answered  int
 }
 
@@ -64,11 +66,14 @@ func (cr *chaosResponder) loop(done chan struct{}) {
 		cr.mu.Lock()
 		drop := cr.plan.Loss > 0 && cr.rng.Float64() < cr.plan.Loss
 		corrupt := !drop && cr.plan.Corrupt > 0 && cr.rng.Float64() < cr.plan.Corrupt
+		truncate := !drop && !corrupt && cr.plan.Truncate > 0 && cr.rng.Float64() < cr.plan.Truncate
 		switch {
 		case drop:
 			cr.dropped++
 		case corrupt:
 			cr.corrupted++
+		case truncate:
+			cr.truncated++
 		default:
 			cr.answered++
 		}
@@ -77,10 +82,14 @@ func (cr *chaosResponder) loop(done chan struct{}) {
 			continue
 		}
 		resp := dnswire.NewResponse(q)
-		resp.Answers = append(resp.Answers, dnswire.RR{
-			Name: q.Question().Name, TTL: 60,
-			Data: &dnswire.ARData{Addr: hashAddr(q.Question().Name)},
-		})
+		if truncate {
+			resp.Truncated, resp.EDNS = true, nil
+		} else {
+			resp.Answers = append(resp.Answers, dnswire.RR{
+				Name: q.Question().Name, TTL: 60,
+				Data: &dnswire.ARData{Addr: hashAddr(q.Question().Name)},
+			})
+		}
 		out, err := resp.Pack()
 		if err != nil {
 			continue
@@ -95,10 +104,10 @@ func (cr *chaosResponder) loop(done chan struct{}) {
 	}
 }
 
-func (cr *chaosResponder) counts() (dropped, corrupted, answered int) {
+func (cr *chaosResponder) counts() (dropped, corrupted, truncated, answered int) {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
-	return cr.dropped, cr.corrupted, cr.answered
+	return cr.dropped, cr.corrupted, cr.truncated, cr.answered
 }
 
 // runPipelineChaos floods a faulty responder through a pipeline's one
@@ -170,7 +179,7 @@ func runPipelineChaos(t *testing.T, cfg PipelineConfig) {
 		t.Fatalf("accounting imbalance: Sent=%d != Received=%d + Timeouts=%d + Aborted=%d + SendErrors=%d",
 			st.Sent, st.Received, st.Timeouts, st.Aborted, st.SendErrors)
 	}
-	dropped, corrupted, answered := cr.counts()
+	dropped, corrupted, _, answered := cr.counts()
 	t.Logf("responder: dropped=%d corrupted=%d answered=%d; stats: %+v",
 		dropped, corrupted, answered, st)
 	if st.Received == 0 {
@@ -180,7 +189,7 @@ func runPipelineChaos(t *testing.T, cfg PipelineConfig) {
 		t.Fatalf("responder dropped %d datagrams but the pipeline recorded no timeouts", dropped)
 	}
 	// Corrupted responses (ID bit-flip) must be rejected, not delivered:
-	// each one shows up as a mismatch (unknown key, or waiter-side
+	// each one shows up as a mismatch (unknown key, or sweep-side
 	// question validation after landing on a colliding in-flight ID).
 	if corrupted > 0 && st.Mismatched == 0 {
 		t.Fatalf("responder corrupted %d responses but the pipeline recorded no mismatches", corrupted)
@@ -190,6 +199,77 @@ func runPipelineChaos(t *testing.T, cfg PipelineConfig) {
 // TestPipelineChaosAccounting runs the fault-injection flood.
 func TestPipelineChaosAccounting(t *testing.T) {
 	runPipelineChaos(t, PipelineConfig{Timeout: 150 * time.Millisecond})
+}
+
+// TestSweepChaosAccounting drives one Sweep at window 64 through the
+// faulty responder — loss, ID flips and a truncation storm — and
+// cancels it halfway through its probes. The sweep starts nothing after
+// the cancel, done fires exactly once for every index probe was called
+// for, no answer reaches another probe, and the ledger balances.
+func TestSweepChaosAccounting(t *testing.T) {
+	plan := netem.FaultPlan{Loss: 0.15, Corrupt: 0.1, Truncate: 0.2}
+	addr, cr := startChaosResponder(t, plan, 43)
+	p := newTestPipeline(t, PipelineConfig{Timeout: 150 * time.Millisecond})
+
+	const n = 1000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	names := make([]dnswire.Name, n)
+	probed, ended := make([]int, n), make([]int, n)
+	probe := func(i int, q *dnswire.Message) (netip.AddrPort, error) {
+		probed[i]++
+		if i == n/2 {
+			cancel()
+		}
+		names[i] = dnswire.MustParseName("s" + itoa(i) + ".chaos.test")
+		*q = *pipeQuery(names[i])
+		return addr, nil
+	}
+	answered := 0
+	done := func(i int, resp *dnswire.Message, err error) {
+		ended[i]++
+		if err != nil {
+			// A truncated answer falls back to TCP, which the responder
+			// refuses; a probe the cancel cut short ends with it.
+			if !errors.Is(err, syscall.ECONNREFUSED) && !errors.Is(err, context.Canceled) {
+				t.Errorf("probe %d: %v", i, err)
+			}
+			return
+		}
+		answered++
+		if len(resp.Answers) != 1 ||
+			resp.Answers[0].Data.(*dnswire.ARData).Addr != hashAddr(names[i]) ||
+			resp.Question().Name != names[i] {
+			t.Errorf("cross-delivered response for %s: %v", names[i], resp)
+		}
+	}
+	if err := p.Sweep(ctx, n, 64, nil, probe, done); err != context.Canceled {
+		t.Fatalf("Sweep = %v, want context.Canceled", err)
+	}
+	started := 0
+	for i := range probed {
+		if ended[i] != probed[i] {
+			t.Fatalf("probe %d: called %d times, ended %d times", i, probed[i], ended[i])
+		}
+		started += probed[i]
+	}
+	if started != n/2+1 {
+		t.Fatalf("%d probes started, want the %d up to the cancel", started, n/2+1)
+	}
+	st := p.Stats()
+	if st.Sent != st.Received+st.Timeouts+st.Aborted+st.SendErrors {
+		t.Fatalf("accounting imbalance: Sent=%d != Received=%d + Timeouts=%d + Aborted=%d + SendErrors=%d",
+			st.Sent, st.Received, st.Timeouts, st.Aborted, st.SendErrors)
+	}
+	dropped, corrupted, truncated, _ := cr.counts()
+	t.Logf("responder: dropped=%d corrupted=%d truncated=%d; %d answered; stats: %+v",
+		dropped, corrupted, truncated, answered, st)
+	if answered == 0 || st.Aborted != 0 {
+		t.Fatalf("%d probes answered and %d attempts aborted, want some and none", answered, st.Aborted)
+	}
+	if dropped > 0 && st.Timeouts == 0 || corrupted > 0 && st.Mismatched == 0 || truncated > 0 && st.Truncated == 0 {
+		t.Fatalf("responder dropped %d, corrupted %d and truncated %d; stats %+v miss one of them", dropped, corrupted, truncated, st)
+	}
 }
 
 // TestPipelineCloseDuringFlood closes the pipeline while a flood is in

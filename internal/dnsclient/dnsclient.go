@@ -251,6 +251,22 @@ func (c *Client) ExchangeUDPInto(server string, q, resp *dnswire.Message) error 
 	return c.exchangeUDP(server, q, data, resp)
 }
 
+// bufPool holds the buffers Client packs queries into.
+var bufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, 512)
+		return &b
+	},
+}
+
+// putBuf zeroes the first n bytes of *bp, the ones handed out, and pools
+// it: a read through a slice kept past the return sees zeros, never the
+// next user's bytes.
+func putBuf(pool *sync.Pool, bp *[]byte, n int) {
+	clear((*bp)[:n])
+	pool.Put(bp)
+}
+
 // readBufPool recycles the UDP read buffers. Each stays full-size so a
 // server that overshoots the advertised EDNS payload is still heard;
 // only the pages a datagram touches are ever resident.

@@ -19,7 +19,6 @@ import (
 var (
 	ErrPipelineClosed = errors.New("dnsclient: pipeline closed")
 	ErrTimeout        = errors.New("dnsclient: query timed out")
-	errSendFailed     = errors.New("dnsclient: udp send failed")
 )
 
 // PipelineConfig tunes a Pipeline. The zero value is usable.
@@ -52,14 +51,14 @@ type PipelineStats struct {
 	// kernel refusals are included here and show up in SendErrors).
 	Sent int64
 	// Received counts responses demuxed, validated, and delivered to
-	// their waiting query.
+	// their probe.
 	Received int64
 	// Retries counts UDP re-attempts.
 	Retries int64
 	// TCPFallbacks counts queries that moved to TCP.
 	TCPFallbacks int64
 	// Mismatched counts datagrams that matched no in-flight query (late,
-	// spoofed, malformed) or failed waiter-side validation (corrupted
+	// spoofed, malformed) or failed the sweep's validation (corrupted
 	// response that landed on a live transaction ID).
 	Mismatched int64
 	// Timeouts counts UDP attempts that hit their per-attempt deadline.
@@ -73,87 +72,20 @@ type PipelineStats struct {
 	Truncated int64
 }
 
-// pendingKey identifies one in-flight query: responses are demuxed by
+// pendingKey identifies one in-flight attempt: responses are demuxed by
 // source address and transaction ID; the echoed question is validated
-// waiter-side after the full decode.
+// by the sweep after the full decode.
 type pendingKey struct {
 	dest netip.AddrPort
 	id   uint16
 }
 
-// waiter is the rendezvous between one in-flight attempt and the
-// reader. The reader copies the raw response into buf and signals its
-// length on ch; the waiting query decodes from buf.
-// Waiters are pooled; the lock-ordered register/unregister protocol
-// guarantees at most one signal per registration, and the waiter is
-// only pooled after that signal has been consumed or provably will
-// never come. The attempt holding a waiter sends through its handle.
-type waiter struct {
-	ch  chan int // response length
-	buf []byte
-
-	tx    *udpio.Handle // a handle on txFor's socket
-	txFor *Pipeline
-}
-
-// sender returns w's handle on p's socket, taking a new one when w last
-// sent for another Pipeline.
-func (w *waiter) sender(p *Pipeline) *udpio.Handle {
-	if w.txFor != p {
-		w.tx, w.txFor = p.rw.Clone(), p
-	}
-	return w.tx
-}
-
-var waiterPool = sync.Pool{
-	New: func() any {
-		return &waiter{ch: make(chan int, 1), buf: make([]byte, 0, 2048)}
-	},
-}
-
-var timerPool sync.Pool
-
-// acquireTimer checks a reset timer out of the pool.
-func acquireTimer(d time.Duration) *time.Timer {
-	t, ok := timerPool.Get().(*time.Timer)
-	if !ok {
-		return time.NewTimer(d)
-	}
-	t.Reset(d)
-	return t
-}
-
-func releaseTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}
-
-// bufPool holds the buffers Pipeline and Client pack queries into.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	},
-}
-
-// putBuf zeroes the first n bytes of *bp, the ones handed out, and pools
-// it: a read through a slice kept past the return sees zeros, never the
-// next user's bytes.
-func putBuf(pool *sync.Pool, bp *[]byte, n int) {
-	clear((*bp)[:n])
-	pool.Put(bp)
-}
-
 // Pipeline is the high-throughput counterpart of Client: it multiplexes
 // many in-flight queries over one unconnected UDP socket, demuxing
-// responses by (destination, ID) with waiter-side question validation,
-// per-query deadlines, retry-with-backoff, and TCP fallback. All methods
-// are safe for concurrent use.
+// responses by (destination, ID) with question validation, per-attempt
+// deadlines, retry-with-backoff, and TCP fallback. Sweep runs a whole
+// scan from the caller's goroutine; Exchange is a sweep of one. All
+// methods are safe for concurrent use.
 type Pipeline struct {
 	cfg    PipelineConfig
 	pc     *net.UDPConn
@@ -162,9 +94,14 @@ type Pipeline struct {
 
 	reader sync.WaitGroup
 
-	mu      sync.Mutex // guards rng and pending
+	// mu guards rng, pending, and every sweep's ready list and wake-up
+	// state: the reader takes a key and hands its slot to the sweep in
+	// one critical section.
+	mu      sync.Mutex
 	rng     *rand.Rand
-	pending map[pendingKey]*waiter
+	pending map[pendingKey]*slot
+
+	ones sync.Pool // *sweep of one slot, for Exchange
 
 	hostMu    sync.RWMutex
 	hostCache map[string]netip.AddrPort
@@ -192,9 +129,10 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		pc:        pc,
 		rw:        rw,
 		rng:       rand.New(rand.NewSource(RandomSeed())),
-		pending:   make(map[pendingKey]*waiter),
+		pending:   make(map[pendingKey]*slot),
 		hostCache: make(map[string]netip.AddrPort),
 	}
+	p.ones.New = func() any { return p.newOne() }
 	p.reader.Add(1)
 	go p.readLoop()
 	return p, nil
@@ -259,10 +197,7 @@ func (p *Pipeline) resolveDest(server string) (netip.AddrPort, error) {
 	return ap, nil
 }
 
-// readLoop demuxes datagrams arriving on the socket. It peeks
-// only the fixed header — the full decode happens on the waiter's
-// goroutine, against the waiter's reused Message — and hands the raw
-// bytes over through the waiter buffer.
+// readLoop demuxes datagrams arriving on the socket.
 func (p *Pipeline) readLoop() {
 	defer p.reader.Done()
 	buf := make([]byte, 65535)
@@ -278,9 +213,11 @@ func (p *Pipeline) readLoop() {
 	}
 }
 
-// deliver routes one raw datagram to the waiter registered under its
-// (source, ID) — copying the bytes into the waiter's buffer, never
-// parsing past the header on the reader goroutine.
+// deliver hands one raw datagram to the slot registered under its
+// (source, ID). Under one hold of mu it takes the key, copies the bytes
+// into the slot and puts the slot on its sweep's ready list, so a slot
+// whose key is gone is on that list until its sweep takes it. Nothing
+// past the header is parsed here: the sweep decodes.
 func (p *Pipeline) deliver(b []byte, ap netip.AddrPort) {
 	id, isResponse, ok := dnswire.PeekHeader(b)
 	if !ok || !isResponse {
@@ -289,43 +226,48 @@ func (p *Pipeline) deliver(b []byte, ap netip.AddrPort) {
 	}
 	key := pendingKey{dest: unmapAP(ap), id: id}
 	p.mu.Lock()
-	w, ok := p.pending[key]
-	if ok {
-		delete(p.pending, key)
-	}
-	p.mu.Unlock()
+	sl, ok := p.pending[key]
 	if !ok {
+		p.mu.Unlock()
 		p.mismatched.Add(1)
 		return
 	}
-	w.buf = append(w.buf[:0], b...)
-	w.ch <- len(w.buf) // buffered; the key was removed, so this is the only signal
+	delete(p.pending, key)
+	sl.buf = append(sl.buf[:0], b...)
+	sl.sw.ready = append(sl.sw.ready, sl)
+	wake := sl.sw.wakeLocked()
+	p.mu.Unlock()
+	if wake {
+		sl.sw.wake <- struct{}{}
+	}
 }
 
-// register allocates a transaction ID unique among the in-flight
-// queries to the same destination and installs the waiter.
-func (p *Pipeline) register(dest netip.AddrPort, w *waiter) (uint16, error) {
+// register draws a transaction ID unique among the attempts in flight
+// to sl's destination and files sl under it.
+func (p *Pipeline) register(sl *slot) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
-		return 0, ErrPipelineClosed
+		return ErrPipelineClosed
 	}
 	for tries := 0; tries < 256; tries++ {
 		id := uint16(p.rng.Intn(1 << 16))
-		key := pendingKey{dest: dest, id: id}
+		key := pendingKey{dest: sl.dest, id: id}
 		if _, busy := p.pending[key]; busy {
 			continue
 		}
-		p.pending[key] = w
-		return id, nil
+		p.pending[key] = sl
+		sl.id = id
+		return nil
 	}
-	return 0, fmt.Errorf("dnsclient: no free query ID for %s", dest)
+	return fmt.Errorf("dnsclient: no free query ID for %s", sl.dest)
 }
 
-// reregister reinstalls a waiter under its previous key after a
+// reregister files sl again under the key the reader took for a
 // delivered-but-invalid response, so the attempt can keep waiting for
 // the real answer. It fails if the ID has been reused meanwhile.
-func (p *Pipeline) reregister(key pendingKey, w *waiter) bool {
+func (p *Pipeline) reregister(sl *slot) bool {
+	key := pendingKey{dest: sl.dest, id: sl.id}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
@@ -334,22 +276,29 @@ func (p *Pipeline) reregister(key pendingKey, w *waiter) bool {
 	if _, busy := p.pending[key]; busy {
 		return false
 	}
-	p.pending[key] = w
+	p.pending[key] = sl
 	return true
 }
 
-// unregister removes the key and reports whether it was still present.
-// A false return means the reader has already taken the key and a
-// signal on the waiter channel is imminent or delivered:
-// the caller must consume it before releasing the waiter.
-func (p *Pipeline) unregister(key pendingKey) bool {
+// withdraw ends sl's attempt from the sweep's side: it takes sl's key
+// back or, when the reader took it first, takes sl off the ready list
+// the reader put it on. Either way no delivery for the attempt is left
+// to come, and the slot can be reused.
+func (p *Pipeline) withdraw(sl *slot) {
+	key := pendingKey{dest: sl.dest, id: sl.id}
 	p.mu.Lock()
-	_, ok := p.pending[key]
-	if ok {
+	defer p.mu.Unlock()
+	if p.pending[key] == sl {
 		delete(p.pending, key)
+		return
 	}
-	p.mu.Unlock()
-	return ok
+	r := sl.sw.ready
+	for i := range r {
+		if r[i] == sl {
+			sl.sw.ready = append(r[:i], r[i+1:]...)
+			return
+		}
+	}
 }
 
 // Exchange sends q to server ("host:port") and waits for the matching
@@ -369,7 +318,8 @@ func (p *Pipeline) Exchange(ctx context.Context, server string, q *dnswire.Messa
 // ExchangeInto is Exchange decoding into a caller-owned Message, the
 // zero-allocation hot path: with a reused resp, the steady-state UDP
 // round trip performs no heap allocations. resp's previous contents are
-// overwritten per the UnpackInto reuse contract.
+// overwritten per the UnpackInto reuse contract. It is a sweep of one
+// on a pooled sweep whose slot holds q and resp until it returns.
 func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.Message, resp *dnswire.Message) error {
 	if p.closed.Load() {
 		return ErrPipelineClosed
@@ -378,168 +328,501 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 	if err != nil {
 		return err
 	}
-	question := q.Question()
-
-	bp := bufPool.Get().(*[]byte)
-	data, err := q.AppendPack((*bp)[:0])
-	if err != nil {
-		bufPool.Put(bp)
-		return err
-	}
-	*bp = data[:0] // data may have outgrown the pooled backing array
-	defer putBuf(&bufPool, bp, len(data))
-
-	backoff := pipelineBackoff
-	for attempt := 0; attempt <= pipelineRetries; attempt++ {
-		if attempt > 0 {
-			p.retried.Add(1)
-			t := acquireTimer(backoff)
-			select {
-			case <-ctx.Done():
-				releaseTimer(t)
-				return ctx.Err()
-			case <-t.C:
-			}
-			releaseTimer(t)
-			backoff *= 2
-		}
-		err := p.attempt(ctx, dest, question, q, data, resp)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if errors.Is(err, ErrPipelineClosed) {
-				return err
-			}
-			continue
-		}
-		if resp.Truncated {
-			p.truncated.Add(1)
-			p.tcpFalls.Add(1)
-			return p.exchangeTCP(ctx, server, q, resp)
-		}
-		return nil
-	}
-	p.tcpFalls.Add(1)
-	return p.exchangeTCP(ctx, server, q, resp)
-}
-
-// attempt registers one in-flight entry, fires the datagram, and waits
-// for the demuxed response or the deadline. The raw response is decoded
-// and validated here, on the waiting goroutine — a corrupted or
-// colliding datagram re-registers the entry and keeps waiting.
-func (p *Pipeline) attempt(ctx context.Context, dest netip.AddrPort, question dnswire.Question, q *dnswire.Message, data []byte, resp *dnswire.Message) error {
-	w := waiterPool.Get().(*waiter)
-	id, err := p.register(dest, w)
-	if err != nil {
-		p.release(w)
-		return err
-	}
-	key := pendingKey{dest: dest, id: id}
-	q.ID = id
-	dnswire.PatchID(data, id)
-
-	p.sent.Add(1)
-	if _, err := w.sender(p).WriteTo(data, dest); err != nil {
-		if p.unregister(key) {
-			p.release(w)
-		} else {
-			// The reader has already committed a delivery to this
-			// waiter; the bounded drain must finish before the waiter
-			// can be pooled.
-			p.consume(w)
-		}
-		p.sendErrors.Add(1)
-		return fmt.Errorf("%w: %v", errSendFailed, err)
-	}
-
-	timer := acquireTimer(p.cfg.Timeout)
-	defer releaseTimer(timer)
-	for {
-		select {
-		case n := <-w.ch:
-			ok, err := p.decodeInto(w, n, question, resp)
-			if ok {
-				p.release(w)
-				return err
-			}
-			// Delivered but invalid: count it, put the entry back, and
-			// keep waiting out the attempt deadline.
-			p.mismatched.Add(1)
-			if !p.reregister(key, w) {
-				p.timeouts.Add(1)
-				p.release(w)
-				return fmt.Errorf("%w: %s %s", ErrTimeout, dest, question)
-			}
-		case <-timer.C:
-			if p.unregister(key) {
-				p.timeouts.Add(1)
-				p.release(w)
-				return fmt.Errorf("%w: %s %s", ErrTimeout, dest, question)
-			}
-			// Lost the race: a delivery is in flight. Consume it and
-			// treat it as having arrived in time. The reader has already
-			// committed it with no intervening I/O, so the receive
-			// completes promptly; it must happen before the waiter can
-			// be pooled.
-			n := <-w.ch
-			ok, err := p.decodeInto(w, n, question, resp)
-			if ok {
-				p.release(w)
-				return err
-			}
-			p.mismatched.Add(1)
-			p.timeouts.Add(1)
-			p.release(w)
-			return fmt.Errorf("%w: %s %s", ErrTimeout, dest, question)
-		case <-ctx.Done():
-			return p.abort(key, w, ctx.Err())
-		}
-	}
-}
-
-// abort settles an attempt cut short by context cancellation.
-func (p *Pipeline) abort(key pendingKey, w *waiter, err error) error {
-	p.aborted.Add(1)
-	if p.unregister(key) {
-		p.release(w)
-	} else {
-		p.consume(w)
+	s := p.ones.Get().(*sweep)
+	defer p.ones.Put(s)
+	sl := &s.slots[0]
+	sl.q, sl.resp, s.dest, s.ended = q, resp, dest, false
+	err = s.run(ctx, 1, nil, s.probeOne, s.doneOne)
+	sl.q, sl.resp = &sl.query, &sl.answer
+	if s.ended {
+		err, s.err = s.err, nil
 	}
 	return err
 }
 
-// consume drains the in-flight signal the reader committed
-// to this waiter, then pools it. Only call after unregister returned
-// false.
-func (p *Pipeline) consume(w *waiter) {
-	<-w.ch
-	p.release(w)
+// Sweep runs probes 0..n-1 from the caller's goroutine and keeps up to
+// window of them in flight. For each index in turn it calls probe(i, q),
+// which fills in q — a Message of the sweep's, as the last probe in the
+// same slot left it — and names the server to ask. pace, when non-nil,
+// must return before each probe starts; the sweep calls it on a
+// goroutine of its own, one probe ahead, so that answers are taken
+// while it waits. The sweep packs q, owns its ID, and retries and falls
+// back to TCP as Exchange does. When the probe has ended, done(i, resp,
+// err) is called from the caller's goroutine with the answer, which is
+// only valid until done returns, or with the error that ended the probe,
+// probe's own included. done is called once for every index probe was
+// called for.
+//
+// A cancel of ctx drains the sweep: it starts no new probe and no new
+// attempt (no retry, no TCP fallback), and each attempt in flight ends
+// at its answer or at its deadline; a probe cut short that way ends with
+// ctx.Err(). An error from pace stops the sweep the same way. Sweep
+// returns once every started probe has ended: nil, or the error of ctx
+// or pace when one stopped it.
+func (p *Pipeline) Sweep(ctx context.Context, n, window int,
+	pace func(context.Context) error,
+	probe func(i int, q *dnswire.Message) (netip.AddrPort, error),
+	done func(i int, resp *dnswire.Message, err error)) error {
+	s := p.newSweep(max(1, min(window, n)))
+	defer s.timer.Stop()
+	return s.run(ctx, n, pace, probe, done)
 }
 
-// release pools a waiter whose signal has been consumed, or will never
-// come. It zeroes the response bytes the reader handed over first, so a
-// decode after the return reads an all-zero header, not the next
-// attempt's datagram.
-func (p *Pipeline) release(w *waiter) {
-	clear(w.buf)
-	w.buf = w.buf[:0]
-	waiterPool.Put(w)
+// slotState says where a slot's probe is.
+type slotState uint8
+
+const (
+	slotFree    slotState = iota
+	slotWaiting           // an attempt is in flight: its key is in pending or its answer on the ready list
+	slotBackoff           // the next attempt is due at due
+	slotTCP               // the fallback runs; its goroutine posts the slot to the ready list when done
+)
+
+// slot is one probe in flight: its query packed, where it goes, which
+// attempt it is on and until when.
+type slot struct {
+	sw      *sweep
+	state   slotState
+	i       int
+	q, resp *dnswire.Message // query and answer: the slot's own, or Exchange's caller's
+	dest    netip.AddrPort
+	id      uint16
+	attempt int // UDP attempts made before the current one
+	wire    []byte
+	buf     []byte // the answer, copied in by the reader once it has taken the key
+	err     error  // the TCP fallback's
+	// question is what an answer must echo.
+	question dnswire.Question
+
+	// due is the current attempt's deadline, or when the next attempt is
+	// due; the sweep's due list is in due order.
+	due        time.Time
+	prev, next *slot
+
+	query, answer dnswire.Message
 }
 
-// decodeInto parses the delivered datagram into resp and validates that
-// it answers this attempt's question. ok reports whether the attempt is
-// settled: false means the datagram was not a valid answer (undecodable
-// or echoing a different question) and the attempt should keep waiting.
-func (p *Pipeline) decodeInto(w *waiter, n int, question dnswire.Question, resp *dnswire.Message) (bool, error) {
-	if err := dnswire.UnpackInto(resp, w.buf[:n]); err != nil {
-		return false, nil
+// sweep is the event loop behind Sweep and Exchange. It runs on its
+// caller's goroutine and owns its slots; the reader, the TCP fallbacks,
+// the timer and a cancel of ctx only post to it, and it sleeps on wake
+// until one does.
+type sweep struct {
+	p     *Pipeline
+	tx    *udpio.Handle // the sweep's handle on the socket
+	slots []slot
+	free  []*slot
+	busy  int
+	batch []*slot // the ready list last taken
+
+	// head and tail are the due list: the slots waiting out an attempt
+	// or a backoff. Every attempt's deadline is its send time plus
+	// Timeout, so attempts join at the tail, and one timer, set for the
+	// head, serves them all.
+	head, tail *slot
+	timer      *time.Timer
+	armed      time.Time // when the timer goes off
+
+	ctx   context.Context
+	done  func(i int, resp *dnswire.Message, err error)
+	stop  error // why no probe or attempt starts any more
+	abort bool  // Exchange's: a cancel withdraws the attempt in flight
+
+	// wake holds at most one token: only a post that finds the sweep
+	// sleeping sends one.
+	wake chan struct{}
+
+	// Guarded by p.mu.
+	ready    []*slot // slots answered by the reader or done with TCP
+	poked    bool    // the timer went off, ctx was cancelled, or the pacer posted
+	permit   bool    // the pacer lets the next probe start
+	paceErr  error   // or it failed
+	sleeping bool    // the sweep waits on wake
+
+	// Exchange's sweep of one: where its probe goes, and how it ended.
+	dest     netip.AddrPort
+	err      error
+	ended    bool
+	probeOne func(int, *dnswire.Message) (netip.AddrPort, error)
+	doneOne  func(int, *dnswire.Message, error)
+}
+
+func (p *Pipeline) newSweep(window int) *sweep {
+	s := &sweep{
+		p:     p,
+		tx:    p.rw.Clone(),
+		slots: make([]slot, window),
+		free:  make([]*slot, 0, window),
+		batch: make([]*slot, 0, window),
+		ready: make([]*slot, 0, window),
+		wake:  make(chan struct{}, 1),
 	}
-	if !resp.Response || resp.Question() != question {
-		return false, nil
+	s.timer = time.AfterFunc(time.Hour, s.poke)
+	s.timer.Stop()
+	for i := range s.slots {
+		sl := &s.slots[i]
+		sl.sw = s
+		sl.q, sl.resp = &sl.query, &sl.answer
+		sl.wire = make([]byte, 0, 512)
+		sl.buf = make([]byte, 0, 512)
+		s.free = append(s.free, sl)
 	}
+	return s
+}
+
+// newOne makes a sweep of one for Exchange, whose probe asks s.dest and
+// whose done keeps the error.
+func (p *Pipeline) newOne() *sweep {
+	s := p.newSweep(1)
+	s.abort = true
+	s.probeOne = func(int, *dnswire.Message) (netip.AddrPort, error) { return s.dest, nil }
+	s.doneOne = func(_ int, _ *dnswire.Message, err error) { s.err, s.ended = err, true }
+	return s
+}
+
+func (s *sweep) run(ctx context.Context, n int,
+	pace func(context.Context) error,
+	probe func(int, *dnswire.Message) (netip.AddrPort, error),
+	done func(int, *dnswire.Message, error)) error {
+	s.ctx, s.done, s.stop = ctx, done, nil
+	defer func() { s.ctx, s.done = nil, nil }()
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, s.poke)()
+	}
+	var paced chan struct{}
+	if pace != nil {
+		paced = make(chan struct{}, 1)
+		exited := make(chan struct{})
+		go s.pacer(ctx, pace, n, paced, exited)
+		defer func() {
+			close(paced)
+			<-exited
+		}()
+	}
+	for next := 0; ; {
+		for s.stop == nil && next < n && len(s.free) > 0 {
+			if err := ctx.Err(); err != nil {
+				s.halt(err)
+				break
+			}
+			if paced != nil && !s.permitted(paced) {
+				break
+			}
+			s.start(next, probe)
+			next++
+		}
+		if s.busy == 0 && (s.stop != nil || next == n) {
+			return s.stop
+		}
+		s.arm()
+		s.collect(true)
+	}
+}
+
+// pacer calls pace for the sweep: it posts a permit for the next probe,
+// or pace's error, and calls pace again only once the sweep has taken
+// the permit, so it is never more than one probe ahead.
+func (s *sweep) pacer(ctx context.Context, pace func(context.Context) error, n int, paced <-chan struct{}, exited chan<- struct{}) {
+	defer close(exited)
+	for k := 0; k < n; k++ {
+		err := pace(ctx)
+		s.p.mu.Lock()
+		s.permit, s.paceErr = err == nil, err
+		s.p.mu.Unlock()
+		s.post(nil)
+		if err != nil {
+			return
+		}
+		if _, ok := <-paced; !ok {
+			return
+		}
+	}
+}
+
+// permitted takes the pacer's permit for the next probe, if it has
+// posted one, and lets the pacer on to the one after. A pace error stops
+// the sweep.
+func (s *sweep) permitted(paced chan<- struct{}) bool {
+	s.p.mu.Lock()
+	ok, err := s.permit, s.paceErr
+	s.permit = false
+	s.p.mu.Unlock()
+	if err != nil {
+		s.halt(err)
+		return false
+	}
+	if ok {
+		paced <- struct{}{}
+	}
+	return ok
+}
+
+// start runs probe i in a free slot and sends its first attempt.
+func (s *sweep) start(i int, probe func(int, *dnswire.Message) (netip.AddrPort, error)) {
+	sl := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	s.busy++
+	sl.i, sl.attempt = i, 0
+	dest, err := probe(i, sl.q)
+	if err == nil {
+		sl.wire, err = sl.q.AppendPack(sl.wire[:0])
+	}
+	if err != nil {
+		s.finish(sl, err)
+		return
+	}
+	sl.dest, sl.question = unmapAP(dest), sl.q.Question()
+	s.send(sl)
+}
+
+// send makes sl's next UDP attempt: a fresh ID patched into the packed
+// query, one sendto, and the deadline queued.
+func (s *sweep) send(sl *slot) {
+	p := s.p
+	sl.state = slotWaiting
+	if err := p.register(sl); err != nil {
+		if err == ErrPipelineClosed {
+			s.finish(sl, err)
+		} else {
+			s.failed(sl)
+		}
+		return
+	}
+	sl.q.ID = sl.id
+	dnswire.PatchID(sl.wire, sl.id)
+	p.sent.Add(1)
+	if _, err := s.tx.WriteTo(sl.wire, sl.dest); err != nil {
+		p.withdraw(sl)
+		p.sendErrors.Add(1)
+		s.failed(sl)
+		return
+	}
+	s.queue(sl, time.Now().Add(p.cfg.Timeout))
+}
+
+// collect takes what has been posted to the sweep — waiting for it if
+// block is set — and acts on it: answers first, then a cancel, then
+// every deadline that has passed.
+func (s *sweep) collect(block bool) {
+	p := s.p
+	p.mu.Lock()
+	if block && len(s.ready) == 0 && !s.poked {
+		s.sleeping = true
+		p.mu.Unlock()
+		<-s.wake
+		p.mu.Lock()
+	}
+	s.poked = false
+	s.batch, s.ready = s.ready, s.batch[:0]
+	p.mu.Unlock()
+
+	for _, sl := range s.batch {
+		s.receive(sl)
+	}
+	if s.stop == nil {
+		if err := s.ctx.Err(); err != nil {
+			s.halt(err)
+		}
+	}
+	now := time.Now()
+	for s.head != nil && !s.head.due.After(now) {
+		s.expire(s.head)
+	}
+}
+
+// receive acts on a slot the reader answered or the TCP fallback
+// finished.
+func (s *sweep) receive(sl *slot) {
+	p := s.p
+	if sl.state == slotTCP {
+		s.finish(sl, sl.err)
+		return
+	}
+	if err := dnswire.UnpackInto(sl.resp, sl.buf); err != nil ||
+		!sl.resp.Response || sl.resp.Question() != sl.question {
+		// Not this attempt's answer: count it, file the key again, and
+		// keep waiting out the deadline.
+		p.mismatched.Add(1)
+		if !p.reregister(sl) {
+			s.unqueue(sl)
+			p.timeouts.Add(1)
+			s.failed(sl)
+		}
+		return
+	}
+	s.unqueue(sl)
 	p.received.Add(1)
-	return true, nil
+	switch {
+	case !sl.resp.Truncated:
+		s.finish(sl, nil)
+	case s.stop != nil:
+		p.truncated.Add(1)
+		s.finish(sl, s.stop)
+	default:
+		p.truncated.Add(1)
+		p.tcpFalls.Add(1)
+		s.fallback(sl)
+	}
+}
+
+// expire acts on the head of the due list, whose time has come.
+func (s *sweep) expire(sl *slot) {
+	s.unqueue(sl)
+	if sl.state == slotBackoff {
+		s.send(sl)
+		return
+	}
+	s.p.withdraw(sl)
+	s.p.timeouts.Add(1)
+	s.failed(sl)
+}
+
+// failed moves sl on after an attempt that brought no answer: to the
+// next attempt after its backoff, to TCP once the retries are spent, or
+// to its end once the sweep has stopped.
+func (s *sweep) failed(sl *slot) {
+	switch {
+	case s.stop != nil:
+		s.finish(sl, s.stop)
+	case sl.attempt < pipelineRetries:
+		s.p.retried.Add(1)
+		sl.state = slotBackoff
+		s.queue(sl, time.Now().Add(pipelineBackoff<<sl.attempt))
+		sl.attempt++
+	default:
+		s.p.tcpFalls.Add(1)
+		s.fallback(sl)
+	}
+}
+
+// halt stops the sweep starting anything, probe or attempt. A slot
+// waiting for its next attempt ends now with err. An attempt in flight
+// runs to its answer or its deadline, unless the sweep is Exchange's,
+// whose caller has given up: then it is withdrawn and counted Aborted.
+func (s *sweep) halt(err error) {
+	s.stop = err
+	for sl := s.head; sl != nil; {
+		next := sl.next
+		switch {
+		case sl.state == slotBackoff:
+			s.unqueue(sl)
+			s.finish(sl, err)
+		case s.abort:
+			s.unqueue(sl)
+			s.p.withdraw(sl)
+			s.p.aborted.Add(1)
+			s.finish(sl, err)
+		}
+		sl = next
+	}
+}
+
+// fallback runs sl's query over TCP on a goroutine of its own, so one
+// slow server never holds up the window, and posts the slot back when
+// the exchange is over. A sweep's cancel lets a fallback already running
+// finish; Exchange's cuts it short.
+func (s *sweep) fallback(sl *slot) {
+	sl.state = slotTCP
+	ctx := s.ctx
+	if !s.abort {
+		ctx = context.WithoutCancel(ctx)
+	}
+	server := sl.dest.String()
+	go func() {
+		sl.err = s.p.exchangeTCP(ctx, server, sl.q, sl.resp)
+		s.post(sl)
+	}()
+}
+
+// finish ends sl's probe: done hears how, and the slot is free.
+func (s *sweep) finish(sl *slot, err error) {
+	if err != nil {
+		s.done(sl.i, nil, err)
+	} else {
+		s.done(sl.i, sl.resp, nil)
+	}
+	sl.state, sl.err = slotFree, nil
+	s.free = append(s.free, sl)
+	s.busy--
+}
+
+// post puts sl on the ready list and wakes the sweep; with sl nil it is
+// poke.
+func (s *sweep) post(sl *slot) {
+	s.p.mu.Lock()
+	if sl != nil {
+		s.ready = append(s.ready, sl)
+	} else {
+		s.poked = true
+	}
+	wake := s.wakeLocked()
+	s.p.mu.Unlock()
+	if wake {
+		s.wake <- struct{}{}
+	}
+}
+
+// poke wakes the sweep to look at the clock, ctx and the pacer's
+// permit: the timer and a cancel of ctx call it. A poke that comes after
+// the run it was meant for costs its sweep one spare look.
+func (s *sweep) poke() { s.post(nil) }
+
+// wakeLocked reports whether the poster must send on wake: only the
+// first post to a sleeping sweep does, so wake never holds more than
+// the one token the sweep waits for.
+func (s *sweep) wakeLocked() bool {
+	w := s.sleeping
+	s.sleeping = false
+	return w
+}
+
+// arm sets the timer for the head of the due list, unless it is already
+// set to go off no later than that.
+func (s *sweep) arm() {
+	if s.head == nil {
+		return
+	}
+	due, now := s.head.due, time.Now()
+	if s.armed.After(now) && !s.armed.After(due) {
+		return
+	}
+	s.timer.Reset(due.Sub(now))
+	s.armed = due
+}
+
+// queue puts sl on the due list at due. An attempt's deadline is the
+// latest yet and joins at the tail; only a backoff, shorter than
+// Timeout, walks back past later deadlines.
+func (s *sweep) queue(sl *slot, due time.Time) {
+	sl.due = due
+	at := s.tail
+	for at != nil && at.due.After(due) {
+		at = at.prev
+	}
+	sl.prev = at
+	if at == nil {
+		sl.next, s.head = s.head, sl
+	} else {
+		sl.next, at.next = at.next, sl
+	}
+	if sl.next == nil {
+		s.tail = sl
+	} else {
+		sl.next.prev = sl
+	}
+}
+
+func (s *sweep) unqueue(sl *slot) {
+	if sl.prev == nil {
+		s.head = sl.next
+	} else {
+		sl.prev.next = sl.next
+	}
+	if sl.next == nil {
+		s.tail = sl.prev
+	} else {
+		sl.next.prev = sl.prev
+	}
+	sl.prev, sl.next = nil, nil
 }
 
 // exchangeTCP runs the fallback on a per-query TCP connection, bounded

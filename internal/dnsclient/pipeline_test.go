@@ -2,12 +2,13 @@ package dnsclient
 
 import (
 	"context"
+	"errors"
 	"hash/fnv"
 	"io"
-	"math/rand"
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,6 +265,77 @@ func TestPipelineContextCancel(t *testing.T) {
 	}
 }
 
+// TestSweepCancelDrains cancels a sweep against a server that never
+// answers while its first two probes are in flight: the third never
+// starts, the two attempts run to their deadline rather than aborting,
+// and neither is retried or moved to TCP.
+func TestSweepCancelDrains(t *testing.T) {
+	addr := startPipelineServer(t, &nameHashHandler{drop: 1 << 30})
+	p := newTestPipeline(t, PipelineConfig{Timeout: 200 * time.Millisecond})
+	dest := netip.MustParseAddrPort(addr)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	probe := func(i int, q *dnswire.Message) (netip.AddrPort, error) {
+		if i == 1 {
+			cancel()
+		}
+		*q = *pipeQuery(dnswire.MustParseName("d" + itoa(i) + ".pipe.test"))
+		return dest, nil
+	}
+	var ended []error
+	done := func(_ int, _ *dnswire.Message, err error) { ended = append(ended, err) }
+	start := time.Now()
+	if err := p.Sweep(ctx, 3, 2, nil, probe, done); err != context.Canceled {
+		t.Fatalf("Sweep = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
+		t.Fatalf("the sweep returned after %v, before its attempts' deadline", elapsed)
+	}
+	if len(ended) != 2 || ended[0] != context.Canceled || ended[1] != context.Canceled {
+		t.Fatalf("probes ended with %v, want two cut short by the cancel", ended)
+	}
+	if st := p.Stats(); st.Sent != 2 || st.Timeouts != 2 || st.Retries != 0 || st.TCPFallbacks != 0 || st.Aborted != 0 {
+		t.Fatalf("stats = %+v, want 2 attempts that timed out and nothing after them", st)
+	}
+}
+
+// TestSweepPace: every probe starts after a pace call of its own, and
+// the first pace error stops the sweep with that error once the probes
+// already started have ended.
+func TestSweepPace(t *testing.T) {
+	server := startEchoResponder(t, nil)
+	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
+	errStop := errors.New("stop")
+	var paces atomic.Int64
+	pace := func(context.Context) error {
+		if paces.Add(1) > 5 {
+			return errStop
+		}
+		return nil
+	}
+	started, ended := 0, 0
+	probe := func(i int, q *dnswire.Message) (netip.AddrPort, error) {
+		if int(paces.Load()) <= i {
+			t.Errorf("probe %d started after %d pace calls", i, paces.Load())
+		}
+		started++
+		*q = *pipeQuery(dnswire.MustParseName("p" + itoa(i) + ".pipe.test"))
+		return server, nil
+	}
+	done := func(i int, _ *dnswire.Message, err error) {
+		ended++
+		if err != nil {
+			t.Errorf("probe %d: %v", i, err)
+		}
+	}
+	if err := p.Sweep(context.Background(), 20, 4, pace, probe, done); err != errStop {
+		t.Fatalf("Sweep = %v, want the pace error", err)
+	}
+	if started != 5 || ended != 5 {
+		t.Fatalf("%d probes started and %d ended, want the 5 paced ones", started, ended)
+	}
+}
+
 // TestExchangeTCPCancelledDial: a TCP fallback whose ctx is already
 // cancelled returns context.Canceled without opening a connection.
 func TestExchangeTCPCancelledDial(t *testing.T) {
@@ -314,36 +386,39 @@ func startTCPStaller(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestAbortDrainsDeliveredWaiter covers the guard-false path of the
-// waiter pool: the reader took the key and signalled the waiter before
-// the attempt was cancelled, so abort must consume that signal before it
-// pools the waiter. A waiter pooled with the signal still buffered hands
-// the next attempt to draw it a stale response length at once.
-func TestAbortDrainsDeliveredWaiter(t *testing.T) {
-	p := &Pipeline{
-		rng:     rand.New(rand.NewSource(1)),
-		pending: make(map[pendingKey]*waiter),
-	}
-	dest := netip.MustParseAddrPort("192.0.2.1:53")
-	w := &waiter{ch: make(chan int, 1), buf: make([]byte, 0, 64)}
-	id, err := p.register(dest, w)
-	if err != nil {
+// TestAbortDrainsDeliveredSlot covers the race between the reader and
+// the end of an attempt: the reader took the key and put the slot on its
+// sweep's ready list before a cancel withdrew the attempt. The withdraw
+// must take the slot off that list too; a slot reused with the delivery
+// still queued hands its next probe a stale answer on the sweep's next
+// look.
+func TestAbortDrainsDeliveredSlot(t *testing.T) {
+	p := newTestPipeline(t, PipelineConfig{})
+	s := p.newOne()
+	var ended []error
+	s.ctx, s.done = context.Background(), func(_ int, _ *dnswire.Message, err error) { ended = append(ended, err) }
+	sl := &s.slots[0]
+	sl.dest, sl.state = netip.MustParseAddrPort("192.0.2.1:53"), slotWaiting
+	if err := p.register(sl); err != nil {
 		t.Fatal(err)
 	}
+	s.busy++
+	s.queue(sl, time.Now().Add(time.Hour))
 	// Play the reader: a response header carrying the registered ID.
-	wire, err := (&dnswire.Message{Header: dnswire.Header{ID: id, Response: true}}).Pack()
+	wire, err := (&dnswire.Message{Header: dnswire.Header{ID: sl.id, Response: true}}).Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.deliver(wire, dest)
-	if len(p.pending) != 0 || len(w.ch) != 1 {
-		t.Fatalf("deliver left %d pending keys and %d signals, want 0 and 1", len(p.pending), len(w.ch))
+	p.deliver(wire, sl.dest)
+	if len(p.pending) != 0 || len(s.ready) != 1 {
+		t.Fatalf("deliver left %d pending keys and %d ready slots, want 0 and 1", len(p.pending), len(s.ready))
 	}
-	if err := p.abort(pendingKey{dest: dest, id: id}, w, context.Canceled); err != context.Canceled {
-		t.Fatalf("abort returned %v, want the cancellation cause", err)
+	s.halt(context.Canceled)
+	if len(s.ready) != 0 {
+		t.Fatal("the abort freed a slot whose delivery is still on the ready list")
 	}
-	if len(w.ch) != 0 {
-		t.Fatal("abort pooled a waiter whose delivered signal was never consumed")
+	if len(ended) != 1 || ended[0] != context.Canceled || s.busy != 0 || s.head != nil {
+		t.Fatalf("probe ended with %v, %d busy, due list empty %v; want one end with the cancellation cause", ended, s.busy, s.head == nil)
 	}
 	if got := p.Stats().Aborted; got != 1 {
 		t.Fatalf("Aborted = %d, want 1", got)

@@ -18,7 +18,7 @@ import (
 // allocations, which matters because testing.AllocsPerRun counts
 // mallocs across every goroutine, responder included. seen, when
 // non-nil, is called with the source of every datagram echoed.
-func startEchoResponder(t *testing.T, seen func(src netip.AddrPort)) netip.AddrPort {
+func startEchoResponder(t testing.TB, seen func(src netip.AddrPort)) netip.AddrPort {
 	t.Helper()
 	pc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -84,7 +84,7 @@ func gatePipelineExchange(t *testing.T, queries []*dnswire.Message, want float64
 			t.Fatal(err)
 		}
 	}
-	// Warm the pools and the waiter buffer.
+	// Warm the pools and the slot buffers.
 	for i := 0; i < 64; i++ {
 		exchange()
 	}
@@ -120,32 +120,7 @@ func TestAllocGatePipelineExchangeDistinctNames(t *testing.T) {
 // BenchmarkPipelineExchange measures a full UDP round trip against the
 // zero-alloc loopback echo responder.
 func BenchmarkPipelineExchange(b *testing.B) {
-	pc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	defer func() {
-		pc.Close()
-		wg.Wait()
-	}()
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, 2048)
-		for {
-			n, src, err := pc.ReadFromUDPAddrPort(buf)
-			if err != nil {
-				return
-			}
-			if n < 12 {
-				continue
-			}
-			buf[2] |= 0x80
-			pc.WriteToUDPAddrPort(buf[:n], src)
-		}
-	}()
-	server := pc.LocalAddr().(*net.UDPAddr).AddrPort().String()
+	server := startEchoResponder(b, nil).String()
 	p, err := NewPipeline(PipelineConfig{Timeout: 2 * time.Second})
 	if err != nil {
 		b.Fatal(err)
@@ -161,4 +136,31 @@ func BenchmarkPipelineExchange(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPipelineSweep measures a scan: one Sweep of b.N probes, 64 in
+// flight, against the loopback echo responder. An op is one probe.
+func BenchmarkPipelineSweep(b *testing.B) {
+	server := startEchoResponder(b, nil)
+	p, err := NewPipeline(PipelineConfig{Timeout: 2 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	q := allocGateQuery("gate.pipeline.test.")
+	probe := func(_ int, sq *dnswire.Message) (netip.AddrPort, error) {
+		*sq = *q // the sweep writes only the ID of the copy
+		return server, nil
+	}
+	done := func(i int, _ *dnswire.Message, err error) {
+		if err != nil {
+			b.Fatalf("probe %d: %v", i, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := p.Sweep(context.Background(), b.N, 64, nil, probe, done); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "probes/s")
 }

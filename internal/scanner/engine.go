@@ -10,8 +10,8 @@ import (
 // Engine is a worker-pool driver for probe campaigns: it fans N jobs out
 // over a configurable number of workers, throttled by a shared
 // token-bucket rate limit, with context cancellation and live progress
-// counters. It is transport-agnostic — Scan drives it over netem or a
-// dnsclient.Pipeline, and cmd/ecsscan drives it over raw target lists.
+// counters. It is transport-agnostic: Scan drives it over netem or a
+// dnsclient.Pipeline.
 //
 // Jobs are not handed out, they are claimed: the workers share one
 // atomic counter and each takes the next index from it, so a job costs
