@@ -150,9 +150,13 @@ func parseTargets(lines []string) ([]string, error) {
 
 // normalizeTarget gives a target its port: ip:port and host:port stay as
 // written, a bare address (IPv6 included, which a colon test would take
-// for host:port) or a bare hostname gets port 53.
+// for host:port) or a bare hostname gets port 53. Port 0 names no
+// server: the kernel refuses to send there.
 func normalizeTarget(line string) (string, error) {
-	if _, err := netip.ParseAddrPort(line); err == nil {
+	if ap, err := netip.ParseAddrPort(line); err == nil {
+		if ap.Port() == 0 {
+			return "", errors.New("bad port 0")
+		}
 		return line, nil
 	}
 	if addr, err := netip.ParseAddr(line); err == nil {
@@ -166,8 +170,10 @@ func normalizeTarget(line string) (string, error) {
 		}
 		line += ":53"
 	}
-	if _, err := strconv.ParseUint(port, 10, 16); err != nil {
+	if n, err := strconv.ParseUint(port, 10, 16); err != nil {
 		return "", fmt.Errorf("bad port %q", port)
+	} else if n == 0 {
+		return "", errors.New("bad port 0")
 	}
 	if _, err := netip.ParseAddr(host); err != nil {
 		if _, err := dnswire.ParseName(host); err != nil {

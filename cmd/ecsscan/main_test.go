@@ -345,7 +345,8 @@ func TestParseTargets(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("targets:\n%q\nwant:\n%q", got, want)
 	}
-	for _, bad := range []string{"not a host", "1:2:3", "host:port", "host:99999", ":53", "a..b", "[::1"} {
+	for _, bad := range []string{"not a host", "1:2:3", "host:port", "host:99999", ":53", "a..b", "[::1",
+		"192.0.2.1:0", "[2001:db8::1]:0", "resolver.example:0"} {
 		_, err := parseTargets([]string{"192.0.2.1", bad})
 		if err == nil || !strings.Contains(err.Error(), `"`+bad+`"`) {
 			t.Errorf("parseTargets(%q) error = %v, want one naming the line", bad, err)

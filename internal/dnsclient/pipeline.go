@@ -30,9 +30,15 @@ type PipelineConfig struct {
 // A Pipeline query makes pipelineRetries UDP attempts after the first,
 // waiting pipelineBackoff before the first retry and twice as long
 // before each later one, then falls back to TCP.
+//
+// The reader takes up to readBatch datagrams in one recvmmsg, and a
+// sweep sends up to sendBatch attempts in one sendmmsg (DESIGN.md §11
+// has why these sizes).
 const (
 	pipelineRetries = 2
 	pipelineBackoff = 100 * time.Millisecond
+	readBatch       = 32
+	sendBatch       = 64
 )
 
 // PipelineStats is a snapshot of a Pipeline's counters.
@@ -89,7 +95,7 @@ type pendingKey struct {
 type Pipeline struct {
 	cfg    PipelineConfig
 	pc     *net.UDPConn
-	rw     *udpio.Handle // readLoop's
+	rx     *udpio.Reader // readLoop's
 	closed atomic.Bool
 
 	reader sync.WaitGroup
@@ -101,7 +107,7 @@ type Pipeline struct {
 	rng     *rand.Rand
 	pending map[pendingKey]*slot
 
-	ones sync.Pool // *sweep of one slot, for Exchange
+	ones sync.Pool // *sweep of one slot, for Exchange; Get may find none
 
 	hostMu    sync.RWMutex
 	hostCache map[string]netip.AddrPort
@@ -119,7 +125,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dnsclient: pipeline socket: %w", err)
 	}
-	rw, err := udpio.New(pc)
+	rx, err := udpio.NewReader(pc, readBatch)
 	if err != nil {
 		pc.Close()
 		return nil, fmt.Errorf("dnsclient: pipeline socket: %w", err)
@@ -127,12 +133,11 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	p := &Pipeline{
 		cfg:       cfg,
 		pc:        pc,
-		rw:        rw,
+		rx:        rx,
 		rng:       rand.New(rand.NewSource(RandomSeed())),
 		pending:   make(map[pendingKey]*slot),
 		hostCache: make(map[string]netip.AddrPort),
 	}
-	p.ones.New = func() any { return p.newOne() }
 	p.reader.Add(1)
 	go p.readLoop()
 	return p, nil
@@ -197,49 +202,70 @@ func (p *Pipeline) resolveDest(server string) (netip.AddrPort, error) {
 	return ap, nil
 }
 
-// readLoop demuxes datagrams arriving on the socket.
+// readLoop takes the datagrams arriving on the socket, every one queued
+// in one read, and delivers them.
 func (p *Pipeline) readLoop() {
 	defer p.reader.Done()
-	buf := make([]byte, 65535)
+	var woken []*sweep
 	for {
-		n, ap, err := p.rw.ReadFrom(buf)
+		n, err := p.rx.Read()
 		if err != nil {
 			if p.closed.Load() {
 				return
 			}
 			continue
 		}
-		p.deliver(buf[:n], ap)
+		woken = p.deliver(n, woken[:0])
+		for _, s := range woken {
+			s.wake <- struct{}{}
+		}
 	}
 }
 
-// deliver hands one raw datagram to the slot registered under its
-// (source, ID). Under one hold of mu it takes the key, copies the bytes
-// into the slot and puts the slot on its sweep's ready list, so a slot
-// whose key is gone is on that list until its sweep takes it. Nothing
-// past the header is parsed here: the sweep decodes.
-func (p *Pipeline) deliver(b []byte, ap netip.AddrPort) {
+// deliver hands each datagram of the reader's last batch on under one
+// hold of mu, and appends to woken each sweep the batch found sleeping,
+// once: the sends on wake are the caller's, after the lock.
+func (p *Pipeline) deliver(n int, woken []*sweep) []*sweep {
+	unmatched := 0
+	p.mu.Lock()
+	for i := 0; i < n; i++ {
+		b, ap, _ := p.rx.Datagram(i) // a cut datagram is nil: no header
+		if s, ok := p.deliverLocked(b, ap); !ok {
+			unmatched++
+		} else if s != nil {
+			woken = append(woken, s)
+		}
+	}
+	p.mu.Unlock()
+	if unmatched > 0 {
+		p.mismatched.Add(int64(unmatched))
+	}
+	return woken
+}
+
+// deliverLocked hands one raw datagram to the slot registered under its
+// (source, ID): it takes the key, copies the bytes into the slot and
+// puts the slot on its sweep's ready list, so a slot whose key is gone
+// is on that list until its sweep takes it. It reports whether the
+// datagram matched, and the slot's sweep if that was sleeping and must
+// be woken. Nothing past the header is parsed here: the sweep decodes.
+func (p *Pipeline) deliverLocked(b []byte, ap netip.AddrPort) (wake *sweep, matched bool) {
 	id, isResponse, ok := dnswire.PeekHeader(b)
 	if !ok || !isResponse {
-		p.mismatched.Add(1)
-		return
+		return nil, false
 	}
 	key := pendingKey{dest: unmapAP(ap), id: id}
-	p.mu.Lock()
 	sl, ok := p.pending[key]
 	if !ok {
-		p.mu.Unlock()
-		p.mismatched.Add(1)
-		return
+		return nil, false
 	}
 	delete(p.pending, key)
 	sl.buf = append(sl.buf[:0], b...)
 	sl.sw.ready = append(sl.sw.ready, sl)
-	wake := sl.sw.wakeLocked()
-	p.mu.Unlock()
-	if wake {
-		sl.sw.wake <- struct{}{}
+	if sl.sw.wakeLocked() {
+		return sl.sw, true
 	}
+	return nil, true
 }
 
 // register draws a transaction ID unique among the attempts in flight
@@ -328,7 +354,12 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 	if err != nil {
 		return err
 	}
-	s := p.ones.Get().(*sweep)
+	s, _ := p.ones.Get().(*sweep)
+	if s == nil {
+		if s, err = p.newOne(); err != nil {
+			return err
+		}
+	}
 	defer p.ones.Put(s)
 	sl := &s.slots[0]
 	sl.q, sl.resp, s.dest, s.ended = q, resp, dest, false
@@ -363,7 +394,10 @@ func (p *Pipeline) Sweep(ctx context.Context, n, window int,
 	pace func(context.Context) error,
 	probe func(i int, q *dnswire.Message) (netip.AddrPort, error),
 	done func(i int, resp *dnswire.Message, err error)) error {
-	s := p.newSweep(max(1, min(window, n)))
+	s, err := p.newSweep(max(1, min(window, n)))
+	if err != nil {
+		return err
+	}
 	defer s.timer.Stop()
 	return s.run(ctx, n, pace, probe, done)
 }
@@ -408,11 +442,17 @@ type slot struct {
 // until one does.
 type sweep struct {
 	p     *Pipeline
-	tx    *udpio.Handle // the sweep's handle on the socket
 	slots []slot
 	free  []*slot
 	busy  int
 	batch []*slot // the ready list last taken
+
+	// out batches the attempts sent since the last flush, and queued
+	// holds their slots in the same order; refuse, bound once, ends the
+	// attempt of queued[i] when out reports entry i refused.
+	out    *udpio.Writer
+	queued []*slot
+	refuse func(i int, err error)
 
 	// head and tail are the due list: the slots waiting out an attempt
 	// or a backoff. Every attempt's deadline is its send time plus
@@ -446,16 +486,22 @@ type sweep struct {
 	doneOne  func(int, *dnswire.Message, error)
 }
 
-func (p *Pipeline) newSweep(window int) *sweep {
-	s := &sweep{
-		p:     p,
-		tx:    p.rw.Clone(),
-		slots: make([]slot, window),
-		free:  make([]*slot, 0, window),
-		batch: make([]*slot, 0, window),
-		ready: make([]*slot, 0, window),
-		wake:  make(chan struct{}, 1),
+func (p *Pipeline) newSweep(window int) (*sweep, error) {
+	out, err := udpio.NewWriter(p.pc, min(window, sendBatch))
+	if err != nil {
+		return nil, err
 	}
+	s := &sweep{
+		p:      p,
+		slots:  make([]slot, window),
+		free:   make([]*slot, 0, window),
+		batch:  make([]*slot, 0, window),
+		out:    out,
+		queued: make([]*slot, 0, min(window, sendBatch)),
+		ready:  make([]*slot, 0, window),
+		wake:   make(chan struct{}, 1),
+	}
+	s.refuse = func(i int, _ error) { s.unsent(s.queued[i]) }
 	s.timer = time.AfterFunc(time.Hour, s.poke)
 	s.timer.Stop()
 	for i := range s.slots {
@@ -466,17 +512,20 @@ func (p *Pipeline) newSweep(window int) *sweep {
 		sl.buf = make([]byte, 0, 512)
 		s.free = append(s.free, sl)
 	}
-	return s
+	return s, nil
 }
 
 // newOne makes a sweep of one for Exchange, whose probe asks s.dest and
 // whose done keeps the error.
-func (p *Pipeline) newOne() *sweep {
-	s := p.newSweep(1)
+func (p *Pipeline) newOne() (*sweep, error) {
+	s, err := p.newSweep(1)
+	if err != nil {
+		return nil, err
+	}
 	s.abort = true
 	s.probeOne = func(int, *dnswire.Message) (netip.AddrPort, error) { return s.dest, nil }
 	s.doneOne = func(_ int, _ *dnswire.Message, err error) { s.err, s.ended = err, true }
-	return s
+	return s, nil
 }
 
 func (s *sweep) run(ctx context.Context, n int,
@@ -510,11 +559,12 @@ func (s *sweep) run(ctx context.Context, n int,
 			s.start(next, probe)
 			next++
 		}
+		s.flush()
 		if s.busy == 0 && (s.stop != nil || next == n) {
 			return s.stop
 		}
 		s.arm()
-		s.collect(true)
+		s.collect()
 	}
 }
 
@@ -575,7 +625,8 @@ func (s *sweep) start(i int, probe func(int, *dnswire.Message) (netip.AddrPort, 
 }
 
 // send makes sl's next UDP attempt: a fresh ID patched into the packed
-// query, one sendto, and the deadline queued.
+// query, and the datagram queued for the next flush, which comes before
+// the sweep waits or once sendBatch attempts are queued.
 func (s *sweep) send(sl *slot) {
 	p := s.p
 	sl.state = slotWaiting
@@ -590,22 +641,49 @@ func (s *sweep) send(sl *slot) {
 	sl.q.ID = sl.id
 	dnswire.PatchID(sl.wire, sl.id)
 	p.sent.Add(1)
-	if _, err := s.tx.WriteTo(sl.wire, sl.dest); err != nil {
-		p.withdraw(sl)
-		p.sendErrors.Add(1)
-		s.failed(sl)
+	if err := s.out.Add(sl.wire, sl.dest); err != nil {
+		s.unsent(sl)
 		return
 	}
-	s.queue(sl, time.Now().Add(p.cfg.Timeout))
+	s.queued = append(s.queued, sl)
+	if len(s.queued) == cap(s.queued) {
+		s.flush()
+	}
 }
 
-// collect takes what has been posted to the sweep — waiting for it if
-// block is set — and acts on it: answers first, then a cancel, then
+// flush sends the queued attempts in one sendmmsg and puts each on the
+// due list, all with a deadline from one clock read. An attempt the
+// kernel refused has already moved on through unsent.
+func (s *sweep) flush() {
+	if len(s.queued) == 0 {
+		return
+	}
+	s.out.Flush(s.refuse)
+	due := time.Now().Add(s.p.cfg.Timeout)
+	for _, sl := range s.queued {
+		if sl.state == slotWaiting {
+			s.queue(sl, due)
+		}
+	}
+	s.queued = s.queued[:0]
+}
+
+// unsent ends an attempt whose datagram was refused as a refused sendto
+// always has: its key is withdrawn, it counts as a SendErrors, and the
+// slot goes on to its backoff or to TCP.
+func (s *sweep) unsent(sl *slot) {
+	s.p.withdraw(sl)
+	s.p.sendErrors.Add(1)
+	s.failed(sl)
+}
+
+// collect takes what has been posted to the sweep, waiting for it if
+// nothing has been, and acts on it: answers first, then a cancel, then
 // every deadline that has passed.
-func (s *sweep) collect(block bool) {
+func (s *sweep) collect() {
 	p := s.p
 	p.mu.Lock()
-	if block && len(s.ready) == 0 && !s.poked {
+	if len(s.ready) == 0 && !s.poked {
 		s.sleeping = true
 		p.mu.Unlock()
 		<-s.wake

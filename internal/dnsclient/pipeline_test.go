@@ -336,6 +336,53 @@ func TestSweepPace(t *testing.T) {
 	}
 }
 
+// TestSweepRefusedMidBatch sends a window of 8 probes in one batch, the
+// fourth to port 0, which the kernel refuses while it sends the rest.
+// The refusal ends that attempt as a refused sendto always has: each of
+// its three UDP attempts counts as a SendErrors, the two retries wait
+// out their backoff, and the TCP fallback fails. Every other probe is
+// answered, each index ends once, and the ledger balances.
+func TestSweepRefusedMidBatch(t *testing.T) {
+	server := startEchoResponder(t, nil)
+	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
+	const n, refused = 8, 3
+	probe := func(i int, q *dnswire.Message) (netip.AddrPort, error) {
+		*q = *pipeQuery(dnswire.MustParseName("r" + itoa(i) + ".pipe.test"))
+		if i == refused {
+			return netip.AddrPortFrom(server.Addr(), 0), nil
+		}
+		return server, nil
+	}
+	ended := make([]int, n)
+	done := func(i int, resp *dnswire.Message, err error) {
+		ended[i]++
+		switch {
+		case i == refused && err == nil:
+			t.Errorf("probe %d to port 0 was answered", i)
+		case i != refused && err != nil:
+			t.Errorf("probe %d: %v", i, err)
+		case i != refused && resp.Question().Name != dnswire.MustParseName("r"+itoa(i)+".pipe.test"):
+			t.Errorf("probe %d got the answer to %v", i, resp.Question())
+		}
+	}
+	if err := p.Sweep(context.Background(), n, n, nil, probe, done); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range ended {
+		if k != 1 {
+			t.Fatalf("probe %d ended %d times, want once", i, k)
+		}
+	}
+	st := p.Stats()
+	if st.Received != n-1 || st.SendErrors != 1+pipelineRetries || st.Retries != pipelineRetries || st.TCPFallbacks != 1 {
+		t.Fatalf("stats = %+v, want %d received and, for the refused probe, %d send errors, %d retries and one TCP fallback",
+			st, n-1, 1+pipelineRetries, pipelineRetries)
+	}
+	if st.Sent != st.Received+st.Timeouts+st.Aborted+st.SendErrors {
+		t.Fatalf("accounting imbalance: %+v", st)
+	}
+}
+
 // TestExchangeTCPCancelledDial: a TCP fallback whose ctx is already
 // cancelled returns context.Canceled without opening a connection.
 func TestExchangeTCPCancelledDial(t *testing.T) {
@@ -394,7 +441,10 @@ func startTCPStaller(t *testing.T) string {
 // look.
 func TestAbortDrainsDeliveredSlot(t *testing.T) {
 	p := newTestPipeline(t, PipelineConfig{})
-	s := p.newOne()
+	s, err := p.newOne()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ended []error
 	s.ctx, s.done = context.Background(), func(_ int, _ *dnswire.Message, err error) { ended = append(ended, err) }
 	sl := &s.slots[0]
@@ -409,7 +459,9 @@ func TestAbortDrainsDeliveredSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.deliver(wire, sl.dest)
+	p.mu.Lock()
+	p.deliverLocked(wire, sl.dest)
+	p.mu.Unlock()
 	if len(p.pending) != 0 || len(s.ready) != 1 {
 		t.Fatalf("deliver left %d pending keys and %d ready slots, want 0 and 1", len(p.pending), len(s.ready))
 	}

@@ -1,0 +1,218 @@
+//go:build !386
+
+package udpio
+
+import (
+	"net"
+	"net/netip"
+	"os"
+	"syscall"
+	"unsafe"
+)
+
+// mmsghdr is struct mmsghdr: one datagram of a recvmmsg or sendmmsg
+// call and, on return, its length. Go pads it to the C size on every
+// architecture, and Msghdr's and Iovec's length fields take their width
+// from the architecture, so both are set from untyped constants or
+// through SetLen.
+type mmsghdr struct {
+	hdr syscall.Msghdr
+	len uint32
+}
+
+// batch is the kernel's view of n datagrams: header i points at iovec i
+// and sockaddr i for good, so a call only fills them in.
+type batch struct {
+	uc    *net.UDPConn
+	rc    syscall.RawConn
+	inet6 bool
+	hdrs  []mmsghdr
+	iovs  []syscall.Iovec
+	sas   []syscall.RawSockaddrAny
+}
+
+func newBatch(uc *net.UDPConn, n int) (batch, error) {
+	rc, err := uc.SyscallConn()
+	if err != nil {
+		return batch{}, err
+	}
+	b := batch{
+		uc: uc, rc: rc, inet6: isInet6(uc),
+		hdrs: make([]mmsghdr, n),
+		iovs: make([]syscall.Iovec, n),
+		sas:  make([]syscall.RawSockaddrAny, n),
+	}
+	for i := range b.hdrs {
+		h := &b.hdrs[i].hdr
+		h.Name = (*byte)(unsafe.Pointer(&b.sas[i]))
+		h.Iov, h.Iovlen = &b.iovs[i], 1
+	}
+	return b, nil
+}
+
+// Reader takes datagrams off a socket in batches, into buffers of its
+// own. One goroutine reads with it.
+type Reader struct {
+	batch
+	bufs  []byte // one buffer per datagram, back to back
+	size  int    // bytes per buffer
+	n     int    // datagrams the last call took
+	errno syscall.Errno
+	io    func(fd uintptr) bool // r.recv, bound once
+}
+
+// NewReader returns a Reader on uc that takes up to n datagrams a call,
+// each into a buffer of 65 535 bytes.
+func NewReader(uc *net.UDPConn, n int) (*Reader, error) {
+	return newReader(uc, n, bufSize)
+}
+
+func newReader(uc *net.UDPConn, n, size int) (*Reader, error) {
+	b, err := newBatch(uc, n)
+	if err != nil {
+		return nil, err
+	}
+	r := &Reader{batch: b, bufs: make([]byte, n*size), size: size}
+	for i := range r.iovs {
+		r.iovs[i].Base = &r.bufs[i*size]
+		r.iovs[i].SetLen(size)
+	}
+	r.io = r.recv
+	return r, nil
+}
+
+// Read waits for a datagram and takes it, with every datagram queued
+// behind it up to the Reader's n, in one recvmmsg. It returns how many
+// it took; Datagram reads each.
+func (r *Reader) Read() (int, error) {
+	r.n, r.errno = 0, 0
+	if err := r.rc.Read(r.io); err != nil {
+		return 0, err
+	}
+	if r.errno != 0 {
+		return 0, &net.OpError{Op: "read", Net: "udp", Source: r.uc.LocalAddr(), Err: os.NewSyscallError("recvmmsg", r.errno)}
+	}
+	return r.n, nil
+}
+
+// Datagram returns the i-th datagram the last Read took and its sender,
+// which on an AF_INET6 socket reads an IPv4 peer as 4-in-6, as ReadFrom
+// does. The bytes are the Reader's until the next Read. A datagram
+// longer than a buffer is never returned cut: ok is false and b nil.
+func (r *Reader) Datagram(i int) (b []byte, from netip.AddrPort, ok bool) {
+	from = addrPort(&r.sas[i])
+	if r.hdrs[i].hdr.Flags&syscall.MSG_TRUNC != 0 {
+		return nil, from, false
+	}
+	off := i * r.size
+	return r.bufs[off : off+int(r.hdrs[i].len)], from, true
+}
+
+// recv is Read's RawConn callback; it retries across EINTR and reports
+// false only on EAGAIN, as Handle.sys does.
+func (r *Reader) recv(fd uintptr) bool {
+	for i := range r.hdrs {
+		r.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.sas[i]))
+	}
+	for {
+		n, _, e := syscall.RawSyscall6(syscall.SYS_RECVMMSG, fd, uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)), 0, 0, 0)
+		switch e {
+		case 0:
+			r.n = int(n)
+			return true
+		case syscall.EINTR:
+		case syscall.EAGAIN:
+			return false
+		default:
+			r.errno = e
+			return true
+		}
+	}
+}
+
+// Writer sends datagrams in batches straight from its caller's bytes.
+// One goroutine writes with it.
+type Writer struct {
+	batch
+	n     int                   // datagrams queued
+	done  int                   // of those, how many the current Flush has sent or seen refused
+	errno []syscall.Errno       // why the kernel refused datagram i
+	io    func(fd uintptr) bool // w.send, bound once
+}
+
+// NewWriter returns a Writer on uc that queues up to n datagrams.
+func NewWriter(uc *net.UDPConn, n int) (*Writer, error) {
+	b, err := newBatch(uc, n)
+	if err != nil {
+		return nil, err
+	}
+	w := &Writer{batch: b, errno: make([]syscall.Errno, n)}
+	w.io = w.send
+	return w, nil
+}
+
+// Add queues b to go to to. b is not copied: it must stay as it is until
+// Flush returns. Add queues nothing and returns an error when the queue
+// is full or to cannot be reached in the socket's family.
+func (w *Writer) Add(b []byte, to netip.AddrPort) error {
+	if w.n == len(w.hdrs) {
+		return errFull
+	}
+	salen, err := putSockaddr(&w.sas[w.n], w.inet6, to)
+	if err != nil {
+		return &net.OpError{Op: "write", Net: "udp", Source: w.uc.LocalAddr(), Addr: net.UDPAddrFromAddrPort(to), Err: err}
+	}
+	iov := &w.iovs[w.n]
+	iov.Base = (*byte)(unsafe.Pointer(&zero))
+	if len(b) > 0 {
+		iov.Base = &b[0]
+	}
+	iov.SetLen(len(b))
+	w.hdrs[w.n].hdr.Namelen = salen
+	w.n++
+	return nil
+}
+
+// Flush sends the queued datagrams in order with sendmmsg and empties
+// the queue. After the call, refused(i, err) hears of each datagram the
+// kernel refused, by its index in the queue; the datagrams after one it
+// refused are still sent. A Close or deadline that ends a wait for the
+// socket refuses every datagram not yet sent.
+func (w *Writer) Flush(refused func(i int, err error)) {
+	if w.n == 0 {
+		return
+	}
+	w.done = 0
+	err := w.rc.Write(w.io)
+	for i := 0; i < w.n; i++ {
+		switch {
+		case w.errno[i] != 0:
+			refused(i, &net.OpError{Op: "write", Net: "udp", Source: w.uc.LocalAddr(), Addr: net.UDPAddrFromAddrPort(addrPort(&w.sas[i])), Err: os.NewSyscallError("sendmmsg", w.errno[i])})
+			w.errno[i] = 0
+		case i >= w.done:
+			refused(i, err)
+		}
+		w.iovs[i].Base = nil // keep no caller's bytes alive
+	}
+	w.n = 0
+}
+
+// send is Flush's RawConn callback. sendmmsg stops at the first datagram
+// the kernel refuses and reports it only when it is the first of the
+// call, so each call starts at the first datagram not yet dealt with.
+func (w *Writer) send(fd uintptr) bool {
+	for w.done < w.n {
+		n, _, e := syscall.RawSyscall6(sysSENDMMSG, fd, uintptr(unsafe.Pointer(&w.hdrs[w.done])), uintptr(w.n-w.done), 0, 0, 0)
+		switch e {
+		case 0:
+			w.done += int(n)
+		case syscall.EINTR:
+		case syscall.EAGAIN:
+			return false
+		default:
+			w.errno[w.done] = e
+			w.done++
+		}
+	}
+	return true
+}

@@ -13,5 +13,22 @@
 // switch per query (DESIGN.md §10). Nothing in a call allocates: the
 // callbacks are bound once, when the Handle is made.
 //
-// Elsewhere the four calls are the net.UDPConn methods of the same name.
+// A Reader and a Writer move datagrams in batches the same way: a
+// Reader takes every queued datagram, up to its size, in one recvmmsg
+// into buffers it owns, and a Writer sends what its caller queued in one
+// sendmmsg, straight from the caller's bytes, and reports by index each
+// datagram the kernel refused.
+//
+// Elsewhere, and on linux/386, whose socket calls go through
+// socketcall, the Handle calls are the net.UDPConn methods of the same
+// name, a Reader takes one datagram a call, and a Writer sends its queue
+// one datagram at a time.
 package udpio
+
+import "errors"
+
+// bufSize is the size of each of a Reader's buffers: the largest
+// datagram a UDP length field can describe.
+const bufSize = 65535
+
+var errFull = errors.New("udpio: batch full")

@@ -72,12 +72,13 @@ func (h *Handle) ReadFrom(b []byte) (int, netip.AddrPort, error) {
 	if err := h.call(syscall.SYS_RECVFROM, b, true); err != nil {
 		return 0, netip.AddrPort{}, err
 	}
-	return h.n, h.from(), nil
+	return h.n, addrPort(&h.sa), nil
 }
 
 // WriteTo sends b to to.
 func (h *Handle) WriteTo(b []byte, to netip.AddrPort) (int, error) {
-	if err := h.setPeer(to); err != nil {
+	var err error
+	if h.salen, err = putSockaddr(&h.sa, h.inet6, to); err != nil {
 		return 0, &net.OpError{Op: "write", Net: "udp", Source: h.uc.LocalAddr(), Addr: net.UDPAddrFromAddrPort(to), Err: err}
 	}
 	if err := h.call(syscall.SYS_SENDTO, b, true); err != nil {
@@ -159,46 +160,44 @@ func (h *Handle) sys(fd uintptr) bool {
 	}
 }
 
-// from decodes the sender recvfrom left in h.sa.
-func (h *Handle) from() netip.AddrPort {
-	switch h.sa.Addr.Family {
+// addrPort decodes a sockaddr the kernel filled in.
+func addrPort(rsa *syscall.RawSockaddrAny) netip.AddrPort {
+	switch rsa.Addr.Family {
 	case syscall.AF_INET:
-		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(&h.sa))
+		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(rsa))
 		return netip.AddrPortFrom(netip.AddrFrom4(sa.Addr), getPort(&sa.Port))
 	case syscall.AF_INET6:
-		sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(&h.sa))
+		sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(rsa))
 		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr).WithZone(zoneName(sa.Scope_id)), getPort(&sa.Port))
 	}
 	return netip.AddrPort{}
 }
 
-// setPeer encodes to in h.sa for sendto, in the socket's family: an
-// AF_INET socket takes only IPv4, an AF_INET6 one any address (IPv4 as
-// 4-in-6), as net.UDPConn.WriteToUDPAddrPort does.
-func (h *Handle) setPeer(to netip.AddrPort) error {
+// putSockaddr encodes to in rsa in a socket's family and returns its
+// length: an AF_INET socket takes only IPv4, an AF_INET6 one any address
+// (IPv4 as 4-in-6), as net.UDPConn.WriteToUDPAddrPort does.
+func putSockaddr(rsa *syscall.RawSockaddrAny, inet6 bool, to netip.AddrPort) (uint32, error) {
 	a := to.Addr()
-	if !h.inet6 {
+	if !inet6 {
 		if !a.Is4() {
-			return &net.AddrError{Err: "non-IPv4 address", Addr: a.String()}
+			return 0, &net.AddrError{Err: "non-IPv4 address", Addr: a.String()}
 		}
-		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(&h.sa))
+		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(rsa))
 		*sa = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Addr: a.As4()}
 		putPort(&sa.Port, to.Port())
-		h.salen = syscall.SizeofSockaddrInet4
-		return nil
+		return syscall.SizeofSockaddrInet4, nil
 	}
 	if !a.IsValid() {
-		return &net.AddrError{Err: "invalid address", Addr: a.String()}
+		return 0, &net.AddrError{Err: "invalid address", Addr: a.String()}
 	}
 	scope, err := scopeID(a.Zone())
 	if err != nil {
-		return err
+		return 0, err
 	}
-	sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(&h.sa))
+	sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(rsa))
 	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Addr: a.As16(), Scope_id: scope}
 	putPort(&sa.Port, to.Port())
-	h.salen = syscall.SizeofSockaddrInet6
-	return nil
+	return syscall.SizeofSockaddrInet6, nil
 }
 
 // A sockaddr's port is in network byte order whatever the host's.

@@ -47,21 +47,21 @@ func TestSockaddrRoundTrip(t *testing.T) {
 		{true, "[fe80::1%9]:53"},
 		{true, "[::ffff:192.0.2.1]:65280"},
 	} {
-		h := &Handle{inet6: tc.inet6}
+		var sa syscall.RawSockaddrAny
 		to := netip.MustParseAddrPort(tc.to)
-		if err := h.setPeer(to); err != nil {
+		if _, err := putSockaddr(&sa, tc.inet6, to); err != nil {
 			t.Fatal(err)
 		}
-		if got := h.from(); got != to {
+		if got := addrPort(&sa); got != to {
 			t.Fatalf("%v came back as %v", to, got)
 		}
 	}
 	// A dual-stack socket sends to an IPv4 address as 4-in-6.
-	h := &Handle{inet6: true}
-	if err := h.setPeer(netip.MustParseAddrPort("192.0.2.1:53")); err != nil {
+	var sa syscall.RawSockaddrAny
+	if _, err := putSockaddr(&sa, true, netip.MustParseAddrPort("192.0.2.1:53")); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := h.from(), netip.MustParseAddrPort("[::ffff:192.0.2.1]:53"); got != want {
+	if got, want := addrPort(&sa), netip.MustParseAddrPort("[::ffff:192.0.2.1]:53"); got != want {
 		t.Fatalf("192.0.2.1:53 went out as %v, want %v", got, want)
 	}
 }

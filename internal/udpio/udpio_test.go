@@ -166,6 +166,160 @@ func TestCloseUnblocksReadFrom(t *testing.T) {
 	}
 }
 
+// readAll reads with r until it has taken n datagrams: a batch may hold
+// them all or, off Linux, one.
+func readAll(t *testing.T, r *Reader, n int) (got []string, from []netip.AddrPort) {
+	t.Helper()
+	for len(got) < n {
+		k, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			b, ap, ok := r.Datagram(i)
+			if !ok {
+				t.Fatalf("datagram %d of a batch arrived cut", i)
+			}
+			got, from = append(got, string(b)), append(from, ap)
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("read %d datagrams, want %d", len(got), n)
+	}
+	return got, from
+}
+
+// TestBatchReadWrite sends datagrams of three lengths from an IPv4 and
+// an IPv6 peer to a dual-stack socket in one batch each, and reads them
+// in batches: each comes back with its length and its sender, the IPv4
+// one 4-in-6, as ReadFrom reads it.
+func TestBatchReadWrite(t *testing.T) {
+	srv, _ := listen(t, "udp", "[::]:0")
+	r, err := NewReader(srv, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetDeadline(time.Now().Add(5 * time.Second))
+	for _, tc := range []struct {
+		net, peer, seen string
+	}{
+		{"udp4", "127.0.0.1", "::ffff:127.0.0.1"},
+		{"udp6", "::1", "::1"},
+	} {
+		peer, _ := listen(t, tc.net, netip.AddrPortFrom(netip.MustParseAddr(tc.peer), 0).String())
+		w, err := NewWriter(peer, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		to := netip.AddrPortFrom(netip.MustParseAddr(tc.peer), port(srv))
+		want := []string{"a", "bb", "ccc"}
+		for _, m := range want {
+			if err := w.Add([]byte(m), to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Flush(func(i int, err error) { t.Errorf("datagram %d refused: %v", i, err) })
+		got, from := readAll(t, r, len(want))
+		sender := netip.AddrPortFrom(netip.MustParseAddr(tc.seen), port(peer))
+		for i := range want {
+			if got[i] != want[i] || from[i] != sender {
+				t.Fatalf("%s peer: datagram %d read %q from %v, want %q from %v", tc.net, i, got[i], from[i], want[i], sender)
+			}
+		}
+	}
+}
+
+// TestBatchReadLargest: a 65 000-byte datagram arrives whole in a
+// batch, and one longer than a buffer is never returned cut.
+func TestBatchReadLargest(t *testing.T) {
+	srv, _ := listen(t, "udp4", "127.0.0.1:0")
+	_, hp := listen(t, "udp4", "127.0.0.1:0")
+	srv.SetDeadline(time.Now().Add(5 * time.Second))
+	to := srv.LocalAddr().(*net.UDPAddr).AddrPort()
+	r, err := NewReader(srv, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("0123456789abcdef"), 65000/16)
+	big = append(big, big[:65000-len(big)]...)
+	if _, err := hp.WriteTo(big, to); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := readAll(t, r, 1); got[0] != string(big) {
+		t.Fatalf("read %d bytes, want the %d sent", len(got[0]), len(big))
+	}
+
+	small, err := newReader(srv, 4, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{"seventeen bytes!!", "sixteen bytes..."} {
+		if _, err := hp.WriteTo([]byte(m), to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seen []string
+	for len(seen) < 2 {
+		k, err := small.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			b, _, ok := small.Datagram(i)
+			if ok {
+				seen = append(seen, string(b))
+			} else if b != nil {
+				t.Fatalf("a cut datagram came back as %q", b)
+			} else {
+				seen = append(seen, "cut")
+			}
+		}
+	}
+	if seen[0] != "cut" || seen[1] != "sixteen bytes..." {
+		t.Fatalf("a 16-byte buffer read %q, want the 17-byte datagram cut and the 16-byte one whole", seen)
+	}
+}
+
+// TestBatchWriteRefused: the kernel refuses the third datagram of a
+// batch, to port 0. Flush reports that index alone and still sends the
+// datagrams after it, in order.
+func TestBatchWriteRefused(t *testing.T) {
+	srv, hs := listen(t, "udp4", "127.0.0.1:0")
+	peer, _ := listen(t, "udp4", "127.0.0.1:0")
+	srv.SetDeadline(time.Now().Add(5 * time.Second))
+	w, err := NewWriter(peer, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := srv.LocalAddr().(*net.UDPAddr).AddrPort()
+	for i, m := range []string{"0", "1", "2", "3"} {
+		dest := to
+		if i == 2 {
+			dest = netip.AddrPortFrom(to.Addr(), 0)
+		}
+		if err := w.Add([]byte(m), dest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var refused []int
+	w.Flush(func(i int, err error) {
+		if err == nil {
+			t.Errorf("datagram %d refused without an error", i)
+		}
+		refused = append(refused, i)
+	})
+	if len(refused) != 1 || refused[0] != 2 {
+		t.Fatalf("Flush refused %v, want [2]", refused)
+	}
+	buf := make([]byte, 64)
+	for _, want := range []string{"0", "1", "3"} {
+		n, _, err := hs.ReadFrom(buf)
+		if err != nil || string(buf[:n]) != want {
+			t.Fatalf("read %q (%v), want %q", buf[:n], err, want)
+		}
+	}
+}
+
 // TestAllocGateUDPIO holds each call at 0 objects. A row runs its call
 // with the one that feeds or drains it, so every call reads 0 twice and
 // no socket buffer fills.
@@ -192,6 +346,22 @@ func TestAllocGateUDPIO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ra, err := NewReader(a, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := NewWriter(b, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(i int, err error) { t.Fatalf("datagram %d refused: %v", i, err) }
+	readBatch := func(n int) {
+		for n > 0 {
+			k, err := ra.Read()
+			must(k, err)
+			n -= k
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		call func()
@@ -204,6 +374,18 @@ func TestAllocGateUDPIO(t *testing.T) {
 		}},
 		{"Write", func() { must(hc.Write(msg)); must(hb.Read(buf)) }},
 		{"Read", func() { must(hb.WriteTo(msg, toC)); must(hc.Read(buf)) }},
+		{"Writer", func() {
+			must(0, wb.Add(msg, toA))
+			must(0, wb.Add(msg, toA))
+			wb.Flush(refused)
+			must(ha.Read(buf))
+			must(ha.Read(buf))
+		}},
+		{"Reader", func() {
+			must(hb.WriteTo(msg, toA))
+			must(hb.WriteTo(msg, toA))
+			readBatch(2)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := testing.AllocsPerRun(200, tc.call); got != 0 {

@@ -33,8 +33,9 @@ fi
 stage "go vet ./..."
 go vet ./...
 
-stage "go vet for darwin and windows (internal/udpio's fallback file compiles)"
+stage "go vet for darwin, windows, linux/arm and linux/386 (internal/udpio's fallback and 32-bit layouts)"
 GOOS=darwin go vet ./... && GOOS=windows go vet ./...
+GOOS=linux GOARCH=arm go vet ./... && GOOS=linux GOARCH=386 go vet ./...
 
 stage "go test ./..."
 go test ./...
