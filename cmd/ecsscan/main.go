@@ -9,17 +9,21 @@
 // With -targets it instead runs a bulk availability sweep over many
 // resolvers: one loop on the main goroutine (dnsclient.Pipeline.Sweep)
 // keeps -concurrency probes in flight over one UDP socket, and -rate caps
-// the rate at which probes start.
+// the rate at which probes start. It reads each target as its probe
+// starts and writes each result line as its probe ends, so its memory is
+// bounded by -concurrency, not by the number of targets.
 //
 // Usage:
 //
 //	ecsscan [-resolver 127.0.0.1:5301] [-name test.scan.example.org] \
 //	        [-prefix 198.51.100.0/24] [-timeout 3s]
 //	ecsscan -targets targets.txt [-concurrency 64] [-rate 1000] [-timeout 3s]
+//	ecsscan -targets - < targets.txt
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -46,7 +50,7 @@ func main() {
 	nameStr := flag.String("name", "test.scan.example.org", "base hostname to query (unique labels are prepended per trial)")
 	prefixStr := flag.String("prefix", "198.51.100.0/24", "client subnet to inject")
 	timeout := flag.Duration("timeout", 3*time.Second, "per-attempt query timeout")
-	targetsArg := flag.String("targets", "", "bulk mode: file of resolver host:port lines (or a comma-separated list)")
+	targetsArg := flag.String("targets", "", "bulk mode: file of resolver host:port lines, - for standard input, or a comma-separated list")
 	concurrency := flag.Int("concurrency", 64, "bulk mode: probes in flight")
 	rate := flag.Float64("rate", 0, "bulk mode: max queries/sec (0 = unlimited)")
 	flag.Parse()
@@ -99,53 +103,90 @@ func main() {
 	singleProbe(*target, base, prefix, *timeout)
 }
 
-// loadTargets reads targets from a file (one per line, # comments
-// allowed) or from a comma-separated literal list.
-func loadTargets(arg string) ([]string, error) {
-	var raw []string
-	if f, err := os.Open(arg); err == nil {
-		defer f.Close()
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			raw = append(raw, sc.Text())
-		}
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("reading %s: %v", arg, err)
-		}
-	} else if strings.ContainsAny(arg, "/\\") {
+// openTargets opens what -targets names: standard input for "-", the
+// file when arg opens as one, and otherwise arg itself, a comma-separated
+// list.
+func openTargets(arg string) (io.ReadCloser, error) {
+	if arg == "-" {
+		return io.NopCloser(os.Stdin), nil
+	}
+	f, err := os.Open(arg)
+	if err == nil {
+		return f, nil
+	}
+	if strings.ContainsAny(arg, "/\\") {
 		// A path that does not open is a typo, not a hostname list.
 		return nil, err
-	} else {
-		raw = strings.Split(arg, ",")
 	}
-	targets, err := parseTargets(raw)
-	if err != nil {
-		return nil, err
-	}
-	if len(targets) == 0 {
-		return nil, errors.New("no targets")
-	}
-	return targets, nil
+	return io.NopCloser(strings.NewReader(strings.ReplaceAll(arg, ",", "\n"))), nil
 }
 
-// parseTargets turns target lines into the host:port strings the
-// pipeline dials, skipping blank lines and # comments. A line that
-// cannot name a target fails the whole load: found here it is one
-// start-up error, found per probe it is a resolver reported unreachable.
-func parseTargets(lines []string) ([]string, error) {
-	targets := make([]string, 0, len(lines))
-	for _, line := range lines {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+// parseTarget appends to dst the text a target line is reported by —
+// ip:port and host:port as written, a bare address or hostname with port
+// 53 — and returns where the probe goes: invalid for a hostname, which
+// the probe resolves. A line that cannot name a target is an error that
+// names it.
+func parseTarget(dst, line []byte) ([]byte, netip.AddrPort, error) {
+	if ap, hasPort, ok := parseIPv4(line); ok {
+		dst = append(dst, line...)
+		if !hasPort {
+			dst = append(dst, ":53"...)
 		}
-		t, err := normalizeTarget(line)
-		if err != nil {
-			return nil, fmt.Errorf("bad target %q: %v", line, err)
-		}
-		targets = append(targets, t)
+		return dst, ap, nil
 	}
-	return targets, nil
+	t, err := normalizeTarget(string(line))
+	if err != nil {
+		return dst, netip.AddrPort{}, fmt.Errorf("bad target %q: %v", line, err)
+	}
+	ap, _ := netip.ParseAddrPort(t)
+	return append(dst, t...), ap, nil
+}
+
+// parseIPv4 reads the scan's own kind of line, a dotted-quad IPv4 address
+// with or without a port, without making a string of it. It takes only
+// lines that normalizeTarget would keep as written or give port 53, and
+// leaves every other line, its errors included, to normalizeTarget.
+func parseIPv4(b []byte) (ap netip.AddrPort, hasPort, ok bool) {
+	var a [4]byte
+	i := 0
+	for k := range a {
+		if k > 0 {
+			if i == len(b) || b[i] != '.' {
+				return ap, false, false
+			}
+			i++
+		}
+		v, n := digits(b[i:], 3)
+		if n == 0 || v > 255 || n > 1 && b[i] == '0' { // netip takes no leading zero
+			return ap, false, false
+		}
+		a[k] = byte(v)
+		i += n
+	}
+	port := 53
+	if i < len(b) {
+		if b[i] != ':' {
+			return ap, false, false
+		}
+		var n int
+		port, n = digits(b[i+1:], len(b))
+		if n == 0 || i+1+n != len(b) || port == 0 || port > 65535 {
+			return ap, false, false
+		}
+		hasPort = true
+	}
+	return netip.AddrPortFrom(netip.AddrFrom4(a), uint16(port)), hasPort, true
+}
+
+// digits reads the decimal number at the start of b, of at most limit
+// digits, and says how many it read. It stops once the value passes
+// 65535, the largest any caller takes.
+func digits(b []byte, limit int) (v, n int) {
+	for n < len(b) && n < limit && b[n] >= '0' && b[n] <= '9' && v <= 65535 {
+		v = v*10 + int(b[n]-'0')
+		n++
+	}
+	return v, n
 }
 
 // normalizeTarget gives a target its port: ip:port and host:port stay as
@@ -183,19 +224,26 @@ func normalizeTarget(line string) (string, error) {
 	return line, nil
 }
 
+// lookupTarget resolves a host:port target. A bulk scan calls it once
+// for each hostname it meets, on the sweep's goroutine.
+var lookupTarget = func(hostport string) (netip.AddrPort, error) {
+	raddr, err := net.ResolveUDPAddr("udp", hostport)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	return raddr.AddrPort(), nil
+}
+
 // probeOutcome says which of a probeResult's fields are set.
 type probeOutcome uint8
 
 const (
-	probeNotStarted  probeOutcome = iota // the drain came before this target's turn, or cut its probe short
-	probeAnswered                        // rcode, answers, edns, rtt
+	probeAnswered    probeOutcome = iota // rcode, answers, edns, rtt
 	probeUnreachable                     // err
 	probeBadName                         // err
 )
 
-// probeResult is the outcome of one bulk probe, kept as values rather
-// than as its formatted line: a sweep holds one per target until the
-// run ends, and formatting is then one pass outside the measured scan.
+// probeResult is the outcome of one bulk probe, which its line reports.
 type probeResult struct {
 	err     error
 	rtt     time.Duration
@@ -205,61 +253,127 @@ type probeResult struct {
 	edns    bool
 }
 
-// bulk is one -targets sweep: the base every probe name is built on,
-// each target's address, resolved once at load, and its result.
-type bulk struct {
-	base    dnswire.Name
-	dests   []netip.AddrPort
-	results []probeResult
-	name    []byte // the probe name being built
+// flight is what a bulk scan keeps of the probe in one of the sweep's
+// slots until it ends: the target's text and when the probe started.
+type flight struct {
+	target  []byte
+	start   time.Time
+	badName bool
+}
 
-	start                      time.Time
+// bulk is one -targets sweep. It reads its targets a line at a time as
+// probes start and writes each result line as its probe ends, so what it
+// holds is bounded by the window: one flight a slot, and the hostnames
+// it has resolved.
+//
+// It reads the clock once a probe, when the probe ends. A probe started
+// after that reading takes it for its start, unless the scan may have
+// waited since: paced, or in a call to its input or output file or to a
+// hostname lookup. Then stale is set, and the probe reads the clock.
+type bulk struct {
+	ctx     context.Context // a cancel is an interrupt
+	base    dnswire.Name
+	in      *bufio.Scanner
+	out     *bufio.Writer
+	flights []flight
+	hosts   map[string]netip.AddrPort
+	name    []byte // the probe name being built
+	line    []byte // the result line being built
+	err     error  // why the input ended early: a read error or a bad line
+
+	start, now   time.Time // when the sweep started; the last clock read
+	stale, paced bool
+
+	targets, written           int
 	started, answered, failing int
 }
 
-// newBulk resolves targets. One that does not resolve keeps the error in
-// its result, which stays probeNotStarted until the target's turn: then
-// the probe ends with that error, as a failed lookup did when each probe
-// made its own.
-func newBulk(base dnswire.Name, targets []string) *bulk {
+// newBulk makes a sweep of window slots that reads target lines from in
+// and writes result lines to out through its own buffer.
+func newBulk(ctx context.Context, base dnswire.Name, in io.Reader, out io.Writer, window int) *bulk {
 	b := &bulk{
+		ctx:     ctx,
 		base:    base,
-		dests:   make([]netip.AddrPort, len(targets)),
-		results: make([]probeResult, len(targets)),
+		flights: make([]flight, window),
+		hosts:   make(map[string]netip.AddrPort),
+		stale:   true, // no clock read yet
 	}
-	resolved := make(map[string]netip.AddrPort)
-	for i, t := range targets {
-		if ap, err := netip.ParseAddrPort(t); err == nil {
-			b.dests[i] = ap
-			continue
-		}
-		ap, ok := resolved[t]
-		if !ok {
-			raddr, err := net.ResolveUDPAddr("udp", t)
-			if err != nil {
-				b.results[i].err = err
-				continue
-			}
-			ap = raddr.AddrPort()
-			resolved[t] = ap
-		}
-		b.dests[i] = ap
-	}
+	b.in = bufio.NewScanner(waiting{r: in, stale: &b.stale})
+	b.out = bufio.NewWriterSize(waiting{w: out, stale: &b.stale}, 64<<10)
 	return b
 }
 
-// probe asks target i for the A record of bulk<i>.<base>, in the query
-// the sweep keeps for the slot: the first probe in a slot sets it up —
-// one question, EDNS advertising 4096 bytes, the ID left to the
-// pipeline — and later ones only change the name.
-func (b *bulk) probe(i int, q *dnswire.Message) (netip.AddrPort, error) {
+// waiting passes calls on to r or w and marks the clock stale: a call
+// that reaches a file may wait on it.
+type waiting struct {
+	r     io.Reader
+	w     io.Writer
+	stale *bool
+}
+
+func (x waiting) Read(p []byte) (int, error) {
+	*x.stale = true
+	return x.r.Read(p)
+}
+
+func (x waiting) Write(p []byte) (int, error) {
+	*x.stale = true
+	return x.w.Write(p)
+}
+
+// nextLine returns the next target line, trimmed, past blank lines and
+// # comments, and counts it; false at the end of the input.
+func (b *bulk) nextLine() ([]byte, bool) {
+	for b.in.Scan() {
+		line := bytes.TrimSpace(b.in.Bytes())
+		if len(line) > 0 && line[0] != '#' {
+			b.targets++
+			return line, true
+		}
+	}
+	if err := b.in.Err(); err != nil {
+		b.err = fmt.Errorf("reading targets: %v", err)
+	}
+	return nil, false
+}
+
+// probe reads the next target and asks it for the A record of
+// bulk<n>.<base>, n counting the probes from 0, in the query the sweep
+// keeps for the slot: the first probe in a slot sets it up — one
+// question, EDNS advertising 4096 bytes, the ID left to the pipeline —
+// and later ones only change the name. The end of the input, or a line
+// that names no target, ends the sweep's input. A line whose read an
+// interrupt came during is not probed.
+func (b *bulk) probe(slot int, q *dnswire.Message) (netip.AddrPort, error) {
+	line, ok := b.nextLine()
+	if !ok {
+		return netip.AddrPort{}, io.EOF
+	}
+	if err := b.ctx.Err(); err != nil {
+		return netip.AddrPort{}, err
+	}
+	f := &b.flights[slot]
+	var dest netip.AddrPort
+	var err error
+	if f.target, dest, err = parseTarget(f.target[:0], line); err != nil {
+		b.err = err
+		return netip.AddrPort{}, io.EOF
+	}
+	n := b.started
 	b.started++
-	r := &b.results[i]
-	if r.err != nil {
-		return netip.AddrPort{}, r.err
+	f.badName = false
+	if !dest.IsValid() {
+		dest, err = b.resolve(f.target)
+	}
+	if b.stale || b.paced {
+		b.now, b.stale = time.Now(), false
+	}
+	f.start = b.now
+	if err != nil {
+		return netip.AddrPort{}, err
 	}
 	b.name = append(b.name[:0], "bulk"...)
-	b.name = strconv.AppendInt(b.name, int64(i), 10)
+	b.name = strconv.AppendInt(b.name, int64(n), 10)
 	b.name = append(b.name, '.')
 	if b.base != dnswire.Root {
 		b.name = append(b.name, b.base...)
@@ -267,40 +381,59 @@ func (b *bulk) probe(i int, q *dnswire.Message) (netip.AddrPort, error) {
 	// base is canonical and the label is short, lower-case and dot-free,
 	// so the total length is all there is left to check.
 	if len(b.name)+1 > dnswire.MaxNameLen {
-		*r = probeResult{outcome: probeBadName, err: dnswire.ErrNameTooLong}
-		return netip.AddrPort{}, r.err
+		f.badName = true
+		return netip.AddrPort{}, dnswire.ErrNameTooLong
 	}
 	if q.EDNS == nil {
 		*q = *dnswire.NewQuery(0, "", dnswire.TypeA)
 		q.EDNS = dnswire.NewEDNS()
 	}
 	q.Questions[0].Name = dnswire.Name(b.name)
-	r.rtt = time.Since(b.start) // when the probe started; done makes it the round trip
-	return b.dests[i], nil
+	return dest, nil
 }
 
-// done keeps what came back for target i. A probe the drain cut short
-// goes back to probeNotStarted: it is neither responding nor unreachable.
-func (b *bulk) done(i int, resp *dnswire.Message, err error) {
-	r := &b.results[i]
+// resolve looks a hostname target up once; a lookup that fails is tried
+// again when the name comes back.
+func (b *bulk) resolve(target []byte) (netip.AddrPort, error) {
+	if ap, ok := b.hosts[string(target)]; ok {
+		return ap, nil
+	}
+	ap, err := lookupTarget(string(target))
+	b.stale = true
+	if err == nil {
+		b.hosts[string(target)] = ap
+	}
+	return ap, err
+}
+
+// done writes the line of the probe in slot. A probe the drain cut short
+// writes none: it is neither responding nor unreachable.
+func (b *bulk) done(slot int, resp *dnswire.Message, err error) {
+	if errors.Is(err, context.Canceled) {
+		return
+	}
+	b.now = time.Now()
+	f := &b.flights[slot]
+	r := probeResult{outcome: probeUnreachable, err: err}
 	switch {
 	case err == nil:
-		*r = probeResult{
+		r = probeResult{
 			outcome: probeAnswered,
 			rcode:   resp.RCode,
 			answers: uint16(len(resp.Answers)), // a wire count, so it fits
 			edns:    resp.EDNS != nil,
-			rtt:     time.Since(b.start) - r.rtt,
+			rtt:     b.now.Sub(f.start),
 		}
 		b.answered++
-	case errors.Is(err, context.Canceled):
-		*r = probeResult{}
-	case r.outcome == probeBadName:
+	case f.badName:
+		r.outcome = probeBadName
 		b.failing++
 	default:
-		*r = probeResult{outcome: probeUnreachable, err: err}
 		b.failing++
 	}
+	b.line = append(appendResult(b.line[:0], f.target, &r), '\n')
+	b.out.Write(b.line) // an error stays in out for Flush to report
+	b.written++
 }
 
 // progress is the sweep's summary figures, as of now.
@@ -318,9 +451,9 @@ func (b *bulk) progress() scanner.ProgressSnapshot {
 }
 
 // appendResult appends target's result line, without the newline.
-func appendResult(buf []byte, target string, r *probeResult) []byte {
+func appendResult(buf, target []byte, r *probeResult) []byte {
 	buf = append(buf, target...)
-	for pad := 24 - utf8.RuneCountInString(target); pad > 0; pad-- {
+	for pad := 24 - utf8.RuneCount(target); pad > 0; pad-- {
 		buf = append(buf, ' ') // %-24s
 	}
 	switch r.outcome {
@@ -343,23 +476,6 @@ func appendResult(buf []byte, target string, r *probeResult) []byte {
 	return buf
 }
 
-// writeResults writes one line per probe that ran, in target order, and
-// returns how many that was. A write error stays in w for Flush to
-// report, as with everything written through a bufio.Writer.
-func writeResults(w *bufio.Writer, targets []string, results []probeResult) int {
-	var line []byte
-	written := 0
-	for i := range results {
-		if results[i].outcome == probeNotStarted {
-			continue
-		}
-		line = append(appendResult(line[:0], targets[i], &results[i]), '\n')
-		w.Write(line)
-		written++
-	}
-	return written
-}
-
 // writeSummary writes the sweep's closing line.
 func writeSummary(w *bufio.Writer, targets int, s scanner.ProgressSnapshot, st dnsclient.PipelineStats) {
 	fmt.Fprintf(w, "\n%d targets: %d responding, %d unreachable in %s (%.0f q/s; %d udp sent, %d retries, %d tcp fallbacks)\n",
@@ -367,43 +483,60 @@ func writeSummary(w *bufio.Writer, targets int, s scanner.ProgressSnapshot, st d
 		st.Sent, st.Retries, st.TCPFallbacks)
 }
 
-// bulkScan sweeps many resolvers through the pipeline and writes one
-// availability line per target plus a throughput summary to out, all of
-// it once the sweep has ended and through one buffered writer. A cancel
-// of ctx drains the sweep, and the lines are those of the probes that
-// ended.
+// bulkScan sweeps the resolvers targetsArg names through the pipeline,
+// reading each target as its probe starts and writing its availability
+// line to out as its probe ends, in the order the probes end, then a
+// throughput summary. A cancel of ctx drains the sweep: the lines are
+// those of the probes that ended, and the targets never reached in a
+// file or list are read to its end only to be counted; standard input,
+// which may never end, is not read further. A line that names no
+// target ends the input too: the probes in flight end and are written,
+// and the line is the error.
 func bulkScan(ctx context.Context, out io.Writer, targetsArg string, base dnswire.Name, concurrency int, rate float64, timeout time.Duration) error {
-	targets, err := loadTargets(targetsArg)
+	in, err := openTargets(targetsArg)
 	if err != nil {
 		return err
 	}
+	defer in.Close()
 	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{Timeout: timeout})
 	if err != nil {
 		return fmt.Errorf("pipeline: %v", err)
 	}
 	defer pipe.Close()
 
-	b := newBulk(base, targets)
+	b := newBulk(ctx, base, in, out, concurrency)
 	var pace func(context.Context) error
 	if rate > 0 {
-		pace = scanner.NewRateLimiter(rate, min(concurrency, len(targets))).Wait
+		pace = scanner.NewRateLimiter(rate, concurrency).Wait
+		b.paced = true
 	}
 	b.start = time.Now()
-	err = pipe.Sweep(ctx, len(targets), concurrency, pace, b.probe, b.done)
+	err = pipe.Sweep(ctx, concurrency, pace, b.probe, b.done)
 	interrupted := err != nil && ctx.Err() != nil
 	if err != nil && !interrupted {
 		return err
 	}
 	// The summary's clock stops here: elapsed and q/s are the scan's,
-	// not the scan's plus the time it takes to print it.
+	// not the scan's plus the time it takes to count what is left.
 	s := b.progress()
-	w := bufio.NewWriterSize(out, 64<<10)
-	written := writeResults(w, targets, b.results)
-	writeSummary(w, len(targets), s, pipe.Stats())
-	if interrupted {
-		fmt.Fprintf(w, "interrupted: partial results for %d of %d targets\n", written, len(targets))
+	if interrupted && targetsArg != "-" {
+		for _, ok := b.nextLine(); ok; _, ok = b.nextLine() {
+		}
 	}
-	if err := w.Flush(); err != nil {
+	switch {
+	case b.err != nil:
+		if err := b.out.Flush(); err != nil {
+			return errors.Join(b.err, fmt.Errorf("writing results: %v", err))
+		}
+		return b.err
+	case b.targets == 0:
+		return errors.New("no targets")
+	}
+	writeSummary(b.out, b.targets, s, pipe.Stats())
+	if interrupted {
+		fmt.Fprintf(b.out, "interrupted: partial results for %d of %d targets\n", b.written, b.targets)
+	}
+	if err := b.out.Flush(); err != nil {
 		return fmt.Errorf("writing results: %v", err)
 	}
 	return nil

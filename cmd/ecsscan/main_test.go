@@ -5,11 +5,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"math"
 	"net"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,7 +37,7 @@ import (
 // probe's bill. With a delay it answers each query that long after
 // reading it (and allocates to do so); read, when non-nil, hears of
 // every query read.
-func startAnswerResponder(t *testing.T, delay time.Duration, read chan<- struct{}) string {
+func startAnswerResponder(t testing.TB, delay time.Duration, read chan<- struct{}) string {
 	t.Helper()
 	pc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -91,14 +95,39 @@ func startAnswerResponder(t *testing.T, delay time.Duration, read chan<- struct{
 	return pc.LocalAddr().String()
 }
 
+// lineCounter counts the occurrences of want in what is written to it,
+// one split across two writes included, without allocating.
+type lineCounter struct {
+	want []byte
+	tail []byte // the end of the last write, too short to hold want
+	n    int
+}
+
+func newLineCounter(want string) *lineCounter {
+	return &lineCounter{want: []byte(want), tail: make([]byte, 0, 2*len(want))}
+}
+
+func (c *lineCounter) Write(p []byte) (int, error) {
+	k := len(c.want) - 1
+	c.n += bytes.Count(append(c.tail, p[:min(k, len(p))]...), c.want) + bytes.Count(p, c.want)
+	c.tail = append(c.tail[:0], p[max(0, len(p)-k):]...)
+	return len(p), nil
+}
+
+// repeatTargets returns n target lines, each naming target.
+func repeatTargets(target string, n int) string {
+	return strings.Repeat(target+"\n", n)
+}
+
 // TestAllocGateBulkProbe is the end-to-end half of the allocation gates:
 // the codec and the pipeline are each held to their own figure, and this
 // holds the call site that uses them — ecsscan's probe and done on
-// Pipeline.Sweep — to what a never-seen probe name must cost: the name
-// itself, and the question and owner names UnpackInto has to make for
-// it. A sweep's slots, set up once per sweep, are spread over its 4096
-// probes. A loop that builds a query, a response and a result line per
-// probe reads 17 here.
+// Pipeline.Sweep, reading each target line and writing each result line
+// — to what a never-seen probe name must cost: the name itself. The
+// answer's question and owner names are the query's, and an address line
+// is read without a string. A sweep's slots, set up once per sweep, are
+// spread over its 4096 probes: 1.17 is measured. A loop that builds a
+// query, a response and a result line per probe reads 17 here.
 func TestAllocGateBulkProbe(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -110,28 +139,28 @@ func TestAllocGateBulkProbe(t *testing.T) {
 	}
 	defer pipe.Close()
 	const probes = 4096
-	targets := make([]string, probes)
-	for i := range targets {
-		targets[i] = target
-	}
+	input := repeatTargets(target, probes)
+	answered := newLineCounter(" rcode=NOERROR answers=1 edns=true ")
 	run := 0
 	sweep := func() {
 		// A base of its own per sweep: no probe name repeats.
 		run++
-		b := newBulk(dnswire.MustParseName("run"+strconv.Itoa(run)+".gate.scan.test"), targets)
-		b.start = time.Now()
-		if err := pipe.Sweep(context.Background(), probes, 64, nil, b.probe, b.done); err != nil {
+		answered.n = 0
+		b := newBulk(context.Background(), dnswire.MustParseName("run"+strconv.Itoa(run)+".gate.scan.test"), strings.NewReader(input), answered, 64)
+		if err := pipe.Sweep(context.Background(), 64, nil, b.probe, b.done); err != nil {
 			t.Fatal(err)
 		}
-		for i := range b.results {
-			if r := &b.results[i]; r.outcome != probeAnswered || r.rcode != dnswire.RCodeNoError || r.answers != 1 || !r.edns {
-				t.Fatalf("probe %d: %+v, want an answered NOERROR with one answer and EDNS", i, *r)
-			}
+		if err := b.out.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if answered.n != probes || b.written != probes || b.err != nil {
+			t.Fatalf("%d of %d lines read as an answered NOERROR with one answer and EDNS (%d written, input error %v)",
+				answered.n, probes, b.written, b.err)
 		}
 	}
 	avg := testing.AllocsPerRun(4, sweep) / probes
-	if avg > 4 {
-		t.Fatalf("a bulk probe allocates %.2f allocs/probe, want <= 4", avg)
+	if avg > 1.25 {
+		t.Fatalf("a bulk probe allocates %.2f allocs/probe, want <= 1.25", avg)
 	}
 	t.Logf("%.2f allocs/probe", avg)
 }
@@ -146,14 +175,15 @@ func TestBulkProbeBadName(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
-	b := newBulk(base, []string{"127.0.0.1:9"})
-	if err := pipe.Sweep(context.Background(), 1, 1, nil, b.probe, b.done); err != nil {
+	var out bytes.Buffer
+	b := newBulk(context.Background(), base, strings.NewReader("127.0.0.1:9\n"), &out, 1)
+	if err := pipe.Sweep(context.Background(), 1, nil, b.probe, b.done); err != nil {
 		t.Fatal(err)
 	}
-	r := b.results[0]
+	b.out.Flush()
 	_, want := base.Prepend("bulk0")
-	if r.outcome != probeBadName || !errors.Is(r.err, want) || want == nil {
-		t.Fatalf("result = %+v, want bad name with %v", r, want)
+	if line := "127.0.0.1:9              bad probe name: " + want.Error() + "\n"; want == nil || out.String() != line || b.failing != 1 {
+		t.Fatalf("output %q with %d failing, want %q and 1", out.String(), b.failing, line)
 	}
 	if st := pipe.Stats(); st.Sent != 0 {
 		t.Fatalf("a probe with a bad name sent %d datagrams", st.Sent)
@@ -218,7 +248,8 @@ func masked(out string) string {
 // TestBulkScanEndToEnd runs ecsscan -targets in process against a
 // loopback authority: answering targets, one given by hostname, and a
 // silent port that costs three timed-out attempts and a refused TCP
-// fallback. Lines come in target order, and the summary's "udp sent" is
+// fallback. Lines come in the order their probes end, so the test holds
+// their set and the summary exactly, and the summary's "udp sent" is
 // what the servers read — the count the benchmark's authdns_received
 // check compares with the authority's.
 func TestBulkScanEndToEnd(t *testing.T) {
@@ -245,12 +276,19 @@ func TestBulkScanEndToEnd(t *testing.T) {
 		pad("localhost:"+port) + answered +
 		pad(addr) + answered +
 		"\n5 targets: 4 responding, 1 unreachable in x (y q/s; 7 udp sent, 2 retries, 1 tcp fallbacks)\n"
-	if got := masked(out.String()); got != want {
-		t.Fatalf("bulk output:\n%s\nwant:\n%s", got, want)
+	if got := masked(out.String()); sortedLines(got) != sortedLines(want) || !strings.HasSuffix(got, "\n5 targets: 4 responding, 1 unreachable in x (y q/s; 7 udp sent, 2 retries, 1 tcp fallbacks)\n") {
+		t.Fatalf("bulk output:\n%s\nwant, in any order of result lines:\n%s", got, want)
 	}
 	if sent, read := int64(7), srv.Stats().Received+silentRead.Load(); read != sent {
 		t.Fatalf("servers read %d datagrams, the summary says %d udp sent", read, sent)
 	}
+}
+
+// sortedLines is out's lines in sorted order.
+func sortedLines(out string) string {
+	lines := strings.Split(out, "\n")
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }
 
 // TestBulkScanInterruptDrains interrupts a sweep whose targets answer
@@ -287,17 +325,16 @@ func TestBulkScanInterruptDrains(t *testing.T) {
 // benchmark and anyone's scripts read these lines.
 func TestResultFormatGolden(t *testing.T) {
 	targets := []string{"192.0.2.1:53", "[2001:db8::1]:53", "a-resolver-with-a-long-name.example:5353", "198.51.100.7:53", "never.started:53"}
-	results := []probeResult{
+	results := []probeResult{ // the fifth target's probe never ended
 		{outcome: probeAnswered, rcode: dnswire.RCodeNoError, answers: 1, edns: true, rtt: 1499 * time.Microsecond},
 		{outcome: probeAnswered, rcode: dnswire.RCodeServFail, rtt: 2*time.Second + 500*time.Millisecond},
 		{outcome: probeUnreachable, err: errors.New("dial tcp: connection refused")},
 		{outcome: probeBadName, err: dnswire.ErrNameTooLong},
-		{},
 	}
 	var out bytes.Buffer
 	w := bufio.NewWriter(&out)
-	if written := writeResults(w, targets, results); written != 4 {
-		t.Fatalf("writeResults wrote %d lines, want 4", written)
+	for i, r := range results {
+		w.Write(append(appendResult(nil, []byte(targets[i]), &r), '\n'))
 	}
 	writeSummary(w, len(targets),
 		scanner.ProgressSnapshot{Done: 2, Errors: 2, Elapsed: 1234567 * time.Microsecond, QPS: 3.6},
@@ -313,6 +350,21 @@ func TestResultFormatGolden(t *testing.T) {
 	if got := out.String(); got != want {
 		t.Fatalf("bulk output:\n%q\nwant:\n%q", got, want)
 	}
+}
+
+// parseTargets reads lines as a bulk scan does and returns the text each
+// target's result line names it by.
+func parseTargets(lines []string) ([]string, error) {
+	b := newBulk(context.Background(), dnswire.Root, strings.NewReader(strings.Join(lines, "\n")), nil, 1)
+	var targets []string
+	for line, ok := b.nextLine(); ok; line, ok = b.nextLine() {
+		t, _, err := parseTarget(nil, line)
+		if err != nil {
+			return nil, err
+		}
+		targets = append(targets, string(t))
+	}
+	return targets, b.err
 }
 
 func TestParseTargets(t *testing.T) {
@@ -352,4 +404,240 @@ func TestParseTargets(t *testing.T) {
 			t.Errorf("parseTargets(%q) error = %v, want one naming the line", bad, err)
 		}
 	}
+}
+
+// TestParseIPv4 holds the address fast path to what normalizeTarget makes
+// of the same line: a line it takes is reported by the same text and
+// probed at the same address, and one it leaves goes to normalizeTarget.
+func TestParseIPv4(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		fast bool
+	}{
+		{"192.0.2.1", true}, {"192.0.2.1:53", true}, {"0.0.0.0:1", true},
+		{"255.255.255.255:65535", true}, {"1.2.3.4:053", true}, {"10.0.0.1:00053", true},
+		{"256.1.1.1", false}, {"01.2.3.4", false}, {"1.2.3", false}, {"1.2.3.4.5", false},
+		{"1.2.3.4:", false}, {"1.2.3.4:0", false}, {"1.2.3.4:65536", false},
+		{"1.2.3.4:99999999999999999999", false}, {"1.2.3.4x", false}, {"1.2.3.4:5a", false},
+		{"1.2.3.4:+53", false}, {"[1.2.3.4]:53", false}, {"::ffff:1.2.3.4", false}, {"1234.1.1.1", false},
+	} {
+		ap, hasPort, ok := parseIPv4([]byte(tc.line))
+		if ok != tc.fast {
+			t.Errorf("parseIPv4(%q) ok = %v, want %v", tc.line, ok, tc.fast)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		text, err := normalizeTarget(tc.line)
+		if err != nil {
+			t.Errorf("parseIPv4 took %q, which normalizeTarget refuses: %v", tc.line, err)
+			continue
+		}
+		got, _, _ := parseTarget(nil, []byte(tc.line))
+		if want, _ := netip.ParseAddrPort(text); string(got) != text || ap != want || hasPort != strings.Contains(tc.line, ":") {
+			t.Errorf("parseIPv4(%q) = %v %q, normalizeTarget %v %q", tc.line, ap, got, want, text)
+		}
+	}
+}
+
+// TestBulkScanStdin reads -targets - from standard input. The third
+// target is a hostname whose lookup blocks the sweep for twice the
+// timeout while the second target's answer, due at 100 ms, arrives: the
+// sweep takes that answer before it looks at any deadline, so the probe
+// is answered, not retried. The fourth names the same host and is not
+// looked up again.
+func TestBulkScanStdin(t *testing.T) {
+	fast := startAnswerResponder(t, 0, nil)
+	slow := startAnswerResponder(t, 100*time.Millisecond, nil)
+	_, port, err := net.SplitHostPort(fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 300 * time.Millisecond
+	host := "lookup.scan.test:" + port
+	var lookups atomic.Int64
+	defer func(lookup func(string) (netip.AddrPort, error)) { lookupTarget = lookup }(lookupTarget)
+	lookupTarget = func(hostport string) (netip.AddrPort, error) {
+		lookups.Add(1)
+		time.Sleep(2 * timeout)
+		if hostport != host {
+			return netip.AddrPort{}, errors.New("unexpected lookup of " + hostport)
+		}
+		return netip.ParseAddrPort(fast)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(stdin *os.File) { os.Stdin = stdin }(os.Stdin)
+	os.Stdin = r
+	go func() {
+		w.WriteString(fast + "\n" + slow + "\n" + host + "\n" + host + "\n")
+		w.Close()
+	}()
+	var out bytes.Buffer
+	if err := bulkScan(context.Background(), &out, "-", dnswire.MustParseName("scan.test"), 2, 0, timeout); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	pad := func(target string) string { return target + strings.Repeat(" ", max(0, 24-len(target))) }
+	answered := " rcode=NOERROR answers=1 edns=true rtt=x\n"
+	want := pad(fast) + answered + pad(slow) + answered + pad(host) + answered + pad(host) + answered +
+		"\n4 targets: 4 responding, 0 unreachable in x (y q/s; 4 udp sent, 0 retries, 0 tcp fallbacks)\n"
+	if got := masked(out.String()); sortedLines(got) != sortedLines(want) || !strings.HasSuffix(got, "\n4 targets: 4 responding, 0 unreachable in x (y q/s; 4 udp sent, 0 retries, 0 tcp fallbacks)\n") {
+		t.Fatalf("bulk output:\n%s\nwant, in any order of result lines:\n%s", got, want)
+	}
+	if n := lookups.Load(); n != 1 {
+		t.Fatalf("%s was looked up %d times, want once", host, n)
+	}
+}
+
+// TestBulkScanStdinInterrupt interrupts a scan of standard input whose
+// writer never closes it: the drain ends the run without reading on, and
+// the summary's total is the targets read.
+func TestBulkScanStdinInterrupt(t *testing.T) {
+	read := make(chan struct{}, 4)
+	target := startAnswerResponder(t, 200*time.Millisecond, read)
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	defer r.Close()
+	defer func(stdin *os.File) { os.Stdin = stdin }(os.Stdin)
+	os.Stdin = r
+	if _, err := w.WriteString(strings.Repeat(target+"\n", 4)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for i := 0; i < 3; i++ {
+			<-read
+		}
+		cancel()
+	}()
+	var out bytes.Buffer
+	ended := make(chan error, 1)
+	go func() { ended <- bulkScan(ctx, &out, "-", dnswire.MustParseName("scan.test"), 3, 0, 2*time.Second) }()
+	select {
+	case err := <-ended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the interrupted scan kept reading standard input")
+	}
+	line := target + strings.Repeat(" ", max(0, 24-len(target))) + " rcode=NOERROR answers=1 edns=true rtt=x\n"
+	want := strings.Repeat(line, 3) +
+		"\n3 targets: 3 responding, 0 unreachable in x (y q/s; 3 udp sent, 0 retries, 0 tcp fallbacks)\n" +
+		"interrupted: partial results for 3 of 3 targets\n"
+	if got := masked(out.String()); got != want {
+		t.Fatalf("bulk output:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestBulkScanInterruptDuringRead interrupts a scan while its loop waits
+// for the next line of standard input, then sends that line: the line is
+// read and counted, but no probe is started for it.
+func TestBulkScanInterruptDuringRead(t *testing.T) {
+	read := make(chan struct{}, 2)
+	target := startAnswerResponder(t, 0, read)
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer func(stdin *os.File) { os.Stdin = stdin }(os.Stdin)
+	os.Stdin = r
+	if _, err := w.WriteString(target + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-read
+		time.Sleep(100 * time.Millisecond) // the loop is back in its read by now
+		cancel()
+		w.WriteString(target + "\n")
+		w.Close()
+	}()
+	var out bytes.Buffer
+	if err := bulkScan(ctx, &out, "-", dnswire.MustParseName("scan.test"), 1, 0, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got := masked(out.String())
+	line := target + strings.Repeat(" ", max(0, 24-len(target))) + " rcode=NOERROR answers=1 edns=true rtt=x\n"
+	want := line + "\n2 targets: 1 responding, 0 unreachable in x (y q/s; 1 udp sent, 0 retries, 0 tcp fallbacks)\n" +
+		"interrupted: partial results for 1 of 2 targets\n"
+	if got != want {
+		t.Fatalf("bulk output:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// writeTargetFile writes n lines naming target to a file and returns its
+// path.
+func writeTargetFile(tb testing.TB, target string, n int) string {
+	tb.Helper()
+	file := filepath.Join(tb.TempDir(), "targets.txt")
+	if err := os.WriteFile(file, []byte(repeatTargets(target, n)), 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return file
+}
+
+// scanAlloc runs bulkScan over the target file and returns the bytes it
+// allocated, its goroutines' and the responder's together.
+func scanAlloc(t *testing.T, file string) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := bulkScan(context.Background(), io.Discard, file, dnswire.MustParseName("mem.scan.test"), 64, 0, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBulkScanMemoryPerTarget holds a bulk scan to a cost per target
+// that does not depend on how many targets there are: what it allocates
+// beyond a one-target scan, per target, is the same at both sizes and
+// within perTargetBound. A scan that keeps a slice entry, a map entry or
+// a result per target reads about 200 B more per target here.
+func TestBulkScanMemoryPerTarget(t *testing.T) {
+	const perTargetBound = 64 // bytes: the probe name's string and change
+	target := startAnswerResponder(t, 0, nil)
+	small, large := 20_000, 200_000
+	if raceEnabled {
+		small, large = 2_000, 20_000
+	}
+	base := scanAlloc(t, writeTargetFile(t, target, 1))
+	per := func(n int) float64 {
+		return float64(scanAlloc(t, writeTargetFile(t, target, n))-base) / float64(n-1)
+	}
+	perSmall, perLarge := per(small), per(large)
+	t.Logf("%.1f B/target at %d targets, %.1f at %d", perSmall, small, perLarge, large)
+	if raceEnabled {
+		return // the race detector's own allocations bury the figure
+	}
+	if perSmall > perTargetBound || perLarge > perTargetBound || math.Abs(perLarge-perSmall) > perTargetBound/4 {
+		t.Fatalf("a bulk scan allocates %.1f B/target at %d targets and %.1f at %d, want both <= %d and within %d of each other",
+			perSmall, small, perLarge, large, perTargetBound, perTargetBound/4)
+	}
+}
+
+// BenchmarkBulkScan runs the whole of ecsscan -targets in process: b.N
+// targets read from a file, probed against a loopback responder and
+// written to io.Discard. An op is one target.
+func BenchmarkBulkScan(b *testing.B) {
+	target := startAnswerResponder(b, 0, nil)
+	file := writeTargetFile(b, target, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := bulkScan(context.Background(), io.Discard, file, dnswire.MustParseName("bench.scan.test"), 64, 0, 2*time.Second); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "targets/s")
 }

@@ -2,6 +2,7 @@ package authority
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,6 +103,50 @@ func TestWildcardSynthesis(t *testing.T) {
 	}
 	if resp.Answers[0].TTL != 30 {
 		t.Fatalf("wildcard TTL = %d", resp.Answers[0].TTL)
+	}
+}
+
+// TestZoneWildcardPrecedence pins what a zone with a wildcard A record
+// and explicit data answers: explicit records win, an owner with other
+// records has no A (NODATA, not the wildcard), an in-zone CNAME to an
+// owner with no records is followed by the synthesized A, and a name with
+// no records gets the wildcard.
+func TestZoneWildcardPrecedence(t *testing.T) {
+	z := NewZone("scan.example.org.", 30)
+	z.SetWildcard(dnswire.TypeA, &dnswire.ARData{Addr: addr("192.0.2.53")})
+	z.MustAdd(dnswire.RR{Name: "www.scan.example.org.", Data: &dnswire.ARData{Addr: addr("192.0.2.80")}})
+	z.MustAdd(dnswire.RR{Name: "txt.scan.example.org.", Data: &dnswire.TXTRData{Strings: []string{"x"}}})
+	z.MustAdd(dnswire.RR{Name: "alias.scan.example.org.", Data: &dnswire.CNAMERData{Target: "empty.scan.example.org."}})
+	s := NewServer(Config{})
+	s.AddZone(z)
+	a := func(owner, ip string) string { return owner + " A " + ip }
+	for _, tc := range []struct {
+		name string
+		want []string // answers as owner, type and address or target
+	}{
+		{"www.scan.example.org.", []string{a("www.scan.example.org.", "192.0.2.80")}},
+		{"txt.scan.example.org.", nil},
+		{"alias.scan.example.org.", []string{"alias.scan.example.org. CNAME empty.scan.example.org.", a("empty.scan.example.org.", "192.0.2.53")}},
+		{"missing.scan.example.org.", []string{a("missing.scan.example.org.", "192.0.2.53")}},
+	} {
+		resp := s.HandleDNS(addr("198.51.100.1"), query(tc.name, dnswire.TypeA))
+		var got []string
+		for _, rr := range resp.Answers {
+			switch d := rr.Data.(type) {
+			case *dnswire.ARData:
+				got = append(got, a(string(rr.Name), d.Addr.String()))
+			case *dnswire.CNAMERData:
+				got = append(got, string(rr.Name)+" CNAME "+string(d.Target))
+			default:
+				got = append(got, rr.String())
+			}
+		}
+		if resp.RCode != dnswire.RCodeNoError || strings.Join(got, "; ") != strings.Join(tc.want, "; ") {
+			t.Errorf("%s A: %s %q, want NOERROR %q", tc.name, resp.RCode, got, tc.want)
+		}
+		if len(tc.want) == 0 && (len(resp.Authorities) != 1 || resp.Authorities[0].Type() != dnswire.TypeSOA) {
+			t.Errorf("%s A: NODATA without the zone's SOA: %v", tc.name, resp.Authorities)
+		}
 	}
 }
 

@@ -113,24 +113,26 @@ func (z *Zone) lookup(answer []dnswire.RR, name dnswire.Name, t dnswire.Type) ([
 	base := len(answer)
 	cur := name
 	for hop := 0; hop < 8; hop++ {
-		if rrs, ok := z.records[recordKey{name: cur, typ: t}]; ok {
-			answer = append(answer, rrs...)
-			return answer, lookupHit
-		}
-		// CNAME at the owner redirects any type except CNAME itself.
-		if t != dnswire.TypeCNAME {
-			if cn, ok := z.records[recordKey{name: cur, typ: dnswire.TypeCNAME}]; ok && len(cn) > 0 {
-				answer = append(answer, cn[0])
-				target := cn[0].Data.(*dnswire.CNAMERData).Target
-				if !target.IsSubdomainOf(z.Origin) {
-					// Chain leaves the zone; the resolver chases it.
-					return answer, lookupHit
-				}
-				cur = target
-				continue
-			}
-		}
+		// Every owner of records is in names, so a name that is not has
+		// none: it goes straight to the wildcard.
 		if z.names[cur] {
+			if rrs, ok := z.records[recordKey{name: cur, typ: t}]; ok {
+				answer = append(answer, rrs...)
+				return answer, lookupHit
+			}
+			// CNAME at the owner redirects any type except CNAME itself.
+			if t != dnswire.TypeCNAME {
+				if cn, ok := z.records[recordKey{name: cur, typ: dnswire.TypeCNAME}]; ok && len(cn) > 0 {
+					answer = append(answer, cn[0])
+					target := cn[0].Data.(*dnswire.CNAMERData).Target
+					if !target.IsSubdomainOf(z.Origin) {
+						// Chain leaves the zone; the resolver chases it.
+						return answer, lookupHit
+					}
+					cur = target
+					continue
+				}
+			}
 			return answer, lookupNoData
 		}
 		if data, ok := z.wildcard[t]; ok && cur.IsSubdomainOf(z.Origin) {

@@ -3,6 +3,7 @@ package dnsclient
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"net/netip"
@@ -204,8 +205,8 @@ func TestPipelineChaosAccounting(t *testing.T) {
 // TestSweepChaosAccounting drives one Sweep at window 64 through the
 // faulty responder — loss, ID flips and a truncation storm — and
 // cancels it halfway through its probes. The sweep starts nothing after
-// the cancel, done fires exactly once for every index probe was called
-// for, no answer reaches another probe, and the ledger balances.
+// the cancel, done fires exactly once for every probe started, no answer
+// reaches another probe, and the ledger balances.
 func TestSweepChaosAccounting(t *testing.T) {
 	plan := netem.FaultPlan{Loss: 0.15, Corrupt: 0.1, Truncate: 0.2}
 	addr, cr := startChaosResponder(t, plan, 43)
@@ -216,7 +217,15 @@ func TestSweepChaosAccounting(t *testing.T) {
 	defer cancel()
 	names := make([]dnswire.Name, n)
 	probed, ended := make([]int, n), make([]int, n)
-	probe := func(i int, q *dnswire.Message) (netip.AddrPort, error) {
+	var inSlot [64]int // the probe each slot runs
+	next := 0
+	probe := func(slot int, q *dnswire.Message) (netip.AddrPort, error) {
+		if next == n {
+			return netip.AddrPort{}, io.EOF
+		}
+		i := next
+		next++
+		inSlot[slot] = i
 		probed[i]++
 		if i == n/2 {
 			cancel()
@@ -226,7 +235,8 @@ func TestSweepChaosAccounting(t *testing.T) {
 		return addr, nil
 	}
 	answered := 0
-	done := func(i int, resp *dnswire.Message, err error) {
+	done := func(slot int, resp *dnswire.Message, err error) {
+		i := inSlot[slot]
 		ended[i]++
 		if err != nil {
 			// A truncated answer falls back to TCP, which the responder
@@ -243,7 +253,7 @@ func TestSweepChaosAccounting(t *testing.T) {
 			t.Errorf("cross-delivered response for %s: %v", names[i], resp)
 		}
 	}
-	if err := p.Sweep(ctx, n, 64, nil, probe, done); err != context.Canceled {
+	if err := p.Sweep(ctx, 64, nil, probe, done); err != context.Canceled {
 		t.Fatalf("Sweep = %v, want context.Canceled", err)
 	}
 	started := 0

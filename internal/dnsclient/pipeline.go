@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/netip"
@@ -78,17 +79,14 @@ type PipelineStats struct {
 	Truncated int64
 }
 
-// pendingKey identifies one in-flight attempt: responses are demuxed by
-// source address and transaction ID; the echoed question is validated
-// by the sweep after the full decode.
-type pendingKey struct {
-	dest netip.AddrPort
-	id   uint16
-}
+// pendingBuckets is the size of the table of attempts in flight. IDs
+// are drawn at random, so their low bits spread the attempts evenly
+// over it, and at a window of 64 nearly every chain is empty or one long.
+const pendingBuckets = 1 << 12
 
 // Pipeline is the high-throughput counterpart of Client: it multiplexes
 // many in-flight queries over one unconnected UDP socket, demuxing
-// responses by (destination, ID) with question validation, per-attempt
+// responses by (source, ID) with question validation, per-attempt
 // deadlines, retry-with-backoff, and TCP fallback. Sweep runs a whole
 // scan from the caller's goroutine; Exchange is a sweep of one. All
 // methods are safe for concurrent use.
@@ -103,9 +101,12 @@ type Pipeline struct {
 	// mu guards rng, pending, and every sweep's ready list and wake-up
 	// state: the reader takes a key and hands its slot to the sweep in
 	// one critical section.
-	mu      sync.Mutex
-	rng     *rand.Rand
-	pending map[pendingKey]*slot
+	mu  sync.Mutex
+	rng *rand.Rand
+	// pending files each attempt in flight under its (destination, ID)
+	// key: in the chain of bucket ID mod pendingBuckets, linked through
+	// slot.chain. An ID is unique among the attempts to one destination.
+	pending [pendingBuckets]*slot
 
 	ones sync.Pool // *sweep of one slot, for Exchange; Get may find none
 
@@ -135,7 +136,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		pc:        pc,
 		rx:        rx,
 		rng:       rand.New(rand.NewSource(RandomSeed())),
-		pending:   make(map[pendingKey]*slot),
 		hostCache: make(map[string]netip.AddrPort),
 	}
 	p.reader.Add(1)
@@ -169,8 +169,8 @@ func (p *Pipeline) Stats() PipelineStats {
 	}
 }
 
-// unmapAP canonicalizes v4-in-v6 mapped addresses so pendingKeys built
-// on the send and receive sides always compare equal.
+// unmapAP canonicalizes v4-in-v6 mapped addresses so the keys of the
+// send and receive sides always compare equal.
 func unmapAP(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
@@ -254,18 +254,42 @@ func (p *Pipeline) deliverLocked(b []byte, ap netip.AddrPort) (wake *sweep, matc
 	if !ok || !isResponse {
 		return nil, false
 	}
-	key := pendingKey{dest: unmapAP(ap), id: id}
-	sl, ok := p.pending[key]
-	if !ok {
+	sl := p.takeLocked(unmapAP(ap), id)
+	if sl == nil {
 		return nil, false
 	}
-	delete(p.pending, key)
 	sl.buf = append(sl.buf[:0], b...)
 	sl.sw.ready = append(sl.sw.ready, sl)
 	if sl.sw.wakeLocked() {
 		return sl.sw, true
 	}
 	return nil, true
+}
+
+// findLocked returns the pointer to the chain link that holds the
+// attempt to dest under id, or to the chain's nil end if there is none.
+func (p *Pipeline) findLocked(dest netip.AddrPort, id uint16) **slot {
+	link := &p.pending[id%pendingBuckets]
+	for *link != nil && ((*link).id != id || (*link).dest != dest) {
+		link = &(*link).chain
+	}
+	return link
+}
+
+// takeLocked unfiles and returns the attempt to dest under id, or nil.
+func (p *Pipeline) takeLocked(dest netip.AddrPort, id uint16) *slot {
+	link := p.findLocked(dest, id)
+	sl := *link
+	if sl != nil {
+		*link, sl.chain = sl.chain, nil
+	}
+	return sl
+}
+
+// fileLocked files sl under its key, which no attempt in flight holds.
+func (p *Pipeline) fileLocked(sl *slot) {
+	head := &p.pending[sl.id%pendingBuckets]
+	sl.chain, *head = *head, sl
 }
 
 // register draws a transaction ID unique among the attempts in flight
@@ -278,12 +302,11 @@ func (p *Pipeline) register(sl *slot) error {
 	}
 	for tries := 0; tries < 256; tries++ {
 		id := uint16(p.rng.Intn(1 << 16))
-		key := pendingKey{dest: sl.dest, id: id}
-		if _, busy := p.pending[key]; busy {
+		if *p.findLocked(sl.dest, id) != nil {
 			continue
 		}
-		p.pending[key] = sl
 		sl.id = id
+		p.fileLocked(sl)
 		return nil
 	}
 	return fmt.Errorf("dnsclient: no free query ID for %s", sl.dest)
@@ -293,16 +316,12 @@ func (p *Pipeline) register(sl *slot) error {
 // delivered-but-invalid response, so the attempt can keep waiting for
 // the real answer. It fails if the ID has been reused meanwhile.
 func (p *Pipeline) reregister(sl *slot) bool {
-	key := pendingKey{dest: sl.dest, id: sl.id}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed.Load() {
+	if p.closed.Load() || *p.findLocked(sl.dest, sl.id) != nil {
 		return false
 	}
-	if _, busy := p.pending[key]; busy {
-		return false
-	}
-	p.pending[key] = sl
+	p.fileLocked(sl)
 	return true
 }
 
@@ -311,11 +330,10 @@ func (p *Pipeline) reregister(sl *slot) bool {
 // the reader put it on. Either way no delivery for the attempt is left
 // to come, and the slot can be reused.
 func (p *Pipeline) withdraw(sl *slot) {
-	key := pendingKey{dest: sl.dest, id: sl.id}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pending[key] == sl {
-		delete(p.pending, key)
+	if link := p.findLocked(sl.dest, sl.id); *link == sl {
+		*link, sl.chain = sl.chain, nil
 		return
 	}
 	r := sl.sw.ready
@@ -363,7 +381,7 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 	defer p.ones.Put(s)
 	sl := &s.slots[0]
 	sl.q, sl.resp, s.dest, s.ended = q, resp, dest, false
-	err = s.run(ctx, 1, nil, s.probeOne, s.doneOne)
+	err = s.run(ctx, nil, s.probeOne, s.doneOne)
 	sl.q, sl.resp = &sl.query, &sl.answer
 	if s.ended {
 		err, s.err = s.err, nil
@@ -371,18 +389,22 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 	return err
 }
 
-// Sweep runs probes 0..n-1 from the caller's goroutine and keeps up to
-// window of them in flight. For each index in turn it calls probe(i, q),
-// which fills in q — a Message of the sweep's, as the last probe in the
-// same slot left it — and names the server to ask. pace, when non-nil,
-// must return before each probe starts; the sweep calls it on a
-// goroutine of its own, one probe ahead, so that answers are taken
-// while it waits. The sweep packs q, owns its ID, and retries and falls
-// back to TCP as Exchange does. When the probe has ended, done(i, resp,
-// err) is called from the caller's goroutine with the answer, which is
-// only valid until done returns, or with the error that ended the probe,
-// probe's own included. done is called once for every index probe was
-// called for.
+// Sweep runs probes from the caller's goroutine, up to window of them in
+// flight, until probe reports the end of its input by returning io.EOF;
+// the length of that input need not be known. Each probe runs in one of
+// window slots, numbered from 0, and a slot takes its next probe only
+// once done has returned for its last, so a caller keeps what it needs
+// of a probe in flight in a table of window entries. Probes start in
+// turn: the sweep calls probe(slot, q), which fills in q — a Message of
+// the slot's, as its last probe left it — and names the server to ask.
+// pace, when non-nil, must return before each call of probe; the sweep
+// calls it on a goroutine of its own, one call ahead, so that answers
+// are taken while it waits. The sweep packs q, owns its ID, and retries
+// and falls back to TCP as Exchange does. When the probe has ended,
+// done(slot, resp, err) is called from the caller's goroutine with the
+// answer, which is only valid until done returns, or with the error that
+// ended the probe, probe's own included. done is called once for every
+// call of probe that did not return io.EOF.
 //
 // A cancel of ctx drains the sweep: it starts no new probe and no new
 // attempt (no retry, no TCP fallback), and each attempt in flight ends
@@ -390,16 +412,16 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 // ctx.Err(). An error from pace stops the sweep the same way. Sweep
 // returns once every started probe has ended: nil, or the error of ctx
 // or pace when one stopped it.
-func (p *Pipeline) Sweep(ctx context.Context, n, window int,
+func (p *Pipeline) Sweep(ctx context.Context, window int,
 	pace func(context.Context) error,
-	probe func(i int, q *dnswire.Message) (netip.AddrPort, error),
-	done func(i int, resp *dnswire.Message, err error)) error {
-	s, err := p.newSweep(max(1, min(window, n)))
+	probe func(slot int, q *dnswire.Message) (netip.AddrPort, error),
+	done func(slot int, resp *dnswire.Message, err error)) error {
+	s, err := p.newSweep(max(1, window))
 	if err != nil {
 		return err
 	}
 	defer s.timer.Stop()
-	return s.run(ctx, n, pace, probe, done)
+	return s.run(ctx, pace, probe, done)
 }
 
 // slotState says where a slot's probe is.
@@ -417,11 +439,12 @@ const (
 type slot struct {
 	sw      *sweep
 	state   slotState
-	i       int
+	num     int              // the slot's number, which probe and done hear
 	q, resp *dnswire.Message // query and answer: the slot's own, or Exchange's caller's
 	dest    netip.AddrPort
 	id      uint16
-	attempt int // UDP attempts made before the current one
+	chain   *slot // the next attempt filed in the same pending bucket
+	attempt int   // UDP attempts made before the current one
 	wire    []byte
 	buf     []byte // the answer, copied in by the reader once it has taken the key
 	err     error  // the TCP fallback's
@@ -463,8 +486,9 @@ type sweep struct {
 	armed      time.Time // when the timer goes off
 
 	ctx   context.Context
-	done  func(i int, resp *dnswire.Message, err error)
+	done  func(slot int, resp *dnswire.Message, err error)
 	stop  error // why no probe or attempt starts any more
+	eof   bool  // probe has reported the end of its input
 	abort bool  // Exchange's: a cancel withdraws the attempt in flight
 
 	// wake holds at most one token: only a post that finds the sweep
@@ -506,49 +530,58 @@ func (p *Pipeline) newSweep(window int) (*sweep, error) {
 	s.timer.Stop()
 	for i := range s.slots {
 		sl := &s.slots[i]
-		sl.sw = s
+		sl.sw, sl.num = s, i
 		sl.q, sl.resp = &sl.query, &sl.answer
-		sl.wire = make([]byte, 0, 512)
-		sl.buf = make([]byte, 0, 512)
-		s.free = append(s.free, sl)
+	}
+	for i := len(s.slots) - 1; i >= 0; i-- {
+		s.free = append(s.free, &s.slots[i]) // slot 0 is taken first
 	}
 	return s, nil
 }
 
-// newOne makes a sweep of one for Exchange, whose probe asks s.dest and
-// whose done keeps the error.
+// newOne makes a sweep of one for Exchange, whose probe asks s.dest once
+// and whose done keeps the error.
 func (p *Pipeline) newOne() (*sweep, error) {
 	s, err := p.newSweep(1)
 	if err != nil {
 		return nil, err
 	}
 	s.abort = true
-	s.probeOne = func(int, *dnswire.Message) (netip.AddrPort, error) { return s.dest, nil }
+	s.probeOne = func(int, *dnswire.Message) (netip.AddrPort, error) {
+		if s.ended {
+			return netip.AddrPort{}, io.EOF
+		}
+		return s.dest, nil
+	}
 	s.doneOne = func(_ int, _ *dnswire.Message, err error) { s.err, s.ended = err, true }
 	return s, nil
 }
 
-func (s *sweep) run(ctx context.Context, n int,
+func (s *sweep) run(ctx context.Context,
 	pace func(context.Context) error,
 	probe func(int, *dnswire.Message) (netip.AddrPort, error),
 	done func(int, *dnswire.Message, error)) error {
-	s.ctx, s.done, s.stop = ctx, done, nil
+	s.ctx, s.done, s.stop, s.eof = ctx, done, nil, false
 	defer func() { s.ctx, s.done = nil, nil }()
 	if ctx.Done() != nil {
 		defer context.AfterFunc(ctx, s.poke)()
 	}
 	var paced chan struct{}
 	if pace != nil {
+		// The pacer's wait for a permit the sweep will not take ends
+		// with the sweep.
+		pctx, cancel := context.WithCancel(ctx)
 		paced = make(chan struct{}, 1)
 		exited := make(chan struct{})
-		go s.pacer(ctx, pace, n, paced, exited)
+		go s.pacer(pctx, pace, paced, exited)
 		defer func() {
+			cancel()
 			close(paced)
 			<-exited
 		}()
 	}
-	for next := 0; ; {
-		for s.stop == nil && next < n && len(s.free) > 0 {
+	for {
+		for s.stop == nil && !s.eof && len(s.free) > 0 {
 			if err := ctx.Err(); err != nil {
 				s.halt(err)
 				break
@@ -556,11 +589,10 @@ func (s *sweep) run(ctx context.Context, n int,
 			if paced != nil && !s.permitted(paced) {
 				break
 			}
-			s.start(next, probe)
-			next++
+			s.start(probe)
 		}
 		s.flush()
-		if s.busy == 0 && (s.stop != nil || next == n) {
+		if s.busy == 0 && (s.stop != nil || s.eof) {
 			return s.stop
 		}
 		s.arm()
@@ -568,12 +600,12 @@ func (s *sweep) run(ctx context.Context, n int,
 	}
 }
 
-// pacer calls pace for the sweep: it posts a permit for the next probe,
-// or pace's error, and calls pace again only once the sweep has taken
-// the permit, so it is never more than one probe ahead.
-func (s *sweep) pacer(ctx context.Context, pace func(context.Context) error, n int, paced <-chan struct{}, exited chan<- struct{}) {
+// pacer calls pace for the sweep: it posts a permit for the next call of
+// probe, or pace's error, and calls pace again only once the sweep has
+// taken the permit, so it is never more than one call ahead.
+func (s *sweep) pacer(ctx context.Context, pace func(context.Context) error, paced <-chan struct{}, exited chan<- struct{}) {
 	defer close(exited)
-	for k := 0; k < n; k++ {
+	for {
 		err := pace(ctx)
 		s.p.mu.Lock()
 		s.permit, s.paceErr = err == nil, err
@@ -606,13 +638,23 @@ func (s *sweep) permitted(paced chan<- struct{}) bool {
 	return ok
 }
 
-// start runs probe i in a free slot and sends its first attempt.
-func (s *sweep) start(i int, probe func(int, *dnswire.Message) (netip.AddrPort, error)) {
+// start runs the next probe in a free slot and sends its first attempt,
+// or notes that the input has ended.
+func (s *sweep) start(probe func(int, *dnswire.Message) (netip.AddrPort, error)) {
 	sl := s.free[len(s.free)-1]
+	dest, err := probe(sl.num, sl.q)
+	if err == io.EOF {
+		s.eof = true
+		return
+	}
 	s.free = s.free[:len(s.free)-1]
 	s.busy++
-	sl.i, sl.attempt = i, 0
-	dest, err := probe(i, sl.q)
+	sl.attempt = 0
+	if sl.wire == nil {
+		// A slot's buffers come with its first probe: a window wider
+		// than its input leaves the spare slots without them.
+		sl.wire, sl.buf = make([]byte, 0, 512), make([]byte, 0, 512)
+	}
 	if err == nil {
 		sl.wire, err = sl.q.AppendPack(sl.wire[:0])
 	}
@@ -715,6 +757,10 @@ func (s *sweep) receive(sl *slot) {
 		s.finish(sl, sl.err)
 		return
 	}
+	// An answer echoes the question sent: given its name to keep, the
+	// decode makes no string of its own for the question or for the
+	// records it owns.
+	sl.resp.Questions = append(sl.resp.Questions[:0], sl.question)
 	if err := dnswire.UnpackInto(sl.resp, sl.buf); err != nil ||
 		!sl.resp.Response || sl.resp.Question() != sl.question {
 		// Not this attempt's answer: count it, file the key again, and
@@ -814,9 +860,9 @@ func (s *sweep) fallback(sl *slot) {
 // finish ends sl's probe: done hears how, and the slot is free.
 func (s *sweep) finish(sl *slot, err error) {
 	if err != nil {
-		s.done(sl.i, nil, err)
+		s.done(sl.num, nil, err)
 	} else {
-		s.done(sl.i, sl.resp, nil)
+		s.done(sl.num, sl.resp, nil)
 	}
 	sl.state, sl.err = slotFree, nil
 	s.free = append(s.free, sl)

@@ -275,17 +275,22 @@ func TestSweepCancelDrains(t *testing.T) {
 	dest := netip.MustParseAddrPort(addr)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	probe := func(i int, q *dnswire.Message) (netip.AddrPort, error) {
-		if i == 1 {
+	started := 0
+	probe := func(_ int, q *dnswire.Message) (netip.AddrPort, error) {
+		if started == 3 {
+			return netip.AddrPort{}, io.EOF
+		}
+		if started == 1 {
 			cancel()
 		}
-		*q = *pipeQuery(dnswire.MustParseName("d" + itoa(i) + ".pipe.test"))
+		*q = *pipeQuery(dnswire.MustParseName("d" + itoa(started) + ".pipe.test"))
+		started++
 		return dest, nil
 	}
 	var ended []error
 	done := func(_ int, _ *dnswire.Message, err error) { ended = append(ended, err) }
 	start := time.Now()
-	if err := p.Sweep(ctx, 3, 2, nil, probe, done); err != context.Canceled {
+	if err := p.Sweep(ctx, 2, nil, probe, done); err != context.Canceled {
 		t.Fatalf("Sweep = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
@@ -314,25 +319,72 @@ func TestSweepPace(t *testing.T) {
 		return nil
 	}
 	started, ended := 0, 0
-	probe := func(i int, q *dnswire.Message) (netip.AddrPort, error) {
-		if int(paces.Load()) <= i {
-			t.Errorf("probe %d started after %d pace calls", i, paces.Load())
+	probe := func(_ int, q *dnswire.Message) (netip.AddrPort, error) {
+		if started == 20 {
+			return netip.AddrPort{}, io.EOF
 		}
+		if int(paces.Load()) <= started {
+			t.Errorf("probe %d started after %d pace calls", started, paces.Load())
+		}
+		*q = *pipeQuery(dnswire.MustParseName("p" + itoa(started) + ".pipe.test"))
 		started++
-		*q = *pipeQuery(dnswire.MustParseName("p" + itoa(i) + ".pipe.test"))
 		return server, nil
 	}
-	done := func(i int, _ *dnswire.Message, err error) {
+	done := func(slot int, _ *dnswire.Message, err error) {
 		ended++
 		if err != nil {
-			t.Errorf("probe %d: %v", i, err)
+			t.Errorf("probe in slot %d: %v", slot, err)
 		}
 	}
-	if err := p.Sweep(context.Background(), 20, 4, pace, probe, done); err != errStop {
+	if err := p.Sweep(context.Background(), 4, pace, probe, done); err != errStop {
 		t.Fatalf("Sweep = %v, want the pace error", err)
 	}
 	if started != 5 || ended != 5 {
 		t.Fatalf("%d probes started and %d ended, want the 5 paced ones", started, ended)
+	}
+}
+
+// TestSweepEndOfInput: a sweep over an input of unknown length runs
+// until probe returns io.EOF, gives each slot one probe at a time, and
+// returns once the probes it started have ended, although its pacer is
+// then waiting for a permit no probe will take.
+func TestSweepEndOfInput(t *testing.T) {
+	server := startEchoResponder(t, nil)
+	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
+	const n, window = 50, 4
+	var paces atomic.Int64
+	pace := func(ctx context.Context) error {
+		if paces.Add(1) > n+1 {
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		return nil
+	}
+	var busy [window]bool
+	calls, ended := 0, 0
+	probe := func(slot int, q *dnswire.Message) (netip.AddrPort, error) {
+		if calls++; calls > n {
+			return netip.AddrPort{}, io.EOF
+		}
+		if busy[slot] {
+			t.Errorf("slot %d took a probe before its last one ended", slot)
+		}
+		busy[slot] = true
+		*q = *pipeQuery(dnswire.MustParseName("e" + itoa(calls) + ".pipe.test"))
+		return server, nil
+	}
+	done := func(slot int, _ *dnswire.Message, err error) {
+		if err != nil {
+			t.Errorf("probe in slot %d: %v", slot, err)
+		}
+		busy[slot] = false
+		ended++
+	}
+	if err := p.Sweep(context.Background(), window, pace, probe, done); err != nil {
+		t.Fatal(err)
+	}
+	if calls != n+1 || ended != n {
+		t.Fatalf("probe called %d times and done %d, want %d and %d", calls, ended, n+1, n)
 	}
 }
 
@@ -346,7 +398,15 @@ func TestSweepRefusedMidBatch(t *testing.T) {
 	server := startEchoResponder(t, nil)
 	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
 	const n, refused = 8, 3
-	probe := func(i int, q *dnswire.Message) (netip.AddrPort, error) {
+	var inSlot [n]int // the probe each slot runs
+	next := 0
+	probe := func(slot int, q *dnswire.Message) (netip.AddrPort, error) {
+		if next == n {
+			return netip.AddrPort{}, io.EOF
+		}
+		i := next
+		next++
+		inSlot[slot] = i
 		*q = *pipeQuery(dnswire.MustParseName("r" + itoa(i) + ".pipe.test"))
 		if i == refused {
 			return netip.AddrPortFrom(server.Addr(), 0), nil
@@ -354,7 +414,8 @@ func TestSweepRefusedMidBatch(t *testing.T) {
 		return server, nil
 	}
 	ended := make([]int, n)
-	done := func(i int, resp *dnswire.Message, err error) {
+	done := func(slot int, resp *dnswire.Message, err error) {
+		i := inSlot[slot]
 		ended[i]++
 		switch {
 		case i == refused && err == nil:
@@ -365,7 +426,7 @@ func TestSweepRefusedMidBatch(t *testing.T) {
 			t.Errorf("probe %d got the answer to %v", i, resp.Question())
 		}
 	}
-	if err := p.Sweep(context.Background(), n, n, nil, probe, done); err != nil {
+	if err := p.Sweep(context.Background(), n, nil, probe, done); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range ended {
@@ -462,8 +523,8 @@ func TestAbortDrainsDeliveredSlot(t *testing.T) {
 	p.mu.Lock()
 	p.deliverLocked(wire, sl.dest)
 	p.mu.Unlock()
-	if len(p.pending) != 0 || len(s.ready) != 1 {
-		t.Fatalf("deliver left %d pending keys and %d ready slots, want 0 and 1", len(p.pending), len(s.ready))
+	if filed := *p.findLocked(sl.dest, sl.id) != nil; filed || len(s.ready) != 1 {
+		t.Fatalf("deliver left the key filed (%v) and %d ready slots, want not and 1", filed, len(s.ready))
 	}
 	s.halt(context.Canceled)
 	if len(s.ready) != 0 {

@@ -124,10 +124,10 @@ func (n Name) IsSubdomainOf(zone Name) bool {
 	if zone == Root {
 		return true
 	}
-	if n == zone {
-		return true
-	}
-	return strings.HasSuffix(string(n), "."+string(zone))
+	// Below zone is zone's text after a dot that ends a label of n.
+	cut := len(n) - len(zone)
+	return cut == 0 && n == zone ||
+		cut > 0 && n[cut-1] == '.' && n[cut:] == zone
 }
 
 // SLD returns the second-level domain of n ("www.cnn.com." → "cnn.com."),

@@ -116,11 +116,28 @@ func TestIsSubdomainOf(t *testing.T) {
 		{"aexample.com.", "example.com.", false},
 		{"anything.org.", ".", true},
 		{".", ".", true},
+		// Label boundaries: the zone's text must follow a dot.
+		{"xscan.example.org.", "scan.example.org.", false},
+		{"x.scan.example.org.", "scan.example.org.", true},
+		{"scan.example.org.", "xscan.example.org.", false},
+		{"example.org.", "scan.example.org.", false},
+		{"a.b.", "b.", true},
+		{"ab.", "b.", false},
+		{"b.", ".", true},
+		{".", "b.", false},
+		{"org.", "org.", true},
+		{"org.", "rg.", false},
 	}
 	for _, c := range cases {
 		if got := c.n.IsSubdomainOf(c.zone); got != c.want {
 			t.Errorf("%q.IsSubdomainOf(%q) = %v, want %v", c.n, c.zone, got, c.want)
 		}
+	}
+	// The check compares in place: no "."+zone is built, which for a
+	// zone past 32 bytes is a heap string.
+	n, zone := Name("probe-1.measurement.scan.ecs-study.example.org."), Name("measurement.scan.ecs-study.example.org.")
+	if allocs := testing.AllocsPerRun(100, func() { n.IsSubdomainOf(zone) }); allocs != 0 && !raceEnabled {
+		t.Fatalf("IsSubdomainOf allocates %.0f objects, want 0", allocs)
 	}
 }
 

@@ -81,7 +81,9 @@ func releaseBuilder(b *builder) {
 	b.base = 0
 	clear(b.table[:b.ntab])
 	b.ntab = 0
-	clear(b.spill) // a no-op on the empty map every small message leaves
+	if len(b.spill) > 0 { // most messages never spill: skip even the call
+		clear(b.spill)
+	}
 	builderPool.Put(b)
 }
 
@@ -143,13 +145,17 @@ func (b *builder) nameOpt(n Name, compress bool) {
 				b.register(rest, off)
 			}
 		}
-		label := string(rest)
+		// One search for the dot gives the label and rest.Parent().
+		label, parent := string(rest), Root
 		if i := strings.IndexByte(label, '.'); i >= 0 {
 			label = label[:i]
+			if i < len(rest)-1 {
+				parent = rest[i+1:]
+			}
 		}
 		b.uint8(uint8(len(label)))
 		b.buf = append(b.buf, label...)
-		rest = rest.Parent()
+		rest = parent
 	}
 	b.uint8(0)
 }
@@ -225,6 +231,13 @@ func (p *parser) bytes(n int) ([]byte, error) {
 // is that question's string, so a fresh name costs one string however
 // many records repeat it.
 func (p *parser) name(old Name) (Name, error) {
+	// A pointer to offset 12, where the first question's name starts, is
+	// that name, decoded and checked already: the owner of every record a
+	// compressed answer gives the question's name.
+	if p.qname != "" && p.remaining() >= 2 && p.msg[p.off] == 0xC0 && p.msg[p.off+1] == headerLen {
+		p.off += 2
+		return p.qname, nil
+	}
 	scratch, next, err := appendNameAt(p.st.scratch[:0], p.msg, p.off)
 	p.st.scratch = scratch[:0]
 	if err != nil {
@@ -296,14 +309,16 @@ func appendNameAt(dst []byte, msg []byte, off int) ([]byte, int, error) {
 			// wire label would be indistinguishable from a separator in the
 			// presentation form (so the name would re-encode as different
 			// labels), and whitespace/control bytes are excluded to match.
-			for _, ch := range msg[off+1 : off+1+l] {
+			// The label is copied whole, then checked and folded in place.
+			dst = append(dst, msg[off+1:off+1+l]...)
+			label := dst[len(dst)-l:]
+			for i, ch := range label {
 				if ch == '.' || ch <= ' ' || ch == 127 {
 					return dst, 0, ErrBadLabelChar
 				}
 				if ch >= 'A' && ch <= 'Z' {
-					ch += 'a' - 'A'
+					label[i] = ch + 'a' - 'A'
 				}
-				dst = append(dst, ch)
 			}
 			dst = append(dst, '.')
 			off += 1 + l
