@@ -9,9 +9,10 @@
 // With -targets it instead runs a bulk availability sweep over many
 // resolvers: one loop on the main goroutine (dnsclient.Pipeline.Sweep)
 // keeps -concurrency probes in flight over one UDP socket, and -rate caps
-// the rate at which probes start. It reads each target as its probe
-// starts and writes each result line as its probe ends, so its memory is
-// bounded by -concurrency, not by the number of targets.
+// the rate at which probes start. It reads its targets a buffer ahead of
+// the probes, on a goroutine of its own, and writes each result line as
+// its probe ends, so its memory is bounded by -concurrency, not by the
+// number of targets.
 //
 // Usage:
 //
@@ -261,25 +262,28 @@ type flight struct {
 	badName bool
 }
 
-// bulk is one -targets sweep. It reads its targets a line at a time as
-// probes start and writes each result line as its probe ends, so what it
-// holds is bounded by the window: one flight a slot, and the hostnames
-// it has resolved.
+// bulk is one -targets sweep. It reads its targets ahead of the probes,
+// in two fixed buffers, and writes each result line as its probe ends,
+// so what it holds is bounded by the window: one flight a slot, the two
+// buffers, and the hostnames it has resolved.
 //
 // It reads the clock once a probe, when the probe ends. A probe started
 // after that reading takes it for its start, unless the scan may have
-// waited since: paced, or in a call to its input or output file or to a
-// hostname lookup. Then stale is set, and the probe reads the clock.
+// waited since: paced, for its input, in a call to its output file or
+// in a hostname lookup. Then stale is set, and the probe reads the clock.
 type bulk struct {
 	ctx     context.Context // a cancel is an interrupt
 	base    dnswire.Name
-	in      *bufio.Scanner
+	in      *lineReader
 	out     *bufio.Writer
 	flights []flight
 	hosts   map[string]netip.AddrPort
 	name    []byte // the probe name being built
 	line    []byte // the result line being built
 	err     error  // why the input ended early: a read error or a bad line
+
+	held, rest []byte // the input buffer being split into lines, and its lines not yet taken
+	inErr      error  // what ended the input once rest is taken: io.EOF or a read error
 
 	start, now   time.Time // when the sweep started; the last clock read
 	stale, paced bool
@@ -294,26 +298,20 @@ func newBulk(ctx context.Context, base dnswire.Name, in io.Reader, out io.Writer
 	b := &bulk{
 		ctx:     ctx,
 		base:    base,
+		in:      newLineReader(in),
 		flights: make([]flight, window),
 		hosts:   make(map[string]netip.AddrPort),
 		stale:   true, // no clock read yet
 	}
-	b.in = bufio.NewScanner(waiting{r: in, stale: &b.stale})
 	b.out = bufio.NewWriterSize(waiting{w: out, stale: &b.stale}, 64<<10)
 	return b
 }
 
-// waiting passes calls on to r or w and marks the clock stale: a call
-// that reaches a file may wait on it.
+// waiting passes writes on to w and marks the clock stale: a write that
+// reaches a file may wait on it.
 type waiting struct {
-	r     io.Reader
 	w     io.Writer
 	stale *bool
-}
-
-func (x waiting) Read(p []byte) (int, error) {
-	*x.stale = true
-	return x.r.Read(p)
 }
 
 func (x waiting) Write(p []byte) (int, error) {
@@ -321,20 +319,99 @@ func (x waiting) Write(p []byte) (int, error) {
 	return x.w.Write(p)
 }
 
+// lineReader reads an input on a goroutine of its own, ahead of the
+// sweep, in two fixed buffers that the two trade over channels, so that
+// a sweep waiting for input can stop waiting. Each buffer it hands over
+// ends at a line's end, or at the input's; a line that fills a buffer
+// ends the input, as it would bufio.Scanner's. A read blocked on an
+// input that never ends stays blocked until the input is closed.
+type lineReader struct {
+	full  chan chunk  // buffers read, in input order
+	empty chan []byte // buffers handed back; closed once the sweep is done
+}
+
+// chunk is whole lines of input; err, set on the last chunk, is io.EOF
+// or the error that ended the input.
+type chunk struct {
+	b   []byte
+	err error
+}
+
+// newLineReader starts the reader. full holds both buffers, so that the
+// reader's last send never waits on a sweep that has stopped reading.
+func newLineReader(in io.Reader) *lineReader {
+	r := &lineReader{full: make(chan chunk, 2), empty: make(chan []byte, 1)}
+	r.empty <- make([]byte, bufio.MaxScanTokenSize)
+	go r.read(in, make([]byte, bufio.MaxScanTokenSize))
+	return r
+}
+
+// read fills buf until it holds a line's end, hands the lines over, and
+// carries what follows the last of them into the next buffer.
+func (r *lineReader) read(in io.Reader, buf []byte) {
+	for n := 0; ; {
+		m, err := in.Read(buf[n:])
+		n += m
+		end := bytes.LastIndexByte(buf[:n], '\n') + 1
+		switch {
+		case err != nil:
+			end = n
+		case end == 0 && n == len(buf):
+			err = bufio.ErrTooLong
+		case end == 0:
+			continue
+		}
+		next, ok := []byte(nil), err == nil
+		if ok {
+			if next, ok = <-r.empty; !ok {
+				return
+			}
+		}
+		n = copy(next, buf[end:n])
+		r.full <- chunk{buf[:end], err}
+		if !ok {
+			return
+		}
+		buf = next
+	}
+}
+
 // nextLine returns the next target line, trimmed, past blank lines and
-// # comments, and counts it; false at the end of the input.
-func (b *bulk) nextLine() ([]byte, bool) {
-	for b.in.Scan() {
-		line := bytes.TrimSpace(b.in.Bytes())
-		if len(line) > 0 && line[0] != '#' {
-			b.targets++
-			return line, true
+// # comments, and counts it; false at the end of the input, or once stop
+// is closed while it waits for input, and then a later call takes up
+// where it left off.
+func (b *bulk) nextLine(stop <-chan struct{}) ([]byte, bool) {
+	for {
+		for len(b.rest) > 0 {
+			var line []byte
+			line, b.rest, _ = bytes.Cut(b.rest, []byte{'\n'})
+			if line = bytes.TrimSpace(line); len(line) > 0 && line[0] != '#' {
+				b.targets++
+				return line, true
+			}
+		}
+		if b.inErr != nil {
+			return nil, false
+		}
+		if b.held != nil {
+			b.in.empty <- b.held[:cap(b.held)]
+			b.held = nil
+		}
+		select {
+		case c := <-b.in.full:
+			b.held, b.rest, b.inErr, b.stale = c.b, c.b, c.err, true
+			if c.err != nil && c.err != io.EOF {
+				b.err = fmt.Errorf("reading targets: %v", c.err)
+			}
+		case <-stop:
+			return nil, false
+		}
+		select {
+		case <-stop: // the lines that came with the stop are left unread
+			return nil, false
+		default:
 		}
 	}
-	if err := b.in.Err(); err != nil {
-		b.err = fmt.Errorf("reading targets: %v", err)
-	}
-	return nil, false
 }
 
 // probe reads the next target and asks it for the A record of
@@ -342,15 +419,15 @@ func (b *bulk) nextLine() ([]byte, bool) {
 // keeps for the slot: the first probe in a slot sets it up — one
 // question, EDNS advertising 4096 bytes, the ID left to the pipeline —
 // and later ones only change the name. The end of the input, or a line
-// that names no target, ends the sweep's input. A line whose read an
-// interrupt came during is not probed.
+// that names no target, ends the sweep's input. An interrupt that comes
+// while it waits for input ends the wait, and no line is read.
 func (b *bulk) probe(slot int, q *dnswire.Message) (netip.AddrPort, error) {
-	line, ok := b.nextLine()
+	line, ok := b.nextLine(b.ctx.Done())
 	if !ok {
+		if err := b.ctx.Err(); err != nil {
+			return netip.AddrPort{}, err
+		}
 		return netip.AddrPort{}, io.EOF
-	}
-	if err := b.ctx.Err(); err != nil {
-		return netip.AddrPort{}, err
 	}
 	f := &b.flights[slot]
 	var dest netip.AddrPort
@@ -484,14 +561,14 @@ func writeSummary(w *bufio.Writer, targets int, s scanner.ProgressSnapshot, st d
 }
 
 // bulkScan sweeps the resolvers targetsArg names through the pipeline,
-// reading each target as its probe starts and writing its availability
-// line to out as its probe ends, in the order the probes end, then a
-// throughput summary. A cancel of ctx drains the sweep: the lines are
-// those of the probes that ended, and the targets never reached in a
-// file or list are read to its end only to be counted; standard input,
-// which may never end, is not read further. A line that names no
-// target ends the input too: the probes in flight end and are written,
-// and the line is the error.
+// reading the targets ahead of their probes and writing each
+// availability line to out as its probe ends, in the order the probes
+// end, then a throughput summary. A cancel of ctx drains the sweep, and
+// ends a wait for input: the lines are those of the probes that ended,
+// and the targets never reached in a file or list are read to its end
+// only to be counted; standard input, which may never end, is not read
+// further. A line that names no target ends the input too: the probes in
+// flight end and are written, and the line is the error.
 func bulkScan(ctx context.Context, out io.Writer, targetsArg string, base dnswire.Name, concurrency int, rate float64, timeout time.Duration) error {
 	in, err := openTargets(targetsArg)
 	if err != nil {
@@ -505,6 +582,7 @@ func bulkScan(ctx context.Context, out io.Writer, targetsArg string, base dnswir
 	defer pipe.Close()
 
 	b := newBulk(ctx, base, in, out, concurrency)
+	defer close(b.in.empty)
 	var pace func(context.Context) error
 	if rate > 0 {
 		pace = scanner.NewRateLimiter(rate, concurrency).Wait
@@ -520,7 +598,7 @@ func bulkScan(ctx context.Context, out io.Writer, targetsArg string, base dnswir
 	// not the scan's plus the time it takes to count what is left.
 	s := b.progress()
 	if interrupted && targetsArg != "-" {
-		for _, ok := b.nextLine(); ok; _, ok = b.nextLine() {
+		for _, ok := b.nextLine(nil); ok; _, ok = b.nextLine(nil) {
 		}
 	}
 	switch {

@@ -357,7 +357,7 @@ func TestResultFormatGolden(t *testing.T) {
 func parseTargets(lines []string) ([]string, error) {
 	b := newBulk(context.Background(), dnswire.Root, strings.NewReader(strings.Join(lines, "\n")), nil, 1)
 	var targets []string
-	for line, ok := b.nextLine(); ok; line, ok = b.nextLine() {
+	for line, ok := b.nextLine(nil); ok; line, ok = b.nextLine(nil) {
 		t, _, err := parseTarget(nil, line)
 		if err != nil {
 			return nil, err
@@ -540,7 +540,7 @@ func TestBulkScanStdinInterrupt(t *testing.T) {
 
 // TestBulkScanInterruptDuringRead interrupts a scan while its loop waits
 // for the next line of standard input, then sends that line: the line is
-// read and counted, but no probe is started for it.
+// neither read nor counted, and no probe is started for it.
 func TestBulkScanInterruptDuringRead(t *testing.T) {
 	read := make(chan struct{}, 2)
 	target := startAnswerResponder(t, 0, read)
@@ -569,9 +569,54 @@ func TestBulkScanInterruptDuringRead(t *testing.T) {
 	}
 	got := masked(out.String())
 	line := target + strings.Repeat(" ", max(0, 24-len(target))) + " rcode=NOERROR answers=1 edns=true rtt=x\n"
-	want := line + "\n2 targets: 1 responding, 0 unreachable in x (y q/s; 1 udp sent, 0 retries, 0 tcp fallbacks)\n" +
-		"interrupted: partial results for 1 of 2 targets\n"
+	want := line + "\n1 targets: 1 responding, 0 unreachable in x (y q/s; 1 udp sent, 0 retries, 0 tcp fallbacks)\n" +
+		"interrupted: partial results for 1 of 1 targets\n"
 	if got != want {
+		t.Fatalf("bulk output:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestBulkScanInterruptWhileInputWaits interrupts a scan of standard
+// input whose writer sends two lines and then holds it open: the wait
+// for a third line ends with the interrupt, not with the input. When
+// the loop read its input itself, the scan ran until the writer wrote
+// again or closed.
+func TestBulkScanInterruptWhileInputWaits(t *testing.T) {
+	read := make(chan struct{}, 2)
+	target := startAnswerResponder(t, 0, read)
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	defer r.Close()
+	defer func(stdin *os.File) { os.Stdin = stdin }(os.Stdin)
+	os.Stdin = r
+	if _, err := w.WriteString(strings.Repeat(target+"\n", 2)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out bytes.Buffer
+	ended := make(chan error, 1)
+	go func() { ended <- bulkScan(ctx, &out, "-", dnswire.MustParseName("scan.test"), 1, 0, 2*time.Second) }()
+	<-read
+	<-read
+	time.Sleep(100 * time.Millisecond) // the loop waits for a third line by now
+	cancel()
+	select {
+	case err := <-ended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the interrupted scan still waits for standard input a second later")
+	}
+	line := target + strings.Repeat(" ", max(0, 24-len(target))) + " rcode=NOERROR answers=1 edns=true rtt=x\n"
+	want := strings.Repeat(line, 2) +
+		"\n2 targets: 2 responding, 0 unreachable in x (y q/s; 2 udp sent, 0 retries, 0 tcp fallbacks)\n" +
+		"interrupted: partial results for 2 of 2 targets\n"
+	if got := masked(out.String()); got != want {
 		t.Fatalf("bulk output:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -4,25 +4,21 @@
 // resolvers, then the two-query methodology classifies each reachable
 // resolver's caching behavior (§6.3).
 //
-// The probe phase runs through the concurrent scan engine; -concurrency,
-// -rate, and -timeout expose its knobs. The in-memory netem fabric is
-// not safe for concurrent handler execution, so the transport itself is
-// serialized behind a mutex here — against real sockets (cmd/ecsscan
-// -targets) the same engine fans out for real.
+// The probe phase is a serial in-process scan: the netem fabric answers
+// each probe before its exchange returns, so probes go one at a time.
+// Against real sockets, cmd/ecsscan -targets keeps many in flight. The
+// same flags print the same output.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net/netip"
 	"os"
-	"sync"
-	"time"
+	"slices"
 
 	"ecsdns/internal/authority"
 	"ecsdns/internal/dnswire"
-	"ecsdns/internal/ecsopt"
 	"ecsdns/internal/geo"
 	"ecsdns/internal/netem"
 	"ecsdns/internal/resolver"
@@ -30,9 +26,6 @@ import (
 )
 
 func main() {
-	concurrency := flag.Int("concurrency", 8, "probes in flight during the scan phase")
-	rate := flag.Float64("rate", 0, "max probe queries/sec (0 = unlimited)")
-	timeout := flag.Duration("timeout", 3*time.Second, "per-probe timeout")
 	faults := flag.String("faults", "", `fault-injection spec for the fabric, e.g. "loss=0.2,servfail=0.1" (see netem.ParseFaultPlan)`)
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault RNG (same seed ⇒ same failure trace)")
 	flag.Parse()
@@ -104,36 +97,21 @@ func main() {
 		ingresses = append(ingresses, fwd)
 	}
 
-	// Phase 1: the scan, fanned out over the worker-pool engine. The
-	// mutex serializes netem (see the package comment); everything above
-	// the transport — worker pool, rate limiting, ID allocation,
-	// response validation — runs concurrently.
-	var netMu sync.Mutex
-	prog := scanner.NewProgress()
-	scan := &scanner.Scan{
-		Exchange: func(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-			netMu.Lock()
-			defer netMu.Unlock()
-			resp, _, err := net.Exchange(scannerAddr, to, q)
-			return resp, err
-		},
-		Zone: zone, ScannerAddr: scannerAddr,
-		Concurrency: *concurrency, Rate: *rate, Timeout: *timeout,
-		Progress: prog,
+	// Phase 1: the scan.
+	exchange := func(to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		resp, _, err := net.Exchange(scannerAddr, to, q)
+		return resp, err
 	}
+	scan := &scanner.Scan{Exchange: exchange, Zone: zone}
 	res := scan.Run(ingresses, logs)
-	snap := prog.Snapshot()
-	fmt.Printf("probed %d ingresses, %d responded (%.0f probes/s wall-clock)\n",
-		res.Probed, len(res.Responding), snap.QPS)
-	if snap.Errors > 0 || !plan.IsZero() {
-		fmt.Printf("  probe accounting: sent=%d done=%d errors=%d (timeouts=%d truncated=%d mismatched=%d)\n",
-			snap.Sent, snap.Done, snap.Errors, snap.Timeouts, snap.Truncated, snap.Mismatched)
+	fmt.Printf("probed %d ingresses, %d responded\n", res.Probed, len(res.Responding))
+	if !plan.IsZero() {
 		fs := net.FaultStats()
 		fmt.Printf("  fault layer: lost=%d blackouts=%d truncated=%d servfails=%d corrupted=%d delayed=%d\n",
 			fs.Lost, fs.Blackouts, fs.Truncated, fs.ServFails, fs.Corrupted, fs.Delayed)
 	}
-	for ing, egs := range res.IngressToEgress {
-		for _, eg := range egs {
+	for _, ing := range sortedAddrs(res.IngressToEgress) {
+		for _, eg := range res.IngressToEgress[ing] {
 			fmt.Printf("  ingress %-15s → egress %-15s (%s) ECS=%v\n",
 				ing, eg, egressName[eg], res.ECSEgress[eg])
 		}
@@ -149,50 +127,45 @@ func main() {
 	// through three vantage forwarders in the methodology's /24 layout.
 	fmt.Println("\ncache-behavior classification (§6.3 two-query methodology):")
 	vantageSalt := 0
-	for eg := range res.ECSEgress {
-		eg := eg
-		send := func(v int, name dnswire.Name, inject *ecsopt.ClientSubnet) error {
-			q := dnswire.NewQuery(uint16(v+1), name, dnswire.TypeA)
-			if inject != nil {
-				ecsopt.Attach(q, *inject)
-			}
-			_, _, err := net.Exchange(scannerAddr, eg, q)
-			return err
-		}
-		direct := &scanner.Prober{Zone: zone, Logs: logs, Scope: scope, Send: send}
+	for _, eg := range sortedAddrs(res.ECSEgress) {
+		via := [3]netip.Addr{eg, eg, eg}
+		direct := &scanner.Prober{Zone: zone, Logs: logs, Scope: scope, Exchange: exchange, Via: via}
 		canInject, err := direct.DetectInjection()
 		if err != nil {
 			fmt.Printf("  injection pre-test for %s failed: %v\n", eg, err)
 			os.Exit(1)
 		}
 		if !canInject {
-			var fwds [3]netip.Addr
 			for i, p := range scanner.InjectionPrefixes {
 				a := p.Addr().As4()
 				a[3] = byte(9 + vantageSalt)
-				fwds[i] = netip.AddrFrom4(a)
-				net.Register(fwds[i], &resolver.Forwarder{
-					Addr: fwds[i], Upstream: eg, Transport: net, Open: true,
+				via[i] = netip.AddrFrom4(a)
+				net.Register(via[i], &resolver.Forwarder{
+					Addr: via[i], Upstream: eg, Transport: net, Open: true,
 				})
 			}
 			vantageSalt++
-			send = func(v int, name dnswire.Name, _ *ecsopt.ClientSubnet) error {
-				q := dnswire.NewQuery(uint16(v+1), name, dnswire.TypeA)
-				_, _, err := net.Exchange(scannerAddr, fwds[v], q)
-				return err
-			}
 		}
 		prober := &scanner.Prober{
 			Zone: zone, Logs: logs, Scope: scope,
-			Send: send, CanInject: canInject,
+			Exchange: exchange, Via: via, CanInject: canInject,
 		}
 		obs, err := prober.Probe()
 		if err != nil {
 			fmt.Printf("  probing %s failed: %v\n", eg, err)
 			os.Exit(1)
 		}
-		class := scanner.Classify(obs)
 		fmt.Printf("  %-15s (%-12s) injectable=%-5v → classified %q\n",
-			eg, egressName[eg], canInject, class)
+			eg, egressName[eg], canInject, scanner.Classify(obs))
 	}
+}
+
+// sortedAddrs returns m's keys in address order.
+func sortedAddrs[V any](m map[netip.Addr]V) []netip.Addr {
+	addrs := make([]netip.Addr, 0, len(m))
+	for a := range m {
+		addrs = append(addrs, a)
+	}
+	slices.SortFunc(addrs, netip.Addr.Compare)
+	return addrs
 }

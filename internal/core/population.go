@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -9,7 +8,6 @@ import (
 
 	"ecsdns/internal/authority"
 	"ecsdns/internal/dnswire"
-	"ecsdns/internal/ecsopt"
 	"ecsdns/internal/geo"
 	"ecsdns/internal/netem"
 	"ecsdns/internal/resolver"
@@ -479,14 +477,7 @@ func (s *Study) BuildScanForwarders() []netip.Addr {
 
 // RunScan probes all forwarders against the scan zone.
 func (s *Study) RunScan() scanner.Result {
-	sc := &scanner.Scan{
-		Exchange: func(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-			resp, _, err := s.Net.Exchange(s.ScannerSource, to, q)
-			return resp, err
-		},
-		Zone:        s.ScanZone,
-		ScannerAddr: s.ScannerSource,
-	}
+	sc := &scanner.Scan{Exchange: s.scanExchange, Zone: s.ScanZone}
 	if s.OpenForwarders == nil {
 		s.BuildScanForwarders()
 	}
@@ -554,35 +545,33 @@ func (s *Study) classifyProber(r *resolver.Resolver, vantage int) (*scanner.Prob
 }
 
 func (s *Study) proberFor(r *resolver.Resolver, canInject bool, vantageSalt int) *scanner.Prober {
-	var fwds [3]netip.Addr
+	via := [3]netip.Addr{r.Addr(), r.Addr(), r.Addr()}
 	if !canInject {
 		for i, p := range scanner.InjectionPrefixes {
 			a := p.Addr().As4()
 			a[2] += byte(vantageSalt / 3 % 3) // reuse the same /22 structure
 			a[3] = byte(9 + vantageSalt%200)
-			fwds[i] = netip.AddrFrom4(a)
-			s.Net.Register(fwds[i], &resolver.Forwarder{
-				Addr: fwds[i], Upstream: r.Addr(), Transport: s.Net, Open: true,
+			via[i] = netip.AddrFrom4(a)
+			s.Net.Register(via[i], &resolver.Forwarder{
+				Addr: via[i], Upstream: r.Addr(), Transport: s.Net, Open: true,
 			})
 		}
 	}
 	return &scanner.Prober{
-		Zone:  s.ScanZone,
-		Logs:  s.ScanLogs,
-		Scope: s.Scope,
-		Send: func(v int, name dnswire.Name, inject *ecsopt.ClientSubnet) error {
-			q := dnswire.NewQuery(uint16(v+1), name, dnswire.TypeA)
-			to := r.Addr()
-			if !canInject {
-				to = fwds[v]
-			} else if inject != nil {
-				ecsopt.Attach(q, *inject)
-			}
-			_, _, err := s.Net.Exchange(s.ScannerSource, to, q)
-			return err
-		},
+		Zone:      s.ScanZone,
+		Logs:      s.ScanLogs,
+		Scope:     s.Scope,
+		Exchange:  s.scanExchange,
+		Via:       via,
 		CanInject: canInject,
 	}
+}
+
+// scanExchange sends one query from the scanner's source: the transport
+// of both the scan and the §6.3 probers.
+func (s *Study) scanExchange(to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	resp, _, err := s.Net.Exchange(s.ScannerSource, to, q)
+	return resp, err
 }
 
 // saltRNG derives a deterministic RNG from the study seed and a salt.

@@ -97,7 +97,7 @@ func TestScanIDsNotDerivableFromClock(t *testing.T) {
 		s := &scanner.Scan{
 			// The first Exchange comes right after the first ID is drawn,
 			// which is when a Scan at Seed 0 seeds its generator.
-			Exchange: func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+			Exchange: func(_ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 				if ids == nil {
 					after = time.Now()
 				}

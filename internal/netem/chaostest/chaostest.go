@@ -1,5 +1,5 @@
 // Package chaostest runs failure-scenario matrices against the
-// recursive resolver and the concurrent scan engine over a
+// recursive resolver and the in-process scan over a
 // fault-injected netem fabric, asserting the invariants that must
 // survive any failure mix: every query is accounted for, every answer
 // is either correct or an explicit failure, counters balance, and no
@@ -9,11 +9,9 @@
 package chaostest
 
 import (
-	"context"
 	"fmt"
 	"net/netip"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -39,10 +37,9 @@ type Scenario struct {
 	// Queries is the number of chaos-phase client queries RunResolver
 	// issues (default 60).
 	Queries int
-	// Targets is the resolver-population size RunEngine scans
-	// (default 24) and Concurrency its worker fan-out (default 8).
-	Targets     int
-	Concurrency int
+	// Targets is the resolver-population size RunScan scans (default
+	// 24).
+	Targets int
 	// Seed drives the world, the fault RNGs, and the resolver.
 	Seed int64
 }
@@ -204,33 +201,21 @@ func classify(tb testing.TB, scenario string, q *dnswire.Message, resp *dnswire.
 	}
 }
 
-// EngineResult is the deterministic part of one RunEngine execution
-// (wall-clock fields of the progress snapshot are excluded).
-type EngineResult struct {
-	Sent, Done, Errors            int64
-	Timeouts, Truncated, Mismatch int64
-	Responding                    int
-	Stats                         netem.FaultStats
+// ScanResult is the outcome of one RunScan execution.
+type ScanResult struct {
+	Responding int
+	Stats      netem.FaultStats
 }
 
-// RunEngine executes one scenario against the concurrent scan engine: a
-// population of open resolvers over the faulted fabric is probed
-// through scanner.Scan's worker pool, and the progress accounting must
-// balance to the target count with no goroutine leaks. The netem fabric
-// is synchronous, so the transport is serialized behind a mutex — the
-// engine's concurrency is still exercised (workers, rate gate, context
-// plumbing), which is exactly the machinery under test.
-func RunEngine(tb testing.TB, sc Scenario) EngineResult {
+// RunScan executes one scenario against the in-process scan: a
+// population of open resolvers over the faulted fabric is probed by
+// scanner.Scan, and no more of them may respond than were probed.
+func RunScan(tb testing.TB, sc Scenario) ScanResult {
 	tb.Helper()
 	targets := sc.Targets
 	if targets <= 0 {
 		targets = 24
 	}
-	concurrency := sc.Concurrency
-	if concurrency <= 0 {
-		concurrency = 8
-	}
-	before := runtime.NumGoroutine()
 
 	w := geo.Build(geo.Config{Seed: sc.Seed, NumASes: 120, BlocksPerAS: 1})
 	n := netem.New(w)
@@ -264,51 +249,20 @@ func RunEngine(tb testing.TB, sc Scenario) EngineResult {
 	n.SetFaults(shiftWindows(sc.Faults, chaosStart), sc.Seed)
 	n.SetNodeFaults(authAddr, shiftWindows(sc.AuthFaults, chaosStart), sc.Seed+1)
 
-	var exMu sync.Mutex
-	progress := scanner.NewProgress()
+	source := w.AddrInCity(geo.CityIndex("Cleveland"), 2, 9)
 	scan := &scanner.Scan{
-		Exchange: func(ctx context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			exMu.Lock()
-			defer exMu.Unlock()
-			resp, _, err := n.Exchange(w.AddrInCity(geo.CityIndex("Cleveland"), 2, 9), to, q)
+		Exchange: func(to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+			resp, _, err := n.Exchange(source, to, q)
 			return resp, err
 		},
-		Zone:        zone,
-		ScannerAddr: w.AddrInCity(geo.CityIndex("Cleveland"), 2, 9),
-		Concurrency: concurrency,
-		Progress:    progress,
-		Seed:        sc.Seed + 99,
+		Zone: zone,
+		Seed: sc.Seed + 99,
 	}
-	result, err := scan.RunContext(context.Background(), ingresses, logs)
-	if err != nil {
-		tb.Fatalf("%s: scan aborted: %v", sc.Name, err)
+	result := scan.Run(ingresses, logs)
+	out := ScanResult{Responding: len(result.Responding), Stats: n.FaultStats()}
+	if out.Responding > result.Probed {
+		tb.Errorf("%s: %d responders from %d probed", sc.Name, out.Responding, result.Probed)
 	}
-
-	snap := progress.Snapshot()
-	out := EngineResult{
-		Sent: snap.Sent, Done: snap.Done, Errors: snap.Errors,
-		Timeouts: snap.Timeouts, Truncated: snap.Truncated, Mismatch: snap.Mismatched,
-		Responding: len(result.Responding),
-		Stats:      n.FaultStats(),
-	}
-
-	// Invariants: the engine accounts for every target exactly once,
-	// failure classes only ever explain errors, and the worker pool
-	// winds down completely.
-	if out.Sent != int64(targets) || out.Done+out.Errors != out.Sent {
-		tb.Errorf("%s: progress leak: sent=%d done=%d errors=%d targets=%d",
-			sc.Name, out.Sent, out.Done, out.Errors, targets)
-	}
-	if out.Timeouts+out.Mismatch > out.Errors {
-		tb.Errorf("%s: classified failures exceed errors: %+v", sc.Name, out)
-	}
-	if out.Responding > targets {
-		tb.Errorf("%s: %d responders from %d targets", sc.Name, out.Responding, targets)
-	}
-	waitGoroutines(tb, sc.Name, before)
 	return out
 }
 
@@ -345,11 +299,4 @@ func waitGoroutines(tb testing.TB, scenario string, before int) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -58,14 +58,13 @@ func TestResolverChaosMatrix(t *testing.T) {
 	}
 }
 
-// TestEngineChaosMatrix runs every scenario against the concurrent scan
-// engine at fan-out 8; RunEngine asserts the accounting and
-// goroutine-leak invariants internally.
-func TestEngineChaosMatrix(t *testing.T) {
+// TestScanChaosMatrix runs every scenario against the in-process scan;
+// RunScan asserts that no more resolvers respond than were probed.
+func TestScanChaosMatrix(t *testing.T) {
 	for _, sc := range Matrix() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			r := RunEngine(t, sc)
+			r := RunScan(t, sc)
 			if r.Responding == 0 && sc.Name != "loss-50" {
 				t.Errorf("no resolver responded under %q: %+v", sc.Name, r)
 			}
@@ -96,20 +95,19 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineDeterminism replays a scenario through the scan engine at
-// Concurrency 1 (serial job order makes the RNG draw order, and hence
-// the trace, deterministic) and compares the deterministic counters.
-func TestEngineDeterminism(t *testing.T) {
+// TestScanDeterminism replays a scenario through the scan (its probes
+// go in target order, so the RNG draw order, and hence the trace, is
+// deterministic) and compares the results.
+func TestScanDeterminism(t *testing.T) {
 	sc := Scenario{
-		Name:        "serial-combined",
-		Faults:      netem.FaultPlan{Loss: 0.2},
-		AuthFaults:  netem.FaultPlan{ServFail: 0.3},
-		Concurrency: 1,
-		Seed:        21,
+		Name:       "serial-combined",
+		Faults:     netem.FaultPlan{Loss: 0.2},
+		AuthFaults: netem.FaultPlan{ServFail: 0.3},
+		Seed:       21,
 	}
-	a := RunEngine(t, sc)
-	b := RunEngine(t, sc)
+	a := RunScan(t, sc)
+	b := RunScan(t, sc)
 	if a != b {
-		t.Fatalf("engine runs diverged:\n run1: %+v\n run2: %+v", a, b)
+		t.Fatalf("scan runs diverged:\n run1: %+v\n run2: %+v", a, b)
 	}
 }

@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// Engine is a worker-pool driver for probe campaigns: it fans N jobs out
-// over a configurable number of workers, throttled by a shared
-// token-bucket rate limit, with context cancellation and live progress
-// counters. It is transport-agnostic: Scan drives it over netem or a
-// dnsclient.Pipeline.
+// Engine is a worker-pool driver for job campaigns: it fans N jobs out
+// over a configurable number of workers, with context cancellation and
+// live progress counters. Nothing in the product runs it: the in-process
+// scan is a loop (Scan) and the live one runs on dnsclient.Pipeline's
+// Sweep. It is kept for the benchmark module's scanner.engine_job_ns row
+// until ROADMAP item 1(d) deletes it.
 //
 // Jobs are not handed out, they are claimed: the workers share one
 // atomic counter and each takes the next index from it, so a job costs
@@ -20,9 +21,6 @@ import (
 type Engine struct {
 	// Concurrency is the number of jobs in flight (default 1 = serial).
 	Concurrency int
-	// Rate caps job starts per second across all workers (0 =
-	// unlimited), with a burst of one job per worker.
-	Rate float64
 	// Progress, when non-nil, receives live counters.
 	Progress *Progress
 }
@@ -40,10 +38,6 @@ func (e *Engine) Run(ctx context.Context, n int, job func(ctx context.Context, i
 	if workers > n {
 		workers = n
 	}
-	var limiter *RateLimiter
-	if e.Rate > 0 {
-		limiter = NewRateLimiter(e.Rate, workers)
-	}
 	var next atomic.Int64 // jobs claimed so far
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -54,11 +48,6 @@ func (e *Engine) Run(ctx context.Context, n int, job func(ctx context.Context, i
 				i := int(next.Add(1) - 1)
 				if i >= n {
 					return
-				}
-				if limiter != nil {
-					if err := limiter.Wait(ctx); err != nil {
-						return
-					}
 				}
 				if e.Progress != nil {
 					e.Progress.sent.Add(1)
@@ -126,26 +115,11 @@ func (l *RateLimiter) Wait(ctx context.Context) error {
 	}
 }
 
-// Progress holds live campaign counters, safe for concurrent use. The
-// failure-class counters (timeouts, truncations, mismatches) break the
-// per-target outcomes down so a campaign under induced loss can prove
-// that every probe is accounted for.
+// Progress holds live campaign counters, safe for concurrent use.
 type Progress struct {
 	start              time.Time
 	sent, done, errors atomic.Int64
-
-	timeouts, truncated, mismatched atomic.Int64
 }
-
-// CountTimeout records a probe that timed out (or was lost in transit).
-func (p *Progress) CountTimeout() { p.timeouts.Add(1) }
-
-// CountTruncated records a probe answered with a truncated response.
-func (p *Progress) CountTruncated() { p.truncated.Add(1) }
-
-// CountMismatch records a probe answered by a response that failed
-// ID/question validation (spoofed, crossed, or corrupted).
-func (p *Progress) CountMismatch() { p.mismatched.Add(1) }
 
 // NewProgress starts the campaign clock.
 func NewProgress() *Progress {
@@ -160,11 +134,6 @@ type ProgressSnapshot struct {
 	Done int64
 	// Errors is how many finished with an error.
 	Errors int64
-	// Timeouts, Truncated and Mismatched classify failed probes:
-	// deadline/loss, truncated responses, and validation failures.
-	Timeouts   int64
-	Truncated  int64
-	Mismatched int64
 	// Elapsed is the time since NewProgress.
 	Elapsed time.Duration
 	// QPS is Sent/Elapsed, the observed throughput.
@@ -174,13 +143,10 @@ type ProgressSnapshot struct {
 // Snapshot reads the counters.
 func (p *Progress) Snapshot() ProgressSnapshot {
 	s := ProgressSnapshot{
-		Sent:       p.sent.Load(),
-		Done:       p.done.Load(),
-		Errors:     p.errors.Load(),
-		Timeouts:   p.timeouts.Load(),
-		Truncated:  p.truncated.Load(),
-		Mismatched: p.mismatched.Load(),
-		Elapsed:    time.Since(p.start),
+		Sent:    p.sent.Load(),
+		Done:    p.done.Load(),
+		Errors:  p.errors.Load(),
+		Elapsed: time.Since(p.start),
 	}
 	if s.Elapsed > 0 {
 		s.QPS = float64(s.Sent) / s.Elapsed.Seconds()

@@ -11,8 +11,7 @@ import (
 )
 
 // TestEngineRunsAllJobs is Run's contract on a run that completes: every
-// index exactly once, whatever the ratio of workers to jobs, with and
-// without the rate limiter between the claim and the job.
+// index exactly once, whatever the ratio of workers to jobs.
 func TestEngineRunsAllJobs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -24,7 +23,6 @@ func TestEngineRunsAllJobs(t *testing.T) {
 		{"workers64", Engine{Concurrency: 64}, 1000},
 		{"more workers than jobs", Engine{Concurrency: 64}, 5},
 		{"no jobs", Engine{Concurrency: 8}, 0},
-		{"rate limited", Engine{Concurrency: 8, Rate: 20000}, 100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runs := make([]atomic.Int32, tc.n)
@@ -154,20 +152,6 @@ func TestEngineCountsProgress(t *testing.T) {
 	}
 	if s.QPS <= 0 {
 		t.Fatalf("QPS = %v, want > 0", s.QPS)
-	}
-}
-
-func TestEngineRateLimit(t *testing.T) {
-	// 200 qps, a burst of one job per worker: 20 jobs on 4 workers need
-	// ≥ 16 inter-job gaps of 5 ms.
-	eng := &Engine{Concurrency: 4, Rate: 200}
-	start := time.Now()
-	err := eng.Run(context.Background(), 20, func(_ context.Context, _ int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 75*time.Millisecond {
-		t.Fatalf("20 jobs at 200 qps finished in %v, want ≥ 75ms", elapsed)
 	}
 }
 

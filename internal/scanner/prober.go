@@ -142,12 +142,14 @@ type Prober struct {
 	Logs *LogBuffer
 	// Scope reconfigures the authority per trial.
 	Scope *ScopeControl
-	// Send delivers a query for name through vantage v. Vantages 0 and
-	// 1 are in different /24s and different /22s sharing a /16; vantage
-	// 2 shares vantage 0's /22 but not its /24. inject, when non-nil
-	// and the path supports it, attaches that ECS option.
-	Send func(v int, name dnswire.Name, inject *ecsopt.ClientSubnet) error
-	// CanInject reports whether Send can deliver arbitrary ECS options
+	// Exchange sends each trial query.
+	Exchange Exchange
+	// Via is where a query through vantage v goes: the resolver itself
+	// for direct injection, or the vantage's forwarder. Vantages 0 and 1
+	// are in different /24s and different /22s sharing a /16; vantage 2
+	// shares vantage 0's /22 but not its /24.
+	Via [3]netip.Addr
+	// CanInject reports whether the path delivers arbitrary ECS options
 	// to the resolver (verified beforehand by the acceptance test).
 	CanInject bool
 
@@ -156,7 +158,7 @@ type Prober struct {
 }
 
 // InjectionPrefixes are the ECS prefixes used when injecting directly:
-// indexes match Send's vantage numbers.
+// indexes match Via's vantage numbers.
 var InjectionPrefixes = [3]netip.Prefix{
 	netip.MustParsePrefix("198.51.100.0/24"),
 	netip.MustParsePrefix("198.51.104.0/24"), // different /22, same /16
@@ -182,7 +184,7 @@ func (p *Prober) DetectInjection() (bool, error) {
 	}
 	mark := p.Logs.Len()
 	cs := ecsopt.MustNew(InjectionMarker.Addr(), InjectionMarker.Bits())
-	if err := p.Send(0, name, &cs); err != nil {
+	if err := p.send(0, name, &cs); err != nil {
 		return false, nil
 	}
 	for _, rec := range p.Logs.Since(mark) {
@@ -191,7 +193,7 @@ func (p *Prober) DetectInjection() (bool, error) {
 		}
 		got := rec.QueryECS
 		if got.Family == ecsopt.FamilyIPv4 &&
-			got.Covers(InjectionMarker.Addr(), int(min8(got.SourcePrefix, 24))) &&
+			got.Covers(InjectionMarker.Addr(), int(min(got.SourcePrefix, 24))) &&
 			got.SourcePrefix >= 20 {
 			p.CanInject = true
 			return true, nil
@@ -200,11 +202,15 @@ func (p *Prober) DetectInjection() (bool, error) {
 	return false, nil
 }
 
-func min8(a uint8, b uint8) uint8 {
-	if a < b {
-		return a
+// send asks Via[v] for the A record of name, with inject attached when
+// it is non-nil.
+func (p *Prober) send(v int, name dnswire.Name, inject *ecsopt.ClientSubnet) error {
+	q := dnswire.NewQuery(uint16(v+1), name, dnswire.TypeA)
+	if inject != nil {
+		ecsopt.Attach(q, *inject)
 	}
-	return b
+	_, err := p.Exchange(p.Via[v], q)
+	return err
 }
 
 func (p *Prober) uniqueName() (dnswire.Name, error) {
@@ -247,8 +253,8 @@ func (p *Prober) pairTrial(scope authority.ScopeFunc, v1, v2 int) (int, error) {
 		c2 := ecsopt.MustNew(InjectionPrefixes[v2].Addr(), InjectionPrefixes[v2].Bits())
 		i1, i2 = &c1, &c2
 	}
-	p.Send(v1, name, i1)
-	p.Send(v2, name, i2)
+	p.send(v1, name, i1)
+	p.send(v2, name, i2)
 	return p.countArrivals(mark, name), nil
 }
 
@@ -287,8 +293,8 @@ func (p *Prober) Probe() (CacheObservation, error) {
 		b[3] = 32
 		c1 := ecsopt.MustNew(netip.AddrFrom4(a), 28)
 		c2 := ecsopt.MustNew(netip.AddrFrom4(b), 28)
-		p.Send(0, name, &c1)
-		p.Send(0, name, &c2)
+		p.send(0, name, &c1)
+		p.send(0, name, &c2)
 		obs.ArrivalsLongPrefix = p.countArrivals(mark, name)
 
 		// Scope exceeding source: authority claims scope 32 for a /24
@@ -300,8 +306,8 @@ func (p *Prober) Probe() (CacheObservation, error) {
 		}
 		mark = p.Logs.Len()
 		d1 := ecsopt.MustNew(InjectionPrefixes[0].Addr(), 24)
-		p.Send(0, name, &d1)
-		p.Send(0, name, &d1)
+		p.send(0, name, &d1)
+		p.send(0, name, &d1)
 		obs.ArrivalsScopeOverSource = p.countArrivals(mark, name)
 	}
 
@@ -334,7 +340,7 @@ func (p *Prober) Probe() (CacheObservation, error) {
 		c := ecsopt.MustNew(InjectionPrefixes[0].Addr(), 24)
 		inj = &c
 	}
-	p.Send(0, name, inj)
+	p.send(0, name, inj)
 	for _, rec := range p.Logs.Since(mark) {
 		if rec.Name == name && rec.QueryHasECS && rec.QueryECS.Family == ecsopt.FamilyIPv4 {
 			obs.ConveyedBitsForInjected24 = rec.QueryECS.SourcePrefix

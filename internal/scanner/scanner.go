@@ -7,23 +7,18 @@
 package scanner
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/netip"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"ecsdns/internal/authority"
 	"ecsdns/internal/dnsclient"
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/ecsopt"
-	"ecsdns/internal/netem"
 )
 
 // EncodeProbeName embeds the probed ingress address into a hostname
@@ -102,41 +97,30 @@ type Result struct {
 // Scan drives probe queries against a population of ingress resolvers
 // and reads the experimental authority's logs to associate ingresses
 // with egresses. The Exchange closure decouples it from any specific
-// transport; set Concurrency (and optionally Rate) to fan probes out
-// over the worker-pool engine.
+// transport; probes go one at a time, as the in-process fabric answers
+// each before Exchange returns.
 type Scan struct {
-	// Exchange sends one DNS query and returns the response; ctx carries
-	// the probe's deadline and the scan's cancellation. It must be safe
-	// for concurrent use when Concurrency > 1.
-	Exchange func(ctx context.Context, to netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
+	// Exchange sends one DNS query to a target and returns its response.
+	Exchange Exchange
 	// Zone is the scan zone served by the experimental authority.
 	Zone dnswire.Name
-	// ScannerAddr is the source of probe queries.
-	ScannerAddr netip.Addr
-	// Concurrency is the number of probes in flight (default 1 = serial).
-	Concurrency int
-	// Rate caps probe queries per second (0 = unlimited).
-	Rate float64
-	// Timeout bounds each probe when > 0 (via the probe's context).
-	Timeout time.Duration
-	// Progress, when non-nil, receives live sent/done/error counters.
-	Progress *Progress
 	// Seed drives probe transaction IDs; 0 seeds from the system's
 	// entropy (dnsclient.RandomSeed). Chaos and replay harnesses set it
 	// for reproducible campaigns.
 	Seed int64
 
-	mu  sync.Mutex
 	rng *rand.Rand
 }
+
+// Exchange sends query to a target and returns the response: the one
+// transport shape of Scan and Prober.
+type Exchange func(to netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
 
 // randID allocates a probe transaction ID from the scan's RNG. Random
 // IDs (rather than a wrapping counter) keep IDs from colliding
 // predictably on scans of more than 65 535 targets and deny off-path
 // responders a guessable sequence.
 func (s *Scan) randID() uint16 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.rng == nil {
 		seed := s.Seed
 		if seed == 0 {
@@ -147,21 +131,13 @@ func (s *Scan) randID() uint16 {
 	return uint16(s.rng.Intn(1 << 16))
 }
 
-// Run probes every ingress and interprets the authority log records that
-// arrived during the scan. It is RunContext without cancellation.
+// Run probes every ingress in turn with a hostname-encoded query (no
+// ECS, per the paper's methodology), then interprets the authority log
+// records that arrived during the scan. Each response is validated
+// against its own query's ID and question; mismatches (spoofed or
+// crossed responses) do not count as responding, and neither does an
+// ingress whose probe name the zone cannot take.
 func (s *Scan) Run(ingresses []netip.Addr, logs *LogBuffer) Result {
-	res, _ := s.RunContext(context.Background(), ingresses, logs)
-	return res
-}
-
-// RunContext probes every ingress with a hostname-encoded query (no
-// ECS, per the paper's methodology) through the concurrent engine, then
-// interprets the authority log records that arrived during the scan.
-// Each response is validated against its own query's ID and question;
-// mismatches (spoofed or crossed responses) do not count as responding.
-// The returned error is non-nil only when ctx ended early, in which case
-// the partial result is still returned.
-func (s *Scan) RunContext(ctx context.Context, ingresses []netip.Addr, logs *LogBuffer) (Result, error) {
 	res := Result{
 		Probed:           len(ingresses),
 		IngressToEgress:  make(map[netip.Addr][]netip.Addr),
@@ -169,50 +145,20 @@ func (s *Scan) RunContext(ctx context.Context, ingresses []netip.Addr, logs *Log
 		EgressSourceBits: make(map[netip.Addr]map[uint8]bool),
 	}
 	mark := logs.Len()
-	var respMu sync.Mutex
-	eng := &Engine{Concurrency: s.Concurrency, Rate: s.Rate, Progress: s.Progress}
-	runErr := eng.Run(ctx, len(ingresses), func(ctx context.Context, i int) error {
-		ing := ingresses[i]
-		if s.Timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.Timeout)
-			defer cancel()
-		}
+	for _, ing := range ingresses {
 		probeName, err := EncodeProbeName(ing, s.Zone)
 		if err != nil {
-			return err
+			continue
 		}
 		q := dnswire.NewQuery(s.randID(), probeName, dnswire.TypeA)
-		resp, err := s.Exchange(ctx, ing, q)
-		if err != nil || resp == nil {
-			if s.Progress != nil && isTimeoutErr(err) {
-				s.Progress.CountTimeout()
-			}
-			if err == nil {
-				err = fmt.Errorf("scanner: empty response from %s", ing)
-			}
-			return err
-		}
-		if resp.Truncated && s.Progress != nil {
-			s.Progress.CountTruncated()
-		}
-		if !resp.Response || resp.ID != q.ID ||
-			len(resp.Questions) == 0 || resp.Questions[0] != q.Questions[0] {
-			if s.Progress != nil {
-				s.Progress.CountMismatch()
-			}
-			return fmt.Errorf("scanner: invalid response from %s", ing)
-		}
-		if resp.RCode == dnswire.RCodeNoError && len(resp.Answers) > 0 {
-			respMu.Lock()
+		resp, err := s.Exchange(ing, q)
+		if err == nil && resp != nil && resp.Response && resp.ID == q.ID &&
+			len(resp.Questions) > 0 && resp.Questions[0] == q.Questions[0] &&
+			resp.RCode == dnswire.RCodeNoError && len(resp.Answers) > 0 {
 			res.Responding = append(res.Responding, ing)
-			respMu.Unlock()
 		}
-		return nil
-	})
-	sort.Slice(res.Responding, func(i, j int) bool {
-		return res.Responding[i].Less(res.Responding[j])
-	})
+	}
+	slices.SortFunc(res.Responding, netip.Addr.Compare)
 
 	// Interpret the authoritative view.
 	for _, rec := range logs.Since(mark) {
@@ -221,7 +167,7 @@ func (s *Scan) RunContext(ctx context.Context, ingresses []netip.Addr, logs *Log
 			continue
 		}
 		egress := rec.Resolver
-		if !containsAddr(res.IngressToEgress[ing], egress) {
+		if !slices.Contains(res.IngressToEgress[ing], egress) {
 			res.IngressToEgress[ing] = append(res.IngressToEgress[ing], egress)
 		}
 		if !rec.QueryHasECS {
@@ -248,32 +194,7 @@ func (s *Scan) RunContext(ctx context.Context, ingresses []netip.Addr, logs *Log
 			})
 		}
 	}
-	return res, runErr
-}
-
-// isTimeoutErr classifies a probe failure as a timeout: a context
-// deadline, a transport-reported timeout (dnsclient.ErrTimeout or any
-// net.Error timeout), or an in-transit loss on the simulated fabric.
-func isTimeoutErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, dnsclient.ErrTimeout) ||
-		errors.Is(err, netem.ErrLost) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-func containsAddr(s []netip.Addr, a netip.Addr) bool {
-	for _, x := range s {
-		if x == a {
-			return true
-		}
-	}
-	return false
+	return res
 }
 
 // LogBuffer is a concurrency-safe accumulator of authority log records,

@@ -1,16 +1,13 @@
 package scanner
 
 import (
-	"context"
 	"errors"
 	"net/netip"
 	"strings"
-	"sync"
 	"testing"
 
 	"ecsdns/internal/authority"
 	"ecsdns/internal/dnswire"
-	"ecsdns/internal/ecsopt"
 	"ecsdns/internal/geo"
 	"ecsdns/internal/netem"
 	"ecsdns/internal/resolver"
@@ -51,13 +48,13 @@ func TestEncodeProbeNameBadZone(t *testing.T) {
 	}
 }
 
-// TestScanPropagatesBadZone drives RunContext with an unencodable zone:
-// every probe must come back as a job error — not a process-killing
-// panic inside the engine's workers.
+// TestScanPropagatesBadZone drives Run with an unencodable zone: no
+// probe may be sent and none may count as responding — and nothing may
+// panic mid-scan.
 func TestScanPropagatesBadZone(t *testing.T) {
 	long := strings.Repeat("a23456789012345678901234567890123456789012345678901234567890123.", 4)
 	s := &Scan{
-		Exchange: func(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		Exchange: func(to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			t.Error("exchange reached despite unencodable probe name")
 			return nil, nil
 		},
@@ -79,7 +76,7 @@ func TestSeededScanIDsReplay(t *testing.T) {
 	run := func() []uint16 {
 		var ids []uint16
 		s := &Scan{
-			Exchange: func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+			Exchange: func(_ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 				ids = append(ids, q.ID)
 				return nil, errors.New("no answer")
 			},
@@ -109,7 +106,9 @@ func TestProberBadZoneReturnsError(t *testing.T) {
 		Zone:  dnswire.Name(long[:len(long)-2] + "."),
 		Logs:  &LogBuffer{},
 		Scope: NewScopeControl(),
-		Send:  func(int, dnswire.Name, *ecsopt.ClientSubnet) error { return nil },
+		Exchange: func(netip.Addr, *dnswire.Message) (*dnswire.Message, error) {
+			return nil, nil
+		},
 	}
 	if _, err := p.DetectInjection(); err == nil {
 		t.Fatal("DetectInjection with an unencodable zone must fail")
@@ -179,7 +178,7 @@ func (rg *scanRig) addForwarder(addr, upstream netip.Addr) {
 	})
 }
 
-func (rg *scanRig) exchange(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+func (rg *scanRig) exchange(to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 	resp, _, err := rg.net.Exchange(rg.scanAddr, to, q)
 	return resp, err
 }
@@ -194,7 +193,7 @@ func TestScanAssociatesIngressWithEgress(t *testing.T) {
 	rg.addForwarder(fwd1, egress.Addr())
 	rg.addForwarder(fwd2, nonECS.Addr())
 
-	scan := &Scan{Exchange: rg.exchange, Zone: rg.zone, ScannerAddr: rg.scanAddr}
+	scan := &Scan{Exchange: rg.exchange, Zone: rg.zone}
 	res := scan.Run([]netip.Addr{fwd1, fwd2, netip.MustParseAddr("1.2.3.4")}, rg.logs)
 
 	if res.Probed != 3 || len(res.Responding) != 2 {
@@ -227,7 +226,7 @@ func TestScanDetectsHiddenResolvers(t *testing.T) {
 	fwd := rg.world.AddrInCity(geo.CityIndex("Santiago"), 9, 20)
 	rg.addForwarder(fwd, hidden)
 
-	scan := &Scan{Exchange: rg.exchange, Zone: rg.zone, ScannerAddr: rg.scanAddr}
+	scan := &Scan{Exchange: rg.exchange, Zone: rg.zone}
 	res := scan.Run([]netip.Addr{fwd}, rg.logs)
 	if len(res.HiddenCombos) != 1 {
 		t.Fatalf("hidden combos = %v", res.HiddenCombos)
@@ -241,74 +240,13 @@ func TestScanDetectsHiddenResolvers(t *testing.T) {
 	}
 }
 
-// TestScanConcurrentMatchesSerial runs the same campaign serially and
-// through the worker pool and requires identical results. netem is not
-// safe for concurrent handler execution, so the concurrent run
-// serializes the transport with a mutex — the engine's fan-out, ID
-// allocation, and validation still run fully concurrently.
-func TestScanConcurrentMatchesSerial(t *testing.T) {
-	build := func() (*scanRig, []netip.Addr, map[netip.Addr][]netip.Addr) {
-		rg := newScanRig(t)
-		e1 := rg.addResolver("London", 3, resolver.GoogleLikeProfile())
-		e2 := rg.addResolver("Paris", 4, resolver.NonECSProfile())
-		var ingresses []netip.Addr
-		want := make(map[netip.Addr][]netip.Addr)
-		for i, eg := range []*resolver.Resolver{e1, e2, e1, e2} {
-			fwd := rg.world.AddrInCity((i*7+2)%len(geo.Cities), 40+i, 21)
-			rg.addForwarder(fwd, eg.Addr())
-			ingresses = append(ingresses, fwd)
-			want[fwd] = []netip.Addr{eg.Addr()}
-		}
-		return rg, ingresses, want
-	}
-
-	rgSerial, ingresses, want := build()
-	serial := &Scan{Exchange: rgSerial.exchange, Zone: rgSerial.zone, ScannerAddr: rgSerial.scanAddr}
-	resSerial := serial.Run(ingresses, rgSerial.logs)
-
-	rgConc, ingresses2, _ := build()
-	var netMu sync.Mutex
-	prog := NewProgress()
-	conc := &Scan{
-		Exchange: func(ctx context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-			netMu.Lock()
-			defer netMu.Unlock()
-			return rgConc.exchange(ctx, to, q)
-		},
-		Zone: rgConc.zone, ScannerAddr: rgConc.scanAddr,
-		Concurrency: 4, Progress: prog,
-	}
-	resConc, err := conc.RunContext(context.Background(), ingresses2, rgConc.logs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if resConc.Probed != resSerial.Probed || len(resConc.Responding) != len(resSerial.Responding) {
-		t.Fatalf("concurrent probed=%d responding=%d, serial probed=%d responding=%d",
-			resConc.Probed, len(resConc.Responding), resSerial.Probed, len(resSerial.Responding))
-	}
-	for i := range resSerial.Responding {
-		if resConc.Responding[i] != resSerial.Responding[i] {
-			t.Fatalf("responding[%d]: concurrent %s, serial %s", i, resConc.Responding[i], resSerial.Responding[i])
-		}
-	}
-	for ing, egs := range want {
-		if got := resConc.IngressToEgress[ing]; len(got) != 1 || got[0] != egs[0] {
-			t.Fatalf("ingress %s → %v, want %v", ing, got, egs)
-		}
-	}
-	if s := prog.Snapshot(); s.Sent != 4 || s.Done != 4 {
-		t.Fatalf("progress = %+v, want 4 sent 4 done", s)
-	}
-}
-
 // TestScanAllocatesRandomIDs guards against the old wrapping-counter ID
 // scheme (1, 2, 3, …): with RNG allocation, fifty consecutive probes are
 // never a strict +1 sequence.
 func TestScanAllocatesRandomIDs(t *testing.T) {
 	var ids []uint16
 	s := &Scan{
-		Exchange: func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		Exchange: func(_ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			ids = append(ids, q.ID)
 			return dnswire.NewResponse(q), nil
 		},
@@ -349,7 +287,7 @@ func TestScanValidatesResponses(t *testing.T) {
 		return resp
 	}
 	s := &Scan{
-		Exchange: func(_ context.Context, to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		Exchange: func(to netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			resp := answer(dnswire.NewResponse(q))
 			switch to {
 			case badID:
@@ -373,34 +311,22 @@ func TestScanValidatesResponses(t *testing.T) {
 // direct injection (canInject=true) or three vantage forwarders.
 func proberFor(t *testing.T, rg *scanRig, res *resolver.Resolver, canInject bool) *Prober {
 	t.Helper()
-	send := func(v int, name dnswire.Name, inject *ecsopt.ClientSubnet) error {
-		q := dnswire.NewQuery(uint16(v+1), name, dnswire.TypeA)
-		if inject != nil {
-			ecsopt.Attach(q, *inject)
-		}
-		_, _, err := rg.net.Exchange(rg.scanAddr, res.Addr(), q)
-		return err
-	}
+	via := [3]netip.Addr{res.Addr(), res.Addr(), res.Addr()}
 	if !canInject {
 		// Three vantage forwarders at the injection-prefix /24s.
-		var fwds [3]netip.Addr
 		for i, p := range InjectionPrefixes {
 			a := p.Addr().As4()
 			a[3] = 9
-			fwds[i] = netip.AddrFrom4(a)
-			rg.addForwarder(fwds[i], res.Addr())
-		}
-		send = func(v int, name dnswire.Name, inject *ecsopt.ClientSubnet) error {
-			q := dnswire.NewQuery(uint16(v+1), name, dnswire.TypeA)
-			_, _, err := rg.net.Exchange(rg.scanAddr, fwds[v], q)
-			return err
+			via[i] = netip.AddrFrom4(a)
+			rg.addForwarder(via[i], res.Addr())
 		}
 	}
 	return &Prober{
 		Zone:      rg.zone,
 		Logs:      rg.logs,
 		Scope:     rg.scope,
-		Send:      send,
+		Exchange:  rg.exchange,
+		Via:       via,
 		CanInject: canInject,
 	}
 }

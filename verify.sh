@@ -50,6 +50,16 @@ bash bench/run.sh -smoke
 stage "benchmarks run (every Benchmark* under internal/ and cmd/, one iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/... ./cmd/...
 
+stage "examples (each runs once; examples/scanner twice, same output)"
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null
+done
+runs=$(mktemp -d)
+trap 'rm -rf "$runs"' EXIT
+go run ./examples/scanner -faults "loss=0.2,servfail=0.1" -fault-seed 3 >"$runs/1"
+go run ./examples/scanner -faults "loss=0.2,servfail=0.1" -fault-seed 3 >"$runs/2"
+cmp "$runs/1" "$runs/2"
+
 stage "paper numbers (ecslab all == results/ecslab_all.txt)"
 go run ./cmd/ecslab all | cmp - results/ecslab_all.txt
 
