@@ -9,8 +9,10 @@
 // With -targets it instead runs a bulk availability sweep over many
 // resolvers: one loop on the main goroutine (dnsclient.Pipeline.Sweep)
 // keeps -concurrency probes in flight over one UDP socket, and -rate caps
-// the rate at which probes start. It reads its targets a buffer ahead of
-// the probes, on a goroutine of its own, and writes each result line as
+// the rate at which probes start, on the loop's own timer. It reads its
+// targets a buffer ahead of the probes, on a goroutine of its own that
+// wakes the loop when it hands a buffer over, so the loop takes answers
+// and deadlines while it waits for input. It writes each result line as
 // its probe ends, so its memory is bounded by -concurrency, not by the
 // number of targets.
 //
@@ -43,7 +45,6 @@ import (
 	"ecsdns/internal/dnsclient"
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/ecsopt"
-	"ecsdns/internal/scanner"
 )
 
 func main() {
@@ -269,10 +270,11 @@ type flight struct {
 //
 // It reads the clock once a probe, when the probe ends. A probe started
 // after that reading takes it for its start, unless the scan may have
-// waited since: paced, for its input, in a call to its output file or
-// in a hostname lookup. Then stale is set, and the probe reads the clock.
+// waited since: for a token of its rate, for its input, in a call to its
+// output file or in a hostname lookup. Then the probe reads the clock:
+// always when paced, as the sweep waits for a token unseen by the probe,
+// and otherwise when stale is set.
 type bulk struct {
-	ctx     context.Context // a cancel is an interrupt
 	base    dnswire.Name
 	in      *lineReader
 	out     *bufio.Writer
@@ -294,9 +296,8 @@ type bulk struct {
 
 // newBulk makes a sweep of window slots that reads target lines from in
 // and writes result lines to out through its own buffer.
-func newBulk(ctx context.Context, base dnswire.Name, in io.Reader, out io.Writer, window int) *bulk {
+func newBulk(base dnswire.Name, in io.Reader, out io.Writer, window int) *bulk {
 	b := &bulk{
-		ctx:     ctx,
 		base:    base,
 		in:      newLineReader(in),
 		flights: make([]flight, window),
@@ -321,13 +322,14 @@ func (x waiting) Write(p []byte) (int, error) {
 
 // lineReader reads an input on a goroutine of its own, ahead of the
 // sweep, in two fixed buffers that the two trade over channels, so that
-// a sweep waiting for input can stop waiting. Each buffer it hands over
+// the sweep never waits on the input itself. Each buffer it hands over
 // ends at a line's end, or at the input's; a line that fills a buffer
 // ends the input, as it would bufio.Scanner's. A read blocked on an
 // input that never ends stays blocked until the input is closed.
 type lineReader struct {
-	full  chan chunk  // buffers read, in input order
-	empty chan []byte // buffers handed back; closed once the sweep is done
+	full  chan chunk    // buffers read, in input order
+	empty chan []byte   // buffers handed back; closed once the sweep is done
+	ready chan struct{} // the sweep's wake: a buffer has been handed over
 }
 
 // chunk is whole lines of input; err, set on the last chunk, is io.EOF
@@ -340,7 +342,7 @@ type chunk struct {
 // newLineReader starts the reader. full holds both buffers, so that the
 // reader's last send never waits on a sweep that has stopped reading.
 func newLineReader(in io.Reader) *lineReader {
-	r := &lineReader{full: make(chan chunk, 2), empty: make(chan []byte, 1)}
+	r := &lineReader{full: make(chan chunk, 2), empty: make(chan []byte, 1), ready: make(chan struct{}, 1)}
 	r.empty <- make([]byte, bufio.MaxScanTokenSize)
 	go r.read(in, make([]byte, bufio.MaxScanTokenSize))
 	return r
@@ -369,6 +371,10 @@ func (r *lineReader) read(in io.Reader, buf []byte) {
 		}
 		n = copy(next, buf[end:n])
 		r.full <- chunk{buf[:end], err}
+		select {
+		case r.ready <- struct{}{}:
+		default: // a wake is already pending
+		}
 		if !ok {
 			return
 		}
@@ -377,10 +383,10 @@ func (r *lineReader) read(in io.Reader, buf []byte) {
 }
 
 // nextLine returns the next target line, trimmed, past blank lines and
-// # comments, and counts it; false at the end of the input, or once stop
-// is closed while it waits for input, and then a later call takes up
-// where it left off.
-func (b *bulk) nextLine(stop <-chan struct{}) ([]byte, bool) {
+// # comments, and counts it; false at the end of the input, or, unless it
+// may wait, when the next lines have not been read yet, and then a later
+// call takes up where it left off.
+func (b *bulk) nextLine(wait bool) ([]byte, bool) {
 	for {
 		for len(b.rest) > 0 {
 			var line []byte
@@ -397,19 +403,19 @@ func (b *bulk) nextLine(stop <-chan struct{}) ([]byte, bool) {
 			b.in.empty <- b.held[:cap(b.held)]
 			b.held = nil
 		}
-		select {
-		case c := <-b.in.full:
-			b.held, b.rest, b.inErr, b.stale = c.b, c.b, c.err, true
-			if c.err != nil && c.err != io.EOF {
-				b.err = fmt.Errorf("reading targets: %v", c.err)
+		var c chunk
+		if wait {
+			c = <-b.in.full
+		} else {
+			select {
+			case c = <-b.in.full:
+			default:
+				return nil, false
 			}
-		case <-stop:
-			return nil, false
 		}
-		select {
-		case <-stop: // the lines that came with the stop are left unread
-			return nil, false
-		default:
+		b.held, b.rest, b.inErr, b.stale = c.b, c.b, c.err, true
+		if c.err != nil && c.err != io.EOF {
+			b.err = fmt.Errorf("reading targets: %v", c.err)
 		}
 	}
 }
@@ -419,13 +425,13 @@ func (b *bulk) nextLine(stop <-chan struct{}) ([]byte, bool) {
 // keeps for the slot: the first probe in a slot sets it up — one
 // question, EDNS advertising 4096 bytes, the ID left to the pipeline —
 // and later ones only change the name. The end of the input, or a line
-// that names no target, ends the sweep's input. An interrupt that comes
-// while it waits for input ends the wait, and no line is read.
+// that names no target, ends the sweep's input; input not read yet is
+// dnsclient.ErrNoTarget, and the reader's wake brings the sweep back.
 func (b *bulk) probe(slot int, q *dnswire.Message) (netip.AddrPort, error) {
-	line, ok := b.nextLine(b.ctx.Done())
+	line, ok := b.nextLine(false)
 	if !ok {
-		if err := b.ctx.Err(); err != nil {
-			return netip.AddrPort{}, err
+		if b.inErr == nil {
+			return netip.AddrPort{}, dnsclient.ErrNoTarget
 		}
 		return netip.AddrPort{}, io.EOF
 	}
@@ -513,20 +519,6 @@ func (b *bulk) done(slot int, resp *dnswire.Message, err error) {
 	b.written++
 }
 
-// progress is the sweep's summary figures, as of now.
-func (b *bulk) progress() scanner.ProgressSnapshot {
-	s := scanner.ProgressSnapshot{
-		Sent:    int64(b.started),
-		Done:    int64(b.answered),
-		Errors:  int64(b.failing),
-		Elapsed: time.Since(b.start),
-	}
-	if s.Elapsed > 0 {
-		s.QPS = float64(s.Sent) / s.Elapsed.Seconds()
-	}
-	return s
-}
-
 // appendResult appends target's result line, without the newline.
 func appendResult(buf, target []byte, r *probeResult) []byte {
 	buf = append(buf, target...)
@@ -553,10 +545,15 @@ func appendResult(buf, target []byte, r *probeResult) []byte {
 	return buf
 }
 
-// writeSummary writes the sweep's closing line.
-func writeSummary(w *bufio.Writer, targets int, s scanner.ProgressSnapshot, st dnsclient.PipelineStats) {
-	fmt.Fprintf(w, "\n%d targets: %d responding, %d unreachable in %s (%.0f q/s; %d udp sent, %d retries, %d tcp fallbacks)\n",
-		targets, s.Done, s.Errors, s.Elapsed.Round(time.Millisecond), s.QPS,
+// writeSummary writes the sweep's closing line: its counts, and the
+// probes it started per second of elapsed.
+func (b *bulk) writeSummary(elapsed time.Duration, st dnsclient.PipelineStats) {
+	qps := 0.0
+	if elapsed > 0 {
+		qps = float64(b.started) / elapsed.Seconds()
+	}
+	fmt.Fprintf(b.out, "\n%d targets: %d responding, %d unreachable in %s (%.0f q/s; %d udp sent, %d retries, %d tcp fallbacks)\n",
+		b.targets, b.answered, b.failing, elapsed.Round(time.Millisecond), qps,
 		st.Sent, st.Retries, st.TCPFallbacks)
 }
 
@@ -581,24 +578,20 @@ func bulkScan(ctx context.Context, out io.Writer, targetsArg string, base dnswir
 	}
 	defer pipe.Close()
 
-	b := newBulk(ctx, base, in, out, concurrency)
+	b := newBulk(base, in, out, concurrency)
 	defer close(b.in.empty)
-	var pace func(context.Context) error
-	if rate > 0 {
-		pace = scanner.NewRateLimiter(rate, concurrency).Wait
-		b.paced = true
-	}
+	b.paced = rate > 0
 	b.start = time.Now()
-	err = pipe.Sweep(ctx, concurrency, pace, b.probe, b.done)
+	err = pipe.Sweep(ctx, concurrency, rate, b.in.ready, b.probe, b.done)
 	interrupted := err != nil && ctx.Err() != nil
 	if err != nil && !interrupted {
 		return err
 	}
 	// The summary's clock stops here: elapsed and q/s are the scan's,
 	// not the scan's plus the time it takes to count what is left.
-	s := b.progress()
+	elapsed := time.Since(b.start)
 	if interrupted && targetsArg != "-" {
-		for _, ok := b.nextLine(nil); ok; _, ok = b.nextLine(nil) {
+		for _, ok := b.nextLine(true); ok; _, ok = b.nextLine(true) {
 		}
 	}
 	switch {
@@ -610,7 +603,7 @@ func bulkScan(ctx context.Context, out io.Writer, targetsArg string, base dnswir
 	case b.targets == 0:
 		return errors.New("no targets")
 	}
-	writeSummary(b.out, b.targets, s, pipe.Stats())
+	b.writeSummary(elapsed, pipe.Stats())
 	if interrupted {
 		fmt.Fprintf(b.out, "interrupted: partial results for %d of %d targets\n", b.written, b.targets)
 	}

@@ -25,7 +25,6 @@ import (
 	"ecsdns/internal/dnsclient"
 	"ecsdns/internal/dnsserver"
 	"ecsdns/internal/dnswire"
-	"ecsdns/internal/scanner"
 )
 
 // startAnswerResponder starts a UDP responder that answers every query
@@ -146,8 +145,8 @@ func TestAllocGateBulkProbe(t *testing.T) {
 		// A base of its own per sweep: no probe name repeats.
 		run++
 		answered.n = 0
-		b := newBulk(context.Background(), dnswire.MustParseName("run"+strconv.Itoa(run)+".gate.scan.test"), strings.NewReader(input), answered, 64)
-		if err := pipe.Sweep(context.Background(), 64, nil, b.probe, b.done); err != nil {
+		b := newBulk(dnswire.MustParseName("run"+strconv.Itoa(run)+".gate.scan.test"), strings.NewReader(input), answered, 64)
+		if err := pipe.Sweep(context.Background(), 64, 0, b.in.ready, b.probe, b.done); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.out.Flush(); err != nil {
@@ -176,8 +175,8 @@ func TestBulkProbeBadName(t *testing.T) {
 	}
 	defer pipe.Close()
 	var out bytes.Buffer
-	b := newBulk(context.Background(), base, strings.NewReader("127.0.0.1:9\n"), &out, 1)
-	if err := pipe.Sweep(context.Background(), 1, nil, b.probe, b.done); err != nil {
+	b := newBulk(base, strings.NewReader("127.0.0.1:9\n"), &out, 1)
+	if err := pipe.Sweep(context.Background(), 1, 0, b.in.ready, b.probe, b.done); err != nil {
 		t.Fatal(err)
 	}
 	b.out.Flush()
@@ -332,14 +331,12 @@ func TestResultFormatGolden(t *testing.T) {
 		{outcome: probeBadName, err: dnswire.ErrNameTooLong},
 	}
 	var out bytes.Buffer
-	w := bufio.NewWriter(&out)
+	b := &bulk{out: bufio.NewWriter(&out), targets: len(targets), started: 5, answered: 2, failing: 2}
 	for i, r := range results {
-		w.Write(append(appendResult(nil, []byte(targets[i]), &r), '\n'))
+		b.out.Write(append(appendResult(nil, []byte(targets[i]), &r), '\n'))
 	}
-	writeSummary(w, len(targets),
-		scanner.ProgressSnapshot{Done: 2, Errors: 2, Elapsed: 1234567 * time.Microsecond, QPS: 3.6},
-		dnsclient.PipelineStats{Sent: 9, Retries: 4, TCPFallbacks: 1})
-	if err := w.Flush(); err != nil {
+	b.writeSummary(1234567*time.Microsecond, dnsclient.PipelineStats{Sent: 9, Retries: 4, TCPFallbacks: 1})
+	if err := b.out.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	const want = "192.0.2.1:53             rcode=NOERROR answers=1 edns=true rtt=1ms\n" +
@@ -355,9 +352,9 @@ func TestResultFormatGolden(t *testing.T) {
 // parseTargets reads lines as a bulk scan does and returns the text each
 // target's result line names it by.
 func parseTargets(lines []string) ([]string, error) {
-	b := newBulk(context.Background(), dnswire.Root, strings.NewReader(strings.Join(lines, "\n")), nil, 1)
+	b := newBulk(dnswire.Root, strings.NewReader(strings.Join(lines, "\n")), nil, 1)
 	var targets []string
-	for line, ok := b.nextLine(nil); ok; line, ok = b.nextLine(nil) {
+	for line, ok := b.nextLine(true); ok; line, ok = b.nextLine(true) {
 		t, _, err := parseTarget(nil, line)
 		if err != nil {
 			return nil, err
@@ -618,6 +615,83 @@ func TestBulkScanInterruptWhileInputWaits(t *testing.T) {
 		"interrupted: partial results for 2 of 2 targets\n"
 	if got := masked(out.String()); got != want {
 		t.Fatalf("bulk output:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestBulkScanAnswersWhileInputWaits feeds standard input a live target
+// and a dead one, then holds it open for a second before it sends a third
+// target and closes it. The loop takes the first answer, and the dead
+// target's timeouts, retries and TCP fallback, while it waits for that
+// line: the first line's rtt= is the round trip, the dead target's line
+// comes before the third target's, and the scan ends just after the third
+// line. When the probe waited for input inside the loop, the first two
+// attempts went out only with the third line: rtt=1s, the dead target's
+// line last, half a second after it.
+func TestBulkScanAnswersWhileInputWaits(t *testing.T) {
+	live := startAnswerResponder(t, 0, nil)
+	later := startAnswerResponder(t, 0, nil)
+	dead, _ := startSilentPort(t)
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer func(stdin *os.File) { os.Stdin = stdin }(os.Stdin)
+	os.Stdin = r
+	if _, err := w.WriteString(live + "\n" + dead + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan time.Time, 1)
+	go func() {
+		time.Sleep(time.Second)
+		sent <- time.Now()
+		w.WriteString(later + "\n")
+		w.Close()
+	}()
+	// A sweep deaf to the input's wake sleeps once the dead target ends:
+	// the deadline turns that hang into a run without the third line.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var out bytes.Buffer
+	if err := bulkScan(ctx, &out, "-", dnswire.MustParseName("scan.test"), 4, 0, 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	tail := time.Since(<-sent)
+	lines := strings.Split(out.String(), "\n")
+	if len(lines) < 3 || !strings.HasPrefix(lines[0], live+" ") || !strings.HasPrefix(lines[1], dead+" ") || !strings.HasPrefix(lines[2], later+" ") {
+		t.Fatalf("bulk output:\n%s\nwant the live target's line, the dead one's, then the third's", out.String())
+	}
+	rtt, err := time.ParseDuration(strings.TrimPrefix(regexp.MustCompile(`rtt=\S+`).FindString(lines[0]), "rtt="))
+	if err != nil || rtt >= 100*time.Millisecond {
+		t.Fatalf("first line %q: rtt %v (%v), want under 100ms", lines[0], rtt, err)
+	}
+	if tail > 500*time.Millisecond {
+		t.Fatalf("the scan ended %v after its last line was sent, want within 500ms", tail)
+	}
+}
+
+// TestBulkScanRate scans four targets at -rate 5 with -concurrency 1: a
+// burst of one, then a token every 200 ms, so the scan takes at least
+// 600 ms. Each rtt= is still the round trip, not the wait for a token,
+// and the summary reads as an unpaced scan's does.
+func TestBulkScanRate(t *testing.T) {
+	target := startAnswerResponder(t, 0, nil)
+	var out bytes.Buffer
+	if err := bulkScan(context.Background(), &out, strings.Repeat(target+",", 3)+target, dnswire.MustParseName("scan.test"), 1, 5, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`rtt=(\S+)`).FindAllStringSubmatch(out.String(), -1) {
+		if rtt, err := time.ParseDuration(m[1]); err != nil || rtt >= 100*time.Millisecond {
+			t.Errorf("rtt %v (%v), want the round trip, under 100ms", m[1], err)
+		}
+	}
+	summary := regexp.MustCompile(`\n\n4 targets: 4 responding, 0 unreachable in (\S+) \((\d+) q/s; 4 udp sent, 0 retries, 0 tcp fallbacks\)\n$`).FindStringSubmatch(out.String())
+	if summary == nil {
+		t.Fatalf("bulk output:\n%s\nwant four answers and the summary line", out.String())
+	}
+	elapsed, err := time.ParseDuration(summary[1])
+	if qps, _ := strconv.Atoi(summary[2]); err != nil || elapsed < 600*time.Millisecond || qps > 7 {
+		t.Fatalf("summary %q: in %v at %s q/s, want at least 600ms at most 7 q/s", summary[0], elapsed, summary[2])
 	}
 }
 

@@ -47,10 +47,10 @@ func runSection4(cfg Config) (*Report, error) {
 		}
 	}
 	t := &report.Table{Title: "CDN dataset (one simulated day)", Headers: []string{"statistic", "paper", "measured"}}
-	t.AddRow("ECS-enabled non-whitelisted resolvers", scaledStr(4147, sc), len(ecsSet))
-	t.AddRow("IPv4 resolver addresses", scaledStr(4002, sc), v4)
-	t.AddRow("IPv6 resolver addresses", scaledStr(145, sc), v6)
-	t.AddRow("resolvers in the dominant AS", scaledStr(3067, sc), dominant)
+	t.AddRow("ECS-enabled non-whitelisted resolvers", scaled(4147, sc), len(ecsSet))
+	t.AddRow("IPv4 resolver addresses", scaled(4002, sc), v4)
+	t.AddRow("IPv6 resolver addresses", scaled(145, sc), v6)
+	t.AddRow("resolvers in the dominant AS", scaled(3067, sc), dominant)
 	rep.Tables = append(rep.Tables, t)
 	rep.AddMetric("CDN: ECS resolvers", 4147*sc, float64(len(ecsSet)), "resolvers")
 	rep.AddMetric("CDN: IPv6 share", 145.0/4147, float64(v6)/float64(max(1, len(ecsSet))), "fraction")
@@ -75,9 +75,9 @@ func runSection4(cfg Config) (*Report, error) {
 		}
 	}
 	t2 := &report.Table{Title: "Scan dataset", Headers: []string{"statistic", "paper", "measured"}}
-	t2.AddRow("open ingress resolvers", scaledStr(27430, sc*0.1), len(scanRes.Responding))
-	t2.AddRow("ingresses using ECS egresses", scaledStr(15300, sc*0.1), ecsIngress)
-	t2.AddRow("ECS egress resolver addresses", scaledStr(1534, sc), len(scanRes.ECSEgress))
+	t2.AddRow("open ingress resolvers", scaled(27430, sc*0.1), len(scanRes.Responding))
+	t2.AddRow("ingresses using ECS egresses", scaled(15300, sc*0.1), ecsIngress)
+	t2.AddRow("ECS egress resolver addresses", scaled(1534, sc), len(scanRes.ECSEgress))
 	t2.AddRow("ingress countries", "195 (43 in the catalog)", len(countries))
 	t2.AddRow("ingress ASes", "7.9K at full scale", len(ingressASes))
 	rep.Tables = append(rep.Tables, t2)
@@ -123,15 +123,4 @@ func runSection4(cfg Config) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"dataset shapes (family splits, AS concentration, client subnet diversity) match §4; absolute counts are the configured scale of the paper's datasets")
 	return rep, nil
-}
-
-func scaledStr(paperCount int, scale float64) int {
-	return scaled(paperCount, scale)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -253,7 +253,7 @@ func TestSweepChaosAccounting(t *testing.T) {
 			t.Errorf("cross-delivered response for %s: %v", names[i], resp)
 		}
 	}
-	if err := p.Sweep(ctx, 64, nil, probe, done); err != context.Canceled {
+	if err := p.Sweep(ctx, 64, 0, nil, probe, done); err != context.Canceled {
 		t.Fatalf("Sweep = %v, want context.Canceled", err)
 	}
 	started := 0

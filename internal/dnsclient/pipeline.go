@@ -20,6 +20,9 @@ import (
 var (
 	ErrPipelineClosed = errors.New("dnsclient: pipeline closed")
 	ErrTimeout        = errors.New("dnsclient: query timed out")
+	// ErrNoTarget is what a Sweep's probe returns when its next target
+	// has not come yet.
+	ErrNoTarget = errors.New("dnsclient: no target yet")
 )
 
 // PipelineConfig tunes a Pipeline. The zero value is usable.
@@ -381,7 +384,7 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 	defer p.ones.Put(s)
 	sl := &s.slots[0]
 	sl.q, sl.resp, s.dest, s.ended = q, resp, dest, false
-	err = s.run(ctx, nil, s.probeOne, s.doneOne)
+	err = s.run(ctx, s.probeOne, s.doneOne)
 	sl.q, sl.resp = &sl.query, &sl.answer
 	if s.ended {
 		err, s.err = s.err, nil
@@ -397,23 +400,23 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 // of a probe in flight in a table of window entries. Probes start in
 // turn: the sweep calls probe(slot, q), which fills in q — a Message of
 // the slot's, as its last probe left it — and names the server to ask.
-// pace, when non-nil, must return before each call of probe; the sweep
-// calls it on a goroutine of its own, one call ahead, so that answers
-// are taken while it waits. The sweep packs q, owns its ID, and retries
-// and falls back to TCP as Exchange does. When the probe has ended,
-// done(slot, resp, err) is called from the caller's goroutine with the
-// answer, which is only valid until done returns, or with the error that
-// ended the probe, probe's own included. done is called once for every
-// call of probe that did not return io.EOF.
+// A probe whose input has not come yet returns ErrNoTarget, and the
+// sweep takes answers and deadlines until a send on ready says it has
+// (or until something else wakes it), then calls probe again. rate, when
+// positive, caps the probes started per second, with a burst of window.
+// The sweep packs q, owns its ID, and retries and falls back to TCP as
+// Exchange does. When the probe has ended, done(slot, resp, err) is
+// called from the caller's goroutine with the answer, which is only
+// valid until done returns, or with the error that ended the probe,
+// probe's own included. done is called once for every call of probe that
+// did not return io.EOF or ErrNoTarget.
 //
 // A cancel of ctx drains the sweep: it starts no new probe and no new
 // attempt (no retry, no TCP fallback), and each attempt in flight ends
 // at its answer or at its deadline; a probe cut short that way ends with
-// ctx.Err(). An error from pace stops the sweep the same way. Sweep
-// returns once every started probe has ended: nil, or the error of ctx
-// or pace when one stopped it.
-func (p *Pipeline) Sweep(ctx context.Context, window int,
-	pace func(context.Context) error,
+// ctx.Err(). Sweep returns once every started probe has ended: nil, or
+// ctx's error when a cancel stopped it.
+func (p *Pipeline) Sweep(ctx context.Context, window int, rate float64, ready <-chan struct{},
 	probe func(slot int, q *dnswire.Message) (netip.AddrPort, error),
 	done func(slot int, resp *dnswire.Message, err error)) error {
 	s, err := p.newSweep(max(1, window))
@@ -421,7 +424,8 @@ func (p *Pipeline) Sweep(ctx context.Context, window int,
 		return err
 	}
 	defer s.timer.Stop()
-	return s.run(ctx, pace, probe, done)
+	s.rate, s.input = rate, ready
+	return s.run(ctx, probe, done)
 }
 
 // slotState says where a slot's probe is.
@@ -462,7 +466,8 @@ type slot struct {
 // sweep is the event loop behind Sweep and Exchange. It runs on its
 // caller's goroutine and owns its slots; the reader, the TCP fallbacks,
 // the timer and a cancel of ctx only post to it, and it sleeps on wake
-// until one does.
+// until one does, or, while its probe waits for input, until ready says
+// the input has come.
 type sweep struct {
 	p     *Pipeline
 	slots []slot
@@ -480,16 +485,24 @@ type sweep struct {
 	// head and tail are the due list: the slots waiting out an attempt
 	// or a backoff. Every attempt's deadline is its send time plus
 	// Timeout, so attempts join at the tail, and one timer, set for the
-	// head, serves them all.
+	// head or for the next token, whichever comes first, serves them all.
 	head, tail *slot
 	timer      *time.Timer
 	armed      time.Time // when the timer goes off
 
-	ctx   context.Context
-	done  func(slot int, resp *dnswire.Message, err error)
-	stop  error // why no probe or attempt starts any more
-	eof   bool  // probe has reported the end of its input
-	abort bool  // Exchange's: a cancel withdraws the attempt in flight
+	// rate, when positive, is a token bucket of window tokens that each
+	// probe takes one of, refilled at rate per second.
+	rate     float64
+	tokens   float64
+	refilled time.Time
+
+	ctx    context.Context
+	done   func(slot int, resp *dnswire.Message, err error)
+	stop   error           // why no probe or attempt starts any more
+	eof    bool            // probe has reported the end of its input
+	hungry bool            // probe had no target this turn: the sweep waits on input too
+	abort  bool            // Exchange's: a cancel withdraws the attempt in flight
+	input  <-chan struct{} // Sweep's ready: the probe's input has come
 
 	// wake holds at most one token: only a post that finds the sweep
 	// sleeping sends one.
@@ -497,10 +510,8 @@ type sweep struct {
 
 	// Guarded by p.mu.
 	ready    []*slot // slots answered by the reader or done with TCP
-	poked    bool    // the timer went off, ctx was cancelled, or the pacer posted
-	permit   bool    // the pacer lets the next probe start
-	paceErr  error   // or it failed
-	sleeping bool    // the sweep waits on wake
+	poked    bool    // the timer went off or ctx was cancelled
+	sleeping bool    // the sweep waits on wake (and input)
 
 	// Exchange's sweep of one: where its probe goes, and how it ended.
 	dest     netip.AddrPort
@@ -558,7 +569,6 @@ func (p *Pipeline) newOne() (*sweep, error) {
 }
 
 func (s *sweep) run(ctx context.Context,
-	pace func(context.Context) error,
 	probe func(int, *dnswire.Message) (netip.AddrPort, error),
 	done func(int, *dnswire.Message, error)) error {
 	s.ctx, s.done, s.stop, s.eof = ctx, done, nil, false
@@ -566,27 +576,18 @@ func (s *sweep) run(ctx context.Context,
 	if ctx.Done() != nil {
 		defer context.AfterFunc(ctx, s.poke)()
 	}
-	var paced chan struct{}
-	if pace != nil {
-		// The pacer's wait for a permit the sweep will not take ends
-		// with the sweep.
-		pctx, cancel := context.WithCancel(ctx)
-		paced = make(chan struct{}, 1)
-		exited := make(chan struct{})
-		go s.pacer(pctx, pace, paced, exited)
-		defer func() {
-			cancel()
-			close(paced)
-			<-exited
-		}()
+	if s.rate > 0 {
+		s.tokens, s.refilled = float64(len(s.slots)), time.Now()
 	}
 	for {
-		for s.stop == nil && !s.eof && len(s.free) > 0 {
+		var token time.Time // when the bucket next holds a token, if it is empty
+		s.hungry = false
+		for s.stop == nil && !s.eof && !s.hungry && len(s.free) > 0 {
 			if err := ctx.Err(); err != nil {
 				s.halt(err)
 				break
 			}
-			if paced != nil && !s.permitted(paced) {
+			if token = s.nextToken(); !token.IsZero() {
 				break
 			}
 			s.start(probe)
@@ -595,60 +596,46 @@ func (s *sweep) run(ctx context.Context,
 		if s.busy == 0 && (s.stop != nil || s.eof) {
 			return s.stop
 		}
-		s.arm()
+		s.arm(token)
 		s.collect()
 	}
 }
 
-// pacer calls pace for the sweep: it posts a permit for the next call of
-// probe, or pace's error, and calls pace again only once the sweep has
-// taken the permit, so it is never more than one call ahead.
-func (s *sweep) pacer(ctx context.Context, pace func(context.Context) error, paced <-chan struct{}, exited chan<- struct{}) {
-	defer close(exited)
-	for {
-		err := pace(ctx)
-		s.p.mu.Lock()
-		s.permit, s.paceErr = err == nil, err
-		s.p.mu.Unlock()
-		s.post(nil)
-		if err != nil {
-			return
-		}
-		if _, ok := <-paced; !ok {
-			return
-		}
+// nextToken refills the bucket and returns the zero time if it holds a
+// token for the next probe, or else when it will.
+func (s *sweep) nextToken() time.Time {
+	if s.rate <= 0 {
+		return time.Time{}
 	}
+	now := time.Now()
+	s.tokens = min(s.tokens+now.Sub(s.refilled).Seconds()*s.rate, float64(len(s.slots)))
+	s.refilled = now
+	if s.tokens >= 1 {
+		return time.Time{}
+	}
+	// A wait past a Duration's range would convert to one in the past: a
+	// wait of an hour is checked again when it ends.
+	wait := min((1-s.tokens)/s.rate, time.Hour.Seconds())
+	return now.Add(time.Duration(wait * float64(time.Second)))
 }
 
-// permitted takes the pacer's permit for the next probe, if it has
-// posted one, and lets the pacer on to the one after. A pace error stops
-// the sweep.
-func (s *sweep) permitted(paced chan<- struct{}) bool {
-	s.p.mu.Lock()
-	ok, err := s.permit, s.paceErr
-	s.permit = false
-	s.p.mu.Unlock()
-	if err != nil {
-		s.halt(err)
-		return false
-	}
-	if ok {
-		paced <- struct{}{}
-	}
-	return ok
-}
-
-// start runs the next probe in a free slot and sends its first attempt,
-// or notes that the input has ended.
+// start runs the next probe in a free slot, which takes a token, and
+// sends its first attempt, or notes that the input has ended or not come
+// yet.
 func (s *sweep) start(probe func(int, *dnswire.Message) (netip.AddrPort, error)) {
 	sl := s.free[len(s.free)-1]
 	dest, err := probe(sl.num, sl.q)
-	if err == io.EOF {
+	switch err {
+	case io.EOF:
 		s.eof = true
+		return
+	case ErrNoTarget:
+		s.hungry = true
 		return
 	}
 	s.free = s.free[:len(s.free)-1]
 	s.busy++
+	s.tokens--
 	sl.attempt = 0
 	if sl.wire == nil {
 		// A slot's buffers come with its first probe: a window wider
@@ -720,16 +707,31 @@ func (s *sweep) unsent(sl *slot) {
 }
 
 // collect takes what has been posted to the sweep, waiting for it if
-// nothing has been, and acts on it: answers first, then a cancel, then
-// every deadline that has passed.
+// nothing has been (or, while the sweep is hungry, for input), and acts
+// on it: answers first, then a cancel, then every deadline that has
+// passed.
 func (s *sweep) collect() {
 	p := s.p
 	p.mu.Lock()
 	if len(s.ready) == 0 && !s.poked {
 		s.sleeping = true
 		p.mu.Unlock()
-		<-s.wake
-		p.mu.Lock()
+		var input <-chan struct{} // nil, which never fires, unless hungry
+		if s.hungry {
+			input = s.input
+		}
+		select {
+		case <-s.wake:
+			p.mu.Lock()
+		case <-input:
+			p.mu.Lock()
+			if !s.sleeping {
+				// A post came too, and its poster sends on wake once it
+				// has let go of mu: take that token, so wake holds none.
+				<-s.wake
+			}
+			s.sleeping = false
+		}
 	}
 	s.poked = false
 	s.batch, s.ready = s.ready, s.batch[:0]
@@ -885,9 +887,9 @@ func (s *sweep) post(sl *slot) {
 	}
 }
 
-// poke wakes the sweep to look at the clock, ctx and the pacer's
-// permit: the timer and a cancel of ctx call it. A poke that comes after
-// the run it was meant for costs its sweep one spare look.
+// poke wakes the sweep to look at the clock and ctx: the timer and a
+// cancel of ctx call it. A poke that comes after the run it was meant
+// for costs its sweep one spare look.
 func (s *sweep) poke() { s.post(nil) }
 
 // wakeLocked reports whether the poster must send on wake: only the
@@ -899,13 +901,18 @@ func (s *sweep) wakeLocked() bool {
 	return w
 }
 
-// arm sets the timer for the head of the due list, unless it is already
-// set to go off no later than that.
-func (s *sweep) arm() {
-	if s.head == nil {
+// arm sets the timer for the head of the due list or for token, the
+// next token the sweep waits for, whichever comes first, unless it is
+// already set to go off no later than that.
+func (s *sweep) arm(token time.Time) {
+	due := token
+	if s.head != nil && (due.IsZero() || s.head.due.Before(due)) {
+		due = s.head.due
+	}
+	if due.IsZero() {
 		return
 	}
-	due, now := s.head.due, time.Now()
+	now := time.Now()
 	if s.armed.After(now) && !s.armed.After(due) {
 		return
 	}

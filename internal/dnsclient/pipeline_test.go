@@ -2,7 +2,6 @@ package dnsclient
 
 import (
 	"context"
-	"errors"
 	"hash/fnv"
 	"io"
 	"net"
@@ -290,7 +289,7 @@ func TestSweepCancelDrains(t *testing.T) {
 	var ended []error
 	done := func(_ int, _ *dnswire.Message, err error) { ended = append(ended, err) }
 	start := time.Now()
-	if err := p.Sweep(ctx, 2, nil, probe, done); err != context.Canceled {
+	if err := p.Sweep(ctx, 2, 0, nil, probe, done); err != context.Canceled {
 		t.Fatalf("Sweep = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
@@ -304,62 +303,137 @@ func TestSweepCancelDrains(t *testing.T) {
 	}
 }
 
-// TestSweepPace: every probe starts after a pace call of its own, and
-// the first pace error stops the sweep with that error once the probes
-// already started have ended.
-func TestSweepPace(t *testing.T) {
+// TestSweepRate runs a window of 2 at 20 probes/s. Ten probes take at
+// least the 0.4 s the eight past the burst wait for, and no probe starts
+// ahead of the bucket. A cancel while the sweep waits for a token ends
+// it at once, with every probe it started ended once.
+func TestSweepRate(t *testing.T) {
+	const window, rate = 2, 20
 	server := startEchoResponder(t, nil)
 	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
-	errStop := errors.New("stop")
-	var paces atomic.Int64
-	pace := func(context.Context) error {
-		if paces.Add(1) > 5 {
-			return errStop
+	run := func(ctx context.Context, n int) (started int, ended []int, elapsed time.Duration, err error) {
+		var inSlot [window]int
+		start := time.Now()
+		probe := func(slot int, q *dnswire.Message) (netip.AddrPort, error) {
+			if started == n {
+				return netip.AddrPort{}, io.EOF
+			}
+			if ahead := float64(started+1) - window - rate*time.Since(start).Seconds(); ahead > 0 {
+				t.Errorf("probe %d started %.2f tokens ahead of the bucket", started, ahead)
+			}
+			if ctx.Err() != nil {
+				t.Errorf("probe %d started after the cancel", started)
+			}
+			*q = *pipeQuery(dnswire.MustParseName("rate" + itoa(started) + ".pipe.test"))
+			inSlot[slot] = started
+			started++
+			ended = append(ended, 0)
+			return server, nil
 		}
-		return nil
+		done := func(slot int, _ *dnswire.Message, err error) {
+			if err != nil && err != context.Canceled {
+				t.Errorf("probe %d: %v", inSlot[slot], err)
+			}
+			ended[inSlot[slot]]++
+		}
+		err = p.Sweep(ctx, window, rate, nil, probe, done)
+		return started, ended, time.Since(start), err
 	}
+
+	started, ended, elapsed, err := run(context.Background(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if started != 10 || elapsed < 400*time.Millisecond {
+		t.Fatalf("%d probes started in %v, want 10 in at least 400ms", started, elapsed)
+	}
+	for i, k := range ended {
+		if k != 1 {
+			t.Fatalf("probe %d ended %d times, want once", i, k)
+		}
+	}
+
+	// Past the burst a token comes every 50 ms: 225 ms in, the sweep has
+	// started 6 probes, had their answers, and waits for the next token.
+	ctx, cancel := context.WithCancel(context.Background())
+	var cancelled time.Time
+	stop := time.AfterFunc(225*time.Millisecond, func() {
+		cancelled = time.Now()
+		cancel()
+	})
+	defer stop.Stop()
+	started, ended, _, err = run(ctx, 1<<30)
+	if err != context.Canceled {
+		t.Fatalf("Sweep = %v, want context.Canceled", err)
+	}
+	if late := time.Since(cancelled); late > 100*time.Millisecond {
+		t.Fatalf("the sweep returned %v after the cancel, want within 100ms", late)
+	}
+	for i, k := range ended {
+		if k != 1 {
+			t.Fatalf("probe %d of %d ended %d times, want once", i, started, k)
+		}
+	}
+
+	// A rate so low that the wait for a token overflows a Duration still
+	// sets the timer ahead: one in the past would spin the sweep.
+	s := &sweep{slots: make([]slot, window), rate: 1e-10, refilled: time.Now()}
+	if next := s.nextToken(); !next.After(time.Now()) {
+		t.Fatalf("at rate 1e-10 the next token is due at %v, in the past", next)
+	}
+}
+
+// TestSweepInputWake: a probe with no target yet returns ErrNoTarget,
+// and the sweep goes on taking answers while its input waits: the first
+// probe's answer is in before the second target is sent. A send on ready
+// then brings the sweep back to its probe.
+func TestSweepInputWake(t *testing.T) {
+	server := startEchoResponder(t, nil)
+	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
+	ready := make(chan struct{}, 1)
+	var sent atomic.Int64 // targets the input has brought
+	sent.Store(1)
 	started, ended := 0, 0
 	probe := func(_ int, q *dnswire.Message) (netip.AddrPort, error) {
-		if started == 20 {
+		switch {
+		case started == 2:
 			return netip.AddrPort{}, io.EOF
+		case int64(started) == sent.Load():
+			return netip.AddrPort{}, ErrNoTarget
 		}
-		if int(paces.Load()) <= started {
-			t.Errorf("probe %d started after %d pace calls", started, paces.Load())
-		}
-		*q = *pipeQuery(dnswire.MustParseName("p" + itoa(started) + ".pipe.test"))
+		*q = *pipeQuery(dnswire.MustParseName("in" + itoa(started) + ".pipe.test"))
 		started++
 		return server, nil
 	}
-	done := func(slot int, _ *dnswire.Message, err error) {
-		ended++
+	done := func(_ int, _ *dnswire.Message, err error) {
 		if err != nil {
-			t.Errorf("probe in slot %d: %v", slot, err)
+			t.Errorf("probe: %v", err)
+		}
+		if ended++; ended == 1 {
+			go func() { // the input comes only once the first answer is in
+				sent.Add(1)
+				ready <- struct{}{}
+			}()
 		}
 	}
-	if err := p.Sweep(context.Background(), 4, pace, probe, done); err != errStop {
-		t.Fatalf("Sweep = %v, want the pace error", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := p.Sweep(ctx, 2, 0, ready, probe, done); err != nil {
+		t.Fatalf("Sweep = %v, want nil: the input's wake went unheard", err)
 	}
-	if started != 5 || ended != 5 {
-		t.Fatalf("%d probes started and %d ended, want the 5 paced ones", started, ended)
+	if started != 2 || ended != 2 {
+		t.Fatalf("%d probes started and %d ended, want 2 and 2", started, ended)
 	}
 }
 
 // TestSweepEndOfInput: a sweep over an input of unknown length runs
 // until probe returns io.EOF, gives each slot one probe at a time, and
-// returns once the probes it started have ended, although its pacer is
-// then waiting for a permit no probe will take.
+// returns once the probes it started have ended, although its rate has
+// it wait for tokens on the way.
 func TestSweepEndOfInput(t *testing.T) {
 	server := startEchoResponder(t, nil)
 	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
 	const n, window = 50, 4
-	var paces atomic.Int64
-	pace := func(ctx context.Context) error {
-		if paces.Add(1) > n+1 {
-			<-ctx.Done()
-			return ctx.Err()
-		}
-		return nil
-	}
 	var busy [window]bool
 	calls, ended := 0, 0
 	probe := func(slot int, q *dnswire.Message) (netip.AddrPort, error) {
@@ -380,7 +454,7 @@ func TestSweepEndOfInput(t *testing.T) {
 		busy[slot] = false
 		ended++
 	}
-	if err := p.Sweep(context.Background(), window, pace, probe, done); err != nil {
+	if err := p.Sweep(context.Background(), window, 1000, nil, probe, done); err != nil {
 		t.Fatal(err)
 	}
 	if calls != n+1 || ended != n {
@@ -426,7 +500,7 @@ func TestSweepRefusedMidBatch(t *testing.T) {
 			t.Errorf("probe %d got the answer to %v", i, resp.Question())
 		}
 	}
-	if err := p.Sweep(context.Background(), n, nil, probe, done); err != nil {
+	if err := p.Sweep(context.Background(), n, 0, nil, probe, done); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range ended {

@@ -165,7 +165,7 @@ func BenchmarkPipelineSweep(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := p.Sweep(context.Background(), 64, nil, probe, done); err != nil {
+	if err := p.Sweep(context.Background(), 64, 0, nil, probe, done); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "probes/s")

@@ -9,10 +9,11 @@ import (
 
 // Engine is a worker-pool driver for job campaigns: it fans N jobs out
 // over a configurable number of workers, with context cancellation and
-// live progress counters. Nothing in the product runs it: the in-process
-// scan is a loop (Scan) and the live one runs on dnsclient.Pipeline's
-// Sweep. It is kept for the benchmark module's scanner.engine_job_ns row
-// until ROADMAP item 1(d) deletes it.
+// live progress counters. Nothing in the product runs it, or Progress:
+// the in-process scan is a loop (Scan) and the live one runs on
+// dnsclient.Pipeline's Sweep, which paces it and counts for it too. Both
+// are kept for the benchmark module's scanner.engine_job_ns row until
+// ROADMAP item 1(d) deletes them.
 //
 // Jobs are not handed out, they are claimed: the workers share one
 // atomic counter and each takes the next index from it, so a job costs
@@ -64,55 +65,6 @@ func (e *Engine) Run(ctx context.Context, n int, job func(ctx context.Context, i
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// RateLimiter is a token bucket: Wait blocks until a token is available
-// or the context ends. It is safe for concurrent use.
-type RateLimiter struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-// NewRateLimiter allows ratePerSec operations per second with the given
-// burst (minimum 1).
-func NewRateLimiter(ratePerSec float64, burst int) *RateLimiter {
-	if burst < 1 {
-		burst = 1
-	}
-	return &RateLimiter{
-		rate:   ratePerSec,
-		burst:  float64(burst),
-		tokens: float64(burst),
-		last:   time.Now(),
-	}
-}
-
-// Wait consumes one token, sleeping until one accrues.
-func (l *RateLimiter) Wait(ctx context.Context) error {
-	for {
-		l.mu.Lock()
-		now := time.Now()
-		l.tokens += now.Sub(l.last).Seconds() * l.rate
-		if l.tokens > l.burst {
-			l.tokens = l.burst
-		}
-		l.last = now
-		if l.tokens >= 1 {
-			l.tokens--
-			l.mu.Unlock()
-			return nil
-		}
-		wait := time.Duration((1 - l.tokens) / l.rate * float64(time.Second))
-		l.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(wait):
-		}
-	}
 }
 
 // Progress holds live campaign counters, safe for concurrent use.
