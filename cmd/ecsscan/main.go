@@ -9,7 +9,7 @@
 // With -targets it instead runs a bulk availability sweep over many
 // resolvers: one loop on the main goroutine (dnsclient.Pipeline.Sweep)
 // keeps -concurrency probes in flight over one UDP socket, and -rate caps
-// the rate at which probes start, on the loop's own timer. It reads its
+// the rate at which probes are sent, on the loop's own timer. It reads its
 // targets a buffer ahead of the probes, on a goroutine of its own that
 // wakes the loop when it hands a buffer over, so the loop takes answers
 // and deadlines while it waits for input. It writes each result line as
@@ -256,24 +256,19 @@ type probeResult struct {
 }
 
 // flight is what a bulk scan keeps of the probe in one of the sweep's
-// slots until it ends: the target's text and when the probe started.
+// slots until it ends: the target's text.
 type flight struct {
 	target  []byte
-	start   time.Time
 	badName bool
 }
 
 // bulk is one -targets sweep. It reads its targets ahead of the probes,
 // in two fixed buffers, and writes each result line as its probe ends,
 // so what it holds is bounded by the window: one flight a slot, the two
-// buffers, and the hostnames it has resolved.
-//
-// It reads the clock once a probe, when the probe ends. A probe started
-// after that reading takes it for its start, unless the scan may have
-// waited since: for a token of its rate, for its input, in a call to its
-// output file or in a hostname lookup. Then the probe reads the clock:
-// always when paced, as the sweep waits for a token unseen by the probe,
-// and otherwise when stale is set.
+// buffers, and the hostnames it has resolved. A probe's name is built in
+// one buffer and lent to the slot's query (SetQuestionName), so a probe
+// allocates nothing of its own. A probe's rtt runs from its first
+// datagram, when the sweep sent it, to when done reads the clock.
 type bulk struct {
 	base    dnswire.Name
 	in      *lineReader
@@ -287,8 +282,7 @@ type bulk struct {
 	held, rest []byte // the input buffer being split into lines, and its lines not yet taken
 	inErr      error  // what ended the input once rest is taken: io.EOF or a read error
 
-	start, now   time.Time // when the sweep started; the last clock read
-	stale, paced bool
+	start time.Time // when the sweep started
 
 	targets, written           int
 	started, answered, failing int
@@ -297,27 +291,13 @@ type bulk struct {
 // newBulk makes a sweep of window slots that reads target lines from in
 // and writes result lines to out through its own buffer.
 func newBulk(base dnswire.Name, in io.Reader, out io.Writer, window int) *bulk {
-	b := &bulk{
+	return &bulk{
 		base:    base,
 		in:      newLineReader(in),
+		out:     bufio.NewWriterSize(out, 64<<10),
 		flights: make([]flight, window),
 		hosts:   make(map[string]netip.AddrPort),
-		stale:   true, // no clock read yet
 	}
-	b.out = bufio.NewWriterSize(waiting{w: out, stale: &b.stale}, 64<<10)
-	return b
-}
-
-// waiting passes writes on to w and marks the clock stale: a write that
-// reaches a file may wait on it.
-type waiting struct {
-	w     io.Writer
-	stale *bool
-}
-
-func (x waiting) Write(p []byte) (int, error) {
-	*x.stale = true
-	return x.w.Write(p)
 }
 
 // lineReader reads an input on a goroutine of its own, ahead of the
@@ -413,7 +393,7 @@ func (b *bulk) nextLine(wait bool) ([]byte, bool) {
 				return nil, false
 			}
 		}
-		b.held, b.rest, b.inErr, b.stale = c.b, c.b, c.err, true
+		b.held, b.rest, b.inErr = c.b, c.b, c.err
 		if c.err != nil && c.err != io.EOF {
 			b.err = fmt.Errorf("reading targets: %v", c.err)
 		}
@@ -424,7 +404,9 @@ func (b *bulk) nextLine(wait bool) ([]byte, bool) {
 // bulk<n>.<base>, n counting the probes from 0, in the query the sweep
 // keeps for the slot: the first probe in a slot sets it up — one
 // question, EDNS advertising 4096 bytes, the ID left to the pipeline —
-// and later ones only change the name. The end of the input, or a line
+// and later ones only change the name, built in b.name and lent to the
+// query (dnswire.Message.SetQuestionName); the answer done is given
+// shares it. The end of the input, or a line
 // that names no target, ends the sweep's input; input not read yet is
 // dnsclient.ErrNoTarget, and the reader's wake brings the sweep back.
 func (b *bulk) probe(slot int, q *dnswire.Message) (netip.AddrPort, error) {
@@ -448,10 +430,6 @@ func (b *bulk) probe(slot int, q *dnswire.Message) (netip.AddrPort, error) {
 	if !dest.IsValid() {
 		dest, err = b.resolve(f.target)
 	}
-	if b.stale || b.paced {
-		b.now, b.stale = time.Now(), false
-	}
-	f.start = b.now
 	if err != nil {
 		return netip.AddrPort{}, err
 	}
@@ -471,7 +449,7 @@ func (b *bulk) probe(slot int, q *dnswire.Message) (netip.AddrPort, error) {
 		*q = *dnswire.NewQuery(0, "", dnswire.TypeA)
 		q.EDNS = dnswire.NewEDNS()
 	}
-	q.Questions[0].Name = dnswire.Name(b.name)
+	q.SetQuestionName(b.name)
 	return dest, nil
 }
 
@@ -482,20 +460,19 @@ func (b *bulk) resolve(target []byte) (netip.AddrPort, error) {
 		return ap, nil
 	}
 	ap, err := lookupTarget(string(target))
-	b.stale = true
 	if err == nil {
 		b.hosts[string(target)] = ap
 	}
 	return ap, err
 }
 
-// done writes the line of the probe in slot. A probe the drain cut short
-// writes none: it is neither responding nor unreachable.
-func (b *bulk) done(slot int, resp *dnswire.Message, err error) {
+// done writes the line of the probe in slot, whose first datagram was
+// sent at sent. A probe the drain cut short writes none: it is neither
+// responding nor unreachable.
+func (b *bulk) done(slot int, resp *dnswire.Message, sent time.Time, err error) {
 	if errors.Is(err, context.Canceled) {
 		return
 	}
-	b.now = time.Now()
 	f := &b.flights[slot]
 	r := probeResult{outcome: probeUnreachable, err: err}
 	switch {
@@ -505,7 +482,7 @@ func (b *bulk) done(slot int, resp *dnswire.Message, err error) {
 			rcode:   resp.RCode,
 			answers: uint16(len(resp.Answers)), // a wire count, so it fits
 			edns:    resp.EDNS != nil,
-			rtt:     b.now.Sub(f.start),
+			rtt:     time.Since(sent),
 		}
 		b.answered++
 	case f.badName:
@@ -580,7 +557,6 @@ func bulkScan(ctx context.Context, out io.Writer, targetsArg string, base dnswir
 
 	b := newBulk(base, in, out, concurrency)
 	defer close(b.in.empty)
-	b.paced = rate > 0
 	b.start = time.Now()
 	err = pipe.Sweep(ctx, concurrency, rate, b.in.ready, b.probe, b.done)
 	interrupted := err != nil && ctx.Err() != nil

@@ -235,7 +235,7 @@ func TestSweepChaosAccounting(t *testing.T) {
 		return addr, nil
 	}
 	answered := 0
-	done := func(slot int, resp *dnswire.Message, err error) {
+	done := func(slot int, resp *dnswire.Message, _ time.Time, err error) {
 		i := inSlot[slot]
 		ended[i]++
 		if err != nil {

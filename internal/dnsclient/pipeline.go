@@ -402,14 +402,18 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 // the slot's, as its last probe left it — and names the server to ask.
 // A probe whose input has not come yet returns ErrNoTarget, and the
 // sweep takes answers and deadlines until a send on ready says it has
-// (or until something else wakes it), then calls probe again. rate, when
-// positive, caps the probes started per second, with a burst of window.
-// The sweep packs q, owns its ID, and retries and falls back to TCP as
-// Exchange does. When the probe has ended, done(slot, resp, err) is
-// called from the caller's goroutine with the answer, which is only
-// valid until done returns, or with the error that ended the probe,
-// probe's own included. done is called once for every call of probe that
-// did not return io.EOF or ErrNoTarget.
+// (or until something else wakes it), then calls probe again. probe is
+// asked whenever a slot is free. rate, when positive, caps the probes
+// whose first datagram goes out per second, with a burst of window: a
+// probe that finds the bucket empty waits in its slot until its token
+// comes, so the sweep learns that its input has ended as soon as a slot
+// is free. The sweep packs q, owns its ID, and retries and falls back to
+// TCP as Exchange does. When the probe has ended, done(slot, resp, sent,
+// err) is called from the caller's goroutine with the answer, which is
+// only valid until done returns, or with the error that ended the probe,
+// probe's own included; sent is when the probe's first datagram went
+// out, zero if none did. done is called once for every call of probe
+// that did not return io.EOF or ErrNoTarget.
 //
 // A cancel of ctx drains the sweep: it starts no new probe and no new
 // attempt (no retry, no TCP fallback), and each attempt in flight ends
@@ -418,7 +422,7 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 // ctx's error when a cancel stopped it.
 func (p *Pipeline) Sweep(ctx context.Context, window int, rate float64, ready <-chan struct{},
 	probe func(slot int, q *dnswire.Message) (netip.AddrPort, error),
-	done func(slot int, resp *dnswire.Message, err error)) error {
+	done func(slot int, resp *dnswire.Message, sent time.Time, err error)) error {
 	s, err := p.newSweep(max(1, window))
 	if err != nil {
 		return err
@@ -434,7 +438,7 @@ type slotState uint8
 const (
 	slotFree    slotState = iota
 	slotWaiting           // an attempt is in flight: its key is in pending or its answer on the ready list
-	slotBackoff           // the next attempt is due at due
+	slotBackoff           // the next attempt is due at due; the first one, when it waits for a token
 	slotTCP               // the fallback runs; its goroutine posts the slot to the ready list when done
 )
 
@@ -454,6 +458,8 @@ type slot struct {
 	err     error  // the TCP fallback's
 	// question is what an answer must echo.
 	question dnswire.Question
+	// sent is when the probe's first datagram went out.
+	sent time.Time
 
 	// due is the current attempt's deadline, or when the next attempt is
 	// due; the sweep's due list is in due order.
@@ -482,22 +488,23 @@ type sweep struct {
 	queued []*slot
 	refuse func(i int, err error)
 
-	// head and tail are the due list: the slots waiting out an attempt
-	// or a backoff. Every attempt's deadline is its send time plus
-	// Timeout, so attempts join at the tail, and one timer, set for the
-	// head or for the next token, whichever comes first, serves them all.
+	// head and tail are the due list: the slots waiting out an attempt,
+	// a backoff or a token. Every attempt's deadline is its send time
+	// plus Timeout, so attempts mostly join at the tail, and one timer,
+	// set for the head, serves them all.
 	head, tail *slot
 	timer      *time.Timer
 	armed      time.Time // when the timer goes off
 
 	// rate, when positive, is a token bucket of window tokens that each
-	// probe takes one of, refilled at rate per second.
+	// probe takes one of, refilled at rate per second; tokens goes below
+	// zero by the probes waiting for theirs.
 	rate     float64
 	tokens   float64
 	refilled time.Time
 
 	ctx    context.Context
-	done   func(slot int, resp *dnswire.Message, err error)
+	done   func(slot int, resp *dnswire.Message, sent time.Time, err error)
 	stop   error           // why no probe or attempt starts any more
 	eof    bool            // probe has reported the end of its input
 	hungry bool            // probe had no target this turn: the sweep waits on input too
@@ -518,7 +525,7 @@ type sweep struct {
 	err      error
 	ended    bool
 	probeOne func(int, *dnswire.Message) (netip.AddrPort, error)
-	doneOne  func(int, *dnswire.Message, error)
+	doneOne  func(int, *dnswire.Message, time.Time, error)
 }
 
 func (p *Pipeline) newSweep(window int) (*sweep, error) {
@@ -564,13 +571,13 @@ func (p *Pipeline) newOne() (*sweep, error) {
 		}
 		return s.dest, nil
 	}
-	s.doneOne = func(_ int, _ *dnswire.Message, err error) { s.err, s.ended = err, true }
+	s.doneOne = func(_ int, _ *dnswire.Message, _ time.Time, err error) { s.err, s.ended = err, true }
 	return s, nil
 }
 
 func (s *sweep) run(ctx context.Context,
 	probe func(int, *dnswire.Message) (netip.AddrPort, error),
-	done func(int, *dnswire.Message, error)) error {
+	done func(int, *dnswire.Message, time.Time, error)) error {
 	s.ctx, s.done, s.stop, s.eof = ctx, done, nil, false
 	defer func() { s.ctx, s.done = nil, nil }()
 	if ctx.Done() != nil {
@@ -580,14 +587,10 @@ func (s *sweep) run(ctx context.Context,
 		s.tokens, s.refilled = float64(len(s.slots)), time.Now()
 	}
 	for {
-		var token time.Time // when the bucket next holds a token, if it is empty
 		s.hungry = false
 		for s.stop == nil && !s.eof && !s.hungry && len(s.free) > 0 {
 			if err := ctx.Err(); err != nil {
 				s.halt(err)
-				break
-			}
-			if token = s.nextToken(); !token.IsZero() {
 				break
 			}
 			s.start(probe)
@@ -596,31 +599,34 @@ func (s *sweep) run(ctx context.Context,
 		if s.busy == 0 && (s.stop != nil || s.eof) {
 			return s.stop
 		}
-		s.arm(token)
+		s.arm()
 		s.collect()
 	}
 }
 
-// nextToken refills the bucket and returns the zero time if it holds a
-// token for the next probe, or else when it will.
-func (s *sweep) nextToken() time.Time {
+// maxTokenWait bounds a wait for a token: a wait past a Duration's range
+// would convert to one in the past.
+const maxTokenWait = time.Duration(1 << 62)
+
+// take takes a token for a probe about to start, refilling the bucket
+// first, and returns the zero time if the bucket held it, or else when
+// it comes: the bucket is then in debt by the probes that wait for one.
+func (s *sweep) take() time.Time {
 	if s.rate <= 0 {
 		return time.Time{}
 	}
 	now := time.Now()
 	s.tokens = min(s.tokens+now.Sub(s.refilled).Seconds()*s.rate, float64(len(s.slots)))
 	s.refilled = now
-	if s.tokens >= 1 {
+	if s.tokens--; s.tokens >= 0 {
 		return time.Time{}
 	}
-	// A wait past a Duration's range would convert to one in the past: a
-	// wait of an hour is checked again when it ends.
-	wait := min((1-s.tokens)/s.rate, time.Hour.Seconds())
-	return now.Add(time.Duration(wait * float64(time.Second)))
+	return now.Add(time.Duration(min(-s.tokens/s.rate*float64(time.Second), float64(maxTokenWait))))
 }
 
-// start runs the next probe in a free slot, which takes a token, and
-// sends its first attempt, or notes that the input has ended or not come
+// start runs the next probe in a free slot and sends its first attempt,
+// or, while the bucket holds no token for it, puts it on the due list
+// for when one comes; or it notes that the input has ended or not come
 // yet.
 func (s *sweep) start(probe func(int, *dnswire.Message) (netip.AddrPort, error)) {
 	sl := s.free[len(s.free)-1]
@@ -635,8 +641,7 @@ func (s *sweep) start(probe func(int, *dnswire.Message) (netip.AddrPort, error))
 	}
 	s.free = s.free[:len(s.free)-1]
 	s.busy++
-	s.tokens--
-	sl.attempt = 0
+	sl.attempt, sl.sent = 0, time.Time{}
 	if sl.wire == nil {
 		// A slot's buffers come with its first probe: a window wider
 		// than its input leaves the spare slots without them.
@@ -650,6 +655,11 @@ func (s *sweep) start(probe func(int, *dnswire.Message) (netip.AddrPort, error))
 		return
 	}
 	sl.dest, sl.question = unmapAP(dest), sl.q.Question()
+	if token := s.take(); !token.IsZero() {
+		sl.state = slotBackoff
+		s.queue(sl, token)
+		return
+	}
 	s.send(sl)
 }
 
@@ -681,15 +691,20 @@ func (s *sweep) send(sl *slot) {
 }
 
 // flush sends the queued attempts in one sendmmsg and puts each on the
-// due list, all with a deadline from one clock read. An attempt the
-// kernel refused has already moved on through unsent.
+// due list, all with a deadline from one clock read, which is also when
+// a probe's first attempt went out. An attempt the kernel refused has
+// already moved on through unsent.
 func (s *sweep) flush() {
 	if len(s.queued) == 0 {
 		return
 	}
 	s.out.Flush(s.refuse)
-	due := time.Now().Add(s.p.cfg.Timeout)
+	now := time.Now()
+	due := now.Add(s.p.cfg.Timeout)
 	for _, sl := range s.queued {
+		if sl.sent.IsZero() {
+			sl.sent = now
+		}
 		if sl.state == slotWaiting {
 			s.queue(sl, due)
 		}
@@ -862,9 +877,9 @@ func (s *sweep) fallback(sl *slot) {
 // finish ends sl's probe: done hears how, and the slot is free.
 func (s *sweep) finish(sl *slot, err error) {
 	if err != nil {
-		s.done(sl.num, nil, err)
+		s.done(sl.num, nil, sl.sent, err)
 	} else {
-		s.done(sl.num, sl.resp, nil)
+		s.done(sl.num, sl.resp, sl.sent, nil)
 	}
 	sl.state, sl.err = slotFree, nil
 	s.free = append(s.free, sl)
@@ -901,17 +916,13 @@ func (s *sweep) wakeLocked() bool {
 	return w
 }
 
-// arm sets the timer for the head of the due list or for token, the
-// next token the sweep waits for, whichever comes first, unless it is
-// already set to go off no later than that.
-func (s *sweep) arm(token time.Time) {
-	due := token
-	if s.head != nil && (due.IsZero() || s.head.due.Before(due)) {
-		due = s.head.due
-	}
-	if due.IsZero() {
+// arm sets the timer for the head of the due list, unless it is already
+// set to go off no later than that.
+func (s *sweep) arm() {
+	if s.head == nil {
 		return
 	}
+	due := s.head.due
 	now := time.Now()
 	if s.armed.After(now) && !s.armed.After(due) {
 		return
@@ -920,9 +931,10 @@ func (s *sweep) arm(token time.Time) {
 	s.armed = due
 }
 
-// queue puts sl on the due list at due. An attempt's deadline is the
-// latest yet and joins at the tail; only a backoff, shorter than
-// Timeout, walks back past later deadlines.
+// queue puts sl on the due list at due. An attempt's deadline is
+// mostly the latest yet and joins at the tail; a backoff, shorter than
+// Timeout, walks back past later deadlines, and so does an attempt past
+// the waits for tokens further off than Timeout, at most one a slot.
 func (s *sweep) queue(sl *slot, due time.Time) {
 	sl.due = due
 	at := s.tail

@@ -287,7 +287,7 @@ func TestSweepCancelDrains(t *testing.T) {
 		return dest, nil
 	}
 	var ended []error
-	done := func(_ int, _ *dnswire.Message, err error) { ended = append(ended, err) }
+	done := func(_ int, _ *dnswire.Message, _ time.Time, err error) { ended = append(ended, err) }
 	start := time.Now()
 	if err := p.Sweep(ctx, 2, 0, nil, probe, done); err != context.Canceled {
 		t.Fatalf("Sweep = %v, want context.Canceled", err)
@@ -304,22 +304,23 @@ func TestSweepCancelDrains(t *testing.T) {
 }
 
 // TestSweepRate runs a window of 2 at 20 probes/s. Ten probes take at
-// least the 0.4 s the eight past the burst wait for, and no probe starts
-// ahead of the bucket. A cancel while the sweep waits for a token ends
-// it at once, with every probe it started ended once.
+// least the 0.4 s the eight past the burst wait for, and no probe's first
+// datagram goes out ahead of the bucket. probe is asked whenever a slot
+// is free, a target it returns waiting in its slot for its token, so the
+// sweep learns that its input has ended while the last token is awaited
+// and returns once the last probe ends, not a token later. A cancel
+// while the sweep waits for a token ends it at once, with every probe it
+// started ended once.
 func TestSweepRate(t *testing.T) {
 	const window, rate = 2, 20
 	server := startEchoResponder(t, nil)
 	p := newTestPipeline(t, PipelineConfig{Timeout: 2 * time.Second})
-	run := func(ctx context.Context, n int) (started int, ended []int, elapsed time.Duration, err error) {
+	run := func(ctx context.Context, n int) (started int, ended []int, lastDone time.Time, err error) {
 		var inSlot [window]int
 		start := time.Now()
 		probe := func(slot int, q *dnswire.Message) (netip.AddrPort, error) {
 			if started == n {
 				return netip.AddrPort{}, io.EOF
-			}
-			if ahead := float64(started+1) - window - rate*time.Since(start).Seconds(); ahead > 0 {
-				t.Errorf("probe %d started %.2f tokens ahead of the bucket", started, ahead)
 			}
 			if ctx.Err() != nil {
 				t.Errorf("probe %d started after the cancel", started)
@@ -330,22 +331,32 @@ func TestSweepRate(t *testing.T) {
 			ended = append(ended, 0)
 			return server, nil
 		}
-		done := func(slot int, _ *dnswire.Message, err error) {
+		done := func(slot int, _ *dnswire.Message, sent time.Time, err error) {
+			i := inSlot[slot]
 			if err != nil && err != context.Canceled {
-				t.Errorf("probe %d: %v", inSlot[slot], err)
+				t.Errorf("probe %d: %v", i, err)
 			}
-			ended[inSlot[slot]]++
+			if ahead := float64(i+1) - window - rate*sent.Sub(start).Seconds(); err == nil && ahead > 0 {
+				t.Errorf("probe %d was sent %.2f tokens ahead of the bucket", i, ahead)
+			}
+			ended[i]++
+			lastDone = time.Now()
 		}
 		err = p.Sweep(ctx, window, rate, nil, probe, done)
-		return started, ended, time.Since(start), err
+		return started, ended, lastDone, err
 	}
 
-	started, ended, elapsed, err := run(context.Background(), 10)
+	begun := time.Now()
+	started, ended, lastDone, err := run(context.Background(), 10)
+	returned := time.Now()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if started != 10 || elapsed < 400*time.Millisecond {
+	if elapsed := returned.Sub(begun); started != 10 || elapsed < 400*time.Millisecond {
 		t.Fatalf("%d probes started in %v, want 10 in at least 400ms", started, elapsed)
+	}
+	if late := returned.Sub(lastDone); late > 25*time.Millisecond {
+		t.Fatalf("the sweep returned %v after its last probe ended, want within 25ms, half a token's wait: it waited for a token to learn its input had ended", late)
 	}
 	for i, k := range ended {
 		if k != 1 {
@@ -354,7 +365,7 @@ func TestSweepRate(t *testing.T) {
 	}
 
 	// Past the burst a token comes every 50 ms: 225 ms in, the sweep has
-	// started 6 probes, had their answers, and waits for the next token.
+	// sent 6 probes, had their answers, and holds 2 that wait for theirs.
 	ctx, cancel := context.WithCancel(context.Background())
 	var cancelled time.Time
 	stop := time.AfterFunc(225*time.Millisecond, func() {
@@ -378,7 +389,7 @@ func TestSweepRate(t *testing.T) {
 	// A rate so low that the wait for a token overflows a Duration still
 	// sets the timer ahead: one in the past would spin the sweep.
 	s := &sweep{slots: make([]slot, window), rate: 1e-10, refilled: time.Now()}
-	if next := s.nextToken(); !next.After(time.Now()) {
+	if next := s.take(); !next.After(time.Now()) {
 		t.Fatalf("at rate 1e-10 the next token is due at %v, in the past", next)
 	}
 }
@@ -405,7 +416,7 @@ func TestSweepInputWake(t *testing.T) {
 		started++
 		return server, nil
 	}
-	done := func(_ int, _ *dnswire.Message, err error) {
+	done := func(_ int, _ *dnswire.Message, _ time.Time, err error) {
 		if err != nil {
 			t.Errorf("probe: %v", err)
 		}
@@ -447,7 +458,7 @@ func TestSweepEndOfInput(t *testing.T) {
 		*q = *pipeQuery(dnswire.MustParseName("e" + itoa(calls) + ".pipe.test"))
 		return server, nil
 	}
-	done := func(slot int, _ *dnswire.Message, err error) {
+	done := func(slot int, _ *dnswire.Message, _ time.Time, err error) {
 		if err != nil {
 			t.Errorf("probe in slot %d: %v", slot, err)
 		}
@@ -488,7 +499,7 @@ func TestSweepRefusedMidBatch(t *testing.T) {
 		return server, nil
 	}
 	ended := make([]int, n)
-	done := func(slot int, resp *dnswire.Message, err error) {
+	done := func(slot int, resp *dnswire.Message, _ time.Time, err error) {
 		i := inSlot[slot]
 		ended[i]++
 		switch {
@@ -581,7 +592,7 @@ func TestAbortDrainsDeliveredSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ended []error
-	s.ctx, s.done = context.Background(), func(_ int, _ *dnswire.Message, err error) { ended = append(ended, err) }
+	s.ctx, s.done = context.Background(), func(_ int, _ *dnswire.Message, _ time.Time, err error) { ended = append(ended, err) }
 	sl := &s.slots[0]
 	sl.dest, sl.state = netip.MustParseAddrPort("192.0.2.1:53"), slotWaiting
 	if err := p.register(sl); err != nil {

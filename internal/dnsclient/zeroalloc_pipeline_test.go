@@ -158,7 +158,7 @@ func BenchmarkPipelineSweep(b *testing.B) {
 		*sq = *q // the sweep writes only the ID of the copy
 		return server, nil
 	}
-	done := func(slot int, _ *dnswire.Message, err error) {
+	done := func(slot int, _ *dnswire.Message, _ time.Time, err error) {
 		if err != nil {
 			b.Fatalf("probe in slot %d: %v", slot, err)
 		}

@@ -168,10 +168,13 @@ func answered(reply []byte) bool {
 
 // TestAllocGateServeUDP counts the objects a real Server allocates per
 // UDP query: 0 for a repeated query, with RRL off and on, and 1 — the
-// decoded question name, which is new — when every query asks for a
-// name the worker's Message has not held before, as a resolver under
-// miss traffic sees. The immediate row answers on the read loop, in the
-// loop's own reply, and costs 0 as well; so does the immediate-mixed
+// question name the worker makes its own (OwnNames), which is new — when
+// every query asks for a name the worker's Message has not held before,
+// as a resolver under miss traffic sees. The immediate row answers on
+// the read loop, in the loop's own reply, and costs 0 as well; so does
+// the answered-fresh-name row, whose every query has a new name: the
+// loop decodes it as a view of its Message and answers before the next
+// decode, so no name is made at all; so does the immediate-mixed
 // row, measured a cycle at a time, whose answers alternate with the
 // handler's FORMERR, which carries no OPT, and the server's, which
 // carries no records: the next answer must find the reply's sections,
@@ -183,8 +186,8 @@ func answered(reply []byte) bool {
 // keeping one shape, and the row could read 0 at the parent too. The
 // declined rows go through a FillHandler that declines every query on
 // the read loop: the loop's decode is the only one, so a repeated query
-// costs 0 and a fresh name 1; a second decode on the worker makes that
-// 2.
+// costs 0 and a fresh name 1, its owned copy; a second decode on the
+// worker makes that 2.
 func TestAllocGateServeUDP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -225,6 +228,7 @@ func TestAllocGateServeUDP(t *testing.T) {
 		{"rrl", gateReply(), 1e9, one, 1, 0},
 		{"fresh-name", gateReply(), 0, packWires(t, fresh...), 1, 1},
 		{"immediate", gateNow{}, 0, one, 1, 0},
+		{"answered-fresh-name", gateNow{}, 0, packWires(t, fresh...), 1, 0},
 		{"immediate-mixed", gateNow{}, 0, [][]byte{one[0], formErrs, one[0], undecodable}, 4, 0},
 		{"edns-plain", gateNow{}, 0, [][]byte{one[0], plain}, 2, 0},
 		{"declined", declining{gateReply()}, 0, one, 1, 0},

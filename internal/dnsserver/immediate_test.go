@@ -3,6 +3,7 @@ package dnsserver
 import (
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -131,4 +132,66 @@ func TestImmediatePanicIsolation(t *testing.T) {
 	conn.Write(packQuery(t, 2, "now.zone.test."))
 	resp, ok = udpRead(t, conn, time.Second)
 	answeredBy(t, resp, ok, 2, nowAddr)
+}
+
+// keeper answers names under "now." on the read loop and declines every
+// other name to a worker, which answers it; it keeps the name of each
+// query it answers, as a cache keeps its key.
+type keeper struct {
+	mu   sync.Mutex
+	kept []dnswire.Name
+}
+
+func (k *keeper) HandleDNS(netip.Addr, *dnswire.Message) *dnswire.Message {
+	panic("keeper: every query goes through ServeDNS")
+}
+
+func (k *keeper) ServeDNS(_ netip.Addr, q, resp *dnswire.Message, mayWait bool) bool {
+	name := q.Question().Name
+	if !mayWait && !strings.HasPrefix(string(name), "now.") {
+		return false
+	}
+	k.mu.Lock()
+	k.kept = append(k.kept, name)
+	k.mu.Unlock()
+	resp.SetReply(q)
+	splitAnswer(resp, nowAddr)
+	return true
+}
+
+// TestBorrowedNamesOnTheReadLoop pins the handler contract on names: a
+// name kept from a call without mayWait is borrowed, a view of the query
+// Message, and reads the next query's bytes once the read loop has
+// decoded that into the same Message; a name kept from a worker's call
+// is the handler's own and does not change when its Message comes back
+// to the loop for the next query.
+func TestBorrowedNamesOnTheReadLoop(t *testing.T) {
+	k := &keeper{}
+	srv := New(k)
+	srv.MaxInflight = 1 // one Message goes to the worker and back
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn := udpDial(t, addr.String())
+	kept := func(i int) dnswire.Name {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		return k.kept[i]
+	}
+	for i, name := range []dnswire.Name{"now.aaaa.test.", "now.bbbb.test.", "wait.cccc.test.", "wait.dddd.test."} {
+		conn.Write(packQuery(t, uint16(i), name))
+		resp, ok := udpRead(t, conn, 2*time.Second)
+		answeredBy(t, resp, ok, uint16(i), nowAddr)
+		if got := kept(0); i == 1 && got != name {
+			t.Errorf("a name kept on the read loop reads %q after the next query, want %s: the loop's names are not borrowed", got, name)
+		}
+	}
+	if got := kept(2); got != "wait.cccc.test." {
+		t.Errorf("a name kept on a worker reads %q after its Message took the next query, want wait.cccc.test.", got)
+	}
+	if st := srv.Stats(); st.Immediate != 2 || st.Answered != 4 {
+		t.Fatalf("want 2 of 4 queries answered on the read loop: %s", st)
+	}
 }

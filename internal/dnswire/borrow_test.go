@@ -1,0 +1,200 @@
+package dnswire
+
+import (
+	"math/rand"
+	"reflect"
+	"strconv"
+	"testing"
+)
+
+// appendNames appends every name m holds, in the order OwnNames walks
+// them: the questions', then each record's owner and rdata names.
+func appendNames(dst []Name, m *Message) []Name {
+	for _, q := range m.Questions {
+		dst = append(dst, q.Name)
+	}
+	for _, sec := range [][]RR{m.Answers, m.Authorities, m.Additionals} {
+		for _, rr := range sec {
+			dst = append(dst, rr.Name)
+			switch d := rr.Data.(type) {
+			case *CNAMERData:
+				dst = append(dst, d.Target)
+			case *NSRData:
+				dst = append(dst, d.Host)
+			case *PTRRData:
+				dst = append(dst, d.Target)
+			case *MXRData:
+				dst = append(dst, d.Host)
+			case *SOARData:
+				dst = append(dst, d.MName, d.RName)
+			}
+		}
+	}
+	return dst
+}
+
+// TestDifferentialBorrowed holds UnpackBorrowedInto to Unpack as
+// TestDifferentialCodec holds UnpackInto. Into one Message, decodes
+// alternate at random between borrowed and owned, over valid and
+// corrupted wires, and each must read as Unpack's, with the same error.
+// Names kept after an owned decode or after OwnNames must be the
+// Message's own: they still read the same once the next decode, which
+// may be a borrowed one that rewrites the arena, is done.
+func TestDifferentialBorrowed(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewSource(11))
+	m := &Message{}
+	var kept, want []Name
+	for i := 0; i < 3000; i++ {
+		wire, err := randDiffMessage(r).Pack()
+		if err != nil {
+			continue
+		}
+		if i%3 == 0 {
+			for n := 1 + r.Intn(3); n > 0; n-- {
+				wire[r.Intn(len(wire))] ^= byte(1 << r.Intn(8))
+			}
+		}
+		fresh, errFresh := Unpack(wire)
+		borrow := r.Intn(2) == 0
+		if borrow {
+			err = UnpackBorrowedInto(m, wire)
+		} else {
+			err = UnpackInto(m, wire)
+		}
+		for j := range kept {
+			if kept[j] != want[j] {
+				t.Fatalf("decode %d (borrowed %v): a name kept as the Message's own reads %q, was %q", i, borrow, kept[j], want[j])
+			}
+		}
+		kept, want = kept[:0], want[:0]
+		if err != errFresh {
+			t.Fatalf("decode %d (borrowed %v): err %v, Unpack's %v (wire %x)", i, borrow, err, errFresh, wire)
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(decoded(fresh), decoded(m)) {
+			t.Fatalf("decode %d (borrowed %v) differs from Unpack:\n  fresh %#v\n  got   %#v", i, borrow, fresh, m)
+		}
+		if borrow {
+			if r.Intn(2) == 0 {
+				continue
+			}
+			m.OwnNames()
+			if !reflect.DeepEqual(decoded(fresh), decoded(m)) {
+				t.Fatalf("decode %d: OwnNames changed the message:\n  fresh %#v\n  got   %#v", i, fresh, m)
+			}
+		}
+		kept, want = appendNames(kept, m), appendNames(want, fresh)
+	}
+}
+
+// TestBorrowedNameIsAView pins what a borrowed name is: a view of the
+// Message's arena, which reads the bytes of the next borrowed decode or
+// SetQuestionName. A name kept after OwnNames, after an owned decode or
+// from a Clone is a string of its own and does not change.
+func TestBorrowedNameIsAView(t *testing.T) {
+	pack := func(name Name) []byte {
+		wire, err := NewQuery(1, name, TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	a, b := pack("aaaa.example."), pack("bbbb.example.")
+	decode := func(m *Message, unpack func(*Message, []byte) error, wire []byte) Name {
+		t.Helper()
+		if err := unpack(m, wire); err != nil {
+			t.Fatal(err)
+		}
+		return m.Questions[0].Name
+	}
+
+	m := &Message{}
+	borrowed := decode(m, UnpackBorrowedInto, a)
+	decode(m, UnpackBorrowedInto, b)
+	if borrowed != "bbbb.example." {
+		t.Fatalf("a borrowed name reads %q after the next decode, want the next decode's bytes: it was copied", borrowed)
+	}
+	m.OwnNames()
+	owned := m.Questions[0].Name
+	clone := decode(m.Clone(), UnpackBorrowedInto, b)
+	decode(m, UnpackBorrowedInto, a)
+	if owned != "bbbb.example." {
+		t.Fatalf("a name kept after OwnNames reads %q, want bbbb.example.", owned)
+	}
+	cloned := m.Clone().Questions[0].Name
+	decode(m, UnpackInto, b)
+	if cloned != "aaaa.example." || clone != "bbbb.example." {
+		t.Fatalf("a clone's names read %q and %q, want aaaa.example. and bbbb.example.", cloned, clone)
+	}
+	// The owned decode found a borrowed name in place: it must not keep it.
+	decode(m, UnpackBorrowedInto, a)
+	ownDecoded := decode(m, UnpackInto, a)
+	decode(m, UnpackBorrowedInto, b)
+	if ownDecoded != "aaaa.example." {
+		t.Fatalf("an owned decode after a borrowed one reads %q after the next, want aaaa.example.: it kept the borrowed name", ownDecoded)
+	}
+
+	q := NewQuery(1, "x.", TypeA)
+	q.SetQuestionName([]byte("cccc.example."))
+	set := q.Questions[0].Name
+	q.SetQuestionName([]byte("dddd.example."))
+	if set != "dddd.example." {
+		t.Fatalf("SetQuestionName's name reads %q after the next, want dddd.example.: it was copied", set)
+	}
+}
+
+// TestAllocGateBorrowed counts what borrowing saves: a borrowed decode
+// allocates no name, however new and however long; OwnNames of a name
+// its Message made before allocates nothing; and SetQuestionName puts a
+// new name in a reused query for nothing.
+func TestAllocGateBorrowed(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 256
+	names := make([][]byte, n)
+	wires := make([][]byte, n)
+	for i := range wires {
+		names[i] = []byte("bulk" + strconv.Itoa(100000+i) + ".run1.allocation-gate.scan.test.")
+		r := NewResponse(NewQuery(1, Name(names[i]), TypeA))
+		r.Answers = append(r.Answers, RR{Name: Name(names[i]), Class: ClassINET, TTL: 30,
+			Data: &CNAMERData{Target: Name("edge." + string(names[i]))}})
+		r.EDNS = NewEDNS()
+		var err error
+		if wires[i], err = r.Pack(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := &Message{}
+	q := NewQuery(1, "x.", TypeA)
+	next := 0
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"borrowed-fresh-names", func() {
+			if err := UnpackBorrowedInto(m, wires[next%n]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"own-repeated-names", func() {
+			if err := UnpackBorrowedInto(m, wires[0]); err != nil {
+				t.Fatal(err)
+			}
+			m.OwnNames()
+		}},
+		{"set-question-name", func() { q.SetQuestionName(names[next%n]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for next = 0; next < n; next++ {
+				tc.run()
+			}
+			if allocs := testing.AllocsPerRun(n-1, func() { next++; tc.run() }); allocs != 0 {
+				t.Fatalf("%s allocates %.2f objects, want 0", tc.name, allocs)
+			}
+		})
+	}
+}

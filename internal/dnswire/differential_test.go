@@ -197,11 +197,13 @@ func diffCheckUnpack(t *testing.T, wire []byte, dirty *Message) *Message {
 
 // decoded is m as two decodes of the same wire are compared: an empty
 // section, option list or option payload reads as nil, and the OPT
-// record set aside for a later decode is left out. A reused Message
-// keeps those for the next decode, where Unpack's fresh one has none.
+// record set aside for a later decode and the name arena and its
+// bookkeeping are left out. A reused Message keeps those for the next
+// decode, where Unpack's fresh one has none.
 func decoded(m *Message) Message {
 	out := *m
 	out.spareEDNS = nil
+	out.names, out.borrowed, out.stale, out.owned = nil, false, false, nil
 	out.Questions = nilIfEmpty(out.Questions)
 	out.Answers = nilIfEmpty(out.Answers)
 	out.Authorities = nilIfEmpty(out.Authorities)

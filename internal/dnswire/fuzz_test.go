@@ -136,6 +136,24 @@ func FuzzUnpackReuse(f *testing.F) {
 			t.Fatalf("reused decode differs from fresh:\nfresh: %#v\nreuse: %#v\ndirt: %x\ndata: %x",
 				fresh, m, dirt, data)
 		}
+
+		// The borrowed decode reads the same, and its names, once owned,
+		// outlive the next borrowed decode into the same Message.
+		b := &Message{}
+		_ = UnpackBorrowedInto(b, dirt)
+		if err := UnpackBorrowedInto(b, data); err != nil {
+			t.Fatalf("UnpackBorrowedInto err=%v, Unpack ok\ndirt: %x\ndata: %x", err, dirt, data)
+		}
+		if !reflect.DeepEqual(decoded(fresh), decoded(b)) {
+			t.Fatalf("borrowed decode differs from fresh:\nfresh: %#v\nborrowed: %#v\ndirt: %x\ndata: %x",
+				fresh, b, dirt, data)
+		}
+		b.OwnNames()
+		owned := appendNames(nil, b)
+		_ = UnpackBorrowedInto(b, dirt)
+		if want := appendNames(nil, fresh); !reflect.DeepEqual(owned, want) {
+			t.Fatalf("owned names read %q after the next decode, want %q\ndirt: %x\ndata: %x", owned, want, dirt, data)
+		}
 	})
 }
 

@@ -71,6 +71,19 @@ type Message struct {
 	// spareEDNS is the OPT record of the last decode into this Message
 	// that carried one, kept through plain decodes for the next that does.
 	spareEDNS *EDNS
+
+	// names is the arena the borrowed names are views of: the names of
+	// the last UnpackBorrowedInto, or the one SetQuestionName was given.
+	// borrowed says the Message's names may be such views, until
+	// OwnNames or an UnpackInto makes them strings of their own. stale
+	// says it has ever held one: the slots a decode reveals past its
+	// sections' lengths may still hold views of an arena rewritten
+	// since, so an owned decode takes no name it finds as its reuse
+	// candidate. owned is what OwnNames made, in the order it walks the
+	// names, for its next call to reuse.
+	names           []byte
+	borrowed, stale bool
+	owned           []Name
 }
 
 // Question returns the first question, or a zero Question if none.
@@ -268,6 +281,13 @@ func Unpack(data []byte) (*Message, error) {
 // any order, is therefore allocation-free — the property the scan
 // pipeline's receive path and the server are built on.
 //
+// Every name it decodes is a string of its own. Once m has borrowed
+// names (UnpackBorrowedInto, SetQuestionName), no name it holds is kept
+// in place of a decoded one, as a borrowed name's bytes change: each
+// costs a string. In a Message that never borrows, a name its caller
+// gave it, such as a question seeded before the decode, is kept when
+// the bytes match, and then lives as long as the caller's.
+//
 // Unpack is UnpackInto on a zero Message; both decode identical wire
 // input to the same contents, except that an empty section, option list
 // or option payload may be an empty slice after UnpackInto where Unpack
@@ -277,14 +297,98 @@ func Unpack(data []byte) (*Message, error) {
 // previous decode.
 func UnpackInto(m *Message, data []byte) error {
 	st := unpackPool.Get().(*unpackState)
-	err := unpackInto(m, data, st)
+	err := unpackInto(m, &parser{msg: data, st: st, reuse: !m.stale})
 	unpackPool.Put(st)
+	if err == nil {
+		m.borrowed = false
+	}
 	return err
 }
 
-func unpackInto(m *Message, data []byte, st *unpackState) error {
-	// p never escapes the decode tree, so it stays on the stack.
-	p := &parser{msg: data, st: st}
+// UnpackBorrowedInto is UnpackInto with borrowed names: each name it
+// decodes is a view of an arena m keeps, not a string of its own, so no
+// name costs an allocation, however new. A borrowed name is valid until
+// the next decode into m, or SetQuestionName on it, rewrites the arena;
+// the same goes for a Question or RR copied out of m, and for a name in
+// another Message that a decode kept because it matched a borrowed one.
+// Code that keeps a name past that point copies it, or calls OwnNames
+// first.
+func UnpackBorrowedInto(m *Message, data []byte) error {
+	m.names, m.borrowed, m.stale = m.names[:0], true, true
+	return unpackInto(m, &parser{msg: data, names: &m.names})
+}
+
+// OwnNames makes every name m holds a string of its own, valid however
+// m is used next, after a borrowed decode or SetQuestionName; otherwise
+// it does nothing. A name with the bytes of the one OwnNames made in its
+// place the last time is that string again, and a record's name with
+// the first question's bytes is the question's string, so a query
+// repeated into a reused Message allocates nothing here either.
+func (m *Message) OwnNames() {
+	if !m.borrowed {
+		return
+	}
+	m.borrowed = false
+	i := 0
+	for qi := range m.Questions {
+		i = m.own(&m.Questions[qi].Name, i)
+	}
+	for _, sec := range [3][]RR{m.Answers, m.Authorities, m.Additionals} {
+		for ri := range sec {
+			rr := &sec[ri]
+			i = m.own(&rr.Name, i)
+			switch d := rr.Data.(type) {
+			case *CNAMERData:
+				i = m.own(&d.Target, i)
+			case *NSRData:
+				i = m.own(&d.Host, i)
+			case *PTRRData:
+				i = m.own(&d.Target, i)
+			case *MXRData:
+				i = m.own(&d.Host, i)
+			case *SOARData:
+				i = m.own(&d.RName, m.own(&d.MName, i))
+			}
+		}
+	}
+}
+
+// own makes *n, the i-th name OwnNames walks, a string of m's own: the
+// one made in that place before when the bytes match, else the first
+// question's (owned already, unless *n is it) when they match that,
+// else a copy. It returns the place of the next name.
+func (m *Message) own(n *Name, i int) int {
+	switch {
+	case i < len(m.owned) && m.owned[i] == *n:
+		*n = m.owned[i]
+		return i + 1
+	case i > 0 && len(m.Questions) > 0 && *n == m.Questions[0].Name:
+		*n = m.Questions[0].Name
+	default:
+		*n = Name(strings.Clone(string(*n)))
+	}
+	if i < len(m.owned) {
+		m.owned[i] = *n
+	} else {
+		m.owned = append(m.owned, *n)
+	}
+	return i + 1
+}
+
+// SetQuestionName makes name the name of m's first question, borrowed
+// as a decoded name is (UnpackBorrowedInto): its bytes are copied into
+// m's arena and the name is a view of them, so setting a new name on a
+// reused query allocates nothing. name must be canonical, as ParseName
+// returns it; it is not checked. m must have a question. Every name
+// borrowed from m before the call reads the new bytes after it.
+func (m *Message) SetQuestionName(name []byte) {
+	m.names, m.borrowed, m.stale = append(m.names[:0], name...), true, true
+	m.Questions[0].Name = view(m.names)
+}
+
+// unpackInto decodes p's message into m. p never escapes the decode
+// tree, so it stays on its caller's stack.
+func unpackInto(m *Message, p *parser) error {
 	id, err := p.uint16()
 	if err != nil {
 		return err
@@ -487,9 +591,10 @@ func NewResponse(q *Message) *Message {
 }
 
 // Clone returns a copy of m that shares no memory with it: sections,
-// payloads (CloneRData) and option bytes are copied. A message handed to
-// a goroutine that may outlive its owner's next use of m, such as a
-// hedged exchange's losing attempt, must be a clone.
+// payloads (CloneRData) and option bytes are copied, and so are names m
+// borrows (OwnNames). A message handed to a goroutine that may outlive
+// its owner's next use of m, such as a hedged exchange's losing attempt,
+// must be a clone.
 func (m *Message) Clone() *Message {
 	c := &Message{
 		Header:      m.Header,
@@ -497,7 +602,9 @@ func (m *Message) Clone() *Message {
 		Answers:     AppendClones(nil, m.Answers),
 		Authorities: AppendClones(nil, m.Authorities),
 		Additionals: AppendClones(nil, m.Additionals),
+		borrowed:    m.borrowed,
 	}
+	c.OwnNames()
 	if m.EDNS != nil {
 		e := *m.EDNS
 		e.Options = make([]Option, len(m.EDNS.Options))

@@ -6,7 +6,12 @@
 //
 // The codec is allocation-conscious but favors clarity: messages are plain
 // structs, resource data is a small interface with one concrete type per
-// supported RR type, and unknown types round-trip as opaque bytes.
+// supported RR type, and unknown types round-trip as opaque bytes. A
+// decode into a reused Message reuses its memory (UnpackInto), and a
+// borrowed decode (UnpackBorrowedInto) makes no string for a name at
+// all: each name is a view of bytes the Message keeps, valid until the
+// next decode into it, which OwnNames turns into strings when a name
+// must outlive that.
 package dnswire
 
 import "fmt"

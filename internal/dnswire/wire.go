@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Wire decoding errors.
@@ -179,6 +180,14 @@ type parser struct {
 	msg []byte
 	off int
 	st  *unpackState
+	// names, in a borrowed decode, is the Message's name arena: each name
+	// is decoded onto its end and returned as a view of it. It is nil in
+	// an owned decode, which decodes into st's scratch.
+	names *[]byte
+	// reuse says the names an owned decode overwrites may be kept when
+	// the bytes match; it is false once the Message has borrowed names,
+	// which may be views of bytes since rewritten.
+	reuse bool
 	// qname is the message's first question name once decoded: most
 	// records of an answer are owned by it, and share its string.
 	qname Name
@@ -224,12 +233,15 @@ func (p *parser) bytes(n int) ([]byte, error) {
 
 // name decodes a possibly-compressed domain name starting at the current
 // offset, advancing past it (pointers are followed without moving the
-// cursor beyond the pointer itself). old is the reuse candidate: when the
-// decoded name equals it byte-for-byte the existing string is returned
-// and no allocation happens — the path that keeps repeated decodes into
-// a reused Message allocation-free. A name equal to the first question's
-// is that question's string, so a fresh name costs one string however
-// many records repeat it.
+// cursor beyond the pointer itself). A name equal to the first
+// question's is that question's string, so a fresh name costs one string
+// however many records repeat it.
+//
+// A borrowed decode appends the name to the Message's arena and returns
+// a view of it, which costs no allocation at all. An owned decode makes
+// a string, unless old, the reuse candidate, has the same bytes: then
+// the existing string is returned and nothing is allocated, the path
+// that keeps repeated decodes into a reused Message allocation-free.
 func (p *parser) name(old Name) (Name, error) {
 	// A pointer to offset 12, where the first question's name starts, is
 	// that name, decoded and checked already: the owner of every record a
@@ -238,19 +250,50 @@ func (p *parser) name(old Name) (Name, error) {
 		p.off += 2
 		return p.qname, nil
 	}
+	if p.names != nil {
+		return p.borrowedName()
+	}
 	scratch, next, err := appendNameAt(p.st.scratch[:0], p.msg, p.off)
 	p.st.scratch = scratch[:0]
 	if err != nil {
 		return "", err
 	}
 	p.off = next
-	switch string(scratch) {
-	case string(old):
+	// Comparisons, not a switch on string(scratch): the switch converts
+	// its operand into a 32-byte buffer on the stack, and a longer name
+	// allocates even when it matches.
+	if p.reuse && string(scratch) == string(old) {
 		return old, nil
-	case string(p.qname):
+	}
+	if string(scratch) == string(p.qname) {
 		return p.qname, nil
 	}
 	return Name(scratch), nil
+}
+
+// borrowedName is name in a borrowed decode: the name's bytes stay on
+// the arena as the name's view, unless they are the first question's.
+func (p *parser) borrowedName() (Name, error) {
+	start := len(*p.names)
+	names, next, err := appendNameAt(*p.names, p.msg, p.off)
+	*p.names = names
+	if err != nil {
+		return "", err
+	}
+	p.off = next
+	if string(names[start:]) == string(p.qname) {
+		*p.names = names[:start]
+		return p.qname, nil
+	}
+	return view(names[start:]), nil
+}
+
+// view returns b as a Name without copying it: the name reads whatever b
+// holds, so it is valid only as long as b's bytes are not written again.
+// It is the package's one use of unsafe; a Message's name arena, which
+// each borrowed decode and SetQuestionName rewrite, is all it views.
+func view(b []byte) Name {
+	return Name(unsafe.String(unsafe.SliceData(b), len(b)))
 }
 
 // appendNameAt decodes the name at offset off in msg into dst in

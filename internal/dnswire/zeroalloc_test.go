@@ -71,24 +71,49 @@ func TestAllocGateAppendPack(t *testing.T) {
 	}
 }
 
+// TestAllocGateUnpackInto decodes one answer again and again into one
+// Message: each decode after the first must reuse it entirely. The
+// long-name row's names are longer than 32 bytes, past which a name
+// compared in a switch on string(scratch) is allocated on every decode,
+// even when it matches.
 func TestAllocGateUnpackInto(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	wire := scanResponse(t)
-	m := &Message{}
-	// First decode populates the Message; every following decode of the
-	// same shape must reuse it entirely.
-	if err := UnpackInto(m, wire); err != nil {
-		t.Fatalf("UnpackInto: %v", err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := UnpackInto(m, wire); err != nil {
-			t.Errorf("UnpackInto: %v", err)
-		}
+	long := NewQuery(0x4242, "bulk100000.run1.allocation-gate.scan.test.", TypeA)
+	long.EDNS = NewEDNS()
+	longAnswer := NewResponse(long)
+	longAnswer.Answers = append(longAnswer.Answers, RR{
+		Name: long.Question().Name, Class: ClassINET, TTL: 300,
+		Data: &ARData{Addr: netip.MustParseAddr("192.0.2.53")},
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state UnpackInto allocates %.1f allocs/op, want 0", allocs)
+	longWire, err := longAnswer.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		wire []byte
+	}{
+		{"scan-response", scanResponse(t)},
+		{"long-name", longWire},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &Message{}
+			// First decode populates the Message; every following
+			// decode of the same shape must reuse it entirely.
+			if err := UnpackInto(m, tc.wire); err != nil {
+				t.Fatalf("UnpackInto: %v", err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := UnpackInto(m, tc.wire); err != nil {
+					t.Errorf("UnpackInto: %v", err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state UnpackInto allocates %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -41,7 +41,7 @@ func (u cannedUpstream) Exchange(_, _ netip.Addr, q *dnswire.Message) (*dnswire.
 }
 
 // cannedResolver builds a resolver over up on the clock clk.
-func cannedResolver(p Profile, up cannedUpstream, clk *netem.Clock) *Resolver {
+func cannedResolver(p Profile, up Transport, clk *netem.Clock) *Resolver {
 	dir := NewDirectory()
 	dir.Add(upstreamZone, netip.MustParseAddr("203.0.113.53"))
 	return New(Config{
@@ -65,7 +65,7 @@ func TestImmediateRepliesOwnTheirRecords(t *testing.T) {
 	a, b := dnswire.Name("a."+upstreamZone), dnswire.Name("b."+upstreamZone)
 	addrs := map[dnswire.Name]netip.Addr{a: netip.MustParseAddr("192.0.2.10"), b: netip.MustParseAddr("192.0.2.20")}
 	clk := netem.NewClock(netem.SimStart)
-	r := cannedResolver(GoogleLikeProfile(), addrs, clk)
+	r := cannedResolver(GoogleLikeProfile(), cannedUpstream(addrs), clk)
 	client := netip.MustParseAddr("198.51.100.7")
 	query := func(name dnswire.Name) *dnswire.Message {
 		q := dnswire.NewQuery(7, name, dnswire.TypeA)
@@ -111,7 +111,7 @@ func TestWorkerRepliesOwnTheirRecords(t *testing.T) {
 	a, b := dnswire.Name("a."+upstreamZone), dnswire.Name("b."+upstreamZone)
 	addrs := map[dnswire.Name]netip.Addr{a: netip.MustParseAddr("192.0.2.10"), b: netip.MustParseAddr("192.0.2.20")}
 	clk := netem.NewClock(netem.SimStart)
-	r := cannedResolver(GoogleLikeProfile(), addrs, clk)
+	r := cannedResolver(GoogleLikeProfile(), cannedUpstream(addrs), clk)
 	client := netip.MustParseAddr("198.51.100.7")
 
 	var resp dnswire.Message
@@ -148,7 +148,7 @@ func TestAllocGateHandleImmediate(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	name := dnswire.Name("hot." + upstreamZone)
-	r := cannedResolver(CompliantProfile(), nil, netem.NewClock(netem.SimStart))
+	r := cannedResolver(CompliantProfile(), cannedUpstream(nil), netem.NewClock(netem.SimStart))
 	client := netip.MustParseAddr("198.51.100.7")
 	q := dnswire.NewQuery(7, name, dnswire.TypeA)
 	ecsopt.Attach(q, ecsopt.MustNew(netip.MustParseAddr("203.0.113.0"), 24))
@@ -166,5 +166,60 @@ func TestAllocGateHandleImmediate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, hit); allocs > 0 {
 		t.Fatalf("a hit through ServeDNS allocates %v objects, want 0", allocs)
+	}
+}
+
+// ecsRecorder is cannedUpstream that records whether each query it
+// answers carried ECS.
+type ecsRecorder struct {
+	cannedUpstream
+	sent []bool
+}
+
+func (u *ecsRecorder) Exchange(from, to netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+	_, hasECS, _ := ecsopt.FromMessage(q)
+	u.sent = append(u.sent, hasECS)
+	return u.cannedUpstream.Exchange(from, to, q)
+}
+
+// TestImmediateCountCopiesANewName: under ProbeOnMiss a hit answered
+// without mayWait books when its name was last seen, and the name is
+// borrowed, a view of a query Message the next decode rewrites. A name
+// the resolver has not seen before, whose entry came into the cache
+// another way, must be booked under a copy: then, once the entry has
+// expired, the name asked again within the minute goes upstream without
+// ECS, as a recently seen name does.
+func TestImmediateCountCopiesANewName(t *testing.T) {
+	p := CompliantProfile()
+	p.Probing = ProbeOnMiss
+	clk := netem.NewClock(netem.SimStart)
+	up := &ecsRecorder{cannedUpstream: cannedUpstream{}}
+	r := cannedResolver(p, up, clk)
+	const name = dnswire.Name("aaaa." + upstreamZone)
+	r.Cache().Insert(ecscache.Key{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET}, ecscache.Entry{
+		Answer: []dnswire.RR{{Name: name, Class: dnswire.ClassINET, TTL: 30, Data: &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.1")}}},
+		Expiry: clk.Now().Add(30 * time.Second),
+	}, clk.Now())
+
+	from := netip.MustParseAddr("10.1.2.3")
+	var q, resp dnswire.Message
+	decode := func(n dnswire.Name) {
+		wire, err := dnswire.NewQuery(1, n, dnswire.TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dnswire.UnpackBorrowedInto(&q, wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode(name)
+	if !r.ServeDNS(from, &q, &resp, false) {
+		t.Fatal("the cached name was not answered without mayWait")
+	}
+	decode("bbbb." + upstreamZone) // same length: the view now reads bbbb
+	clk.Advance(40 * time.Second)
+	r.HandleDNS(from, dnswire.NewQuery(2, name, dnswire.TypeA))
+	if len(up.sent) != 1 || up.sent[0] {
+		t.Fatalf("upstream queries carried ECS %v, want [false]: the name seen 40 s before went as a new one", up.sent)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"sync"
 	"time"
 
@@ -158,10 +159,10 @@ type Resolver struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
 	mixedIdx  int
-	lastProbe map[netip.Addr]time.Time   // ProbeInterval state per authority
-	lastSeen  map[ecscache.Key]time.Time // ProbeOnMiss recency window
-	randNames map[dnswire.Name]bool      // ProbeRandom per-name coin flips
-	adapted   map[netip.Addr]int         // AdaptSourceToScope learned bits
+	lastProbe map[netip.Addr]time.Time    // ProbeInterval state per authority
+	lastSeen  map[ecscache.Key]*time.Time // ProbeOnMiss recency window, updated in place (see count)
+	randNames map[dnswire.Name]bool       // ProbeRandom per-name coin flips
+	adapted   map[netip.Addr]int          // AdaptSourceToScope learned bits
 	// Upstream counters let experiments measure query amplification.
 	upstreamQueries int64
 	clientQueries   int64
@@ -189,7 +190,7 @@ func New(cfg Config) *Resolver {
 		}),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		lastProbe: make(map[netip.Addr]time.Time),
-		lastSeen:  make(map[ecscache.Key]time.Time),
+		lastSeen:  make(map[ecscache.Key]*time.Time),
 		randNames: make(map[dnswire.Name]bool),
 		adapted:   make(map[netip.Addr]int),
 	}
@@ -255,7 +256,7 @@ func (r *Resolver) ServeDNS(from netip.Addr, query, resp *dnswire.Message, mayWa
 	if !ok {
 		return false
 	}
-	r.count(key, now)
+	r.count(key, now, true)
 	reply(resp, query)
 	answerFromEntry(resp, &e, e.RemainingTTL(now), clientAddr, clientBits)
 	return true
@@ -285,7 +286,7 @@ func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 
 	// Establish the client identity this query resolves for.
 	clientAddr, clientBits, fromClientECS := r.clientIdentity(from, query)
-	withinMinute := r.count(key, now)
+	withinMinute := r.count(key, now, false)
 	bypassCache := r.bypassCache(q.Name)
 
 	if !bypassCache {
@@ -347,15 +348,27 @@ func reply(resp, query *dnswire.Message) {
 
 // count books one client query: the client-query counter and, under
 // ProbeOnMiss, the name's last-seen time. It reports whether the name
-// was last seen less than a minute before now.
-func (r *Resolver) count(key ecscache.Key, now time.Time) (withinMinute bool) {
+// was last seen less than a minute before now. borrowed says key's name
+// is a view of a query a dnsserver read loop lends (ServeDNS without
+// mayWait), which the next datagram rewrites: a name not seen before is
+// stored as a copy. A name seen before has its time updated in place,
+// since assigning to the map stores the key again, name and all.
+func (r *Resolver) count(key ecscache.Key, now time.Time, borrowed bool) (withinMinute bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.clientQueries++
 	if r.cfg.Profile.Probing == ProbeOnMiss {
-		last, ok := r.lastSeen[key]
-		withinMinute = ok && now.Sub(last) < time.Minute
-		r.lastSeen[key] = now
+		if last, ok := r.lastSeen[key]; ok {
+			withinMinute = now.Sub(*last) < time.Minute
+			*last = now
+			return withinMinute
+		}
+		if borrowed {
+			key.Name = dnswire.Name(strings.Clone(string(key.Name)))
+		}
+		last := new(time.Time) // not &now, which would put now on the heap on every call
+		*last = now
+		r.lastSeen[key] = last
 	}
 	return withinMinute
 }

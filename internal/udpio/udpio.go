@@ -1,5 +1,6 @@
 // Package udpio reads and writes UDP datagrams without the runtime's
-// syscall bookkeeping. It is the tree's only home for syscall and unsafe.
+// syscall bookkeeping. It is the tree's only home for syscall, and one
+// of two for unsafe, with dnswire's name views (TestUnsafeHomes).
 //
 // A Handle is one goroutine's grip on a socket's syscall.RawConn. On
 // Linux its ReadFrom, WriteTo, Read and Write issue recvfrom and sendto

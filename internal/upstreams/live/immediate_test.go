@@ -1,6 +1,7 @@
 package live
 
 import (
+	"io"
 	"net"
 	"net/netip"
 	"strings"
@@ -24,11 +25,12 @@ import (
 // heldZone is the zone heldUpstream answers.
 const heldZone = "held.test."
 
-// heldUpstream answers every A query with 192.0.2.1, without ECS. It
-// records whether each query carried ECS, and holds names under "slow."
-// until hold is closed.
+// heldUpstream answers every A query with 192.0.2.1, without ECS, for
+// ttl seconds (300 when ttl is 0). It records whether each query carried
+// ECS, and holds names under "slow." until hold is closed.
 type heldUpstream struct {
 	hold chan struct{}
+	ttl  uint32
 
 	mu     sync.Mutex
 	hasECS []bool
@@ -42,9 +44,13 @@ func (u *heldUpstream) Exchange(_, _ netip.Addr, q *dnswire.Message) (*dnswire.M
 	if strings.HasPrefix(string(q.Question().Name), "slow.") {
 		<-u.hold
 	}
+	ttl := u.ttl
+	if ttl == 0 {
+		ttl = 300
+	}
 	resp := dnswire.NewResponse(q)
 	resp.Answers = append(resp.Answers, dnswire.RR{
-		Name: q.Question().Name, Class: dnswire.ClassINET, TTL: 300,
+		Name: q.Question().Name, Class: dnswire.ClassINET, TTL: ttl,
 		Data: &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.1")},
 	})
 	return resp, 0, nil
@@ -58,17 +64,17 @@ func (u *heldUpstream) sent() []bool {
 	return append([]bool(nil), u.hasECS...)
 }
 
-// serveHeld serves a resolver with profile p over up on loopback, with
-// the server's default read loop and workers, and returns the resolver,
-// the server and its address.
-func serveHeld(t *testing.T, p resolver.Profile, up *heldUpstream) (*resolver.Resolver, *dnsserver.Server, string) {
+// serveHeld serves a resolver with profile p over up on loopback, on
+// clk's time, with the server's default read loop and workers, and
+// returns the resolver, the server and its address.
+func serveHeld(t *testing.T, p resolver.Profile, up *heldUpstream, clk *netem.Clock) (*resolver.Resolver, *dnsserver.Server, string) {
 	t.Helper()
 	dir := resolver.NewDirectory()
 	dir.Add(heldZone, netip.MustParseAddr("203.0.113.53"))
 	res := resolver.New(resolver.Config{
 		Addr:      netip.MustParseAddr("127.0.0.1"),
 		Transport: up,
-		Now:       netem.NewClock(netem.SimStart).Now,
+		Now:       clk.Now,
 		Directory: dir,
 		Profile:   p,
 		Seed:      1,
@@ -116,14 +122,48 @@ func ask(t *testing.T, conn net.Conn, id uint16, label string, timeout time.Dura
 
 func send(t *testing.T, conn net.Conn, id uint16, label string) {
 	t.Helper()
+	if _, err := conn.Write(heldQuery(t, id, label)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// heldQuery packs an A query for label under heldZone, with an empty
+// OPT.
+func heldQuery(t *testing.T, id uint16, label string) []byte {
+	t.Helper()
 	q := dnswire.NewQuery(id, dnswire.Name(label+"."+heldZone), dnswire.TypeA)
 	q.EDNS = dnswire.NewEDNS()
 	wire, err := q.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(wire); err != nil {
+	return wire
+}
+
+// askTCP sends the query ask does over a TCP connection of its own, and
+// requires its answer.
+func askTCP(t *testing.T, addr string, id uint16, label string) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	wire := heldQuery(t, id, label)
+	if _, err := conn.Write(append([]byte{byte(len(wire) >> 8), byte(len(wire))}, wire...)); err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, 2)
+	if _, err := io.ReadFull(conn, frame); err != nil {
+		t.Fatal(err)
+	}
+	frame = make([]byte, int(frame[0])<<8|int(frame[1]))
+	if _, err := io.ReadFull(conn, frame); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := dnswire.Unpack(frame); err != nil || resp.ID != id || len(resp.Answers) != 1 {
+		t.Fatalf("TCP query %d for %s: reply %v, %v", id, label, resp, err)
 	}
 }
 
@@ -133,7 +173,7 @@ func send(t *testing.T, conn net.Conn, id uint16, label string) {
 // unread.
 func TestMissHeldUpstreamNeverStallsHits(t *testing.T) {
 	up := &heldUpstream{hold: make(chan struct{})}
-	_, _, addr := serveHeld(t, resolver.GoogleLikeProfile(), up)
+	_, _, addr := serveHeld(t, resolver.GoogleLikeProfile(), up, netem.NewClock(netem.SimStart))
 	var release sync.Once
 	// Registered after the server's Close, so it runs before it: Close
 	// waits for the workers the held misses occupy.
@@ -181,7 +221,7 @@ func TestEachQueryCountedOnce(t *testing.T) {
 	p := resolver.GoogleLikeProfile()
 	p.Probing = resolver.ProbeOnMiss
 	up := &heldUpstream{}
-	res, srv, addr := serveHeld(t, p, up)
+	res, srv, addr := serveHeld(t, p, up, netem.NewClock(netem.SimStart))
 
 	stream := []string{"a", "b", "c", "a", "b", "c", "a", "b", "d", "a", "d"}
 	names := map[string]bool{}
@@ -209,5 +249,37 @@ func TestEachQueryCountedOnce(t *testing.T) {
 		if !ecs {
 			t.Errorf("upstream query %d, a name's first, went without ECS: the name was marked seen before it was resolved", i)
 		}
+	}
+}
+
+// TestProbeOnMissKeepsNoBorrowedName: under ProbeOnMiss the resolver
+// remembers when it last saw each name, and a hit answered on the read
+// loop, whose name is a view of the loop's Message, must leave nothing
+// in that memory pointing into the Message. aaaa is resolved and then
+// hit on the read loop; bbbb, a name of the same length, is then decoded
+// into the same Message. Once aaaa's entry has expired, 40 s later, aaaa
+// is asked again over TCP, whose decode leaves the loop's Message alone.
+// It was seen 40 s before, so its upstream query must go without ECS, as
+// a recently seen name's does; a resolver that stored the hit's name as
+// it was lent has forgotten aaaa and sends ECS.
+func TestProbeOnMissKeepsNoBorrowedName(t *testing.T) {
+	p := resolver.GoogleLikeProfile()
+	p.Probing = resolver.ProbeOnMiss
+	up := &heldUpstream{ttl: 30}
+	clk := netem.NewClock(netem.SimStart)
+	_, srv, addr := serveHeld(t, p, up, clk)
+	conn := heldClient(t, addr)
+	for i, label := range []string{"aaaa", "aaaa", "bbbb"} {
+		if !ask(t, conn, uint16(i), label, 2*time.Second) {
+			t.Fatalf("query %d (%s) got no answer", i, label)
+		}
+	}
+	if st := srv.Stats(); st.Immediate != 1 {
+		t.Fatalf("want aaaa's second query, and only it, answered on the read loop: %s", st)
+	}
+	clk.Advance(40 * time.Second)
+	askTCP(t, addr, 3, "aaaa")
+	if sent := up.sent(); len(sent) != 3 || !sent[0] || !sent[1] || sent[2] {
+		t.Fatalf("upstream queries carried ECS %v, want [true true false]: the third, aaaa's within the minute, went as a new name's", sent)
 	}
 }
