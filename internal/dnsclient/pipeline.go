@@ -19,7 +19,6 @@ import (
 // Pipeline errors.
 var (
 	ErrPipelineClosed = errors.New("dnsclient: pipeline closed")
-	ErrTimeout        = errors.New("dnsclient: query timed out")
 	// ErrNoTarget is what a Sweep's probe returns when its next target
 	// has not come yet.
 	ErrNoTarget = errors.New("dnsclient: no target yet")
@@ -206,9 +205,11 @@ func (p *Pipeline) resolveDest(server string) (netip.AddrPort, error) {
 }
 
 // readLoop takes the datagrams arriving on the socket, every one queued
-// in one read, and delivers them.
+// in one read, and delivers them. It closes the reader after its last
+// read.
 func (p *Pipeline) readLoop() {
 	defer p.reader.Done()
+	defer p.rx.Close()
 	var woken []*sweep
 	for {
 		n, err := p.rx.Read()

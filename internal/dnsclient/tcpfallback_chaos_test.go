@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"os"
 	"sync"
 	"syscall"
 	"testing"
@@ -232,8 +233,12 @@ func TestPipelineTCPFallbackAccounting(t *testing.T) {
 			}
 			resp, err := p.Exchange(ctx, server, pipeQuery(name))
 			if err != nil {
-				if !errors.Is(err, ErrTimeout) && !errors.Is(err, context.DeadlineExceeded) &&
-					!errors.Is(err, context.Canceled) && !isNetErr(err) {
+				// What a timed-out or cancelled Exchange returns: the
+				// query's own deadline, for a query given one, or the
+				// TCP fallback's timeout. Over 20 runs only the first
+				// came.
+				if !errors.Is(err, os.ErrDeadlineExceeded) &&
+					!(i%cancelEvery == 0 && errors.Is(err, context.DeadlineExceeded)) {
 					errs <- err
 				}
 				return
@@ -316,11 +321,4 @@ func TestPipelineTCPFallbackGating(t *testing.T) {
 	if st.Sent != st.Received+st.Timeouts+st.Aborted+st.SendErrors {
 		t.Fatalf("accounting imbalance: %+v", st)
 	}
-}
-
-// isNetErr reports whether err is a plain socket error — expected when a
-// canceled context races the per-query TCP dial or round trip.
-func isNetErr(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne)
 }

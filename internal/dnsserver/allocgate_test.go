@@ -121,8 +121,9 @@ func packWires(t *testing.T, names ...dnswire.Name) [][]byte {
 // query measures a cost that recurs only once every few queries, which
 // testing.AllocsPerRun's whole-object average would round away. Each
 // query that is answered follows dropped copies of it that the server
-// answers with silence.
-func udpGate(t *testing.T, addr netip.AddrPort, wires [][]byte, batch, dropped int, want float64, check func(reply []byte) bool) {
+// answers with silence. With burst set, a batch's queries are all sent
+// before any reply is read, so they queue behind one another.
+func udpGate(t *testing.T, addr netip.AddrPort, wires [][]byte, batch, dropped int, burst bool, want float64, check func(reply []byte) bool) {
 	t.Helper()
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -134,22 +135,33 @@ func udpGate(t *testing.T, addr netip.AddrPort, wires [][]byte, batch, dropped i
 	conn.SetReadDeadline(time.Now().Add(time.Minute))
 	buf := make([]byte, 2048)
 	next := 0
-	exchange := func() {
-		for i := 0; i < batch; i++ {
-			wire := wires[next%len(wires)]
-			next++
-			for j := 0; j <= dropped; j++ {
-				if _, err := conn.WriteToUDPAddrPort(wire, addr); err != nil {
-					t.Fatal(err)
-				}
-			}
-			n, _, err := conn.ReadFromUDPAddrPort(buf)
-			if err != nil {
+	send := func() {
+		wire := wires[next%len(wires)]
+		next++
+		for j := 0; j <= dropped; j++ {
+			if _, err := conn.WriteToUDPAddrPort(wire, addr); err != nil {
 				t.Fatal(err)
 			}
-			if !check(buf[:n]) {
-				t.Fatalf("reply %x is not the one expected", buf[:n])
+		}
+	}
+	receive := func() {
+		n, _, err := conn.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !check(buf[:n]) {
+			t.Fatalf("reply %x is not the one expected", buf[:n])
+		}
+	}
+	exchange := func() {
+		for i := 0; i < batch; i++ {
+			send()
+			if !burst {
+				receive()
 			}
+		}
+		for i := 0; burst && i < batch; i++ {
+			receive()
 		}
 	}
 	for i := 0; i < 64; i++ {
@@ -187,7 +199,10 @@ func answered(reply []byte) bool {
 // declined rows go through a FillHandler that declines every query on
 // the read loop: the loop's decode is the only one, so a repeated query
 // costs 0 and a fresh name 1, its owned copy; a second decode on the
-// worker makes that 2.
+// worker makes that 2. The backlog-fresh-name row queues three batches'
+// worth of fresh names at once, so the loop reads them in batches and
+// packs each batch's replies into buffers it keeps for one sendmmsg: 0
+// as well.
 func TestAllocGateServeUDP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -220,23 +235,30 @@ func TestAllocGateServeUDP(t *testing.T) {
 		rrl     float64
 		wires   [][]byte
 		batch   int
+		burst   bool
 		want    float64
 	}{
-		{"plain", gateReply(), 0, one, 1, 0},
+		{"plain", gateReply(), 0, one, 1, false, 0},
 		// A bucket of a billion tokens never runs dry: every query takes
 		// the limiter's pass path on the client's one known prefix.
-		{"rrl", gateReply(), 1e9, one, 1, 0},
-		{"fresh-name", gateReply(), 0, packWires(t, fresh...), 1, 1},
-		{"immediate", gateNow{}, 0, one, 1, 0},
-		{"answered-fresh-name", gateNow{}, 0, packWires(t, fresh...), 1, 0},
-		{"immediate-mixed", gateNow{}, 0, [][]byte{one[0], formErrs, one[0], undecodable}, 4, 0},
-		{"edns-plain", gateNow{}, 0, [][]byte{one[0], plain}, 2, 0},
-		{"declined", declining{gateReply()}, 0, one, 1, 0},
-		{"declined-fresh-name", declining{gateReply()}, 0, packWires(t, fresh...), 1, 1},
+		{"rrl", gateReply(), 1e9, one, 1, false, 0},
+		{"fresh-name", gateReply(), 0, packWires(t, fresh...), 1, false, 1},
+		{"immediate", gateNow{}, 0, one, 1, false, 0},
+		{"answered-fresh-name", gateNow{}, 0, packWires(t, fresh...), 1, false, 0},
+		{"immediate-mixed", gateNow{}, 0, [][]byte{one[0], formErrs, one[0], undecodable}, 4, false, 0},
+		{"edns-plain", gateNow{}, 0, [][]byte{one[0], plain}, 2, false, 0},
+		{"declined", declining{gateReply()}, 0, one, 1, false, 0},
+		{"declined-fresh-name", declining{gateReply()}, 0, packWires(t, fresh...), 1, false, 1},
+		// Three batches' worth of queries queued at once, each a name
+		// the loop's Message did not hold last (the 4 096 names come
+		// round every 171 runs), all answered on the loop: the read loop
+		// takes them in batches and sends each batch's replies in one
+		// sendmmsg.
+		{"backlog-fresh-name", gateNow{}, 0, packWires(t, fresh...), 3 * loopBatch, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, addr := gateServer(t, tc.handler, func(s *Server) { s.RRL = tc.rrl })
-			udpGate(t, addr, tc.wires, tc.batch, 0, tc.want, answered)
+			udpGate(t, addr, tc.wires, tc.batch, 0, tc.burst, tc.want, answered)
 			st := srv.Stats()
 			if st.Shed != 0 || st.Slipped != 0 || st.Panics != 0 {
 				t.Fatalf("the gate's traffic was limited or failed: %s", st)
@@ -332,7 +354,7 @@ func TestAllocGateShed(t *testing.T) {
 		waitStat(t, srv, "worker wedged", func(st ServerStats) bool { return st.Inflight == 1 })
 		conn.Write(packQuery(t, 2, "www.zone.test."))
 		waitStat(t, srv, "queue filled", func(st ServerStats) bool { return st.Received == 2 })
-		udpGate(t, addr, wires, 1, 0, 0, refused(dnswire.RCodeServFail, false))
+		udpGate(t, addr, wires, 1, 0, false, 0, refused(dnswire.RCodeServFail, false))
 		if st := srv.Stats(); st.Shed != st.Received-2 {
 			t.Fatalf("the gate's traffic was not all shed: %s", st)
 		}
@@ -352,7 +374,7 @@ func TestAllocGateShed(t *testing.T) {
 		if resp, ok := udpRead(t, conn, time.Second); !ok || resp.Truncated {
 			t.Fatalf("the bucket's one token did not answer: %v", resp)
 		}
-		udpGate(t, addr, wires, 1, 1, 0, refused(dnswire.RCodeNoError, true))
+		udpGate(t, addr, wires, 1, 1, false, 0, refused(dnswire.RCodeNoError, true))
 		if st := srv.Stats(); st.Slipped != st.RRLDropped || st.Slipped+st.RRLDropped != st.Received-1 {
 			t.Fatalf("the gate's traffic did not alternate drop and slip: %s", st)
 		}

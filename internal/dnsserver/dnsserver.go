@@ -25,10 +25,19 @@
 // responses is served as a FillHandler that declines every query on the
 // read loop and copies its response into the reply on a worker.
 //
+// The read loop answers a query that finds it idle as it always has:
+// one recvfrom, and the reply in one sendto. Only the datagrams already
+// queued behind one are batched: it takes them in one recvmmsg, up to
+// loopBatch, serves each as if read alone, and sends the batch's
+// replies in one sendmmsg before it reads again (udpio.ReadBacklog, whose
+// probe for a backlog backs off while it finds none). A worker's reply
+// and TCP are unbatched.
+//
 // The server owns the memory it decodes and encodes in. Each TCP
-// connection, each UDP worker and the UDP read loop keep one reply
-// Message and one output buffer for as long as they live, and a TCP
-// connection and the read loop one query Message. A queued query's
+// connection and each UDP worker keep one reply Message and one output
+// buffer for as long as they live, the read loop one reply Message and
+// an output buffer per datagram of a batch, and a TCP connection and
+// the read loop one query Message. A queued query's
 // Message goes to the worker with it and comes back to the loop for a
 // later datagram. The read loop decodes a query's names as views of its
 // Message (dnswire.UnpackBorrowedInto), and a worker gives them strings
@@ -73,7 +82,8 @@ type Handler interface {
 //
 // The UDP read loop that decoded query calls it first, with mayWait
 // unset, and sends what it fills in. It must then not block, because
-// every datagram behind it waits until it returns, and it may decline:
+// every datagram behind it waits until it returns, and so do the
+// replies to the datagrams read in the same batch; and it may decline:
 // return false having changed nothing, neither query nor resp nor any
 // state or counter of its own, because the declined query is queued, in
 // the Message it was decoded into, for a worker, which calls ServeDNS
@@ -380,12 +390,6 @@ func (s *Server) Start(addr string) (netip.AddrPort, error) {
 		return netip.AddrPort{}, err
 	}
 	bound := pc.LocalAddr().(*net.UDPAddr).AddrPort()
-	rw, err := udpio.New(pc)
-	if err != nil {
-		pc.Close()
-		ln.Close()
-		return netip.AddrPort{}, fmt.Errorf("dnsserver: udp socket: %w", err)
-	}
 	var rl *rrl
 	switch {
 	case s.RRL > 0:
@@ -395,6 +399,12 @@ func (s *Server) Start(addr string) (netip.AddrPort, error) {
 		ln.Close()
 		return netip.AddrPort{}, fmt.Errorf("dnsserver: rrl: rate must be positive or 0 (off), got %v", s.RRL)
 	}
+	l, err := s.newUDPLoop(pc)
+	if err != nil {
+		pc.Close()
+		ln.Close()
+		return netip.AddrPort{}, fmt.Errorf("dnsserver: udp socket: %w", err)
+	}
 	s.mu.Lock()
 	s.pc, s.ln = pc, ln
 	s.conns = make(map[net.Conn]struct{})
@@ -403,7 +413,7 @@ func (s *Server) Start(addr string) (netip.AddrPort, error) {
 	s.rrl = rl
 	s.mu.Unlock()
 	s.loops.Add(2)
-	go s.serveUDP(rw)
+	go s.serveUDP(l)
 	go s.serveTCP(ln)
 	return bound, nil
 }
@@ -514,49 +524,93 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// udpLoop is the UDP read loop's own state: its handle on the socket,
-// the workspace it answers, slips and sheds in, and the worker pool it
-// starts. Only the loop's goroutine touches it.
+// loopBatch is how many datagrams the read loop takes in one read, and
+// how many replies it sends in one sendmmsg (DESIGN.md §11 has why 8).
+const loopBatch = 8
+
+// udpLoop is the UDP read loop's own state: its handles on the socket,
+// the workspace it answers, slips and sheds in, the buffers it packs a
+// batch's replies into, and the worker pool it starts. Only the loop's
+// goroutine touches it.
 type udpLoop struct {
-	rw *udpio.Handle
-	// buf is what each datagram is read into, kept on the heap with the
-	// loop: on the loop's stack its 64 KiB would grow it from 8 to 128 KiB.
-	buf            []byte
+	rx *udpio.Reader // the loop's reads, into buffers of its own
+	tx *udpio.Writer // a batch's replies
+	rw *udpio.Handle // a batch of one's reply; each worker clones it
+	// out[i] is what the reply to a batch's i-th datagram is packed
+	// into: a batch's replies are all kept until one Flush sends them.
+	out            [loopBatch][]byte
 	ws             workspace
 	workers        sync.WaitGroup
 	started, limit int64 // workers started so far, and their cap
 }
 
+func (s *Server) newUDPLoop(pc *net.UDPConn) (*udpLoop, error) {
+	rw, err := udpio.New(pc)
+	if err != nil {
+		return nil, err
+	}
+	tx, err := udpio.NewWriter(pc, loopBatch)
+	if err != nil {
+		return nil, err
+	}
+	rx, err := udpio.NewReader(pc, loopBatch)
+	if err != nil {
+		return nil, err
+	}
+	return &udpLoop{rx: rx, tx: tx, rw: rw, limit: int64(s.maxInflight())}, nil
+}
+
 // serveUDP is the UDP read loop and the owner of the worker pool. It
-// serves each datagram it reads (serveDatagram) until the socket's read
-// deadline expires on shutdown, then closes the queue and waits for the
-// workers to drain it.
-func (s *Server) serveUDP(rw *udpio.Handle) {
+// reads with ReadBacklog: a datagram that finds the loop idle is read
+// alone with recvfrom and its reply sent with sendto, and only the
+// datagrams already queued behind one are taken with it, up to
+// loopBatch, in one recvmmsg. It serves each datagram (serveDatagram)
+// and sends a batch's replies in one sendmmsg before it reads again.
+// Once the socket's read deadline expires on shutdown it closes the
+// queue, waits for the workers to drain it, and closes its reader.
+func (s *Server) serveUDP(l *udpLoop) {
 	defer s.loops.Done()
-	l := &udpLoop{rw: rw, buf: make([]byte, 65535), limit: int64(s.maxInflight())}
 	for {
-		n, from, err := rw.ReadFrom(l.buf)
+		k, err := l.rx.ReadBacklog()
 		if err != nil {
 			if s.isClosed() {
 				break
 			}
 			continue
 		}
-		s.stats.received.Add(1)
-		s.serveDatagram(l, l.buf[:n], from)
+		for i := 0; i < k; i++ {
+			pkt, from, _ := l.rx.Datagram(i) // a cut datagram is nil: malformed
+			s.stats.received.Add(1)
+			data := s.serveDatagram(l, pkt, from, &l.out[i])
+			switch {
+			case data == nil:
+			case k == 1:
+				l.rw.WriteTo(data, from)
+			default:
+				l.tx.Add(data, from)
+			}
+		}
+		if k > 1 {
+			l.tx.Flush(ignoreRefused)
+		}
 	}
 	close(s.queue)
 	l.workers.Wait()
+	l.rx.Close()
 }
 
-// serveDatagram decides one datagram on the read loop. RRL comes first,
-// once per datagram: a refusal is shed or slipped here. Then the
-// datagram is decoded, the only time it is, and the handler is asked for
-// an answer that needs no wait, which is sent from here; a query it
-// declines is admitted to the worker pool. Nothing here allocates once
-// the loop has warmed up (TestAllocGateServeUDP and TestAllocGateShed
-// count it).
-func (s *Server) serveDatagram(l *udpLoop, pkt []byte, from netip.AddrPort) {
+// ignoreRefused is the loop's Flush callback: a reply the kernel
+// refuses is lost, as one sendto refuses is.
+func ignoreRefused(int, error) {}
+
+// serveDatagram decides one datagram on the read loop and returns the
+// reply to send, packed into out, or nil. RRL comes first, once per
+// datagram: a refusal is shed or slipped here. Then the datagram is
+// decoded, the only time it is, and the handler is asked for an answer
+// that needs no wait, which is sent from the loop; a query it declines
+// is admitted to the worker pool. Nothing here allocates once the loop
+// has warmed up (TestAllocGateServeUDP and TestAllocGateShed count it).
+func (s *Server) serveDatagram(l *udpLoop, pkt []byte, from netip.AddrPort, out *[]byte) []byte {
 	ws := &l.ws
 	if ws.query == nil {
 		// The last Message went to a worker with its query: take one a
@@ -589,11 +643,9 @@ func (s *Server) serveDatagram(l *udpLoop, pkt []byte, from netip.AddrPort) {
 		resp, query = s.process(from, pkt, ws, l)
 	}
 	if resp == nil {
-		return
+		return nil
 	}
-	if data := ws.pack(resp, query); data != nil {
-		l.rw.WriteTo(data, from)
-	}
+	return pack(out, resp, query)
 }
 
 // admit hands the loop's declined query to the worker pool: its Message
@@ -646,7 +698,7 @@ func (s *Server) udpWorker(rw *udpio.Handle) {
 		p.query.OwnNames() // what the handler keeps, a cache key or a log record, outlives the next decode
 		var data []byte
 		if resp, _ := s.serve(p.from.Addr(), &ws, true); resp != nil {
-			data = ws.pack(resp, p.query)
+			data = pack(&ws.out, resp, p.query)
 		}
 		ws.query = nil
 		s.spare <- p.query
@@ -658,20 +710,20 @@ func (s *Server) udpWorker(rw *udpio.Handle) {
 	}
 }
 
-// pack packs resp into ws.out, truncated to what the client advertised:
+// pack packs resp into *out, truncated to what the client advertised:
 // query, nil when the datagram did not decode, holds the client's EDNS
-// buffer size. The bytes are valid until ws packs the next reply; nil
-// means resp does not pack.
-func (ws *workspace) pack(resp, query *dnswire.Message) []byte {
+// buffer size. The bytes are valid until the next reply is packed into
+// *out; nil means resp does not pack.
+func pack(out *[]byte, resp, query *dnswire.Message) []byte {
 	limit := dnswire.MaxUDPSize
 	if query != nil && query.EDNS != nil && int(query.EDNS.UDPSize) > limit {
 		limit = int(query.EDNS.UDPSize)
 	}
-	data, err := resp.AppendTruncateTo(ws.out[:0], limit)
+	data, err := resp.AppendTruncateTo((*out)[:0], limit)
 	if err != nil {
 		return nil
 	}
-	ws.out = data[:0] // keep any growth for the next reply
+	*out = data[:0] // keep any growth for the next reply
 	return data
 }
 

@@ -59,15 +59,14 @@ const (
 
 // Decoding and validation errors.
 var (
-	ErrShortOption    = errors.New("ecsopt: option data too short")
-	ErrBadFamily      = errors.New("ecsopt: unknown address family")
-	ErrPrefixTooLong  = errors.New("ecsopt: source prefix exceeds address width")
-	ErrScopeTooLong   = errors.New("ecsopt: scope prefix exceeds address width")
-	ErrAddressLength  = errors.New("ecsopt: address length does not match source prefix")
-	ErrTrailingBits   = errors.New("ecsopt: nonzero bits beyond source prefix")
-	ErrScopeInQuery   = errors.New("ecsopt: nonzero scope prefix in query")
-	ErrFamilyMismatch = errors.New("ecsopt: family does not match address")
-	ErrMissingFamily  = errors.New("ecsopt: nonzero source prefix with family none")
+	ErrShortOption   = errors.New("ecsopt: option data too short")
+	ErrBadFamily     = errors.New("ecsopt: unknown address family")
+	ErrPrefixTooLong = errors.New("ecsopt: source prefix exceeds address width")
+	ErrScopeTooLong  = errors.New("ecsopt: scope prefix exceeds address width")
+	ErrAddressLength = errors.New("ecsopt: address length does not match source prefix")
+	ErrTrailingBits  = errors.New("ecsopt: nonzero bits beyond source prefix")
+	ErrScopeInQuery  = errors.New("ecsopt: nonzero scope prefix in query")
+	ErrMissingFamily = errors.New("ecsopt: nonzero source prefix with family none")
 )
 
 // ClientSubnet is a decoded ECS option. Addr is always masked to

@@ -15,15 +15,20 @@
 // callbacks are bound once, when the Handle is made.
 //
 // A Reader and a Writer move datagrams in batches the same way: a
-// Reader takes every queued datagram, up to its size, in one recvmmsg
-// into buffers it owns, and a Writer sends what its caller queued in one
-// sendmmsg, straight from the caller's bytes, and reports by index each
-// datagram the kernel refused.
+// Reader's Read takes every queued datagram, up to its size, in one
+// recvmmsg into buffers it owns, and a Writer sends what its caller
+// queued in one sendmmsg, straight from the caller's bytes, and reports
+// by index each datagram the kernel refused. A Reader's ReadBacklog is
+// for a server that mostly finds its socket idle: it takes one datagram
+// with recvfrom, as ReadFrom does, and only when that one was already
+// queued the datagrams queued behind it, in one recvmmsg that never
+// waits and backs off while it finds nothing. A Reader's buffers are an
+// anonymous mapping, not Go heap, which Close unmaps.
 //
 // Elsewhere, and on linux/386, whose socket calls go through
 // socketcall, the Handle calls are the net.UDPConn methods of the same
-// name, a Reader takes one datagram a call, and a Writer sends its queue
-// one datagram at a time.
+// name, a Reader takes one datagram a call (ReadBacklog is Read), and a
+// Writer sends its queue one datagram at a time.
 package udpio
 
 import "errors"

@@ -73,6 +73,16 @@ func (r *Reader) Read() (int, error) {
 	return 1, nil
 }
 
+// ReadBacklog is Read: here no call takes more than one datagram.
+func (r *Reader) ReadBacklog() (int, error) {
+	return r.Read()
+}
+
+// Close does nothing here: the buffer is the Go heap's.
+func (r *Reader) Close() error {
+	return nil
+}
+
 // Datagram returns the datagram the last Read took and its sender. A
 // datagram longer than the buffer is never returned cut: ok is false
 // and b nil.

@@ -199,6 +199,7 @@ func TestBatchReadWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	srv.SetDeadline(time.Now().Add(5 * time.Second))
 	for _, tc := range []struct {
 		net, peer, seen string
@@ -240,6 +241,7 @@ func TestBatchReadLargest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	big := bytes.Repeat([]byte("0123456789abcdef"), 65000/16)
 	big = append(big, big[:65000-len(big)]...)
 	if _, err := hp.WriteTo(big, to); err != nil {
@@ -253,6 +255,7 @@ func TestBatchReadLargest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer small.Close()
 	for _, m := range []string{"seventeen bytes!!", "sixteen bytes..."} {
 		if _, err := hp.WriteTo([]byte(m), to); err != nil {
 			t.Fatal(err)
@@ -350,14 +353,15 @@ func TestAllocGateUDPIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ra.Close()
 	wb, err := NewWriter(b, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refused := func(i int, err error) { t.Fatalf("datagram %d refused: %v", i, err) }
-	readBatch := func(n int) {
+	readBatch := func(n int, read func() (int, error)) {
 		for n > 0 {
-			k, err := ra.Read()
+			k, err := read()
 			must(k, err)
 			n -= k
 		}
@@ -384,7 +388,12 @@ func TestAllocGateUDPIO(t *testing.T) {
 		{"Reader", func() {
 			must(hb.WriteTo(msg, toA))
 			must(hb.WriteTo(msg, toA))
-			readBatch(2)
+			readBatch(2, ra.Read)
+		}},
+		{"ReadBacklog", func() {
+			must(hb.WriteTo(msg, toA))
+			must(hb.WriteTo(msg, toA))
+			readBatch(2, ra.ReadBacklog)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
