@@ -40,11 +40,10 @@ func main() {
 	an.Queries = 60000
 	an.Clients = 1000
 	tr := traces.GenerateAllNames(an)
-	plain := cachesim.HitRate(tr.Records, false)
-	ecs := cachesim.HitRate(tr.Records, true)
-	fmt.Printf("Busy-resolver hit rate over %d queries:\n", plain.Queries)
-	fmt.Printf("  classic cache (scope ignored): %5.1f%%\n", plain.Rate())
-	fmt.Printf("  ECS cache (scope honored):     %5.1f%%\n", ecs.Rate())
-	fmt.Printf("  → ECS costs %.1f points of hit rate for this workload\n",
-		plain.Rate()-ecs.Rate())
+	res := cachesim.Blowup(tr.Records, 0)
+	plain, ecs := res.HitRate(false), res.HitRate(true)
+	fmt.Printf("Busy-resolver hit rate over %d queries:\n", res.Queries)
+	fmt.Printf("  classic cache (scope ignored): %5.1f%%\n", plain)
+	fmt.Printf("  ECS cache (scope honored):     %5.1f%%\n", ecs)
+	fmt.Printf("  → ECS costs %.1f points of hit rate for this workload\n", plain-ecs)
 }

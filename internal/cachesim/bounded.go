@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"time"
 
-	"ecsdns/internal/ecsopt"
 	"ecsdns/internal/traces"
 )
 
@@ -23,30 +22,20 @@ type BoundedResult struct {
 }
 
 // HitRate returns hits/queries in percent.
-func (r BoundedResult) HitRate() float64 {
-	if r.Queries == 0 {
-		return 0
-	}
-	return 100 * float64(r.Hits) / float64(r.Queries)
-}
+func (r BoundedResult) HitRate() float64 { return percent(r.Hits, r.Queries) }
 
 // EvictionRate returns premature evictions per 100 queries.
-func (r BoundedResult) EvictionRate() float64 {
-	if r.Queries == 0 {
-		return 0
-	}
-	return 100 * float64(r.Evictions) / float64(r.Queries)
-}
+func (r BoundedResult) EvictionRate() float64 { return percent(r.Evictions, r.Queries) }
 
 // boundedEntry is one LRU slot.
 type boundedEntry struct {
-	key    string
+	key    key
 	expiry time.Time
 }
 
 // BoundedReplay replays a trace through an LRU cache holding at most
-// capacity entries. honorECS keys entries by (name, scoped prefix) as a
-// compliant resolver must; otherwise by name alone.
+// capacity entries. honorECS keys entries by (name, type, scoped prefix)
+// as a compliant resolver must; otherwise by the question alone.
 func BoundedReplay(recs []traces.Record, capacity int, honorECS bool) BoundedResult {
 	res := BoundedResult{Capacity: capacity}
 	if capacity <= 0 {
@@ -54,16 +43,12 @@ func BoundedReplay(recs []traces.Record, capacity int, honorECS bool) BoundedRes
 		return res
 	}
 	lru := list.New() // front = most recent
-	slots := make(map[string]*list.Element, capacity)
+	slots := make(map[key]*list.Element, capacity)
 
 	for _, rec := range recs {
 		res.Queries++
-		key := string(rec.Name) + "|" + rec.Type.String()
-		if honorECS && rec.HasECS {
-			p := ecsopt.MaskAddr(rec.Client, int(rec.Scope))
-			key += "|" + p.String()
-		}
-		if el, ok := slots[key]; ok {
+		k := keyOf(rec, honorECS)
+		if el, ok := slots[k]; ok {
 			be := el.Value.(*boundedEntry)
 			if be.expiry.After(rec.Time) {
 				res.Hits++
@@ -85,8 +70,8 @@ func BoundedReplay(recs []traces.Record, capacity int, honorECS bool) BoundedRes
 			delete(slots, be.key)
 			lru.Remove(tail)
 		}
-		slots[key] = lru.PushFront(&boundedEntry{
-			key:    key,
+		slots[k] = lru.PushFront(&boundedEntry{
+			key:    k,
 			expiry: rec.Time.Add(time.Duration(rec.TTL) * time.Second),
 		})
 	}

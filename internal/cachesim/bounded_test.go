@@ -94,23 +94,26 @@ func TestBoundedReplayZeroCapacity(t *testing.T) {
 	}
 }
 
+// TestBoundedMatchesUnboundedWhenHuge: with room for every slot, the LRU
+// never evicts, so it is Blowup's cache, slot for slot (both key by
+// keyOf), and counts exactly its hits.
 func TestBoundedMatchesUnboundedWhenHuge(t *testing.T) {
 	cfg := traces.DefaultAllNames
 	cfg.Queries = 10000
 	cfg.Clients = 300
 	cfg.Duration = 2 * time.Minute
 	tr := traces.GenerateAllNames(cfg)
-	unbounded := HitRate(tr.Records, true)
-	bounded := BoundedReplay(tr.Records, 1<<20, true)
-	if bounded.Evictions != 0 {
-		t.Fatalf("huge capacity evicted %d", bounded.Evictions)
-	}
-	// Bounded keying is exact-prefix (no coverage), so its hit count is
-	// a lower bound on the coverage-aware simulation's.
-	if bounded.Hits > unbounded.Hits {
-		t.Fatalf("bounded hits %d exceed coverage-aware %d", bounded.Hits, unbounded.Hits)
-	}
-	if float64(bounded.Hits) < float64(unbounded.Hits)*0.8 {
-		t.Fatalf("bounded hits %d too far below coverage-aware %d", bounded.Hits, unbounded.Hits)
+	unbounded := Blowup(tr.Records, 0)
+	for _, c := range []struct {
+		honorECS bool
+		want     int
+	}{{true, unbounded.HitsWithECS}, {false, unbounded.HitsWithoutECS}} {
+		bounded := BoundedReplay(tr.Records, 1<<20, c.honorECS)
+		if bounded.Evictions != 0 {
+			t.Fatalf("honorECS=%v: huge capacity evicted %d", c.honorECS, bounded.Evictions)
+		}
+		if bounded.Hits != c.want {
+			t.Fatalf("honorECS=%v: bounded hits %d, Blowup's %d", c.honorECS, bounded.Hits, c.want)
+		}
 	}
 }

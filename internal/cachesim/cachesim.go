@@ -1,80 +1,110 @@
 // Package cachesim runs the trace-driven cache simulations of §7 of the
-// paper: the growth in resolver cache size caused by ECS (the "blow-up
-// factor" of Figures 1 and 2) and the drop in cache hit rate (Figure 3).
-// The simulations follow the paper's assumptions: resolvers honor
-// authoritative TTLs exactly and never evict early.
+// paper. One Blowup pass gives both the growth in resolver cache size
+// caused by ECS (the "blow-up factor" of Figures 1 and 2) and the drop in
+// cache hit rate (Figure 3), under the paper's assumptions: resolvers
+// honor authoritative TTLs exactly and never evict early. Every replay
+// needs its records in time order; cmd/ecsreplay sorts a trace it reads.
 package cachesim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"net/netip"
 	"time"
 
+	"ecsdns/internal/dnswire"
 	"ecsdns/internal/ecscache"
 	"ecsdns/internal/ecsopt"
 	"ecsdns/internal/traces"
 )
 
-// expiryItem is one (deadline, key) pair in the expiry heap.
-type expiryItem struct {
-	at  time.Time
-	key string
+// key is one cache slot: the question and, in a cache that honors an
+// ECS answer's scope, the client prefix the answer is scoped to.
+type key struct {
+	name   dnswire.Name
+	typ    dnswire.Type
+	prefix netip.Prefix
 }
 
-type expiryHeap []expiryItem
-
-func (h expiryHeap) Len() int            { return len(h) }
-func (h expiryHeap) Less(i, j int) bool  { return h[i].at.Before(h[j].at) }
-func (h expiryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap) Push(x interface{}) { *h = append(*h, x.(expiryItem)) }
-func (h *expiryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// keyOf is rec's slot in a cache that honors ECS scope (honorECS) or
+// one that ignores it. A record without ECS takes the question's
+// unscoped slot either way.
+func keyOf(rec traces.Record, honorECS bool) key {
+	k := key{name: rec.Name, typ: rec.Type}
+	if honorECS && rec.HasECS {
+		k.prefix = netip.PrefixFrom(ecsopt.MaskAddr(rec.Client, int(rec.Scope)), int(rec.Scope))
+	}
+	return k
 }
 
-// liveSet tracks the number of concurrently live cache entries exactly:
-// entries expire at their deadline and the high-water mark is updated on
-// every insertion.
+// liveSet counts a cache's live entries exactly: an entry lives from its
+// insertion until its deadline, and the high-water mark is taken on
+// every insertion. Times are offsets from the trace's first record.
+// deadlines is a min-heap holding one deadline per live entry, so its
+// length is the live count. slots keeps each slot's last deadline,
+// live or not, and drops its dead ones in bulk once they outnumber the
+// live ones.
 type liveSet struct {
-	expiry map[string]time.Time
-	h      expiryHeap
-	max    int
+	slots     map[key]time.Duration
+	deadlines []time.Duration
+	max       int
 }
 
 func newLiveSet() *liveSet {
-	return &liveSet{expiry: make(map[string]time.Time)}
+	return &liveSet{slots: make(map[key]time.Duration)}
 }
 
-// touch simulates one query for key at `now` with the given ttl: a live
+// touch simulates one query for k at now with the given ttl: a live
 // entry is a hit (no state change); otherwise a new entry is inserted.
-func (s *liveSet) touch(key string, now time.Time, ttl time.Duration) bool {
-	s.purge(now)
-	if e, ok := s.expiry[key]; ok && e.After(now) {
+func (s *liveSet) touch(k key, now, ttl time.Duration) bool {
+	for len(s.deadlines) > 0 && s.deadlines[0] <= now {
+		s.pop()
+	}
+	if d, ok := s.slots[k]; ok && d > now {
 		return true
 	}
-	s.expiry[key] = now.Add(ttl)
-	heap.Push(&s.h, expiryItem{at: now.Add(ttl), key: key})
-	if len(s.expiry) > s.max {
-		s.max = len(s.expiry)
+	s.slots[k] = now + ttl
+	s.push(now + ttl)
+	s.max = max(s.max, len(s.deadlines))
+	if len(s.slots) > 2*len(s.deadlines) { // more dead slots than live
+		for slot, d := range s.slots {
+			if d <= now {
+				delete(s.slots, slot)
+			}
+		}
 	}
 	return false
 }
 
-func (s *liveSet) purge(now time.Time) {
-	for len(s.h) > 0 && !s.h[0].at.After(now) {
-		it := heap.Pop(&s.h).(expiryItem)
-		if e, ok := s.expiry[it.key]; ok && !e.After(it.at) {
-			delete(s.expiry, it.key)
-		}
+// push adds a deadline.
+func (s *liveSet) push(d time.Duration) {
+	h := append(s.deadlines, d)
+	for i := len(h) - 1; i > 0 && h[(i-1)/2] > h[i]; i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
 	}
+	s.deadlines = h
 }
 
-// BlowupResult reports one resolver's cache sizes with and without ECS.
+// pop removes the earliest deadline.
+func (s *liveSet) pop() {
+	h := s.deadlines
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+	}
+	s.deadlines = h
+}
+
+// BlowupResult reports one resolver's cache sizes and hits with and
+// without ECS.
 type BlowupResult struct {
 	Resolver       netip.Addr
 	MaxWithECS     int
@@ -92,10 +122,28 @@ func (r BlowupResult) Factor() float64 {
 	return float64(r.MaxWithECS) / float64(r.MaxWithoutECS)
 }
 
-// Blowup replays one resolver trace twice — honoring and ignoring the
-// ECS scope restrictions — and reports the maximum cache sizes.
-// ttlOverride, when nonzero, replaces every record's TTL (the Figure 1
-// TTL sweep); zero uses the TTLs in the trace.
+// HitRate returns the hits per query in percent of the cache that
+// honors ECS scope (withECS) or of the one that ignores it.
+func (r BlowupResult) HitRate(withECS bool) float64 {
+	if withECS {
+		return percent(r.HitsWithECS, r.Queries)
+	}
+	return percent(r.HitsWithoutECS, r.Queries)
+}
+
+// percent returns 100·n/of, or 0 when of is 0.
+func percent(n, of int) float64 {
+	if of == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(of)
+}
+
+// Blowup replays one resolver trace through two caches at once — one
+// honoring the ECS scope restrictions, one ignoring them — and reports
+// each one's maximum size and hits. ttlOverride, when nonzero, replaces
+// every record's TTL (the Figure 1 TTL sweep); zero uses the TTLs in the
+// trace.
 func Blowup(recs []traces.Record, ttlOverride time.Duration) BlowupResult {
 	withECS := newLiveSet()
 	withoutECS := newLiveSet()
@@ -108,15 +156,11 @@ func Blowup(recs []traces.Record, ttlOverride time.Duration) BlowupResult {
 		if ttlOverride != 0 {
 			ttl = ttlOverride
 		}
-		plainKey := string(rec.Name) + "|" + rec.Type.String()
-		if withoutECS.touch(plainKey, rec.Time, ttl) {
+		now := rec.Time.Sub(recs[0].Time)
+		if withoutECS.touch(keyOf(rec, false), now, ttl) {
 			res.HitsWithoutECS++
 		}
-		ecsKey := plainKey
-		if rec.HasECS {
-			ecsKey = plainKey + "|" + scopedPrefix(rec).String()
-		}
-		if withECS.touch(ecsKey, rec.Time, ttl) {
+		if withECS.touch(keyOf(rec, true), now, ttl) {
 			res.HitsWithECS++
 		}
 		res.Queries++
@@ -126,38 +170,19 @@ func Blowup(recs []traces.Record, ttlOverride time.Duration) BlowupResult {
 	return res
 }
 
-// scopedPrefix is the cache-index prefix of a record: the client address
-// masked to the response scope.
-func scopedPrefix(rec traces.Record) netip.Prefix {
-	return netip.PrefixFrom(ecsopt.MaskAddr(rec.Client, int(rec.Scope)), int(rec.Scope))
-}
-
-// HitRateResult reports a hit-rate replay.
-type HitRateResult struct {
-	Queries int
-	Hits    int
-}
-
-// Rate returns hits/queries in percent.
-func (r HitRateResult) Rate() float64 {
-	if r.Queries == 0 {
-		return 0
-	}
-	return 100 * float64(r.Hits) / float64(r.Queries)
-}
-
-// HitRate replays a trace against a scope-honoring ECS cache
-// (honorECS=true) or a classic cache that ignores ECS (false), using the
-// coverage semantics of RFC 7871 (a client inside a wider cached scope
-// hits even if its own /24 was never queried). It is CacheReplay over an
-// unbounded cache.
-func HitRate(recs []traces.Record, honorECS bool) HitRateResult {
+// HitRate replays a trace against the serving cache, unbounded, honoring
+// ECS scope (honorECS=true) or ignoring it (false), with the coverage
+// semantics of RFC 7871: a client inside a wider cached scope hits even
+// if its own /24 was never queried. On the generated traces it counts
+// exactly Blowup's hits (TestBlowupHitsMatchServingCache); unlike
+// Blowup's exact-prefix slots, it also answers a trace that varies a
+// question's scope.
+func HitRate(recs []traces.Record, honorECS bool) ReplayResult {
 	mode := ecscache.IgnoreScope
 	if honorECS {
 		mode = ecscache.HonorScope
 	}
-	r := CacheReplay(recs, ecscache.Config{Mode: mode, ClampScopeToSource: true})
-	return HitRateResult{Queries: r.Queries, Hits: int(r.Stats.Hits)}
+	return CacheReplay(recs, ecscache.Config{Mode: mode, ClampScopeToSource: true})
 }
 
 // SampleClients draws a random fraction of the client population,

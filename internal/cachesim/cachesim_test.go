@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ecsdns/internal/dnswire"
+	"ecsdns/internal/ecsopt"
 	"ecsdns/internal/traces"
 )
 
@@ -30,16 +31,17 @@ func rec(sec int, subnet byte, h int, ttl uint32, scope uint8) traces.Record {
 
 func TestLiveSetExactCounting(t *testing.T) {
 	s := newLiveSet()
-	if s.touch("a", simStart, 10*time.Second) {
+	a, b := key{name: "a."}, key{name: "b."}
+	if s.touch(a, 0, 10*time.Second) {
 		t.Fatal("first touch must miss")
 	}
-	if !s.touch("a", simStart.Add(5*time.Second), 10*time.Second) {
+	if !s.touch(a, 5*time.Second, 10*time.Second) {
 		t.Fatal("touch within TTL must hit")
 	}
-	if s.touch("a", simStart.Add(10*time.Second), 10*time.Second) {
+	if s.touch(a, 10*time.Second, 10*time.Second) {
 		t.Fatal("touch at expiry must miss")
 	}
-	s.touch("b", simStart.Add(11*time.Second), 10*time.Second)
+	s.touch(b, 11*time.Second, 10*time.Second)
 	if s.max != 2 {
 		t.Fatalf("max = %d, want 2", s.max)
 	}
@@ -123,14 +125,14 @@ func TestHitRateECSVsPlain(t *testing.T) {
 	}
 	plain := HitRate(recs, false)
 	ecs := HitRate(recs, true)
-	if plain.Hits != 99 {
-		t.Fatalf("plain hits = %d, want 99", plain.Hits)
+	if plain.Stats.Hits != 99 {
+		t.Fatalf("plain hits = %d, want 99", plain.Stats.Hits)
 	}
-	if ecs.Hits != 90 {
+	if ecs.Stats.Hits != 90 {
 		// 10 subnets × first query each misses.
-		t.Fatalf("ecs hits = %d, want 90", ecs.Hits)
+		t.Fatalf("ecs hits = %d, want 90", ecs.Stats.Hits)
 	}
-	if plain.Rate() <= ecs.Rate() {
+	if plain.HitRate() <= ecs.HitRate() {
 		t.Fatal("plain rate must exceed ECS rate")
 	}
 }
@@ -142,8 +144,8 @@ func TestHitRateCoverageAcrossScopes(t *testing.T) {
 		rec(1, 1, 0, 300, 16),
 	}
 	r := HitRate(recs, true)
-	if r.Hits != 1 {
-		t.Fatalf("hits = %d, want 1 (wide scope shared)", r.Hits)
+	if r.Stats.Hits != 1 {
+		t.Fatalf("hits = %d, want 1 (wide scope shared)", r.Stats.Hits)
 	}
 }
 
@@ -214,11 +216,11 @@ func TestGeneratedAllNamesHitRateDropsUnderECS(t *testing.T) {
 	tr := traces.GenerateAllNames(cfg)
 	plain := HitRate(tr.Records, false)
 	ecs := HitRate(tr.Records, true)
-	if ecs.Rate() >= plain.Rate() {
-		t.Fatalf("ECS rate %.1f%% not below plain %.1f%%", ecs.Rate(), plain.Rate())
+	if ecs.HitRate() >= plain.HitRate() {
+		t.Fatalf("ECS rate %.1f%% not below plain %.1f%%", ecs.HitRate(), plain.HitRate())
 	}
-	if plain.Rate() < 40 {
-		t.Fatalf("plain hit rate unrealistically low: %.1f%%", plain.Rate())
+	if plain.HitRate() < 40 {
+		t.Fatalf("plain hit rate unrealistically low: %.1f%%", plain.HitRate())
 	}
 }
 
@@ -257,8 +259,84 @@ func TestPropertyBlowupInvariants(t *testing.T) {
 		// HitRate agrees with the same ordering.
 		plain := HitRate(recs, false)
 		ecs := HitRate(recs, true)
-		if ecs.Hits > plain.Hits {
-			t.Fatalf("trial %d: coverage-aware ECS hits %d exceed plain %d", trial, ecs.Hits, plain.Hits)
+		if ecs.Stats.Hits > plain.Stats.Hits {
+			t.Fatalf("trial %d: coverage-aware ECS hits %d exceed plain %d", trial, ecs.Stats.Hits, plain.Stats.Hits)
+		}
+	}
+}
+
+// TestBlowupMatchesBruteForce pins Blowup's sizes and hits to a count
+// that keeps every entry it ever inserted and rescans them all at each
+// record: an entry is live from its insertion until its deadline, a
+// query hits a live entry of its slot, and the cache size is the most
+// entries live at once. Its slots are strings built from the question
+// and the scoped prefix, independently of keyOf.
+func TestBlowupMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		recs := make([]traces.Record, 20+rng.Intn(200))
+		at := simStart
+		for i := range recs {
+			// Whole seconds, so records land on each other's deadlines.
+			at = at.Add(time.Duration(rng.Intn(3)) * time.Second)
+			client := netip.AddrFrom4([4]byte{10, byte(rng.Intn(2)), byte(rng.Intn(8)), 1})
+			if rng.Intn(4) == 0 {
+				client = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(rng.Intn(4)), 15: 1})
+			}
+			recs[i] = traces.Record{
+				Time:   at,
+				Client: client,
+				Name:   dnswire.Name(fmt.Sprintf("h%d.example.", rng.Intn(4))),
+				Type:   []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA}[rng.Intn(2)],
+				HasECS: rng.Intn(4) != 0,
+				Source: 24,
+				Scope:  []uint8{0, 16, 24}[rng.Intn(3)],
+				TTL:    uint32(1 + rng.Intn(10)),
+			}
+		}
+		var ttlOverride time.Duration
+		if trial%3 == 0 {
+			ttlOverride = time.Duration(1+rng.Intn(10)) * time.Second
+		}
+		count := func(honorECS bool) (size, hits int) {
+			type entry struct {
+				slot     string
+				deadline time.Time
+			}
+			var all []entry
+			for _, r := range recs {
+				slot := string(r.Name) + "|" + r.Type.String()
+				if honorECS && r.HasECS {
+					slot += "|" + netip.PrefixFrom(ecsopt.MaskAddr(r.Client, int(r.Scope)), int(r.Scope)).String()
+				}
+				live, hit := 0, false
+				for _, e := range all {
+					if e.deadline.After(r.Time) {
+						live++
+						hit = hit || e.slot == slot
+					}
+				}
+				if hit {
+					hits++
+					continue
+				}
+				ttl := time.Duration(r.TTL) * time.Second
+				if ttlOverride != 0 {
+					ttl = ttlOverride
+				}
+				all = append(all, entry{slot, r.Time.Add(ttl)})
+				size = max(size, live+1)
+			}
+			return size, hits
+		}
+		got := Blowup(recs, ttlOverride)
+		ecsSize, ecsHits := count(true)
+		plainSize, plainHits := count(false)
+		if got.MaxWithECS != ecsSize || got.HitsWithECS != ecsHits ||
+			got.MaxWithoutECS != plainSize || got.HitsWithoutECS != plainHits {
+			t.Fatalf("trial %d: Blowup %d/%d entries, %d/%d hits (ECS/plain); brute force %d/%d, %d/%d",
+				trial, got.MaxWithECS, got.MaxWithoutECS, got.HitsWithECS, got.HitsWithoutECS,
+				ecsSize, plainSize, ecsHits, plainHits)
 		}
 	}
 }
@@ -291,13 +369,13 @@ func TestPropertyScopeMonotonicity(t *testing.T) {
 	h16 := HitRate(withScope(16), true)
 	h24 := HitRate(withScope(24), true)
 	plain := HitRate(base, false)
-	if !(h24.Hits <= h16.Hits && h16.Hits <= h0.Hits) {
+	if !(h24.Stats.Hits <= h16.Stats.Hits && h16.Stats.Hits <= h0.Stats.Hits) {
 		t.Fatalf("hits not monotone in scope width: /24=%d /16=%d /0=%d",
-			h24.Hits, h16.Hits, h0.Hits)
+			h24.Stats.Hits, h16.Stats.Hits, h0.Stats.Hits)
 	}
-	if h0.Hits != plain.Hits {
+	if h0.Stats.Hits != plain.Stats.Hits {
 		t.Fatalf("scope-0 ECS cache (%d hits) must equal the plain cache (%d hits)",
-			h0.Hits, plain.Hits)
+			h0.Stats.Hits, plain.Stats.Hits)
 	}
 }
 
@@ -316,7 +394,7 @@ func BenchmarkHitRateScope(b *testing.B) {
 			b.ReportAllocs()
 			var rate float64
 			for i := 0; i < b.N; i++ {
-				rate = HitRate(tr.Records, mode.honor).Rate()
+				rate = HitRate(tr.Records, mode.honor).HitRate()
 			}
 			b.ReportMetric(rate, "hit%")
 		})

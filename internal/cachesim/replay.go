@@ -22,21 +22,11 @@ type ReplayResult struct {
 }
 
 // HitRate returns hits per query in percent.
-func (r ReplayResult) HitRate() float64 {
-	if r.Queries == 0 {
-		return 0
-	}
-	return 100 * float64(r.Stats.Hits) / float64(r.Queries)
-}
+func (r ReplayResult) HitRate() float64 { return percent(int(r.Stats.Hits), r.Queries) }
 
 // EvictionRate returns premature evictions per 100 queries — the
 // metric BoundedReplay reports, read here from the real cache.
-func (r ReplayResult) EvictionRate() float64 {
-	if r.Queries == 0 {
-		return 0
-	}
-	return 100 * float64(r.Stats.Evictions) / float64(r.Queries)
-}
+func (r ReplayResult) EvictionRate() float64 { return percent(int(r.Stats.Evictions), r.Queries) }
 
 // CacheReplay replays a trace through a real ecscache.Cache built from
 // cfg: every record is one client lookup, and every miss inserts the

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"ecsdns/internal/cachesim"
+	"ecsdns/internal/ecscache"
+	"ecsdns/internal/traces"
 )
 
 // testConfig runs at a smaller scale than the default to keep the suite
@@ -22,8 +26,9 @@ func testConfig() Config {
 // skipFixedTraceUnderRace skips a test whose experiment replays the
 // all-names trace, which Config.Scale does not size
 // (traces.DefaultAllNames: 280 000 queries whatever the scale). Those
-// four are 126 s of single-goroutine map work under the race detector
-// and 18 s without it, where they still run.
+// four are 61 s of single-goroutine map work under the race detector
+// (the package's race run goes from 40 to 100 s with them) and 11 s
+// without it, where they still run (2 vCPU, go1.24.0).
 func skipFixedTraceUnderRace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("replays the fixed-size all-names trace on one goroutine; runs in plain go test")
@@ -212,6 +217,47 @@ func TestFig3Shape(t *testing.T) {
 	}
 	if ecs.Measured*2 > plain.Measured {
 		t.Error("ECS must cut the hit rate by more than half")
+	}
+}
+
+// TestBlowupHitsMatchServingCache holds §7's model to the cache that
+// serves: on the traces the §7 experiments replay, Blowup's hits with
+// and without ECS are exactly those of an unbounded ecscache honoring
+// and ignoring scope. It takes every eighth public-CDN resolver, and
+// the all-names traces (the fixed-size trace) in plain go test only.
+func TestBlowupHitsMatchServingCache(t *testing.T) {
+	cfg := testConfig()
+	check := func(name string, recs []traces.Record) {
+		t.Helper()
+		res := cachesim.Blowup(recs, 0)
+		for _, c := range []struct {
+			mode ecscache.ScopeMode
+			name string
+			want int
+		}{
+			{ecscache.HonorScope, "honoring scope", res.HitsWithECS},
+			{ecscache.IgnoreScope, "ignoring scope", res.HitsWithoutECS},
+		} {
+			got := cachesim.CacheReplay(recs, ecscache.Config{Mode: c.mode, ClampScopeToSource: true}).Stats.Hits
+			if int(got) != c.want {
+				t.Errorf("%s, %s: Blowup counts %d hits, the serving cache %d", name, c.name, c.want, got)
+			}
+		}
+	}
+	for i, tr := range traces.GeneratePublicCDN(publicCDNConfig(cfg)) {
+		if i%8 == 0 {
+			check(fmt.Sprintf("public-CDN resolver %d", i), tr.Records)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	tr := traces.GenerateAllNames(allNamesConfig(cfg))
+	keep := cachesim.SampleClients(tr.Clients, 0.1, cfg.Seed)
+	check("all-names, 10% of clients", cachesim.FilterClients(tr.Records, keep))
+	deployed := ecsDeployment(tr.Records)
+	for _, pct := range []int{0, 25, 50, 75, 100} {
+		check(fmt.Sprintf("all-names, ECS at %d%% of SLDs", pct), deployed(pct))
 	}
 }
 

@@ -70,74 +70,73 @@ func runFig1(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-func runFig2(cfg Config) (*Report, error) {
-	tr := traces.GenerateAllNames(allNamesConfig(cfg))
-	rep := &Report{ID: "fig2", Title: "All-names resolver cache blow-up vs client fraction"}
-
-	t := &report.Table{
-		Title:   "Blow-up factor by client fraction (Figure 2, 3-seed averages)",
-		Headers: []string{"% clients", "blow-up factor"},
-	}
-	var atFull, atTen float64
-	for frac := 10; frac <= 100; frac += 10 {
-		var sum float64
-		runs := 3
-		if frac == 100 {
-			runs = 1 // the full population is deterministic
-		}
-		for seed := int64(0); seed < int64(runs); seed++ {
-			keep := cachesim.SampleClients(tr.Clients, float64(frac)/100, cfg.Seed+seed)
-			recs := cachesim.FilterClients(tr.Records, keep)
-			sum += cachesim.Blowup(recs, 0).Factor()
-		}
-		avg := sum / float64(runs)
-		t.AddRow(fmt.Sprintf("%d", frac), avg)
-		if frac == 100 {
-			atFull = avg
-		}
-		if frac == 10 {
-			atTen = avg
-		}
-	}
-	rep.Tables = append(rep.Tables, t)
-	rep.AddMetric("blow-up at 100% clients", 4.3, atFull, "×")
-	rep.AddMetric("blow-up at 10% clients", 1.7, atTen, "×")
-	rep.Notes = append(rep.Notes,
-		"the blow-up grows with the client population and does not flatten at 100%, as in Figure 2")
-	return rep, nil
+// sweepRow is one client fraction of Figures 2 and 3: the blow-up
+// factor and the hit rates without and with ECS, each averaged over the
+// fraction's client samples.
+type sweepRow struct {
+	frac                     int
+	blowup, plainHit, ecsHit float64
 }
 
-func runFig3(cfg Config) (*Report, error) {
+// clientSweep replays the all-names trace at 10, 20 … 100 % of its
+// clients, three client samples per fraction (one at 100 %, which is
+// deterministic), each sample once through Blowup.
+func clientSweep(cfg Config) []sweepRow {
 	tr := traces.GenerateAllNames(allNamesConfig(cfg))
-	rep := &Report{ID: "fig3", Title: "Cache hit rate with and without ECS"}
-
-	t := &report.Table{
-		Title:   "Hit rate by client fraction (Figure 3, 3-seed averages)",
-		Headers: []string{"% clients", "no ECS (%)", "with ECS (%)"},
-	}
-	var fullPlain, fullECS float64
+	var rows []sweepRow
 	for frac := 10; frac <= 100; frac += 10 {
-		var sumPlain, sumECS float64
+		row := sweepRow{frac: frac}
 		runs := 3
 		if frac == 100 {
 			runs = 1
 		}
 		for seed := int64(0); seed < int64(runs); seed++ {
 			keep := cachesim.SampleClients(tr.Clients, float64(frac)/100, cfg.Seed+seed)
-			recs := cachesim.FilterClients(tr.Records, keep)
-			sumPlain += cachesim.HitRate(recs, false).Rate()
-			sumECS += cachesim.HitRate(recs, true).Rate()
+			res := cachesim.Blowup(cachesim.FilterClients(tr.Records, keep), 0)
+			row.blowup += res.Factor()
+			row.plainHit += res.HitRate(false)
+			row.ecsHit += res.HitRate(true)
 		}
-		plain := sumPlain / float64(runs)
-		ecs := sumECS / float64(runs)
-		t.AddRow(fmt.Sprintf("%d", frac), plain, ecs)
-		if frac == 100 {
-			fullPlain, fullECS = plain, ecs
-		}
+		row.blowup /= float64(runs)
+		row.plainHit /= float64(runs)
+		row.ecsHit /= float64(runs)
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+func runFig2(cfg Config) (*Report, error) {
+	rep := &Report{ID: "fig2", Title: "All-names resolver cache blow-up vs client fraction"}
+	t := &report.Table{
+		Title:   "Blow-up factor by client fraction (Figure 2, 3-seed averages)",
+		Headers: []string{"% clients", "blow-up factor"},
+	}
+	rows := clientSweep(cfg)
+	for _, r := range rows {
+		t.AddRow(fmt.Sprintf("%d", r.frac), r.blowup)
 	}
 	rep.Tables = append(rep.Tables, t)
-	rep.AddMetric("hit rate without ECS, all clients", 76, fullPlain, "%")
-	rep.AddMetric("hit rate with ECS, all clients", 30, fullECS, "%")
+	rep.AddMetric("blow-up at 100% clients", 4.3, rows[len(rows)-1].blowup, "×")
+	rep.AddMetric("blow-up at 10% clients", 1.7, rows[0].blowup, "×")
+	rep.Notes = append(rep.Notes,
+		"the blow-up grows with the client population and does not flatten at 100%, as in Figure 2")
+	return rep, nil
+}
+
+func runFig3(cfg Config) (*Report, error) {
+	rep := &Report{ID: "fig3", Title: "Cache hit rate with and without ECS"}
+	t := &report.Table{
+		Title:   "Hit rate by client fraction (Figure 3, 3-seed averages)",
+		Headers: []string{"% clients", "no ECS (%)", "with ECS (%)"},
+	}
+	rows := clientSweep(cfg)
+	for _, r := range rows {
+		t.AddRow(fmt.Sprintf("%d", r.frac), r.plainHit, r.ecsHit)
+	}
+	rep.Tables = append(rep.Tables, t)
+	full := rows[len(rows)-1]
+	rep.AddMetric("hit rate without ECS, all clients", 76, full.plainHit, "%")
+	rep.AddMetric("hit rate with ECS, all clients", 30, full.ecsHit, "%")
 	rep.Notes = append(rep.Notes,
 		"ECS scope restrictions cut the hit rate by more than half across all client populations, as in Figure 3")
 	return rep, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"ecsdns/internal/authority"
 	"ecsdns/internal/cachesim"
@@ -140,19 +141,7 @@ func runExtAdaptive(cfg Config) (*Report, error) {
 // a function of the fraction of interactions that involve ECS, predicting
 // the cost of growing authoritative-side deployment.
 func runExtECSFraction(cfg Config) (*Report, error) {
-	base := traces.DefaultAllNames
-	base.Seed = cfg.Seed
-	tr := traces.GenerateAllNames(base)
-
-	// Group records by SLD so ECS adoption is per-operator, as in
-	// reality: an SLD either deploys ECS or does not.
-	sldOf := func(name dnswire.Name) dnswire.Name { return name.SLD() }
-	slds := map[dnswire.Name]int{}
-	for _, r := range tr.Records {
-		if _, ok := slds[sldOf(r.Name)]; !ok {
-			slds[sldOf(r.Name)] = len(slds)
-		}
-	}
+	deployed := ecsDeployment(traces.GenerateAllNames(allNamesConfig(cfg)).Records)
 
 	rep := &Report{ID: "ext_ecsfraction", Title: "Blow-up vs ECS deployment fraction"}
 	t := &report.Table{
@@ -161,18 +150,8 @@ func runExtECSFraction(cfg Config) (*Report, error) {
 	}
 	var at0, at100 float64
 	for _, pct := range []int{0, 25, 50, 75, 100} {
-		recs := make([]traces.Record, len(tr.Records))
-		copy(recs, tr.Records)
-		for i := range recs {
-			// SLD index below the threshold ⇒ deploys ECS.
-			if slds[sldOf(recs[i].Name)]*100 >= pct*len(slds) {
-				recs[i].HasECS = false
-				recs[i].Scope = 0
-			}
-		}
-		res := cachesim.Blowup(recs, 0)
-		hit := cachesim.HitRate(recs, true)
-		t.AddRow(fmt.Sprintf("%d", pct), res.Factor(), hit.Rate())
+		res := cachesim.Blowup(deployed(pct), 0)
+		t.AddRow(fmt.Sprintf("%d", pct), res.Factor(), res.HitRate(true))
 		if pct == 0 {
 			at0 = res.Factor()
 		}
@@ -186,6 +165,29 @@ func runExtECSFraction(cfg Config) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"the overall cache cost scales smoothly with authoritative-side ECS deployment; the paper's §7 numbers are the 100% end of this curve, its §9 asks for exactly this prediction")
 	return rep, nil
+}
+
+// ecsDeployment returns recs at each deployment fraction pct: ECS stays
+// only on the records of the first pct percent of SLDs, in order of
+// first appearance. Adoption is per operator, as in reality: an SLD
+// either deploys ECS or does not.
+func ecsDeployment(recs []traces.Record) func(pct int) []traces.Record {
+	slds := map[dnswire.Name]int{}
+	for _, r := range recs {
+		if _, ok := slds[r.Name.SLD()]; !ok {
+			slds[r.Name.SLD()] = len(slds)
+		}
+	}
+	return func(pct int) []traces.Record {
+		out := slices.Clone(recs)
+		for i := range out {
+			if slds[out[i].Name.SLD()]*100 >= pct*len(slds) {
+				out[i].HasECS = false
+				out[i].Scope = 0
+			}
+		}
+		return out
+	}
 }
 
 // runExtLabStudy is the §9 "lab-based analysis of popular recursive
@@ -260,9 +262,7 @@ func runExtLabStudy(cfg Config) (*Report, error) {
 // capacities over the all-names trace and find the capacity each cache
 // needs to keep premature evictions below 0.5 per 100 queries.
 func runExtEvictions(cfg Config) (*Report, error) {
-	base := traces.DefaultAllNames
-	base.Seed = cfg.Seed
-	tr := traces.GenerateAllNames(base)
+	tr := traces.GenerateAllNames(allNamesConfig(cfg))
 
 	rep := &Report{ID: "ext_evictions", Title: "Capacity needed to avoid premature evictions"}
 	t := &report.Table{

@@ -22,10 +22,10 @@ func init() {
 // authors could not collect: the name space stays fixed (the same
 // service universe) while clients, their subnets, and query volume grow
 // together, modeling the same resolver serving 10× and 100× the users.
-// Each population is replayed three ways — the unbounded liveSet model
-// (Blowup), the standalone LRU model (BoundedReplay) and the real
-// sharded ecscache under the same fixed capacity — so the models
-// cross-validate against the serving implementation at every scale.
+// Each population is replayed three ways: Blowup for the blow-up
+// factor, and the standalone LRU model (BoundedReplay) beside the real
+// sharded ecscache under the same fixed capacity, so the model
+// cross-validates against the serving implementation at every scale.
 func runExtScale(cfg Config) (*Report, error) {
 	rep := &Report{ID: "ext_scale", Title: "Cache cost at 10–100× client populations"}
 	t := &report.Table{
@@ -37,8 +37,7 @@ func runExtScale(cfg Config) (*Report, error) {
 	// bounded runs hold it fixed while the population grows around it.
 	capacity := scaled(8192, cfg.Scale)
 
-	base := traces.DefaultAllNames
-	base.Seed = cfg.Seed
+	base := allNamesConfig(cfg)
 
 	var blowup1, blowup100 float64
 	var evict1, evict100 float64

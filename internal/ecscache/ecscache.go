@@ -361,8 +361,11 @@ func (c *Cache) Len(now time.Time) int {
 	return n
 }
 
-// HighWater returns the maximum live-entry count ever reached. This is
-// the "cache size" the paper's blow-up factor compares.
+// HighWater returns the most entries ever resident at once. Resident is
+// not live: an entry past its expiry counts until an insert for its
+// question, an eviction or PurgeExpired collects it, so this can exceed
+// the most entries live at once. The paper's blow-up factor counts live
+// entries; cachesim.Blowup computes it.
 func (c *Cache) HighWater() int {
 	return int(c.stats.high.Load())
 }

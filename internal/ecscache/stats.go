@@ -24,8 +24,8 @@ type cacheCounters struct {
 	coalesced, rejected atomic.Int64
 	// shared counts inserts that took a list neighbour's records.
 	shared atomic.Int64
-	// live tracks resident entries; high its historical maximum (the
-	// paper's blow-up numerator).
+	// live tracks resident entries, dead ones not yet collected
+	// included; high its historical maximum.
 	live, high atomic.Int64
 }
 
