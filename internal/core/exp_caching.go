@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"ecsdns/internal/cachesim"
@@ -78,10 +79,31 @@ type sweepRow struct {
 	blowup, plainHit, ecsHit float64
 }
 
-// clientSweep replays the all-names trace at 10, 20 … 100 % of its
-// clients, three client samples per fraction (one at 100 %, which is
-// deterministic), each sample once through Blowup.
+// sweeps holds each seed's client sweep: Figures 2 and 3 read the same
+// one, and it is replayed once per process. A sweep is a function of the
+// seed alone, so no caller can tell whether it was computed for it.
+var sweeps sync.Map // seed → *sweep
+
+type sweep struct {
+	once sync.Once
+	rows []sweepRow
+}
+
+// clientSweep returns the client sweep of cfg's seed, the one field of
+// cfg it reads (sweepClients), computing it the first time it is asked
+// for. The rows are shared and only read.
 func clientSweep(cfg Config) []sweepRow {
+	v, _ := sweeps.LoadOrStore(cfg.Seed, new(sweep))
+	s := v.(*sweep)
+	s.once.Do(func() { s.rows = sweepClients(cfg.Seed) })
+	return s.rows
+}
+
+// sweepClients replays the all-names trace of seed at 10, 20 … 100 % of
+// its clients, three client samples per fraction (one at 100 %, which is
+// deterministic), each sample once through Blowup.
+func sweepClients(seed int64) []sweepRow {
+	cfg := Config{Seed: seed}
 	tr := traces.GenerateAllNames(allNamesConfig(cfg))
 	var rows []sweepRow
 	for frac := 10; frac <= 100; frac += 10 {

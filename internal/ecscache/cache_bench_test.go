@@ -123,30 +123,34 @@ func BenchmarkCacheLookup(b *testing.B) {
 // A splice row's LRU bound holds the name at its fanout, so each insert
 // also evicts the oldest subnet. A fill row builds the name from nothing,
 // every subnet given the same answer or each its own, and reports the
-// live heap that cost per entry (B/entry); fill-fresh prices serve-miss's
-// shape the same way, 4 096 names of one entry each in a cache bounded at
-// 4 096. One goroutine and one shard: the rows are about the per-question
-// list, not about contention.
+// live heap that cost per entry (B/entry) and the bytes each insert of
+// decoded records allocated (B/insert): the transient beside what stays,
+// a copy of the records for each insert no neighbour could share them
+// with. fill-fresh prices serve-miss's shape the same way, 4 096 names of
+// one entry each in a cache bounded at 4 096. One goroutine and one
+// shard: the rows are about the per-question list, not about contention.
 func BenchmarkCacheFanout(b *testing.B) {
 	entry := func(i int) Entry {
 		cs, _ := benchSubnet(i)
 		return Entry{HasECS: true, Subnet: cs, Expiry: benchNow.Add(time.Hour)}
 	}
 	b.Run("fill-fresh/4096", func(b *testing.B) {
-		var perEntry float64
+		var cost fillCost
 		for i := 0; i < b.N; i++ {
-			perEntry = freshBytesPerEntry(4096)
+			cost = freshBytesPerEntry(4096)
 		}
-		b.ReportMetric(perEntry, "B/entry")
+		b.ReportMetric(cost.live, "B/entry")
+		b.ReportMetric(cost.alloc, "B/insert")
 	})
 	for _, fanout := range []int{1, 64, 2048, 16384} {
 		for _, answers := range []string{"equal", "distinct"} {
 			b.Run(fmt.Sprintf("fill-%s/%d", answers, fanout), func(b *testing.B) {
-				var perEntry float64
+				var cost fillCost
 				for i := 0; i < b.N; i++ {
-					perEntry = bytesPerEntry(fanout, answers == "distinct")
+					cost = bytesPerEntry(fanout, answers == "distinct")
 				}
-				b.ReportMetric(perEntry, "B/entry")
+				b.ReportMetric(cost.live, "B/entry")
+				b.ReportMetric(cost.alloc, "B/insert")
 			})
 		}
 		newCache := func(maxEntries int) *Cache {

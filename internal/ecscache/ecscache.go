@@ -15,8 +15,9 @@
 // the cost the paper's §7 blow-up puts on a resolver — thousands of
 // client subnets under one name — is paid in memory, an 80-byte resident
 // record and a pointer per subnet, not in lookup time; records equal to
-// a list neighbour's are shared, not copied. The key space is hash-partitioned
-// across N independently locked shards (Config.Shards), each guarded by
+// a list neighbour's are shared, and only records no neighbour holds are
+// copied in. The key space is hash-partitioned across N independently
+// locked shards (Config.Shards), each guarded by
 // its own sync.RWMutex, so concurrent lookups on different shards never
 // contend. A configured capacity bound (Config.MaxEntries) is enforced
 // per shard with an O(1) intrusive-list LRU: the eviction counters
@@ -59,7 +60,8 @@ func KeyOf(q dnswire.Question) Key {
 // Entry is one cached answer, as Insert takes it and a lookup returns
 // it. The cache does not keep the Entry: it packs what Insert is given
 // into an 80-byte resident record and unpacks a copy on every hit, so an
-// Entry a caller holds is its own.
+// Entry a caller holds is its own. Insert copies what it keeps and keeps
+// none of the caller's memory.
 type Entry struct {
 	// Subnet is the response ECS option (source + scope) this answer was
 	// stored under; the zero value (HasECS false) marks a non-ECS answer
@@ -68,8 +70,9 @@ type Entry struct {
 	Subnet ecsopt.ClientSubnet
 	HasECS bool
 	RCode  dnswire.RCode
-	// Answer and Authority are the cached records, and they are
-	// immutable: the cache, every entry that shares them and every
+	// Answer and Authority are the records. Insert only reads the ones
+	// it is given; the ones a lookup returns are the cache's, and they
+	// are immutable: the cache, every entry that shares them and every
 	// response built from them read them and nobody writes one. Insert
 	// gives an entry the records of a list neighbour holding the same
 	// records in the same order, so equal answers under one name are
@@ -283,24 +286,31 @@ func (c *Cache) LookupStale(key Key, client netip.Addr, now time.Time, maxStale 
 // expired, all expired entries for the key are collected in passing,
 // other subnets' included; otherwise the key's entries are not read.
 // When the cache is over its capacity bound the least-recently-used
-// resident entries are evicted. When a neighbour in the key's list holds
-// the same records, the stored entry takes that neighbour's in place of
-// e's; otherwise the cache keeps e's slices, so records handed to Insert
-// must not be changed after the call. e.Stored is ignored.
+// resident entries are evicted. e.Stored is ignored.
+//
+// Insert copies what it keeps and keeps none of the caller's memory: it
+// takes e's records on loan, for the call only. When a neighbour in the
+// key's list holds the same records, the stored entry takes that
+// neighbour's; otherwise Insert stores a copy of e's, payloads included,
+// in which an owner name equal to the key's is the key's string. So a
+// caller may decode its next answer over e's records as soon as Insert
+// returns. It returns the sections it stored, which are immutable, and
+// true.
 //
 // Entries claiming ECS whose address cannot produce a prefix at the
 // effective scope (invalid address, or a scope wider than the address
 // family holds) are rejected outright: they could only be dead weight
 // that matches no client, or an answer served to clients it was never
-// meant for.
-func (c *Cache) Insert(key Key, e Entry, now time.Time) {
+// meant for. A rejected entry's records are not read, and Insert
+// returns nil sections and false.
+func (c *Cache) Insert(key Key, e Entry, now time.Time) (answer, authority []dnswire.RR, ok bool) {
 	c.clampTTL(&e, now)
 	fam, bits := famShared, uint8(0)
 	if e.HasECS {
 		scope, addr := effectiveScope(&c.cfg, e.Subnet), e.Subnet.Addr
 		if !addr.IsValid() || int(scope) > addr.BitLen() {
 			c.stats.rejected.Add(1)
-			return
+			return nil, nil, false
 		}
 		// IgnoreScope keeps one answer per question and serves it to
 		// anyone: every entry is filed in the shared slot.
@@ -308,7 +318,11 @@ func (c *Cache) Insert(key Key, e Entry, now time.Time) {
 			fam, bits = famOf(addr), scope
 		}
 	}
-	c.shardFor(key).insert(key, newRecord(&e, fam, bits), e.Answer, e.Authority, now)
+	recs := c.shardFor(key).insert(key, newRecord(&e, fam, bits), e.Answer, e.Authority, now)
+	if recs == nil {
+		return nil, nil, true
+	}
+	return recs.answer, recs.authority, true
 }
 
 // clampTTL applies the insert-time lifetime rules: the MinTTL floor for

@@ -374,9 +374,10 @@ func (sh *shard) release(q *question) {
 
 // insert stores one record, collecting the key's expired records in
 // passing when any can have expired, sharing a list neighbour's records
-// when they are the same, and evicting over-capacity residents from the
-// LRU tail.
-func (sh *shard) insert(key Key, r *record, answer, authority []dnswire.RR, now time.Time) {
+// when they are the same and storing a copy of the caller's otherwise,
+// and evicting over-capacity residents from the LRU tail. It returns the
+// records it stored.
+func (sh *shard) insert(key Key, r *record, answer, authority []dnswire.RR, now time.Time) *records {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	q := sh.entries[key]
@@ -388,7 +389,7 @@ func (sh *shard) insert(key Key, r *record, answer, authority []dnswire.RR, now 
 	}
 	r.q = q
 	i, occupied := search(q.list, r.slot())
-	r.recs = sh.share(q.list, i, answer, authority)
+	r.recs = sh.share(q, i, answer, authority)
 	if occupied {
 		sh.drop(q.list[i], replacedRemoval)
 		q.list[i] = r
@@ -401,6 +402,7 @@ func (sh *shard) insert(key Key, r *record, answer, authority []dnswire.RR, now 
 		sh.lru.pushFront(r)
 		sh.evictOver(now)
 	}
+	return r.recs
 }
 
 // removalKind classifies why a record leaves the shard, driving the

@@ -6,29 +6,49 @@ import (
 	"ecsdns/internal/dnswire"
 )
 
-// share returns the records an insert at slot i keeps: a list
-// neighbour's when it holds the same ones — the record before slot i or
-// the one at it, which is either the occupant the insert replaces or the
-// next slot — so a name answered alike for thousands of subnets stores
-// its records once, and otherwise a new set of its own; nil when the
-// answer has none. What is shared is decided by the records alone, and
-// sharers hold one pointer. Records are never written once cached (see
+// share returns the records an insert at slot i of q's list keeps: a
+// list neighbour's when it holds the same ones as answer and authority —
+// the record before slot i or the one at it, which is either the
+// occupant the insert replaces or the next slot — so a name answered
+// alike for thousands of subnets stores its records once, and otherwise
+// a copy of answer and authority of its own (own); nil when the answer
+// has none. What is shared is decided by the records alone, and sharers
+// hold one pointer. Records are never written once cached (see
 // record.recs), so a sharer never sees one change, and they outlive any
 // record that held them first.
-func (sh *shard) share(list []*record, i int, answer, authority []dnswire.RR) *records {
+func (sh *shard) share(q *question, i int, answer, authority []dnswire.RR) *records {
 	if len(answer)+len(authority) == 0 {
 		return nil
 	}
 	for _, j := range [2]int{i - 1, i} {
-		if j < 0 || j >= len(list) {
+		if j < 0 || j >= len(q.list) {
 			continue
 		}
-		if n := list[j].recs; n != nil && sameRecords(n.answer, answer) && sameRecords(n.authority, authority) {
+		if n := q.list[j].recs; n != nil && sameRecords(n.answer, answer) && sameRecords(n.authority, authority) {
 			sh.owner.stats.shared.Add(1)
 			return n
 		}
 	}
-	return &records{answer: answer, authority: authority}
+	return &records{answer: own(answer, q.key.Name), authority: own(authority, q.key.Name)}
+}
+
+// own returns a copy of rrs that shares no memory with it, nil when rrs
+// is empty: each payload cloned (dnswire.CloneRData), and an owner name
+// equal to name, the question's, filed under name's string, which the
+// cache keeps for the key anyway, instead of the caller's.
+func own(rrs []dnswire.RR, name dnswire.Name) []dnswire.RR {
+	if len(rrs) == 0 {
+		return nil
+	}
+	out := make([]dnswire.RR, len(rrs))
+	for i, rr := range rrs {
+		if rr.Name == name {
+			rr.Name = name
+		}
+		rr.Data = dnswire.CloneRData(rr.Data)
+		out[i] = rr
+	}
+	return out
 }
 
 // sameRecords reports whether a and b hold the same records in the same

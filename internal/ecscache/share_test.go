@@ -57,36 +57,57 @@ func freshEntry(i int) (Key, Entry) {
 			Data: &dnswire.ARData{Addr: netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})}}}}
 }
 
-// heapPerEntry inserts n entries into a new cache built from cfg and
-// returns by how much the live heap grew per entry.
-func heapPerEntry(cfg Config, n int, insert func(c *Cache, i int)) float64 {
+// fillCost is what filling a cache cost per entry: live is by how much
+// the live heap grew, alloc how many bytes the inserts allocated, the
+// copies of records no neighbour held included, whether the cache keeps
+// them or not.
+type fillCost struct{ live, alloc float64 }
+
+// heapPerEntry inserts the n entries entry makes into a new cache built
+// from cfg and returns what that cost per entry.
+func heapPerEntry(cfg Config, n int, entry func(i int) (Key, Entry)) fillCost {
 	c := New(cfg)
 	before := liveHeap()
-	for i := 0; i < n; i++ {
-		insert(c, i)
-	}
+	alloc := insertAll(c, n, entry)
 	after := liveHeap()
 	runtime.KeepAlive(c)
-	return float64(int64(after)-int64(before)) / float64(n)
+	return fillCost{live: float64(int64(after)-int64(before)) / float64(n), alloc: float64(alloc) / float64(n)}
+}
+
+// insertAll makes the n entries entry makes, as a decoder hands them
+// over, inserts them into c and returns the bytes the inserts allocated.
+// What the entries hold is garbage once it returns, as a reused decode
+// buffer's previous answer is, unless the cache kept it.
+func insertAll(c *Cache, n int, entry func(i int) (Key, Entry)) uint64 {
+	keys, entries := make([]Key, n), make([]Entry, n)
+	for i := range entries {
+		keys[i], entries[i] = entry(i)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start := ms.TotalAlloc
+	for i := range entries {
+		c.Insert(keys[i], entries[i], benchNow)
+	}
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - start
 }
 
 // bytesPerEntry fills a new cache with one name at fanout subnets and
-// returns by how much the live heap grew per entry.
-func bytesPerEntry(fanout int, distinct bool) float64 {
+// returns what that cost per entry.
+func bytesPerEntry(fanout int, distinct bool) fillCost {
 	key := benchKeys(1)[0]
-	return heapPerEntry(Config{Mode: HonorScope, ClampScopeToSource: true}, fanout, func(c *Cache, i int) {
-		insertDecoded(c, key, i, distinct)
+	return heapPerEntry(Config{Mode: HonorScope, ClampScopeToSource: true}, fanout, func(i int) (Key, Entry) {
+		return decodedEntry(key, i, distinct)
 	})
 }
 
 // freshBytesPerEntry fills a cache bounded at n with n fresh names, one
-// entry each, and returns the live heap that cost per entry: the record,
-// its own record set, and the question's map slot, list and name.
-func freshBytesPerEntry(n int) float64 {
-	return heapPerEntry(Config{Mode: HonorScope, ClampScopeToSource: true, MaxEntries: n}, n, func(c *Cache, i int) {
-		k, e := freshEntry(i)
-		c.Insert(k, e, benchNow)
-	})
+// entry each, and returns what that cost per entry, the live heap being
+// the record, its own record set, and the question's map slot, list and
+// name.
+func freshBytesPerEntry(n int) fillCost {
+	return heapPerEntry(Config{Mode: HonorScope, ClampScopeToSource: true, MaxEntries: n}, n, freshEntry)
 }
 
 // TestCacheBytesPerEntry holds the memory a (name, subnet) entry costs,
@@ -105,17 +126,17 @@ func TestCacheBytesPerEntry(t *testing.T) {
 	}
 	for _, row := range []struct {
 		fill string
-		cost func() float64
+		cost func() fillCost
 		max  float64
 	}{
-		{"one name at 2048 subnets, equal answers", func() float64 { return bytesPerEntry(2048, false) }, 105},
-		{"one name at 2048 subnets, distinct answers", func() float64 { return bytesPerEntry(2048, true) }, 240},
-		{"4096 fresh names bounded at 4096", func() float64 { return freshBytesPerEntry(4096) }, 390},
+		{"one name at 2048 subnets, equal answers", func() fillCost { return bytesPerEntry(2048, false) }, 105},
+		{"one name at 2048 subnets, distinct answers", func() fillCost { return bytesPerEntry(2048, true) }, 240},
+		{"4096 fresh names bounded at 4096", func() fillCost { return freshBytesPerEntry(4096) }, 390},
 	} {
 		got := row.cost()
-		t.Logf("%s: %.1f B per entry", row.fill, got)
-		if got > row.max {
-			t.Errorf("%s costs %.0f B per entry, want <= %.0f", row.fill, got, row.max)
+		t.Logf("%s: %.1f B per entry (%.1f B allocated per insert)", row.fill, got.live, got.alloc)
+		if got.live > row.max {
+			t.Errorf("%s costs %.0f B per entry, want <= %.0f", row.fill, got.live, row.max)
 		}
 	}
 }
@@ -231,5 +252,79 @@ func TestSharedRecordsOutliveTheirHolder(t *testing.T) {
 		if n == 0 {
 			t.Errorf("reader %d hit nothing", r)
 		}
+	}
+}
+
+// TestAllocGateInsertShared: Insert copies what it keeps and keeps none
+// of the caller's memory. One answer is inserted for subnet after subnet
+// from a single record slice and payload, rewritten in place between
+// calls as a decoder reusing its Message rewrites them. A rewrite after
+// Insert returns changes no lookup and no section Insert returned, and an
+// insert whose records the neighbour before it holds allocates 1 object,
+// its resident record: the records are compared, not copied.
+func TestAllocGateInsertShared(t *testing.T) {
+	c := New(Config{Mode: HonorScope, ClampScopeToSource: true})
+	key := benchKeys(1)[0]
+	addr := netip.AddrFrom4([4]byte{192, 0, 2, 1})
+	data := &dnswire.ARData{Addr: addr}
+	answer := []dnswire.RR{{Name: key.Name, Class: dnswire.ClassINET, TTL: 300, Data: data}}
+	entry := func(i int) Entry {
+		cs, _ := benchSubnet(i)
+		return Entry{HasECS: true, Subnet: cs, Expiry: benchNow.Add(time.Hour), Answer: answer}
+	}
+	decodeOther := func() {
+		answer[0].TTL, data.Addr = 60, netip.AddrFrom4([4]byte{198, 51, 100, 7})
+	}
+	decodeSame := func() {
+		answer[0].TTL, data.Addr = 300, addr
+	}
+	check := func(what string, rrs []dnswire.RR) {
+		t.Helper()
+		if len(rrs) != 1 || rrs[0].TTL != 300 || rrs[0].Data.(*dnswire.ARData).Addr != addr {
+			t.Fatalf("%s reads %v after the caller's records were rewritten, want %s at TTL 300", what, rrs, addr)
+		}
+	}
+
+	first, _, ok := c.Insert(key, entry(0), benchNow)
+	if !ok {
+		t.Fatal("insert rejected")
+	}
+	decodeOther()
+	check("the returned answer", first)
+	_, client := benchSubnet(0)
+	if e, ok := c.Lookup(key, client, benchNow); !ok {
+		t.Fatal("subnet 0 missed")
+	} else {
+		check("subnet 0's entry", e.Answer)
+	}
+
+	decodeSame()
+	next := 1
+	insert := func() {
+		if got, _, _ := c.Insert(key, entry(next), benchNow); &got[0] != &first[0] {
+			t.Fatalf("subnet %d's insert stored its own records, want subnet 0's", next)
+		}
+		next++
+	}
+	if raceEnabled {
+		insert()
+	} else {
+		allocs := testing.AllocsPerRun(1000, insert)
+		t.Logf("an insert of records the neighbour before it holds allocates %.2f objects", allocs)
+		if allocs > 1 {
+			t.Errorf("an insert of records the neighbour before it holds allocates %.2f objects, want 1", allocs)
+		}
+	}
+	decodeOther()
+	for i := 0; i < next; i++ {
+		_, client := benchSubnet(i)
+		e, ok := c.Lookup(key, client, benchNow)
+		if !ok {
+			t.Fatalf("subnet %d missed", i)
+		}
+		check(fmt.Sprintf("subnet %d's entry", i), e.Answer)
+	}
+	if got := c.Stats().Shared; got != int64(next-1) {
+		t.Errorf("Shared = %d, want %d", got, next-1)
 	}
 }

@@ -388,7 +388,8 @@ var errNoAuthority = errors.New("resolver: no authority known for name")
 // upstreamResult is the outcome of one upstream resolution, shaped so
 // singleflight waiters can answer their own clients from the leader's
 // fetch: response content plus the ECS facts the client echo needs. The
-// records are the ones the cache keeps, which nothing writes.
+// records are the ones the cache stored, or a copy of the resolution's
+// own when the cache did not store them, and nothing writes them.
 type upstreamResult struct {
 	answers   []dnswire.RR
 	authority []dnswire.RR
@@ -405,8 +406,9 @@ type upstreamResult struct {
 // resolution is the memory one upstream resolution builds each hop's
 // query in and, over a fillPool, decodes each hop's answer into. It goes
 // back to resolutions when the resolution ends, so nothing the
-// resolution returns or caches may point into it: the records are
-// copied out (dnswire.AppendClones).
+// resolution returns or caches may point into it: the cache copies what
+// it keeps (ecscache.Insert), and the resolution copies the rest
+// (dnswire.AppendClones).
 type resolution struct {
 	query, answer dnswire.Message
 	opt           dnswire.EDNS // the query's OPT record
@@ -438,11 +440,20 @@ func (ws *resolution) hopQuery(id uint16, target dnswire.Name, q dnswire.Questio
 // redirection path of §8.4), and populates the cache with the outcome.
 // It is the singleflight fetch body: exactly one caller per coalesced
 // herd executes it.
+//
+// The last hop's answer is read where it was decoded, in ws.answer, and
+// handed to Insert on loan: the cache copies what it keeps, only when no
+// list neighbour holds the same records, and what the client and the
+// coalesced waiters get is the cache's. Three paths copy for themselves:
+// a CNAME chain owns each hop before the next one decodes over it, and an
+// answer the cache does not take, bypassed or under NoCacheScopeZero or
+// rejected, is copied out before ws goes back to the pool.
 func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now time.Time, withinMinute bool, clientAddr netip.Addr, clientBits int, bypassCache bool) (upstreamResult, error) {
 	ws := resolutions.Get().(*resolution)
 	defer resolutions.Put(ws)
 	var (
 		answers   []dnswire.RR
+		chain     []dnswire.RR // the hops before this one, owned
 		authority []dnswire.RR
 		rcode     dnswire.RCode
 		sent      ecsopt.ClientSubnet
@@ -476,8 +487,10 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 		if decodeErr != nil {
 			hopHas = false
 		}
-		answers = dnswire.AppendClones(answers, upResp.Answers)
-		authority = dnswire.AppendClones(nil, upResp.Authorities)
+		answers, authority = upResp.Answers, upResp.Authorities
+		if len(chain) > 0 {
+			answers = append(chain, answers...)
+		}
 		rcode = upResp.RCode
 		if hopHas {
 			respECS, respHas = hopECS, true
@@ -498,18 +511,12 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 		if !dangling || rcode != dnswire.RCodeNoError {
 			break
 		}
+		chain = dnswire.AppendClones(chain, upResp.Answers) // before the next hop decodes over them
 		target = next
 	}
 
 	// Populate the cache. Empty (negative) answers live for the SOA
-	// minimum from the authority section, per RFC 2308. Records owned by
-	// the question name are filed under q.Name's string, which the cache
-	// keeps for the key anyway, instead of the copy the decode made.
-	for i := range answers {
-		if answers[i].Name == q.Name {
-			answers[i].Name = q.Name
-		}
-	}
+	// minimum from the authority section, per RFC 2308.
 	entry := ecscache.Entry{
 		Answer:    answers,
 		Authority: authority,
@@ -522,8 +529,14 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 	}
 	skipCache := bypassCache ||
 		(r.cfg.Profile.NoCacheScopeZero && entry.HasECS && respECS.ScopePrefix == 0)
+	stored := false
 	if !skipCache {
-		r.cache.Insert(key, entry, now)
+		if a, au, ok := r.cache.Insert(key, entry, now); ok {
+			answers, authority, stored = a, au, true
+		}
+	}
+	if !stored {
+		answers, authority = dnswire.AppendClones(nil, answers), dnswire.AppendClones(nil, authority)
 	}
 
 	return upstreamResult{

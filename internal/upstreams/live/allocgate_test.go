@@ -18,19 +18,12 @@ import (
 // TestAllocGateServedMiss counts what one cache miss allocates across
 // the whole served chain in one process: a dnsserver in front of a
 // resolver, whose pool (NewPool, as cmd/recursor builds it) asks a
-// wildcard authority behind a dnsserver of its own. Every query asks a
-// fresh name, so each is a miss that goes upstream; the client is a raw
-// socket writing queries packed before the run and reading replies into
-// a fixed buffer, so what is counted is the chain's. It reads 7: the
-// name, new on each leg, which only the recursor's leg copies (its
-// worker's OwnNames, for the cache to keep: the authority's read loop
-// answers with the name a view of its query Message); the record
-// the cache keeps, copied out of the pooled answer with its payload; and
-// four objects of the cache's own for a name it has not held (record
-// set, record, the name's list and its place). The upstream query, the
-// upstream answer and the client's reply are filled in, in memory a
-// worker or a pooled resolution owns; when each was allocated a miss
-// cost 31.
+// wildcard authority behind a dnsserver of its own. Every query is a
+// miss that goes upstream; the client is a raw socket writing queries
+// packed before the run and reading replies into a fixed buffer, so what
+// is counted is the chain's. The upstream query, the upstream answer and
+// the client's reply are filled in, in memory a worker or a pooled
+// resolution owns; when each was allocated a miss cost 31.
 // testing.AllocsPerRun truncates the average, so a pool refilled after
 // a collection or a socket the ring redials does not move the count,
 // and one more object per miss does.
@@ -38,9 +31,52 @@ func TestAllocGateServedMiss(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const zone = "miss.test."
-	auth := authority.NewServer(authority.Config{ECSEnabled: true, Scope: authority.ScopeSourceMinus(4)})
-	z := authority.NewZone(zone, 300)
+	for _, row := range []struct {
+		name  string
+		scope authority.ScopeFunc
+		// query is miss i's name and client subnet address.
+		query func(i int) (dnswire.Name, netip.Addr)
+		bound float64
+	}{
+		// Every query asks a fresh name. It reads 7: the name, new on
+		// each leg, which only the recursor's leg copies (its worker's
+		// OwnNames, for the cache to keep: the authority's read loop
+		// answers with the name a view of its query Message); the
+		// record the cache keeps, which Insert copies out of the pooled
+		// answer with its payload; and four objects of the cache's own
+		// for a name it has not held (record set, record, the name's
+		// list and its place).
+		{"fresh name", authority.ScopeSourceMinus(4), func(i int) (dnswire.Name, netip.Addr) {
+			return dnswire.Name(fmt.Sprintf("m%d.%s", i, missZone)), netip.AddrFrom4([4]byte{10, byte(i % 16), 7, 0})
+		}, 7},
+		// One name asked from a new client /24 each time, answered alike
+		// at scope 24: §7's blow-up. It reads 1, the resident record: the
+		// answer is compared with the one its list neighbour holds and
+		// shared, never copied (3 when the resolver copied every answer
+		// before the cache looked).
+		{"shared answer", authority.ScopeEcho(), func(i int) (dnswire.Name, netip.Addr) {
+			return "www." + missZone, netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0})
+		}, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			allocs := servedMisses(t, row.scope, row.query)
+			t.Logf("a served miss allocates %.2f objects", allocs)
+			if allocs > row.bound {
+				t.Fatalf("a served miss allocates %.2f objects across the chain, want <= %.0f", allocs, row.bound)
+			}
+		})
+	}
+}
+
+// missZone is the zone TestAllocGateServedMiss's authority serves.
+const missZone = "miss.test."
+
+// servedMisses builds the served chain over an authority answering at
+// scope, sends queries the chain has not cached, miss i asking query(i),
+// and returns the objects one allocates.
+func servedMisses(t *testing.T, scope authority.ScopeFunc, query func(i int) (dnswire.Name, netip.Addr)) float64 {
+	auth := authority.NewServer(authority.Config{ECSEnabled: true, Scope: scope})
+	z := authority.NewZone(missZone, 300)
 	z.SetWildcard(dnswire.TypeA, &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.53")})
 	auth.AddZone(z)
 	authAddr := serveGate(t, auth)
@@ -51,7 +87,7 @@ func TestAllocGateServedMiss(t *testing.T) {
 	}
 	t.Cleanup(upstream.Close)
 	dir := resolver.NewDirectory()
-	dir.Add(zone, netip.MustParseAddr("192.0.2.1"))
+	dir.Add(missZone, netip.MustParseAddr("192.0.2.1"))
 	dir.Add(dnswire.Root, netip.MustParseAddr("192.0.2.1"))
 	res := resolver.New(resolver.Config{
 		Addr:         netip.MustParseAddr("127.0.0.1"),
@@ -68,8 +104,9 @@ func TestAllocGateServedMiss(t *testing.T) {
 	const warm, runs = 400, 400
 	wires := make([][]byte, warm+runs+1) // AllocsPerRun calls once more to warm up
 	for i := range wires {
-		q := dnswire.NewQuery(uint16(i), dnswire.Name(fmt.Sprintf("m%d.%s", i, zone)), dnswire.TypeA)
-		ecsopt.Attach(q, ecsopt.MustNew(netip.AddrFrom4([4]byte{10, byte(i % 16), 7, 0}), 24))
+		name, client := query(i)
+		q := dnswire.NewQuery(uint16(i), name, dnswire.TypeA)
+		ecsopt.Attach(q, ecsopt.MustNew(client, 24))
 		if wires[i], err = q.Pack(); err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +141,7 @@ func TestAllocGateServedMiss(t *testing.T) {
 	if c, u := res.Counters(); u != c {
 		t.Fatalf("%d client queries went upstream %d times: not every query missed", c, u)
 	}
-	t.Logf("a served miss allocates %.2f objects", allocs)
-	const bound = 7
-	if allocs > bound {
-		t.Fatalf("a served miss allocates %.2f objects across the chain, want <= %d", allocs, bound)
-	}
+	return allocs
 }
 
 // TestAllocGateServedHit counts what a cache hit allocates through the
