@@ -46,19 +46,6 @@ func Run(id string, cfg Config) (*Report, error) {
 	return runIsolated(e, cfg)
 }
 
-// RunAll executes every experiment and returns the reports in id order.
-func RunAll(cfg Config) ([]*Report, error) {
-	var out []*Report
-	for _, e := range core.All() {
-		rep, err := runIsolated(e, cfg)
-		if err != nil {
-			return out, fmt.Errorf("ecsdns: %s: %w", e.ID, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
 func runIsolated(e core.Experiment, cfg Config) (rep *Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {

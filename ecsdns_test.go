@@ -34,30 +34,19 @@ func TestRunOne(t *testing.T) {
 	}
 }
 
-func TestRunAllSmallScale(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("RunAll is exercised per-experiment in internal/core")
-	}
-	reps, err := RunAll(Config{Scale: 0.02, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(Experiments()) {
-		t.Fatalf("got %d reports", len(reps))
-	}
-}
-
 // TestUnsafeHomes pins where the product may step outside Go's memory
 // and type safety. unsafe is imported by internal/udpio (the mmsghdr and
 // sockaddr layouts of its system calls) and internal/dnswire (a borrowed
 // name is a view of its Message's arena, one conversion) and nowhere
 // else; syscall by internal/udpio, and by the daemons only for
-// syscall.SIGTERM. Every non-test Go file outside bench/, which is a
-// module of its own, is parsed.
+// syscall.SIGTERM. testing has no home: test code lives in _test.go
+// files, beside the package it tests. Every non-test Go file outside
+// bench/, which is a module of its own, is parsed.
 func TestUnsafeHomes(t *testing.T) {
 	homes := map[string][]string{
 		"unsafe":  {"internal/udpio", "internal/dnswire"},
 		"syscall": {"internal/udpio", "cmd/authdns", "cmd/recursor"},
+		"testing": nil,
 	}
 	sigtermOnly := map[string]bool{"cmd/authdns": true, "cmd/recursor": true}
 	fset := token.NewFileSet()
@@ -91,7 +80,11 @@ func TestUnsafeHomes(t *testing.T) {
 			for _, home := range allowed {
 				ok = ok || dir == home
 			}
-			if !ok {
+			switch {
+			case ok:
+			case len(allowed) == 0:
+				t.Errorf("%s imports %s, which no non-test file may", path, pkg)
+			default:
 				t.Errorf("%s imports %s, which only %s may", path, pkg, strings.Join(allowed, ", "))
 			}
 			if pkg == "syscall" && sigtermOnly[dir] {

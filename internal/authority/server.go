@@ -114,9 +114,6 @@ func NewServer(cfg Config) *Server {
 	return &Server{cfg: cfg}
 }
 
-// Addr returns the server's configured address.
-func (s *Server) Addr() netip.Addr { return s.cfg.Addr }
-
 // AddZone attaches a zone.
 func (s *Server) AddZone(z *Zone) {
 	s.mu.Lock()

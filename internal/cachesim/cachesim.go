@@ -7,7 +7,6 @@
 package cachesim
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -214,10 +213,4 @@ func FilterClients(recs []traces.Record, keep map[netip.Addr]bool) []traces.Reco
 		}
 	}
 	return out
-}
-
-// String renders a BlowupResult compactly.
-func (r BlowupResult) String() string {
-	return fmt.Sprintf("resolver=%s ecs=%d plain=%d factor=%.2f",
-		r.Resolver, r.MaxWithECS, r.MaxWithoutECS, r.Factor())
 }

@@ -202,7 +202,7 @@ func TestGeneratedTraceBlowupAboveOne(t *testing.T) {
 	for _, tr := range traces.GeneratePublicCDN(cfg) {
 		r := Blowup(tr.Records, 0)
 		if r.MaxWithECS < r.MaxWithoutECS {
-			t.Fatalf("ECS cache smaller than plain: %s", r)
+			t.Fatalf("ECS cache smaller than plain: %+v", r)
 		}
 	}
 }

@@ -69,9 +69,6 @@ func DeployGlobal(world *geo.Internet, name string, perCity, salt int) *Deployme
 	return Deploy(world, name, cities, perCity, salt)
 }
 
-// Edges returns all edges in the deployment.
-func (d *Deployment) Edges() []Edge { return d.edges }
-
 // NearestCity returns the deployment city closest to loc.
 func (d *Deployment) NearestCity(loc geo.Location) int {
 	best, bestD := -1, 0.0

@@ -249,3 +249,6 @@ func TestIPv6ECSMapping(t *testing.T) {
 }
 
 func newRand() *rand.Rand { return rand.New(rand.NewSource(5)) }
+
+// Edges returns all edges in the deployment; only tests read them whole.
+func (d *Deployment) Edges() []Edge { return d.edges }

@@ -63,16 +63,6 @@ func (r *Report) AddMetric(name string, paper, measured float64, unit string) {
 	r.Metrics = append(r.Metrics, Metric{Name: name, Paper: paper, Measured: measured, Unit: unit})
 }
 
-// Metric returns the named metric, or false.
-func (r *Report) Metric(name string) (Metric, bool) {
-	for _, m := range r.Metrics {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Metric{}, false
-}
-
 // String renders the full report.
 func (r *Report) String() string {
 	var sb strings.Builder

@@ -521,3 +521,13 @@ func TestSection4Shape(t *testing.T) {
 		t.Errorf("all-names v6 client share = %.2f, paper 0.51", v6Clients.Measured)
 	}
 }
+
+// Metric returns the named metric, or false.
+func (r *Report) Metric(name string) (Metric, bool) {
+	for _, m := range r.Metrics {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return Metric{}, false
+}

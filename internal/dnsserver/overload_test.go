@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ecsdns/internal/dnsclient"
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/netem"
 )
@@ -84,10 +85,10 @@ func udpRead(t *testing.T, conn net.Conn, timeout time.Duration) (*dnswire.Messa
 }
 
 // waitStat polls the stats snapshot until cond holds or the deadline
-// passes.
+// passes; the overload scenarios sequence their phases on it.
 func waitStat(t *testing.T, s *Server, what string, cond func(ServerStats) bool) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if cond(s.Stats()) {
 			return
@@ -501,29 +502,9 @@ func TestRRLOverSocket(t *testing.T) {
 	}
 
 	// The slip's promise: TCP is never rate-limited.
-	tc, err := net.Dial("tcp", bound.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
-	q := packQuery(t, 7, "www.zone.test.")
-	frame := make([]byte, 2+len(q))
-	binary.BigEndian.PutUint16(frame, uint16(len(q)))
-	copy(frame[2:], q)
-	if _, err := tc.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	var lenBuf [2]byte
-	tc.SetReadDeadline(time.Now().Add(time.Second))
-	if _, err := io.ReadFull(tc, lenBuf[:]); err != nil {
-		t.Fatalf("TCP escape valve blocked: %v", err)
-	}
-	payload := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
-	if _, err := io.ReadFull(tc, payload); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := dnswire.Unpack(payload)
+	tcp := &dnsclient.Client{Timeout: time.Second, ForceTCP: true}
+	resp, err := tcp.Exchange(bound.String(), dnswire.NewQuery(7, "www.zone.test.", dnswire.TypeA))
 	if err != nil || resp.ID != 7 || len(resp.Answers) != 1 {
-		t.Fatalf("TCP reply = %v, %v", resp, err)
+		t.Fatalf("TCP escape valve: reply %v, %v", resp, err)
 	}
 }

@@ -105,19 +105,6 @@ func (n Name) CountLabels() int {
 	return strings.Count(string(n), ".")
 }
 
-// Parent returns the name with the most-specific label removed.
-// Parent of the root is the root.
-func (n Name) Parent() Name {
-	if n == Root || n == "" {
-		return Root
-	}
-	i := strings.IndexByte(string(n), '.')
-	if i < 0 || i == len(n)-1 {
-		return Root
-	}
-	return n[i+1:]
-}
-
 // IsSubdomainOf reports whether n is equal to or below zone. Every name is
 // a subdomain of the root.
 func (n Name) IsSubdomainOf(zone Name) bool {

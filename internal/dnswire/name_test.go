@@ -90,20 +90,6 @@ func TestNameLabels(t *testing.T) {
 	}
 }
 
-func TestNameParent(t *testing.T) {
-	cases := []struct{ in, want Name }{
-		{"www.example.com.", "example.com."},
-		{"example.com.", "com."},
-		{"com.", "."},
-		{".", "."},
-	}
-	for _, c := range cases {
-		if got := c.in.Parent(); got != c.want {
-			t.Errorf("%q.Parent() = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
 func TestIsSubdomainOf(t *testing.T) {
 	cases := []struct {
 		n, zone Name

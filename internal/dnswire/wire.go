@@ -146,7 +146,7 @@ func (b *builder) nameOpt(n Name, compress bool) {
 				b.register(rest, off)
 			}
 		}
-		// One search for the dot gives the label and rest.Parent().
+		// One search for the dot gives the label and the parent name.
 		label, parent := string(rest), Root
 		if i := strings.IndexByte(label, '.'); i >= 0 {
 			label = label[:i]

@@ -365,16 +365,6 @@ func TTLBound(now time.Time, rrs []dnswire.RR, fallback time.Duration) time.Time
 	return now.Add(time.Duration(minTTL) * time.Second)
 }
 
-// Len returns the number of live entries at `now` (expired entries still
-// resident are not counted).
-func (c *Cache) Len(now time.Time) int {
-	n := 0
-	for _, sh := range c.shards {
-		n += sh.len(now)
-	}
-	return n
-}
-
 // HighWater returns the most entries ever resident at once. Resident is
 // not live: an entry past its expiry counts until an insert for its
 // question, an eviction or PurgeExpired collects it, so this can exceed
@@ -393,12 +383,4 @@ func (c *Cache) PurgeExpired(now time.Time) int {
 		removed += sh.purgeExpired(now)
 	}
 	return removed
-}
-
-// Flush empties the cache without resetting the high-water mark or the
-// cumulative counters.
-func (c *Cache) Flush() {
-	for _, sh := range c.shards {
-		sh.flush()
-	}
 }

@@ -300,3 +300,39 @@ func TestPropertyHighWaterInvariant(t *testing.T) {
 		}
 	}
 }
+
+// Len returns the number of live entries at `now` (expired entries still
+// resident are not counted). A question that is not due is live
+// throughout and is counted without reading its list.
+func (c *Cache) Len(now time.Time) int {
+	at, n := unixNano(now), 0
+	for _, sh := range c.shards {
+		sh.mu.RLock()
+		for _, q := range sh.entries {
+			if at < q.due {
+				n += len(q.list)
+				continue
+			}
+			for _, r := range q.list {
+				if r.expiry.After(now) {
+					n++
+				}
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// Flush empties the cache without resetting the high-water mark or the
+// cumulative counters.
+func (c *Cache) Flush() {
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		sh.owner.addLive(-sh.size)
+		sh.size = 0
+		sh.entries = make(map[Key]*question)
+		sh.lru.init()
+		sh.mu.Unlock()
+	}
+}

@@ -465,26 +465,6 @@ func (sh *shard) removeFromStorage(victim *record) {
 	sh.release(q)
 }
 
-// len counts live records at now. A question that is not due is live
-// throughout and is counted without reading its list.
-func (sh *shard) len(now time.Time) int {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	at, n := unixNano(now), 0
-	for _, q := range sh.entries {
-		if at < q.due {
-			n += len(q.list)
-			continue
-		}
-		for _, r := range q.list {
-			if r.expiry.After(now) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // purgeExpired drops records dead at now and returns how many were
 // removed. Questions that are not due are skipped whole.
 func (sh *shard) purgeExpired(now time.Time) int {
@@ -497,16 +477,6 @@ func (sh *shard) purgeExpired(now time.Time) int {
 		}
 	}
 	return before - sh.size
-}
-
-// flush empties the shard.
-func (sh *shard) flush() {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.owner.addLive(-sh.size)
-	sh.size = 0
-	sh.entries = make(map[Key]*question)
-	sh.lru.init()
 }
 
 // lruList is the intrusive recency list threaded through record's

@@ -67,14 +67,6 @@ type Handler interface {
 	HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message
 }
 
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(from netip.Addr, query *dnswire.Message) *dnswire.Message
-
-// HandleDNS implements Handler.
-func (f HandlerFunc) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message {
-	return f(from, query)
-}
-
 // Exchange errors.
 var (
 	ErrNoRoute = errors.New("netem: no node at destination address")
@@ -125,9 +117,6 @@ func New(world *geo.Internet) *Network {
 
 // Clock returns the network's virtual clock.
 func (n *Network) Clock() *Clock { return n.clock }
-
-// World returns the underlying topology.
-func (n *Network) World() *geo.Internet { return n.world }
 
 // Register attaches a handler at addr. Registering nil detaches.
 func (n *Network) Register(addr netip.Addr, h Handler) {

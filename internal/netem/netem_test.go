@@ -216,3 +216,11 @@ func TestInjectedLoss(t *testing.T) {
 		t.Fatalf("loss disabled but exchange failed: %v", err)
 	}
 }
+
+// HandlerFunc adapts a function to the Handler interface.
+type HandlerFunc func(from netip.Addr, query *dnswire.Message) *dnswire.Message
+
+// HandleDNS implements Handler.
+func (f HandlerFunc) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message {
+	return f(from, query)
+}

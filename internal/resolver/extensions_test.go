@@ -142,3 +142,11 @@ func TestMappedClientMeetsV4PrefixPolicies(t *testing.T) {
 		})
 	}
 }
+
+// WhitelistProfile is the OpenDNS-style per-zone whitelist strategy.
+func WhitelistProfile(zones ...dnswire.Name) Profile {
+	p := GoogleLikeProfile()
+	p.Probing = ProbeWhitelist
+	p.ECSZoneWhitelist = zones
+	return p
+}

@@ -107,9 +107,11 @@ type Profile struct {
 	// resolver overrides any incoming option with the sender-derived
 	// prefix (the major public service's anti-spoofing behavior).
 	AcceptClientECS bool
-	// MaxClientECSBits truncates accepted client ECS prefixes; 24 is the
-	// compliant ceiling, 32 accepts anything (15 resolvers), 22 is the
-	// capping group (8 resolvers). 0 means 24.
+	// MaxClientECSBits truncates accepted IPv4 client ECS prefixes; 24
+	// is the compliant ceiling, 32 accepts anything (15 resolvers), 22 is
+	// the capping group (8 resolvers). 0 means 24. The classes' ceilings
+	// are IPv4 observations: an IPv6 client prefix is capped by the IPv6
+	// source policy (V6SourceBits) instead.
 	MaxClientECSBits int
 
 	// CacheMode, CacheCapBits and ClampScopeToSource configure the ECS
@@ -144,8 +146,12 @@ type Profile struct {
 	AdaptSourceToScope bool
 }
 
-// maxClientBits returns the effective client-ECS acceptance ceiling.
-func (p Profile) maxClientBits() int {
+// maxClientBits returns the effective client-ECS acceptance ceiling for
+// the family.
+func (p Profile) maxClientBits(v6 bool) int {
+	if v6 {
+		return p.sourceBits(true)
+	}
 	if p.MaxClientECSBits == 0 {
 		return 24
 	}
@@ -287,14 +293,6 @@ func PrivatePrefixProfile() Profile {
 // NonECSProfile is a resolver that never sends ECS.
 func NonECSProfile() Profile {
 	return Profile{Probing: ProbeNever, CacheMode: ecscache.HonorScope}
-}
-
-// WhitelistProfile is the OpenDNS-style per-zone whitelist strategy.
-func WhitelistProfile(zones ...dnswire.Name) Profile {
-	p := GoogleLikeProfile()
-	p.Probing = ProbeWhitelist
-	p.ECSZoneWhitelist = zones
-	return p
 }
 
 // AdaptiveProfile is a compliant resolver that additionally adapts its

@@ -209,13 +209,6 @@ func (r *Resolver) Counters() (client, upstream int64) {
 	return r.clientQueries, r.upstreamQueries
 }
 
-// Failures returns a snapshot of the failure-path counters.
-func (r *Resolver) Failures() FailureCounters {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.failures
-}
-
 // HandleDNS serves one client query, in a response of its own: see
 // ServeDNS. It implements netem.Handler.
 func (r *Resolver) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message {
@@ -640,10 +633,7 @@ func (r *Resolver) clientIdentity(from netip.Addr, query *dnswire.Message) (neti
 	p := r.cfg.Profile
 	if p.AcceptClientECS {
 		if cs, present, err := ecsopt.FromMessage(query); present && err == nil && !cs.IsZero() {
-			bits := int(cs.SourcePrefix)
-			if bits > p.maxClientBits() {
-				bits = p.maxClientBits()
-			}
+			bits := min(int(cs.SourcePrefix), p.maxClientBits(cs.Addr.Is6()))
 			return ecsopt.MaskAddr(cs.Addr, bits), bits, true
 		}
 	}

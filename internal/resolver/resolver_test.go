@@ -125,16 +125,22 @@ func TestSeededDrawsReplay(t *testing.T) {
 	}
 }
 
+// badECSAuthority answers as its authority does, with an ECS option not
+// even a lenient decode can read.
+type badECSAuthority struct{ *authority.Server }
+
+func (a badECSAuthority) HandleDNS(from netip.Addr, q *dnswire.Message) *dnswire.Message {
+	resp := a.Server.HandleDNS(from, q)
+	resp.EDNS.SetOption(dnswire.Option{Code: dnswire.OptionCodeECS, Data: []byte{0, 1, 24}})
+	return resp
+}
+
 // TestMalformedUpstreamECSNotEchoed: an authority whose ECS option not
 // even a lenient decode can read is treated as one that sent none, so
 // the client's answer carries no option.
 func TestMalformedUpstreamECSNotEchoed(t *testing.T) {
 	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
-	rg.net.Register(rg.authAddr, netem.HandlerFunc(func(from netip.Addr, q *dnswire.Message) *dnswire.Message {
-		resp := rg.auth.HandleDNS(from, q)
-		resp.EDNS.SetOption(dnswire.Option{Code: dnswire.OptionCodeECS, Data: []byte{0, 1, 24}})
-		return resp
-	}))
+	rg.net.Register(rg.authAddr, badECSAuthority{rg.auth})
 	resp := rg.ask(t, rg.client("London", 9), "bad-ecs.test.example", nil)
 	if resp.RCode != dnswire.RCodeNoError || len(resp.Answers) != 1 {
 		t.Fatalf("resolve failed: %v", resp)
@@ -276,17 +282,31 @@ func TestPrivatePrefixBug(t *testing.T) {
 	}
 }
 
+// TestAcceptClientECSTruncation: a compliant resolver truncates an
+// accepted client prefix to its family's ceiling, /24 for IPv4 and its
+// IPv6 source policy (/56) for IPv6, and forwards a shorter one as is.
 func TestAcceptClientECSTruncation(t *testing.T) {
-	// Compliant resolver truncates client-supplied /28 to /24.
-	rg := newRig(t, CompliantProfile(), authority.ScopeFixed(24))
-	cs := ecsopt.MustNew(netip.MustParseAddr("198.51.100.209"), 28)
-	rg.ask(t, rg.client("London", 9), "i.test.example", &cs)
-	rec := rg.logs.All()[0]
-	if rec.QueryECS.SourcePrefix != 24 {
-		t.Fatalf("forwarded prefix = %d, want truncated 24", rec.QueryECS.SourcePrefix)
-	}
-	if rec.QueryECS.Addr != netip.MustParseAddr("198.51.100.0") {
-		t.Fatalf("forwarded addr = %s", rec.QueryECS.Addr)
+	for _, tc := range []struct {
+		addr     string
+		bits     int
+		wantAddr string
+		wantBits uint8
+	}{
+		{"198.51.100.209", 28, "198.51.100.0", 24},
+		{"2001:db8:42:17ab::", 64, "2001:db8:42:1700::", 56},
+		{"2001:db8:42::", 48, "2001:db8:42::", 48},
+	} {
+		rg := newRig(t, CompliantProfile(), authority.ScopeFixed(24))
+		cs := ecsopt.MustNew(netip.MustParseAddr(tc.addr), tc.bits)
+		resp := rg.ask(t, rg.client("London", 9), "i.test.example", &cs)
+		rec := rg.logs.All()[0]
+		if rec.QueryECS.SourcePrefix != tc.wantBits || rec.QueryECS.Addr != netip.MustParseAddr(tc.wantAddr) {
+			t.Errorf("client %s/%d: forwarded %s/%d, want %s/%d", tc.addr, tc.bits,
+				rec.QueryECS.Addr, rec.QueryECS.SourcePrefix, tc.wantAddr, tc.wantBits)
+		}
+		if echo, ok, _ := ecsopt.FromMessage(resp); !ok || echo.SourcePrefix != tc.wantBits {
+			t.Errorf("client %s/%d: echoed %v (present %v), want source /%d", tc.addr, tc.bits, echo, ok, tc.wantBits)
+		}
 	}
 }
 

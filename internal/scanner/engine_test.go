@@ -178,3 +178,31 @@ func TestEngineCancellation(t *testing.T) {
 		t.Fatal("cancellation did not stop the run")
 	}
 }
+
+// ProgressSnapshot is a point-in-time view of a campaign.
+type ProgressSnapshot struct {
+	// Sent is how many jobs have started.
+	Sent int64
+	// Done is how many finished without error.
+	Done int64
+	// Errors is how many finished with an error.
+	Errors int64
+	// Elapsed is the time since NewProgress.
+	Elapsed time.Duration
+	// QPS is Sent/Elapsed, the observed throughput.
+	QPS float64
+}
+
+// Snapshot reads the counters.
+func (p *Progress) Snapshot() ProgressSnapshot {
+	s := ProgressSnapshot{
+		Sent:    p.sent.Load(),
+		Done:    p.done.Load(),
+		Errors:  p.errors.Load(),
+		Elapsed: time.Since(p.start),
+	}
+	if s.Elapsed > 0 {
+		s.QPS = float64(s.Sent) / s.Elapsed.Seconds()
+	}
+	return s
+}

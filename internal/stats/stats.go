@@ -26,20 +26,6 @@ func Mean(xs []float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// Min returns the smallest element, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element, or 0 for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -99,15 +85,6 @@ func NewCDF(xs []float64) *CDF {
 // Len returns the sample size.
 func (c *CDF) Len() int { return len(c.sorted) }
 
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-quantile of the sample.
 func (c *CDF) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {
@@ -157,7 +134,6 @@ func (s Summary) String() string {
 type Hexbin struct {
 	BinSize float64
 	Counts  map[[2]int]int
-	total   int
 }
 
 // NewHexbin creates a binner with the given bin edge length.
@@ -169,11 +145,7 @@ func NewHexbin(binSize float64) *Hexbin {
 func (h *Hexbin) Add(x, y float64) {
 	key := [2]int{int(math.Floor(x / h.BinSize)), int(math.Floor(y / h.BinSize))}
 	h.Counts[key]++
-	h.total++
 }
-
-// Total returns the number of points added.
-func (h *Hexbin) Total() int { return h.total }
 
 // Zipf returns a deterministic Zipf-like popularity distribution over n
 // ranks with exponent s, normalized to sum to 1.

@@ -60,28 +60,6 @@ type Transition struct {
 	From, To State
 }
 
-// BreakerTrace returns a copy of the breaker transition log, in the
-// order the transitions happened.
-func (p *Pool) BreakerTrace() []Transition {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Transition, len(p.trace))
-	copy(out, p.trace)
-	return out
-}
-
-// BreakerStates reports the current state of every upstream's breaker,
-// keyed by upstream address.
-func (p *Pool) BreakerStates() map[netip.Addr]State {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[netip.Addr]State, len(p.ups))
-	for _, u := range p.ups {
-		out[u.addr] = u.breaker.state
-	}
-	return out
-}
-
 // setBreakerState transitions u's breaker, recording the change in the
 // trace. Callers hold p.mu.
 func (p *Pool) setBreakerState(u *upstream, to State, now time.Time) {

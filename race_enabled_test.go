@@ -3,8 +3,6 @@
 package ecsdns
 
 // raceEnabled reports that the race detector is compiled in.
-// TestRunAllSmallScale skips itself then: internal/core runs the
-// experiments one by one under the same detector (race-sized; see its
-// testConfig), and this sequential second pass through the façade was
-// half of `go test -race ./...`.
+// TestEveryFunctionLinked skips itself then: what the binaries link does
+// not depend on the detector, and the plain run has read it.
 const raceEnabled = true
