@@ -131,7 +131,11 @@ func main() {
 	if err := ds.Shutdown(ctx); err != nil {
 		log.Printf("authdns: drain incomplete, force-closed: %v", err)
 	}
-	log.Printf("authdns: %s", ds.Stats())
+	st := ds.Stats()
+	log.Printf("authdns: %s", st)
+	if err := st.Check(); err != nil {
+		log.Printf("authdns: accounting: %v", err)
+	}
 }
 
 func parseScope(spec string) (authority.ScopeFunc, error) {

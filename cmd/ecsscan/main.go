@@ -579,7 +579,11 @@ func bulkScan(ctx context.Context, out io.Writer, targetsArg string, base dnswir
 	case b.targets == 0:
 		return errors.New("no targets")
 	}
-	b.writeSummary(elapsed, pipe.Stats())
+	st := pipe.Stats()
+	b.writeSummary(elapsed, st)
+	if err := st.Check(); err != nil {
+		log.Printf("ecsscan: accounting: %v", err)
+	}
 	if interrupted {
 		fmt.Fprintf(b.out, "interrupted: partial results for %d of %d targets\n", b.written, b.targets)
 	}

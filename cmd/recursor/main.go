@@ -206,19 +206,29 @@ serve:
 	}
 	client, up := res.Counters()
 	log.Printf("recursor: served %d client queries, sent %d upstream", client, up)
-	log.Printf("recursor: %s", srv.Stats())
-	log.Printf("recursor: cache %s", res.Cache().Stats())
+	st, cache := srv.Stats(), res.Cache().Stats()
+	log.Printf("recursor: %s", st)
+	log.Printf("recursor: cache %s", cache)
 	pool.Wait()
 	c := pool.Counters()
-	log.Printf("recursor: pool issued=%d won=%d lost=%d cancelled=%d failed=%d picks=%d granted=%d refused=%d balanced=%v",
-		c.Issued, c.Won, c.Lost, c.Cancelled, c.Failed, c.Picks, c.Granted, c.Refused, c.Balanced())
+	log.Printf("recursor: pool issued=%d won=%d lost=%d cancelled=%d failed=%d picks=%d granted=%d refused=%d",
+		c.Issued, c.Won, c.Lost, c.Cancelled, c.Failed, c.Picks, c.Granted, c.Refused)
 	log.Printf("recursor: pool hedges=%d failovers=%d breaker-trips=%d ladder-steps=%d tcp-fallbacks=%d fast-fails=%d",
 		c.Hedges, c.Failovers, c.BreakerTrips, c.LadderSteps, c.TCPFallbacks, c.FastFails)
+	// No key or message from here on may contain "shed=" or "received=":
+	// the benchmark reads those two out of the whole of stderr.
+	f := res.Failures()
+	log.Printf("recursor: failures retries=%d exhausted=%d truncated=%d mismatched=%d servfails=%d stale=%d servfail-answers=%d",
+		f.UpstreamRetries, f.UpstreamFailures, f.UpstreamTruncated, f.UpstreamMismatched, f.UpstreamServFails, f.ServedStale, f.ServFailsReturned)
 	// reused/(dialed+reused) is the share of UDP queries that left on a
-	// parked socket. No key here may contain "shed=" or "received=": the
-	// benchmark reads those two out of the whole of stderr.
+	// parked socket.
 	u := udp.Stats()
 	log.Printf("recursor: upstream sockets dialed=%d reused=%d retired=%d", u.Dialed, u.Reused, u.Retired)
+	for _, err := range []error{st.Check(), cache.Check(), c.Check(), f.Check(), u.Check()} {
+		if err != nil {
+			log.Printf("recursor: accounting: %v", err)
+		}
+	}
 	udp.Close()
 }
 

@@ -124,8 +124,8 @@ func runResilience(cfg Config, queries int, hedge, breaker bool,
 	}
 	pool.Wait()
 	out.counters = pool.Counters()
-	if !out.counters.Balanced() {
-		return out, fmt.Errorf("ext_resilience: pool accounting leak: %+v", out.counters)
+	if err := out.counters.Check(); err != nil {
+		return out, fmt.Errorf("ext_resilience: pool accounting leak: %v", err)
 	}
 	return out, nil
 }

@@ -117,10 +117,10 @@ func (cr *chaosResponder) counts() (dropped, corrupted, truncated, answered int)
 //  1. no cross-delivery — every successful response carries the answer
 //     derived from its own query's name;
 //  2. accounting balance — after every exchange has settled,
-//     Sent == Received + Timeouts + Aborted + SendErrors.
+//     PipelineStats.Check holds.
 //
 // A slice of the workers cancel their context mid-flight to drive the
-// Aborted leg of the invariant.
+// Aborted class of the partition.
 func runPipelineChaos(t *testing.T, cfg PipelineConfig) {
 	t.Helper()
 	plan := netem.FaultPlan{Loss: 0.15, Corrupt: 0.1}
@@ -176,9 +176,8 @@ func runPipelineChaos(t *testing.T, cfg PipelineConfig) {
 	// Every Exchange has returned, so every submitted attempt has
 	// settled: the ledger must balance exactly.
 	st := p.Stats()
-	if st.Sent != st.Received+st.Timeouts+st.Aborted+st.SendErrors {
-		t.Fatalf("accounting imbalance: Sent=%d != Received=%d + Timeouts=%d + Aborted=%d + SendErrors=%d",
-			st.Sent, st.Received, st.Timeouts, st.Aborted, st.SendErrors)
+	if err := st.Check(); err != nil {
+		t.Fatal(err)
 	}
 	dropped, corrupted, _, answered := cr.counts()
 	t.Logf("responder: dropped=%d corrupted=%d answered=%d; stats: %+v",
@@ -267,9 +266,8 @@ func TestSweepChaosAccounting(t *testing.T) {
 		t.Fatalf("%d probes started, want the %d up to the cancel", started, n/2+1)
 	}
 	st := p.Stats()
-	if st.Sent != st.Received+st.Timeouts+st.Aborted+st.SendErrors {
-		t.Fatalf("accounting imbalance: Sent=%d != Received=%d + Timeouts=%d + Aborted=%d + SendErrors=%d",
-			st.Sent, st.Received, st.Timeouts, st.Aborted, st.SendErrors)
+	if err := st.Check(); err != nil {
+		t.Fatal(err)
 	}
 	dropped, corrupted, truncated, _ := cr.counts()
 	t.Logf("responder: dropped=%d corrupted=%d truncated=%d; %d answered; stats: %+v",
@@ -317,7 +315,7 @@ func TestPipelineCloseDuringFlood(t *testing.T) {
 		t.Fatal("exchanges hung after Close")
 	}
 	st := p.Stats()
-	if st.Sent != st.Received+st.Timeouts+st.Aborted+st.SendErrors {
-		t.Fatalf("accounting imbalance after Close: %+v", st)
+	if err := st.Check(); err != nil {
+		t.Fatalf("%v after Close: %+v", err, st)
 	}
 }

@@ -120,7 +120,7 @@ func TestClientRingRotation(t *testing.T) {
 		t.Errorf("%d exchanges used %d sockets on %d ports, want 4 on 4 (3 if the kernel repeated one)", 4*ringUses, len(uses), len(ports))
 	}
 	st := c.Stats()
-	if st.Dialed != 4 || st.Dialed+st.Reused != 4*ringUses || st.Retired != 4 || st.Idle != 0 {
+	if st.Dialed != 4 || st.Dialed+st.Reused != 4*ringUses || st.Retired != 4 || st.Idle != 0 || st.Check() != nil {
 		t.Errorf("stats %+v, want 4 dialed, %d reused, 4 retired, none idle", st, 4*ringUses-4)
 	}
 }
@@ -154,7 +154,7 @@ func TestClientParkedSocketFailsFast(t *testing.T) {
 	if elapsed >= c.Timeout/4 {
 		t.Fatalf("ExchangeUDP on a parked socket to a closed port took %v (%v), want under %v", elapsed, err, c.Timeout/4)
 	}
-	if st := c.Stats(); st.Reused != 1 || st.Retired != 1 || st.Idle != 0 {
+	if st := c.Stats(); st.Reused != 1 || st.Retired != 1 || st.Idle != 0 || st.Check() != nil {
 		t.Fatalf("stats %+v, want the parked socket drawn once, then retired, not parked again", st)
 	}
 	serveUDP(t, server.String(), answer)
@@ -223,7 +223,7 @@ func TestClientStaleDatagramRetiresSocket(t *testing.T) {
 	mu.Unlock()
 	exchange(7)
 	exchange(8)
-	if st := c.Stats(); st.Dialed != 7 || st.Reused != 7 || st.Retired != 6 {
+	if st := c.Stats(); st.Dialed != 7 || st.Reused != 7 || st.Retired != 6 || st.Check() != nil {
 		t.Fatalf("stats %+v, want exchange 8 on the socket exchange 7 dialed", st)
 	}
 
@@ -248,7 +248,7 @@ func TestClientStaleDatagramRetiresSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAnswer(t, q, resp)
-	if st := c.Stats(); st.Dialed != 8 || st.Retired != 7 {
+	if st := c.Stats(); st.Dialed != 8 || st.Retired != 7 || st.Check() != nil {
 		t.Fatalf("stats %+v, want the sprayed socket retired and one more dialed", st)
 	}
 }
@@ -301,8 +301,8 @@ func TestClientRingExclusive(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := c.Stats(); st.Dialed+st.Reused != goroutines*rounds || st.Reused == 0 {
-		t.Fatalf("stats %+v, want %d exchanges, some of them on reused sockets", st, goroutines*rounds)
+	if st := c.Stats(); st.Dialed+st.Reused != goroutines*rounds || st.Reused == 0 || st.Check() != nil {
+		t.Fatalf("stats %+v, want %d exchanges, some of them on reused sockets (%v)", st, goroutines*rounds, st.Check())
 	}
 }
 

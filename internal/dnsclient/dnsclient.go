@@ -33,6 +33,7 @@ import (
 
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/ecsopt"
+	"ecsdns/internal/stats"
 	"ecsdns/internal/udpio"
 )
 
@@ -90,6 +91,13 @@ type ClientStats struct {
 	Reused  uint64 // exchanges that drew a parked socket instead
 	Retired uint64 // sockets closed: used up, too old, failed, or surplus
 	Idle    int    // sockets parked right now
+}
+
+// Check returns nil when every socket dialed is retired or parked, and
+// otherwise an error with the numbers. It holds at rest: a running
+// exchange holds a socket that is neither.
+func (st ClientStats) Check() error {
+	return stats.Partition("Dialed = Retired + Idle", int64(st.Dialed), int64(st.Retired), int64(st.Idle))
 }
 
 // Exchange errors.

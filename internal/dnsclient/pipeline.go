@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ecsdns/internal/dnswire"
+	"ecsdns/internal/stats"
 	"ecsdns/internal/udpio"
 )
 
@@ -44,17 +45,11 @@ const (
 	sendBatch       = 64
 )
 
-// PipelineStats is a snapshot of a Pipeline's counters.
-//
-// Every submitted UDP attempt terminates in exactly one of Received,
-// Timeouts, Aborted, or SendErrors, so after all in-flight queries
-// drain
-//
-//	Sent == Received + Timeouts + Aborted + SendErrors
-//
-// — the accounting invariant the chaos tests assert under fault
-// injection. (Attempts cut off before submission — pipeline closed —
-// appear on neither side.)
+// PipelineStats is a snapshot of a Pipeline's counters. Every submitted
+// UDP attempt terminates in exactly one of Received, Timeouts, Aborted
+// and SendErrors, which Check states and the chaos tests assert under
+// fault injection. (Attempts cut off before submission — pipeline
+// closed — appear on neither side.)
 type PipelineStats struct {
 	// Sent counts UDP attempts submitted for sending (one per attempt;
 	// kernel refusals are included here and show up in SendErrors).
@@ -79,6 +74,14 @@ type PipelineStats struct {
 	// Truncated counts truncated responses received (each then moves to
 	// TCP).
 	Truncated int64
+}
+
+// Check returns nil when every UDP attempt sent has terminated in one
+// class, and otherwise an error with the numbers. It holds once every
+// query in flight has drained.
+func (st PipelineStats) Check() error {
+	return stats.Partition("Sent = Received + Timeouts + Aborted + SendErrors",
+		st.Sent, st.Received, st.Timeouts, st.Aborted, st.SendErrors)
 }
 
 // pendingBuckets is the size of the table of attempts in flight. IDs

@@ -524,8 +524,8 @@ func TestSweepRefusedMidBatch(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d received and, for the refused probe, %d send errors, %d retries and one TCP fallback",
 			st, n-1, 1+pipelineRetries, pipelineRetries)
 	}
-	if st.Sent != st.Received+st.Timeouts+st.Aborted+st.SendErrors {
-		t.Fatalf("accounting imbalance: %+v", st)
+	if err := st.Check(); err != nil {
+		t.Fatalf("%v: %+v", err, st)
 	}
 }
 

@@ -265,9 +265,8 @@ func TestPipelineTCPFallbackAccounting(t *testing.T) {
 	}
 
 	st := p.Stats()
-	if st.Sent != st.Received+st.Timeouts+st.Aborted+st.SendErrors {
-		t.Fatalf("accounting imbalance: Sent=%d != Received=%d + Timeouts=%d + Aborted=%d + SendErrors=%d",
-			st.Sent, st.Received, st.Timeouts, st.Aborted, st.SendErrors)
+	if err := st.Check(); err != nil {
+		t.Fatal(err)
 	}
 	fragDropped, truncated, udpAnswered, tcpAnswered := fr.counts()
 	t.Logf("responder: fragDropped=%d truncated=%d udpAnswered=%d tcpAnswered=%d; answered=%d; stats: %+v",
@@ -318,7 +317,7 @@ func TestPipelineTCPFallbackGating(t *testing.T) {
 	if truncated != 0 || tcpAnswered != 0 || udpAnswered != 40 {
 		t.Fatalf("responder counts: truncated=%d udpAnswered=%d tcpAnswered=%d", truncated, udpAnswered, tcpAnswered)
 	}
-	if st.Sent != st.Received+st.Timeouts+st.Aborted+st.SendErrors {
-		t.Fatalf("accounting imbalance: %+v", st)
+	if err := st.Check(); err != nil {
+		t.Fatalf("%v: %+v", err, st)
 	}
 }

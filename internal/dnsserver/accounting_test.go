@@ -67,11 +67,8 @@ func settle(t *testing.T, srv *Server, before, want ServerStats) {
 
 // TestEachOutcomeCountedOnce drives a started server through every way a
 // query it reads can end, and requires each to move the counters by
-// exactly its row: one term of the partition
-//
-//	Received = Answered + Shed + Slipped + Malformed + Panics
-//
-// for each query received, never none and never two. The rows cover
+// exactly its row: one term of ServerStats.Check's partition for each
+// query received, never none and never two. The rows cover
 // every exit of serveDatagram, admit, udpWorker, process and serve, and
 // the zero-length TCP frame.
 func TestEachOutcomeCountedOnce(t *testing.T) {
@@ -210,7 +207,7 @@ func TestEachOutcomeCountedOnce(t *testing.T) {
 
 			unwedge()
 			waitStat(t, srv, "the partition balanced", func(st ServerStats) bool {
-				return st.Inflight == 0 && st.Balanced()
+				return st.Inflight == 0 && st.Check() == nil
 			})
 		})
 	}

@@ -156,7 +156,7 @@ func TestBacklogBurst(t *testing.T) {
 	waitStat(t, srv, "the burst's accounting", func(st ServerStats) bool {
 		return st.Received == queued+1 && st.Answered == 17 && st.Immediate == 9 &&
 			st.Malformed == 14 && st.Shed == 5 && st.RRLDropped == 5 && st.Slipped == 5 &&
-			st.Inflight == 0 && st.Balanced()
+			st.Inflight == 0 && st.Check() == nil
 	})
 }
 

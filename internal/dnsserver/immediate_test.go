@@ -125,7 +125,7 @@ func TestImmediatePanicIsolation(t *testing.T) {
 	if q := resp.Question(); q.Name != "boom.zone.test." {
 		t.Fatalf("panic reply asks %s, want the query's question", q.Name)
 	}
-	if st := srv.Stats(); st.Received != 1 || st.Panics != 1 || st.Immediate != 0 || !st.Balanced() {
+	if st := srv.Stats(); st.Received != 1 || st.Panics != 1 || st.Immediate != 0 || st.Check() != nil {
 		t.Fatalf("accounting: %s", st)
 	}
 

@@ -158,7 +158,7 @@ func TestShutdownDrainsInflightUDP(t *testing.T) {
 		t.Fatalf("drained reply: %v", resp)
 	}
 	st := srv.Stats()
-	if st.Received != 1 || st.Answered != 1 || !st.Balanced() {
+	if st.Received != 1 || st.Answered != 1 || st.Check() != nil {
 		t.Fatalf("accounting after drain: %s", st)
 	}
 	waitBaseline(t, baseline)
@@ -224,7 +224,7 @@ func TestShutdownDrainsInflightTCP(t *testing.T) {
 	if _, err := io.ReadFull(conn, lenBuf[:]); err == nil {
 		t.Fatal("connection still open after drain")
 	}
-	if st := srv.Stats(); !st.Balanced() || st.Answered != 1 {
+	if st := srv.Stats(); st.Check() != nil || st.Answered != 1 {
 		t.Fatalf("accounting after drain: %s", st)
 	}
 	waitBaseline(t, baseline)
@@ -318,7 +318,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("follow-up reply = %v, %v", resp, ok)
 	}
 	st := srv.Stats()
-	if st.Panics != 1 || st.Answered != 1 || st.Received != 2 || !st.Balanced() {
+	if st.Panics != 1 || st.Answered != 1 || st.Received != 2 || st.Check() != nil {
 		t.Fatalf("accounting: %s", st)
 	}
 }
@@ -346,7 +346,7 @@ func TestZeroLengthTCPFrameRejected(t *testing.T) {
 		t.Fatal("connection survived a zero-length frame")
 	}
 	waitStat(t, srv, "malformed count", func(st ServerStats) bool {
-		return st.Malformed == 1 && st.Received == 1 && st.Balanced()
+		return st.Malformed == 1 && st.Received == 1 && st.Check() == nil
 	})
 }
 
@@ -448,7 +448,7 @@ func TestUDPOverflowServFail(t *testing.T) {
 		}
 	}
 	waitStat(t, srv, "final accounting", func(st ServerStats) bool {
-		return st.Received == burst+3 && st.Answered == 2 && st.Shed == burst && st.Malformed == 1 && st.Balanced()
+		return st.Received == burst+3 && st.Answered == 2 && st.Shed == burst && st.Malformed == 1 && st.Check() == nil
 	})
 }
 
@@ -497,7 +497,7 @@ func TestRRLOverSocket(t *testing.T) {
 		}
 	}
 	st := srv.Stats()
-	if st.Answered != 2 || st.Slipped != 2 || st.RRLDropped != 2 || st.Shed != 2 || !st.Balanced() {
+	if st.Answered != 2 || st.Slipped != 2 || st.RRLDropped != 2 || st.Shed != 2 || st.Check() != nil {
 		t.Fatalf("accounting: %s", st)
 	}
 

@@ -3,25 +3,21 @@ package dnsserver
 import (
 	"fmt"
 	"sync/atomic"
+
+	"ecsdns/internal/stats"
 )
 
 // counters is the server's internal atomic accounting. Every query
-// received lands in exactly one outcome term,
-//
-//	received = answered + shed + slipped + malformed + panics
-//
-// on every path through the server: TestEachOutcomeCountedOnce drives
-// each path and requires its exact delta.
+// received lands in exactly one outcome term of ServerStats.Check's
+// partition on every path through the server:
+// TestEachOutcomeCountedOnce drives each path and requires its exact
+// delta.
 type counters struct {
 	received, answered, shed, rrlDropped, slipped, malformed, panics atomic.Int64
 	immediate, inflight, conns, connsTotal, connsRejected, workers   atomic.Int64
 }
 
 // ServerStats is a point-in-time snapshot of the server's accounting.
-// Once the server has drained (no queries in flight or queued), the
-// outcome classes partition everything read off the wire:
-//
-//	Received = Answered + Shed + Slipped + Malformed + Panics
 type ServerStats struct {
 	// Received counts queries read off the wire: UDP datagrams plus TCP
 	// frames (including zero-length frames, counted as malformed).
@@ -80,11 +76,12 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// Balanced reports whether the outcome classes account for every
-// received query. It only holds once the server has quiesced (drained
-// or idle); mid-flight queries are in no class yet.
-func (st ServerStats) Balanced() bool {
-	return st.Received == st.Answered+st.Shed+st.Slipped+st.Malformed+st.Panics
+// Check returns nil when the outcome classes partition everything read
+// off the wire, and otherwise an error with the numbers. It holds once
+// the server has drained: a query in flight is in no class yet.
+func (st ServerStats) Check() error {
+	return stats.Partition("Received = Answered + Shed + Slipped + Malformed + Panics",
+		st.Received, st.Answered, st.Shed, st.Slipped, st.Malformed, st.Panics)
 }
 
 // String renders the one-line operational summary the cmd binaries log

@@ -82,7 +82,7 @@ func TestWorkersStartOnDemand(t *testing.T) {
 		})
 		close(release)
 		waitStat(t, srv, "flood accounted for", func(st ServerStats) bool {
-			return st.Answered+st.Shed == flood && st.Balanced()
+			return st.Answered+st.Shed == flood && st.Check() == nil
 		})
 		st := srv.Stats()
 		if st.Workers != 4 || st.Answered < 4 || st.Answered > 8 {

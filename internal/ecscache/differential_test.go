@@ -367,7 +367,7 @@ func TestDifferentialImplementations(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			st, fellThrough := runDifferential(t, mode.cfg, []int{1, 8}, 6000, 443)
-			if !st.Balanced() || st.Evictions != 0 {
+			if st.Check() != nil || st.Evictions != 0 {
 				t.Fatalf("unbounded run ended unbalanced or evicting: %+v", st)
 			}
 			if st.Hits == 0 || st.Misses == 0 || st.Expiries == 0 || st.Shared == 0 {

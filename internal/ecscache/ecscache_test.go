@@ -198,7 +198,7 @@ func TestStatsCount(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 2 {
 		t.Fatalf("Stats = %d/%d, want 1/2", st.Hits, st.Misses)
 	}
-	if !st.Balanced() || st.Lookups != 3 {
+	if st.Check() != nil || st.Lookups != 3 {
 		t.Fatalf("lookup partition broken: %+v", st)
 	}
 }

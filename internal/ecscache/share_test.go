@@ -181,8 +181,8 @@ func TestSharedCounter(t *testing.T) {
 			t.Errorf("exit line %q contains %q", line, k)
 		}
 	}
-	if !st.Balanced() {
-		t.Errorf("lookup partition broken: %+v", st)
+	if err := st.Check(); err != nil {
+		t.Error(err)
 	}
 }
 

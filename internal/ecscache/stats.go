@@ -3,13 +3,15 @@ package ecscache
 import (
 	"fmt"
 	"sync/atomic"
+
+	"ecsdns/internal/stats"
 )
 
 // cacheCounters is the cache's internal atomic accounting, following
 // the same discipline as dnsserver's ServerStats: cumulative atomic
-// counters snapshotted into a stats struct with an outcome partition,
-// lookups = hits + misses, that the differential tests compare with a
-// reference model's counts after every run.
+// counters snapshotted into a stats struct whose Check states its
+// partition, and that the differential tests compare with a reference
+// model's counts after every run.
 type cacheCounters struct {
 	lookups, hits, misses atomic.Int64
 	// expiries counts entries removed because they were dead (per-key
@@ -46,9 +48,9 @@ func (c *Cache) addLive(delta int) {
 }
 
 // CacheStats is a point-in-time snapshot of the cache's accounting.
-// Lookups partition into Hits + Misses; removals split into Expiries
-// (natural death) and Evictions (capacity pressure on a live entry —
-// the premature evictions cachesim.BoundedReplay models).
+// Removals split into Expiries (natural death) and Evictions (capacity
+// pressure on a live entry — the premature evictions
+// cachesim.BoundedReplay models).
 type CacheStats struct {
 	// Lookups counts Lookup calls and the Hit calls that hit; every one
 	// is a Hit or a Miss.
@@ -91,11 +93,11 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// Balanced reports whether every lookup landed in exactly one outcome
-// class. It holds at any quiescent point (Lookup updates both counters
-// before returning).
-func (st CacheStats) Balanced() bool {
-	return st.Lookups == st.Hits+st.Misses
+// Check returns nil when every lookup landed in exactly one outcome
+// class, and otherwise an error with the numbers. It holds at any
+// quiescent point (Lookup updates both counters before returning).
+func (st CacheStats) Check() error {
+	return stats.Partition("Lookups = Hits + Misses", st.Lookups, st.Hits, st.Misses)
 }
 
 // HitRate returns hits per lookup in percent.

@@ -95,8 +95,8 @@ func TestConcurrentCacheAccess(t *testing.T) {
 			}
 			wg.Wait()
 			// At quiescence the counter partition must hold exactly.
-			if st := c.Stats(); !st.Balanced() {
-				t.Errorf("lookup partition broken after stress: %+v", st)
+			if err := c.Stats().Check(); err != nil {
+				t.Errorf("after stress: %v", err)
 			}
 		})
 	}

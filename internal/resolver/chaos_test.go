@@ -125,10 +125,8 @@ func runChaos(t *testing.T, sc chaosScenario) chaosRun {
 		t.Errorf("%s: resolver served %d client queries, want %d (lost client legs excluded)",
 			sc.name, client0, want)
 	}
-	f := run.failures
-	if f.UpstreamFailures != f.ServedStale+f.ServFailsReturned {
-		t.Errorf("%s: failure accounting leaks: exhausted=%d stale=%d servfail=%d",
-			sc.name, f.UpstreamFailures, f.ServedStale, f.ServFailsReturned)
+	if err := run.failures.Check(); err != nil {
+		t.Errorf("%s: %v", sc.name, err)
 	}
 	return run
 }

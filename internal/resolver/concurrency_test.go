@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"runtime"
@@ -66,11 +67,13 @@ func TestConcurrentClients(t *testing.T) {
 
 // gatedTransport is an upstream that blocks every exchange on a gate
 // channel, so a test can hold a herd of resolutions in flight and count
-// how many upstream queries actually escape.
+// how many upstream queries actually escape. With fail set it answers
+// every exchange with an error.
 type gatedTransport struct {
 	gate    chan struct{}
 	entered chan struct{} // closed when the first exchange arrives
 	calls   atomic.Int64
+	fail    bool
 }
 
 func (g *gatedTransport) Exchange(from, to netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
@@ -78,6 +81,9 @@ func (g *gatedTransport) Exchange(from, to netip.Addr, query *dnswire.Message) (
 		close(g.entered)
 	}
 	<-g.gate
+	if g.fail {
+		return nil, 0, errors.New("upstream down")
+	}
 	resp := dnswire.NewResponse(query)
 	resp.Answers = []dnswire.RR{{
 		Name: query.Question().Name, Class: dnswire.ClassINET, TTL: 60,
@@ -90,14 +96,15 @@ func (g *gatedTransport) Exchange(from, to netip.Addr, query *dnswire.Message) (
 	return resp, 0, nil
 }
 
-// TestThunderingHerdCoalesces is the singleflight acceptance test at
-// the resolver layer: N concurrent clients behind one /24 missing on
-// the same name must produce exactly ONE upstream query, with the
-// other N-1 resolutions parked on the leader and answered from its
-// result.
-func TestThunderingHerdCoalesces(t *testing.T) {
+// runHerd sends herd concurrent queries for one name, from clients that
+// share 10.9.8.0/24 (so every resolution carries the same masked ECS
+// prefix and may coalesce), through a resolver over a gatedTransport.
+// It holds the gate until every follower is provably parked on the
+// leader's flight, which turns "one resolution" from a usually-won race
+// into a guarantee, and hands each client's reply to check.
+func runHerd(t *testing.T, herd int, fail bool, check func(i int, resp *dnswire.Message)) (*Resolver, *gatedTransport) {
 	now := time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC)
-	upstream := &gatedTransport{gate: make(chan struct{}), entered: make(chan struct{})}
+	upstream := &gatedTransport{gate: make(chan struct{}), entered: make(chan struct{}), fail: fail}
 	dir := NewDirectory()
 	dir.Add("example.com.", netip.MustParseAddr("198.51.100.53"))
 	res := New(Config{
@@ -108,41 +115,37 @@ func TestThunderingHerdCoalesces(t *testing.T) {
 		Profile:   CompliantProfile(),
 		Seed:      1,
 	})
-
-	const herd = 12
 	var wg sync.WaitGroup
-	errs := make(chan error, herd)
 	for i := 0; i < herd; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// All clients share 10.9.8.0/24, so every resolution carries
-			// the same masked ECS prefix and is eligible to coalesce.
-			client := netip.AddrFrom4([4]byte{10, 9, 8, byte(i + 1)})
 			q := dnswire.NewQuery(uint16(i+1), "herd.example.com.", dnswire.TypeA)
 			q.EDNS = dnswire.NewEDNS()
-			resp := res.HandleDNS(client, q)
-			if resp.RCode != dnswire.RCodeNoError || len(resp.Answers) != 1 {
-				errs <- fmt.Errorf("client %d: rcode %v, %d answers", i, resp.RCode, len(resp.Answers))
-			}
+			check(i, res.HandleDNS(netip.AddrFrom4([4]byte{10, 9, 8, byte(i + 1)}), q))
 		}()
 	}
-
 	<-upstream.entered
-	// Hold the gate until every follower is provably parked on the
-	// leader's flight; only then may the upstream answer. This turns
-	// "exactly one query" from a usually-won race into a guarantee.
-	for res.Cache().Stats().Coalesced != herd-1 {
+	for res.Cache().Stats().Coalesced != int64(herd-1) {
 		runtime.Gosched()
 	}
 	close(upstream.gate)
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+	return res, upstream
+}
 
+// TestThunderingHerdCoalesces is the singleflight acceptance test at
+// the resolver layer: N concurrent clients behind one /24 missing on
+// the same name must produce exactly ONE upstream query, with the
+// other N-1 resolutions parked on the leader and answered from its
+// result.
+func TestThunderingHerdCoalesces(t *testing.T) {
+	const herd = 12
+	res, upstream := runHerd(t, herd, false, func(i int, resp *dnswire.Message) {
+		if resp.RCode != dnswire.RCodeNoError || len(resp.Answers) != 1 {
+			t.Errorf("client %d: rcode %v, %d answers", i, resp.RCode, len(resp.Answers))
+		}
+	})
 	if got := upstream.calls.Load(); got != 1 {
 		t.Fatalf("authority saw %d queries from a %d-client herd, want 1", got, herd)
 	}
@@ -157,6 +160,21 @@ func TestThunderingHerdCoalesces(t *testing.T) {
 	}
 	if got := upstream.calls.Load(); got != 1 {
 		t.Fatalf("post-herd lookup went upstream (%d calls)", got)
+	}
+}
+
+// TestFailedHerdAccounted: a herd coalesced onto a resolution that fails
+// is answered SERVFAIL client by client, and each answer counts as a
+// failed resolution, so FailureCounters.Check holds.
+func TestFailedHerdAccounted(t *testing.T) {
+	const herd = 6
+	res, _ := runHerd(t, herd, true, func(i int, resp *dnswire.Message) {
+		if resp.RCode != dnswire.RCodeServFail {
+			t.Errorf("client %d: rcode %v, want SERVFAIL", i, resp.RCode)
+		}
+	})
+	if f := res.Failures(); f.ServFailsReturned != herd || f.Check() != nil {
+		t.Fatalf("%d coalesced clients answered SERVFAIL: %+v (%v)", herd, f, f.Check())
 	}
 }
 

@@ -245,10 +245,3 @@ func TestRetriesConfig(t *testing.T) {
 		t.Fatalf("retries behind a pool = %d, want 0", got)
 	}
 }
-
-// Failures returns a snapshot of the failure-path counters.
-func (r *Resolver) Failures() FailureCounters {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.failures
-}

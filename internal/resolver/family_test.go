@@ -112,7 +112,7 @@ func TestProfilesCacheEveryClientFamily(t *testing.T) {
 				if rg.logs.Len() != wantQueries {
 					t.Fatalf("client %s, outside the stored subnet: the authority saw %d queries, want %d", outside, rg.logs.Len(), wantQueries)
 				}
-				if st := rg.res.Cache().Stats(); !st.Balanced() || st.Rejected != 0 {
+				if st := rg.res.Cache().Stats(); st.Check() != nil || st.Rejected != 0 {
 					t.Fatalf("cache stats %+v", st)
 				}
 			})

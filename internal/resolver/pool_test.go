@@ -88,7 +88,7 @@ func TestPoolResolverBasic(t *testing.T) {
 		t.Fatalf("resolve through pool failed: resp=%v err=%v", resp, err)
 	}
 	cnt := rg.pool.Counters()
-	if cnt.Issued != 1 || cnt.Won != 1 || !cnt.Balanced() {
+	if cnt.Issued != 1 || cnt.Won != 1 || cnt.Check() != nil {
 		t.Fatalf("pool counters = %+v", cnt)
 	}
 }
@@ -117,8 +117,8 @@ func TestPoolResolverBlackoutFailover(t *testing.T) {
 		t.Fatalf("answered %d/%d with one mirror dark; want >= 99", answered, total)
 	}
 	cnt := rg.pool.Counters()
-	if !cnt.Balanced() {
-		t.Fatalf("accounting leak: %+v", cnt)
+	if err := cnt.Check(); err != nil {
+		t.Fatalf("%v: %+v", err, cnt)
 	}
 	if cnt.Failovers == 0 {
 		t.Fatal("blackout produced no failovers")

@@ -11,11 +11,13 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/ecscache"
 	"ecsdns/internal/ecsopt"
+	"ecsdns/internal/stats"
 )
 
 // Transport moves DNS messages between simulation nodes; netem.Network
@@ -126,14 +128,16 @@ const staleTTL = 30
 // stale when every upstream attempt fails (RFC 8767).
 const maxStale = time.Hour
 
-// FailureCounters tracks how the resolver behaved under upstream
-// failure; experiments and the chaos harness read it to verify that no
-// query outcome goes unaccounted.
+// FailureCounters is a snapshot of how the resolver behaved under
+// upstream failure; cmd/recursor prints it, and the chaos tests read it
+// to verify that no query outcome goes unaccounted.
 type FailureCounters struct {
 	// UpstreamRetries counts re-attempts after a failed upstream
 	// exchange.
 	UpstreamRetries int64
-	// UpstreamFailures counts resolutions that exhausted every attempt.
+	// UpstreamFailures counts client queries whose upstream resolution
+	// exhausted every attempt, a query coalesced onto another's failed
+	// resolution among them.
 	UpstreamFailures int64
 	// UpstreamTruncated / UpstreamMismatched / UpstreamServFails break
 	// failed attempts down by cause (truncated response, transaction-ID
@@ -147,6 +151,13 @@ type FailureCounters struct {
 	// ServFailsReturned counts SERVFAIL answers sent to clients because
 	// upstream failed and no stale entry was usable.
 	ServFailsReturned int64
+}
+
+// Check returns nil when every client query whose resolution failed was
+// answered stale or SERVFAIL, and otherwise an error with the numbers.
+func (f FailureCounters) Check() error {
+	return stats.Partition("UpstreamFailures = ServedStale + ServFailsReturned",
+		f.UpstreamFailures, f.ServedStale, f.ServFailsReturned)
 }
 
 // Resolver is an egress recursive resolver.
@@ -163,10 +174,14 @@ type Resolver struct {
 	lastSeen  map[ecscache.Key]*time.Time // ProbeOnMiss recency window, updated in place (see count)
 	randNames map[dnswire.Name]bool       // ProbeRandom per-name coin flips
 	adapted   map[netip.Addr]int          // AdaptSourceToScope learned bits
-	// Upstream counters let experiments measure query amplification.
-	upstreamQueries int64
-	clientQueries   int64
-	failures        FailureCounters
+
+	// The counters, written without mu. Upstream against client queries
+	// is the query amplification experiments measure; failures are
+	// FailureCounters' fields, in order.
+	clientQueries, upstreamQueries atomic.Int64
+	failures                       struct {
+		retries, exhausted, truncated, mismatched, servFails, stale, servFailsReturned atomic.Int64
+	}
 }
 
 // New creates a resolver from cfg.
@@ -204,9 +219,21 @@ func (r *Resolver) Cache() *ecscache.Cache { return r.cache }
 
 // Counters returns (client queries served, upstream queries sent).
 func (r *Resolver) Counters() (client, upstream int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.clientQueries, r.upstreamQueries
+	return r.clientQueries.Load(), r.upstreamQueries.Load()
+}
+
+// Failures snapshots the failure-path counters.
+func (r *Resolver) Failures() FailureCounters {
+	f := &r.failures
+	return FailureCounters{
+		UpstreamRetries:    f.retries.Load(),
+		UpstreamFailures:   f.exhausted.Load(),
+		UpstreamTruncated:  f.truncated.Load(),
+		UpstreamMismatched: f.mismatched.Load(),
+		UpstreamServFails:  f.servFails.Load(),
+		ServedStale:        f.stale.Load(),
+		ServFailsReturned:  f.servFailsReturned.Load(),
+	}
 }
 
 // HandleDNS serves one client query, in a response of its own: see
@@ -340,30 +367,32 @@ func reply(resp, query *dnswire.Message) {
 }
 
 // count books one client query: the client-query counter and, under
-// ProbeOnMiss, the name's last-seen time. It reports whether the name
-// was last seen less than a minute before now. borrowed says key's name
-// is a view of a query a dnsserver read loop lends (ServeDNS without
-// mayWait), which the next datagram rewrites: a name not seen before is
-// stored as a copy. A name seen before has its time updated in place,
-// since assigning to the map stores the key again, name and all.
+// ProbeOnMiss, the name's last-seen time, which alone takes mu. It
+// reports whether the name was last seen less than a minute before now.
+// borrowed says key's name is a view of a query a dnsserver read loop
+// lends (ServeDNS without mayWait), which the next datagram rewrites: a
+// name not seen before is stored as a copy. A name seen before has its
+// time updated in place, since assigning to the map stores the key
+// again, name and all.
 func (r *Resolver) count(key ecscache.Key, now time.Time, borrowed bool) (withinMinute bool) {
+	r.clientQueries.Add(1)
+	if r.cfg.Profile.Probing != ProbeOnMiss {
+		return false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.clientQueries++
-	if r.cfg.Profile.Probing == ProbeOnMiss {
-		if last, ok := r.lastSeen[key]; ok {
-			withinMinute = now.Sub(*last) < time.Minute
-			*last = now
-			return withinMinute
-		}
-		if borrowed {
-			key.Name = dnswire.Name(strings.Clone(string(key.Name)))
-		}
-		last := new(time.Time) // not &now, which would put now on the heap on every call
+	if last, ok := r.lastSeen[key]; ok {
+		withinMinute = now.Sub(*last) < time.Minute
 		*last = now
-		r.lastSeen[key] = last
+		return withinMinute
 	}
-	return withinMinute
+	if borrowed {
+		key.Name = dnswire.Name(strings.Clone(string(key.Name)))
+	}
+	last := new(time.Time) // not &now, which would put now on the heap on every call
+	*last = now
+	r.lastSeen[key] = last
+	return false
 }
 
 // bypassCache reports whether name is one ProbeHostnames re-queries
@@ -560,13 +589,9 @@ func (r *Resolver) exchangeUpstream(authAddr netip.Addr, up, into *dnswire.Messa
 	var lastErr error
 	for attempt := 0; attempt <= r.retries(); attempt++ {
 		if attempt > 0 {
-			r.mu.Lock()
-			r.failures.UpstreamRetries++
-			r.mu.Unlock()
+			r.failures.retries.Add(1)
 		}
-		r.mu.Lock()
-		r.upstreamQueries++
-		r.mu.Unlock()
+		r.upstreamQueries.Add(1)
 		var upResp *dnswire.Message
 		var err error
 		switch {
@@ -583,38 +608,32 @@ func (r *Resolver) exchangeUpstream(authAddr netip.Addr, up, into *dnswire.Messa
 		case upResp == nil:
 			lastErr = errUpstreamDropped
 		case upResp.ID != up.ID:
-			r.countFailure(func(f *FailureCounters) { f.UpstreamMismatched++ })
+			r.failures.mismatched.Add(1)
 			lastErr = errUpstreamMismatch
 		case upResp.Truncated:
-			r.countFailure(func(f *FailureCounters) { f.UpstreamTruncated++ })
+			r.failures.truncated.Add(1)
 			lastErr = errUpstreamTruncated
 		case upResp.RCode == dnswire.RCodeServFail:
-			r.countFailure(func(f *FailureCounters) { f.UpstreamServFails++ })
+			r.failures.servFails.Add(1)
 			lastErr = errUpstreamServFail
 		default:
 			return upResp, nil
 		}
 	}
-	r.countFailure(func(f *FailureCounters) { f.UpstreamFailures++ })
 	return nil, lastErr
 }
 
-func (r *Resolver) countFailure(bump func(*FailureCounters)) {
-	r.mu.Lock()
-	bump(&r.failures)
-	r.mu.Unlock()
-}
-
-// answerFailure handles an exhausted upstream resolution: serve a
-// stale-but-valid cached answer when one is available (RFC 8767),
-// otherwise degrade to SERVFAIL.
+// answerFailure answers a query whose upstream resolution failed, its
+// own or the one it was coalesced onto: with a stale-but-valid cached
+// answer when one is available (RFC 8767), otherwise SERVFAIL.
 func (r *Resolver) answerFailure(resp *dnswire.Message, key ecscache.Key, clientAddr netip.Addr, clientBits int, now time.Time) {
+	r.failures.exhausted.Add(1)
 	if e, ok := r.cache.LookupStale(key, clientAddr, now, maxStale); ok {
-		r.countFailure(func(f *FailureCounters) { f.ServedStale++ })
+		r.failures.stale.Add(1)
 		answerFromEntry(resp, &e, staleTTL, clientAddr, clientBits)
 		return
 	}
-	r.countFailure(func(f *FailureCounters) { f.ServFailsReturned++ })
+	r.failures.servFailsReturned.Add(1)
 	resp.RCode, resp.EDNS = dnswire.RCodeServFail, nil
 }
 

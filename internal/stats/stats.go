@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the experiments
 // need: empirical CDFs, quantiles, summary statistics, hexbin-style 2-D
-// aggregation, and deterministic sampling helpers. Everything is plain
-// float64 slices; nothing here depends on the rest of the module.
+// aggregation, deterministic sampling helpers, and the check of an
+// accounting identity. Nothing here depends on the rest of the module.
 package stats
 
 import (
@@ -10,6 +10,20 @@ import (
 	"math/rand"
 	"sort"
 )
+
+// Partition checks one accounting identity, total = the sum of parts,
+// and returns nil when it holds; otherwise an error that names it and
+// gives its numbers.
+func Partition(identity string, total int64, parts ...int64) error {
+	var sum int64
+	for _, p := range parts {
+		sum += p
+	}
+	if total == sum {
+		return nil
+	}
+	return fmt.Errorf("%s does not hold: %d, against %v summing to %d", identity, total, parts, sum)
+}
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {

@@ -10,6 +10,18 @@ import (
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// TestPartition pins the error the binaries print for a failing
+// identity: it names the identity, in no "key=" form an exit line uses.
+func TestPartition(t *testing.T) {
+	if err := Partition("Received = Answered + Shed", 3, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := "Received = Answered + Shed does not hold: 3, against [1 1] summing to 2"
+	if err := Partition("Received = Answered + Shed", 3, 1, 1); err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %q", err, want)
+	}
+}
+
 func TestMeanMedianMinMax(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	if Mean(xs) != 2.5 {

@@ -135,8 +135,8 @@ func BenchmarkPoolHedging(b *testing.B) {
 			}
 			b.ReportMetric(pct(0.50), "p50-virtual-ms")
 			b.ReportMetric(pct(0.99), "p99-virtual-ms")
-			if !p.Counters().Balanced() {
-				b.Fatal("accounting leak under benchmark load")
+			if err := p.Counters().Check(); err != nil {
+				b.Fatal(err)
 			}
 		})
 	}

@@ -34,11 +34,13 @@ func (s State) String() string {
 // Breaker thresholds: breakerFailures consecutive failures trip a
 // closed breaker open; an open breaker refuses attempts for
 // breakerOpenFor, then admits half-open probes; breakerProbes
-// consecutive probe successes close it again.
+// consecutive probe successes close it again. The pool's trace keeps
+// the last traceCap transitions.
 const (
 	breakerFailures = 5
 	breakerOpenFor  = 30 * time.Second
 	breakerProbes   = 2
+	traceCap        = 64
 )
 
 // breaker is one upstream's gate state. All mutation happens under the
@@ -53,7 +55,9 @@ type breaker struct {
 
 // Transition is one recorded breaker state change. The trace is the
 // replay-identity witness: two runs of the same seeded scenario must
-// produce byte-identical traces.
+// produce byte-identical traces. Keeping only the last traceCap means
+// an upstream that flaps for as long as the pool runs (two changes per
+// breakerOpenFor) does not grow it.
 type Transition struct {
 	At       time.Time
 	Upstream netip.Addr
@@ -67,9 +71,12 @@ func (p *Pool) setBreakerState(u *upstream, to State, now time.Time) {
 	if b.state == to {
 		return
 	}
+	if len(p.trace) == traceCap {
+		p.trace = append(p.trace[:0], p.trace[1:]...)
+	}
 	p.trace = append(p.trace, Transition{At: now, Upstream: u.addr, From: b.state, To: to})
 	if to == Open {
-		p.misc.breakerTrips.Add(1)
+		p.stats.breakerTrips.Add(1)
 		b.openedAt = now
 	}
 	b.state = to

@@ -127,7 +127,7 @@ func runFailover(t *testing.T, sc failoverScenario) failoverRun {
 	}
 
 	pool.Wait()
-	out.counters = checkBalanced(t, pool)
+	out.counters = checkCounters(t, pool)
 	out.trace = pool.BreakerTrace()
 	out.stats = n.FaultStats()
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {

@@ -17,8 +17,8 @@ type attemptResult struct {
 // exchangeConcurrent is the wall-clock variant of a hedged Exchange:
 // attempts run in tracked goroutines, the hedge timer arms through the
 // injected After, and the first valid answer wins the real race.
-// Stragglers are settled (lost/cancelled) by a reaper goroutine, so the
-// two ledgers balance once Wait returns. query is the race's own, for
+// Stragglers are settled (lost/cancelled) by a reaper goroutine, so
+// Counters.Check holds once Wait returns. query is the race's own, for
 // the attempts to read for as long as they run, and each attempt's
 // answer is a Message of its own.
 func (p *Pool) exchangeConcurrent(from netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
@@ -42,7 +42,7 @@ func (p *Pool) exchangeConcurrent(from netip.Addr, query *dnswire.Message) (*dns
 
 	u := p.pick(tried)
 	if u == nil {
-		p.misc.fastFails.Add(1)
+		p.stats.fastFails.Add(1)
 		return nil, 0, ErrAllUnhealthy
 	}
 	launch(u)
@@ -58,17 +58,17 @@ func (p *Pool) exchangeConcurrent(from netip.Addr, query *dnswire.Message) (*dns
 		case r := <-results:
 			inflight--
 			if r.err == nil {
-				p.settleAttempt(outcomeWon)
+				p.stats.won.Add(1)
 				if inflight > 0 {
 					p.reap(results, inflight)
 				}
 				return r.resp, p.cfg.Now().Sub(start), nil
 			}
-			p.settleAttempt(outcomeFailed)
+			p.stats.failed.Add(1)
 			lastErr = r.err
 			if used < budget {
 				if next := p.pick(tried); next != nil {
-					p.misc.failovers.Add(1)
+					p.stats.failovers.Add(1)
 					launch(next)
 					continue
 				}
@@ -80,7 +80,7 @@ func (p *Pool) exchangeConcurrent(from netip.Addr, query *dnswire.Message) (*dns
 			hedgeTimer = nil
 			if used < budget {
 				if next := p.pick(tried); next != nil {
-					p.misc.hedges.Add(1)
+					p.stats.hedges.Add(1)
 					launch(next)
 				}
 			}
@@ -98,9 +98,9 @@ func (p *Pool) reap(results <-chan attemptResult, n int) {
 		for i := 0; i < n; i++ {
 			r := <-results
 			if r.err == nil {
-				p.settleAttempt(outcomeLost)
+				p.stats.lost.Add(1)
 			} else {
-				p.settleAttempt(outcomeCancelled)
+				p.stats.cancelled.Add(1)
 			}
 		}
 	}()

@@ -62,7 +62,7 @@ func TestConcurrentHedgeWins(t *testing.T) {
 	}
 	close(release) // primary straggler completes, settled Lost
 	p.Wait()
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Issued != 2 || c.Won != 1 || c.Lost != 1 || c.Hedges != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
@@ -164,7 +164,7 @@ func TestConcurrentStragglerErrorCancelled(t *testing.T) {
 	}
 	close(release)
 	p.Wait()
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Won != 1 || c.Cancelled != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
@@ -191,7 +191,7 @@ func TestConcurrentFailover(t *testing.T) {
 		t.Fatalf("resp=%v err=%v", resp, xerr)
 	}
 	p.Wait()
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Issued != 3 || c.Won != 1 || c.Failed != 2 || c.Failovers != 2 {
 		t.Fatalf("counters = %+v", c)
 	}
@@ -216,7 +216,7 @@ func TestConcurrentAllFail(t *testing.T) {
 		t.Fatal("all-fail race answered")
 	}
 	p.Wait()
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Issued != 2 || c.Failed != 2 {
 		t.Fatalf("counters = %+v", c)
 	}
@@ -252,7 +252,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 		}
 	}
 	p.Wait()
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Won != workers {
 		t.Fatalf("counters = %+v", c)
 	}

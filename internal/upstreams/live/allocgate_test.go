@@ -81,24 +81,7 @@ func servedMisses(t *testing.T, scope authority.ScopeFunc, query func(i int) (dn
 	auth.AddZone(z)
 	authAddr := serveGate(t, auth)
 
-	pool, upstream, err := NewPool(authAddr.String(), false, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(upstream.Close)
-	dir := resolver.NewDirectory()
-	dir.Add(missZone, netip.MustParseAddr("192.0.2.1"))
-	dir.Add(dnswire.Root, netip.MustParseAddr("192.0.2.1"))
-	res := resolver.New(resolver.Config{
-		Addr:         netip.MustParseAddr("127.0.0.1"),
-		Pool:         pool,
-		Now:          time.Now,
-		Directory:    dir,
-		Profile:      resolver.CompliantProfile(),
-		Seed:         1,
-		CacheEntries: 4096,
-		CacheShards:  8,
-	})
+	res := pooledResolver(t, authAddr, missZone, resolver.Config{CacheEntries: 4096, CacheShards: 8})
 	front := serveGate(t, res)
 
 	const warm, runs = 400, 400
@@ -107,6 +90,7 @@ func servedMisses(t *testing.T, scope authority.ScopeFunc, query func(i int) (dn
 		name, client := query(i)
 		q := dnswire.NewQuery(uint16(i), name, dnswire.TypeA)
 		ecsopt.Attach(q, ecsopt.MustNew(client, 24))
+		var err error
 		if wires[i], err = q.Pack(); err != nil {
 			t.Fatal(err)
 		}
@@ -161,23 +145,7 @@ func TestAllocGateServedHit(t *testing.T) {
 	z := authority.NewZone(zone, 300)
 	z.SetWildcard(dnswire.TypeA, &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.53")})
 	auth.AddZone(z)
-	authAddr := serveGate(t, auth)
-
-	pool, upstream, err := NewPool(authAddr.String(), false, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(upstream.Close)
-	dir := resolver.NewDirectory()
-	dir.Add(zone, netip.MustParseAddr("192.0.2.1"))
-	res := resolver.New(resolver.Config{
-		Addr:      netip.MustParseAddr("127.0.0.1"),
-		Pool:      pool,
-		Now:       time.Now,
-		Directory: dir,
-		Profile:   resolver.CompliantProfile(),
-		Seed:      1,
-	})
+	res := pooledResolver(t, serveGate(t, auth), zone, resolver.Config{})
 	front := serveGate(t, res)
 
 	const names = 64
@@ -185,6 +153,7 @@ func TestAllocGateServedHit(t *testing.T) {
 	for i := range wires {
 		q := dnswire.NewQuery(uint16(i), dnswire.Name(fmt.Sprintf("h%d.%s", i, zone)), dnswire.TypeA)
 		ecsopt.Attach(q, ecsopt.MustNew(netip.AddrFrom4([4]byte{10, 1, 7, 0}), 24))
+		var err error
 		if wires[i], err = q.Pack(); err != nil {
 			t.Fatal(err)
 		}
@@ -223,6 +192,24 @@ func TestAllocGateServedHit(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("a served hit allocates %.2f objects, want 0", allocs)
 	}
+}
+
+// pooledResolver builds the resolver cmd/recursor runs: cfg, given the
+// compliant profile and a pool (NewPool) of the one upstream at
+// authAddr, to which the directory sends zone and the root.
+func pooledResolver(t *testing.T, authAddr netip.AddrPort, zone dnswire.Name, cfg resolver.Config) *resolver.Resolver {
+	t.Helper()
+	pool, upstream, err := NewPool(authAddr.String(), false, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(upstream.Close)
+	cfg.Directory = resolver.NewDirectory()
+	cfg.Directory.Add(zone, netip.MustParseAddr("192.0.2.1"))
+	cfg.Directory.Add(dnswire.Root, netip.MustParseAddr("192.0.2.1"))
+	cfg.Addr, cfg.Pool, cfg.Now = netip.MustParseAddr("127.0.0.1"), pool, time.Now
+	cfg.Profile, cfg.Seed = resolver.CompliantProfile(), 1
+	return resolver.New(cfg)
 }
 
 // serveGate serves h on loopback with the server's defaults, as the

@@ -50,23 +50,7 @@ func TestServedChainKeepsNoQuery(t *testing.T) {
 		logged = append(logged, r)
 		mu.Unlock()
 	})
-	authAddr := serveOneWorker(t, auth)
-
-	pool, upstream, err := NewPool(authAddr.String(), false, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(upstream.Close)
-	dir := resolver.NewDirectory()
-	dir.Add(servedZone, netip.MustParseAddr("192.0.2.1"))
-	res := resolver.New(resolver.Config{
-		Addr:      netip.MustParseAddr("127.0.0.1"),
-		Pool:      pool,
-		Now:       time.Now,
-		Directory: dir,
-		Profile:   resolver.CompliantProfile(),
-		Seed:      1,
-	})
+	res := pooledResolver(t, serveOneWorker(t, auth), servedZone, resolver.Config{})
 	front := serveOneWorker(t, res).String()
 
 	client := &dnsclient.Client{Timeout: 2 * time.Second, Retries: dnsclient.NoRetries}
@@ -151,21 +135,7 @@ func servedAuthority() *authority.Server {
 // kept must still read as its own when asked again.
 func TestServedChainConcurrentMisses(t *testing.T) {
 	const clients, each = 8, 32 // names n0 … n255: servedAnswer's byte
-	pool, upstream, err := NewPool(serveGate(t, servedAuthority()).String(), false, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(upstream.Close)
-	dir := resolver.NewDirectory()
-	dir.Add(servedZone, netip.MustParseAddr("192.0.2.1"))
-	res := resolver.New(resolver.Config{
-		Addr:      netip.MustParseAddr("127.0.0.1"),
-		Pool:      pool,
-		Now:       time.Now,
-		Directory: dir,
-		Profile:   resolver.CompliantProfile(),
-		Seed:      1,
-	})
+	res := pooledResolver(t, serveGate(t, servedAuthority()), servedZone, resolver.Config{})
 	front := serveGate(t, res).String()
 
 	ask := func(g int) {

@@ -57,8 +57,8 @@ func TestNewPoolSwitches(t *testing.T) {
 				}
 			}
 			pool.Wait()
-			if c := pool.Counters(); hedge != (c.Hedges > 0) || !c.Balanced() {
-				t.Errorf("hedge=%v behind a slow primary: %+v", hedge, c)
+			if c := pool.Counters(); hedge != (c.Hedges > 0) || c.Check() != nil {
+				t.Errorf("hedge=%v behind a slow primary: %+v (%v)", hedge, c, c.Check())
 			}
 		}
 	})

@@ -85,7 +85,7 @@ func runFaultPlan(t *testing.T, seed int64) ([]Transition, Counters) {
 	<-done
 	close(release)
 	p.Wait()
-	return p.BreakerTrace(), checkBalanced(t, p)
+	return p.BreakerTrace(), checkCounters(t, p)
 }
 
 // TestReplayDeterminism runs the same seeded fault plan through two

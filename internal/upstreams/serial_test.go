@@ -76,7 +76,7 @@ func TestUnhedgedLivePoolRunsOnCaller(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := checkBalanced(t, p) // no Wait: nothing was started that could still be running
+	c := checkCounters(t, p) // no Wait: nothing was started that could still be running
 	if calls != 3 || c.Issued != 3 || c.Won != 3 {
 		t.Fatalf("%d transport calls, counters %+v; want 3 issued and won", calls, c)
 	}

@@ -7,10 +7,9 @@
 // ladder (advertise 4096 → on truncation step to 1232 → TCP) that
 // remembers each upstream's learned payload ceiling.
 //
-// The pool keeps two proven accounting partitions — every issued
-// attempt settles as exactly one of won/lost/cancelled/failed, and
-// every pick is granted or refused — so chaos harnesses can assert
-// zero accounting leaks after arbitrary fault schedules.
+// The pool's Counters carry two accounting partitions, which
+// Counters.Check states, so chaos harnesses can assert zero accounting
+// leaks after arbitrary fault schedules.
 //
 // Determinism: the default (sequential) mode never spawns goroutines
 // and reads time only through the injected Now, so a pool driven by
@@ -105,9 +104,7 @@ type Pool struct {
 	sampler rttSampler
 	trace   []Transition
 
-	attempts AttemptLedger
-	picks    PickLedger
-	misc     miscCounters
+	stats counters
 
 	wg sync.WaitGroup
 }
@@ -216,7 +213,7 @@ func (p *Pool) ExchangeInto(from netip.Addr, query, resp *dnswire.Message) (*dns
 		}
 		tried[u.addr] = true
 		if used > 0 {
-			p.misc.failovers.Add(1)
+			p.stats.failovers.Add(1)
 		}
 		resp1, c1, err1 := p.runAttempt(from, u, query, resp)
 		used++
@@ -232,16 +229,16 @@ func (p *Pool) ExchangeInto(from netip.Addr, query, resp *dnswire.Message) (*dns
 		}
 		if h == nil {
 			if err1 == nil {
-				p.settleAttempt(outcomeWon)
+				p.stats.won.Add(1)
 				return resp1, spent + c1, nil
 			}
-			p.settleAttempt(outcomeFailed)
+			p.stats.failed.Add(1)
 			lastErr = err1
 			spent += c1
 			continue
 		}
 		tried[h.addr] = true
-		p.misc.hedges.Add(1)
+		p.stats.hedges.Add(1)
 		hedgeStart := delay
 		if err1 != nil && c1 < hedgeStart {
 			// A failed primary triggers the hedge immediately.
@@ -254,32 +251,32 @@ func (p *Pool) ExchangeInto(from netip.Addr, query, resp *dnswire.Message) (*dns
 		switch {
 		case err1 == nil && (err2 != nil || c1 <= hc):
 			// Primary wins the race.
-			p.settleAttempt(outcomeWon)
+			p.stats.won.Add(1)
 			switch {
 			case err2 == nil:
-				p.settleAttempt(outcomeLost)
+				p.stats.lost.Add(1)
 			case hc >= c1:
-				p.settleAttempt(outcomeCancelled)
+				p.stats.cancelled.Add(1)
 			default:
-				p.settleAttempt(outcomeFailed)
+				p.stats.failed.Add(1)
 			}
 			return resp1, spent + c1, nil
 		case err2 == nil:
 			// Hedge wins: either the primary failed, or its answer was
 			// slower than hedge-delay + hedge cost.
-			p.settleAttempt(outcomeWon)
+			p.stats.won.Add(1)
 			switch {
 			case err1 == nil:
-				p.settleAttempt(outcomeLost)
+				p.stats.lost.Add(1)
 			case c1 >= hc:
-				p.settleAttempt(outcomeCancelled)
+				p.stats.cancelled.Add(1)
 			default:
-				p.settleAttempt(outcomeFailed)
+				p.stats.failed.Add(1)
 			}
 			return resp2, spent + hc, nil
 		default:
-			p.settleAttempt(outcomeFailed)
-			p.settleAttempt(outcomeFailed)
+			p.stats.failed.Add(1)
+			p.stats.failed.Add(1)
 			lastErr = err2
 			if hc > c1 {
 				spent += hc
@@ -289,7 +286,7 @@ func (p *Pool) ExchangeInto(from netip.Addr, query, resp *dnswire.Message) (*dns
 		}
 	}
 	if lastErr == nil {
-		p.misc.fastFails.Add(1)
+		p.stats.fastFails.Add(1)
 		lastErr = ErrAllUnhealthy
 	}
 	return nil, spent, lastErr
@@ -307,7 +304,7 @@ func (p *Pool) pick(tried map[netip.Addr]bool) *upstream {
 // priority tier with the lowest weight-adjusted health score, or
 // refuses when no candidate passes its breaker gate. Callers hold p.mu.
 func (p *Pool) pickUpstream(tried map[netip.Addr]bool, now time.Time) *upstream {
-	p.picks.Picks.Add(1)
+	p.stats.picks.Add(1)
 	var best *upstream
 	var bestScore float64
 	for _, u := range p.ups {
@@ -323,10 +320,10 @@ func (p *Pool) pickUpstream(tried map[netip.Addr]bool, now time.Time) *upstream 
 		}
 	}
 	if best == nil {
-		p.picks.Refused.Add(1)
+		p.stats.refused.Add(1)
 		return nil
 	}
-	p.picks.Granted.Add(1)
+	p.stats.granted.Add(1)
 	return best
 }
 
@@ -352,7 +349,7 @@ func (p *Pool) hedgeDelay() (time.Duration, bool) {
 // caller's job: only the caller knows the race result. resp is where a
 // UDP answer is decoded, as in ExchangeInto.
 func (p *Pool) runAttempt(from netip.Addr, u *upstream, query, resp *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	p.attempts.Issued.Add(1)
+	p.stats.issued.Add(1)
 	resp, cost, err := p.runChain(from, u, query, resp)
 	now := p.cfg.Now()
 	p.mu.Lock()
@@ -386,7 +383,7 @@ func (p *Pool) runChain(from netip.Addr, u *upstream, query, into *dnswire.Messa
 	lossSteps := 0
 	for {
 		if rung >= len(ladderSteps) {
-			p.misc.tcpFallbacks.Add(1)
+			p.stats.tcpFallbacks.Add(1)
 			resp, rtt, err := p.cfg.Transport.ExchangeTCP(from, u.addr, query)
 			cost += rtt
 			if err != nil {
@@ -454,7 +451,7 @@ func classify(query, resp *dnswire.Message, cost time.Duration) (*dnswire.Messag
 
 // stepLadder records a step down u's ladder and returns the new rung.
 func (p *Pool) stepLadder(u *upstream, to int, now time.Time) int {
-	p.misc.ladderSteps.Add(1)
+	p.stats.ladderSteps.Add(1)
 	p.mu.Lock()
 	u.ladder.stepDown(to, now)
 	p.mu.Unlock()

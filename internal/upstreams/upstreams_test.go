@@ -135,11 +135,11 @@ func query(id uint16) *dnswire.Message {
 	return dnswire.NewQuery(id, "x.example.", dnswire.TypeA)
 }
 
-func checkBalanced(t *testing.T, p *Pool) Counters {
+func checkCounters(t *testing.T, p *Pool) Counters {
 	t.Helper()
 	c := p.Counters()
-	if !c.Balanced() {
-		t.Fatalf("ledger leak: %+v", c)
+	if err := c.Check(); err != nil {
+		t.Fatalf("%v: %+v", err, c)
 	}
 	return c
 }
@@ -154,7 +154,7 @@ func TestPoolSingleUpstream(t *testing.T) {
 	if cost != 20*time.Millisecond {
 		t.Fatalf("cost = %v", cost)
 	}
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Issued != 1 || c.Won != 1 || c.Granted != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
@@ -170,7 +170,7 @@ func TestPoolFailover(t *testing.T) {
 	if err != nil || len(resp.Answers) != 1 {
 		t.Fatalf("failover lost the answer: resp=%v err=%v", resp, err)
 	}
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Issued != 2 || c.Won != 1 || c.Failed != 1 || c.Failovers != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
@@ -208,7 +208,7 @@ func TestPoolAllFailed(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error when every upstream fails")
 	}
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Issued != 2 || c.Failed != 2 {
 		t.Fatalf("counters = %+v", c)
 	}
@@ -241,7 +241,7 @@ func TestPoolHedgeRace(t *testing.T) {
 	if cost >= 300*time.Millisecond {
 		t.Fatalf("hedged cost = %v; want the race winner's completion, not the slow primary's", cost)
 	}
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Hedges != base.Hedges+1 {
 		t.Fatalf("hedges = %d, want %d", c.Hedges, base.Hedges+1)
 	}
@@ -276,7 +276,7 @@ func TestPoolHedgePrimaryWins(t *testing.T) {
 	if cost != 40*time.Millisecond {
 		t.Fatalf("cost = %v, want the primary's 40ms", cost)
 	}
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Won != base.Won+1 || c.Lost != base.Lost+1 {
 		t.Fatalf("counters = %+v (base %+v)", c, base)
 	}
@@ -303,7 +303,7 @@ func TestPoolHedgeCancelled(t *testing.T) {
 	if _, _, err := p.Exchange(cli, query(99)); err != nil {
 		t.Fatal(err)
 	}
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Won != base.Won+1 || c.Cancelled != base.Cancelled+1 {
 		t.Fatalf("counters = %+v (base %+v)", c, base)
 	}
@@ -373,7 +373,7 @@ func TestPoolBreakerLifecycle(t *testing.T) {
 	if got := trace[1].At.Sub(trace[0].At); got != breakerOpenFor {
 		t.Fatalf("breaker half-opened %v after tripping, want %v", got, breakerOpenFor)
 	}
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.BreakerTrips != 1 || c.FastFails != 2 || c.Refused != 2 {
 		t.Fatalf("counters = %+v", c)
 	}
@@ -394,7 +394,16 @@ func TestPoolBreakerProbeFailureReopens(t *testing.T) {
 	if len(trace) != 3 || trace[2].To != Open {
 		t.Fatalf("trace = %+v", trace)
 	}
-	checkBalanced(t, p)
+	// Flapping on, through more open cycles than the trace holds: it
+	// keeps the last traceCap transitions.
+	for i := 0; i < traceCap; i++ {
+		clk.Advance(breakerOpenFor)
+		p.Exchange(cli, query(uint16(20+i)))
+	}
+	if trace = p.BreakerTrace(); len(trace) != traceCap || trace[0].From != Open || trace[traceCap-1].To != Open {
+		t.Fatalf("%d open cycles left a trace of %d, want the last %d: %+v", traceCap+2, len(trace), traceCap, trace)
+	}
+	checkCounters(t, p)
 }
 
 // truncateUnder returns a script that answers truncated whenever the
@@ -433,7 +442,7 @@ func TestPoolLadderToTCP(t *testing.T) {
 	if calls := tr.calls(); len(calls) != 3 || calls[2] != "tcp "+upA.String() {
 		t.Fatalf("calls = %v", calls)
 	}
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.LadderSteps != 2 || c.TCPFallbacks != 1 || c.Issued != 1 || c.Won != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
@@ -514,7 +523,7 @@ func TestPoolLadderDecay(t *testing.T) {
 	if sz := lastAdvertised(t, tr); sz != 4096 {
 		t.Fatalf("decayed advertisement = %d", sz)
 	}
-	checkBalanced(t, p)
+	checkCounters(t, p)
 }
 
 // lastAdvertised digs the advertised payload of the most recent UDP
@@ -545,7 +554,7 @@ func TestPoolLossStepsOnce(t *testing.T) {
 	if cost != time.Second+10*time.Millisecond {
 		t.Fatalf("cost = %v", cost)
 	}
-	c := checkBalanced(t, p)
+	c := checkCounters(t, p)
 	if c.Issued != 1 || c.Won != 1 || c.LadderSteps != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
@@ -611,8 +620,8 @@ func TestPoolMismatchAndServFail(t *testing.T) {
 	if err != nil || resp.RCode != dnswire.RCodeNoError {
 		t.Fatalf("servfail failover: resp=%v err=%v", resp, err)
 	}
-	checkBalanced(t, p)
-	checkBalanced(t, p2)
+	checkCounters(t, p)
+	checkCounters(t, p2)
 }
 
 // BreakerTrace returns a copy of the breaker transition log, in the

@@ -33,12 +33,8 @@ var unlinkedAllowed = map[string]string{
 	"internal/scanner.(*Engine).Run":              "bench/layers calls it; ROADMAP item 1(d) unpins it",
 	"internal/scanner.NewProgress":                "bench/layers calls it; ROADMAP item 1(d) unpins it",
 
-	"internal/udpio.(*Handle).ReadFrom":            "udpio's tests read with it (deadlines, close, the allocation gate); the product reads through Reader",
-	"internal/dnswire.(*Message).PackNoCompress":   "reference encoder: the differential test and the compression ablation read it",
-	"internal/dnsserver.ServerStats.Balanced":      "tests check the partition with it; ROADMAP item 8 replaces it",
-	"internal/ecscache.CacheStats.Balanced":        "tests check the partition with it; ROADMAP item 8 replaces it",
-	"internal/upstreams.(*AttemptLedger).Balanced": "tests check the partition with it; ROADMAP item 8 replaces it",
-	"internal/upstreams.(*PickLedger).Balanced":    "tests check the partition with it; ROADMAP item 8 replaces it",
+	"internal/udpio.(*Handle).ReadFrom":          "udpio's tests read with it (deadlines, close, the allocation gate); the product reads through Reader",
+	"internal/dnswire.(*Message).PackNoCompress": "reference encoder: the differential test and the compression ablation read it",
 }
 
 // TestEveryFunctionLinked holds the product to what its binaries link.
