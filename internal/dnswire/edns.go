@@ -50,22 +50,6 @@ func (e *EDNS) SetOption(o Option) {
 	e.Options = append(e.Options, o)
 }
 
-// RemoveOption deletes every option with the given code and reports
-// whether any was removed.
-func (e *EDNS) RemoveOption(code uint16) bool {
-	out := e.Options[:0]
-	removed := false
-	for _, o := range e.Options {
-		if o.Code == code {
-			removed = true
-			continue
-		}
-		out = append(out, o)
-	}
-	e.Options = out
-	return removed
-}
-
 // encode appends the OPT pseudo-record. The message rcode supplies the
 // extended rcode bits that live in the OPT TTL field.
 func (e *EDNS) encode(b *builder, rcode RCode) {

@@ -199,19 +199,13 @@ func TestEDNSOptionsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEDNSSetAndRemoveOption(t *testing.T) {
+func TestEDNSSetOption(t *testing.T) {
 	t.Parallel()
 	e := NewEDNS()
 	e.SetOption(Option{Code: 8, Data: []byte{1}})
 	e.SetOption(Option{Code: 8, Data: []byte{2}})
 	if len(e.Options) != 1 || e.Options[0].Data[0] != 2 {
 		t.Fatalf("SetOption did not replace: %v", e.Options)
-	}
-	if !e.RemoveOption(8) {
-		t.Fatal("RemoveOption returned false for present option")
-	}
-	if e.RemoveOption(8) {
-		t.Fatal("RemoveOption returned true for absent option")
 	}
 }
 

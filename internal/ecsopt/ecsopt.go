@@ -312,14 +312,6 @@ func AttachInPlace(m *dnswire.Message, cs ClientSubnet) {
 	m.EDNS.Options = opts
 }
 
-// Strip removes any ECS option from m and reports whether one was there.
-func Strip(m *dnswire.Message) bool {
-	if m.EDNS == nil {
-		return false
-	}
-	return m.EDNS.RemoveOption(dnswire.OptionCodeECS)
-}
-
 // ValidateQuery enforces the query-side RFC rules on a decoded option:
 // scope must be zero.
 func ValidateQuery(cs ClientSubnet) error {

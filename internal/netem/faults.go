@@ -30,7 +30,7 @@ func (w Window) Contains(t time.Time) bool {
 // order).
 type FaultPlan struct {
 	// Loss is the probability an exchange is lost in transit. The
-	// sender burns LossTimeout waiting and gets ErrLost.
+	// sender burns lossTimeout waiting and gets ErrLost.
 	Loss float64
 	// Latency is a fixed round-trip delay added on top of the
 	// geographic RTT.
@@ -50,9 +50,6 @@ type FaultPlan struct {
 	// Blackouts are virtual-time windows during which the destination
 	// is dark: every exchange is lost, modeling node outages.
 	Blackouts []Window
-	// LossTimeout is the time a lost exchange costs the sender
-	// (default 1s).
-	LossTimeout time.Duration
 	// Payload inflates every response from the node to this many wire
 	// bytes, driving the UDP size failure modes the DoTCP-fallback
 	// studies measure: a UDP response exceeding the querier's advertised
@@ -84,12 +81,8 @@ func (p FaultPlan) fragThreshold() int {
 	return 1400
 }
 
-func (p FaultPlan) lossTimeout() time.Duration {
-	if p.LossTimeout > 0 {
-		return p.LossTimeout
-	}
-	return time.Second
-}
+// lossTimeout is the time a lost exchange costs the sender.
+const lossTimeout = time.Second
 
 // FaultStats counts the faults the network has injected so far.
 type FaultStats struct {
@@ -178,12 +171,12 @@ func (n *Network) forwardFaults(dest netip.Addr) (lost bool, cost, extra time.Du
 			if w.Contains(now) {
 				n.fstats.Blackouts++
 				n.fstats.Lost++
-				return true, p.lossTimeout(), 0
+				return true, lossTimeout, 0
 			}
 		}
 		if p.Loss > 0 && st.rng.Float64() < p.Loss {
 			n.fstats.Lost++
-			return true, p.lossTimeout(), 0
+			return true, lossTimeout, 0
 		}
 		if p.Latency > 0 || p.Jitter > 0 {
 			add := p.Latency
@@ -276,20 +269,6 @@ func (n *Network) responseFaults(dest netip.Addr, q, resp *dnswire.Message, tcp 
 		}
 	}
 	return resp, false
-}
-
-// lossTimeoutFor returns the loss-timeout budget governing dest: the
-// node plan's when set, else the global plan's, else the default.
-func (n *Network) lossTimeoutFor(dest netip.Addr) time.Duration {
-	n.fmu.Lock()
-	defer n.fmu.Unlock()
-	if st := n.nodeFaults[dest]; st != nil && st.plan.LossTimeout > 0 {
-		return st.plan.LossTimeout
-	}
-	if st := n.globalFaults; st != nil {
-		return st.plan.lossTimeout()
-	}
-	return time.Second
 }
 
 // ParseFaultPlan parses the comma-separated fault spec the command-line

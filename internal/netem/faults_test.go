@@ -124,7 +124,7 @@ func TestFaultPayloadTruncation(t *testing.T) {
 
 func TestFaultFragLoss(t *testing.T) {
 	n, client, server := faultRig(t)
-	n.SetFaults(FaultPlan{Payload: 3000, FragLoss: 1.0, LossTimeout: 2 * time.Second}, 1)
+	n.SetFaults(FaultPlan{Payload: 3000, FragLoss: 1.0}, 1)
 	q := dnswire.NewQuery(1, "x.example.", dnswire.TypeA)
 	q.EDNS = dnswire.NewEDNS() // 4096: big enough, so fragmentation applies
 	before := n.Clock().Now()
@@ -132,8 +132,8 @@ func TestFaultFragLoss(t *testing.T) {
 	if !errors.Is(err, ErrLost) || resp != nil {
 		t.Fatalf("want ErrLost, got resp=%v err=%v", resp, err)
 	}
-	if cost != 2*time.Second {
-		t.Fatalf("frag drop cost = %v, want the 2s loss timeout", cost)
+	if cost != lossTimeout {
+		t.Fatalf("frag drop cost = %v, want the %v loss timeout", cost, lossTimeout)
 	}
 	if got := n.Clock().Now().Sub(before); got != cost {
 		t.Fatalf("clock advanced %v, cost %v", got, cost)

@@ -196,7 +196,7 @@ func (n *Network) exchange(from, to netip.Addr, query *dnswire.Message, tcp bool
 		if fragDropped {
 			// The oversized response fragmented and a fragment was lost:
 			// the sender sees nothing and burns the full loss timeout.
-			cost := n.lossTimeoutFor(to)
+			cost := lossTimeout
 			if cost > rtt {
 				n.clock.Advance(cost - rtt)
 			} else {

@@ -218,3 +218,70 @@ func TestConcurrentMixedProfiles(t *testing.T) {
 		}
 	}
 }
+
+// scopeSixteen answers every query with one record and, when the query
+// carries ECS, echoes it at scope /16. It counts the queries that
+// carried ECS.
+type scopeSixteen struct{ withECS atomic.Int64 }
+
+func (s *scopeSixteen) Exchange(_, _ netip.Addr, query *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+	resp := dnswire.NewResponse(query)
+	resp.Answers = []dnswire.RR{{
+		Name: query.Question().Name, Class: dnswire.ClassINET, TTL: 60,
+		Data: &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.50")},
+	}}
+	if cs, present, err := ecsopt.FromMessage(query); present && err == nil {
+		s.withECS.Add(1)
+		resp.EDNS = dnswire.NewEDNS()
+		ecsopt.Attach(resp, cs.WithScope(16))
+	}
+	return resp, 0, nil
+}
+
+// TestConcurrentDecisions serves one resolver per stateful profile from
+// many goroutines at one instant, so every hop's ID draw and decision
+// meet on the same probeState: the cycled and jammed ProbeRandom
+// prefixes, the interval clock and the learned scopes. The race detector
+// checks the sharing; an interval prober sends exactly one probe, however
+// its probe string and other names interleave.
+func TestConcurrentDecisions(t *testing.T) {
+	const probe = dnswire.Name("pinned.example.com.")
+	mixed := FullPrefixProfile()
+	mixed.Probing, mixed.MixedV4Bits, mixed.JamLastByte, mixed.JamValue = ProbeRandom, []int{24, 25, 32}, true, 1
+	interval := LoopbackProberProfile()
+	interval.ProbeNames = []dnswire.Name{probe}
+	for _, p := range []Profile{mixed, interval, AdaptiveProfile()} {
+		now := time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC)
+		upstream := &scopeSixteen{}
+		dir := NewDirectory()
+		dir.Add("example.com.", netip.MustParseAddr("198.51.100.53"))
+		res := New(Config{
+			Addr: netip.MustParseAddr("203.0.113.53"), Transport: upstream,
+			Now: func() time.Time { return now }, Directory: dir, Profile: p, Seed: 1,
+		})
+		const goroutines, perG = 8, 25
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					name := probe
+					if i%2 == 1 {
+						name = dnswire.Name(fmt.Sprintf("n%d-%d.example.com.", g, i))
+					}
+					q := dnswire.NewQuery(uint16(i), name, dnswire.TypeA)
+					q.EDNS = dnswire.NewEDNS()
+					res.HandleDNS(netip.AddrFrom4([4]byte{10, byte(g), byte(i), 7}), q)
+				}
+			}()
+		}
+		wg.Wait()
+		if c, _ := res.Counters(); c != goroutines*perG {
+			t.Fatalf("%v: served %d queries, want %d", p.Probing, c, goroutines*perG)
+		}
+		if got := upstream.withECS.Load(); p.Probing == ProbeInterval && got != 1 {
+			t.Fatalf("interval prober sent %d probes at one instant, want 1", got)
+		}
+	}
+}

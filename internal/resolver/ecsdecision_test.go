@@ -10,21 +10,21 @@ import (
 	"ecsdns/internal/netem"
 )
 
-// decisionRig builds a bare resolver (no network) for exercising
-// ecsDecision directly.
-func decisionRig(p Profile) *Resolver {
-	clk := netem.NewClock(netem.SimStart)
-	return New(Config{
-		Addr:    netip.MustParseAddr("198.51.100.53"),
-		Now:     clk.Now,
-		Profile: p,
-		Seed:    7,
-	})
+// hopAt is one upstream A query for name at the authority auth, zone
+// test.example., from clientAddr's /24, at netem.SimStart.
+func hopAt(auth netip.Addr, name dnswire.Name, clientAddr netip.Addr) input {
+	return input{
+		auth:   auth,
+		zone:   "test.example.",
+		q:      dnswire.Question{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET},
+		now:    netem.SimStart,
+		client: client{addr: clientAddr, bits: 24},
+	}
 }
 
 func TestECSDecisionTable(t *testing.T) {
 	auth := netip.MustParseAddr("203.0.113.53")
-	client := netip.MustParseAddr("192.0.2.77")
+	clientAddr := netip.MustParseAddr("192.0.2.77")
 	probe := dnswire.MustParseName("probe.test.example.")
 	other := dnswire.MustParseName("other.test.example.")
 	aQ := func(n dnswire.Name) dnswire.Question {
@@ -51,7 +51,7 @@ func TestECSDecisionTable(t *testing.T) {
 			profile:    GoogleLikeProfile(),
 			q:          aQ(other),
 			wantAttach: true,
-			wantSubnet: ecsopt.MustNew(client, 24),
+			wantSubnet: ecsopt.MustNew(clientAddr, 24),
 		},
 		{
 			name:       "no ECS to the root zone",
@@ -70,7 +70,7 @@ func TestECSDecisionTable(t *testing.T) {
 			zone:       dnswire.Root,
 			q:          aQ(other),
 			wantAttach: true,
-			wantSubnet: ecsopt.MustNew(client, 24),
+			wantSubnet: ecsopt.MustNew(clientAddr, 24),
 		},
 		{
 			name:       "no ECS on NS queries by default",
@@ -87,7 +87,7 @@ func TestECSDecisionTable(t *testing.T) {
 			},
 			q:          aQ(probe),
 			wantAttach: true,
-			wantSubnet: ecsopt.MustNew(client, 24),
+			wantSubnet: ecsopt.MustNew(clientAddr, 24),
 		},
 		{
 			name: "hostname prober skips other names",
@@ -107,7 +107,7 @@ func TestECSDecisionTable(t *testing.T) {
 			},
 			q:          aQ(other),
 			wantAttach: true,
-			wantSubnet: ecsopt.MustNew(client, 24),
+			wantSubnet: ecsopt.MustNew(clientAddr, 24),
 		},
 		{
 			name: "on-miss prober fires outside the recency window",
@@ -119,7 +119,7 @@ func TestECSDecisionTable(t *testing.T) {
 			q:            aQ(probe),
 			withinMinute: false,
 			wantAttach:   true,
-			wantSubnet:   ecsopt.MustNew(client, 24),
+			wantSubnet:   ecsopt.MustNew(clientAddr, 24),
 		},
 		{
 			name: "on-miss prober suppressed within the minute",
@@ -132,35 +132,21 @@ func TestECSDecisionTable(t *testing.T) {
 			withinMinute: true,
 			wantAttach:   false,
 		},
-		{
-			name:       "zone whitelist hit",
-			profile:    WhitelistProfile("test.example."),
-			zone:       "test.example.",
-			q:          aQ(other),
-			wantAttach: true,
-			wantSubnet: ecsopt.MustNew(client, 24),
-		},
-		{
-			name:       "zone whitelist miss",
-			profile:    WhitelistProfile("whitelisted.example."),
-			zone:       "test.example.",
-			q:          aQ(other),
-			wantAttach: false,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := decisionRig(tc.profile)
-			zone := tc.zone
-			if zone == "" {
-				zone = "test.example."
+			in := hopAt(auth, tc.q.Name, clientAddr)
+			in.q, in.withinMinute = tc.q, tc.withinMinute
+			if tc.zone != "" {
+				in.zone = tc.zone
 			}
-			attach, cs := r.ecsDecision(auth, zone, tc.q, r.cfg.Now(), tc.withinMinute, client, tc.profile.sourceBits(false))
-			if attach != tc.wantAttach {
-				t.Fatalf("attach = %v, want %v", attach, tc.wantAttach)
+			st := newProbeState(7)
+			d := decide(tc.profile, &st, in)
+			if d.attach != tc.wantAttach {
+				t.Fatalf("attach = %v, want %v", d.attach, tc.wantAttach)
 			}
-			if attach && cs != tc.wantSubnet {
-				t.Fatalf("subnet = %v, want %v", cs, tc.wantSubnet)
+			if d.attach && d.opt != tc.wantSubnet {
+				t.Fatalf("subnet = %v, want %v", d.opt, tc.wantSubnet)
 			}
 		})
 	}
@@ -168,37 +154,36 @@ func TestECSDecisionTable(t *testing.T) {
 
 func TestECSDecisionIntervalProbing(t *testing.T) {
 	auth := netip.MustParseAddr("203.0.113.53")
-	client := netip.MustParseAddr("192.0.2.77")
+	clientAddr := netip.MustParseAddr("192.0.2.77")
 	probe := dnswire.MustParseName("probe.test.example.")
 	p := LoopbackProberProfile()
 	p.ProbeNames = []dnswire.Name{probe}
-	r := decisionRig(p)
-	clk := netem.NewClock(netem.SimStart)
-	q := dnswire.Question{Name: probe, Type: dnswire.TypeA, Class: dnswire.ClassINET}
+	st := newProbeState(7)
+	at := func(auth netip.Addr, name dnswire.Name, after time.Duration) decision {
+		in := hopAt(auth, name, clientAddr)
+		in.now = in.now.Add(after)
+		return decide(p, &st, in)
+	}
 
 	// First probe fires and carries the loopback address.
-	attach, cs := r.ecsDecision(auth, "test.example.", q, clk.Now(), false, client, 24)
-	if !attach || cs != ecsopt.MustNew(LoopbackAddr, 32) {
-		t.Fatalf("first interval probe: attach=%v cs=%v", attach, cs)
+	if d := at(auth, probe, 0); !d.attach || d.opt != ecsopt.MustNew(LoopbackAddr, 32) {
+		t.Fatalf("first interval probe: %+v", d)
 	}
 	// Within the interval the probe is suppressed.
-	clk.Advance(10 * time.Minute)
-	if attach, _ = r.ecsDecision(auth, "test.example.", q, clk.Now(), false, client, 24); attach {
+	if at(auth, probe, 10*time.Minute).attach {
 		t.Fatal("probe fired again inside the 30-minute interval")
 	}
-	// A non-probe name must not consume the interval slot.
-	clk.Advance(25 * time.Minute) // 35 min since the first probe: due again
-	otherQ := dnswire.Question{Name: "other.test.example.", Type: dnswire.TypeA, Class: dnswire.ClassINET}
-	if attach, _ = r.ecsDecision(auth, "test.example.", otherQ, clk.Now(), false, client, 24); attach {
+	// A non-probe name must not consume the interval slot: 35 minutes
+	// after the first probe it is due again...
+	if at(auth, "other.test.example.", 35*time.Minute).attach {
 		t.Fatal("non-probe name carried an interval probe")
 	}
 	// ...so the probe string itself still fires.
-	if attach, _ = r.ecsDecision(auth, "test.example.", q, clk.Now(), false, client, 24); !attach {
+	if !at(auth, probe, 35*time.Minute).attach {
 		t.Fatal("interval probe did not fire after the interval elapsed")
 	}
 	// Per-authority state: a different authority probes independently.
-	auth2 := netip.MustParseAddr("203.0.113.99")
-	if attach, _ = r.ecsDecision(auth2, "test.example.", q, clk.Now(), false, client, 24); !attach {
+	if !at(netip.MustParseAddr("203.0.113.99"), probe, 35*time.Minute).attach {
 		t.Fatal("interval state leaked across authorities")
 	}
 }
@@ -206,46 +191,31 @@ func TestECSDecisionIntervalProbing(t *testing.T) {
 func TestECSDecisionPrefixAdaptation(t *testing.T) {
 	auth := netip.MustParseAddr("203.0.113.53")
 	other := netip.MustParseAddr("203.0.113.99")
-	client := netip.MustParseAddr("192.0.2.77")
-	q := dnswire.Question{Name: "a.test.example.", Type: dnswire.TypeA, Class: dnswire.ClassINET}
-	r := decisionRig(AdaptiveProfile())
+	clientAddr := netip.MustParseAddr("192.0.2.77")
+	const name = dnswire.Name("a.test.example.")
+	st := newProbeState(7)
 
 	// Nothing learned yet: the full /24 goes out.
-	attach, cs := r.ecsDecision(auth, "test.example.", q, r.cfg.Now(), false, client, 24)
-	if !attach || cs.SourcePrefix != 24 {
-		t.Fatalf("pre-adaptation: attach=%v cs=%v", attach, cs)
+	if d := decide(AdaptiveProfile(), &st, hopAt(auth, name, clientAddr)); !d.attach || d.opt.SourcePrefix != 24 {
+		t.Fatalf("pre-adaptation: %+v", d)
 	}
 	// The authority returned scope /20 at some point; the resolver must
 	// now shed the extra client bits for that authority only.
-	r.mu.Lock()
-	r.adapted[auth] = 20
-	r.mu.Unlock()
-	_, cs = r.ecsDecision(auth, "test.example.", q, r.cfg.Now(), false, client, 24)
-	if cs.SourcePrefix != 20 {
-		t.Fatalf("adapted subnet = %v, want /20", cs)
+	st.learn(auth, 20)
+	if d := decide(AdaptiveProfile(), &st, hopAt(auth, name, clientAddr)); d.opt != ecsopt.MustNew(clientAddr, 20) {
+		t.Fatalf("adapted subnet = %v, want %v", d.opt, ecsopt.MustNew(clientAddr, 20))
 	}
-	if cs.Addr != ecsopt.MaskAddr(client, 20) {
-		t.Fatalf("adapted subnet %v not masked to /20", cs)
-	}
-	_, cs = r.ecsDecision(other, "test.example.", q, r.cfg.Now(), false, client, 24)
-	if cs.SourcePrefix != 24 {
-		t.Fatalf("adaptation leaked to an unlearned authority: %v", cs)
-	}
-	// A learned scope longer than the source must never widen it.
-	r.mu.Lock()
-	r.adapted[auth] = 28
-	r.mu.Unlock()
-	_, cs = r.ecsDecision(auth, "test.example.", q, r.cfg.Now(), false, client, 24)
-	if cs.SourcePrefix != 24 {
-		t.Fatalf("learned scope /28 widened the source: %v", cs)
+	if d := decide(AdaptiveProfile(), &st, hopAt(other, name, clientAddr)); d.opt.SourcePrefix != 24 {
+		t.Fatalf("adaptation leaked to an unlearned authority: %v", d.opt)
 	}
 	// Without the profile flag the learned scope is ignored.
-	r2 := decisionRig(GoogleLikeProfile())
-	r2.mu.Lock()
-	r2.adapted[auth] = 20
-	r2.mu.Unlock()
-	_, cs = r2.ecsDecision(auth, "test.example.", q, r2.cfg.Now(), false, client, 24)
-	if cs.SourcePrefix != 24 {
-		t.Fatalf("non-adaptive profile shed bits: %v", cs)
+	if d := decide(GoogleLikeProfile(), &st, hopAt(auth, name, clientAddr)); d.opt.SourcePrefix != 24 {
+		t.Fatalf("non-adaptive profile shed bits: %v", d.opt)
+	}
+	// A learned scope longer than the source must never widen it.
+	wide := newProbeState(7)
+	wide.learn(auth, 28)
+	if d := decide(AdaptiveProfile(), &wide, hopAt(auth, name, clientAddr)); d.opt.SourcePrefix != 24 {
+		t.Fatalf("learned scope /28 widened the source: %v", d.opt)
 	}
 }

@@ -8,34 +8,7 @@ import (
 	"ecsdns/internal/authority"
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/ecsopt"
-	"ecsdns/internal/netem"
 )
-
-func TestWhitelistProfileSendsOnlyToListedZones(t *testing.T) {
-	p := WhitelistProfile("test.example.")
-	rg := newRig(t, p, authority.ScopeFixed(24))
-	// Add a second zone on the same authority, not whitelisted.
-	other := authority.NewZone("other.example.", 20)
-	other.SetWildcard(dnswire.TypeA, &dnswire.ARData{Addr: addrOf("192.0.2.91")})
-	rg.auth.AddZone(other)
-	dir := NewDirectory()
-	dir.Add("test.example.", rg.authAddr)
-	dir.Add("other.example.", rg.authAddr)
-	rg.res.cfg.Directory = dir
-
-	c := rg.client("London", 9)
-	rg.ask(t, c, "a.test.example", nil)
-	rg.ask(t, c, "a.other.example", nil)
-	if rg.logs.Len() != 2 {
-		t.Fatalf("authority saw %d queries", rg.logs.Len())
-	}
-	if !rg.logs.All()[0].QueryHasECS {
-		t.Fatal("whitelisted zone did not get ECS")
-	}
-	if rg.logs.All()[1].QueryHasECS {
-		t.Fatal("non-whitelisted zone got ECS")
-	}
-}
 
 func TestAdaptiveProfileLearnsScope(t *testing.T) {
 	// The authority answers every query with scope /16; an adaptive
@@ -127,13 +100,13 @@ func TestMappedClientMeetsV4PrefixPolicies(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, from := range []netip.Addr{v4, mapped} {
-				r := decisionRig(tc.profile)
+				st := newProbeState(7)
 				q := dnswire.NewQuery(1, "x.test.example.", dnswire.TypeA)
 				var got []ecsopt.ClientSubnet
 				for range tc.want {
-					addr, bits, _ := r.clientIdentity(from, q)
-					_, cs := r.ecsDecision(addrOf("203.0.113.53"), "test.example.", q.Question(), netem.SimStart, false, addr, bits)
-					got = append(got, cs)
+					in := hopAt(addrOf("203.0.113.53"), q.Question().Name, from)
+					in.client = identity(tc.profile, from, q)
+					got = append(got, decide(tc.profile, &st, in).opt)
 				}
 				if !slices.Equal(got, tc.want) {
 					t.Errorf("client %s sent %v upstream, want %v", from, got, tc.want)
@@ -141,12 +114,4 @@ func TestMappedClientMeetsV4PrefixPolicies(t *testing.T) {
 			}
 		})
 	}
-}
-
-// WhitelistProfile is the OpenDNS-style per-zone whitelist strategy.
-func WhitelistProfile(zones ...dnswire.Name) Profile {
-	p := GoogleLikeProfile()
-	p.Probing = ProbeWhitelist
-	p.ECSZoneWhitelist = zones
-	return p
 }

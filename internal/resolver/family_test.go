@@ -51,7 +51,6 @@ func TestProfilesCacheEveryClientFamily(t *testing.T) {
 		{"loopback-prober", LoopbackProberProfile(), 32, 32, true},
 		{"private-prefix", PrivatePrefixProfile(), 8, 8, true},
 		{"non-ecs", NonECSProfile(), 0, 0, false},
-		{"whitelist", WhitelistProfile("test.example."), 24, 56, false},
 		{"adaptive", AdaptiveProfile(), 24, 56, false},
 	} {
 		for _, client := range []netip.Addr{v4, v6, mapped} {

@@ -19,35 +19,22 @@ type Forwarder struct {
 	Upstream netip.Addr
 	// Transport carries the relay.
 	Transport Transport
-	// StripECS removes any client-supplied ECS option before relaying
-	// (simplified CPE firmware). The default passes options through
-	// blindly — which is what lets the paper's methodology inject
-	// arbitrary prefixes through open forwarders.
-	StripECS bool
 	// Open reports whether the forwarder answers queries from anyone
 	// (an "open resolver" in scan terms). Closed forwarders only serve
 	// sources sharing their /24.
 	Open bool
 }
 
-// HandleDNS relays one query and returns the upstream response with the
-// client's transaction ID restored. It implements netem.Handler.
+// HandleDNS relays one query, its ECS option included, and returns the
+// upstream response with the client's transaction ID restored: passing
+// options through blindly is what lets the paper's methodology inject
+// arbitrary prefixes through open forwarders. It implements
+// netem.Handler.
 func (f *Forwarder) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Message {
 	if !f.Open && !sameSlash24(from, f.Addr) {
 		return nil // closed to outsiders: silent drop
 	}
-	relay := &dnswire.Message{
-		Header:    query.Header,
-		Questions: query.Questions,
-	}
-	if query.EDNS != nil {
-		e := *query.EDNS
-		e.Options = append([]dnswire.Option(nil), query.EDNS.Options...)
-		relay.EDNS = &e
-	}
-	if f.StripECS && relay.EDNS != nil {
-		ecsopt.Strip(relay)
-	}
+	relay := &dnswire.Message{Header: query.Header, Questions: query.Questions, EDNS: query.EDNS}
 	resp, _, err := f.Transport.Exchange(f.Addr, f.Upstream, relay)
 	if err != nil || resp == nil {
 		fail := dnswire.NewResponse(query)

@@ -38,10 +38,6 @@ const (
 	// random subset of queries for those hostnames — the unclassified
 	// remainder (387 resolvers).
 	ProbeRandom
-	// ProbeWhitelist sends ECS only to zones on a configured whitelist
-	// — the RFC's second strategy, used by OpenDNS-style resolvers
-	// (§6.1). Zones come from Profile.ECSZoneWhitelist.
-	ProbeWhitelist
 )
 
 // String returns the strategy mnemonic.
@@ -59,8 +55,6 @@ func (p ProbeStrategy) String() string {
 		return "on-miss"
 	case ProbeRandom:
 		return "random"
-	case ProbeWhitelist:
-		return "zone-whitelist"
 	}
 	return "unknown"
 }
@@ -81,9 +75,6 @@ type Profile struct {
 	// ProbeWithLoopback makes interval probes carry 127.0.0.1/32
 	// instead of real client data.
 	ProbeWithLoopback bool
-	// ProbeWithOwnAddr makes probes carry the resolver's own public
-	// address — the paper's recommended strategy.
-	ProbeWithOwnAddr bool
 
 	// V4SourceBits and V6SourceBits are the source prefix lengths for
 	// client-derived ECS (RFC recommends ≤24 and ≤56).
@@ -126,16 +117,6 @@ type Profile struct {
 	// SendECSToRoot violates the RFC by including ECS on queries to the
 	// root zone (15 resolvers in the DITL data).
 	SendECSToRoot bool
-	// SendECSForAllTypes attaches ECS even to NS and other non-address
-	// queries.
-	SendECSForAllTypes bool
-
-	// RandomECSFraction is the per-query probability ProbeRandom
-	// attaches ECS; zero means 0.5.
-	RandomECSFraction float64
-
-	// ECSZoneWhitelist lists the zones ProbeWhitelist sends ECS to.
-	ECSZoneWhitelist []dnswire.Name
 
 	// AdaptSourceToScope makes the resolver learn per-authority: after
 	// receiving a response whose scope is shorter than the conveyed
@@ -144,32 +125,6 @@ type Profile struct {
 	// poses as an open question — it preserves mapping quality while
 	// shedding needless client bits.
 	AdaptSourceToScope bool
-}
-
-// maxClientBits returns the effective client-ECS acceptance ceiling for
-// the family.
-func (p Profile) maxClientBits(v6 bool) int {
-	if v6 {
-		return p.sourceBits(true)
-	}
-	if p.MaxClientECSBits == 0 {
-		return 24
-	}
-	return p.MaxClientECSBits
-}
-
-// sourceBits returns the configured source prefix for the family.
-func (p Profile) sourceBits(v6 bool) int {
-	if v6 {
-		if p.V6SourceBits == 0 {
-			return 56
-		}
-		return p.V6SourceBits
-	}
-	if p.V4SourceBits == 0 {
-		return 24
-	}
-	return p.V4SourceBits
 }
 
 // Canned profiles for the behavior classes the paper reports. Each

@@ -7,7 +7,6 @@ package resolver
 
 import (
 	"errors"
-	"math/rand"
 	"net/netip"
 	"strings"
 	"sync"
@@ -167,13 +166,9 @@ type Resolver struct {
 	// fill is cfg.Pool when it is a fillPool.
 	fill fillPool
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	mixedIdx  int
-	lastProbe map[netip.Addr]time.Time    // ProbeInterval state per authority
-	lastSeen  map[ecscache.Key]*time.Time // ProbeOnMiss recency window, updated in place (see count)
-	randNames map[dnswire.Name]bool       // ProbeRandom per-name coin flips
-	adapted   map[netip.Addr]int          // AdaptSourceToScope learned bits
+	mu       sync.Mutex
+	probe    probeState                  // what the ECS decision changes (decide)
+	lastSeen map[ecscache.Key]*time.Time // ProbeOnMiss recency window, updated in place (see count)
 
 	// The counters, written without mu. Upstream against client queries
 	// is the query amplification experiments measure; failures are
@@ -203,11 +198,8 @@ func New(cfg Config) *Resolver {
 			Shards:             cfg.CacheShards,
 			MaxEntries:         cfg.CacheEntries,
 		}),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		lastProbe: make(map[netip.Addr]time.Time),
-		lastSeen:  make(map[ecscache.Key]*time.Time),
-		randNames: make(map[dnswire.Name]bool),
-		adapted:   make(map[netip.Addr]int),
+		probe:    newProbeState(cfg.Seed),
+		lastSeen: make(map[ecscache.Key]*time.Time),
 	}
 }
 
@@ -271,14 +263,14 @@ func (r *Resolver) ServeDNS(from netip.Addr, query, resp *dnswire.Message, mayWa
 	}
 	now := r.cfg.Now()
 	key := ecscache.KeyOf(q)
-	clientAddr, clientBits, _ := r.clientIdentity(from, query)
-	e, ok := r.cache.Hit(key, clientAddr, now)
+	c := identity(r.cfg.Profile, from, query)
+	e, ok := r.cache.Hit(key, c.addr, now)
 	if !ok {
 		return false
 	}
 	r.count(key, now, true)
 	reply(resp, query)
-	answerFromEntry(resp, &e, e.RemainingTTL(now), clientAddr, clientBits)
+	answerFromEntry(resp, &e, e.RemainingTTL(now), c)
 	return true
 }
 
@@ -304,20 +296,19 @@ func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 	now := r.cfg.Now()
 	key := ecscache.KeyOf(q)
 
-	// Establish the client identity this query resolves for.
-	clientAddr, clientBits, fromClientECS := r.clientIdentity(from, query)
+	c := identity(r.cfg.Profile, from, query)
 	withinMinute := r.count(key, now, false)
 	bypassCache := r.bypassCache(q.Name)
 
 	if !bypassCache {
-		if e, ok := r.cache.Lookup(key, clientAddr, now); ok {
-			answerFromEntry(resp, &e, e.RemainingTTL(now), clientAddr, clientBits)
+		if e, ok := r.cache.Lookup(key, c.addr, now); ok {
+			answerFromEntry(resp, &e, e.RemainingTTL(now), c)
 			return
 		}
 	}
 
 	// Miss: resolve upstream. Concurrent misses for the same
-	// (question, client prefix at clientBits) would each fan a query out
+	// (question, client prefix at c.bits) would each fan a query out
 	// to the authority — the ECS-multiplied thundering herd §7 costs
 	// out — so identical in-flight resolutions coalesce onto one leader
 	// through the cache's singleflight layer. The leader alone inserts;
@@ -325,7 +316,7 @@ func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 	// prefix because clients behind different prefixes legitimately need
 	// different upstream answers.
 	fetch := func() (upstreamResult, error) {
-		return r.resolveUpstream(q, key, now, withinMinute, clientAddr, clientBits, bypassCache)
+		return r.resolveUpstream(q, key, now, withinMinute, c, bypassCache)
 	}
 	var (
 		res upstreamResult
@@ -334,7 +325,7 @@ func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 	if bypassCache {
 		res, err = fetch()
 	} else {
-		flightPrefix := netip.PrefixFrom(ecsopt.MaskAddr(clientAddr, clientBits), clientBits)
+		flightPrefix := netip.PrefixFrom(ecsopt.MaskAddr(c.addr, c.bits), c.bits)
 		res, _, err = ecscache.Do(r.cache, key, flightPrefix, fetch)
 	}
 	if err != nil {
@@ -342,7 +333,7 @@ func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 			resp.RCode, resp.EDNS = dnswire.RCodeServFail, nil
 			return
 		}
-		r.answerFailure(resp, key, clientAddr, clientBits, now)
+		r.answerFailure(resp, key, c, now)
 		return
 	}
 
@@ -351,12 +342,12 @@ func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 	resp.RCode = res.rcode
 	resp.Answers = append(resp.Answers, res.answers...)
 	resp.Authorities = append(resp.Authorities, res.authority...)
-	if resp.EDNS != nil && res.respHas && (fromClientECS || res.sentECS) {
+	if resp.EDNS != nil && res.respHas && (c.fromECS || res.sentECS) {
 		scope := 0
 		if res.hasECS {
 			scope = int(res.respScope)
 		}
-		echo(resp, clientAddr, clientBits, scope)
+		echo(resp, c, scope)
 	}
 }
 
@@ -398,7 +389,7 @@ func (r *Resolver) count(key ecscache.Key, now time.Time, borrowed bool) (within
 // bypassCache reports whether name is one ProbeHostnames re-queries
 // every time instead of answering from the cache.
 func (r *Resolver) bypassCache(name dnswire.Name) bool {
-	return r.cfg.Profile.Probing == ProbeHostnames && r.isProbeName(name)
+	return r.cfg.Profile.Probing == ProbeHostnames && r.cfg.Profile.isProbeName(name)
 }
 
 // errNoAuthority marks a resolution that failed before any upstream
@@ -470,7 +461,7 @@ func (ws *resolution) hopQuery(id uint16, target dnswire.Name, q dnswire.Questio
 // a CNAME chain owns each hop before the next one decodes over it, and an
 // answer the cache does not take, bypassed or under NoCacheScopeZero or
 // rejected, is copied out before ws goes back to the pool.
-func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now time.Time, withinMinute bool, clientAddr netip.Addr, clientBits int, bypassCache bool) (upstreamResult, error) {
+func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now time.Time, withinMinute bool, c client, bypassCache bool) (upstreamResult, error) {
 	ws := resolutions.Get().(*resolution)
 	defer resolutions.Put(ws)
 	var (
@@ -489,16 +480,13 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 		if !ok {
 			return upstreamResult{}, errNoAuthority
 		}
-		id := r.randUint16() // drawn before ProbeRandom's coin flips, which share the generator
-		hopQ := dnswire.Question{Name: target, Type: q.Type, Class: q.Class}
-		attach, probeSubnet := r.ecsDecision(authAddr, zone, hopQ, now, withinMinute, clientAddr, clientBits)
-		hopSent := ecsopt.ClientSubnet{}
-		hopSentECS := false
-		if attach {
-			hopSent = probeSubnet
-			hopSentECS = true
-		}
-		up := ws.hopQuery(id, target, q, attach, hopSent)
+		in := input{auth: authAddr, zone: zone, q: dnswire.Question{Name: target, Type: q.Type, Class: q.Class},
+			now: now, withinMinute: withinMinute, client: c}
+		r.mu.Lock()
+		id := uint16(r.probe.rng.Intn(1 << 16)) // drawn before ProbeRandom's, which share the generator
+		d := decide(r.cfg.Profile, &r.probe, in)
+		r.mu.Unlock()
+		up := ws.hopQuery(id, target, q, d.attach, d.opt)
 		upResp, err := r.exchangeUpstream(authAddr, up, &ws.answer)
 		if err != nil {
 			return upstreamResult{}, err
@@ -516,18 +504,16 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 		rcode = upResp.RCode
 		if hopHas {
 			respECS, respHas = hopECS, true
-			sent, sentECS = hopSent, hopSentECS
+			sent, sentECS = d.opt, d.attach
 			// Learn coarser authoritative scopes for future queries.
-			if r.cfg.Profile.AdaptSourceToScope && hopSentECS &&
-				hopECS.ScopePrefix > 0 && hopECS.ScopePrefix < hopSent.SourcePrefix {
+			if r.cfg.Profile.AdaptSourceToScope && d.attach &&
+				hopECS.ScopePrefix > 0 && hopECS.ScopePrefix < d.opt.SourcePrefix {
 				r.mu.Lock()
-				if cur, ok := r.adapted[authAddr]; !ok || int(hopECS.ScopePrefix) < cur {
-					r.adapted[authAddr] = int(hopECS.ScopePrefix)
-				}
+				r.probe.learn(authAddr, int(hopECS.ScopePrefix))
 				r.mu.Unlock()
 			}
 		} else if hop == 0 {
-			sent, sentECS = hopSent, hopSentECS
+			sent, sentECS = d.opt, d.attach
 		}
 		next, dangling := danglingCNAME(answers, q.Type)
 		if !dangling || rcode != dnswire.RCodeNoError {
@@ -626,11 +612,11 @@ func (r *Resolver) exchangeUpstream(authAddr netip.Addr, up, into *dnswire.Messa
 // answerFailure answers a query whose upstream resolution failed, its
 // own or the one it was coalesced onto: with a stale-but-valid cached
 // answer when one is available (RFC 8767), otherwise SERVFAIL.
-func (r *Resolver) answerFailure(resp *dnswire.Message, key ecscache.Key, clientAddr netip.Addr, clientBits int, now time.Time) {
+func (r *Resolver) answerFailure(resp *dnswire.Message, key ecscache.Key, c client, now time.Time) {
 	r.failures.exhausted.Add(1)
-	if e, ok := r.cache.LookupStale(key, clientAddr, now, maxStale); ok {
+	if e, ok := r.cache.LookupStale(key, c.addr, now, maxStale); ok {
 		r.failures.stale.Add(1)
-		answerFromEntry(resp, &e, staleTTL, clientAddr, clientBits)
+		answerFromEntry(resp, &e, staleTTL, c)
 		return
 	}
 	r.failures.servFailsReturned.Add(1)
@@ -646,212 +632,33 @@ func (r *Resolver) Sweep(now time.Time) int {
 	return r.cache.PurgeExpired(now.Add(-maxStale))
 }
 
-// clientIdentity derives (address, prefix bits, clientSuppliedECS) for an
-// incoming query per the profile's trust settings.
-func (r *Resolver) clientIdentity(from netip.Addr, query *dnswire.Message) (netip.Addr, int, bool) {
-	p := r.cfg.Profile
-	if p.AcceptClientECS {
-		if cs, present, err := ecsopt.FromMessage(query); present && err == nil && !cs.IsZero() {
-			bits := min(int(cs.SourcePrefix), p.maxClientBits(cs.Addr.Is6()))
-			return ecsopt.MaskAddr(cs.Addr, bits), bits, true
-		}
-	}
-	// Sender-derived: the immediate source of the query is the client as
-	// far as this resolver can tell (this is exactly how hidden-resolver
-	// prefixes leak into ECS). An IPv4 client of a dual-stack listener
-	// arrives 4-in-6; unmapped, it meets the IPv4 prefix policies.
-	from = from.Unmap()
-	return from, r.cfg.Profile.sourceBits(from.Is6()), false
-}
-
-// ecsDecision applies the probing strategy for one upstream query,
-// returning whether to attach ECS and the option to attach.
-func (r *Resolver) ecsDecision(auth netip.Addr, zone dnswire.Name, q dnswire.Question, now time.Time, withinMinute bool, clientAddr netip.Addr, clientBits int) (bool, ecsopt.ClientSubnet) {
-	p := r.cfg.Profile
-	if zone == dnswire.Root && !p.SendECSToRoot {
-		return false, ecsopt.ClientSubnet{}
-	}
-	if q.Type != dnswire.TypeA && q.Type != dnswire.TypeAAAA && !p.SendECSForAllTypes {
-		return false, ecsopt.ClientSubnet{}
-	}
-	switch p.Probing {
-	case ProbeNever:
-		return false, ecsopt.ClientSubnet{}
-	case ProbeWhitelist:
-		for _, z := range p.ECSZoneWhitelist {
-			if zone == z {
-				return true, r.adaptedSubnet(auth, clientAddr, clientBits)
-			}
-		}
-		return false, ecsopt.ClientSubnet{}
-	case ProbeAlways:
-		return true, r.adaptedSubnet(auth, clientAddr, clientBits)
-	case ProbeHostnames:
-		if r.isProbeName(q.Name) {
-			return true, r.buildSubnet(clientAddr, clientBits)
-		}
-		return false, ecsopt.ClientSubnet{}
-	case ProbeOnMiss:
-		if r.isProbeName(q.Name) && !withinMinute {
-			return true, r.buildSubnet(clientAddr, clientBits)
-		}
-		return false, ecsopt.ClientSubnet{}
-	case ProbeInterval:
-		r.mu.Lock()
-		last, seen := r.lastProbe[auth]
-		due := !seen || now.Sub(last) >= r.interval()
-		if due {
-			r.lastProbe[auth] = now
-		}
-		r.mu.Unlock()
-		if !due {
-			return false, ecsopt.ClientSubnet{}
-		}
-		if r.isProbeString(q.Name) {
-			return true, r.probeSubnet(clientAddr, clientBits)
-		}
-		// Not the probe string: release the slot we just took.
-		r.mu.Lock()
-		if seen {
-			r.lastProbe[auth] = last
-		} else {
-			delete(r.lastProbe, auth)
-		}
-		r.mu.Unlock()
-		return false, ecsopt.ClientSubnet{}
-	case ProbeRandom:
-		r.mu.Lock()
-		chosen, ok := r.randNames[q.Name]
-		if !ok {
-			chosen = r.rng.Intn(2) == 0
-			r.randNames[q.Name] = chosen
-		}
-		frac := p.RandomECSFraction
-		if frac == 0 {
-			frac = 0.5
-		}
-		fire := chosen && r.rng.Float64() < frac
-		r.mu.Unlock()
-		if fire {
-			return true, r.buildSubnet(clientAddr, clientBits)
-		}
-		return false, ecsopt.ClientSubnet{}
-	}
-	return false, ecsopt.ClientSubnet{}
-}
-
-func (r *Resolver) interval() time.Duration {
-	if r.cfg.Profile.Interval == 0 {
-		return 30 * time.Minute
-	}
-	return r.cfg.Profile.Interval
-}
-
-// isProbeName reports whether name is in the profile's probe set (empty
-// set = all names).
-func (r *Resolver) isProbeName(name dnswire.Name) bool {
-	if len(r.cfg.Profile.ProbeNames) == 0 {
-		return true
-	}
-	for _, n := range r.cfg.Profile.ProbeNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// isProbeString reports whether name is the single interval-probe query
-// string.
-func (r *Resolver) isProbeString(name dnswire.Name) bool {
-	if len(r.cfg.Profile.ProbeNames) == 0 {
-		return true
-	}
-	return r.cfg.Profile.ProbeNames[0] == name
-}
-
-// adaptedSubnet builds the client subnet, lowering the prefix to any
-// per-authority learned scope (AdaptSourceToScope).
-func (r *Resolver) adaptedSubnet(auth netip.Addr, clientAddr netip.Addr, bits int) ecsopt.ClientSubnet {
-	if r.cfg.Profile.AdaptSourceToScope {
-		r.mu.Lock()
-		learned, ok := r.adapted[auth]
-		r.mu.Unlock()
-		if ok && learned > 0 && learned < bits {
-			bits = learned
-		}
-	}
-	return r.buildSubnet(clientAddr, bits)
-}
-
-// buildSubnet constructs the ECS option for a client-derived prefix per
-// the profile's prefix policy.
-func (r *Resolver) buildSubnet(clientAddr netip.Addr, bits int) ecsopt.ClientSubnet {
-	p := r.cfg.Profile
-	if p.PrivatePrefixBug {
-		return ecsopt.MustNew(PrivateProbeAddr, 8)
-	}
-	jam := p.JamLastByte
-	if len(p.MixedV4Bits) > 0 && clientAddr.Is4() {
-		r.mu.Lock()
-		bits = p.MixedV4Bits[r.mixedIdx%len(p.MixedV4Bits)]
-		r.mixedIdx++
-		r.mu.Unlock()
-		jam = p.JamLastByte && bits == 32
-		if !jam {
-			cs, err := ecsopt.New(clientAddr, bits)
-			if err != nil {
-				return ecsopt.Zero()
-			}
-			return cs
-		}
-	}
-	if jam && clientAddr.Is4() {
-		a := ecsopt.MaskAddr(clientAddr, 24).As4()
-		a[3] = p.JamValue
-		return ecsopt.MustNew(netip.AddrFrom4(a), 32)
-	}
-	cs, err := ecsopt.New(clientAddr, bits)
-	if err != nil {
-		return ecsopt.Zero()
-	}
-	return cs
-}
-
-// probeSubnet constructs the option used by interval probes.
-func (r *Resolver) probeSubnet(clientAddr netip.Addr, bits int) ecsopt.ClientSubnet {
-	p := r.cfg.Profile
-	switch {
-	case p.ProbeWithLoopback:
-		return ecsopt.MustNew(LoopbackAddr, 32)
-	case p.ProbeWithOwnAddr:
-		return ecsopt.MustNew(r.cfg.Addr, 24)
-	default:
-		return r.buildSubnet(clientAddr, bits)
-	}
-}
-
 // answerFromEntry fills reply skeleton resp with a cache entry's answer,
 // every record's TTL set to ttl, and, when the reply carries EDNS and the
 // entry ECS, the client's subnet echoed at the entry's scope. The
 // records are copied into resp's own sections and their TTLs set there:
 // the entry, whose records other entries may share, is only read.
-func answerFromEntry(resp *dnswire.Message, e *ecscache.Entry, ttl uint32, clientAddr netip.Addr, clientBits int) {
+func answerFromEntry(resp *dnswire.Message, e *ecscache.Entry, ttl uint32, c client) {
 	resp.RCode = e.RCode
 	resp.Answers = append(resp.Answers, e.Answer...)
 	resp.Authorities = append(resp.Authorities, e.Authority...)
 	setTTL(resp.Answers, ttl)
 	setTTL(resp.Authorities, ttl)
 	if resp.EDNS != nil && e.HasECS {
-		echo(resp, clientAddr, clientBits, int(e.Subnet.ScopePrefix))
+		echo(resp, c, int(e.Subnet.ScopePrefix))
 	}
 }
 
-// echo attaches the ECS option answering the client's subnet at scope.
-func echo(resp *dnswire.Message, clientAddr netip.Addr, clientBits, scope int) {
-	if cs, err := ecsopt.New(clientAddr, clientBits); err == nil {
-		ecsopt.AttachInPlace(resp, cs.WithScope(scope))
+// echo attaches the ECS option answering the client's subnet at scope:
+// the family-0 option for a client that opted out with one.
+func echo(resp *dnswire.Message, c client, scope int) {
+	cs := ecsopt.Zero()
+	if c.addr.IsValid() {
+		var err error
+		if cs, err = ecsopt.New(c.addr, c.bits); err != nil {
+			return
+		}
 	}
+	ecsopt.AttachInPlace(resp, cs.WithScope(scope))
 }
 
 // setTTL sets the TTL of every record in rrs.
@@ -910,12 +717,6 @@ func negativeTTL(authority []dnswire.RR) time.Duration {
 		}
 	}
 	return 30 * time.Second
-}
-
-func (r *Resolver) randUint16() uint16 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return uint16(r.rng.Intn(1 << 16))
 }
 
 // extractLenient pulls the ECS option out of a response without failing

@@ -310,6 +310,27 @@ func TestAcceptClientECSTruncation(t *testing.T) {
 	}
 }
 
+// TestAcceptClientECSOptOut: a client option with source 0 opts out of
+// ECS (RFC 7871 §7.1.2), in either family or in family 0. A profile that
+// accepts client ECS forwards source 0, no address bits, instead of the
+// sender's subnet, and echoes the client's /0.
+func TestAcceptClientECSOptOut(t *testing.T) {
+	for _, cs := range []ecsopt.ClientSubnet{
+		ecsopt.MustNew(netip.MustParseAddr("0.0.0.0"), 0),
+		ecsopt.MustNew(netip.MustParseAddr("::"), 0),
+		ecsopt.Zero(),
+	} {
+		rg := newRig(t, CompliantProfile(), authority.ScopeFixed(24))
+		resp := rg.ask(t, rg.client("London", 9), "o.test.example", &cs)
+		if rec := rg.logs.All()[0]; !rec.QueryHasECS || rec.QueryECS != cs {
+			t.Errorf("client %v: forwarded %v (present %v), want %v", cs, rec.QueryECS, rec.QueryHasECS, cs)
+		}
+		if echo, ok, err := ecsopt.FromMessage(resp); !ok || err != nil || echo != cs {
+			t.Errorf("client %v: echoed %v (present %v, %v), want %v", cs, echo, ok, err, cs)
+		}
+	}
+}
+
 func TestLongPrefixProfileForwardsLongPrefixes(t *testing.T) {
 	rg := newRig(t, LongPrefixProfile(), authority.ScopeEcho())
 	cs := ecsopt.MustNew(netip.MustParseAddr("198.51.100.209"), 28)
@@ -380,21 +401,6 @@ func TestProbeIntervalWithLoopback(t *testing.T) {
 	last := rg.logs.All()[rg.logs.Len()-1]
 	if !last.QueryHasECS || last.QueryECS.Addr != netip.MustParseAddr("127.0.0.1") {
 		t.Fatalf("interval probe did not fire: %+v", last)
-	}
-}
-
-func TestProbeWithOwnAddress(t *testing.T) {
-	p := LoopbackProberProfile()
-	p.ProbeWithLoopback = false
-	p.ProbeWithOwnAddr = true
-	rg := newRig(t, p, authority.ScopeFixed(24))
-	rg.ask(t, rg.client("London", 9), "m.test.example", nil)
-	rec := rg.logs.All()[0]
-	if !rec.QueryHasECS {
-		t.Fatal("no probe sent")
-	}
-	if rec.QueryECS.Addr != ecsopt.MaskAddr(rg.res.Addr(), 24) {
-		t.Fatalf("probe prefix %s is not the resolver's own /24", rec.QueryECS.Addr)
 	}
 }
 
@@ -565,24 +571,6 @@ func TestClosedForwarderDropsOutsiders(t *testing.T) {
 	sib[3] ^= 0x3
 	if _, _, err := rg.net.Exchange(netip.AddrFrom4(sib), fwdAddr, q); err != nil {
 		t.Fatalf("closed forwarder refused a neighbor: %v", err)
-	}
-}
-
-func TestForwarderStripECS(t *testing.T) {
-	rg := newRig(t, CompliantProfile(), authority.ScopeFixed(24))
-	fwdAddr := rg.world.AddrInCity(geo.CityIndex("Dublin"), 7, 99)
-	fwd := &Forwarder{Addr: fwdAddr, Upstream: rg.res.Addr(), Transport: rg.net, Open: true, StripECS: true}
-	rg.net.Register(fwdAddr, fwd)
-	q := dnswire.NewQuery(6, "t.test.example.", dnswire.TypeA)
-	ecsopt.Attach(q, ecsopt.MustNew(netip.MustParseAddr("198.51.100.0"), 24))
-	if _, _, err := rg.net.Exchange(rg.client("Dublin", 8), fwdAddr, q); err != nil {
-		t.Fatal(err)
-	}
-	rec := rg.logs.All()[0]
-	// The resolver (AcceptClientECS) saw no option, so it derived from
-	// the forwarder address.
-	if rec.QueryECS.Addr == netip.MustParseAddr("198.51.100.0") {
-		t.Fatal("stripped ECS leaked through")
 	}
 }
 

@@ -5,7 +5,7 @@
 # alone trips on is the ledger in DESIGN.md §12; a stage is added or
 # dropped there first.
 #
-#   ./verify.sh                run everything (4 min 19 s on a 2-vCPU box, test cache empty)
+#   ./verify.sh                run everything (3 min 24 s on a 2-vCPU box, test cache empty)
 #   FUZZTIME=30s ./verify.sh   longer fuzz smokes
 #
 # Stages run in order and the script exits non-zero at the first
