@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -48,11 +47,11 @@ import (
 )
 
 func main() {
-	target := flag.String("resolver", "127.0.0.1:5301", "resolver to probe (host:port)")
+	target := flag.String("resolver", "127.0.0.1:5301", "resolver to probe (ip:port)")
 	nameStr := flag.String("name", "test.scan.example.org", "base hostname to query (unique labels are prepended per trial)")
 	prefixStr := flag.String("prefix", "198.51.100.0/24", "client subnet to inject")
 	timeout := flag.Duration("timeout", 3*time.Second, "per-attempt query timeout")
-	targetsArg := flag.String("targets", "", "bulk mode: file of resolver host:port lines, - for standard input, or a comma-separated list")
+	targetsArg := flag.String("targets", "", "bulk mode: file of resolver ip:port lines, - for standard input, or a comma-separated list")
 	concurrency := flag.Int("concurrency", 64, "bulk mode: probes in flight")
 	rate := flag.Float64("rate", 0, "bulk mode: max queries/sec (0 = unlimited)")
 	flag.Parse()
@@ -98,6 +97,9 @@ func main() {
 		return
 	}
 
+	if err := checkResolver(*target); err != nil {
+		log.Fatalf("ecsscan: %v", err)
+	}
 	prefix, err := netip.ParsePrefix(*prefixStr)
 	if err != nil {
 		log.Fatalf("ecsscan: bad prefix: %v", err)
@@ -126,8 +128,8 @@ func openTargets(arg string) (io.ReadCloser, error) {
 // parseTarget appends to dst the text a target line is reported by —
 // ip:port and host:port as written, a bare address or hostname with port
 // 53 — and returns where the probe goes: invalid for a hostname, which
-// the probe resolves. A line that cannot name a target is an error that
-// names it.
+// the probe reports unreachable (errHostname). A line that cannot name a
+// target is an error that names it.
 func parseTarget(dst, line []byte) ([]byte, netip.AddrPort, error) {
 	if ap, hasPort, ok := parseIPv4(line); ok {
 		dst = append(dst, line...)
@@ -193,8 +195,8 @@ func digits(b []byte, limit int) (v, n int) {
 
 // normalizeTarget gives a target its port: ip:port and host:port stay as
 // written, a bare address (IPv6 included, which a colon test would take
-// for host:port) or a bare hostname gets port 53. Port 0 names no
-// server: the kernel refuses to send there.
+// for host:port, and in brackets or not) or a bare hostname gets port
+// 53. Port 0 names no server: the kernel refuses to send there.
 func normalizeTarget(line string) (string, error) {
 	if ap, err := netip.ParseAddrPort(line); err == nil {
 		if ap.Port() == 0 {
@@ -202,39 +204,40 @@ func normalizeTarget(line string) (string, error) {
 		}
 		return line, nil
 	}
-	if addr, err := netip.ParseAddr(line); err == nil {
+	bare := line
+	if len(line) > 1 && line[0] == '[' && line[len(line)-1] == ']' {
+		bare = line[1 : len(line)-1]
+	}
+	if addr, err := netip.ParseAddr(bare); err == nil {
 		return netip.AddrPortFrom(addr, 53).String(), nil
 	}
-	host, port, err := net.SplitHostPort(line)
-	if err != nil {
-		var retryErr error
-		if host, port, retryErr = net.SplitHostPort(line + ":53"); retryErr != nil {
-			return "", err
-		}
-		line += ":53"
+	host, port, ok := strings.Cut(line, ":")
+	if !ok {
+		port, line = "53", line+":53"
 	}
 	if n, err := strconv.ParseUint(port, 10, 16); err != nil {
 		return "", fmt.Errorf("bad port %q", port)
 	} else if n == 0 {
 		return "", errors.New("bad port 0")
 	}
-	if _, err := netip.ParseAddr(host); err != nil {
-		if _, err := dnswire.ParseName(host); err != nil {
-			return "", fmt.Errorf("bad host %q: %v", host, err)
-		}
+	if _, err := dnswire.ParseName(host); err != nil {
+		return "", fmt.Errorf("bad host %q: %v", host, err)
 	}
 	return line, nil
 }
 
-// lookupTarget resolves a host:port target. A bulk scan calls it once
-// for each hostname it meets, on the sweep's goroutine.
-var lookupTarget = func(hostport string) (netip.AddrPort, error) {
-	raddr, err := net.ResolveUDPAddr("udp", hostport)
-	if err != nil {
-		return netip.AddrPort{}, err
+// checkResolver refuses a -resolver that is not an ip:port, naming the
+// flag: a hostname would only fail each query in turn.
+func checkResolver(target string) error {
+	if _, err := netip.ParseAddrPort(target); err != nil {
+		return fmt.Errorf("-resolver %q: want ip:port, ecsscan looks no name up", target)
 	}
-	return raddr.AddrPort(), nil
+	return nil
 }
+
+// errHostname is a hostname target's result: ecsscan probes resolvers at
+// their addresses and looks no name up.
+var errHostname = errors.New("a hostname, not an address: ecsscan looks no name up")
 
 // probeOutcome says which of a probeResult's fields are set.
 type probeOutcome uint8
@@ -264,8 +267,8 @@ type flight struct {
 
 // bulk is one -targets sweep. It reads its targets ahead of the probes,
 // in two fixed buffers, and writes each result line as its probe ends,
-// so what it holds is bounded by the window: one flight a slot, the two
-// buffers, and the hostnames it has resolved. A probe's name is built in
+// so what it holds is bounded by the window: one flight a slot and the
+// two buffers. A probe's name is built in
 // one buffer and lent to the slot's query (SetQuestionName), so a probe
 // allocates nothing of its own. A probe's rtt runs from its first
 // datagram, when the sweep sent it, to when done reads the clock.
@@ -274,7 +277,6 @@ type bulk struct {
 	in      *lineReader
 	out     *bufio.Writer
 	flights []flight
-	hosts   map[string]netip.AddrPort
 	name    []byte // the probe name being built
 	line    []byte // the result line being built
 	err     error  // why the input ended early: a read error or a bad line
@@ -296,7 +298,6 @@ func newBulk(base dnswire.Name, in io.Reader, out io.Writer, window int) *bulk {
 		in:      newLineReader(in),
 		out:     bufio.NewWriterSize(out, 64<<10),
 		flights: make([]flight, window),
-		hosts:   make(map[string]netip.AddrPort),
 	}
 }
 
@@ -428,10 +429,7 @@ func (b *bulk) probe(slot int, q *dnswire.Message) (netip.AddrPort, error) {
 	b.started++
 	f.badName = false
 	if !dest.IsValid() {
-		dest, err = b.resolve(f.target)
-	}
-	if err != nil {
-		return netip.AddrPort{}, err
+		return netip.AddrPort{}, errHostname
 	}
 	b.name = append(b.name[:0], "bulk"...)
 	b.name = strconv.AppendInt(b.name, int64(n), 10)
@@ -451,19 +449,6 @@ func (b *bulk) probe(slot int, q *dnswire.Message) (netip.AddrPort, error) {
 	}
 	q.SetQuestionName(b.name)
 	return dest, nil
-}
-
-// resolve looks a hostname target up once; a lookup that fails is tried
-// again when the name comes back.
-func (b *bulk) resolve(target []byte) (netip.AddrPort, error) {
-	if ap, ok := b.hosts[string(target)]; ok {
-		return ap, nil
-	}
-	ap, err := lookupTarget(string(target))
-	if err == nil {
-		b.hosts[string(target)] = ap
-	}
-	return ap, err
 }
 
 // done writes the line of the probe in slot, whose first datagram was

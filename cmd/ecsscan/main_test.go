@@ -249,9 +249,9 @@ func masked(out string) string {
 }
 
 // TestBulkScanEndToEnd runs ecsscan -targets in process against a
-// loopback authority: answering targets, one given by hostname, and a
-// silent port that costs three timed-out attempts and a refused TCP
-// fallback. Lines come in the order their probes end, so the test holds
+// loopback authority: answering targets, one given by hostname, which is
+// reported unreachable without a datagram sent, and a silent port that
+// costs three timed-out attempts and a refused TCP fallback. Lines come in the order their probes end, so the test holds
 // their set and the summary exactly, and the summary's "udp sent" is
 // what the servers read — the count the benchmark's authdns_received
 // check compares with the authority's.
@@ -276,13 +276,13 @@ func TestBulkScanEndToEnd(t *testing.T) {
 	want := pad(addr) + answered +
 		pad(addr) + answered +
 		pad(silent) + " unreachable: dial tcp " + silent + ": connect: connection refused\n" +
-		pad("localhost:"+port) + answered +
+		pad("localhost:"+port) + " unreachable: " + errHostname.Error() + "\n" +
 		pad(addr) + answered +
-		"\n5 targets: 4 responding, 1 unreachable in x (y q/s; 7 udp sent, 2 retries, 1 tcp fallbacks)\n"
-	if got := masked(out.String()); sortedLines(got) != sortedLines(want) || !strings.HasSuffix(got, "\n5 targets: 4 responding, 1 unreachable in x (y q/s; 7 udp sent, 2 retries, 1 tcp fallbacks)\n") {
+		"\n5 targets: 3 responding, 2 unreachable in x (y q/s; 6 udp sent, 2 retries, 1 tcp fallbacks)\n"
+	if got := masked(out.String()); sortedLines(got) != sortedLines(want) || !strings.HasSuffix(got, "\n5 targets: 3 responding, 2 unreachable in x (y q/s; 6 udp sent, 2 retries, 1 tcp fallbacks)\n") {
 		t.Fatalf("bulk output:\n%s\nwant, in any order of result lines:\n%s", got, want)
 	}
-	if sent, read := int64(7), srv.Stats().Received+silentRead.Load(); read != sent {
+	if sent, read := int64(6), srv.Stats().Received+silentRead.Load(); read != sent {
 		t.Fatalf("servers read %d datagrams, the summary says %d udp sent", read, sent)
 	}
 }
@@ -407,6 +407,21 @@ func TestParseTargets(t *testing.T) {
 	}
 }
 
+// TestCheckResolver: -resolver takes an address; a hostname is a
+// start-up error that names the flag.
+func TestCheckResolver(t *testing.T) {
+	for _, tc := range []struct {
+		target string
+		ok     bool
+	}{
+		{"127.0.0.1:5301", true}, {"[::1]:53", true}, {"resolver.example:53", false}, {"localhost:5301", false},
+	} {
+		if err := checkResolver(tc.target); (err == nil) != tc.ok || err != nil && !strings.HasPrefix(err.Error(), "-resolver ") {
+			t.Errorf("checkResolver(%q) = %v, want ok=%v, an error naming -resolver", tc.target, err, tc.ok)
+		}
+	}
+}
+
 // TestParseIPv4 holds the address fast path to what normalizeTarget makes
 // of the same line: a line it takes is reported by the same text and
 // probed at the same address, and one it leaves goes to normalizeTarget.
@@ -443,11 +458,8 @@ func TestParseIPv4(t *testing.T) {
 }
 
 // TestBulkScanStdin reads -targets - from standard input. The third
-// target is a hostname whose lookup blocks the sweep for twice the
-// timeout while the second target's answer, due at 100 ms, arrives: the
-// sweep takes that answer before it looks at any deadline, so the probe
-// is answered, not retried. The fourth names the same host and is not
-// looked up again.
+// and fourth targets name a host: each is reported unreachable at once,
+// with no datagram sent and no lookup, and the scan goes on.
 func TestBulkScanStdin(t *testing.T) {
 	fast := startAnswerResponder(t, 0, nil)
 	slow := startAnswerResponder(t, 100*time.Millisecond, nil)
@@ -457,16 +469,6 @@ func TestBulkScanStdin(t *testing.T) {
 	}
 	const timeout = 300 * time.Millisecond
 	host := "lookup.scan.test:" + port
-	var lookups atomic.Int64
-	defer func(lookup func(string) (netip.AddrPort, error)) { lookupTarget = lookup }(lookupTarget)
-	lookupTarget = func(hostport string) (netip.AddrPort, error) {
-		lookups.Add(1)
-		time.Sleep(2 * timeout)
-		if hostport != host {
-			return netip.AddrPort{}, errors.New("unexpected lookup of " + hostport)
-		}
-		return netip.ParseAddrPort(fast)
-	}
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -484,13 +486,11 @@ func TestBulkScanStdin(t *testing.T) {
 	r.Close()
 	pad := func(target string) string { return target + strings.Repeat(" ", max(0, 24-len(target))) }
 	answered := " rcode=NOERROR answers=1 edns=true rtt=x\n"
-	want := pad(fast) + answered + pad(slow) + answered + pad(host) + answered + pad(host) + answered +
-		"\n4 targets: 4 responding, 0 unreachable in x (y q/s; 4 udp sent, 0 retries, 0 tcp fallbacks)\n"
-	if got := masked(out.String()); sortedLines(got) != sortedLines(want) || !strings.HasSuffix(got, "\n4 targets: 4 responding, 0 unreachable in x (y q/s; 4 udp sent, 0 retries, 0 tcp fallbacks)\n") {
+	unreachable := " unreachable: " + errHostname.Error() + "\n"
+	want := pad(fast) + answered + pad(slow) + answered + pad(host) + unreachable + pad(host) + unreachable +
+		"\n4 targets: 2 responding, 2 unreachable in x (y q/s; 2 udp sent, 0 retries, 0 tcp fallbacks)\n"
+	if got := masked(out.String()); sortedLines(got) != sortedLines(want) || !strings.HasSuffix(got, "\n4 targets: 2 responding, 2 unreachable in x (y q/s; 2 udp sent, 0 retries, 0 tcp fallbacks)\n") {
 		t.Fatalf("bulk output:\n%s\nwant, in any order of result lines:\n%s", got, want)
-	}
-	if n := lookups.Load(); n != 1 {
-		t.Fatalf("%s was looked up %d times, want once", host, n)
 	}
 }
 

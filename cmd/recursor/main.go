@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -40,6 +39,7 @@ import (
 	"ecsdns/internal/dnsserver"
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/resolver"
+	"ecsdns/internal/upstreams"
 	"ecsdns/internal/upstreams/live"
 )
 
@@ -59,6 +59,23 @@ func checkUpstreamFlags(upstreamSet bool, list string) error {
 	return nil
 }
 
+// newPool builds the upstream pool from the -upstreams list, or from
+// -upstream when the list is empty (one upstream is a pool of one), and
+// returns it with its client and spec. An error names the flag whose
+// value it refuses: every upstream is an ip:port, as no name is looked
+// up.
+func newPool(upstream, list string, hedge, breaker, ladder bool) (*upstreams.Pool, *dnsclient.Client, string, error) {
+	flagName, spec := "-upstreams", list
+	if spec == "" {
+		flagName, spec = "-upstream", upstream
+	}
+	pool, udp, err := live.NewPool(spec, hedge, breaker, ladder)
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("%s: %v", flagName, err)
+	}
+	return pool, udp, spec, nil
+}
+
 // checkTTLFlags rejects a negative clamp, and a -min-ttl above -max-ttl:
 // the ceiling wins, so the floor given would silently not hold.
 func checkTTLFlags(negTTL, minTTL, maxTTL time.Duration) error {
@@ -75,7 +92,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:5301", "UDP+TCP listen address")
 	zoneName := flag.String("zone", "scan.example.org", "zone served by the upstream authority")
 	upstream := flag.String("upstream", "127.0.0.1:5300", "authoritative server address")
-	upstreamsSpec := flag.String("upstreams", "", "several upstreams with failover, host:port[/priority[/weight]] comma-separated (empty = the one -upstream)")
+	upstreamsSpec := flag.String("upstreams", "", "several upstreams with failover, ip:port[/priority[/weight]] comma-separated (empty = the one -upstream)")
 	hedge := flag.Bool("hedge", false, "race a second upstream once the primary is slower than the p95 of recent answers (clamped to 10ms..2s)")
 	breaker := flag.Bool("breaker", true, "per-upstream circuit breakers: 5 consecutive failures open one for 30s, 2 probe successes close it")
 	ladder := flag.Bool("edns-ladder", true, "EDNS payload ladder: step 4096 → 1232 → TCP on truncation, relaxing one rung after 5m")
@@ -133,17 +150,13 @@ func main() {
 	dir.Add(zone, placeholder)
 	dir.Add(dnswire.Root, placeholder)
 
-	host, _, err := net.SplitHostPort(*listen)
+	self, err := netip.ParseAddrPort(*listen)
 	if err != nil {
-		log.Fatalf("recursor: bad listen address: %v", err)
-	}
-	selfAddr, err := netip.ParseAddr(host)
-	if err != nil {
-		log.Fatalf("recursor: bad listen host: %v", err)
+		log.Fatalf("recursor: bad -listen address, want ip:port: %v", err)
 	}
 
 	resCfg := resolver.Config{
-		Addr:         selfAddr,
+		Addr:         self.Addr(),
 		Now:          time.Now,
 		Directory:    dir,
 		Profile:      profile,
@@ -159,13 +172,9 @@ func main() {
 	if err := checkUpstreamFlags(upstreamSet, *upstreamsSpec); err != nil {
 		log.Fatalf("recursor: %v", err)
 	}
-	spec := *upstreamsSpec
-	if spec == "" {
-		spec = *upstream // one upstream is a pool of one
-	}
 	// udp is the client every UDP query upstream leaves through; its
 	// sockets are reported and closed on exit.
-	pool, udp, err := live.NewPool(spec, *hedge, *breaker, *ladder)
+	pool, udp, spec, err := newPool(*upstream, *upstreamsSpec, *hedge, *breaker, *ladder)
 	if err != nil {
 		log.Fatalf("recursor: %v", err)
 	}

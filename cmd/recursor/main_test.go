@@ -21,7 +21,8 @@ func TestCheckHostPort(t *testing.T) {
 	}{
 		{"127.0.0.1:5300", true},
 		{"[::1]:53", true},
-		{"ns1.example.org:53", true},
+		{"ns1.example.org:53", false}, // no name is looked up
+		{"127.0.0.1:0", false},
 		{"nonsense", false},
 		{"127.0.0.1", false},
 		{"::1", false},
@@ -34,6 +35,25 @@ func TestCheckHostPort(t *testing.T) {
 			t.Errorf("CheckHostPort(%q) = %v, want ok=%v", tc.addr, err, tc.ok)
 		}
 	}
+}
+
+// TestHostnameUpstreamRefused: a hostname upstream is a start-up error
+// that names the flag that gave it, in a list or alone.
+func TestHostnameUpstreamRefused(t *testing.T) {
+	for _, tc := range []struct{ upstream, list, flag string }{
+		{"ns1.example:53", "", "-upstream: "},
+		{"127.0.0.1:5300", "127.0.0.1:5301,ns1.example:53/1", "-upstreams: "},
+	} {
+		_, _, _, err := newPool(tc.upstream, tc.list, false, true, true)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag) || !strings.Contains(err.Error(), "ns1.example:53") {
+			t.Errorf("newPool(%q, %q) error = %v, want one naming %s and the upstream", tc.upstream, tc.list, err, strings.TrimSuffix(tc.flag, ": "))
+		}
+	}
+	pool, udp, spec, err := newPool("127.0.0.1:5300", "", false, true, true)
+	if err != nil || pool == nil || spec != "127.0.0.1:5300" {
+		t.Fatalf("newPool(127.0.0.1:5300) = %v, %q, %v", pool, spec, err)
+	}
+	udp.Close()
 }
 
 func TestCheckUpstreamFlags(t *testing.T) {
@@ -139,7 +159,7 @@ func TestParsePoolSpec(t *testing.T) {
 		name    string
 		spec    string
 		want    []upstreams.Upstream
-		targets []string // by position: the host:port want[i].Addr routes to
+		targets []string // by position: the ip:port want[i].Addr routes to
 		errPart string   // non-empty: the spec must be rejected mentioning this
 	}{
 		{
@@ -150,14 +170,14 @@ func TestParsePoolSpec(t *testing.T) {
 		},
 		{
 			name:    "priority and weight",
-			spec:    "a.example:53/1,b.example:53/2/5,[::1]:53/0/1",
+			spec:    "198.51.100.1:53/1,198.51.100.2:53/2/5,[::1]:53/0/1",
 			want:    []upstreams.Upstream{{Addr: addr(1), Priority: 1}, {Addr: addr(2), Priority: 2, Weight: 5}, {Addr: addr(3), Weight: 1}},
-			targets: []string{"a.example:53", "b.example:53", "[::1]:53"},
+			targets: []string{"198.51.100.1:53", "198.51.100.2:53", "[::1]:53"},
 		},
-		{name: "missing port", spec: "127.0.0.1", errPart: "missing port"},
-		{name: "empty port", spec: "127.0.0.1:53,127.0.0.2:/1", errPart: "empty host or port"},
+		{name: "missing port", spec: "127.0.0.1", errPart: "not an ip:port"},
+		{name: "empty port", spec: "127.0.0.1:53,127.0.0.2:/1", errPart: "no port"},
 		{name: "empty member", spec: "127.0.0.1:53,,127.0.0.2:53", errPart: `bad pool upstream ""`},
-		{name: "four fields", spec: "127.0.0.1:53/1/2/3", errPart: "want host:port[/priority[/weight]]"},
+		{name: "four fields", spec: "127.0.0.1:53/1/2/3", errPart: "want ip:port[/priority[/weight]]"},
 		{name: "negative priority", spec: "127.0.0.1:53/-1", errPart: "bad priority"},
 		{name: "non-numeric priority", spec: "127.0.0.1:53/high", errPart: "bad priority"},
 		{name: "zero weight", spec: "127.0.0.1:53/0/0", errPart: "bad weight"},

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ecsdns/internal/dnswire"
+	"ecsdns/internal/udpio"
 )
 
 // The tests below pin the contract of Client's socket ring, one clause
@@ -382,31 +383,36 @@ func TestClientRingBoundsAndClose(t *testing.T) {
 	}
 }
 
-// countingConn is a net.Conn of which only Close may be called.
-type countingConn struct {
-	net.Conn
-	closed *int
-}
-
-func (c countingConn) Close() error {
-	*c.closed++
-	return nil
-}
-
 // TestClientRingTotalBound pins the bound that holds however many
 // servers a Client is pointed at: the ring never parks more than
 // ringIdleMax sockets, and at the bound a newly parked one displaces an
 // old one instead of being turned away.
 func TestClientRingTotalBound(t *testing.T) {
 	c := &Client{}
-	closed := 0
 	const servers = ringIdleMax + 100
 	name := func(i int) string { return "ns" + itoa(i) + ".bound.ring.test:53" }
 	now := time.Now()
-	for i := 0; i < servers; i++ {
-		c.park(ringSock{conn: countingConn{closed: &closed}, server: name(i), born: now})
+	socks := make([]*udpio.UDPConn, servers)
+	for i := range socks {
+		conn, err := udpio.DialUDP(netip.MustParseAddrPort("127.0.0.1:53")) // nothing is sent on it
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		socks[i] = conn
+		c.park(ringSock{conn: conn, server: name(i), born: now})
 	}
-	if st := c.Stats(); st.Idle != ringIdleMax || st.Retired != servers-ringIdleMax || closed != servers-ringIdleMax {
+	// closedSocks counts the sockets the ring closed: a deadline cannot
+	// be set on one.
+	closedSocks := func() (n int) {
+		for _, conn := range socks {
+			if conn.SetDeadline(time.Time{}) != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if st, closed := c.Stats(), closedSocks(); st.Idle != ringIdleMax || st.Retired != servers-ringIdleMax || closed != servers-ringIdleMax {
 		t.Fatalf("%d servers parked one socket each: stats %+v, %d closed; want %d idle, %d closed", servers, st, closed, ringIdleMax, servers-ringIdleMax)
 	}
 	last := name(servers - 1)
@@ -414,7 +420,7 @@ func TestClientRingTotalBound(t *testing.T) {
 		t.Fatalf("the socket parked last, for %s, was the one turned away", last)
 	}
 	c.Close()
-	if st := c.Stats(); st.Idle != 0 || closed != servers-1 {
+	if st, closed := c.Stats(), closedSocks(); st.Idle != 0 || closed != servers-1 {
 		t.Fatalf("after Close: stats %+v, %d closed, want none idle and %d closed", st, closed, servers-1)
 	}
 }

@@ -19,13 +19,13 @@
 package dnsclient
 
 import (
+	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -77,7 +77,7 @@ const (
 // exchange at a time: while parked it sits in Client.idle, while in use
 // only the exchange that drew it holds it.
 type ringSock struct {
-	conn   net.Conn
+	conn   *udpio.UDPConn
 	rw     *udpio.Handle // reads and writes conn
 	server string
 	born   time.Time
@@ -178,7 +178,7 @@ func (c *Client) Close() {
 }
 
 // Query builds and exchanges a recursion-desired query for (name, type)
-// against server ("host:port"), advertising a 4096-byte EDNS0 buffer.
+// against server ("ip:port"), advertising a 4096-byte EDNS0 buffer.
 // ecs, when non-nil, is attached as the client subnet option.
 func (c *Client) Query(server string, name dnswire.Name, t dnswire.Type, ecs *ecsopt.ClientSubnet) (*dnswire.Message, error) {
 	q := dnswire.NewQuery(c.randID(), name, t)
@@ -292,19 +292,14 @@ var timeNow = time.Now
 // errStale is a reused socket's first datagram failing to be the answer.
 var errStale = errors.New("dnsclient: unexpected datagram on a reused socket")
 
-// dialUDP connects a fresh UDP socket to server. A literal ip:port
-// skips the dialer's context, timer and address-list resolution; a
-// hostname still goes through it.
-func dialUDP(server string, timeout time.Duration) (*net.UDPConn, error) {
+// serverAddr reads a server's address, which is an ip:port: nothing
+// here looks a name up.
+func serverAddr(server string) (netip.AddrPort, error) {
 	ap, err := netip.ParseAddrPort(server)
 	if err != nil {
-		conn, err := net.DialTimeout("udp", server, timeout)
-		if err != nil {
-			return nil, err
-		}
-		return conn.(*net.UDPConn), nil
+		return netip.AddrPort{}, fmt.Errorf("dnsclient: server %q is not an ip:port address", server)
 	}
-	return net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(ap))
+	return ap, nil
 }
 
 // exchangeUDP is one UDP attempt under one deadline, on a connected
@@ -321,17 +316,16 @@ func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte, res
 	s, reused := c.draw(server, start)
 	for {
 		if !reused {
-			conn, err := dialUDP(server, c.timeout())
+			ap, err := serverAddr(server)
 			if err != nil {
 				return err
 			}
-			rw, err := udpio.New(conn)
+			conn, err := udpio.DialUDP(ap)
 			if err != nil {
-				conn.Close()
 				return err
 			}
 			c.dialed.Add(1)
-			s = ringSock{conn: conn, rw: rw, server: server, born: start}
+			s = ringSock{conn: conn, rw: udpio.New(conn), server: server, born: start}
 		}
 		err := roundTrip(s, deadline, q, data, reused, resp)
 		if err == nil {
@@ -458,7 +452,11 @@ func (c *Client) retire(s ringSock) {
 // its answer into resp. frame is the packed query behind two bytes of
 // room for its length.
 func (c *Client) exchangeTCP(server string, q *dnswire.Message, frame []byte, resp *dnswire.Message) error {
-	conn, err := net.DialTimeout("tcp", server, c.timeout())
+	ap, err := serverAddr(server)
+	if err != nil {
+		return err
+	}
+	conn, err := udpio.DialTCP(context.Background(), ap, c.timeout())
 	if err != nil {
 		return err
 	}
@@ -477,7 +475,7 @@ func (c *Client) exchangeTCP(server string, q *dnswire.Message, frame []byte, re
 // tcpRoundTrip writes one length-prefixed DNS message over conn and reads
 // one framed response. frame is the packed message behind two bytes of
 // room, which take its length. The caller owns connection deadlines.
-func tcpRoundTrip(conn net.Conn, frame []byte) ([]byte, error) {
+func tcpRoundTrip(conn io.ReadWriter, frame []byte) ([]byte, error) {
 	binary.BigEndian.PutUint16(frame, uint16(len(frame)-2))
 	if _, err := conn.Write(frame); err != nil {
 		return nil, err

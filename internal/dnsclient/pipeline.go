@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -97,7 +96,7 @@ const pendingBuckets = 1 << 12
 // methods are safe for concurrent use.
 type Pipeline struct {
 	cfg    PipelineConfig
-	pc     *net.UDPConn
+	pc     *udpio.UDPConn
 	rx     *udpio.Reader // readLoop's
 	closed atomic.Bool
 
@@ -115,9 +114,6 @@ type Pipeline struct {
 
 	ones sync.Pool // *sweep of one slot, for Exchange; Get may find none
 
-	hostMu    sync.RWMutex
-	hostCache map[string]netip.AddrPort
-
 	sent, received, retried, tcpFalls, mismatched atomic.Int64
 	timeouts, aborted, sendErrors, truncated      atomic.Int64
 }
@@ -127,7 +123,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 3 * time.Second
 	}
-	pc, err := net.ListenUDP("udp", nil)
+	pc, err := udpio.ListenUDP(netip.AddrPort{}) // every local address, both families
 	if err != nil {
 		return nil, fmt.Errorf("dnsclient: pipeline socket: %w", err)
 	}
@@ -137,11 +133,10 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		return nil, fmt.Errorf("dnsclient: pipeline socket: %w", err)
 	}
 	p := &Pipeline{
-		cfg:       cfg,
-		pc:        pc,
-		rx:        rx,
-		rng:       rand.New(rand.NewSource(RandomSeed())),
-		hostCache: make(map[string]netip.AddrPort),
+		cfg: cfg,
+		pc:  pc,
+		rx:  rx,
+		rng: rand.New(rand.NewSource(RandomSeed())),
 	}
 	p.reader.Add(1)
 	go p.readLoop()
@@ -178,33 +173,6 @@ func (p *Pipeline) Stats() PipelineStats {
 // send and receive sides always compare equal.
 func unmapAP(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
-}
-
-// resolveDest turns "host:port" into a netip.AddrPort. Literal
-// addresses — the scan case — parse without allocation; hostnames go
-// through the resolver once and are cached (bounded, reset at cap).
-func (p *Pipeline) resolveDest(server string) (netip.AddrPort, error) {
-	if ap, err := netip.ParseAddrPort(server); err == nil {
-		return unmapAP(ap), nil
-	}
-	p.hostMu.RLock()
-	ap, ok := p.hostCache[server]
-	p.hostMu.RUnlock()
-	if ok {
-		return ap, nil
-	}
-	raddr, err := net.ResolveUDPAddr("udp", server)
-	if err != nil {
-		return netip.AddrPort{}, err
-	}
-	ap = unmapAP(raddr.AddrPort())
-	p.hostMu.Lock()
-	if len(p.hostCache) >= 1024 {
-		clear(p.hostCache)
-	}
-	p.hostCache[server] = ap
-	p.hostMu.Unlock()
-	return ap, nil
 }
 
 // readLoop takes the datagrams arriving on the socket, every one queued
@@ -352,7 +320,7 @@ func (p *Pipeline) withdraw(sl *slot) {
 	}
 }
 
-// Exchange sends q to server ("host:port") and waits for the matching
+// Exchange sends q to server ("ip:port") and waits for the matching
 // response, retrying over UDP with backoff and falling back to TCP on
 // truncation or UDP exhaustion. The pipeline owns
 // transaction IDs: q.ID is overwritten with a fresh ID per attempt,
@@ -375,19 +343,17 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 	if p.closed.Load() {
 		return ErrPipelineClosed
 	}
-	dest, err := p.resolveDest(server)
+	dest, err := serverAddr(server)
 	if err != nil {
 		return err
 	}
 	s, _ := p.ones.Get().(*sweep)
 	if s == nil {
-		if s, err = p.newOne(); err != nil {
-			return err
-		}
+		s = p.newOne()
 	}
 	defer p.ones.Put(s)
 	sl := &s.slots[0]
-	sl.q, sl.resp, s.dest, s.ended = q, resp, dest, false
+	sl.q, sl.resp, s.dest, s.ended = q, resp, unmapAP(dest), false
 	err = s.run(ctx, s.probeOne, s.doneOne)
 	sl.q, sl.resp = &sl.query, &sl.answer
 	if s.ended {
@@ -427,10 +393,7 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 func (p *Pipeline) Sweep(ctx context.Context, window int, rate float64, ready <-chan struct{},
 	probe func(slot int, q *dnswire.Message) (netip.AddrPort, error),
 	done func(slot int, resp *dnswire.Message, sent time.Time, err error)) error {
-	s, err := p.newSweep(max(1, window))
-	if err != nil {
-		return err
-	}
+	s := p.newSweep(max(1, window))
 	defer s.timer.Stop()
 	s.rate, s.input = rate, ready
 	return s.run(ctx, probe, done)
@@ -532,17 +495,13 @@ type sweep struct {
 	doneOne  func(int, *dnswire.Message, time.Time, error)
 }
 
-func (p *Pipeline) newSweep(window int) (*sweep, error) {
-	out, err := udpio.NewWriter(p.pc, min(window, sendBatch))
-	if err != nil {
-		return nil, err
-	}
+func (p *Pipeline) newSweep(window int) *sweep {
 	s := &sweep{
 		p:      p,
 		slots:  make([]slot, window),
 		free:   make([]*slot, 0, window),
 		batch:  make([]*slot, 0, window),
-		out:    out,
+		out:    udpio.NewWriter(p.pc, min(window, sendBatch)),
 		queued: make([]*slot, 0, min(window, sendBatch)),
 		ready:  make([]*slot, 0, window),
 		wake:   make(chan struct{}, 1),
@@ -558,16 +517,13 @@ func (p *Pipeline) newSweep(window int) (*sweep, error) {
 	for i := len(s.slots) - 1; i >= 0; i-- {
 		s.free = append(s.free, &s.slots[i]) // slot 0 is taken first
 	}
-	return s, nil
+	return s
 }
 
 // newOne makes a sweep of one for Exchange, whose probe asks s.dest once
 // and whose done keeps the error.
-func (p *Pipeline) newOne() (*sweep, error) {
-	s, err := p.newSweep(1)
-	if err != nil {
-		return nil, err
-	}
+func (p *Pipeline) newOne() *sweep {
+	s := p.newSweep(1)
 	s.abort = true
 	s.probeOne = func(int, *dnswire.Message) (netip.AddrPort, error) {
 		if s.ended {
@@ -576,7 +532,7 @@ func (p *Pipeline) newOne() (*sweep, error) {
 		return s.dest, nil
 	}
 	s.doneOne = func(_ int, _ *dnswire.Message, _ time.Time, err error) { s.err, s.ended = err, true }
-	return s, nil
+	return s
 }
 
 func (s *sweep) run(ctx context.Context,
@@ -871,9 +827,8 @@ func (s *sweep) fallback(sl *slot) {
 	if !s.abort {
 		ctx = context.WithoutCancel(ctx)
 	}
-	server := sl.dest.String()
 	go func() {
-		sl.err = s.p.exchangeTCP(ctx, server, sl.q, sl.resp)
+		sl.err = s.p.exchangeTCP(ctx, sl.dest, sl.q, sl.resp)
 		s.post(sl)
 	}()
 }
@@ -975,9 +930,8 @@ func (s *sweep) unqueue(sl *slot) {
 // exchangeTCP runs the fallback on a per-query TCP connection, bounded
 // by the pipeline timeout and any earlier ctx deadline, and cut short
 // by a cancel of ctx, which it then returns.
-func (p *Pipeline) exchangeTCP(ctx context.Context, server string, q *dnswire.Message, resp *dnswire.Message) error {
-	d := net.Dialer{Timeout: p.cfg.Timeout}
-	conn, err := d.DialContext(ctx, "tcp", server)
+func (p *Pipeline) exchangeTCP(ctx context.Context, server netip.AddrPort, q *dnswire.Message, resp *dnswire.Message) error {
+	conn, err := udpio.DialTCP(ctx, server, p.cfg.Timeout)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()

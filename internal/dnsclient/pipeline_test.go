@@ -247,7 +247,7 @@ func TestPipelineContextCancel(t *testing.T) {
 			}()
 			var err error
 			if tc.tcp {
-				err = p.exchangeTCP(ctx, addr, pipeQuery("cancel.pipe.test."), &dnswire.Message{})
+				err = p.exchangeTCP(ctx, netip.MustParseAddrPort(addr), pipeQuery("cancel.pipe.test."), &dnswire.Message{})
 			} else {
 				_, err = p.Exchange(ctx, addr, pipeQuery("cancel.pipe.test."))
 			}
@@ -540,7 +540,7 @@ func TestExchangeTCPCancelledDial(t *testing.T) {
 	p := newTestPipeline(t, PipelineConfig{Timeout: 10 * time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := p.exchangeTCP(ctx, ln.Addr().String(), pipeQuery("dial.pipe.test."), &dnswire.Message{}); err != context.Canceled {
+	if err := p.exchangeTCP(ctx, ln.Addr().(*net.TCPAddr).AddrPort(), pipeQuery("dial.pipe.test."), &dnswire.Message{}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// A connection the dial made is in the accept queue by now.
@@ -587,10 +587,7 @@ func startTCPStaller(t *testing.T) string {
 // look.
 func TestAbortDrainsDeliveredSlot(t *testing.T) {
 	p := newTestPipeline(t, PipelineConfig{})
-	s, err := p.newOne()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := p.newOne()
 	var ended []error
 	s.ctx, s.done = context.Background(), func(_ int, _ *dnswire.Message, _ time.Time, err error) { ended = append(ended, err) }
 	sl := &s.slots[0]

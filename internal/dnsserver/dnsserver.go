@@ -56,9 +56,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/netip"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,10 +182,10 @@ type Server struct {
 	Now func() time.Time
 
 	mu     sync.Mutex
-	pc     *net.UDPConn
-	ln     net.Listener
+	pc     *udpio.UDPConn
+	ln     *udpio.Listener
 	closed bool
-	conns  map[net.Conn]struct{}
+	conns  map[udpio.Conn]struct{}
 	// queue is the UDP admission queue. The read loop is its only
 	// sender, starts the workers that drain it, and closes it.
 	queue chan udpPacket
@@ -350,7 +350,7 @@ func (s *Server) now() time.Time {
 
 // listenTCP is the TCP half of a bind; a test replaces it to make the
 // port UDP got unavailable on TCP.
-var listenTCP = net.Listen
+var listenTCP = udpio.ListenTCP
 
 // ephemeralBindTries bounds how many ephemeral ports listenPair tries
 // before giving up on finding one free on both UDP and TCP.
@@ -360,36 +360,44 @@ const ephemeralBindTries = 8
 // port 0 the kernel picks the UDP port without regard to TCP, so another
 // process may hold the same number on TCP: the pair is then retried on a
 // fresh ephemeral port. An explicitly requested port fails at once.
-func listenPair(addr string) (*net.UDPConn, net.Listener, error) {
+func listenPair(addr string) (*udpio.UDPConn, *udpio.Listener, error) {
+	if strings.HasPrefix(addr, ":") {
+		addr = "[::]" + addr // every local address, as net reads ":port"
+	}
+	ap, err := netip.ParseAddrPort(addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dnsserver: listen address: %w", err)
+	}
 	tries := 1
-	if _, port, err := net.SplitHostPort(addr); err == nil && port == "0" {
+	if ap.Port() == 0 {
 		tries = ephemeralBindTries
 	}
 	var lastErr error
 	for i := 0; i < tries; i++ {
-		pc, err := net.ListenPacket("udp", addr)
+		pc, err := udpio.ListenUDP(ap)
 		if err != nil {
-			return nil, nil, fmt.Errorf("dnsserver: udp listen: %w", err)
+			return nil, nil, fmt.Errorf("dnsserver: udp %w", err)
 		}
-		ln, err := listenTCP("tcp", pc.LocalAddr().String())
+		ln, err := listenTCP(pc.LocalAddr())
 		if err == nil {
-			return pc.(*net.UDPConn), ln, nil // what "udp" listens as
+			return pc, ln, nil
 		}
 		pc.Close()
 		lastErr = err
 	}
-	return nil, nil, fmt.Errorf("dnsserver: tcp listen: %w", lastErr)
+	return nil, nil, fmt.Errorf("dnsserver: tcp %w", lastErr)
 }
 
-// Start binds UDP and TCP sockets on addr (host:port; port 0 picks an
-// ephemeral port, with TCP bound to whatever port UDP got) and begins
-// serving. It returns the bound address.
+// Start binds UDP and TCP sockets on addr (ip:port, or :port for every
+// local address; port 0 picks an ephemeral port, with TCP bound to
+// whatever port UDP got) and begins serving. It returns the bound
+// address.
 func (s *Server) Start(addr string) (netip.AddrPort, error) {
 	pc, ln, err := listenPair(addr)
 	if err != nil {
 		return netip.AddrPort{}, err
 	}
-	bound := pc.LocalAddr().(*net.UDPAddr).AddrPort()
+	bound := pc.LocalAddr()
 	var rl *rrl
 	switch {
 	case s.RRL > 0:
@@ -407,7 +415,7 @@ func (s *Server) Start(addr string) (netip.AddrPort, error) {
 	}
 	s.mu.Lock()
 	s.pc, s.ln = pc, ln
-	s.conns = make(map[net.Conn]struct{})
+	s.conns = make(map[udpio.Conn]struct{})
 	s.queue = make(chan udpPacket, s.maxInflight())
 	s.spare = make(chan *dnswire.Message, 2*s.maxInflight()+1)
 	s.rrl = rl
@@ -429,7 +437,7 @@ func (s *Server) beginShutdown() {
 		s.mu.Lock()
 		s.closed = true
 		pc, ln := s.pc, s.ln
-		conns := make([]net.Conn, 0, len(s.conns))
+		conns := make([]udpio.Conn, 0, len(s.conns))
 		for c := range s.conns {
 			conns = append(conns, c)
 		}
@@ -470,7 +478,7 @@ func (s *Server) finishShutdown() {
 // reads and writes.
 func (s *Server) forceCloseConns() {
 	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
+	conns := make([]udpio.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
@@ -544,20 +552,12 @@ type udpLoop struct {
 	started, limit int64 // workers started so far, and their cap
 }
 
-func (s *Server) newUDPLoop(pc *net.UDPConn) (*udpLoop, error) {
-	rw, err := udpio.New(pc)
-	if err != nil {
-		return nil, err
-	}
-	tx, err := udpio.NewWriter(pc, loopBatch)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) newUDPLoop(pc *udpio.UDPConn) (*udpLoop, error) {
 	rx, err := udpio.NewReader(pc, loopBatch)
 	if err != nil {
 		return nil, err
 	}
-	return &udpLoop{rx: rx, tx: tx, rw: rw, limit: int64(s.maxInflight())}, nil
+	return &udpLoop{rx: rx, tx: udpio.NewWriter(pc, loopBatch), rw: udpio.New(pc), limit: int64(s.maxInflight())}, nil
 }
 
 // serveUDP is the UDP read loop and the owner of the worker pool. It
@@ -731,7 +731,7 @@ func pack(out *[]byte, resp, query *dnswire.Message) []byte {
 // (Close may already be waiting on the handlers WaitGroup, and Add
 // after Wait is a race) or the connection cap is reached. rejected
 // distinguishes a cap rejection from shutdown.
-func (s *Server) admitConn(conn net.Conn) (ok, rejected bool) {
+func (s *Server) admitConn(conn udpio.Conn) (ok, rejected bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -747,7 +747,7 @@ func (s *Server) admitConn(conn net.Conn) (ok, rejected bool) {
 	return true, false
 }
 
-func (s *Server) releaseConn(conn net.Conn) {
+func (s *Server) releaseConn(conn udpio.Conn) {
 	conn.Close()
 	s.mu.Lock()
 	delete(s.conns, conn)
@@ -755,10 +755,10 @@ func (s *Server) releaseConn(conn net.Conn) {
 	s.stats.conns.Add(-1)
 }
 
-func (s *Server) serveTCP(ln net.Listener) {
+func (s *Server) serveTCP(ln *udpio.Listener) {
 	defer s.loops.Done()
 	for {
-		conn, err := ln.Accept()
+		conn, from, err := ln.Accept()
 		if err != nil {
 			if s.isClosed() {
 				return
@@ -777,16 +777,16 @@ func (s *Server) serveTCP(ln net.Listener) {
 		go func() {
 			defer s.handlers.Done()
 			defer s.releaseConn(conn)
-			s.serveConn(conn)
+			s.serveConn(conn, from)
 		}()
 	}
 }
 
-// serveConn serves one TCP connection, frame by frame, in memory the
-// connection keeps: the frame read buffer, and a workspace whose output
-// buffer holds each response behind its 2-byte length prefix.
-func (s *Server) serveConn(conn net.Conn) {
-	from := conn.RemoteAddr().(*net.TCPAddr).AddrPort()
+// serveConn serves one TCP connection from the client at from, frame by
+// frame, in memory the connection keeps: the frame read buffer, and a
+// workspace whose output buffer holds each response behind its 2-byte
+// length prefix.
+func (s *Server) serveConn(conn udpio.Conn, from netip.AddrPort) {
 	ws := workspace{query: new(dnswire.Message)}
 	var frame []byte // the length prefix, then the query it announces
 	for {

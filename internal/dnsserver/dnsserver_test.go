@@ -15,6 +15,7 @@ import (
 	"ecsdns/internal/dnsclient"
 	"ecsdns/internal/dnswire"
 	"ecsdns/internal/ecsopt"
+	"ecsdns/internal/udpio"
 )
 
 // startTestServer runs an ECS-enabled authoritative server on loopback.
@@ -302,12 +303,12 @@ func failListenTCP(t *testing.T, fail int) (calls, collisions *int) {
 	t.Helper()
 	calls, collisions = new(int), new(int)
 	orig := listenTCP
-	listenTCP = func(network, addr string) (net.Listener, error) {
+	listenTCP = func(addr netip.AddrPort) (*udpio.Listener, error) {
 		*calls++
 		if *calls <= fail {
-			return nil, &net.OpError{Op: "listen", Net: network, Err: os.NewSyscallError("bind", syscall.EADDRINUSE)}
+			return nil, os.NewSyscallError("bind", syscall.EADDRINUSE)
 		}
-		ln, err := orig(network, addr)
+		ln, err := orig(addr)
 		if errors.Is(err, syscall.EADDRINUSE) {
 			*collisions++
 		}

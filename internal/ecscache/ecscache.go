@@ -114,15 +114,16 @@ const (
 	// of the client address — the behavior of 103 of the 203 resolvers
 	// the paper could study.
 	IgnoreScope
-	// CapScope caps the effective scope at CapBits on insert and
-	// lookup — the 8 resolvers imposing a /22 ceiling.
+	// CapScope caps the effective scope of an IPv4 entry at CapBits on
+	// insert and lookup — the 8 resolvers imposing a /22 ceiling, an
+	// IPv4 observation. IPv6 entries are honoured as HonorScope does.
 	CapScope
 )
 
 // Config parameterizes a cache.
 type Config struct {
 	Mode ScopeMode
-	// CapBits is the scope ceiling used when Mode is CapScope.
+	// CapBits is the IPv4 scope ceiling used when Mode is CapScope.
 	CapBits uint8
 	// ClampScopeToSource applies the RFC rule that a response scope
 	// longer than the query source prefix must not be cached wider than
@@ -233,7 +234,7 @@ func effectiveScope(cfg *Config, cs ecsopt.ClientSubnet) uint8 {
 	if cfg.ClampScopeToSource {
 		scope = ecsopt.ClampScope(cs.SourcePrefix, scope)
 	}
-	if cfg.Mode == CapScope && scope > cfg.CapBits {
+	if cfg.Mode == CapScope && scope > cfg.CapBits && cs.Addr.Is4() {
 		scope = cfg.CapBits
 	}
 	return scope
@@ -297,16 +298,19 @@ func (c *Cache) LookupStale(key Key, client netip.Addr, now time.Time, maxStale 
 // returns. It returns the sections it stored, which are immutable, and
 // true.
 //
-// Entries claiming ECS whose address cannot produce a prefix at the
-// effective scope (invalid address, or a scope wider than the address
-// family holds) are rejected outright: they could only be dead weight
-// that matches no client, or an answer served to clients it was never
-// meant for. A rejected entry's records are not read, and Insert
-// returns nil sections and false.
+// The answer to an opt-out, an ECS entry of family 0 and source 0
+// (RFC 7871 §7.1.2), has no address and is good for every client, as a
+// scope-0 answer is: it is filed in the shared slot. Other entries
+// claiming ECS whose address cannot produce a prefix at the effective
+// scope (invalid address, or a scope wider than the address family
+// holds) are rejected outright: they could only be dead weight that
+// matches no client, or an answer served to clients it was never meant
+// for. A rejected entry's records are not read, and Insert returns nil
+// sections and false.
 func (c *Cache) Insert(key Key, e Entry, now time.Time) (answer, authority []dnswire.RR, ok bool) {
 	c.clampTTL(&e, now)
 	fam, bits := famShared, uint8(0)
-	if e.HasECS {
+	if e.HasECS && !(e.Subnet.Family == ecsopt.FamilyNone && e.Subnet.SourcePrefix == 0) {
 		scope, addr := effectiveScope(&c.cfg, e.Subnet), e.Subnet.Addr
 		if !addr.IsValid() || int(scope) > addr.BitLen() {
 			c.stats.rejected.Add(1)

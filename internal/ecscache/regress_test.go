@@ -119,6 +119,29 @@ func TestMinTTLDoesNotReviveExpired(t *testing.T) {
 	}
 }
 
+// TestOptOutFiledShared: the answer to an opt-out (family 0, source 0,
+// RFC 7871 §7.1.2) has no address and serves every client of either
+// family, as a scope-0 answer does, whatever the scope mode.
+func TestOptOutFiledShared(t *testing.T) {
+	for _, mode := range []ScopeMode{HonorScope, IgnoreScope, CapScope} {
+		c := New(Config{Mode: mode, CapBits: 22, ClampScopeToSource: true})
+		_, _, ok := c.Insert(keyA, Entry{
+			Subnet: ecsopt.Zero().WithScope(24), HasECS: true,
+			Answer: []dnswire.RR{{Name: "www.example.com.", Class: dnswire.ClassINET, TTL: 60,
+				Data: &dnswire.ARData{Addr: addr("192.0.2.1")}}},
+			Expiry: t0.Add(time.Minute),
+		}, t0)
+		if !ok || c.Stats().Rejected != 0 {
+			t.Fatalf("mode %d: the opt-out's answer was rejected", mode)
+		}
+		for _, client := range []string{"8.8.8.8", "203.0.113.1", "2001:db8::1"} {
+			if e, ok := c.Lookup(keyA, addr(client), t0.Add(time.Second)); !ok || !e.HasECS || e.Subnet.ScopePrefix != 24 {
+				t.Fatalf("mode %d: client %s got %+v (hit %v), want the opt-out's answer as stored", mode, client, e, ok)
+			}
+		}
+	}
+}
+
 // Regression: entries claiming ECS but carrying a subnet that cannot
 // produce a prefix at the effective scope were stored anyway — as dead
 // weight that matched no one, or filed in the shared slot and served to
@@ -134,11 +157,13 @@ func TestInvalidECSRejectedBothPaths(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			c := New(mode.cfg)
 
-			// An invalid address (the zero ClientSubnet) with HasECS set —
-			// exactly what a resolver builds when buildSubnet fails but the
-			// sent-ECS flag is already up.
+			// An IPv4 subnet without an address, with HasECS set — what a
+			// resolver builds when making the subnet fails but the
+			// sent-ECS flag is already up. (The zero ClientSubnet, family
+			// 0 and source 0, is an opt-out's, which serves every client:
+			// TestOptOutFiledShared.)
 			c.Insert(keyA, Entry{
-				Subnet: ecsopt.Zero(), HasECS: true,
+				Subnet: ecsopt.ClientSubnet{Family: ecsopt.FamilyIPv4, SourcePrefix: 24, ScopePrefix: 24}, HasECS: true,
 				Answer: []dnswire.RR{{Name: "www.example.com.", Class: dnswire.ClassINET, TTL: 60,
 					Data: &dnswire.ARData{Addr: addr("192.0.2.1")}}},
 				Expiry: t0.Add(time.Minute),

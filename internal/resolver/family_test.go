@@ -81,8 +81,8 @@ func TestProfilesCacheEveryClientFamily(t *testing.T) {
 				if rec.QueryHasECS {
 					stored := rec.QueryECS.Addr
 					scope := int(rec.QueryECS.SourcePrefix) // the authority echoes it
-					if tc.p.CacheMode == ecscache.CapScope {
-						scope = min(scope, int(tc.p.CacheCapBits))
+					if tc.p.CacheMode == ecscache.CapScope && stored.Is4() {
+						scope = min(scope, int(tc.p.CacheCapBits)) // an IPv4 ceiling
 					}
 					inside = stored
 					if scope < stored.BitLen() {

@@ -406,11 +406,14 @@ func (m *model) answered(k qkey, auth netip.Addr, now time.Time, attach bool, op
 		if p.ClampScopeToSource {
 			a.bits = min(a.bits, int(opt.SourcePrefix))
 		}
-		if p.CacheMode == ecscache.CapScope {
-			a.bits = min(a.bits, int(p.CacheCapBits))
+		if p.CacheMode == ecscache.CapScope && opt.Family == ecsopt.FamilyIPv4 {
+			a.bits = min(a.bits, int(p.CacheCapBits)) // the paper's /22 ceiling is an IPv4 one
 		}
-		if p.NoCacheScopeZero && scope == 0 || opt.Family == ecsopt.FamilyNone {
-			return // dropped; a family-0 answer has no subnet to file it under
+		if p.NoCacheScopeZero && scope == 0 {
+			return // dropped
+		}
+		if opt.Family == ecsopt.FamilyNone {
+			a.shared = true // an opt-out's answer names no subnet: as scope 0 does, it serves every client
 		}
 	}
 	m.answers[k] = a

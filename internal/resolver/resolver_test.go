@@ -357,6 +357,42 @@ func TestCap22Profile(t *testing.T) {
 	}
 }
 
+// TestCap22ProfileCapsIPv4Only: the /22 ceiling the paper saw is an
+// IPv4 one. An IPv6 answer at scope 56 is filed at /56, so a client in
+// the next /56, inside the same /22 of IPv6 space, misses.
+func TestCap22ProfileCapsIPv4Only(t *testing.T) {
+	rg := newRig(t, Cap22Profile(), authority.ScopeEcho())
+	for i, p := range []string{"2001:db8:42:1700::/56", "2001:db8:42:1800::/56"} {
+		pfx := netip.MustParsePrefix(p)
+		cs := ecsopt.MustNew(pfx.Addr(), pfx.Bits())
+		rg.ask(t, rg.client("London", 9), "k6.test.example", &cs)
+		if rec := rg.logs.All()[0]; rec.QueryECS.SourcePrefix != 56 {
+			t.Fatalf("conveyed %v, want the client's /56", rec.QueryECS)
+		}
+		if rg.logs.Len() != i+1 {
+			t.Fatalf("client in %s: the authority saw %d queries, want %d", p, rg.logs.Len(), i+1)
+		}
+	}
+}
+
+// TestOptOutAnswerCached: the answer to a family-0 opt-out (RFC 7871
+// §7.1.2, source 0 and no address) is good for every client, as a
+// scope-0 answer is. The cache keeps it, so the same query asked again
+// is a hit.
+func TestOptOutAnswerCached(t *testing.T) {
+	rg := newRig(t, CompliantProfile(), authority.ScopeFixed(24))
+	cs := ecsopt.Zero()
+	for range 2 {
+		rg.ask(t, rg.client("London", 9), "optout.test.example", &cs)
+	}
+	if n := rg.logs.Len(); n != 1 {
+		t.Fatalf("two opt-out queries reached the authority %d times, want once", n)
+	}
+	if st := rg.res.Cache().Stats(); st.Rejected != 0 {
+		t.Fatalf("cache stats %+v: the opt-out's answer was rejected", st)
+	}
+}
+
 func TestGoogleLikeOverridesIncomingECS(t *testing.T) {
 	rg := newRig(t, GoogleLikeProfile(), authority.ScopeFixed(24))
 	c := rg.client("London", 9)

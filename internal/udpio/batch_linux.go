@@ -3,7 +3,6 @@
 package udpio
 
 import (
-	"net"
 	"net/netip"
 	"os"
 	"syscall"
@@ -23,21 +22,15 @@ type mmsghdr struct {
 // batch is the kernel's view of n datagrams: header i points at iovec i
 // and sockaddr i for good, so a call only fills them in.
 type batch struct {
-	uc    *net.UDPConn
-	rc    syscall.RawConn
-	inet6 bool
-	hdrs  []mmsghdr
-	iovs  []syscall.Iovec
-	sas   []syscall.RawSockaddrAny
+	c    *UDPConn
+	hdrs []mmsghdr
+	iovs []syscall.Iovec
+	sas  []syscall.RawSockaddrAny
 }
 
-func newBatch(uc *net.UDPConn, n int) (batch, error) {
-	rc, err := uc.SyscallConn()
-	if err != nil {
-		return batch{}, err
-	}
+func newBatch(c *UDPConn, n int) batch {
 	b := batch{
-		uc: uc, rc: rc, inet6: isInet6(uc),
+		c:    c,
 		hdrs: make([]mmsghdr, n),
 		iovs: make([]syscall.Iovec, n),
 		sas:  make([]syscall.RawSockaddrAny, n),
@@ -47,7 +40,7 @@ func newBatch(uc *net.UDPConn, n int) (batch, error) {
 		h.Name = (*byte)(unsafe.Pointer(&b.sas[i]))
 		h.Iov, h.Iovlen = &b.iovs[i], 1
 	}
-	return b, nil
+	return b
 }
 
 // Reader takes datagrams off a socket in batches, into buffers of its
@@ -74,25 +67,21 @@ type Reader struct {
 // one read in 64 that finds its datagram queued still probes.
 const maxSkip = 63
 
-// NewReader returns a Reader on uc that takes up to n datagrams a call,
+// NewReader returns a Reader on c that takes up to n datagrams a call,
 // each into a buffer of 65 535 bytes.
-func NewReader(uc *net.UDPConn, n int) (*Reader, error) {
-	return newReader(uc, n, bufSize)
+func NewReader(c *UDPConn, n int) (*Reader, error) {
+	return newReader(c, n, bufSize)
 }
 
 // newReader maps the buffers rather than allocating them: only the
 // pages the kernel writes become resident, and the Go heap, whose
 // collector paces itself by the live bytes, never holds them.
-func newReader(uc *net.UDPConn, n, size int) (*Reader, error) {
-	b, err := newBatch(uc, n)
-	if err != nil {
-		return nil, err
-	}
+func newReader(c *UDPConn, n, size int) (*Reader, error) {
 	bufs, err := syscall.Mmap(-1, 0, n*size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		return nil, os.NewSyscallError("mmap", err)
 	}
-	r := &Reader{batch: b, bufs: bufs, size: size}
+	r := &Reader{batch: newBatch(c, n), bufs: bufs, size: size}
 	for i := range r.iovs {
 		r.iovs[i].Base = &r.bufs[i*size]
 		r.iovs[i].SetLen(size)
@@ -140,11 +129,11 @@ func (r *Reader) ReadBacklog() (int, error) {
 
 func (r *Reader) read(io func(fd uintptr) bool, sys string) (int, error) {
 	r.n, r.errno = 0, 0
-	if err := r.rc.Read(io); err != nil {
-		return 0, err
+	if err := r.c.rc.Read(io); err != nil {
+		return 0, pollErr(err)
 	}
 	if r.errno != 0 {
-		return 0, &net.OpError{Op: "read", Net: "udp", Source: r.uc.LocalAddr(), Err: os.NewSyscallError(sys, r.errno)}
+		return 0, os.NewSyscallError(sys, r.errno)
 	}
 	return r.n, nil
 }
@@ -259,15 +248,11 @@ type Writer struct {
 	io    func(fd uintptr) bool // w.send, bound once
 }
 
-// NewWriter returns a Writer on uc that queues up to n datagrams.
-func NewWriter(uc *net.UDPConn, n int) (*Writer, error) {
-	b, err := newBatch(uc, n)
-	if err != nil {
-		return nil, err
-	}
-	w := &Writer{batch: b, errno: make([]syscall.Errno, n)}
+// NewWriter returns a Writer on c that queues up to n datagrams.
+func NewWriter(c *UDPConn, n int) *Writer {
+	w := &Writer{batch: newBatch(c, n), errno: make([]syscall.Errno, n)}
 	w.io = w.send
-	return w, nil
+	return w
 }
 
 // Add queues b to go to to. b is not copied: it must stay as it is until
@@ -277,9 +262,9 @@ func (w *Writer) Add(b []byte, to netip.AddrPort) error {
 	if w.n == len(w.hdrs) {
 		return errFull
 	}
-	salen, err := putSockaddr(&w.sas[w.n], w.inet6, to)
+	salen, err := putSockaddr(&w.sas[w.n], w.c.inet6, to)
 	if err != nil {
-		return &net.OpError{Op: "write", Net: "udp", Source: w.uc.LocalAddr(), Addr: net.UDPAddrFromAddrPort(to), Err: err}
+		return err
 	}
 	iov := &w.iovs[w.n]
 	iov.Base = (*byte)(unsafe.Pointer(&zero))
@@ -302,11 +287,11 @@ func (w *Writer) Flush(refused func(i int, err error)) {
 		return
 	}
 	w.done = 0
-	err := w.rc.Write(w.io)
+	err := pollErr(w.c.rc.Write(w.io))
 	for i := 0; i < w.n; i++ {
 		switch {
 		case w.errno[i] != 0:
-			refused(i, &net.OpError{Op: "write", Net: "udp", Source: w.uc.LocalAddr(), Addr: net.UDPAddrFromAddrPort(addrPort(&w.sas[i])), Err: os.NewSyscallError("sendmmsg", w.errno[i])})
+			refused(i, os.NewSyscallError("sendmmsg", w.errno[i]))
 			w.errno[i] = 0
 		case i >= w.done:
 			refused(i, err)

@@ -3,21 +3,25 @@
 package udpio
 
 import (
-	"net"
+	"errors"
 	"net/netip"
 	"os"
 	"strconv"
+	"strings"
 	"syscall"
 	"unsafe"
+)
+
+var (
+	errFamily  = errors.New("udpio: an IPv4 socket reaches no IPv6 address")
+	errInvalid = errors.New("udpio: invalid address")
 )
 
 // Handle is one goroutine's handle on a UDP socket: it carries one
 // call's arguments and results to the callback RawConn runs, so two
 // goroutines must not share one. See the package comment.
 type Handle struct {
-	uc    *net.UDPConn
-	rc    syscall.RawConn
-	inet6 bool // the socket is AF_INET6 (dual-stack unless bound v6-only)
+	c *UDPConn
 
 	// One call: trap is SYS_RECVFROM or SYS_SENDTO, buf goes in, n or
 	// errno comes out. peer says whether the call takes (recvfrom) or
@@ -35,39 +39,22 @@ type Handle struct {
 	io func(fd uintptr) bool
 }
 
-// New returns a handle on uc. Each goroutine that reads or writes uc
+// New returns a handle on c. Each goroutine that reads or writes c
 // takes its own.
-func New(uc *net.UDPConn) (*Handle, error) {
-	rc, err := uc.SyscallConn()
-	if err != nil {
-		return nil, err
-	}
-	return newHandle(uc, rc, isInet6(uc)), nil
-}
-
-func newHandle(uc *net.UDPConn, rc syscall.RawConn, inet6 bool) *Handle {
-	h := &Handle{uc: uc, rc: rc, inet6: inet6}
+func New(c *UDPConn) *Handle {
+	h := &Handle{c: c}
 	h.io = h.sys
 	return h
 }
 
-// isInet6 reads uc's family off its local address, which net builds
-// from getsockname with the sockaddr's own length: 16 bytes for
-// AF_INET6, 4 for AF_INET. Unlike a getsockopt it costs no allocation,
-// and a ring socket takes a handle per dial.
-func isInet6(uc *net.UDPConn) bool {
-	a, _ := uc.LocalAddr().(*net.UDPAddr)
-	return a != nil && len(a.IP) == net.IPv6len
-}
-
 // Clone returns another handle on h's socket, for another goroutine.
 func (h *Handle) Clone() *Handle {
-	return newHandle(h.uc, h.rc, h.inet6)
+	return New(h.c)
 }
 
 // ReadFrom reads one datagram into b and reports its sender. On an
 // AF_INET6 socket an IPv4 sender stays 4-in-6, as with
-// net.UDPConn.ReadFromUDPAddrPort.
+// net's UDP sockets.
 func (h *Handle) ReadFrom(b []byte) (int, netip.AddrPort, error) {
 	if err := h.call(syscall.SYS_RECVFROM, b, true); err != nil {
 		return 0, netip.AddrPort{}, err
@@ -78,8 +65,8 @@ func (h *Handle) ReadFrom(b []byte) (int, netip.AddrPort, error) {
 // WriteTo sends b to to.
 func (h *Handle) WriteTo(b []byte, to netip.AddrPort) (int, error) {
 	var err error
-	if h.salen, err = putSockaddr(&h.sa, h.inet6, to); err != nil {
-		return 0, &net.OpError{Op: "write", Net: "udp", Source: h.uc.LocalAddr(), Addr: net.UDPAddrFromAddrPort(to), Err: err}
+	if h.salen, err = putSockaddr(&h.sa, h.c.inet6, to); err != nil {
+		return 0, err
 	}
 	if err := h.call(syscall.SYS_SENDTO, b, true); err != nil {
 		return 0, err
@@ -109,18 +96,18 @@ func (h *Handle) Write(b []byte) (int, error) {
 func (h *Handle) call(trap uintptr, b []byte, peer bool) error {
 	h.trap, h.buf, h.peer, h.errno = trap, b, peer, 0
 	var err error
-	op, sys := "read", "recvfrom"
+	sys := "recvfrom"
 	if trap == syscall.SYS_RECVFROM {
-		err = h.rc.Read(h.io)
+		err = h.c.rc.Read(h.io)
 	} else {
-		err = h.rc.Write(h.io)
-		op, sys = "write", "sendto"
+		err = h.c.rc.Write(h.io)
+		sys = "sendto"
 	}
 	h.buf = nil
 	if err == nil && h.errno != 0 {
-		err = &net.OpError{Op: op, Net: "udp", Source: h.uc.LocalAddr(), Addr: h.uc.RemoteAddr(), Err: os.NewSyscallError(sys, h.errno)}
+		return os.NewSyscallError(sys, h.errno)
 	}
-	return err
+	return pollErr(err)
 }
 
 // zero stands in for an empty buffer's first byte.
@@ -175,12 +162,12 @@ func addrPort(rsa *syscall.RawSockaddrAny) netip.AddrPort {
 
 // putSockaddr encodes to in rsa in a socket's family and returns its
 // length: an AF_INET socket takes only IPv4, an AF_INET6 one any address
-// (IPv4 as 4-in-6), as net.UDPConn.WriteToUDPAddrPort does.
+// (IPv4 as 4-in-6), as net's UDP sockets do.
 func putSockaddr(rsa *syscall.RawSockaddrAny, inet6 bool, to netip.AddrPort) (uint32, error) {
 	a := to.Addr()
 	if !inet6 {
 		if !a.Is4() {
-			return 0, &net.AddrError{Err: "non-IPv4 address", Addr: a.String()}
+			return 0, errFamily
 		}
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(rsa))
 		*sa = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Addr: a.As4()}
@@ -188,7 +175,7 @@ func putSockaddr(rsa *syscall.RawSockaddrAny, inet6 bool, to netip.AddrPort) (ui
 		return syscall.SizeofSockaddrInet4, nil
 	}
 	if !a.IsValid() {
-		return 0, &net.AddrError{Err: "invalid address", Addr: a.String()}
+		return 0, errInvalid
 	}
 	scope, err := scopeID(a.Zone())
 	if err != nil {
@@ -220,7 +207,8 @@ func zoneName(scope uint32) string {
 	return strconv.FormatUint(uint64(scope), 10)
 }
 
-// scopeID is zoneName's inverse; it also takes an interface name.
+// scopeID is zoneName's inverse; it also takes an interface's name,
+// whose index it reads from /sys/class/net/<name>/ifindex.
 func scopeID(zone string) (uint32, error) {
 	if zone == "" {
 		return 0, nil
@@ -228,9 +216,16 @@ func scopeID(zone string) (uint32, error) {
 	if n, err := strconv.ParseUint(zone, 10, 32); err == nil {
 		return uint32(n), nil
 	}
-	ifi, err := net.InterfaceByName(zone)
+	if strings.ContainsRune(zone, '/') || zone == "." || zone == ".." {
+		return 0, errors.New("udpio: no interface " + zone)
+	}
+	b, err := os.ReadFile("/sys/class/net/" + zone + "/ifindex")
+	if err != nil {
+		return 0, errors.New("udpio: no interface " + zone)
+	}
+	n, err := strconv.ParseUint(strings.TrimSpace(string(b)), 10, 32)
 	if err != nil {
 		return 0, err
 	}
-	return uint32(ifi.Index), nil
+	return uint32(n), nil
 }

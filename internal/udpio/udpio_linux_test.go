@@ -69,22 +69,20 @@ func TestSockaddrRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFamily: the family New reads off the local address is the one
+// TestFamily: the family a socket's handles write in is the one
 // getsockname reports, for listened and dialed sockets of each kind.
 func TestFamily(t *testing.T) {
-	v4 := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 53}
-	v6 := &net.UDPAddr{IP: net.IPv6loopback, Port: 53}
 	for _, tc := range []struct {
 		name string
-		open func() (*net.UDPConn, error)
+		open func() (*UDPConn, error)
 	}{
-		{"listen udp4", func() (*net.UDPConn, error) { return net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}) }},
-		{"listen udp nil", func() (*net.UDPConn, error) { return net.ListenUDP("udp", nil) }},
-		{"listen udp 0.0.0.0", func() (*net.UDPConn, error) { return net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4zero}) }},
-		{"listen udp6", func() (*net.UDPConn, error) { return net.ListenUDP("udp6", &net.UDPAddr{IP: net.IPv6loopback}) }},
-		{"dial udp v4", func() (*net.UDPConn, error) { return net.DialUDP("udp", nil, v4) }},
-		{"dial udp v6", func() (*net.UDPConn, error) { return net.DialUDP("udp", nil, v6) }},
-		{"dial udp4", func() (*net.UDPConn, error) { return net.DialUDP("udp4", nil, v4) }},
+		{"listen 127.0.0.1", func() (*UDPConn, error) { return ListenUDP(netip.MustParseAddrPort("127.0.0.1:0")) }},
+		{"listen wildcard", func() (*UDPConn, error) { return ListenUDP(netip.AddrPort{}) }},
+		{"listen 0.0.0.0", func() (*UDPConn, error) { return ListenUDP(netip.MustParseAddrPort("0.0.0.0:0")) }},
+		{"listen ::1", func() (*UDPConn, error) { return ListenUDP(netip.MustParseAddrPort("[::1]:0")) }},
+		{"dial v4", func() (*UDPConn, error) { return DialUDP(netip.MustParseAddrPort("127.0.0.1:53")) }},
+		{"dial 4-in-6", func() (*UDPConn, error) { return DialUDP(netip.MustParseAddrPort("[::ffff:127.0.0.1]:53")) }},
+		{"dial v6", func() (*UDPConn, error) { return DialUDP(netip.MustParseAddrPort("[::1]:53")) }},
 	} {
 		uc, err := tc.open()
 		if err != nil {
@@ -92,18 +90,13 @@ func TestFamily(t *testing.T) {
 			continue
 		}
 		var sa syscall.Sockaddr
-		rc, _ := uc.SyscallConn()
-		rc.Control(func(fd uintptr) { sa, err = syscall.Getsockname(int(fd)) })
+		uc.rc.Control(func(fd uintptr) { sa, err = syscall.Getsockname(int(fd)) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, want := sa.(*syscall.SockaddrInet6)
-		h, err := New(uc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.inet6 != want {
-			t.Fatalf("%s: New read AF_INET6=%v, getsockname says %v", tc.name, h.inet6, want)
+		if uc.inet6 != want {
+			t.Fatalf("%s: opened as AF_INET6=%v, getsockname says %v", tc.name, uc.inet6, want)
 		}
 		uc.Close()
 	}
@@ -115,11 +108,10 @@ func TestFamily(t *testing.T) {
 // that finds nothing backs off, and one that finds a datagram ends the
 // backoff.
 func TestReadBacklog(t *testing.T) {
-	srv, _ := listen(t, "udp4", "127.0.0.1:0")
-	peer, hp := listen(t, "udp4", "127.0.0.1:0")
+	srv, _ := listen(t, "127.0.0.1:0")
+	peer, hp := listen(t, "127.0.0.1:0")
 	srv.SetDeadline(time.Now().Add(30 * time.Second))
-	to := srv.LocalAddr().(*net.UDPAddr).AddrPort()
-	sender := peer.LocalAddr().(*net.UDPAddr).AddrPort()
+	to, sender := srv.LocalAddr(), peer.LocalAddr()
 	send := func(t *testing.T, msgs ...string) {
 		t.Helper()
 		for _, m := range msgs {

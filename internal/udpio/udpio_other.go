@@ -3,9 +3,87 @@
 package udpio
 
 import (
+	"context"
 	"net"
 	"net/netip"
+	"time"
 )
+
+// UDPConn is a UDP socket: here net's. See the package comment.
+type UDPConn struct {
+	uc *net.UDPConn
+}
+
+// ListenUDP opens a UDP socket bound to addr; port 0 lets the kernel
+// pick. An invalid or unspecified address binds every local address.
+func ListenUDP(addr netip.AddrPort) (*UDPConn, error) {
+	uc, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(addr))
+	if err != nil {
+		return nil, err
+	}
+	return &UDPConn{uc: uc}, nil
+}
+
+// DialUDP opens a UDP socket connected to to.
+func DialUDP(to netip.AddrPort) (*UDPConn, error) {
+	uc, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(to))
+	if err != nil {
+		return nil, err
+	}
+	return &UDPConn{uc: uc}, nil
+}
+
+// LocalAddr is the address the socket is bound to.
+func (c *UDPConn) LocalAddr() netip.AddrPort {
+	return c.uc.LocalAddr().(*net.UDPAddr).AddrPort()
+}
+
+// SetDeadline sets the time after which every wait for the socket ends;
+// zero means none.
+func (c *UDPConn) SetDeadline(t time.Time) error { return c.uc.SetDeadline(t) }
+
+// SetReadDeadline is SetDeadline for reads alone.
+func (c *UDPConn) SetReadDeadline(t time.Time) error { return c.uc.SetReadDeadline(t) }
+
+// Close closes the socket.
+func (c *UDPConn) Close() error { return c.uc.Close() }
+
+// Listener is a listening TCP socket: here net's.
+type Listener struct {
+	ln *net.TCPListener
+}
+
+// ListenTCP opens a TCP socket listening on addr.
+func ListenTCP(addr netip.AddrPort) (*Listener, error) {
+	ln, err := net.ListenTCP("tcp", net.TCPAddrFromAddrPort(addr))
+	if err != nil {
+		return nil, err
+	}
+	return &Listener{ln: ln}, nil
+}
+
+// Accept waits for a connection and returns it with its peer's address.
+func (l *Listener) Accept() (Conn, netip.AddrPort, error) {
+	c, err := l.ln.AcceptTCP()
+	if err != nil {
+		return nil, netip.AddrPort{}, err
+	}
+	return c, c.RemoteAddr().(*net.TCPAddr).AddrPort(), nil
+}
+
+// Close stops listening.
+func (l *Listener) Close() error { return l.ln.Close() }
+
+// DialTCP connects a TCP socket to to, waiting at most timeout and no
+// longer than ctx lasts.
+func DialTCP(ctx context.Context, to netip.AddrPort, timeout time.Duration) (Conn, error) {
+	d := net.Dialer{Timeout: timeout}
+	c, err := d.DialContext(ctx, "tcp", to.String())
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
 // Handle is one goroutine's handle on a UDP socket. Here it calls the
 // net.UDPConn methods; see the package comment.
@@ -13,10 +91,10 @@ type Handle struct {
 	uc *net.UDPConn
 }
 
-// New returns a handle on uc. Each goroutine that reads or writes uc
+// New returns a handle on c. Each goroutine that reads or writes c
 // takes its own.
-func New(uc *net.UDPConn) (*Handle, error) {
-	return &Handle{uc: uc}, nil
+func New(c *UDPConn) *Handle {
+	return &Handle{uc: c.uc}
 }
 
 // Clone returns another handle on h's socket, for another goroutine.
@@ -53,14 +131,14 @@ type Reader struct {
 	from netip.AddrPort
 }
 
-// NewReader returns a Reader on uc. n, the batch size on Linux, is not
+// NewReader returns a Reader on c. n, the batch size on Linux, is not
 // used here.
-func NewReader(uc *net.UDPConn, n int) (*Reader, error) {
-	return newReader(uc, n, bufSize)
+func NewReader(c *UDPConn, n int) (*Reader, error) {
+	return newReader(c, n, bufSize)
 }
 
-func newReader(uc *net.UDPConn, _, size int) (*Reader, error) {
-	return &Reader{uc: uc, buf: make([]byte, size+1)}, nil
+func newReader(c *UDPConn, _, size int) (*Reader, error) {
+	return &Reader{uc: c.uc, buf: make([]byte, size+1)}, nil
 }
 
 // Read waits for a datagram and takes it. It returns 1.
@@ -101,9 +179,9 @@ type Writer struct {
 	to  []netip.AddrPort
 }
 
-// NewWriter returns a Writer on uc that queues up to n datagrams.
-func NewWriter(uc *net.UDPConn, n int) (*Writer, error) {
-	return &Writer{uc: uc, buf: make([][]byte, 0, n), to: make([]netip.AddrPort, 0, n)}, nil
+// NewWriter returns a Writer on c that queues up to n datagrams.
+func NewWriter(c *UDPConn, n int) *Writer {
+	return &Writer{uc: c.uc, buf: make([][]byte, 0, n), to: make([]netip.AddrPort, 0, n)}
 }
 
 // Add queues b to go to to; b must stay as it is until Flush returns.

@@ -6,8 +6,8 @@
 package live
 
 import (
+	"errors"
 	"fmt"
-	"net"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -19,7 +19,7 @@ import (
 )
 
 // transport adapts the pool's exchange primitives onto real sockets:
-// each synthetic pool address maps to one configured host:port. UDP
+// each synthetic pool address maps to one configured ip:port. UDP
 // attempts are single-shot with no client-side retries or fallback —
 // the pool's ladder owns transport escalation — and decode into the
 // Message the pool is given (ExchangeInto); TCP goes straight to a
@@ -60,7 +60,7 @@ func (t *transport) ExchangeTCP(_, to netip.Addr, q *dnswire.Message) (*dnswire.
 	return resp, time.Since(start), err
 }
 
-// ParseSpec parses "host:port[/priority[/weight]],..." into pool
+// ParseSpec parses "ip:port[/priority[/weight]],..." into pool
 // upstreams on synthetic 192.0.2.x addresses plus the socket map the
 // transport routes by.
 func ParseSpec(spec string) ([]upstreams.Upstream, map[netip.Addr]string, error) {
@@ -74,7 +74,7 @@ func ParseSpec(spec string) ([]upstreams.Upstream, map[netip.Addr]string, error)
 		part = strings.TrimSpace(part)
 		fields := strings.Split(part, "/")
 		if part == "" || len(fields) > 3 {
-			return nil, nil, fmt.Errorf("bad pool upstream %q: want host:port[/priority[/weight]]", part)
+			return nil, nil, fmt.Errorf("bad pool upstream %q: want ip:port[/priority[/weight]]", part)
 		}
 		if err := CheckHostPort(fields[0]); err != nil {
 			return nil, nil, fmt.Errorf("bad pool upstream %q: %v", part, err)
@@ -102,15 +102,15 @@ func ParseSpec(spec string) ([]upstreams.Upstream, map[netip.Addr]string, error)
 
 // CheckHostPort is the start-up check on every upstream address, so a
 // typo stops the process instead of turning every miss into SERVFAIL:
-// it must split as host:port, and an upstream names both ("127.0.0.1:"
-// splits, then dials port 0 for the life of the process).
+// it must be an ip:port with a port. A hostname is refused, since
+// nothing here looks a name up.
 func CheckHostPort(addr string) error {
-	host, port, err := net.SplitHostPort(addr)
+	ap, err := netip.ParseAddrPort(addr)
 	if err != nil {
-		return err
+		return fmt.Errorf("want ip:port, as no name is looked up: %v", err)
 	}
-	if host == "" || port == "" {
-		return fmt.Errorf("address %s: empty host or port", addr)
+	if ap.Port() == 0 {
+		return errors.New("port 0")
 	}
 	return nil
 }

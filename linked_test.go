@@ -3,11 +3,13 @@ package ecsdns
 import (
 	"bufio"
 	"bytes"
+	"debug/elf"
 	"fmt"
 	"go/ast"
 	"go/build"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -29,7 +31,6 @@ var unlinkedAllowed = map[string]string{
 	"internal/dnsclient.(*Pipeline).Exchange":     "bench/layers calls it; ROADMAP item 1(d) unpins it",
 	"internal/dnsclient.(*Pipeline).ExchangeInto": "bench/layers calls it; ROADMAP item 1(d) unpins it",
 	"internal/dnsclient.(*Pipeline).newOne":       "reached only from Pipeline.Exchange, which bench/layers calls; ROADMAP item 1(d) unpins it",
-	"internal/dnsclient.(*Pipeline).resolveDest":  "reached only from Pipeline.Exchange, which bench/layers calls; ROADMAP item 1(d) unpins it",
 	"internal/scanner.(*Engine).Run":              "bench/layers calls it; ROADMAP item 1(d) unpins it",
 	"internal/scanner.NewProgress":                "bench/layers calls it; ROADMAP item 1(d) unpins it",
 
@@ -92,6 +93,13 @@ func TestEveryFunctionLinked(t *testing.T) {
 	if len(bins) != len(mains)+len(examples)+1 {
 		t.Fatalf("built %d binaries, want every cmd (%d), every example (%d) and the facade root", len(bins), len(mains), len(examples))
 	}
+	if runtime.GOOS == "linux" {
+		for _, name := range staticBinaries {
+			if interp := elfInterpreter(t, filepath.Join(bin, name)); interp != "" {
+				t.Errorf("%s asks for the dynamic loader %s: a package it links needs the C library (package net's resolver does); udpio opens the sockets without it", name, interp)
+			}
+		}
+	}
 	nm, err := exec.Command(gocmd, append([]string{"tool", "nm"}, bins...)...).Output()
 	if err != nil {
 		t.Fatalf("go tool nm: %v", err)
@@ -139,6 +147,32 @@ func TestEveryFunctionLinked(t *testing.T) {
 		}
 	}
 	t.Logf("%d binaries, %d linked symbols, %d functions under internal/ unlinked and allowed", len(bins), len(linked), len(unlinked))
+}
+
+// staticBinaries are the programs that run the measurement over real
+// sockets. On Linux each links no C library: none carries an ELF
+// PT_INTERP, so none maps ld.so and libc into its memory.
+var staticBinaries = []string{"authdns", "recursor", "ecsscan"}
+
+// elfInterpreter returns the dynamic loader an ELF binary names in its
+// PT_INTERP header, "" for a static one.
+func elfInterpreter(t *testing.T, path string) string {
+	t.Helper()
+	f, err := elf.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, p := range f.Progs {
+		if p.Type == elf.PT_INTERP {
+			b, err := io.ReadAll(p.Open())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return strings.TrimRight(string(b), "\x00")
+		}
+	}
+	return ""
 }
 
 // declaredFunc is one function declaration: its package directory
