@@ -28,7 +28,7 @@ var unsetAllowed = map[string]string{
 	"internal/netem.Network.WireTap":    "a test hook: tests tap every simulated exchange with it",
 	"internal/dnsserver.Server.Now":     "a test hook: the overload and RRL tests refill tokens from a virtual clock, so shed and slip counts are exact",
 	"internal/scanner.Scan.Seed":        "a test hook: the scanner's replay and chaos tests fix probe IDs with it; the product's IDs come from entropy and reach no output",
-	"internal/dnsclient.Client.Retries": "only dnsclient's tests turn it (1, NoRetries); its cut, with NoRetries, is open in ROADMAP item 12",
+	"internal/dnsclient.Client.Retries": "bench/layers sets it (NoRetries, in replica.go), as do dnsclient's tests; ROADMAP item 1(d) cuts it, with NoRetries, once replica.go is gone",
 
 	"internal/scanner.Engine.Concurrency": "bench/layers sets it; ROADMAP item 1(d) removes the Engine's worker pool",
 	"internal/scanner.Engine.Progress":    "bench/layers sets it; ROADMAP item 1(d) removes it with the pool",

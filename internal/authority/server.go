@@ -169,7 +169,9 @@ func (s *Server) HandleDNS(from netip.Addr, query *dnswire.Message) *dnswire.Mes
 // Nothing in it waits but the dynamic hook, which must not, and the log
 // sink, which may (a daemon's writes to stdout do): so without mayWait
 // and with a sink installed it declines, changing nothing, and reports
-// false, and dnsserver's read loop never waits on the sink.
+// false, and dnsserver's read loop never waits on the sink. The query
+// is borrowed, names and all: the record a sink receives holds a copy
+// of the name.
 func (s *Server) ServeDNS(from netip.Addr, query, resp *dnswire.Message, mayWait bool) bool {
 	s.mu.RLock()
 	zones, dyn, log := s.zones, s.dynamic, s.log
@@ -200,8 +202,12 @@ func (s *Server) ServeDNS(from netip.Addr, query, resp *dnswire.Message, mayWait
 		Name:     q.Name,
 		Type:     q.Type,
 	}
-	if log != nil && s.cfg.Now != nil {
-		rec.Time = s.cfg.Now()
+	if log != nil {
+		// The sink keeps the record, and the query's name is borrowed.
+		rec.Name = q.Name.Clone()
+		if s.cfg.Now != nil {
+			rec.Time = s.cfg.Now()
+		}
 	}
 
 	// ECS extraction.

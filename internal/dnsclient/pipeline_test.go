@@ -41,7 +41,9 @@ func (h *nameHashHandler) HandleDNS(_ netip.Addr, q *dnswire.Message) *dnswire.M
 	if h.seen == nil {
 		h.seen = make(map[dnswire.Name]int)
 	}
-	h.seen[name]++
+	// The query's name is borrowed for the call, and the map stores the
+	// key on every assignment, so each stores a clone.
+	h.seen[name.Clone()]++
 	dropped := h.seen[name] <= h.drop
 	h.mu.Unlock()
 	if dropped {
@@ -180,6 +182,14 @@ func TestPipelineRetryTruncationTCPFallback(t *testing.T) {
 	// drop + truncated UDP retry + TCP = at least 3 handler calls.
 	if h.callCount() < 3 {
 		t.Fatalf("handler calls = %d, want ≥ 3", h.callCount())
+	}
+	// One name, dropped once: a key kept as the query's borrowed view
+	// reads poison in race builds, and every UDP attempt is dropped.
+	h.mu.Lock()
+	seen := len(h.seen)
+	h.mu.Unlock()
+	if seen != 1 {
+		t.Fatalf("handler counted %d names, want 1", seen)
 	}
 	st := p.Stats()
 	if st.Retries < 1 || st.TCPFallbacks != 1 {

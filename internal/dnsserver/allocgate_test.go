@@ -179,14 +179,14 @@ func answered(reply []byte) bool {
 }
 
 // TestAllocGateServeUDP counts the objects a real Server allocates per
-// UDP query: 0 for a repeated query, with RRL off and on, and 1 — the
-// question name the worker makes its own (OwnNames), which is new — when
-// every query asks for a name the worker's Message has not held before,
-// as a resolver under miss traffic sees. The immediate row answers on
-// the read loop, in the loop's own reply, and costs 0 as well; so does
-// the answered-fresh-name row, whose every query has a new name: the
-// loop decodes it as a view of its Message and answers before the next
-// decode, so no name is made at all; so does the immediate-mixed
+// UDP query: 0 for a repeated query, with RRL off and on, and 0 as well
+// when every query asks for a name the server has not seen, as a
+// resolver under miss traffic sees: every decode makes its names views
+// of the query's Message, on the read loop, and the Message goes to the
+// worker as it is (1 while a worker made each name a string of its own).
+// The immediate row answers on the read loop, in the loop's own reply,
+// and costs 0; so does the answered-fresh-name row, whose every query
+// has a new name; so does the immediate-mixed
 // row, measured a cycle at a time, whose answers alternate with the
 // handler's FORMERR, which carries no OPT, and the server's, which
 // carries no records: the next answer must find the reply's sections,
@@ -198,8 +198,8 @@ func answered(reply []byte) bool {
 // keeping one shape, and the row could read 0 at the parent too. The
 // declined rows go through a FillHandler that declines every query on
 // the read loop: the loop's decode is the only one, so a repeated query
-// costs 0 and a fresh name 1, its owned copy; a second decode on the
-// worker makes that 2. The backlog-fresh-name row queues three batches'
+// and a fresh name cost 0; a second decode on the worker makes a fresh
+// name 1. The backlog-fresh-name row queues three batches'
 // worth of fresh names at once, so the loop reads them in batches and
 // packs each batch's replies into buffers it keeps for one sendmmsg: 0
 // as well.
@@ -242,13 +242,13 @@ func TestAllocGateServeUDP(t *testing.T) {
 		// A bucket of a billion tokens never runs dry: every query takes
 		// the limiter's pass path on the client's one known prefix.
 		{"rrl", gateReply(), 1e9, one, 1, false, 0},
-		{"fresh-name", gateReply(), 0, packWires(t, fresh...), 1, false, 1},
+		{"fresh-name", gateReply(), 0, packWires(t, fresh...), 1, false, 0},
 		{"immediate", gateNow{}, 0, one, 1, false, 0},
 		{"answered-fresh-name", gateNow{}, 0, packWires(t, fresh...), 1, false, 0},
 		{"immediate-mixed", gateNow{}, 0, [][]byte{one[0], formErrs, one[0], undecodable}, 4, false, 0},
 		{"edns-plain", gateNow{}, 0, [][]byte{one[0], plain}, 2, false, 0},
 		{"declined", declining{gateReply()}, 0, one, 1, false, 0},
-		{"declined-fresh-name", declining{gateReply()}, 0, packWires(t, fresh...), 1, false, 1},
+		{"declined-fresh-name", declining{gateReply()}, 0, packWires(t, fresh...), 1, false, 0},
 		// Three batches' worth of queries queued at once, each a name
 		// the loop's Message did not hold last (the 4 096 names come
 		// round every 171 runs), all answered on the loop: the read loop

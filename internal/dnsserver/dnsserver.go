@@ -39,15 +39,13 @@
 // an output buffer per datagram of a batch, and a TCP connection and
 // the read loop one query Message. A queued query's
 // Message goes to the worker with it and comes back to the loop for a
-// later datagram. The read loop decodes a query's names as views of its
-// Message (dnswire.UnpackBorrowedInto), and a worker gives them strings
-// of their own (OwnNames) before it asks the handler, which costs
-// nothing for a name the Message held before. So a served or refused
-// query allocates nothing of its own, and one answered on the read
-// loop nothing even for a name never seen. The price is the handler
-// contract: the query is borrowed for the call, its names too when the
-// handler may not wait, a later query is decoded into the same Message,
-// and a reply is refilled in place by the next one.
+// later datagram. Every query's names are views of its Message
+// (dnswire.UnpackBorrowedInto), on the loop, on a worker and over TCP
+// alike. So a served or refused query allocates nothing of its own, even
+// for a name never seen. The price is the handler contract: the query
+// and its names are borrowed for the call, a later query is decoded
+// into the same Message, and a reply is refilled in place by the next
+// one.
 package dnsserver
 
 import (
@@ -92,19 +90,16 @@ type Handler interface {
 // set it may block (a resolver waits on its upstream) and false means
 // the query is answered with nothing.
 //
-// Both messages change hands at the call. The query is borrowed: it is
-// valid until ServeDNS returns, after which the server decodes a later
-// query into the same Message. A handler that keeps any slice, RR or
-// option payload of it past the call must copy it. With mayWait unset
-// its names are borrowed as well: each is a view of the query Message's
-// memory, which the next datagram's decode rewrites, so a name kept
-// past the call (a map key, a log record) must be copied
-// (strings.Clone), and a handler that keeps names on every query
-// declines, as authority.Server does with a log sink. With mayWait set
-// the names are strings of their own, the handler's to keep. resp is
-// the calling goroutine's own reply,
-// which its next query refills in place (dnswire.Message.SetReply makes
-// it a skeleton without allocating): records must be appended to its
+// Both messages change hands at the call. The query is borrowed, names
+// and all: it is valid until ServeDNS returns, after which the server
+// decodes a later query into the same Message, and each name is a view
+// of that Message's memory, which the decode rewrites. A handler that
+// keeps any name, slice, RR or option payload of it past the call (a
+// map key, a log record, a cache entry) copies it at the moment it
+// keeps it: mayWait says only whether the call may block. resp is the
+// calling goroutine's own reply, which its next query refills in place
+// (dnswire.Message.SetReply makes it a skeleton without allocating):
+// records must be appended to its
 // sections, never shared into them from a cache or zone, or the next
 // reply writes over the cache's records. The server sets the reply's ID
 // and QR bit and may truncate it. A panic is recovered and answered
@@ -683,19 +678,18 @@ func (s *Server) admit(l *udpLoop, pkt []byte, from netip.AddrPort) *dnswire.Mes
 }
 
 // udpWorker is one admission-pool worker: it answers each queued query
-// through serve, with mayWait set, once the query's names are its own,
-// and packs the reply in a workspace of its own. The query's Message
-// goes back to spare before the reply leaves, so a client that waits
-// for the reply finds the read loop decoding its next query into the
-// same Message. Nothing here allocates once a worker has warmed up but
-// a name its Message has not held before (TestAllocGateServeUDP counts
-// it). rw is the worker's own handle on the socket.
+// through serve, with mayWait set, and packs the reply in a workspace of
+// its own. The query's Message goes back to spare once the reply is
+// packed and before it leaves, so a client that waits for the reply
+// finds the read loop decoding its next query into the same Message.
+// Nothing here allocates once a worker has warmed up
+// (TestAllocGateServeUDP counts it). rw is the worker's own handle on
+// the socket.
 func (s *Server) udpWorker(rw *udpio.Handle) {
 	var ws workspace
 	for p := range s.queue {
 		s.stats.inflight.Add(1)
 		ws.query = p.query
-		p.query.OwnNames() // what the handler keeps, a cache key or a log record, outlives the next decode
 		var data []byte
 		if resp, _ := s.serve(p.from.Addr(), &ws, true); resp != nil {
 			data = pack(&ws.out, resp, p.query)
@@ -830,12 +824,10 @@ func (s *Server) serveConn(conn udpio.Conn, from netip.AddrPort) {
 	}
 }
 
-// process decodes one packet into ws.query and has it served, returning
-// the prepared response and the decoded query, nil when the packet does
-// not decode, so a caller may consult its EDNS advertisement. The read
-// loop decodes the names borrowed, a TCP connection as strings of their
-// own. A nil
-// response means "send nothing". A packet that does not decode is
+// process decodes one packet into ws.query, its names borrowed, and has
+// it served, returning the prepared response and the decoded query, nil
+// when the packet does not decode, so a caller may consult its EDNS
+// advertisement. A nil response means "send nothing". A packet that does not decode is
 // answered FORMERR from ws.reply when at least its ID can be read. On
 // the read loop, l is the loop and ws its workspace, and a query the
 // handler declines is admitted to the worker pool in the Message it was
@@ -844,11 +836,7 @@ func (s *Server) serveConn(conn udpio.Conn, from netip.AddrPort) {
 // and the handler may wait.
 func (s *Server) process(from netip.AddrPort, pkt []byte, ws *workspace, l *udpLoop) (resp, query *dnswire.Message) {
 	query = ws.query
-	unpack := dnswire.UnpackInto
-	if l != nil {
-		unpack = dnswire.UnpackBorrowedInto
-	}
-	if err := unpack(query, pkt); err != nil {
+	if err := dnswire.UnpackBorrowedInto(query, pkt); err != nil {
 		s.stats.malformed.Add(1)
 		return ws.refusal(pkt, false, dnswire.RCodeFormErr), nil
 	}

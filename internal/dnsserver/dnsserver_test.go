@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/netip"
 	"os"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -164,7 +165,9 @@ func TestMalformedPacketGetsFormErr(t *testing.T) {
 }
 
 // dropFirstHandler silently drops the first query for each name, then
-// answers with enough records to overflow a 512-byte UDP response.
+// answers with enough records to overflow a 512-byte UDP response. It
+// counts a name under a clone, since the query's is borrowed for the
+// call.
 type dropFirstHandler struct {
 	mu    sync.Mutex
 	seen  map[dnswire.Name]int
@@ -178,7 +181,7 @@ func (h *dropFirstHandler) HandleDNS(_ netip.Addr, q *dnswire.Message) *dnswire.
 	if h.seen == nil {
 		h.seen = make(map[dnswire.Name]int)
 	}
-	h.seen[name]++
+	h.seen[name.Clone()]++ // the map stores the key on every assignment
 	first := h.seen[name] == 1
 	h.mu.Unlock()
 	if first {
@@ -218,10 +221,15 @@ func TestUDPRetryTruncationTCPFallback(t *testing.T) {
 		t.Fatalf("tc=%v answers=%d, want full 120 via TCP", resp.Truncated, len(resp.Answers))
 	}
 	h.mu.Lock()
-	calls := h.calls
+	calls, seen := h.calls, h.seen
 	h.mu.Unlock()
 	if calls < 3 {
 		t.Fatalf("handler calls = %d, want ≥ 3 (drop, truncated retry, TCP)", calls)
+	}
+	// One name, dropped once: a key kept as the query's borrowed view
+	// reads poison in race builds, and every UDP attempt is dropped.
+	if len(seen) != 1 || seen["www.retry.test."] != calls {
+		t.Fatalf("handler counted %v over %d calls, want only www.retry.test.", seen, calls)
 	}
 }
 
@@ -428,21 +436,25 @@ func TestHandlerSeesClientAddress(t *testing.T) {
 // one-worker server two queries arrive in the same *Message, the second
 // decoded over the first. What the handler copied out of the first
 // query is intact; the option payload it kept without copying now holds
-// the second query's bytes. The same holds for a FillHandler that
+// the second query's bytes, and the question it kept without copying
+// its name no longer names the first query. The same holds for a
+// FillHandler that
 // declines each query on the read loop: either way the read loop hands
 // the worker the Message it decoded the query into, and gets it back for
 // the next one.
 func TestServedQueryIsBorrowed(t *testing.T) {
 	type kept struct {
 		msg      *dnswire.Message
-		question dnswire.Question // a value: its Name is an immutable string
+		name     dnswire.Name     // copied out of the question
+		question dnswire.Question // a value, but its Name is a view of the Message
 		ecs      []byte           // copied out of the option
 		ecsAlias []byte           // kept as the Message holds it
 	}
 	seen := make(chan kept, 2)
 	borrow := handlerFunc(func(_ netip.Addr, q *dnswire.Message) *dnswire.Message {
 		opt, _ := q.EDNS.Option(dnswire.OptionCodeECS)
-		seen <- kept{q, q.Question(), append([]byte(nil), opt.Data...), opt.Data}
+		name := dnswire.Name(strings.Clone(string(q.Question().Name)))
+		seen <- kept{q, name, q.Question(), append([]byte(nil), opt.Data...), opt.Data}
 		return dnswire.NewResponse(q)
 	})
 	for _, tc := range []struct {
@@ -489,8 +501,11 @@ func TestServedQueryIsBorrowed(t *testing.T) {
 			if first.msg != second.msg {
 				t.Fatal("the one worker handed its two queries over in different Messages")
 			}
-			if first.question.Name != queries[0].name {
-				t.Fatalf("the copied question reads %s, want %s", first.question.Name, queries[0].name)
+			if first.name != queries[0].name {
+				t.Fatalf("the copied name reads %s, want %s", first.name, queries[0].name)
+			}
+			if first.question.Name == queries[0].name {
+				t.Fatalf("the question kept uncopied still reads %s: its name is not borrowed", first.question.Name)
 			}
 			if want := queries[0].subnet.Encode().Data; !bytes.Equal(first.ecs, want) {
 				t.Fatalf("the copied ECS payload reads %x, want %x", first.ecs, want)

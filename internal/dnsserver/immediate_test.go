@@ -136,7 +136,7 @@ func TestImmediatePanicIsolation(t *testing.T) {
 
 // keeper answers names under "now." on the read loop and declines every
 // other name to a worker, which answers it; it keeps the name of each
-// query it answers, as a cache keeps its key.
+// query it answers, as a cache keeps its key, but without a copy.
 type keeper struct {
 	mu   sync.Mutex
 	kept []dnswire.Name
@@ -159,13 +159,12 @@ func (k *keeper) ServeDNS(_ netip.Addr, q, resp *dnswire.Message, mayWait bool) 
 	return true
 }
 
-// TestBorrowedNamesOnTheReadLoop pins the handler contract on names: a
-// name kept from a call without mayWait is borrowed, a view of the query
-// Message, and reads the next query's bytes once the read loop has
-// decoded that into the same Message; a name kept from a worker's call
-// is the handler's own and does not change when its Message comes back
+// TestBorrowedNames pins the handler contract on names: a name kept
+// from any call is borrowed, a view of the query Message, and no longer
+// reads as it did once the next query has been decoded into the same
+// Message: on the read loop, and on a worker whose Message comes back
 // to the loop for the next query.
-func TestBorrowedNamesOnTheReadLoop(t *testing.T) {
+func TestBorrowedNames(t *testing.T) {
 	k := &keeper{}
 	srv := New(k)
 	srv.MaxInflight = 1 // one Message goes to the worker and back
@@ -184,12 +183,12 @@ func TestBorrowedNamesOnTheReadLoop(t *testing.T) {
 		conn.Write(packQuery(t, uint16(i), name))
 		resp, ok := udpRead(t, conn, 2*time.Second)
 		answeredBy(t, resp, ok, uint16(i), nowAddr)
-		if got := kept(0); i == 1 && got != name {
-			t.Errorf("a name kept on the read loop reads %q after the next query, want %s: the loop's names are not borrowed", got, name)
-		}
 	}
-	if got := kept(2); got != "wait.cccc.test." {
-		t.Errorf("a name kept on a worker reads %q after its Message took the next query, want wait.cccc.test.", got)
+	if got := kept(0); got == "now.aaaa.test." {
+		t.Errorf("a name kept on the read loop reads %q after the next query: the loop's names are not borrowed", got)
+	}
+	if got := kept(2); got == "wait.cccc.test." {
+		t.Errorf("a name kept on a worker reads %q after its Message took the next query: the worker's names are not borrowed", got)
 	}
 	if st := srv.Stats(); st.Immediate != 2 || st.Answered != 4 {
 		t.Fatalf("want 2 of 4 queries answered on the read loop: %s", st)

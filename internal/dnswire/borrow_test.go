@@ -4,11 +4,12 @@ import (
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
 
-// appendNames appends every name m holds, in the order OwnNames walks
-// them: the questions', then each record's owner and rdata names.
+// appendNames appends every name m holds: the questions', then each
+// record's owner and rdata names.
 func appendNames(dst []Name, m *Message) []Name {
 	for _, q := range m.Questions {
 		dst = append(dst, q.Name)
@@ -37,9 +38,9 @@ func appendNames(dst []Name, m *Message) []Name {
 // TestDifferentialCodec holds UnpackInto. Into one Message, decodes
 // alternate at random between borrowed and owned, over valid and
 // corrupted wires, and each must read as Unpack's, with the same error.
-// Names kept after an owned decode or after OwnNames must be the
-// Message's own: they still read the same once the next decode, which
-// may be a borrowed one that rewrites the arena, is done.
+// Names kept after an owned decode, and a Clone's after a borrowed one,
+// must be strings of their own: they still read the same once the next
+// decode, which may be a borrowed one that rewrites the arena, is done.
 func TestDifferentialBorrowed(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(11))
@@ -77,23 +78,33 @@ func TestDifferentialBorrowed(t *testing.T) {
 		if !reflect.DeepEqual(decoded(fresh), decoded(m)) {
 			t.Fatalf("decode %d (borrowed %v) differs from Unpack:\n  fresh %#v\n  got   %#v", i, borrow, fresh, m)
 		}
+		own := m
 		if borrow {
 			if r.Intn(2) == 0 {
 				continue
 			}
-			m.OwnNames()
-			if !reflect.DeepEqual(decoded(fresh), decoded(m)) {
-				t.Fatalf("decode %d: OwnNames changed the message:\n  fresh %#v\n  got   %#v", i, fresh, m)
+			if own = m.Clone(); !reflect.DeepEqual(decoded(fresh), decoded(own)) {
+				t.Fatalf("decode %d: the clone differs:\n  fresh %#v\n  got   %#v", i, fresh, own)
 			}
 		}
-		kept, want = appendNames(kept, m), appendNames(want, fresh)
+		kept, want = appendNames(kept, own), appendNames(want, fresh)
 	}
+}
+
+// dead is what a borrowed name of n's length reads once its arena has
+// been rewritten with next: next's bytes, or in race builds the poison
+// retire leaves.
+func dead(n int, next Name) Name {
+	if poisonArenas {
+		return Name(strings.Repeat(string(rune(poison)), n))
+	}
+	return next[:n]
 }
 
 // TestBorrowedNameIsAView pins what a borrowed name is: a view of the
 // Message's arena, which reads the bytes of the next borrowed decode or
-// SetQuestionName. A name kept after OwnNames, after an owned decode or
-// from a Clone is a string of its own and does not change.
+// SetQuestionName, or in race builds poison. A name kept after an owned
+// decode or from a Clone is a string of its own and does not change.
 func TestBorrowedNameIsAView(t *testing.T) {
 	pack := func(name Name) []byte {
 		wire, err := NewQuery(1, name, TypeA).Pack()
@@ -114,20 +125,14 @@ func TestBorrowedNameIsAView(t *testing.T) {
 	m := &Message{}
 	borrowed := decode(m, UnpackBorrowedInto, a)
 	decode(m, UnpackBorrowedInto, b)
-	if borrowed != "bbbb.example." {
-		t.Fatalf("a borrowed name reads %q after the next decode, want the next decode's bytes: it was copied", borrowed)
+	if want := dead(len(borrowed), "bbbb.example."); borrowed != want {
+		t.Fatalf("a borrowed name reads %q after the next decode, want %q: it was copied", borrowed, want)
 	}
-	m.OwnNames()
-	owned := m.Questions[0].Name
 	clone := decode(m.Clone(), UnpackBorrowedInto, b)
-	decode(m, UnpackBorrowedInto, a)
-	if owned != "bbbb.example." {
-		t.Fatalf("a name kept after OwnNames reads %q, want bbbb.example.", owned)
-	}
 	cloned := m.Clone().Questions[0].Name
-	decode(m, UnpackInto, b)
-	if cloned != "aaaa.example." || clone != "bbbb.example." {
-		t.Fatalf("a clone's names read %q and %q, want aaaa.example. and bbbb.example.", cloned, clone)
+	decode(m, UnpackInto, a)
+	if cloned != "bbbb.example." || clone != "bbbb.example." {
+		t.Fatalf("a clone's names read %q and %q, want bbbb.example.", cloned, clone)
 	}
 	// The owned decode found a borrowed name in place: it must not keep it.
 	decode(m, UnpackBorrowedInto, a)
@@ -137,19 +142,72 @@ func TestBorrowedNameIsAView(t *testing.T) {
 		t.Fatalf("an owned decode after a borrowed one reads %q after the next, want aaaa.example.: it kept the borrowed name", ownDecoded)
 	}
 
+	// SetQuestionName's name is a view too.
 	q := NewQuery(1, "x.", TypeA)
 	q.SetQuestionName([]byte("cccc.example."))
 	set := q.Questions[0].Name
 	q.SetQuestionName([]byte("dddd.example."))
-	if set != "dddd.example." {
-		t.Fatalf("SetQuestionName's name reads %q after the next, want dddd.example.: it was copied", set)
+	if want := dead(len(set), "dddd.example."); set != want {
+		t.Fatalf("SetQuestionName's name reads %q after the next, want %q: it was copied", set, want)
+	}
+}
+
+// TestClonesOwnTheirNames: Clone, AppendClones and CloneRData copy every
+// name, so a copy made of a borrowed decode still reads as it did once
+// the next borrowed decode has rewritten the arena, owner names and the
+// names in CNAME, NS, PTR, MX and SOA payloads alike.
+func TestClonesOwnTheirNames(t *testing.T) {
+	wire := func(a, b string) []byte {
+		n := func(s string) Name { return MustParseName(s + ".clone.test.") }
+		r := NewResponse(NewQuery(1, n(a), TypeA))
+		for _, d := range []RData{&CNAMERData{Target: n(b + "c")}, &NSRData{Host: n(b + "n")}, &PTRRData{Target: n(b + "p")},
+			&MXRData{Preference: 10, Host: n(b + "m")}, &SOARData{MName: n(b + "s"), RName: n(b + "r"), Minimum: 60}} {
+			r.Answers = append(r.Answers, RR{Name: n(b), Class: ClassINET, TTL: 60, Data: d})
+		}
+		w, err := r.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	first, second := wire("aaaa", "bbbb"), wire("cccc", "dddd")
+	want, err := Unpack(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second message first, so the arena has the room the first
+	// needs: its views are then all of the one array the next decode
+	// rewrites, as in a Message that has warmed up.
+	m := &Message{}
+	for _, wire := range [][]byte{second, first} {
+		if err := UnpackBorrowedInto(m, wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clone, records := m.Clone(), AppendClones(nil, m.Answers)
+	payloads := make([]RData, len(m.Answers))
+	for i, rr := range m.Answers {
+		payloads[i] = CloneRData(rr.Data)
+	}
+	if err := UnpackBorrowedInto(m, second); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := clone.String(), want.String(); got != want {
+		t.Errorf("a clone reads\n%s after the next decode, want\n%s", got, want)
+	}
+	for i, rr := range want.Answers {
+		if got := records[i].String(); got != rr.String() {
+			t.Errorf("AppendClones' record %d reads %s after the next decode, want %s", i, got, rr)
+		}
+		if got := payloads[i].String(); got != rr.Data.String() {
+			t.Errorf("CloneRData's payload %d reads %s after the next decode, want %s", i, got, rr.Data)
+		}
 	}
 }
 
 // TestAllocGateBorrowed counts what borrowing saves: a borrowed decode
-// allocates no name, however new and however long; OwnNames of a name
-// its Message made before allocates nothing; and SetQuestionName puts a
-// new name in a reused query for nothing.
+// allocates no name, however new and however long, and SetQuestionName
+// puts a new name in a reused query for nothing.
 func TestAllocGateBorrowed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -179,12 +237,6 @@ func TestAllocGateBorrowed(t *testing.T) {
 			if err := UnpackBorrowedInto(m, wires[next%n]); err != nil {
 				t.Fatal(err)
 			}
-		}},
-		{"own-repeated-names", func() {
-			if err := UnpackBorrowedInto(m, wires[0]); err != nil {
-				t.Fatal(err)
-			}
-			m.OwnNames()
 		}},
 		{"set-question-name", func() { q.SetQuestionName(names[next%n]) }},
 	} {

@@ -203,7 +203,7 @@ func diffCheckUnpack(t *testing.T, wire []byte, dirty *Message) *Message {
 func decoded(m *Message) Message {
 	out := *m
 	out.spareEDNS = nil
-	out.names, out.borrowed, out.stale, out.owned = nil, false, false, nil
+	out.names, out.stale = nil, false
 	out.Questions = nilIfEmpty(out.Questions)
 	out.Answers = nilIfEmpty(out.Answers)
 	out.Authorities = nilIfEmpty(out.Authorities)

@@ -74,16 +74,12 @@ type Message struct {
 
 	// names is the arena the borrowed names are views of: the names of
 	// the last UnpackBorrowedInto, or the one SetQuestionName was given.
-	// borrowed says the Message's names may be such views, until
-	// OwnNames or an UnpackInto makes them strings of their own. stale
-	// says it has ever held one: the slots a decode reveals past its
-	// sections' lengths may still hold views of an arena rewritten
-	// since, so an owned decode takes no name it finds as its reuse
-	// candidate. owned is what OwnNames made, in the order it walks the
-	// names, for its next call to reuse.
-	names           []byte
-	borrowed, stale bool
-	owned           []Name
+	// stale says m has ever held such a view: the slots a decode reveals
+	// past its sections' lengths may still hold views of an arena
+	// rewritten since, so an owned decode takes no name it finds as its
+	// reuse candidate.
+	names []byte
+	stale bool
 }
 
 // Question returns the first question, or a zero Question if none.
@@ -299,9 +295,6 @@ func UnpackInto(m *Message, data []byte) error {
 	st := unpackPool.Get().(*unpackState)
 	err := unpackInto(m, &parser{msg: data, st: st, reuse: !m.stale})
 	unpackPool.Put(st)
-	if err == nil {
-		m.borrowed = false
-	}
 	return err
 }
 
@@ -311,68 +304,13 @@ func UnpackInto(m *Message, data []byte) error {
 // the next decode into m, or SetQuestionName on it, rewrites the arena;
 // the same goes for a Question or RR copied out of m, and for a name in
 // another Message that a decode kept because it matched a borrowed one.
-// Code that keeps a name past that point copies it, or calls OwnNames
-// first.
+// Code that keeps a name past that point copies it (Clone copies them
+// all). In race builds the rewrite is a new arena, and the old one is
+// overwritten with bytes no name holds (poisonArenas), so a name kept
+// past its lifetime reads garbage at once.
 func UnpackBorrowedInto(m *Message, data []byte) error {
-	m.names, m.borrowed, m.stale = m.names[:0], true, true
+	m.rewrite(nil, 2*len(data))
 	return unpackInto(m, &parser{msg: data, names: &m.names})
-}
-
-// OwnNames makes every name m holds a string of its own, valid however
-// m is used next, after a borrowed decode or SetQuestionName; otherwise
-// it does nothing. A name with the bytes of the one OwnNames made in its
-// place the last time is that string again, and a record's name with
-// the first question's bytes is the question's string, so a query
-// repeated into a reused Message allocates nothing here either.
-func (m *Message) OwnNames() {
-	if !m.borrowed {
-		return
-	}
-	m.borrowed = false
-	i := 0
-	for qi := range m.Questions {
-		i = m.own(&m.Questions[qi].Name, i)
-	}
-	for _, sec := range [3][]RR{m.Answers, m.Authorities, m.Additionals} {
-		for ri := range sec {
-			rr := &sec[ri]
-			i = m.own(&rr.Name, i)
-			switch d := rr.Data.(type) {
-			case *CNAMERData:
-				i = m.own(&d.Target, i)
-			case *NSRData:
-				i = m.own(&d.Host, i)
-			case *PTRRData:
-				i = m.own(&d.Target, i)
-			case *MXRData:
-				i = m.own(&d.Host, i)
-			case *SOARData:
-				i = m.own(&d.RName, m.own(&d.MName, i))
-			}
-		}
-	}
-}
-
-// own makes *n, the i-th name OwnNames walks, a string of m's own: the
-// one made in that place before when the bytes match, else the first
-// question's (owned already, unless *n is it) when they match that,
-// else a copy. It returns the place of the next name.
-func (m *Message) own(n *Name, i int) int {
-	switch {
-	case i < len(m.owned) && m.owned[i] == *n:
-		*n = m.owned[i]
-		return i + 1
-	case i > 0 && len(m.Questions) > 0 && *n == m.Questions[0].Name:
-		*n = m.Questions[0].Name
-	default:
-		*n = Name(strings.Clone(string(*n)))
-	}
-	if i < len(m.owned) {
-		m.owned[i] = *n
-	} else {
-		m.owned = append(m.owned, *n)
-	}
-	return i + 1
 }
 
 // SetQuestionName makes name the name of m's first question, borrowed
@@ -380,10 +318,36 @@ func (m *Message) own(n *Name, i int) int {
 // m's arena and the name is a view of them, so setting a new name on a
 // reused query allocates nothing. name must be canonical, as ParseName
 // returns it; it is not checked. m must have a question. Every name
-// borrowed from m before the call reads the new bytes after it.
+// borrowed from m before the call reads the new bytes after it, or, in
+// race builds, poison.
 func (m *Message) SetQuestionName(name []byte) {
-	m.names, m.borrowed, m.stale = append(m.names[:0], name...), true, true
+	m.rewrite(name, len(name))
 	m.Questions[0].Name = view(m.names)
+}
+
+// poison is what a race build overwrites a rewritten arena with: an
+// upper-case letter, which no canonical name holds.
+const poison = 'X'
+
+// rewrite starts m's arena over with name's bytes, for a borrowed decode
+// or SetQuestionName, and marks m stale. The arena is m's own, so the
+// views of it read the new bytes; in race builds (poisonArenas) it is a
+// new one, with room for at least n bytes, and the old one is
+// overwritten with poison once name is copied, so a view of it that
+// outlived its lifetime reads bytes no name holds and fails whatever
+// compares or sends it.
+func (m *Message) rewrite(name []byte, n int) {
+	old := m.names
+	if poisonArenas {
+		m.names = make([]byte, 0, max(n, cap(old)))
+	}
+	m.names, m.stale = append(m.names[:0], name...), true
+	if poisonArenas {
+		old = old[:cap(old)]
+		for i := range old {
+			old[i] = poison
+		}
+	}
 }
 
 // unpackInto decodes p's message into m. p never escapes the decode
@@ -591,10 +555,10 @@ func NewResponse(q *Message) *Message {
 }
 
 // Clone returns a copy of m that shares no memory with it: sections,
-// payloads (CloneRData) and option bytes are copied, and so are names m
-// borrows (OwnNames). A message handed to a goroutine that may outlive
-// its owner's next use of m, such as a hedged exchange's losing attempt,
-// must be a clone.
+// names, payloads (AppendClones) and option bytes are copied, so a name
+// m borrows is a string of the clone's own. A message handed to a
+// goroutine that may outlive its owner's next use of m, such as a
+// hedged exchange's losing attempt, must be a clone.
 func (m *Message) Clone() *Message {
 	c := &Message{
 		Header:      m.Header,
@@ -602,9 +566,10 @@ func (m *Message) Clone() *Message {
 		Answers:     AppendClones(nil, m.Answers),
 		Authorities: AppendClones(nil, m.Authorities),
 		Additionals: AppendClones(nil, m.Additionals),
-		borrowed:    m.borrowed,
 	}
-	c.OwnNames()
+	for i := range c.Questions {
+		c.Questions[i].Name = c.Questions[i].Name.Clone()
+	}
 	if m.EDNS != nil {
 		e := *m.EDNS
 		e.Options = make([]Option, len(m.EDNS.Options))

@@ -88,6 +88,11 @@ func MustParseName(s string) Name {
 // String returns the presentation form of the name.
 func (n Name) String() string { return string(n) }
 
+// Clone returns n as a string of its own, which a borrowed name
+// (UnpackBorrowedInto) is not: code that keeps a name past its query
+// keeps a clone.
+func (n Name) Clone() Name { return Name(strings.Clone(string(n))) }
+
 // Labels returns the labels of n from most- to least-specific, excluding
 // the root. Labels(".") is empty.
 func (n Name) Labels() []string {

@@ -158,10 +158,12 @@ func (r UnknownRData) String() string {
 }
 
 // CloneRData returns a payload equal to d that shares no memory with
-// it. A decoder reusing a Message overwrites the payloads it decoded
-// before (see decodeRData), so a record that outlives the next decode
-// into its Message, such as one a cache keeps, must hold a clone. A
-// payload stored by value is returned as it is: nothing can write to it.
+// it, the names it holds included. A decoder reusing a Message
+// overwrites the payloads it decoded before (see decodeRData), and a
+// name may be a view of an arena a later decode rewrites
+// (UnpackBorrowedInto), so a record that outlives the next decode into
+// its Message, such as one a cache keeps, must hold a clone. A payload
+// stored by value is returned as it is: nothing can write to it.
 func CloneRData(d RData) RData {
 	switch x := d.(type) {
 	case *ARData:
@@ -172,18 +174,23 @@ func CloneRData(d RData) RData {
 		return &c
 	case *CNAMERData:
 		c := *x
+		c.Target = c.Target.Clone()
 		return &c
 	case *NSRData:
 		c := *x
+		c.Host = c.Host.Clone()
 		return &c
 	case *PTRRData:
 		c := *x
+		c.Target = c.Target.Clone()
 		return &c
 	case *MXRData:
 		c := *x
+		c.Host = c.Host.Clone()
 		return &c
 	case *SOARData:
 		c := *x
+		c.MName, c.RName = c.MName.Clone(), c.RName.Clone()
 		return &c
 	case *TXTRData:
 		return &TXTRData{Strings: slices.Clone(x.Strings)}
@@ -193,11 +200,17 @@ func CloneRData(d RData) RData {
 	return d
 }
 
-// AppendClones appends to dst a copy of each record in rrs, its payload
-// cloned (CloneRData), and returns the extended slice.
+// AppendClones appends to dst a copy of each record in rrs that shares
+// no memory with it, and returns the extended slice: the owner name is
+// copied, once for a run of records that share it, and the payload
+// cloned (CloneRData).
 func AppendClones(dst, rrs []RR) []RR {
-	for _, rr := range rrs {
-		rr.Data = CloneRData(rr.Data)
+	var name, clone Name
+	for i, rr := range rrs {
+		if i == 0 || rr.Name != name {
+			name, clone = rr.Name, rr.Name.Clone()
+		}
+		rr.Name, rr.Data = clone, CloneRData(rr.Data)
 		dst = append(dst, rr)
 	}
 	return dst

@@ -10,8 +10,9 @@
 // decode into a reused Message reuses its memory (UnpackInto), and a
 // borrowed decode (UnpackBorrowedInto) makes no string for a name at
 // all: each name is a view of bytes the Message keeps, valid until the
-// next decode into it, which OwnNames turns into strings when a name
-// must outlive that.
+// next borrowed decode into it, and code that keeps a name past that
+// copies it (Name.Clone; Message.Clone, AppendClones and CloneRData
+// copy names too).
 package dnswire
 
 import "fmt"

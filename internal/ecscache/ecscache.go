@@ -290,13 +290,15 @@ func (c *Cache) LookupStale(key Key, client netip.Addr, now time.Time, maxStale 
 // resident entries are evicted. e.Stored is ignored.
 //
 // Insert copies what it keeps and keeps none of the caller's memory: it
-// takes e's records on loan, for the call only. When a neighbour in the
-// key's list holds the same records, the stored entry takes that
-// neighbour's; otherwise Insert stores a copy of e's, payloads included,
-// in which an owner name equal to the key's is the key's string. So a
-// caller may decode its next answer over e's records as soon as Insert
-// returns. It returns the sections it stored, which are immutable, and
-// true.
+// takes key and e's records on loan, for the call only, and their names
+// may be views of a query a later decode rewrites. A question the cache
+// has not held is filed under a copy of key's name. When a neighbour in
+// the key's list holds the same records, the stored entry takes that
+// neighbour's; otherwise Insert stores a copy of e's, names and payloads
+// included, in which an owner name equal to the key's is the key's
+// string. So a caller may decode its next answer over e's records as
+// soon as Insert returns. It returns the sections it stored, which are
+// immutable, and true.
 //
 // The answer to an opt-out, an ECS entry of family 0 and source 0
 // (RFC 7871 §7.1.2), has no address and is good for every client, as a

@@ -52,6 +52,10 @@ var errFlightAbandoned = errors.New("ecscache: in-flight fetch abandoned")
 // never coalesce — a completed flight leaves no state behind, so this
 // deduplicates herds, not time.
 func Do[T any](c *Cache, key Key, prefix netip.Prefix, fetch func() (T, error)) (val T, shared bool, err error) {
+	// key's name is borrowed from the caller's query, and the map keeps
+	// it without a copy: the leader's, or the first waiter's, which
+	// stores it again, and both are still in Do, holding their queries,
+	// when the leader deletes the flight.
 	fk := flightKey{key: key, prefix: prefix}
 	g := &c.flight
 	g.mu.Lock()

@@ -382,6 +382,7 @@ func (sh *shard) insert(key Key, r *record, answer, authority []dnswire.RR, now 
 	defer sh.mu.Unlock()
 	q := sh.entries[key]
 	if q == nil {
+		key.Name = key.Name.Clone() // the caller's is borrowed
 		q = &question{key: key, due: math.MaxInt64}
 		sh.entries[key] = q
 	} else {

@@ -33,9 +33,10 @@ func (sh *shard) share(q *question, i int, answer, authority []dnswire.RR) *reco
 }
 
 // own returns a copy of rrs that shares no memory with it, nil when rrs
-// is empty: each payload cloned (dnswire.CloneRData), and an owner name
-// equal to name, the question's, filed under name's string, which the
-// cache keeps for the key anyway, instead of the caller's.
+// is empty: each payload cloned with the names it holds
+// (dnswire.CloneRData), and each owner name copied, except that one
+// equal to name, the question's, is filed under name's string, which
+// the cache keeps for the key anyway.
 func own(rrs []dnswire.RR, name dnswire.Name) []dnswire.RR {
 	if len(rrs) == 0 {
 		return nil
@@ -44,6 +45,8 @@ func own(rrs []dnswire.RR, name dnswire.Name) []dnswire.RR {
 	for i, rr := range rrs {
 		if rr.Name == name {
 			rr.Name = name
+		} else {
+			rr.Name = rr.Name.Clone()
 		}
 		rr.Data = dnswire.CloneRData(rr.Data)
 		out[i] = rr

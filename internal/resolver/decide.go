@@ -163,7 +163,8 @@ func decide(p Profile, st *probeState, in input) decision {
 		chosen, ok := st.randNames[in.q.Name]
 		if !ok {
 			chosen = st.rng.Intn(2) == 0
-			st.randNames[in.q.Name] = chosen
+			// A copy: the hop's name may be a view of the client's query.
+			st.randNames[in.q.Name.Clone()] = chosen
 		}
 		if !chosen || st.rng.Float64() >= randomECSFraction {
 			return decision{}

@@ -8,7 +8,6 @@ package resolver
 import (
 	"errors"
 	"net/netip"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -268,7 +267,7 @@ func (r *Resolver) ServeDNS(from netip.Addr, query, resp *dnswire.Message, mayWa
 	if !ok {
 		return false
 	}
-	r.count(key, now, true)
+	r.count(key, now)
 	reply(resp, query)
 	answerFromEntry(resp, &e, e.RemainingTTL(now), c)
 	return true
@@ -297,7 +296,7 @@ func (r *Resolver) resolve(from netip.Addr, query, resp *dnswire.Message) {
 	key := ecscache.KeyOf(q)
 
 	c := identity(r.cfg.Profile, from, query)
-	withinMinute := r.count(key, now, false)
+	withinMinute := r.count(key, now)
 	bypassCache := r.bypassCache(q.Name)
 
 	if !bypassCache {
@@ -360,12 +359,10 @@ func reply(resp, query *dnswire.Message) {
 // count books one client query: the client-query counter and, under
 // ProbeOnMiss, the name's last-seen time, which alone takes mu. It
 // reports whether the name was last seen less than a minute before now.
-// borrowed says key's name is a view of a query a dnsserver read loop
-// lends (ServeDNS without mayWait), which the next datagram rewrites: a
-// name not seen before is stored as a copy. A name seen before has its
-// time updated in place, since assigning to the map stores the key
-// again, name and all.
-func (r *Resolver) count(key ecscache.Key, now time.Time, borrowed bool) (withinMinute bool) {
+// key's name is borrowed from the query, so a name not seen before is
+// stored as a copy, and a name seen before has its time updated in
+// place, since assigning to the map stores the key again, name and all.
+func (r *Resolver) count(key ecscache.Key, now time.Time) (withinMinute bool) {
 	r.clientQueries.Add(1)
 	if r.cfg.Profile.Probing != ProbeOnMiss {
 		return false
@@ -377,9 +374,7 @@ func (r *Resolver) count(key ecscache.Key, now time.Time, borrowed bool) (within
 		*last = now
 		return withinMinute
 	}
-	if borrowed {
-		key.Name = dnswire.Name(strings.Clone(string(key.Name)))
-	}
+	key.Name = key.Name.Clone()
 	last := new(time.Time) // not &now, which would put now on the heap on every call
 	*last = now
 	r.lastSeen[key] = last
@@ -421,24 +416,42 @@ type upstreamResult struct {
 // back to resolutions when the resolution ends, so nothing the
 // resolution returns or caches may point into it: the cache copies what
 // it keeps (ecscache.Insert), and the resolution copies the rest
-// (dnswire.AppendClones).
+// (dnswire.AppendClones), names included.
 type resolution struct {
 	query, answer dnswire.Message
 	opt           dnswire.EDNS // the query's OPT record
+	name          []byte       // the hop's question name, on its way into query's arena
 }
 
 var resolutions = sync.Pool{New: func() any { return new(resolution) }}
 
+// release ends the resolution and gives ws back to resolutions. Its
+// question's name goes first, and with it the arena the resolution's
+// names viewed, which in race builds is poisoned then, whether or not
+// the pool hands ws out again: a name kept past the resolution reads
+// garbage at once.
+func (ws *resolution) release() {
+	if len(ws.query.Questions) > 0 {
+		ws.query.SetQuestionName(nil)
+	}
+	resolutions.Put(ws)
+}
+
 // hopQuery makes ws.query the upstream query for q at target: a fresh
 // ID, no recursion, and an OPT record of ws's own advertising 4096
-// bytes, which carries the client subnet when attach is set. ws.answer
-// is given the same question: an answer repeats it, and a decode keeps
-// a name the Message already holds (dnswire.UnpackInto), so the
-// answer's names cost nothing.
+// bytes, which carries the client subnet when attach is set. The name
+// is copied into ws.query's arena (SetQuestionName), and ws.answer is
+// given the same question: an answer repeats it, and a decode keeps a
+// name the Message already holds (dnswire.UnpackInto), so the answer's
+// names cost nothing. They are then views of ws's own memory, not of
+// the client's query, which goes back to its server while ws, and the
+// names a later decode compares with what ws.answer holds, are pooled.
 func (ws *resolution) hopQuery(id uint16, target dnswire.Name, q dnswire.Question, attach bool, cs ecsopt.ClientSubnet) *dnswire.Message {
 	up := &ws.query
 	up.Header = dnswire.Header{ID: id}
-	up.Questions = append(up.Questions[:0], dnswire.Question{Name: target, Type: q.Type, Class: dnswire.ClassINET})
+	up.Questions = append(up.Questions[:0], dnswire.Question{Type: q.Type, Class: dnswire.ClassINET})
+	ws.name = append(ws.name[:0], target...)
+	up.SetQuestionName(ws.name)
 	ws.answer.Questions = append(ws.answer.Questions[:0], up.Questions[0])
 	ws.opt = dnswire.EDNS{UDPSize: 4096, Options: ws.opt.Options[:0]}
 	up.EDNS = &ws.opt
@@ -463,7 +476,7 @@ func (ws *resolution) hopQuery(id uint16, target dnswire.Name, q dnswire.Questio
 // rejected, is copied out before ws goes back to the pool.
 func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now time.Time, withinMinute bool, c client, bypassCache bool) (upstreamResult, error) {
 	ws := resolutions.Get().(*resolution)
-	defer resolutions.Put(ws)
+	defer ws.release()
 	var (
 		answers   []dnswire.RR
 		chain     []dnswire.RR // the hops before this one, owned
@@ -519,7 +532,7 @@ func (r *Resolver) resolveUpstream(q dnswire.Question, key ecscache.Key, now tim
 		if !dangling || rcode != dnswire.RCodeNoError {
 			break
 		}
-		chain = dnswire.AppendClones(chain, upResp.Answers) // before the next hop decodes over them
+		chain = dnswire.AppendClones(chain, upResp.Answers) // names too: before the next hop rewrites them
 		target = next
 	}
 

@@ -71,13 +71,15 @@ func (p *decodingPool) ExchangeInto(_ netip.Addr, q, into *dnswire.Message) (*dn
 
 // TestResolutionsKeepNoPooledRecords: a resolution's upstream answers are
 // decoded into a pooled workspace, which the cache reads on loan and the
-// next resolution decodes over, so neither a cached entry nor a client
-// reply may point into it. Each row resolves an answer the way one path
-// takes it — a two- and a three-hop CNAME chain, a scope-0 answer the
-// profile does not cache, an answer the cache rejects, a coalesced
-// waiter's — and then misses on other names, whose different answers are
+// next resolution decodes over, and their owner names are views of the
+// hop's question there, which the next resolution rewrites; so neither a
+// cached entry nor a client reply may point into it. Each row resolves
+// an answer the way one path takes it — a two- and a three-hop CNAME
+// chain, a scope-0 answer the profile does not cache, an answer the
+// cache rejects, a coalesced waiter's on an answer cached and on one not
+// cached — and then misses on other names, whose different answers are
 // decoded into the workspace the row's resolution used. The row's
-// replies and cached entries must read as they did.
+// replies and cached entries must read as they did, names and all.
 func TestResolutionsKeepNoPooledRecords(t *testing.T) {
 	www, mid, edge := dnswire.Name("www."+retentionZone), dnswire.Name("mid."+cdnZone), dnswire.Name("edge."+cdnZone)
 	base := netip.MustParseAddr("192.0.2.10")
@@ -99,7 +101,7 @@ func TestResolutionsKeepNoPooledRecords(t *testing.T) {
 	}{
 		{
 			name: "two-hop CNAME chain", profile: GoogleLikeProfile, echo: atScope(24),
-			cached: []string{"CNAME " + string(edge), "A " + base.String()},
+			cached: []string{string(www) + " CNAME " + string(edge), string(edge) + " A " + base.String()},
 			ask: func(r *Resolver, p *decodingPool) []*dnswire.Message {
 				p.cnames[www], p.addrs[edge] = edge, base
 				return []*dnswire.Message{retentionAsk(r, client, www)}
@@ -113,7 +115,7 @@ func TestResolutionsKeepNoPooledRecords(t *testing.T) {
 		{
 			// Each hop's CNAME payload is decoded over the one before.
 			name: "three-hop CNAME chain", profile: GoogleLikeProfile, echo: atScope(24),
-			cached: []string{"CNAME " + string(mid), "CNAME " + string(edge), "A " + base.String()},
+			cached: []string{string(www) + " CNAME " + string(mid), string(mid) + " CNAME " + string(edge), string(edge) + " A " + base.String()},
 			ask: func(r *Resolver, p *decodingPool) []*dnswire.Message {
 				p.cnames[www], p.cnames[mid], p.addrs[edge] = mid, edge, base
 				return []*dnswire.Message{retentionAsk(r, client, www)}
@@ -156,31 +158,23 @@ func TestResolutionsKeepNoPooledRecords(t *testing.T) {
 		},
 		{
 			name: "coalesced waiter", profile: GoogleLikeProfile, echo: atScope(24),
-			cached: []string{"A " + base.String()},
-			ask: func(r *Resolver, p *decodingPool) []*dnswire.Message {
-				p.addrs[www] = base
-				p.hold, p.held = make(chan struct{}), make(chan struct{})
-				var waiter *dnswire.Message
-				asked := make(chan struct{})
-				go func() {
-					defer close(asked)
-					<-p.held // the leader's answer is decoded and held
-					waiter = retentionAsk(r, client, www)
-				}()
-				go func() {
-					for r.Cache().Stats().Coalesced == 0 {
-						runtime.Gosched()
-					}
-					close(p.hold) // the waiter is parked on the leader's flight
-				}()
-				leader := retentionAsk(r, client, www)
-				<-asked
-				p.hold = nil
-				return []*dnswire.Message{leader, waiter}
-			},
+			cached: []string{string(www) + " A " + base.String()},
+			ask:    coalesced(client, www, base),
 			check: func(t *testing.T, st ecscache.CacheStats) {
 				if st.Coalesced != 1 {
 					t.Errorf("%d resolutions coalesced, want the waiter's", st.Coalesced)
+				}
+			},
+		},
+		{
+			// The waiter reads the leader's copy of records the cache
+			// did not take, after the leader's workspace has gone back.
+			name: "coalesced waiter, not cached", echo: atScope(0),
+			profile: func() Profile { p := GoogleLikeProfile(); p.NoCacheScopeZero = true; return p },
+			ask:     coalesced(client, www, base),
+			check: func(t *testing.T, st ecscache.CacheStats) {
+				if st.Coalesced != 1 || st.HighWater != 0 {
+					t.Errorf("%d resolutions coalesced and %d answers cached, want the waiter's and none", st.Coalesced, st.HighWater)
 				}
 			},
 		},
@@ -199,7 +193,7 @@ func TestResolutionsKeepNoPooledRecords(t *testing.T) {
 			replies := row.ask(r, p)
 			want := make([]string, len(replies))
 			for i, reply := range replies {
-				if want[i] = retentionRecords(reply.Answers); !strings.Contains(want[i], "A "+base.String()) {
+				if want[i] = retentionRecords(reply.Answers); !strings.Contains(want[i], " A "+base.String()) || !strings.HasPrefix(want[i], string(www)+" ") {
 					t.Fatalf("reply %d answers %s, want %s's address", i, want[i], base)
 				}
 			}
@@ -227,6 +221,33 @@ func TestResolutionsKeepNoPooledRecords(t *testing.T) {
 	}
 }
 
+// coalesced asks for name twice at once, for the same client: the
+// leader's answer is decoded and held upstream until the second query,
+// the waiter, is parked on the leader's flight. It returns both replies.
+func coalesced(client netip.Addr, name dnswire.Name, addr netip.Addr) func(r *Resolver, p *decodingPool) []*dnswire.Message {
+	return func(r *Resolver, p *decodingPool) []*dnswire.Message {
+		p.addrs[name] = addr
+		p.hold, p.held = make(chan struct{}), make(chan struct{})
+		var waiter *dnswire.Message
+		asked := make(chan struct{})
+		go func() {
+			defer close(asked)
+			<-p.held // the leader's answer is decoded and held
+			waiter = retentionAsk(r, client, name)
+		}()
+		go func() {
+			for r.Cache().Stats().Coalesced == 0 {
+				runtime.Gosched()
+			}
+			close(p.hold) // the waiter is parked on the leader's flight
+		}()
+		leader := retentionAsk(r, client, name)
+		<-asked
+		p.hold = nil
+		return []*dnswire.Message{leader, waiter}
+	}
+}
+
 // retentionAsk resolves name of type A for client through r.
 func retentionAsk(r *Resolver, client netip.Addr, name dnswire.Name) *dnswire.Message {
 	q := dnswire.NewQuery(7, name, dnswire.TypeA)
@@ -234,8 +255,8 @@ func retentionAsk(r *Resolver, client netip.Addr, name dnswire.Name) *dnswire.Me
 	return r.HandleDNS(client, q)
 }
 
-// retentionRecords is rrs as one line, type and payload only: the TTLs
-// a reply serves move with the clock.
+// retentionRecords is rrs as one line, owner, type and payload only:
+// the TTLs a reply serves move with the clock.
 func retentionRecords(rrs []dnswire.RR) string {
 	var b strings.Builder
 	for i, rr := range rrs {
@@ -244,9 +265,9 @@ func retentionRecords(rrs []dnswire.RR) string {
 		}
 		switch d := rr.Data.(type) {
 		case *dnswire.ARData:
-			fmt.Fprintf(&b, "A %s", d.Addr)
+			fmt.Fprintf(&b, "%s A %s", rr.Name, d.Addr)
 		case *dnswire.CNAMERData:
-			fmt.Fprintf(&b, "CNAME %s", d.Target)
+			fmt.Fprintf(&b, "%s CNAME %s", rr.Name, d.Target)
 		default:
 			fmt.Fprintf(&b, "%v", rr)
 		}

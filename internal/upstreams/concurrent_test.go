@@ -71,9 +71,11 @@ func TestConcurrentHedgeWins(t *testing.T) {
 // TestHedgedAttemptsOwnTheirQuery holds a hedged race's primary until
 // after Exchange has returned on the hedge's answer and the caller has
 // rewritten its query in place, as a resolver refills the query it
-// built in pooled memory for its next hop. The straggler, released only
-// then, must still send the question and ECS bytes it was started with:
-// the race's attempts read a query of their own.
+// built in pooled memory for its next hop: the question name, a view of
+// the query's arena (SetQuestionName), and the ECS bytes. The
+// straggler, released only then, must still send the question and ECS
+// bytes it was started with: the race's attempts read a query of their
+// own.
 func TestHedgedAttemptsOwnTheirQuery(t *testing.T) {
 	tr := newFakeTransport()
 	after := newManualAfter()
@@ -90,9 +92,10 @@ func TestHedgedAttemptsOwnTheirQuery(t *testing.T) {
 	}
 	ecs := []byte{0, 1, 24, 0, 198, 51, 100}
 	q := query(1)
+	question := q.Question() // its name a string of its own
+	q.SetQuestionName([]byte(question.Name))
 	q.EDNS = dnswire.NewEDNS()
 	q.EDNS.SetOption(dnswire.Option{Code: dnswire.OptionCodeECS, Data: append([]byte(nil), ecs...)})
-	question := q.Question()
 
 	release := make(chan struct{})
 	type sent struct {
@@ -118,7 +121,7 @@ func TestHedgedAttemptsOwnTheirQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Questions[0].Name = "next.example."
+	q.SetQuestionName([]byte("y.example.")) // as long as the first: a view of it reads this
 	opt, _ := q.EDNS.Option(dnswire.OptionCodeECS)
 	copy(opt.Data, []byte{0, 1, 24, 0, 203, 0, 113})
 	close(release)

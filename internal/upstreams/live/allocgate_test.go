@@ -39,9 +39,8 @@ func TestAllocGateServedMiss(t *testing.T) {
 		bound float64
 	}{
 		// Every query asks a fresh name. It reads 7: the name, new on
-		// each leg, which only the recursor's leg copies (its worker's
-		// OwnNames, for the cache to keep: the authority's read loop
-		// answers with the name a view of its query Message); the
+		// each leg and a view of a query Message on each, which only the
+		// recursor's cache copies, when it files the new question; the
 		// record the cache keeps, which Insert copies out of the pooled
 		// answer with its payload; and four objects of the cache's own
 		// for a name it has not held (record set, record, the name's
@@ -56,6 +55,14 @@ func TestAllocGateServedMiss(t *testing.T) {
 		// before the cache looked).
 		{"shared answer", authority.ScopeEcho(), func(i int) (dnswire.Name, netip.Addr) {
 			return "www." + missZone, netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0})
+		}, 1},
+		// Eight names in turn, each from a new client /24, answered
+		// alike at scope 24, as serve-scoped's prefill asks them. It
+		// reads 1, the resident record, as one name does: no leg copies
+		// a name the cache holds already (2 while the worker copied
+		// every name that differed from its Message's last).
+		{"eight names", authority.ScopeEcho(), func(i int) (dnswire.Name, netip.Addr) {
+			return dnswire.Name(fmt.Sprintf("n%d.%s", i%8, missZone)), netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0})
 		}, 1},
 	} {
 		t.Run(row.name, func(t *testing.T) {
